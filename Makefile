@@ -4,12 +4,25 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test lint lint-baseline sarif ruff mypy bench bench-sim bench-fabric bench-all obs-bench obs-profile perf-diff fabric-perf-diff baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
+.PHONY: check test bench-check loc lint lint-baseline sarif ruff mypy bench bench-sim bench-fabric bench-all obs-bench obs-profile perf-diff fabric-perf-diff baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
 
 check: test lint ruff mypy
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# the benchmark's own tests (not tier-1): a refactor that breaks a name
+# or option bench/ depends on fails here, not at measurement time
+bench-check:
+	$(PYTHON) -m pytest bench/tests -q
+
+# source lines per package and in total; every removal PR reports
+# the before/after of exactly this
+loc:
+	@for pkg in src/repro/*/; do \
+		printf '%6d %s\n' "$$(find $$pkg -name '*.py' | xargs cat | wc -l)" "$$pkg"; \
+	done
+	@printf '%6d src (all *.py)\n' "$$(find src -name '*.py' | xargs cat | wc -l)"
 
 LINT_BASELINE = lint-baseline.json
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Any, List, Optional, Sequence, Union
 
 from repro.errors import ExperimentError
 from repro.net.host import Host
 from repro.net.topology import Fabric, Testbed
+from repro.sim.engine import Simulator
 from repro.sim.timer import PeriodicTimer
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.sender import TcpSender
@@ -188,6 +189,19 @@ class IperfSession:
         """Start a dormant session now (idempotent)."""
         self._start()
 
+    def begin_after(self, predecessor: "IperfSession", arrival_s: float) -> None:
+        """Chain this dormant session behind ``predecessor``.
+
+        It begins when the predecessor completes, but never before its
+        own arrival time — the open-workload form of the paper's
+        full-speed-then-idle schedule.
+        """
+        predecessor.sender.on_complete(
+            lambda done_t: self.sim.schedule_at(
+                max(done_t, arrival_s), self.begin
+            )
+        )
+
     def uncap(self) -> None:
         """Remove the application rate cap; remaining data is handed to
         TCP immediately (the flow then "uses the rest of the link")."""
@@ -283,6 +297,46 @@ class IperfSession:
         )
 
 
+#: how many stuck flow ids a completion error spells out; a 1k-flow
+#: fabric's message stays one readable line
+_STUCK_IDS_SHOWN = 8
+
+
+def _stuck_error(label: str, flows: Sequence[Any], what: str) -> ExperimentError:
+    stuck = [f.flow_id for f in flows if not f.complete]
+    shown = ", ".join(str(fid) for fid in stuck[:_STUCK_IDS_SHOWN])
+    if len(stuck) > _STUCK_IDS_SHOWN:
+        shown += f", ... (+{len(stuck) - _STUCK_IDS_SHOWN} more)"
+    return ExperimentError(
+        f"{label}: {what} with {len(stuck)} of {len(flows)} flows "
+        f"incomplete: [{shown}]"
+    )
+
+
+def drive_until_complete(
+    sim: Simulator,
+    flows: Sequence[Any],
+    time_limit_s: float,
+    label: str,
+) -> None:
+    """Step ``sim`` until every flow reports ``complete``.
+
+    The one completion loop every run path shares. ``flows`` are
+    anything with ``complete`` and ``flow_id`` (sessions, bare
+    senders); ``label`` names the scenario in the error. Raises
+    :class:`ExperimentError` naming the stuck flows if virtual time
+    passes ``time_limit_s`` or the event queue drains first — a stuck
+    experiment should fail loudly, not return bogus energy.
+    """
+    while not all(f.complete for f in flows):
+        if sim.now > time_limit_s:
+            raise _stuck_error(
+                label, flows, f"time limit of {time_limit_s}s virtual passed"
+            )
+        if not sim.step():
+            raise _stuck_error(label, flows, "event queue drained")
+
+
 def run_until_complete(
     testbed: Testbed,
     sessions: List[IperfSession],
@@ -290,17 +344,8 @@ def run_until_complete(
 ) -> List[IperfResult]:
     """Drive the simulator until every session completes.
 
-    Raises :class:`ExperimentError` if the time limit passes first (a
-    stuck experiment should fail loudly, not return bogus energy).
+    Raises :class:`ExperimentError` if the time limit passes first (see
+    :func:`drive_until_complete`).
     """
-    sim = testbed.sim
-    while not all(s.complete for s in sessions):
-        if sim.now > time_limit_s:
-            stuck = [s.flow_id for s in sessions if not s.complete]
-            raise ExperimentError(
-                f"flows {stuck} incomplete after {time_limit_s}s of virtual time"
-            )
-        if not sim.step():
-            stuck = [s.flow_id for s in sessions if not s.complete]
-            raise ExperimentError(f"event queue drained with flows {stuck} stuck")
+    drive_until_complete(testbed.sim, sessions, time_limit_s, "iperf")
     return [s.result() for s in sessions]

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.analysis.tables import format_table
+from repro.apps.iperf import drive_until_complete
 from repro.cc.registry import factory as cca_factory
 from repro.energy.cpu import CpuModel
 from repro.energy.meter import EnergyMeter
-from repro.errors import ExperimentError
 from repro.net.topology import TestbedConfig, build_incast_testbed
 from repro.sim.engine import Simulator
 from repro.tcp.receiver import TcpReceiver
@@ -121,13 +121,9 @@ def run_incast_point(
     for sender in senders:
         sender.start()
 
-    while not all(s.complete for s in senders):
-        if sim.now > time_limit_s:
-            raise ExperimentError(
-                f"incast fan-in {fan_in} stuck after {time_limit_s}s"
-            )
-        if not sim.step():
-            raise ExperimentError("event queue drained before completion")
+    drive_until_complete(
+        sim, senders, time_limit_s, f"incast fan-in {fan_in}"
+    )
     energy = meter.stop()
 
     return IncastPoint(

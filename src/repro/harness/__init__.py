@@ -24,7 +24,6 @@ from repro.harness.experiment import (
     Scenario,
     scenario_from_plan,
 )
-from repro.harness.fabric import run_fabric_once
 from repro.harness.runner import (
     RepeatedResult,
     RunMeasurement,
@@ -38,7 +37,6 @@ __all__ = [
     "Scenario",
     "FabricScenario",
     "AnyScenario",
-    "run_fabric_once",
     "scenario_from_plan",
     "RunMeasurement",
     "RepeatedResult",

@@ -43,13 +43,15 @@ from repro.errors import ExperimentError, SweepAbortedError
 from repro.harness.cache import ResultCache, compute_key, ensure_cache
 from repro.harness.experiment import AnyScenario
 from repro.harness.runner import RunMeasurement, run_once
-from repro.obs.journal import ABORT_FILENAME, perf_clock, worker_id
+from repro.obs.journal import ABORT_FILENAME, JOURNAL, perf_clock, worker_id
 from repro.obs.observer import (
     NULL_OBSERVER,
     JournalObserver,
     Observer,
     resolve_observer,
 )
+from repro.obs.profile import PROFILE
+from repro.obs.telemetry import TELEMETRY
 
 
 @dataclass(frozen=True)
@@ -158,6 +160,11 @@ class SweepControl:
             )
 
 
+#: the do-nothing control every batch without hooks runs under, so the
+#: executors have one (cancellable) result loop rather than two
+_NO_CONTROL = SweepControl()
+
+
 def _worker_error(item: WorkItem, exc: Exception) -> ExperimentError:
     """Wrap a worker failure with the context the coordinator loses."""
     return ExperimentError(
@@ -237,13 +244,12 @@ def _worker_observer(trace_dir: str, profile: bool = False) -> JournalObserver:
     observer = _WORKER_OBSERVERS.get(trace_dir)
     if observer is None:
         wid = worker_id()
-        root = Path(trace_dir)
         observer = JournalObserver(
-            root / f"worker-{wid}.jsonl",
+            JOURNAL.worker_path(trace_dir, wid),
             worker=wid,
-            telemetry_path=root / f"telemetry-worker-{wid}.jsonl",
+            telemetry_path=TELEMETRY.worker_path(trace_dir, wid),
             profile_path=(
-                root / f"profile-worker-{wid}.jsonl" if profile else None
+                PROFILE.worker_path(trace_dir, wid) if profile else None
             ),
         )
         _WORKER_OBSERVERS[trace_dir] = observer
@@ -296,12 +302,8 @@ class SerialExecutor(Executor):
         control: Optional[SweepControl] = None,
     ) -> List[RunMeasurement]:
         obs = NULL_OBSERVER if observer is None else observer
+        control = _NO_CONTROL if control is None else control
         index_list = _resolve_indices(items, indices)
-        if control is None:
-            return [
-                run_item_observed(item, index, obs)
-                for index, item in zip(index_list, items)
-            ]
         completed: Dict[int, RunMeasurement] = {}
         results: List[RunMeasurement] = []
         for index, item in zip(index_list, items):
@@ -341,6 +343,7 @@ class ProcessExecutor(Executor):
     ) -> List[RunMeasurement]:
         items = list(items)
         obs = NULL_OBSERVER if observer is None else observer
+        control = _NO_CONTROL if control is None else control
         index_list = _resolve_indices(items, indices)
         if self.jobs == 1 or len(items) <= 1:
             return SerialExecutor().run_items(
@@ -363,13 +366,10 @@ class ProcessExecutor(Executor):
         else:
             payload = items
             entry = execute_item
-        if control is None:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(entry, payload))
-        # Cancellable path: consume results in submission order as they
-        # land, polling the stop flag between completions. ``pool.map``
-        # submits everything up front, so a cancel only skips futures
-        # that have not started yet — finished work is kept.
+        # Consume results in submission order as they land, polling the
+        # stop flag between completions. ``pool.map`` submits everything
+        # up front, so a cancel only skips futures that have not started
+        # yet — finished work is kept.
         completed: Dict[int, RunMeasurement] = {}
         results: List[RunMeasurement] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -455,12 +455,11 @@ def run_work_items(
         # The zero-overhead path: no cache bookkeeping, no events.
         return backend.run_items(items)
 
-    if obs.enabled and obs.trace_dir is not None and (
-        control is None or control.cancel is None
-    ):
+    control = _NO_CONTROL if control is None else control
+    if obs.enabled and obs.trace_dir is not None and control.cancel is None:
         # Every traced run is externally abortable via its flag file.
         control = SweepControl(
-            on_result=control.on_result if control is not None else None,
+            on_result=control.on_result,
             cancel=FileCancelToken(Path(obs.trace_dir) / ABORT_FILENAME),
         )
 
@@ -491,21 +490,16 @@ def run_work_items(
                         seed=item.seed,
                         cache_key=store.key(item.scenario, item.seed),
                     )
-    if control is not None:
-        for i, (item, prior) in enumerate(zip(items, results)):
-            if prior is not None:
-                control.notify(i, item, prior)
+    for i, (item, prior) in enumerate(zip(items, results)):
+        if prior is not None:
+            control.notify(i, item, prior)
     try:
-        if control is not None:
-            control.check({}, len(items))
-        kwargs: Dict[str, Any] = {}
-        if control is not None:
-            # Only pass the keyword when live so executors written
-            # against the pre-cancellation signature keep working.
-            kwargs["control"] = control
+        control.check({}, len(items))
         fresh = backend.run_items(
-            [items[i] for i in missing], observer=obs, indices=missing,
-            **kwargs,
+            [items[i] for i in missing],
+            observer=obs,
+            indices=missing,
+            control=control,
         )
     except SweepAbortedError as exc:
         # Keep every finished measurement: store to cache, fold in the

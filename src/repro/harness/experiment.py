@@ -49,39 +49,6 @@ def _keyword_only_after_first(cls):
     return cls
 
 
-def _accepts_deprecated_mode(cls):
-    """Accept the retired ``mode=`` spelling as ``policy=`` (shim).
-
-    ``FabricScenario.mode`` predates the :mod:`repro.sched` registry;
-    its two spellings ("fair"/"serialized") are canonical policy names,
-    so the shim forwards them verbatim and warns. Removed after one
-    release.
-    """
-    original_init = cls.__init__
-
-    @functools.wraps(original_init)
-    def __init__(
-        self, *args: Any, mode: Optional[str] = None, **kwargs: Any
-    ) -> None:
-        if mode is not None:
-            warnings.warn(
-                f"{cls.__name__}(mode=...) is deprecated and will be "
-                f"removed in the next release; use policy= (registry "
-                f"names from repro.sched)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if "policy" in kwargs:
-                raise ExperimentError(
-                    "pass policy= or the deprecated mode=, not both"
-                )
-            kwargs["policy"] = mode
-        original_init(self, *args, **kwargs)
-
-    cls.__init__ = __init__
-    return cls
-
-
 @_keyword_only_after_first
 @dataclass
 class FlowSpec:
@@ -232,7 +199,6 @@ class Scenario:
         )
 
 
-@_accepts_deprecated_mode
 @_keyword_only_after_first
 @dataclass
 class FabricScenario:
@@ -251,8 +217,7 @@ class FabricScenario:
     #: contention); "serialized" chains each source host's flows so at
     #: most one runs per host at a time (full-speed-then-idle,
     #: fleet-wide); "srpt"/"deadline"/"load-adaptive" as documented in
-    #: docs/scheduling.md. The retired ``mode=`` spelling still maps
-    #: here with a DeprecationWarning.
+    #: docs/scheduling.md.
     policy: str = "fair"
     n_flows: int = 1000
     mix: str = "datacenter"
@@ -335,7 +300,6 @@ def scenario_from_plan(
     name: str,
     plan: AllocationPlan,
     cca: str = "cubic",
-    serialize_extreme: Optional[bool] = None,
     *,
     policy: Optional[str] = None,
     **kwargs,
@@ -350,26 +314,10 @@ def scenario_from_plan(
     ``policy=`` hands that chaining decision to a :mod:`repro.sched`
     registry policy instead of baking ``after_flow`` chains into the
     flow specs — the ``serialized`` policy reproduces the legacy
-    chaining bit-for-bit. ``serialize_extreme`` is the deprecated
-    spelling of that choice (True == ``policy="serialized"`` for
-    full-speed-then-idle plans) and warns when passed explicitly.
+    chaining bit-for-bit.
     """
-    if serialize_extreme is not None:
-        warnings.warn(
-            "serialize_extreme= is deprecated and will be removed in the "
-            "next release; pass policy='serialized' (or policy='fair' "
-            "for serialize_extreme=False) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if policy is not None:
-            raise ExperimentError(
-                "pass policy= or the deprecated serialize_extreme=, not both"
-            )
     flows = []
-    serialized = plan.name == FSTI_PLAN_NAME and (
-        policy is not None or serialize_extreme is None or serialize_extreme
-    )
+    serialized = plan.name == FSTI_PLAN_NAME
     for i, flow_plan in enumerate(plan.flows):
         flows.append(
             FlowSpec(

@@ -1,14 +1,15 @@
-"""Fabric scenario execution: fleet-level runs of the paper's claim.
+"""Fabric scenarios: the fleet-scale prepare and measure steps.
 
-:func:`run_fabric_once` is the multi-switch sibling of
-:func:`repro.harness.runner.run_once`: build a fresh leaf–spine (or
-fat-tree) fabric, realize a generated workload of ~10^3 concurrent
-flows on it under one congestion controller, and measure *fleet-level*
-energy — every host CPU plus every switch — over the makespan. The
-returned :class:`~repro.harness.runner.RunMeasurement` flows through
-the ordinary executor/cache/telemetry plumbing, which is what lets 1k+
-flow sweeps fan out over worker processes and stay bit-identical to
-serial runs.
+:func:`repro.harness.runner.run_once` runs every scenario kind through
+one pipeline; this module supplies what is particular to a
+:class:`~repro.harness.experiment.FabricScenario`. The *prepare* step
+builds a fresh leaf–spine (or fat-tree) fabric and realizes a generated
+workload of ~10^3 concurrent flows on it under one congestion
+controller; the *measure* step reports *fleet-level* energy — every
+host CPU plus every switch — over the makespan. The resulting
+:class:`~repro.harness.runner.RunMeasurement` flows through the ordinary
+executor/cache/telemetry plumbing, which is what lets 1k+ flow sweeps
+fan out over worker processes and stay bit-identical to serial runs.
 
 The scenario's scheduling policy (a :mod:`repro.sched` registry name)
 decides per-flow admit/defer fleet-wide: ``fair`` starts every flow at
@@ -26,7 +27,8 @@ workload's.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
 from repro.apps.iperf import IperfSession
 from repro.apps.workload import FabricWorkload, generate_fabric_workload
@@ -34,9 +36,7 @@ from repro.energy.cpu import CpuModel
 from repro.energy.fleet import fleet_energy_report
 from repro.energy.meter import EnergyMeter
 from repro.energy.switch_power import rate_adaptive_switch, todays_switch
-from repro.errors import ExperimentError
 from repro.harness.experiment import FabricScenario
-from repro.harness.runner import RunMeasurement
 from repro.net.host import Host
 from repro.net.topology import (
     Fabric,
@@ -44,9 +44,6 @@ from repro.net.topology import (
     build_fat_tree,
     build_leaf_spine,
 )
-from repro.obs.attrib import record_flow_energy
-from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.obs.report import percentile
 from repro.sched import (
     FlowRequest,
     SchedulePlan,
@@ -54,7 +51,6 @@ from repro.sched import (
     get_policy,
 )
 from repro.sim.engine import Simulator
-from repro.sim.probe import ProbeSink
 from repro.sim.rng import RngRegistry
 from repro.units import BITS_PER_BYTE
 
@@ -137,7 +133,6 @@ def _start_sessions(
     hosts: Dict[str, Host] = {h.name: h for h in fabric.hosts}
     plan = _plan_sessions(scenario, fabric, workload)
     sessions: List[IperfSession] = []
-    sim = fabric.sim
     for i, flow in enumerate(workload.flows):
         deferred = plan.schedule_for(i).deferred
         sessions.append(
@@ -158,130 +153,88 @@ def _start_sessions(
         )
     for i, flow in enumerate(workload.flows):
         after = plan.schedule_for(i).after_index
-        if after is None:
-            continue
-        arrival = flow.start_time_s
-        sessions[after].sender.on_complete(
-            lambda done_t, s=sessions[i], t0=arrival: sim.schedule_at(
-                max(done_t, t0), s.begin
-            )
-        )
+        if after is not None:
+            sessions[i].begin_after(sessions[after], flow.start_time_s)
     return sessions
 
 
-def run_fabric_once(
-    scenario: FabricScenario,
-    seed: int = 0,
-    observer: Optional[Observer] = None,
-    probe_sink: Optional[ProbeSink] = None,
-) -> RunMeasurement:
-    """Execute one fabric scenario on a fresh fabric and measure it.
+@dataclass
+class PreparedFabric:
+    """A built fabric run: what the pipeline drives, then measures."""
 
-    The measurement's ``energy_j`` is the *fleet* total — summed host
-    CPU energy plus per-switch energy under the scenario's switch power
-    model, integrated over the makespan — and ``extras`` carries the
-    split plus FCT percentiles, so baselines gate on each component:
+    fabric: Fabric
+    workload: FabricWorkload
+    sessions: List[IperfSession]
+    meter: EnergyMeter
+
+
+def prepare_fabric(
+    scenario: FabricScenario, sim: Simulator, seed: int
+) -> PreparedFabric:
+    """Build the fabric, its workload, the CPU fleet and the sessions."""
+    fabric = _build_fabric(scenario, sim)
+    workload = _workload_for(scenario, fabric, seed)
+    cpu_models = [
+        CpuModel(
+            sim,
+            host,
+            packages=1,
+            sample_interval_s=scenario.sample_interval_s,
+        )
+        for host in fabric.hosts
+    ]
+    if scenario.power_noise_sigma > 0:
+        noise_rng = RngRegistry(seed).stream("power-noise")
+        for model in cpu_models:
+            model.set_noise(noise_rng, scenario.power_noise_sigma)
+    sessions = _start_sessions(scenario, fabric, workload)
+    return PreparedFabric(
+        fabric=fabric,
+        workload=workload,
+        sessions=sessions,
+        meter=EnergyMeter(sim, cpu_models),
+    )
+
+
+def measure_fabric(
+    scenario: FabricScenario, prepared: PreparedFabric, host_energy_j: float
+) -> Dict[str, Any]:
+    """The fabric-specific fields of the run's measurement.
+
+    ``energy_j`` is the *fleet* total — summed host CPU energy plus
+    per-switch energy under the scenario's switch power model,
+    integrated over the makespan — and ``extras`` carries the split, so
+    baselines gate on each component:
 
     * ``host_energy_j`` / ``switch_energy_j`` — the fleet split;
-    * ``fct_p50_s`` / ``fct_p99_s`` — flow-completion-time percentiles;
     * ``offered_load`` — the workload's realized load fraction.
 
     ``bottleneck_drops`` and ``ecn_marks`` aggregate every queue in the
     fabric (there is no single bottleneck port at this scale).
     """
-    obs = NULL_OBSERVER if observer is None else observer
-    sim = Simulator()
-    sink = probe_sink if probe_sink is not None else obs.probe_sink(
-        scenario.name, seed
+    fabric = prepared.fabric
+    switch_model = (
+        rate_adaptive_switch()
+        if scenario.switch_power == "rate-adaptive"
+        else todays_switch()
     )
-    sim.probe_sink = sink
-    profiler = obs.profiler(scenario.name, seed)
-    sim.profiler = profiler
-    with obs.span("fabric_build", scenario=scenario.name, seed=seed):
-        fabric = _build_fabric(scenario, sim)
-        workload = _workload_for(scenario, fabric, seed)
-        cpu_models = [
-            CpuModel(
-                sim,
-                host,
-                packages=1,
-                sample_interval_s=scenario.sample_interval_s,
-            )
-            for host in fabric.hosts
-        ]
-        if scenario.power_noise_sigma > 0:
-            noise_rng = RngRegistry(seed).stream("power-noise")
-            for model in cpu_models:
-                model.set_noise(noise_rng, scenario.power_noise_sigma)
-        sessions = _start_sessions(scenario, fabric, workload)
-        meter = EnergyMeter(sim, cpu_models)
-    meter.start()
-
-    loop_span = obs.span("sim_loop", scenario=scenario.name, seed=seed)
-    with loop_span:
-        while not all(s.complete for s in sessions):
-            if sim.now > scenario.time_limit_s:
-                stuck = sum(1 for s in sessions if not s.complete)
-                raise ExperimentError(
-                    f"{scenario.name}: {stuck} of {len(sessions)} flows "
-                    f"incomplete after {scenario.time_limit_s}s virtual"
-                )
-            if not sim.step():
-                raise ExperimentError(
-                    f"{scenario.name}: event queue drained before completion"
-                )
-        loop_span.add(
-            events_executed=sim.events_executed,
-            pending_events=sim.pending_events,
-            dead_in_queue=sim.dead_in_queue,
-        )
-    if loop_span.wall_s > 0:
-        obs.set_gauge(
-            "sim_events_per_second", sim.events_executed / loop_span.wall_s
-        )
-    if obs.enabled:
-        obs.set_gauge("sim_pending_events", float(sim.pending_events))
-        obs.set_gauge("sim_dead_in_queue", float(sim.dead_in_queue))
-        obs.set_gauge("sim_queued_events", float(sim.queued_events))
-
-    with obs.span("measurement", scenario=scenario.name, seed=seed):
-        host_energy_j = meter.stop()
-        switch_model = (
-            rate_adaptive_switch()
-            if scenario.switch_power == "rate-adaptive"
-            else todays_switch()
-        )
-        fleet = fleet_energy_report(
-            fabric.switches,
-            duration_s=meter.duration_s,
-            host_energy_j=host_energy_j,
-            model=switch_model,
-        )
-        flow_results = [s.result() for s in sessions]
-        fcts = [r.duration_s for r in flow_results]
-        measurement = RunMeasurement(
-            scenario=scenario.name,
-            seed=seed,
-            energy_j=fleet.total_energy_j,
-            duration_s=meter.duration_s,
-            flow_results=flow_results,
-            bottleneck_drops=int(
-                sum(q.counters.get("drops") for q in fabric.queues)
-            ),
-            ecn_marks=int(
-                sum(q.counters.get("ecn_marks") for q in fabric.queues)
-            ),
-            extras={
-                "host_energy_j": fleet.host_energy_j,
-                "switch_energy_j": fleet.switch_energy_j,
-                "fct_p50_s": percentile(fcts, 50.0),
-                "fct_p99_s": percentile(fcts, 99.0),
-                "offered_load": workload.offered_load,
-            },
-        )
-    # Attribution samples must land in the sink before it is persisted.
-    record_flow_energy(sink, measurement)
-    if probe_sink is None:
-        obs.record_telemetry(sink, scenario=scenario.name, seed=seed)
-    obs.record_profile(profiler, scenario=scenario.name, seed=seed)
-    return measurement
+    fleet = fleet_energy_report(
+        fabric.switches,
+        duration_s=prepared.meter.duration_s,
+        host_energy_j=host_energy_j,
+        model=switch_model,
+    )
+    return dict(
+        energy_j=fleet.total_energy_j,
+        bottleneck_drops=int(
+            sum(q.counters.get("drops") for q in fabric.queues)
+        ),
+        ecn_marks=int(
+            sum(q.counters.get("ecn_marks") for q in fabric.queues)
+        ),
+        extras={
+            "host_energy_j": fleet.host_energy_j,
+            "switch_energy_j": fleet.switch_energy_j,
+            "offered_load": prepared.workload.offered_load,
+        },
+    )

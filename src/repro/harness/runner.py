@@ -8,15 +8,16 @@ again, repeat 10 times, report mean and standard deviation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.analysis.stats import mean, sample_std
-from repro.apps.iperf import IperfResult, IperfSession
+from repro.apps.iperf import IperfResult, IperfSession, drive_until_complete
 from repro.apps.probe import ThroughputProbe
 from repro.energy.cpu import CpuModel
 from repro.energy.meter import EnergyMeter
 from repro.errors import ExperimentError
 from repro.harness.experiment import AnyScenario, FabricScenario, Scenario
+from repro.harness.fabric import measure_fabric, prepare_fabric
 from repro.net.topology import Testbed, TestbedConfig, build_testbed
 from repro.obs.attrib import record_flow_energy
 from repro.obs.observer import NULL_OBSERVER, Observer
@@ -172,10 +173,11 @@ def _plan_for(scenario: Scenario) -> Optional[SchedulePlan]:
     return get_policy(scenario.policy).plan(requests, ctx)
 
 
-def _prepare_run(
-    scenario: Scenario, sim: Simulator, rngs: RngRegistry
-) -> "_PreparedRun":
+def _prepare_link(
+    scenario: Scenario, sim: Simulator, seed: int
+) -> "_PreparedLink":
     """Build the testbed, sessions, probes and meter for one run."""
+    rngs = RngRegistry(seed)
     plan = _plan_for(scenario)
     testbed = _build_testbed(scenario, sim, plan)
 
@@ -250,15 +252,10 @@ def _prepare_run(
         after = _after_index(i)
         if after is not None:
             successor = sessions[i]
-            arrival = flow.start_time_s
-            if plan is not None and arrival > 0.0:
+            if plan is not None and flow.start_time_s > 0.0:
                 # Open-workload chaining: never start a flow before its
-                # own arrival (the fabric runner's exact semantics).
-                sessions[after].sender.on_complete(
-                    lambda done_t, s=successor, t0=arrival: sim.schedule_at(
-                        max(done_t, t0), s.begin
-                    )
-                )
+                # own arrival (the fabric prepare step's exact semantics).
+                successor.begin_after(sessions[after], flow.start_time_s)
             else:
                 sessions[after].sender.on_complete(
                     lambda _t, s=successor: s.begin()
@@ -278,20 +275,49 @@ def _prepare_run(
             probe.start()
             probes[session.flow_id] = probe
 
-    meter = EnergyMeter(sim, cpu_models)
-    return _PreparedRun(
-        testbed=testbed, sessions=sessions, probes=probes, meter=meter
+    return _PreparedLink(
+        testbed=testbed,
+        sessions=sessions,
+        probes=probes,
+        meter=EnergyMeter(sim, cpu_models),
     )
 
 
 @dataclass
-class _PreparedRun:
-    """Everything :func:`run_once` needs after the build phase."""
+class _PreparedLink:
+    """A built single-link run: what the pipeline drives, then measures."""
 
     testbed: Testbed
     sessions: List[IperfSession]
     probes: Dict[int, ThroughputProbe]
     meter: EnergyMeter
+
+
+def _measure_link(
+    scenario: Scenario, prepared: _PreparedLink, host_energy_j: float
+) -> Dict[str, Any]:
+    """The single-link fields of the run's measurement."""
+    for probe in prepared.probes.values():
+        probe.stop()
+    bottleneck_q = prepared.testbed.bottleneck.queue
+    return dict(
+        energy_j=host_energy_j,
+        bottleneck_drops=int(bottleneck_q.counters.get("drops")),
+        ecn_marks=int(bottleneck_q.counters.get("ecn_marks")),
+        power_series=prepared.meter.power_series(),
+        throughput_series={
+            fid: p.series for fid, p in prepared.probes.items()
+        },
+    )
+
+
+#: What differs by scenario kind: the journal name of the build phase,
+#: the *prepare* step ``(scenario, sim, seed) -> prepared`` (anything
+#: with ``sessions`` and ``meter``), and the *measure* step
+#: ``(scenario, prepared, host_energy_j) -> RunMeasurement fields``.
+#: Everything else in :func:`run_once` is shared.
+_LINK_KIND = ("testbed_build", _prepare_link, _measure_link)
+_FABRIC_KIND = ("fabric_build", prepare_fabric, measure_fabric)
 
 
 def run_once(
@@ -301,6 +327,10 @@ def run_once(
     probe_sink: Optional[ProbeSink] = None,
 ) -> RunMeasurement:
     """Execute one scenario on a fresh testbed and measure it.
+
+    The one scenario -> measurement pipeline: a single-link
+    :class:`Scenario` and a :class:`FabricScenario` differ only in
+    their prepare and measure steps, picked from the scenario's type.
 
     ``observer`` hooks the run's phases for profiling — spans for
     testbed build, the sim loop (with the executed-event count), and
@@ -315,13 +345,9 @@ def run_once(
     observer hands back the shared no-op sink. Like the observer, a
     sink is write-only: it cannot affect the measurement.
     """
-    if isinstance(scenario, FabricScenario):
-        # Imported lazily: the fabric runner builds on this module.
-        from repro.harness.fabric import run_fabric_once
-
-        return run_fabric_once(
-            scenario, seed=seed, observer=observer, probe_sink=probe_sink
-        )
+    build_phase, prepare, measure = (
+        _FABRIC_KIND if isinstance(scenario, FabricScenario) else _LINK_KIND
+    )
     obs = NULL_OBSERVER if observer is None else observer
     sim = Simulator()
     sink = probe_sink if probe_sink is not None else obs.probe_sink(
@@ -330,26 +356,17 @@ def run_once(
     sim.probe_sink = sink
     profiler = obs.profiler(scenario.name, seed)
     sim.profiler = profiler
-    rngs = RngRegistry(seed)
-    with obs.span("testbed_build", scenario=scenario.name, seed=seed):
-        prepared = _prepare_run(scenario, sim, rngs)
+    with obs.span(build_phase, scenario=scenario.name, seed=seed):
+        prepared = prepare(scenario, sim, seed)
     sessions = prepared.sessions
     meter = prepared.meter
     meter.start()
 
     loop_span = obs.span("sim_loop", scenario=scenario.name, seed=seed)
     with loop_span:
-        while not all(s.complete for s in sessions):
-            if sim.now > scenario.time_limit_s:
-                stuck = [s.flow_id for s in sessions if not s.complete]
-                raise ExperimentError(
-                    f"{scenario.name}: flows {stuck} incomplete after "
-                    f"{scenario.time_limit_s}s virtual"
-                )
-            if not sim.step():
-                raise ExperimentError(
-                    f"{scenario.name}: event queue drained before completion"
-                )
+        drive_until_complete(
+            sim, sessions, scenario.time_limit_s, scenario.name
+        )
         loop_span.add(
             events_executed=sim.events_executed,
             pending_events=sim.pending_events,
@@ -369,33 +386,21 @@ def run_once(
         obs.set_gauge("sim_queued_events", float(sim.queued_events))
 
     with obs.span("measurement", scenario=scenario.name, seed=seed):
-        energy = meter.stop()
-        for probe in prepared.probes.values():
-            probe.stop()
-
-        bottleneck_q = prepared.testbed.bottleneck.queue
+        fields = measure(scenario, prepared, meter.stop())
         flow_results = [s.result() for s in sessions]
-        fcts = [r.duration_s for r in flow_results]
         measurement = RunMeasurement(
             scenario=scenario.name,
             seed=seed,
-            energy_j=energy,
             duration_s=meter.duration_s,
             flow_results=flow_results,
-            bottleneck_drops=int(bottleneck_q.counters.get("drops")),
-            ecn_marks=int(bottleneck_q.counters.get("ecn_marks")),
-            power_series=meter.power_series(),
-            throughput_series={
-                fid: p.series for fid, p in prepared.probes.items()
-            },
-            # The Pareto frontier's x-axis: FCT percentiles, same keys
-            # the fabric runner exports (fleet and single-link points
-            # plot on one chart).
-            extras={
-                "fct_p50_s": percentile(fcts, 50.0),
-                "fct_p99_s": percentile(fcts, 99.0),
-            },
+            **fields,
         )
+        # The Pareto frontier's x-axis: FCT percentiles under the same
+        # keys for every kind, so fleet and single-link points plot on
+        # one chart.
+        fcts = [r.duration_s for r in flow_results]
+        measurement.extras["fct_p50_s"] = percentile(fcts, 50.0)
+        measurement.extras["fct_p99_s"] = percentile(fcts, 99.0)
     # Attribution samples must land in the sink before it is persisted.
     record_flow_energy(sink, measurement)
     if probe_sink is None:

@@ -15,20 +15,20 @@ the pipeline to that.
 Process-pool safety: workers never share a file. Each worker process
 appends to its own ``worker-<pid>.jsonl`` inside the trace directory
 and the coordinator merges the partials into the main ``journal.jsonl``
-after the batch, ordered by work-item index (stable within an item).
-Results never flow through the journal, so determinism of measurements
-is untouched whether tracing is on or off.
+after the batch, ordered by work-item index (stable within an item) —
+the :mod:`repro.obs.stream` life cycle, which telemetry and profiles
+share. Results never flow through the journal, so determinism of
+measurements is untouched whether tracing is on or off.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
-from repro.errors import ObservabilityError
+from repro.obs.stream import StreamSpec, StreamWriter
 
 #: canonical event names emitted by the pipeline (extras are allowed;
 #: the report treats unknown events as opaque)
@@ -88,102 +88,7 @@ def worker_id() -> int:
     return os.getpid()  # simlint: ignore[det-process-identity] -- journal diagnostics, never in results
 
 
-class JournalWriter:
-    """Append-only JSONL writer, one line per event, flushed eagerly.
-
-    Eager flushing means a crashed worker still leaves every completed
-    event on disk — exactly the runs you want to see when a sweep dies.
-    """
-
-    def __init__(self, path: Union[str, Path], worker: Optional[int] = None):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.worker = worker_id() if worker is None else worker
-        self._file: Optional[IO[str]] = self.path.open("a", encoding="utf-8")
-        self.events_written = 0
-
-    def write(self, event: str, **fields: Any) -> Dict[str, Any]:
-        """Append one event; returns the record as written."""
-        if self._file is None:
-            raise ObservabilityError(f"journal {self.path} is closed")
-        record: Dict[str, Any] = {
-            "event": event,
-            "t_wall": wall_clock(),
-            "worker": self.worker,
-        }
-        record.update(fields)
-        self._file.write(json.dumps(record, sort_keys=True) + "\n")
-        self._file.flush()
-        self.events_written += 1
-        return record
-
-    def write_record(self, record: Dict[str, Any]) -> None:
-        """Append an already-built record verbatim (used by the merge)."""
-        if self._file is None:
-            raise ObservabilityError(f"journal {self.path} is closed")
-        self._file.write(json.dumps(record, sort_keys=True) + "\n")
-        self._file.flush()
-
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-    def __enter__(self) -> "JournalWriter":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-def journal_path(target: Union[str, Path]) -> Path:
-    """Resolve a journal argument: a ``.jsonl`` file or a trace dir."""
-    path = Path(target)
-    if path.is_dir():
-        return path / JOURNAL_FILENAME
-    return path
-
-
-def read_journal(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Parse a JSONL journal (or trace directory) into event dicts.
-
-    Safe to call while a sweep is still writing: the writer appends
-    each record plus its newline in a single buffered write, so a final
-    line with no terminating newline is a write in progress — it is
-    skipped, not an error. A *terminated* line that fails to parse
-    still raises :class:`ObservabilityError` with its location, because
-    that means corruption rather than tailing.
-    """
-    resolved = journal_path(path)
-    if not resolved.exists():
-        raise ObservabilityError(f"no journal at {resolved}")
-    events: List[Dict[str, Any]] = []
-    with resolved.open("r", encoding="utf-8") as handle:
-        raw_lines = handle.readlines()
-    for lineno, raw in enumerate(raw_lines, start=1):
-        if lineno == len(raw_lines) and not raw.endswith("\n"):
-            # Torn tail: a concurrent writer has not committed this
-            # record yet (even if the fragment happens to parse, its
-            # trailing fields could still be mid-write). Skip it.
-            break
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise ObservabilityError(
-                f"{resolved}:{lineno}: bad journal line: {exc}"
-            ) from exc
-        if not isinstance(record, dict) or "event" not in record:
-            raise ObservabilityError(
-                f"{resolved}:{lineno}: journal record lacks an 'event'"
-            )
-        events.append(record)
-    return events
-
-
-def _merge_sort_key(position: int, record: Dict[str, Any]):
+def _submission_order(position: int, record: Dict[str, Any]):
     # Order by work-item index when present so the merged journal reads
     # in submission order whatever the worker interleaving was; events
     # of one item keep their within-file order (the per-file position
@@ -192,31 +97,40 @@ def _merge_sort_key(position: int, record: Dict[str, Any]):
     return (0 if isinstance(item, int) else 1, item or 0, position)
 
 
-def merge_worker_journals(
-    trace_dir: Union[str, Path],
-    into: Optional[JournalWriter] = None,
-    remove_partials: bool = True,
-) -> List[Dict[str, Any]]:
-    """Merge per-worker partial journals, submission-ordered.
+#: the journal as a record stream. It is never canonicalised: the
+#: coordinator's own events interleave with the merged batches in the
+#: order things happened, which is what a journal is for.
+JOURNAL = StreamSpec(
+    kind="journal",
+    filename=JOURNAL_FILENAME,
+    worker_glob=WORKER_GLOB,
+    required=("event",),
+    sort_key=_submission_order,
+    canonical=False,
+)
 
-    Reads every ``worker-*.jsonl`` under ``trace_dir``, sorts the events
-    by work-item index (stable within an item), appends them to ``into``
-    (when given), deletes the partials, and returns the merged events.
-    Called by the coordinator after each batch — also on the error path,
-    so a failed sweep still journals the runs that completed.
-    """
-    root = Path(trace_dir)
-    collected: List[tuple] = []
-    partials = sorted(root.glob(WORKER_GLOB))
-    for partial in partials:
-        for position, record in enumerate(read_journal(partial)):
-            collected.append((_merge_sort_key(position, record), record))
-    collected.sort(key=lambda pair: pair[0])
-    merged = [record for _key, record in collected]
-    if into is not None:
-        for record in merged:
-            into.write_record(record)
-    if remove_partials:
-        for partial in partials:
-            partial.unlink()
-    return merged
+
+class JournalWriter(StreamWriter):
+    """The journal's writer: stamps each event with clock and worker."""
+
+    spec = JOURNAL
+
+    def __init__(self, path: Union[str, Path], worker: Optional[int] = None):
+        super().__init__(path)
+        self.worker = worker_id() if worker is None else worker
+
+    def write(self, event: str, **fields: Any) -> Dict[str, Any]:
+        """Append one event; returns the record as written."""
+        record: Dict[str, Any] = {
+            "event": event,
+            "t_wall": wall_clock(),
+            "worker": self.worker,
+        }
+        record.update(fields)
+        self.write_record(record)
+        return record
+
+
+journal_path = JOURNAL.path
+read_journal = JOURNAL.read
+merge_worker_journals = JOURNAL.merge_workers

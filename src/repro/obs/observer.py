@@ -22,30 +22,22 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.errors import ObservabilityError
-from repro.obs.journal import (
-    JOURNAL_FILENAME,
-    JournalWriter,
-    merge_worker_journals,
-    perf_clock,
-)
+from repro.obs.journal import JOURNAL_FILENAME, JournalWriter, perf_clock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     PROFILE_FILENAME,
     ProfileCollector,
     ProfileWriter,
-    canonicalize_profile,
-    merge_worker_profiles,
     profile_record,
 )
+from repro.obs.stream import StreamWriter
 from repro.obs.telemetry import (
     DEFAULT_TELEMETRY_INTERVAL_S,
     TELEMETRY_FILENAME,
     TelemetryWriter,
-    canonicalize_telemetry,
-    merge_worker_telemetry,
 )
 from repro.sim.probe import NULL_PROBE_SINK, ProbeSink, TimeSeriesProbeSink
 from repro.sim.profile import NULL_PROFILER, HotPathProfiler
@@ -211,6 +203,12 @@ class JournalObserver(Observer):
             ProfileWriter(profile_path) if profile_path is not None else None
         )
         self.profile_enabled = profile_path is not None
+        #: every open record stream, for the uniform merge/close loops
+        self.streams: List[StreamWriter] = [
+            stream
+            for stream in (self.journal, self.telemetry, self.profile)
+            if stream is not None
+        ]
 
     def emit(self, event: str, **fields: Any) -> None:
         self.journal.write(event, **fields)
@@ -310,11 +308,8 @@ class JournalObserver(Observer):
                 ).observe(float(record["wall_s"]))
 
     def close(self) -> None:
-        if self.telemetry is not None:
-            self.telemetry.close()
-        if self.profile is not None:
-            self.profile.close()
-        self.journal.close()
+        for stream in self.streams:
+            stream.close()
 
 
 class TracingObserver(JournalObserver):
@@ -340,12 +335,11 @@ class TracingObserver(JournalObserver):
         self.trace_dir = root
 
     def collect_workers(self) -> None:
-        merged = merge_worker_journals(self.trace_dir, into=self.journal)
-        self.record(merged)
-        assert self.telemetry is not None
-        merge_worker_telemetry(self.trace_dir, into=self.telemetry)
-        if self.profile is not None:
-            merge_worker_profiles(self.trace_dir, into=self.profile)
+        assert self.trace_dir is not None
+        for stream in self.streams:
+            merged = stream.merge_workers(self.trace_dir)
+            if stream is self.journal:
+                self.record(merged)
 
     def write_metrics(self) -> None:
         """Export the registry as Prometheus text + JSON into the dir."""
@@ -365,8 +359,9 @@ class TracingObserver(JournalObserver):
         # jobs= and of run-completion order: serial and pooled traces
         # of the same sweep are byte-identical (profile wall times are
         # the one machine-dependent exception, and say so).
-        canonicalize_telemetry(self.trace_dir)
-        canonicalize_profile(self.trace_dir)
+        for stream in self.streams:
+            if stream.spec.canonical:
+                stream.spec.canonicalize(stream.path)
 
 
 def resolve_observer(

@@ -10,8 +10,8 @@ the recording implementation and everything downstream of it:
   deltas are kept — never per-event timestamps, and nothing the
   simulation can read back (``obs-profile-no-sim-import`` bans the
   reverse import).
-* ``profile.jsonl`` persistence mirroring :mod:`repro.obs.telemetry`:
-  one record per (scenario, seed), per-worker partials merged by the
+* ``profile.jsonl`` persistence as a :mod:`repro.obs.stream`: one
+  record per (scenario, seed), per-worker partials merged by the
   coordinator, canonical (scenario, seed) order so files from jobs=1
   and jobs=N runs list the same runs in the same order.
 * Exporters: folded-stack flamegraph lines, a callgrind file, and a
@@ -25,10 +25,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ObservabilityError
 from repro.obs.journal import perf_clock
+from repro.obs.stream import StreamSpec, StreamWriter
 from repro.sim.profile import HotPathProfiler
 from repro.units import MILLION
 
@@ -46,8 +47,21 @@ CHROME_TRACE_FILENAME = "profile.trace.json"
 #: separator between stack-path components (the folded-stack convention)
 STACK_SEP = ";"
 
-#: fields every profile record must carry
-_REQUIRED_FIELDS = ("scenario", "seed", "counts", "stack_calls", "stack_wall_s")
+
+def _run_order(_position: int, record: Dict[str, Any]):
+    return (str(record.get("scenario", "")), record.get("seed", 0))
+
+
+#: profiles as a record stream; canonical like telemetry (wall times
+#: are the one machine-dependent part of a record, and say so)
+PROFILE = StreamSpec(
+    kind="profile",
+    filename=PROFILE_FILENAME,
+    worker_glob=PROFILE_WORKER_GLOB,
+    required=("scenario", "seed", "counts", "stack_calls", "stack_wall_s"),
+    sort_key=_run_order,
+    canonical=True,
+)
 
 
 class ProfileCollector(HotPathProfiler):
@@ -121,117 +135,16 @@ def profile_record(
     }
 
 
-class ProfileWriter:
-    """Append-only JSONL writer for profile records, flushed eagerly."""
+class ProfileWriter(StreamWriter):
+    """The profile stream's writer: one record per profiled run."""
 
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._file: Optional[IO[str]] = self.path.open("a", encoding="utf-8")
-        self.records_written = 0
-
-    def write_record(self, record: Dict[str, Any]) -> None:
-        """Append one run's profile record."""
-        if self._file is None:
-            raise ObservabilityError(f"profile file {self.path} is closed")
-        self._file.write(json.dumps(record, sort_keys=True) + "\n")
-        self._file.flush()
-        self.records_written += 1
-
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-    def __enter__(self) -> "ProfileWriter":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+    spec = PROFILE
 
 
-def profile_path(target: Union[str, Path]) -> Path:
-    """Resolve a profile argument: a ``.jsonl`` file or a trace dir."""
-    path = Path(target)
-    if path.is_dir():
-        return path / PROFILE_FILENAME
-    return path
-
-
-def read_profile(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Parse a profile JSONL file (or trace directory) into records."""
-    resolved = profile_path(path)
-    if not resolved.exists():
-        raise ObservabilityError(f"no profile at {resolved}")
-    records: List[Dict[str, Any]] = []
-    with resolved.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise ObservabilityError(
-                    f"{resolved}:{lineno}: bad profile line: {exc}"
-                ) from exc
-            if not isinstance(record, dict) or not all(
-                field_name in record for field_name in _REQUIRED_FIELDS
-            ):
-                raise ObservabilityError(
-                    f"{resolved}:{lineno}: profile record lacks one of "
-                    f"{', '.join(_REQUIRED_FIELDS)}"
-                )
-            records.append(record)
-    return records
-
-
-def _merge_sort_key(record: Dict[str, Any]):
-    return (str(record.get("scenario", "")), record.get("seed", 0))
-
-
-def canonicalize_profile(path: Union[str, Path]) -> int:
-    """Rewrite a profile file in (scenario, seed) order.
-
-    Mirrors :func:`repro.obs.telemetry.canonicalize_telemetry`: the
-    closed file lists runs independently of jobs= and completion order.
-    Returns the record count; a missing file is a no-op (zero).
-    """
-    resolved = profile_path(path)
-    if not resolved.exists():
-        return 0
-    records = sorted(read_profile(resolved), key=_merge_sort_key)
-    resolved.write_text(
-        "".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
-        encoding="utf-8",
-    )
-    return len(records)
-
-
-def merge_worker_profiles(
-    trace_dir: Union[str, Path],
-    into: Optional[ProfileWriter] = None,
-    remove_partials: bool = True,
-) -> List[Dict[str, Any]]:
-    """Merge per-worker profile partials into deterministic order.
-
-    Reads every ``profile-worker-*.jsonl`` under ``trace_dir``, sorts
-    records by (scenario, seed), appends them to ``into`` (when given),
-    deletes the partials, and returns the merged records.
-    """
-    root = Path(trace_dir)
-    merged: List[Dict[str, Any]] = []
-    partials = sorted(root.glob(PROFILE_WORKER_GLOB))
-    for partial in partials:
-        merged.extend(read_profile(partial))
-    merged.sort(key=_merge_sort_key)
-    if into is not None:
-        for record in merged:
-            into.write_record(record)
-    if remove_partials:
-        for partial in partials:
-            partial.unlink()
-    return merged
+profile_path = PROFILE.path
+read_profile = PROFILE.read
+canonicalize_profile = PROFILE.canonicalize
+merge_worker_profiles = PROFILE.merge_workers
 
 
 # -- aggregation -------------------------------------------------------

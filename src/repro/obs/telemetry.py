@@ -10,7 +10,8 @@ This module is the obs-side half: it serializes a
     {"scenario": "fig1-fair", "seed": 0, "channel": "cwnd_bytes",
      "entity": "flow-1", "times": [...], "values": [...]}
 
-Process-pool safety mirrors the journal: workers append to their own
+Process-pool safety is the journal's (one :mod:`repro.obs.stream`
+life cycle): workers append to their own
 ``telemetry-worker-<wid>.jsonl`` partial (the name deliberately does
 *not* match the journal's ``worker-*.jsonl`` glob) and the coordinator
 merges partials into the main file after each batch, sorted by
@@ -24,11 +25,9 @@ diffable across runs.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Union
+from typing import Any, Dict, List
 
-from repro.errors import ObservabilityError
+from repro.obs.stream import StreamSpec, StreamWriter
 from repro.sim.probe import TimeSeriesProbeSink
 from repro.sim.trace import TimeSeries
 from repro.units import msec
@@ -44,8 +43,26 @@ TELEMETRY_WORKER_GLOB = "telemetry-worker-*.jsonl"
 #: from dominating the trace while preserving figure-grade resolution
 DEFAULT_TELEMETRY_INTERVAL_S = msec(1.0)
 
-#: fields every telemetry record must carry
-_REQUIRED_FIELDS = ("scenario", "seed", "channel", "entity", "times", "values")
+
+def _series_order(_position: int, record: Dict[str, Any]):
+    return (
+        str(record.get("scenario", "")),
+        record.get("seed", 0),
+        str(record.get("channel", "")),
+        str(record.get("entity", "")),
+    )
+
+
+#: telemetry as a record stream; canonical, so the closed file is
+#: byte-identical across ``jobs=`` and run-completion order
+TELEMETRY = StreamSpec(
+    kind="telemetry",
+    filename=TELEMETRY_FILENAME,
+    worker_glob=TELEMETRY_WORKER_GLOB,
+    required=("scenario", "seed", "channel", "entity", "times", "values"),
+    sort_key=_series_order,
+    canonical=True,
+)
 
 
 def telemetry_records(
@@ -67,22 +84,10 @@ def telemetry_records(
     return records
 
 
-class TelemetryWriter:
-    """Append-only JSONL writer for telemetry records, flushed eagerly."""
+class TelemetryWriter(StreamWriter):
+    """The telemetry stream's writer: one record per collected series."""
 
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._file: Optional[IO[str]] = self.path.open("a", encoding="utf-8")
-        self.records_written = 0
-
-    def write_record(self, record: Dict[str, Any]) -> None:
-        """Append one series record."""
-        if self._file is None:
-            raise ObservabilityError(f"telemetry file {self.path} is closed")
-        self._file.write(json.dumps(record, sort_keys=True) + "\n")
-        self._file.flush()
-        self.records_written += 1
+    spec = TELEMETRY
 
     def write_sink(
         self, sink: TimeSeriesProbeSink, scenario: str, seed: int
@@ -93,52 +98,11 @@ class TelemetryWriter:
             self.write_record(record)
         return len(records)
 
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
 
-    def __enter__(self) -> "TelemetryWriter":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-def telemetry_path(target: Union[str, Path]) -> Path:
-    """Resolve a telemetry argument: a ``.jsonl`` file or a trace dir."""
-    path = Path(target)
-    if path.is_dir():
-        return path / TELEMETRY_FILENAME
-    return path
-
-
-def read_telemetry(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Parse a telemetry JSONL file (or trace directory) into records."""
-    resolved = telemetry_path(path)
-    if not resolved.exists():
-        raise ObservabilityError(f"no telemetry at {resolved}")
-    records: List[Dict[str, Any]] = []
-    with resolved.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise ObservabilityError(
-                    f"{resolved}:{lineno}: bad telemetry line: {exc}"
-                ) from exc
-            if not isinstance(record, dict) or not all(
-                field in record for field in _REQUIRED_FIELDS
-            ):
-                raise ObservabilityError(
-                    f"{resolved}:{lineno}: telemetry record lacks one of "
-                    f"{', '.join(_REQUIRED_FIELDS)}"
-                )
-            records.append(record)
-    return records
+telemetry_path = TELEMETRY.path
+read_telemetry = TELEMETRY.read
+canonicalize_telemetry = TELEMETRY.canonicalize
+merge_worker_telemetry = TELEMETRY.merge_workers
 
 
 def series_from_record(record: Dict[str, Any]) -> TimeSeries:
@@ -148,58 +112,3 @@ def series_from_record(record: Dict[str, Any]) -> TimeSeries:
         times=[float(t) for t in record["times"]],
         values=[float(v) for v in record["values"]],
     )
-
-
-def _merge_sort_key(record: Dict[str, Any]):
-    return (
-        str(record.get("scenario", "")),
-        record.get("seed", 0),
-        str(record.get("channel", "")),
-        str(record.get("entity", "")),
-    )
-
-
-def canonicalize_telemetry(path: Union[str, Path]) -> int:
-    """Rewrite a telemetry file in (scenario, seed, channel, entity) order.
-
-    Serial runs append records in run-completion order while pooled
-    runs append merge-sorted batches; sorting the closed file makes the
-    two byte-identical, so traces diff cleanly whatever ``jobs=`` was.
-    Returns the number of records; a missing file is a no-op (zero).
-    """
-    resolved = telemetry_path(path)
-    if not resolved.exists():
-        return 0
-    records = sorted(read_telemetry(resolved), key=_merge_sort_key)
-    resolved.write_text(
-        "".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
-        encoding="utf-8",
-    )
-    return len(records)
-
-
-def merge_worker_telemetry(
-    trace_dir: Union[str, Path],
-    into: Optional[TelemetryWriter] = None,
-    remove_partials: bool = True,
-) -> List[Dict[str, Any]]:
-    """Merge per-worker telemetry partials into deterministic order.
-
-    Reads every ``telemetry-worker-*.jsonl`` under ``trace_dir``, sorts
-    records by (scenario, seed, channel, entity), appends them to
-    ``into`` (when given), deletes the partials, and returns the merged
-    records. Mirrors :func:`repro.obs.journal.merge_worker_journals`.
-    """
-    root = Path(trace_dir)
-    merged: List[Dict[str, Any]] = []
-    partials = sorted(root.glob(TELEMETRY_WORKER_GLOB))
-    for partial in partials:
-        merged.extend(read_telemetry(partial))
-    merged.sort(key=_merge_sort_key)
-    if into is not None:
-        for record in merged:
-            into.write_record(record)
-    if remove_partials:
-        for partial in partials:
-            partial.unlink()
-    return merged

@@ -4,25 +4,18 @@ Three pins: (1) every registered policy is bit-identical between
 ``jobs=1`` and ``jobs=4`` — measurements *and* telemetry bytes — on
 both the single-link and fabric runners; (2) the content-addressed
 cache treats the policy as part of the spec (a policy-only change is a
-miss, never a stale hit); (3) the deprecated ``mode=`` /
-``serialize_extreme=`` spellings warn and reproduce their ``policy=``
-replacements bit for bit.
+miss, never a stale hit); (3) legacy ``after_flow`` declarations
+reproduce their ``policy=`` replacement bit for bit, and the two cannot
+be mixed.
 """
 
 import pytest
 
 from repro.harness.cache import compute_key
 from repro.harness.executor import WorkItem, run_work_items
-from repro.harness.experiment import (
-    FabricScenario,
-    FlowSpec,
-    Scenario,
-    scenario_from_plan,
-)
+from repro.harness.experiment import FabricScenario, FlowSpec, Scenario
 from repro.harness.runner import run_once
-from repro.core.allocation import full_speed_then_idle
 from repro.sched import policy_names
-from repro.units import gbps
 
 SIZES = (2_000_000, 1_000_000, 500_000)
 
@@ -111,28 +104,6 @@ class TestPolicyInCacheKey:
 
 
 class TestDeprecatedSpellingShims:
-    def test_fabric_mode_kwarg_warns_and_matches_policy(self):
-        with pytest.deprecated_call():
-            legacy = FabricScenario(
-                name="shim", cca="dctcp", mode="serialized",
-                n_flows=40, mix="rpc", leaves=2, spines=1, hosts_per_leaf=4,
-            )
-        modern = FabricScenario(
-            name="shim", cca="dctcp", policy="serialized",
-            n_flows=40, mix="rpc", leaves=2, spines=1, hosts_per_leaf=4,
-        )
-        assert legacy == modern
-        assert run_once(legacy, seed=0) == run_once(modern, seed=0)
-
-    def test_fabric_mode_and_policy_together_rejected(self):
-        from repro.errors import ExperimentError
-
-        with pytest.raises(ExperimentError), pytest.warns(DeprecationWarning):
-            FabricScenario(
-                name="shim", cca="dctcp", mode="fair", policy="serialized",
-                n_flows=40, leaves=2, spines=1, hosts_per_leaf=4,
-            )
-
     def test_legacy_after_flow_chain_matches_serialized_policy(self):
         # The retired single-link path: explicit completion chaining in
         # the flow declarations, no policy.
@@ -151,24 +122,6 @@ class TestDeprecatedSpellingShims:
             policy="serialized",
         )
         assert run_once(chained, seed=3) == run_once(modern, seed=3)
-
-    def test_serialize_extreme_kwarg_warns_and_matches_policy(self):
-        plan = full_speed_then_idle(1_000_000, gbps(10.0))
-        with pytest.deprecated_call():
-            legacy = scenario_from_plan(
-                "shim-plan", plan, serialize_extreme=True
-            )
-        modern = scenario_from_plan("shim-plan", plan, policy="serialized")
-        assert run_once(legacy, seed=0) == run_once(modern, seed=0)
-
-    def test_policy_and_serialize_extreme_together_rejected(self):
-        from repro.errors import ExperimentError
-
-        plan = full_speed_then_idle(1_000_000, gbps(10.0))
-        with pytest.raises(ExperimentError), pytest.warns(DeprecationWarning):
-            scenario_from_plan(
-                "shim-plan", plan, serialize_extreme=True, policy="serialized"
-            )
 
     def test_policy_rejects_explicit_after_flow_declarations(self):
         from repro.errors import ExperimentError

@@ -2,9 +2,17 @@
 
 import pytest
 
+from repro.apps.iperf import (
+    IperfSession,
+    drive_until_complete,
+    run_until_complete,
+)
 from repro.energy import calibration as cal
-from repro.harness.experiment import FlowSpec, Scenario
+from repro.errors import ExperimentError
+from repro.harness.experiment import FabricScenario, FlowSpec, Scenario
 from repro.harness.runner import run_once, run_repeated
+from repro.net.topology import TestbedConfig, build_testbed
+from repro.sim.engine import Simulator
 from repro.units import gbps
 
 SIZE = 2_000_000
@@ -88,9 +96,61 @@ class TestRunOnce:
         assert slow.duration_s > fast.duration_s
 
 
+def _link_past_its_limit():
+    run_once(
+        Scenario("starved-link", flows=[FlowSpec(SIZE), FlowSpec(SIZE)],
+                 time_limit_s=1e-6)
+    )
+
+
+def _fabric_past_its_limit():
+    run_once(
+        FabricScenario(name="starved-fabric", n_flows=20, mix="rpc",
+                       leaves=2, spines=1, hosts_per_leaf=4,
+                       time_limit_s=1e-7)
+    )
+
+
+def _sessions_past_their_limit():
+    testbed = build_testbed(Simulator(), TestbedConfig())
+    sessions = [IperfSession(testbed, SIZE, flow_id=7)]
+    run_until_complete(testbed, sessions, time_limit_s=1e-6)
+
+
+def _queue_drains_under_a_dormant_flow():
+    testbed = build_testbed(Simulator(), TestbedConfig())
+    # never begun: nothing is ever scheduled on its behalf
+    dormant = IperfSession(testbed, SIZE, start_time=None, flow_id=3)
+    drive_until_complete(testbed.sim, [dormant], 600.0, "dormant")
+
+
+class TestCompletionDriverFailureExits:
+    @pytest.mark.parametrize(
+        "run, label, reason, stuck",
+        [
+            (_link_past_its_limit, "starved-link", "time limit",
+             "2 of 2 flows incomplete: [1, 2]"),
+            (_fabric_past_its_limit, "starved-fabric", "time limit",
+             "20 of 20 flows incomplete: [1, 2, 3, 4, 5, 6, 7, 8, "
+             "... (+12 more)]"),
+            (_sessions_past_their_limit, "iperf", "time limit",
+             "1 of 1 flows incomplete: [7]"),
+            (_queue_drains_under_a_dormant_flow, "dormant",
+             "event queue drained", "1 of 1 flows incomplete: [3]"),
+        ],
+    )
+    def test_names_the_run_and_the_stuck_flows(
+        self, run, label, reason, stuck
+    ):
+        with pytest.raises(ExperimentError) as caught:
+            run()
+        message = str(caught.value)
+        assert message.startswith(f"{label}: {reason}")
+        assert message.endswith(stuck)
+
+
 class TestRunMeasurementEdgeCases:
     def test_empty_flow_results_raise_experiment_error(self):
-        from repro.errors import ExperimentError
         from repro.harness.runner import RunMeasurement
 
         empty = RunMeasurement(
@@ -136,7 +196,5 @@ class TestRunRepeated:
         assert result.std_energy_j > 0
 
     def test_invalid_repetitions(self):
-        from repro.errors import ExperimentError
-
         with pytest.raises(ExperimentError):
             run_repeated(single_flow(), repetitions=0)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
 from repro.harness.experiment import FabricScenario, FlowSpec, Scenario
-from repro.harness.fabric import run_fabric_once
 from repro.harness.runner import run_once
 from repro.obs.attrib import (
     FLOW_ENERGY_CHANNEL,
@@ -91,7 +90,7 @@ class TestAdditivity:
             n_flows=40,
             mix="rpc",
         )
-        measurement = run_fabric_once(scenario, seed=0)
+        measurement = run_once(scenario, seed=0)
         ledger = attribute_measurement(measurement)
         # energy_j is the FleetEnergyReport total (hosts + switches)...
         assert abs(
