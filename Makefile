@@ -100,59 +100,52 @@ perf-diff:
 fabric-perf-diff:
 	$(PYTHON) -m repro.cli obs perf-diff --kind fabric --best-of $(BENCH_BEST_OF)
 
-# the small traced sweep the committed baseline snapshots; the CI
-# obs-diff gate replays exactly this and diffs against it
+# Three committed baselines share one pair of recipes: a traced sweep
+# is snapshotted into its baseline file (run after an intentional
+# behavior change, then commit the updated JSON with the change), and
+# replayed + diffed against it (the CI regression gates).
+# $(1) = sweep arguments, $(2) = baseline file, $(3) = trace directory
+define snapshot-baseline
+	rm -rf $(3)
+	$(PYTHON) -m repro.cli $(1) --trace $(3) >/dev/null
+	$(PYTHON) -m repro.cli obs snapshot $(3) -o $(2)
+endef
+
+define diff-baseline
+	rm -rf $(3)
+	$(PYTHON) -m repro.cli $(1) --trace $(3) >/dev/null
+	$(PYTHON) -m repro.cli obs diff $(2) $(3)
+endef
+
+# the small traced fig1 sweep
 BASELINE_SWEEP = fig1 --bytes 400000 --reps 2
 BASELINE_FILE = benchmarks/baselines/seed.json
 BASELINE_TRACE ?= /tmp/greenenvy-baseline-trace
 
-# regenerate the committed baseline (run after an intentional
-# behavior change, then commit the updated JSON with the change)
 baseline:
-	rm -rf $(BASELINE_TRACE)
-	$(PYTHON) -m repro.cli $(BASELINE_SWEEP) --trace $(BASELINE_TRACE) >/dev/null
-	$(PYTHON) -m repro.cli obs snapshot $(BASELINE_TRACE) -o $(BASELINE_FILE)
+	$(call snapshot-baseline,$(BASELINE_SWEEP),$(BASELINE_FILE),$(BASELINE_TRACE))
 
-# replay the baseline sweep and fail on drift (the CI regression gate)
 obs-diff:
-	rm -rf $(BASELINE_TRACE)
-	$(PYTHON) -m repro.cli $(BASELINE_SWEEP) --trace $(BASELINE_TRACE) >/dev/null
-	$(PYTHON) -m repro.cli obs diff $(BASELINE_FILE) $(BASELINE_TRACE)
+	$(call diff-baseline,$(BASELINE_SWEEP),$(BASELINE_FILE),$(BASELINE_TRACE))
 
-# the 1k-flow leaf-spine sweep the committed fabric baseline snapshots;
-# the CI fabric-obs-diff gate replays exactly this and diffs against it
+# the 1k-flow leaf-spine sweep
 FABRIC_SWEEP = fabric --flows 1000 --ccas dctcp,dcqcn --mix rpc
 FABRIC_BASELINE_FILE = benchmarks/baselines/fabric.json
 FABRIC_TRACE ?= /tmp/greenenvy-fabric-trace
 
-# regenerate the committed fabric baseline (run after an intentional
-# behavior change, then commit the updated JSON with the change)
 fabric-baseline:
-	rm -rf $(FABRIC_TRACE)
-	$(PYTHON) -m repro.cli $(FABRIC_SWEEP) --trace $(FABRIC_TRACE) >/dev/null
-	$(PYTHON) -m repro.cli obs snapshot $(FABRIC_TRACE) -o $(FABRIC_BASELINE_FILE)
+	$(call snapshot-baseline,$(FABRIC_SWEEP),$(FABRIC_BASELINE_FILE),$(FABRIC_TRACE))
 
-# replay the fabric sweep and fail on drift (the CI regression gate)
 fabric-obs-diff:
-	rm -rf $(FABRIC_TRACE)
-	$(PYTHON) -m repro.cli $(FABRIC_SWEEP) --trace $(FABRIC_TRACE) >/dev/null
-	$(PYTHON) -m repro.cli obs diff $(FABRIC_BASELINE_FILE) $(FABRIC_TRACE)
+	$(call diff-baseline,$(FABRIC_SWEEP),$(FABRIC_BASELINE_FILE),$(FABRIC_TRACE))
 
-# the every-policy FCT-vs-energy sweep (both workloads) the committed
-# pareto baseline snapshots; the CI pareto gate replays exactly this
+# the every-policy FCT-vs-energy sweep (both workloads)
 PARETO_SWEEP = pareto
 PARETO_BASELINE_FILE = benchmarks/baselines/pareto.json
 PARETO_TRACE ?= /tmp/greenenvy-pareto-trace
 
-# regenerate the committed pareto baseline (run after an intentional
-# scheduling-policy change, then commit the updated JSON with it)
 pareto-baseline:
-	rm -rf $(PARETO_TRACE)
-	$(PYTHON) -m repro.cli $(PARETO_SWEEP) --trace $(PARETO_TRACE) >/dev/null
-	$(PYTHON) -m repro.cli obs snapshot $(PARETO_TRACE) -o $(PARETO_BASELINE_FILE)
+	$(call snapshot-baseline,$(PARETO_SWEEP),$(PARETO_BASELINE_FILE),$(PARETO_TRACE))
 
-# replay the pareto sweep and fail on drift (the CI regression gate)
 pareto:
-	rm -rf $(PARETO_TRACE)
-	$(PYTHON) -m repro.cli $(PARETO_SWEEP) --trace $(PARETO_TRACE) >/dev/null
-	$(PYTHON) -m repro.cli obs diff $(PARETO_BASELINE_FILE) $(PARETO_TRACE)
+	$(call diff-baseline,$(PARETO_SWEEP),$(PARETO_BASELINE_FILE),$(PARETO_TRACE))

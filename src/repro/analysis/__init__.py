@@ -30,6 +30,7 @@ from repro.analysis.stats import (
     linear_fit,
     mean,
     pearson,
+    percentile,
     sample_std,
 )
 from repro.analysis.tables import format_series, format_table
@@ -51,6 +52,7 @@ __all__ = [
     "mean",
     "sample_std",
     "pearson",
+    "percentile",
     "linear_fit",
     "geometric_mean",
     "is_concave",

@@ -32,6 +32,20 @@ def sample_std(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - m) ** 2 for v in values) / (n - 1))
 
 
+def percentile(values: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0-100), linearly interpolated."""
+    if not values:
+        raise AnalysisError("percentile of an empty sample")
+    if not 0.0 <= q <= 100.0:
+        raise AnalysisError(f"percentile must be in [0, 100], got {q}")
+    ordered = sorted(values)
+    rank = (q / 100.0) * (len(ordered) - 1)
+    lo = int(rank)
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = rank - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Pearson correlation coefficient of two equal-length sequences."""
     if len(xs) != len(ys):

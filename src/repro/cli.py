@@ -26,8 +26,11 @@ to trade time for fidelity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+from repro.errors import ObservabilityError, SweepAbortedError
 
 #: exit code for a sweep cancelled mid-run (drift gate or abort file),
 #: distinct from failures (1) and usage/IO errors (2)
@@ -97,13 +100,6 @@ def _policies(args: argparse.Namespace) -> Optional[List[str]]:
     return list(dict.fromkeys(names)) or None
 
 
-def _observer(args: argparse.Namespace):
-    """Build the figure commands' observer from ``--trace`` (or no-op)."""
-    from repro.obs.observer import resolve_observer
-
-    return resolve_observer(getattr(args, "trace", None))
-
-
 def _trace_note(args: argparse.Namespace) -> None:
     if getattr(args, "trace", None):
         print(f"\ntrace written to {args.trace} "
@@ -119,17 +115,44 @@ def _add_abort_on_drift(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _drift_setup(args: argparse.Namespace) -> Tuple[Any, Any]:
-    """``--abort-on-drift`` wiring: ``(control, gate)`` or ``(None, None)``.
+def _add_tolerance(parser: argparse.ArgumentParser, example: str) -> None:
+    """Repeatable ``--tolerance METRIC=REL``; ``args.tolerance`` is a
+    list of ``(metric, relative)`` pairs ready for ``dict()``."""
+
+    def pair(spec: str) -> Tuple[str, float]:
+        name, sep, value = spec.partition("=")
+        try:
+            if not name or not sep:
+                raise ValueError(spec)
+            return name, float(value)
+        except ValueError:
+            # Not an ArgumentTypeError: argparse would exit through its
+            # own usage message; this reaches main()'s boundary instead.
+            raise ObservabilityError(
+                f"bad --tolerance {spec!r} (want metric=relative, "
+                f"e.g. {example})"
+            ) from None
+
+    parser.add_argument(
+        "--tolerance", action="append", default=[], type=pair,
+        metavar="METRIC=REL",
+        help="override a metric's relative tolerance (repeatable), "
+        f"e.g. --tolerance {example}",
+    )
+
+
+def _drift_control(args: argparse.Namespace) -> Any:
+    """``--abort-on-drift`` wiring: the sweep's control, or ``None``.
 
     The gate's cancel cord is a :class:`FileCancelToken` when the run is
     traced — so an external ``obs watch --abort-on-drift`` (or a bare
     ``touch DIR/abort.requested``) can stop the same sweep — and a plain
-    in-process token otherwise.
+    in-process token otherwise. The gate is left on ``args.drift_gate``
+    for :func:`main` to print its drift table if the sweep aborts.
     """
-    baseline = getattr(args, "abort_on_drift", None)
+    baseline = args.abort_on_drift
     if not baseline:
-        return None, None
+        return None
     from pathlib import Path
 
     from repro.harness.executor import (
@@ -140,21 +163,39 @@ def _drift_setup(args: argparse.Namespace) -> Tuple[Any, Any]:
     from repro.obs.journal import ABORT_FILENAME
     from repro.obs.live import DriftGate
 
-    trace = getattr(args, "trace", None)
     token = (
-        FileCancelToken(Path(trace) / ABORT_FILENAME)
-        if trace
+        FileCancelToken(Path(args.trace) / ABORT_FILENAME)
+        if args.trace
         else CancelToken()
     )
     gate = DriftGate(baseline, repetitions=args.reps, cancel=token)
-    return SweepControl(on_result=gate.on_result, cancel=token), gate
+    args.drift_gate = gate
+    return SweepControl(on_result=gate.on_result, cancel=token)
 
 
-def _aborted_exit(exc: BaseException, gate: Any) -> int:
+@contextlib.contextmanager
+def _launch(args: argparse.Namespace) -> Iterator[Dict[str, Any]]:
+    """The launch keywords every sweep command passes its figure driver.
+
+    ``jobs``/``cache_dir`` from :func:`_add_parallel`, the ``--trace``
+    observer (open for the duration of the ``with`` block, no-op
+    without the flag), and ``control`` on the commands that take
+    ``--abort-on-drift``.
+    """
+    from repro.obs.observer import resolve_observer
+
+    launch: Dict[str, Any] = dict(jobs=args.jobs, cache_dir=args.cache_dir)
+    if hasattr(args, "abort_on_drift"):
+        launch["control"] = _drift_control(args)
+    with resolve_observer(args.trace) as obs:
+        launch["observer"] = obs
+        yield launch
+
+
+def _aborted_exit(exc: SweepAbortedError, gate: Any) -> int:
     """Render a :class:`SweepAbortedError`: partial figure, drift, exit 3."""
-    partial = getattr(exc, "partial_figure", None)
-    if partial is not None:
-        print(partial.format_table())
+    if exc.partial_figure is not None:
+        print(exc.partial_figure.format_table())
         print()
     if gate is not None and gate.drifted:
         from repro.obs.baseline import format_drift_table
@@ -166,23 +207,13 @@ def _aborted_exit(exc: BaseException, gate: Any) -> int:
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
-    from repro.errors import ObservabilityError, SweepAbortedError
     from repro.figures.fig1 import run_fig1
 
-    try:
-        control, gate = _drift_setup(args)
-    except ObservabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        with _observer(args) as obs:
-            result = run_fig1(
-                transfer_bytes=args.bytes, repetitions=args.reps,
-                base_seed=args.seed, jobs=args.jobs, cache_dir=args.cache_dir,
-                observer=obs, control=control,
-            )
-    except SweepAbortedError as exc:
-        return _aborted_exit(exc, gate)
+    with _launch(args) as launch:
+        result = run_fig1(
+            transfer_bytes=args.bytes, repetitions=args.reps,
+            base_seed=args.seed, **launch,
+        )
     print(result.format_table())
     print(f"\nmax savings vs fair: {result.max_savings_percent:.1f}% "
           f"(paper: ~16%)")
@@ -193,10 +224,9 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
 def _cmd_fig2(args: argparse.Namespace) -> int:
     from repro.figures.fig2 import run_fig2
 
-    with _observer(args) as obs:
+    with _launch(args) as launch:
         result = run_fig2(
-            repetitions=args.reps, base_seed=args.seed,
-            jobs=args.jobs, cache_dir=args.cache_dir, observer=obs,
+            repetitions=args.reps, base_seed=args.seed, **launch
         )
     print(result.format_table())
     _trace_note(args)
@@ -224,10 +254,9 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 def _cmd_fig4(args: argparse.Namespace) -> int:
     from repro.figures.fig4 import run_fig4
 
-    with _observer(args) as obs:
+    with _launch(args) as launch:
         result = run_fig4(
-            repetitions=args.reps, base_seed=args.seed,
-            jobs=args.jobs, cache_dir=args.cache_dir, observer=obs,
+            repetitions=args.reps, base_seed=args.seed, **launch
         )
     print(result.format_table())
     for load in result.loads():
@@ -246,11 +275,10 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     from repro.figures.fig8 import fig8_from_grid
     from repro.figures.grid import run_cca_mtu_grid
 
-    with _observer(args) as obs:
+    with _launch(args) as launch:
         grid = run_cca_mtu_grid(
             transfer_bytes=args.bytes, repetitions=args.reps,
-            base_seed=args.seed, jobs=args.jobs, cache_dir=args.cache_dir,
-            observer=obs,
+            base_seed=args.seed, **launch,
         )
     if getattr(args, "json", None):
         from repro.analysis.export import save_json
@@ -277,7 +305,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
-    from repro.errors import ObservabilityError
     from repro.obs.journal import read_journal
     from repro.obs.report import (
         format_report,
@@ -285,17 +312,11 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
         summary_to_dict,
     )
 
-    try:
-        events = read_journal(args.journal)
-    except ObservabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    events = read_journal(args.journal)
     if not events:
-        print(
-            f"error: journal at {args.journal} is empty (no events recorded)",
-            file=sys.stderr,
+        raise ObservabilityError(
+            f"journal at {args.journal} is empty (no events recorded)"
         )
-        return 2
     summary = summarize_journal(events, slowest=args.slowest)
     if args.format == "json":
         import json
@@ -341,7 +362,6 @@ def _report_extras(target: str) -> List[str]:
 
 
 def _cmd_obs_timeline(args: argparse.Namespace) -> int:
-    from repro.errors import ObservabilityError
     from repro.obs.telemetry import read_telemetry
     from repro.obs.timeline import (
         filter_records,
@@ -350,13 +370,8 @@ def _cmd_obs_timeline(args: argparse.Namespace) -> int:
         timeline_json,
     )
 
-    try:
-        records = read_telemetry(args.trace)
-    except ObservabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     matched = filter_records(
-        records,
+        read_telemetry(args.trace),
         scenario=args.scenario,
         seed=args.seed,
         channel=args.channel,
@@ -375,15 +390,10 @@ def _cmd_obs_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_snapshot(args: argparse.Namespace) -> int:
-    from repro.errors import ObservabilityError
     from repro.obs.baseline import save_baseline, snapshot_from_journal
     from repro.obs.journal import read_journal
 
-    try:
-        snapshot = snapshot_from_journal(read_journal(args.trace))
-    except ObservabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    snapshot = snapshot_from_journal(read_journal(args.trace))
     if args.output:
         save_baseline(snapshot, args.output)
         print(
@@ -398,7 +408,6 @@ def _cmd_obs_snapshot(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
-    from repro.errors import ObservabilityError
     from repro.obs.baseline import (
         compare,
         format_drift_table,
@@ -408,27 +417,9 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
     )
     from repro.obs.journal import read_journal
 
-    tolerances = {}
-    for spec in args.tolerance or []:
-        name, sep, value = spec.partition("=")
-        try:
-            if not name or not sep:
-                raise ValueError(spec)
-            tolerances[name] = float(value)
-        except ValueError:
-            print(
-                f"error: bad --tolerance {spec!r} (want metric=relative, "
-                f"e.g. energy_j=1e-3)",
-                file=sys.stderr,
-            )
-            return 2
-    try:
-        baseline = load_baseline(args.baseline)
-        current = snapshot_from_journal(read_journal(args.trace))
-    except ObservabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rows = compare(baseline, current, tolerances=tolerances or None)
+    baseline = load_baseline(args.baseline)
+    current = snapshot_from_journal(read_journal(args.trace))
+    rows = compare(baseline, current, tolerances=dict(args.tolerance) or None)
     print(format_drift_table(rows))
     # Non-zero on drift so CI can gate: greenenvy obs diff base.json trace/
     return 1 if has_regression(rows) else 0
@@ -438,7 +429,6 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
     import json
     import time
 
-    from repro.errors import ObservabilityError
     from repro.obs.baseline import format_drift_table
     from repro.obs.live import (
         DriftGate,
@@ -449,8 +439,7 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
     from repro.obs.progress import format_progress, progress_to_dict
 
     if args.abort_on_drift and not args.baseline:
-        print("error: --abort-on-drift needs --baseline", file=sys.stderr)
-        return 2
+        raise ObservabilityError("--abort-on-drift needs --baseline")
 
     gate: Optional[DriftGate] = None
     if args.baseline:
@@ -463,23 +452,15 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
             def cancel(self, reason: str) -> None:
                 request_abort(args.trace, reason)
 
-        try:
-            gate = DriftGate(
-                args.baseline,
-                cancel=_AbortFlag() if args.abort_on_drift else None,
-            )
-        except ObservabilityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    try:
-        view = LiveSweepView(
-            args.trace,
-            on_event=gate.observe_event if gate is not None else None,
+        gate = DriftGate(
+            args.baseline,
+            cancel=_AbortFlag() if args.abort_on_drift else None,
         )
-    except ObservabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+
+    view = LiveSweepView(
+        args.trace,
+        on_event=gate.observe_event if gate is not None else None,
+    )
 
     server = None
     if args.serve is not None:
@@ -523,7 +504,6 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_profile(args: argparse.Namespace) -> int:
-    from repro.errors import ObservabilityError
     from repro.figures.fig1 import run_fig1
     from repro.obs.observer import TracingObserver
     from repro.obs.profile import (
@@ -537,12 +517,8 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
             transfer_bytes=args.bytes, repetitions=args.reps,
             base_seed=args.seed, jobs=args.jobs, observer=obs,
         )
-    try:
-        records = read_profile(args.trace)
-        paths = export_profile(args.trace, records=records)
-    except ObservabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = read_profile(args.trace)
+    paths = export_profile(args.trace, records=records)
     print(summarize_profile(records, top=args.top))
     print()
     print(f"flamegraph input:  {paths['folded']} "
@@ -553,7 +529,6 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_perf_diff(args: argparse.Namespace) -> int:
-    from repro.errors import ObservabilityError
     from repro.obs.perfdiff import (
         BENCH_FABRIC_FILENAME,
         BENCH_SIM_FILENAME,
@@ -564,31 +539,15 @@ def _cmd_obs_perf_diff(args: argparse.Namespace) -> int:
         perf_snapshot,
     )
 
-    tolerances = {}
-    for spec in args.tolerance or []:
-        name, sep, value = spec.partition("=")
-        try:
-            if not name or not sep:
-                raise ValueError(spec)
-            tolerances[name] = float(value)
-        except ValueError:
-            print(
-                f"error: bad --tolerance {spec!r} (want metric=relative, "
-                f"e.g. events_per_second.median=0.3)",
-                file=sys.stderr,
-            )
-            return 2
     default_name = (
         BENCH_FABRIC_FILENAME if args.kind == "fabric" else BENCH_SIM_FILENAME
     )
     baseline_path = args.baseline or f"benchmarks/{default_name}"
-    try:
-        baseline = load_snapshot(baseline_path)
-        fresh = perf_snapshot(args.kind, best_of=args.best_of)
-        rows = compare_perf(baseline, fresh, tolerances=tolerances or None)
-    except ObservabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    baseline = load_snapshot(baseline_path)
+    fresh = perf_snapshot(args.kind, best_of=args.best_of)
+    rows = compare_perf(
+        baseline, fresh, tolerances=dict(args.tolerance) or None
+    )
     print(f"baseline: {baseline_path} ({baseline.get('platform', '?')})")
     print(format_perf_table(rows))
     # Non-zero on an events/sec regression so CI can gate on engine speed.
@@ -684,38 +643,26 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 
 def _cmd_fabric(args: argparse.Namespace) -> int:
-    from repro.errors import ObservabilityError, SweepAbortedError
     from repro.figures.fabric import DEFAULT_POLICIES, run_fabric_figure
     from repro.units import MILLION
 
     ccas = [c.strip() for c in args.ccas.split(",") if c.strip()]
-    try:
-        control, gate = _drift_setup(args)
-    except ObservabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        with _observer(args) as obs:
-            result = run_fabric_figure(
-                ccas=ccas,
-                n_flows=args.flows,
-                mix=args.mix,
-                target_load=args.load,
-                topology=args.topology,
-                leaves=args.leaves,
-                spines=args.spines,
-                hosts_per_leaf=args.hosts_per_leaf,
-                switch_power=args.switch_power,
-                repetitions=args.reps,
-                base_seed=args.seed,
-                policies=_policies(args) or DEFAULT_POLICIES,
-                jobs=args.jobs,
-                cache_dir=args.cache_dir,
-                observer=obs,
-                control=control,
-            )
-    except SweepAbortedError as exc:
-        return _aborted_exit(exc, gate)
+    with _launch(args) as launch:
+        result = run_fabric_figure(
+            ccas=ccas,
+            n_flows=args.flows,
+            mix=args.mix,
+            target_load=args.load,
+            topology=args.topology,
+            leaves=args.leaves,
+            spines=args.spines,
+            hosts_per_leaf=args.hosts_per_leaf,
+            switch_power=args.switch_power,
+            repetitions=args.reps,
+            base_seed=args.seed,
+            policies=_policies(args) or DEFAULT_POLICIES,
+            **launch,
+        )
     print(result.format_table())
     # The fair arms score exactly 0% against themselves, so the best
     # (cca, policy) cell is fair only when every other arm costs energy.
@@ -737,7 +684,6 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
 
 
 def _cmd_pareto(args: argparse.Namespace) -> int:
-    from repro.errors import ObservabilityError, SweepAbortedError
     from repro.figures.pareto import WORKLOADS, run_pareto
 
     kwargs = {}
@@ -745,34 +691,23 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
         kwargs["link_batch"] = tuple(
             int(float(s)) for s in args.link_batch.split(",") if s.strip()
         )
-    try:
-        control, gate = _drift_setup(args)
-    except ObservabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        with _observer(args) as obs:
-            result = run_pareto(
-                policies=_policies(args),
-                link_cca=args.link_cca,
-                deadline_slack=args.deadline_slack,
-                fabric_cca=args.fabric_cca,
-                n_flows=args.flows,
-                mix=args.mix,
-                target_load=args.load,
-                leaves=args.leaves,
-                spines=args.spines,
-                hosts_per_leaf=args.hosts_per_leaf,
-                repetitions=args.reps,
-                base_seed=args.seed,
-                jobs=args.jobs,
-                cache_dir=args.cache_dir,
-                observer=obs,
-                control=control,
-                **kwargs,
-            )
-    except SweepAbortedError as exc:
-        return _aborted_exit(exc, gate)
+    with _launch(args) as launch:
+        result = run_pareto(
+            policies=_policies(args),
+            link_cca=args.link_cca,
+            deadline_slack=args.deadline_slack,
+            fabric_cca=args.fabric_cca,
+            n_flows=args.flows,
+            mix=args.mix,
+            target_load=args.load,
+            leaves=args.leaves,
+            spines=args.spines,
+            hosts_per_leaf=args.hosts_per_leaf,
+            repetitions=args.reps,
+            base_seed=args.seed,
+            **kwargs,
+            **launch,
+        )
     print(result.format_table())
     for workload in WORKLOADS:
         front = " -> ".join(p.policy for p in result.frontier(workload))
@@ -1205,11 +1140,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="trace directory (containing journal.jsonl) or a .jsonl file",
     )
-    p.add_argument(
-        "--tolerance", action="append", metavar="METRIC=REL",
-        help="override a metric's relative tolerance (repeatable), "
-        "e.g. --tolerance energy_j=1e-3",
-    )
+    _add_tolerance(p, example="energy_j=1e-3")
     p.set_defaults(func=_cmd_obs_diff)
 
     p = obs_sub.add_parser(
@@ -1300,11 +1231,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the sweep N times and compare the fastest attempt "
         "(suppresses machine noise)",
     )
-    p.add_argument(
-        "--tolerance", action="append", metavar="METRIC=REL",
-        help="override a metric's relative tolerance (repeatable), "
-        "e.g. --tolerance events_per_second.median=0.3",
-    )
+    _add_tolerance(p, example="events_per_second.median=0.3")
     p.set_defaults(func=_cmd_obs_perf_diff)
 
     return parser
@@ -1312,8 +1239,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for the ``greenenvy`` console script."""
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = argparse.Namespace()
+    # The one error boundary: every command raises, this maps to exits.
+    try:
+        build_parser().parse_args(argv, namespace=args)
+        return args.func(args)
+    except ObservabilityError as exc:
+        # usage and trace/baseline I/O errors
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SweepAbortedError as exc:
+        return _aborted_exit(exc, getattr(args, "drift_gate", None))
 
 
 if __name__ == "__main__":  # pragma: no cover

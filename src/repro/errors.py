@@ -45,8 +45,12 @@ class SweepAbortedError(ExperimentError):
 
     ``partial`` maps the original submission index of every finished
     item to its measurement; ``total`` is the batch size; ``reason``
-    says who pulled the cord. Layers above the executor may attach
-    richer views (``partial_sweep``, ``partial_figure``) on the way up.
+    says who pulled the cord. :meth:`~repro.harness.sweep.Sweep.run`
+    fills in the richer views on the way up: ``partial_sweep`` (a
+    ``SweepResults`` of the grid points whose repetitions all
+    finished) and, for figure drivers, ``partial_figure`` (the
+    figure's result type built from those rows). Both stay ``None``
+    when the batch was not run through a sweep.
     """
 
     def __init__(
@@ -58,6 +62,8 @@ class SweepAbortedError(ExperimentError):
         self.reason = reason
         self.partial = dict(partial or {})
         self.total = total
+        self.partial_sweep: Optional[Any] = None
+        self.partial_figure: Optional[Any] = None
         super().__init__(
             f"sweep aborted after {len(self.partial)}/{total} items: {reason}"
         )

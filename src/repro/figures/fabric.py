@@ -22,15 +22,15 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.analysis.stats import mean
 from repro.analysis.tables import format_table
 from repro.core.advisor import EnergyAdvisor
-from repro.errors import ExperimentError, SweepAbortedError
+from repro.errors import ExperimentError
 from repro.harness.cache import ResultCache
-from repro.harness.executor import Executor, SweepControl
+from repro.harness.executor import SweepControl
 from repro.harness.experiment import FabricScenario
 from repro.harness.runner import RepeatedResult, RunMeasurement
 from repro.harness.sweep import Sweep, SweepResults
 from repro.obs.attrib import top_flow_share_percent
 from repro.obs.observer import Observer
-from repro.sched import resolve_policy_name
+from repro.sched import resolve_policy_list, resolve_policy_name
 from repro.units import MILLION, to_msec
 
 #: the datacenter CCAs the ISSUE's fleet comparison covers
@@ -206,7 +206,6 @@ def run_fabric_figure(
     base_seed: int = 0,
     policies: Sequence[str] = DEFAULT_POLICIES,
     *,
-    executor: Union[None, str, Executor] = None,
     jobs: Optional[int] = None,
     cache_dir: Union[None, str, Path, ResultCache] = None,
     observer: Union[None, str, Path, Observer] = None,
@@ -222,11 +221,7 @@ def run_fabric_figure(
     """
     if not ccas:
         raise ExperimentError("need at least one CCA")
-    names = [resolve_policy_name(p) for p in policies]
-    if "fair" not in names:
-        raise ExperimentError(
-            "the fabric figure reports savings vs fair; include 'fair'"
-        )
+    names = resolve_policy_list(policies, DEFAULT_POLICIES, "fabric figure")
 
     def factory(cca: str, policy: str) -> FabricScenario:
         return FabricScenario(
@@ -244,50 +239,31 @@ def run_fabric_figure(
             switch_power=switch_power,
         )
 
-    def to_points(
-        results: SweepResults, require_all_arms: bool
-    ) -> List[FabricCcaPoint]:
+    def to_result(results: SweepResults) -> FabricResult:
         points = []
         for cca in ccas:
             arms = {
-                policy: row.result
-                for policy in names
-                for row in results.where(cca=cca, policy=policy).rows
+                row["policy"]: row.result
+                for row in results.where(cca=cca).rows
             }
-            if require_all_arms and len(arms) != len(names):
-                raise ExperimentError(
-                    f"{cca}: expected {len(names)} arms, got {len(arms)}"
-                )
             # A CCA is only comparable once its fair arm exists — every
-            # savings number is relative to it.
+            # savings number is relative to it (a partial figure from
+            # an aborted sweep may lack it).
             if "fair" in arms:
                 points.append(FabricCcaPoint(cca=cca, arms=arms))
-        return points
+        return FabricResult(
+            points=points, n_flows=n_flows, topology=topology, policies=names
+        )
 
-    try:
-        results = Sweep({"cca": list(ccas), "policy": names}).run(
+    return to_result(
+        Sweep({"cca": list(ccas), "policy": names}).run(
             factory,
             repetitions=repetitions,
             base_seed=base_seed,
-            executor=executor,
             jobs=jobs,
             cache=cache_dir,
             observer=observer,
             control=control,
+            partial_figure=to_result,
         )
-    except SweepAbortedError as exc:
-        partial = getattr(exc, "partial_sweep", None)
-        if partial is not None:
-            exc.partial_figure = FabricResult(  # type: ignore[attr-defined]
-                points=to_points(partial, require_all_arms=False),
-                n_flows=n_flows,
-                topology=topology,
-                policies=names,
-            )
-        raise
-    return FabricResult(
-        points=to_points(results, require_all_arms=True),
-        n_flows=n_flows,
-        topology=topology,
-        policies=names,
     )

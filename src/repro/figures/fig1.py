@@ -25,12 +25,11 @@ from repro.core.allocation import (
     fig1_allocations,
 )
 from repro.core.savings import savings_percent
-from repro.errors import SweepAbortedError
 from repro.harness.cache import ResultCache
-from repro.harness.executor import Executor, SweepControl
+from repro.harness.executor import SweepControl
 from repro.harness.experiment import Scenario, scenario_from_plan
 from repro.harness.runner import RepeatedResult
-from repro.harness.sweep import Sweep, SweepRow
+from repro.harness.sweep import Sweep, SweepResults
 from repro.obs.observer import Observer
 from repro.units import gbps
 
@@ -118,7 +117,6 @@ def run_fig1(
     repetitions: int = 3,
     base_seed: int = 0,
     *,
-    executor: Union[None, str, Executor] = None,
     jobs: Optional[int] = None,
     cache_dir: Union[None, str, Path, ResultCache] = None,
     observer: Union[None, str, Path, Observer] = None,
@@ -139,34 +137,29 @@ def run_fig1(
     def plan_scenario(plan: AllocationPlan) -> Scenario:
         return scenario_from_plan(f"fig1-{plan.name}", plan, cca=cca)
 
-    def to_points(rows: List[SweepRow]) -> List[Fig1Point]:
-        return [
-            Fig1Point(
-                label=row["plan"].name,
-                flow0_fraction=row["plan"].flow0_fraction
-                if row["plan"].name != FSTI_PLAN_NAME
-                else None,
-                result=row.result,
-            )
-            for row in rows
-        ]
+    def to_result(results: SweepResults) -> Fig1Result:
+        return Fig1Result(
+            points=[
+                Fig1Point(
+                    label=row["plan"].name,
+                    flow0_fraction=row["plan"].flow0_fraction
+                    if row["plan"].name != FSTI_PLAN_NAME
+                    else None,
+                    result=row.result,
+                )
+                for row in results.rows
+            ]
+        )
 
-    try:
-        results = Sweep({"plan": plans}).run(
+    return to_result(
+        Sweep({"plan": plans}).run(
             plan_scenario,
             repetitions=repetitions,
             base_seed=base_seed,
-            executor=executor,
             jobs=jobs,
             cache=cache_dir,
             observer=observer,
             control=control,
+            partial_figure=to_result,
         )
-    except SweepAbortedError as exc:
-        partial = getattr(exc, "partial_sweep", None)
-        if partial is not None:
-            exc.partial_figure = Fig1Result(  # type: ignore[attr-defined]
-                points=to_points(partial.rows)
-            )
-        raise
-    return Fig1Result(points=to_points(results.rows))
+    )

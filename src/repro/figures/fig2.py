@@ -22,6 +22,7 @@ from repro.analysis.tables import format_table
 from repro.energy.cpu import CpuModel
 from repro.energy.meter import EnergyMeter
 from repro.harness.experiment import FlowSpec, Scenario
+from repro.harness.sweep import Sweep
 from repro.net.topology import TestbedConfig, build_testbed
 from repro.sim.engine import Simulator
 from repro.units import gbps
@@ -152,31 +153,27 @@ def _measure_series(
     repetitions: int,
     base_seed: int,
     load: float = 0.0,
-    executor=None,
     jobs=None,
     cache=None,
     observer=None,
 ) -> List[Fig2Point]:
-    """Measure one series, fanning all (target, repetition) simulations
-    through the executor layer at once. Idle (zero-throughput) points
-    meter an empty testbed directly — too cheap to parallelize."""
-    from repro.harness.executor import WorkItem, run_work_items
+    """Measure one series as one :class:`~repro.harness.sweep.Sweep`
+    over the positive targets, so all (target, repetition) simulations
+    fan out at once. Idle (zero-throughput) points meter an empty
+    testbed directly — too cheap to parallelize."""
+    def point_scenario(target_gbps: float) -> Scenario:
+        return _point_scenario(target_gbps, window_s, burst, cca, load)
 
-    targets = [t for t in throughputs if t > 0]
-    items = [
-        WorkItem(
-            scenario=_point_scenario(target, window_s, burst, cca, load),
-            seed=base_seed + rep,
-        )
-        for target in targets
-        for rep in range(repetitions)
-    ]
-    measurements = run_work_items(
-        items, executor=executor, jobs=jobs, cache=cache, observer=observer
+    results = Sweep({"target_gbps": [t for t in throughputs if t > 0]}).run(
+        point_scenario,
+        repetitions=repetitions,
+        base_seed=base_seed,
+        jobs=jobs,
+        cache=cache,
+        observer=observer,
     )
-    by_target = {
-        target: measurements[i * repetitions : (i + 1) * repetitions]
-        for i, target in enumerate(targets)
+    runs_by_target = {
+        row["target_gbps"]: row.result.runs for row in results.rows
     }
     points: List[Fig2Point] = []
     for target in throughputs:
@@ -186,7 +183,7 @@ def _measure_series(
             )
         else:
             points.append(
-                _window_point(target, by_target[target], window_s, load)
+                _window_point(target, runs_by_target[target], window_s, load)
             )
     return points
 
@@ -204,7 +201,6 @@ def run_fig2(
     repetitions: int = 3,
     base_seed: int = 0,
     *,
-    executor=None,
     jobs=None,
     cache_dir=None,
     observer=None,
@@ -217,11 +213,11 @@ def run_fig2(
     smooth = _measure_series(
         throughputs_gbps, window_s, burst=False, cca=cca,
         repetitions=repetitions, base_seed=base_seed,
-        executor=executor, jobs=jobs, cache=cache_dir, observer=obs,
+        jobs=jobs, cache=cache_dir, observer=obs,
     )
     burst = _measure_series(
         throughputs_gbps, window_s, burst=True, cca=cca,
         repetitions=repetitions, base_seed=base_seed + 1000,
-        executor=executor, jobs=jobs, cache=cache_dir, observer=obs,
+        jobs=jobs, cache=cache_dir, observer=obs,
     )
     return Fig2Result(smooth=smooth, full_speed_then_idle=burst)

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ExperimentError
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.harness.runner import run_once
-from repro.sched import resolve_policy_name
+from repro.sched import resolve_policy_list, resolve_policy_name
 from repro.sim.probe import THROUGHPUT_CHANNEL, TimeSeriesProbeSink
 from repro.sim.trace import TimeSeries
 from repro.units import gbps, msec, to_gbps
@@ -125,12 +125,9 @@ def run_fig3(
     policies: Optional[Sequence[str]] = None,
 ) -> Fig3Result:
     """Produce one Figure 3 panel per policy (one run each; timeseries)."""
-    names = [
-        resolve_policy_name(p)
-        for p in (DEFAULT_POLICIES if policies is None else policies)
-    ]
-    if not names:
-        raise ExperimentError("need at least one policy to render")
+    names = resolve_policy_list(
+        policies, DEFAULT_POLICIES, "fig3 panels", require_fair=False
+    )
     panels: Dict[str, Fig3Panel] = {}
     for name in names:
         flows = _PANEL_FLOWS.get(name, _uncapped_pair)(

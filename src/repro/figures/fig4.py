@@ -26,7 +26,6 @@ from repro.figures.fig2 import (
     _window_point,
 )
 from repro.harness.cache import ResultCache
-from repro.harness.executor import Executor
 from repro.harness.experiment import Scenario
 from repro.harness.sweep import Sweep
 from repro.obs.observer import Observer
@@ -86,7 +85,6 @@ def run_fig4(
     repetitions: int = 3,
     base_seed: int = 0,
     *,
-    executor: Union[None, str, Executor] = None,
     jobs: Optional[int] = None,
     cache_dir: Union[None, str, Path, ResultCache] = None,
     observer: Union[None, str, Path, Observer] = None,
@@ -101,7 +99,6 @@ def run_fig4(
         point_scenario,
         repetitions=repetitions,
         base_seed=base_seed,
-        executor=executor,
         jobs=jobs,
         cache=cache_dir,
         observer=observer,

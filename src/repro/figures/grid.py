@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.cc.registry import PAPER_ALGORITHMS
 from repro.harness.cache import ResultCache
-from repro.harness.executor import Executor
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.harness.runner import RepeatedResult
 from repro.harness.sweep import Sweep
@@ -104,7 +103,6 @@ def run_cca_mtu_grid(
     base_seed: int = 0,
     time_limit_s: float = 600.0,
     *,
-    executor: Union[None, str, Executor] = None,
     jobs: Optional[int] = None,
     cache_dir: Union[None, str, Path, ResultCache] = None,
     observer: Union[None, str, Path, Observer] = None,
@@ -131,7 +129,6 @@ def run_cca_mtu_grid(
         cell_scenario,
         repetitions=repetitions,
         base_seed=base_seed,
-        executor=executor,
         jobs=jobs,
         cache=cache_dir,
         observer=observer,

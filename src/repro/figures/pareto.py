@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.analysis.stats import mean
 from repro.analysis.tables import format_table
-from repro.errors import ExperimentError, SweepAbortedError
+from repro.errors import ExperimentError
 from repro.harness.cache import ResultCache
-from repro.harness.executor import Executor, SweepControl
+from repro.harness.executor import SweepControl
 from repro.harness.experiment import (
     AnyScenario,
     FabricScenario,
@@ -42,7 +42,7 @@ from repro.harness.sweep import Sweep, SweepResults
 from repro.net.topology import TestbedConfig
 from repro.obs.attrib import top_flow_share_percent
 from repro.obs.observer import Observer
-from repro.sched import policy_names, resolve_policy_name
+from repro.sched import policy_names, resolve_policy_list, resolve_policy_name
 from repro.units import BITS_PER_BYTE, to_msec
 
 #: the two workloads every policy is evaluated on
@@ -225,7 +225,6 @@ def run_pareto(
     repetitions: int = 1,
     base_seed: int = 0,
     *,
-    executor: Union[None, str, Executor] = None,
     jobs: Optional[int] = None,
     cache_dir: Union[None, str, Path, ResultCache] = None,
     observer: Union[None, str, Path, Observer] = None,
@@ -237,15 +236,7 @@ def run_pareto(
     compare all of them. ``fair`` must be included: savings and
     dominance are measured against it.
     """
-    names = (
-        list(policy_names())
-        if policies is None
-        else [resolve_policy_name(p) for p in policies]
-    )
-    if "fair" not in names:
-        raise ExperimentError(
-            "the pareto figure reports savings vs fair; include 'fair'"
-        )
+    names = resolve_policy_list(policies, policy_names(), "pareto figure")
 
     def factory(workload: str, policy: str) -> AnyScenario:
         if workload == "link":
@@ -263,49 +254,32 @@ def run_pareto(
             deadline_slack=deadline_slack,
         )
 
-    def partial_points(results: SweepResults) -> List[ParetoPoint]:
-        # Keep a workload's points only when its fair arm completed:
-        # savings and dominance are both measured against fair.
+    def to_result(results: SweepResults) -> ParetoResult:
+        # Keep a workload's points only when its fair arm completed (a
+        # partial figure from an aborted sweep may lack it): savings
+        # and dominance are both measured against fair.
         points = []
         for workload in WORKLOADS:
             arms = {
-                policy: row.result
-                for policy in names
-                for row in results.where(workload=workload, policy=policy).rows
+                row["policy"]: row.result
+                for row in results.where(workload=workload).rows
             }
-            if "fair" not in arms:
-                continue
-            points.extend(
-                ParetoPoint(workload=workload, policy=policy, result=result)
-                for policy, result in arms.items()
-            )
-        return points
+            if "fair" in arms:
+                points.extend(
+                    ParetoPoint(workload, policy, result)
+                    for policy, result in arms.items()
+                )
+        return ParetoResult(points=points, policies=names)
 
-    try:
-        results = Sweep({"workload": list(WORKLOADS), "policy": names}).run(
+    return to_result(
+        Sweep({"workload": list(WORKLOADS), "policy": names}).run(
             factory,
             repetitions=repetitions,
             base_seed=base_seed,
-            executor=executor,
             jobs=jobs,
             cache=cache_dir,
             observer=observer,
             control=control,
+            partial_figure=to_result,
         )
-    except SweepAbortedError as exc:
-        partial = getattr(exc, "partial_sweep", None)
-        if partial is not None:
-            exc.partial_figure = ParetoResult(  # type: ignore[attr-defined]
-                points=partial_points(partial), policies=names
-            )
-        raise
-    points = [
-        ParetoPoint(
-            workload=workload,
-            policy=policy,
-            result=results.one(workload=workload, policy=policy).result,
-        )
-        for workload in WORKLOADS
-        for policy in names
-    ]
-    return ParetoResult(points=points, policies=names)
+    )

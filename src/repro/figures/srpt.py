@@ -33,7 +33,11 @@ from repro.analysis.tables import format_table
 from repro.errors import ExperimentError
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.harness.runner import RunMeasurement, run_once
-from repro.sched import PFABRIC_WINDOW_SEGMENTS, resolve_policy_name
+from repro.sched import (
+    PFABRIC_WINDOW_SEGMENTS,
+    resolve_policy_list,
+    resolve_policy_name,
+)
 from repro.units import to_msec
 
 __all__ = [
@@ -133,14 +137,7 @@ def run_srpt_comparison(
     ``fair`` must be among the policies: the table reports savings
     relative to it.
     """
-    names = [
-        resolve_policy_name(p)
-        for p in (DEFAULT_POLICIES if policies is None else policies)
-    ]
-    if "fair" not in names:
-        raise ExperimentError(
-            "the srpt comparison reports savings vs fair; include 'fair'"
-        )
+    names = resolve_policy_list(policies, DEFAULT_POLICIES, "srpt comparison")
     n = len(batch)
     flows: List[FlowSpec] = [
         FlowSpec(size, cca=cca) for size in sorted(batch)

@@ -28,7 +28,7 @@ from repro.apps.workload import Workload, generate_workload
 from repro.errors import ExperimentError
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.harness.runner import RunMeasurement, run_once
-from repro.sched import resolve_policy_name
+from repro.sched import resolve_policy_list, resolve_policy_name
 from repro.units import to_msec
 
 #: the classic two-way comparison
@@ -127,12 +127,9 @@ def run_workload_energy(
     policies: Optional[Sequence[str]] = None,
 ) -> WorkloadEnergyResult:
     """Generate one workload and run it under every requested policy."""
-    names = [
-        resolve_policy_name(p)
-        for p in (DEFAULT_POLICIES if policies is None else policies)
-    ]
-    if not names:
-        raise ExperimentError("need at least one policy")
+    names = resolve_policy_list(
+        policies, DEFAULT_POLICIES, "workload figure", require_fair=False
+    )
     workload = generate_workload(
         distribution=distribution,
         target_load=target_load,

@@ -3,7 +3,8 @@
 Every cell x repetition of the paper's experiment grids is an
 independent, seeded simulation — the embarrassingly parallel shape that
 lets the CCA x MTU grid scale to hundreds of scenario points. The
-executor layer fans :class:`WorkItem` batches out to a backend:
+executor layer fans :class:`WorkItem` batches out to a backend, picked
+from ``jobs`` alone (:func:`resolve_executor`):
 
 * :class:`SerialExecutor` — in-process, one item at a time. The
   reference semantics; zero overhead for small batches.
@@ -387,37 +388,16 @@ class ProcessExecutor(Executor):
         return results
 
 
-def resolve_executor(
-    executor: Union[None, str, Executor] = None,
-    jobs: Optional[int] = None,
-) -> Executor:
-    """Pick a backend from the ``executor=``/``jobs=`` pair.
-
-    * an :class:`Executor` instance is used as-is,
-    * ``"serial"`` / ``"process"`` select a backend by name (``jobs``
-      sizes the process pool),
-    * with neither given, ``jobs`` alone decides: None or 1 means
-      serial, more means a process pool of that size.
-    """
-    if isinstance(executor, Executor):
-        return executor
-    if executor is None:
-        if jobs is None or jobs == 1:
-            return SerialExecutor()
-        return ProcessExecutor(jobs)
-    if executor == "serial":
+def resolve_executor(jobs: Optional[int] = None) -> Executor:
+    """The backend is a function of ``jobs``: None or 1 means serial,
+    more means a process pool of that size."""
+    if jobs is None or jobs == 1:
         return SerialExecutor()
-    if executor == "process":
-        return ProcessExecutor(jobs)
-    raise ExperimentError(
-        f"unknown executor {executor!r}; use 'serial', 'process', or an "
-        f"Executor instance"
-    )
+    return ProcessExecutor(jobs)
 
 
 def run_work_items(
     items: Sequence[WorkItem],
-    executor: Union[None, str, Executor] = None,
     jobs: Optional[int] = None,
     cache: Union[None, str, Path, ResultCache] = None,
     observer: Union[None, str, Path, Observer] = None,
@@ -425,8 +405,9 @@ def run_work_items(
 ) -> List[RunMeasurement]:
     """Execute a batch of work items, cache-aware and order-preserving.
 
-    With a cache, stored measurements are returned directly and only
-    the misses are dispatched to the backend (then stored). The result
+    ``jobs`` alone picks the backend (:func:`resolve_executor`). With
+    a cache, stored measurements are returned directly and only the
+    misses are dispatched to the backend (then stored). The result
     list always lines up index-for-index with ``items``.
 
     ``observer`` (an :class:`~repro.obs.observer.Observer` or a trace
@@ -448,7 +429,7 @@ def run_work_items(
     results keyed by submission index.
     """
     items = list(items)
-    backend = resolve_executor(executor, jobs)
+    backend = resolve_executor(jobs)
     store = ensure_cache(cache)
     obs = resolve_observer(observer)
     if not obs.enabled and store is None and control is None:

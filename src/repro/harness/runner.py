@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.stats import mean, sample_std
+from repro.analysis.stats import mean, percentile, sample_std
 from repro.apps.iperf import IperfResult, IperfSession, drive_until_complete
 from repro.apps.probe import ThroughputProbe
 from repro.energy.cpu import CpuModel
@@ -21,7 +21,6 @@ from repro.harness.fabric import measure_fabric, prepare_fabric
 from repro.net.topology import Testbed, TestbedConfig, build_testbed
 from repro.obs.attrib import record_flow_energy
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.obs.report import percentile
 from repro.sched import (
     FlowRequest,
     SchedulePlan,
@@ -414,7 +413,6 @@ def run_repeated(
     repetitions: int = 10,
     base_seed: int = 0,
     *,
-    executor=None,
     jobs: Optional[int] = None,
     cache=None,
     observer: Optional[Observer] = None,
@@ -439,7 +437,5 @@ def run_repeated(
         WorkItem(scenario=scenario, seed=base_seed + rep)
         for rep in range(repetitions)
     ]
-    runs = run_work_items(
-        items, executor=executor, jobs=jobs, cache=cache, observer=observer
-    )
+    runs = run_work_items(items, jobs=jobs, cache=cache, observer=observer)
     return RepeatedResult(scenario=scenario.name, runs=runs)

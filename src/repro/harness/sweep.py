@@ -32,14 +32,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.errors import ExperimentError, SweepAbortedError
 from repro.harness.cache import ResultCache
-from repro.harness.executor import (
-    Executor,
-    SweepControl,
-    WorkItem,
-    run_work_items,
-)
+from repro.harness.executor import SweepControl, WorkItem, run_work_items
 from repro.harness.experiment import AnyScenario
-from repro.harness.runner import RepeatedResult
+from repro.harness.runner import RepeatedResult, RunMeasurement
 from repro.obs.observer import Observer, resolve_observer
 
 ScenarioFactory = Callable[..., AnyScenario]
@@ -136,11 +131,11 @@ class Sweep:
         repetitions: int = 2,
         base_seed: int = 0,
         *,
-        executor: Union[None, str, Executor] = None,
         jobs: Optional[int] = None,
         cache: Union[None, str, Path, ResultCache] = None,
         observer: Union[None, str, Path, Observer] = None,
         control: Optional[SweepControl] = None,
+        partial_figure: Optional[Callable[[SweepResults], Any]] = None,
     ) -> SweepResults:
         """Run every grid point's scenario ``repetitions`` times.
 
@@ -156,10 +151,13 @@ class Sweep:
         ``control`` threads per-completion hooks and cooperative
         cancellation through (see
         :class:`~repro.harness.executor.SweepControl`). When the batch
-        is aborted, the propagating
-        :class:`~repro.errors.SweepAbortedError` gains a
-        ``partial_sweep`` attribute: a :class:`SweepResults` holding
-        every grid point whose ``repetitions`` runs all finished.
+        is aborted, this is the one place the propagating
+        :class:`~repro.errors.SweepAbortedError` is given its richer
+        views: ``partial_sweep``, a :class:`SweepResults` holding every
+        grid point whose ``repetitions`` runs all finished, and — when
+        the caller passes its rows -> result builder as
+        ``partial_figure`` — ``partial_figure``, that builder applied
+        to the salvaged rows.
         """
         if repetitions < 1:
             raise ExperimentError(
@@ -172,6 +170,23 @@ class Sweep:
             for scenario in scenarios
             for rep in range(repetitions)
         ]
+
+        def rows(finished: Mapping[int, RunMeasurement]) -> SweepResults:
+            """The grid points whose every repetition is in ``finished``
+            (keyed by submission index)."""
+            results = SweepResults()
+            for i, (point, scenario) in enumerate(zip(points, scenarios)):
+                indices = range(i * repetitions, (i + 1) * repetitions)
+                if all(j in finished for j in indices):
+                    runs = [finished[j] for j in indices]
+                    results.rows.append(
+                        SweepRow(
+                            params=point,
+                            result=RepeatedResult(scenario.name, runs),
+                        )
+                    )
+            return results
+
         obs = resolve_observer(observer)
         if obs.enabled:
             obs.emit(
@@ -183,29 +198,15 @@ class Sweep:
             )
         try:
             measurements = run_work_items(
-                items, executor=executor, jobs=jobs, cache=cache,
-                observer=obs, control=control,
+                items, jobs=jobs, cache=cache, observer=obs, control=control
             )
         except SweepAbortedError as exc:
             # Salvage the grid points that finished every repetition so
             # callers can still render a partial figure.
-            partial = SweepResults()
-            for i, (point, scenario) in enumerate(zip(points, scenarios)):
-                runs = [
-                    exc.partial[j]
-                    for j in range(i * repetitions, (i + 1) * repetitions)
-                    if j in exc.partial
-                ]
-                if len(runs) == repetitions:
-                    partial.rows.append(
-                        SweepRow(
-                            params=point,
-                            result=RepeatedResult(
-                                scenario=scenario.name, runs=runs
-                            ),
-                        )
-                    )
-            exc.partial_sweep = partial  # type: ignore[attr-defined]
+            partial = rows(exc.partial)
+            exc.partial_sweep = partial
+            if partial_figure is not None:
+                exc.partial_figure = partial_figure(partial)
             if obs.enabled:
                 obs.emit(
                     "sweep_aborted",
@@ -216,13 +217,4 @@ class Sweep:
             raise
         if obs.enabled:
             obs.emit("sweep_finished", items=len(measurements))
-        results = SweepResults()
-        for i, (point, scenario) in enumerate(zip(points, scenarios)):
-            runs = measurements[i * repetitions : (i + 1) * repetitions]
-            results.rows.append(
-                SweepRow(
-                    params=point,
-                    result=RepeatedResult(scenario=scenario.name, runs=runs),
-                )
-            )
-        return results
+        return rows(dict(enumerate(measurements)))

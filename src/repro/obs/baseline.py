@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
+from repro.analysis.stats import percentile
 from repro.analysis.tables import format_table
 from repro.errors import ObservabilityError
-from repro.obs.report import percentile
 
 #: snapshot document schema version
 BASELINE_VERSION = 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
+from repro.analysis.stats import percentile
 from repro.obs.metrics import MetricsRegistry
 from repro.units import to_msec
 
@@ -29,15 +30,6 @@ EWMA_ALPHA = 0.15
 
 #: events that consume one work item when they land
 _TERMINAL_EVENTS = ("run_finished", "cache_hit", "worker_error")
-
-
-def _percentile(values: List[float], fraction: float) -> float:
-    """Nearest-rank percentile; 0.0 on empty input."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, int(fraction * len(ordered))))
-    return ordered[rank]
 
 
 @dataclass
@@ -252,9 +244,10 @@ class ProgressTracker:
         p = self._progress
         if self._first_t is not None and self._last_t is not None:
             p.elapsed_s = max(0.0, self._last_t - self._first_t)
-        p.wall_p50_s = _percentile(self._wall_samples, 0.50)
-        p.wall_p90_s = _percentile(self._wall_samples, 0.90)
-        p.wall_max_s = max(self._wall_samples) if self._wall_samples else 0.0
+        if self._wall_samples:
+            p.wall_p50_s = percentile(self._wall_samples, 50.0)
+            p.wall_p90_s = percentile(self._wall_samples, 90.0)
+            p.wall_max_s = max(self._wall_samples)
         p.events_per_s = (
             p.events_executed / self._loop_wall_s
             if self._loop_wall_s > 0

@@ -13,22 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Sequence
 
+from repro.analysis.stats import percentile  # bench/ and tests import it from here
 from repro.analysis.tables import format_table
-from repro.errors import ObservabilityError
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0-100), linearly interpolated."""
-    if not values:
-        raise ObservabilityError("percentile of an empty sample")
-    if not 0.0 <= q <= 100.0:
-        raise ObservabilityError(f"percentile must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    rank = (q / 100.0) * (len(ordered) - 1)
-    lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 @dataclass

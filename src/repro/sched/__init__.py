@@ -45,6 +45,7 @@ from repro.sched.registry import (
     get_policy,
     policy_names,
     register_policy,
+    resolve_policy_list,
     resolve_policy_name,
 )
 
@@ -65,5 +66,6 @@ __all__ = [
     "get_policy",
     "policy_names",
     "register_policy",
+    "resolve_policy_list",
     "resolve_policy_name",
 ]

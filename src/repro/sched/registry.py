@@ -15,7 +15,7 @@ Adding a policy is two steps: subclass ``SchedulingPolicy`` (set
 from __future__ import annotations
 
 import warnings
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
 from repro.sched.policies import (
@@ -82,6 +82,31 @@ def resolve_policy_name(name: str) -> str:
             f"unknown scheduling policy {name!r} (known: {known})"
         )
     return spelling
+
+
+def resolve_policy_list(
+    policies: Optional[Sequence[str]],
+    default: Sequence[str],
+    figure: str,
+    require_fair: bool = True,
+) -> List[str]:
+    """Canonical names of the policy arms one figure runs.
+
+    ``None`` falls back to the figure's ``default`` arms. ``figure``
+    labels the error messages. Figures that report savings relative to
+    fair sharing (``require_fair``) reject a list without ``fair``.
+    """
+    names = [
+        resolve_policy_name(p)
+        for p in (default if policies is None else policies)
+    ]
+    if require_fair and "fair" not in names:
+        raise ExperimentError(
+            f"the {figure} reports savings vs fair; include 'fair'"
+        )
+    if not names:
+        raise ExperimentError(f"the {figure} needs at least one policy")
+    return names
 
 
 def get_policy(name: str) -> SchedulingPolicy:

@@ -6,6 +6,8 @@ from repro.analysis.concavity import chord_always_below, is_concave, is_increasi
 from repro.energy import calibration as cal
 from repro.figures.fig2 import run_fig2
 from repro.figures.fig4 import run_fig4
+from repro.obs.journal import read_journal
+from repro.obs.observer import TracingObserver
 
 THROUGHPUTS = (0.0, 2.0, 5.0, 8.0, 10.0)
 
@@ -46,6 +48,23 @@ class TestFig2:
 
     def test_table_renders(self, fig2):
         assert "throughput" in fig2.format_table()
+
+    def test_pooled_traced_run_is_bit_identical_and_journals_sweeps(
+        self, fig2, tmp_path
+    ):
+        # Both series go through Sweep like every other figure: a
+        # process pool and a trace move no bit of either series, and
+        # the journal brackets each series with the sweep events.
+        with TracingObserver(tmp_path) as obs:
+            pooled = run_fig2(
+                throughputs_gbps=THROUGHPUTS, window_s=5e-3, repetitions=2,
+                jobs=2, observer=obs,
+            )
+        assert pooled == fig2
+        events = [e["event"] for e in read_journal(tmp_path)]
+        assert events.count("sweep_started") == 2
+        assert events.count("sweep_finished") == 2
+        assert events.count("batch_started") == 2
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,9 @@ changes nothing — bit-for-bit.
 import pytest
 
 from repro.errors import SweepAbortedError
+from repro.figures.fabric import FabricResult, run_fabric_figure
+from repro.figures.fig1 import Fig1Result, run_fig1
+from repro.figures.pareto import ParetoResult, run_pareto
 from repro.harness.cache import ResultCache
 from repro.harness.executor import (
     CancelToken,
@@ -171,3 +174,60 @@ class TestAbortSalvage:
         partial = excinfo.value.partial_sweep
         assert [row.params["mtu"] for row in partial.rows] == [1500]
         assert len(partial.rows[0].result.runs) == 2
+        assert excinfo.value.partial_figure is None  # no builder given
+
+    def test_uncancelled_batch_error_carries_no_views(self):
+        # Declared attributes: present (None) even below the sweep layer.
+        token = CancelToken()
+        token.cancel("before anything ran")
+        with pytest.raises(SweepAbortedError) as excinfo:
+            run_work_items(items_for(2), control=SweepControl(cancel=token))
+        assert excinfo.value.partial_sweep is None
+        assert excinfo.value.partial_figure is None
+
+    @pytest.mark.parametrize(
+        "run, kwargs, result_type",
+        [
+            (
+                run_fig1,
+                dict(transfer_bytes=SIZE, fractions=(0.3,), repetitions=1),
+                Fig1Result,
+            ),
+            (
+                run_fabric_figure,
+                dict(
+                    ccas=("dctcp",), n_flows=20, mix="rpc",
+                    leaves=2, spines=1, hosts_per_leaf=2,
+                ),
+                FabricResult,
+            ),
+            (
+                run_pareto,
+                dict(
+                    policies=("fair", "serialized"),
+                    link_batch=(SIZE, SIZE // 2), n_flows=20,
+                    leaves=2, spines=1, hosts_per_leaf=2,
+                ),
+                ParetoResult,
+            ),
+        ],
+        ids=["fig1", "fabric", "pareto"],
+    )
+    def test_figures_get_their_partial_from_the_sweep(
+        self, run, kwargs, result_type
+    ):
+        # One salvage site (Sweep.run) serves every figure driver: the
+        # figure's own rows -> result builder is applied to the grid
+        # points that finished. Cancelling after the first result
+        # leaves exactly one point (fabric and pareto run fair first,
+        # which is what makes their lone point reportable).
+        token = CancelToken()
+        hook, _ = cancel_after(token, 1, reason="figure salvage")
+        control = SweepControl(on_result=hook, cancel=token)
+        with pytest.raises(SweepAbortedError) as excinfo:
+            run(control=control, **kwargs)
+        exc = excinfo.value
+        assert len(exc.partial_sweep.rows) == 1
+        assert isinstance(exc.partial_figure, result_type)
+        assert len(exc.partial_figure.points) == 1
+        assert exc.partial_figure.format_table()  # renders with arms missing

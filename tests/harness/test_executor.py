@@ -11,7 +11,6 @@ import pytest
 from repro.errors import ExperimentError
 from repro.figures.grid import run_cca_mtu_grid
 from repro.harness.executor import (
-    Executor,
     ProcessExecutor,
     SerialExecutor,
     WorkItem,
@@ -42,18 +41,6 @@ class TestResolve:
         backend = resolve_executor(jobs=4)
         assert isinstance(backend, ProcessExecutor)
         assert backend.jobs == 4
-
-    def test_names_select_backends(self):
-        assert isinstance(resolve_executor("serial"), SerialExecutor)
-        assert isinstance(resolve_executor("process", jobs=2), ProcessExecutor)
-
-    def test_instance_passes_through(self):
-        backend = SerialExecutor()
-        assert resolve_executor(backend) is backend
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ExperimentError, match="unknown executor"):
-            resolve_executor("threads")
 
     def test_bad_job_count_rejected(self):
         with pytest.raises(ExperimentError, match=">= 1"):
@@ -137,18 +124,3 @@ class TestSweepParallel:
     def test_sweep_rejects_zero_repetitions(self):
         with pytest.raises(ExperimentError, match="repetition"):
             Sweep({"mtu": [1500]}).run(lambda mtu: tiny_scenario(), repetitions=0)
-
-    def test_custom_executor_instance(self):
-        class CountingExecutor(Executor):
-            name = "counting"
-
-            def __init__(self):
-                self.items_seen = 0
-
-            def run_items(self, items):
-                self.items_seen += len(items)
-                return SerialExecutor().run_items(items)
-
-        backend = CountingExecutor()
-        run_repeated(tiny_scenario(), repetitions=2, executor=backend)
-        assert backend.items_seen == 2

@@ -67,6 +67,7 @@ class Watcher:
         self.trace = trace
         self.snapshots = []
         self.scrapes = 0
+        self._attached = threading.Event()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
@@ -85,6 +86,7 @@ class Watcher:
                         ) as response:
                             response.read()
                     self.scrapes += 1
+                    self._attached.set()
                 except urllib.error.URLError:
                     pass
                 time.sleep(0.01)
@@ -96,7 +98,11 @@ class Watcher:
             server.stop()
 
     def __enter__(self):
+        # Attached means the first scrape succeeded: the sweep in the
+        # ``with`` body starts under a watcher that is already serving,
+        # however short the sweep is.
         self._thread.start()
+        assert self._attached.wait(timeout=30)
         return self
 
     def __exit__(self, *exc):

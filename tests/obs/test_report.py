@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ObservabilityError
+from repro.errors import AnalysisError
 from repro.obs.report import (
     format_report,
     percentile,
@@ -57,11 +57,11 @@ class TestPercentile:
         assert percentile([1.0, 2.0, 3.0], 100.0) == 3.0
 
     def test_empty_sample_raises(self):
-        with pytest.raises(ObservabilityError):
+        with pytest.raises(AnalysisError):
             percentile([], 50.0)
 
     def test_out_of_range_raises(self):
-        with pytest.raises(ObservabilityError):
+        with pytest.raises(AnalysisError):
             percentile([1.0], 101.0)
 
 

@@ -433,6 +433,47 @@ class TestObsBaselineCommands:
         assert "no baseline" in capsys.readouterr().err
 
 
+class TestErrorBoundary:
+    """main() is the one place library errors become exit codes."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["obs", "report", "{missing}"],
+            ["obs", "timeline", "{missing}"],
+            ["obs", "snapshot", "{missing}"],
+            ["obs", "diff", "{missing}.json", "{missing}"],
+            ["obs", "watch", "--once", "{missing}"],
+            ["obs", "perf-diff", "--baseline", "{missing}.json"],
+            ["obs", "perf-diff", "--tolerance", "no-equals-sign"],
+            ["fig1", "--abort-on-drift", "{missing}.json"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_missing_inputs_exit_two_with_error_line(
+        self, capsys, tmp_path, argv
+    ):
+        missing = str(tmp_path / "absent")
+        code = main([arg.format(missing=missing) for arg in argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    def test_abort_of_a_command_without_a_drift_gate_exits_three(
+        self, capsys, tmp_path
+    ):
+        # fig2 has no --abort-on-drift and no handler of its own: the
+        # operator's flag file still ends it with the abort exit code
+        # (a traceback before the boundary moved into main()).
+        trace = tmp_path / "trace"
+        trace.mkdir()
+        (trace / "abort.requested").write_text("operator stop\n")
+        code = main(["fig2", "--reps", "1", "--trace", str(trace)])
+        assert code == 3
+        assert "operator stop" in capsys.readouterr().err
+
+
 class TestObsWatchCommand:
     """greenenvy obs watch: one-shot snapshots of a traced sweep."""
 
