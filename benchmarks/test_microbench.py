@@ -1,10 +1,11 @@
 """Microbenchmarks of the simulator's hot paths.
 
 Unlike the figure benches (one-shot experiments), these are classic
-multi-round pytest-benchmark measurements: event-kernel throughput,
-interval bookkeeping, the power-model arithmetic and a full small
-transfer. They guard against performance regressions that would make
-the figure benches unusably slow.
+multi-round pytest-benchmark measurements: event-kernel throughput
+(plain and under timer cancel-and-re-arm), the completion driver over
+many flows, interval bookkeeping, the power-model arithmetic and a full
+small transfer. They guard against performance regressions that would
+make the figure benches unusably slow.
 """
 
 import random
@@ -13,6 +14,7 @@ from repro.energy.power_model import IntervalActivity, PowerModel
 from repro.net.packet import Packet
 from repro.net.queue import PriorityQueue
 from repro.sim.engine import Simulator
+from repro.sim.timer import Timer
 from repro.tcp.ranges import RangeSet
 
 
@@ -28,6 +30,63 @@ def test_event_kernel_throughput(benchmark):
 
     executed = benchmark(run)
     assert executed == 10_000
+
+
+def test_event_kernel_cancel_rearm(benchmark):
+    """10k events, 30 % of which push an armed RTO-style Timer out
+    (cancel + re-arm), so dead entries pile up in the heap."""
+
+    def run():
+        sim = Simulator()
+        rto = Timer(sim, lambda: None)
+
+        def ack(index):
+            if index % 10 < 3:
+                rto.start(1.0)
+
+        for i in range(10_000):
+            sim.schedule(i * 1e-6, ack, i)
+        sim.run()
+        return sim.events_executed, sim.queued_events
+
+    executed, queued = benchmark(run)
+    assert executed == 10_001  # every ack, and the one deadline left armed
+    assert queued == 0
+
+
+class _TimedFlow:
+    """The completion driver's flow duck type, finishing at a set time."""
+
+    def __init__(self, sim, flow_id, done_at):
+        self.flow_id = flow_id
+        self.complete = False
+        self._callbacks = []
+        sim.schedule_at(done_at, self._finish, done_at)
+
+    def on_complete(self, callback):
+        self._callbacks.append(callback)
+
+    def _finish(self, now):
+        self.complete = True
+        for callback in self._callbacks:
+            callback(now)
+
+
+def test_completion_driver_400_flows(benchmark):
+    """400 flows finishing one by one across 20k other events: the
+    driver's own cost must not scale with flows x events."""
+    from repro.apps.iperf import drive_until_complete
+
+    def run():
+        sim = Simulator()
+        flows = [_TimedFlow(sim, i + 1, (i + 1) * 50e-6) for i in range(400)]
+        for i in range(20_000):
+            sim.schedule(i * 1e-6, lambda: None)
+        drive_until_complete(sim, flows, 1.0, "bench")
+        return sim.events_executed
+
+    executed = benchmark(run)
+    assert executed == 20_400
 
 
 def test_rangeset_mixed_workload(benchmark):

@@ -22,7 +22,7 @@ from repro.net.topology import Fabric, Testbed
 from repro.sim.engine import Simulator
 from repro.sim.timer import PeriodicTimer
 from repro.tcp.receiver import TcpReceiver
-from repro.tcp.sender import TcpSender
+from repro.tcp.sender import CompletionCallback, TcpSender
 from repro.cc.registry import factory as cca_factory
 from repro.units import BITS_PER_BYTE, usec
 
@@ -280,6 +280,10 @@ class IperfSession:
         """Whether the transfer is fully acknowledged."""
         return self.sender.complete
 
+    def on_complete(self, callback: CompletionCallback) -> None:
+        """Register a callback fired when the transfer is fully ACKed."""
+        self.sender.on_complete(callback)
+
     def result(self) -> IperfResult:
         """The closing report (only valid once complete)."""
         if not self.complete:
@@ -319,22 +323,40 @@ def drive_until_complete(
     time_limit_s: float,
     label: str,
 ) -> None:
-    """Step ``sim`` until every flow reports ``complete``.
+    """Run ``sim`` until every flow has completed.
 
-    The one completion loop every run path shares. ``flows`` are
-    anything with ``complete`` and ``flow_id`` (sessions, bare
-    senders); ``label`` names the scenario in the error. Raises
-    :class:`ExperimentError` naming the stuck flows if virtual time
-    passes ``time_limit_s`` or the event queue drains first — a stuck
-    experiment should fail loudly, not return bogus energy.
+    The one completion driver every run path shares. ``flows`` are
+    anything with ``complete``, ``flow_id`` and ``on_complete``
+    (sessions, bare senders); ``label`` names the scenario in the
+    error. Completion is counted, not polled: each flow still running
+    at entry gets one callback, and the last one to fire stops the
+    simulator on that event. Raises :class:`ExperimentError` naming
+    the stuck flows if the event queue drains first or only events
+    later than ``time_limit_s`` remain (none of those is dispatched) —
+    a stuck experiment should fail loudly, not return bogus energy.
     """
-    while not all(f.complete for f in flows):
-        if sim.now > time_limit_s:
-            raise _stuck_error(
-                label, flows, f"time limit of {time_limit_s}s virtual passed"
-            )
-        if not sim.step():
-            raise _stuck_error(label, flows, "event queue drained")
+    remaining = 0
+
+    def flow_done(_completed_at: float) -> None:
+        nonlocal remaining
+        remaining -= 1
+        if remaining == 0:
+            sim.stop()
+
+    for flow in flows:
+        if not flow.complete:
+            remaining += 1
+            flow.on_complete(flow_done)
+    if remaining:
+        sim.run(until=time_limit_s)
+    if remaining:
+        raise _stuck_error(
+            label,
+            flows,
+            "event queue drained"
+            if sim.pending_events == 0
+            else f"time limit of {time_limit_s}s virtual passed",
+        )
 
 
 def run_until_complete(

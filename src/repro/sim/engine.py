@@ -7,8 +7,11 @@ on one simulator instance.
 
 Design notes
 ------------
-* Events at the same timestamp run in FIFO scheduling order (a strictly
-  increasing sequence number breaks ties), which makes runs deterministic.
+* The heap holds ``(time, seq, event)`` tuples, so ``heapq`` orders
+  entries by comparing floats and ints in C and never calls back into
+  Python. ``seq`` is strictly increasing, which makes events at the same
+  timestamp run in FIFO scheduling order (runs are deterministic) and
+  means a comparison never reaches the :class:`Event` itself.
 * Cancellation is O(1): :meth:`Event.cancel` marks the event dead and the
   main loop skips it. This is the standard "lazy deletion" heap idiom and
   avoids O(n) heap surgery for the very common cancel-and-rearm pattern of
@@ -16,6 +19,15 @@ Design notes
   entries so :attr:`Simulator.pending_events` reports *live* events even
   though cancelled ones still occupy heap slots until popped
   (:attr:`Simulator.queued_events` exposes the raw heap size).
+* :meth:`Simulator.run` is the one dispatch loop: peek, pop, tally,
+  callback, written inline so an event costs no Python call beyond its
+  own callback. A run ends when the queue drains, at ``until``, after
+  ``max_events``, or when a callback calls :meth:`Simulator.stop` — which
+  is how a driver that *counts* completions ends the run on the event
+  that finished the last flow, with the clock left at that event.
+* :meth:`Simulator.step` is ``run(max_events=1)`` for tests and
+  single-stepping by hand; nothing in the library drives a simulation
+  with it.
 * The kernel knows nothing about networking or energy; those layers only
   use :meth:`Simulator.schedule` / :attr:`Simulator.now`.
 """
@@ -23,7 +35,7 @@ Design notes
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.probe import NULL_PROBE_SINK, ProbeSink
@@ -40,11 +52,10 @@ Callback = Callable[..., None]
 class Event:
     """A single scheduled callback.
 
-    Events compare by ``(time, seq)`` so the heap pops them in timestamp
-    order with FIFO tie-breaking. The callback and its arguments do not
-    participate in ordering. One Event is allocated per scheduled
-    callback — every simulated packet, timer and sample — so the class
-    uses ``__slots__``.
+    The heap orders events by the ``(time, seq)`` prefix of their entry
+    tuple; the event itself is never compared. One Event is allocated
+    per scheduled callback — every simulated packet, timer and sample —
+    so the class uses ``__slots__``.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "sim")
@@ -67,9 +78,6 @@ class Event:
         #: cancel() can keep the live-event tally exact; cleared when the
         #: event is popped (consumed or compacted).
         self.sim = sim
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:
         return (
@@ -106,9 +114,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._running = False
+        self._stop_requested = False
         self._events_executed = 0
         #: cancelled-but-not-yet-popped heap entries (lazy deletion)
         self._dead_in_queue = 0
@@ -177,84 +186,94 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time:.9f} before now={self._now:.9f}"
             )
-        event = Event(
-            time=time, seq=self._seq, callback=callback, args=args, sim=self
-        )
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, callback, args, False, self)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     # -- execution ----------------------------------------------------
 
     def step(self) -> bool:
         """Execute the next live event. Returns False if the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                self._dead_in_queue -= 1
-                event.sim = None
-                continue
-            self._now = event.time
-            # consumed: drop the heap back-reference *before* marking
-            # cancelled so a later cancel() neither double-counts nor
-            # touches the tally
-            event.sim = None
-            event.cancelled = True
-            self._events_executed += 1
-            profiler = self.profiler
-            if profiler.enabled:
-                key = dispatch_key(event.callback)
-                profiler.count(EVENTS_DISPATCHED)
-                profiler.enter(key)
-                try:
-                    event.callback(*event.args)
-                finally:
-                    profiler.exit(key)
-            else:
-                event.callback(*event.args)
-            return True
-        return False
+        before = self._events_executed
+        self.run(max_events=1)
+        return self._events_executed > before
+
+    def stop(self) -> None:
+        """End the current :meth:`run` once the executing event returns.
+
+        The clock stays at that event, even under ``until``. Outside a
+        run this does nothing: every run starts with the request cleared.
+        """
+        self._stop_requested = True
 
     def run(
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> float:
-        """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` have executed.
+        """Run events until the queue drains, ``until`` is reached,
+        ``max_events`` have executed, or a callback calls :meth:`stop`.
 
         Returns the virtual time at which execution stopped. When ``until``
-        is given, the clock is advanced to exactly ``until`` even if the
-        last event fired earlier (matching how a wall-clock measurement
-        window behaves on a real testbed).
+        is given and the run was not stopped, the clock is advanced to
+        exactly ``until`` even if the last event fired earlier (matching
+        how a wall-clock measurement window behaves on a real testbed);
+        no event later than ``until`` is dispatched.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
-        executed = 0
+        self._stop_requested = False
+        horizon = float("inf") if until is None else until
+        budget = (
+            float("inf") if max_events is None
+            else self._events_executed + max_events
+        )
         queue = self._queue
+        pop = heapq.heappop
         try:
-            while queue:
-                if max_events is not None and executed >= max_events:
-                    break
-                head = queue[0]
-                if head.cancelled:
-                    heapq.heappop(queue).sim = None
+            while queue and self._events_executed < budget:
+                time, _, event = queue[0]
+                if event.cancelled:
+                    pop(queue)
+                    event.sim = None
                     self._dead_in_queue -= 1
                     continue
-                if until is not None and head.time > until:
+                if time > horizon:
                     break
-                self.step()
-                executed += 1
-            if until is not None and until > self._now:
-                self._now = until
+                pop(queue)
+                self._now = time
+                # consumed: drop the heap back-reference *before* marking
+                # cancelled so a later cancel() neither double-counts nor
+                # touches the tally
+                event.sim = None
+                event.cancelled = True
+                self._events_executed += 1
+                profiler = self.profiler
+                if profiler.enabled:
+                    key = dispatch_key(event.callback)
+                    profiler.count(EVENTS_DISPATCHED)
+                    profiler.enter(key)
+                    try:
+                        event.callback(*event.args)
+                    finally:
+                        profiler.exit(key)
+                else:
+                    event.callback(*event.args)
+                if self._stop_requested:
+                    break
+            if until is not None and not self._stop_requested:
+                self._now = max(self._now, until)
         finally:
             self._running = False
         return self._now
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or None if the queue is empty."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue).sim = None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)[2].sim = None
             self._dead_in_queue -= 1
-        return self._queue[0].time if self._queue else None
+        return queue[0][0] if queue else None

@@ -75,8 +75,12 @@ class TcpReceiver:
     # -- public API -------------------------------------------------------
 
     def on_complete(self, callback: CompletionCallback) -> None:
-        """Register a callback fired once ``expected_bytes`` have arrived."""
-        self._on_complete.append(callback)
+        """Register a callback fired once ``expected_bytes`` have arrived
+        (at once, with ``completed_at``, if they already have)."""
+        if self.completed_at is not None:
+            callback(self.completed_at)
+        else:
+            self._on_complete.append(callback)
 
     @property
     def complete(self) -> bool:

@@ -242,8 +242,12 @@ class TcpSender:
             self._try_send()
 
     def on_complete(self, callback: CompletionCallback) -> None:
-        """Register a callback fired when ``total_bytes`` are fully ACKed."""
-        self._on_complete.append(callback)
+        """Register a callback fired when ``total_bytes`` are fully ACKed
+        (at once, with ``completed_at``, if they already are)."""
+        if self.completed_at is not None:
+            callback(self.completed_at)
+        else:
+            self._on_complete.append(callback)
 
     @property
     def complete(self) -> bool:

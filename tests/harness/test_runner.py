@@ -149,6 +149,96 @@ class TestCompletionDriverFailureExits:
         assert message.endswith(stuck)
 
 
+class _StubFlow:
+    """The driver's flow duck type, counting every read of ``complete``."""
+
+    def __init__(self, sim, flow_id, done_at):
+        self.sim = sim
+        self.flow_id = flow_id
+        self.completed_at = None
+        self.complete_reads = 0
+        self._callbacks = []
+        sim.schedule_at(done_at, self._finish)
+
+    @property
+    def complete(self):
+        self.complete_reads += 1
+        return self.completed_at is not None
+
+    def on_complete(self, callback):
+        self._callbacks.append(callback)
+
+    def _finish(self):
+        self.completed_at = self.sim.now
+        for callback in self._callbacks:
+            callback(self.sim.now)
+
+
+def _tick_forever(sim, interval_s):
+    def tick():
+        sim.schedule(interval_s, tick)
+
+    sim.schedule(interval_s, tick)
+
+
+class TestCompletionDriverWork:
+    """Completion is counted, not polled: the driver's own work is
+    O(flows), whatever the number of events the run takes."""
+
+    def test_reads_complete_once_per_flow_whatever_the_event_count(self):
+        sim = Simulator()
+        flows = [_StubFlow(sim, i + 1, done_at=float(i + 1)) for i in range(50)]
+        _tick_forever(sim, 0.02)
+        drive_until_complete(sim, flows, 600.0, "stubs")
+        assert sim.events_executed >= 1_000
+        assert sum(f.complete_reads for f in flows) == 50
+        assert sim.now == flows[-1].completed_at == 50.0
+
+    def test_a_second_drive_over_finished_flows_returns_at_once(self):
+        sim = Simulator()
+        flows = [_StubFlow(sim, i + 1, done_at=1.0) for i in range(3)]
+        _tick_forever(sim, 0.25)
+        drive_until_complete(sim, flows, 600.0, "stubs")
+        executed, now = sim.events_executed, sim.now
+        drive_until_complete(sim, flows, 600.0, "stubs")
+        assert (sim.events_executed, sim.now) == (executed, now)
+        assert sim.pending_events > 0  # there was something left to run
+
+    def test_flows_finished_at_entry_are_not_waited_for(self):
+        sim = Simulator()
+        early = _StubFlow(sim, 1, done_at=1.0)
+        sim.run(until=2.0)
+        late = _StubFlow(sim, 2, done_at=3.0)
+        drive_until_complete(sim, [early, late], 600.0, "stubs")
+        assert sim.now == 3.0
+
+    def test_completion_exactly_at_the_time_limit_succeeds(self):
+        sim = Simulator()
+        flow = _StubFlow(sim, 1, done_at=5.0)
+        drive_until_complete(sim, [flow], 5.0, "edge")
+        assert flow.completed_at == sim.now == 5.0
+
+    def test_completion_on_the_first_event_past_the_limit_raises(self):
+        sim = Simulator()
+        flow = _StubFlow(sim, 1, done_at=5.000001)
+        with pytest.raises(ExperimentError, match="edge: time limit of 5.0s"):
+            drive_until_complete(sim, [flow], 5.0, "edge")
+        # the narrowing: no event later than the limit is dispatched
+        assert flow.completed_at is None
+        assert sim.events_executed == 0
+
+    def test_clock_rests_on_the_last_completion(self):
+        # what the energy meter reads as the end of the run
+        testbed = build_testbed(Simulator(), TestbedConfig())
+        sessions = [
+            IperfSession(testbed, SIZE, flow_id=1),
+            IperfSession(testbed, SIZE // 4, flow_id=2),
+        ]
+        _tick_forever(testbed.sim, 1e-3)  # later events stay queued
+        results = run_until_complete(testbed, sessions)
+        assert testbed.sim.now == max(r.end_time for r in results)
+
+
 class TestRunMeasurementEdgeCases:
     def test_empty_flow_results_raise_experiment_error(self):
         from repro.harness.runner import RunMeasurement

@@ -119,6 +119,19 @@ class TestCompletion:
         assert receiver.complete
         assert receiver.completed_at == sim.now
 
+    def test_callback_registered_after_completion_fires_at_once(
+        self, sim, stub_host, receiver
+    ):
+        sim.run(until=0.5)
+        for seq in range(0, 10_000, 1000):
+            receiver.handle_packet(data(seq, 1000))
+        sim.run(until=2.0)  # the clock moves on past the completion
+        done = []
+        receiver.on_complete(done.append)
+        assert done == [0.5]
+        receiver.handle_packet(data(9000, 1000))  # a duplicate segment
+        assert done == [0.5]
+
     def test_echo_time_reflected(self, sim, stub_host, receiver):
         receiver.handle_packet(data(0, 1000, sent_time=1.25))
         receiver.handle_packet(data(1000, 1000, sent_time=1.5))

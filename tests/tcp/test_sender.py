@@ -111,6 +111,20 @@ class TestCompletion:
         assert done == [sim.now]
         assert sender.flow_completion_time == sim.now
 
+    def test_callback_registered_after_completion_fires_at_once(
+        self, sim, stub_host
+    ):
+        sender = make_sender(sim, stub_host, total=2920)
+        sender.start()
+        sim.run(until=0.5)
+        sender.handle_packet(ack(2920))
+        sim.run(until=2.0)  # the clock moves on past the completion
+        done = []
+        sender.on_complete(done.append)
+        assert done == [0.5]
+        sender.handle_packet(ack(2920))  # a stray duplicate ACK
+        assert done == [0.5]
+
     def test_no_send_after_complete(self, sim, stub_host):
         sender = make_sender(sim, stub_host, total=1460)
         sender.start()
