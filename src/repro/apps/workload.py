@@ -18,6 +18,7 @@ noted per distribution.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Sequence, Tuple
@@ -140,7 +141,18 @@ def sample_flow_size(
 
 def mean_flow_size(cdf: Sequence[Tuple[int, float]], samples: int = 20_000,
                    seed: int = 0) -> float:
-    """Monte-Carlo mean of the distribution (used to size arrival rates)."""
+    """Monte-Carlo mean of the distribution (used to size arrival rates).
+
+    A pure function of its arguments, so each (distribution, samples,
+    seed) is sampled once per process: every fabric workload generated
+    afterwards reuses the value instead of redrawing 20 000 sizes.
+    """
+    return _mean_flow_size(tuple(cdf), samples, seed)
+
+
+@functools.lru_cache(maxsize=64)
+def _mean_flow_size(cdf: Tuple[Tuple[int, float], ...], samples: int,
+                    seed: int) -> float:
     rng = RngRegistry(seed).stream("flow-size-mean")
     return sum(sample_flow_size(cdf, rng) for _ in range(samples)) / samples
 

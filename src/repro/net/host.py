@@ -90,10 +90,10 @@ class Host:
         if self.nic is None:
             raise NetworkConfigError(f"{self.name}: no NIC attached")
         packet.sent_time = self.sim.now
-        self.counters.add("tx_packets")
-        self.counters.add("tx_bytes", packet.size_bytes)
+        self.counters["tx_packets"] += 1.0
+        self.counters["tx_bytes"] += packet.size_bytes
         if packet.retransmitted:
-            self.counters.add("retransmissions")
+            self.counters["retransmissions"] += 1.0
             for listener in self._listeners:
                 listener.on_retransmit(self, packet)
         for listener in self._listeners:
@@ -102,13 +102,13 @@ class Host:
 
     def receive(self, packet: Packet) -> None:
         """Demultiplex an arriving packet to its flow endpoint."""
-        self.counters.add("rx_packets")
-        self.counters.add("rx_bytes", packet.size_bytes)
+        self.counters["rx_packets"] += 1.0
+        self.counters["rx_bytes"] += packet.size_bytes
         for listener in self._listeners:
             listener.on_packet_received(self, packet)
         endpoint = self._endpoints.get(packet.flow_id)
         if endpoint is None:
-            self.counters.add("rx_unroutable")
+            self.counters["rx_unroutable"] += 1.0
             return
         endpoint.handle_packet(packet)
 
@@ -116,7 +116,7 @@ class Host:
         self, algorithm: str, cost_units: float, flow_id: int = -1
     ) -> None:
         """Publish a congestion-control computation event."""
-        self.counters.add("cc_ops")
+        self.counters["cc_ops"] += 1.0
         for listener in self._listeners:
             listener.on_cc_op(self, algorithm, cost_units, flow_id)
 

@@ -84,10 +84,10 @@ class Link:
         """
         if self.sink is None:
             raise NetworkConfigError(f"{self.name}: no sink connected")
-        self.counters.add("tx_packets")
-        self.counters.add("tx_bytes", packet.wire_bytes)
+        self.counters["tx_packets"] += 1.0
+        self.counters["tx_bytes"] += packet.wire_bytes
         if self.loss_rate > 0 and self.loss_rng.random() < self.loss_rate:
-            self.counters.add("corrupted")
+            self.counters["corrupted"] += 1.0
             return  # bit error: the frame dies on the wire
         self.sim.schedule(self.delay_s, self.sink.receive, packet)
 
@@ -149,7 +149,7 @@ class Interface:
             return True
         accepted = self.queue.enqueue(packet)
         if not accepted:
-            self.counters.add("drops")
+            self.counters["drops"] += 1.0
             if self.on_drop is not None:
                 self.on_drop(packet)
         return accepted
@@ -169,7 +169,7 @@ class Interface:
 
     def _finish_transmission(self, packet: Packet) -> None:
         self.link.deliver_after_serialization(packet)
-        self.counters.add("tx_packets")
+        self.counters["tx_packets"] += 1.0
         nxt = self.queue.dequeue()
         if nxt is not None:
             self._start_transmission(nxt)

@@ -5,6 +5,17 @@ links, packets sprayed round-robin, so the *switch* (not the sender NIC)
 is the bottleneck. :class:`Nic` reproduces that: it owns one or more
 egress :class:`~repro.net.link.Interface` objects and sprays packets
 across them.
+
+The paced transmit path (``tx_packet_gap_s > 0``) is demand-driven. A
+``_drain`` event exists only while something waits: each drain
+dispatches one packet, wakes the drain listeners (TCP senders; only the
+ones the qdisc blocked do any work) and schedules the next drain one
+gap later *if the qdisc still holds a packet*. After the last packet it
+just records the earliest next transmit time, so an idle NIC leaves
+nothing in the event heap; the next :meth:`Nic.send` dispatches at once
+when the gap has already elapsed and otherwise arms one drain at the
+recorded instant. Departure times are those of a NIC that ticks every
+gap whether or not anything is queued.
 """
 
 from __future__ import annotations
@@ -62,7 +73,10 @@ class Nic:
         self.tx_queue_packets = tx_queue_packets
         self._next_interface = 0
         self._txq: Deque[Packet] = deque()
+        #: a ``_drain`` event is scheduled (or running)
         self._draining = False
+        #: earliest instant the next packet may leave (last departure + gap)
+        self._next_tx_time = 0.0
         self._phantom_slots = 0
         self._flow_backlog: dict = {}
         self._drain_listeners: List[Callable[[], None]] = []
@@ -110,8 +124,8 @@ class Nic:
             )
         if self.on_send is not None:
             self.on_send(packet)
-        self.counters.add("tx_packets")
-        self.counters.add("tx_bytes", packet.size_bytes)
+        self.counters["tx_packets"] += 1.0
+        self.counters["tx_bytes"] += packet.size_bytes
         if self.tx_packet_gap_s <= 0:
             return self._dispatch(packet)
         if len(self._txq) >= self.tx_queue_packets:
@@ -121,8 +135,8 @@ class Nic:
             # the no-backpressure baseline measurably *slower*, not just
             # chattier: §4.3's "queuing at the sender host").
             self._phantom_slots += 1
-            self.counters.add("tx_drops")
-            self.counters.add("qdisc_drops")
+            self.counters["tx_drops"] += 1.0
+            self.counters["qdisc_drops"] += 1.0
             return False
         self._txq.append(packet)
         self._flow_backlog[packet.flow_id] = (
@@ -130,7 +144,11 @@ class Nic:
         )
         if not self._draining:
             self._draining = True
-            self._drain()
+            assert self.sim is not None  # guaranteed by constructor check
+            if self.sim.now >= self._next_tx_time:
+                self._drain()
+            else:
+                self.sim.schedule_at(self._next_tx_time, self._drain)
         return True
 
     def _dispatch(self, packet: Packet) -> bool:
@@ -138,7 +156,7 @@ class Nic:
         self._next_interface = (self._next_interface + 1) % len(self.interfaces)
         accepted = iface.enqueue(packet)
         if not accepted:
-            self.counters.add("tx_drops")
+            self.counters["tx_drops"] += 1.0
         return accepted
 
     def _drain(self) -> None:
@@ -147,9 +165,6 @@ class Nic:
             self._phantom_slots -= 1
             assert self.sim is not None
             self.sim.schedule(self.tx_packet_gap_s, self._drain)
-            return
-        if not self._txq:
-            self._draining = False
             return
         packet = self._txq.popleft()
         backlog = self._flow_backlog.get(packet.flow_id, 0) - packet.size_bytes
@@ -161,4 +176,8 @@ class Nic:
         for callback in self._drain_listeners:
             callback()
         assert self.sim is not None  # guaranteed by constructor check
-        self.sim.schedule(self.tx_packet_gap_s, self._drain)
+        if self._txq:
+            self.sim.schedule(self.tx_packet_gap_s, self._drain)
+        else:
+            self._next_tx_time = self.sim.now + self.tx_packet_gap_s
+            self._draining = False

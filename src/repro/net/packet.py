@@ -44,7 +44,12 @@ class Packet:
     seq:
         For data segments, the byte offset of the first payload byte.
     payload_bytes:
-        TCP payload length (0 for a pure ACK).
+        TCP payload length (0 for a pure ACK). Fixed at construction:
+        ``size_bytes`` and ``wire_bytes`` are derived from it once.
+    size_bytes:
+        IP packet size: payload plus TCP/IP headers.
+    wire_bytes:
+        Bytes occupied on the wire including Ethernet framing.
     is_ack / ack_seq:
         ACK flag and cumulative acknowledgement (next expected byte).
     sacks:
@@ -63,6 +68,8 @@ class Packet:
         "dst",
         "seq",
         "payload_bytes",
+        "size_bytes",
+        "wire_bytes",
         "is_ack",
         "ack_seq",
         "sacks",
@@ -120,6 +127,10 @@ class Packet:
         self.dst = dst
         self.seq = seq
         self.payload_bytes = payload_bytes
+        # every queue, link and counter on the path reads these, several
+        # times per hop
+        self.size_bytes = payload_bytes + TCP_IP_HEADER_BYTES
+        self.wire_bytes = self.size_bytes + ETHERNET_OVERHEAD_BYTES
         self.is_ack = is_ack
         self.ack_seq = ack_seq
         self.sacks = sacks
@@ -139,16 +150,6 @@ class Packet:
         self.packet_id = (
             next(_packet_ids) if packet_id is None else packet_id
         )
-
-    @property
-    def size_bytes(self) -> int:
-        """IP packet size: payload plus TCP/IP headers."""
-        return self.payload_bytes + TCP_IP_HEADER_BYTES
-
-    @property
-    def wire_bytes(self) -> int:
-        """Bytes occupied on the wire including Ethernet framing."""
-        return self.size_bytes + ETHERNET_OVERHEAD_BYTES
 
     @property
     def end_seq(self) -> int:

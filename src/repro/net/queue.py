@@ -106,14 +106,14 @@ class DropTailQueue:
 
     def _enqueue(self, packet: Packet) -> bool:
         if self._occupancy + packet.size_bytes > self.capacity_bytes:
-            self.counters.add("drops")
-            self.counters.add("dropped_bytes", packet.size_bytes)
+            self.counters["drops"] += 1.0
+            self.counters["dropped_bytes"] += packet.size_bytes
             self._probe_drop()
             return False
         self._mark(packet)
         self._items.append(packet)
         self._occupancy += packet.size_bytes
-        self.counters.add("enqueued")
+        self.counters["enqueued"] += 1.0
         self._probe_depth()
         return True
 
@@ -122,7 +122,7 @@ class DropTailQueue:
             return None
         packet = self._items.popleft()
         self._occupancy -= packet.size_bytes
-        self.counters.add("dequeued")
+        self.counters["dequeued"] += 1.0
         self._probe_depth()
         return packet
 
@@ -185,28 +185,28 @@ class PriorityQueue(DropTailQueue):
 
     def _enqueue(self, packet: Packet) -> bool:
         arriving_prio = self._priority_of(packet)
-        count = self.counters.add
+        counters = self.counters
         while self._occupancy + packet.size_bytes > self.capacity_bytes:
             victim_flow = self._least_urgent_flow()
             if (
                 victim_flow is None
                 or self._flow_prio[victim_flow] <= arriving_prio
             ):
-                count("drops")
-                count("dropped_bytes", packet.size_bytes)
+                counters["drops"] += 1.0
+                counters["dropped_bytes"] += packet.size_bytes
                 self._probe_drop()
                 return False
             victim = self._flows[victim_flow].pop()  # newest of worst flow
             self._occupancy -= victim.size_bytes
-            count("drops")
-            count("evictions")
-            count("dropped_bytes", victim.size_bytes)
+            counters["drops"] += 1.0
+            counters["evictions"] += 1.0
+            counters["dropped_bytes"] += victim.size_bytes
             self._probe_drop()
         queue = self._flows.setdefault(packet.flow_id, deque())
         queue.append(packet)
         self._update_prio(packet.flow_id, arriving_prio)
         self._occupancy += packet.size_bytes
-        self.counters.add("enqueued")
+        self.counters["enqueued"] += 1.0
         self._probe_depth()
         return True
 
@@ -219,7 +219,7 @@ class PriorityQueue(DropTailQueue):
             del self._flows[flow_id]
             del self._flow_prio[flow_id]
         self._occupancy -= packet.size_bytes
-        self.counters.add("dequeued")
+        self.counters["dequeued"] += 1.0
         self._probe_depth()
         return packet
 
@@ -258,4 +258,4 @@ class EcnQueue(DropTailQueue):
     def _mark(self, packet: Packet) -> None:
         if packet.ecn_capable and self._occupancy >= self.mark_threshold_bytes:
             packet.ecn_marked = True
-            self.counters.add("ecn_marks")
+            self.counters["ecn_marks"] += 1.0

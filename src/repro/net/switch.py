@@ -133,8 +133,8 @@ class Switch:
 
     def receive(self, packet: Packet) -> None:
         """Forward an arriving packet to its output port."""
-        self.counters.add("rx_packets")
-        self.counters.add("rx_bytes", packet.size_bytes)
+        self.counters["rx_packets"] += 1.0
+        self.counters["rx_bytes"] += packet.size_bytes
         port = self.port_for_packet(packet)
         if not port.enqueue(packet):
-            self.counters.add("forward_drops")
+            self.counters["forward_drops"] += 1.0

@@ -14,8 +14,9 @@ Design notes
   means a comparison never reaches the :class:`Event` itself.
 * Cancellation is O(1): :meth:`Event.cancel` marks the event dead and the
   main loop skips it. This is the standard "lazy deletion" heap idiom and
-  avoids O(n) heap surgery for the very common cancel-and-rearm pattern of
-  TCP retransmission timers. The simulator keeps an exact tally of dead
+  avoids O(n) heap surgery (TCP's constantly re-armed timers rarely get
+  this far: :class:`repro.sim.timer.Timer` moves a deadline instead of
+  cancelling and pushing). The simulator keeps an exact tally of dead
   entries so :attr:`Simulator.pending_events` reports *live* events even
   though cancelled ones still occupy heap slots until popped
   (:attr:`Simulator.queued_events` exposes the raw heap size).
@@ -217,10 +218,12 @@ class Simulator:
         ``max_events`` have executed, or a callback calls :meth:`stop`.
 
         Returns the virtual time at which execution stopped. When ``until``
-        is given and the run was not stopped, the clock is advanced to
-        exactly ``until`` even if the last event fired earlier (matching
-        how a wall-clock measurement window behaves on a real testbed);
-        no event later than ``until`` is dispatched.
+        is given and the run ended at the horizon or on a drained queue,
+        the clock is advanced to exactly ``until`` even if the last event
+        fired earlier (matching how a wall-clock measurement window
+        behaves on a real testbed); no event later than ``until`` is
+        dispatched. A run ended by :meth:`stop`, or by ``max_events``
+        with entries still queued, leaves the clock at its last event.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
@@ -264,7 +267,8 @@ class Simulator:
                     event.callback(*event.args)
                 if self._stop_requested:
                     break
-            if until is not None and not self._stop_requested:
+            out_of_budget = bool(queue) and self._events_executed >= budget
+            if until is not None and not (self._stop_requested or out_of_budget):
                 self._now = max(self._now, until)
         finally:
             self._running = False

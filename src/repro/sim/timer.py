@@ -2,8 +2,22 @@
 
 TCP needs timers that are constantly re-armed (retransmission timeout),
 stopped (when the last outstanding segment is acknowledged) and queried
-("is the RTO pending?"). :class:`Timer` wraps the cancel-and-reschedule
-dance so protocol code stays readable.
+("is the RTO pending?"). A retransmission timer is pushed out by every
+ACK and a delayed-ACK timer is stopped by every second segment, so
+:class:`Timer` does not touch the heap for either: it keeps a *deadline*
+and at most one live heap entry that is never later than the deadline.
+
+* :meth:`Timer.start` only moves the deadline; it pushes an entry when
+  there is none, or (after cancelling the old one) when the new deadline
+  is earlier than the entry.
+* :meth:`Timer.stop` only clears the deadline. The entry stays behind
+  and does nothing when it fires — a stopped timer costs one no-op
+  event, not a cancel plus a dead heap slot per ACK.
+* An entry that fires before the deadline re-pushes itself at the
+  deadline; one that fires at the deadline runs the callback.
+
+The callback therefore runs at the same virtual time as under
+cancel-and-reschedule; only the number of heap operations differs.
 """
 
 from __future__ import annotations
@@ -17,45 +31,56 @@ from repro.sim.engine import Event, Simulator
 class Timer:
     """A one-shot timer that can be (re)started and stopped.
 
-    The callback fires at most once per :meth:`start`; restarting an armed
-    timer cancels the previous deadline, which is exactly the semantics of
-    a TCP retransmission timer being pushed out by each new ACK.
+    The callback fires at most once per :meth:`start`, at the deadline of
+    the *last* start — exactly the semantics of a TCP retransmission
+    timer being pushed out by each new ACK.
     """
 
     def __init__(self, sim: Simulator, callback: Callable[..., None], *args: Any):
         self._sim = sim
         self._callback = callback
         self._args = args
+        #: absolute time the callback is due; None while unarmed
+        self._deadline: Optional[float] = None
+        #: the one heap entry, which never lies later than the deadline
         self._event: Optional[Event] = None
 
     @property
     def pending(self) -> bool:
         """Whether the timer is armed and has not yet fired."""
-        return self._event is not None and self._event.alive
+        return self._deadline is not None
 
     @property
     def expiry(self) -> Optional[float]:
         """Absolute virtual time the timer will fire, or None if unarmed."""
-        if self.pending:
-            assert self._event is not None
-            return self._event.time
-        return None
+        return self._deadline
 
     def start(self, delay: float) -> None:
         """Arm (or re-arm) the timer ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"timer delay must be >= 0, got {delay}")
-        self.stop()
-        self._event = self._sim.schedule(delay, self._fire)
+        deadline = self._sim.now + delay
+        self._deadline = deadline
+        event = self._event
+        if event is not None:
+            if event.time <= deadline:
+                return  # the entry wakes us early and re-pushes itself
+            event.cancel()
+        self._event = self._sim.schedule_at(deadline, self._wake)
 
     def stop(self) -> None:
         """Disarm the timer if armed; a no-op otherwise."""
-        if self._event is not None and self._event.alive:
-            self._event.cancel()
-        self._event = None
+        self._deadline = None
 
-    def _fire(self) -> None:
+    def _wake(self) -> None:
         self._event = None
+        deadline = self._deadline
+        if deadline is None:
+            return
+        if deadline > self._sim.now:
+            self._event = self._sim.schedule_at(deadline, self._wake)
+            return
+        self._deadline = None
         self._callback(*self._args)
 
 

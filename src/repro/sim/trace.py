@@ -125,25 +125,30 @@ class TimeSeries:
         return out
 
 
-class CounterSet:
-    """Named monotonic counters with a dict-like read interface."""
+class CounterSet(Dict[str, float]):
+    """Named monotonic counters: a dict in which a name never
+    incremented reads 0.0.
 
-    def __init__(self) -> None:
-        self._counters: Dict[str, float] = {}
+    Per-packet code increments in place, ``counters["acks"] += 1.0`` —
+    an item update, no Python frame; :meth:`add` is the checked form for
+    everything else.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> float:
+        return 0.0
 
     def add(self, name: str, amount: float = 1.0) -> None:
         """Increment ``name`` by ``amount`` (must be >= 0)."""
         if amount < 0:
             raise ValueError(f"counter increments must be >= 0, got {amount}")
-        self._counters[name] = self._counters.get(name, 0.0) + amount
+        self[name] += amount
 
-    def get(self, name: str) -> float:
+    def get(self, name: str) -> float:  # type: ignore[override]
         """Current value of ``name`` (0 if never incremented)."""
-        return self._counters.get(name, 0.0)
+        return self[name]
 
     def snapshot(self) -> Dict[str, float]:
         """A copy of all counters."""
-        return dict(self._counters)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._counters
+        return dict(self)

@@ -20,6 +20,8 @@ class RangeSet:
 
     def __init__(self) -> None:
         self._intervals: List[Interval] = []
+        #: sum of interval lengths, kept current by add() and trim_below()
+        self._total = 0
 
     def __len__(self) -> int:
         return len(self._intervals)
@@ -33,7 +35,7 @@ class RangeSet:
     @property
     def total_bytes(self) -> int:
         """Sum of interval lengths."""
-        return sum(end - start for start, end in self._intervals)
+        return self._total
 
     def add(self, start: int, end: int) -> int:
         """Insert ``[start, end)``, merging overlaps.
@@ -44,8 +46,8 @@ class RangeSet:
         """
         if end <= start:
             raise ValueError(f"empty/negative range [{start}, {end})")
-        before = self.total_bytes
         merged_start, merged_end = start, end
+        absorbed = 0  # bytes the intervals merged away already covered
         # the rebuild-into-a-fresh-list is the merge algorithm itself,
         # not an incidental allocation; interval counts stay small (SACK
         # scoreboards hold a handful of holes)
@@ -54,11 +56,14 @@ class RangeSet:
             if e < merged_start or s > merged_end:
                 keep.append((s, e))
             else:
+                absorbed += e - s
                 merged_start = min(merged_start, s)
                 merged_end = max(merged_end, e)
         insort(keep, (merged_start, merged_end))
         self._intervals = keep
-        return self.total_bytes - before
+        newly = merged_end - merged_start - absorbed
+        self._total += newly
+        return newly
 
     def contains(self, start: int, end: int) -> bool:
         """Whether ``[start, end)`` is fully covered."""
@@ -89,8 +94,12 @@ class RangeSet:
         out: List[Interval] = []  # simlint: ignore[perf-alloc-in-hot-path]
         for s, e in self._intervals:
             if e <= point:
+                self._total -= e - s
                 continue
-            out.append((max(s, point), e))
+            if s < point:
+                self._total -= point - s
+                s = point
+            out.append((s, e))
         self._intervals = out
 
     def blocks_above(self, point: int, limit: int = 3) -> Tuple[Interval, ...]:

@@ -93,9 +93,9 @@ class TcpReceiver:
         """Process one arriving data segment."""
         if packet.is_ack:
             # Bulk transfer is one-directional; stray ACKs are ignored.
-            self.counters.add("stray_acks")
+            self.counters["stray_acks"] += 1.0
             return
-        self.counters.add("segments")
+        self.counters["segments"] += 1.0
         out_of_order = packet.seq > self.rcv_nxt
         #: a non-empty reassembly queue means this segment may fill a gap,
         #: which must be acknowledged immediately (RFC 5681 §4.2)
@@ -107,7 +107,7 @@ class TcpReceiver:
         if not duplicate:
             newly = self.received.add(packet.seq, packet.end_seq)
         else:
-            self.counters.add("duplicate_segments")
+            self.counters["duplicate_segments"] += 1.0
         self.bytes_received += newly
         self.rcv_nxt = self.received.first_missing_after(self.rcv_nxt)
         self.received.trim_below(self.rcv_nxt)
@@ -115,7 +115,7 @@ class TcpReceiver:
         ce_changed = packet.ecn_marked != self._ce_state
         self._ce_state = packet.ecn_marked
         if packet.ecn_marked:
-            self.counters.add("ce_marks")
+            self.counters["ce_marks"] += 1.0
             self._marked_bytes_pending += packet.payload_bytes
         self._pending_echo_time = packet.sent_time
         if packet.int_timestamp is not None:
@@ -184,5 +184,5 @@ class TcpReceiver:
             self._last_int = None
         self._unacked_segments = 0
         self._marked_bytes_pending = 0
-        self.counters.add("acks_sent")
+        self.counters["acks_sent"] += 1.0
         self.host.send(ack)

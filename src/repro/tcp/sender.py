@@ -163,6 +163,11 @@ class TcpSender:
         self._pacing_event: Optional[Event] = None
         #: set when the host qdisc rejected a packet; cleared on drain
         self._local_block = False
+        #: the last _try_send stopped on the host qdisc (local drop or
+        #: TSQ) — the only stop a qdisc drain can lift; every other one
+        #: (cwnd, pacing, no data) ends with an ACK, a timer or a write
+        #: that calls _try_send itself
+        self._qdisc_blocked = False
         #: last sequence that bypassed cwnd as the front hole (each
         #: distinct hole gets one free retransmission, like NewReno's
         #: partial-ACK rule — but never more than one per hole)
@@ -219,6 +224,8 @@ class TcpSender:
         self._try_send()
 
     def _on_qdisc_drain(self) -> None:
+        if not self._qdisc_blocked:
+            return
         if self._local_block:
             # Hysteresis, like the kernel's qdisc wakeups: after a local
             # drop, stay blocked until the queue has drained below the
@@ -287,14 +294,14 @@ class TcpSender:
 
     def _handle_packet(self, packet: Packet) -> None:
         if not packet.is_ack:
-            self.counters.add("unexpected_data")
+            self.counters["unexpected_data"] += 1.0
             return
         if packet.ack_seq > self.snd_nxt:
             raise TcpStateError(
                 f"flow {self.flow_id}: ACK {packet.ack_seq} beyond "
                 f"snd_nxt {self.snd_nxt}"
             )
-        self.counters.add("acks")
+        self.counters["acks"] += 1.0
         if packet.rwnd_bytes is not None:
             self.rwnd_bytes = packet.rwnd_bytes
 
@@ -383,13 +390,13 @@ class TcpSender:
                 self._recovery_point = None
                 self._epoch_scan = None
                 self.cca.on_recovery_exit()
-                self.counters.add("recovery_exits")
+                self.counters["recovery_exits"] += 1.0
                 self._maybe_ecn_react(event)
                 self.cca.on_ack(event)
             else:
                 # Partial ACK: the hole at the new snd_una was also lost,
                 # and the SACK scoreboard may expose further holes.
-                self.counters.add("partial_acks")
+                self.counters["partial_acks"] += 1.0
                 self._queue_retransmit(self.snd_una)
                 self._queue_sack_holes()
         else:
@@ -412,7 +419,7 @@ class TcpSender:
         if self._outstanding_bytes() == 0:
             return  # window update / stray ACK, nothing outstanding
         self._dupack_count += 1
-        self.counters.add("dupacks")
+        self.counters["dupacks"] += 1.0
         event = self._make_event(packet, 0, rtt_sample, None, False)
         self.cca.on_dupack(event)
 
@@ -428,7 +435,7 @@ class TcpSender:
     def _enter_fast_recovery(self, event: AckEvent) -> None:
         self._recovery_point = self.snd_nxt
         self._epoch_scan = self.snd_una
-        self.counters.add("fast_recoveries")
+        self.counters["fast_recoveries"] += 1.0
         self.cca.on_congestion_event(event)
         self._queue_retransmit(self.snd_una)
         self._queue_sack_holes()
@@ -470,7 +477,7 @@ class TcpSender:
         last = self._last_ecn_reduction
         if last is None or self.sim.now - last >= window:
             self._last_ecn_reduction = self.sim.now
-            self.counters.add("ecn_reductions")
+            self.counters["ecn_reductions"] += 1.0
             self.cca.on_ecn(event)
 
     # ------------------------------------------------------------------
@@ -544,7 +551,7 @@ class TcpSender:
     def _on_rto(self) -> None:
         if self._outstanding_bytes() == 0:
             return
-        self.counters.add("rtos")
+        self.counters["rtos"] += 1.0
         self.rtt.backoff()
         self.cca.on_rto()
         # Everything outstanding and un-SACKed is presumed lost.
@@ -621,9 +628,13 @@ class TcpSender:
         return nic.flow_backlog_bytes(self.flow_id) >= self.tsq_limit_bytes
 
     def _try_send(self) -> None:
+        self._qdisc_blocked = False
         if not self._started or self.complete:
             return
-        while not self._local_block and not self._tsq_blocked():
+        while True:
+            if self._local_block or self._tsq_blocked():
+                self._qdisc_blocked = True
+                return
             # Retransmissions take priority over new data. The front
             # hole (snd_una) may bypass cwnd once per distinct hole —
             # the NewReno partial-ACK retransmission — but never more,
@@ -689,7 +700,7 @@ class TcpSender:
         seg.sent_time = self.sim.now
         seg.in_flight = True
         self._in_flight += seg.length
-        self.counters.add("retransmits")
+        self.counters["retransmits"] += 1.0
         self._send_packet(seg, retransmitted=True)
 
     def _send_packet(self, seg: SegmentInfo, retransmitted: bool) -> None:
@@ -710,8 +721,8 @@ class TcpSender:
             retransmitted=retransmitted,
             priority=remaining,
         )
-        self.counters.add("segments_sent")
-        self.counters.add("bytes_sent", seg.length)
+        self.counters["segments_sent"] += 1.0
+        self.counters["bytes_sent"] += seg.length
         self.cca.on_sent(seg.length)
         self._charge_pacing(packet.wire_bytes)
         accepted = self.host.send(packet)
@@ -722,7 +733,7 @@ class TcpSender:
             # drains. It still counts as a retransmission when resent,
             # which is how the paper's no-TSQ baseline racks up millions
             # of retransmits without collapsing.
-            self.counters.add("local_drops")
+            self.counters["local_drops"] += 1.0
             seg.in_flight = False
             self._in_flight -= seg.length
             self._local_block = True

@@ -14,6 +14,7 @@ from repro.apps.workload import (
     sample_flow_size,
 )
 from repro.errors import ExperimentError
+from repro.sim.rng import RngRegistry
 
 
 class TestSampling:
@@ -43,6 +44,17 @@ class TestSampling:
 
     def test_mean_flow_size_positive(self):
         assert mean_flow_size(WEB_SEARCH_CDF) > 100_000
+
+    def test_mean_flow_size_is_sampled_once_per_input(self):
+        """Memoised on (distribution, samples, seed): the value is the
+        Monte-Carlo mean, bit for bit, and a repeat draws nothing."""
+        rng = RngRegistry(5).stream("flow-size-mean")
+        direct = sum(sample_flow_size(DATA_MINING_CDF, rng) for _ in range(300)) / 300
+        assert mean_flow_size(DATA_MINING_CDF, samples=300, seed=5) == direct
+        assert mean_flow_size(list(DATA_MINING_CDF), samples=300, seed=5) == direct
+        assert mean_flow_size(DATA_MINING_CDF, samples=300, seed=6) != direct
+        assert mean_flow_size(DATA_MINING_CDF, samples=301, seed=5) != direct
+        assert mean_flow_size(WEB_SEARCH_CDF, samples=300, seed=5) != direct
 
     @given(seed=st.integers(min_value=0, max_value=500))
     @settings(max_examples=30, deadline=None)

@@ -1,12 +1,15 @@
 """Unit tests for the NIC: bonding, MTU policing, qdisc pacing and TSQ hooks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetworkConfigError
 from repro.net.link import Interface, Link
 from repro.net.nic import Nic
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
+from repro.sim.engine import Simulator
 from repro.units import gbps
 
 
@@ -131,3 +134,70 @@ class TestPacedTransmitPath:
         assert nic.tx_backlog_packets == 0
         sim.run()
         assert len(sink.received) == 1
+
+
+class _Wire:
+    """Stands in for an egress interface: notes when each packet leaves."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.departures = []
+
+    def enqueue(self, packet):
+        self.departures.append(self.sim.now)
+        return True
+
+
+class TestDemandDrivenPacing:
+    """The paced NIC keeps a ``_drain`` event only while a packet waits,
+    yet emits packets at the instants of a NIC that ticks every gap."""
+
+    GAP = 2.5e-6
+
+    #: bursts of 1-4 packets, 0-8 µs apart: inside the gap, on a tick,
+    #: and long after the NIC went idle
+    @given(
+        pattern=st.lists(
+            st.tuples(st.integers(0, 8), st.integers(1, 4)),
+            min_size=1, max_size=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_departures_match_an_always_ticking_nic(self, pattern):
+        sim = Simulator()
+        wire = _Wire(sim)
+        nic = Nic([wire], mtu_bytes=9000, sim=sim, tx_packet_gap_s=self.GAP)
+
+        def drain_entries():
+            return sum(
+                1 for _, _, event in sim._queue
+                if not event.cancelled and event.callback == nic._drain
+            )
+
+        def burst(count):
+            # idle means absent from the heap, not ticking into nothing
+            assert drain_entries() == (1 if nic.tx_backlog_packets else 0)
+            for _ in range(count):
+                assert nic.send(make_packet(100))
+
+        send_times = []
+        at = 0.0
+        for wait_us, count in pattern:
+            at += wait_us * 1e-6
+            sim.schedule_at(at, burst, count)
+            send_times += [at] * count
+        sim.run()
+
+        # the reference: a tick every gap from the first packet on, each
+        # packet leaving at the first tick that finds it at the head
+        expected = []
+        for sent in send_times:
+            tick = expected[-1] + self.GAP if expected else sent
+            expected.append(max(sent, tick))
+        assert wire.departures == expected
+        assert all(
+            later >= earlier + self.GAP
+            for earlier, later in zip(expected, expected[1:])
+        )
+        assert drain_entries() == 0 and nic.tx_backlog_packets == 0
+        assert sim.now == expected[-1]  # no tick after the last packet

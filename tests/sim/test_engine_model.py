@@ -3,11 +3,11 @@
 Hypothesis drives a :class:`Simulator` and a naive model — a list kept
 sorted by ``(time, seq)``, dead entries included — through the same
 random sequence of ``schedule`` / ``schedule_at`` / ``cancel`` /
-``step`` / ``run(until=...)`` / ``run(max_events=...)`` / ``peek_time``
-calls, with callbacks that schedule a child or call ``stop()``. After
-every rule the firing order (FIFO at equal timestamps), the clock, and
-the ``pending_events`` / ``queued_events`` / ``dead_in_queue`` tallies
-must agree. The model shares no code with the kernel: it is the oracle
+``step`` / ``run(until=...)`` / ``run(max_events=...)`` / both at once /
+``peek_time`` calls, with callbacks that schedule a child or call
+``stop()``. After every rule the firing order (FIFO at equal
+timestamps), the clock, and the ``pending_events`` / ``queued_events`` /
+``dead_in_queue`` tallies must agree. The model shares no code with the kernel: it is the oracle
 a rewrite of the dispatch loop is checked against.
 """
 
@@ -82,7 +82,11 @@ class EngineMachine(RuleBasedStateMachine):
             elif head.kind == "stop":
                 stopped = True
                 break
-        if until is not None and not stopped:
+        # the budget ran out with entries still queued: the clock stays
+        out_of_budget = (
+            max_events is not None and executed >= max_events and self.entries
+        )
+        if until is not None and not stopped and not out_of_budget:
             self.now = max(self.now, until)
         return executed, stopped
 
@@ -153,6 +157,14 @@ class EngineMachine(RuleBasedStateMachine):
         before = self.sim.events_executed
         executed, _ = self._model_run(max_events=max_events)
         assert self.sim.run(max_events=max_events) == self.now
+        assert self.sim.events_executed - before == executed <= max_events
+
+    @rule(offset=DELAYS, max_events=st.integers(min_value=0, max_value=6))
+    def run_until_and_max_events(self, offset, max_events):
+        until = self.now + offset
+        before = self.sim.events_executed
+        executed, _ = self._model_run(until=until, max_events=max_events)
+        assert self.sim.run(until=until, max_events=max_events) == self.now
         assert self.sim.events_executed - before == executed <= max_events
 
     @rule()

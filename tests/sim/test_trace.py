@@ -106,3 +106,15 @@ class TestCounterSet:
         snap = counters.snapshot()
         counters.add("a", 1)
         assert snap["a"] == 1.0
+
+    def test_item_update_is_the_unchecked_increment(self):
+        """Per-packet code writes ``counters[name] += n``; reading an
+        unknown name gives 0.0 without creating it."""
+        counters = CounterSet()
+        assert counters["never"] == 0.0
+        assert "never" not in counters and counters.snapshot() == {}
+        counters["bytes"] += 1500
+        counters["bytes"] += 40
+        assert counters.get("bytes") == 1540.0
+        assert isinstance(counters["bytes"], float)
+        assert type(counters.snapshot()) is dict

@@ -1,6 +1,8 @@
 """Unit tests for the RangeSet interval bookkeeping."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.tcp.ranges import RangeSet
 
@@ -116,3 +118,31 @@ class TestMaintenance:
         assert not rs
         rs.add(0, 1)
         assert rs
+
+
+class TestRunningTotal:
+    """``total_bytes`` is a running total; the intervals are the truth."""
+
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("add"), st.integers(0, 60), st.integers(1, 25)),
+                st.tuples(st.just("trim"), st.integers(0, 90), st.just(0)),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_total_and_newly_covered_match_the_intervals(self, ops):
+        rs = RangeSet()
+        covered = set()
+        for op, start, length in ops:
+            if op == "add":
+                fresh = set(range(start, start + length)) - covered
+                assert rs.add(start, start + length) == len(fresh)
+                covered |= fresh
+            else:
+                rs.trim_below(start)
+                covered = {byte for byte in covered if byte >= start}
+            assert rs.total_bytes == len(covered)
+            assert rs.total_bytes == sum(end - begin for begin, end in rs)
