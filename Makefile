@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test bench-check loc lint lint-baseline sarif ruff mypy bench bench-sim bench-fabric bench-all obs-bench obs-profile perf-diff fabric-perf-diff baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
+.PHONY: check test bench-check loc lint lint-baseline sarif ruff mypy bench obs-bench obs-profile baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
 
 check: test lint ruff mypy
 
@@ -61,27 +61,9 @@ mypy:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# how many sweep attempts the BENCH snapshots keep the fastest of;
-# min-of-N suppresses scheduler noise in committed numbers
-BENCH_BEST_OF ?= 3
-
-# refresh the committed events/sec snapshot (benchmarks/BENCH_sim.json);
-# runs the BASELINE_SWEEP scenario set under a recording observer
-bench-sim:
-	$(PYTHON) benchmarks/bench_sim.py --best-of $(BENCH_BEST_OF)
-
-# refresh the committed 1k-flow fabric snapshot (BENCH_fabric.json);
-# runs the FABRIC_SWEEP under a recording observer
-bench-fabric:
-	$(PYTHON) benchmarks/bench_fabric.py --best-of $(BENCH_BEST_OF)
-
-# refresh both committed perf snapshots in one shot. The workflow after
-# an intentional engine change: `make bench-all`, eyeball the deltas,
-# commit the updated BENCH_*.json together with the change so the
-# perf-diff gate measures the next change against this one.
-bench-all: bench-sim bench-fabric
-
-# the observability zero-overhead gate (also a CI step)
+# the two wall-clock proportionality checks (traced < 1.5x, profiled
+# < 2x); the zero-overhead contract itself is an exact frame count in
+# tier-1 (tests/obs/test_overhead_frames.py)
 obs-bench:
 	$(PYTHON) -m pytest -q benchmarks/test_obs_overhead.py
 
@@ -91,14 +73,6 @@ PROFILE_TRACE ?= /tmp/greenenvy-profile-trace
 obs-profile:
 	rm -rf $(PROFILE_TRACE)
 	$(PYTHON) -m repro.cli obs profile $(PROFILE_TRACE)
-
-# re-run the committed perf sweeps and fail on an events/sec regression
-# beyond tolerance (the CI perf gate; min-of-N on the fresh side too)
-perf-diff:
-	$(PYTHON) -m repro.cli obs perf-diff --kind sim --best-of $(BENCH_BEST_OF)
-
-fabric-perf-diff:
-	$(PYTHON) -m repro.cli obs perf-diff --kind fabric --best-of $(BENCH_BEST_OF)
 
 # Three committed baselines share one pair of recipes: a traced sweep
 # is snapshotted into its baseline file (run after an intentional

@@ -5,9 +5,9 @@ multi-round pytest-benchmark measurements: event-kernel throughput
 (plain and under timer re-arming), the completion driver over many
 flows, interval bookkeeping, the power-model arithmetic and a full
 small transfer. They guard against performance regressions that would
-make the figure benches unusably slow. One case also pins *exact* work
-counters (heap pushes, cancels, sender wake-ups) of the canonical fig1
-fair run, which gate on any machine.
+make the figure benches unusably slow. The timings are reported, not
+asserted; the exact work counters that gate on any machine live in
+``tests/test_work_counters.py``.
 """
 
 import random
@@ -92,63 +92,6 @@ def test_completion_driver_400_flows(benchmark):
 
     executed = benchmark(run)
     assert executed == 20_400
-
-
-#: Exact work of the canonical fig1 fair run (two 400 kB CUBIC flows,
-#: seed 0 — the scenario `make obs-diff` and `perf-diff` replay). These
-#: are counts, not timings: they repeat exactly on every machine, so a
-#: change that moves one either meant to (update the number and say why)
-#: or made the hot path do more work than it needs to.
-FAIR_RUN_WORK = {
-    "segments": 90,      # TcpSender._send_packet
-    "acks": 46,          # TcpSender._handle_packet
-    # 7.1 per segment: serialisation and propagation on each link hop
-    # (the segment's, and its share of an ACK's), NIC drains, and what
-    # is left of the timers (was 779)
-    "heap_pushes": 643,  # Simulator.schedule_at
-    # ~0 per ACK: RTO and delayed-ACK timers re-arm in place (was 91)
-    "cancels": 3,        # Event.cancel
-    # 1.2 per ACK: one per ACK, one per start, and only the qdisc
-    # drains that found the sender blocked by the qdisc (was 233)
-    "try_send_entries": 54,  # TcpSender._try_send
-}
-
-
-def test_fig1_fair_run_work_counters(benchmark, monkeypatch):
-    """Wall time of the canonical fair run, then its exact work."""
-    from repro.core.allocation import FAIR_PLAN_NAME, fig1_allocations
-    from repro.figures.fig1 import DEFAULT_CAPACITY_BPS
-    from repro.harness.experiment import scenario_from_plan
-    from repro.harness.runner import run_once
-    from repro.sim.engine import Event
-    from repro.tcp.sender import TcpSender
-
-    plan = next(
-        plan
-        for plan in fig1_allocations(400_000, DEFAULT_CAPACITY_BPS, (0.5,))
-        if plan.name == FAIR_PLAN_NAME
-    )
-    scenario = scenario_from_plan("fig1-fair", plan)
-    untraced = benchmark(run_once, scenario, 0)
-
-    work = dict.fromkeys(FAIR_RUN_WORK, 0)
-
-    def count(owner, method, key):
-        original = getattr(owner, method)
-
-        def counted(*args, **kwargs):
-            work[key] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, method, counted)
-
-    count(TcpSender, "_send_packet", "segments")
-    count(TcpSender, "_handle_packet", "acks")
-    count(Simulator, "schedule_at", "heap_pushes")
-    count(Event, "cancel", "cancels")
-    count(TcpSender, "_try_send", "try_send_entries")
-    assert run_once(scenario, 0) == untraced
-    assert work == FAIR_RUN_WORK
 
 
 def test_rangeset_mixed_workload(benchmark):

@@ -1,27 +1,17 @@
-"""Observability overhead gates: tracing off must cost ~nothing.
+"""Enabled instrumentation stays proportionate to the run it observes.
 
-The tentpole promise of ``repro.obs`` is zero-overhead-by-default:
-every hook in the runner and executor goes through the shared no-op
-observer, so a pipeline that never asked for ``--trace`` must run at
-the same speed as one built before the observability layer existed.
-
-Gate: the no-op observer path stays within 2 % of a baseline that
-calls :func:`run_once` with an explicit ``observer=None`` (the exact
-code path untraced production runs take). Min-of-N timing on each side
-makes the comparison robust to scheduler noise; both sides run the
-same simulations in the same process.
-
-A second (informational, generously bounded) check keeps *enabled*
-tracing cheap relative to the simulation it observes.
+The two wall-clock assertions left about instrumentation, both loose
+ratios and both outside tier-1 (``make obs-bench``): journaling costs
+under 1.5x and hot-path profiling under 2x of the untraced run. What tracing costs
+when it is *off* is not a timing question: it is an exact frame count,
+gated in ``tests/obs/test_overhead_frames.py``.
 """
 
 import time
 
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.harness.runner import run_once
-from repro.obs.observer import NULL_OBSERVER, Observer, TracingObserver
-from repro.sim.probe import NULL_PROBE_SINK
-from repro.sim.profile import HotPathProfiler
+from repro.obs.observer import TracingObserver
 
 SIZE = 2_000_000
 ROUNDS = 5
@@ -40,113 +30,6 @@ def _min_wall_s(fn):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def test_noop_observer_overhead_under_2_percent():
-    scenario = _scenario()
-
-    def baseline():
-        for seed in range(REPS_PER_ROUND):
-            run_once(scenario, seed=seed, observer=None)
-
-    def with_noop():
-        for seed in range(REPS_PER_ROUND):
-            run_once(scenario, seed=seed, observer=NULL_OBSERVER)
-
-    # Warm both paths (imports, allocator, branch caches) before timing.
-    baseline()
-    with_noop()
-
-    base_s = _min_wall_s(baseline)
-    noop_s = _min_wall_s(with_noop)
-    overhead = (noop_s - base_s) / base_s
-    assert overhead < 0.02, (
-        f"no-op observer costs {100 * overhead:.2f}% "
-        f"(baseline {base_s:.4f}s, no-op {noop_s:.4f}s)"
-    )
-
-
-def test_noop_probe_sink_overhead_under_2_percent():
-    # The telemetry emission sites (sender ACK path, queue enqueue /
-    # dequeue, CPU package flush) each check ``sink.enabled`` on the
-    # hot path. With the default null sink that check must be all they
-    # cost: within 2 % of the identical run.
-    scenario = _scenario()
-
-    def baseline():
-        for seed in range(REPS_PER_ROUND):
-            run_once(scenario, seed=seed)
-
-    def with_null_sink():
-        for seed in range(REPS_PER_ROUND):
-            run_once(scenario, seed=seed, probe_sink=NULL_PROBE_SINK)
-
-    baseline()
-    with_null_sink()
-
-    # Interleave the timed rounds so slow drift in machine load hits
-    # both sides equally instead of biasing whichever ran last.
-    base_s = null_s = float("inf")
-    for _ in range(ROUNDS):
-        start = time.perf_counter()
-        baseline()
-        base_s = min(base_s, time.perf_counter() - start)
-        start = time.perf_counter()
-        with_null_sink()
-        null_s = min(null_s, time.perf_counter() - start)
-    overhead = (null_s - base_s) / base_s
-    assert overhead < 0.02, (
-        f"no-op probe sink costs {100 * overhead:.2f}% "
-        f"(baseline {base_s:.4f}s, null sink {null_s:.4f}s)"
-    )
-
-
-class _DisabledProfilerObserver(Observer):
-    """Hands the runner a fresh disabled profiler every run.
-
-    Same dispatch branch as the shared NULL_PROFILER default — the
-    comparison gates that the profiler hooks cost exactly one
-    attribute read and a branch per site when profiling is off.
-    """
-
-    def profiler(self, scenario, seed):
-        return HotPathProfiler()
-
-
-def test_noop_profiler_overhead_under_2_percent():
-    # The engine dispatch loop, queue enqueue/dequeue, and the TCP ACK
-    # path each check ``profiler.enabled`` when profiling is off. That
-    # check must be all they cost: within 2 % of the identical run
-    # using the shared no-op profiler.
-    scenario = _scenario()
-    disabled = _DisabledProfilerObserver()
-
-    def baseline():
-        for seed in range(REPS_PER_ROUND):
-            run_once(scenario, seed=seed)
-
-    def with_disabled_profiler():
-        for seed in range(REPS_PER_ROUND):
-            run_once(scenario, seed=seed, observer=disabled)
-
-    baseline()
-    with_disabled_profiler()
-
-    # Interleave the timed rounds so slow drift in machine load hits
-    # both sides equally instead of biasing whichever ran last.
-    base_s = prof_s = float("inf")
-    for _ in range(ROUNDS):
-        start = time.perf_counter()
-        baseline()
-        base_s = min(base_s, time.perf_counter() - start)
-        start = time.perf_counter()
-        with_disabled_profiler()
-        prof_s = min(prof_s, time.perf_counter() - start)
-    overhead = (prof_s - base_s) / base_s
-    assert overhead < 0.02, (
-        f"no-op profiler costs {100 * overhead:.2f}% "
-        f"(baseline {base_s:.4f}s, disabled profiler {prof_s:.4f}s)"
-    )
 
 
 def test_profiled_run_stays_proportionate(tmp_path):
@@ -171,103 +54,6 @@ def test_profiled_run_stays_proportionate(tmp_path):
     # multiple of the simulation it measures.
     assert profiled_s < 2.0 * base_s, (
         f"enabled profiling too expensive: {profiled_s:.4f}s vs {base_s:.4f}s"
-    )
-
-
-_WATCHER_SCRIPT = """
-import sys, time, urllib.request
-sys.path.insert(0, sys.argv[1])
-from repro.obs.live import LiveSweepView, ProgressServer
-view = LiveSweepView(sys.argv[2])
-server = ProgressServer(view, port=0).start()
-print(server.port, flush=True)
-wake = 0
-while True:  # killed by the test; a real watcher exits on complete
-    view.poll()
-    view.snapshot()
-    try:
-        with urllib.request.urlopen(
-            f"http://127.0.0.1:{server.port}/metrics", timeout=5
-        ) as response:
-            response.read()
-    except OSError:
-        pass
-    # Near the obs-watch default interval, jittered so the wakeups
-    # cannot phase-lock onto the benchmark's timing rounds.
-    wake += 1
-    time.sleep(0.6 + 0.13 * (wake % 5))
-"""
-
-
-def test_watcher_attached_overhead_under_2_percent(tmp_path):
-    # The ``obs watch`` promise: watching is read-only and rides on
-    # files the sweep writes anyway, so a live watcher -- tail polling
-    # plus HTTP scrapes of the progress server, running as its own
-    # process exactly like the CLI does -- must not slow the traced
-    # sweep it observes. The watcher polls at a realistic cadence: on a
-    # single-core box its wakeups are the one unavoidable cost, and a
-    # watch screen refreshing 50x per second is not the deployment.
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    from repro.harness.executor import WorkItem, run_work_items
-
-    scenario = _scenario()
-    # Bigger rounds than the other gates: sub-100ms timings are pure
-    # scheduler jitter next to a 2% bar.
-    items = [
-        WorkItem(scenario=scenario, seed=seed)
-        for seed in range(4 * REPS_PER_ROUND)
-    ]
-    quiet = tmp_path / "quiet"
-    watched = tmp_path / "watched"
-    watched.mkdir()
-    src = Path(__file__).resolve().parent.parent / "src"
-
-    def traced_only():
-        run_work_items(items, observer=quiet)
-
-    def traced_watched():
-        run_work_items(items, observer=watched)
-
-    watcher = subprocess.Popen(
-        [sys.executable, "-c", _WATCHER_SCRIPT, str(src), str(watched)],
-        stdout=subprocess.PIPE,
-    )
-    try:
-        assert watcher.stdout is not None
-        watcher.stdout.readline()  # the server is up and scraping
-        traced_only()
-        traced_watched()
-        # Sum interleaved rounds instead of taking per-round mins: on a
-        # one-core box every watcher wakeup steals its slice from
-        # whichever side happens to be running, so per-round minima
-        # compare "clean" rounds that may not exist. Over a whole
-        # interleaved window the jittered wakeups land on both sides
-        # evenly, and the sum isolates what the gate is really about:
-        # the producer's own code path is identical watched or not.
-        # Taking the best of a few windows then filters transient
-        # background load, the same job min-of-N does in the other
-        # gates.
-        overhead = float("inf")
-        for _ in range(3):
-            base_s = watched_s = 0.0
-            for _ in range(ROUNDS):
-                start = time.perf_counter()
-                traced_only()
-                base_s += time.perf_counter() - start
-                start = time.perf_counter()
-                traced_watched()
-                watched_s += time.perf_counter() - start
-            overhead = min(overhead, (watched_s - base_s) / base_s)
-    finally:
-        watcher.kill()
-        watcher.wait()
-    assert overhead < 0.02, (
-        f"attached watcher costs {100 * overhead:.2f}% in the best "
-        f"window (last: traced-only {base_s:.4f}s, watched "
-        f"{watched_s:.4f}s)"
     )
 
 

@@ -115,7 +115,7 @@ def _add_abort_on_drift(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_tolerance(parser: argparse.ArgumentParser, example: str) -> None:
+def _add_tolerance(parser: argparse.ArgumentParser) -> None:
     """Repeatable ``--tolerance METRIC=REL``; ``args.tolerance`` is a
     list of ``(metric, relative)`` pairs ready for ``dict()``."""
 
@@ -130,14 +130,14 @@ def _add_tolerance(parser: argparse.ArgumentParser, example: str) -> None:
             # own usage message; this reaches main()'s boundary instead.
             raise ObservabilityError(
                 f"bad --tolerance {spec!r} (want metric=relative, "
-                f"e.g. {example})"
+                "e.g. energy_j=1e-3)"
             ) from None
 
     parser.add_argument(
         "--tolerance", action="append", default=[], type=pair,
         metavar="METRIC=REL",
         help="override a metric's relative tolerance (repeatable), "
-        f"e.g. --tolerance {example}",
+        "e.g. --tolerance energy_j=1e-3",
     )
 
 
@@ -526,32 +526,6 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
     print(f"callgrind profile: {paths['callgrind']} (kcachegrind)")
     print(f"chrome trace:      {paths['chrome']} (chrome://tracing, Perfetto)")
     return 0
-
-
-def _cmd_obs_perf_diff(args: argparse.Namespace) -> int:
-    from repro.obs.perfdiff import (
-        BENCH_FABRIC_FILENAME,
-        BENCH_SIM_FILENAME,
-        compare_perf,
-        format_perf_table,
-        has_perf_regression,
-        load_snapshot,
-        perf_snapshot,
-    )
-
-    default_name = (
-        BENCH_FABRIC_FILENAME if args.kind == "fabric" else BENCH_SIM_FILENAME
-    )
-    baseline_path = args.baseline or f"benchmarks/{default_name}"
-    baseline = load_snapshot(baseline_path)
-    fresh = perf_snapshot(args.kind, best_of=args.best_of)
-    rows = compare_perf(
-        baseline, fresh, tolerances=dict(args.tolerance) or None
-    )
-    print(f"baseline: {baseline_path} ({baseline.get('platform', '?')})")
-    print(format_perf_table(rows))
-    # Non-zero on an events/sec regression so CI can gate on engine speed.
-    return 1 if has_perf_regression(rows) else 0
 
 
 def _cmd_theorem(args: argparse.Namespace) -> int:
@@ -1140,7 +1114,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="trace directory (containing journal.jsonl) or a .jsonl file",
     )
-    _add_tolerance(p, example="energy_j=1e-3")
+    _add_tolerance(p)
     p.set_defaults(func=_cmd_obs_diff)
 
     p = obs_sub.add_parser(
@@ -1210,29 +1184,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="how many hottest components to print",
     )
     p.set_defaults(func=_cmd_obs_profile)
-
-    p = obs_sub.add_parser(
-        "perf-diff",
-        help="re-run a committed perf sweep and compare events/sec against "
-        "benchmarks/BENCH_*.json (exit 1 on regression beyond tolerance "
-        "— the CI perf gate)",
-    )
-    p.add_argument(
-        "--kind", choices=("sim", "fabric"), default="sim",
-        help="which committed snapshot to gate against (default: sim)",
-    )
-    p.add_argument(
-        "--baseline", default=None,
-        help="snapshot JSON to compare against (default: "
-        "benchmarks/BENCH_<kind>.json relative to the working directory)",
-    )
-    p.add_argument(
-        "--best-of", type=int, default=1, metavar="N",
-        help="run the sweep N times and compare the fastest attempt "
-        "(suppresses machine noise)",
-    )
-    _add_tolerance(p, example="events_per_second.median=0.3")
-    p.set_defaults(func=_cmd_obs_perf_diff)
 
     return parser
 

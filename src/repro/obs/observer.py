@@ -3,8 +3,8 @@
 :class:`Observer` is the no-op base — and the *default*. Every hook is
 an empty method, spans are one shared do-nothing context manager, and
 the hot paths gate on :attr:`Observer.enabled` before computing any
-event field, so an untraced run pays essentially nothing
-(``benchmarks/test_obs_overhead.py`` holds the overhead under 2 %).
+event field, so an untraced run enters no instrumentation frame per
+simulated event (``tests/obs/test_overhead_frames.py`` counts them).
 
 :class:`JournalObserver` writes events to one JSONL file — the form a
 process-pool worker uses, appending to its own ``worker-<pid>.jsonl``.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+
 import pytest
 
 from repro.net.topology import TestbedConfig, build_testbed
@@ -29,3 +32,31 @@ def testbed_1500(sim):
 def make_testbed(sim, **overrides):
     """Helper for tests that need custom testbed parameters."""
     return build_testbed(sim, TestbedConfig(**overrides))
+
+
+def count_calls(fn, *args, **kwargs):
+    """Run ``fn``; return its result and how often each code object's
+    frame was entered (``{code: calls}``).
+
+    The perf gates' one instrument: Python frames are exact and repeat
+    on any machine, unlike wall time. Garbage collection is off for the
+    call so finalizers cannot add frames at allocation-dependent points.
+    """
+    calls = {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            calls[code] = calls.get(code, 0) + 1
+
+    gc_was_enabled = gc.isenabled()
+    outer_profile = sys.getprofile()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(outer_profile)
+        if gc_was_enabled:
+            gc.enable()
+    return result, calls

@@ -444,8 +444,6 @@ class TestErrorBoundary:
             ["obs", "snapshot", "{missing}"],
             ["obs", "diff", "{missing}.json", "{missing}"],
             ["obs", "watch", "--once", "{missing}"],
-            ["obs", "perf-diff", "--baseline", "{missing}.json"],
-            ["obs", "perf-diff", "--tolerance", "no-equals-sign"],
             ["fig1", "--abort-on-drift", "{missing}.json"],
         ],
         ids=lambda argv: " ".join(argv[:2]),

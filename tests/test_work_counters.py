@@ -1,0 +1,157 @@
+"""The perf gate: exact work counters, one pinned set per workload shape.
+
+These are counts, not timings: Python frames entered in the functions
+that *are* the simulator's work, on four runs shaped like the four
+``bench/`` workloads. They repeat exactly on every machine and Python
+version, so a change that moves one either meant to (update the number
+and say why in the PR) or made the hot path do more work than it needs
+to. Wall time is reported by ``python -m bench`` / ``bench compare``
+and asserted nowhere in tier-1.
+"""
+
+import pytest
+
+from repro.cc.registry import algorithm_names, get_class
+from repro.core.allocation import FAIR_PLAN_NAME, fig1_allocations
+from repro.energy.cpu import CpuPackage
+from repro.figures.fig1 import DEFAULT_CAPACITY_BPS
+from repro.figures.grid import run_cca_mtu_grid
+from repro.harness.cache import ResultCache
+from repro.harness.experiment import scenario_from_plan
+from repro.harness.runner import run_once
+from repro.obs.journal import read_journal
+from repro.obs.telemetry import read_telemetry
+from repro.sim.engine import Event, Simulator
+from repro.tcp.sender import TcpSender
+
+from tests.conftest import count_calls
+from tests.harness.test_fabric_determinism import fabric_scenario
+from tests.tcp.test_wakeup_oracle import SCENARIOS
+
+#: counter -> the functions whose entered frames it sums
+COUNTED = {
+    "segments": [TcpSender._send_packet],
+    "acks": [TcpSender._handle_packet],
+    "heap_pushes": [Simulator.schedule_at],
+    "cancels": [Event.cancel],
+    "try_send_entries": [TcpSender._try_send],
+    # every registered CCA's on_ack; one that chains to its parent's
+    # (bbr2, westwood) enters two frames per ACK, and that is work too
+    "cca_on_ack": {
+        vars(cls)["on_ack"]
+        for name in algorithm_names()
+        for cls in get_class(name).__mro__
+        if "on_ack" in vars(cls)
+    },
+    "energy_samples": [CpuPackage.flush],
+}
+
+
+def work(calls):
+    """The pinned counters out of one :func:`count_calls` tally."""
+    return {
+        counter: sum(calls.get(fn.__code__, 0) for fn in functions)
+        for counter, functions in COUNTED.items()
+    }
+
+
+_FIG1_FAIR_PLAN = next(
+    plan
+    for plan in fig1_allocations(400_000, DEFAULT_CAPACITY_BPS, (0.5,))
+    if plan.name == FAIR_PLAN_NAME
+)
+
+#: shape -> (scenario, seed), each named after the bench workload it
+#: is the small version of
+RUNS = {
+    # two 400 kB CUBIC flows at the fair share: the scenario
+    # `make obs-diff` replays
+    "dumbbell_sweep": (scenario_from_plan("fig1-fair", _FIG1_FAIR_PLAN), 0),
+    # eight CCAs through a five-packet drop-tail buffer: SACK churn,
+    # fast retransmit, RTO re-arm
+    "lossy_mix": (SCENARIOS["lossy_mix"], 3),
+    # 1000 DCTCP rpc flows on a 64-host leaf-spine fabric
+    "fabric_datacenter": (fabric_scenario("fair"), 0),
+}
+
+PINNED = {
+    "dumbbell_sweep": {
+        "segments": 90,
+        "acks": 46,
+        # 7.1 per segment: serialisation and propagation on each link
+        # hop (the segment's, and its share of an ACK's), NIC drains,
+        # and what is left of the timers
+        "heap_pushes": 643,
+        # ~0 per ACK: RTO and delayed-ACK timers re-arm in place
+        "cancels": 3,
+        # 1.2 per ACK: one per ACK, one per start, and only the qdisc
+        # drains that found the sender blocked by the qdisc
+        "try_send_entries": 54,
+        "cca_on_ack": 46,
+        "energy_samples": 6,
+    },
+    "lossy_mix": {
+        "segments": 504,
+        "acks": 300,
+        "heap_pushes": 3325,
+        "cancels": 18,
+        "try_send_entries": 391,
+        # under half the ACKs: duplicates and recovery ACKs do not
+        # reach cong_avoid
+        "cca_on_ack": 123,
+        "energy_samples": 56,
+    },
+    "fabric_datacenter": {
+        "segments": 1020,
+        "acks": 1000,
+        "heap_pushes": 18138,
+        "cancels": 64,
+        # one per ACK and one per start: nothing here blocks on a qdisc
+        "try_send_entries": 2000,
+        "cca_on_ack": 1000,
+        "energy_samples": 192,
+    },
+    # one CCA x MTU cell traced cold into a cache, then replayed: the
+    # only shape where obs and the cache do any work
+    "cca_mtu_grid": {
+        "segments": 137,
+        "acks": 69,
+        "heap_pushes": 965,
+        "cancels": 2,
+        "try_send_entries": 70,
+        "cca_on_ack": 69,
+        "energy_samples": 3,
+        "journal_events": 12,
+        "telemetry_records": 8,
+        "replay_work": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("shape", sorted(RUNS))
+def test_run_work_counters(shape):
+    scenario, seed = RUNS[shape]
+    _, calls = count_calls(run_once, scenario, seed)
+    assert work(calls) == PINNED[shape]
+
+
+def test_grid_cell_cold_then_replayed_work_counters(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    trace = tmp_path / "trace"
+
+    def cell(**kwargs):
+        return run_cca_mtu_grid(
+            transfer_bytes=200_000, mtus=(1500,), ccas=("cubic",),
+            repetitions=1, cache_dir=cache, **kwargs,
+        )
+
+    cold, cold_calls = count_calls(cell, observer=trace)
+    replayed, replay_calls = count_calls(cell)
+    assert replayed == cold
+    assert {
+        **work(cold_calls),
+        "journal_events": len(read_journal(trace)),
+        "telemetry_records": len(read_telemetry(trace)),
+        # a replay that simulates anything at all shows here
+        "replay_work": sum(work(replay_calls).values()),
+    } == PINNED["cca_mtu_grid"]
