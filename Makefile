@@ -1,18 +1,26 @@
-# Developer entry points. `make check` is the full gate CI runs:
-# tier-1 tests, the domain linter, and (when installed) ruff + mypy.
+# Developer entry points. `make check` is the code gate CI runs: tier-1
+# tests, the benchmark's contract tests (bench-check), the domain linter,
+# and (when installed) ruff + mypy. Beyond it CI replays the three
+# committed behaviour baselines and fails on drift: `make obs-diff`,
+# `make fabric-obs-diff` and `make pareto` (plus artifact-only steps:
+# sarif, the obs watch smoke, obs-profile).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check test bench-check loc lint lint-baseline sarif ruff mypy bench obs-bench obs-profile baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
 
-check: test lint ruff mypy
+check: test bench-check lint ruff mypy
 
 test:
 	$(PYTHON) -m pytest -x -q
 
-# the benchmark's own tests (not tier-1): a refactor that breaks a name
-# or option bench/ depends on fails here, not at measurement time
+# the benchmark's own tests (not tier-1, ~25 s): a refactor that inlines
+# away or renames a function bench/trace.py counts frames of
+# (Simulator.schedule_at, Event.cancel, Switch.receive,
+# TcpSender._send_packet/_handle_packet/_on_rto, CpuPackage.flush) or a
+# name or option bench/layers.py builds with fails here, not at
+# measurement time
 bench-check:
 	$(PYTHON) -m pytest bench/tests -q
 

@@ -62,19 +62,9 @@ class CpuPackage:
         self._retransmissions = 0
 
     # -- accumulation ------------------------------------------------------
-
-    def account_packet(self, wire_bytes: int) -> None:
-        """Charge one packet event of ``wire_bytes`` to this package."""
-        self._wire_bytes += wire_bytes
-        self._packet_events += 1
-
-    def account_cc(self, cost_units: float) -> None:
-        """Charge congestion-control computation."""
-        self._cc_units += cost_units
-
-    def account_retransmission(self) -> None:
-        """Charge one retransmission event."""
-        self._retransmissions += 1
+    # The open interval's activity (_wire_bytes, _packet_events,
+    # _cc_units, _retransmissions) is added to in place by the owning
+    # CpuModel's listener hooks, so a stack event costs one frame.
 
     def set_background_load(self, load: float) -> None:
         """Change the `stress` load fraction (flushes the open interval)."""
@@ -177,20 +167,26 @@ class CpuModel(HostListener):
         return pkg
 
     # -- HostListener ------------------------------------------------------
+    # Each hook charges the flow's package in place; package_for runs
+    # only for a flow not pinned yet.
 
     def on_packet_sent(self, host: Host, packet: Packet) -> None:
-        self.package_for(packet.flow_id).account_packet(packet.wire_bytes)
+        pkg = self._flow_pin.get(packet.flow_id) or self.package_for(packet.flow_id)
+        pkg._wire_bytes += packet.wire_bytes
+        pkg._packet_events += 1
 
-    def on_packet_received(self, host: Host, packet: Packet) -> None:
-        self.package_for(packet.flow_id).account_packet(packet.wire_bytes)
+    #: a packet event costs the same in either direction
+    on_packet_received = on_packet_sent
 
     def on_retransmit(self, host: Host, packet: Packet) -> None:
-        self.package_for(packet.flow_id).account_retransmission()
+        pkg = self._flow_pin.get(packet.flow_id) or self.package_for(packet.flow_id)
+        pkg._retransmissions += 1
 
     def on_cc_op(
         self, host: Host, algorithm: str, cost_units: float, flow_id: int
     ) -> None:
-        self.package_for(flow_id).account_cc(cost_units)
+        pkg = self._flow_pin.get(flow_id) or self.package_for(flow_id)
+        pkg._cc_units += cost_units
 
     # -- lifecycle ---------------------------------------------------------
 

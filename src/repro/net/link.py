@@ -1,7 +1,8 @@
 """Links and egress interfaces.
 
-A :class:`Link` is a unidirectional pipe with a fixed bit rate and
-propagation delay. An :class:`Interface` couples a queue to a link and
+A :class:`Link` describes a unidirectional pipe: a fixed bit rate, a
+propagation delay, an optional corruption rate, the receiving end and
+the wire's counters. An :class:`Interface` couples a queue to a link and
 implements the store-and-forward loop: if the link is idle a packet
 starts serializing immediately, otherwise it waits in the queue; when a
 serialization finishes, delivery is scheduled one propagation delay later
@@ -9,6 +10,10 @@ and the next packet (if any) starts.
 
 This is the classic ns-2 ``Queue + DelayLink`` decomposition and is the
 only place in the library where virtual time is consumed by data motion.
+Each packet costs each hop two events, and each of the two runs in one
+Python frame: :meth:`Interface._start_transmission` and
+:meth:`Interface._finish_transmission` do their whole stage themselves
+rather than through per-step helpers on the link.
 """
 
 from __future__ import annotations
@@ -38,6 +43,10 @@ class Link:
     each packet is independently dropped with that probability after
     serialization. Deterministic given ``loss_rng``; used by robustness
     tests and failure-injection experiments.
+
+    The link holds no behaviour of its own: the :class:`Interface` that
+    feeds it reads these attributes on every packet (so a test may make
+    a built link lossy) and keeps :attr:`counters`.
     """
 
     def __init__(
@@ -71,25 +80,6 @@ class Link:
     def connect(self, sink: PacketSink) -> None:
         """Attach the receiving end."""
         self.sink = sink
-
-    def serialization_time(self, packet: Packet) -> float:
-        """Seconds to clock ``packet`` onto the wire."""
-        return packet.wire_bytes * BITS_PER_BYTE / self.rate_bps
-
-    def deliver_after_serialization(self, packet: Packet) -> None:
-        """Schedule delivery at now + propagation delay.
-
-        Called by the interface when serialization completes; split out so
-        the interface owns the link-busy bookkeeping.
-        """
-        if self.sink is None:
-            raise NetworkConfigError(f"{self.name}: no sink connected")
-        self.counters["tx_packets"] += 1.0
-        self.counters["tx_bytes"] += packet.wire_bytes
-        if self.loss_rate > 0 and self.loss_rng.random() < self.loss_rate:
-            self.counters["corrupted"] += 1.0
-            return  # bit error: the frame dies on the wire
-        self.sim.schedule(self.delay_s, self.sink.receive, packet)
 
 
 class Interface:
@@ -144,7 +134,9 @@ class Interface:
 
     def enqueue(self, packet: Packet) -> bool:
         """Submit a packet for transmission. Returns False if dropped."""
-        if not self._busy and self.queue.empty:
+        # An idle interface has an empty queue: only _finish_transmission
+        # clears _busy, and only when nothing was left to dequeue.
+        if not self._busy:
             self._start_transmission(packet)
             return True
         accepted = self.queue.enqueue(packet)
@@ -155,22 +147,44 @@ class Interface:
         return accepted
 
     def _start_transmission(self, packet: Packet) -> None:
+        """Serialization stage: hold the link for the packet's wire time."""
         self._busy = True
         if self.on_dequeue is not None:
             self.on_dequeue(packet)
+        sim = self.sim
+        link = self.link
         self._tx_bytes_total += packet.wire_bytes
         if self.int_telemetry and not packet.is_ack:
             packet.int_qlen_bytes = self.queue.occupancy_bytes
             packet.int_tx_bytes = self._tx_bytes_total
-            packet.int_timestamp = self.sim.now
-            packet.int_link_rate_bps = self.link.rate_bps
-        hold = max(self.link.serialization_time(packet), self.min_packet_gap_s)
-        self.sim.schedule(hold, self._finish_transmission, packet)
+            packet.int_timestamp = sim.now
+            packet.int_link_rate_bps = link.rate_bps
+        hold = max(
+            packet.wire_bytes * BITS_PER_BYTE / link.rate_bps,
+            self.min_packet_gap_s,
+        )
+        sim.schedule_at(sim.now + hold, self._finish_transmission, packet)
 
     def _finish_transmission(self, packet: Packet) -> None:
-        self.link.deliver_after_serialization(packet)
+        """Delivery stage: the frame is on the wire; one propagation delay
+        later it reaches the sink, unless a bit error kills it. Then the
+        next queued packet, if any, starts serializing."""
+        sim = self.sim
+        link = self.link
+        sink = link.sink
+        if sink is None:
+            raise NetworkConfigError(f"{link.name}: no sink connected")
+        wire = link.counters
+        wire["tx_packets"] += 1.0
+        wire["tx_bytes"] += packet.wire_bytes
+        if link.loss_rate > 0 and link.loss_rng.random() < link.loss_rate:
+            wire["corrupted"] += 1.0
+        else:
+            sim.schedule_at(sim.now + link.delay_s, sink.receive, packet)
         self.counters["tx_packets"] += 1.0
-        nxt = self.queue.dequeue()
+        # an empty queue is not asked: most departures leave nothing behind
+        queue = self.queue
+        nxt = queue.dequeue() if queue.occupancy_bytes else None
         if nxt is not None:
             self._start_transmission(nxt)
         else:

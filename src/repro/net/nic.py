@@ -8,8 +8,8 @@ across them.
 
 The paced transmit path (``tx_packet_gap_s > 0``) is demand-driven. A
 ``_drain`` event exists only while something waits: each drain
-dispatches one packet, wakes the drain listeners (TCP senders; only the
-ones the qdisc blocked do any work) and schedules the next drain one
+dispatches one packet, wakes the drain listeners (TCP senders) *if one
+of them asked to be woken* and schedules the next drain one
 gap later *if the qdisc still holds a packet*. After the last packet it
 just records the earliest next transmit time, so an idle NIC leaves
 nothing in the event heap; the next :meth:`Nic.send` dispatches at once
@@ -21,7 +21,7 @@ gap whether or not anything is queued.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.errors import NetworkConfigError
 from repro.net.link import Interface
@@ -78,8 +78,19 @@ class Nic:
         #: earliest instant the next packet may leave (last departure + gap)
         self._next_tx_time = 0.0
         self._phantom_slots = 0
-        self._flow_backlog: dict = {}
+        #: flow id -> bytes that flow has waiting in the host qdisc (no
+        #: entry when it has none); only the NIC writes it. TCP Small
+        #: Queues reads it once per segment, hence a public attribute
+        #: (:meth:`flow_backlog_bytes` is the same lookup as a call).
+        self.flow_backlog: Dict[int, int] = {}
         self._drain_listeners: List[Callable[[], None]] = []
+        #: wake-ups asked for since the listeners last ran. A listener
+        #: whose send stopped on this qdisc adds one; the next drain that
+        #: dispatches a packet zeroes it and runs *every* listener, in
+        #: registration order, and those still blocked ask again. Zeroed
+        #: rather than counted down, so a stale request costs one spare
+        #: round of wake-ups and a lost one cannot happen.
+        self.drain_waiters = 0
         self.counters = CounterSet()
         #: invoked for every packet handed to the NIC — energy accounting hook
         self.on_send: Optional[Callable[[Packet], None]] = None
@@ -93,11 +104,12 @@ class Nic:
 
     def flow_backlog_bytes(self, flow_id: int) -> int:
         """Bytes a specific flow has sitting in the host qdisc."""
-        return self._flow_backlog.get(flow_id, 0)
+        return self.flow_backlog.get(flow_id, 0)
 
     def add_drain_listener(self, callback: Callable[[], None]) -> None:
-        """Invoke ``callback`` whenever the qdisc drains a packet — the
-        wakeup TCP Small Queues uses to resume a backpressured sender."""
+        """Invoke ``callback`` when the qdisc drains a packet while
+        :attr:`drain_waiters` is non-zero — the wakeup TCP Small Queues
+        uses to resume a backpressured sender."""
         self._drain_listeners.append(callback)
 
     @property
@@ -139,9 +151,8 @@ class Nic:
             self.counters["qdisc_drops"] += 1.0
             return False
         self._txq.append(packet)
-        self._flow_backlog[packet.flow_id] = (
-            self._flow_backlog.get(packet.flow_id, 0) + packet.size_bytes
-        )
+        backlog = self.flow_backlog
+        backlog[packet.flow_id] = backlog.get(packet.flow_id, 0) + packet.size_bytes
         if not self._draining:
             self._draining = True
             assert self.sim is not None  # guaranteed by constructor check
@@ -160,24 +171,27 @@ class Nic:
         return accepted
 
     def _drain(self) -> None:
+        sim = self.sim
+        assert sim is not None  # guaranteed by constructor check
         if self._phantom_slots > 0:
             # Burn a transmit slot on work the qdisc already discarded.
             self._phantom_slots -= 1
-            assert self.sim is not None
-            self.sim.schedule(self.tx_packet_gap_s, self._drain)
+            sim.schedule_at(sim.now + self.tx_packet_gap_s, self._drain)
             return
         packet = self._txq.popleft()
-        backlog = self._flow_backlog.get(packet.flow_id, 0) - packet.size_bytes
-        if backlog > 0:
-            self._flow_backlog[packet.flow_id] = backlog
+        backlog = self.flow_backlog
+        left = backlog.get(packet.flow_id, 0) - packet.size_bytes
+        if left > 0:
+            backlog[packet.flow_id] = left
         else:
-            self._flow_backlog.pop(packet.flow_id, None)
+            backlog.pop(packet.flow_id, None)
         self._dispatch(packet)
-        for callback in self._drain_listeners:
-            callback()
-        assert self.sim is not None  # guaranteed by constructor check
+        if self.drain_waiters:
+            self.drain_waiters = 0
+            for callback in self._drain_listeners:
+                callback()
         if self._txq:
-            self.sim.schedule(self.tx_packet_gap_s, self._drain)
+            sim.schedule_at(sim.now + self.tx_packet_gap_s, self._drain)
         else:
-            self._next_tx_time = self.sim.now + self.tx_packet_gap_s
+            self._next_tx_time = sim.now + self.tx_packet_gap_s
             self._draining = False

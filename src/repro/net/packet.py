@@ -44,8 +44,11 @@ class Packet:
     seq:
         For data segments, the byte offset of the first payload byte.
     payload_bytes:
-        TCP payload length (0 for a pure ACK). Fixed at construction:
-        ``size_bytes`` and ``wire_bytes`` are derived from it once.
+        TCP payload length (0 for a pure ACK). ``seq`` and
+        ``payload_bytes`` are fixed at construction: ``end_seq``,
+        ``size_bytes`` and ``wire_bytes`` are derived from them once.
+    end_seq:
+        One past the last payload byte (== ``seq`` for pure ACKs).
     size_bytes:
         IP packet size: payload plus TCP/IP headers.
     wire_bytes:
@@ -68,6 +71,7 @@ class Packet:
         "dst",
         "seq",
         "payload_bytes",
+        "end_seq",
         "size_bytes",
         "wire_bytes",
         "is_ack",
@@ -127,6 +131,7 @@ class Packet:
         self.dst = dst
         self.seq = seq
         self.payload_bytes = payload_bytes
+        self.end_seq = seq + payload_bytes
         # every queue, link and counter on the path reads these, several
         # times per hop
         self.size_bytes = payload_bytes + TCP_IP_HEADER_BYTES
@@ -150,11 +155,6 @@ class Packet:
         self.packet_id = (
             next(_packet_ids) if packet_id is None else packet_id
         )
-
-    @property
-    def end_seq(self) -> int:
-        """One past the last payload byte (== seq for pure ACKs)."""
-        return self.seq + self.payload_bytes
 
     def describe(self) -> str:
         """Short human-readable form for traces and test failures."""

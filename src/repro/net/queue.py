@@ -30,7 +30,10 @@ class DropTailQueue:
         self.capacity_bytes = capacity_bytes
         self.name = name
         self._items: Deque[Packet] = deque()
-        self._occupancy = 0
+        #: bytes currently queued; only the queue writes it. A plain
+        #: attribute because the interface reads it on every departure
+        #: (zero means empty: no packet is smaller than its headers).
+        self.occupancy_bytes = 0
         self.counters = CounterSet()
         #: telemetry clock source; queues have no simulator reference of
         #: their own, so topology builders attach one for the queues
@@ -45,12 +48,13 @@ class DropTailQueue:
         """
         self._probe_sim = sim
 
-    def _probe_depth(self) -> None:
-        sim = self._probe_sim
-        if sim is not None and sim.probe_sink.enabled:
-            sim.probe_sink.sample(
-                sim.now, QUEUE_DEPTH_CHANNEL, self.name, float(self._occupancy)
-            )
+    def _probe_depth(self, sim: "Simulator") -> None:
+        """Sample the depth. Runs on every enqueue and dequeue, so call
+        sites test "attached and collecting" before spending a frame on
+        it: the bottleneck queue is always attached, mostly unobserved."""
+        sim.probe_sink.sample(
+            sim.now, QUEUE_DEPTH_CHANNEL, self.name, float(self.occupancy_bytes)
+        )
 
     def _probe_drop(self) -> None:
         sim = self._probe_sim
@@ -61,11 +65,6 @@ class DropTailQueue:
             )
 
     # -- state ----------------------------------------------------------
-
-    @property
-    def occupancy_bytes(self) -> int:
-        """Bytes currently queued."""
-        return self._occupancy
 
     def __len__(self) -> int:
         return len(self._items)
@@ -105,25 +104,29 @@ class DropTailQueue:
         return self._dequeue()
 
     def _enqueue(self, packet: Packet) -> bool:
-        if self._occupancy + packet.size_bytes > self.capacity_bytes:
+        if self.occupancy_bytes + packet.size_bytes > self.capacity_bytes:
             self.counters["drops"] += 1.0
             self.counters["dropped_bytes"] += packet.size_bytes
             self._probe_drop()
             return False
         self._mark(packet)
         self._items.append(packet)
-        self._occupancy += packet.size_bytes
+        self.occupancy_bytes += packet.size_bytes
         self.counters["enqueued"] += 1.0
-        self._probe_depth()
+        sim = self._probe_sim
+        if sim is not None and sim.probe_sink.enabled:
+            self._probe_depth(sim)
         return True
 
     def _dequeue(self) -> Optional[Packet]:
         if not self._items:
             return None
         packet = self._items.popleft()
-        self._occupancy -= packet.size_bytes
+        self.occupancy_bytes -= packet.size_bytes
         self.counters["dequeued"] += 1.0
-        self._probe_depth()
+        sim = self._probe_sim
+        if sim is not None and sim.probe_sink.enabled:
+            self._probe_depth(sim)
         return packet
 
     # -- hooks ------------------------------------------------------------
@@ -186,7 +189,7 @@ class PriorityQueue(DropTailQueue):
     def _enqueue(self, packet: Packet) -> bool:
         arriving_prio = self._priority_of(packet)
         counters = self.counters
-        while self._occupancy + packet.size_bytes > self.capacity_bytes:
+        while self.occupancy_bytes + packet.size_bytes > self.capacity_bytes:
             victim_flow = self._least_urgent_flow()
             if (
                 victim_flow is None
@@ -197,7 +200,7 @@ class PriorityQueue(DropTailQueue):
                 self._probe_drop()
                 return False
             victim = self._flows[victim_flow].pop()  # newest of worst flow
-            self._occupancy -= victim.size_bytes
+            self.occupancy_bytes -= victim.size_bytes
             counters["drops"] += 1.0
             counters["evictions"] += 1.0
             counters["dropped_bytes"] += victim.size_bytes
@@ -205,9 +208,11 @@ class PriorityQueue(DropTailQueue):
         queue = self._flows.setdefault(packet.flow_id, deque())
         queue.append(packet)
         self._update_prio(packet.flow_id, arriving_prio)
-        self._occupancy += packet.size_bytes
+        self.occupancy_bytes += packet.size_bytes
         self.counters["enqueued"] += 1.0
-        self._probe_depth()
+        sim = self._probe_sim
+        if sim is not None and sim.probe_sink.enabled:
+            self._probe_depth(sim)
         return True
 
     def _dequeue(self) -> Optional[Packet]:
@@ -218,9 +223,11 @@ class PriorityQueue(DropTailQueue):
         if not self._flows[flow_id]:
             del self._flows[flow_id]
             del self._flow_prio[flow_id]
-        self._occupancy -= packet.size_bytes
+        self.occupancy_bytes -= packet.size_bytes
         self.counters["dequeued"] += 1.0
-        self._probe_depth()
+        sim = self._probe_sim
+        if sim is not None and sim.probe_sink.enabled:
+            self._probe_depth(sim)
         return packet
 
     def __len__(self) -> int:
@@ -256,6 +263,9 @@ class EcnQueue(DropTailQueue):
         self.mark_threshold_bytes = mark_threshold_bytes
 
     def _mark(self, packet: Packet) -> None:
-        if packet.ecn_capable and self._occupancy >= self.mark_threshold_bytes:
+        if (
+            packet.ecn_capable
+            and self.occupancy_bytes >= self.mark_threshold_bytes
+        ):
             packet.ecn_marked = True
             self.counters["ecn_marks"] += 1.0

@@ -135,6 +135,7 @@ class Switch:
         """Forward an arriving packet to its output port."""
         self.counters["rx_packets"] += 1.0
         self.counters["rx_bytes"] += packet.size_bytes
-        port = self.port_for_packet(packet)
+        # an exact route is one dict hit; ECMP goes through the lookup
+        port = self._ports.get(packet.dst) or self.port_for_packet(packet)
         if not port.enqueue(packet):
             self.counters["forward_drops"] += 1.0

@@ -26,6 +26,13 @@ Design notes
   ``max_events``, or when a callback calls :meth:`Simulator.stop` — which
   is how a driver that *counts* completions ends the run on the event
   that finished the last flow, with the clock left at that event.
+* The clock, :attr:`Simulator.now`, is a plain attribute the loop
+  writes: every callback reads it, most several times, so a property
+  would cost more frames than the dispatch itself. Only the kernel
+  assigns it. A push costs two frames, :meth:`Simulator.schedule_at`
+  and ``Event.__init__``; per-packet code calls
+  ``schedule_at(sim.now + delay, ...)`` and :meth:`Simulator.schedule`
+  is the checked convenience on top for everything else.
 * :meth:`Simulator.step` is ``run(max_events=1)`` for tests and
   single-stepping by hand; nothing in the library drives a simulation
   with it.
@@ -114,12 +121,15 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: current virtual time in seconds; written by :meth:`run` only
+        self.now = 0.0
+        #: events executed so far (for diagnostics); :meth:`run` tallies
+        #: in a local and stores the total when it returns
+        self.events_executed = 0
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._running = False
         self._stop_requested = False
-        self._events_executed = 0
         #: cancelled-but-not-yet-popped heap entries (lazy deletion)
         self._dead_in_queue = 0
         #: where instrumented components (TCP senders, queues, CPU
@@ -134,17 +144,7 @@ class Simulator:
         #: per-event-type counts and component enter/exit marks.
         self.profiler: HotPathProfiler = NULL_PROFILER
 
-    # -- clock --------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
-    @property
-    def events_executed(self) -> int:
-        """Number of events executed so far (for diagnostics)."""
-        return self._events_executed
+    # -- queue state --------------------------------------------------
 
     @property
     def pending_events(self) -> int:
@@ -179,13 +179,13 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay:.9f}s in the past")
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callback, *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time:.9f} before now={self._now:.9f}"
+                f"cannot schedule at t={time:.9f} before now={self.now:.9f}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -197,9 +197,9 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the next live event. Returns False if the queue is empty."""
-        before = self._events_executed
+        before = self.events_executed
         self.run(max_events=1)
-        return self._events_executed > before
+        return self.events_executed > before
 
     def stop(self) -> None:
         """End the current :meth:`run` once the executing event returns.
@@ -230,14 +230,15 @@ class Simulator:
         self._running = True
         self._stop_requested = False
         horizon = float("inf") if until is None else until
-        budget = (
-            float("inf") if max_events is None
-            else self._events_executed + max_events
-        )
+        executed = self.events_executed
+        budget = float("inf") if max_events is None else executed + max_events
         queue = self._queue
         pop = heapq.heappop
+        # the profiler is attached before the run, never during it
+        profiler = self.profiler
+        profiling = profiler.enabled
         try:
-            while queue and self._events_executed < budget:
+            while queue and executed < budget:
                 time, _, event = queue[0]
                 if event.cancelled:
                     pop(queue)
@@ -247,15 +248,14 @@ class Simulator:
                 if time > horizon:
                     break
                 pop(queue)
-                self._now = time
+                self.now = time
                 # consumed: drop the heap back-reference *before* marking
                 # cancelled so a later cancel() neither double-counts nor
                 # touches the tally
                 event.sim = None
                 event.cancelled = True
-                self._events_executed += 1
-                profiler = self.profiler
-                if profiler.enabled:
+                executed += 1
+                if profiling:
                     key = dispatch_key(event.callback)
                     profiler.count(EVENTS_DISPATCHED)
                     profiler.enter(key)
@@ -267,12 +267,13 @@ class Simulator:
                     event.callback(*event.args)
                 if self._stop_requested:
                     break
-            out_of_budget = bool(queue) and self._events_executed >= budget
+            out_of_budget = bool(queue) and executed >= budget
             if until is not None and not (self._stop_requested or out_of_budget):
-                self._now = max(self._now, until)
+                self.now = max(self.now, until)
         finally:
+            self.events_executed = executed
             self._running = False
-        return self._now
+        return self.now
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or None if the queue is empty."""

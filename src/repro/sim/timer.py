@@ -40,27 +40,24 @@ class Timer:
         self._sim = sim
         self._callback = callback
         self._args = args
-        #: absolute time the callback is due; None while unarmed
-        self._deadline: Optional[float] = None
+        #: the deadline: absolute virtual time the callback is due, None
+        #: while unarmed. Only the timer writes it; per-packet code tests
+        #: ``timer.expiry is None`` rather than pay a frame for `pending`.
+        self.expiry: Optional[float] = None
         #: the one heap entry, which never lies later than the deadline
         self._event: Optional[Event] = None
 
     @property
     def pending(self) -> bool:
         """Whether the timer is armed and has not yet fired."""
-        return self._deadline is not None
-
-    @property
-    def expiry(self) -> Optional[float]:
-        """Absolute virtual time the timer will fire, or None if unarmed."""
-        return self._deadline
+        return self.expiry is not None
 
     def start(self, delay: float) -> None:
         """Arm (or re-arm) the timer ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"timer delay must be >= 0, got {delay}")
         deadline = self._sim.now + delay
-        self._deadline = deadline
+        self.expiry = deadline
         event = self._event
         if event is not None:
             if event.time <= deadline:
@@ -70,17 +67,17 @@ class Timer:
 
     def stop(self) -> None:
         """Disarm the timer if armed; a no-op otherwise."""
-        self._deadline = None
+        self.expiry = None
 
     def _wake(self) -> None:
         self._event = None
-        deadline = self._deadline
+        deadline = self.expiry
         if deadline is None:
             return
         if deadline > self._sim.now:
             self._event = self._sim.schedule_at(deadline, self._wake)
             return
-        self._deadline = None
+        self.expiry = None
         self._callback(*self._args)
 
 

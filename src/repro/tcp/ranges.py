@@ -9,19 +9,26 @@ outstanding bytes the peer has selectively acknowledged.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import Iterator, List, Tuple
 
 Interval = Tuple[int, int]
 
 
 class RangeSet:
-    """A set of disjoint, sorted, half-open byte intervals."""
+    """A set of disjoint, sorted, half-open byte intervals.
+
+    Intervals that touch are merged, so both the starts and the ends are
+    strictly increasing, and ``bisect`` on ``(x, x)`` — which sorts just
+    before any interval starting at ``x`` — locates any byte.
+    """
 
     def __init__(self) -> None:
         self._intervals: List[Interval] = []
-        #: sum of interval lengths, kept current by add() and trim_below()
-        self._total = 0
+        #: sum of interval lengths, kept current by add() and
+        #: trim_below(); zero exactly when the set is empty. A plain
+        #: attribute: both TCP ends test it on every packet.
+        self.total_bytes = 0
 
     def __len__(self) -> int:
         return len(self._intervals)
@@ -32,11 +39,6 @@ class RangeSet:
     def __bool__(self) -> bool:
         return bool(self._intervals)
 
-    @property
-    def total_bytes(self) -> int:
-        """Sum of interval lengths."""
-        return self._total
-
     def add(self, start: int, end: int) -> int:
         """Insert ``[start, end)``, merging overlaps.
 
@@ -46,23 +48,22 @@ class RangeSet:
         """
         if end <= start:
             raise ValueError(f"empty/negative range [{start}, {end})")
-        merged_start, merged_end = start, end
+        intervals = self._intervals
+        # the slice [lo, hi) of intervals that overlap or touch the new
+        # one; everything outside it stays where it is
+        lo = bisect_left(intervals, (start, start))
+        if lo and intervals[lo - 1][1] >= start:
+            lo -= 1
+        hi = bisect_left(intervals, (end + 1, end + 1), lo)
         absorbed = 0  # bytes the intervals merged away already covered
-        # the rebuild-into-a-fresh-list is the merge algorithm itself,
-        # not an incidental allocation; interval counts stay small (SACK
-        # scoreboards hold a handful of holes)
-        keep: List[Interval] = []  # simlint: ignore[perf-alloc-in-hot-path]
-        for s, e in self._intervals:
-            if e < merged_start or s > merged_end:
-                keep.append((s, e))
-            else:
+        if lo < hi:
+            for s, e in intervals[lo:hi]:
                 absorbed += e - s
-                merged_start = min(merged_start, s)
-                merged_end = max(merged_end, e)
-        insort(keep, (merged_start, merged_end))
-        self._intervals = keep
-        newly = merged_end - merged_start - absorbed
-        self._total += newly
+            start = min(start, intervals[lo][0])
+            end = max(end, intervals[hi - 1][1])
+        intervals[lo:hi] = ((start, end),)
+        newly = end - start - absorbed
+        self.total_bytes += newly
         return newly
 
     def contains(self, start: int, end: int) -> bool:
@@ -90,17 +91,20 @@ class RangeSet:
 
     def trim_below(self, point: int) -> None:
         """Discard coverage below ``point`` (bytes cumulatively ACKed)."""
-        # rebuild is the algorithm; interval counts stay small
-        out: List[Interval] = []  # simlint: ignore[perf-alloc-in-hot-path]
-        for s, e in self._intervals:
-            if e <= point:
-                self._total -= e - s
-                continue
-            if s < point:
-                self._total -= point - s
-                s = point
-            out.append((s, e))
-        self._intervals = out
+        intervals = self._intervals
+        if not intervals or intervals[0][0] >= point:
+            return
+        # intervals[:cut] start below the point; only the last of them
+        # can reach past it
+        cut = bisect_left(intervals, (point, point))
+        s, e = intervals[cut - 1]
+        if e > point:
+            cut -= 1
+            intervals[cut] = (point, e)
+            self.total_bytes -= point - s
+        for s, e in intervals[:cut]:
+            self.total_bytes -= e - s
+        del intervals[:cut]
 
     def blocks_above(self, point: int, limit: int = 3) -> Tuple[Interval, ...]:
         """Up to ``limit`` intervals entirely above ``point``.
@@ -111,6 +115,8 @@ class RangeSet:
         approximation — and it is what lets the sender's scoreboard learn
         the full extent of a burst quickly.
         """
-        # builds the SACK block tuple for one ACK; bounded by `limit`
-        out = [iv for iv in self._intervals if iv[0] > point]  # simlint: ignore[perf-alloc-in-hot-path]
-        return tuple(out[-limit:])
+        intervals = self._intervals
+        if not intervals:
+            return ()
+        above = intervals[bisect_left(intervals, (point + 1, point + 1)):]
+        return tuple(above[-limit:])

@@ -96,21 +96,28 @@ class TcpReceiver:
             self.counters["stray_acks"] += 1.0
             return
         self.counters["segments"] += 1.0
-        out_of_order = packet.seq > self.rcv_nxt
-        #: a non-empty reassembly queue means this segment may fill a gap,
-        #: which must be acknowledged immediately (RFC 5681 §4.2)
-        had_gap = bool(self.received)
-        duplicate = packet.end_seq <= self.rcv_nxt or self.received.contains(
-            packet.seq, packet.end_seq
-        )
-        newly = 0
-        if not duplicate:
-            newly = self.received.add(packet.seq, packet.end_seq)
+        received = self.received
+        seq = packet.seq
+        if seq == self.rcv_nxt and packet.payload_bytes and not received.total_bytes:
+            # Header prediction: the next in-order segment with nothing
+            # buffered (every segment of a loss-free transfer) goes
+            # straight to rcv_nxt and never touches the reassembly set.
+            self.rcv_nxt = packet.end_seq
+            self.bytes_received += packet.payload_bytes
+            must_ack_now = False
         else:
-            self.counters["duplicate_segments"] += 1.0
-        self.bytes_received += newly
-        self.rcv_nxt = self.received.first_missing_after(self.rcv_nxt)
-        self.received.trim_below(self.rcv_nxt)
+            end_seq = packet.end_seq
+            # out of order, a duplicate, or buffered data this segment
+            # may be filling a gap in: each must be acknowledged at once
+            # (RFC 5681 §4.2), which is what fast retransmit keys on
+            must_ack_now = seq > self.rcv_nxt or bool(received.total_bytes)
+            if end_seq <= self.rcv_nxt or received.contains(seq, end_seq):
+                self.counters["duplicate_segments"] += 1.0
+                must_ack_now = True
+            else:
+                self.bytes_received += received.add(seq, end_seq)
+            self.rcv_nxt = received.first_missing_after(self.rcv_nxt)
+            received.trim_below(self.rcv_nxt)
 
         ce_changed = packet.ecn_marked != self._ce_state
         self._ce_state = packet.ecn_marked
@@ -122,31 +129,26 @@ class TcpReceiver:
             self._last_int = packet
         self._unacked_segments += 1
 
-        must_ack_now = (
-            out_of_order
-            or duplicate
-            or had_gap
+        finished = (
+            self.expected_bytes is not None
+            and self.rcv_nxt >= self.expected_bytes
+        )
+        if (
+            must_ack_now
             or ce_changed
             or self._unacked_segments >= self.delack_segments
-            or self._transfer_finished()
-        )
-        if must_ack_now:
+            or finished
+        ):
             self._send_ack()
-        elif not self._delack_timer.pending:
+        elif self._delack_timer.expiry is None:
             self._delack_timer.start(DEFAULT_DELACK_TIMEOUT)
 
-        if self._transfer_finished() and self.completed_at is None:
+        if finished and self.completed_at is None:
             self.completed_at = self.sim.now
             for callback in self._on_complete:
                 callback(self.sim.now)
 
     # -- internals ----------------------------------------------------------
-
-    def _transfer_finished(self) -> bool:
-        return (
-            self.expected_bytes is not None
-            and self.rcv_nxt >= self.expected_bytes
-        )
 
     def _delack_expired(self) -> None:
         if self._unacked_segments > 0:
@@ -170,7 +172,12 @@ class TcpReceiver:
             dst=self.peer,
             is_ack=True,
             ack_seq=self.rcv_nxt,
-            sacks=self.received.blocks_above(self.rcv_nxt),
+            # nothing buffered, nothing to selectively acknowledge
+            sacks=(
+                self.received.blocks_above(self.rcv_nxt)
+                if self.received.total_bytes
+                else ()
+            ),
             ecn_echo=self._ce_state,
             ecn_marked_bytes=self._marked_bytes_pending,
             echo_time=self._pending_echo_time,

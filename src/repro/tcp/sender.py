@@ -59,6 +59,7 @@ class SegmentInfo:
     __slots__ = (
         "seq",
         "length",
+        "end_seq",
         "first_sent_time",
         "sent_time",
         "delivered_at_send",
@@ -82,6 +83,8 @@ class SegmentInfo:
     ) -> None:
         self.seq = seq
         self.length = length
+        #: one past the segment's last byte; seq and length never change
+        self.end_seq = seq + length
         self.first_sent_time = first_sent_time
         self.sent_time = sent_time
         self.delivered_at_send = delivered_at_send
@@ -89,10 +92,6 @@ class SegmentInfo:
         self.sacked = sacked
         self.in_flight = in_flight
         self.app_limited = app_limited
-
-    @property
-    def end_seq(self) -> int:
-        return self.seq + self.length
 
 
 class TcpSender:
@@ -119,9 +118,10 @@ class TcpSender:
         self.host = host
         self.flow_id = flow_id
         self.dst = dst
-        self._mss = mss if mss is not None else mss_for_mtu(host.mtu_bytes)
-        if self._mss <= 0:
-            raise TcpStateError(f"MSS must be positive, got {self._mss}")
+        #: maximum segment size in bytes (CcContext)
+        self.mss = mss if mss is not None else mss_for_mtu(host.mtu_bytes)
+        if self.mss <= 0:
+            raise TcpStateError(f"MSS must be positive, got {self.mss}")
         self.total_bytes = total_bytes
         self.ecn_capable = ecn_capable
         #: TCP-Small-Queues-style cap on this flow's bytes in the host
@@ -186,11 +186,6 @@ class TcpSender:
     # ------------------------------------------------------------------
 
     @property
-    def mss(self) -> int:
-        """Maximum segment size in bytes."""
-        return self._mss
-
-    @property
     def now(self) -> float:
         """Current virtual time."""
         return self.sim.now
@@ -236,6 +231,7 @@ class TcpSender:
             if nic is not None and nic.tx_backlog_packets > int(
                 self.cca.qdisc_retry_watermark * nic.tx_queue_packets
             ):
+                nic.drain_waiters += 1  # still blocked: ask again
                 return
             self._local_block = False
         self._try_send()
@@ -311,15 +307,18 @@ class TcpSender:
             if rtt_sample > 0:
                 self.rtt.on_sample(rtt_sample)
 
-        newly_sacked = self._apply_sacks(packet)
+        # Header prediction: an ACK with no SACK block (every ACK of a
+        # loss-free transfer) leaves the scoreboard alone.
+        if packet.sacks:
+            self._apply_sacks(packet.sacks)
 
         if packet.ack_seq > self.snd_una:
             self._handle_new_ack(packet, rtt_sample)
         else:
-            self._handle_dupack(packet, rtt_sample, newly_sacked)
+            self._handle_dupack(packet, rtt_sample)
             # Any ACK (including dupacks carrying SACK progress) shows the
             # connection is alive — rearm the RTO like the kernel does.
-            if self._outstanding_bytes() > 0:
+            if self.snd_nxt > self.snd_una:
                 self._rto_timer.start(self.rtt.rto)
 
         self._try_send()
@@ -357,7 +356,7 @@ class TcpSender:
             cumulative_ack=packet.ack_seq,
             rtt_sample=rtt_sample,
             flight_bytes=self._in_flight,
-            in_recovery=self.in_recovery,
+            in_recovery=self._recovery_point is not None,
             ecn_echo=packet.ecn_echo,
             ecn_marked_bytes=packet.ecn_marked_bytes,
             delivery_rate_bps=delivery_rate,
@@ -378,14 +377,14 @@ class TcpSender:
         self.delivered_bytes += newly_acked
         self._dupack_count = 0
         delivery_rate, app_limited = self._reap_acked_segments(packet.ack_seq)
-        self._sacked.trim_below(packet.ack_seq)
+        if self._sacked.total_bytes:
+            self._sacked.trim_below(packet.ack_seq)
 
         event = self._make_event(
             packet, newly_acked, rtt_sample, delivery_rate, app_limited
         )
 
-        if self.in_recovery:
-            assert self._recovery_point is not None
+        if self._recovery_point is not None:
             if packet.ack_seq >= self._recovery_point:
                 self._recovery_point = None
                 self._epoch_scan = None
@@ -403,7 +402,7 @@ class TcpSender:
             self._maybe_ecn_react(event)
             self.cca.on_ack(event)
 
-        if self._outstanding_bytes() > 0:
+        if self.snd_nxt > self.snd_una:
             self._rto_timer.start(self.rtt.rto)
         else:
             self._rto_timer.stop()
@@ -414,23 +413,19 @@ class TcpSender:
         self,
         packet: Packet,
         rtt_sample: Optional[float],
-        newly_sacked: int,
     ) -> None:
-        if self._outstanding_bytes() == 0:
+        if self.snd_nxt == self.snd_una:
             return  # window update / stray ACK, nothing outstanding
         self._dupack_count += 1
         self.counters["dupacks"] += 1.0
         event = self._make_event(packet, 0, rtt_sample, None, False)
         self.cca.on_dupack(event)
 
-        sack_loss = self._sacked.total_bytes >= DUPACK_THRESHOLD * self._mss
-        if (
-            not self.in_recovery
-            and (self._dupack_count >= DUPACK_THRESHOLD or sack_loss)
-        ):
-            self._enter_fast_recovery(event)
-        elif self.in_recovery:
+        sack_loss = self._sacked.total_bytes >= DUPACK_THRESHOLD * self.mss
+        if self._recovery_point is not None:
             self._queue_sack_holes()
+        elif self._dupack_count >= DUPACK_THRESHOLD or sack_loss:
+            self._enter_fast_recovery(event)
 
     def _enter_fast_recovery(self, event: AckEvent) -> None:
         self._recovery_point = self.snd_nxt
@@ -456,7 +451,7 @@ class TcpSender:
             if seg is None:
                 # Either reaped (below snd_una — cannot happen given the
                 # max above) or mid-segment; step by MSS to resync.
-                cursor += self._mss
+                cursor += self.mss
                 continue
             if not seg.sacked:
                 self._queue_retransmit(seg.seq)
@@ -484,26 +479,41 @@ class TcpSender:
     # SACK / segment bookkeeping
     # ------------------------------------------------------------------
 
-    def _apply_sacks(self, packet: Packet) -> int:
-        newly = 0
-        for start, end in packet.sacks:
-            if end <= start:
-                continue
-            if end <= self.snd_una:
-                continue  # stale block, fully below the cumulative ACK
-            self._highest_sacked = max(self._highest_sacked, end)
-            newly += self._sacked.add(max(start, self.snd_una), end)
-        if newly:
-            for seg in self._segments.values():
-                if (
-                    not seg.sacked
-                    and self._sacked.contains(seg.seq, seg.end_seq)
-                ):
+    def _apply_sacks(self, sacks: "tuple[tuple[int, int], ...]") -> None:
+        """Fold an ACK's SACK blocks into the scoreboard and mark the
+        segments they newly cover.
+
+        A block is a union of whole segments (the receiver only ever
+        holds what this sender transmitted), so the newly covered ones
+        are found by walking ``_segments`` from the block's first byte
+        the scoreboard did not already hold, segment end to segment end
+        — not by testing every outstanding segment on every ACK.
+        """
+        snd_una = self.snd_una
+        sacked = self._sacked
+        segments = self._segments
+        for start, end in sacks:
+            if end <= start or end <= snd_una:
+                continue  # empty, or stale: fully below the cumulative ACK
+            if end > self._highest_sacked:
+                self._highest_sacked = end
+            cursor = sacked.first_missing_after(max(start, snd_una))
+            if cursor >= end:
+                continue  # a block the scoreboard already holds in full
+            sacked.add(cursor, end)
+            while cursor < end:
+                seg = segments.get(cursor)
+                if seg is None:
+                    # mid-segment: step by MSS to resync, as
+                    # _queue_sack_holes does
+                    cursor += self.mss
+                    continue
+                cursor = seg.end_seq
+                if cursor <= end and not seg.sacked:
                     seg.sacked = True
                     if seg.in_flight:
                         seg.in_flight = False
                         self._in_flight -= seg.length
-        return newly
 
     def _reap_acked_segments(
         self, ack_seq: int
@@ -541,15 +551,12 @@ class TcpSender:
             return None, best.app_limited
         return acked_since * BITS_PER_BYTE / elapsed, best.app_limited
 
-    def _outstanding_bytes(self) -> int:
-        return self.snd_nxt - self.snd_una
-
     # ------------------------------------------------------------------
     # RTO
     # ------------------------------------------------------------------
 
     def _on_rto(self) -> None:
-        if self._outstanding_bytes() == 0:
+        if self.snd_nxt == self.snd_una:
             return
         self.counters["rtos"] += 1.0
         self.rtt.backoff()
@@ -582,12 +589,6 @@ class TcpSender:
             self._retx_queued.add(seq)
             self._retx_queue.append(seq)
 
-    def _next_new_segment_size(self) -> int:
-        available = self.app_bytes - self.snd_nxt
-        if self.total_bytes is not None:
-            available = min(available, self.total_bytes - self.snd_nxt)
-        return min(self._mss, max(0, available))
-
     def _cwnd_allows(self, nbytes: int) -> bool:
         window = min(self.cca.cwnd, self.rwnd_bytes)
         return self._in_flight + nbytes <= window or self._in_flight == 0
@@ -610,37 +611,37 @@ class TcpSender:
         self._pacing_event = None
         self._try_send()
 
-    def _charge_pacing(self, wire_bytes: int) -> None:
-        rate = self.cca.pacing_rate_bps()
-        if rate is None or rate <= 0:
-            return
-        self._pacing_next = (
-            max(self.sim.now, self._pacing_next) + wire_bytes * BITS_PER_BYTE / rate
-        )
-
-    def _tsq_blocked(self) -> bool:
-        """TCP Small Queues: don't stack more of this flow in the qdisc."""
-        if not self.cca.respects_tsq:
-            return False
-        nic = self.host.nic
-        if nic is None or nic.tx_packet_gap_s <= 0:
-            return False
-        return nic.flow_backlog_bytes(self.flow_id) >= self.tsq_limit_bytes
-
     def _try_send(self) -> None:
         self._qdisc_blocked = False
-        if not self._started or self.complete:
+        if not self._started or self.completed_at is not None:
             return
+        # TCP Small Queues: don't stack more of this flow in the qdisc
+        # of a paced NIC than the limit. The NIC's per-flow backlog is
+        # read in place, once per segment.
+        nic = self.host.nic
+        tsq_backlog = (
+            nic.flow_backlog
+            if nic is not None
+            and nic.tx_packet_gap_s > 0
+            and self.cca.respects_tsq
+            else None
+        )
         while True:
-            if self._local_block or self._tsq_blocked():
+            if self._local_block or (
+                tsq_backlog is not None
+                and tsq_backlog.get(self.flow_id, 0) >= self.tsq_limit_bytes
+            ):
+                # only a qdisc drain lifts this stop: ask for the wake-up
                 self._qdisc_blocked = True
+                if nic is not None:
+                    nic.drain_waiters += 1
                 return
             # Retransmissions take priority over new data. The front
             # hole (snd_una) may bypass cwnd once per distinct hole —
             # the NewReno partial-ACK retransmission — but never more,
             # so repeated in-network loss of the same segment cannot
             # turn the bypass into an unbounded retransmission stream.
-            seq = self._peek_retransmit()
+            seq = self._peek_retransmit() if self._retx_queue else None
             if seq is not None:
                 seg = self._segments[seq]
                 if not self._cwnd_allows(seg.length):
@@ -656,7 +657,12 @@ class TcpSender:
                 self._retx_queued.discard(seq)
                 self._transmit_segment(seg, retransmit=True)
                 continue
-            size = self._next_new_segment_size()
+            # the next new segment: what the application has written,
+            # capped by the transfer size and the MSS
+            available = self.app_bytes - self.snd_nxt
+            if self.total_bytes is not None:
+                available = min(available, self.total_bytes - self.snd_nxt)
+            size = min(self.mss, available)
             if size <= 0:
                 return
             if not self._cwnd_allows(size) or not self._pacing_gate():
@@ -677,8 +683,7 @@ class TcpSender:
 
     def _transmit_new(self, size: int) -> None:
         app_limited = (
-            self._next_new_segment_size() < self._mss
-            or self.app_bytes - self.snd_nxt - size <= 0
+            size < self.mss or self.app_bytes - self.snd_nxt - size <= 0
         )
         seg = SegmentInfo(
             seq=self.snd_nxt,
@@ -724,7 +729,13 @@ class TcpSender:
         self.counters["segments_sent"] += 1.0
         self.counters["bytes_sent"] += seg.length
         self.cca.on_sent(seg.length)
-        self._charge_pacing(packet.wire_bytes)
+        rate = self.cca.pacing_rate_bps()
+        if rate is not None and rate > 0:
+            now = self.sim.now
+            self._pacing_next = (
+                max(now, self._pacing_next)
+                + packet.wire_bytes * BITS_PER_BYTE / rate
+            )
         accepted = self.host.send(packet)
         if not accepted:
             # The host qdisc rejected the packet (local congestion). The
@@ -738,7 +749,7 @@ class TcpSender:
             self._in_flight -= seg.length
             self._local_block = True
             self._queue_retransmit(seg.seq)
-        if not self._rto_timer.pending:
+        if self._rto_timer.expiry is None:
             self._rto_timer.start(self.rtt.rto)
 
     # ------------------------------------------------------------------

@@ -21,12 +21,24 @@ def make_packet(payload=1000):
     return Packet(flow_id=1, src="a", dst="b", payload_bytes=payload)
 
 
+def serialization_time(packet, rate_bps=gbps(10)):
+    return packet.wire_bytes * BITS_PER_BYTE / rate_bps
+
+
 class TestLink:
     def test_serialization_time(self, sim):
+        # a link has no behaviour of its own: the interface feeding it
+        # holds it for the packet's wire time
         link = Link(sim, rate_bps=gbps(10), delay_s=0.0)
+        sink = Sink()
+        link.connect(sink)
         p = make_packet(1000)
-        expected = p.wire_bytes * BITS_PER_BYTE / gbps(10)
-        assert link.serialization_time(p) == pytest.approx(expected)
+        Interface(sim, DropTailQueue(10_000), link).enqueue(p)
+        sim.run()
+        assert sim.now == pytest.approx(serialization_time(p))
+        assert sink.received == [p]
+        assert link.counters.get("tx_packets") == 1
+        assert link.counters.get("tx_bytes") == p.wire_bytes
 
     def test_invalid_rate_and_delay(self, sim):
         with pytest.raises(NetworkConfigError):
@@ -36,8 +48,9 @@ class TestLink:
 
     def test_no_sink_raises(self, sim):
         link = Link(sim, rate_bps=1e9, delay_s=0.0)
+        Interface(sim, DropTailQueue(10_000), link).enqueue(make_packet())
         with pytest.raises(NetworkConfigError):
-            link.deliver_after_serialization(make_packet())
+            sim.run()
 
 
 class TestInterface:
@@ -55,7 +68,7 @@ class TestInterface:
         p = make_packet(1000)
         iface.enqueue(p)
         sim.run()
-        ser = iface.link.serialization_time(p)
+        ser = serialization_time(p)
         assert sim.now == pytest.approx(ser + 10e-6)
         assert sink.received == [p]
 
@@ -66,7 +79,7 @@ class TestInterface:
         iface.enqueue(b)
         sim.run()
         assert sink.received == [a, b]
-        ser = iface.link.serialization_time(a)
+        ser = serialization_time(a)
         # second packet waits for the first to finish serializing
         assert sim.now == pytest.approx(2 * ser + 10e-6)
 

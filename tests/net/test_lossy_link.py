@@ -6,8 +6,9 @@ import pytest
 
 from repro.apps.iperf import IperfSession, run_until_complete
 from repro.errors import NetworkConfigError
-from repro.net.link import Link
+from repro.net.link import Interface, Link
 from repro.net.packet import Packet
+from repro.net.queue import DropTailQueue
 from repro.net.topology import TestbedConfig, build_testbed
 from repro.sim.engine import Simulator
 from repro.units import gbps
@@ -19,6 +20,16 @@ class Sink:
 
     def receive(self, packet):
         self.received.append(packet)
+
+
+def transmit(sim, link, packets):
+    """Clock ``packets`` small frames onto ``link`` through an interface."""
+    iface = Interface(sim, DropTailQueue(packets * 200), link)
+    for _ in range(packets):
+        assert iface.enqueue(
+            Packet(flow_id=1, src="a", dst="b", payload_bytes=100)
+        )
+    sim.run()
 
 
 class TestLossyLinkUnit:
@@ -36,11 +47,7 @@ class TestLossyLinkUnit:
         )
         sink = Sink()
         link.connect(sink)
-        for i in range(1000):
-            link.deliver_after_serialization(
-                Packet(flow_id=1, src="a", dst="b", payload_bytes=100)
-            )
-        sim.run()
+        transmit(sim, link, 1000)
         delivered = len(sink.received)
         assert 600 <= delivered <= 800  # ~70% of 1000
         assert link.counters.get("corrupted") == 1000 - delivered
@@ -49,11 +56,7 @@ class TestLossyLinkUnit:
         link = Link(sim, gbps(10), 0.0)
         sink = Sink()
         link.connect(sink)
-        for _ in range(100):
-            link.deliver_after_serialization(
-                Packet(flow_id=1, src="a", dst="b", payload_bytes=100)
-            )
-        sim.run()
+        transmit(sim, link, 100)
         assert len(sink.received) == 100
 
 

@@ -4,13 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.apps.iperf as iperf
+import repro.net.topology as topology
+from repro.cc.registry import factory
 from repro.errors import NetworkConfigError
+from repro.harness.runner import run_once
+from repro.net.host import Host
 from repro.net.link import Interface, Link
 from repro.net.nic import Nic
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
+from repro.tcp.sender import TcpSender
 from repro.units import gbps
+
+from tests.tcp.test_wakeup_oracle import SCENARIOS, EveryDrainSender
 
 
 class Sink:
@@ -122,10 +130,32 @@ class TestPacedTransmitPath:
             tx_packet_gap_s=1e-6,
         )
         nic.add_drain_listener(lambda: calls.append(sim.now))
-        nic.send(make_packet())
+        nic.send(make_packet())  # leaves at once, nobody waiting
+        assert calls == []
+        nic.drain_waiters += 1  # a listener asks for the next drain
         nic.send(make_packet())
         sim.run()
-        assert len(calls) >= 1
+        assert calls == [pytest.approx(1e-6)]
+        assert nic.drain_waiters == 0
+
+    def test_listeners_are_skipped_while_nobody_waits(self, sim):
+        calls = []
+        nic = Nic(
+            [make_iface(sim, Sink())],
+            mtu_bytes=9000,
+            sim=sim,
+            tx_packet_gap_s=1e-6,
+        )
+        nic.add_drain_listener(lambda: calls.append("first"))
+        nic.add_drain_listener(lambda: calls.append("second"))
+        for _ in range(4):
+            nic.send(make_packet())
+        sim.run(until=2.5e-6)  # three of the four drains
+        assert calls == []
+        nic.drain_waiters += 2
+        sim.run()
+        # one round for both requests, in registration order
+        assert calls == ["first", "second"]
 
     def test_unpaced_path_bypasses_qdisc(self, sim):
         sink = Sink()
@@ -201,3 +231,42 @@ class TestDemandDrivenPacing:
         )
         assert drain_entries() == 0 and nic.tx_backlog_packets == 0
         assert sim.now == expected[-1]  # no tick after the last packet
+
+
+def test_tsq_blocked_sender_is_woken_by_each_drain(sim):
+    # no ACK ever arrives: past the TSQ limit, only the NIC's drains can
+    # carry the rest of the initial window out
+    nic = Nic(
+        [make_iface(sim, Sink())], mtu_bytes=1500, sim=sim, tx_packet_gap_s=1e-5,
+    )
+    sender = TcpSender(
+        sim, Host(sim, "h", nic), 1, "peer", factory("reno"),
+        total_bytes=10_000_000, tsq_limit_bytes=2000,
+    )
+    sender.start()
+    assert sender.counters.get("segments_sent") == 3  # one out, two queued
+    assert nic.drain_waiters == 1
+    sim.run(until=1e-3)  # well before the first RTO
+    assert sender.counters.get("segments_sent") == 10
+    assert sender.bytes_in_flight == sender.cca.cwnd
+    assert nic.drain_waiters == 0  # the window stopped it, not the qdisc
+
+
+class EveryDrainNic(Nic):
+    """Runs its drain listeners on every drain, whoever asked."""
+
+    def _drain(self):
+        self.drain_waiters += 1
+        super()._drain()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_run_is_bit_equal_to_waking_every_listener_on_every_drain(
+    name, monkeypatch
+):
+    # the oracle for skipping the listener loop while nobody waits: a
+    # NIC that never skips it, under senders that retry on every call
+    shipped = run_once(SCENARIOS[name], seed=3)
+    monkeypatch.setattr(topology, "Nic", EveryDrainNic)
+    monkeypatch.setattr(iperf, "TcpSender", EveryDrainSender)
+    assert run_once(SCENARIOS[name], seed=3) == shipped

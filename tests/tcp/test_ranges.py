@@ -120,6 +120,17 @@ class TestMaintenance:
         assert rs
 
 
+def runs_of(covered):
+    """The maximal runs of consecutive bytes in ``covered``, as intervals."""
+    runs = []
+    for byte in sorted(covered):
+        if runs and runs[-1][1] == byte:
+            runs[-1][1] = byte + 1
+        else:
+            runs.append([byte, byte + 1])
+    return [tuple(run) for run in runs]
+
+
 class TestRunningTotal:
     """``total_bytes`` is a running total; the intervals are the truth."""
 
@@ -127,15 +138,22 @@ class TestRunningTotal:
         ops=st.lists(
             st.one_of(
                 st.tuples(st.just("add"), st.integers(0, 60), st.integers(1, 25)),
+                # many small islands: an add that swallows several at
+                # once, touches one at either end, or lands between two
+                st.tuples(st.just("add"), st.integers(0, 200), st.integers(1, 4)),
+                st.tuples(st.just("add"), st.integers(0, 200), st.integers(20, 90)),
                 st.tuples(st.just("trim"), st.integers(0, 90), st.just(0)),
+                st.tuples(st.just("trim"), st.integers(0, 300), st.just(0)),
             ),
             max_size=40,
-        )
+        ),
+        limit=st.integers(1, 4),
     )
     @settings(max_examples=300, deadline=None)
-    def test_total_and_newly_covered_match_the_intervals(self, ops):
+    def test_total_and_newly_covered_match_the_intervals(self, ops, limit):
         rs = RangeSet()
         covered = set()
+        assert rs.blocks_above(0) == ()
         for op, start, length in ops:
             if op == "add":
                 fresh = set(range(start, start + length)) - covered
@@ -146,3 +164,19 @@ class TestRunningTotal:
                 covered = {byte for byte in covered if byte >= start}
             assert rs.total_bytes == len(covered)
             assert rs.total_bytes == sum(end - begin for begin, end in rs)
+            # sorted, disjoint, and merged wherever two would touch
+            runs = runs_of(covered)
+            assert list(rs) == runs
+            assert bool(rs) is bool(runs) and len(rs) == len(runs)
+            # the queries both TCP ends make, around the point just touched
+            for point in (start - 1, start, start + length, start + length + 1):
+                assert rs.covers_point(point) is (point in covered)
+                missing = point
+                while missing in covered:
+                    missing += 1
+                assert rs.first_missing_after(point) == missing
+                above = [run for run in runs if run[0] > point]
+                assert rs.blocks_above(point, limit) == tuple(above[-limit:])
+            assert rs.contains(start, start + max(length, 1)) is (
+                set(range(start, start + max(length, 1))) <= covered
+            )

@@ -7,6 +7,12 @@ version, so a change that moves one either meant to (update the number
 and say why in the PR) or made the hot path do more work than it needs
 to. Wall time is reported by ``python -m bench`` / ``bench compare``
 and asserted nowhere in tier-1.
+
+The pinned counters say how much work a run is; ``frames_per_push``
+says what a unit of it costs: every Python frame entered under
+``src/repro/{sim,net,tcp,cc,energy}`` divided by the heap pushes. It is
+held under a ceiling, so a property, a pass-through wrapper or a value
+computed twice on the per-packet path fails here.
 """
 
 import pytest
@@ -53,6 +59,44 @@ def work(calls):
         counter: sum(calls.get(fn.__code__, 0) for fn in functions)
         for counter, functions in COUNTED.items()
     }
+
+
+#: the packages a packet passes through: their frames are the data
+#: path's cost
+DATA_PATH = tuple(
+    f"/repro/{package}/" for package in ("sim", "net", "tcp", "cc", "energy")
+)
+
+#: shape -> most data-path frames one heap push may cost. A ceiling, not
+#: an equality (3.12 inlines comprehensions, so totals differ between
+#: interpreters): what the code reaches on 3.11 (9.82 / 11.34 / 8.95)
+#: plus under 5 %. Lower one when a PR earns it; raise one only with
+#: the reason in the PR.
+FRAMES_PER_PUSH_CEILING = {
+    "dumbbell_sweep": 10.3,
+    "lossy_mix": 11.8,
+    "fabric_datacenter": 9.35,
+}
+
+
+def check_frames_per_push(calls, ceiling):
+    inside = {
+        code: n
+        for code, n in calls.items()
+        if any(part in code.co_filename for part in DATA_PATH)
+    }
+    pushes = calls[Simulator.schedule_at.__code__]
+    per_push = sum(inside.values()) / pushes
+    busiest = sorted(inside.items(), key=lambda item: -item[1])[:10]
+    assert per_push <= ceiling, (
+        f"{per_push:.2f} data-path frames per heap push, ceiling {ceiling}; "
+        "most entered:\n"
+        + "\n".join(
+            f"  {n / pushes:5.2f}/push  {code.co_filename.split('/repro/')[-1]}:"
+            f"{getattr(code, 'co_qualname', code.co_name)}"
+            for code, n in busiest
+        )
+    )
 
 
 _FIG1_FAIR_PLAN = next(
@@ -133,6 +177,7 @@ def test_run_work_counters(shape):
     scenario, seed = RUNS[shape]
     _, calls = count_calls(run_once, scenario, seed)
     assert work(calls) == PINNED[shape]
+    check_frames_per_push(calls, FRAMES_PER_PUSH_CEILING[shape])
 
 
 def test_grid_cell_cold_then_replayed_work_counters(tmp_path):
