@@ -4,11 +4,17 @@
 # committed behaviour baselines and fails on drift: `make obs-diff`,
 # `make fabric-obs-diff` and `make pareto` (plus artifact-only steps:
 # sarif, the obs watch smoke, obs-profile).
+#
+# The perf gates are exact counts inside tier-1, never a timing:
+# tests/test_work_counters.py (work per run, frames per heap push),
+# tests/obs/test_overhead_frames.py (tracing off costs no frame) and
+# tests/test_import_budget.py (the modules a run imports). `make imports`
+# prints the numbers behind the last one.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test bench-check loc lint lint-baseline sarif ruff mypy bench obs-bench obs-profile baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
+.PHONY: check test bench-check loc imports lint lint-baseline sarif ruff mypy bench obs-bench obs-profile baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
 
 check: test bench-check lint ruff mypy
 
@@ -31,6 +37,19 @@ loc:
 		printf '%6d %s\n' "$$(find $$pkg -name '*.py' | xargs cat | wc -l)" "$$pkg"; \
 	done
 	@printf '%6d src (all *.py)\n' "$$(find src -name '*.py' | xargs cat | wc -l)"
+
+# what three entry points import: `repro` modules loaded, and the
+# `-X importtime` cumulative time (fastest of five fresh interpreters).
+# The gate on the first number is tests/test_import_budget.py.
+IMPORT_ENTRY_POINTS = repro.harness.runner repro.figures.fig1 repro.cli
+imports:
+	@for module in $(IMPORT_ENTRY_POINTS); do \
+		count=$$($(PYTHON) -c "import $$module, sys; print(sum(name.split('.')[0] == 'repro' for name in sys.modules))"); \
+		us=$$(for run in 1 2 3 4 5; do \
+			$(PYTHON) -X importtime -c "import $$module" 2>&1 | tail -1 | cut -d'|' -f2; \
+		done | sort -n | head -1); \
+		printf '%-22s %3d repro modules %4d ms\n' $$module $$count $$((us / 1000)); \
+	done
 
 LINT_BASELINE = lint-baseline.json
 

@@ -2,65 +2,38 @@
 
 from __future__ import annotations
 
-from repro.analysis.concavity import (
-    chord_always_below,
-    chord_gap,
-    has_decreasing_marginals,
-    is_concave,
-    is_increasing,
-    marginal_powers,
-)
-from repro.analysis.convergence import (
-    convergence_time,
-    fairness_over_time,
-    mean_fairness,
-)
-from repro.analysis.export import (
-    run_to_dict,
-    repeated_to_dict,
-    runs_to_csv,
-    save_csv,
-    save_json,
-    to_json,
-)
-from repro.analysis.report import Report, ReportSection, quick_report
-from repro.analysis.stats import (
-    bootstrap_ci,
-    geometric_mean,
-    linear_fit,
-    mean,
-    pearson,
-    percentile,
-    sample_std,
-)
-from repro.analysis.tables import format_series, format_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Report",
-    "ReportSection",
-    "quick_report",
-    "bootstrap_ci",
-    "fairness_over_time",
-    "convergence_time",
-    "mean_fairness",
-    "run_to_dict",
-    "repeated_to_dict",
-    "runs_to_csv",
-    "to_json",
-    "save_json",
-    "save_csv",
-    "mean",
-    "sample_std",
-    "pearson",
-    "percentile",
-    "linear_fit",
-    "geometric_mean",
-    "is_concave",
-    "is_increasing",
-    "marginal_powers",
-    "has_decreasing_marginals",
-    "chord_gap",
-    "chord_always_below",
-    "format_table",
-    "format_series",
-]
+#: public name -> the submodule that defines it, imported on first use
+_EXPORTS = {
+    "Report": "report",
+    "ReportSection": "report",
+    "quick_report": "report",
+    "bootstrap_ci": "stats",
+    "fairness_over_time": "convergence",
+    "convergence_time": "convergence",
+    "mean_fairness": "convergence",
+    "run_to_dict": "export",
+    "repeated_to_dict": "export",
+    "runs_to_csv": "export",
+    "to_json": "export",
+    "save_json": "export",
+    "save_csv": "export",
+    "mean": "stats",
+    "sample_std": "stats",
+    "pearson": "stats",
+    "percentile": "stats",
+    "linear_fit": "stats",
+    "geometric_mean": "stats",
+    "is_concave": "concavity",
+    "is_increasing": "concavity",
+    "marginal_powers": "concavity",
+    "has_decreasing_marginals": "concavity",
+    "chord_gap": "concavity",
+    "chord_always_below": "concavity",
+    "format_table": "tables",
+    "format_series": "tables",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -2,60 +2,39 @@
 
 from __future__ import annotations
 
-from repro.core.advisor import AllocationComparison, EnergyAdvisor, Recommendation
-from repro.core.allocation import (
-    AllocationPlan,
-    FlowPlan,
-    fair_split,
-    fig1_allocations,
-    full_speed_then_idle,
-    limited_flow_split,
-)
-from repro.core.fairness import bandwidth_fraction, jain_index, throughput_imbalance
-from repro.core.pareto import ParetoCurve, ParetoPoint, fairness_energy_curve
-from repro.core.savings import (
-    DatacenterCostModel,
-    paper_headline_savings,
-    savings_fraction,
-    savings_percent,
-)
-from repro.core.scheduler import GreenScheduler, ScheduledTransfer, TransferRequest
-from repro.core.theorem import (
-    check_theorem1,
-    fair_allocation,
-    is_strictly_concave_on,
-    theorem1_savings,
-    total_power,
-    worst_allocation_is_fair,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EnergyAdvisor",
-    "AllocationComparison",
-    "Recommendation",
-    "AllocationPlan",
-    "FlowPlan",
-    "fair_split",
-    "limited_flow_split",
-    "full_speed_then_idle",
-    "fig1_allocations",
-    "jain_index",
-    "throughput_imbalance",
-    "bandwidth_fraction",
-    "fairness_energy_curve",
-    "ParetoCurve",
-    "ParetoPoint",
-    "DatacenterCostModel",
-    "savings_fraction",
-    "savings_percent",
-    "paper_headline_savings",
-    "GreenScheduler",
-    "TransferRequest",
-    "ScheduledTransfer",
-    "check_theorem1",
-    "fair_allocation",
-    "is_strictly_concave_on",
-    "theorem1_savings",
-    "total_power",
-    "worst_allocation_is_fair",
-]
+#: public name -> the submodule that defines it, imported on first use
+_EXPORTS = {
+    "EnergyAdvisor": "advisor",
+    "AllocationComparison": "advisor",
+    "Recommendation": "advisor",
+    "AllocationPlan": "allocation",
+    "FlowPlan": "allocation",
+    "fair_split": "allocation",
+    "limited_flow_split": "allocation",
+    "full_speed_then_idle": "allocation",
+    "fig1_allocations": "allocation",
+    "jain_index": "fairness",
+    "throughput_imbalance": "fairness",
+    "bandwidth_fraction": "fairness",
+    "fairness_energy_curve": "pareto",
+    "ParetoCurve": "pareto",
+    "ParetoPoint": "pareto",
+    "DatacenterCostModel": "savings",
+    "savings_fraction": "savings",
+    "savings_percent": "savings",
+    "paper_headline_savings": "savings",
+    "GreenScheduler": "scheduler",
+    "TransferRequest": "scheduler",
+    "ScheduledTransfer": "scheduler",
+    "check_theorem1": "theorem",
+    "fair_allocation": "theorem",
+    "is_strictly_concave_on": "theorem",
+    "theorem1_savings": "theorem",
+    "total_power": "theorem",
+    "worst_allocation_is_fair": "theorem",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

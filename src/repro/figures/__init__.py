@@ -2,97 +2,61 @@
 
 from __future__ import annotations
 
-from repro.figures.ablation import (
-    Bbr2AlphaAblation,
-    ConcavityAblation,
-    bbr2_alpha_ablation,
-    buffer_ablation,
-    concavity_ablation,
-    ecn_threshold_ablation,
-)
-from repro.figures.fabric import (
-    FabricCcaPoint,
-    FabricResult,
-    run_fabric_figure,
-)
-from repro.figures.fig1 import Fig1Point, Fig1Result, run_fig1
-from repro.figures.fig2 import Fig2Point, Fig2Result, run_fig2
-from repro.figures.fig3 import Fig3Result, run_fig3
-from repro.figures.fig4 import Fig4Result, run_fig4
-from repro.figures.fig5 import Fig5Result, fig5_from_grid
-from repro.figures.fig6 import Fig6Result, fig6_from_grid
-from repro.figures.fig7 import Fig7Result, fig7_from_grid
-from repro.figures.fig8 import Fig8Result, fig8_from_grid
-from repro.figures.grid import CcaMtuGrid, GridCell, run_cca_mtu_grid
-from repro.figures.incast import IncastResult, run_incast_point, run_incast_sweep
-from repro.figures.load_balance import (
-    LoadBalanceResult,
-    run_hardware_comparison,
-    run_load_balance,
-)
-from repro.figures.friendliness import (
-    FriendlinessResult,
-    run_friendliness_matrix,
-    run_pairing,
-)
-from repro.figures.mechanisms import MechanismResult, run_mechanism_breakdown
-from repro.figures.mptcp import MptcpResult, run_mptcp_comparison
-from repro.figures.pareto import ParetoPoint, ParetoResult, run_pareto
-from repro.figures.srpt import SrptResult, run_srpt_comparison
-from repro.figures.workload_energy import (
-    WorkloadEnergyResult,
-    run_workload_energy,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "run_fabric_figure",
-    "FabricResult",
-    "FabricCcaPoint",
-    "run_srpt_comparison",
-    "SrptResult",
-    "run_pareto",
-    "ParetoResult",
-    "ParetoPoint",
-    "run_incast_sweep",
-    "run_incast_point",
-    "IncastResult",
-    "run_load_balance",
-    "run_hardware_comparison",
-    "LoadBalanceResult",
-    "run_mptcp_comparison",
-    "MptcpResult",
-    "run_mechanism_breakdown",
-    "MechanismResult",
-    "run_friendliness_matrix",
-    "run_pairing",
-    "FriendlinessResult",
-    "run_workload_energy",
-    "WorkloadEnergyResult",
-    "run_fig1",
-    "Fig1Result",
-    "Fig1Point",
-    "run_fig2",
-    "Fig2Result",
-    "Fig2Point",
-    "run_fig3",
-    "Fig3Result",
-    "run_fig4",
-    "Fig4Result",
-    "run_cca_mtu_grid",
-    "CcaMtuGrid",
-    "GridCell",
-    "fig5_from_grid",
-    "Fig5Result",
-    "fig6_from_grid",
-    "Fig6Result",
-    "fig7_from_grid",
-    "Fig7Result",
-    "fig8_from_grid",
-    "Fig8Result",
-    "concavity_ablation",
-    "ConcavityAblation",
-    "bbr2_alpha_ablation",
-    "Bbr2AlphaAblation",
-    "ecn_threshold_ablation",
-    "buffer_ablation",
-]
+#: public name -> the submodule that defines it, imported on first use
+_EXPORTS = {
+    "run_fabric_figure": "fabric",
+    "FabricResult": "fabric",
+    "FabricCcaPoint": "fabric",
+    "run_srpt_comparison": "srpt",
+    "SrptResult": "srpt",
+    "run_pareto": "pareto",
+    "ParetoResult": "pareto",
+    "ParetoPoint": "pareto",
+    "run_incast_sweep": "incast",
+    "run_incast_point": "incast",
+    "IncastResult": "incast",
+    "run_load_balance": "load_balance",
+    "run_hardware_comparison": "load_balance",
+    "LoadBalanceResult": "load_balance",
+    "run_mptcp_comparison": "mptcp",
+    "MptcpResult": "mptcp",
+    "run_mechanism_breakdown": "mechanisms",
+    "MechanismResult": "mechanisms",
+    "run_friendliness_matrix": "friendliness",
+    "run_pairing": "friendliness",
+    "FriendlinessResult": "friendliness",
+    "run_workload_energy": "workload_energy",
+    "WorkloadEnergyResult": "workload_energy",
+    "run_fig1": "fig1",
+    "Fig1Result": "fig1",
+    "Fig1Point": "fig1",
+    "run_fig2": "fig2",
+    "Fig2Result": "fig2",
+    "Fig2Point": "fig2",
+    "run_fig3": "fig3",
+    "Fig3Result": "fig3",
+    "run_fig4": "fig4",
+    "Fig4Result": "fig4",
+    "run_cca_mtu_grid": "grid",
+    "CcaMtuGrid": "grid",
+    "GridCell": "grid",
+    "fig5_from_grid": "fig5",
+    "Fig5Result": "fig5",
+    "fig6_from_grid": "fig6",
+    "Fig6Result": "fig6",
+    "fig7_from_grid": "fig7",
+    "Fig7Result": "fig7",
+    "fig8_from_grid": "fig8",
+    "Fig8Result": "fig8",
+    "concavity_ablation": "ablation",
+    "ConcavityAblation": "ablation",
+    "bbr2_alpha_ablation": "ablation",
+    "Bbr2AlphaAblation": "ablation",
+    "ecn_threshold_ablation": "ablation",
+    "buffer_ablation": "ablation",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -2,58 +2,34 @@
 
 from __future__ import annotations
 
-from repro.harness.cache import (
-    SCHEMA_VERSION,
-    ResultCache,
-    compute_key,
-    measurement_from_dict,
-    measurement_to_dict,
-)
-from repro.harness.executor import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    WorkItem,
-    resolve_executor,
-    run_work_items,
-)
-from repro.harness.experiment import (
-    AnyScenario,
-    FabricScenario,
-    FlowSpec,
-    Scenario,
-    scenario_from_plan,
-)
-from repro.harness.runner import (
-    RepeatedResult,
-    RunMeasurement,
-    run_once,
-    run_repeated,
-)
-from repro.harness.sweep import Sweep, SweepResults, SweepRow
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FlowSpec",
-    "Scenario",
-    "FabricScenario",
-    "AnyScenario",
-    "scenario_from_plan",
-    "RunMeasurement",
-    "RepeatedResult",
-    "run_once",
-    "run_repeated",
-    "Executor",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "WorkItem",
-    "resolve_executor",
-    "run_work_items",
-    "ResultCache",
-    "SCHEMA_VERSION",
-    "compute_key",
-    "measurement_to_dict",
-    "measurement_from_dict",
-    "Sweep",
-    "SweepResults",
-    "SweepRow",
-]
+#: public name -> the submodule that defines it, imported on first use
+_EXPORTS = {
+    "FlowSpec": "experiment",
+    "Scenario": "experiment",
+    "FabricScenario": "experiment",
+    "AnyScenario": "experiment",
+    "scenario_from_plan": "experiment",
+    "RunMeasurement": "runner",
+    "RepeatedResult": "runner",
+    "run_once": "runner",
+    "run_repeated": "runner",
+    "Executor": "executor",
+    "SerialExecutor": "executor",
+    "ProcessExecutor": "executor",
+    "WorkItem": "executor",
+    "resolve_executor": "executor",
+    "run_work_items": "executor",
+    "ResultCache": "cache",
+    "SCHEMA_VERSION": "cache",
+    "compute_key": "cache",
+    "measurement_to_dict": "cache",
+    "measurement_from_dict": "cache",
+    "Sweep": "sweep",
+    "SweepResults": "sweep",
+    "SweepRow": "sweep",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

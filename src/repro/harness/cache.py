@@ -24,6 +24,7 @@ rules police this).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
@@ -32,6 +33,7 @@ from repro.apps.iperf import IperfResult
 from repro.errors import ExperimentError
 from repro.harness.experiment import AnyScenario
 from repro.harness.runner import RunMeasurement
+from repro.obs.journal import worker_id
 from repro.sim.trace import TimeSeries
 
 #: bump when simulator physics or the measurement schema change; every
@@ -41,6 +43,9 @@ from repro.sim.trace import TimeSeries
 #: (4: the scheduling-policy redesign — ``policy`` joined both scenario
 #:  specs, single-link runs grew FCT-percentile extras)
 SCHEMA_VERSION = 4
+
+#: numbers this process's entry writes, so no two of them share a temp file
+_WRITE_SERIAL = itertools.count()
 
 
 def compute_key(
@@ -156,9 +161,18 @@ class ResultCache:
         self, scenario: AnyScenario, seed: int
     ) -> Optional[RunMeasurement]:
         """The stored measurement, or None on a miss."""
-        path = self.path(self.key(scenario, seed))
+        return self.load(self.key(scenario, seed))
+
+    def put(
+        self, scenario: AnyScenario, seed: int, measurement: RunMeasurement
+    ) -> Path:
+        """Store one measurement; returns the entry's path."""
+        return self.save(self.key(scenario, seed), measurement)
+
+    def load(self, key: str) -> Optional[RunMeasurement]:
+        """:meth:`get` for a caller that already holds the item's key."""
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            data = json.loads(self.path(key).read_text(encoding="utf-8"))
             measurement = measurement_from_dict(data)
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
@@ -166,20 +180,18 @@ class ResultCache:
         self.hits += 1
         return measurement
 
-    def put(
-        self, scenario: AnyScenario, seed: int, measurement: RunMeasurement
-    ) -> Path:
-        """Store one measurement; returns the entry's path.
+    def save(self, key: str, measurement: RunMeasurement) -> Path:
+        """:meth:`put` for a caller that already holds the item's key.
 
         The write is atomic (temp file + rename) so a crashed run never
-        leaves a truncated entry behind. Writes happen only in the
-        coordinating process, so the deterministic temp name cannot
-        collide.
+        leaves a truncated entry behind, and the temp name is unique per
+        writer (pid + a per-process serial): two sweeps sharing a cache
+        directory that finish the same item each rename their own file,
+        and the entry is whichever complete document landed last.
         """
-        key = self.key(scenario, seed)
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".json.tmp")
+        tmp = path.with_name(f"{key}.{worker_id()}.{next(_WRITE_SERIAL)}.tmp")
         tmp.write_text(
             json.dumps(measurement_to_dict(measurement)), encoding="utf-8"
         )

@@ -35,13 +35,17 @@ journal event survives the crash.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ExperimentError, SweepAbortedError
-from repro.harness.cache import ResultCache, compute_key, ensure_cache
+from repro.harness.cache import (
+    SCHEMA_VERSION,
+    ResultCache,
+    compute_key,
+    ensure_cache,
+)
 from repro.harness.experiment import AnyScenario
 from repro.harness.runner import RunMeasurement, run_once
 from repro.obs.journal import ABORT_FILENAME, JOURNAL, perf_clock, worker_id
@@ -184,7 +188,10 @@ def execute_item(item: WorkItem) -> RunMeasurement:
 
 
 def run_item_observed(
-    item: WorkItem, index: int, observer: Observer
+    item: WorkItem,
+    index: int,
+    observer: Observer,
+    cache_key: Optional[str] = None,
 ) -> RunMeasurement:
     """Run one item, journaling its lifecycle around :func:`run_once`.
 
@@ -194,11 +201,16 @@ def run_item_observed(
     (energy, simulated duration, :meth:`RunMeasurement.counters`) plus
     the diagnostic wall time. On failure a ``worker_error`` event is
     journaled before the wrapped :class:`ExperimentError` is raised.
+
+    ``cache_key`` is the address :func:`run_work_items` hashed for the
+    item, so every event of one item names the same key; it is hashed
+    here only for a caller that brings none.
     """
     if not observer.enabled:
         return execute_item(item)
     common = dict(item=index, scenario=item.scenario.name, seed=item.seed)
-    cache_key = compute_key(item.scenario, item.seed)
+    if cache_key is None:
+        cache_key = compute_key(item.scenario, item.seed)
     observer.emit("run_started", cache_key=cache_key, **common)
     started = perf_clock()
     try:
@@ -231,6 +243,7 @@ class _TracedItem:
     item: WorkItem
     index: int
     trace_dir: str
+    cache_key: Optional[str]
     #: whether the coordinator's observer collects hot-path profiles;
     #: workers mirror it so a jobs=N profile covers every run
     profile: bool = False
@@ -260,7 +273,9 @@ def _worker_observer(trace_dir: str, profile: bool = False) -> JournalObserver:
 def execute_item_traced(traced: _TracedItem) -> RunMeasurement:
     """Pool entry point when tracing: journal to this worker's file."""
     observer = _worker_observer(traced.trace_dir, profile=traced.profile)
-    return run_item_observed(traced.item, traced.index, observer)
+    return run_item_observed(
+        traced.item, traced.index, observer, traced.cache_key
+    )
 
 
 class Executor:
@@ -274,6 +289,7 @@ class Executor:
         observer: Optional[Observer] = None,
         indices: Optional[Sequence[int]] = None,
         control: Optional[SweepControl] = None,
+        keys: Optional[Sequence[str]] = None,
     ) -> List[RunMeasurement]:
         raise NotImplementedError
 
@@ -290,6 +306,16 @@ def _resolve_indices(
     return list(indices)
 
 
+def _resolve_keys(
+    items: Sequence[WorkItem], keys: Optional[Sequence[str]]
+) -> Sequence[Optional[str]]:
+    if keys is None:
+        return [None] * len(items)
+    if len(keys) != len(items):
+        raise ExperimentError(f"{len(keys)} keys for {len(items)} work items")
+    return keys
+
+
 class SerialExecutor(Executor):
     """The reference backend: run items in-process, in order."""
 
@@ -301,15 +327,17 @@ class SerialExecutor(Executor):
         observer: Optional[Observer] = None,
         indices: Optional[Sequence[int]] = None,
         control: Optional[SweepControl] = None,
+        keys: Optional[Sequence[str]] = None,
     ) -> List[RunMeasurement]:
         obs = NULL_OBSERVER if observer is None else observer
         control = _NO_CONTROL if control is None else control
         index_list = _resolve_indices(items, indices)
+        key_list = _resolve_keys(items, keys)
         completed: Dict[int, RunMeasurement] = {}
         results: List[RunMeasurement] = []
-        for index, item in zip(index_list, items):
+        for index, item, key in zip(index_list, items, key_list):
             control.check(completed, len(items))
-            measurement = run_item_observed(item, index, obs)
+            measurement = run_item_observed(item, index, obs, key)
             completed[index] = measurement
             results.append(measurement)
             control.notify(index, item, measurement)
@@ -341,6 +369,7 @@ class ProcessExecutor(Executor):
         observer: Optional[Observer] = None,
         indices: Optional[Sequence[int]] = None,
         control: Optional[SweepControl] = None,
+        keys: Optional[Sequence[str]] = None,
     ) -> List[RunMeasurement]:
         items = list(items)
         obs = NULL_OBSERVER if observer is None else observer
@@ -348,8 +377,12 @@ class ProcessExecutor(Executor):
         index_list = _resolve_indices(items, indices)
         if self.jobs == 1 or len(items) <= 1:
             return SerialExecutor().run_items(
-                items, observer=obs, indices=index_list, control=control
+                items, observer=obs, indices=index_list, control=control, keys=keys
             )
+        # the only place that builds a pool: a serial run never imports
+        # the concurrent.futures / multiprocessing / logging / socket stack
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(self.jobs, len(items))
         entry: Callable[[Any], RunMeasurement]
         payload: Sequence[Any]
@@ -359,9 +392,12 @@ class ProcessExecutor(Executor):
                     item=item,
                     index=index,
                     trace_dir=str(obs.trace_dir),
+                    cache_key=key,
                     profile=obs.profile_enabled,
                 )
-                for index, item in zip(index_list, items)
+                for index, item, key in zip(
+                    index_list, items, _resolve_keys(items, keys)
+                )
             ]
             entry = execute_item_traced
         else:
@@ -451,6 +487,11 @@ def run_work_items(
             backend=backend.name,
             cache=store is not None,
         )
+    # One content address per item, hashed here and nowhere after: the
+    # store is addressed by it and every journal event of the item names
+    # it, under the store's schema version when there is a store.
+    schema = SCHEMA_VERSION if store is None else store.schema_version
+    keys = [compute_key(item.scenario, item.seed, schema) for item in items]
     results: List[Optional[RunMeasurement]] = [None] * len(items)
     missing: List[int] = []
     if store is None:
@@ -458,7 +499,7 @@ def run_work_items(
     else:
         with obs.span("cache_lookup", items=len(items)):
             for i, item in enumerate(items):
-                hit = store.get(item.scenario, item.seed)
+                hit = store.load(keys[i])
                 if hit is not None:
                     results[i] = hit
                 else:
@@ -469,7 +510,7 @@ def run_work_items(
                         item=i,
                         scenario=item.scenario.name,
                         seed=item.seed,
-                        cache_key=store.key(item.scenario, item.seed),
+                        cache_key=keys[i],
                     )
     for i, (item, prior) in enumerate(zip(items, results)):
         if prior is not None:
@@ -481,6 +522,7 @@ def run_work_items(
             observer=obs,
             indices=missing,
             control=control,
+            keys=[keys[i] for i in missing],
         )
     except SweepAbortedError as exc:
         # Keep every finished measurement: store to cache, fold in the
@@ -488,7 +530,7 @@ def run_work_items(
         if store is not None and exc.partial:
             with obs.span("cache_store", items=len(exc.partial)):
                 for i, measurement in exc.partial.items():
-                    store.put(items[i].scenario, items[i].seed, measurement)
+                    store.save(keys[i], measurement)
         for i, prior in enumerate(results):
             if prior is not None:
                 exc.partial.setdefault(i, prior)
@@ -512,7 +554,7 @@ def run_work_items(
     if store is not None:
         with obs.span("cache_store", items=len(missing)):
             for i, measurement in zip(missing, fresh):
-                store.put(items[i].scenario, items[i].seed, measurement)
+                store.save(keys[i], measurement)
                 results[i] = measurement
     else:
         for i, measurement in zip(missing, fresh):

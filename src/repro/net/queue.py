@@ -39,6 +39,9 @@ class DropTailQueue:
         #: their own, so topology builders attach one for the queues
         #: worth observing (the bottleneck)
         self._probe_sim: Optional["Simulator"] = None
+        #: virtual instant of the last depth sample handed to a
+        #: downsampling sink
+        self._probe_depth_kept = float("-inf")
 
     def attach_probe(self, sim: "Simulator") -> None:
         """Bind this queue to ``sim`` for depth/drop telemetry.
@@ -51,9 +54,16 @@ class DropTailQueue:
     def _probe_depth(self, sim: "Simulator") -> None:
         """Sample the depth. Runs on every enqueue and dequeue, so call
         sites test "attached and collecting" before spending a frame on
-        it: the bottleneck queue is always attached, mostly unobserved."""
-        sim.probe_sink.sample(
-            sim.now, QUEUE_DEPTH_CHANNEL, self.name, float(self.occupancy_bytes)
+        it: the bottleneck queue is always attached, mostly unobserved.
+        A sample the sink's ``min_interval_s`` would drop is not built."""
+        sink = sim.probe_sink
+        now = sim.now
+        interval = sink.min_interval_s
+        if interval is not None and now - self._probe_depth_kept < interval:
+            return
+        self._probe_depth_kept = now
+        sink.sample(
+            now, QUEUE_DEPTH_CHANNEL, self.name, float(self.occupancy_bytes)
         )
 
     def _probe_drop(self) -> None:

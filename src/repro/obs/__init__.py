@@ -26,9 +26,12 @@ the same discipline to the reproduction's own pipeline. Three layers:
 * :mod:`repro.obs.progress` / :mod:`repro.obs.live` — streaming
   aggregation of a *running* sweep: the incremental progress/ETA model,
   the ``greenenvy obs watch`` view, an opt-in HTTP progress endpoint,
-  and the mid-run drift gate. ``live`` is deliberately *not*
-  re-exported here — importing it from this package ``__init__`` would
-  close a cycle with the harness (which imports ``repro.obs.journal``).
+  and the mid-run drift gate. ``live`` is not re-exported here;
+  callers name the module.
+
+Nothing is imported here: the names below resolve on first use
+(:mod:`repro._lazy`), so a run that needs the no-op observer does not
+load the report, timeline, baseline and progress views.
 
 One invariant is non-negotiable and machine-enforced (the
 ``obs-no-feedback`` simlint rule): observability state never flows
@@ -39,112 +42,56 @@ the harness, which observes the simulator from outside.
 
 from __future__ import annotations
 
-from repro.obs.journal import (
-    JournalWriter,
-    merge_worker_journals,
-    read_journal,
-    wall_clock,
-    worker_id,
-)
-from repro.obs.metrics import (
-    DEFAULT_SPAN_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.observer import (
-    NULL_OBSERVER,
-    JournalObserver,
-    Observer,
-    Span,
-    TracingObserver,
-    resolve_observer,
-)
-from repro.obs.baseline import (
-    DriftRow,
-    compare,
-    format_drift_table,
-    has_regression,
-    load_baseline,
-    save_baseline,
-    snapshot_from_journal,
-)
-from repro.obs.progress import (
-    PhaseProgress,
-    ProgressTracker,
-    ScenarioProgress,
-    SweepProgress,
-    format_progress,
-    progress_to_dict,
-    progress_to_registry,
-)
-from repro.obs.report import (
-    JournalSummary,
-    format_report,
-    summarize_journal,
-    summary_to_dict,
-)
-from repro.obs.telemetry import (
-    TELEMETRY_FILENAME,
-    TelemetryWriter,
-    canonicalize_telemetry,
-    merge_worker_telemetry,
-    read_telemetry,
-    series_from_record,
-    telemetry_records,
-)
-from repro.obs.timeline import (
-    filter_records,
-    format_timeline,
-    timeline_csv,
-    timeline_json,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "DEFAULT_SPAN_BUCKETS_S",
-    "JournalWriter",
-    "read_journal",
-    "merge_worker_journals",
-    "wall_clock",
-    "worker_id",
-    "Observer",
-    "JournalObserver",
-    "TracingObserver",
-    "Span",
-    "NULL_OBSERVER",
-    "resolve_observer",
-    "ProgressTracker",
-    "SweepProgress",
-    "ScenarioProgress",
-    "PhaseProgress",
-    "progress_to_dict",
-    "progress_to_registry",
-    "format_progress",
-    "JournalSummary",
-    "summarize_journal",
-    "summary_to_dict",
-    "format_report",
-    "TELEMETRY_FILENAME",
-    "TelemetryWriter",
-    "telemetry_records",
-    "read_telemetry",
-    "canonicalize_telemetry",
-    "merge_worker_telemetry",
-    "series_from_record",
-    "filter_records",
-    "format_timeline",
-    "timeline_csv",
-    "timeline_json",
-    "DriftRow",
-    "snapshot_from_journal",
-    "save_baseline",
-    "load_baseline",
-    "compare",
-    "has_regression",
-    "format_drift_table",
-]
+#: public name -> the submodule that defines it, imported on first use
+_EXPORTS = {
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "DEFAULT_SPAN_BUCKETS_S": "metrics",
+    "JournalWriter": "journal",
+    "read_journal": "journal",
+    "merge_worker_journals": "journal",
+    "wall_clock": "journal",
+    "worker_id": "journal",
+    "Observer": "observer",
+    "JournalObserver": "observer",
+    "TracingObserver": "observer",
+    "Span": "observer",
+    "NULL_OBSERVER": "observer",
+    "resolve_observer": "observer",
+    "ProgressTracker": "progress",
+    "SweepProgress": "progress",
+    "ScenarioProgress": "progress",
+    "PhaseProgress": "progress",
+    "progress_to_dict": "progress",
+    "progress_to_registry": "progress",
+    "format_progress": "progress",
+    "JournalSummary": "report",
+    "summarize_journal": "report",
+    "summary_to_dict": "report",
+    "format_report": "report",
+    "TELEMETRY_FILENAME": "telemetry",
+    "TelemetryWriter": "telemetry",
+    "telemetry_records": "telemetry",
+    "read_telemetry": "telemetry",
+    "canonicalize_telemetry": "telemetry",
+    "merge_worker_telemetry": "telemetry",
+    "series_from_record": "telemetry",
+    "filter_records": "timeline",
+    "format_timeline": "timeline",
+    "timeline_csv": "timeline",
+    "timeline_json": "timeline",
+    "DriftRow": "baseline",
+    "snapshot_from_journal": "baseline",
+    "save_baseline": "baseline",
+    "load_baseline": "baseline",
+    "compare": "baseline",
+    "has_regression": "baseline",
+    "format_drift_table": "baseline",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -62,6 +62,15 @@ class ProbeSink:
     #: emission sites skip sample construction when this is False
     enabled: bool = False
 
+    #: virtual seconds after a kept sample during which the sink drops
+    #: further samples of the same stream; ``None`` (this no-op sink, a
+    #: fan-out) means nothing is dropped on time. A high-rate emission
+    #: site that is the only emitter of its streams may remember when it
+    #: last sampled each one and apply the sink's own test
+    #: (``now - last < min_interval_s``) before building a sample; the
+    #: sink tests again, so a site can only skip what the sink would drop.
+    min_interval_s: Optional[float] = None
+
     def sample(
         self, time_s: float, channel: str, entity: str, value: float
     ) -> None:
@@ -128,7 +137,11 @@ class TimeSeriesProbeSink(ProbeSink):
 
 
 class FanoutProbeSink(ProbeSink):
-    """Duplicates every sample to each of several sinks."""
+    """Duplicates every sample to each of several sinks.
+
+    ``min_interval_s`` stays ``None``: each member downsamples for
+    itself, so an emission site never skips on a fan-out's behalf.
+    """
 
     enabled = True
 

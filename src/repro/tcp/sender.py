@@ -133,6 +133,11 @@ class TcpSender:
         #: probe entity label, precomputed so the per-ACK telemetry path
         #: does not build an f-string per event
         self._probe_entity = f"flow-{flow_id}"
+        #: virtual instants of the last telemetry samples handed to a
+        #: downsampling sink; ``srtt_s`` has its own because that stream
+        #: starts at the first RTT sample, not at the first ACK
+        self._probe_kept = float("-inf")
+        self._probe_srtt_kept = float("-inf")
 
         # sequence space
         self.snd_una = 0
@@ -327,21 +332,28 @@ class TcpSender:
         if sink.enabled:
             # Per-ACK congestion-state telemetry: the series the paper's
             # trajectory claims (§4.1, §4.5) are read from. Downsampling
-            # happens in the sink, never here.
+            # is the sink's decision; a sample it would drop is not
+            # built (same test, same floats, per stream).
             now = self.sim.now
             entity = self._probe_entity
-            sink.sample(now, CWND_CHANNEL, entity, float(self.cca.cwnd))
-            sink.sample(
-                now, SSTHRESH_CHANNEL, entity, float(self.cca.ssthresh)
-            )
-            if self.rtt.srtt is not None:
+            interval = sink.min_interval_s
+            if interval is None or not (now - self._probe_kept < interval):
+                self._probe_kept = now
+                sink.sample(now, CWND_CHANNEL, entity, float(self.cca.cwnd))
+                sink.sample(
+                    now, SSTHRESH_CHANNEL, entity, float(self.cca.ssthresh)
+                )
+                sink.sample(
+                    now,
+                    RETRANSMITS_CHANNEL,
+                    entity,
+                    self.counters.get("retransmits"),
+                )
+            if self.rtt.srtt is not None and (
+                interval is None or not (now - self._probe_srtt_kept < interval)
+            ):
+                self._probe_srtt_kept = now
                 sink.sample(now, SRTT_CHANNEL, entity, self.rtt.srtt)
-            sink.sample(
-                now,
-                RETRANSMITS_CHANNEL,
-                entity,
-                self.counters.get("retransmits"),
-            )
 
     def _make_event(
         self,

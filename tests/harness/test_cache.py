@@ -6,6 +6,9 @@ must move when (and only when) the scenario spec, seed, or schema
 version does.
 """
 
+import threading
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -17,8 +20,10 @@ from repro.harness.cache import (
     measurement_from_dict,
     measurement_to_dict,
 )
+from repro.harness.executor import WorkItem, run_work_items
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.harness.runner import run_once, run_repeated
+from repro.obs.journal import read_journal
 from repro.units import msec
 
 SIZE = 400_000
@@ -135,6 +140,104 @@ class TestHitMiss:
         cache.put(s, 0, run_once(s, seed=0))
         assert cache.clear() == 1
         assert len(cache) == 0
+
+
+class TestSharedDirectory:
+    """Two sweeps on one cache directory (two stores, one root)."""
+
+    def test_interleaved_puts_of_one_key_both_land(
+        self, cache, tmp_path, monkeypatch
+    ):
+        # writer A has written its temp file; before it renames, writer
+        # B stores the same item start to finish
+        s = scenario()
+        measurement = run_once(s, seed=0)
+        other = ResultCache(tmp_path / "cache")
+        rename = Path.replace
+        interleaved = []
+
+        def replace(tmp, target):
+            if not interleaved:
+                interleaved.append(tmp.name)
+                other.put(s, 0, measurement)
+            return rename(tmp, target)
+
+        monkeypatch.setattr(Path, "replace", replace)
+        path = cache.put(s, 0, measurement)
+        assert interleaved and path.exists()
+        assert cache.get(s, 0) == other.get(s, 0) == measurement
+        # no temp file is left, and none ever looked like an entry
+        assert [entry.name for entry in path.parent.iterdir()] == [path.name]
+        assert not interleaved[0].endswith(".json")
+        assert len(cache) == 1 and cache.clear() == 1
+
+    def test_concurrent_writers_of_one_key_never_collide(self, tmp_path):
+        s = scenario()
+        measurement = run_once(s, seed=0)
+        errors = []
+
+        def write():
+            store = ResultCache(tmp_path / "cache")
+            try:
+                for _ in range(25):
+                    store.put(s, 0, measurement)
+            except Exception as exc:  # the assertion below reports it
+                errors.append(exc)
+
+        writers = [threading.Thread(target=write) for _ in range(8)]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=60)
+        assert not any(writer.is_alive() for writer in writers)
+        assert errors == []
+        store = ResultCache(tmp_path / "cache")
+        assert store.get(s, 0) == measurement
+        entry = store.path(store.key(s, 0))
+        assert [path.name for path in entry.parent.iterdir()] == [entry.name]
+
+
+class TestOneKeyPerItem:
+    @pytest.mark.parametrize("jobs", (None, 2))
+    def test_every_journal_event_of_an_item_names_the_stores_key(
+        self, tmp_path, jobs
+    ):
+        # a non-default schema: the journal used to say the store's key
+        # in cache_miss and the default-schema key in run_started /
+        # run_finished
+        store = ResultCache(tmp_path / "cache", schema_version=SCHEMA_VERSION + 95)
+        s = scenario()
+        run_work_items(
+            [WorkItem(s, 0), WorkItem(s, 1)],
+            jobs=jobs, cache=store, observer=tmp_path / "trace",
+        )
+        keyed = {}
+        for event in read_journal(tmp_path / "trace"):
+            if "cache_key" in event:
+                keyed.setdefault(event["seed"], {})[event["event"]] = event["cache_key"]
+        for seed in (0, 1):
+            assert sorted(keyed[seed]) == ["cache_miss", "run_finished", "run_started"]
+            assert set(keyed[seed].values()) == {store.key(s, seed)}
+            assert store.path(store.key(s, seed)).exists()
+
+    def test_traced_item_without_a_store_keeps_the_default_key(self, tmp_path):
+        s = scenario()
+        run_work_items([WorkItem(s, 0)], observer=tmp_path / "trace")
+        keys = {
+            event["cache_key"]
+            for event in read_journal(tmp_path / "trace")
+            if "cache_key" in event
+        }
+        assert keys == {compute_key(s, 0)}
+
+    def test_load_and_save_address_the_same_entries_as_get_and_put(self, cache):
+        s = scenario()
+        measurement = run_once(s, seed=0)
+        key = cache.key(s, 0)
+        assert cache.load(key) is None
+        assert cache.save(key, measurement) == cache.path(key)
+        assert cache.get(s, 0) == cache.load(key) == measurement
+        assert (cache.hits, cache.misses) == (2, 1)
 
 
 class TestEnsureCache:

@@ -22,12 +22,13 @@ from repro.core.allocation import FAIR_PLAN_NAME, fig1_allocations
 from repro.energy.cpu import CpuPackage
 from repro.figures.fig1 import DEFAULT_CAPACITY_BPS
 from repro.figures.grid import run_cca_mtu_grid
-from repro.harness.cache import ResultCache
+from repro.harness.cache import ResultCache, compute_key
 from repro.harness.experiment import scenario_from_plan
 from repro.harness.runner import run_once
 from repro.obs.journal import read_journal
 from repro.obs.telemetry import read_telemetry
 from repro.sim.engine import Event, Simulator
+from repro.sim.probe import TimeSeriesProbeSink
 from repro.tcp.sender import TcpSender
 
 from tests.conftest import count_calls
@@ -168,6 +169,15 @@ PINNED = {
         "journal_events": 12,
         "telemetry_records": 8,
         "replay_work": 0,
+        # the item is hashed once when it runs and once when it replays:
+        # the store and every journal event share that one key
+        "key_computations": {"cold": 1, "replayed": 1},
+        # frames of TimeSeriesProbeSink.sample. The cell ends inside
+        # the first 1 ms telemetry interval, so each of the 8 streams
+        # keeps one point, and the per-ACK and per-queue-operation call
+        # sites build only the samples the sink keeps (280 calls before
+        # they gated on the sink's interval)
+        "sink_samples": 8,
     },
 }
 
@@ -199,4 +209,9 @@ def test_grid_cell_cold_then_replayed_work_counters(tmp_path):
         "telemetry_records": len(read_telemetry(trace)),
         # a replay that simulates anything at all shows here
         "replay_work": sum(work(replay_calls).values()),
+        "key_computations": {
+            "cold": cold_calls.get(compute_key.__code__, 0),
+            "replayed": replay_calls.get(compute_key.__code__, 0),
+        },
+        "sink_samples": cold_calls.get(TimeSeriesProbeSink.sample.__code__, 0),
     } == PINNED["cca_mtu_grid"]
