@@ -14,7 +14,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test bench-check loc imports lint lint-baseline sarif ruff mypy bench obs-bench obs-profile baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
+.PHONY: check test bench-check loc imports lint sarif ruff mypy bench obs-bench obs-profile baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
 
 check: test bench-check lint ruff mypy
 
@@ -30,10 +30,10 @@ test:
 bench-check:
 	$(PYTHON) -m pytest bench/tests -q
 
-# source lines per package and in total; every removal PR reports
-# the before/after of exactly this
+# source lines per package ([a-z]*: not __pycache__) and in total;
+# every removal PR reports the before/after of exactly this
 loc:
-	@for pkg in src/repro/*/; do \
+	@for pkg in src/repro/[a-z]*/; do \
 		printf '%6d %s\n' "$$(find $$pkg -name '*.py' | xargs cat | wc -l)" "$$pkg"; \
 	done
 	@printf '%6d src (all *.py)\n' "$$(find src -name '*.py' | xargs cat | wc -l)"
@@ -51,18 +51,9 @@ imports:
 		printf '%-22s %3d repro modules %4d ms\n' $$module $$count $$((us / 1000)); \
 	done
 
-LINT_BASELINE = lint-baseline.json
-
-# gate against the committed baseline: pre-existing findings are
-# absorbed, anything new fails the build
+# the one gate mode: the tree lints clean, nothing absorbs a finding
 lint:
-	$(PYTHON) -m repro.cli lint src --baseline $(LINT_BASELINE)
-
-# regenerate the committed baseline (deterministic: sorted findings,
-# repo-anchored paths, no line numbers); commit the updated JSON
-# together with whatever introduced the findings it absorbs
-lint-baseline:
-	$(PYTHON) -m repro.cli lint src --write-baseline $(LINT_BASELINE)
+	$(PYTHON) -m repro.cli lint src
 
 # machine-readable findings for code-scanning UIs (also a CI artifact)
 sarif:

@@ -738,20 +738,14 @@ def _cmd_mechanisms(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.lint import (
         LintUsageError,
         iter_rules,
-        load_baseline,
-        new_findings,
-        render_baseline,
         render_json,
         render_sarif,
         render_text,
         run_lint,
     )
-    from repro.lint.engine import LintResult
 
     if args.list_rules:
         width = max(len(rule.name) for rule in iter_rules())
@@ -762,26 +756,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     ignore = args.ignore.split(",") if args.ignore else None
     try:
         result = run_lint(args.paths, select=select, ignore=ignore)
-        if args.write_baseline:
-            Path(args.write_baseline).write_text(
-                render_baseline(result.findings), encoding="utf-8"
-            )
-            print(
-                f"wrote baseline with {len(result.findings)} finding"
-                f"{'s' if len(result.findings) != 1 else ''} "
-                f"to {args.write_baseline}"
-            )
-            return 0
-        baselined = 0
-        if args.baseline:
-            baseline = load_baseline(Path(args.baseline))
-            fresh = new_findings(result.findings, baseline)
-            baselined = len(result.findings) - len(fresh)
-            result = LintResult(
-                findings=fresh,
-                files_checked=result.files_checked,
-                rules_run=result.rules_run,
-            )
     except LintUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -792,11 +766,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(render_sarif(result))
     else:
         print(render_text(result))
-        if baselined:
-            print(
-                f"({baselined} known finding"
-                f"{'s' if baselined != 1 else ''} absorbed by the baseline)"
-            )
     return 0 if result.clean else 1
 
 
@@ -862,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="simulator-correctness static analysis (units, determinism, "
-        "dataflow, CCA contract, API hygiene, hot-path perf)",
+        "CCA contract, API hygiene)",
     )
     p.add_argument(
         "paths", nargs="*", default=["src"],
@@ -881,14 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--ignore", help="comma-separated rule names to skip"
-    )
-    p.add_argument(
-        "--baseline", metavar="PATH",
-        help="only findings not in this baseline file count",
-    )
-    p.add_argument(
-        "--write-baseline", metavar="PATH",
-        help="record current findings as the baseline and exit 0",
     )
     p.add_argument(
         "--list-rules", action="store_true",

@@ -3,49 +3,39 @@
 The reproduction's headline numbers rest on two conventions nothing in
 Python enforces: every quantity is in SI base units (:mod:`repro.units`)
 and all randomness flows through seeded named streams
-(:mod:`repro.sim.rng`). This package is a whole-program AST analyzer
-that turns those conventions — plus the CCA plug-in contract, a few
-API-hygiene basics, and the event loop's performance discipline — into
-mechanically checked rules.
+(:mod:`repro.sim.rng`). This package is a per-file AST linter that
+turns those conventions — plus the CCA plug-in contract and a few
+API-hygiene basics — into mechanically checked rules. Each rule reads
+one parsed file; the only cross-module knowledge is three tables on
+:class:`~repro.lint.core.LintContext` (function signatures, the names
+``cc/registry.py`` references, the ``cc/`` class hierarchy).
 
-Seven rule families:
+Four rule families:
 
 * **units** — unit-suffix mismatches in arithmetic and at call sites,
   raw exponent literals (``1e9``, ``1024**3``) outside ``units.py``
-* **units-flow** — the same dimensional analysis propagated through
-  assignments, function returns, and call-graph-resolved call
-  arguments (:mod:`repro.lint.dataflow`)
 * **determinism** — unseeded entropy sources (``import random``,
   ``time.time()``, ``os.urandom``) outside ``sim/rng.py``; iteration
-  over unordered sets in the simulator packages
-* **determinism-flow** — taint tracking from entropy sources to
-  simulation-state sinks across function and module boundaries
+  over unordered sets and imports of ``repro.obs`` in the packages that
+  produce results
 * **cca-contract** — every :class:`~repro.cc.base.CongestionControl`
   subclass must set ``name``, be registered, and override ``on_ack``
 * **api-hygiene** — mutable default arguments, bare ``except:``,
-  missing ``from __future__ import annotations``
-* **perf** — per-event allocations, repeated attribute lookups in hot
-  loops, missing ``__slots__``, and type-dispatch in functions the
-  call graph (:mod:`repro.lint.graph`) proves reachable from the
-  event loop
+  missing ``from __future__ import annotations``, policy-name string
+  comparison outside ``repro/sched``
 
 Run it as ``greenenvy lint src`` (exit 0 clean, 1 findings, 2 usage
 error) or programmatically via :func:`run_lint`. Findings are
 suppressed per line with a ``simlint: ignore[rule-name]`` comment; dead or
-misspelled suppressions are themselves findings. Known debt lives in a
-committed baseline (:mod:`repro.lint.baseline`) so CI gates only new
-findings, and ``--format sarif`` emits SARIF 2.1.0 for code-scanning
-UIs.
+misspelled suppressions are themselves findings. ``--format sarif``
+emits SARIF 2.1.0 for code-scanning UIs. Hot-path cost and hash-order
+independence are measured, not linted: ``tests/test_work_counters.py``
+and ``tests/test_hash_seed_independence.py`` (``docs/linting.md``,
+"Measured and dropped", says why there is no call graph here).
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import (
-    load_baseline,
-    make_baseline,
-    new_findings,
-    render_baseline,
-)
 from repro.lint.core import Finding, LintUsageError, ModuleInfo, Rule
 from repro.lint.engine import LintResult, all_rule_names, iter_rules, run_lint
 from repro.lint.reporters import (
@@ -63,10 +53,6 @@ __all__ = [
     "Rule",
     "all_rule_names",
     "iter_rules",
-    "load_baseline",
-    "make_baseline",
-    "new_findings",
-    "render_baseline",
     "render_json",
     "render_sarif",
     "render_text",

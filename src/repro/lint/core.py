@@ -1,8 +1,9 @@
 """Data model shared by the simlint engine and its rules.
 
 A :class:`ModuleInfo` is one parsed source file plus everything a rule
-needs to inspect it cheaply: the AST, a parent map (stdlib ``ast`` has
-no parent pointers), per-line suppression sets, and source segments.
+needs to inspect it cheaply, each built once per file: the AST, its
+nodes as a flat tuple, a parent map (stdlib ``ast`` has no parent
+pointers), the source lines, and per-line suppression sets.
 Rules are tiny classes producing :class:`Finding` values; the engine in
 :mod:`repro.lint.engine` owns file discovery and cross-module context.
 """
@@ -11,9 +12,9 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
 #: a ``simlint: ignore[rule-a,rule-b]`` comment suppresses those rules
 #: on the line; a bare ``simlint: ignore`` suppresses every rule there.
@@ -23,6 +24,10 @@ _SUPPRESS_RE = re.compile(
 
 #: wildcard stored for blanket suppressions
 SUPPRESS_ALL = "*"
+
+#: the line breaks ``ast`` counts ``lineno`` by; ``str.splitlines`` also
+#: breaks on ``\f``/``\x1c``, which the tokenizer treats as whitespace
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 class LintUsageError(Exception):
@@ -56,10 +61,10 @@ class Finding:
         }
 
 
-def parse_suppressions(source: str) -> Dict[int, FrozenSet[str]]:
+def parse_suppressions(lines: Sequence[str]) -> Dict[int, FrozenSet[str]]:
     """Map 1-based line numbers to the rule names suppressed there."""
     suppressions: Dict[int, FrozenSet[str]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         match = _SUPPRESS_RE.search(line)
         if match is None:
             continue
@@ -81,20 +86,36 @@ class ModuleInfo:
     display_path: str
     source: str
     tree: ast.Module
-    suppressions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
-    _parents: Optional[Dict[ast.AST, ast.AST]] = field(default=None, repr=False)
+    #: the source split by ``ast``'s rule, without line endings
+    lines: Tuple[str, ...]
+    #: every node of ``tree``, breadth-first (the order of ``ast.walk``);
+    #: rules that scan the whole module iterate this, not a fresh walk
+    nodes: Tuple[ast.AST, ...]
+    #: child -> parent over the whole tree
+    parents: Dict[ast.AST, ast.AST]
+    suppressions: Dict[int, FrozenSet[str]]
 
     @classmethod
     def parse(cls, path: Path, display_path: str) -> "ModuleInfo":
         """Read and parse ``path``; raises ``SyntaxError`` on bad source."""
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source, filename=str(path))
+        lines = tuple(_LINE_BREAK.split(source))
+        nodes: List[ast.AST] = [tree]
+        parents: Dict[ast.AST, ast.AST] = {}
+        for node in nodes:  # grows while iterated: one pass, no recursion
+            for child in ast.iter_child_nodes(node):
+                parents[child] = node
+                nodes.append(child)
         return cls(
             path=path,
             display_path=display_path,
             source=source,
             tree=tree,
-            suppressions=parse_suppressions(source),
+            lines=lines,
+            nodes=tuple(nodes),
+            parents=parents,
+            suppressions=parse_suppressions(lines),
         )
 
     # -- path helpers ------------------------------------------------------
@@ -114,17 +135,6 @@ class ModuleInfo:
 
     # -- AST helpers -------------------------------------------------------
 
-    @property
-    def parents(self) -> Dict[ast.AST, ast.AST]:
-        """Child -> parent map over the whole tree (built lazily once)."""
-        if self._parents is None:
-            parents: Dict[ast.AST, ast.AST] = {}
-            for node in ast.walk(self.tree):
-                for child in ast.iter_child_nodes(node):
-                    parents[child] = node
-            self._parents = parents
-        return self._parents
-
     def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
         """Walk from ``node``'s parent up to the module root."""
         current = self.parents.get(node)
@@ -132,9 +142,17 @@ class ModuleInfo:
             yield current
             current = self.parents.get(current)
 
-    def segment(self, node: ast.AST) -> str:
-        """Source text of ``node`` ('' when unavailable)."""
-        return ast.get_source_segment(self.source, node) or ""
+    def segment(self, node: Union[ast.expr, ast.stmt]) -> str:
+        """Source text of ``node``.
+
+        A single-line node is a slice of its line (``col_offset`` counts
+        UTF-8 bytes); ``ast.get_source_segment`` re-splits the whole
+        source on every call, so only multi-line nodes go through it.
+        """
+        if node.lineno != node.end_lineno:
+            return ast.get_source_segment(self.source, node) or ""
+        line = self.lines[node.lineno - 1].encode("utf-8")
+        return line[node.col_offset:node.end_col_offset].decode("utf-8")
 
     # -- suppression -------------------------------------------------------
 
@@ -202,35 +220,6 @@ class LintContext:
         self._signatures: Optional[Dict[str, Optional[List[str]]]] = None
         self._registry_names: Optional[Dict[str, FrozenSet[str]]] = None
         self._cc_classes: Optional[Dict[str, Dict[str, "ClassFacts"]]] = None
-        self._graph = None
-        self._memo: Dict[str, object] = {}
-
-    # -- whole-program graph ------------------------------------------------
-
-    @property
-    def graph(self):
-        """The :class:`~repro.lint.graph.ProjectGraph` over all modules.
-
-        Built lazily on first access (only the whole-program rule
-        families pay for it) and shared by every rule in the run.
-        """
-        if self._graph is None:
-            from repro.lint.graph import ProjectGraph  # avoid import cycle
-
-            self._graph = ProjectGraph(self.modules)
-        return self._graph
-
-    def memo(self, key: str, factory):
-        """Run-scoped cache for expensive analyses.
-
-        The dataflow engines (taint fixpoint, unit inference) are built
-        once per lint run and shared across all modules; rules call
-        ``ctx.memo("detflow", lambda: ...)`` instead of owning state,
-        keeping rule instances reusable across runs.
-        """
-        if key not in self._memo:
-            self._memo[key] = factory()
-        return self._memo[key]
 
     # -- function signature table -----------------------------------------
 
@@ -266,7 +255,7 @@ class LintContext:
                 if module.filename != "registry.py":
                     continue
                 names = set()
-                for node in ast.walk(module.tree):
+                for node in module.nodes:
                     if isinstance(node, ast.Name):
                         names.add(node.id)
                     elif isinstance(node, ast.ImportFrom):

@@ -7,20 +7,14 @@ from typing import List
 from repro.lint.core import Rule
 from repro.lint.rules.contract import CONTRACT_RULES
 from repro.lint.rules.determinism import DETERMINISM_RULES
-from repro.lint.rules.detflow import DETFLOW_RULES
 from repro.lint.rules.hygiene import HYGIENE_RULES
-from repro.lint.rules.perf import PERF_RULES
 from repro.lint.rules.units import UNITS_RULES
-from repro.lint.rules.unitsflow import UNITSFLOW_RULES
 
 ALL_RULES: List[Rule] = [
     *UNITS_RULES,
-    *UNITSFLOW_RULES,
     *DETERMINISM_RULES,
-    *DETFLOW_RULES,
     *CONTRACT_RULES,
     *HYGIENE_RULES,
-    *PERF_RULES,
 ]
 
 __all__ = ["ALL_RULES"]

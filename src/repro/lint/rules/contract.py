@@ -129,7 +129,7 @@ class CcaNegativeCwnd(Rule):
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
         if not module.in_directory("cc"):
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Assign):
                 targets, value = node.targets, node.value
             elif isinstance(node, ast.AnnAssign) and node.value is not None:

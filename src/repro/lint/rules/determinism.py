@@ -18,14 +18,15 @@ wall clocks or kernel entropy. These rules ban the escape hatches:
   with the executor layer fanning work across processes, a pid leaking
   into a cache key or a worker's seed derivation would silently make
   results depend on which worker ran what, and
-* iteration over unordered ``set`` values in the simulator packages
-  (``sim/``, ``net/``, ``cc/``, ``tcp/``), where hash-order dependence
-  silently reorders event processing between interpreter runs, and
+* iteration over unordered ``set`` values in the packages that produce
+  results (``sim/``, ``net/``, ``cc/``, ``tcp/``, ``energy/``,
+  ``apps/``, ``sched/``), where hash-order dependence silently reorders
+  events, arrivals or plans between interpreter runs, and
 * imports of the observability layer (``repro.obs``) from those same
-  simulator packages: observers are write-only diagnostics, and a
-  simulator that *reads* tracing state (is tracing on? what did the
-  journal say?) gains a hidden input that differs between traced and
-  untraced runs, and
+  packages: observers are write-only diagnostics, and a simulator that
+  *reads* tracing state (is tracing on? what did the journal say?)
+  gains a hidden input that differs between traced and untraced runs,
+  and
 * wall clocks around telemetry probe sinks: sample timestamps must be
   virtual time (``sim.now``), never ``wall_clock()``/``perf_clock()``/
   ``time.*`` — telemetry files are diffed across runs and machines.
@@ -38,8 +39,9 @@ from typing import Iterator, Optional
 
 from repro.lint.core import Finding, LintContext, ModuleInfo, Rule, dotted_name
 
-#: directories whose iteration order feeds the event loop
-SIM_DIRECTORIES = ("sim", "net", "cc", "tcp")
+#: the packages that produce results: the event loop and what feeds it
+#: (cwnd, arrivals and flow order, plans), and the joules read off it
+SIM_DIRECTORIES = ("sim", "net", "cc", "tcp", "energy", "apps", "sched")
 
 #: attribute reads on the ``random`` module that use the global RNG
 GLOBAL_RNG_FUNCTIONS = frozenset(
@@ -94,7 +96,7 @@ class ImportRandom(Rule):
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
         if _is_rng_module(module):
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Import):
                 hit = any(alias.name == "random" for alias in node.names)
             elif isinstance(node, ast.ImportFrom):
@@ -122,7 +124,7 @@ class GlobalRng(Rule):
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             callee = dotted_name(node.func)
@@ -153,7 +155,7 @@ class WallClock(Rule):
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.ImportFrom) and node.module == "time":
                 for alias in node.names:
                     if alias.name in WALL_CLOCK_FUNCTIONS:
@@ -192,7 +194,7 @@ class OsEntropy(Rule):
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             callee = dotted_name(node.func)
@@ -231,7 +233,7 @@ class ProcessIdentity(Rule):
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.ImportFrom):
                 banned = PROCESS_IDENTITY_FUNCTIONS.get(node.module or "")
                 if not banned:
@@ -277,19 +279,19 @@ def _is_set_expr(node: ast.AST) -> Optional[str]:
 
 
 class SetIteration(Rule):
-    """Iteration over unordered sets inside the simulator packages."""
+    """Iteration over unordered sets inside the result-producing packages."""
 
     name = "det-set-iteration"
     family = "determinism"
     description = (
-        "iterating an unordered set in sim/net/cc/tcp; hash order varies "
-        "across runs — sort it or use a list/dict"
+        "iterating an unordered set in sim/net/cc/tcp/energy/apps/sched; "
+        "hash order varies across runs — sort it or use a list/dict"
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
         if not any(module.in_directory(d) for d in SIM_DIRECTORIES):
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             iters = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 iters.append(node.iter)
@@ -313,118 +315,71 @@ class SetIteration(Rule):
                     )
 
 
+_PROFILING_REMEDY = (
+    "instrument against the repro.sim.profile protocol (HotPathProfiler) "
+    "and let the harness install the obs-side collector"
+)
+
+#: imported package -> what to do instead, most specific first. The
+#: obs-side halves of the profiling channel have a sim-facing protocol
+#: in repro.sim.profile, so "drop the import" is the wrong advice there.
+OBS_REMEDIES = (
+    ("repro.obs.profile", _PROFILING_REMEDY),
+    ("repro.obs.attrib", _PROFILING_REMEDY),
+    (
+        "repro.obs",
+        "observers only ever receive copies of simulation state — keep "
+        "the dependency pointing from the harness to obs, never from the "
+        "simulation",
+    ),
+)
+
+
 class ObsFeedback(Rule):
-    """Imports of ``repro.obs`` inside the simulator packages.
+    """Imports of ``repro.obs`` inside the result-producing packages.
 
     The observability layer is strictly one-way: the harness *writes*
     events and metrics about the simulation, and nothing in the
     simulation ever reads them back. An ``import repro.obs`` inside
-    ``sim/``, ``net/``, ``cc/`` or ``tcp/`` is the first step of a
-    feedback loop — behaviour that depends on whether tracing is on, a
-    direction the jobs=1 == jobs=N and traced == untraced guarantees
-    cannot survive.
+    ``sim/``, ``net/``, ``cc/``, ``tcp/``, ``energy/``, ``apps/`` or
+    ``sched/`` is the first step of a feedback loop — behaviour that
+    depends on whether tracing is on, a direction the jobs=1 == jobs=N
+    and traced == untraced guarantees cannot survive. The hot-path
+    profiler is the one obs feature that reaches *into* the event loop,
+    so importing its collector or the attribution ledger is the easiest
+    way to re-create that loop; those imports get their own remedy.
     """
 
     name = "obs-no-feedback"
     family = "determinism"
     description = (
         "simulator package importing repro.obs; observability is "
-        "write-only — sim/net/cc/tcp must not read tracing state"
+        "write-only — sim/net/cc/tcp/energy/apps/sched must not read "
+        "tracing state (profiling goes through repro.sim.profile)"
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
         if not any(module.in_directory(d) for d in SIM_DIRECTORIES):
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Import):
-                hit = any(
-                    alias.name == "repro.obs"
-                    or alias.name.startswith("repro.obs.")
-                    for alias in node.names
-                )
+                names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                mod = node.module or ""
-                hit = mod == "repro.obs" or mod.startswith("repro.obs.")
+                # `from repro.obs import profile` reaches repro.obs.profile
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            if hit:
-                yield self.finding(
-                    module,
-                    node,
-                    "simulator code importing `repro.obs`; observers only "
-                    "ever receive copies of simulation state — keep the "
-                    "dependency pointing from the harness to obs, never "
-                    "from the simulation",
-                )
-
-
-#: the obs-side halves of the profiling channel; their sim-facing
-#: protocol lives in repro.sim.profile instead
-PROFILING_OBS_MODULES = ("repro.obs.profile", "repro.obs.attrib")
-
-
-class ObsProfileSimImport(Rule):
-    """Imports of the profiling/attribution collectors inside the sim.
-
-    The hot-path profiler is the one obs feature that reaches *into*
-    the event loop, which makes this the easiest place to re-create the
-    feedback loop ``obs-no-feedback`` exists to prevent: an
-    instrumented component importing the collector (or the attribution
-    ledger) directly instead of talking to the neutral
-    :mod:`repro.sim.profile` protocol. This rule names that exact
-    mistake and its fix — the generic rule also fires, but points at
-    the wrong remedy (dropping obs altogether) for profiling code.
-    """
-
-    name = "obs-profile-no-sim-import"
-    family = "determinism"
-    description = (
-        "simulator package importing repro.obs.profile/attrib; hot "
-        "paths talk to the write-only repro.sim.profile protocol, "
-        "never to the obs-side collector or ledger"
-    )
-
-    @staticmethod
-    def _is_profiling(name: str) -> bool:
-        return any(
-            name == mod or name.startswith(mod + ".")
-            for mod in PROFILING_OBS_MODULES
-        )
-
-    def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
-        if not any(module.in_directory(d) for d in SIM_DIRECTORIES):
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                hits = [
-                    alias.name
-                    for alias in node.names
-                    if self._is_profiling(alias.name)
-                ]
-            elif isinstance(node, ast.ImportFrom):
-                mod = node.module or ""
-                if self._is_profiling(mod):
-                    hits = [mod]
-                elif mod == "repro.obs":
-                    # from repro.obs import profile / attrib
-                    hits = [
-                        f"repro.obs.{alias.name}"
-                        for alias in node.names
-                        if self._is_profiling(f"repro.obs.{alias.name}")
-                    ]
-                else:
-                    hits = []
-            else:
-                continue
-            for name in hits:
-                yield self.finding(
-                    module,
-                    node,
-                    f"simulator code importing `{name}`; instrument "
-                    f"against the repro.sim.profile protocol "
-                    f"(HotPathProfiler) and let the harness install the "
-                    f"obs-side collector",
-                )
+            for package, remedy in OBS_REMEDIES:
+                if any(
+                    name == package or name.startswith(package + ".")
+                    for name in names
+                ):
+                    yield self.finding(
+                        module,
+                        node,
+                        f"simulator code importing `{package}`; {remedy}",
+                    )
+                    break
 
 
 #: the journal's blessed wall-clock helpers — legal for diagnostics,
@@ -456,7 +411,7 @@ class ProbeWallClock(Rule):
 
     @staticmethod
     def _defines_probe_sink(module: ModuleInfo) -> bool:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             if node.name.endswith("ProbeSink"):
@@ -483,7 +438,7 @@ class ProbeWallClock(Rule):
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
         defines_sink = self._defines_probe_sink(module)
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -524,6 +479,5 @@ DETERMINISM_RULES = [
     ProcessIdentity(),
     SetIteration(),
     ObsFeedback(),
-    ObsProfileSimImport(),
     ProbeWallClock(),
 ]

@@ -6,7 +6,13 @@ state across *flows*; a bare ``except:`` swallows ``KeyboardInterrupt``
 and simulator invariant errors alike; and a module without
 ``from __future__ import annotations`` breaks the project's typing
 conventions (string annotations are what let determinism-critical
-modules import ``random`` under ``TYPE_CHECKING`` only).
+modules import ``random`` under ``TYPE_CHECKING`` only). The first two
+duplicate ruff's ``B006``/``E722``, which CI runs; they stay because
+``make check`` skips ruff where it is not installed, which leaves them
+as the only local check. The fourth rule is the project's own: scenarios
+name their scheduling policy with a string (``policy=``), and only this
+rule keeps code outside ``repro/sched`` from branching on that string
+instead of dispatching through the policy registry.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ class MutableDefault(Rule):
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
             ):
@@ -76,7 +82,7 @@ class BareExcept(Rule):
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.ExceptHandler) and node.type is None:
                 yield self.finding(
                     module,
@@ -122,7 +128,8 @@ class MissingFutureAnnotations(Rule):
         )
 
 
-#: scheduling-policy names whose string comparison means mode-branching
+#: scheduling-policy names whose string comparison means branching on
+#: the policy outside the policy subsystem
 _SCHED_LITERALS = frozenset({"fair", "serialized", "srpt"})
 
 #: the policy subsystem itself (registry, aliases, policy classes) may
@@ -157,7 +164,7 @@ class SchedModeLiteral(Rule):
     name = "sched-no-mode-literals"
     family = "api-hygiene"
     description = (
-        "comparison against a scheduling-mode literal ('fair'/"
+        "comparison against a scheduling-policy literal ('fair'/"
         "'serialized'/'srpt') outside repro/sched; dispatch through the "
         "policy registry (resolve_policy_name/get_policy) instead"
     )
@@ -165,7 +172,7 @@ class SchedModeLiteral(Rule):
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
         if module.in_directory(_SCHED_PACKAGE_DIR):
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
@@ -178,13 +185,13 @@ class SchedModeLiteral(Rule):
                             module,
                             node,
                             f"equality test against policy literal "
-                            f"{hit!r}; mode-branching belongs in "
+                            f"{hit!r}; policy-branching belongs in "
                             f"repro/sched — dispatch through the "
                             f"registry or a named constant",
                         )
                 elif isinstance(op, (ast.In, ast.NotIn)):
                     # `"fair" in names` (validating a dynamic list) is
-                    # fine; `policy in ("fair", ...)` is a mode branch.
+                    # fine; `policy in ("fair", ...)` is a policy branch.
                     hit = _literal_container_hit(right)
                     if hit is not None:
                         yield self.finding(

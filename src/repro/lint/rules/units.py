@@ -104,7 +104,7 @@ class UnitSuffixMismatch(Rule):
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.BinOp) and isinstance(
                 node.op, (ast.Add, ast.Sub)
             ):
@@ -161,7 +161,7 @@ class RawExponentLiteral(Rule):
         if module.filename == "units.py":
             return
         tolerant = self._tolerance_nodes(module)
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if (
                 isinstance(node, ast.BinOp)
                 and isinstance(node.op, ast.Pow)
@@ -204,7 +204,7 @@ class RawExponentLiteral(Rule):
     def _tolerance_nodes(self, module: ModuleInfo) -> Set[ast.AST]:
         """All AST nodes inside a recognized tolerance context."""
         roots: List[ast.AST] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Compare):
                 roots.append(node)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -259,7 +259,7 @@ class CallUnitMismatch(Rule):
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             for kw in node.keywords:
@@ -275,7 +275,7 @@ class CallUnitMismatch(Rule):
                         yield from self._compare(module, node, param, arg)
 
     def _compare(
-        self, module: ModuleInfo, call: ast.Call, param: str, arg: ast.AST
+        self, module: ModuleInfo, call: ast.Call, param: str, arg: ast.expr
     ) -> Iterator[Finding]:
         param_unit = unit_of_name(param)
         arg_unit = unit_of_expr(arg)

@@ -87,7 +87,7 @@ class Switch:
         port = self._flow_port_cache.get(key)
         if port is None:
             digest = zlib.crc32(
-                f"{key[0]}|{key[1]}|{key[2]}".encode("utf-8"), self._hash_salt  # simlint: ignore[perf-alloc-in-hot-path] -- cache-miss branch, once per flow
+                f"{key[0]}|{key[1]}|{key[2]}".encode("utf-8"), self._hash_salt
             )
             port = group[digest % len(group)]
             self._flow_port_cache[key] = port

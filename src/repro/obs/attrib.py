@@ -9,7 +9,7 @@ concurrent flows by throughput share on virtual-time windows.
 
 The ledger is a pure post-run computation over a
 :class:`~repro.harness.runner.RunMeasurement` — it never touches the
-simulation (``obs-profile-no-sim-import`` bans the reverse import):
+simulation (``obs-no-feedback`` bans the reverse import):
 
 1. flow start/end times tile the measurement window into maximal
    intervals on which the set of active flows is constant;

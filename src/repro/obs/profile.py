@@ -8,7 +8,7 @@ the recording implementation and everything downstream of it:
   per-stack-path call/self-wall-time totals. Wall-clock reads happen
   here (the journal's blessed ``perf_clock``), and only aggregate
   deltas are kept — never per-event timestamps, and nothing the
-  simulation can read back (``obs-profile-no-sim-import`` bans the
+  simulation can read back (``obs-no-feedback`` bans the
   reverse import).
 * ``profile.jsonl`` persistence as a :mod:`repro.obs.stream`: one
   record per (scenario, seed), per-worker partials merged by the

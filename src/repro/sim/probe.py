@@ -109,7 +109,7 @@ class TimeSeriesProbeSink(ProbeSink):
         if series is None:
             # runs once per (channel, entity), not per event: the branch
             # is only taken on a stream's very first sample
-            series = TimeSeries(name=f"{entity}:{channel}")  # simlint: ignore[perf-alloc-in-hot-path]
+            series = TimeSeries(name=f"{entity}:{channel}")
             self._series[key] = series
         elif self.min_interval_s is not None:
             if time_s - self._last_kept[key] < self.min_interval_s:

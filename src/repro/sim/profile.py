@@ -81,6 +81,6 @@ def dispatch_key(callback: object) -> str:
     key = _DISPATCH_KEYS.get(name)
     if key is None:
         # runs once per distinct callback qualname, not per event
-        key = f"{DISPATCH_PREFIX}.{name}"  # simlint: ignore[perf-alloc-in-hot-path]
+        key = f"{DISPATCH_PREFIX}.{name}"
         _DISPATCH_KEYS[name] = key
     return key

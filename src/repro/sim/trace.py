@@ -33,8 +33,8 @@ class TimeSeries:
         self.name = name
         # fresh lists are the mutable defaults; one series is built per
         # telemetry stream, not per event
-        self.times: List[float] = [] if times is None else times  # simlint: ignore[perf-alloc-in-hot-path]
-        self.values: List[float] = [] if values is None else values  # simlint: ignore[perf-alloc-in-hot-path]
+        self.times: List[float] = [] if times is None else times
+        self.values: List[float] = [] if values is None else values
 
     def __repr__(self) -> str:
         return (

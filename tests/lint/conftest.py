@@ -32,9 +32,6 @@ CLEAN_FIXTURES = (
     "hygiene/clean_hygiene.py",
     "hygiene/sched_literals_ok.py",
     "hygiene/sched/in_package.py",
-    "perf_cold/sim/coldpath.py",
-    "detflow/sim/clean_flow.py",
-    "unitsflow/flow_clean.py",
 )
 
 

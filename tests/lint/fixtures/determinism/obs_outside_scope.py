@@ -6,5 +6,5 @@ from repro.obs.observer import NULL_OBSERVER
 
 
 def run_traced() -> None:
-    # fine here: this module is not in a simulator package
+    # fine here: this module is not in a result-producing package
     NULL_OBSERVER.emit("run_started")

@@ -1,8 +1,8 @@
-"""Set iteration outside sim/net/cc/tcp is allowed (lint fixture)."""
+"""Set iteration outside the result-producing packages is allowed (lint fixture)."""
 
 from __future__ import annotations
 
 
 def dedupe(names):
-    # fine here: this module is not in a simulator package
+    # fine here: this module is not in a result-producing package
     return list(set(names))

@@ -2,6 +2,8 @@
 
 from collections import Counter
 
+from repro.lint.rules.determinism import SIM_DIRECTORIES
+
 DET = [
     "det-import-random",
     "det-global-rng",
@@ -10,9 +12,11 @@ DET = [
     "det-process-identity",
     "det-set-iteration",
     "obs-no-feedback",
-    "obs-profile-no-sim-import",
     "obs-probe-wall-clock",
 ]
+
+#: the remedy obs-no-feedback gives for the profiling channel
+PROFILING_REMEDY = "instrument against the repro.sim.profile protocol"
 
 
 def _by_rule(result):
@@ -81,6 +85,24 @@ class TestSetIteration:
             "determinism/outside_scope.py", select=["det-set-iteration"]
         ).clean
 
+    def test_fires_where_arrivals_and_plans_are_made(self, lint):
+        """Flow order and start order are results as much as cwnd is."""
+        for fixture in (
+            "determinism/apps/bad_flow_order.py",
+            "determinism/sched/bad_plan_order.py",
+        ):
+            result = lint(fixture, select=["det-set-iteration"])
+            assert _by_rule(result)["det-set-iteration"] == 1, fixture
+
+    def test_result_packages_honor_the_rule(self):
+        from pathlib import Path
+
+        from repro.lint import run_lint
+
+        repo_src = Path(__file__).resolve().parents[2] / "src" / "repro"
+        paths = [str(repo_src / d) for d in SIM_DIRECTORIES]
+        assert run_lint(paths, select=["det-set-iteration"]).clean
+
 
 class TestObsFeedback:
     """Observability is write-only: sim code must never import repro.obs."""
@@ -97,52 +119,67 @@ class TestObsFeedback:
             "determinism/obs_outside_scope.py", select=["obs-no-feedback"]
         ).clean
 
+    def test_fires_where_joules_and_plans_are_made(self, lint):
+        """The energy model and the policies must not read tracing state."""
+        for fixture in (
+            "determinism/energy/bad_obs_import.py",
+            "determinism/sched/bad_plan_order.py",
+        ):
+            result = lint(fixture, select=["obs-no-feedback"])
+            assert _by_rule(result)["obs-no-feedback"] == 1, fixture
+
+    def test_generic_imports_get_the_generic_remedy(self, lint):
+        result = lint(
+            "determinism/sim/bad_obs_feedback.py", select=["obs-no-feedback"]
+        )
+        for finding in result.findings:
+            assert "`repro.obs`" in finding.message
+            assert PROFILING_REMEDY not in finding.message
+
     def test_simulator_sources_honor_the_rule(self):
-        """The shipped sim/net/cc/tcp packages must themselves be clean."""
+        """The shipped result-producing packages must themselves be clean."""
         from pathlib import Path
 
         from repro.lint import run_lint
 
         repo_src = Path(__file__).resolve().parents[2] / "src" / "repro"
-        paths = [
-            str(repo_src / d) for d in ("sim", "net", "cc", "tcp")
-        ]
+        paths = [str(repo_src / d) for d in SIM_DIRECTORIES]
         result = run_lint(paths, select=["obs-no-feedback"])
         assert result.clean
 
 
 class TestObsProfileSimImport:
     """Profiling's sharper edge of the write-only contract: sim code
-    talks to repro.sim.profile, never to the obs-side collector."""
+    talks to repro.sim.profile, never to the obs-side collector. The
+    rule of this name was folded into obs-no-feedback, which names the
+    profiling module and gives the profiling remedy for these imports."""
 
     def test_fires_on_every_import_form_inside_sim(self, lint):
         result = lint(
             "determinism/sim/bad_profile_import.py",
-            select=["obs-profile-no-sim-import"],
+            select=["obs-no-feedback"],
         )
         # import repro.obs.profile + from repro.obs import attrib +
         # from repro.obs.profile import ProfileCollector
-        assert _by_rule(result)["obs-profile-no-sim-import"] == 3
+        assert [f.message.split("`")[1] for f in result.findings] == [
+            "repro.obs.profile", "repro.obs.attrib", "repro.obs.profile",
+        ]
+        assert all(PROFILING_REMEDY in f.message for f in result.findings)
 
     def test_generic_feedback_rule_also_fires(self, lint):
-        """Defense in depth: the broad rule still covers these imports."""
-        result = lint(
-            "determinism/sim/bad_profile_import.py",
-            select=["obs-no-feedback"],
-        )
-        assert _by_rule(result)["obs-no-feedback"] == 3
+        """One rule, one finding per import: nothing fires twice."""
+        result = lint("determinism/sim/bad_profile_import.py", select=DET)
+        assert _by_rule(result) == {"obs-no-feedback": 3}
 
     def test_protocol_import_is_the_blessed_direction(self, lint):
         assert lint(
-            "determinism/sim/clean_profile.py",
-            select=["obs-profile-no-sim-import"],
+            "determinism/sim/clean_profile.py", select=["obs-no-feedback"]
         ).clean
 
     def test_silent_outside_simulator_packages(self, lint):
         # the obs layer itself imports these modules freely
         assert lint(
-            "determinism/obs_outside_scope.py",
-            select=["obs-profile-no-sim-import"],
+            "determinism/obs_outside_scope.py", select=["obs-no-feedback"]
         ).clean
 
     def test_simulator_sources_honor_the_rule(self):
@@ -152,7 +189,7 @@ class TestObsProfileSimImport:
 
         repo_src = Path(__file__).resolve().parents[2] / "src" / "repro"
         paths = [str(repo_src / d) for d in ("sim", "net", "cc", "tcp")]
-        result = run_lint(paths, select=["obs-profile-no-sim-import"])
+        result = run_lint(paths, select=["obs-no-feedback"])
         assert result.clean
 
 

@@ -1,5 +1,6 @@
 """Engine behavior: discovery, selection, suppression, the src/ gate."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -12,16 +13,44 @@ from repro.lint.engine import (
     iter_rules,
 )
 
+from tests.conftest import count_calls
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestRuleRegistry:
-    def test_twentynine_rules_in_seven_families(self):
-        rules = iter_rules()
-        assert len(rules) == 29
-        assert {r.family for r in rules} == {
-            "units", "units-flow", "determinism", "determinism-flow",
-            "cca-contract", "api-hygiene", "perf",
+    def test_nineteen_rules_in_four_families(self):
+        by_family = {}
+        for rule in iter_rules():
+            by_family.setdefault(rule.family, []).append(rule.name)
+        assert by_family == {
+            "units": [
+                "units-call-mismatch",
+                "units-raw-literal",
+                "units-suffix-mismatch",
+            ],
+            "determinism": [
+                "det-entropy",
+                "det-global-rng",
+                "det-import-random",
+                "det-process-identity",
+                "det-set-iteration",
+                "det-wall-clock",
+                "obs-no-feedback",
+                "obs-probe-wall-clock",
+            ],
+            "cca-contract": [
+                "cca-missing-name",
+                "cca-negative-cwnd",
+                "cca-override-on-ack",
+                "cca-unregistered",
+            ],
+            "api-hygiene": [
+                "api-bare-except",
+                "api-missing-future",
+                "api-mutable-default",
+                "sched-no-mode-literals",
+            ],
         }
 
     def test_rules_have_names_and_descriptions(self):
@@ -165,6 +194,25 @@ class TestCleanFixtures:
     def test_clean_fixtures_pass_every_rule(self, lint, clean_fixture_names):
         result = lint(*clean_fixture_names)
         assert result.clean, "\n".join(f.format() for f in result.findings)
+
+
+class TestCost:
+    """Exact cost gate (frames, not time): a file is split into lines
+    once and its tree flattened once, whatever the number of literals
+    and rules. Done per literal and per rule, those two are 85 % of a
+    lint run over ``src/``."""
+
+    def test_one_split_and_no_walk_per_rule(self, fixtures_dir):
+        target = fixtures_dir / "units" / "bad_units.py"
+        node_count = len(list(ast.walk(ast.parse(target.read_text()))))
+        result, calls = count_calls(run_lint, [str(target)])
+        assert len(result.rules_run) == 19 and result.findings
+        # `ast.get_source_segment` re-splits the whole source per call
+        assert calls.get(ast.get_source_segment.__code__, 0) == 0
+        # a generator frame is entered once per node it yields: rules
+        # iterate `ModuleInfo.nodes`, so all that is left are the
+        # subtree walks of units-raw-literal's tolerance contexts
+        assert calls.get(ast.walk.__code__, 0) < node_count
 
 
 class TestSourceTreeGate:

@@ -13,10 +13,15 @@ says what a unit of it costs: every Python frame entered under
 ``src/repro/{sim,net,tcp,cc,energy}`` divided by the heap pushes. It is
 held under a ceiling, so a property, a pass-through wrapper or a value
 computed twice on the per-packet path fails here.
+
+The classes allocated per event, packet, ACK, segment and telemetry
+stream keep ``__slots__``: an instance ``__dict__`` is an allocation
+per event that enters no frame, so the counters above cannot see it.
 """
 
 import pytest
 
+from repro.cc.base import AckEvent
 from repro.cc.registry import algorithm_names, get_class
 from repro.core.allocation import FAIR_PLAN_NAME, fig1_allocations
 from repro.energy.cpu import CpuPackage
@@ -25,11 +30,13 @@ from repro.figures.grid import run_cca_mtu_grid
 from repro.harness.cache import ResultCache, compute_key
 from repro.harness.experiment import scenario_from_plan
 from repro.harness.runner import run_once
+from repro.net.packet import Packet
 from repro.obs.journal import read_journal
 from repro.obs.telemetry import read_telemetry
 from repro.sim.engine import Event, Simulator
 from repro.sim.probe import TimeSeriesProbeSink
-from repro.tcp.sender import TcpSender
+from repro.sim.trace import TimeSeries
+from repro.tcp.sender import SegmentInfo, TcpSender
 
 from tests.conftest import count_calls
 from tests.harness.test_fabric_determinism import fabric_scenario
@@ -215,3 +222,12 @@ def test_grid_cell_cold_then_replayed_work_counters(tmp_path):
         },
         "sink_samples": cold_calls.get(TimeSeriesProbeSink.sample.__code__, 0),
     } == PINNED["cca_mtu_grid"]
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [Event, Packet, AckEvent, SegmentInfo, TimeSeries],
+    ids=lambda cls: cls.__name__,
+)
+def test_per_event_instances_carry_no_dict(cls):
+    assert not hasattr(cls.__new__(cls), "__dict__")
