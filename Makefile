@@ -6,7 +6,7 @@
 # sarif, the obs watch smoke, obs-profile).
 #
 # The perf gates are exact counts inside tier-1, never a timing:
-# tests/test_work_counters.py (work per run, frames per heap push),
+# tests/test_work_counters.py (work per run, frames per segment),
 # tests/obs/test_overhead_frames.py (tracing off costs no frame) and
 # tests/test_import_budget.py (the modules a run imports). `make imports`
 # prints the numbers behind the last one.

@@ -227,9 +227,6 @@ class CongestionControl:
         self.cwnd = max(self.min_cwnd, self.ssthresh)
         self._clamp()
 
-    def on_sent(self, bytes_sent: int) -> None:
-        """A data segment was transmitted (pacing-style CCAs track this)."""
-
     def pacing_rate_bps(self) -> Optional[float]:
         """Pacing rate, or None for pure ACK-clocked window sending."""
         return None

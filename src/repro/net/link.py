@@ -4,16 +4,24 @@ A :class:`Link` describes a unidirectional pipe: a fixed bit rate, a
 propagation delay, an optional corruption rate, the receiving end and
 the wire's counters. An :class:`Interface` couples a queue to a link and
 implements the store-and-forward loop: if the link is idle a packet
-starts serializing immediately, otherwise it waits in the queue; when a
-serialization finishes, delivery is scheduled one propagation delay later
-and the next packet (if any) starts.
+starts serializing immediately, otherwise it waits in the queue; a
+packet reaches the sink one wire time plus one propagation delay after
+it started, and the next packet (if any) starts when the wire time is
+over.
 
 This is the classic ns-2 ``Queue + DelayLink`` decomposition and is the
 only place in the library where virtual time is consumed by data motion.
-Each packet costs each hop two events, and each of the two runs in one
-Python frame: :meth:`Interface._start_transmission` and
-:meth:`Interface._finish_transmission` do their whole stage themselves
-rather than through per-step helpers on the link.
+Each packet costs each hop one event, its delivery, pushed by
+:meth:`Interface._start_transmission`, which does the whole hop in one
+Python frame. The transmit side is demand-driven like the paced NIC: the
+end of serialisation is a field, :attr:`Interface.busy_until`, and an
+event (:meth:`Interface._start_next`) only while a packet waits in the
+queue or when the frame was lost. The order of same-instant events is
+that of a link which always pushes a finish event and lets it push the
+delivery: the delivery is *placed* at the finish instant, a finish pushed
+late takes the place it would have had, and an arrival at exactly
+``busy_until`` asks whether the finish would have run yet (see the
+design notes of :mod:`repro.sim.engine`).
 """
 
 from __future__ import annotations
@@ -40,8 +48,9 @@ class Link:
     """Unidirectional link: serialization at ``rate_bps`` + fixed delay.
 
     ``loss_rate`` models random corruption (bit errors, flaky optics):
-    each packet is independently dropped with that probability after
-    serialization. Deterministic given ``loss_rng``; used by robustness
+    each packet is independently dropped with that probability. The draw
+    is made when serialization starts and the frame holds the wire all
+    the same. Deterministic given ``loss_rng``; used by robustness
     tests and failure-injection experiments.
 
     The link holds no behaviour of its own: the :class:`Interface` that
@@ -58,9 +67,14 @@ class Link:
         loss_rate: float = 0.0,
         loss_rng=None,
     ):
-        if rate_bps <= 0:
-            raise NetworkConfigError(f"link rate must be > 0, got {rate_bps}")
-        if delay_s < 0:
+        # written so that NaN fails too. The rate is finite so that every
+        # frame holds the wire for some time: an interface tells a
+        # transmission's start from its finish by their instants
+        if not 0 < rate_bps < float("inf"):
+            raise NetworkConfigError(
+                f"link rate must be finite and > 0, got {rate_bps}"
+            )
+        if not delay_s >= 0:
             raise NetworkConfigError(f"link delay must be >= 0, got {delay_s}")
         if not 0.0 <= loss_rate < 1.0:
             raise NetworkConfigError(
@@ -101,7 +115,7 @@ class Interface:
         min_packet_gap_s: float = 0.0,
         int_telemetry: bool = False,
     ):
-        if min_packet_gap_s < 0:
+        if not min_packet_gap_s >= 0:
             raise NetworkConfigError(
                 f"min packet gap must be >= 0, got {min_packet_gap_s}"
             )
@@ -119,24 +133,52 @@ class Interface:
         #: rate, timestamp) on departing packets — HPCC's switch support
         self.int_telemetry = int_telemetry
         self._tx_bytes_total = 0.0
-        self._busy = False
+        #: the instant the transmission in flight finishes
+        self.busy_until = float("-inf")
+        #: that finish's place in line among the events due at
+        #: ``busy_until``: the instant the transmission started and the
+        #: sequence number its start drew
+        self._tx_start = 0.0
+        self._tx_seq = 0
+        #: the finish is on the heap as a ``_start_next`` event
+        self._next_armed = False
         self.counters = CounterSet()
 
     @property
     def busy(self) -> bool:
         """Whether a packet is currently being serialized."""
-        return self._busy
+        now = self.sim.now
+        return now < self.busy_until or (
+            now == self.busy_until and not self._finished()
+        )
 
     @property
     def backlog_bytes(self) -> int:
         """Bytes waiting in the queue (not counting the in-flight packet)."""
         return self.queue.occupancy_bytes
 
+    def _finished(self) -> bool:
+        """At exactly ``busy_until``: has the finish had its turn?
+
+        Armed, it is on the heap and has not. Otherwise it is an event
+        nobody pushed, and it would have run by now if its place in line
+        is no later than that of the event running now.
+        """
+        if self._next_armed:
+            return False
+        current = self.sim.current
+        return current is None or (
+            (self._tx_start, self._tx_seq) <= (current[1], current[2])
+        )
+
     def enqueue(self, packet: Packet) -> bool:
         """Submit a packet for transmission. Returns False if dropped."""
-        # An idle interface has an empty queue: only _finish_transmission
-        # clears _busy, and only when nothing was left to dequeue.
-        if not self._busy:
+        now = self.sim.now
+        # A free wire has an empty queue: had anything waited, the finish
+        # was armed and started it.
+        if now > self.busy_until or (
+            now == self.busy_until and self._finished()
+        ):
             self._start_transmission(packet)
             return True
         accepted = self.queue.enqueue(packet)
@@ -144,48 +186,62 @@ class Interface:
             self.counters["drops"] += 1.0
             if self.on_drop is not None:
                 self.on_drop(packet)
+        elif not self._next_armed:
+            self._next_armed = True
+            self.sim.schedule_at(
+                self.busy_until, self._start_next,
+                placed_at=self._tx_start, seq=self._tx_seq,
+            )
         return accepted
 
     def _start_transmission(self, packet: Packet) -> None:
-        """Serialization stage: hold the link for the packet's wire time."""
-        self._busy = True
-        if self.on_dequeue is not None:
-            self.on_dequeue(packet)
-        sim = self.sim
-        link = self.link
-        self._tx_bytes_total += packet.wire_bytes
-        if self.int_telemetry and not packet.is_ack:
-            packet.int_qlen_bytes = self.queue.occupancy_bytes
-            packet.int_tx_bytes = self._tx_bytes_total
-            packet.int_timestamp = sim.now
-            packet.int_link_rate_bps = link.rate_bps
-        hold = max(
-            packet.wire_bytes * BITS_PER_BYTE / link.rate_bps,
-            self.min_packet_gap_s,
-        )
-        sim.schedule_at(sim.now + hold, self._finish_transmission, packet)
-
-    def _finish_transmission(self, packet: Packet) -> None:
-        """Delivery stage: the frame is on the wire; one propagation delay
-        later it reaches the sink, unless a bit error kills it. Then the
-        next queued packet, if any, starts serializing."""
+        """The whole hop: the packet holds the wire for its wire time and,
+        unless a bit error kills it, reaches the sink one propagation
+        delay after that."""
         sim = self.sim
         link = self.link
         sink = link.sink
         if sink is None:
             raise NetworkConfigError(f"{link.name}: no sink connected")
+        if self.on_dequeue is not None:
+            self.on_dequeue(packet)
+        now = sim.now
+        wire_bytes = packet.wire_bytes
+        self._tx_bytes_total += wire_bytes
+        if self.int_telemetry and not packet.is_ack:
+            packet.int_qlen_bytes = self.queue.occupancy_bytes
+            packet.int_tx_bytes = self._tx_bytes_total
+            packet.int_timestamp = now
+            packet.int_link_rate_bps = link.rate_bps
+        finish = now + max(
+            wire_bytes * BITS_PER_BYTE / link.rate_bps, self.min_packet_gap_s
+        )
+        self.busy_until = finish
+        self._tx_start = now
         wire = link.counters
         wire["tx_packets"] += 1.0
-        wire["tx_bytes"] += packet.wire_bytes
+        wire["tx_bytes"] += wire_bytes
+        self.counters["tx_packets"] += 1.0
         if link.loss_rate > 0 and link.loss_rng.random() < link.loss_rate:
             wire["corrupted"] += 1.0
-        else:
-            sim.schedule_at(sim.now + link.delay_s, sink.receive, packet)
-        self.counters["tx_packets"] += 1.0
-        # an empty queue is not asked: most departures leave nothing behind
+            # no delivery to hold the finish's place, so the finish goes
+            # on the heap itself
+            self._next_armed = True
+            self._tx_seq = sim.schedule_at(finish, self._start_next).seq
+            return
+        self._tx_seq = seq = sim.schedule_at(
+            finish + link.delay_s, sink.receive, packet, placed_at=finish
+        ).seq
+        if self.queue.occupancy_bytes:
+            self._next_armed = True
+            sim.schedule_at(finish, self._start_next, placed_at=now, seq=seq)
+
+    def _start_next(self) -> None:
+        """A transmission finished with something waiting behind it (or
+        with its frame lost): the next queued packet, if any, starts."""
+        self._next_armed = False
+        # an empty queue is not asked
         queue = self.queue
         nxt = queue.dequeue() if queue.occupancy_bytes else None
         if nxt is not None:
             self._start_transmission(nxt)
-        else:
-            self._busy = False

@@ -7,11 +7,39 @@ on one simulator instance.
 
 Design notes
 ------------
-* The heap holds ``(time, seq, event)`` tuples, so ``heapq`` orders
-  entries by comparing floats and ints in C and never calls back into
-  Python. ``seq`` is strictly increasing, which makes events at the same
-  timestamp run in FIFO scheduling order (runs are deterministic) and
-  means a comparison never reaches the :class:`Event` itself.
+* The heap holds ``(time, placed_at, seq, event)`` tuples, so ``heapq``
+  orders entries by comparing floats and ints in C and never calls back
+  into Python. ``placed_at`` is the virtual instant the entry took its
+  place in line among those due at ``time``, and ``seq`` counts pushes.
+  An ordinary push is placed at ``now``; both ``now`` and ``seq`` only
+  grow, so ``(placed_at, seq)`` orders ordinary pushes exactly as ``seq``
+  alone does: events at the same timestamp run in FIFO scheduling order
+  (runs are deterministic) and a comparison never reaches the
+  :class:`Event` itself.
+* ``placed_at`` exists for *fused stages*: a component that used to run
+  an event at instant ``F`` only to push another one may push that other
+  one earlier, with ``placed_at=F``, and the entry sorts after
+  everything placed before ``F`` and before everything placed after it —
+  where the push at ``F`` would have put it. The link hop is the one
+  user (:mod:`repro.net.link`): it pushes a delivery when serialisation
+  starts, placed at the instant serialisation finishes. The finish
+  itself is pushed only if something needs it, as late as the instant
+  it is due, with the place it would have had (``placed_at`` = the
+  start, ``seq`` = the number the start drew); until then "has it run
+  yet?" is a comparison of that place with :attr:`Simulator.current`,
+  the entry being dispatched. Every push, placed or not, enters
+  :meth:`Simulator.schedule_at` and draws one sequence number.
+* What the key does not decide: against entries placed *at* ``F`` by
+  others — pushed during instant ``F``, or finishes of transmissions
+  started during it — and due at the same time, a delivery placed at
+  ``F`` always goes first, because its ``seq`` was drawn before ``F``.
+  The finish event pushed it after whatever earlier events of instant
+  ``F`` had pushed. It takes two float coincidences (another event at
+  exactly the finish instant, pushing for exactly the delivery's
+  instant) and then an effect of the order; a tests-only census
+  (``tests/net/test_interface_oracle.py``) counts the coincidence,
+  ``tests/test_work_counters.py`` asserts it is 0 on the four
+  work-counter shapes, and it is 0 on the four bench workloads.
 * Cancellation is O(1): :meth:`Event.cancel` marks the event dead and the
   main loop skips it. This is the standard "lazy deletion" heap idiom and
   avoids O(n) heap surgery (TCP's constantly re-armed timers rarely get
@@ -56,14 +84,17 @@ from repro.sim.profile import (
 
 Callback = Callable[..., None]
 
+#: ``(time, placed_at, seq, event)``; see the design notes
+HeapEntry = Tuple[float, float, int, "Event"]
+
 
 class Event:
     """A single scheduled callback.
 
-    The heap orders events by the ``(time, seq)`` prefix of their entry
-    tuple; the event itself is never compared. One Event is allocated
-    per scheduled callback — every simulated packet, timer and sample —
-    so the class uses ``__slots__``.
+    The heap orders events by the ``(time, placed_at, seq)`` prefix of
+    their entry tuple; the event itself is never compared. One Event is
+    allocated per scheduled callback — every simulated packet, timer and
+    sample — so the class uses ``__slots__``.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "sim")
@@ -126,7 +157,13 @@ class Simulator:
         #: events executed so far (for diagnostics); :meth:`run` tallies
         #: in a local and stores the total when it returns
         self.events_executed = 0
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[HeapEntry] = []
+        #: the entry being dispatched (the last one dispatched, between
+        #: events), or None when every entry due at or before ``now`` has
+        #: run. A fused stage compares the place of an event it never
+        #: pushed against it: "would that event have run by now?"
+        self.current: Optional[HeapEntry] = None
+        #: pushes so far; each draws one
         self._seq = 0
         self._running = False
         self._stop_requested = False
@@ -177,20 +214,47 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callback, *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule {delay:.9f}s in the past")
         return self.schedule_at(self.now + delay, callback, *args)
 
-    def schedule_at(self, time: float, callback: Callback, *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        if time < self.now:
+    def schedule_at(
+        self,
+        time: float,
+        callback: Callback,
+        *args: Any,
+        placed_at: Optional[float] = None,
+        seq: Optional[int] = None,
+    ) -> Event:
+        """Schedule ``callback(*args)`` at absolute virtual time ``time``.
+
+        ``placed_at`` and ``seq`` are kernel API for a fused stage (see
+        the design notes), not options: ``placed_at`` is the instant the
+        entry takes its place in line among those due at ``time`` — the
+        instant the event this push replaces would have made it — and
+        ``seq`` re-uses a place reserved by an earlier push. Either way
+        the push draws its own sequence number.
+        """
+        now = self.now
+        if not time >= now:  # also rejects NaN
             raise SimulationError(
-                f"cannot schedule at t={time:.9f} before now={self.now:.9f}"
+                f"cannot schedule at t={time:.9f} before now={now:.9f}"
             )
-        seq = self._seq
-        self._seq = seq + 1
+        own = self._seq
+        self._seq = own + 1
+        if placed_at is None:
+            event = Event(time, own, callback, args, False, self)
+            heapq.heappush(self._queue, (time, now, own, event))
+            return event
+        if not placed_at <= time:
+            raise SimulationError(
+                f"an entry due at t={time:.9f} cannot take its place "
+                f"at t={placed_at:.9f}"
+            )
+        if seq is None:
+            seq = own
         event = Event(time, seq, callback, args, False, self)
-        heapq.heappush(self._queue, (time, seq, event))
+        heapq.heappush(self._queue, (time, placed_at, seq, event))
         return event
 
     # -- execution ----------------------------------------------------
@@ -239,7 +303,7 @@ class Simulator:
         profiling = profiler.enabled
         try:
             while queue and executed < budget:
-                time, _, event = queue[0]
+                time, _, _, event = queue[0]
                 if event.cancelled:
                     pop(queue)
                     event.sim = None
@@ -247,7 +311,7 @@ class Simulator:
                     continue
                 if time > horizon:
                     break
-                pop(queue)
+                self.current = pop(queue)
                 self.now = time
                 # consumed: drop the heap back-reference *before* marking
                 # cancelled so a later cancel() neither double-counts nor
@@ -270,6 +334,7 @@ class Simulator:
             out_of_budget = bool(queue) and executed >= budget
             if until is not None and not (self._stop_requested or out_of_budget):
                 self.now = max(self.now, until)
+                self.current = None
         finally:
             self.events_executed = executed
             self._running = False
@@ -278,7 +343,7 @@ class Simulator:
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or None if the queue is empty."""
         queue = self._queue
-        while queue and queue[0][2].cancelled:
-            heapq.heappop(queue)[2].sim = None
+        while queue and queue[0][3].cancelled:
+            heapq.heappop(queue)[3].sim = None
             self._dead_in_queue -= 1
         return queue[0][0] if queue else None

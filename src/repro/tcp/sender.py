@@ -165,6 +165,9 @@ class TcpSender:
 
         # pacing
         self._pacing_next = 0.0
+        #: what the CCA answered when the pacing gate asked, once per
+        #: send opportunity; the send it lets through spaces the next by it
+        self._pacing_rate: Optional[float] = None
         self._pacing_event: Optional[Event] = None
         #: set when the host qdisc rejected a packet; cleared on drain
         self._local_block = False
@@ -608,7 +611,7 @@ class TcpSender:
     def _pacing_gate(self) -> bool:
         """True when pacing permits a send now; otherwise schedules a
         wakeup and returns False."""
-        rate = self.cca.pacing_rate_bps()
+        rate = self._pacing_rate = self.cca.pacing_rate_bps()
         if rate is None or rate <= 0:
             return True
         if self.sim.now >= self._pacing_next:
@@ -740,8 +743,7 @@ class TcpSender:
         )
         self.counters["segments_sent"] += 1.0
         self.counters["bytes_sent"] += seg.length
-        self.cca.on_sent(seg.length)
-        rate = self.cca.pacing_rate_bps()
+        rate = self._pacing_rate
         if rate is not None and rate > 0:
             now = self.sim.now
             self._pacing_next = (

@@ -46,11 +46,24 @@ class TestLink:
         with pytest.raises(NetworkConfigError):
             Link(sim, rate_bps=1e9, delay_s=-1.0)
 
-    def test_no_sink_raises(self, sim):
-        link = Link(sim, rate_bps=1e9, delay_s=0.0)
-        Interface(sim, DropTailQueue(10_000), link).enqueue(make_packet())
+    @pytest.mark.parametrize(
+        "rate_bps, delay_s",
+        [(float("nan"), 0.0), (1e9, float("nan")), (float("inf"), 0.0)],
+    )
+    def test_nan_and_infinite_rate_are_invalid(self, sim, rate_bps, delay_s):
+        # NaN compares false with everything, so `rate_bps <= 0` let it in;
+        # an infinite rate would make a frame finish the instant it starts
         with pytest.raises(NetworkConfigError):
-            sim.run()
+            Link(sim, rate_bps=rate_bps, delay_s=delay_s)
+
+    def test_no_sink_raises(self, sim):
+        # at the first enqueue, not one serialisation later in the run loop
+        link = Link(sim, rate_bps=1e9, delay_s=0.0)
+        iface = Interface(sim, DropTailQueue(10_000), link)
+        with pytest.raises(NetworkConfigError, match="no sink connected"):
+            iface.enqueue(make_packet())
+        assert sim.pending_events == 0
+        assert link.counters.get("tx_packets") == 0
 
 
 class TestInterface:

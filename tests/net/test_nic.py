@@ -200,7 +200,7 @@ class TestDemandDrivenPacing:
 
         def drain_entries():
             return sum(
-                1 for _, _, event in sim._queue
+                1 for *_, event in sim._queue
                 if not event.cancelled and event.callback == nic._drain
             )
 

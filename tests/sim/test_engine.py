@@ -42,6 +42,14 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
 
+    @pytest.mark.parametrize("method", ["schedule", "schedule_at"])
+    def test_nan_time_rejected(self, sim, method):
+        # NaN compares false with everything: `time < now` let it in,
+        # the callback ran last and run() returned nan as the clock
+        with pytest.raises(SimulationError):
+            getattr(sim, method)(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
     def test_callback_args_passed(self, sim):
         got = []
         sim.schedule(0.1, lambda a, b: got.append((a, b)), 1, "x")
@@ -203,3 +211,97 @@ class TestPendingEventAccounting:
         assert sim.queued_events == 1
         later.cancel()
         assert sim.pending_events == 0
+
+
+class TestPlacedEntries:
+    """``schedule_at(..., placed_at=, seq=)``: the kernel API of a fused
+    stage, which pushes at one instant the entry that an event it no
+    longer pushes would have pushed at a later one."""
+
+    DUE = 10.0
+
+    def push_at(self, sim, order, instant, tag, **placement):
+        """At ``instant``, push ``tag`` due at :attr:`DUE`."""
+        sim.schedule_at(
+            instant,
+            lambda: sim.schedule_at(self.DUE, order.append, tag, **placement),
+        )
+
+    def test_sorts_as_if_pushed_at_that_instant(self, sim):
+        order = []
+        self.push_at(sim, order, 1.0, "before-1")
+        self.push_at(sim, order, 1.0, "placed", placed_at=5.0)
+        self.push_at(sim, order, 3.0, "before-2")
+        self.push_at(sim, order, 4.0, "placed-earlier", placed_at=4.5)
+        self.push_at(sim, order, 7.0, "after-1")
+        self.push_at(sim, order, 9.0, "after-2")
+        sim.run()
+        assert order == [
+            "before-1", "before-2", "placed-earlier", "placed",
+            "after-1", "after-2",
+        ]
+
+    def test_ordinary_pushes_keep_push_order(self, sim):
+        # placed_at is `now` for them, and seq grows with `now`
+        order = []
+        for instant, tag in [(1.0, "a"), (1.0, "b"), (2.0, "c"), (2.0, "d")]:
+            self.push_at(sim, order, instant, tag)
+        sim.run()
+        assert order == ["a", "b", "c", "d"]
+
+    def test_equal_placement_keeps_reservation_order(self, sim):
+        order = []
+        self.push_at(sim, order, 1.0, "first", placed_at=5.0)
+        self.push_at(sim, order, 2.0, "second", placed_at=5.0)
+        self.push_at(sim, order, 3.0, "third", placed_at=5.0)
+        sim.run()
+        assert order == ["first", "second", "third"]
+
+    def test_seq_reuses_a_place_reserved_earlier(self, sim):
+        order = []
+        reserved = []
+
+        def reserve():
+            sim.schedule_at(self.DUE, order.append, "pushed-before")
+            # due later, so only its number is borrowed, never its slot
+            reserved.append(sim.schedule_at(20.0, order.append, "holder"))
+            sim.schedule_at(self.DUE, order.append, "pushed-after")
+
+        def materialise():
+            event = sim.schedule_at(
+                self.DUE, order.append, "late",
+                placed_at=1.0, seq=reserved[0].seq,
+            )
+            assert event.seq == reserved[0].seq
+
+        sim.schedule_at(1.0, reserve)
+        sim.schedule_at(6.0, materialise)
+        sim.run()
+        assert order == ["pushed-before", "late", "pushed-after", "holder"]
+
+    def test_every_push_draws_one_sequence_number(self, sim):
+        assert sim._seq == 0
+        first = sim.schedule_at(1.0, lambda: None)
+        sim.schedule(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None, placed_at=1.5)
+        sim.schedule_at(2.0, lambda: None, placed_at=0.0, seq=first.seq)
+        assert sim._seq == sim.queued_events == 4
+
+    def test_place_later_than_due_time_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            sim.schedule_at(1.0, lambda: None, placed_at=2.0)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(1.0, lambda: None, placed_at=float("nan"))
+
+    def test_current_is_the_entry_being_dispatched(self, sim):
+        seen = []
+        event = sim.schedule_at(1.0, lambda: seen.append(sim.current))
+        assert sim.current is None
+        sim.run()
+        assert seen == [(1.0, 0.0, event.seq, event)]
+
+    def test_current_cleared_when_a_run_reaches_its_horizon(self, sim):
+        # nothing due at or before `now` is still to run
+        sim.schedule_at(1.0, lambda: None)
+        sim.run(until=2.0)
+        assert sim.now == 2.0 and sim.current is None
