@@ -8,13 +8,15 @@
 # The perf gates are exact counts inside tier-1, never a timing:
 # tests/test_work_counters.py (work per run, frames per segment),
 # tests/obs/test_overhead_frames.py (tracing off costs no frame) and
-# tests/test_import_budget.py (the modules a run imports). `make imports`
-# prints the numbers behind the last one.
+# tests/test_import_budget.py (the modules a run imports). Three targets
+# print numbers and gate nothing: `make loc` (source lines per package),
+# `make imports` (the numbers behind the import budget) and `make frames`
+# (frames per stage of a packet's life: the table in docs/architecture.md).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test bench-check loc imports lint sarif ruff mypy bench obs-bench obs-profile baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
+.PHONY: check test bench-check loc imports frames lint sarif ruff mypy bench obs-bench obs-profile baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
 
 check: test bench-check lint ruff mypy
 
@@ -50,6 +52,14 @@ imports:
 		done | sort -n | head -1); \
 		printf '%-22s %3d repro modules %4d ms\n' $$module $$count $$((us / 1000)); \
 	done
+
+# the "Life of a packet" table of docs/architecture.md: Python frames
+# per stage on the dumbbell_sweep shape of tests/test_work_counters.py,
+# counted with tests.conftest.count_calls. Paste its output into the
+# table's last column; the gate on its last row is
+# FRAMES_PER_SEGMENT_CEILING.
+frames:
+	@$(PYTHON) -m tests.frames
 
 # the one gate mode: the tree lints clean, nothing absorbs a finding
 lint:

@@ -13,7 +13,9 @@ granularity this reproduction needs:
 * :meth:`on_ecn`          — ECE feedback (DCTCP and BBR2 react)
 * :meth:`on_rto`          — retransmission timeout fired
 * :meth:`on_recovery_exit`— leaving fast recovery (cwnd = ssthresh, PRR-lite)
-* :meth:`pacing_rate_bps` — None for pure window-based algorithms
+* :meth:`pacing_rate_bps` — asked once per send opportunity of a CCA
+  whose class defines it; a pure window-based algorithm inherits the
+  base class's (None) and is never asked
 
 ``cost_units`` given to :meth:`~CcContext.charge` are *relative* CPU
 work per operation; the energy layer's cost model converts them to
@@ -185,15 +187,21 @@ class CongestionControl:
     # -- events (override in subclasses) ----------------------------------
 
     def on_ack(self, event: AckEvent) -> None:
-        """Cumulative ACK advanced. Default: Reno additive increase."""
-        self.ctx.charge(self.ack_cost_units)
+        """Cumulative ACK advanced. Default: Reno additive increase.
+
+        Once per ACK, so ``in_slow_start``, ``min_cwnd`` and ``_clamp``
+        are written out here instead of called.
+        """
+        ctx = self.ctx
+        ctx.charge(self.ack_cost_units)
         remainder = event.newly_acked_bytes
-        if self.in_slow_start:
+        if self.cwnd < self.ssthresh:
             remainder = self.slow_start(remainder)
+        mss = ctx.mss
         if remainder > 0:
             # AIMD: one MSS per RTT => mss*mss/cwnd per ACKed MSS.
-            self.cwnd += max(1, self.ctx.mss * remainder // max(self.cwnd, 1))
-        self._clamp()
+            self.cwnd += max(1, mss * remainder // max(self.cwnd, 1))
+        self.cwnd = max(MIN_CWND_SEGMENTS * mss, self.cwnd)
 
     def on_dupack(self, event: AckEvent) -> None:
         """Duplicate ACK observed (before loss is inferred)."""
@@ -228,7 +236,12 @@ class CongestionControl:
         self._clamp()
 
     def pacing_rate_bps(self) -> Optional[float]:
-        """Pacing rate, or None for pure ACK-clocked window sending."""
+        """Pacing rate, or None for pure ACK-clocked window sending.
+
+        A CCA that paces overrides this *in its class*: the sender looks
+        once, at construction, whether it did, and does not ask one that
+        did not. An override may still answer None ("not now").
+        """
         return None
 
     # -- introspection -----------------------------------------------------

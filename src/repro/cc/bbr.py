@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cc.base import AckEvent, CongestionControl
+from repro.cc.base import MIN_CWND_SEGMENTS, AckEvent, CongestionControl
 from repro.cc.filters import WindowedFilter
 from repro.units import BITS_PER_BYTE, msec
 
@@ -67,8 +67,7 @@ class Bbr(CongestionControl):
 
     # -- model updates ------------------------------------------------
 
-    def _update_model(self, event: AckEvent) -> None:
-        now = self.ctx.now
+    def _update_model(self, event: AckEvent, now: float) -> None:
         srtt = self.ctx.srtt or FALLBACK_RTT_S
         # Keep the bw window ~bw_window_rounds RTTs wide.
         self._bw_filter.window_s = max(self.bw_window_rounds * srtt, FALLBACK_RTT_S)
@@ -101,26 +100,36 @@ class Bbr(CongestionControl):
 
     # -- state machine --------------------------------------------------
 
-    def _check_full_pipe(self) -> None:
-        bw = self.bw_bps
+    def _check_full_pipe(self, bw: float, now: float) -> None:
         if bw >= self._full_bw * 1.25:
             self._full_bw = bw
             self._full_bw_count = 0
             return
-        now = self.ctx.now
         srtt = self.ctx.srtt or FALLBACK_RTT_S
         if now - self._round_start_time >= srtt:
             self._round_start_time = now
             self._full_bw_count += 1
 
-    def _advance_state(self, event: AckEvent) -> None:
-        now = self.ctx.now
+    def _advance_state(self, event: AckEvent, now: float) -> Optional[float]:
+        """Run the state machine on one ACK.
+
+        Returns the model's BDP if a transition test read it, else None.
+        Nothing after such a read moves the clock, ``cwnd`` or the
+        filter, so :meth:`on_ack` sizes the window from the same number
+        instead of asking the filter again.
+        """
+        bdp = None
         if self.state == "STARTUP":
-            self._check_full_pipe()
+            bw = self.bw_bps
+            self._check_full_pipe(bw, now)
             if self._full_bw_count >= 3:
                 self.state = "DRAIN"
+            # bdp_bytes, from the bandwidth already in hand
+            rtt = self._min_rtt or self.ctx.min_rtt or FALLBACK_RTT_S
+            bdp = bw * rtt / BITS_PER_BYTE
         elif self.state == "DRAIN":
-            if event.flight_bytes <= self.bdp_bytes:
+            bdp = self.bdp_bytes
+            if event.flight_bytes <= bdp:
                 self._enter_probe_bw()
         elif self.state == "PROBE_BW":
             rtt = self._min_rtt or FALLBACK_RTT_S
@@ -138,22 +147,12 @@ class Bbr(CongestionControl):
             if now >= self._probe_rtt_done_stamp:
                 self._min_rtt_stamp = now
                 self._enter_probe_bw()
+        return bdp
 
     def _enter_probe_bw(self) -> None:
         self.state = "PROBE_BW"
         self._cycle_index = 2  # start in a cruise phase, like the kernel
         self._cycle_stamp = self.ctx.now
-
-    # -- gains ----------------------------------------------------------
-
-    def _pacing_gain(self) -> float:
-        if self.state == "STARTUP":
-            return self.startup_gain
-        if self.state == "DRAIN":
-            return 1.0 / self.startup_gain
-        if self.state == "PROBE_RTT":
-            return 1.0
-        return PROBE_BW_GAINS[self._cycle_index]
 
     def _cwnd_gain(self) -> float:
         if self.state == "STARTUP":
@@ -163,14 +162,20 @@ class Bbr(CongestionControl):
     # -- CCA interface -----------------------------------------------------
 
     def on_ack(self, event: AckEvent) -> None:
-        self.ctx.charge(self.ack_cost_units)
-        self._update_model(event)
-        self._advance_state(event)
+        ctx = self.ctx
+        ctx.charge(self.ack_cost_units)
+        # one clock read per ACK: nothing below advances virtual time
+        now = ctx.now
+        self._update_model(event, now)
+        bdp = self._advance_state(event, now)
         if self.state == "PROBE_RTT":
-            self.cwnd = 4 * self.ctx.mss
+            self.cwnd = 4 * ctx.mss
         else:
-            target = self._cwnd_gain() * self.bdp_bytes
-            self.cwnd = max(self.min_cwnd, int(target))
+            if bdp is None:
+                bdp = self.bdp_bytes
+            # _cwnd_gain() and min_cwnd, written out: once per ACK
+            gain = self.startup_gain if self.state == "STARTUP" else CWND_GAIN
+            self.cwnd = max(MIN_CWND_SEGMENTS * ctx.mss, int(gain * bdp))
 
     def on_congestion_event(self, event: AckEvent) -> None:
         # BBR v1 deliberately does not reduce on loss.
@@ -185,4 +190,15 @@ class Bbr(CongestionControl):
         self.cwnd = self.min_cwnd
 
     def pacing_rate_bps(self) -> Optional[float]:
-        return self._pacing_gain() * self.bw_bps * self.pacing_margin
+        # asked on every send opportunity, so the gain is picked here,
+        # the state a long flow spends its life in first
+        state = self.state
+        if state == "PROBE_BW":
+            gain = PROBE_BW_GAINS[self._cycle_index]
+        elif state == "STARTUP":
+            gain = self.startup_gain
+        elif state == "DRAIN":
+            gain = 1.0 / self.startup_gain
+        else:  # PROBE_RTT
+            gain = 1.0
+        return gain * self.bw_bps * self.pacing_margin

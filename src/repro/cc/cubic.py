@@ -12,7 +12,7 @@ AIMD flow at low bandwidth-delay products.
 
 from __future__ import annotations
 
-from repro.cc.base import AckEvent, CongestionControl
+from repro.cc.base import MIN_CWND_SEGMENTS, AckEvent, CongestionControl
 
 #: RFC 8312 constants.
 CUBIC_C = 0.4
@@ -57,18 +57,21 @@ class Cubic(CongestionControl):
             self.ssthresh = self.cwnd
 
     def on_ack(self, event: AckEvent) -> None:
-        self.ctx.charge(self.ack_cost_units)
+        # once per ACK: in_slow_start, min_cwnd and _clamp are written
+        # out here instead of called
+        ctx = self.ctx
+        ctx.charge(self.ack_cost_units)
         remainder = event.newly_acked_bytes
-        if self.in_slow_start:
+        mss = ctx.mss
+        if self.cwnd < self.ssthresh:
             self._hystart(event)
-        if self.in_slow_start:
+        if self.cwnd < self.ssthresh:
             remainder = self.slow_start(remainder)
             if remainder <= 0:
-                self._clamp()
+                self.cwnd = max(MIN_CWND_SEGMENTS * mss, self.cwnd)
                 return
-        mss = self.ctx.mss
         cwnd_seg = self.cwnd / mss
-        now = self.ctx.now
+        now = ctx.now
         if self._epoch_start < 0:
             self._epoch_start = now
             if cwnd_seg < self._w_max:
@@ -81,7 +84,7 @@ class Cubic(CongestionControl):
         target = CUBIC_C * (t - self._k) ** 3 + self._w_max
 
         # TCP-friendly region (average Reno window over the epoch).
-        rtt = self.ctx.srtt or self.ctx.min_rtt or 0.0
+        rtt = ctx.srtt or ctx.min_rtt or 0.0
         if rtt > 0:
             self._tcp_cwnd += (
                 3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA)
@@ -97,7 +100,7 @@ class Cubic(CongestionControl):
         else:
             # In the concave plateau, grow very slowly (1 seg / 100 ACKs).
             self.cwnd += max(1, mss // 100)
-        self._clamp()
+        self.cwnd = max(MIN_CWND_SEGMENTS * mss, self.cwnd)
 
     def on_congestion_event(self, event: AckEvent) -> None:
         self.ctx.charge(self.ack_cost_units)

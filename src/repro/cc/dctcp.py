@@ -14,7 +14,7 @@ Reno, exactly like the kernel module on a non-ECN path.
 
 from __future__ import annotations
 
-from repro.cc.base import AckEvent, CongestionControl
+from repro.cc.base import MIN_CWND_SEGMENTS, AckEvent, CongestionControl
 
 #: DCTCP gain g (RFC 8257 recommends 1/16).
 DCTCP_GAIN = 1.0 / 16.0
@@ -65,15 +65,15 @@ class Dctcp(CongestionControl):
         if event.ecn_marked_bytes > 0 or event.ecn_echo:
             self._saw_mark = True
         self._roll_window(event)
-        # Reno-style growth between reductions.
+        # Reno-style growth between reductions (once per ACK, so
+        # in_slow_start and _clamp are written out, not called).
         remainder = event.newly_acked_bytes
-        if self.in_slow_start:
+        if self.cwnd < self.ssthresh:
             remainder = self.slow_start(remainder)
+        mss = self.ctx.mss
         if remainder > 0:
-            self.cwnd += max(
-                1, self.ctx.mss * remainder // max(self.cwnd, 1)
-            )
-        self._clamp()
+            self.cwnd += max(1, mss * remainder // max(self.cwnd, 1))
+        self.cwnd = max(MIN_CWND_SEGMENTS * mss, self.cwnd)
 
     def on_ecn(self, event: AckEvent) -> None:
         """Per-ACK feedback is folded into the windowed estimator."""

@@ -10,7 +10,8 @@ class WindowedFilter:
     """Track the max (or min) of a stream over a sliding time window.
 
     Samples older than ``window`` seconds are evicted lazily on update
-    and query. This is a simplified (deque-scan) version of the
+    and query, each in its own frame: BBR asks on every ACK and on every
+    send opportunity. This is a simplified (deque-scan) version of the
     three-slot estimator in the Linux BBR code — fine at simulation ACK
     rates.
     """
@@ -24,28 +25,29 @@ class WindowedFilter:
         self.mode = mode
         self._samples: Deque[Tuple[float, float]] = deque()
 
-    def _better(self, a: float, b: float) -> bool:
-        return a >= b if self.mode == "max" else a <= b
-
     def update(self, now: float, value: float) -> None:
         """Insert a sample taken at virtual time ``now``."""
         # Remove samples the new one dominates (monotonic deque).
         samples = self._samples
-        while samples and self._better(value, samples[-1][1]):
-            samples.pop()
+        if self.mode == "max":
+            while samples and value >= samples[-1][1]:
+                samples.pop()
+        else:
+            while samples and value <= samples[-1][1]:
+                samples.pop()
         samples.append((now, value))
-        self._evict(now)
-
-    def _evict(self, now: float) -> None:
-        samples = self._samples
-        while samples and now - samples[0][0] > self.window_s:
+        window_s = self.window_s
+        while samples and now - samples[0][0] > window_s:
             samples.popleft()
 
     def get(self, now: Optional[float] = None) -> Optional[float]:
         """Current filtered value, or None if no recent samples."""
+        samples = self._samples
         if now is not None:
-            self._evict(now)
-        return self._samples[0][1] if self._samples else None
+            window_s = self.window_s
+            while samples and now - samples[0][0] > window_s:
+                samples.popleft()
+        return samples[0][1] if samples else None
 
     def reset(self) -> None:
         """Drop all samples."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from repro.cc.base import AckEvent, CongestionControl
+from repro.cc.base import MIN_CWND_SEGMENTS, AckEvent, CongestionControl
 
 #: RFC 3649 parameters.
 HS_W_LOW = 38.0
@@ -53,16 +53,17 @@ class HighSpeed(CongestionControl):
 
     def on_ack(self, event: AckEvent) -> None:
         self.ctx.charge(self.ack_cost_units)
+        # once per ACK: in_slow_start and _clamp are written out, not called
         remainder = event.newly_acked_bytes
-        if self.in_slow_start:
+        if self.cwnd < self.ssthresh:
             remainder = self.slow_start(remainder)
+        mss = self.ctx.mss
         if remainder > 0:
-            mss = self.ctx.mss
             w = max(1.0, self.cwnd / mss)
             a = hstcp_a(w)
             # a(w) segments per RTT => a*mss*mss/cwnd bytes per ACKed MSS.
             self.cwnd += max(1, int(a * mss * remainder / max(self.cwnd, 1)))
-        self._clamp()
+        self.cwnd = max(MIN_CWND_SEGMENTS * mss, self.cwnd)
 
     def on_congestion_event(self, event: AckEvent) -> None:
         self.ctx.charge(self.ack_cost_units)

@@ -7,7 +7,7 @@ by only 1/8 on congestion. Matches Linux's ``tcp_scalable``.
 
 from __future__ import annotations
 
-from repro.cc.base import AckEvent, CongestionControl
+from repro.cc.base import MIN_CWND_SEGMENTS, AckEvent, CongestionControl
 
 #: per-ACK additive constant (Linux: 0.01 via ai=100 shift)
 SCALABLE_AI = 0.01
@@ -24,12 +24,13 @@ class Scalable(CongestionControl):
 
     def on_ack(self, event: AckEvent) -> None:
         self.ctx.charge(self.ack_cost_units)
+        # once per ACK: in_slow_start and _clamp are written out, not called
         remainder = event.newly_acked_bytes
-        if self.in_slow_start:
+        if self.cwnd < self.ssthresh:
             remainder = self.slow_start(remainder)
         if remainder > 0:
             self.cwnd += max(1, int(SCALABLE_AI * remainder))
-        self._clamp()
+        self.cwnd = max(MIN_CWND_SEGMENTS * self.ctx.mss, self.cwnd)
 
     def on_congestion_event(self, event: AckEvent) -> None:
         self.ctx.charge(self.ack_cost_units)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cc.base import AckEvent, CongestionControl
+from repro.cc.base import MIN_CWND_SEGMENTS, AckEvent, CongestionControl
 
 #: Vegas target queue occupancy bounds, in segments.
 VEGAS_ALPHA = 2.0
@@ -35,10 +35,12 @@ class Vegas(CongestionControl):
 
     def on_ack(self, event: AckEvent) -> None:
         self.ctx.charge(self.ack_cost_units)
+        # once per ACK: in_slow_start and _clamp are written out, not called
         remainder = event.newly_acked_bytes
-        if self.in_slow_start:
+        mss = self.ctx.mss
+        if self.cwnd < self.ssthresh:
             remainder = self.slow_start(remainder)
-            self._clamp()
+            self.cwnd = max(MIN_CWND_SEGMENTS * mss, self.cwnd)
             if remainder <= 0:
                 return
         base_rtt = self.ctx.min_rtt
@@ -50,14 +52,13 @@ class Vegas(CongestionControl):
         if self._last_adjust is not None and now - self._last_adjust < rtt:
             return
         self._last_adjust = now
-        mss = self.ctx.mss
         cwnd_seg = self.cwnd / mss
         diff = cwnd_seg * (rtt - base_rtt) / rtt
         if diff < VEGAS_ALPHA:
             self.cwnd += mss
         elif diff > VEGAS_BETA:
             self.cwnd -= mss
-        self._clamp()
+        self.cwnd = max(MIN_CWND_SEGMENTS * mss, self.cwnd)
 
     def on_congestion_event(self, event: AckEvent) -> None:
         # Vegas halves like Reno on actual loss.

@@ -9,10 +9,11 @@ how the energy window is measured. The runner
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Union
 
 from repro.core.allocation import FSTI_PLAN_NAME, AllocationPlan
@@ -47,6 +48,20 @@ def _keyword_only_after_first(cls):
 
     cls.__init__ = __init__
     return cls
+
+
+def _plain_fields(spec: Any) -> Dict[str, Any]:
+    """A spec's fields as a new dict: what ``dataclasses.asdict`` returns
+    for a spec whose one mutable field value is ``cca_kwargs``.
+
+    ``asdict`` deep-copies every value of every flow to produce a string
+    that is hashed and thrown away; here only ``cca_kwargs`` is copied,
+    so the result still never aliases a dict the caller holds.
+    """
+    payload = dict(vars(spec))  # a spec holds its fields and nothing else
+    if payload.get("cca_kwargs") is not None:
+        payload["cca_kwargs"] = copy.deepcopy(payload["cca_kwargs"])
+    return payload
 
 
 @_keyword_only_after_first
@@ -182,7 +197,9 @@ class Scenario:
 
     def canonical_dict(self) -> Dict[str, Any]:
         """Every field (flows included) as JSON-ready plain data."""
-        return asdict(self)
+        payload = _plain_fields(self)
+        payload["flows"] = [_plain_fields(flow) for flow in self.flows]
+        return payload
 
     def cache_key(self) -> str:
         """Canonical serialization of the full scenario spec.
@@ -280,7 +297,7 @@ class FabricScenario:
         The ``kind`` marker keeps fabric cache keys disjoint from
         :class:`Scenario` keys even if the field sets ever collide.
         """
-        payload = asdict(self)
+        payload = _plain_fields(self)
         payload["kind"] = "fabric"
         return payload
 

@@ -181,7 +181,14 @@ class Interface:
         ):
             self._start_transmission(packet)
             return True
-        accepted = self.queue.enqueue(packet)
+        # the queue's public entry points exist for the profiler's span:
+        # without a profiler the interface calls what they wrap
+        queue = self.queue
+        accepted = (
+            queue.enqueue(packet)
+            if self.sim.profiler.enabled
+            else queue._enqueue(packet)
+        )
         if not accepted:
             self.counters["drops"] += 1.0
             if self.on_drop is not None:
@@ -240,8 +247,13 @@ class Interface:
         """A transmission finished with something waiting behind it (or
         with its frame lost): the next queued packet, if any, starts."""
         self._next_armed = False
-        # an empty queue is not asked
+        # an empty queue is not asked; which entry point is, see enqueue
         queue = self.queue
-        nxt = queue.dequeue() if queue.occupancy_bytes else None
-        if nxt is not None:
-            self._start_transmission(nxt)
+        if queue.occupancy_bytes:
+            nxt = (
+                queue.dequeue()
+                if self.sim.profiler.enabled
+                else queue._dequeue()
+            )
+            if nxt is not None:
+                self._start_transmission(nxt)

@@ -185,7 +185,12 @@ class Nic:
             backlog[packet.flow_id] = left
         else:
             backlog.pop(packet.flow_id, None)
-        self._dispatch(packet)
+        # _dispatch(packet), in this frame: once per paced packet
+        interfaces = self.interfaces
+        iface = interfaces[self._next_interface]
+        self._next_interface = (self._next_interface + 1) % len(interfaces)
+        if not iface.enqueue(packet):
+            self.counters["tx_drops"] += 1.0
         if self.drain_waiters:
             self.drain_waiters = 0
             for callback in self._drain_listeners:

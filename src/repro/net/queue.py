@@ -52,17 +52,15 @@ class DropTailQueue:
         self._probe_sim = sim
 
     def _probe_depth(self, sim: "Simulator") -> None:
-        """Sample the depth. Runs on every enqueue and dequeue, so call
-        sites test "attached and collecting" before spending a frame on
-        it: the bottleneck queue is always attached, mostly unobserved.
-        A sample the sink's ``min_interval_s`` would drop is not built."""
-        sink = sim.probe_sink
+        """Sample the depth. Every enqueue and dequeue is a sample
+        point, so the call sites test "attached, collecting, and not
+        inside the sink's ``min_interval_s`` of the last sample kept"
+        before spending a frame here: the bottleneck queue is always
+        attached, mostly unobserved, and a traced run keeps one sample
+        in hundreds. A sample the sink would drop is not built."""
         now = sim.now
-        interval = sink.min_interval_s
-        if interval is not None and now - self._probe_depth_kept < interval:
-            return
         self._probe_depth_kept = now
-        sink.sample(
+        sim.probe_sink.sample(
             now, QUEUE_DEPTH_CHANNEL, self.name, float(self.occupancy_bytes)
         )
 
@@ -125,7 +123,11 @@ class DropTailQueue:
         self.counters["enqueued"] += 1.0
         sim = self._probe_sim
         if sim is not None and sim.probe_sink.enabled:
-            self._probe_depth(sim)
+            interval = sim.probe_sink.min_interval_s
+            if interval is None or not (
+                sim.now - self._probe_depth_kept < interval
+            ):
+                self._probe_depth(sim)
         return True
 
     def _dequeue(self) -> Optional[Packet]:
@@ -136,7 +138,11 @@ class DropTailQueue:
         self.counters["dequeued"] += 1.0
         sim = self._probe_sim
         if sim is not None and sim.probe_sink.enabled:
-            self._probe_depth(sim)
+            interval = sim.probe_sink.min_interval_s
+            if interval is None or not (
+                sim.now - self._probe_depth_kept < interval
+            ):
+                self._probe_depth(sim)
         return packet
 
     # -- hooks ------------------------------------------------------------
@@ -222,7 +228,11 @@ class PriorityQueue(DropTailQueue):
         self.counters["enqueued"] += 1.0
         sim = self._probe_sim
         if sim is not None and sim.probe_sink.enabled:
-            self._probe_depth(sim)
+            interval = sim.probe_sink.min_interval_s
+            if interval is None or not (
+                sim.now - self._probe_depth_kept < interval
+            ):
+                self._probe_depth(sim)
         return True
 
     def _dequeue(self) -> Optional[Packet]:
@@ -237,7 +247,11 @@ class PriorityQueue(DropTailQueue):
         self.counters["dequeued"] += 1.0
         sim = self._probe_sim
         if sim is not None and sim.probe_sink.enabled:
-            self._probe_depth(sim)
+            interval = sim.probe_sink.min_interval_s
+            if interval is None or not (
+                sim.now - self._probe_depth_kept < interval
+            ):
+                self._probe_depth(sim)
         return packet
 
     def __len__(self) -> int:

@@ -166,22 +166,20 @@ class TcpReceiver:
 
     def _send_ack(self) -> None:
         self._delack_timer.stop()
+        rcv_nxt = self.rcv_nxt
+        received = self.received
         ack = Packet(
-            flow_id=self.flow_id,
-            src=self.host.name,
-            dst=self.peer,
-            is_ack=True,
-            ack_seq=self.rcv_nxt,
+            # flow, src, dst, seq, payload, is_ack, ack_seq, sacks
+            self.flow_id, self.host.name, self.peer, 0, 0, True, rcv_nxt,
             # nothing buffered, nothing to selectively acknowledge
-            sacks=(
-                self.received.blocks_above(self.rcv_nxt)
-                if self.received.total_bytes
-                else ()
-            ),
+            received.blocks_above(rcv_nxt) if received.total_bytes else (),
             ecn_echo=self._ce_state,
             ecn_marked_bytes=self._marked_bytes_pending,
             echo_time=self._pending_echo_time,
-            rwnd_bytes=self.advertised_rwnd,
+            # advertised_rwnd, written out: once per ACK
+            rwnd_bytes=min(
+                self.max_rwnd_bytes, DEFAULT_INITIAL_RWND + self.bytes_received
+            ),
         )
         if self._last_int is not None:
             ack.int_qlen_bytes = self._last_int.int_qlen_bytes

@@ -45,6 +45,11 @@ class RttEstimator:
         self.latest_rtt: Optional[float] = None
         self._backoff = 1
         self.samples = 0
+        #: current retransmission timeout, seconds (with backoff
+        #: applied). A plain attribute because the sender reads it on
+        #: every ACK; only the estimator writes it, wherever ``srtt``,
+        #: ``rttvar`` or the backoff change.
+        self.rto = min(max(min_rto, initial_rto), max_rto)
 
     def on_sample(self, rtt: float) -> None:
         """Fold one RTT measurement into the estimator."""
@@ -63,21 +68,19 @@ class RttEstimator:
             self.rttvar = (1 - BETA) * self.rttvar + BETA * abs(self.srtt - rtt)
             self.srtt = (1 - ALPHA) * self.srtt + ALPHA * rtt
         self._backoff = 1  # a valid sample clears backoff
-
-    @property
-    def rto(self) -> float:
-        """Current retransmission timeout, seconds (with backoff applied)."""
-        if self.srtt is None:
-            base = self._initial_rto
-        else:
-            assert self.rttvar is not None
-            base = self.srtt + K * self.rttvar
-        rto = max(self.min_rto, base) * self._backoff
-        return min(rto, self.max_rto)
+        # RFC 6298 §2.3: SRTT + K * RTTVAR, clamped; no backoff to apply
+        self.rto = min(
+            max(self.min_rto, self.srtt + K * self.rttvar), self.max_rto
+        )
 
     def backoff(self) -> None:
         """Double the RTO after a retransmission timeout (Karn/Partridge)."""
         self._backoff = min(self._backoff * 2, 64)
+        if self.srtt is None or self.rttvar is None:
+            base = self._initial_rto
+        else:
+            base = self.srtt + K * self.rttvar
+        self.rto = min(max(self.min_rto, base) * self._backoff, self.max_rto)
 
     @property
     def backoff_factor(self) -> int:

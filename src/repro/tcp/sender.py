@@ -4,7 +4,9 @@ This is the engine room of the reproduction. One :class:`TcpSender`
 models the sending half of a Linux TCP connection at the fidelity the
 paper's experiments exercise:
 
-* cwnd-limited, ACK-clocked transmission (or paced, if the CCA asks),
+* cwnd-limited, ACK-clocked transmission (or paced, if the CCA's class
+  defines ``pacing_rate_bps``: then it is asked once per send
+  opportunity, otherwise never),
 * RTT sampling from echoed send timestamps (Karn-safe),
 * duplicate-ACK and SACK-based fast retransmit with NewReno-style
   partial-ACK retransmission during recovery,
@@ -17,6 +19,15 @@ paper's experiments exercise:
 Energy coupling happens exclusively through
 :meth:`~repro.net.host.Host.notify_cc_op` and the host send/receive
 events — the sender never talks to the energy model directly.
+
+The per-segment and per-ACK paths are written for what a call costs, not
+only for how many there are: ``SegmentInfo``, ``Packet`` and ``AckEvent``
+are built positionally (a keyword costs more than the store it names),
+and a question asked per packet whose answer rarely changes is a field
+(``_paces``, ``RttEstimator.rto``) or an expression written out where it
+is asked (the window test for new data) with the method it copies kept
+for the paths that run once per loss. ``tests/tcp/test_call_shape.py``
+holds each copy to its original.
 """
 
 from __future__ import annotations
@@ -166,7 +177,8 @@ class TcpSender:
         # pacing
         self._pacing_next = 0.0
         #: what the CCA answered when the pacing gate asked, once per
-        #: send opportunity; the send it lets through spaces the next by it
+        #: send opportunity; the send it lets through spaces the next by
+        #: it. Stays None for a CCA that is never asked (``_paces``).
         self._pacing_rate: Optional[float] = None
         self._pacing_event: Optional[Event] = None
         #: set when the host qdisc rejected a packet; cleared on drain
@@ -188,6 +200,13 @@ class TcpSender:
 
         host.register_flow(flow_id, self)
         self.cca: CongestionControl = cca_factory(self)
+        #: whether the CCA's class has a ``pacing_rate_bps`` of its own.
+        #: One that inherits the base class's answers None every time,
+        #: so the pacing gate is not entered on its behalf at all.
+        self._paces = (
+            type(self.cca).pacing_rate_bps
+            is not CongestionControl.pacing_rate_bps
+        )
 
     # ------------------------------------------------------------------
     # CcContext protocol
@@ -366,20 +385,22 @@ class TcpSender:
         delivery_rate: Optional[float],
         app_limited: bool,
     ) -> AckEvent:
+        # positional, in AckEvent's field order: one per ACK, and a
+        # keyword costs more than the store it names
         return AckEvent(
-            newly_acked_bytes=newly_acked,
-            cumulative_ack=packet.ack_seq,
-            rtt_sample=rtt_sample,
-            flight_bytes=self._in_flight,
-            in_recovery=self._recovery_point is not None,
-            ecn_echo=packet.ecn_echo,
-            ecn_marked_bytes=packet.ecn_marked_bytes,
-            delivery_rate_bps=delivery_rate,
-            is_app_limited=app_limited,
-            int_qlen_bytes=packet.int_qlen_bytes,
-            int_tx_bytes=packet.int_tx_bytes,
-            int_timestamp=packet.int_timestamp,
-            int_link_rate_bps=packet.int_link_rate_bps,
+            newly_acked,
+            packet.ack_seq,
+            rtt_sample,
+            self._in_flight,
+            self._recovery_point is not None,
+            packet.ecn_echo,
+            packet.ecn_marked_bytes,
+            delivery_rate,
+            app_limited,
+            packet.int_qlen_bytes,
+            packet.int_tx_bytes,
+            packet.int_timestamp,
+            packet.int_link_rate_bps,
         )
 
     def _handle_new_ack(
@@ -414,7 +435,9 @@ class TcpSender:
                 self._queue_retransmit(self.snd_una)
                 self._queue_sack_holes()
         else:
-            self._maybe_ecn_react(event)
+            # the common ACK carries no ECN feedback: not worth a frame
+            if packet.ecn_echo or packet.ecn_marked_bytes:
+                self._maybe_ecn_react(event)
             self.cca.on_ack(event)
 
         if self.snd_nxt > self.snd_una:
@@ -422,7 +445,9 @@ class TcpSender:
         else:
             self._rto_timer.stop()
 
-        self._check_complete()
+        # one ACK per transfer completes it
+        if self.total_bytes is not None and self.snd_una >= self.total_bytes:
+            self._check_complete()
 
     def _handle_dupack(
         self,
@@ -610,7 +635,8 @@ class TcpSender:
 
     def _pacing_gate(self) -> bool:
         """True when pacing permits a send now; otherwise schedules a
-        wakeup and returns False."""
+        wakeup and returns False. Entered once per send opportunity,
+        and only for a CCA that paces (``_paces``)."""
         rate = self._pacing_rate = self.cca.pacing_rate_bps()
         if rate is None or rate <= 0:
             return True
@@ -666,7 +692,7 @@ class TcpSender:
                     if not bypass_ok:
                         return
                     self._front_bypass_seq = seq
-                if not self._pacing_gate():
+                if self._paces and not self._pacing_gate():
                     return
                 self._retx_queue.popleft()
                 self._retx_queued.discard(seq)
@@ -680,7 +706,13 @@ class TcpSender:
             size = min(self.mss, available)
             if size <= 0:
                 return
-            if not self._cwnd_allows(size) or not self._pacing_gate():
+            # "not _cwnd_allows(size)" written out: once per new segment
+            in_flight = self._in_flight
+            if in_flight and not in_flight + size <= min(
+                self.cca.cwnd, self.rwnd_bytes
+            ):
+                return
+            if self._paces and not self._pacing_gate():
                 return
             self._transmit_new(size)
 
@@ -700,14 +732,13 @@ class TcpSender:
         app_limited = (
             size < self.mss or self.app_bytes - self.snd_nxt - size <= 0
         )
+        now = self.sim.now
+        # positional, in SegmentInfo's field order: seq, length, first
+        # sent, sent, delivered at send, retransmitted, sacked,
+        # in flight, app limited
         seg = SegmentInfo(
-            seq=self.snd_nxt,
-            length=size,
-            first_sent_time=self.sim.now,
-            sent_time=self.sim.now,
-            delivered_at_send=self.delivered_bytes,
-            in_flight=True,
-            app_limited=app_limited,
+            self.snd_nxt, size, now, now, self.delivered_bytes,
+            False, False, True, app_limited,
         )
         self._segments[seg.seq] = seg
         self._order.append(seg.seq)
@@ -732,11 +763,7 @@ class TcpSender:
         else:
             remaining = None
         packet = Packet(
-            flow_id=self.flow_id,
-            src=self.host.name,
-            dst=self.dst,
-            seq=seg.seq,
-            payload_bytes=seg.length,
+            self.flow_id, self.host.name, self.dst, seg.seq, seg.length,
             ecn_capable=self.ecn_capable,
             retransmitted=retransmitted,
             priority=remaining,

@@ -7,6 +7,7 @@ version does.
 """
 
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from repro.harness.cache import (
     measurement_to_dict,
 )
 from repro.harness.executor import WorkItem, run_work_items
-from repro.harness.experiment import FlowSpec, Scenario
+from repro.harness.experiment import FabricScenario, FlowSpec, Scenario
 from repro.harness.runner import run_once, run_repeated
 from repro.obs.journal import read_journal
 from repro.units import msec
@@ -65,6 +66,136 @@ class TestKeys:
         s = scenario()
         assert s.cache_key() == scenario().cache_key()
         assert '"mtu_bytes"' in s.cache_key()
+
+
+def golden_corpus():
+    """(scenario, seed) pairs that between them use every kind of field
+    value a key is built from: nested ``cca_kwargs``, ``after_flow``
+    chains, None-valued overrides, a policy alias, ``offered_load``, and
+    both scenario kinds."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        aliased = Scenario(
+            "golden-alias",
+            flows=[FlowSpec(400_000), FlowSpec(400_000)],
+            policy="fsti",
+        )
+        fabric_aliased = FabricScenario(
+            "golden-fabric-alias", policy="fsti", n_flows=50
+        )
+    return {
+        "plain": (
+            Scenario("golden-plain", flows=[FlowSpec(400_000)], packages=1),
+            0,
+        ),
+        "nested_cca_kwargs": (
+            Scenario(
+                "golden-kwargs",
+                flows=[
+                    FlowSpec(
+                        1_000_000,
+                        cca="baseline",
+                        cca_kwargs={"window_segments": 64},
+                    ),
+                    FlowSpec(
+                        2_000_000,
+                        cca="bbr2",
+                        after_flow=0,
+                        cca_kwargs={
+                            "alpha_quality": False,
+                            "knobs": {
+                                "gains": [1.25, 0.75],
+                                "deep": {"x": None},
+                            },
+                        },
+                    ),
+                ],
+                mtu_bytes=1500,
+            ),
+            7,
+        ),
+        "after_flow_chain": (
+            Scenario(
+                "golden-chain",
+                flows=[
+                    FlowSpec(500_000, target_rate_bps=2.5e9, uncap_after=1),
+                    FlowSpec(500_000, cca="reno", after_flow=0, ecn=True),
+                    FlowSpec(
+                        250_000,
+                        cca="dctcp",
+                        after_flow=1,
+                        start_time_s=0.001,
+                        deadline_s=0.5,
+                    ),
+                ],
+                background_load=0.25,
+                probe_interval_s=0.005,
+                buffer_bytes=200_000,
+                ecn_threshold_bytes=None,
+                bottleneck_discipline="priority",
+                int_telemetry=True,
+            ),
+            3,
+        ),
+        "policy_alias": (aliased, 1),
+        "offered_load": (
+            Scenario(
+                "golden-load",
+                flows=[FlowSpec(300_000), FlowSpec(700_000, cca="bbr")],
+                policy="load-adaptive",
+                offered_load=0.75,
+            ),
+            2,
+        ),
+        "fabric": (FabricScenario("golden-fabric", n_flows=200, mix="rpc"), 0),
+        "fabric_cca_kwargs": (
+            FabricScenario(
+                "golden-fabric-kwargs",
+                cca="dcqcn",
+                topology="fat-tree",
+                cca_kwargs={"rate_ai_bps": 4e7, "nested": {"a": [1, 2]}},
+                buffer_bytes=1_000_000,
+            ),
+            5,
+        ),
+        "fabric_policy_alias": (fabric_aliased, 9),
+    }
+
+
+#: ``compute_key`` of the corpus as PR 21 computed it (through
+#: ``dataclasses.asdict``). A cache directory outlives the code that
+#: filled it: these move only together with ``SCHEMA_VERSION``.
+GOLDEN_KEYS = {
+    "plain": "66b91fc5beb206caaf8ad1ee8aeaff0ef419026279b3a948225d5f06f5860fb8",
+    "nested_cca_kwargs": "4a66778c290c10f8efddae1070845b66fe15c1150f15bdbc99d562ae647e4867",
+    "after_flow_chain": "91e71b99130f107694de6d8ba15075cb1a95ee86f4756b1cbc41ff022204be0b",
+    "policy_alias": "ea7bbc3cf28b035c1464384a2596ca2cebaacfb274bc97ced5b20c680c7e7d5c",
+    "offered_load": "4b94e71d945cff3b3763eaa156bfb2145c74adf672292640dcf6684abea8c394",
+    "fabric": "e19079088f94d4397b73618162579ef6fd801eba7882d863873e0bbe89a263fb",
+    "fabric_cca_kwargs": "68b8e2bb4c36973fe3113493367a7f7b3848016422655029cb3d65946342a22f",
+    "fabric_policy_alias": "936f513c51488464e0abdbc391dda3ff0cba5c5cf50d9379075b3da3d1cddb0f",
+}
+
+
+class TestGoldenKeys:
+    def test_keys_are_the_bytes_an_existing_cache_was_filled_under(self):
+        assert SCHEMA_VERSION == 4
+        assert {
+            name: compute_key(scenario, seed)
+            for name, (scenario, seed) in golden_corpus().items()
+        } == GOLDEN_KEYS
+
+    @pytest.mark.parametrize("name", ["nested_cca_kwargs", "fabric_cca_kwargs"])
+    def test_canonical_dict_does_not_alias_the_callers_kwargs(self, name):
+        def scramble(value):
+            if isinstance(value, (dict, list)):
+                for inner in value.values() if isinstance(value, dict) else value:
+                    scramble(inner)
+                value.clear()
+
+        spec, seed = golden_corpus()[name]
+        scramble(spec.canonical_dict())
+        assert compute_key(spec, seed) == GOLDEN_KEYS[name]
 
 
 class TestRoundTrip:

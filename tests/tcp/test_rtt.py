@@ -1,6 +1,8 @@
 """Unit tests for the RFC 6298 RTT estimator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TcpStateError
 from repro.tcp.rtt import RttEstimator
@@ -89,3 +91,66 @@ class TestRto:
     def test_invalid_bounds_rejected(self):
         with pytest.raises(TcpStateError):
             RttEstimator(min_rto=2.0, max_rto=1.0)
+
+
+class Rfc6298:
+    """The timeout as RFC 6298 states it, computed when asked — what
+    ``RttEstimator.rto`` was before it became a field written where
+    ``srtt``, ``rttvar`` or the backoff change."""
+
+    def __init__(self, min_rto, max_rto, initial_rto):
+        self.min_rto, self.max_rto, self.initial_rto = min_rto, max_rto, initial_rto
+        self.srtt = self.rttvar = None
+        self.backoff_factor = 1
+
+    def on_sample(self, rtt):
+        if self.srtt is None:  # §2.2
+            self.srtt, self.rttvar = rtt, rtt / 2.0
+        else:  # §2.3, RTTVAR before SRTT
+            self.rttvar = (1 - 1 / 4) * self.rttvar + 1 / 4 * abs(self.srtt - rtt)
+            self.srtt = (1 - 1 / 8) * self.srtt + 1 / 8 * rtt
+        self.backoff_factor = 1  # a valid sample ends the back-off
+
+    def backoff(self):  # §5.5, capped like the estimator's
+        self.backoff_factor = min(self.backoff_factor * 2, 64)
+
+    @property
+    def rto(self):
+        base = (
+            self.initial_rto if self.srtt is None
+            else self.srtt + 4 * self.rttvar
+        )
+        return min(max(self.min_rto, base) * self.backoff_factor, self.max_rto)
+
+
+#: one step: an RTT sample (which also resets the back-off), or a timeout
+STEPS = st.lists(
+    st.one_of(
+        st.floats(1e-7, 100.0, exclude_min=False),
+        st.just("backoff"),
+    ),
+    max_size=60,
+)
+
+
+@given(
+    steps=STEPS,
+    min_rto=st.sampled_from([1e-4, 1e-3, 0.2, 1.0]),
+    max_rto=st.sampled_from([1.0, 60.0, 120.0]),
+    initial_rto=st.sampled_from([0.05, 0.1, 1.0, 3.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_rto_field_is_the_rfc6298_expression_after_every_step(
+    steps, min_rto, max_rto, initial_rto
+):
+    est = RttEstimator(min_rto=min_rto, max_rto=max_rto, initial_rto=initial_rto)
+    model = Rfc6298(min_rto, max_rto, initial_rto)
+    assert est.rto == model.rto
+    for step in steps:
+        for side in (est, model):
+            if step == "backoff":
+                side.backoff()
+            else:
+                side.on_sample(step)
+        assert (est.rto, est.backoff_factor) == (model.rto, model.backoff_factor)
+        assert (est.srtt, est.rttvar) == (model.srtt, model.rttvar)

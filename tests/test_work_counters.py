@@ -17,14 +17,20 @@ not per heap push: a change that removes pushes makes the run cheaper
 and frames per push higher.)
 ``CCA_FRAMES`` holds the same kind of number for each congestion
 control algorithm on its own: frames under ``src/repro/cc`` per ACK.
+What a frame's *call* costs no frame count sees; the keyword arguments
+at the per-packet constructor calls are counted from the source.
 
 The classes allocated per event, packet, ACK, segment and telemetry
 stream keep ``__slots__``: an instance ``__dict__`` is an allocation
 per event that enters no frame, so the counters above cannot see it.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cc.base import AckEvent
 from repro.cc.registry import algorithm_names, get_class
 from repro.core.allocation import FAIR_PLAN_NAME, fig1_allocations
@@ -89,14 +95,14 @@ TRACED_PATH = DATA_PATH + tuple(
 #: shape -> most frames one segment may cost (its share of ACKs, timers
 #: and energy samples included). A ceiling, not an equality (3.12
 #: inlines comprehensions, so totals differ between interpreters): what
-#: the code reaches on 3.11 (64.7 / 66.4 / 139.0, and 52.3 over
+#: the code reaches on 3.11 (52.4 / 56.2 / 126.0, and 43.6 over
 #: ``TRACED_PATH`` for the grid cell) plus under 5 %. Lower one when a
 #: PR earns it; raise one only with the reason in the PR.
 FRAMES_PER_SEGMENT_CEILING = {
-    "dumbbell_sweep": 67.5,
-    "lossy_mix": 69.5,
-    "fabric_datacenter": 145.0,
-    "cca_mtu_grid": 54.5,
+    "dumbbell_sweep": 55.0,
+    "lossy_mix": 58.5,
+    "fabric_datacenter": 132.0,
+    "cca_mtu_grid": 45.5,
 }
 
 
@@ -242,27 +248,33 @@ def test_grid_cell_cold_then_replayed_work_counters(tmp_path):
 
 
 #: CCA -> frames entered under ``src/repro/cc`` by one cold grid cell.
-#: Every cell is 137 segments and 69 ACKs, so per ACK this is 4.1
-#: (baseline, which never reacts) / 6.3-10.1 (the window- and rate-based
-#: ten) / 36.7 (bbr) / 45.5 (bbr2), down from 8.0 / 10.3-14.0 / 48.6 /
-#: 61.4 when every segment cost a no-op ``on_sent`` and a second
-#: ``pacing_rate_bps``. Exact, because the package has no comprehension
-#: for 3.12 to inline. Here so that the next PR has a number to lower:
-#: bbr's are ``WindowedFilter`` reads and ``_pacing_gain``.
+#: Every cell is 137 segments and 69 ACKs, so per ACK this is 2.1
+#: (baseline: its ``AckEvent`` and an ``on_ack`` that does not react) /
+#: 3.1 (reno, cubic, highspeed, scalable, vegas: ``AckEvent``,
+#: ``on_ack`` and one of ``slow_start`` / ``_hystart``) / 4.1-7.4
+#: (dctcp, westwood, swift and the rate-based hpcc, dcqcn) / 19.7 (bbr)
+#: / 29.1 (bbr2) — from 4.1 / 8.0-9.1 / 6.3-10.1 / 36.7 / 45.5 when a
+#: window-based CCA was asked for its pacing rate on every send
+#: opportunity, ``in_slow_start``, ``_clamp`` and ``min_cwnd`` were
+#: calls on every ACK, and BBR read its filter through ``_evict`` up to
+#: three times per ACK. Exact, because the package has no comprehension
+#: for 3.12 to inline. What is left of bbr's is one ``pacing_rate_bps``
+#: -> ``bw_bps`` -> ``WindowedFilter.get`` per send opportunity (3.9 of
+#: them per ACK here).
 CCA_FRAMES = {
-    "baseline": 280,
-    "bbr": 2534,
-    "bbr2": 3138,
-    "cubic": 625,
+    "baseline": 143,
+    "bbr": 1359,
+    "bbr2": 2007,
+    "cubic": 212,
     "dcqcn": 512,
-    "dctcp": 625,
-    "highspeed": 555,
+    "dctcp": 281,
+    "highspeed": 211,
     "hpcc": 434,
-    "reno": 555,
-    "scalable": 555,
-    "swift": 487,
-    "vegas": 556,
-    "westwood": 694,
+    "reno": 211,
+    "scalable": 211,
+    "swift": 350,
+    "vegas": 212,
+    "westwood": 350,
 }
 
 
@@ -302,6 +314,45 @@ def test_no_shape_meets_the_tie_the_heap_key_leaves_open(
         grid_cell(ResultCache(tmp_path / "cache"))
     assert [sim.undecided for sim in simulators] == [0]
     assert simulators[0]._seq == PINNED[shape]["heap_pushes"]
+
+
+#: the classes allocated per event, segment, packet and ACK
+PER_PACKET_CLASSES = {"Event", "Packet", "SegmentInfo", "AckEvent"}
+SRC = Path(repro.__file__).parent
+
+
+def test_per_packet_constructor_calls_pass_few_keywords():
+    """What a frame count cannot see is what the frame's call costs:
+    ``AckEvent`` built from 13 keywords takes three times as long as the
+    same object built positionally, and both are one frame. So the
+    keyword arguments at the constructor calls of the per-packet classes
+    under ``sim``/``net``/``tcp``/``cc`` are counted from the source and
+    pinned (38 before the hot call sites went positional): the next
+    keyword on a per-packet allocation fails here the way the next
+    property fails the ceilings above. The fields each positional call
+    fills are asserted by name in ``tests/tcp/test_call_shape.py``."""
+    sites = {}
+    for package in ("sim", "net", "tcp", "cc"):
+        for path in sorted((SRC / package).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in PER_PACKET_CLASSES
+                ):
+                    site = f"{package}/{path.name}:{node.func.id}"
+                    sites[site] = sites.get(site, 0) + len(node.keywords)
+    assert sites == {
+        "sim/engine.py:Event": 0,
+        # ecn_echo, ecn_marked_bytes, echo_time, rwnd_bytes: the fields
+        # past the two ECN flags a data segment sets and an ACK does not
+        "tcp/receiver.py:Packet": 4,
+        "tcp/sender.py:AckEvent": 0,
+        "tcp/sender.py:SegmentInfo": 0,
+        # ecn_capable, retransmitted, priority: each past a run of
+        # defaults
+        "tcp/sender.py:Packet": 3,
+    }
 
 
 @pytest.mark.parametrize(
