@@ -11,7 +11,8 @@
 # tests/test_import_budget.py (the modules a run imports). Three targets
 # print numbers and gate nothing: `make loc` (source lines per package),
 # `make imports` (the numbers behind the import budget) and `make frames`
-# (frames per stage of a packet's life: the table in docs/architecture.md).
+# (frames per stage of a packet's life: the table in docs/architecture.md,
+# which tests/test_frames_table.py compares with it on Python 3.11).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -56,8 +57,8 @@ imports:
 # the "Life of a packet" table of docs/architecture.md: Python frames
 # per stage on the dumbbell_sweep shape of tests/test_work_counters.py,
 # counted with tests.conftest.count_calls. Paste its output into the
-# table's last column; the gate on its last row is
-# FRAMES_PER_SEGMENT_CEILING.
+# table's last column (tests/test_frames_table.py fails until it is);
+# the gate on its last row is FRAMES_PER_SEGMENT_CEILING.
 frames:
 	@$(PYTHON) -m tests.frames
 

@@ -334,13 +334,16 @@ def drive_until_complete(
     the stuck flows if the event queue drains first or only events
     later than ``time_limit_s`` remain (none of those is dispatched) —
     a stuck experiment should fail loudly, not return bogus energy.
+    A flow that outlives the driver keeps its callback, which is inert
+    from then on: whoever resumes the simulator is not stopped by it.
     """
     remaining = 0
+    driving = True
 
     def flow_done(_completed_at: float) -> None:
         nonlocal remaining
         remaining -= 1
-        if remaining == 0:
+        if remaining == 0 and driving:
             sim.stop()
 
     for flow in flows:
@@ -348,7 +351,10 @@ def drive_until_complete(
             remaining += 1
             flow.on_complete(flow_done)
     if remaining:
-        sim.run(until=time_limit_s)
+        try:
+            sim.run(until=time_limit_s)
+        finally:
+            driving = False
     if remaining:
         raise _stuck_error(
             label,

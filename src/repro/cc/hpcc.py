@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cc.base import AckEvent, CongestionControl
+from repro.cc.base import MIN_CWND_SEGMENTS, AckEvent, CongestionControl
 from repro.units import BITS_PER_BYTE, usec
 
 #: target utilization eta
@@ -92,9 +92,9 @@ class Hpcc(CongestionControl):
         self.last_utilization = utilization
         ratio = max(utilization / HPCC_ETA, 1.0 / HPCC_MAX_STEP)
         ratio = min(ratio, HPCC_MAX_STEP)
-        target = self.w_c / ratio + HPCC_WAI_SEGMENTS * self.ctx.mss
-        self.cwnd = max(self.min_cwnd, int(target))
-        self._clamp()
+        mss = self.ctx.mss
+        target = self.w_c / ratio + HPCC_WAI_SEGMENTS * mss
+        self.cwnd = max(MIN_CWND_SEGMENTS * mss, int(target))
         # Resynchronize the reference window once per RTT.
         rtt = self.ctx.srtt or self.ctx.min_rtt or HPCC_BASE_RTT_S
         if self._last_sync is None or self.ctx.now - self._last_sync >= rtt:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.cc.base import AckEvent, CongestionControl
+from repro.cc.base import MIN_CWND_SEGMENTS, AckEvent, CongestionControl
 from repro.units import usec
 
 #: fabric base target delay, seconds (Swift uses ~25-50 us fabrics; our
@@ -85,7 +85,7 @@ class Swift(CongestionControl):
             excess = (delay - target) / delay
             factor = max(1.0 - SWIFT_BETA * excess, 1.0 - SWIFT_MAX_MDF)
             self.cwnd = int(self.cwnd * factor)
-        self._clamp()
+        self.cwnd = max(MIN_CWND_SEGMENTS * mss, self.cwnd)
 
     def on_congestion_event(self, event: AckEvent) -> None:
         self.ctx.charge(self.ack_cost_units)

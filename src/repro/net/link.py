@@ -11,17 +11,32 @@ over.
 
 This is the classic ns-2 ``Queue + DelayLink`` decomposition and is the
 only place in the library where virtual time is consumed by data motion.
-Each packet costs each hop one event, its delivery, pushed by
-:meth:`Interface._start_transmission`, which does the whole hop in one
-Python frame. The transmit side is demand-driven like the paced NIC: the
-end of serialisation is a field, :attr:`Interface.busy_until`, and an
-event (:meth:`Interface._start_next`) only while a packet waits in the
+Each packet costs each hop one event, its delivery, and the whole hop is
+done in one Python frame. The transmit side is demand-driven like the
+paced NIC: the end of serialisation is a field,
+:attr:`Interface.busy_until`, and an event
+(:meth:`Interface._start_next`) only while a packet waits in the
 queue or when the frame was lost. The order of same-instant events is
 that of a link which always pushes a finish event and lets it push the
 delivery: the delivery is *placed* at the finish instant, a finish pushed
 late takes the place it would have had, and an arrival at exactly
 ``busy_until`` asks whether the finish would have run yet (see the
 design notes of :mod:`repro.sim.engine`).
+
+A packet that waits for nothing is queued nowhere: one that finds the
+wire free starts inside :meth:`Interface.enqueue`, which is the only
+thing a caller (a switch, a NIC, a test's stand-in wire) ever calls;
+:meth:`Interface._start_transmission` is the same statements for a
+packet :meth:`Interface._start_next` took out of the queue. Whether the
+wire is free is decided as before — ``now > busy_until``, or
+:meth:`Interface._finished` on the tie — and the start reads the same
+clock, does the same float operations in the same order, draws the same
+loss variate and makes the same one ``schedule_at`` call whichever frame
+it runs in, so departure times, heap keys and tie order are those of the
+two-frame hop. The only statement the free-wire copy lacks is arming a
+finish for a packet left in the queue: a free wire has none.
+``tests/net/test_interface_oracle.py`` runs both paths in lockstep with
+the two-event interface.
 """
 
 from __future__ import annotations
@@ -173,20 +188,52 @@ class Interface:
 
     def enqueue(self, packet: Packet) -> bool:
         """Submit a packet for transmission. Returns False if dropped."""
-        now = self.sim.now
-        # A free wire has an empty queue: had anything waited, the finish
-        # was armed and started it.
+        sim = self.sim
+        now = sim.now
         if now > self.busy_until or (
             now == self.busy_until and self._finished()
         ):
-            self._start_transmission(packet)
+            # _start_transmission(packet), in this frame: the whole hop
+            # of a packet that found the wire free. A free wire has an
+            # empty queue (had anything waited, the finish was armed and
+            # started it), so nothing is left behind to arm a finish for.
+            link = self.link
+            sink = link.sink
+            if sink is None:
+                raise NetworkConfigError(f"{link.name}: no sink connected")
+            if self.on_dequeue is not None:
+                self.on_dequeue(packet)
+            wire_bytes = packet.wire_bytes
+            self._tx_bytes_total += wire_bytes
+            if self.int_telemetry and not packet.is_ack:
+                packet.int_qlen_bytes = self.queue.occupancy_bytes
+                packet.int_tx_bytes = self._tx_bytes_total
+                packet.int_timestamp = now
+                packet.int_link_rate_bps = link.rate_bps
+            hold = wire_bytes * BITS_PER_BYTE / link.rate_bps
+            gap = self.min_packet_gap_s
+            finish = now + (gap if gap > hold else hold)
+            self.busy_until = finish
+            self._tx_start = now
+            wire = link.counters
+            wire["tx_packets"] += 1.0
+            wire["tx_bytes"] += wire_bytes
+            self.counters["tx_packets"] += 1.0
+            if link.loss_rate > 0 and link.loss_rng.random() < link.loss_rate:
+                wire["corrupted"] += 1.0
+                self._next_armed = True
+                self._tx_seq = sim.schedule_at(finish, self._start_next).seq
+                return True
+            self._tx_seq = sim.schedule_at(
+                finish + link.delay_s, sink.receive, packet, placed_at=finish
+            ).seq
             return True
         # the queue's public entry points exist for the profiler's span:
         # without a profiler the interface calls what they wrap
         queue = self.queue
         accepted = (
             queue.enqueue(packet)
-            if self.sim.profiler.enabled
+            if sim.profiler.enabled
             else queue._enqueue(packet)
         )
         if not accepted:
@@ -195,7 +242,7 @@ class Interface:
                 self.on_drop(packet)
         elif not self._next_armed:
             self._next_armed = True
-            self.sim.schedule_at(
+            sim.schedule_at(
                 self.busy_until, self._start_next,
                 placed_at=self._tx_start, seq=self._tx_seq,
             )
@@ -220,9 +267,9 @@ class Interface:
             packet.int_tx_bytes = self._tx_bytes_total
             packet.int_timestamp = now
             packet.int_link_rate_bps = link.rate_bps
-        finish = now + max(
-            wire_bytes * BITS_PER_BYTE / link.rate_bps, self.min_packet_gap_s
-        )
+        hold = wire_bytes * BITS_PER_BYTE / link.rate_bps
+        gap = self.min_packet_gap_s
+        finish = now + (gap if gap > hold else hold)
         self.busy_until = finish
         self._tx_start = now
         wire = link.counters

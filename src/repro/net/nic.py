@@ -16,6 +16,30 @@ nothing in the event heap; the next :meth:`Nic.send` dispatches at once
 when the gap has already elapsed and otherwise arms one drain at the
 recorded instant. Departure times are those of a NIC that ticks every
 gap whether or not anything is queued.
+
+A packet that waits for nothing is queued nowhere. :meth:`Nic.send` on
+an idle NIC (no drain armed or running, no phantom slot owed, the gap
+elapsed) does in its own frame what a drain does with the packet it
+pops, and touches neither the qdisc nor ``flow_backlog``: putting a
+packet in and taking it out within one instant is visible to nobody.
+That path is the queued one statement for statement, which is why it
+changes nothing a run can see:
+
+* *departure times*: the packet leaves at ``now`` on both, and the next
+  transmit time is ``now + gap`` from the same two floats;
+* *wake-ups*: a listener is woken after the spray on both, and reads a
+  ``flow_backlog`` without the departing packet on both (a drain has
+  popped it by then; here it was never added). The NIC counts as
+  draining meanwhile, so a listener that sends from inside the wake-up
+  queues behind the departure exactly as it does behind a drain, and
+  one ``_drain`` is armed a gap later for what it queued;
+* *tie order*: no event is pushed on either when nothing queues, and
+  when a listener queued something the one ``schedule_at`` call is made
+  at the same point of the same instant, so it draws the same sequence
+  number.
+
+``tests/net/test_nic.py`` keeps the always-queueing ``send`` as
+``QueuedNic`` and runs both on the same traffic.
 """
 
 from __future__ import annotations
@@ -73,7 +97,8 @@ class Nic:
         self.tx_queue_packets = tx_queue_packets
         self._next_interface = 0
         self._txq: Deque[Packet] = deque()
-        #: a ``_drain`` event is scheduled (or running)
+        #: a ``_drain`` event is scheduled or running, or ``send`` is
+        #: dispatching: a packet handed over meanwhile waits its turn
         self._draining = False
         #: earliest instant the next packet may leave (last departure + gap)
         self._next_tx_time = 0.0
@@ -140,6 +165,32 @@ class Nic:
         self.counters["tx_bytes"] += packet.size_bytes
         if self.tx_packet_gap_s <= 0:
             return self._dispatch(packet)
+        sim = self.sim
+        assert sim is not None  # guaranteed by constructor check
+        if (
+            not self._draining
+            and not self._phantom_slots
+            and sim.now >= self._next_tx_time
+        ):
+            # Nothing to wait for, so nothing to queue: what ``_drain``
+            # does with a packet it pops, in this frame. The qdisc is
+            # empty (a drain goes on until it is), so it cannot overflow.
+            self._draining = True
+            interfaces = self.interfaces
+            iface = interfaces[self._next_interface]
+            self._next_interface = (self._next_interface + 1) % len(interfaces)
+            if not iface.enqueue(packet):
+                self.counters["tx_drops"] += 1.0
+            if self.drain_waiters:
+                self.drain_waiters = 0
+                for callback in self._drain_listeners:
+                    callback()
+            if self._txq:
+                sim.schedule_at(sim.now + self.tx_packet_gap_s, self._drain)
+            else:
+                self._next_tx_time = sim.now + self.tx_packet_gap_s
+                self._draining = False
+            return True
         if len(self._txq) >= self.tx_queue_packets:
             # The CPU fully processed this packet before the qdisc
             # rejected it — that work is gone but the time was spent, so
@@ -155,11 +206,10 @@ class Nic:
         backlog[packet.flow_id] = backlog.get(packet.flow_id, 0) + packet.size_bytes
         if not self._draining:
             self._draining = True
-            assert self.sim is not None  # guaranteed by constructor check
-            if self.sim.now >= self._next_tx_time:
+            if sim.now >= self._next_tx_time:
                 self._drain()
             else:
-                self.sim.schedule_at(self._next_tx_time, self._drain)
+                sim.schedule_at(self._next_tx_time, self._drain)
         return True
 
     def _dispatch(self, packet: Packet) -> bool:

@@ -135,6 +135,11 @@ class TcpSender:
             raise TcpStateError(f"MSS must be positive, got {self.mss}")
         self.total_bytes = total_bytes
         self.ecn_capable = ecn_capable
+        if tsq_limit_bytes <= 0:
+            # an empty qdisc would already be at the limit: never a send
+            raise TcpStateError(
+                f"TSQ limit must be positive, got {tsq_limit_bytes}"
+            )
         #: TCP-Small-Queues-style cap on this flow's bytes in the host
         #: qdisc; keeps a fast sender from bufferbloating its own NIC
         self.tsq_limit_bytes = tsq_limit_bytes
@@ -658,7 +663,8 @@ class TcpSender:
             return
         # TCP Small Queues: don't stack more of this flow in the qdisc
         # of a paced NIC than the limit. The NIC's per-flow backlog is
-        # read in place, once per segment.
+        # read in place, once per segment, and only while it holds
+        # something: an empty qdisc is under every limit.
         nic = self.host.nic
         tsq_backlog = (
             nic.flow_backlog
@@ -669,7 +675,7 @@ class TcpSender:
         )
         while True:
             if self._local_block or (
-                tsq_backlog is not None
+                tsq_backlog
                 and tsq_backlog.get(self.flow_id, 0) >= self.tsq_limit_bytes
             ):
                 # only a qdisc drain lifts this stop: ask for the wake-up

@@ -10,6 +10,7 @@ from repro.cc.swift import SWIFT_BASE_TARGET_S, Swift
 from repro.net.topology import TestbedConfig, build_testbed
 from repro.sim.engine import Simulator
 from tests.cc.conftest import make_event
+from tests.conftest import count_calls
 
 
 class TestSwiftUnit:
@@ -140,6 +141,23 @@ class TestHpccUnit:
         self.ack_with_int(cc, ctx, qlen=500_000, tx_bytes=1e6 + 1.25e6, ts=2e-3)
         assert cc.cwnd < 200 * ctx.mss
         assert cc.last_utilization > HPCC_ETA
+
+    def test_window_floor_is_written_out_not_called(self, ctx):
+        # the grid cell behind CCA_FRAMES has no INT, so hpcc's pin there
+        # never saw the clamp: with INT an ACK is on_ack + _utilization
+        cc = Hpcc(ctx)
+        ctx.set_rtt(50e-6, min_rtt=40e-6)
+        cc.w_c = float(ctx.mss)
+        event = make_event(acked=1460, rtt=50e-6)
+        event.int_qlen_bytes = 500_000
+        event.int_tx_bytes = 1e6
+        event.int_timestamp = 1e-3
+        event.int_link_rate_bps = 10e9
+        _, calls = count_calls(cc.on_ack, event)
+        assert cc.cwnd == cc.min_cwnd
+        assert sorted(
+            code.co_name for code in calls if "/repro/cc/" in code.co_filename
+        ) == ["_utilization", "on_ack"]
 
     def test_loss_halves_reference(self, ctx):
         cc = Hpcc(ctx)

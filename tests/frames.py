@@ -4,12 +4,13 @@ Counts, with :func:`tests.conftest.count_calls`, the Python frames one
 run of the ``dumbbell_sweep`` shape of ``tests/test_work_counters.py``
 enters under ``src/repro/{sim,net,tcp,cc,energy}``, and prints them by
 stage, each divided by the unit the stage works on. A report to paste
-into the table's last column; the gate on its last row is
-``FRAMES_PER_SEGMENT_CEILING``. Not a test and not collected as one.
+into the table's last column (``tests/test_frames_table.py`` compares
+the two); the gate on its last row is ``FRAMES_PER_SEGMENT_CEILING``.
+Not a test and not collected as one.
 """
 
 from repro.harness.runner import run_once
-from repro.net.link import Interface
+from repro.net.link import Link
 from repro.sim.engine import Simulator
 from repro.tcp.sender import SegmentInfo, TcpSender
 
@@ -69,8 +70,29 @@ def stage_of(code):
     )
 
 
-def main():
-    _, calls = count_calls(run_once, *RUNS["dumbbell_sweep"])
+def run_and_keep_the_links(scenario, seed):
+    """``run_once``, and every :class:`Link` it built: a hop is a frame
+    put on a wire, which no single function's frames count any more (a
+    packet that finds the wire free starts inside ``enqueue``)."""
+    links = []
+    init = Link.__init__
+
+    def remember(link, *args, **kwargs):
+        links.append(link)
+        init(link, *args, **kwargs)
+
+    Link.__init__ = remember
+    try:
+        run_once(scenario, seed)
+    finally:
+        Link.__init__ = init
+    return links
+
+
+def table():
+    """What ``make frames`` prints: the units of the run, and one
+    ``(frames, unit, stage)`` row per line of the table."""
+    links, calls = count_calls(run_and_keep_the_links, *RUNS["dumbbell_sweep"])
     segments = calls[TcpSender._send_packet.__code__]
     acks = calls[TcpSender._handle_packet.__code__]
     units = {
@@ -78,18 +100,26 @@ def main():
         "segment": segments,
         "ACK": acks,
         "packet": segments + acks,
-        "hop": calls[Interface._start_transmission.__code__],
+        "hop": int(sum(link.counters.get("tx_packets") for link in links)),
     }
     frames = dict.fromkeys(STAGES, 0)
     for code, n in calls.items():
         if any(part in code.co_filename for part in DATA_PATH):
             frames[stage_of(code)] += n
+    rows = [
+        (total / units[STAGES[stage][0]], STAGES[stage][0], stage)
+        for stage, total in frames.items()
+    ]
+    rows.append((units["push"] / segments, "segment", "heap pushes"))
+    rows.append((sum(frames.values()) / segments, "segment", "whole run"))
+    return units, rows
+
+
+def main():
+    units, rows = table()
     print(", ".join(f"{unit}: {n}" for unit, n in units.items()))
-    for stage, total in frames.items():
-        unit = STAGES[stage][0]
-        print(f"{total / units[unit]:7.2f} per {unit:<8}{stage}")
-    print(f"{units['push'] / segments:7.2f} per segment heap pushes")
-    print(f"{sum(frames.values()) / segments:7.2f} per segment whole run")
+    for frames, unit, stage in rows:
+        print(f"{frames:7.2f} per {unit:<8}{stage}")
 
 
 if __name__ == "__main__":

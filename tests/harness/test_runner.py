@@ -227,6 +227,17 @@ class TestCompletionDriverWork:
         assert flow.completed_at is None
         assert sim.events_executed == 0
 
+    def test_a_driver_that_raised_does_not_stop_a_later_run(self):
+        sim = Simulator()
+        flow = _StubFlow(sim, 1, done_at=7.0)
+        with pytest.raises(ExperimentError, match="edge: time limit of 5.0s"):
+            drive_until_complete(sim, [flow], 5.0, "edge")
+        # someone resumes the simulator for their own purposes: the
+        # stuck flow finishing on the way must not end their run
+        sim.schedule_at(9.0, lambda: None)
+        assert sim.run() == 9.0
+        assert flow.completed_at == 7.0
+
     def test_clock_rests_on_the_last_completion(self):
         # what the energy meter reads as the end of the run
         testbed = build_testbed(Simulator(), TestbedConfig())

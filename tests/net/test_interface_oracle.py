@@ -328,6 +328,27 @@ def test_an_arrival_at_the_finish_instant_goes_either_way():
     assert started == [(0.0, 0), (2 * TICK, 1), (4 * TICK, 2)]
 
 
+#: the same two ties, decided inside ``enqueue`` now that a packet which
+#: finds the wire free starts there. Frame 1 arrives at tick 2, pushed at
+#: tick 2: the first frame's finish would have run, so ``enqueue`` does
+#: the hop itself. Frame 2 arrives in the same instant and queues behind
+#: it, arming the finish with the place that start took. Frame 3 arrives
+#: at tick 4, pushed before the run: ahead of that finish, so it queues.
+TIE_STARTS_INSIDE_ENQUEUE = [
+    (0, 1024, None), (2, 1024, 0), (0, 1024, 0), (2, 1024, None),
+]
+
+
+def test_a_start_inside_enqueue_takes_the_finishs_place():
+    arrivals = TIE_STARTS_INSIDE_ENQUEUE
+    outcome = replay(Interface, [PLAIN_HOP], arrivals, 0)
+    assert outcome["undecided"] == 0
+    assert outcome == replay(TwoEventInterface, [PLAIN_HOP], arrivals, 0)
+    assert outcome["counters"][0][2] == {"enqueued": 2.0, "dequeued": 2.0}
+    started = [entry[2:] for entry in outcome["log"] if entry[0] == "dequeued"]
+    assert started == [(2 * n * TICK, n) for n in range(4)]
+
+
 @pytest.mark.parametrize("answer", [True, False])
 def test_the_oracle_sees_a_tie_decided_wrongly(answer):
     class Guessing(Interface):

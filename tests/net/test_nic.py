@@ -233,6 +233,227 @@ class TestDemandDrivenPacing:
         assert sim.now == expected[-1]  # no tick after the last packet
 
 
+GAP = TestDemandDrivenPacing.GAP
+
+
+class QueuedNic(Nic):
+    """The paced ``send`` as it was while every packet went through the
+    qdisc — ``_txq``, ``flow_backlog`` and a ``_drain`` frame — even one
+    that found the NIC idle. Kept as the reference."""
+
+    def send(self, packet):
+        if packet.size_bytes > self.mtu_bytes:
+            raise NetworkConfigError("packet exceeds MTU")
+        if self.on_send is not None:
+            self.on_send(packet)
+        self.counters["tx_packets"] += 1.0
+        self.counters["tx_bytes"] += packet.size_bytes
+        if len(self._txq) >= self.tx_queue_packets:
+            self._phantom_slots += 1
+            self.counters["tx_drops"] += 1.0
+            self.counters["qdisc_drops"] += 1.0
+            return False
+        self._txq.append(packet)
+        backlog = self.flow_backlog
+        backlog[packet.flow_id] = backlog.get(packet.flow_id, 0) + packet.size_bytes
+        if not self._draining:
+            self._draining = True
+            if self.sim.now >= self._next_tx_time:
+                self._drain()
+            else:
+                self.sim.schedule_at(self._next_tx_time, self._drain)
+        return True
+
+
+class _PickyWire(_Wire):
+    """Also notes which packet left, and rejects every third one."""
+
+    def enqueue(self, packet):
+        self.departures.append((self.sim.now, packet.packet_id))
+        return len(self.departures) % 3 != 0
+
+
+class _PushLog(Simulator):
+    """Notes every push: when it was made, for when, and of what."""
+
+    def __init__(self):
+        super().__init__()
+        self.pushes = []
+
+    def schedule_at(self, time, callback, *args, **kwargs):
+        self.pushes.append((self.now, time, callback.__name__))
+        return super().schedule_at(time, callback, *args, **kwargs)
+
+
+def replay_nic(nic_cls, pattern, reentries):
+    """Bursts from outside and, from inside the drain listener, the
+    sends of ``reentries``; everything visible from outside the NIC."""
+    sim = _PushLog()
+    wires = [_PickyWire(sim), _PickyWire(sim)]
+    nic = nic_cls(
+        wires, mtu_bytes=9000, sim=sim, tx_packet_gap_s=GAP,
+        tx_queue_packets=3,
+    )
+    ids = iter(range(10_000))
+    accepted = []
+    seen = []
+    pending = list(reentries)
+
+    def send(flow):
+        packet = Packet(
+            flow_id=flow, src="a", dst="b", payload_bytes=100 * flow,
+            packet_id=next(ids),
+        )
+        accepted.append((sim.now, packet.packet_id, nic.send(packet)))
+        # what TCP Small Queues reads after every segment
+        seen.append(("after send", sim.now, dict(nic.flow_backlog)))
+
+    def listener():
+        seen.append(
+            ("woken", sim.now, dict(nic.flow_backlog), nic.tx_backlog_packets)
+        )
+        if pending:
+            count, ask_again = pending.pop(0)
+            for _ in range(count):
+                send(3)
+            if ask_again:
+                nic.drain_waiters += 1
+
+    nic.add_drain_listener(listener)
+
+    def burst(count, flow, wants_wakeup):
+        if wants_wakeup:
+            nic.drain_waiters += 1
+        for _ in range(count):
+            send(flow)
+
+    at = 0.0
+    for wait_us, count, flow, wants_wakeup in pattern:
+        at += wait_us * 1e-6
+        sim.schedule_at(at, burst, count, flow, wants_wakeup)
+    ended_at = sim.run()
+    return {
+        "departures": [wire.departures for wire in wires],
+        "accepted": accepted,
+        "seen": seen,
+        "counters": dict(nic.counters),
+        "pushes": sim.pushes,
+        "ended_at": ended_at,
+        "left over": (
+            nic.tx_backlog_packets, nic.flow_backlog, nic.drain_waiters,
+            nic._draining, nic._next_tx_time, nic._phantom_slots,
+        ),
+    }
+
+
+class TestAnIdleNicQueuesNothing:
+    """A packet that finds the paced NIC idle, its gap elapsed, leaves
+    from inside ``send`` without touching the qdisc — and nothing seen
+    from outside tells that NIC from one that queues every packet."""
+
+    #: (µs since the last burst, packets, flow, asks for a wake-up) and,
+    #: for the listener's successive wake-ups, (packets it sends from
+    #: inside the wake-up, whether it asks to be woken again). Five
+    #: packets at once overflow the three-packet qdisc: phantom slots.
+    @given(
+        pattern=st.lists(
+            st.tuples(
+                st.integers(0, 8), st.integers(1, 5), st.integers(1, 2),
+                st.booleans(),
+            ),
+            min_size=1, max_size=25,
+        ),
+        reentries=st.lists(
+            st.tuples(st.integers(0, 2), st.booleans()), max_size=12
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_indistinguishable_from_a_nic_that_queues_every_packet(
+        self, pattern, reentries
+    ):
+        assert replay_nic(Nic, pattern, reentries) == replay_nic(
+            QueuedNic, pattern, reentries
+        )
+
+    def make_nic(self, sim, nic_cls=Nic):
+        wire = _Wire(sim)
+        nic = nic_cls([wire], mtu_bytes=9000, sim=sim, tx_packet_gap_s=GAP)
+        return nic, wire
+
+    def test_a_woken_listener_sees_no_backlog_of_the_departing_packet(
+        self, sim
+    ):
+        nic, wire = self.make_nic(sim)
+        seen = []
+        nic.add_drain_listener(
+            lambda: seen.append((dict(nic.flow_backlog), list(wire.departures)))
+        )
+        nic.drain_waiters += 1
+        nic.send(make_packet(flow=7))
+        # woken after the packet left, with nothing of flow 7 waiting
+        assert seen == [({}, [0.0])]
+        assert nic.drain_waiters == 0
+
+    @pytest.mark.parametrize("nic_cls", [Nic, QueuedNic])
+    def test_a_send_from_inside_the_wake_up_queues_behind_it(
+        self, sim, nic_cls
+    ):
+        nic, wire = self.make_nic(sim, nic_cls)
+        second = make_packet(flow=7)
+
+        def listener():
+            # the NIC is mid-dispatch: this one waits its gap
+            assert nic.send(second)
+            assert wire.departures == [0.0]
+            assert nic.flow_backlog == {7: second.size_bytes}
+
+        nic.add_drain_listener(listener)
+        nic.drain_waiters += 1
+        nic.send(make_packet(flow=7))
+        drains = [
+            entry[0] for entry in sim._queue if entry[-1].callback == nic._drain
+        ]
+        assert drains == [GAP]  # exactly one, one gap later
+        sim.run()
+        assert wire.departures == [0.0, GAP]
+        assert nic.flow_backlog == {} and sim.pending_events == 0
+
+    def test_a_pending_phantom_slot_takes_the_queued_path(self, sim):
+        nic, wire = self.make_nic(sim)
+        nic._phantom_slots = 1  # work the qdisc discarded, not yet paid for
+        nic.send(make_packet())
+        assert wire.departures == [] and nic.tx_backlog_packets == 1
+        sim.run()
+        assert wire.departures == [GAP]  # the slot was burnt first
+
+    def test_a_running_drain_takes_the_queued_path(self, sim):
+        nic, wire = self.make_nic(sim)
+        nic.send(make_packet())
+        nic._draining = True  # as a re-entrant send finds it
+        sim.run(until=2 * GAP)
+        nic.send(make_packet())
+        assert wire.departures == [0.0] and nic.tx_backlog_packets == 1
+
+    def test_an_unelapsed_gap_takes_the_queued_path(self, sim):
+        nic, wire = self.make_nic(sim)
+        nic.send(make_packet())
+        sim.run(until=GAP / 2)
+        nic.send(make_packet(flow=7))
+        assert wire.departures == [0.0] and nic.tx_backlog_packets == 1
+        assert nic.flow_backlog_bytes(7) > 0
+        sim.run()
+        assert wire.departures == [0.0, GAP]
+
+    def test_an_idle_nic_uses_neither_the_qdisc_nor_a_drain(self, sim):
+        nic, wire = self.make_nic(sim)
+        nic._txq = nic.flow_backlog = None  # any use of either raises
+        for tick in range(3):
+            sim.schedule_at(tick * GAP, nic.send, make_packet())
+        sim.run()
+        assert wire.departures == [0.0, GAP, 2 * GAP]
+        assert sim.events_executed == 3  # and no ``_drain`` was pushed
+
+
 def test_tsq_blocked_sender_is_woken_by_each_drain(sim):
     # no ACK ever arrives: past the TSQ limit, only the NIC's drains can
     # carry the rest of the initial window out
@@ -253,7 +474,13 @@ def test_tsq_blocked_sender_is_woken_by_each_drain(sim):
 
 
 class EveryDrainNic(Nic):
-    """Runs its drain listeners on every drain, whoever asked."""
+    """Runs its drain listeners on every departure, whoever asked."""
+
+    def send(self, packet):
+        # for a packet that leaves from inside ``send``; one that queues
+        # is woken for by the ``_drain`` that takes it
+        self.drain_waiters += 1
+        return super().send(packet)
 
     def _drain(self):
         self.drain_waiters += 1

@@ -48,6 +48,15 @@ class TestInitialSend:
         sender = make_sender(sim, stub_host)
         assert sender.mss == 1460
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_tsq_limit_an_empty_qdisc_would_reach_is_rejected(
+        self, sim, stub_host, limit
+    ):
+        # _try_send does not ask an empty qdisc for this flow's backlog,
+        # which is the same answer only under a positive limit
+        with pytest.raises(TcpStateError, match="TSQ limit"):
+            make_sender(sim, stub_host, tsq_limit_bytes=limit)
+
     def test_write_extends_stream(self, sim, stub_host):
         sender = TcpSender(
             sim, stub_host, flow_id=1, dst="r",

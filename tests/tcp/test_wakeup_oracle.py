@@ -148,3 +148,30 @@ class TestWhichStopsADrainReenters:
         assert nic.flow_backlog_bytes(1) >= sender.tsq_limit_bytes
         assert sender.bytes_in_flight < sender.cca.cwnd
         assert _entries_on_drain(sender) == 1
+
+    def test_an_empty_qdisc_is_not_asked_for_the_flows_backlog(self, sim):
+        class Asked(dict):
+            gets = 0
+
+            def get(self, key, default=None):
+                Asked.gets += 1
+                return super().get(key, default)
+
+        link = Link(sim, gbps(10), 0.0)
+        link.connect(type("Sink", (), {"receive": lambda self, p: None})())
+        nic = Nic(
+            [Interface(sim, DropTailQueue(10_000_000), link)],
+            mtu_bytes=1500, sim=sim, tx_packet_gap_s=1e-3,
+        )
+        nic.flow_backlog = Asked()
+        sender = TcpSender(
+            sim, Host(sim, "h", nic), 1, "peer", factory("reno"),
+            total_bytes=10_000_000, tsq_limit_bytes=2000,
+        )
+        sender.start()
+        # four send opportunities: before the first two segments nothing
+        # of any flow waits, the third finds one queued, the fourth two.
+        # The other two reads are the NIC's, one per packet it queued.
+        assert sender.counters.get("segments_sent") == 3
+        assert nic.tx_backlog_packets == 2
+        assert Asked.gets == 2 + 2
