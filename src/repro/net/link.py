@@ -16,7 +16,10 @@ done in one Python frame. The transmit side is demand-driven like the
 paced NIC: the end of serialisation is a field,
 :attr:`Interface.busy_until`, and an event
 (:meth:`Interface._start_next`) only while a packet waits in the
-queue or when the frame was lost. The order of same-instant events is
+queue or when the frame was lost. Nothing ever cancels a delivery or a
+finish, so both are pushed with
+:meth:`~repro.sim.engine.Simulator.push`: a heap entry, no
+:class:`~repro.sim.engine.Event`. The order of same-instant events is
 that of a link which always pushes a finish event and lets it push the
 delivery: the delivery is *placed* at the finish instant, a finish pushed
 late takes the place it would have had, and an arrival at exactly
@@ -31,8 +34,8 @@ packet :meth:`Interface._start_next` took out of the queue. Whether the
 wire is free is decided as before — ``now > busy_until``, or
 :meth:`Interface._finished` on the tie — and the start reads the same
 clock, does the same float operations in the same order, draws the same
-loss variate and makes the same one ``schedule_at`` call whichever frame
-it runs in, so departure times, heap keys and tie order are those of the
+loss variate and makes the same one ``push`` whichever frame it runs
+in, so departure times, heap keys and tie order are those of the
 two-frame hop. The only statement the free-wire copy lacks is arming a
 finish for a packet left in the queue: a free wire has none.
 ``tests/net/test_interface_oracle.py`` runs both paths in lockstep with
@@ -222,11 +225,11 @@ class Interface:
             if link.loss_rate > 0 and link.loss_rng.random() < link.loss_rate:
                 wire["corrupted"] += 1.0
                 self._next_armed = True
-                self._tx_seq = sim.schedule_at(finish, self._start_next).seq
+                self._tx_seq = sim.push(finish, now, None, self._start_next, ())
                 return True
-            self._tx_seq = sim.schedule_at(
-                finish + link.delay_s, sink.receive, packet, placed_at=finish
-            ).seq
+            self._tx_seq = sim.push(
+                finish + link.delay_s, finish, None, sink.receive, (packet,)
+            )
             return True
         # the queue's public entry points exist for the profiler's span:
         # without a profiler the interface calls what they wrap
@@ -242,9 +245,9 @@ class Interface:
                 self.on_drop(packet)
         elif not self._next_armed:
             self._next_armed = True
-            sim.schedule_at(
-                self.busy_until, self._start_next,
-                placed_at=self._tx_start, seq=self._tx_seq,
+            sim.push(
+                self.busy_until, self._tx_start, self._tx_seq,
+                self._start_next, (),
             )
         return accepted
 
@@ -281,14 +284,14 @@ class Interface:
             # no delivery to hold the finish's place, so the finish goes
             # on the heap itself
             self._next_armed = True
-            self._tx_seq = sim.schedule_at(finish, self._start_next).seq
+            self._tx_seq = sim.push(finish, now, None, self._start_next, ())
             return
-        self._tx_seq = seq = sim.schedule_at(
-            finish + link.delay_s, sink.receive, packet, placed_at=finish
-        ).seq
+        self._tx_seq = seq = sim.push(
+            finish + link.delay_s, finish, None, sink.receive, (packet,)
+        )
         if self.queue.occupancy_bytes:
             self._next_armed = True
-            sim.schedule_at(finish, self._start_next, placed_at=now, seq=seq)
+            sim.push(finish, now, seq, self._start_next, ())
 
     def _start_next(self) -> None:
         """A transmission finished with something waiting behind it (or

@@ -34,9 +34,12 @@ changes nothing a run can see:
   queues behind the departure exactly as it does behind a drain, and
   one ``_drain`` is armed a gap later for what it queued;
 * *tie order*: no event is pushed on either when nothing queues, and
-  when a listener queued something the one ``schedule_at`` call is made
-  at the same point of the same instant, so it draws the same sequence
-  number.
+  when a listener queued something the one push is made at the same
+  point of the same instant, so it draws the same sequence number.
+
+Nothing cancels a drain, so a drain is pushed with
+:meth:`~repro.sim.engine.Simulator.push`: a heap entry and no
+:class:`~repro.sim.engine.Event`.
 
 ``tests/net/test_nic.py`` keeps the always-queueing ``send`` as
 ``QueuedNic`` and runs both on the same traffic.
@@ -185,10 +188,11 @@ class Nic:
                 self.drain_waiters = 0
                 for callback in self._drain_listeners:
                     callback()
+            now = sim.now
             if self._txq:
-                sim.schedule_at(sim.now + self.tx_packet_gap_s, self._drain)
+                sim.push(now + self.tx_packet_gap_s, now, None, self._drain, ())
             else:
-                self._next_tx_time = sim.now + self.tx_packet_gap_s
+                self._next_tx_time = now + self.tx_packet_gap_s
                 self._draining = False
             return True
         if len(self._txq) >= self.tx_queue_packets:
@@ -209,7 +213,7 @@ class Nic:
             if sim.now >= self._next_tx_time:
                 self._drain()
             else:
-                sim.schedule_at(self._next_tx_time, self._drain)
+                sim.push(self._next_tx_time, sim.now, None, self._drain, ())
         return True
 
     def _dispatch(self, packet: Packet) -> bool:
@@ -226,7 +230,8 @@ class Nic:
         if self._phantom_slots > 0:
             # Burn a transmit slot on work the qdisc already discarded.
             self._phantom_slots -= 1
-            sim.schedule_at(sim.now + self.tx_packet_gap_s, self._drain)
+            now = sim.now
+            sim.push(now + self.tx_packet_gap_s, now, None, self._drain, ())
             return
         packet = self._txq.popleft()
         backlog = self.flow_backlog
@@ -245,8 +250,9 @@ class Nic:
             self.drain_waiters = 0
             for callback in self._drain_listeners:
                 callback()
+        now = sim.now
         if self._txq:
-            sim.schedule_at(sim.now + self.tx_packet_gap_s, self._drain)
+            sim.push(now + self.tx_packet_gap_s, now, None, self._drain, ())
         else:
-            self._next_tx_time = sim.now + self.tx_packet_gap_s
+            self._next_tx_time = now + self.tx_packet_gap_s
             self._draining = False

@@ -7,15 +7,26 @@ on one simulator instance.
 
 Design notes
 ------------
-* The heap holds ``(time, placed_at, seq, event)`` tuples, so ``heapq``
-  orders entries by comparing floats and ints in C and never calls back
-  into Python. ``placed_at`` is the virtual instant the entry took its
-  place in line among those due at ``time``, and ``seq`` counts pushes.
-  An ordinary push is placed at ``now``; both ``now`` and ``seq`` only
-  grow, so ``(placed_at, seq)`` orders ordinary pushes exactly as ``seq``
-  alone does: events at the same timestamp run in FIFO scheduling order
-  (runs are deterministic) and a comparison never reaches the
-  :class:`Event` itself.
+* The heap holds ``(time, placed_at, seq, callback, args)`` tuples, so
+  ``heapq`` orders entries by comparing floats and ints in C and never
+  calls back into Python. ``placed_at`` is the virtual instant the entry
+  took its place in line among those due at ``time``, and ``seq`` counts
+  pushes. An ordinary push is placed at ``now``; both ``now`` and ``seq``
+  only grow, so ``(placed_at, seq)`` orders ordinary pushes exactly as
+  ``seq`` alone does: events at the same timestamp run in FIFO scheduling
+  order (runs are deterministic) and a comparison never reaches the
+  callback.
+* Every push enters :meth:`Simulator.push`, which validates the key,
+  draws one sequence number and allocates nothing but the tuple. A push
+  nobody can cancel — a link delivery, a link finish, a NIC drain: 96–99 %
+  of them — is that and nothing more. A push that may be cancelled — a
+  timer, a pacing wake-up, a session start — goes through
+  :meth:`Simulator.schedule_at`, which builds an :class:`Event` and
+  pushes ``(time, placed_at, seq, event, None)``: a cancel needs a handle
+  to mark, and the handle a back-reference that keeps the dead-entry
+  tally exact. No entry is ever mutated. Every other entry's ``args`` is
+  a tuple, so ``args is None`` alone tells the dispatch loop which shape
+  it popped.
 * ``placed_at`` exists for *fused stages*: a component that used to run
   an event at instant ``F`` only to push another one may push that other
   one earlier, with ``placed_at=F``, and the entry sorts after
@@ -27,8 +38,8 @@ Design notes
   it is due, with the place it would have had (``placed_at`` = the
   start, ``seq`` = the number the start drew); until then "has it run
   yet?" is a comparison of that place with :attr:`Simulator.current`,
-  the entry being dispatched. Every push, placed or not, enters
-  :meth:`Simulator.schedule_at` and draws one sequence number.
+  the entry being dispatched. Every push, placed or not, draws one
+  sequence number.
 * What the key does not decide: against entries placed *at* ``F`` by
   others — pushed during instant ``F``, or finishes of transmissions
   started during it — and due at the same time, a delivery placed at
@@ -41,10 +52,11 @@ Design notes
   ``tests/test_work_counters.py`` asserts it is 0 on the four
   work-counter shapes, and it is 0 on the four bench workloads.
 * Cancellation is O(1): :meth:`Event.cancel` marks the event dead and the
-  main loop skips it. This is the standard "lazy deletion" heap idiom and
-  avoids O(n) heap surgery (TCP's constantly re-armed timers rarely get
-  this far: :class:`repro.sim.timer.Timer` moves a deadline instead of
-  cancelling and pushing). The simulator keeps an exact tally of dead
+  main loop skips it (only an :class:`Event` entry can be dead). This is
+  the standard "lazy deletion" heap idiom and avoids O(n) heap surgery
+  (TCP's constantly re-armed timers rarely get this far:
+  :class:`repro.sim.timer.Timer` moves a deadline instead of cancelling
+  and pushing). The simulator keeps an exact tally of dead
   entries so :attr:`Simulator.pending_events` reports *live* events even
   though cancelled ones still occupy heap slots until popped
   (:attr:`Simulator.queued_events` exposes the raw heap size).
@@ -57,20 +69,22 @@ Design notes
 * The clock, :attr:`Simulator.now`, is a plain attribute the loop
   writes: every callback reads it, most several times, so a property
   would cost more frames than the dispatch itself. Only the kernel
-  assigns it. A push costs two frames, :meth:`Simulator.schedule_at`
-  and ``Event.__init__``; per-packet code calls
-  ``schedule_at(sim.now + delay, ...)`` and :meth:`Simulator.schedule`
-  is the checked convenience on top for everything else.
+  assigns it. A push costs one frame, :meth:`Simulator.push`, and a
+  cancellable one two more, :meth:`Simulator.schedule_at` and
+  ``Event.__init__``. Per-packet code that never cancels calls ``push``;
+  :meth:`Simulator.schedule` is the checked convenience on top of
+  ``schedule_at`` for everything else.
 * :meth:`Simulator.step` is ``run(max_events=1)`` for tests and
   single-stepping by hand; nothing in the library drives a simulation
   with it.
 * The kernel knows nothing about networking or energy; those layers only
-  use :meth:`Simulator.schedule` / :attr:`Simulator.now`.
+  use :meth:`Simulator.push` / :meth:`Simulator.schedule_at` /
+  :attr:`Simulator.now`.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -84,17 +98,19 @@ from repro.sim.profile import (
 
 Callback = Callable[..., None]
 
-#: ``(time, placed_at, seq, event)``; see the design notes
-HeapEntry = Tuple[float, float, int, "Event"]
+#: ``(time, placed_at, seq, callback, args)``, or
+#: ``(time, placed_at, seq, event, None)`` for a cancellable push; see
+#: the design notes
+HeapEntry = Tuple[float, float, int, Any, Optional[tuple]]
 
 
 class Event:
-    """A single scheduled callback.
+    """A scheduled callback that can be cancelled.
 
     The heap orders events by the ``(time, placed_at, seq)`` prefix of
     their entry tuple; the event itself is never compared. One Event is
-    allocated per scheduled callback — every simulated packet, timer and
-    sample — so the class uses ``__slots__``.
+    allocated per :meth:`Simulator.schedule_at` — every timer, pacing
+    wake-up and session start — so the class uses ``__slots__``.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "sim")
@@ -218,6 +234,44 @@ class Simulator:
             raise SimulationError(f"cannot schedule {delay:.9f}s in the past")
         return self.schedule_at(self.now + delay, callback, *args)
 
+    def push(
+        self,
+        time: float,
+        placed_at: float,
+        seq: Optional[int],
+        callback: Any,
+        args: Optional[tuple],
+    ) -> int:
+        """Push ``callback(*args)`` due at absolute virtual time ``time``
+        and return the entry's ``seq``; nothing can cancel it.
+
+        The one routine every push enters. ``placed_at`` is the instant
+        the entry takes its place in line among those due at ``time``:
+        ``now`` for an ordinary push, the instant the event this push
+        replaces would have made it for a fused stage (see the design
+        notes). ``seq`` re-uses a place reserved by an earlier push, or is
+        None for the number this push draws; either way the push draws
+        one. ``args`` is a tuple: None marks the entry
+        :meth:`schedule_at` pushes, with its :class:`Event` as
+        ``callback``.
+        """
+        now = self.now
+        if not time >= now:  # also rejects NaN
+            raise SimulationError(
+                f"cannot schedule at t={time:.9f} before now={now:.9f}"
+            )
+        if not placed_at <= time:
+            raise SimulationError(
+                f"an entry due at t={time:.9f} cannot take its place "
+                f"at t={placed_at:.9f}"
+            )
+        own = self._seq
+        self._seq = own + 1
+        if seq is None:
+            seq = own
+        heappush(self._queue, (time, placed_at, seq, callback, args))
+        return seq
+
     def schedule_at(
         self,
         time: float,
@@ -226,35 +280,15 @@ class Simulator:
         placed_at: Optional[float] = None,
         seq: Optional[int] = None,
     ) -> Event:
-        """Schedule ``callback(*args)`` at absolute virtual time ``time``.
+        """Schedule ``callback(*args)`` at absolute virtual time ``time``
+        and return the :class:`Event` that cancels it.
 
-        ``placed_at`` and ``seq`` are kernel API for a fused stage (see
-        the design notes), not options: ``placed_at`` is the instant the
-        entry takes its place in line among those due at ``time`` — the
-        instant the event this push replaces would have made it — and
-        ``seq`` re-uses a place reserved by an earlier push. Either way
-        the push draws its own sequence number.
+        ``placed_at`` (default ``now``) and ``seq`` are :meth:`push`'s.
         """
-        now = self.now
-        if not time >= now:  # also rejects NaN
-            raise SimulationError(
-                f"cannot schedule at t={time:.9f} before now={now:.9f}"
-            )
-        own = self._seq
-        self._seq = own + 1
-        if placed_at is None:
-            event = Event(time, own, callback, args, False, self)
-            heapq.heappush(self._queue, (time, now, own, event))
-            return event
-        if not placed_at <= time:
-            raise SimulationError(
-                f"an entry due at t={time:.9f} cannot take its place "
-                f"at t={placed_at:.9f}"
-            )
-        if seq is None:
-            seq = own
-        event = Event(time, seq, callback, args, False, self)
-        heapq.heappush(self._queue, (time, placed_at, seq, event))
+        event = Event(time, -1, callback, args, False, self)  # seq: the push's
+        event.seq = self.push(
+            time, self.now if placed_at is None else placed_at, seq, event, None
+        )
         return event
 
     # -- execution ----------------------------------------------------
@@ -297,38 +331,45 @@ class Simulator:
         executed = self.events_executed
         budget = float("inf") if max_events is None else executed + max_events
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
         # the profiler is attached before the run, never during it
         profiler = self.profiler
         profiling = profiler.enabled
         try:
             while queue and executed < budget:
-                time, _, _, event = queue[0]
-                if event.cancelled:
-                    pop(queue)
+                time, _, _, callback, args = queue[0]
+                if args is None:
+                    # an Event: it may be dead, and it is consumed
+                    event = callback
+                    if event.cancelled:
+                        pop(queue)
+                        event.sim = None
+                        self._dead_in_queue -= 1
+                        continue
+                    if time > horizon:
+                        break
+                    # drop the heap back-reference *before* marking
+                    # cancelled so a later cancel() neither double-counts
+                    # nor touches the tally
                     event.sim = None
-                    self._dead_in_queue -= 1
-                    continue
-                if time > horizon:
+                    event.cancelled = True
+                    callback = event.callback
+                    args = event.args
+                elif time > horizon:
                     break
                 self.current = pop(queue)
                 self.now = time
-                # consumed: drop the heap back-reference *before* marking
-                # cancelled so a later cancel() neither double-counts nor
-                # touches the tally
-                event.sim = None
-                event.cancelled = True
                 executed += 1
                 if profiling:
-                    key = dispatch_key(event.callback)
+                    key = dispatch_key(callback)
                     profiler.count(EVENTS_DISPATCHED)
                     profiler.enter(key)
                     try:
-                        event.callback(*event.args)
+                        callback(*args)
                     finally:
                         profiler.exit(key)
                 else:
-                    event.callback(*event.args)
+                    callback(*args)
                 if self._stop_requested:
                     break
             out_of_budget = bool(queue) and executed >= budget
@@ -343,7 +384,7 @@ class Simulator:
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or None if the queue is empty."""
         queue = self._queue
-        while queue and queue[0][3].cancelled:
-            heapq.heappop(queue)[3].sim = None
+        while queue and queue[0][4] is None and queue[0][3].cancelled:
+            heappop(queue)[3].sim = None
             self._dead_in_queue -= 1
         return queue[0][0] if queue else None

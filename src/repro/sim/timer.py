@@ -54,7 +54,7 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """Arm (or re-arm) the timer ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, before anything changes
             raise SimulationError(f"timer delay must be >= 0, got {delay}")
         deadline = self._sim.now + delay
         self.expiry = deadline
@@ -94,7 +94,7 @@ class PeriodicTimer:
         callback: Callable[..., None],
         *args: Any,
     ):
-        if interval <= 0:
+        if not interval > 0:  # also rejects NaN
             raise SimulationError(f"interval must be > 0, got {interval}")
         self._sim = sim
         self.interval = interval
@@ -111,9 +111,11 @@ class PeriodicTimer:
     def start(self, initial_delay: Optional[float] = None) -> None:
         """Start ticking. First tick after ``initial_delay`` (default: one
         full interval)."""
+        delay = self.interval if initial_delay is None else initial_delay
+        if not delay >= 0:  # also rejects NaN, before anything changes
+            raise SimulationError(f"timer delay must be >= 0, got {delay}")
         self.stop()
         self._running = True
-        delay = self.interval if initial_delay is None else initial_delay
         self._event = self._sim.schedule(delay, self._tick)
 
     def stop(self) -> None:

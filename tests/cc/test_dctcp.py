@@ -75,3 +75,28 @@ class TestReduction:
         ctx.advance(2e-3)
         cc.on_ack(make_event(acked=100_000, marked=5_000))
         assert cc.cwnd > 95_000  # barely touched
+
+
+#: RFC 8257 §4.2's recommended gain, stated here rather than imported, so
+#: a changed ``DCTCP_GAIN`` fails below
+RFC_G = 1.0 / 16.0
+
+
+@pytest.mark.parametrize(
+    "alpha0, fraction", [(1.0, 0.25), (0.0, 0.5), (0.3, 0.0), (0.6, 1.0)]
+)
+def test_alpha_after_n_windows_at_a_constant_marked_fraction(
+    ctx, alpha0, fraction
+):
+    """α ← (1 − g)α + gF once per window (RFC 8257 §3.3) gives, after n
+    windows at a constant marked fraction F, α = F + (α₀ − F)(1 − g)ⁿ:
+    α converges to F with time constant 1/g windows."""
+    cc = prime(ctx)
+    cc.alpha = alpha0
+    acked = 16_000
+    for n in range(1, 41):
+        ctx.advance(2e-3)  # past the 1 ms window: this ACK closes one
+        cc.on_ack(make_event(acked=acked, marked=int(acked * fraction)))
+        assert cc.alpha == pytest.approx(
+            fraction + (alpha0 - fraction) * (1 - RFC_G) ** n, abs=1e-12
+        )

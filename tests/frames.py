@@ -96,7 +96,7 @@ def table():
     segments = calls[TcpSender._send_packet.__code__]
     acks = calls[TcpSender._handle_packet.__code__]
     units = {
-        "push": calls[Simulator.schedule_at.__code__],
+        "push": calls[Simulator.push.__code__],
         "segment": segments,
         "ACK": acks,
         "packet": segments + acks,

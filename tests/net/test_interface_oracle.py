@@ -135,7 +135,8 @@ class CensusSimulator(Simulator):
     time, because its ``seq`` was drawn earlier. The finish event it
     replaces pushed it *at* ``F``: after whatever an earlier event at
     ``F`` pushed. Every such other entry is counted, whichever side of
-    the finish it came from.
+    the finish it came from. Every push enters :meth:`Simulator.push`,
+    so the census sees plain entries and :class:`Event`\\ s alike.
     """
 
     def __init__(self):
@@ -143,14 +144,12 @@ class CensusSimulator(Simulator):
         self._fused = set()
         self.undecided = 0
 
-    def schedule_at(self, time, callback, *args, placed_at=None, seq=None):
-        if placed_at is not None and seq is None and placed_at > self.now:
+    def push(self, time, placed_at, seq, callback, args):
+        if seq is None and placed_at > self.now:
             self._fused.add((time, placed_at))
-        elif (time, self.now if placed_at is None else placed_at) in self._fused:
+        elif (time, placed_at) in self._fused:
             self.undecided += 1
-        return super().schedule_at(
-            time, callback, *args, placed_at=placed_at, seq=seq
-        )
+        return super().push(time, placed_at, seq, callback, args)
 
 
 TICK = 2.0 ** -21

@@ -166,6 +166,17 @@ class TestPacedTransmitPath:
         assert len(sink.received) == 1
 
 
+def live_entries(sim):
+    """``(time, callback)`` of every live heap entry, whichever its
+    shape: a plain push, or an :class:`Event` a cancellable one made."""
+    for time, _, _, callback, args in sim._queue:
+        if args is None:
+            if callback.cancelled:
+                continue
+            callback = callback.callback
+        yield time, callback
+
+
 class _Wire:
     """Stands in for an egress interface: notes when each packet leaves."""
 
@@ -200,8 +211,7 @@ class TestDemandDrivenPacing:
 
         def drain_entries():
             return sum(
-                1 for *_, event in sim._queue
-                if not event.cancelled and event.callback == nic._drain
+                1 for _, callback in live_entries(sim) if callback == nic._drain
             )
 
         def burst(count):
@@ -261,7 +271,9 @@ class QueuedNic(Nic):
             if self.sim.now >= self._next_tx_time:
                 self._drain()
             else:
-                self.sim.schedule_at(self._next_tx_time, self._drain)
+                self.sim.push(
+                    self._next_tx_time, self.sim.now, None, self._drain, ()
+                )
         return True
 
 
@@ -274,15 +286,17 @@ class _PickyWire(_Wire):
 
 
 class _PushLog(Simulator):
-    """Notes every push: when it was made, for when, and of what."""
+    """Notes every push: when it was made, for when, and of what —
+    cancellable or not, every push enters :meth:`Simulator.push`."""
 
     def __init__(self):
         super().__init__()
         self.pushes = []
 
-    def schedule_at(self, time, callback, *args, **kwargs):
-        self.pushes.append((self.now, time, callback.__name__))
-        return super().schedule_at(time, callback, *args, **kwargs)
+    def push(self, time, placed_at, seq, callback, args):
+        of = callback.callback if args is None else callback
+        self.pushes.append((self.now, time, of.__name__))
+        return super().push(time, placed_at, seq, callback, args)
 
 
 def replay_nic(nic_cls, pattern, reentries):
@@ -411,7 +425,8 @@ class TestAnIdleNicQueuesNothing:
         nic.drain_waiters += 1
         nic.send(make_packet(flow=7))
         drains = [
-            entry[0] for entry in sim._queue if entry[-1].callback == nic._drain
+            time for time, callback in live_entries(sim)
+            if callback == nic._drain
         ]
         assert drains == [GAP]  # exactly one, one gap later
         sim.run()

@@ -298,10 +298,69 @@ class TestPlacedEntries:
         event = sim.schedule_at(1.0, lambda: seen.append(sim.current))
         assert sim.current is None
         sim.run()
-        assert seen == [(1.0, 0.0, event.seq, event)]
+        assert seen == [(1.0, 0.0, event.seq, event, None)]
 
     def test_current_cleared_when_a_run_reaches_its_horizon(self, sim):
         # nothing due at or before `now` is still to run
         sim.schedule_at(1.0, lambda: None)
         sim.run(until=2.0)
         assert sim.now == 2.0 and sim.current is None
+
+
+def noop():
+    pass
+
+
+class TestPush:
+    """``push(time, placed_at, seq, callback, args)``: the routine every
+    push enters, and on its own the push nobody can cancel — no
+    :class:`Event`, only the heap entry."""
+
+    def test_runs_the_callback_with_its_args(self, sim):
+        got = []
+        sim.push(1.0, 0.0, None, lambda a, b: got.append((sim.now, a, b)), (1, "x"))
+        sim.run()
+        assert got == [(1.0, 1, "x")]
+
+    def test_returns_the_seq_it_drew_or_the_one_it_was_given(self, sim):
+        assert sim.push(1.0, 0.0, None, noop, ()) == 0
+        assert sim.schedule(1.0, noop).seq == 1
+        assert sim.push(2.0, 1.5, None, noop, ()) == 2
+        assert sim.push(2.0, 0.0, 0, noop, ()) == 0
+        assert sim._seq == sim.queued_events == sim.pending_events == 4
+
+    def test_current_is_the_plain_entry(self, sim):
+        seen = []
+
+        def record(tag):
+            seen.append((tag, sim.current))
+
+        sim.push(1.0, 0.0, None, record, ("a",))
+        sim.push(1.0, 0.5, 0, record, ("b",))
+        sim.run()
+        assert seen == [
+            ("a", (1.0, 0.0, 0, record, ("a",))),
+            ("b", (1.0, 0.5, 0, record, ("b",))),
+        ]
+
+    def test_ties_with_events_follow_the_key(self, sim):
+        order = []
+        sim.push(1.0, 0.0, None, order.append, ("plain-0",))
+        sim.schedule_at(1.0, order.append, "event-1")
+        sim.push(1.0, 0.0, None, order.append, ("plain-2",))
+        sim.schedule_at(1.0, order.append, "event-3").cancel()
+        sim.push(1.0, 0.0, None, order.append, ("plain-4",))
+        assert sim.pending_events == 4 and sim.dead_in_queue == 1
+        sim.run()
+        assert order == ["plain-0", "event-1", "plain-2", "plain-4"]
+        assert sim.events_executed == 4 and sim.queued_events == 0
+
+    @pytest.mark.parametrize(
+        "time, placed_at",
+        [(0.5, 0.0), (float("nan"), 0.0), (2.0, 3.0), (2.0, float("nan"))],
+    )
+    def test_rejects_what_schedule_at_rejects(self, sim, time, placed_at):
+        sim.run(until=1.0)
+        with pytest.raises(SimulationError):
+            sim.push(time, placed_at, None, noop, ())
+        assert sim._seq == sim.queued_events == 0

@@ -1,14 +1,20 @@
 """Stateful model test of the event kernel (ROADMAP 3a).
 
 Hypothesis drives a :class:`Simulator` and a naive model — a list kept
-sorted by ``(time, seq)``, dead entries included — through the same
-random sequence of ``schedule`` / ``schedule_at`` / ``cancel`` /
-``step`` / ``run(until=...)`` / ``run(max_events=...)`` / both at once /
-``peek_time`` calls, with callbacks that schedule a child or call
-``stop()``. After every rule the firing order (FIFO at equal
-timestamps), the clock, and the ``pending_events`` / ``queued_events`` /
-``dead_in_queue`` tallies must agree. The model shares no code with the kernel: it is the oracle
-a rewrite of the dispatch loop is checked against.
+sorted by ``(time, placed_at, seq)``, dead entries included — through
+the same random sequence of ``schedule`` / ``schedule_at`` / ``push`` /
+``cancel`` / ``step`` / ``run(until=...)`` / ``run(max_events=...)`` /
+both at once / ``peek_time`` calls, with callbacks that push a child of
+their own kind or call ``stop()``. ``push`` comes plain (placed at
+``now``), placed later than ``now``, and into a place an earlier push
+reserved (its instant and ``seq``, as a link's finish re-uses its
+delivery's), so plain entries and :class:`Event` entries tie at equal
+times all the time. After every rule the firing order, the key
+``current`` holds while each callback runs, the clock, the pushes drawn
+and the ``events_executed`` / ``pending_events`` / ``queued_events`` /
+``dead_in_queue`` tallies must agree. The model shares no code with the
+kernel: it is the oracle a rewrite of the dispatch loop is checked
+against.
 """
 
 import pytest
@@ -24,22 +30,27 @@ DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 3.5])
 #: what a callback does besides recording that it fired
 KINDS = st.sampled_from(["plain", "plain", "spawn", "stop"])
 SPAWN_DELAY = 0.5
+#: where between ``now`` and its due time a push takes its place
+PLACEMENTS = st.sampled_from([0.0, 0.0, 0.5, 1.0])
 
 
 class _Entry:
-    """One heap-resident event in the model."""
+    """One heap-resident entry in the model."""
 
-    def __init__(self, time, seq, ident, kind):
+    def __init__(self, time, placed_at, seq, ident, kind, cancellable):
+        self.key = (time, placed_at, seq)
         self.time = time
-        self.seq = seq
         self.ident = ident
         self.kind = kind
+        self.cancellable = cancellable
         self.dead = False
         self.resident = True
 
 
 class EngineMachine(RuleBasedStateMachine):
     scheduled = Bundle("scheduled")
+    #: (instant, seq) of plain pushes, for a later push to re-use
+    reservations = Bundle("reservations")
 
     def __init__(self):
         super().__init__()
@@ -50,14 +61,21 @@ class EngineMachine(RuleBasedStateMachine):
         self.seq = 0
         self.entries = []
         self.fired = []
+        self.current = None
 
     # -- model ---------------------------------------------------------
 
-    def _insert(self, time, ident, kind):
-        entry = _Entry(time, self.seq, ident, kind)
+    def _insert(self, time, ident, kind, cancellable, placed_at=None, seq=None):
+        own = self.seq
         self.seq += 1
+        entry = _Entry(
+            time,
+            self.now if placed_at is None else placed_at,
+            own if seq is None else seq,
+            ident, kind, cancellable,
+        )
         self.entries.append(entry)
-        self.entries.sort(key=lambda e: (e.time, e.seq))
+        self.entries.sort(key=lambda e: e.key)
         return entry
 
     def _drop_head(self):
@@ -75,10 +93,14 @@ class EngineMachine(RuleBasedStateMachine):
                 break
             self._drop_head()
             self.now = head.time
-            self.fired.append((head.ident, head.time))
+            self.current = head.key
+            self.fired.append((head.ident, head.time, head.key))
             executed += 1
             if head.kind == "spawn":
-                self._insert(self.now + SPAWN_DELAY, ("child", head.ident), "plain")
+                self._insert(
+                    self.now + SPAWN_DELAY, ("child", head.ident), "plain",
+                    head.cancellable,
+                )
             elif head.kind == "stop":
                 stopped = True
                 break
@@ -88,19 +110,23 @@ class EngineMachine(RuleBasedStateMachine):
         )
         if until is not None and not stopped and not out_of_budget:
             self.now = max(self.now, until)
+            self.current = None
         return executed, stopped
 
     # -- the real callbacks ---------------------------------------------
 
-    def _callback(self, ident, kind):
+    def _callback(self, ident, kind, cancellable):
         def fire():
-            self.real_fired.append((ident, self.sim.now))
+            sim = self.sim
+            self.real_fired.append((ident, sim.now, sim.current[:3]))
             if kind == "spawn":
-                self.sim.schedule(
-                    SPAWN_DELAY, self._callback(("child", ident), "plain")
-                )
+                child = self._callback(("child", ident), "plain", cancellable)
+                if cancellable:
+                    sim.schedule(SPAWN_DELAY, child)
+                else:
+                    sim.push(sim.now + SPAWN_DELAY, sim.now, None, child, ())
             elif kind == "stop":
-                self.sim.stop()
+                sim.stop()
 
         return fire
 
@@ -109,16 +135,44 @@ class EngineMachine(RuleBasedStateMachine):
     @rule(target=scheduled, delay=DELAYS, kind=KINDS)
     def schedule(self, delay, kind):
         ident = self.seq
-        event = self.sim.schedule(delay, self._callback(ident, kind))
-        return event, self._insert(self.now + delay, ident, kind)
+        event = self.sim.schedule(delay, self._callback(ident, kind, True))
+        return event, self._insert(self.now + delay, ident, kind, True)
 
     @rule(target=scheduled, offset=DELAYS, kind=KINDS)
     def schedule_at(self, offset, kind):
         ident = self.seq
         time = self.now + offset
-        event = self.sim.schedule_at(time, self._callback(ident, kind))
-        assert event.time == time
-        return event, self._insert(time, ident, kind)
+        event = self.sim.schedule_at(time, self._callback(ident, kind, True))
+        assert event.time == time and event.seq == ident
+        return event, self._insert(time, ident, kind, True)
+
+    @rule(target=reservations, offset=DELAYS, kind=KINDS, placement=PLACEMENTS)
+    def push(self, offset, kind, placement):
+        ident = self.seq
+        time = self.now + offset
+        placed_at = self.now + placement * offset
+        seq = self.sim.push(
+            time, placed_at, None, self._callback(ident, kind, False), ()
+        )
+        assert seq == ident
+        self._insert(time, ident, kind, False, placed_at=placed_at)
+        return self.now, seq
+
+    @rule(reservation=reservations, offset=DELAYS, kind=KINDS)
+    def push_into_a_reserved_place(self, reservation, offset, kind):
+        """What a link's finish does: due now or later, it takes the
+        place (instant and ``seq``) its delivery's push drew, and draws a
+        number of its own that nothing sorts by."""
+        instant, seq = reservation
+        time = self.now + offset
+        if any(e.key == (time, instant, seq) for e in self.entries):
+            return  # one key, one entry: the heap never compares callbacks
+        ident = self.seq
+        got = self.sim.push(
+            time, instant, seq, self._callback(ident, kind, False), ()
+        )
+        assert got == seq
+        self._insert(time, ident, kind, False, placed_at=instant, seq=seq)
 
     @rule()
     def schedule_in_the_past_is_refused(self):
@@ -127,6 +181,12 @@ class EngineMachine(RuleBasedStateMachine):
         if self.now > 0.0:
             with pytest.raises(SimulationError):
                 self.sim.schedule_at(self.now / 2, lambda: None)
+            with pytest.raises(SimulationError):
+                self.sim.push(self.now / 2, 0.0, None, lambda: None, ())
+        with pytest.raises(SimulationError):
+            self.sim.push(self.now + 1.0, self.now + 2.0, None, lambda: None, ())
+        with pytest.raises(SimulationError):
+            self.sim.push(float("nan"), self.now, None, lambda: None, ())
 
     @rule(pair=scheduled)
     def cancel(self, pair):
@@ -191,6 +251,9 @@ class EngineMachine(RuleBasedStateMachine):
     def agrees_with_the_model(self):
         assert self.real_fired == self.fired
         assert self.sim.now == self.now
+        current = self.sim.current
+        assert (None if current is None else current[:3]) == self.current
+        assert self.sim._seq == self.seq
         assert self.sim.events_executed == len(self.fired)
         dead = sum(1 for e in self.entries if e.dead)
         assert self.sim.queued_events == len(self.entries)

@@ -47,6 +47,22 @@ class TestTimer:
         with pytest.raises(SimulationError):
             Timer(sim, lambda: None).start(-1.0)
 
+    @pytest.mark.parametrize("delay", [float("nan"), -1.0])
+    def test_a_rejected_delay_leaves_the_timer_as_it_was(self, sim, delay):
+        # NaN compares false with everything: `delay < 0` let it through,
+        # the deadline became NaN and only the kernel's push refused it
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        with pytest.raises(SimulationError):
+            timer.start(delay)
+        assert not timer.pending and timer.expiry is None
+        timer.start(2.0)
+        with pytest.raises(SimulationError):
+            timer.start(delay)
+        assert timer.expiry == 2.0 and sim.pending_events == 1
+        sim.run()
+        assert fired == [2.0]
+
     def test_callback_args(self, sim):
         got = []
         timer = Timer(sim, lambda x: got.append(x), 42)
@@ -97,6 +113,29 @@ class TestPeriodicTimer:
     def test_invalid_interval_rejected(self, sim):
         with pytest.raises(SimulationError):
             PeriodicTimer(sim, 0.0, lambda: None)
+
+    def test_nan_interval_rejected(self, sim):
+        # `interval <= 0` is false for NaN: the timer was built, and its
+        # first start() failed in the kernel with `running` left True
+        with pytest.raises(SimulationError):
+            PeriodicTimer(sim, float("nan"), lambda: None)
+
+    @pytest.mark.parametrize("initial_delay", [float("nan"), -1.0])
+    def test_a_rejected_start_changes_nothing(self, sim, initial_delay):
+        fired = []
+        timer = PeriodicTimer(sim, 1.0, lambda: fired.append(sim.now))
+        with pytest.raises(SimulationError):
+            timer.start(initial_delay)
+        assert not timer.running and sim.pending_events == 0
+        # a running timer keeps its phase through a rejected restart
+        timer.start()
+        sim.run(until=0.5)
+        with pytest.raises(SimulationError):
+            timer.start(initial_delay)
+        assert timer.running
+        sim.schedule(2.0, timer.stop)  # at t=2.5
+        sim.run()
+        assert fired == [1.0, 2.0]
 
     def test_restart_resets_phase(self, sim):
         fired = []

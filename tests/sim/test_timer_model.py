@@ -71,7 +71,10 @@ class TimerMachine(RuleBasedStateMachine):
         assert self.real_fired == self.fired
         assert self.timer.pending is (self.deadline is not None)
         assert self.timer.expiry == self.deadline
-        live = [e for *_, e in self.sim._queue if not e.cancelled]
+        # a timer's entries are Events: (time, placed_at, seq, event, None)
+        entries = self.sim._queue
+        assert all(args is None for *_, args in entries)
+        live = [e for *_, e, _ in entries if not e.cancelled]
         assert len(live) <= 1
         if self.deadline is not None:
             # the one entry wakes the timer no later than it is due

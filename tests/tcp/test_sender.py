@@ -169,3 +169,53 @@ class TestEcnHandling:
         sender = make_sender(sim, stub_host, cca="dctcp", ecn_capable=True)
         sender.start()
         assert all(p.ecn_capable for p in stub_host.pop_all())
+
+
+class TestDeliveryRateSample:
+    """An ACK's delivery-rate sample (the BBR-style ``delivery_rate_bps``)
+    is taken from the newest segment it covers that was never
+    retransmitted, and there is none when it covers only retransmitted
+    ones: a retransmission's ACK cannot say which copy arrived (Karn)."""
+
+    MSS = 1460
+
+    def test_retransmitted_segments_give_no_sample(self, sim, stub_host):
+        mss = self.MSS
+        sender = make_sender(sim, stub_host, total=1_000_000)
+        events = []
+        make_event = sender._make_event
+
+        def record(*args):
+            events.append(make_event(*args))
+            return events[-1]
+
+        sender._make_event = record
+        sender.start()  # segments 0-9 at t=0, nothing delivered yet
+        assert [p.seq for p in stub_host.pop_all()] == [n * mss for n in range(10)]
+        sim.run(until=0.01)
+        sender.handle_packet(ack(mss))  # slow start sends segments 10, 11
+        assert [p.seq for p in stub_host.pop_all()] == [10 * mss, 11 * mss]
+        sim.run(until=0.2)  # the RTO resends segments 1 and 2
+        assert [(p.seq, p.retransmitted) for p in stub_host.pop_all()] == [
+            (mss, True), (2 * mss, True),
+        ]
+        assert sender.counters.get("rtos") == 1
+
+        sender.handle_packet(ack(2 * mss))  # covers segment 1 only
+        assert stub_host.pop_all()  # more of the loss is resent
+        sim.run(until=0.25)
+        # segments 2-11: retransmitted ones, then 3 .. 9 sent fresh at
+        # t=0 with nothing delivered, then 10, 11 sent fresh at t=0.01
+        # with one segment delivered
+        sender.handle_packet(ack(12 * mss))
+
+        first, retransmitted_only, mixed = events
+        assert first.delivery_rate_bps == pytest.approx(mss * 8 / 0.01)
+        assert retransmitted_only.newly_acked_bytes == mss
+        assert retransmitted_only.delivery_rate_bps is None
+        # the newest fresh segment is 11: sent at t=0.01, 1 MSS delivered
+        # by then, 12 by now (the oldest fresh one, 3, would read 12 MSS
+        # over 0.25 s)
+        assert mixed.delivery_rate_bps == pytest.approx(
+            (12 * mss - mss) * 8 / (0.25 - 0.01)
+        )
