@@ -91,13 +91,14 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # the two wall-clock proportionality checks (traced < 1.5x, profiled
-# < 2x); the zero-overhead contract itself is an exact frame count in
+# < 5x); the zero-overhead contract itself is an exact frame count in
 # tier-1 (tests/obs/test_overhead_frames.py)
 obs-bench:
 	$(PYTHON) -m pytest -q benchmarks/test_obs_overhead.py
 
-# profile the canonical sweep and export flamegraph/callgrind/chrome
-# views (also a CI artifact)
+# run the canonical sweep with cProfile over each sim loop and export
+# flamegraph/callgrind/chrome views, layer -> function (also a CI
+# artifact)
 PROFILE_TRACE ?= /tmp/greenenvy-profile-trace
 obs-profile:
 	rm -rf $(PROFILE_TRACE)

@@ -2,7 +2,7 @@
 
 The two wall-clock assertions left about instrumentation, both loose
 ratios and both outside tier-1 (``make obs-bench``): journaling costs
-under 1.5x and hot-path profiling under 2x of the untraced run. What tracing costs
+under 1.5x and profiling under 5x of the untraced run. What tracing costs
 when it is *off* is not a timing question: it is an exact frame count,
 gated in ``tests/obs/test_overhead_frames.py``.
 """
@@ -49,10 +49,11 @@ def test_profiled_run_stays_proportionate(tmp_path):
 
     profiled()
     profiled_s = _min_wall_s(profiled)
-    # Collecting stack self-times reads the perf clock twice per
-    # dispatch, so profiling is not free — but it must stay a small
-    # multiple of the simulation it measures.
-    assert profiled_s < 2.0 * base_s, (
+    # cProfile sees every Python call of the sim loop, so profiling is
+    # not free (3.2-3.4x measured on a Linux x86-64 container, Python
+    # 3.11) — but it must stay a small multiple of the simulation it
+    # measures.
+    assert profiled_s < 5.0 * base_s, (
         f"enabled profiling too expensive: {profiled_s:.4f}s vs {base_s:.4f}s"
     )
 

@@ -355,7 +355,7 @@ def _report_extras(target: str) -> List[str]:
             sections.append("== top energy flows ==\n" + flows)
     if profile_path(root).exists():
         sections.append(
-            "== hot-path profile ==\n"
+            "== sim-loop profile ==\n"
             + summarize_profile(read_profile(root))
         )
     return sections
@@ -1120,8 +1120,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = obs_sub.add_parser(
         "profile",
-        help="run the canonical fig1 sweep with the hot-path profiler on "
-        "and export flamegraph/callgrind/chrome-trace views",
+        help="run the canonical fig1 sweep with cProfile over each sim "
+        "loop and export flamegraph/callgrind/chrome-trace views",
     )
     p.add_argument(
         "trace",
@@ -1142,7 +1142,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--top", type=int, default=10,
-        help="how many hottest components to print",
+        help="how many hottest functions to print",
     )
     p.set_defaults(func=_cmd_obs_profile)
 

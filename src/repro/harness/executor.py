@@ -244,7 +244,7 @@ class _TracedItem:
     index: int
     trace_dir: str
     cache_key: Optional[str]
-    #: whether the coordinator's observer collects hot-path profiles;
+    #: whether the coordinator's observer profiles the sim loop;
     #: workers mirror it so a jobs=N profile covers every run
     profile: bool = False
 

@@ -331,7 +331,7 @@ def run_once(
     :class:`Scenario` and a :class:`FabricScenario` differ only in
     their prepare and measure steps, picked from the scenario's type.
 
-    ``observer`` hooks the run's phases for profiling — spans for
+    ``observer`` times the run's phases — spans for
     testbed build, the sim loop (with the executed-event count), and
     measurement teardown. The default is the shared no-op observer,
     and no observer can affect the measurement: it only ever receives
@@ -353,8 +353,6 @@ def run_once(
         scenario.name, seed
     )
     sim.probe_sink = sink
-    profiler = obs.profiler(scenario.name, seed)
-    sim.profiler = profiler
     with obs.span(build_phase, scenario=scenario.name, seed=seed):
         prepared = prepare(scenario, sim, seed)
     sessions = prepared.sessions
@@ -404,7 +402,6 @@ def run_once(
     record_flow_energy(sink, measurement)
     if probe_sink is None:
         obs.record_telemetry(sink, scenario=scenario.name, seed=seed)
-    obs.record_profile(profiler, scenario=scenario.name, seed=seed)
     return measurement
 
 

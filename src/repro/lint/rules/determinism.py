@@ -315,23 +315,11 @@ class SetIteration(Rule):
                     )
 
 
-_PROFILING_REMEDY = (
-    "instrument against the repro.sim.profile protocol (HotPathProfiler) "
-    "and let the harness install the obs-side collector"
-)
-
-#: imported package -> what to do instead, most specific first. The
-#: obs-side halves of the profiling channel have a sim-facing protocol
-#: in repro.sim.profile, so "drop the import" is the wrong advice there.
-OBS_REMEDIES = (
-    ("repro.obs.profile", _PROFILING_REMEDY),
-    ("repro.obs.attrib", _PROFILING_REMEDY),
-    (
-        "repro.obs",
-        "observers only ever receive copies of simulation state — keep "
-        "the dependency pointing from the harness to obs, never from the "
-        "simulation",
-    ),
+#: what to do instead of importing repro.obs from simulator code
+OBS_REMEDY = (
+    "observers only ever receive copies of simulation state — keep "
+    "the dependency pointing from the harness to obs, never from the "
+    "simulation"
 )
 
 
@@ -344,10 +332,7 @@ class ObsFeedback(Rule):
     ``sim/``, ``net/``, ``cc/``, ``tcp/``, ``energy/``, ``apps/`` or
     ``sched/`` is the first step of a feedback loop — behaviour that
     depends on whether tracing is on, a direction the jobs=1 == jobs=N
-    and traced == untraced guarantees cannot survive. The hot-path
-    profiler is the one obs feature that reaches *into* the event loop,
-    so importing its collector or the attribution ledger is the easiest
-    way to re-create that loop; those imports get their own remedy.
+    and traced == untraced guarantees cannot survive.
     """
 
     name = "obs-no-feedback"
@@ -355,7 +340,7 @@ class ObsFeedback(Rule):
     description = (
         "simulator package importing repro.obs; observability is "
         "write-only — sim/net/cc/tcp/energy/apps/sched must not read "
-        "tracing state (profiling goes through repro.sim.profile)"
+        "tracing state"
     )
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
@@ -365,21 +350,19 @@ class ObsFeedback(Rule):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                # `from repro.obs import profile` reaches repro.obs.profile
+                # `from repro.obs import journal` reaches repro.obs.journal
                 names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            for package, remedy in OBS_REMEDIES:
-                if any(
-                    name == package or name.startswith(package + ".")
-                    for name in names
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        f"simulator code importing `{package}`; {remedy}",
-                    )
-                    break
+            if any(
+                name == "repro.obs" or name.startswith("repro.obs.")
+                for name in names
+            ):
+                yield self.finding(
+                    module,
+                    node,
+                    f"simulator code importing `repro.obs`; {OBS_REMEDY}",
+                )
 
 
 #: the journal's blessed wall-clock helpers — legal for diagnostics,

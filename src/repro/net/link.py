@@ -231,14 +231,7 @@ class Interface:
                 finish + link.delay_s, finish, None, sink.receive, (packet,)
             )
             return True
-        # the queue's public entry points exist for the profiler's span:
-        # without a profiler the interface calls what they wrap
-        queue = self.queue
-        accepted = (
-            queue.enqueue(packet)
-            if sim.profiler.enabled
-            else queue._enqueue(packet)
-        )
+        accepted = self.queue.enqueue(packet)
         if not accepted:
             self.counters["drops"] += 1.0
             if self.on_drop is not None:
@@ -297,13 +290,8 @@ class Interface:
         """A transmission finished with something waiting behind it (or
         with its frame lost): the next queued packet, if any, starts."""
         self._next_armed = False
-        # an empty queue is not asked; which entry point is, see enqueue
         queue = self.queue
-        if queue.occupancy_bytes:
-            nxt = (
-                queue.dequeue()
-                if self.sim.profiler.enabled
-                else queue._dequeue()
-            )
+        if queue.occupancy_bytes:  # an empty queue is not asked
+            nxt = queue.dequeue()
             if nxt is not None:
                 self._start_transmission(nxt)

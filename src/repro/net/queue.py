@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Deque, Optional
 from repro.errors import NetworkConfigError
 from repro.net.packet import Packet
 from repro.sim.probe import QUEUE_DEPTH_CHANNEL, QUEUE_DROPS_CHANNEL
-from repro.sim.profile import QUEUE_DEQUEUE, QUEUE_ENQUEUE
 from repro.sim.trace import CounterSet
 
 if TYPE_CHECKING:
@@ -84,34 +83,7 @@ class DropTailQueue:
     # -- operations -------------------------------------------------------
 
     def enqueue(self, packet: Packet) -> bool:
-        """Add ``packet``; returns False (and counts a drop) if it doesn't fit.
-
-        The public entry point wraps the subclass-overridable
-        :meth:`_enqueue` in a hot-path profiler span when the attached
-        simulator collects one; an unattached queue (or the no-op
-        profiler) pays one branch.
-        """
-        sim = self._probe_sim
-        if sim is not None and sim.profiler.enabled:
-            sim.profiler.enter(QUEUE_ENQUEUE)
-            try:
-                return self._enqueue(packet)
-            finally:
-                sim.profiler.exit(QUEUE_ENQUEUE)
-        return self._enqueue(packet)
-
-    def dequeue(self) -> Optional[Packet]:
-        """Remove and return the head packet, or None when empty."""
-        sim = self._probe_sim
-        if sim is not None and sim.profiler.enabled:
-            sim.profiler.enter(QUEUE_DEQUEUE)
-            try:
-                return self._dequeue()
-            finally:
-                sim.profiler.exit(QUEUE_DEQUEUE)
-        return self._dequeue()
-
-    def _enqueue(self, packet: Packet) -> bool:
+        """Add ``packet``; returns False (and counts a drop) if it doesn't fit."""
         if self.occupancy_bytes + packet.size_bytes > self.capacity_bytes:
             self.counters["drops"] += 1.0
             self.counters["dropped_bytes"] += packet.size_bytes
@@ -130,7 +102,8 @@ class DropTailQueue:
                 self._probe_depth(sim)
         return True
 
-    def _dequeue(self) -> Optional[Packet]:
+    def dequeue(self) -> Optional[Packet]:
+        """Remove and return the head packet, or None when empty."""
         if not self._items:
             return None
         packet = self._items.popleft()
@@ -202,7 +175,7 @@ class PriorityQueue(DropTailQueue):
                 worst = flow_id
         return worst
 
-    def _enqueue(self, packet: Packet) -> bool:
+    def enqueue(self, packet: Packet) -> bool:
         arriving_prio = self._priority_of(packet)
         counters = self.counters
         while self.occupancy_bytes + packet.size_bytes > self.capacity_bytes:
@@ -235,7 +208,7 @@ class PriorityQueue(DropTailQueue):
                 self._probe_depth(sim)
         return True
 
-    def _dequeue(self) -> Optional[Packet]:
+    def dequeue(self) -> Optional[Packet]:
         flow_id = self._most_urgent_flow()
         if flow_id is None:
             return None

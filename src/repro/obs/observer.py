@@ -22,17 +22,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.errors import ObservabilityError
 from repro.obs.journal import JOURNAL_FILENAME, JournalWriter, perf_clock
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import (
-    PROFILE_FILENAME,
-    ProfileCollector,
-    ProfileWriter,
-    profile_record,
-)
 from repro.obs.stream import StreamWriter
 from repro.obs.telemetry import (
     DEFAULT_TELEMETRY_INTERVAL_S,
@@ -40,7 +34,9 @@ from repro.obs.telemetry import (
     TelemetryWriter,
 )
 from repro.sim.probe import NULL_PROBE_SINK, ProbeSink, TimeSeriesProbeSink
-from repro.sim.profile import NULL_PROFILER, HotPathProfiler
+
+if TYPE_CHECKING:
+    from repro.obs.profile import ProfileWriter
 
 #: filenames of the metric exports a TracingObserver writes on close
 METRICS_PROM_FILENAME = "metrics.prom"
@@ -87,8 +83,8 @@ class Observer:
     #: tracing off or not directory-backed)
     trace_dir: Optional[Path] = None
 
-    #: whether this observer collects hot-path profiles; the executor
-    #: reads it to tell pool workers to profile their runs too
+    #: whether this observer profiles the sim loop; the executor reads
+    #: it to tell pool workers to profile their runs too
     profile_enabled: bool = False
 
     def emit(self, event: str, **fields: Any) -> None:
@@ -119,21 +115,6 @@ class Observer:
     ) -> None:
         """Persist a completed run's probe-sink series (no-op here)."""
 
-    def profiler(self, scenario: str, seed: int) -> HotPathProfiler:
-        """A hot-path profiler for one run (the shared no-op by default).
-
-        The harness installs the returned profiler as ``sim.profiler``
-        before a run and hands it back via :meth:`record_profile`
-        after — the exact ``probe_sink`` contract: write-only, and only
-        profile-enabled observers pay for collection.
-        """
-        return NULL_PROFILER
-
-    def record_profile(
-        self, profiler: HotPathProfiler, scenario: str, seed: int
-    ) -> None:
-        """Persist a completed run's profile aggregates (no-op here)."""
-
     def collect_workers(self) -> None:
         """Merge per-worker partial journals (coordinator only)."""
 
@@ -151,7 +132,7 @@ class Observer:
 NULL_OBSERVER = Observer()
 
 
-class _TimedSpan(Span):
+class TimedSpan(Span):
     """A real span: measures wall time, reports back to its observer."""
 
     __slots__ = ("observer", "phase", "fields", "wall_s", "_t0")
@@ -166,7 +147,7 @@ class _TimedSpan(Span):
     def add(self, **fields: Any) -> None:
         self.fields.update(fields)
 
-    def __enter__(self) -> "_TimedSpan":
+    def __enter__(self) -> "TimedSpan":
         self._t0 = perf_clock()
         return self
 
@@ -199,10 +180,16 @@ class JournalObserver(Observer):
         self.telemetry: Optional[TelemetryWriter] = (
             TelemetryWriter(telemetry_path) if telemetry_path is not None else None
         )
-        self.profile: Optional[ProfileWriter] = (
-            ProfileWriter(profile_path) if profile_path is not None else None
-        )
-        self.profile_enabled = profile_path is not None
+        self.profile: Optional[ProfileWriter] = None
+        #: what times the sim loop: a plain span, or one under cProfile
+        self._loop_span = TimedSpan
+        if profile_path is not None:
+            # imported here: a run nobody profiles never loads cProfile
+            from repro.obs.profile import ProfiledSpan, ProfileWriter
+
+            self.profile = ProfileWriter(profile_path)
+            self._loop_span = ProfiledSpan
+        self.profile_enabled = self.profile is not None
         #: every open record stream, for the uniform merge/close loops
         self.streams: List[StreamWriter] = [
             stream
@@ -216,7 +203,8 @@ class JournalObserver(Observer):
             self._count(event, fields)
 
     def span(self, phase: str, **fields: Any) -> Span:
-        return _TimedSpan(self, phase, dict(fields))
+        span = self._loop_span if phase == "sim_loop" else TimedSpan
+        return span(self, phase, dict(fields))
 
     def _span_done(self, phase: str, wall_s: float, fields: Dict[str, Any]) -> None:
         self.emit("span", phase=phase, wall_s=wall_s, **fields)
@@ -276,23 +264,6 @@ class JournalObserver(Observer):
             return
         self.telemetry.write_sink(sink, scenario=scenario, seed=seed)
 
-    # -- profiling -----------------------------------------------------
-
-    def profiler(self, scenario: str, seed: int) -> HotPathProfiler:
-        """A fresh collector per run when profiling is on."""
-        if self.profile is None:
-            return NULL_PROFILER
-        return ProfileCollector()
-
-    def record_profile(
-        self, profiler: HotPathProfiler, scenario: str, seed: int
-    ) -> None:
-        if self.profile is None or not isinstance(profiler, ProfileCollector):
-            return
-        self.profile.write_record(
-            profile_record(profiler, scenario=scenario, seed=seed)
-        )
-
     def record(self, events: Iterable[Mapping[str, Any]]) -> None:
         """Fold already-written events (e.g. merged worker partials)
         into the metrics, without re-journaling them."""
@@ -326,11 +297,16 @@ class TracingObserver(JournalObserver):
     def __init__(self, trace_dir: Union[str, Path], profile: bool = False):
         root = Path(trace_dir)
         root.mkdir(parents=True, exist_ok=True)
+        profile_path = None
+        if profile:
+            from repro.obs.profile import PROFILE_FILENAME
+
+            profile_path = root / PROFILE_FILENAME
         super().__init__(
             root / JOURNAL_FILENAME,
             registry=MetricsRegistry(),
             telemetry_path=root / TELEMETRY_FILENAME,
-            profile_path=(root / PROFILE_FILENAME) if profile else None,
+            profile_path=profile_path,
         )
         self.trace_dir = root
 

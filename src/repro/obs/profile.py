@@ -1,36 +1,47 @@
-"""Hot-path profiling: the obs-side half of :mod:`repro.sim.profile`.
+"""The sim loop under ``cProfile``: one ``profile.jsonl`` record per run.
 
-The sim layer only ever calls the write-only
-:class:`~repro.sim.profile.HotPathProfiler` hooks; this module supplies
-the recording implementation and everything downstream of it:
+Profiling stays outside the data path. When a trace is profiled
+(``greenenvy obs profile``, ``TracingObserver(profile=True)``), the
+observer's ``sim_loop`` span is a :class:`ProfiledSpan`: it runs a
+:class:`cProfile.Profile` from ``__enter__`` to ``__exit__`` and, on a
+clean exit, folds the profiler's table into one record for that run.
+Nothing in the simulator knows, so no hot function carries a branch for
+it and a profiled run executes exactly the events an unprofiled one does.
 
-* :class:`ProfileCollector` — accumulates per-key aggregate counts and
-  per-stack-path call/self-wall-time totals. Wall-clock reads happen
-  here (the journal's blessed ``perf_clock``), and only aggregate
-  deltas are kept — never per-event timestamps, and nothing the
-  simulation can read back (``obs-no-feedback`` bans the
-  reverse import).
-* ``profile.jsonl`` persistence as a :mod:`repro.obs.stream`: one
-  record per (scenario, seed), per-worker partials merged by the
-  coordinator, canonical (scenario, seed) order so files from jobs=1
-  and jobs=N runs list the same runs in the same order.
-* Exporters: folded-stack flamegraph lines, a callgrind file, and a
-  Chrome ``traceEvents`` JSON — all rendered from the aggregates, so
-  call counts in every format are deterministic (wall times are
-  machine-dependent by nature and say so in the record).
+A record keeps ``repro`` functions only, keyed
+``path-under-src/repro:qualname`` (``tcp/sender.py:TcpSender._handle_packet``),
+so neither import machinery nor the standard library gets in:
+
+* ``calls`` — calls per function, and ``edges`` — calls per
+  caller → callee pair of two such functions. Exact integers, a pure
+  function of the run: identical at every ``jobs=``.
+* ``self_s`` / ``total_s`` — seconds in the function itself / with its
+  callees, as the profiler measured them (its own overhead included).
+  Machine-dependent by nature. The profiler does not track C builtins,
+  so a ``heappush`` or ``random()`` is its caller's self time; a call
+  into a standard-library Python function counts in its caller's
+  ``total_s`` only.
+
+Records persist as a :mod:`repro.obs.stream` (per-worker partials merged
+by the coordinator, canonical (scenario, seed) order), and the exporters
+render the sum of any number of them: callgrind from the function table
+and its edges; folded stacks and a Chrome trace from a two-level tree,
+layer (the package under ``src/repro``) → function. The profiler keeps
+one level of callers, so neither view is a full stack.
 """
 
 from __future__ import annotations
 
+import cProfile
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
-from repro.errors import ObservabilityError
-from repro.obs.journal import perf_clock
+import repro
+from repro.obs.observer import TimedSpan
 from repro.obs.stream import StreamSpec, StreamWriter
-from repro.sim.profile import HotPathProfiler
 from repro.units import MILLION
 
 #: filename of the merged profile file inside a trace dir
@@ -44,8 +55,8 @@ FOLDED_FILENAME = "profile.folded"
 CALLGRIND_FILENAME = "callgrind.out.greenenvy"
 CHROME_TRACE_FILENAME = "profile.trace.json"
 
-#: separator between stack-path components (the folded-stack convention)
-STACK_SEP = ";"
+#: every profiled function's file starts with this
+_REPRO_PREFIX = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
 
 def _run_order(_position: int, record: Dict[str, Any]):
@@ -58,81 +69,88 @@ PROFILE = StreamSpec(
     kind="profile",
     filename=PROFILE_FILENAME,
     worker_glob=PROFILE_WORKER_GLOB,
-    required=("scenario", "seed", "counts", "stack_calls", "stack_wall_s"),
+    required=("scenario", "seed", "calls", "edges", "self_s", "total_s"),
     sort_key=_run_order,
     canonical=True,
 )
 
 
-class ProfileCollector(HotPathProfiler):
-    """Accumulates hot-path aggregates for one run.
+def function_key(code: Any) -> Optional[str]:
+    """``path-under-src/repro:qualname`` of a ``repro`` function's code,
+    None for any other."""
+    filename = code.co_filename
+    if not filename.startswith(_REPRO_PREFIX):
+        return None
+    path = filename[len(_REPRO_PREFIX):].replace(os.sep, "/")
+    return f"{path}:{getattr(code, 'co_qualname', code.co_name)}"
 
-    ``enter``/``exit`` maintain a component stack; elapsed wall time is
-    attributed as *self* time to whichever stack path was on top, so
-    the ``stack_wall_s`` mapping is already in folded-stack form
-    (``"sim.dispatch.X;net.queue.enqueue" -> seconds``). ``count``
-    feeds plain tallies (per-event-type dispatch counts). Everything
-    deterministic — counts and call totals — is a pure function of the
-    run; only the wall-time values vary across machines.
+
+def layer_of(key: str) -> str:
+    """The package under ``src/repro`` a function key lives in
+    (``tcp/sender.py:…`` → ``tcp``; a top-level ``units.py:…`` → ``units``)."""
+    return key.split("/", 1)[0].split(".py:", 1)[0]
+
+
+def profile_record(stats: Iterable[Any], scenario: str, seed: int) -> Dict[str, Any]:
+    """Fold ``cProfile.Profile.getstats()`` into one run's record.
+
+    Two code objects with one key (two lambdas of one function) add up.
     """
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self.counts: Dict[str, int] = {}
-        self.stack_calls: Dict[str, int] = {}
-        self.stack_wall_s: Dict[str, float] = {}
-        self._paths: List[str] = []
-        self._last = perf_clock()
-
-    def count(self, key: str, n: int = 1) -> None:
-        self.counts[key] = self.counts.get(key, 0) + n
-
-    def enter(self, component: str) -> None:
-        now = perf_clock()
-        paths = self._paths
-        if paths:
-            parent = paths[-1]
-            self.stack_wall_s[parent] += now - self._last
-            path = parent + STACK_SEP + component
-        else:
-            path = component
-        paths.append(path)
-        self.stack_calls[path] = self.stack_calls.get(path, 0) + 1
-        if path not in self.stack_wall_s:
-            self.stack_wall_s[path] = 0.0
-        self._last = now
-
-    def exit(self, component: str) -> None:
-        now = perf_clock()
-        if not self._paths:
-            raise ObservabilityError(
-                f"profiler exit({component!r}) with empty component stack"
-            )
-        path = self._paths.pop()
-        if path.rsplit(STACK_SEP, 1)[-1] != component:
-            raise ObservabilityError(
-                f"profiler exit({component!r}) does not match open "
-                f"component {path!r}"
-            )
-        self.stack_wall_s[path] += now - self._last
-        self._last = now
-
-
-def profile_record(
-    collector: ProfileCollector, scenario: str, seed: int
-) -> Dict[str, Any]:
-    """Serialize one run's collected aggregates to a record dict."""
+    calls: Dict[str, int] = {}
+    self_s: Dict[str, float] = {}
+    total_s: Dict[str, float] = {}
+    edges: Dict[str, Dict[str, int]] = {}
+    for entry in stats:
+        key = function_key(entry.code)
+        if key is None:
+            continue
+        calls[key] = calls.get(key, 0) + entry.callcount
+        self_s[key] = self_s.get(key, 0.0) + entry.inlinetime
+        total_s[key] = total_s.get(key, 0.0) + entry.totaltime
+        for sub in entry.calls or ():
+            callee = function_key(sub.code)
+            if callee is not None:
+                out = edges.setdefault(key, {})
+                out[callee] = out.get(callee, 0) + sub.callcount
     return {
         "scenario": scenario,
         "seed": seed,
-        "counts": dict(sorted(collector.counts.items())),
-        "stack_calls": dict(sorted(collector.stack_calls.items())),
-        "stack_wall_s": {
-            path: round(wall, 9)
-            for path, wall in sorted(collector.stack_wall_s.items())
+        "calls": dict(sorted(calls.items())),
+        "edges": {
+            caller: dict(sorted(out.items()))
+            for caller, out in sorted(edges.items())
         },
+        "self_s": {key: round(s, 9) for key, s in sorted(self_s.items())},
+        "total_s": {key: round(s, 9) for key, s in sorted(total_s.items())},
     }
+
+
+class ProfiledSpan(TimedSpan):
+    """The ``sim_loop`` span of a profiled trace.
+
+    ``cProfile`` runs over exactly the loop the span times; a clean exit
+    writes the run's record (the span's ``scenario`` and ``seed``) to the
+    observer's profile stream. A loop that raised writes none.
+    """
+
+    __slots__ = ("profiler",)
+
+    def __enter__(self) -> "ProfiledSpan":
+        self.profiler = cProfile.Profile(builtins=False)
+        super().__enter__()
+        self.profiler.enable()
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.profiler.disable()
+        super().__exit__(*exc_info)
+        writer = self.observer.profile
+        if exc_info[0] is None and writer is not None:
+            writer.write_record(profile_record(
+                self.profiler.getstats(),
+                self.fields["scenario"],
+                self.fields["seed"],
+            ))
 
 
 class ProfileWriter(StreamWriter):
@@ -143,43 +161,52 @@ class ProfileWriter(StreamWriter):
 
 profile_path = PROFILE.path
 read_profile = PROFILE.read
-canonicalize_profile = PROFILE.canonicalize
-merge_worker_profiles = PROFILE.merge_workers
 
 
 # -- aggregation -------------------------------------------------------
+
+
+def _add(into: Dict[str, Any], items: Iterable[Any]) -> None:
+    for key, value in items:
+        into[key] = into.get(key, 0) + value
 
 
 @dataclass
 class ProfileAggregate:
     """Sum of many runs' profile records (what the exporters render).
 
-    ``counts`` and ``stack_calls`` are exact integer sums — identical
-    whatever jobs= produced the records; ``stack_wall_s`` sums the
-    machine-dependent self times.
+    ``calls`` and ``edges`` are exact integer sums — identical whatever
+    jobs= produced the records; ``self_s`` and ``total_s`` sum the
+    machine-dependent times.
     """
 
-    counts: Dict[str, int] = field(default_factory=dict)
-    stack_calls: Dict[str, int] = field(default_factory=dict)
-    stack_wall_s: Dict[str, float] = field(default_factory=dict)
+    calls: Dict[str, int] = field(default_factory=dict)
+    edges: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    self_s: Dict[str, float] = field(default_factory=dict)
+    total_s: Dict[str, float] = field(default_factory=dict)
     runs: int = 0
 
     def fold(self, record: Dict[str, Any]) -> None:
         """Add one profile record into the aggregate."""
-        for key, n in record["counts"].items():
-            self.counts[key] = self.counts.get(key, 0) + int(n)
-        for path, n in record["stack_calls"].items():
-            self.stack_calls[path] = self.stack_calls.get(path, 0) + int(n)
-        for path, wall in record["stack_wall_s"].items():
-            self.stack_wall_s[path] = self.stack_wall_s.get(path, 0.0) + float(
-                wall
-            )
+        _add(self.calls, record["calls"].items())
+        for caller, out in record["edges"].items():
+            _add(self.edges.setdefault(caller, {}), out.items())
+        _add(self.self_s, record["self_s"].items())
+        _add(self.total_s, record["total_s"].items())
         self.runs += 1
 
     @property
     def total_wall_s(self) -> float:
-        """Total profiled self time across every stack path."""
-        return sum(self.stack_wall_s.values())
+        """Total profiled self time across every function."""
+        return sum(self.self_s.values())
+
+    def layers(self) -> Dict[str, List[str]]:
+        """The two-level tree the folded and Chrome views draw:
+        layer → its functions, both in name order."""
+        tree: Dict[str, List[str]] = {}
+        for key in sorted(self.calls):
+            tree.setdefault(layer_of(key), []).append(key)
+        return dict(sorted(tree.items()))
 
 
 def aggregate_profiles(records: Iterable[Dict[str, Any]]) -> ProfileAggregate:
@@ -190,36 +217,24 @@ def aggregate_profiles(records: Iterable[Dict[str, Any]]) -> ProfileAggregate:
     return aggregate
 
 
-def _inclusive_us(aggregate: ProfileAggregate) -> Dict[str, int]:
-    """Per-path inclusive microseconds: self plus every descendant."""
-    inclusive: Dict[str, int] = {
-        path: int(round(wall * MILLION))
-        for path, wall in aggregate.stack_wall_s.items()
-    }
-    # Longest paths first, so each child has already absorbed its own
-    # subtree by the time it is added to its parent.
-    for path in sorted(
-        inclusive, key=lambda p: p.count(STACK_SEP), reverse=True
-    ):
-        if STACK_SEP in path:
-            parent = path.rsplit(STACK_SEP, 1)[0]
-            inclusive[parent] = inclusive.get(parent, 0) + inclusive[path]
-    return inclusive
+def _us(seconds: float) -> int:
+    return int(round(seconds * MILLION))
 
 
 # -- exporters ---------------------------------------------------------
 
 
 def render_folded(aggregate: ProfileAggregate) -> str:
-    """The flamegraph.pl input format: ``comp1;comp2 <self-µs>``.
+    """The flamegraph.pl input format: ``layer;function <self-µs>``.
 
-    Zero-weight paths keep a line (weight 0) so the stack *shape* is
-    identical across machines even when a fast box rounds a path's
+    Zero-weight functions keep a line (weight 0) so the shape is
+    identical across machines even when a fast box rounds a function's
     self time down to nothing.
     """
     lines = [
-        f"{path} {int(round(wall * MILLION))}"
-        for path, wall in sorted(aggregate.stack_wall_s.items())
+        f"{layer};{key} {_us(aggregate.self_s[key])}"
+        for layer, keys in aggregate.layers().items()
+        for key in keys
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -228,24 +243,10 @@ def render_callgrind(aggregate: ProfileAggregate) -> str:
     """A callgrind-format profile: per-function self cost + call edges.
 
     Two event types per cost line: self wall microseconds and call
-    count. Call edges carry the callee's inclusive cost, which is what
-    kcachegrind renders as the call graph.
+    count. A record keeps an edge's calls, not its time, so an edge's
+    inclusive cost is the callee's total time split across its callers
+    in proportion to their calls.
     """
-    self_us: Dict[str, int] = {}
-    fn_calls: Dict[str, int] = {}
-    edges: Dict[Tuple[str, str], Dict[str, int]] = {}
-    inclusive = _inclusive_us(aggregate)
-    for path, wall in aggregate.stack_wall_s.items():
-        parts = path.split(STACK_SEP)
-        leaf = parts[-1]
-        self_us[leaf] = self_us.get(leaf, 0) + int(round(wall * MILLION))
-        calls = aggregate.stack_calls.get(path, 0)
-        fn_calls[leaf] = fn_calls.get(leaf, 0) + calls
-        if len(parts) > 1:
-            edge = (parts[-2], leaf)
-            stats = edges.setdefault(edge, {"calls": 0, "inclusive_us": 0})
-            stats["calls"] += calls
-            stats["inclusive_us"] += inclusive[path]
     out = [
         "# callgrind format",
         "version: 1",
@@ -253,61 +254,45 @@ def render_callgrind(aggregate: ProfileAggregate) -> str:
         "events: WallUs Calls",
         "",
     ]
-    for fn in sorted(self_us):
+    for fn in sorted(aggregate.calls):
         out.append(f"fn={fn}")
-        out.append(f"0 {self_us[fn]} {fn_calls[fn]}")
-        for (caller, callee), stats in sorted(edges.items()):
-            if caller != fn:
-                continue
+        out.append(f"0 {_us(aggregate.self_s[fn])} {aggregate.calls[fn]}")
+        for callee, calls in sorted(aggregate.edges.get(fn, {}).items()):
+            share = calls / aggregate.calls[callee]
             out.append(f"cfn={callee}")
-            out.append(f"calls={stats['calls']} 0")
-            out.append(f"0 {stats['inclusive_us']} {stats['calls']}")
+            out.append(f"calls={calls} 0")
+            out.append(f"0 {_us(aggregate.total_s[callee] * share)} {calls}")
         out.append("")
     return "\n".join(out)
 
 
 def render_chrome_trace(aggregate: ProfileAggregate) -> Dict[str, Any]:
-    """A Chrome ``traceEvents`` object laid out from the aggregates.
+    """A Chrome ``traceEvents`` object laid out from the aggregate.
 
-    The profiler keeps only aggregate deltas, so this is a *synthetic*
-    timeline: every stack path becomes one complete ("X") slice whose
-    duration is its inclusive time, children nested inside their
-    parent in component-name order. Proportions and nesting match the
-    real run; absolute positions do not claim to.
+    A *synthetic* timeline: one complete ("X") slice per layer, as long
+    as its functions' self time, holding one slice per function laid end
+    to end in name order. Proportions match the run; positions do not
+    claim to.
     """
-    inclusive = _inclusive_us(aggregate)
-    children: Dict[str, List[str]] = {}
-    roots: List[str] = []
-    for path in inclusive:
-        if STACK_SEP in path:
-            parent = path.rsplit(STACK_SEP, 1)[0]
-            children.setdefault(parent, []).append(path)
-        else:
-            roots.append(path)
     events: List[Dict[str, Any]] = []
 
-    def _layout(path: str, start_us: int) -> None:
-        events.append(
-            {
-                "name": path.rsplit(STACK_SEP, 1)[-1],
-                "cat": "sim",
-                "ph": "X",
-                "ts": start_us,
-                "dur": inclusive[path],
-                "pid": 1,
-                "tid": 1,
-                "args": {"calls": aggregate.stack_calls.get(path, 0)},
-            }
-        )
-        cursor = start_us
-        for child in sorted(children.get(path, [])):
-            _layout(child, cursor)
-            cursor += inclusive[child]
+    def _slice(name: str, layer: str, start_us: int, dur_us: int, calls: int):
+        return {
+            "name": name, "cat": layer, "ph": "X", "ts": start_us,
+            "dur": dur_us, "pid": 1, "tid": 1, "args": {"calls": calls},
+        }
 
     cursor = 0
-    for root in sorted(roots):
-        _layout(root, cursor)
-        cursor += inclusive[root]
+    for layer, keys in aggregate.layers().items():
+        start = cursor
+        functions = []
+        for key in keys:
+            dur = _us(aggregate.self_s[key])
+            functions.append(_slice(key, layer, cursor, dur, aggregate.calls[key]))
+            cursor += dur
+        calls = sum(aggregate.calls[key] for key in keys)
+        events.append(_slice(layer, layer, start, cursor - start, calls))
+        events.extend(functions)
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -343,28 +328,33 @@ def export_profile(
 
 
 def summarize_profile(records: List[Dict[str, Any]], top: int = 10) -> str:
-    """A text summary for ``obs report``: hottest components by self time."""
+    """A text summary for ``obs report``: self time per layer, then the
+    ``top`` functions by self time."""
     aggregate = aggregate_profiles(records)
-    if not aggregate.stack_wall_s:
+    if not aggregate.calls:
         return "profile: no records"
     total = aggregate.total_wall_s or 1.0
-    # Fold stack paths down to their leaf component for the summary.
-    by_leaf: Dict[str, Tuple[float, int]] = {}
-    for path, wall in aggregate.stack_wall_s.items():
-        leaf = path.rsplit(STACK_SEP, 1)[-1]
-        prev_wall, prev_calls = by_leaf.get(leaf, (0.0, 0))
-        by_leaf[leaf] = (
-            prev_wall + wall,
-            prev_calls + aggregate.stack_calls.get(path, 0),
-        )
-    ranked = sorted(by_leaf.items(), key=lambda kv: (-kv[1][0], kv[0]))[:top]
+    self_s, calls = aggregate.self_s, aggregate.calls
+    layers = sorted(
+        (
+            (layer, sum(self_s[k] for k in keys), sum(calls[k] for k in keys))
+            for layer, keys in aggregate.layers().items()
+        ),
+        key=lambda row: (-row[1], row[0]),
+    )
+    functions = sorted(
+        ((key, self_s[key], calls[key]) for key in calls),
+        key=lambda row: (-row[1], row[0]),
+    )[:top]
     lines = [
         f"profile: {aggregate.runs} runs, "
-        f"{aggregate.total_wall_s:.3f}s profiled self time"
+        f"{aggregate.total_wall_s:.3f}s profiled self time in the sim loop"
     ]
-    for leaf, (wall, calls) in ranked:
-        lines.append(
-            f"  {leaf:<44} {wall:>9.4f}s  {100.0 * wall / total:>5.1f}%  "
-            f"{calls:>10} calls"
-        )
+    for title, rows in (("by layer", layers), ("hottest functions", functions)):
+        lines.append(f"  {title}:")
+        for name, wall, n in rows:
+            lines.append(
+                f"    {name:<56} {wall:>9.4f}s  {100.0 * wall / total:>5.1f}%  "
+                f"{n:>10} calls"
+            )
     return "\n".join(lines)

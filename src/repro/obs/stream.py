@@ -1,7 +1,7 @@
 """The one append-only JSONL record stream behind a trace directory.
 
 A trace directory holds three record files — the run journal, the
-telemetry series and the hot-path profiles — and they all follow the
+telemetry series and the sim-loop profiles — and they all follow the
 same life cycle: a writer appends one JSON object per line and flushes
 eagerly; pool workers never share a file, each appends to its own
 partial next to the coordinator's file; the coordinator merges the

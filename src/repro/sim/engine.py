@@ -89,12 +89,6 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.probe import NULL_PROBE_SINK, ProbeSink
-from repro.sim.profile import (
-    EVENTS_DISPATCHED,
-    NULL_PROFILER,
-    HotPathProfiler,
-    dispatch_key,
-)
 
 Callback = Callable[..., None]
 
@@ -191,11 +185,6 @@ class Simulator:
         #: Write-only from the simulation's perspective — nothing here
         #: ever reads it back.
         self.probe_sink: ProbeSink = NULL_PROBE_SINK
-        #: hot-path profiler, same one-way contract as the probe sink:
-        #: the shared no-op by default, swapped by the harness when a
-        #: profile is collected. Dispatch reports only aggregate
-        #: per-event-type counts and component enter/exit marks.
-        self.profiler: HotPathProfiler = NULL_PROFILER
 
     # -- queue state --------------------------------------------------
 
@@ -332,9 +321,6 @@ class Simulator:
         budget = float("inf") if max_events is None else executed + max_events
         queue = self._queue
         pop = heappop
-        # the profiler is attached before the run, never during it
-        profiler = self.profiler
-        profiling = profiler.enabled
         try:
             while queue and executed < budget:
                 time, _, _, callback, args = queue[0]
@@ -360,16 +346,7 @@ class Simulator:
                 self.current = pop(queue)
                 self.now = time
                 executed += 1
-                if profiling:
-                    key = dispatch_key(callback)
-                    profiler.count(EVENTS_DISPATCHED)
-                    profiler.enter(key)
-                    try:
-                        callback(*args)
-                    finally:
-                        profiler.exit(key)
-                else:
-                    callback(*args)
+                callback(*args)
                 if self._stop_requested:
                     break
             out_of_budget = bool(queue) and executed >= budget

@@ -67,6 +67,65 @@ class TestBbrStateMachine:
         assert cc.bw_bps == pytest.approx(before, rel=0.01)
 
 
+class TestBbrProbeBwCycle:
+    """The gain cycle's purpose (Cardwell et al. 2017): the 1.25 phase
+    probes for bandwidth by building a queue of about a quarter BDP,
+    and the 0.75 phase right after it drains that queue, so inflight is
+    back at the BDP before the cycle ends. Checked against a fluid
+    bottleneck of steady rate: the queue grows at pacing rate minus
+    bottleneck rate and never goes below empty; inflight is the BDP the
+    pipe holds plus the queue."""
+
+    def test_probe_inflight_returns_to_bdp_within_one_cycle(self, ctx):
+        rate, rtt = 10e9, 100e-6
+        cc = Bbr(ctx)
+        drive_to_steady(ctx, cc, rate_bps=rate, rtt=rtt)
+        assert cc.state == "PROBE_BW"
+        bdp = rate * rtt / BITS_PER_BYTE
+        dt = rtt / 20
+        queue = 0.0
+
+        def step():
+            """dt at the pacing rate through the bottleneck, then its ACK."""
+            nonlocal queue
+            ctx.advance(dt)
+            sent = cc.pacing_rate_bps() * dt / BITS_PER_BYTE
+            queue = max(0.0, queue + sent - rate * dt / BITS_PER_BYTE)
+            cc.on_ack(make_event(
+                acked=int(rate * dt / BITS_PER_BYTE),
+                rtt=rtt + queue * BITS_PER_BYTE / rate,
+                rate=rate,
+                flight=int(bdp + queue),
+            ))
+            return cc._cycle_index
+
+        def step_until(done):
+            for _ in range(40 * len(PROBE_BW_GAINS)):
+                if done(step()):
+                    return
+            pytest.fail("the gain cycle stopped advancing")
+
+        # out of any probe phase the warm-up ended in, into the next one
+        step_until(lambda index: index != 0)
+        step_until(lambda index: index == 0)
+        phases, peak = [0], bdp + queue
+
+        def cycle_over(index):
+            nonlocal peak
+            peak = max(peak, bdp + queue)
+            if index != phases[-1]:
+                if index == 0:
+                    return True  # back at the probe phase
+                phases.append(index)
+            return False
+
+        step_until(cycle_over)
+        assert phases == list(range(len(PROBE_BW_GAINS)))
+        assert PROBE_BW_GAINS[0] == 1.25
+        assert peak >= 1.2 * bdp  # the probe built a queue...
+        assert bdp + queue <= bdp  # ...and the cycle drained it
+
+
 class TestBbrLossBehaviour:
     def test_v1_ignores_loss(self, ctx):
         cc = Bbr(ctx)

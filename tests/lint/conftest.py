@@ -21,7 +21,6 @@ CLEAN_FIXTURES = (
     "determinism/outside_scope.py",
     "determinism/obs_outside_scope.py",
     "determinism/sim/clean_sets.py",
-    "determinism/sim/clean_profile.py",
     "determinism/sim/rng.py",
     "determinism/clean_probe.py",
     "contract/cc/base.py",

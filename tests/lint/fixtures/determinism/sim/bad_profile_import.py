@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import repro.obs.profile
 from repro.obs import attrib
-from repro.obs.profile import ProfileCollector
+from repro.obs.profile import ProfiledSpan
 
 
 def self_profile() -> object:
-    # The forbidden shortcut: a hot path constructing its own collector
-    # instead of talking to the repro.sim.profile protocol.
-    collector = ProfileCollector()
-    collector.enter("sim.dispatch.self")
-    collector.exit("sim.dispatch.self")
-    return (collector, attrib, repro.obs.profile)
+    # The forbidden shortcut: a hot path reaching for the profiler that
+    # observes it, so its behaviour could depend on being profiled.
+    return (ProfiledSpan, attrib, repro.obs.profile)

@@ -15,8 +15,8 @@ DET = [
     "obs-probe-wall-clock",
 ]
 
-#: the remedy obs-no-feedback gives for the profiling channel
-PROFILING_REMEDY = "instrument against the repro.sim.profile protocol"
+#: the one remedy obs-no-feedback gives, whatever repro.obs module it is
+OBS_REMEDY = "keep the dependency pointing from the harness to obs"
 
 
 def _by_rule(result):
@@ -134,7 +134,7 @@ class TestObsFeedback:
         )
         for finding in result.findings:
             assert "`repro.obs`" in finding.message
-            assert PROFILING_REMEDY not in finding.message
+            assert OBS_REMEDY in finding.message
 
     def test_simulator_sources_honor_the_rule(self):
         """The shipped result-producing packages must themselves be clean."""
@@ -149,10 +149,9 @@ class TestObsFeedback:
 
 
 class TestObsProfileSimImport:
-    """Profiling's sharper edge of the write-only contract: sim code
-    talks to repro.sim.profile, never to the obs-side collector. The
-    rule of this name was folded into obs-no-feedback, which names the
-    profiling module and gives the profiling remedy for these imports."""
+    """The profiler is an obs module like any other: sim code importing
+    it gets the generic obs-no-feedback finding and remedy (the rule of
+    this name was folded into obs-no-feedback)."""
 
     def test_fires_on_every_import_form_inside_sim(self, lint):
         result = lint(
@@ -160,21 +159,16 @@ class TestObsProfileSimImport:
             select=["obs-no-feedback"],
         )
         # import repro.obs.profile + from repro.obs import attrib +
-        # from repro.obs.profile import ProfileCollector
+        # from repro.obs.profile import ProfiledSpan
         assert [f.message.split("`")[1] for f in result.findings] == [
-            "repro.obs.profile", "repro.obs.attrib", "repro.obs.profile",
-        ]
-        assert all(PROFILING_REMEDY in f.message for f in result.findings)
+            "repro.obs"
+        ] * 3
+        assert all(OBS_REMEDY in f.message for f in result.findings)
 
     def test_generic_feedback_rule_also_fires(self, lint):
         """One rule, one finding per import: nothing fires twice."""
         result = lint("determinism/sim/bad_profile_import.py", select=DET)
         assert _by_rule(result) == {"obs-no-feedback": 3}
-
-    def test_protocol_import_is_the_blessed_direction(self, lint):
-        assert lint(
-            "determinism/sim/clean_profile.py", select=["obs-no-feedback"]
-        ).clean
 
     def test_silent_outside_simulator_packages(self, lint):
         # the obs layer itself imports these modules freely

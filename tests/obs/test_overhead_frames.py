@@ -1,7 +1,7 @@
 """The zero-overhead contract of ``repro.obs``, as exact frame counts.
 
 Every hook in the runner, the engine and the TCP/queue hot paths goes
-through a shared no-op (observer, probe sink, profiler), so a run that
+through a shared no-op (observer, probe sink), so a run that
 never asked for ``--trace`` must do the same work as one built before
 the observability layer existed. "Same work" is Python frames entered
 (:func:`tests.conftest.count_calls`), which repeat exactly — the 2 %
@@ -18,18 +18,17 @@ import pytest
 from repro.harness.executor import run_work_items
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.harness.runner import run_once
-from repro.obs.observer import NULL_OBSERVER, Observer
+from repro.obs.observer import NULL_OBSERVER
 from repro.sim.probe import NULL_PROBE_SINK
-from repro.sim.profile import HotPathProfiler
 
 from tests.conftest import count_calls
 from tests.harness.test_live_determinism import Watcher, items_for
 
 SIZES = (200_000, 2_000_000)
 
-#: where the instrumentation lives: the obs package and the two
-#: write-only protocols the sim layer calls into
-INSTRUMENTATION = ("/repro/obs/", "/repro/sim/probe.py", "/repro/sim/profile.py")
+#: where the instrumentation lives: the obs package and the write-only
+#: protocol the sim layer calls into
+INSTRUMENTATION = ("/repro/obs/", "/repro/sim/probe.py")
 
 
 def frames(fn, *args, **kwargs):
@@ -41,14 +40,6 @@ def frames(fn, *args, **kwargs):
         if any(part in code.co_filename for part in INSTRUMENTATION)
     )
     return sum(calls.values()), inside
-
-
-class _DisabledProfilerObserver(Observer):
-    """Hands the runner a fresh disabled profiler every run: the same
-    dispatch branch as the shared NULL_PROFILER default."""
-
-    def profiler(self, scenario, seed):
-        return HotPathProfiler()
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +58,7 @@ def untraced():
 
 
 @pytest.mark.parametrize("size", SIZES)
-@pytest.mark.parametrize(
-    "observer",
-    [NULL_OBSERVER, _DisabledProfilerObserver()],
-    ids=["null-observer", "disabled-profiler"],
-)
+@pytest.mark.parametrize("observer", [NULL_OBSERVER], ids=["null-observer"])
 def test_noop_instrumentation_adds_no_frames(untraced, size, observer):
     scenario, (plain, _) = untraced[size]
     total, _ = frames(run_once, scenario, 0, observer=observer)
@@ -80,15 +67,14 @@ def test_noop_instrumentation_adds_no_frames(untraced, size, observer):
 
 def test_tracing_off_costs_no_frame_per_event(untraced):
     # The null path is a constant per run, whatever the event count:
-    # the three spans (call, enter, exit; one `add`), the sink and
-    # profiler hand-outs, their two record calls and the flow-energy
-    # attribution. Hot-path sites read `.enabled` as a plain attribute
-    # and enter nothing.
+    # the three spans (call, enter, exit; one `add`), the sink hand-out,
+    # its record call and the flow-energy attribution. Hot-path sites
+    # read `.enabled` as a plain attribute and enter nothing.
     (small_total, small), (large_total, large) = (
         untraced[size][1] for size in SIZES
     )
     assert large_total > 5 * small_total
-    assert small == large == 15
+    assert small == large == 13
 
 
 def test_explicit_null_sink_only_skips_the_two_sink_hooks(untraced):

@@ -1,101 +1,112 @@
-"""Hot-path profiler: collector, persistence, exporters, determinism.
+"""The sim-loop profile: the ``cProfile`` fold, exports, determinism, CLI.
 
 The profiling channel's contract mirrors telemetry's: turning it on
 must never change simulation results (profiling on/off and jobs=1 vs
 jobs=N all produce bit-identical measurements and telemetry), while the
-profile aggregates themselves are deterministic in everything except
-wall time.
+records' integer fields (calls and caller → callee edges) are exact and
+deterministic; only the seconds vary. The stream mechanics every trace
+file shares (reading, torn tails, worker partials, canonical order) are
+tested once for all three in ``tests/obs/test_stream.py``.
 """
 
+import cProfile
 import json
 
 import pytest
 
-from repro.errors import ObservabilityError
 from repro.figures.fig1 import run_fig1
-from repro.obs.observer import TracingObserver
+from repro.harness import runner
+from repro.harness.experiment import FlowSpec, Scenario
+from repro.harness.runner import run_once
+from repro.obs.journal import read_journal
+from repro.obs.observer import JournalObserver, TracingObserver
 from repro.obs.profile import (
     PROFILE_FILENAME,
-    ProfileCollector,
     aggregate_profiles,
     export_profile,
+    function_key,
+    layer_of,
     profile_record,
     read_profile,
     summarize_profile,
 )
 from repro.obs.telemetry import telemetry_path
-from repro.sim.profile import (
-    DISPATCH_PREFIX,
-    NULL_PROFILER,
-    HotPathProfiler,
-    dispatch_key,
-)
+from repro.sim.engine import Event, Simulator
+from repro.tcp.sender import TcpSender
 
 BYTES = 100_000
 REPS = 1
 
 
-class TestProtocol:
-    def test_null_profiler_is_disabled_and_swallows_everything(self):
-        assert NULL_PROFILER.enabled is False
-        NULL_PROFILER.count("events_dispatched")
-        NULL_PROFILER.enter("x")
-        NULL_PROFILER.exit("x")
-
-    def test_dispatch_key_uses_qualname(self):
-        class Host:
-            def receive(self):
-                pass
-
-        key = dispatch_key(Host().receive)
-        assert key.startswith(DISPATCH_PREFIX + ".")
-        assert key.endswith("Host.receive")
-
-    def test_dispatch_key_is_memoized(self):
-        class Host:
-            def receive(self):
-                pass
-
-        assert dispatch_key(Host().receive) is dispatch_key(Host().receive)
+def key(function):
+    """A function's record key (before 3.11 a code object has no
+    qualname, so keys are derived, not spelled out)."""
+    return function_key(function.__code__)
 
 
-class TestCollector:
-    def test_nested_enter_exit_builds_stack_paths(self):
-        collector = ProfileCollector()
-        collector.enter("a")
-        collector.enter("b")
-        collector.exit("b")
-        collector.exit("a")
-        assert set(collector.stack_calls) == {"a", "a;b"}
-        assert collector.stack_calls["a;b"] == 1
-        assert all(w >= 0.0 for w in collector.stack_wall_s.values())
+RUN = key(Simulator.run)
+HANDLE_ACK = key(TcpSender._handle_packet)
 
-    def test_counts_accumulate(self):
-        collector = ProfileCollector()
-        collector.count("events_dispatched")
-        collector.count("events_dispatched", 2)
-        assert collector.counts == {"events_dispatched": 3}
 
-    def test_mismatched_exit_raises(self):
-        collector = ProfileCollector()
-        collector.enter("a")
-        with pytest.raises(ObservabilityError):
-            collector.exit("b")
+def profiled_record(fn):
+    """``fn()`` under the profiler ``ProfiledSpan`` runs, folded."""
+    profiler = cProfile.Profile(builtins=False)
+    profiler.enable()
+    try:
+        fn()
+    finally:
+        profiler.disable()
+    return profile_record(profiler.getstats(), "scn", 3)
 
-    def test_exit_without_enter_raises(self):
-        with pytest.raises(ObservabilityError):
-            ProfileCollector().exit("a")
 
-    def test_profile_record_is_sorted_and_rounded(self):
-        collector = ProfileCollector()
-        collector.enter("b")
-        collector.exit("b")
-        collector.enter("a")
-        collector.exit("a")
-        record = profile_record(collector, "scn", 3)
-        assert record["scenario"] == "scn"
-        assert record["seed"] == 3
-        assert list(record["stack_calls"]) == ["a", "b"]
+def one_rescheduling_event():
+    """An event that schedules a second one; the test's own frames and
+    the standard library's must stay out of the record."""
+    sim = Simulator()
+    sim.schedule(1.0, sim.schedule, 1.0, sim.peek_time)
+    sim.run()
+
+
+class TestFold:
+    def test_keys_are_repro_path_and_qualname(self):
+        if hasattr(Simulator.run.__code__, "co_qualname"):
+            assert RUN == "sim/engine.py:Simulator.run"
+        record = profiled_record(one_rescheduling_event)
+        assert set(record["calls"]) == {
+            key(fn)
+            for fn in (
+                Event.__init__, Simulator.__init__, Simulator.peek_time,
+                Simulator.push, Simulator.run, Simulator.schedule,
+                Simulator.schedule_at,
+            )
+        }
+
+    def test_calls_and_edges_are_exact(self):
+        record = profiled_record(one_rescheduling_event)
+        assert record["calls"][key(Simulator.schedule)] == 2
+        assert record["calls"][key(Simulator.push)] == 2
+        assert record["edges"] == {
+            # the first schedule() is called by the test: no repro caller
+            RUN: {key(Simulator.peek_time): 1, key(Simulator.schedule): 1},
+            key(Simulator.schedule): {key(Simulator.schedule_at): 2},
+            key(Simulator.schedule_at): {
+                key(Event.__init__): 2, key(Simulator.push): 2,
+            },
+        }
+
+    def test_record_is_sorted_and_rounded(self):
+        record = profiled_record(one_rescheduling_event)
+        assert (record["scenario"], record["seed"]) == ("scn", 3)
+        for name in ("calls", "edges", "self_s", "total_s"):
+            assert list(record[name]) == sorted(record[name])
+        assert list(record["self_s"]) == list(record["calls"])
+        for key, self_s in record["self_s"].items():
+            assert round(self_s, 9) == self_s
+            assert 0.0 <= self_s <= record["total_s"][key]
+
+    def test_layer_is_the_package_under_repro(self):
+        assert layer_of(HANDLE_ACK) == "tcp"
+        assert layer_of("units.py:msec") == "units"
 
 
 @pytest.fixture(scope="module")
@@ -143,14 +154,14 @@ class TestDeterminism:
     def test_aggregates_identical_across_job_counts(self, sweep):
         serial = aggregate_profiles(read_profile(sweep[(1, True)][0]))
         parallel = aggregate_profiles(read_profile(sweep[(4, True)][0]))
-        assert serial.counts == parallel.counts
-        assert serial.stack_calls == parallel.stack_calls
+        assert serial.calls == parallel.calls
+        assert serial.edges == parallel.edges
         assert serial.runs == parallel.runs
 
     def test_records_identical_across_job_counts_modulo_wall(self, sweep):
         def shape(root):
             return [
-                (r["scenario"], r["seed"], r["counts"], r["stack_calls"])
+                (r["scenario"], r["seed"], r["calls"], r["edges"])
                 for r in read_profile(root)
             ]
 
@@ -161,8 +172,46 @@ class TestDeterminism:
         assert not list(root.glob("profile-worker-*.jsonl"))
 
     def test_events_dispatched_counted(self, sweep):
-        aggregate = aggregate_profiles(read_profile(sweep[(1, True)][0]))
-        assert aggregate.counts.get("events_dispatched", 0) > 0
+        # every event the loop dispatches is one call out of Simulator.run
+        for jobs in (1, 4):
+            root, _ = sweep[(jobs, True)]
+            executed = {
+                (e["scenario"], e["seed"]): e["events_executed"]
+                for e in read_journal(root)
+                if e["event"] == "span" and e["phase"] == "sim_loop"
+            }
+            dispatched = {
+                (r["scenario"], r["seed"]): sum(r["edges"][RUN].values())
+                for r in read_profile(root)
+            }
+            assert dispatched == executed
+            assert all(n > 0 for n in dispatched.values())
+
+
+class TestExactCounts:
+    def test_handle_packet_calls_are_the_acks_sent(self, tmp_path, monkeypatch):
+        # a loss-free run delivers every ACK its receivers send
+        sessions = []
+        phase, prepare, measure = runner._LINK_KIND
+
+        def keep_sessions(scenario, sim, seed):
+            prepared = prepare(scenario, sim, seed)
+            sessions.extend(prepared.sessions)
+            return prepared
+
+        monkeypatch.setattr(
+            runner, "_LINK_KIND", (phase, keep_sessions, measure)
+        )
+        scenario = Scenario(name="acks", flows=[FlowSpec(200_000)], packages=1)
+        with JournalObserver(
+            tmp_path / "journal.jsonl", profile_path=tmp_path / PROFILE_FILENAME
+        ) as obs:
+            measurement = run_once(scenario, 0, observer=obs)
+        assert measurement.bottleneck_drops == 0
+        [record] = read_profile(tmp_path)
+        acks = sum(s.receiver.counters.get("acks_sent") for s in sessions)
+        assert acks > 0
+        assert record["calls"][HANDLE_ACK] == acks
 
 
 class TestExports:
@@ -175,10 +224,11 @@ class TestExports:
     def test_folded_lines_are_path_space_micros(self, exported):
         _, _, paths = exported
         lines = paths["folded"].read_text().strip().splitlines()
-        assert lines
+        assert any(line.startswith("sim;") for line in lines)
         for line in lines:
             path, _, micros = line.rpartition(" ")
-            assert path and ";" not in micros
+            layer, function = path.split(";")
+            assert layer == layer_of(function)
             assert int(micros) >= 0
 
     def test_callgrind_header_and_functions(self, exported):
@@ -186,45 +236,40 @@ class TestExports:
         text = paths["callgrind"].read_text()
         assert text.startswith("# callgrind format")
         assert "events: WallUs Calls" in text
-        assert "fn=tcp.sender.handle_packet" in text
+        assert f"fn={HANDLE_ACK}" in text
         # caller-callee edges carry cfn/calls pairs
-        assert "cfn=" in text and "calls=" in text
+        assert f"cfn={HANDLE_ACK}" in text and "calls=" in text
 
     def test_chrome_trace_schema(self, exported):
         _, records, paths = exported
         trace = json.loads(paths["chrome"].read_text())
         events = trace["traceEvents"]
-        aggregate = aggregate_profiles(records)
-        assert len(events) == len(aggregate.stack_wall_s)
+        layers = aggregate_profiles(records).layers()
+        assert len(events) == len(layers) + sum(map(len, layers.values()))
         for event in events:
             assert event["ph"] == "X"
             assert event["ts"] >= 0 and event["dur"] >= 0
             assert event["pid"] == 1 and event["tid"] == 1
-            assert event["cat"] == "sim"
+            assert event["cat"] in layers
             assert event["args"]["calls"] > 0
+        # a layer's slice holds its functions' slices end to end
+        for layer, functions in layers.items():
+            [outer] = [e for e in events if e["name"] == layer]
+            inner = [e for e in events if e["name"] in functions]
+            assert sum(e["dur"] for e in inner) == outer["dur"]
 
     def test_summary_names_the_hot_components(self, exported):
         _, records, _ = exported
-        summary = summarize_profile(records)
-        assert "tcp.sender.handle_packet" in summary
+        summary = summarize_profile(records, top=3)
         assert "runs" in summary
+        assert "  by layer:\n    " in summary
+        assert len(summary.split("hottest functions:\n")[1].splitlines()) == 3
+        assert HANDLE_ACK in summarize_profile(records, top=1000)
 
     def test_export_without_records_reads_the_trace(self, sweep, tmp_path):
         root, _ = sweep[(1, True)]
         paths = export_profile(root)
         assert all(p.exists() for p in paths.values())
-
-
-class TestReadValidation:
-    def test_missing_profile_raises(self, tmp_path):
-        with pytest.raises(ObservabilityError):
-            read_profile(tmp_path)
-
-    def test_malformed_record_raises(self, tmp_path):
-        target = tmp_path / PROFILE_FILENAME
-        target.write_text('{"scenario": "x"}\n')
-        with pytest.raises(ObservabilityError):
-            read_profile(tmp_path)
 
 
 class TestCli:
@@ -253,6 +298,6 @@ class TestCli:
         capsys.readouterr()
         assert main(["obs", "report", str(trace)]) == 0
         out = capsys.readouterr().out
-        assert "== hot-path profile ==" in out
+        assert "== sim-loop profile ==" in out
         assert "== engine heap ==" in out
         assert "== top energy flows ==" in out

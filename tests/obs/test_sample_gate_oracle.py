@@ -61,9 +61,9 @@ INTERVALS = (None, 0.0, 1e-3, 50e-6)
 class EveryAckSender(TcpSender):
     """Hands the sink all four samples on every ACK."""
 
-    def _handle_packet(self, packet) -> None:
+    def handle_packet(self, packet) -> None:
         self._probe_kept = self._probe_srtt_kept = float("-inf")
-        super()._handle_packet(packet)
+        super().handle_packet(packet)
 
 
 class _EveryOperation:

@@ -5,7 +5,7 @@ Journal, telemetry and profile share one writer/reader/merger
 :class:`~repro.obs.stream.StreamSpec`. Every case here runs against all
 three, so a behaviour cannot hold for one file and rot for another.
 Stream-specific record shapes (journal event stamping, telemetry sinks,
-profile aggregates) stay in the per-stream test modules.
+the profile's ``cProfile`` fold) stay in the per-stream test modules.
 """
 
 import json
@@ -31,10 +31,12 @@ def telemetry_record(rank):
 
 
 def profile_record(rank):
+    run, push = "sim/engine.py:Simulator.run", "sim/engine.py:Simulator.push"
     return {
-        "scenario": f"s{rank}", "seed": 0, "counts": {"sim.events": 3},
-        "stack_calls": {"sim.dispatch": 3},
-        "stack_wall_s": {"sim.dispatch": 0.001},
+        "scenario": f"s{rank}", "seed": 0, "calls": {run: 1, push: 3},
+        "edges": {run: {push: 3}},
+        "self_s": {run: 0.001, push: 0.0005},
+        "total_s": {run: 0.0025, push: 0.0005},
     }
 
 

@@ -45,10 +45,10 @@ repro.harness.runner
 repro.net repro.net.host repro.net.link repro.net.nic repro.net.packet
 repro.net.queue repro.net.switch repro.net.topology
 repro.obs repro.obs.attrib repro.obs.journal repro.obs.metrics
-repro.obs.observer repro.obs.profile repro.obs.stream repro.obs.telemetry
+repro.obs.observer repro.obs.stream repro.obs.telemetry
 repro.sched repro.sched.fluid repro.sched.policies repro.sched.policy
 repro.sched.registry
-repro.sim repro.sim.engine repro.sim.probe repro.sim.profile repro.sim.rng
+repro.sim repro.sim.engine repro.sim.probe repro.sim.rng
 repro.sim.timer repro.sim.trace
 repro.tcp repro.tcp.ranges repro.tcp.receiver repro.tcp.rtt repro.tcp.sender
 """.split()

@@ -96,14 +96,14 @@ TRACED_PATH = DATA_PATH + tuple(
 #: shape -> most frames one segment may cost (its share of ACKs, timers
 #: and energy samples included). A ceiling, not an equality (3.12
 #: inlines comprehensions, so totals differ between interpreters): what
-#: the code reaches on 3.11 (45.0 / 49.1 / 112.0, and 36.1 over
+#: the code reaches on 3.11 (44.5 / 48.5 / 111.0, and 35.6 over
 #: ``TRACED_PATH`` for the grid cell) plus under 5 %. Lower one when a
 #: PR earns it; raise one only with the reason in the PR.
 FRAMES_PER_SEGMENT_CEILING = {
-    "dumbbell_sweep": 47.0,
-    "lossy_mix": 51.5,
-    "fabric_datacenter": 117.0,
-    "cca_mtu_grid": 37.5,
+    "dumbbell_sweep": 46.5,
+    "lossy_mix": 50.5,
+    "fabric_datacenter": 116.5,
+    "cca_mtu_grid": 37.0,
 }
 
 
