@@ -295,12 +295,6 @@ class FabricWorkload:
         )
         return cross / len(self.flows)
 
-    def class_counts(self) -> "dict[str, int]":
-        counts: "dict[str, int]" = {}
-        for f in self.flows:
-            counts[f.flow_class] = counts.get(f.flow_class, 0) + 1
-        return counts
-
 
 def _pick_weighted(
     components: Sequence[Tuple[str, float]], rng: random.Random

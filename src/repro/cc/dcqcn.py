@@ -19,7 +19,7 @@ reflected in a low per-ACK CPU cost.
 from __future__ import annotations
 
 from repro.cc.base import AckEvent, CongestionControl
-from repro.units import gbps, mbps, to_gbps, usec
+from repro.units import gbps, mbps, usec
 
 #: alpha gain (DCQCN g)
 DCQCN_G = 1.0 / 16.0
@@ -107,8 +107,3 @@ class Dcqcn(CongestionControl):
 
     def pacing_rate_bps(self) -> float:
         return self.rc_bps
-
-    @property
-    def current_rate_gbps(self) -> float:
-        """RC in Gb/s (for tests and traces)."""
-        return to_gbps(self.rc_bps)

@@ -35,7 +35,7 @@ class Dctcp(CongestionControl):
         self._acked_bytes = 0
         self._marked_bytes = 0
         self._window_end = 0.0
-        self._saw_mark = False
+        self._saw_ce = False
 
     def _roll_window(self, event: AckEvent) -> None:
         """Close the observation window once per RTT."""
@@ -48,14 +48,14 @@ class Dctcp(CongestionControl):
         if self._acked_bytes > 0:
             fraction = min(1.0, self._marked_bytes / self._acked_bytes)
             self.alpha = (1 - DCTCP_GAIN) * self.alpha + DCTCP_GAIN * fraction
-            if self._saw_mark:
+            if self._saw_ce:
                 self.cwnd = max(
                     self.min_cwnd, int(self.cwnd * (1.0 - self.alpha / 2.0))
                 )
                 self.ssthresh = self.cwnd
         self._acked_bytes = 0
         self._marked_bytes = 0
-        self._saw_mark = False
+        self._saw_ce = False
         self._window_end = now + rtt
 
     def on_ack(self, event: AckEvent) -> None:
@@ -63,7 +63,7 @@ class Dctcp(CongestionControl):
         self._acked_bytes += event.newly_acked_bytes
         self._marked_bytes += event.ecn_marked_bytes
         if event.ecn_marked_bytes > 0 or event.ecn_echo:
-            self._saw_mark = True
+            self._saw_ce = True
         self._roll_window(event)
         # Reno-style growth between reductions (once per ACK, so
         # in_slow_start and _clamp are written out, not called).
@@ -79,7 +79,7 @@ class Dctcp(CongestionControl):
         """Per-ACK feedback is folded into the windowed estimator."""
         self.ctx.charge(self.ack_cost_units * 0.25)
         self._marked_bytes += 0  # accounting happens in on_ack
-        self._saw_mark = True
+        self._saw_ce = True
 
     def on_congestion_event(self, event: AckEvent) -> None:
         # Actual packet loss: react like Reno (RFC 8257 §3.5).

@@ -1,12 +1,14 @@
-"""CPU package accounting: turn stack events into energy.
+"""CPU package accounting: turn a host's stack work into energy.
 
 The testbed servers have two CPU packages; RAPL reports energy per
 package, and the paper's per-flow power arithmetic (§4.1: 34.23 W *per
 flow*) corresponds to each flow's processing landing on its own package.
-:class:`CpuModel` reproduces that: it listens to a host's stack events,
-attributes work to per-flow-pinned :class:`CpuPackage` objects, and
-integrates the :class:`~repro.energy.power_model.PowerModel` over virtual
-time.
+:class:`CpuModel` reproduces that: it is its host's listener, so the
+host asks it once per flow which :class:`CpuPackage` the flow is pinned
+to and from then on adds the flow's wire bytes, packet events,
+retransmissions and congestion-control cost to that package itself;
+the model integrates the :class:`~repro.energy.power_model.PowerModel`
+over virtual time.
 
 Integration is flush-based: activity accumulates between flushes and the
 model converts each interval's average rates to watts. A periodic sampler
@@ -21,8 +23,7 @@ from typing import Dict, List, Optional
 
 from repro.energy.power_model import IntervalActivity, PowerModel
 from repro.errors import EnergyModelError
-from repro.net.host import Host, HostListener
-from repro.net.packet import Packet
+from repro.net.host import FlowTally, Host, HostListener
 from repro.sim.engine import Simulator
 from repro.sim.probe import POWER_CHANNEL
 from repro.sim.timer import PeriodicTimer
@@ -32,10 +33,16 @@ from repro.units import msec
 DEFAULT_SAMPLE_INTERVAL_S = msec(5.0)
 
 
-class CpuPackage:
-    """One physical CPU package with its own power curve and RAPL domain."""
+class CpuPackage(FlowTally):
+    """One physical CPU package with its own power curve and RAPL domain.
+
+    As a :class:`~repro.net.host.FlowTally` it holds the open interval's
+    activity, which the host adds every packet and charge of the flows
+    pinned here to, in place.
+    """
 
     def __init__(self, name: str, model: PowerModel, sim: Simulator):
+        super().__init__()
         self.name = name
         self.model = model
         self.sim = sim
@@ -56,15 +63,8 @@ class CpuPackage:
         }
         self.power_series = TimeSeries(name=f"{name}-power")
         self._last_flush = sim.now
-        self._wire_bytes = 0
-        self._packet_events = 0
-        self._cc_units = 0.0
-        self._retransmissions = 0
 
     # -- accumulation ------------------------------------------------------
-    # The open interval's activity (_wire_bytes, _packet_events,
-    # _cc_units, _retransmissions) is added to in place by the owning
-    # CpuModel's listener hooks, so a stack event costs one frame.
 
     def set_background_load(self, load: float) -> None:
         """Change the `stress` load fraction (flushes the open interval)."""
@@ -83,10 +83,10 @@ class CpuPackage:
             return
         activity = IntervalActivity(
             duration_s=duration,
-            wire_bytes=self._wire_bytes,
-            packet_events=self._packet_events,
-            cc_cost_units=self._cc_units,
-            retransmissions=self._retransmissions,
+            wire_bytes=self.wire_bytes,
+            packet_events=self.packet_events,
+            cc_cost_units=self.cc_units,
+            retransmissions=self.retransmissions,
             background_load=self.background_load,
         )
         components = self.model.power_components(activity)
@@ -109,21 +109,14 @@ class CpuPackage:
             # flush boundary.
             sink.sample(now, POWER_CHANNEL, self.name, power)
         self._last_flush = now
-        self._wire_bytes = 0
-        self._packet_events = 0
-        self._cc_units = 0.0
-        self._retransmissions = 0
-
-    @property
-    def current_power_w(self) -> float:
-        """Most recent interval's average power (idle level before any)."""
-        if len(self.power_series):
-            return self.power_series.last
-        return self.model.smooth_sending_power_w(0.0, self.background_load)
+        self.wire_bytes = 0
+        self.packet_events = 0
+        self.cc_units = 0.0
+        self.retransmissions = 0
 
 
 class CpuModel(HostListener):
-    """Attributes one host's stack events to its CPU packages.
+    """Attributes one host's stack work to its CPU packages.
 
     Flows are pinned to packages round-robin on first sight (mirroring
     the paper's two-flow / two-package setup); :meth:`pin_flow` overrides.
@@ -154,8 +147,10 @@ class CpuModel(HostListener):
     # -- pinning -----------------------------------------------------------
 
     def pin_flow(self, flow_id: int, package_index: int) -> None:
-        """Pin ``flow_id``'s processing to a specific package."""
+        """Pin ``flow_id``'s processing to a specific package (its later
+        work, if the host has charged it already)."""
         self._flow_pin[flow_id] = self.packages[package_index]
+        self.host.forget_tally(flow_id)
 
     def package_for(self, flow_id: int) -> CpuPackage:
         """The package attributed with ``flow_id``'s work (auto-pins)."""
@@ -166,27 +161,8 @@ class CpuModel(HostListener):
             self._flow_pin[flow_id] = pkg
         return pkg
 
-    # -- HostListener ------------------------------------------------------
-    # Each hook charges the flow's package in place; package_for runs
-    # only for a flow not pinned yet.
-
-    def on_packet_sent(self, host: Host, packet: Packet) -> None:
-        pkg = self._flow_pin.get(packet.flow_id) or self.package_for(packet.flow_id)
-        pkg._wire_bytes += packet.wire_bytes
-        pkg._packet_events += 1
-
-    #: a packet event costs the same in either direction
-    on_packet_received = on_packet_sent
-
-    def on_retransmit(self, host: Host, packet: Packet) -> None:
-        pkg = self._flow_pin.get(packet.flow_id) or self.package_for(packet.flow_id)
-        pkg._retransmissions += 1
-
-    def on_cc_op(
-        self, host: Host, algorithm: str, cost_units: float, flow_id: int
-    ) -> None:
-        pkg = self._flow_pin.get(flow_id) or self.package_for(flow_id)
-        pkg._cc_units += cost_units
+    #: HostListener: a flow's work is added to its package
+    tally_for = package_for
 
     # -- lifecycle ---------------------------------------------------------
 

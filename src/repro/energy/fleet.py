@@ -19,7 +19,7 @@ proportional term is linear in utilization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.energy.switch_power import SwitchPowerModel, todays_switch
 from repro.errors import EnergyModelError
@@ -35,12 +35,6 @@ class SwitchEnergyReading:
     power_w: float
     energy_j: float
     port_utilizations: List[float] = field(default_factory=list)
-
-    @property
-    def mean_utilization(self) -> float:
-        if not self.port_utilizations:
-            return 0.0
-        return sum(self.port_utilizations) / len(self.port_utilizations)
 
 
 @dataclass
@@ -58,10 +52,6 @@ class FleetEnergyReport:
     @property
     def total_energy_j(self) -> float:
         return self.host_energy_j + self.switch_energy_j
-
-    def per_switch(self) -> Dict[str, float]:
-        """Per-switch joules, keyed by switch name."""
-        return {r.name: r.energy_j for r in self.switch_readings}
 
 
 def port_utilization(

@@ -42,10 +42,6 @@ class IncastPoint:
     retransmissions: int
     bottleneck_drops: int
 
-    @property
-    def energy_per_mb(self) -> float:
-        return self.energy_j  # normalized by the caller's fixed payload
-
 
 @dataclass
 class IncastResult:

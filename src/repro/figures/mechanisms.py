@@ -63,14 +63,6 @@ class MechanismResult:
                 return row
         raise LookupError(f"no row for {cca!r}")
 
-    def dominant_component(self, cca: str, ignore=("idle",)) -> str:
-        """The largest non-floor contributor for one CCA."""
-        row = self.row(cca)
-        candidates = {
-            k: v for k, v in row.components_j.items() if k not in ignore
-        }
-        return max(candidates, key=candidates.get)
-
     def format_table(self) -> str:
         headers = ["cca", "total (J)"] + [f"{c} (J)" for c in REPORT_COMPONENTS]
         table_rows = []

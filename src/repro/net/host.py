@@ -1,22 +1,23 @@
 """End hosts.
 
 A :class:`Host` owns a NIC, demultiplexes arriving packets to registered
-flow endpoints (TCP connections and receivers), and publishes stack
-events — packet sent/received, retransmission, congestion-control
-computation — to listeners. The energy layer subscribes to those events
-to account CPU work; keeping the host ignorant of energy keeps the
-network substrate independently testable.
+flow endpoints (TCP connections and receivers), and charges the CPU work
+of each flow — wire bytes and packet events, retransmissions,
+congestion-control computation — to that flow's tally. Which tally is
+the host's listener's answer, asked once per flow: the energy layer
+answers with a CPU package, and keeping the host ignorant of energy
+keeps the network substrate independently testable.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, Optional, Protocol
 
 from repro.errors import NetworkConfigError
 from repro.net.nic import Nic
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
-from repro.sim.trace import CounterSet
+from repro.sim.trace import CounterSet, Counted
 
 
 class FlowEndpoint(Protocol):
@@ -27,39 +28,51 @@ class FlowEndpoint(Protocol):
         ...  # pragma: no cover - protocol definition
 
 
+class FlowTally:
+    """One flow's CPU work, added up in place by its host: wire bytes and
+    packet events both ways, retransmissions, congestion-control cost."""
+
+    def __init__(self) -> None:
+        self.wire_bytes = 0
+        self.packet_events = 0
+        self.retransmissions = 0
+        self.cc_units = 0.0
+
+
 class HostListener:
-    """Subscriber to host stack events. Subclass and override what you need.
+    """A host's one accountant. The host asks it once per flow — at the
+    flow's first packet sent or received or first congestion-control
+    charge — which tally the flow's work goes to, and adds to the answer
+    itself from then on. This base class answers a tally nobody reads."""
 
-    Every hook receives the host so a single listener can serve several
-    hosts (the energy meter attaches one CPU model per host but shares
-    analysis listeners).
-    """
-
-    def on_packet_sent(self, host: "Host", packet: Packet) -> None:
-        """A packet was handed to the NIC."""
-
-    def on_packet_received(self, host: "Host", packet: Packet) -> None:
-        """A packet arrived and was demultiplexed."""
-
-    def on_retransmit(self, host: "Host", packet: Packet) -> None:
-        """A data segment was retransmitted (fast retransmit or RTO)."""
-
-    def on_cc_op(
-        self, host: "Host", algorithm: str, cost_units: float, flow_id: int
-    ) -> None:
-        """The congestion controller ran ``cost_units`` of computation."""
+    def tally_for(self, flow_id: int) -> FlowTally:
+        """The tally ``flow_id``'s work is added to."""
+        return FlowTally()
 
 
-class Host:
-    """A server end-host: NIC + flow demux + event publication."""
+#: the listener of a host nobody accounts for
+_NOBODY = HostListener()
+
+
+class Host(Counted):
+    """A server end-host: NIC + flow demux + per-flow work tallies."""
+
+    COUNTER_FIELDS = ("tx_packets", "tx_bytes", "rx_packets", "rx_bytes", "cc_ops")
 
     def __init__(self, sim: Simulator, name: str, nic: Optional[Nic] = None):
         self.sim = sim
         self.name = name
         self.nic = nic
         self._endpoints: Dict[int, FlowEndpoint] = {}
-        self._listeners: List[HostListener] = []
-        self.counters = CounterSet()
+        self._listener = _NOBODY
+        #: flow id -> the listener's answer for it
+        self._tallies: Dict[int, FlowTally] = {}
+        self._counters = CounterSet()
+        self.tx_packets = 0
+        self.tx_bytes = 0
+        self.rx_packets = 0
+        self.rx_bytes = 0
+        self.cc_ops = 0
 
     # -- wiring ---------------------------------------------------------
 
@@ -80,45 +93,58 @@ class Host:
         self._endpoints.pop(flow_id, None)
 
     def add_listener(self, listener: HostListener) -> None:
-        """Subscribe to this host's stack events."""
-        self._listeners.append(listener)
+        """Make ``listener`` this host's accountant (one per host)."""
+        if self._listener is not _NOBODY:
+            raise NetworkConfigError(f"{self.name}: already has a listener")
+        self._listener = listener
+        self._tallies.clear()
+
+    def forget_tally(self, flow_id: int) -> None:
+        """Ask the listener again at ``flow_id``'s next charge (its
+        answer changed, e.g. the flow was re-pinned)."""
+        self._tallies.pop(flow_id, None)
+
+    def _tally(self, flow_id: int) -> FlowTally:
+        """The flow's tally, asked for at its first charge."""
+        tally = self._tallies[flow_id] = self._listener.tally_for(flow_id)
+        return tally
 
     # -- data path --------------------------------------------------------
 
     def send(self, packet: Packet) -> bool:
-        """Transmit a packet via the NIC, publishing the send event."""
+        """Transmit a packet via the NIC, charging it to its flow."""
         if self.nic is None:
             raise NetworkConfigError(f"{self.name}: no NIC attached")
         packet.sent_time = self.sim.now
-        self.counters["tx_packets"] += 1.0
-        self.counters["tx_bytes"] += packet.size_bytes
+        self.tx_packets += 1
+        self.tx_bytes += packet.size_bytes
+        tally = self._tallies.get(packet.flow_id) or self._tally(packet.flow_id)
         if packet.retransmitted:
-            self.counters["retransmissions"] += 1.0
-            for listener in self._listeners:
-                listener.on_retransmit(self, packet)
-        for listener in self._listeners:
-            listener.on_packet_sent(self, packet)
+            self._counters["retransmissions"] += 1.0
+            tally.retransmissions += 1
+        tally.wire_bytes += packet.wire_bytes
+        tally.packet_events += 1
         return self.nic.send(packet)
 
     def receive(self, packet: Packet) -> None:
         """Demultiplex an arriving packet to its flow endpoint."""
-        self.counters["rx_packets"] += 1.0
-        self.counters["rx_bytes"] += packet.size_bytes
-        for listener in self._listeners:
-            listener.on_packet_received(self, packet)
+        self.rx_packets += 1
+        self.rx_bytes += packet.size_bytes
+        # a packet event costs the same in either direction
+        tally = self._tallies.get(packet.flow_id) or self._tally(packet.flow_id)
+        tally.wire_bytes += packet.wire_bytes
+        tally.packet_events += 1
         endpoint = self._endpoints.get(packet.flow_id)
         if endpoint is None:
-            self.counters["rx_unroutable"] += 1.0
+            self._counters["rx_unroutable"] += 1.0
             return
         endpoint.handle_packet(packet)
 
-    def notify_cc_op(
-        self, algorithm: str, cost_units: float, flow_id: int = -1
-    ) -> None:
-        """Publish a congestion-control computation event."""
-        self.counters["cc_ops"] += 1.0
-        for listener in self._listeners:
-            listener.on_cc_op(self, algorithm, cost_units, flow_id)
+    def notify_cc_op(self, cost_units: float, flow_id: int = -1) -> None:
+        """Charge ``cost_units`` of congestion-control computation."""
+        self.cc_ops += 1
+        tally = self._tallies.get(flow_id) or self._tally(flow_id)
+        tally.cc_units += cost_units
 
     @property
     def mtu_bytes(self) -> int:

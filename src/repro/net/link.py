@@ -44,13 +44,13 @@ the two-event interface.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 from repro.errors import NetworkConfigError
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
-from repro.sim.trace import CounterSet
+from repro.sim.trace import CounterSet, Counted
 from repro.units import BITS_PER_BYTE
 
 
@@ -62,7 +62,7 @@ class PacketSink(Protocol):
         ...  # pragma: no cover - protocol definition
 
 
-class Link:
+class Link(Counted):
     """Unidirectional link: serialization at ``rate_bps`` + fixed delay.
 
     ``loss_rate`` models random corruption (bit errors, flaky optics):
@@ -73,8 +73,10 @@ class Link:
 
     The link holds no behaviour of its own: the :class:`Interface` that
     feeds it reads these attributes on every packet (so a test may make
-    a built link lossy) and keeps :attr:`counters`.
+    a built link lossy) and keeps its counters.
     """
+
+    COUNTER_FIELDS = ("tx_packets", "tx_bytes")
 
     def __init__(
         self,
@@ -107,20 +109,27 @@ class Link:
         self.loss_rate = loss_rate
         self.loss_rng = loss_rng
         self.sink: Optional[PacketSink] = None
-        self.counters = CounterSet()
+        self._counters = CounterSet()
+        self.tx_packets = 0
+        self.tx_bytes = 0
 
     def connect(self, sink: PacketSink) -> None:
         """Attach the receiving end."""
         self.sink = sink
 
 
-class Interface:
+class Interface(Counted):
     """An egress interface: queue + link + transmit loop.
 
-    ``on_dequeue`` (optional) fires when a packet leaves the queue and
-    starts serializing — the hook the energy model uses to charge per-
-    packet transmit CPU work at the moment the host actually does it.
+    A packet holds the wire for exactly its wire time: the per-packet
+    processing floor that keeps small-MTU hosts below line rate is the
+    host NIC's ``tx_packet_gap_s``, not the interface's. The interface
+    counts the frames it starts (``tx_packets``) and the arrivals its
+    queue turned away (``drops``), and keeps the link's counters: its
+    ``tx_packets`` and ``tx_bytes`` fields and, by name, ``corrupted``.
     """
+
+    COUNTER_FIELDS = ("tx_packets",)
 
     def __init__(
         self,
@@ -128,28 +137,17 @@ class Interface:
         queue: DropTailQueue,
         link: Link,
         name: str = "interface",
-        on_drop: Optional[Callable[[Packet], None]] = None,
-        on_dequeue: Optional[Callable[[Packet], None]] = None,
-        min_packet_gap_s: float = 0.0,
         int_telemetry: bool = False,
     ):
-        if not min_packet_gap_s >= 0:
-            raise NetworkConfigError(
-                f"min packet gap must be >= 0, got {min_packet_gap_s}"
-            )
         self.sim = sim
         self.queue = queue
         self.link = link
         self.name = name
-        self.on_drop = on_drop
-        self.on_dequeue = on_dequeue
-        #: per-packet processing floor: the host CPU/DMA path cannot emit
-        #: packets faster than one per this many seconds, which is what
-        #: keeps small-MTU configurations below line rate (paper §4.4)
-        self.min_packet_gap_s = min_packet_gap_s
         #: stamp INT metadata (queue length, cumulative tx bytes, link
         #: rate, timestamp) on departing packets — HPCC's switch support
         self.int_telemetry = int_telemetry
+        #: wire bytes started so far; kept only on a stamping interface,
+        #: the only one that reads it
         self._tx_bytes_total = 0.0
         #: the instant the transmission in flight finishes
         self.busy_until = float("-inf")
@@ -160,7 +158,8 @@ class Interface:
         self._tx_seq = 0
         #: the finish is on the heap as a ``_start_next`` event
         self._next_armed = False
-        self.counters = CounterSet()
+        self._counters = CounterSet()
+        self.tx_packets = 0
 
     @property
     def busy(self) -> bool:
@@ -169,11 +168,6 @@ class Interface:
         return now < self.busy_until or (
             now == self.busy_until and not self._finished()
         )
-
-    @property
-    def backlog_bytes(self) -> int:
-        """Bytes waiting in the queue (not counting the in-flight packet)."""
-        return self.queue.occupancy_bytes
 
     def _finished(self) -> bool:
         """At exactly ``busy_until``: has the finish had its turn?
@@ -204,26 +198,22 @@ class Interface:
             sink = link.sink
             if sink is None:
                 raise NetworkConfigError(f"{link.name}: no sink connected")
-            if self.on_dequeue is not None:
-                self.on_dequeue(packet)
             wire_bytes = packet.wire_bytes
-            self._tx_bytes_total += wire_bytes
-            if self.int_telemetry and not packet.is_ack:
-                packet.int_qlen_bytes = self.queue.occupancy_bytes
-                packet.int_tx_bytes = self._tx_bytes_total
-                packet.int_timestamp = now
-                packet.int_link_rate_bps = link.rate_bps
-            hold = wire_bytes * BITS_PER_BYTE / link.rate_bps
-            gap = self.min_packet_gap_s
-            finish = now + (gap if gap > hold else hold)
+            if self.int_telemetry:
+                self._tx_bytes_total += wire_bytes
+                if not packet.is_ack:
+                    packet.int_qlen_bytes = self.queue.occupancy_bytes
+                    packet.int_tx_bytes = self._tx_bytes_total
+                    packet.int_timestamp = now
+                    packet.int_link_rate_bps = link.rate_bps
+            finish = now + wire_bytes * BITS_PER_BYTE / link.rate_bps
             self.busy_until = finish
             self._tx_start = now
-            wire = link.counters
-            wire["tx_packets"] += 1.0
-            wire["tx_bytes"] += wire_bytes
-            self.counters["tx_packets"] += 1.0
+            link.tx_packets += 1
+            link.tx_bytes += wire_bytes
+            self.tx_packets += 1
             if link.loss_rate > 0 and link.loss_rng.random() < link.loss_rate:
-                wire["corrupted"] += 1.0
+                link.counters["corrupted"] += 1.0
                 self._next_armed = True
                 self._tx_seq = sim.push(finish, now, None, self._start_next, ())
                 return True
@@ -233,9 +223,7 @@ class Interface:
             return True
         accepted = self.queue.enqueue(packet)
         if not accepted:
-            self.counters["drops"] += 1.0
-            if self.on_drop is not None:
-                self.on_drop(packet)
+            self._counters["drops"] += 1.0
         elif not self._next_armed:
             self._next_armed = True
             sim.push(
@@ -253,27 +241,23 @@ class Interface:
         sink = link.sink
         if sink is None:
             raise NetworkConfigError(f"{link.name}: no sink connected")
-        if self.on_dequeue is not None:
-            self.on_dequeue(packet)
         now = sim.now
         wire_bytes = packet.wire_bytes
-        self._tx_bytes_total += wire_bytes
-        if self.int_telemetry and not packet.is_ack:
-            packet.int_qlen_bytes = self.queue.occupancy_bytes
-            packet.int_tx_bytes = self._tx_bytes_total
-            packet.int_timestamp = now
-            packet.int_link_rate_bps = link.rate_bps
-        hold = wire_bytes * BITS_PER_BYTE / link.rate_bps
-        gap = self.min_packet_gap_s
-        finish = now + (gap if gap > hold else hold)
+        if self.int_telemetry:
+            self._tx_bytes_total += wire_bytes
+            if not packet.is_ack:
+                packet.int_qlen_bytes = self.queue.occupancy_bytes
+                packet.int_tx_bytes = self._tx_bytes_total
+                packet.int_timestamp = now
+                packet.int_link_rate_bps = link.rate_bps
+        finish = now + wire_bytes * BITS_PER_BYTE / link.rate_bps
         self.busy_until = finish
         self._tx_start = now
-        wire = link.counters
-        wire["tx_packets"] += 1.0
-        wire["tx_bytes"] += wire_bytes
-        self.counters["tx_packets"] += 1.0
+        link.tx_packets += 1
+        link.tx_bytes += wire_bytes
+        self.tx_packets += 1
         if link.loss_rate > 0 and link.loss_rng.random() < link.loss_rate:
-            wire["corrupted"] += 1.0
+            link.counters["corrupted"] += 1.0
             # no delivery to hold the finish's place, so the finish goes
             # on the heap itself
             self._next_armed = True

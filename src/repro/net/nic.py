@@ -54,10 +54,10 @@ from repro.errors import NetworkConfigError
 from repro.net.link import Interface
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
-from repro.sim.trace import CounterSet
+from repro.sim.trace import CounterSet, Counted
 
 
-class Nic:
+class Nic(Counted):
     """A host NIC with an MTU and one or more bonded egress interfaces.
 
     ``tx_packet_gap_s`` models the host's per-packet CPU/DMA cost: the
@@ -66,6 +66,8 @@ class Nic:
     (paper §4.4: 9000-byte MTU was needed "to achieve the full 10 Gb/s
     line rate").
     """
+
+    COUNTER_FIELDS = ("tx_packets", "tx_bytes")
 
     def __init__(
         self,
@@ -119,9 +121,9 @@ class Nic:
         #: rather than counted down, so a stale request costs one spare
         #: round of wake-ups and a lost one cannot happen.
         self.drain_waiters = 0
-        self.counters = CounterSet()
-        #: invoked for every packet handed to the NIC — energy accounting hook
-        self.on_send: Optional[Callable[[Packet], None]] = None
+        self._counters = CounterSet()
+        self.tx_packets = 0
+        self.tx_bytes = 0
 
     # -- qdisc visibility (TCP Small Queues support) ---------------------
 
@@ -162,10 +164,8 @@ class Nic:
                 f"{self.name}: packet of {packet.size_bytes}B exceeds "
                 f"MTU {self.mtu_bytes}B — segmentation is the TCP layer's job"
             )
-        if self.on_send is not None:
-            self.on_send(packet)
-        self.counters["tx_packets"] += 1.0
-        self.counters["tx_bytes"] += packet.size_bytes
+        self.tx_packets += 1
+        self.tx_bytes += packet.size_bytes
         if self.tx_packet_gap_s <= 0:
             return self._dispatch(packet)
         sim = self.sim
@@ -183,7 +183,7 @@ class Nic:
             iface = interfaces[self._next_interface]
             self._next_interface = (self._next_interface + 1) % len(interfaces)
             if not iface.enqueue(packet):
-                self.counters["tx_drops"] += 1.0
+                self._counters["tx_drops"] += 1.0
             if self.drain_waiters:
                 self.drain_waiters = 0
                 for callback in self._drain_listeners:
@@ -202,8 +202,8 @@ class Nic:
             # the no-backpressure baseline measurably *slower*, not just
             # chattier: §4.3's "queuing at the sender host").
             self._phantom_slots += 1
-            self.counters["tx_drops"] += 1.0
-            self.counters["qdisc_drops"] += 1.0
+            self._counters["tx_drops"] += 1.0
+            self._counters["qdisc_drops"] += 1.0
             return False
         self._txq.append(packet)
         backlog = self.flow_backlog
@@ -221,7 +221,7 @@ class Nic:
         self._next_interface = (self._next_interface + 1) % len(self.interfaces)
         accepted = iface.enqueue(packet)
         if not accepted:
-            self.counters["tx_drops"] += 1.0
+            self._counters["tx_drops"] += 1.0
         return accepted
 
     def _drain(self) -> None:
@@ -245,7 +245,7 @@ class Nic:
         iface = interfaces[self._next_interface]
         self._next_interface = (self._next_interface + 1) % len(interfaces)
         if not iface.enqueue(packet):
-            self.counters["tx_drops"] += 1.0
+            self._counters["tx_drops"] += 1.0
         if self.drain_waiters:
             self.drain_waiters = 0
             for callback in self._drain_listeners:

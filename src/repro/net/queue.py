@@ -14,14 +14,19 @@ from typing import TYPE_CHECKING, Deque, Optional
 from repro.errors import NetworkConfigError
 from repro.net.packet import Packet
 from repro.sim.probe import QUEUE_DEPTH_CHANNEL, QUEUE_DROPS_CHANNEL
-from repro.sim.trace import CounterSet
+from repro.sim.trace import CounterSet, Counted
 
 if TYPE_CHECKING:
     from repro.sim.engine import Simulator
 
 
-class DropTailQueue:
+class DropTailQueue(Counted):
     """A FIFO byte-limited queue that drops arrivals when full."""
+
+    COUNTER_FIELDS = ("enqueued", "dequeued")
+    #: occupancy at or above which an arriving ECN-capable packet is
+    #: CE-marked; None (drop-tail) never marks
+    mark_threshold_bytes: Optional[int] = None
 
     def __init__(self, capacity_bytes: int, name: str = "queue"):
         if capacity_bytes <= 0:
@@ -33,7 +38,9 @@ class DropTailQueue:
         #: attribute because the interface reads it on every departure
         #: (zero means empty: no packet is smaller than its headers).
         self.occupancy_bytes = 0
-        self.counters = CounterSet()
+        self._counters = CounterSet()
+        self.enqueued = 0
+        self.dequeued = 0
         #: telemetry clock source; queues have no simulator reference of
         #: their own, so topology builders attach one for the queues
         #: worth observing (the bottleneck)
@@ -68,7 +75,7 @@ class DropTailQueue:
         if sim is not None and sim.probe_sink.enabled:
             sim.probe_sink.sample(
                 sim.now, QUEUE_DROPS_CHANNEL, self.name,
-                self.counters.get("drops"),
+                self._counters.get("drops"),
             )
 
     # -- state ----------------------------------------------------------
@@ -85,14 +92,21 @@ class DropTailQueue:
     def enqueue(self, packet: Packet) -> bool:
         """Add ``packet``; returns False (and counts a drop) if it doesn't fit."""
         if self.occupancy_bytes + packet.size_bytes > self.capacity_bytes:
-            self.counters["drops"] += 1.0
-            self.counters["dropped_bytes"] += packet.size_bytes
+            self._counters["drops"] += 1.0
+            self._counters["dropped_bytes"] += packet.size_bytes
             self._probe_drop()
             return False
-        self._mark(packet)
+        threshold = self.mark_threshold_bytes
+        if (
+            threshold is not None
+            and packet.ecn_capable
+            and self.occupancy_bytes >= threshold
+        ):
+            packet.ecn_marked = True
+            self._counters["ecn_marks"] += 1.0
         self._items.append(packet)
         self.occupancy_bytes += packet.size_bytes
-        self.counters["enqueued"] += 1.0
+        self.enqueued += 1
         sim = self._probe_sim
         if sim is not None and sim.probe_sink.enabled:
             interval = sim.probe_sink.min_interval_s
@@ -108,7 +122,7 @@ class DropTailQueue:
             return None
         packet = self._items.popleft()
         self.occupancy_bytes -= packet.size_bytes
-        self.counters["dequeued"] += 1.0
+        self.dequeued += 1
         sim = self._probe_sim
         if sim is not None and sim.probe_sink.enabled:
             interval = sim.probe_sink.min_interval_s
@@ -117,11 +131,6 @@ class DropTailQueue:
             ):
                 self._probe_depth(sim)
         return packet
-
-    # -- hooks ------------------------------------------------------------
-
-    def _mark(self, packet: Packet) -> None:
-        """Hook for AQM subclasses; DropTail never marks."""
 
 
 class PriorityQueue(DropTailQueue):
@@ -177,7 +186,7 @@ class PriorityQueue(DropTailQueue):
 
     def enqueue(self, packet: Packet) -> bool:
         arriving_prio = self._priority_of(packet)
-        counters = self.counters
+        counters = self._counters
         while self.occupancy_bytes + packet.size_bytes > self.capacity_bytes:
             victim_flow = self._least_urgent_flow()
             if (
@@ -198,7 +207,7 @@ class PriorityQueue(DropTailQueue):
         queue.append(packet)
         self._update_prio(packet.flow_id, arriving_prio)
         self.occupancy_bytes += packet.size_bytes
-        self.counters["enqueued"] += 1.0
+        self.enqueued += 1
         sim = self._probe_sim
         if sim is not None and sim.probe_sink.enabled:
             interval = sim.probe_sink.min_interval_s
@@ -217,7 +226,7 @@ class PriorityQueue(DropTailQueue):
             del self._flows[flow_id]
             del self._flow_prio[flow_id]
         self.occupancy_bytes -= packet.size_bytes
-        self.counters["dequeued"] += 1.0
+        self.dequeued += 1
         sim = self._probe_sim
         if sim is not None and sim.probe_sink.enabled:
             interval = sim.probe_sink.min_interval_s
@@ -242,7 +251,8 @@ class EcnQueue(DropTailQueue):
     instantaneous queue occupancy (at enqueue time) is at or above
     ``mark_threshold_bytes`` — the single-threshold marking DCTCP
     expects from the switch (paper's testbed is a Tofino doing exactly
-    this).
+    this). The marking is :meth:`DropTailQueue.enqueue`'s; this class
+    only sets the threshold.
     """
 
     def __init__(
@@ -258,11 +268,3 @@ class EcnQueue(DropTailQueue):
                 f"(0, {capacity_bytes}]"
             )
         self.mark_threshold_bytes = mark_threshold_bytes
-
-    def _mark(self, packet: Packet) -> None:
-        if (
-            packet.ecn_capable
-            and self.occupancy_bytes >= self.mark_threshold_bytes
-        ):
-            packet.ecn_marked = True
-            self.counters["ecn_marks"] += 1.0

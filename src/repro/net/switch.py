@@ -30,14 +30,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import NetworkConfigError
 from repro.net.link import Interface
 from repro.net.packet import Packet
-from repro.sim.trace import CounterSet
+from repro.sim.trace import CounterSet, Counted
 
 #: a flow's switching identity: (src host, dst host, flow id)
 FlowKey = Tuple[str, str, int]
 
 
-class Switch:
+class Switch(Counted):
     """Static-forwarding output-queued switch with ECMP groups."""
+
+    COUNTER_FIELDS = ("rx_packets", "rx_bytes")
 
     def __init__(self, name: str = "switch"):
         self.name = name
@@ -48,7 +50,9 @@ class Switch:
         # salt once: hashing f"{name}|..." per packet would rebuild the
         # prefix every lookup
         self._hash_salt = zlib.crc32(name.encode("utf-8"))
-        self.counters = CounterSet()
+        self._counters = CounterSet()
+        self.rx_packets = 0
+        self.rx_bytes = 0
 
     # -- forwarding table ---------------------------------------------
 
@@ -133,9 +137,9 @@ class Switch:
 
     def receive(self, packet: Packet) -> None:
         """Forward an arriving packet to its output port."""
-        self.counters["rx_packets"] += 1.0
-        self.counters["rx_bytes"] += packet.size_bytes
+        self.rx_packets += 1
+        self.rx_bytes += packet.size_bytes
         # an exact route is one dict hit; ECMP goes through the lookup
         port = self._ports.get(packet.dst) or self.port_for_packet(packet)
         if not port.enqueue(packet):
-            self.counters["forward_drops"] += 1.0
+            self._counters["forward_drops"] += 1.0

@@ -314,10 +314,6 @@ class FabricConfig:
             )
 
     @property
-    def total_hosts(self) -> int:
-        return self.leaves * self.hosts_per_leaf
-
-    @property
     def base_rtt_s(self) -> float:
         """Propagation-only cross-rack RTT (host-leaf-spine-leaf-host, both ways)."""
         return 8 * self.link_delay_s

@@ -6,13 +6,14 @@ primitives cover all of them:
 
 * :class:`TimeSeries` — (time, value) samples with summary helpers.
 * :class:`CounterSet` — named monotonic counters (packets sent, bytes
-  acked, retransmissions, ...), the simulation analogue of ``netstat -s``.
+  acked, retransmissions, ...), the simulation analogue of ``netstat -s``,
+  and :class:`Counted`, how a network or TCP object exposes its own.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import ClassVar, Dict, Iterator, List, Optional, Tuple
 
 
 class TimeSeries:
@@ -129,9 +130,11 @@ class CounterSet(Dict[str, float]):
     """Named monotonic counters: a dict in which a name never
     incremented reads 0.0.
 
-    Per-packet code increments in place, ``counters["acks"] += 1.0`` —
-    an item update, no Python frame; :meth:`add` is the checked form for
-    everything else.
+    A rare event is counted by name, ``counters["drops"] += 1.0`` (an
+    item update, no Python frame); :meth:`add` is the checked form. The
+    counters a packet moves on every hop are not kept here but in
+    integer fields of their owner, which :class:`Counted` copies in
+    before the set is read.
     """
 
     __slots__ = ()
@@ -152,3 +155,29 @@ class CounterSet(Dict[str, float]):
     def snapshot(self) -> Dict[str, float]:
         """A copy of all counters."""
         return dict(self)
+
+
+class Counted:
+    """An owner whose per-packet counters are ``int`` fields.
+
+    A field increment is an attribute store CPython specialises; a
+    by-name one is an item update on a dict subclass, about three times
+    the cost. So the counters a packet moves (:attr:`COUNTER_FIELDS`, set
+    to 0 in the owner's ``__init__``) are fields, the rare ones are
+    by-name increments of ``_counters``, and :attr:`counters` reads both.
+    """
+
+    COUNTER_FIELDS: ClassVar[Tuple[str, ...]] = ()
+    _counters: CounterSet
+
+    @property
+    def counters(self) -> CounterSet:
+        """The owner's one :class:`CounterSet`, each non-zero field
+        written in as a float first: what by-name increments would hold
+        (a float sum of integers is exact below 2**53)."""
+        counters = self._counters
+        for name in self.COUNTER_FIELDS:
+            value = getattr(self, name)
+            if value:
+                counters[name] = float(value)
+        return counters

@@ -21,7 +21,7 @@ from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.sim.timer import Timer
-from repro.sim.trace import CounterSet
+from repro.sim.trace import CounterSet, Counted
 from repro.tcp.ranges import RangeSet
 from repro.units import usec
 
@@ -37,8 +37,10 @@ DEFAULT_INITIAL_RWND = 64 * 1024
 DEFAULT_MAX_RWND = 6 * 1024 * 1024
 
 
-class TcpReceiver:
+class TcpReceiver(Counted):
     """Receiving endpoint of one simulated TCP connection."""
+
+    COUNTER_FIELDS = ("segments", "acks_sent")
 
     def __init__(
         self,
@@ -61,7 +63,9 @@ class TcpReceiver:
         self.received = RangeSet()
         self.rcv_nxt = 0
         self.bytes_received = 0
-        self.counters = CounterSet()
+        self._counters = CounterSet()
+        self.segments = 0
+        self.acks_sent = 0
         self.completed_at: Optional[float] = None
         self._on_complete: List[CompletionCallback] = []
         self._unacked_segments = 0
@@ -93,9 +97,9 @@ class TcpReceiver:
         """Process one arriving data segment."""
         if packet.is_ack:
             # Bulk transfer is one-directional; stray ACKs are ignored.
-            self.counters["stray_acks"] += 1.0
+            self._counters["stray_acks"] += 1.0
             return
-        self.counters["segments"] += 1.0
+        self.segments += 1
         received = self.received
         seq = packet.seq
         if seq == self.rcv_nxt and packet.payload_bytes and not received.total_bytes:
@@ -112,7 +116,7 @@ class TcpReceiver:
             # (RFC 5681 §4.2), which is what fast retransmit keys on
             must_ack_now = seq > self.rcv_nxt or bool(received.total_bytes)
             if end_seq <= self.rcv_nxt or received.contains(seq, end_seq):
-                self.counters["duplicate_segments"] += 1.0
+                self._counters["duplicate_segments"] += 1.0
                 must_ack_now = True
             else:
                 self.bytes_received += received.add(seq, end_seq)
@@ -122,7 +126,7 @@ class TcpReceiver:
         ce_changed = packet.ecn_marked != self._ce_state
         self._ce_state = packet.ecn_marked
         if packet.ecn_marked:
-            self.counters["ce_marks"] += 1.0
+            self._counters["ce_marks"] += 1.0
             self._marked_bytes_pending += packet.payload_bytes
         self._pending_echo_time = packet.sent_time
         if packet.int_timestamp is not None:
@@ -189,5 +193,5 @@ class TcpReceiver:
             self._last_int = None
         self._unacked_segments = 0
         self._marked_bytes_pending = 0
-        self.counters["acks_sent"] += 1.0
+        self.acks_sent += 1
         self.host.send(ack)

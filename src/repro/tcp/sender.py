@@ -17,8 +17,9 @@ paper's experiments exercise:
 * delivery-rate samples per ACK (what BBR's bandwidth filter consumes).
 
 Energy coupling happens exclusively through
-:meth:`~repro.net.host.Host.notify_cc_op` and the host send/receive
-events — the sender never talks to the energy model directly.
+:meth:`~repro.net.host.Host.notify_cc_op` and what the host charges per
+packet sent and received — the sender never talks to the energy model
+directly.
 
 The per-segment and per-ACK paths are written for what a call costs, not
 only for how many there are: ``SegmentInfo``, ``Packet`` and ``AckEvent``
@@ -46,7 +47,7 @@ from repro.sim.probe import (
     SSTHRESH_CHANNEL,
 )
 from repro.sim.timer import Timer
-from repro.sim.trace import CounterSet
+from repro.sim.trace import CounterSet, Counted
 from repro.cc.base import AckEvent, CongestionControl
 from repro.tcp.ranges import RangeSet
 from repro.units import msec
@@ -104,12 +105,14 @@ class SegmentInfo:
         self.app_limited = app_limited
 
 
-class TcpSender:
+class TcpSender(Counted):
     """Sending endpoint of one simulated TCP connection.
 
     The sender also *is* the :class:`~repro.cc.base.CcContext` handed to
     its congestion controller.
     """
+
+    COUNTER_FIELDS = ("acks", "segments_sent", "bytes_sent")
 
     def __init__(
         self,
@@ -144,7 +147,10 @@ class TcpSender:
         self.tsq_limit_bytes = tsq_limit_bytes
 
         self.rtt = RttEstimator(min_rto=min_rto)
-        self.counters = CounterSet()
+        self._counters = CounterSet()
+        self.acks = 0
+        self.segments_sent = 0
+        self.bytes_sent = 0
         #: probe entity label, precomputed so the per-ACK telemetry path
         #: does not build an f-string per event
         self._probe_entity = f"flow-{flow_id}"
@@ -232,8 +238,8 @@ class TcpSender:
         return self.rtt.min_rtt
 
     def charge(self, cost_units: float) -> None:
-        """Forward CCA computation cost to the host's energy listeners."""
-        self.host.notify_cc_op(self.cca.name, cost_units, self.flow_id)
+        """Charge CCA computation cost to this flow's tally on the host."""
+        self.host.notify_cc_op(cost_units, self.flow_id)
 
     # ------------------------------------------------------------------
     # application interface
@@ -305,14 +311,14 @@ class TcpSender:
     def _handle_packet(self, packet: Packet) -> None:
         """Process an incoming ACK."""
         if not packet.is_ack:
-            self.counters["unexpected_data"] += 1.0
+            self._counters["unexpected_data"] += 1.0
             return
         if packet.ack_seq > self.snd_nxt:
             raise TcpStateError(
                 f"flow {self.flow_id}: ACK {packet.ack_seq} beyond "
                 f"snd_nxt {self.snd_nxt}"
             )
-        self.counters["acks"] += 1.0
+        self.acks += 1
         if packet.rwnd_bytes is not None:
             self.rwnd_bytes = packet.rwnd_bytes
 
@@ -357,7 +363,7 @@ class TcpSender:
                     now,
                     RETRANSMITS_CHANNEL,
                     entity,
-                    self.counters.get("retransmits"),
+                    self._counters.get("retransmits"),
                 )
             if self.rtt.srtt is not None and (
                 interval is None or not (now - self._probe_srtt_kept < interval)
@@ -417,13 +423,13 @@ class TcpSender:
                 self._recovery_point = None
                 self._epoch_scan = None
                 self.cca.on_recovery_exit()
-                self.counters["recovery_exits"] += 1.0
+                self._counters["recovery_exits"] += 1.0
                 self._maybe_ecn_react(event)
                 self.cca.on_ack(event)
             else:
                 # Partial ACK: the hole at the new snd_una was also lost,
                 # and the SACK scoreboard may expose further holes.
-                self.counters["partial_acks"] += 1.0
+                self._counters["partial_acks"] += 1.0
                 self._queue_retransmit(self.snd_una)
                 self._queue_sack_holes()
         else:
@@ -449,7 +455,7 @@ class TcpSender:
         if self.snd_nxt == self.snd_una:
             return  # window update / stray ACK, nothing outstanding
         self._dupack_count += 1
-        self.counters["dupacks"] += 1.0
+        self._counters["dupacks"] += 1.0
         event = self._make_event(packet, 0, rtt_sample, None, False)
         self.cca.on_dupack(event)
 
@@ -462,7 +468,7 @@ class TcpSender:
     def _enter_fast_recovery(self, event: AckEvent) -> None:
         self._recovery_point = self.snd_nxt
         self._epoch_scan = self.snd_una
-        self.counters["fast_recoveries"] += 1.0
+        self._counters["fast_recoveries"] += 1.0
         self.cca.on_congestion_event(event)
         self._queue_retransmit(self.snd_una)
         self._queue_sack_holes()
@@ -504,7 +510,7 @@ class TcpSender:
         last = self._last_ecn_reduction
         if last is None or self.sim.now - last >= window:
             self._last_ecn_reduction = self.sim.now
-            self.counters["ecn_reductions"] += 1.0
+            self._counters["ecn_reductions"] += 1.0
             self.cca.on_ecn(event)
 
     # ------------------------------------------------------------------
@@ -590,7 +596,7 @@ class TcpSender:
     def _on_rto(self) -> None:
         if self.snd_nxt == self.snd_una:
             return
-        self.counters["rtos"] += 1.0
+        self._counters["rtos"] += 1.0
         self.rtt.backoff()
         self.cca.on_rto()
         # Everything outstanding and un-SACKed is presumed lost.
@@ -744,7 +750,7 @@ class TcpSender:
         seg.sent_time = self.sim.now
         seg.in_flight = True
         self._in_flight += seg.length
-        self.counters["retransmits"] += 1.0
+        self._counters["retransmits"] += 1.0
         self._send_packet(seg, retransmitted=True)
 
     def _send_packet(self, seg: SegmentInfo, retransmitted: bool) -> None:
@@ -761,8 +767,8 @@ class TcpSender:
             retransmitted=retransmitted,
             priority=remaining,
         )
-        self.counters["segments_sent"] += 1.0
-        self.counters["bytes_sent"] += seg.length
+        self.segments_sent += 1
+        self.bytes_sent += seg.length
         rate = self._pacing_rate
         if rate is not None and rate > 0:
             now = self.sim.now
@@ -778,7 +784,7 @@ class TcpSender:
             # drains. It still counts as a retransmission when resent,
             # which is how the paper's no-TSQ baseline racks up millions
             # of retransmits without collapsing.
-            self.counters["local_drops"] += 1.0
+            self._counters["local_drops"] += 1.0
             seg.in_flight = False
             self._in_flight -= seg.length
             self._local_block = True

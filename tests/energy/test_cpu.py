@@ -7,14 +7,26 @@ import pytest
 from repro.energy import calibration as cal
 from repro.energy.cpu import CpuModel, CpuPackage
 from repro.energy.power_model import PowerModel
-from repro.errors import EnergyModelError
+from repro.errors import EnergyModelError, NetworkConfigError
 from repro.net.host import Host
+from repro.net.link import Interface, Link
+from repro.net.nic import Nic
 from repro.net.packet import Packet
+from repro.net.queue import DropTailQueue
+
+
+class Discard:
+    def receive(self, packet):
+        pass
 
 
 @pytest.fixture
 def host(sim):
-    return Host(sim, "h")
+    host = Host(sim, "h")
+    link = Link(sim, 10e9, 0.0)
+    link.connect(Discard())
+    host.attach_nic(Nic([Interface(sim, DropTailQueue(1_000_000), link)]))
+    return host
 
 
 @pytest.fixture
@@ -45,7 +57,7 @@ class TestPackageIntegration:
     def test_activity_raises_power(self, sim):
         pkg = CpuPackage("p", PowerModel(), sim)
         # 5 Gb/s worth of bytes over 1 virtual second
-        pkg._wire_bytes = int(5e9 / 8)
+        pkg.wire_bytes = int(5e9 / 8)
         sim.schedule(1.0, lambda: None)
         sim.run()
         pkg.flush()
@@ -94,22 +106,48 @@ class TestFlowPinning:
     def test_events_charge_pinned_package(self, sim, host, cpu):
         cpu.pin_flow(1, 0)
         cpu.pin_flow(2, 1)
-        host.send = lambda p: True  # not used; we drive listeners directly
-        cpu.on_packet_sent(host, packet(1))
-        cpu.on_packet_sent(host, packet(2))
-        cpu.on_packet_sent(host, packet(2))
-        assert cpu.packages[0]._packet_events == 1
-        assert cpu.packages[1]._packet_events == 2
+        host.receive(packet(1))
+        host.receive(packet(2))
+        host.send(packet(2))
+        assert cpu.packages[0].packet_events == 1
+        assert cpu.packages[1].packet_events == 2
+        assert cpu.packages[1].wire_bytes == 2 * packet(2).wire_bytes
 
     def test_cc_ops_follow_flow(self, sim, host, cpu):
         cpu.pin_flow(5, 1)
-        cpu.on_cc_op(host, "cubic", 2.0, flow_id=5)
-        assert cpu.packages[1]._cc_units == 2.0
+        host.notify_cc_op(2.0, flow_id=5)
+        assert cpu.packages[1].cc_units == 2.0
+        assert cpu.packages[0].cc_units == 0.0
 
     def test_retransmissions_counted(self, sim, host, cpu):
         cpu.pin_flow(5, 0)
-        cpu.on_retransmit(host, packet(5, retransmitted=True))
-        assert cpu.packages[0]._retransmissions == 1
+        host.send(packet(5, retransmitted=True))
+        assert cpu.packages[0].retransmissions == 1
+        assert cpu.packages[0].packet_events == 1
+
+    def test_first_sight_pins_round_robin(self, sim, host, cpu):
+        host.notify_cc_op(1.0, flow_id=10)
+        host.receive(packet(20))
+        host.send(packet(10))
+        assert cpu.package_for(10) is cpu.packages[0]
+        assert cpu.package_for(20) is cpu.packages[1]
+        assert cpu.packages[0].packet_events == 1
+        assert cpu.packages[0].cc_units == 1.0
+
+    def test_pin_after_traffic_reroutes_later_charges(self, sim, host, cpu):
+        host.send(packet(1))  # auto-pinned to package 0
+        host.notify_cc_op(1.0, flow_id=1)
+        cpu.pin_flow(1, 1)
+        host.send(packet(1, retransmitted=True))
+        host.receive(packet(1))
+        host.notify_cc_op(2.0, flow_id=1)
+        first, second = cpu.packages
+        assert (first.packet_events, first.retransmissions, first.cc_units) == (
+            1, 0, 1.0
+        )
+        assert (second.packet_events, second.retransmissions, second.cc_units) == (
+            2, 1, 2.0
+        )
 
 
 class TestLifecycle:
@@ -138,4 +176,10 @@ class TestLifecycle:
     def test_listener_attached_to_host(self, sim):
         host = Host(sim, "x")
         cpu = CpuModel(sim, host, packages=1)
-        assert cpu in host._listeners
+        host.receive(packet(9))
+        assert cpu.packages[0].packet_events == 1
+
+    def test_a_second_model_on_one_host_is_rejected(self, sim, host, cpu):
+        # one accountant per host: a second would silently see nothing
+        with pytest.raises(NetworkConfigError):
+            CpuModel(sim, host, packages=1)

@@ -51,7 +51,7 @@ STAGES = {
     "link hop: enqueue, serialise, deliver, dequeue": (
         "hop", ("net/link.py", "net/queue.py")),
     "switch forwarding": ("packet", ("net/switch.py",)),
-    "energy listener and sampler": ("packet", ("energy/",)),
+    "energy: per-flow package, sampler": ("packet", ("energy/",)),
     "receiver: reassembly, ACK decision, ACK": (
         "segment", ("tcp/receiver.py", "tcp/ranges.py")),
     "sender processes an ACK": ("ACK", ("tcp/sender.py", "tcp/rtt.py")),

@@ -1,4 +1,4 @@
-"""Unit tests for hosts: demux, listeners, counters."""
+"""Unit tests for hosts: demux, per-flow tallies, counters."""
 
 import pytest
 
@@ -22,24 +22,24 @@ class Endpoint:
         self.packets.append(packet)
 
 
-class Recorder(HostListener):
+class Tally:
     def __init__(self):
-        self.sent = []
-        self.received = []
-        self.retransmits = []
-        self.cc_ops = []
+        self.wire_bytes = 0
+        self.packet_events = 0
+        self.retransmissions = 0
+        self.cc_units = 0.0
 
-    def on_packet_sent(self, host, packet):
-        self.sent.append(packet)
 
-    def on_packet_received(self, host, packet):
-        self.received.append(packet)
+class Recorder(HostListener):
+    """A listener with one tally per flow, noting every question."""
 
-    def on_retransmit(self, host, packet):
-        self.retransmits.append(packet)
+    def __init__(self):
+        self.tallies = {}
+        self.asked = []
 
-    def on_cc_op(self, host, algorithm, cost_units, flow_id):
-        self.cc_ops.append((algorithm, cost_units, flow_id))
+    def tally_for(self, flow_id):
+        self.asked.append(flow_id)
+        return self.tallies.setdefault(flow_id, Tally())
 
 
 def make_host(sim, name="h"):
@@ -93,23 +93,73 @@ class TestListeners:
         host = make_host(sim)
         rec = Recorder()
         host.add_listener(rec)
-        host.send(make_packet())
-        assert len(rec.sent) == 1
+        packet = make_packet()
+        host.send(packet)
+        tally = rec.tallies[1]
+        assert (tally.wire_bytes, tally.packet_events) == (packet.wire_bytes, 1)
+        assert tally.retransmissions == 0
+
+    def test_receive_charges_the_flow(self, sim):
+        host = make_host(sim)
+        rec = Recorder()
+        host.add_listener(rec)
+        packet = make_packet(flow=3)
+        host.receive(packet)  # unroutable, but the host did the work
+        tally = rec.tallies[3]
+        assert (tally.wire_bytes, tally.packet_events) == (packet.wire_bytes, 1)
 
     def test_retransmit_event_published(self, sim):
         host = make_host(sim)
         rec = Recorder()
         host.add_listener(rec)
         host.send(make_packet(retransmitted=True))
-        assert len(rec.retransmits) == 1
+        assert rec.tallies[1].retransmissions == 1
+        assert rec.tallies[1].packet_events == 1
         assert host.counters.get("retransmissions") == 1
 
     def test_cc_op_event_carries_flow(self, sim):
         host = make_host(sim)
         rec = Recorder()
         host.add_listener(rec)
-        host.notify_cc_op("cubic", 1.35, flow_id=7)
-        assert rec.cc_ops == [("cubic", 1.35, 7)]
+        host.notify_cc_op(1.35, flow_id=7)
+        host.notify_cc_op(0.5, flow_id=7)
+        assert list(rec.tallies) == [7]
+        assert rec.tallies[7].cc_units == 1.35 + 0.5
+        assert host.counters.get("cc_ops") == 2
+
+    def test_a_flows_tally_is_asked_for_once(self, sim):
+        host = make_host(sim)
+        rec = Recorder()
+        host.add_listener(rec)
+        for _ in range(3):
+            host.send(make_packet(flow=1))
+            host.receive(make_packet(flow=2))
+            host.notify_cc_op(1.0, flow_id=1)
+        host.send(make_packet(flow=2, retransmitted=True))
+        assert rec.asked == [1, 2]
+        assert rec.tallies[1].packet_events == 3
+        assert rec.tallies[2].packet_events == 4
+
+    def test_forget_tally_asks_again(self, sim):
+        host = make_host(sim)
+        rec = Recorder()
+        host.add_listener(rec)
+        host.send(make_packet(flow=1))
+        host.forget_tally(1)
+        host.send(make_packet(flow=1))
+        assert rec.asked == [1, 1]
+
+    def test_an_unaccounted_host_charges_nobody(self, sim):
+        host = make_host(sim)
+        host.send(make_packet(retransmitted=True))
+        host.notify_cc_op(1.0, flow_id=1)
+        assert host.counters.get("tx_packets") == 1
+
+    def test_a_second_listener_is_rejected(self, sim):
+        host = make_host(sim)
+        host.add_listener(Recorder())
+        with pytest.raises(NetworkConfigError, match="already has a listener"):
+            host.add_listener(Recorder())
 
     def test_send_stamps_time(self, sim):
         host = make_host(sim)

@@ -6,8 +6,9 @@ one wire time later, which pushes the delivery one propagation delay
 after that and starts the next queued packet. The library's
 :class:`Interface` pushes the delivery when the transmission starts and
 a finish only while something queues. Both run the same traffic on the
-same kernel and must be indistinguishable from outside: every delivery,
-drop, mark, stamp, counter and hook call, at the same instant and in
+same kernel and must be indistinguishable from outside: every arrival
+at the next hop and delivery at the end, every drop and dequeue of each
+hop's queue, every mark, stamp and counter, at the same instant and in
 the same order.
 
 Every duration is a multiple of 2**-21 s, so sums are exact and
@@ -44,28 +45,11 @@ from repro.units import BITS_PER_BYTE
 class TwoEventInterface:
     """The two-event transmit loop, kept verbatim as the reference."""
 
-    def __init__(
-        self,
-        sim,
-        queue,
-        link,
-        name="interface",
-        on_drop=None,
-        on_dequeue=None,
-        min_packet_gap_s=0.0,
-        int_telemetry=False,
-    ):
-        if min_packet_gap_s < 0:
-            raise NetworkConfigError(
-                f"min packet gap must be >= 0, got {min_packet_gap_s}"
-            )
+    def __init__(self, sim, queue, link, name="interface", int_telemetry=False):
         self.sim = sim
         self.queue = queue
         self.link = link
         self.name = name
-        self.on_drop = on_drop
-        self.on_dequeue = on_dequeue
-        self.min_packet_gap_s = min_packet_gap_s
         self.int_telemetry = int_telemetry
         self._tx_bytes_total = 0.0
         self._busy = False
@@ -82,14 +66,10 @@ class TwoEventInterface:
         accepted = self.queue.enqueue(packet)
         if not accepted:
             self.counters["drops"] += 1.0
-            if self.on_drop is not None:
-                self.on_drop(packet)
         return accepted
 
     def _start_transmission(self, packet):
         self._busy = True
-        if self.on_dequeue is not None:
-            self.on_dequeue(packet)
         sim = self.sim
         link = self.link
         self._tx_bytes_total += packet.wire_bytes
@@ -98,10 +78,7 @@ class TwoEventInterface:
             packet.int_tx_bytes = self._tx_bytes_total
             packet.int_timestamp = sim.now
             packet.int_link_rate_bps = link.rate_bps
-        hold = max(
-            packet.wire_bytes * BITS_PER_BYTE / link.rate_bps,
-            self.min_packet_gap_s,
-        )
+        hold = packet.wire_bytes * BITS_PER_BYTE / link.rate_bps
         sim.schedule_at(sim.now + hold, self._finish_transmission, packet)
 
     def _finish_transmission(self, packet):
@@ -110,11 +87,10 @@ class TwoEventInterface:
         sink = link.sink
         if sink is None:
             raise NetworkConfigError(f"{link.name}: no sink connected")
-        wire = link.counters
-        wire["tx_packets"] += 1.0
-        wire["tx_bytes"] += packet.wire_bytes
+        link.tx_packets += 1
+        link.tx_bytes += packet.wire_bytes
         if link.loss_rate > 0 and link.loss_rng.random() < link.loss_rate:
-            wire["corrupted"] += 1.0
+            link.counters["corrupted"] += 1.0
         else:
             sim.schedule_at(sim.now + link.delay_s, sink.receive, packet)
         self.counters["tx_packets"] += 1.0
@@ -161,7 +137,7 @@ HEADERS = TCP_IP_HEADER_BYTES + ETHERNET_OVERHEAD_BYTES
 
 
 class Recorder:
-    """The end of a path; also the hooks of every interface on it."""
+    """The end of a path, and the log every hop on it writes to."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -173,19 +149,48 @@ class Recorder:
             packet.int_qlen_bytes, packet.int_tx_bytes, packet.int_timestamp,
         ))
 
-    def hook(self, what, hop):
-        def record(packet):
-            self.log.append((what, hop, self.sim.now, packet.packet_id))
-        return record
+    def note(self, what, hop, packet):
+        self.log.append((what, hop, self.sim.now, packet.packet_id))
+
+
+class Recording:
+    """A hop's queue that also notes every arrival it turns away and
+    every packet it hands to the wire."""
+
+    recorder = None
+    hop = None
+
+    def enqueue(self, packet):
+        accepted = super().enqueue(packet)
+        if not accepted:
+            self.recorder.note("dropped", self.hop, packet)
+        return accepted
+
+    def dequeue(self):
+        packet = super().dequeue()
+        if packet is not None:
+            self.recorder.note("dequeued", self.hop, packet)
+        return packet
+
+
+class RecordingDropTail(Recording, DropTailQueue):
+    pass
+
+
+class RecordingEcn(Recording, EcnQueue):
+    pass
 
 
 class Forwarder:
-    """A sink that hands every arrival to the next hop's interface."""
+    """A sink that notes every arrival and hands it to the next hop."""
 
-    def __init__(self, interface):
+    def __init__(self, recorder, hop, interface):
+        self.recorder = recorder
+        self.hop = hop
         self.interface = interface
 
     def receive(self, packet):
+        self.recorder.note("forwarded", self.hop, packet)
         self.interface.enqueue(packet)
 
 
@@ -194,7 +199,6 @@ HOP = st.fixed_dictionaries({
     "capacity_packets": st.integers(1, 6),
     # ECN step threshold in packets of the largest size, or drop-tail
     "mark_packets": st.none() | st.integers(1, 3),
-    "gap_ticks": st.sampled_from([0, 0, 3]),
     "int_telemetry": st.booleans(),
     "loss_rate": st.sampled_from([0.0, 0.0, 0.3]),
 })
@@ -214,10 +218,12 @@ ARRIVAL = st.tuples(
 def build_hop(interface_cls, sim, recorder, index, hop, seed):
     capacity = hop["capacity_packets"] * max(WIRE_BYTES)
     if hop["mark_packets"] is None:
-        queue = DropTailQueue(capacity)
+        queue = RecordingDropTail(capacity)
     else:
         threshold = min(hop["mark_packets"], hop["capacity_packets"])
-        queue = EcnQueue(capacity, threshold * max(WIRE_BYTES))
+        queue = RecordingEcn(capacity, threshold * max(WIRE_BYTES))
+    queue.recorder = recorder
+    queue.hop = index
     link = Link(
         sim, RATE_BPS, hop["delay_ticks"] * TICK,
         loss_rate=hop["loss_rate"],
@@ -227,11 +233,7 @@ def build_hop(interface_cls, sim, recorder, index, hop, seed):
         loss_rng=random.Random(seed + index),
     )
     return interface_cls(
-        sim, queue, link,
-        on_drop=recorder.hook("dropped", index),
-        on_dequeue=recorder.hook("dequeued", index),
-        min_packet_gap_s=hop["gap_ticks"] * TICK,
-        int_telemetry=hop["int_telemetry"],
+        sim, queue, link, int_telemetry=hop["int_telemetry"]
     )
 
 
@@ -243,8 +245,10 @@ def replay(interface_cls, hops, arrivals, seed):
         build_hop(interface_cls, sim, recorder, index, hop, seed)
         for index, hop in enumerate(hops)
     ]
-    for interface, downstream in zip(interfaces, interfaces[1:]):
-        interface.link.connect(Forwarder(downstream))
+    for hop, (interface, downstream) in enumerate(
+        zip(interfaces, interfaces[1:])
+    ):
+        interface.link.connect(Forwarder(recorder, hop, downstream))
     interfaces[-1].link.connect(recorder)
 
     accepted = []
@@ -314,8 +318,19 @@ def test_equal_rate_two_hop_chain(first, second, arrivals, seed):
 #: runs after the second frame's finish and starts at once.
 PLAIN_HOP = {
     "delay_ticks": 1, "capacity_packets": 6, "mark_packets": None,
-    "gap_ticks": 0, "int_telemetry": True, "loss_rate": 0.0,
+    "int_telemetry": True, "loss_rate": 0.0,
 }
+
+
+def starts(outcome):
+    """(instant, packet id) of each frame PLAIN_HOP put on its wire: its
+    delivery, less the two ticks a 1024-byte frame holds the wire and
+    the hop's one tick of delay."""
+    return [
+        (entry[1] - 3 * TICK, entry[2])
+        for entry in outcome["log"]
+        if entry[0] == "delivered"
+    ]
 BOTH_TIES = [(0, 1024, None), (2, 1024, None), (2, 1024, 0)]
 
 
@@ -323,8 +338,7 @@ def test_an_arrival_at_the_finish_instant_goes_either_way():
     outcome = replay(Interface, [PLAIN_HOP], BOTH_TIES, 0)
     assert outcome == replay(TwoEventInterface, [PLAIN_HOP], BOTH_TIES, 0)
     assert outcome["counters"][0][2] == {"enqueued": 1.0, "dequeued": 1.0}
-    started = [entry[2:] for entry in outcome["log"] if entry[0] == "dequeued"]
-    assert started == [(0.0, 0), (2 * TICK, 1), (4 * TICK, 2)]
+    assert starts(outcome) == [(0.0, 0), (2 * TICK, 1), (4 * TICK, 2)]
 
 
 #: the same two ties, decided inside ``enqueue`` now that a packet which
@@ -344,8 +358,7 @@ def test_a_start_inside_enqueue_takes_the_finishs_place():
     assert outcome["undecided"] == 0
     assert outcome == replay(TwoEventInterface, [PLAIN_HOP], arrivals, 0)
     assert outcome["counters"][0][2] == {"enqueued": 2.0, "dequeued": 2.0}
-    started = [entry[2:] for entry in outcome["log"] if entry[0] == "dequeued"]
-    assert started == [(2 * n * TICK, n) for n in range(4)]
+    assert starts(outcome) == [(2 * n * TICK, n) for n in range(4)]
 
 
 @pytest.mark.parametrize("answer", [True, False])

@@ -67,13 +67,11 @@ class TestLink:
 
 
 class TestInterface:
-    def make(self, sim, rate=gbps(10), delay=10e-6, capacity=100_000, gap=0.0):
+    def make(self, sim, rate=gbps(10), delay=10e-6, capacity=100_000):
         link = Link(sim, rate, delay)
         sink = Sink()
         link.connect(sink)
-        iface = Interface(
-            sim, DropTailQueue(capacity), link, min_packet_gap_s=gap
-        )
+        iface = Interface(sim, DropTailQueue(capacity), link)
         return iface, sink
 
     def test_single_packet_delivery_time(self, sim):
@@ -103,41 +101,8 @@ class TestInterface:
         # one in flight + one queued; the rest dropped
         assert sent.count(True) == 2
         assert len(sink.received) == 2
-
-    def test_on_drop_hook(self, sim):
-        dropped = []
-        link = Link(sim, gbps(10), 0.0)
-        link.connect(Sink())
-        iface = Interface(
-            sim,
-            DropTailQueue(1100),
-            link,
-            on_drop=dropped.append,
-        )
-        for _ in range(4):
-            iface.enqueue(make_packet(1000))
-        assert len(dropped) == 2
-
-    def test_on_dequeue_hook_fires_per_transmission(self, sim):
-        seen = []
-        link = Link(sim, gbps(10), 0.0)
-        link.connect(Sink())
-        iface = Interface(
-            sim, DropTailQueue(100_000), link, on_dequeue=seen.append
-        )
-        for _ in range(3):
-            iface.enqueue(make_packet())
-        sim.run()
-        assert len(seen) == 3
-
-    def test_min_packet_gap_paces_small_packets(self, sim):
-        """With a gap larger than serialization, the gap dominates."""
-        gap = 5e-6
-        iface, sink = self.make(sim, delay=0.0, gap=gap)
-        for _ in range(3):
-            iface.enqueue(make_packet(100))  # tiny: ser << gap
-        sim.run()
-        assert sim.now == pytest.approx(3 * gap)
+        assert iface.counters.get("drops") == 2
+        assert iface.counters.get("tx_packets") == 2
 
     def test_busy_flag(self, sim):
         iface, _sink = self.make(sim)

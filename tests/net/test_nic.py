@@ -254,14 +254,12 @@ class QueuedNic(Nic):
     def send(self, packet):
         if packet.size_bytes > self.mtu_bytes:
             raise NetworkConfigError("packet exceeds MTU")
-        if self.on_send is not None:
-            self.on_send(packet)
-        self.counters["tx_packets"] += 1.0
-        self.counters["tx_bytes"] += packet.size_bytes
+        self.tx_packets += 1
+        self.tx_bytes += packet.size_bytes
         if len(self._txq) >= self.tx_queue_packets:
             self._phantom_slots += 1
-            self.counters["tx_drops"] += 1.0
-            self.counters["qdisc_drops"] += 1.0
+            self._counters["tx_drops"] += 1.0
+            self._counters["qdisc_drops"] += 1.0
             return False
         self._txq.append(packet)
         backlog = self.flow_backlog

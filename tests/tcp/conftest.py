@@ -16,13 +16,9 @@ class StubHost(Host):
 
     def send(self, packet):
         packet.sent_time = self.sim.now
-        self.counters.add("tx_packets")
+        self.tx_packets += 1
         if packet.retransmitted:
             self.counters.add("retransmissions")
-            for listener in self._listeners:
-                listener.on_retransmit(self, packet)
-        for listener in self._listeners:
-            listener.on_packet_sent(self, packet)
         self.outbox.append(packet)
         return True
 

@@ -32,7 +32,7 @@ class RangeSetOnlyReceiver(TcpReceiver):
     through ``contains``/``add``/``first_missing_after``/``trim_below``."""
 
     def handle_packet(self, packet):
-        self.counters.add("segments")
+        self.segments += 1
         out_of_order = packet.seq > self.rcv_nxt
         had_gap = bool(self.received)
         duplicate = packet.end_seq <= self.rcv_nxt or self.received.contains(
