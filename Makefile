@@ -41,10 +41,10 @@ loc:
 	done
 	@printf '%6d src (all *.py)\n' "$$(find src -name '*.py' | xargs cat | wc -l)"
 
-# what three entry points import: `repro` modules loaded, and the
+# what four entry points import: `repro` modules loaded, and the
 # `-X importtime` cumulative time (fastest of five fresh interpreters).
 # The gate on the first number is tests/test_import_budget.py.
-IMPORT_ENTRY_POINTS = repro.harness.runner repro.figures.fig1 repro.cli
+IMPORT_ENTRY_POINTS = repro.harness.runner repro.harness.executor repro.figures.fig1 repro.cli
 imports:
 	@for module in $(IMPORT_ENTRY_POINTS); do \
 		count=$$($(PYTHON) -c "import $$module, sys; print(sum(name.split('.')[0] == 'repro' for name in sys.modules))"); \

@@ -18,6 +18,7 @@ noted per distribution.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -146,6 +147,25 @@ def mean_flow_size(cdf: Sequence[Tuple[int, float]], samples: int = 20_000,
     A pure function of its arguments, so each (distribution, samples,
     seed) is sampled once per process: every fabric workload generated
     afterwards reuses the value instead of redrawing 20 000 sizes.
+
+    The value is exactly the mean of ``samples`` calls of
+    :func:`sample_flow_size` on the "flow-size-mean" stream, but it is
+    summed bucket by bucket, not draw by draw: the variates are sorted,
+    one ``bisect_right`` per knot finds the slice that the per-draw scan
+    (``u <= p``, first match) sends to that knot, and each slice is
+    interpolated by one list comprehension with the scan's own float
+    expression. Every term is an ``int``, so the total does not depend
+    on the order it is added in and ``total / samples`` is the same
+    correctly rounded division. The per-draw floor ``max(1, ...)``
+    never binds here: an interpolated size lies between two knot sizes
+    that are both >= 1. What is left per variate is one ``random()`` and
+    one ``exp`` inside a comprehension, plus one sort, with no Python
+    frame per draw: on the ``datacenter`` mix it takes well under half
+    the time of 60 000 :func:`sample_flow_size` calls.
+
+    A CDF must be non-empty, with integer sizes >= 1 and probabilities
+    in [0, 1] that never decrease, and ``samples`` must be >= 1;
+    anything else raises :class:`ExperimentError`.
     """
     return _mean_flow_size(tuple(cdf), samples, seed)
 
@@ -153,8 +173,43 @@ def mean_flow_size(cdf: Sequence[Tuple[int, float]], samples: int = 20_000,
 @functools.lru_cache(maxsize=64)
 def _mean_flow_size(cdf: Tuple[Tuple[int, float], ...], samples: int,
                     seed: int) -> float:
+    _check_cdf(cdf, samples)
     rng = RngRegistry(seed).stream("flow-size-mean")
-    return sum(sample_flow_size(cdf, rng) for _ in range(samples)) / samples
+    us = sorted([rng.random() for _ in range(samples)])
+    total, lo = 0, 0
+    prev_size, prev_p = 1, 0.0
+    for size, p in cdf:
+        hi = bisect.bisect_right(us, p, lo)
+        if p == prev_p:
+            total += size * (hi - lo)
+        else:
+            lp = math.log(prev_size)
+            dp = p - prev_p
+            d = math.log(size) - lp
+            total += sum([
+                int(math.exp(lp + (u - prev_p) / dp * d)) for u in us[lo:hi]
+            ])
+        lo, prev_size, prev_p = hi, size, p
+    return (total + cdf[-1][0] * (samples - lo)) / samples
+
+
+def _check_cdf(cdf: Tuple[Tuple[int, float], ...], samples: int) -> None:
+    if not isinstance(samples, int) or samples < 1:
+        raise ExperimentError(f"need >= 1 sample, got {samples!r}")
+    if not cdf:
+        raise ExperimentError("flow-size CDF has no knots")
+    prev_p = 0.0
+    for size, p in cdf:
+        if not isinstance(size, int) or size < 1:
+            raise ExperimentError(
+                f"flow-size CDF size must be an integer >= 1, got {size!r}"
+            )
+        if not prev_p <= p <= 1.0:
+            raise ExperimentError(
+                f"flow-size CDF probability {p!r} is outside "
+                f"[{prev_p!r}, 1] (below the previous knot, or above 1)"
+            )
+        prev_p = p
 
 
 @dataclass

@@ -55,7 +55,6 @@ from repro.obs.observer import (
     Observer,
     resolve_observer,
 )
-from repro.obs.profile import PROFILE
 from repro.obs.telemetry import TELEMETRY
 
 
@@ -258,13 +257,17 @@ def _worker_observer(trace_dir: str, profile: bool = False) -> JournalObserver:
     observer = _WORKER_OBSERVERS.get(trace_dir)
     if observer is None:
         wid = worker_id()
+        profile_path = None
+        if profile:
+            # cProfile loads only in a worker of a profiled trace
+            from repro.obs.profile import PROFILE
+
+            profile_path = PROFILE.worker_path(trace_dir, wid)
         observer = JournalObserver(
             JOURNAL.worker_path(trace_dir, wid),
             worker=wid,
             telemetry_path=TELEMETRY.worker_path(trace_dir, wid),
-            profile_path=(
-                PROFILE.worker_path(trace_dir, wid) if profile else None
-            ),
+            profile_path=profile_path,
         )
         _WORKER_OBSERVERS[trace_dir] = observer
     return observer

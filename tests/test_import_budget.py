@@ -9,8 +9,10 @@ pays for the modules it uses. The first half of this file pins the
 loaded set after ``import repro.harness.runner`` in a fresh interpreter:
 an import put back into one of those ``__init__``s, or the process-pool
 stack back at the top of ``harness/executor.py``, fails here naming the
-module. The second half is the namespace contract that keeps the lazy
-packages indistinguishable from eager ones for every importer.
+module; the sweep path (the executor a pool worker unpickles its work
+from, a figure module) loads neither ``repro.obs.profile`` nor
+``cProfile``. The second half is the namespace contract that keeps the
+lazy packages indistinguishable from eager ones for every importer.
 """
 
 import importlib
@@ -99,6 +101,16 @@ def test_a_serial_sweep_never_imports_the_pool_stack():
         "assert run_work_items([]) == []"
     )
     assert not [name for name in POOL_STACK if name in loaded]
+
+
+#: what only a profiled trace may load (``obs profile``, ``--profile``)
+PROFILER = ("repro.obs.profile", "cProfile")
+
+
+@pytest.mark.parametrize("module", ("repro.harness.executor", "repro.figures.fig1"))
+def test_the_sweep_path_never_imports_the_profiler(module):
+    loaded = loaded_after(f"import {module}")
+    assert not [name for name in PROFILER if name in loaded]
 
 
 def test_one_figure_module_loads_no_other_figure():
