@@ -64,7 +64,7 @@ frames:
 
 # the one gate mode: the tree lints clean, nothing absorbs a finding
 lint:
-	$(PYTHON) -m repro.cli lint src
+	$(PYTHON) -m repro.cli lint src examples
 
 # machine-readable findings for code-scanning UIs (also a CI artifact)
 sarif:

@@ -10,11 +10,14 @@ Run with a larger --bytes value for tighter numbers (the default keeps
 the demo under a minute).
 """
 
+from __future__ import annotations
+
 import argparse
 
 from repro.analysis.tables import format_table
 from repro.cc.registry import PAPER_ALGORITHMS
 from repro.harness import FlowSpec, Scenario, run_repeated
+from repro.units import MILLION, to_msec
 
 
 def audit(transfer_bytes: int, mtu: int, repetitions: int):
@@ -33,7 +36,7 @@ def audit(transfer_bytes: int, mtu: int, repetitions: int):
                 result.mean_energy_j,
                 result.std_energy_j,
                 result.mean_power_w,
-                result.mean_duration_s * 1e3,
+                to_msec(result.mean_duration_s),
                 int(result.mean_retransmissions),
             )
         )
@@ -50,7 +53,7 @@ def main() -> None:
 
     rows = audit(args.bytes, args.mtu, args.reps)
     print(
-        f"\nEnergy audit: {args.bytes / 1e6:.0f} MB per flow, "
+        f"\nEnergy audit: {args.bytes / MILLION:.0f} MB per flow, "
         f"MTU {args.mtu}, {args.reps} runs each\n"
     )
     print(

@@ -13,6 +13,8 @@ proposes, with measured numbers from the simulated testbed:
    hardware.
 """
 
+from __future__ import annotations
+
 from repro.figures.incast import run_incast_sweep
 from repro.figures.load_balance import run_hardware_comparison
 from repro.figures.srpt import run_srpt_comparison

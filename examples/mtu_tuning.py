@@ -7,10 +7,13 @@ run jumbo frames: fewer packets per byte means less per-packet CPU work
 *and* enough packet-rate headroom to reach line rate.
 """
 
+from __future__ import annotations
+
 import argparse
 
 from repro.analysis.tables import format_table
 from repro.harness import FlowSpec, Scenario, run_repeated
+from repro.units import BITS_PER_BYTE, MILLION, to_gbps
 
 MTUS = (1500, 3000, 6000, 9000)
 
@@ -32,8 +35,8 @@ def main() -> None:
             packages=1,
         )
         result = run_repeated(scenario, repetitions=args.reps)
-        throughput_gbps = (
-            args.bytes * 8 / result.mean_duration_s / 1e9
+        throughput_gbps = to_gbps(
+            args.bytes * BITS_PER_BYTE / result.mean_duration_s
         )
         if baseline_energy is None:
             baseline_energy = result.mean_energy_j
@@ -48,7 +51,7 @@ def main() -> None:
             )
         )
 
-    print(f"\nMTU sweep: {args.cca}, {args.bytes / 1e6:.0f} MB per run\n")
+    print(f"\nMTU sweep: {args.cca}, {args.bytes / MILLION:.0f} MB per run\n")
     print(
         format_table(
             ["MTU (B)", "energy (J)", "power (W)", "tput (Gb/s)", "vs 1500"],

@@ -9,6 +9,8 @@ Expected output: the serialized schedule saves ~16 % — exactly the
 paper's Figure 1 endpoint.
 """
 
+from __future__ import annotations
+
 from repro.harness import FlowSpec, Scenario, run_once
 from repro.units import gbps
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -770,19 +771,46 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
-    from repro.core.advisor import EnergyAdvisor
-    from repro.units import MILLION
+    from repro.core.savings import DatacenterCostModel
+    from repro.energy.power_model import PowerModel
+    from repro.sched import (
+        FlowRequest,
+        SchedulingContext,
+        fluid_completions,
+        fluid_energy_j,
+        get_policy,
+    )
+    from repro.units import MILLION, gbps
 
-    advisor = EnergyAdvisor()
-    # Accept scientific notation ("1e9") as the usage examples promise.
-    rec = advisor.recommend([int(float(b)) for b in args.sizes])
-    print(f"schedule (serialized, SRPT): {' -> '.join(rec.schedule)}")
-    print(f"fair-share energy:  {rec.fair_energy_j:.2f} J")
-    print(f"serialized energy:  {rec.serialized_energy_j:.2f} J")
-    print(f"saving:             {100 * rec.savings_fraction:.1f}%")
-    value = advisor.annualized_value(rec.savings_fraction)
+    ctx = SchedulingContext(capacity_bps=gbps(10.0))
+    requests = [FlowRequest(i, size) for i, size in enumerate(args.sizes)]
+    power_w = PowerModel().smooth_sending_power_w
+    fair, srpt = (get_policy(name).plan(requests, ctx) for name in ("fair", "srpt"))
+    done = fluid_completions(requests, srpt, ctx.capacity_bps)
+    order = sorted(range(len(requests)), key=done.__getitem__)
+    print(f"schedule (serialized, SRPT): {' -> '.join(f'xfer-{i}' for i in order)}")
+    fair_j = fluid_energy_j(requests, fair, ctx.capacity_bps, power_w)
+    srpt_j = fluid_energy_j(requests, srpt, ctx.capacity_bps, power_w)
+    saving = (fair_j - srpt_j) / fair_j
+    print(f"fair-share energy:  {fair_j:.2f} J")
+    print(f"serialized energy:  {srpt_j:.2f} J")
+    print(f"saving:             {100 * saving:.1f}%")
+    value = DatacenterCostModel().annual_savings_usd(saving)
     print(f"at 100k-rack scale: ${value / MILLION:.1f}M/year")
     return 0
+
+
+def _transfer_size(spec: str) -> int:
+    """A finite byte count >= 1; scientific notation ("1e9") is accepted
+    as the usage examples promise."""
+    try:
+        size = float(spec)
+    except ValueError:
+        size = math.nan
+    if not 1 <= size < math.inf:  # also rejects NaN
+        # Not an ArgumentTypeError, for the reason _add_tolerance gives.
+        raise ObservabilityError(f"bad transfer size {spec!r} (want a byte count >= 1)")
+    return int(size)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -858,7 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lint)
 
     p = sub.add_parser("advise", help="green-schedule a batch of transfers")
-    p.add_argument("sizes", nargs="+", help="transfer sizes in bytes")
+    p.add_argument("sizes", nargs="+", type=_transfer_size, help="bytes per transfer")
     p.set_defaults(func=_cmd_advise)
 
     p = sub.add_parser(

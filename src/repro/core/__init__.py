@@ -6,9 +6,6 @@ from repro._lazy import lazy_exports
 
 #: public name -> the submodule that defines it, imported on first use
 _EXPORTS = {
-    "EnergyAdvisor": "advisor",
-    "AllocationComparison": "advisor",
-    "Recommendation": "advisor",
     "AllocationPlan": "allocation",
     "FlowPlan": "allocation",
     "fair_split": "allocation",
@@ -25,9 +22,6 @@ _EXPORTS = {
     "savings_fraction": "savings",
     "savings_percent": "savings",
     "paper_headline_savings": "savings",
-    "GreenScheduler": "scheduler",
-    "TransferRequest": "scheduler",
-    "ScheduledTransfer": "scheduler",
     "check_theorem1": "theorem",
     "fair_allocation": "theorem",
     "is_strictly_concave_on": "theorem",

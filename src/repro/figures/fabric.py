@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.analysis.stats import mean
 from repro.analysis.tables import format_table
-from repro.core.advisor import EnergyAdvisor
+from repro.core.savings import DatacenterCostModel
 from repro.errors import ExperimentError
 from repro.harness.cache import ResultCache
 from repro.harness.executor import SweepControl
@@ -140,7 +140,7 @@ class FabricResult:
         out of the whole figure.
         """
         fraction = self.point(cca).savings_percent_vs_fair(policy) / 100.0
-        return EnergyAdvisor().annualized_value(max(-1.0, min(1.0, fraction)))
+        return DatacenterCostModel().annual_savings_usd(max(-1.0, min(1.0, fraction)))
 
     def format_table(self) -> str:
         """The figure as text: per CCA x policy energy, savings, FCTs."""

@@ -14,7 +14,8 @@ first-class *policy* decision:
 * :mod:`repro.sched.registry` — the named-policy registry the
   ``policy=`` seam (scenarios, figures, CLI) resolves through;
 * :mod:`repro.sched.fluid` — an analytic fluid (processor-sharing)
-  evaluator used by the ``deadline`` policy and its feasibility proofs.
+  evaluator used by the ``deadline`` policy and its feasibility proofs,
+  and the §4.1 energy price of a plan on the same timeline.
 
 Everything here is pure planning: policies never touch the simulator,
 so a plan is a deterministic function of the requests and context, and
@@ -31,7 +32,7 @@ from repro.sched.policy import (
     SchedulingContext,
     SchedulingPolicy,
 )
-from repro.sched.fluid import fluid_completions
+from repro.sched.fluid import fluid_completions, fluid_energy_j
 from repro.sched.policies import (
     DeadlinePolicy,
     FairPolicy,
@@ -56,6 +57,7 @@ __all__ = [
     "SchedulingContext",
     "SchedulingPolicy",
     "fluid_completions",
+    "fluid_energy_j",
     "FairPolicy",
     "SerializedPolicy",
     "SrptPolicy",

@@ -13,15 +13,21 @@ to check that a proposed deferral keeps every fair-share-feasible
 deadline feasible, and the yardstick the feasibility property tests
 measure against. Evaluations are pure functions of their arguments —
 no RNG, no simulator — so policies built on them stay pure too.
+
+:func:`fluid_energy_j` prices a plan on the same timeline: the paper's
+§4.1 arithmetic (a running flow's host draws ``p(C / n_active)``, an
+idle one ``p(0)``) integrated from t=0 to the makespan. It takes the
+power curve as a callable in Gb/s, so this package never imports the
+energy model.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ExperimentError
 from repro.sched.policy import FlowRequest, SchedulePlan
-from repro.units import BITS_PER_BYTE
+from repro.units import BITS_PER_BYTE, to_gbps
 
 #: residual-work threshold (bits) below which a flow counts as finished;
 #: far under one bit, far over accumulated float drift
@@ -106,3 +112,35 @@ def fluid_completions(
             for successor in successors.get(i, ()):
                 ready[successor] = max(now, requests[successor].arrival_s)
     return [c for c in completion if c is not None]
+
+
+def fluid_energy_j(
+    requests: Sequence[FlowRequest],
+    plan: SchedulePlan,
+    capacity_bps: float,
+    power_w: Callable[[float], float],
+) -> float:
+    """Joules the batch's hosts draw while ``plan`` runs (fluid model).
+
+    Each flow has its own host. From its start — its arrival, or
+    ``max(completion(predecessor), arrival)`` when deferred — to its
+    completion it draws ``power_w(capacity / n_active)``; at every
+    other instant up to the makespan it draws ``power_w(0)``.
+    ``power_w`` takes a throughput in Gb/s. Raises what
+    :func:`fluid_completions` raises.
+    """
+    completion = fluid_completions(requests, plan, capacity_bps)
+    start = [
+        request.arrival_s
+        if decision.after_index is None
+        else max(completion[decision.after_index], request.arrival_s)
+        for request, decision in zip(requests, plan.flows)
+    ]
+    idle_w = power_w(0.0)
+    edges = sorted({0.0, *start, *completion})
+    total = 0.0
+    for t0, t1 in zip(edges, edges[1:]):
+        running = sum(1 for s, c in zip(start, completion) if s <= t0 < c)
+        share_w = power_w(to_gbps(capacity_bps / running)) if running else 0.0
+        total += (running * share_w + (len(requests) - running) * idle_w) * (t1 - t0)
+    return total

@@ -93,10 +93,8 @@ def run_validation() -> List[Check]:
 
     # loaded-host savings (§4.2), from the analytic model
     for load, expected in ((0.25, 0.010), (0.75, 0.0017)):
-        fair = 2 * model.smooth_sending_power_w(5.0, load)
-        fsti = model.smooth_sending_power_w(10.0, load) + (
-            model.smooth_sending_power_w(0.0, load)
-        )
+        fair = model.smooth_sending_power_w(5.0, load)
+        fsti = model.full_speed_then_idle_power_w(5.0, load=load)
         measured = (fair - fsti) / fair
         add(
             f"savings at {100 * load:.0f}% load",

@@ -31,6 +31,11 @@ class TestDollarExtrapolation:
         """§4.2: 1% of (10k $/rack x 100k racks) = $10M/year."""
         assert paper_headline_savings() == pytest.approx(10e6)
 
+    def test_default_model_prices_one_percent(self):
+        assert DatacenterCostModel().annual_savings_usd(0.01) == pytest.approx(
+            10e6
+        )
+
     def test_total_bill(self):
         model = DatacenterCostModel()
         assert model.total_energy_cost_usd_per_year == pytest.approx(1e9)

@@ -19,6 +19,7 @@ from repro.core.theorem import (
     total_power,
     worst_allocation_is_fair,
 )
+from repro.energy.power_model import PowerModel
 from repro.errors import AnalysisError
 
 
@@ -81,8 +82,6 @@ class TestTheoremHolds:
     def test_calibrated_model_curve(self):
         """The paper's calibrated curve satisfies the premise and yields
         the headline ~16% at the extreme."""
-        from repro.energy.power_model import PowerModel
-
         model = PowerModel()
         p = model.smooth_sending_power_w
         assert is_strictly_concave_on(p, 0.0, 10.0)
@@ -93,6 +92,41 @@ class TestTheoremHolds:
         assert theorem1_savings(p, 10.0, extreme) == pytest.approx(
             0.163, abs=0.01
         )
+
+
+class TestCalibratedAllocations:
+    """Savings of concrete allocations on the calibrated 10 Gb/s curve."""
+
+    def test_calibrated_curve_is_concave(self):
+        p = PowerModel().smooth_sending_power_w
+        assert is_strictly_concave_on(p, 0.0, 10.0)
+
+    def test_unfair_split_saves(self):
+        p = PowerModel().smooth_sending_power_w
+        assert theorem1_savings(p, 10.0, [9.0, 1.0]) > 0
+
+    def test_fair_split_saves_nothing(self):
+        p = PowerModel().smooth_sending_power_w
+        assert theorem1_savings(p, 10.0, [5.0, 5.0]) == pytest.approx(
+            0.0, abs=1e-12
+        )
+
+    def test_no_flows_rejected(self):
+        with pytest.raises(AnalysisError):
+            theorem1_savings(PowerModel().smooth_sending_power_w, 10.0, [])
+
+    def test_over_capacity_rejected(self):
+        with pytest.raises(AnalysisError):
+            check_theorem1(PowerModel().smooth_sending_power_w, 10.0, [8.0, 8.0])
+
+    def test_loaded_host_saves_less(self):
+        model = PowerModel()
+
+        def loaded(throughput_gbps):
+            return model.smooth_sending_power_w(throughput_gbps, 0.5)
+
+        idle = theorem1_savings(model.smooth_sending_power_w, 10.0, [9.9, 0.1])
+        assert theorem1_savings(loaded, 10.0, [9.9, 0.1]) < idle
 
 
 class TestConcavityChecker:
@@ -148,8 +182,6 @@ class TestPropertyBased:
     @settings(max_examples=50, deadline=None)
     def test_theorem_on_calibrated_curve_random_allocations(self, n, seed):
         import random
-
-        from repro.energy.power_model import PowerModel
 
         p = PowerModel().smooth_sending_power_w
         alloc = random_allocation(10.0, n, random.Random(seed))

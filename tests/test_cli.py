@@ -27,8 +27,8 @@ class TestParser:
         assert (args.bytes, args.reps, args.seed) == (1000, 1, 9)
 
     def test_advise_sizes(self):
-        args = build_parser().parse_args(["advise", "100", "200"])
-        assert args.sizes == ["100", "200"]
+        args = build_parser().parse_args(["advise", "100", "2e2"])
+        assert args.sizes == [100, 200]
 
 
 class TestCommands:
@@ -41,6 +41,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "saving" in out
         assert "M/year" in out
+
+    def test_advise_orders_shortest_first(self, capsys):
+        assert main(["advise", "30000000", "10000000", "20000000"]) == 0
+        out = capsys.readouterr().out
+        assert "xfer-1 -> xfer-2 -> xfer-0" in out
+
+    @pytest.mark.parametrize("size", ["0", "-5", "abc", "nan", "inf"])
+    def test_advise_rejects_bad_size(self, capsys, size):
+        assert main(["advise", "100", size]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: bad transfer size {size!r}")
 
     def test_fig1_command_tiny(self, capsys):
         code = main(["fig1", "--bytes", "2000000", "--reps", "1"])
