@@ -15,35 +15,36 @@ Each packet costs each hop one event, its delivery, and the whole hop is
 done in one Python frame. The transmit side is demand-driven like the
 paced NIC: the end of serialisation is a field,
 :attr:`Interface.busy_until`, and an event
-(:meth:`Interface._start_next`) only while a packet waits in the
-queue or when the frame was lost. Nothing ever cancels a delivery or a
-finish, so both are pushed with
-:meth:`~repro.sim.engine.Simulator.push`: a heap entry, no
-:class:`~repro.sim.engine.Event`. The order of same-instant events is
-that of a link which always pushes a finish event and lets it push the
-delivery: the delivery is *placed* at the finish instant, a finish pushed
-late takes the place it would have had, and an arrival at exactly
-``busy_until`` asks whether the finish would have run yet (see the
-design notes of :mod:`repro.sim.engine`).
+(:meth:`Interface._start_next`) only while a packet waits in the queue
+or when the frame was lost. Nothing ever cancels a delivery or a finish,
+so each is a heap entry and no :class:`~repro.sim.engine.Event`, written
+in place: the statements of :meth:`~repro.sim.engine.Simulator.push`
+(its two NaN-safe checks, one ``seq`` drawn, one ``heappush``) in the
+frame that pushes, as the design notes of :mod:`repro.sim.engine` state.
+The order of same-instant events is that of a link which always pushes a
+finish event and lets it push the delivery: the delivery is *placed* at
+the finish instant, a finish pushed late takes the place it would have
+had, and an arrival at exactly ``busy_until`` asks whether the finish
+would have run yet (see the same design notes).
 
 A packet that waits for nothing is queued nowhere: one that finds the
 wire free starts inside :meth:`Interface.enqueue`, which is the only
 thing a caller (a switch, a NIC, a test's stand-in wire) ever calls;
-:meth:`Interface._start_transmission` is the same statements for a
-packet :meth:`Interface._start_next` took out of the queue. Whether the
-wire is free is decided as before — ``now > busy_until``, or
-:meth:`Interface._finished` on the tie — and the start reads the same
-clock, does the same float operations in the same order, draws the same
-loss variate and makes the same one ``push`` whichever frame it runs
-in, so departure times, heap keys and tie order are those of the
-two-frame hop. The only statement the free-wire copy lacks is arming a
-finish for a packet left in the queue: a free wire has none.
-``tests/net/test_interface_oracle.py`` runs both paths in lockstep with
-the two-event interface.
+:meth:`Interface._start_next` makes the same statements for a packet it
+takes out of the queue. Whether the wire is free is decided as before —
+``now > busy_until``, or :meth:`Interface._finished` on the tie — and
+the start reads the same clock, does the same float operations in the
+same order, draws the same loss variate and makes the same one push
+whichever frame it runs in, so departure times, heap keys and tie order
+are those of the two-frame hop. The only statement the free-wire copy
+lacks is arming a finish for a packet left in the queue: a free wire has
+none. ``tests/net/test_interface_oracle.py`` runs both paths in lockstep
+with the two-event interface.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Optional, Protocol
 
 from repro.errors import NetworkConfigError
@@ -94,8 +95,10 @@ class Link(Counted):
             raise NetworkConfigError(
                 f"link rate must be finite and > 0, got {rate_bps}"
             )
-        if not delay_s >= 0:
-            raise NetworkConfigError(f"link delay must be >= 0, got {delay_s}")
+        if not 0 <= delay_s < float("inf"):
+            raise NetworkConfigError(
+                f"link delay must be finite and >= 0, got {delay_s}"
+            )
         if not 0.0 <= loss_rate < 1.0:
             raise NetworkConfigError(
                 f"loss rate must be in [0, 1), got {loss_rate}"
@@ -190,8 +193,8 @@ class Interface(Counted):
         if now > self.busy_until or (
             now == self.busy_until and self._finished()
         ):
-            # _start_transmission(packet), in this frame: the whole hop
-            # of a packet that found the wire free. A free wire has an
+            # the transmission _start_next makes, in this frame: the whole
+            # hop of a packet that found the wire free. A free wire has an
             # empty queue (had anything waited, the finish was armed and
             # started it), so nothing is left behind to arm a finish for.
             link = self.link
@@ -215,27 +218,44 @@ class Interface(Counted):
             if link.loss_rate > 0 and link.loss_rng.random() < link.loss_rate:
                 link.counters["corrupted"] += 1.0
                 self._next_armed = True
-                self._tx_seq = sim.push(finish, now, None, self._start_next, ())
+                if not finish >= now or not now <= finish:
+                    raise sim.refusal(finish, now)
+                self._tx_seq = seq = sim._seq
+                sim._seq = seq + 1
+                heappush(sim._queue, (finish, now, seq, self._start_next, ()))
                 return True
-            self._tx_seq = sim.push(
-                finish + link.delay_s, finish, None, sink.receive, (packet,)
-            )
+            due = finish + link.delay_s
+            if not due >= now or not finish <= due:
+                raise sim.refusal(due, finish)
+            self._tx_seq = seq = sim._seq
+            sim._seq = seq + 1
+            heappush(sim._queue, (due, finish, seq, sink.receive, (packet,)))
             return True
         accepted = self.queue.enqueue(packet)
         if not accepted:
             self._counters["drops"] += 1.0
         elif not self._next_armed:
             self._next_armed = True
-            sim.push(
-                self.busy_until, self._tx_start, self._tx_seq,
-                self._start_next, (),
-            )
+            # the finish takes the place its start reserved
+            due, placed_at = self.busy_until, self._tx_start
+            if not due >= now or not placed_at <= due:
+                raise sim.refusal(due, placed_at)
+            sim._seq += 1
+            heappush(sim._queue, (due, placed_at, self._tx_seq, self._start_next, ()))
         return accepted
 
-    def _start_transmission(self, packet: Packet) -> None:
-        """The whole hop: the packet holds the wire for its wire time and,
-        unless a bit error kills it, reaches the sink one propagation
-        delay after that."""
+    def _start_next(self) -> None:
+        """A transmission finished with something waiting behind it (or
+        with its frame lost): the next queued packet, if any, holds the
+        wire for its wire time and, unless a bit error kills it, reaches
+        the sink one propagation delay after that."""
+        self._next_armed = False
+        queue = self.queue
+        if not queue.occupancy_bytes:  # an empty queue is not asked
+            return
+        packet = queue.dequeue()
+        if packet is None:
+            return
         sim = self.sim
         link = self.link
         sink = link.sink
@@ -246,7 +266,7 @@ class Interface(Counted):
         if self.int_telemetry:
             self._tx_bytes_total += wire_bytes
             if not packet.is_ack:
-                packet.int_qlen_bytes = self.queue.occupancy_bytes
+                packet.int_qlen_bytes = queue.occupancy_bytes
                 packet.int_tx_bytes = self._tx_bytes_total
                 packet.int_timestamp = now
                 packet.int_link_rate_bps = link.rate_bps
@@ -261,21 +281,21 @@ class Interface(Counted):
             # no delivery to hold the finish's place, so the finish goes
             # on the heap itself
             self._next_armed = True
-            self._tx_seq = sim.push(finish, now, None, self._start_next, ())
+            if not finish >= now or not now <= finish:
+                raise sim.refusal(finish, now)
+            self._tx_seq = seq = sim._seq
+            sim._seq = seq + 1
+            heappush(sim._queue, (finish, now, seq, self._start_next, ()))
             return
-        self._tx_seq = seq = sim.push(
-            finish + link.delay_s, finish, None, sink.receive, (packet,)
-        )
-        if self.queue.occupancy_bytes:
+        due = finish + link.delay_s
+        if not due >= now or not finish <= due:
+            raise sim.refusal(due, finish)
+        self._tx_seq = seq = sim._seq
+        sim._seq = seq + 1
+        heappush(sim._queue, (due, finish, seq, sink.receive, (packet,)))
+        if queue.occupancy_bytes:
             self._next_armed = True
-            sim.push(finish, now, seq, self._start_next, ())
-
-    def _start_next(self) -> None:
-        """A transmission finished with something waiting behind it (or
-        with its frame lost): the next queued packet, if any, starts."""
-        self._next_armed = False
-        queue = self.queue
-        if queue.occupancy_bytes:  # an empty queue is not asked
-            nxt = queue.dequeue()
-            if nxt is not None:
-                self._start_transmission(nxt)
+            if not finish >= now or not now <= finish:
+                raise sim.refusal(finish, now)
+            sim._seq += 1
+            heappush(sim._queue, (finish, now, seq, self._start_next, ()))

@@ -37,9 +37,10 @@ changes nothing a run can see:
   when a listener queued something the one push is made at the same
   point of the same instant, so it draws the same sequence number.
 
-Nothing cancels a drain, so a drain is pushed with
-:meth:`~repro.sim.engine.Simulator.push`: a heap entry and no
-:class:`~repro.sim.engine.Event`.
+Nothing cancels a drain, so a drain is a heap entry and no
+:class:`~repro.sim.engine.Event`, written in place as the design notes
+of :mod:`repro.sim.engine` state: :meth:`~repro.sim.engine.Simulator.push`'s
+two NaN-safe checks, one ``seq`` drawn, one ``heappush``.
 
 ``tests/net/test_nic.py`` keeps the always-queueing ``send`` as
 ``QueuedNic`` and runs both on the same traffic.
@@ -48,6 +49,7 @@ Nothing cancels a drain, so a drain is pushed with
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.errors import NetworkConfigError
@@ -82,13 +84,14 @@ class Nic(Counted):
             raise NetworkConfigError("NIC needs at least one interface")
         if mtu_bytes < 576:
             raise NetworkConfigError(f"MTU {mtu_bytes} below IPv4 minimum of 576")
-        if tx_packet_gap_s < 0:
+        # NaN fails too; finite, as a drain is pushed one gap after the last
+        if not 0 <= tx_packet_gap_s < float("inf"):
             raise NetworkConfigError(
-                f"tx packet gap must be >= 0, got {tx_packet_gap_s}"
+                f"tx packet gap must be finite and >= 0, got {tx_packet_gap_s}"
             )
         if tx_packet_gap_s > 0 and sim is None:
             raise NetworkConfigError("a paced NIC needs the simulator")
-        if tx_queue_packets <= 0:
+        if not tx_queue_packets > 0:
             raise NetworkConfigError(
                 f"tx queue must hold >= 1 packet, got {tx_queue_packets}"
             )
@@ -189,10 +192,15 @@ class Nic(Counted):
                 for callback in self._drain_listeners:
                     callback()
             now = sim.now
+            due = now + self.tx_packet_gap_s
             if self._txq:
-                sim.push(now + self.tx_packet_gap_s, now, None, self._drain, ())
+                if not due >= now or not now <= due:
+                    raise sim.refusal(due, now)
+                seq = sim._seq
+                sim._seq = seq + 1
+                heappush(sim._queue, (due, now, seq, self._drain, ()))
             else:
-                self._next_tx_time = now + self.tx_packet_gap_s
+                self._next_tx_time = due
                 self._draining = False
             return True
         if len(self._txq) >= self.tx_queue_packets:
@@ -210,10 +218,16 @@ class Nic(Counted):
         backlog[packet.flow_id] = backlog.get(packet.flow_id, 0) + packet.size_bytes
         if not self._draining:
             self._draining = True
-            if sim.now >= self._next_tx_time:
+            now = sim.now
+            due = self._next_tx_time
+            if now >= due:
                 self._drain()
             else:
-                sim.push(self._next_tx_time, sim.now, None, self._drain, ())
+                if not due >= now or not now <= due:
+                    raise sim.refusal(due, now)
+                seq = sim._seq
+                sim._seq = seq + 1
+                heappush(sim._queue, (due, now, seq, self._drain, ()))
         return True
 
     def _dispatch(self, packet: Packet) -> bool:
@@ -228,31 +242,34 @@ class Nic(Counted):
         sim = self.sim
         assert sim is not None  # guaranteed by constructor check
         if self._phantom_slots > 0:
-            # Burn a transmit slot on work the qdisc already discarded.
+            # Burn a slot on work the (full, so non-empty) qdisc discarded.
             self._phantom_slots -= 1
-            now = sim.now
-            sim.push(now + self.tx_packet_gap_s, now, None, self._drain, ())
-            return
-        packet = self._txq.popleft()
-        backlog = self.flow_backlog
-        left = backlog.get(packet.flow_id, 0) - packet.size_bytes
-        if left > 0:
-            backlog[packet.flow_id] = left
         else:
-            backlog.pop(packet.flow_id, None)
-        # _dispatch(packet), in this frame: once per paced packet
-        interfaces = self.interfaces
-        iface = interfaces[self._next_interface]
-        self._next_interface = (self._next_interface + 1) % len(interfaces)
-        if not iface.enqueue(packet):
-            self._counters["tx_drops"] += 1.0
-        if self.drain_waiters:
-            self.drain_waiters = 0
-            for callback in self._drain_listeners:
-                callback()
+            packet = self._txq.popleft()
+            backlog = self.flow_backlog
+            left = backlog.get(packet.flow_id, 0) - packet.size_bytes
+            if left > 0:
+                backlog[packet.flow_id] = left
+            else:
+                backlog.pop(packet.flow_id, None)
+            # _dispatch(packet), in this frame: once per paced packet
+            interfaces = self.interfaces
+            iface = interfaces[self._next_interface]
+            self._next_interface = (self._next_interface + 1) % len(interfaces)
+            if not iface.enqueue(packet):
+                self._counters["tx_drops"] += 1.0
+            if self.drain_waiters:
+                self.drain_waiters = 0
+                for callback in self._drain_listeners:
+                    callback()
         now = sim.now
+        due = now + self.tx_packet_gap_s
         if self._txq:
-            sim.push(now + self.tx_packet_gap_s, now, None, self._drain, ())
+            if not due >= now or not now <= due:
+                raise sim.refusal(due, now)
+            seq = sim._seq
+            sim._seq = seq + 1
+            heappush(sim._queue, (due, now, seq, self._drain, ()))
         else:
-            self._next_tx_time = now + self.tx_packet_gap_s
+            self._next_tx_time = due
             self._draining = False

@@ -26,6 +26,7 @@ TCP_IP_HEADER_BYTES = 40
 ETHERNET_OVERHEAD_BYTES = 38
 
 _packet_ids = itertools.count()
+_new = object.__new__
 
 
 class Packet:
@@ -171,6 +172,56 @@ class Packet:
             if self.ecn_marked:
                 kind += " CE"
         return f"<{self.src}->{self.dst} flow={self.flow_id} {kind}>"
+
+
+def data_packet(
+    flow_id: int, src: str, dst: str, seq: int, payload_bytes: int,
+    ecn_capable: bool, retransmitted: bool, priority: Optional[int],
+) -> Packet:
+    """``Packet(flow_id, src, dst, seq, payload_bytes, ecn_capable=...,
+    retransmitted=..., priority=...)`` without binding the other 14."""
+    packet = _new(Packet)
+    packet.flow_id, packet.src, packet.dst = flow_id, src, dst
+    packet.seq, packet.payload_bytes = seq, payload_bytes
+    packet.end_seq = seq + payload_bytes
+    packet.size_bytes = size = payload_bytes + TCP_IP_HEADER_BYTES
+    packet.wire_bytes = size + ETHERNET_OVERHEAD_BYTES
+    packet.is_ack = packet.ecn_marked = packet.ecn_echo = False
+    packet.ack_seq = packet.ecn_marked_bytes = 0
+    packet.sacks = ()
+    packet.ecn_capable, packet.retransmitted = ecn_capable, retransmitted
+    packet.rwnd_bytes = packet.int_qlen_bytes = packet.int_tx_bytes = None
+    packet.int_timestamp = packet.int_link_rate_bps = packet.echo_time = None
+    packet.priority = priority
+    packet.sent_time = 0.0
+    packet.packet_id = next(_packet_ids)
+    return packet
+
+
+def ack_packet(
+    flow_id: int, src: str, dst: str, ack_seq: int,
+    sacks: Tuple[Tuple[int, int], ...], ecn_echo: bool, ecn_marked_bytes: int,
+    echo_time: Optional[float], rwnd_bytes: Optional[int],
+) -> Packet:
+    """``Packet(flow_id, src, dst, is_ack=True, ack_seq=..., sacks=...,
+    ecn_echo=..., ecn_marked_bytes=..., echo_time=..., rwnd_bytes=...)``
+    without binding the other 12."""
+    packet = _new(Packet)
+    packet.flow_id, packet.src, packet.dst = flow_id, src, dst
+    packet.seq = packet.payload_bytes = packet.end_seq = 0
+    packet.size_bytes = TCP_IP_HEADER_BYTES
+    packet.wire_bytes = TCP_IP_HEADER_BYTES + ETHERNET_OVERHEAD_BYTES
+    packet.is_ack = True
+    packet.ack_seq, packet.sacks = ack_seq, sacks
+    packet.ecn_capable = packet.ecn_marked = packet.retransmitted = False
+    packet.ecn_echo, packet.ecn_marked_bytes = ecn_echo, ecn_marked_bytes
+    packet.rwnd_bytes = rwnd_bytes
+    packet.int_qlen_bytes = packet.int_tx_bytes = packet.priority = None
+    packet.int_timestamp = packet.int_link_rate_bps = None
+    packet.sent_time = 0.0
+    packet.echo_time = echo_time
+    packet.packet_id = next(_packet_ids)
+    return packet
 
 
 def mss_for_mtu(mtu_bytes: int) -> int:

@@ -29,7 +29,7 @@ class DropTailQueue(Counted):
     mark_threshold_bytes: Optional[int] = None
 
     def __init__(self, capacity_bytes: int, name: str = "queue"):
-        if capacity_bytes <= 0:
+        if not capacity_bytes > 0:  # NaN fails too: it would never drop
             raise NetworkConfigError(f"queue capacity must be > 0, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
         self.name = name

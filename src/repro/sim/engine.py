@@ -16,11 +16,16 @@ Design notes
   ``seq`` alone does: events at the same timestamp run in FIFO scheduling
   order (runs are deterministic) and a comparison never reaches the
   callback.
-* Every push enters :meth:`Simulator.push`, which validates the key,
-  draws one sequence number and allocates nothing but the tuple. A push
-  nobody can cancel — a link delivery, a link finish, a NIC drain: 96–99 %
-  of them — is that and nothing more. A push that may be cancelled — a
-  timer, a pacing wake-up, a session start — goes through
+* A push checks its key, draws one sequence number and allocates
+  nothing but the tuple. A push nobody can cancel — a link delivery, a
+  link finish, a NIC drain: 96–99 % of them — is that and nothing more,
+  written in place where the packet path makes it (an
+  :class:`~repro.net.link.Interface` delivery, finish arm or lost-frame
+  finish, a :class:`~repro.net.nic.Nic` drain): :meth:`Simulator.push`'s
+  two NaN-safe checks (raising :meth:`Simulator.refusal`), one ``_seq``
+  drawn, one ``heappush`` onto ``_queue``. Everything else calls
+  :meth:`Simulator.push`. A push that may be cancelled — a timer, a
+  pacing wake-up, a session start — goes through
   :meth:`Simulator.schedule_at`, which builds an :class:`Event` and
   pushes ``(time, placed_at, seq, event, None)``: a cancel needs a handle
   to mark, and the handle a back-reference that keeps the dead-entry
@@ -60,26 +65,26 @@ Design notes
   entries so :attr:`Simulator.pending_events` reports *live* events even
   though cancelled ones still occupy heap slots until popped
   (:attr:`Simulator.queued_events` exposes the raw heap size).
-* :meth:`Simulator.run` is the one dispatch loop: peek, pop, tally,
-  callback, written inline so an event costs no Python call beyond its
-  own callback. A run ends when the queue drains, at ``until``, after
-  ``max_events``, or when a callback calls :meth:`Simulator.stop` — which
-  is how a driver that *counts* completions ends the run on the event
-  that finished the last flow, with the clock left at that event.
+* :meth:`Simulator.run` is the one dispatch loop: peek, pop, callback,
+  written inline so an event costs no Python call beyond its own
+  callback, and no tally (:attr:`Simulator.events_executed` is derived).
+  A run ends when the queue drains, at ``until``, after ``max_events``
+  (counted only when given, behind one ``None`` test per event), or when
+  a callback calls :meth:`Simulator.stop` — which is how a driver that
+  *counts* completions ends the run on the event that finished the last
+  flow, with the clock left at that event.
 * The clock, :attr:`Simulator.now`, is a plain attribute the loop
   writes: every callback reads it, most several times, so a property
   would cost more frames than the dispatch itself. Only the kernel
-  assigns it. A push costs one frame, :meth:`Simulator.push`, and a
-  cancellable one two more, :meth:`Simulator.schedule_at` and
-  ``Event.__init__``. Per-packet code that never cancels calls ``push``;
-  :meth:`Simulator.schedule` is the checked convenience on top of
-  ``schedule_at`` for everything else.
+  assigns it. A push written in place costs no frame, one through
+  :meth:`Simulator.push` one, and a cancellable one two more,
+  :meth:`Simulator.schedule_at` and ``Event.__init__``.
 * :meth:`Simulator.step` is ``run(max_events=1)`` for tests and
   single-stepping by hand; nothing in the library drives a simulation
   with it.
 * The kernel knows nothing about networking or energy; those layers only
   use :meth:`Simulator.push` / :meth:`Simulator.schedule_at` /
-  :attr:`Simulator.now`.
+  :attr:`Simulator.now` (and the in-place pushes ``_seq``/``_queue``).
 """
 
 from __future__ import annotations
@@ -164,9 +169,6 @@ class Simulator:
     def __init__(self) -> None:
         #: current virtual time in seconds; written by :meth:`run` only
         self.now = 0.0
-        #: events executed so far (for diagnostics); :meth:`run` tallies
-        #: in a local and stores the total when it returns
-        self.events_executed = 0
         self._queue: List[HeapEntry] = []
         #: the entry being dispatched (the last one dispatched, between
         #: events), or None when every entry due at or before ``now`` has
@@ -179,6 +181,8 @@ class Simulator:
         self._stop_requested = False
         #: cancelled-but-not-yet-popped heap entries (lazy deletion)
         self._dead_in_queue = 0
+        #: cancelled entries popped so far (by :meth:`run` or :meth:`peek_time`)
+        self._dead_popped = 0
         #: where instrumented components (TCP senders, queues, CPU
         #: packages) send telemetry samples; the shared no-op by
         #: default, swapped by the harness when telemetry is collected.
@@ -187,6 +191,12 @@ class Simulator:
         self.probe_sink: ProbeSink = NULL_PROBE_SINK
 
     # -- queue state --------------------------------------------------
+
+    @property
+    def events_executed(self) -> int:
+        """Callbacks dispatched so far (for diagnostics). Derived: every entry
+        draws one ``seq`` when pushed and leaves the heap only by a pop."""
+        return self._seq - len(self._queue) - self._dead_popped
 
     @property
     def pending_events(self) -> int:
@@ -234,32 +244,35 @@ class Simulator:
         """Push ``callback(*args)`` due at absolute virtual time ``time``
         and return the entry's ``seq``; nothing can cancel it.
 
-        The one routine every push enters. ``placed_at`` is the instant
-        the entry takes its place in line among those due at ``time``:
-        ``now`` for an ordinary push, the instant the event this push
-        replaces would have made it for a fused stage (see the design
-        notes). ``seq`` re-uses a place reserved by an earlier push, or is
-        None for the number this push draws; either way the push draws
-        one. ``args`` is a tuple: None marks the entry
-        :meth:`schedule_at` pushes, with its :class:`Event` as
-        ``callback``.
+        What every push does (the packet path writes it out in place).
+        ``placed_at`` is the instant the entry takes its place in line
+        among those due at ``time``: ``now`` for an ordinary push, the
+        instant the event this push replaces would have made it for a
+        fused stage (see the design notes). ``seq`` re-uses a place
+        reserved by an earlier push, or is None for the number this push
+        draws; either way the push draws one. ``args`` is a tuple: None
+        marks the entry :meth:`schedule_at` pushes, with its
+        :class:`Event` as ``callback``.
         """
-        now = self.now
-        if not time >= now:  # also rejects NaN
-            raise SimulationError(
-                f"cannot schedule at t={time:.9f} before now={now:.9f}"
-            )
-        if not placed_at <= time:
-            raise SimulationError(
-                f"an entry due at t={time:.9f} cannot take its place "
-                f"at t={placed_at:.9f}"
-            )
+        if not time >= self.now or not placed_at <= time:  # NaN fails too
+            raise self.refusal(time, placed_at)
         own = self._seq
         self._seq = own + 1
         if seq is None:
             seq = own
         heappush(self._queue, (time, placed_at, seq, callback, args))
         return seq
+
+    def refusal(self, time: float, placed_at: float) -> SimulationError:
+        """The error a push of key ``(time, placed_at)`` raises."""
+        if not time >= self.now:
+            return SimulationError(
+                f"cannot schedule at t={time:.9f} before now={self.now:.9f}"
+            )
+        return SimulationError(
+            f"an entry due at t={time:.9f} cannot take its place "
+            f"at t={placed_at:.9f}"
+        )
 
     def schedule_at(
         self,
@@ -317,12 +330,12 @@ class Simulator:
         self._running = True
         self._stop_requested = False
         horizon = float("inf") if until is None else until
-        executed = self.events_executed
-        budget = float("inf") if max_events is None else executed + max_events
-        queue = self._queue
+        left = max_events  # dispatches still allowed; None: no limit
+        # a spent budget dispatches nothing, and pops no dead entry either
+        queue = self._queue if left is None or left > 0 else []
         pop = heappop
         try:
-            while queue and executed < budget:
+            while queue:
                 time, _, _, callback, args = queue[0]
                 if args is None:
                     # an Event: it may be dead, and it is consumed
@@ -331,6 +344,7 @@ class Simulator:
                         pop(queue)
                         event.sim = None
                         self._dead_in_queue -= 1
+                        self._dead_popped += 1
                         continue
                     if time > horizon:
                         break
@@ -345,16 +359,18 @@ class Simulator:
                     break
                 self.current = pop(queue)
                 self.now = time
-                executed += 1
                 callback(*args)
                 if self._stop_requested:
                     break
-            out_of_budget = bool(queue) and executed >= budget
+                if left is not None:
+                    left -= 1
+                    if left <= 0:
+                        break
+            out_of_budget = left is not None and left <= 0 and bool(self._queue)
             if until is not None and not (self._stop_requested or out_of_budget):
                 self.now = max(self.now, until)
                 self.current = None
         finally:
-            self.events_executed = executed
             self._running = False
         return self.now
 
@@ -364,4 +380,5 @@ class Simulator:
         while queue and queue[0][4] is None and queue[0][3].cancelled:
             heappop(queue)[3].sim = None
             self._dead_in_queue -= 1
+            self._dead_popped += 1
         return queue[0][0] if queue else None

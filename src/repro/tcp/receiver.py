@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.net.host import Host
-from repro.net.packet import Packet
+from repro.net.packet import Packet, ack_packet
 from repro.sim.engine import Simulator
 from repro.sim.timer import Timer
 from repro.sim.trace import CounterSet, Counted
@@ -172,18 +172,13 @@ class TcpReceiver(Counted):
         self._delack_timer.stop()
         rcv_nxt = self.rcv_nxt
         received = self.received
-        ack = Packet(
-            # flow, src, dst, seq, payload, is_ack, ack_seq, sacks
-            self.flow_id, self.host.name, self.peer, 0, 0, True, rcv_nxt,
+        ack = ack_packet(
+            self.flow_id, self.host.name, self.peer, rcv_nxt,
             # nothing buffered, nothing to selectively acknowledge
             received.blocks_above(rcv_nxt) if received.total_bytes else (),
-            ecn_echo=self._ce_state,
-            ecn_marked_bytes=self._marked_bytes_pending,
-            echo_time=self._pending_echo_time,
+            self._ce_state, self._marked_bytes_pending, self._pending_echo_time,
             # advertised_rwnd, written out: once per ACK
-            rwnd_bytes=min(
-                self.max_rwnd_bytes, DEFAULT_INITIAL_RWND + self.bytes_received
-            ),
+            min(self.max_rwnd_bytes, DEFAULT_INITIAL_RWND + self.bytes_received),
         )
         if self._last_int is not None:
             ack.int_qlen_bytes = self._last_int.int_qlen_bytes

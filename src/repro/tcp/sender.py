@@ -22,8 +22,9 @@ packet sent and received — the sender never talks to the energy model
 directly.
 
 The per-segment and per-ACK paths are written for what a call costs, not
-only for how many there are: ``SegmentInfo``, ``Packet`` and ``AckEvent``
-are built positionally (a keyword costs more than the store it names),
+only for how many there are: ``SegmentInfo`` and ``AckEvent`` are built
+positionally and a data segment by ``data_packet``, whose parameters are
+the fields a segment sets (a keyword costs more than the store it names),
 and a question asked per packet whose answer rarely changes is a field
 (``_paces``, ``RttEstimator.rto``) or an expression written out where it
 is asked (the window test for new data) with the method it copies kept
@@ -38,7 +39,7 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from repro.errors import TcpStateError
 from repro.net.host import Host
-from repro.net.packet import Packet, mss_for_mtu
+from repro.net.packet import Packet, data_packet, mss_for_mtu
 from repro.sim.engine import Event, Simulator
 from repro.sim.probe import (
     CWND_CHANNEL,
@@ -137,8 +138,9 @@ class TcpSender(Counted):
             raise TcpStateError(f"MSS must be positive, got {self.mss}")
         self.total_bytes = total_bytes
         self.ecn_capable = ecn_capable
-        if tsq_limit_bytes <= 0:
-            # an empty qdisc would already be at the limit: never a send
+        if not tsq_limit_bytes > 0:
+            # an empty qdisc would already be at the limit: never a send;
+            # NaN would never block
             raise TcpStateError(
                 f"TSQ limit must be positive, got {tsq_limit_bytes}"
             )
@@ -761,11 +763,9 @@ class TcpSender(Counted):
             remaining = max(0, self.total_bytes - self.snd_una)
         else:
             remaining = None
-        packet = Packet(
+        packet = data_packet(
             self.flow_id, self.host.name, self.dst, seg.seq, seg.length,
-            ecn_capable=self.ecn_capable,
-            retransmitted=retransmitted,
-            priority=remaining,
+            self.ecn_capable, retransmitted, remaining,
         )
         self.segments_sent += 1
         self.bytes_sent += seg.length

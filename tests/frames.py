@@ -4,14 +4,20 @@ Counts, with :func:`tests.conftest.count_calls`, the Python frames one
 run of the ``dumbbell_sweep`` shape of ``tests/test_work_counters.py``
 enters under ``src/repro/{sim,net,tcp,cc,energy}``, and prints them by
 stage, each divided by the unit the stage works on. A report to paste
-into the table's last column (``tests/test_frames_table.py`` compares
+into the table's frames column (``tests/test_frames_table.py`` compares
 the two); the gate on its last row is ``FRAMES_PER_SEGMENT_CEILING``.
-Not a test and not collected as one.
+On Python 3.11 it prints, beside the frames, the bytecodes each stage
+executed per unit (opcode trace events, a second run of the same
+shape): a frame is one count whatever it does, and a push written in
+place is no frame at all but still some bytecodes. The bytecodes column
+is pasted too and gates nothing. Not a test and not collected as one.
 """
+
+import gc
+import sys
 
 from repro.harness.runner import run_once
 from repro.net.link import Link
-from repro.sim.engine import Simulator
 from repro.tcp.sender import SegmentInfo, TcpSender
 
 from tests.conftest import count_calls
@@ -73,7 +79,9 @@ def stage_of(code):
 def run_and_keep_the_links(scenario, seed):
     """``run_once``, and every :class:`Link` it built: a hop is a frame
     put on a wire, which no single function's frames count any more (a
-    packet that finds the wire free starts inside ``enqueue``)."""
+    packet that finds the wire free starts inside ``enqueue``), and the
+    links share the run's simulator, whose ``_seq`` counts its pushes
+    (most are written in place and enter no frame)."""
     links = []
     init = Link.__init__
 
@@ -89,37 +97,92 @@ def run_and_keep_the_links(scenario, seed):
     return links
 
 
-def table():
+def count_bytecodes(fn, *args):
+    """Run ``fn``; return its result and how many bytecodes each code
+    object under ``DATA_PATH`` executed (``{code: opcodes}``)."""
+    counts = {}
+
+    def opcodes(frame, event, arg):
+        if event == "opcode":
+            code = frame.f_code
+            counts[code] = counts.get(code, 0) + 1
+        return opcodes
+
+    def calls(frame, event, arg):
+        if any(part in frame.f_code.co_filename for part in DATA_PATH):
+            frame.f_trace_opcodes = True
+            return opcodes
+        return None
+
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    sys.settrace(calls)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(None)
+        if gc_was_enabled:
+            gc.enable()
+    return result, counts
+
+
+def by_stage(counts):
+    """``{stage: total}`` of a ``{code: n}`` tally of the data path."""
+    totals = dict.fromkeys(STAGES, 0)
+    for code, n in counts.items():
+        if any(part in code.co_filename for part in DATA_PATH):
+            totals[stage_of(code)] += n
+    return totals
+
+
+def table(bytecodes=False):
     """What ``make frames`` prints: the units of the run, and one
-    ``(frames, unit, stage)`` row per line of the table."""
+    ``(frames, bytecodes, unit, stage)`` row per line of the table
+    (``bytecodes`` None unless asked for, and on its one row that is a
+    count, not a cost)."""
     links, calls = count_calls(run_and_keep_the_links, *RUNS["dumbbell_sweep"])
     segments = calls[TcpSender._send_packet.__code__]
     acks = calls[TcpSender._handle_packet.__code__]
     units = {
-        "push": calls[Simulator.push.__code__],
+        "push": links[0].sim._seq,
         "segment": segments,
         "ACK": acks,
         "packet": segments + acks,
         "hop": int(sum(link.counters.get("tx_packets") for link in links)),
     }
-    frames = dict.fromkeys(STAGES, 0)
-    for code, n in calls.items():
-        if any(part in code.co_filename for part in DATA_PATH):
-            frames[stage_of(code)] += n
+    frames = by_stage(calls)
+    opcodes = dict.fromkeys(STAGES)
+    if bytecodes:
+        _, counted = count_bytecodes(
+            run_and_keep_the_links, *RUNS["dumbbell_sweep"]
+        )
+        opcodes = by_stage(counted)
     rows = [
-        (total / units[STAGES[stage][0]], STAGES[stage][0], stage)
-        for stage, total in frames.items()
+        (
+            frames[stage] / units[unit],
+            None if opcodes[stage] is None else opcodes[stage] / units[unit],
+            unit,
+            stage,
+        )
+        for stage, (unit, _files) in STAGES.items()
     ]
-    rows.append((units["push"] / segments, "segment", "heap pushes"))
-    rows.append((sum(frames.values()) / segments, "segment", "whole run"))
+    rows.append((units["push"] / segments, None, "segment", "heap pushes"))
+    rows.append((
+        sum(frames.values()) / segments,
+        sum(opcodes.values()) / segments if bytecodes else None,
+        "segment",
+        "whole run",
+    ))
     return units, rows
 
 
 def main():
-    units, rows = table()
+    units, rows = table(bytecodes=sys.version_info[:2] == (3, 11))
     print(", ".join(f"{unit}: {n}" for unit, n in units.items()))
-    for frames, unit, stage in rows:
-        print(f"{frames:7.2f} per {unit:<8}{stage}")
+    print(" frames bytecodes")
+    for frames, opcodes, unit, stage in rows:
+        column = "" if opcodes is None else f"{opcodes:.1f}"
+        print(f"{frames:7.2f} {column:>9} per {unit:<8}{stage}")
 
 
 if __name__ == "__main__":

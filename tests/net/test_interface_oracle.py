@@ -37,9 +37,10 @@ from repro.net.packet import (
     Packet,
 )
 from repro.net.queue import DropTailQueue, EcnQueue
-from repro.sim.engine import Simulator
 from repro.sim.trace import CounterSet
 from repro.units import BITS_PER_BYTE
+
+from tests.conftest import PushWatch
 
 
 class TwoEventInterface:
@@ -102,7 +103,7 @@ class TwoEventInterface:
             self._busy = False
 
 
-class CensusSimulator(Simulator):
+class CensusSimulator(PushWatch):
     """Counts pushes whose order against a fused delivery the key
     ``(time, placed_at, seq)`` does not decide.
 
@@ -111,8 +112,10 @@ class CensusSimulator(Simulator):
     time, because its ``seq`` was drawn earlier. The finish event it
     replaces pushed it *at* ``F``: after whatever an earlier event at
     ``F`` pushed. Every such other entry is counted, whichever side of
-    the finish it came from. Every push enters :meth:`Simulator.push`,
-    so the census sees plain entries and :class:`Event`\\ s alike.
+    the finish it came from. :class:`~tests.conftest.PushWatch` hands
+    the census every entry, the deliveries and finishes an
+    :class:`Interface` writes in place as well as what enters
+    :meth:`Simulator.push`.
     """
 
     def __init__(self):
@@ -120,12 +123,12 @@ class CensusSimulator(Simulator):
         self._fused = set()
         self.undecided = 0
 
-    def push(self, time, placed_at, seq, callback, args):
-        if seq is None and placed_at > self.now:
+    def pushed(self, entry, own_seq):
+        time, placed_at = entry[:2]
+        if own_seq and placed_at > self.now:
             self._fused.add((time, placed_at))
         elif (time, placed_at) in self._fused:
             self.undecided += 1
-        return super().push(time, placed_at, seq, callback, args)
 
 
 TICK = 2.0 ** -21
@@ -359,6 +362,21 @@ def test_a_start_inside_enqueue_takes_the_finishs_place():
     assert outcome == replay(TwoEventInterface, [PLAIN_HOP], arrivals, 0)
     assert outcome["counters"][0][2] == {"enqueued": 2.0, "dequeued": 2.0}
     assert starts(outcome) == [(2 * n * TICK, n) for n in range(4)]
+
+
+def test_the_census_sees_the_entries_written_in_place():
+    """Two hops and four frames that meet the one order the key leaves
+    open once. A census blind to the deliveries an ``Interface`` writes
+    in place (one that overrides ``Simulator.push``, say) counts 0 here,
+    and would let every generated run above through."""
+    hops = [
+        {**PLAIN_HOP, "delay_ticks": 3, "capacity_packets": 1,
+         "int_telemetry": False},
+        {**PLAIN_HOP, "delay_ticks": 2, "capacity_packets": 2,
+         "int_telemetry": False},
+    ]
+    arrivals = [(0, 1024, None), (0, 1024, 1), (5, 512, 2), (4, 1024, 0)]
+    assert replay(Interface, hops, arrivals, 0)["undecided"] == 1
 
 
 @pytest.mark.parametrize("answer", [True, False])

@@ -48,11 +48,17 @@ class TestLink:
 
     @pytest.mark.parametrize(
         "rate_bps, delay_s",
-        [(float("nan"), 0.0), (1e9, float("nan")), (float("inf"), 0.0)],
+        [
+            (float("nan"), 0.0),
+            (1e9, float("nan")),
+            (float("inf"), 0.0),
+            (1e9, float("inf")),
+        ],
     )
     def test_nan_and_infinite_rate_are_invalid(self, sim, rate_bps, delay_s):
         # NaN compares false with everything, so `rate_bps <= 0` let it in;
-        # an infinite rate would make a frame finish the instant it starts
+        # an infinite rate would make a frame finish the instant it starts,
+        # an infinite delay deliver it never
         with pytest.raises(NetworkConfigError):
             Link(sim, rate_bps=rate_bps, delay_s=delay_s)
 

@@ -18,6 +18,7 @@ from repro.sim.engine import Simulator
 from repro.tcp.sender import TcpSender
 from repro.units import gbps
 
+from tests.conftest import PushWatch
 from tests.tcp.test_wakeup_oracle import SCENARIOS, EveryDrainSender
 
 
@@ -79,6 +80,20 @@ class TestPacedTransmitPath:
     def test_gap_requires_sim(self, sim):
         with pytest.raises(NetworkConfigError):
             Nic([make_iface(sim, Sink())], tx_packet_gap_s=1e-6)
+
+    @pytest.mark.parametrize(
+        "setting, shown",
+        [
+            # NaN died later, inside the push of the first drain
+            ({"tx_packet_gap_s": float("nan")}, "got nan"),
+            # inf parked every drain at t=inf
+            ({"tx_packet_gap_s": float("inf")}, "got inf"),
+            ({"tx_queue_packets": float("nan")}, "got nan"),
+        ],
+    )
+    def test_nan_and_infinite_settings_are_invalid(self, sim, setting, shown):
+        with pytest.raises(NetworkConfigError, match=shown):
+            Nic([make_iface(sim, Sink())], sim=sim, **setting)
 
     def test_gap_limits_packet_rate(self, sim):
         sink = Sink()
@@ -283,18 +298,19 @@ class _PickyWire(_Wire):
         return len(self.departures) % 3 != 0
 
 
-class _PushLog(Simulator):
+class _PushLog(PushWatch):
     """Notes every push: when it was made, for when, and of what —
-    cancellable or not, every push enters :meth:`Simulator.push`."""
+    cancellable or not, through :meth:`Simulator.push` or, as a drain
+    is, written in place."""
 
     def __init__(self):
         super().__init__()
         self.pushes = []
 
-    def push(self, time, placed_at, seq, callback, args):
+    def pushed(self, entry, own_seq):
+        time, _, _, callback, args = entry
         of = callback.callback if args is None else callback
         self.pushes.append((self.now, time, of.__name__))
-        return super().push(time, placed_at, seq, callback, args)
 
 
 def replay_nic(nic_cls, pattern, reentries):

@@ -47,6 +47,11 @@ class TestDropTailQueue:
         with pytest.raises(NetworkConfigError):
             DropTailQueue(0)
 
+    def test_nan_capacity_is_invalid(self):
+        # `occupancy + size > nan` is always False: a queue that never drops
+        with pytest.raises(NetworkConfigError, match="got nan"):
+            DropTailQueue(float("nan"))
+
     def test_len_and_empty(self):
         q = DropTailQueue(10_000)
         assert q.empty and len(q) == 0

@@ -14,7 +14,10 @@ times all the time. After every rule the firing order, the key
 and the ``events_executed`` / ``pending_events`` / ``queued_events`` /
 ``dead_in_queue`` tallies must agree. The model shares no code with the
 kernel: it is the oracle a rewrite of the dispatch loop is checked
-against.
+against. A scripted schedule beside it (a raising callback, ``stop()``,
+``peek_time`` popping a dead entry from inside a callback) is run
+unbounded, under ``until`` and one ``step()`` at a time, and holds the
+derived ``events_executed`` to the callbacks dispatched after every call.
 """
 
 import pytest
@@ -265,3 +268,95 @@ TestEngineModel = EngineMachine.TestCase
 TestEngineModel.settings = settings(
     max_examples=150, stateful_step_count=40, deadline=None
 )
+
+
+# -- one script, three ways of driving it ------------------------------
+
+
+class Boom(Exception):
+    """What the raising callback of :func:`script` raises."""
+
+
+def script(sim, fired):
+    """Schedule a fixed mix on ``sim``: plain and :class:`Event` entries
+    tied at one instant, an entry cancelled before the run and one
+    cancelled by a callback, a callback that raises, one that calls
+    ``stop()``, and one that cancels the entry next in line and calls
+    ``peek_time``, which pops it. Every callback notes itself in
+    ``fired`` before it does anything else."""
+
+    def note(name, then=None):
+        def fire(*args):
+            fired.append((name, sim.now, args))
+            if then is not None:
+                then()
+
+        return fire
+
+    def boom():
+        raise Boom
+
+    def spawn():
+        sim.push(sim.now + 0.25, sim.now, None, note("pushed child"), (1,))
+        sim.schedule(0.0, note("tied child"))
+
+    def peek():
+        popped_by_peek.cancel()
+        assert sim.peek_time() == 3.0
+
+    sim.schedule_at(1.5, note("cancelled before the run")).cancel()
+    cancelled_by_callback = sim.schedule_at(2.0, note("cancelled in the run"))
+    popped_by_peek = sim.schedule_at(2.5, note("popped by peek_time"))
+    sim.push(1.0, 0.0, None, note("plain", spawn), ())
+    sim.schedule_at(1.0, note("cancels", cancelled_by_callback.cancel))
+    sim.schedule_at(1.25, note("raises", boom))
+    sim.push(1.25, 0.0, None, note("after the raise"), ())
+    sim.schedule_at(1.75, note("stops", sim.stop))
+    sim.push(1.75, 0.0, None, note("after the stop"), ())
+    sim.schedule_at(2.25, note("peeks", peek))
+    sim.push(3.0, 0.0, None, note("last"), ())
+
+
+#: what :func:`script` dispatches, in order, however it is driven
+SCRIPTED = [
+    ("plain", 1.0, ()),
+    ("cancels", 1.0, ()),
+    ("tied child", 1.0, ()),
+    ("raises", 1.25, ()),
+    ("after the raise", 1.25, ()),
+    ("pushed child", 1.25, (1,)),
+    ("stops", 1.75, ()),
+    ("after the stop", 1.75, ()),
+    ("peeks", 2.25, ()),
+    ("last", 3.0, ()),
+]
+
+DRIVERS = {
+    "unbounded": lambda sim: sim.run(),
+    "until": lambda sim: sim.run(until=sim.now + 0.5),
+    "step": lambda sim: sim.step(),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_events_executed_counts_the_callbacks_dispatched(driver):
+    """``events_executed`` is derived (pushes, less entries queued, less
+    dead entries popped), so a dead entry popped anywhere — by the loop
+    or by ``peek_time`` inside a callback — must be counted where it is
+    popped. After every call, however the run ended (drained, horizon,
+    budget, ``stop()`` or an exception), it equals the callbacks run."""
+    sim = Simulator()
+    fired = []
+    script(sim, fired)
+    calls = 0
+    while sim.queued_events:
+        try:
+            DRIVERS[driver](sim)
+        except Boom:
+            assert fired[-1][0] == "raises"
+        assert sim.events_executed == len(fired)
+        calls += 1
+        assert calls < 100
+    assert fired == SCRIPTED
+    assert sim.events_executed == len(SCRIPTED)
+    assert sim.dead_in_queue == 0 and sim._seq == 13

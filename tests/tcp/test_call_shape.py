@@ -1,7 +1,10 @@
 """Oracles for the per-packet call shapes.
 
 The four objects allocated per segment, packet and ACK are built
-positionally at their hot call sites, and three per-packet questions are
+positionally at their hot call sites (a data segment and an ACK by a
+constructor of their own, whose parameters are the fields that kind
+sets, each checked against the generic ``Packet(...)`` of the same
+fields), and three per-packet questions are
 answered without a call: whether the CCA paces (``TcpSender._paces``),
 whether the window admits the next new segment (written out in
 ``_try_send``), and the retransmission timeout (a field, see
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.cc.base import AckEvent, CongestionControl
 from repro.cc.registry import algorithm_names, factory, get_class
-from repro.net.packet import Packet
+from repro.net.packet import Packet, ack_packet, data_packet
 from repro.sim.engine import Simulator
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.sender import SegmentInfo, TcpSender
@@ -144,6 +147,11 @@ def test_send_packet_puts_every_source_in_its_field(sim, total_bytes, priority):
         "echo_time": None,
         "packet_id": packet.packet_id,
     }
+    assert fields(packet) == fields(Packet(
+        77, "sending-host", "receiving-host", 3000, 600,
+        ecn_capable="ecn-capable", retransmitted="retransmitted",
+        priority=priority, sent_time=0.25, packet_id=packet.packet_id,
+    ))
 
 
 @pytest.mark.parametrize("buffered", [False, True])
@@ -189,7 +197,36 @@ def test_send_ack_puts_every_source_in_its_field(sim, buffered):
         "echo_time": 0.375,
         "packet_id": ack.packet_id,
     }
+    assert fields(ack) == fields(Packet(
+        77, "receiving-host", "sending-host", is_ack=True, ack_seq=2000,
+        sacks=((3000, 3600),) if buffered else (), ecn_echo="ce-state",
+        ecn_marked_bytes=5005, rwnd_bytes=rwnd, sent_time=0.5,
+        echo_time=0.375, packet_id=ack.packet_id,
+    ))
     assert rwnd == 64 * 1024 + receiver.bytes_received
+
+
+@pytest.mark.parametrize("kind", ["data", "ack"])
+def test_a_kind_constructor_builds_the_generic_packet_of_its_fields(kind):
+    """``data_packet`` and ``ack_packet`` set every slot, the ones their
+    kind leaves at :class:`Packet`'s defaults included, and draw the
+    next ``packet_id`` from the one counter."""
+    if kind == "data":
+        built = data_packet(5, "a", "b", 7000, 1200, True, True, 42)
+        generic = Packet(
+            5, "a", "b", 7000, 1200,
+            ecn_capable=True, retransmitted=True, priority=42,
+        )
+    else:
+        built = ack_packet(5, "b", "a", 8200, ((9000, 9500),), True, 300, 0.5, 1)
+        generic = Packet(
+            5, "b", "a", is_ack=True, ack_seq=8200, sacks=((9000, 9500),),
+            ecn_echo=True, ecn_marked_bytes=300, echo_time=0.5, rwnd_bytes=1,
+        )
+    assert type(built) is Packet
+    assert generic.packet_id == built.packet_id + 1
+    generic.packet_id = built.packet_id
+    assert fields(built) == fields(generic)
 
 
 # -- a CCA that never paces is never asked ------------------------------

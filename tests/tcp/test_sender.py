@@ -48,7 +48,8 @@ class TestInitialSend:
         sender = make_sender(sim, stub_host)
         assert sender.mss == 1460
 
-    @pytest.mark.parametrize("limit", [0, -1])
+    # NaN: `backlog >= nan` is always False, so TSQ would never block
+    @pytest.mark.parametrize("limit", [0, -1, float("nan")])
     def test_tsq_limit_an_empty_qdisc_would_reach_is_rejected(
         self, sim, stub_host, limit
     ):

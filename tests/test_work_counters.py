@@ -54,12 +54,12 @@ from tests.harness.test_fabric_determinism import fabric_scenario
 from tests.net.test_interface_oracle import CensusSimulator
 from tests.tcp.test_wakeup_oracle import SCENARIOS
 
-#: counter -> the functions whose entered frames it sums
+#: counter -> the functions whose entered frames it sums. Heap pushes
+#: are not among them: most are written in place and enter no frame, so
+#: they are read off ``Simulator._seq`` (every push draws one)
 COUNTED = {
     "segments": [TcpSender._send_packet],
     "acks": [TcpSender._handle_packet],
-    # every push enters Simulator.push, cancellable (schedule_at) or not
-    "heap_pushes": [Simulator.push],
     "cancels": [Event.cancel],
     "try_send_entries": [TcpSender._try_send],
     # every registered CCA's on_ack; one that chains to its parent's
@@ -74,12 +74,31 @@ COUNTED = {
 }
 
 
-def work(calls):
-    """The pinned counters out of one :func:`count_calls` tally."""
+def work(calls, simulators):
+    """The pinned counters out of one :func:`count_calls` tally and the
+    simulators the counted call built."""
     return {
-        counter: sum(calls.get(fn.__code__, 0) for fn in functions)
-        for counter, functions in COUNTED.items()
+        "heap_pushes": sum(sim._seq for sim in simulators),
+        **{
+            counter: sum(calls.get(fn.__code__, 0) for fn in functions)
+            for counter, functions in COUNTED.items()
+        },
     }
+
+
+@pytest.fixture
+def simulators(monkeypatch):
+    """Every :class:`Simulator` ``run_once`` builds from now on, in
+    order."""
+    built = []
+
+    class Kept(Simulator):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(runner, "Simulator", Kept)
+    return built
 
 
 #: the packages a packet passes through: their frames are the data
@@ -96,14 +115,16 @@ TRACED_PATH = DATA_PATH + tuple(
 #: shape -> most frames one segment may cost (its share of ACKs, timers
 #: and energy samples included). A ceiling, not an equality (3.12
 #: inlines comprehensions, so totals differ between interpreters): what
-#: the code reaches on 3.11 (40.4 / 44.9 / 102.3, and 33.4 over
-#: ``TRACED_PATH`` for the grid cell) plus under 5 %. Lower one when a
-#: PR earns it; raise one only with the reason in the PR.
+#: the code reaches on 3.11 (32.8 / 39.1 / 91.6, and 29.4 over
+#: ``TRACED_PATH`` for the grid cell; 40.4 / 44.9 / 102.3 and 33.4
+#: before the packet path's pushes were written in place) plus under
+#: 5 %. Lower one when a PR earns it; raise one only with the reason in
+#: the PR.
 FRAMES_PER_SEGMENT_CEILING = {
-    "dumbbell_sweep": 42.0,
-    "lossy_mix": 47.0,
-    "fabric_datacenter": 107.0,
-    "cca_mtu_grid": 35.0,
+    "dumbbell_sweep": 34.0,
+    "lossy_mix": 41.0,
+    "fabric_datacenter": 96.0,
+    "cca_mtu_grid": 30.5,
 }
 
 
@@ -154,8 +175,9 @@ PINNED = {
         # 6.0 per segment: one per link hop (the segment's, and its
         # share of an ACK's) plus a finish for each packet something
         # queued behind, NIC drains, and what is left of the timers.
-        # Only 17 of them, timers and session starts, build an Event:
-        # the rest cannot be cancelled and are a heap entry alone
+        # Only 17 of them, timers and session starts, build an Event
+        # and enter Simulator.push: the rest cannot be cancelled and are
+        # a heap entry the link or the NIC writes in place
         "heap_pushes": 536,
         # ~0 per ACK: RTO and delayed-ACK timers re-arm in place
         "cancels": 3,
@@ -213,10 +235,10 @@ PINNED = {
 
 
 @pytest.mark.parametrize("shape", sorted(RUNS))
-def test_run_work_counters(shape):
+def test_run_work_counters(shape, simulators):
     scenario, seed = RUNS[shape]
     _, calls = count_calls(run_once, scenario, seed)
-    assert work(calls) == PINNED[shape]
+    assert work(calls, simulators) == PINNED[shape]
     check_frames_per_segment(calls, FRAMES_PER_SEGMENT_CEILING[shape])
 
 
@@ -227,18 +249,21 @@ def grid_cell(cache_dir, cca="cubic", **kwargs):
     )
 
 
-def test_grid_cell_cold_then_replayed_work_counters(tmp_path):
+def test_grid_cell_cold_then_replayed_work_counters(tmp_path, simulators):
     cache = ResultCache(tmp_path / "cache")
     trace = tmp_path / "trace"
     cold, cold_calls = count_calls(grid_cell, cache, observer=trace)
+    cold_simulators = simulators[:]
     replayed, replay_calls = count_calls(grid_cell, cache)
     assert replayed == cold
     assert {
-        **work(cold_calls),
+        **work(cold_calls, cold_simulators),
         "journal_events": len(read_journal(trace)),
         "telemetry_records": len(read_telemetry(trace)),
         # a replay that simulates anything at all shows here
-        "replay_work": sum(work(replay_calls).values()),
+        "replay_work": sum(
+            work(replay_calls, simulators[len(cold_simulators):]).values()
+        ),
         "key_computations": {
             "cold": cold_calls.get(compute_key.__code__, 0),
             "replayed": replay_calls.get(compute_key.__code__, 0),
@@ -322,8 +347,11 @@ def test_no_shape_meets_the_tie_the_heap_key_leaves_open(
     assert simulators[0]._seq == PINNED[shape]["heap_pushes"]
 
 
-#: the classes allocated per event, segment, packet and ACK
-PER_PACKET_CLASSES = {"Event", "Packet", "SegmentInfo", "AckEvent"}
+#: the classes allocated per event, segment, packet and ACK, and the
+#: per-kind packet constructors
+PER_PACKET_CLASSES = {
+    "Event", "Packet", "SegmentInfo", "AckEvent", "data_packet", "ack_packet",
+}
 SRC = Path(repro.__file__).parent
 
 
@@ -333,10 +361,12 @@ def test_per_packet_constructor_calls_pass_few_keywords():
     same object built positionally, and both are one frame. So the
     keyword arguments at the constructor calls of the per-packet classes
     under ``sim``/``net``/``tcp``/``cc`` are counted from the source and
-    pinned (38 before the hot call sites went positional): the next
-    keyword on a per-packet allocation fails here the way the next
-    property fails the ceilings above. The fields each positional call
-    fills are asserted by name in ``tests/tcp/test_call_shape.py``."""
+    pinned (38 before the hot call sites went positional, 7 before data
+    segments and ACKs got a constructor each whose parameters are the
+    fields that kind sets): the next keyword on a per-packet allocation
+    fails here the way the next property fails the ceilings above. The
+    fields each positional call fills are asserted by name in
+    ``tests/tcp/test_call_shape.py``."""
     sites = {}
     for package in ("sim", "net", "tcp", "cc"):
         for path in sorted((SRC / package).glob("*.py")):
@@ -350,14 +380,10 @@ def test_per_packet_constructor_calls_pass_few_keywords():
                     sites[site] = sites.get(site, 0) + len(node.keywords)
     assert sites == {
         "sim/engine.py:Event": 0,
-        # ecn_echo, ecn_marked_bytes, echo_time, rwnd_bytes: the fields
-        # past the two ECN flags a data segment sets and an ACK does not
-        "tcp/receiver.py:Packet": 4,
+        "tcp/receiver.py:ack_packet": 0,
         "tcp/sender.py:AckEvent": 0,
         "tcp/sender.py:SegmentInfo": 0,
-        # ecn_capable, retransmitted, priority: each past a run of
-        # defaults
-        "tcp/sender.py:Packet": 3,
+        "tcp/sender.py:data_packet": 0,
     }
 
 
