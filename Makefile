@@ -42,17 +42,30 @@ loc:
 	@printf '%6d src (all *.py)\n' "$$(find src -name '*.py' | xargs cat | wc -l)"
 
 # what four entry points import: `repro` modules loaded, and the
-# `-X importtime` cumulative time (fastest of five fresh interpreters).
+# `-X importtime` cumulative time (fastest of five fresh interpreters),
+# cold and warm. Cold is how bench/run.py's children import: with
+# PYTHONDONTWRITEBYTECODE=1 and no bytecode of the repo's own modules,
+# so each is compiled from source (the standard library's bytecode is
+# read, as it is there); warm reads a bytecode cache of both. Both
+# caches live in throwaway PYTHONPYCACHEPREFIX directories.
 # The gate on the first number is tests/test_import_budget.py.
 IMPORT_ENTRY_POINTS = repro.harness.runner repro.harness.executor repro.figures.fig1 repro.cli
 imports:
-	@for module in $(IMPORT_ENTRY_POINTS); do \
+	@warm=$$(mktemp -d); cold=$$(mktemp -d); \
+	for module in $(IMPORT_ENTRY_POINTS); do \
+		env -u PYTHONDONTWRITEBYTECODE PYTHONPYCACHEPREFIX=$$warm $(PYTHON) -c "import $$module"; \
+	done; \
+	cp -R $$warm/. $$cold; rm -rf "$$cold$(CURDIR)/src"; \
+	for module in $(IMPORT_ENTRY_POINTS); do \
 		count=$$($(PYTHON) -c "import $$module, sys; print(sum(name.split('.')[0] == 'repro' for name in sys.modules))"); \
-		us=$$(for run in 1 2 3 4 5; do \
-			$(PYTHON) -X importtime -c "import $$module" 2>&1 | tail -1 | cut -d'|' -f2; \
-		done | sort -n | head -1); \
-		printf '%-22s %3d repro modules %4d ms\n' $$module $$count $$((us / 1000)); \
-	done
+		for cache in $$cold $$warm; do \
+			for run in 1 2 3 4 5; do \
+				PYTHONDONTWRITEBYTECODE=1 PYTHONPYCACHEPREFIX=$$cache $(PYTHON) -X importtime -c "import $$module" 2>&1 | tail -1 | cut -d'|' -f2; \
+			done | sort -n | head -1; \
+		done | { read cold_us; read warm_us; \
+			printf '%-22s %3d repro modules %4d ms cold %4d ms warm\n' $$module $$count $$((cold_us / 1000)) $$((warm_us / 1000)); }; \
+	done; \
+	rm -rf $$warm $$cold
 
 # the "Life of a packet" table of docs/architecture.md: Python frames
 # per stage on the dumbbell_sweep shape of tests/test_work_counters.py,

@@ -17,10 +17,13 @@ paced NIC: the end of serialisation is a field,
 :attr:`Interface.busy_until`, and an event
 (:meth:`Interface._start_next`) only while a packet waits in the queue
 or when the frame was lost. Nothing ever cancels a delivery or a finish,
-so each is a heap entry and no :class:`~repro.sim.engine.Event`, written
-in place: the statements of :meth:`~repro.sim.engine.Simulator.push`
-(its two NaN-safe checks, one ``seq`` drawn, one ``heappush``) in the
-frame that pushes, as the design notes of :mod:`repro.sim.engine` state.
+so each is an entry on the simulator's packet heap and no
+:class:`~repro.sim.engine.Event`, written in place: the statements of
+:meth:`~repro.sim.engine.Simulator.push` (its two NaN-safe checks, one
+``seq`` drawn, one ``heappush``) in the frame that pushes, as the design
+notes of :mod:`repro.sim.engine` state. An entry carries the one
+argument its callback is entered with: the packet for a delivery,
+``None`` for a finish (``_start_next`` ignores it).
 The order of same-instant events is that of a link which always pushes a
 finish event and lets it push the delivery: the delivery is *placed* at
 the finish instant, a finish pushed late takes the place it would have
@@ -222,14 +225,14 @@ class Interface(Counted):
                     raise sim.refusal(finish, now)
                 self._tx_seq = seq = sim._seq
                 sim._seq = seq + 1
-                heappush(sim._queue, (finish, now, seq, self._start_next, ()))
+                heappush(sim._queue, (finish, now, seq, self._start_next, None))
                 return True
             due = finish + link.delay_s
             if not due >= now or not finish <= due:
                 raise sim.refusal(due, finish)
             self._tx_seq = seq = sim._seq
             sim._seq = seq + 1
-            heappush(sim._queue, (due, finish, seq, sink.receive, (packet,)))
+            heappush(sim._queue, (due, finish, seq, sink.receive, packet))
             return True
         accepted = self.queue.enqueue(packet)
         if not accepted:
@@ -241,14 +244,15 @@ class Interface(Counted):
             if not due >= now or not placed_at <= due:
                 raise sim.refusal(due, placed_at)
             sim._seq += 1
-            heappush(sim._queue, (due, placed_at, self._tx_seq, self._start_next, ()))
+            heappush(sim._queue, (due, placed_at, self._tx_seq, self._start_next, None))
         return accepted
 
-    def _start_next(self) -> None:
+    def _start_next(self, _: object = None) -> None:
         """A transmission finished with something waiting behind it (or
         with its frame lost): the next queued packet, if any, holds the
         wire for its wire time and, unless a bit error kills it, reaches
-        the sink one propagation delay after that."""
+        the sink one propagation delay after that. The argument is the
+        ``None`` a packet-heap entry carries."""
         self._next_armed = False
         queue = self.queue
         if not queue.occupancy_bytes:  # an empty queue is not asked
@@ -285,17 +289,17 @@ class Interface(Counted):
                 raise sim.refusal(finish, now)
             self._tx_seq = seq = sim._seq
             sim._seq = seq + 1
-            heappush(sim._queue, (finish, now, seq, self._start_next, ()))
+            heappush(sim._queue, (finish, now, seq, self._start_next, None))
             return
         due = finish + link.delay_s
         if not due >= now or not finish <= due:
             raise sim.refusal(due, finish)
         self._tx_seq = seq = sim._seq
         sim._seq = seq + 1
-        heappush(sim._queue, (due, finish, seq, sink.receive, (packet,)))
+        heappush(sim._queue, (due, finish, seq, sink.receive, packet))
         if queue.occupancy_bytes:
             self._next_armed = True
             if not finish >= now or not now <= finish:
                 raise sim.refusal(finish, now)
             sim._seq += 1
-            heappush(sim._queue, (finish, now, seq, self._start_next, ()))
+            heappush(sim._queue, (finish, now, seq, self._start_next, None))

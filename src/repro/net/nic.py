@@ -37,10 +37,12 @@ changes nothing a run can see:
   when a listener queued something the one push is made at the same
   point of the same instant, so it draws the same sequence number.
 
-Nothing cancels a drain, so a drain is a heap entry and no
-:class:`~repro.sim.engine.Event`, written in place as the design notes
-of :mod:`repro.sim.engine` state: :meth:`~repro.sim.engine.Simulator.push`'s
-two NaN-safe checks, one ``seq`` drawn, one ``heappush``.
+Nothing cancels a drain, so a drain is an entry on the simulator's
+packet heap and no :class:`~repro.sim.engine.Event`, written in place as
+the design notes of :mod:`repro.sim.engine` state:
+:meth:`~repro.sim.engine.Simulator.push`'s two NaN-safe checks, one
+``seq`` drawn, one ``heappush``; the entry's one argument is ``None``,
+which ``_drain`` ignores.
 
 ``tests/net/test_nic.py`` keeps the always-queueing ``send`` as
 ``QueuedNic`` and runs both on the same traffic.
@@ -198,7 +200,7 @@ class Nic(Counted):
                     raise sim.refusal(due, now)
                 seq = sim._seq
                 sim._seq = seq + 1
-                heappush(sim._queue, (due, now, seq, self._drain, ()))
+                heappush(sim._queue, (due, now, seq, self._drain, None))
             else:
                 self._next_tx_time = due
                 self._draining = False
@@ -227,7 +229,7 @@ class Nic(Counted):
                     raise sim.refusal(due, now)
                 seq = sim._seq
                 sim._seq = seq + 1
-                heappush(sim._queue, (due, now, seq, self._drain, ()))
+                heappush(sim._queue, (due, now, seq, self._drain, None))
         return True
 
     def _dispatch(self, packet: Packet) -> bool:
@@ -238,7 +240,7 @@ class Nic(Counted):
             self._counters["tx_drops"] += 1.0
         return accepted
 
-    def _drain(self) -> None:
+    def _drain(self, _: object = None) -> None:
         sim = self.sim
         assert sim is not None  # guaranteed by constructor check
         if self._phantom_slots > 0:
@@ -269,7 +271,7 @@ class Nic(Counted):
                 raise sim.refusal(due, now)
             seq = sim._seq
             sim._seq = seq + 1
-            heappush(sim._queue, (due, now, seq, self._drain, ()))
+            heappush(sim._queue, (due, now, seq, self._drain, None))
         else:
             self._next_tx_time = due
             self._draining = False

@@ -1,37 +1,59 @@
 """Discrete-event simulation kernel.
 
-A :class:`Simulator` owns a priority queue of timestamped events and a
-virtual clock. Everything in the library — link transmissions, TCP
+A :class:`Simulator` owns two priority queues of timestamped events and
+a virtual clock. Everything in the library — link transmissions, TCP
 timers, energy sampling, application logic — runs as callbacks scheduled
 on one simulator instance.
 
 Design notes
 ------------
-* The heap holds ``(time, placed_at, seq, callback, args)`` tuples, so
-  ``heapq`` orders entries by comparing floats and ints in C and never
-  calls back into Python. ``placed_at`` is the virtual instant the entry
-  took its place in line among those due at ``time``, and ``seq`` counts
-  pushes. An ordinary push is placed at ``now``; both ``now`` and ``seq``
-  only grow, so ``(placed_at, seq)`` orders ordinary pushes exactly as
-  ``seq`` alone does: events at the same timestamp run in FIFO scheduling
-  order (runs are deterministic) and a comparison never reaches the
-  callback.
+* Every entry is a tuple that starts with its key ``(time, placed_at,
+  seq)``, so ``heapq`` orders entries by comparing floats and ints in C
+  and never calls back into Python. ``placed_at`` is the virtual instant
+  the entry took its place in line among those due at ``time``, and
+  ``seq`` counts pushes. An ordinary push is placed at ``now``; both
+  ``now`` and ``seq`` only grow, so ``(placed_at, seq)`` orders ordinary
+  pushes exactly as ``seq`` alone does: events at the same timestamp run
+  in FIFO scheduling order (runs are deterministic) and a comparison
+  never reaches the callback.
+* There are two heaps, and the kind of entry decides which one it joins.
+  ``_queue`` holds the pushes nobody can cancel — link deliveries, link
+  finishes, lost-frame finishes and NIC drains: 96–99 % of them — as
+  ``(time, placed_at, seq, callback, arg)``, and the loop enters one by
+  the plain call ``callback(arg)``: exactly one argument (the packet of
+  a delivery; ``None`` for an :class:`~repro.net.link.Interface` finish
+  or a :class:`~repro.net.nic.Nic` drain, bound methods that ignore
+  it), so no push allocates an args tuple and CPython inlines the call.
+  ``_events`` holds what :meth:`Simulator.schedule_at` makes — a timer,
+  a pacing wake-up, a session start — as ``(time, placed_at, seq,
+  event)``: a cancel needs a handle to mark, and the handle a
+  back-reference that keeps the dead-entry tally exact. No entry is
+  ever mutated, and the heap an entry came from says which shape it is.
+* Why no timer shares the packet heap: timers outnumber the packets in
+  flight on a many-flow fabric. :class:`~repro.sim.timer.Timer` leaves a
+  stopped timer's entry in place (one no-op event beats a cancel per
+  ACK), so a finished flow's RTO and delayed-ACK entries, the dead
+  entries cancels leave, pending session starts and sampler ticks sit in
+  the heap until they come due — on the 400-session fabric about 500 of
+  the 560 entries a single heap held at each pop. Every packet push and
+  pop paid ``log`` of that; in a heap of their own, packets pay ``log``
+  of the packets in flight.
+* :meth:`Simulator.run` merges the two heads: it dispatches the one with
+  the smaller key, comparing head times (one float compare per event)
+  and whole entries only when the times tie. ``seq`` makes keys unique,
+  so the order is exactly that of one heap holding both kinds, and so is
+  every run. Each heap ends in a sentinel entry due at ``inf`` that
+  never leaves it (the packet heap's sorts first), so neither head is
+  ever missing: the horizon test ends the run when both heads are
+  sentinels. That is why a due time must be finite: :meth:`push` and
+  :meth:`schedule_at` refuse ``inf`` and NaN, and the packet path's
+  keys are sums of finite fields its constructors check.
 * A push checks its key, draws one sequence number and allocates
-  nothing but the tuple. A push nobody can cancel — a link delivery, a
-  link finish, a NIC drain: 96–99 % of them — is that and nothing more,
-  written in place where the packet path makes it (an
-  :class:`~repro.net.link.Interface` delivery, finish arm or lost-frame
-  finish, a :class:`~repro.net.nic.Nic` drain): :meth:`Simulator.push`'s
-  two NaN-safe checks (raising :meth:`Simulator.refusal`), one ``_seq``
-  drawn, one ``heappush`` onto ``_queue``. Everything else calls
-  :meth:`Simulator.push`. A push that may be cancelled — a timer, a
-  pacing wake-up, a session start — goes through
-  :meth:`Simulator.schedule_at`, which builds an :class:`Event` and
-  pushes ``(time, placed_at, seq, event, None)``: a cancel needs a handle
-  to mark, and the handle a back-reference that keeps the dead-entry
-  tally exact. No entry is ever mutated. Every other entry's ``args`` is
-  a tuple, so ``args is None`` alone tells the dispatch loop which shape
-  it popped.
+  nothing but the tuple. The packet path writes :meth:`Simulator.push`
+  out in place (an :class:`~repro.net.link.Interface` delivery, finish
+  arm or lost-frame finish, a :class:`~repro.net.nic.Nic` drain): two
+  NaN-safe checks (raising :meth:`Simulator.refusal`), one ``_seq``
+  drawn, one ``heappush`` onto ``_queue``; tests call :meth:`push`.
 * ``placed_at`` exists for *fused stages*: a component that used to run
   an event at instant ``F`` only to push another one may push that other
   one earlier, with ``placed_at=F``, and the entry sorts after
@@ -61,35 +83,38 @@ Design notes
   the standard "lazy deletion" heap idiom and avoids O(n) heap surgery
   (TCP's constantly re-armed timers rarely get this far:
   :class:`repro.sim.timer.Timer` moves a deadline instead of cancelling
-  and pushing). The simulator keeps an exact tally of dead
+  and pushing). A dead entry is popped when it would have been the head
+  of one merged heap. The simulator keeps an exact tally of dead
   entries so :attr:`Simulator.pending_events` reports *live* events even
   though cancelled ones still occupy heap slots until popped
   (:attr:`Simulator.queued_events` exposes the raw heap size).
-* :meth:`Simulator.run` is the one dispatch loop: peek, pop, callback,
+* :meth:`Simulator.run` is the one dispatch loop: merge, pop, callback,
   written inline so an event costs no Python call beyond its own
-  callback, and no tally (:attr:`Simulator.events_executed` is derived).
-  A run ends when the queue drains, at ``until``, after ``max_events``
-  (counted only when given, behind one ``None`` test per event), or when
-  a callback calls :meth:`Simulator.stop` — which is how a driver that
-  *counts* completions ends the run on the event that finished the last
-  flow, with the clock left at that event.
+  callback, and no tally (:attr:`Simulator.events_executed` is derived:
+  every entry draws one ``seq`` when pushed and leaves a heap only by a
+  pop). A run ends when both heaps drain, at ``until``, after
+  ``max_events`` (counted only when given, behind one ``None`` test per
+  event), or when a callback calls :meth:`Simulator.stop` — which is how
+  a driver that *counts* completions ends the run on the event that
+  finished the last flow, with the clock left at that event.
 * The clock, :attr:`Simulator.now`, is a plain attribute the loop
   writes: every callback reads it, most several times, so a property
   would cost more frames than the dispatch itself. Only the kernel
   assigns it. A push written in place costs no frame, one through
-  :meth:`Simulator.push` one, and a cancellable one two more,
+  :meth:`Simulator.push` one, and a cancellable one two,
   :meth:`Simulator.schedule_at` and ``Event.__init__``.
 * :meth:`Simulator.step` is ``run(max_events=1)`` for tests and
   single-stepping by hand; nothing in the library drives a simulation
   with it.
 * The kernel knows nothing about networking or energy; those layers only
-  use :meth:`Simulator.push` / :meth:`Simulator.schedule_at` /
-  :attr:`Simulator.now` (and the in-place pushes ``_seq``/``_queue``).
+  use :meth:`Simulator.schedule_at` / :attr:`Simulator.now` (and the
+  in-place pushes ``_seq``/``_queue``).
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from sys import float_info
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -97,10 +122,20 @@ from repro.sim.probe import NULL_PROBE_SINK, ProbeSink
 
 Callback = Callable[..., None]
 
-#: ``(time, placed_at, seq, callback, args)``, or
-#: ``(time, placed_at, seq, event, None)`` for a cancellable push; see
-#: the design notes
-HeapEntry = Tuple[float, float, int, Any, Optional[tuple]]
+#: ``(time, placed_at, seq, callback, arg)``: a push nobody can cancel,
+#: entered as ``callback(arg)``; see the design notes
+PacketEntry = Tuple[float, float, int, Any, Any]
+#: ``(time, placed_at, seq, event)``: what :meth:`Simulator.schedule_at`
+#: pushes (an :class:`Event`; None in the sentinel)
+EventEntry = Tuple[float, float, int, Any]
+
+_INF = float("inf")
+#: the last entry of each heap, which no push can tie (a due time is
+#: finite); the packet heap's sorts before the event heap's
+_QUEUE_END: PacketEntry = (_INF, _INF, -1, None, None)
+_EVENTS_END: EventEntry = (_INF, _INF, 0, None)
+#: a horizon every finite due time is within and a sentinel is not
+_NO_HORIZON = float_info.max
 
 
 class Event:
@@ -169,12 +204,15 @@ class Simulator:
     def __init__(self) -> None:
         #: current virtual time in seconds; written by :meth:`run` only
         self.now = 0.0
-        self._queue: List[HeapEntry] = []
+        #: pushes nobody can cancel, and the sentinel
+        self._queue: List[PacketEntry] = [_QUEUE_END]
+        #: what :meth:`schedule_at` pushes, and the sentinel
+        self._events: List[EventEntry] = [_EVENTS_END]
         #: the entry being dispatched (the last one dispatched, between
         #: events), or None when every entry due at or before ``now`` has
         #: run. A fused stage compares the place of an event it never
         #: pushed against it: "would that event have run by now?"
-        self.current: Optional[HeapEntry] = None
+        self.current: Optional[tuple] = None
         #: pushes so far; each draws one
         self._seq = 0
         self._running = False
@@ -195,8 +233,8 @@ class Simulator:
     @property
     def events_executed(self) -> int:
         """Callbacks dispatched so far (for diagnostics). Derived: every entry
-        draws one ``seq`` when pushed and leaves the heap only by a pop."""
-        return self._seq - len(self._queue) - self._dead_popped
+        draws one ``seq`` when pushed and leaves a heap only by a pop."""
+        return self._seq - self.queued_events - self._dead_popped
 
     @property
     def pending_events(self) -> int:
@@ -207,12 +245,13 @@ class Simulator:
         will actually fire — the quantity 10k-flow diagnostics care
         about. See :attr:`queued_events` for the raw heap size.
         """
-        return len(self._queue) - self._dead_in_queue
+        return self.queued_events - self._dead_in_queue
 
     @property
     def queued_events(self) -> int:
-        """Raw heap size, cancelled entries included (memory diagnostics)."""
-        return len(self._queue)
+        """Raw size of both heaps, cancelled entries included and the
+        sentinels not (memory diagnostics)."""
+        return len(self._queue) + len(self._events) - 2
 
     @property
     def dead_in_queue(self) -> int:
@@ -239,28 +278,28 @@ class Simulator:
         placed_at: float,
         seq: Optional[int],
         callback: Any,
-        args: Optional[tuple],
+        arg: Any,
     ) -> int:
-        """Push ``callback(*args)`` due at absolute virtual time ``time``
-        and return the entry's ``seq``; nothing can cancel it.
+        """Push ``callback(arg)`` due at absolute virtual time ``time``
+        onto the packet heap and return the entry's ``seq``; nothing can
+        cancel it.
 
-        What every push does (the packet path writes it out in place).
-        ``placed_at`` is the instant the entry takes its place in line
-        among those due at ``time``: ``now`` for an ordinary push, the
-        instant the event this push replaces would have made it for a
-        fused stage (see the design notes). ``seq`` re-uses a place
-        reserved by an earlier push, or is None for the number this push
-        draws; either way the push draws one. ``args`` is a tuple: None
-        marks the entry :meth:`schedule_at` pushes, with its
-        :class:`Event` as ``callback``.
+        What the packet path writes out in place. ``placed_at`` is the
+        instant the entry takes its place in line among those due at
+        ``time``: ``now`` for an ordinary push, the instant the event
+        this push replaces would have made it for a fused stage (see the
+        design notes). ``seq`` re-uses a place reserved by an earlier
+        push, or is None for the number this push draws; either way the
+        push draws one. ``arg`` is the callback's one argument.
         """
-        if not time >= self.now or not placed_at <= time:  # NaN fails too
+        # NaN fails too, and so does inf: the sentinels own it
+        if not self.now <= time < _INF or not placed_at <= time:
             raise self.refusal(time, placed_at)
         own = self._seq
         self._seq = own + 1
         if seq is None:
             seq = own
-        heappush(self._queue, (time, placed_at, seq, callback, args))
+        heappush(self._queue, (time, placed_at, seq, callback, arg))
         return seq
 
     def refusal(self, time: float, placed_at: float) -> SimulationError:
@@ -268,6 +307,10 @@ class Simulator:
         if not time >= self.now:
             return SimulationError(
                 f"cannot schedule at t={time:.9f} before now={self.now:.9f}"
+            )
+        if not time < _INF:
+            return SimulationError(
+                f"cannot schedule at t={time}: a due time must be finite"
             )
         return SimulationError(
             f"an entry due at t={time:.9f} cannot take its place "
@@ -285,12 +328,19 @@ class Simulator:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``
         and return the :class:`Event` that cancels it.
 
-        ``placed_at`` (default ``now``) and ``seq`` are :meth:`push`'s.
+        ``placed_at`` (default ``now``) and ``seq`` are :meth:`push`'s,
+        and so are the checks; the entry joins the event heap.
         """
-        event = Event(time, -1, callback, args, False, self)  # seq: the push's
-        event.seq = self.push(
-            time, self.now if placed_at is None else placed_at, seq, event, None
-        )
+        if placed_at is None:
+            placed_at = self.now
+        if not self.now <= time < _INF or not placed_at <= time:
+            raise self.refusal(time, placed_at)
+        own = self._seq
+        self._seq = own + 1
+        if seq is None:
+            seq = own
+        event = Event(time, seq, callback, args, False, self)
+        heappush(self._events, (time, placed_at, seq, event))
         return event
 
     # -- execution ----------------------------------------------------
@@ -327,21 +377,36 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
+        if until is not None and until != until:
+            raise SimulationError(f"cannot run until t={until}")
         self._running = True
         self._stop_requested = False
-        horizon = float("inf") if until is None else until
+        # the sentinels lie beyond any horizon, so a drained pair of
+        # heaps ends the run at the horizon test
+        horizon = _NO_HORIZON if until is None else min(until, _NO_HORIZON)
         left = max_events  # dispatches still allowed; None: no limit
-        # a spent budget dispatches nothing, and pops no dead entry either
-        queue = self._queue if left is None or left > 0 else []
+        if left is None or left > 0:
+            queue = self._queue
+            events = self._events
+        else:  # a spent budget dispatches nothing, and pops no dead entry
+            queue = [_QUEUE_END]
+            events = [_EVENTS_END]
         pop = heappop
         try:
-            while queue:
-                time, _, _, callback, args = queue[0]
-                if args is None:
-                    # an Event: it may be dead, and it is consumed
-                    event = callback
+            while True:
+                time, _, _, callback, arg = queue[0]
+                if time < events[0][0] or (
+                    time == events[0][0] and queue[0] < events[0]
+                ):
+                    if time > horizon:
+                        break
+                    self.current = pop(queue)
+                    self.now = time
+                    callback(arg)
+                else:
+                    time, _, _, event = events[0]
                     if event.cancelled:
-                        pop(queue)
+                        pop(events)
                         event.sim = None
                         self._dead_in_queue -= 1
                         self._dead_popped += 1
@@ -353,20 +418,18 @@ class Simulator:
                     # nor touches the tally
                     event.sim = None
                     event.cancelled = True
-                    callback = event.callback
-                    args = event.args
-                elif time > horizon:
-                    break
-                self.current = pop(queue)
-                self.now = time
-                callback(*args)
+                    self.current = pop(events)
+                    self.now = time
+                    event.callback(*event.args)
                 if self._stop_requested:
                     break
                 if left is not None:
                     left -= 1
                     if left <= 0:
                         break
-            out_of_budget = left is not None and left <= 0 and bool(self._queue)
+            out_of_budget = (
+                left is not None and left <= 0 and self.queued_events > 0
+            )
             if until is not None and not (self._stop_requested or out_of_budget):
                 self.now = max(self.now, until)
                 self.current = None
@@ -377,8 +440,11 @@ class Simulator:
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or None if the queue is empty."""
         queue = self._queue
-        while queue and queue[0][4] is None and queue[0][3].cancelled:
-            heappop(queue)[3].sim = None
+        events = self._events
+        # pop what the run would: a dead entry at the head of the merge
+        while events[0] < queue[0] and events[0][3].cancelled:
+            heappop(events)[3].sim = None
             self._dead_in_queue -= 1
             self._dead_popped += 1
-        return queue[0][0] if queue else None
+        time = min(queue[0][0], events[0][0])
+        return None if time == _INF else time

@@ -27,6 +27,8 @@ from typing import Any, Callable, Optional
 from repro.errors import SimulationError
 from repro.sim.engine import Event, Simulator
 
+_INF = float("inf")
+
 
 class Timer:
     """A one-shot timer that can be (re)started and stopped.
@@ -54,8 +56,10 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """Arm (or re-arm) the timer ``delay`` seconds from now."""
-        if not delay >= 0:  # also rejects NaN, before anything changes
-            raise SimulationError(f"timer delay must be >= 0, got {delay}")
+        if not 0 <= delay < _INF:  # also rejects NaN, before anything changes
+            raise SimulationError(
+                f"timer delay must be finite and >= 0, got {delay}"
+            )
         deadline = self._sim.now + delay
         self.expiry = deadline
         event = self._event
@@ -94,8 +98,11 @@ class PeriodicTimer:
         callback: Callable[..., None],
         *args: Any,
     ):
-        if not interval > 0:  # also rejects NaN
-            raise SimulationError(f"interval must be > 0, got {interval}")
+        # also rejects NaN; finite, or every tick would be due at inf
+        if not 0 < interval < _INF:
+            raise SimulationError(
+                f"interval must be finite and > 0, got {interval}"
+            )
         self._sim = sim
         self.interval = interval
         self._callback = callback
@@ -112,8 +119,10 @@ class PeriodicTimer:
         """Start ticking. First tick after ``initial_delay`` (default: one
         full interval)."""
         delay = self.interval if initial_delay is None else initial_delay
-        if not delay >= 0:  # also rejects NaN, before anything changes
-            raise SimulationError(f"timer delay must be >= 0, got {delay}")
+        if not 0 <= delay < _INF:  # also rejects NaN, before anything changes
+            raise SimulationError(
+                f"timer delay must be finite and >= 0, got {delay}"
+            )
         self.stop()
         self._running = True
         self._event = self._sim.schedule(delay, self._tick)

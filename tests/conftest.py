@@ -36,20 +36,23 @@ class PushWatch(Simulator):
     The packet path writes most pushes in place instead of entering
     :meth:`Simulator.push` (``repro.sim.engine``'s design notes), so no
     override of ``push`` sees them. :meth:`run` dispatches one event at a
-    time instead and diffs the heap around each dispatch: what is in it
-    now and was not before is what the dispatch pushed, reported in push
+    time instead and diffs both heaps (the packet heap and the event
+    heap, sentinels and all) around each dispatch: what is in them now
+    and was not before is what the dispatch pushed, reported in push
     order (the entries that drew their own ``seq`` by it, then those
     that took a reserved place) while the clock still reads the instant
     they were pushed at. What is pushed outside a run is reported when
     the next run starts. Each diff must find as many entries as
     ``Simulator._seq`` says were pushed, so an entry it misses fails
-    loudly instead of going uncounted.
+    loudly instead of going uncounted. An entry is ``(time, placed_at,
+    seq, callback, arg)`` off the packet heap or ``(time, placed_at, seq,
+    event)`` off the event heap.
     """
 
     def __init__(self):
         super().__init__()
-        #: the heap as last diffed; held, so no id in it can be reused
-        self._seen_queue = []
+        #: the heaps as last diffed; held, so no id in them can be reused
+        self._seen_queue = self._queue + self._events
         self._seen_seq = 0
 
     def pushed(self, entry, own_seq):
@@ -61,7 +64,8 @@ class PushWatch(Simulator):
         if self._seq == seen_seq:
             return
         before = {id(entry) for entry in self._seen_queue}
-        new = [entry for entry in self._queue if id(entry) not in before]
+        entries = self._queue + self._events
+        new = [entry for entry in entries if id(entry) not in before]
         assert len(new) == self._seq - seen_seq, "a push left the heap unseen"
         own = sorted((e for e in new if e[2] >= seen_seq), key=lambda e: e[2])
         for entry in own:
@@ -69,7 +73,7 @@ class PushWatch(Simulator):
         for entry in new:
             if entry[2] < seen_seq:
                 self.pushed(entry, False)
-        self._seen_queue = list(self._queue)
+        self._seen_queue = entries
         self._seen_seq = self._seq
 
     def run(self, until=None, max_events=None):

@@ -183,13 +183,15 @@ class TestPacedTransmitPath:
 
 def live_entries(sim):
     """``(time, callback)`` of every live heap entry, whichever its
-    shape: a plain push, or an :class:`Event` a cancellable one made."""
-    for time, _, _, callback, args in sim._queue:
-        if args is None:
-            if callback.cancelled:
-                continue
-            callback = callback.callback
-        yield time, callback
+    heap: a plain push on the packet heap, or an :class:`Event` a
+    cancellable one made on the event heap (the sentinels, due at
+    ``inf``, are no entries)."""
+    for time, _, _, callback, _arg in sim._queue:
+        if time < float("inf"):
+            yield time, callback
+    for time, _, _, event in sim._events:
+        if time < float("inf") and not event.cancelled:
+            yield time, event.callback
 
 
 class _Wire:
@@ -285,7 +287,7 @@ class QueuedNic(Nic):
                 self._drain()
             else:
                 self.sim.push(
-                    self._next_tx_time, self.sim.now, None, self._drain, ()
+                    self._next_tx_time, self.sim.now, None, self._drain, None
                 )
         return True
 
@@ -308,8 +310,8 @@ class _PushLog(PushWatch):
         self.pushes = []
 
     def pushed(self, entry, own_seq):
-        time, _, _, callback, args = entry
-        of = callback.callback if args is None else callback
+        time, callback = entry[0], entry[3]
+        of = callback.callback if len(entry) == 4 else callback
         self.pushes.append((self.now, time, of.__name__))
 
 
@@ -511,7 +513,7 @@ class EveryDrainNic(Nic):
         self.drain_waiters += 1
         return super().send(packet)
 
-    def _drain(self):
+    def _drain(self, _=None):
         self.drain_waiters += 1
         super()._drain()
 

@@ -76,22 +76,19 @@ class TestFold:
             key(fn)
             for fn in (
                 Event.__init__, Simulator.__init__, Simulator.peek_time,
-                Simulator.push, Simulator.run, Simulator.schedule,
-                Simulator.schedule_at,
+                Simulator.run, Simulator.schedule, Simulator.schedule_at,
             )
         }
 
     def test_calls_and_edges_are_exact(self):
         record = profiled_record(one_rescheduling_event)
         assert record["calls"][key(Simulator.schedule)] == 2
-        assert record["calls"][key(Simulator.push)] == 2
+        assert record["calls"][key(Simulator.schedule_at)] == 2
         assert record["edges"] == {
             # the first schedule() is called by the test: no repro caller
             RUN: {key(Simulator.peek_time): 1, key(Simulator.schedule): 1},
             key(Simulator.schedule): {key(Simulator.schedule_at): 2},
-            key(Simulator.schedule_at): {
-                key(Event.__init__): 2, key(Simulator.push): 2,
-            },
+            key(Simulator.schedule_at): {key(Event.__init__): 2},
         }
 
     def test_record_is_sorted_and_rounded(self):

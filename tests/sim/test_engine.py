@@ -50,6 +50,16 @@ class TestScheduling:
             getattr(sim, method)(float("nan"), lambda: None)
         assert sim.pending_events == 0
 
+    @pytest.mark.parametrize("method", ["schedule", "schedule_at"])
+    def test_infinite_time_rejected(self, sim, method):
+        # inf passed every check: the callback ran at t=inf and the clock
+        # stayed there, so nothing could be scheduled after it
+        fired = []
+        with pytest.raises(SimulationError, match="inf"):
+            getattr(sim, method)(float("inf"), fired.append, 1)
+        assert sim.pending_events == 0 and sim._seq == 0
+        assert sim.run() == 0.0 and fired == []
+
     def test_callback_args_passed(self, sim):
         got = []
         sim.schedule(0.1, lambda a, b: got.append((a, b)), 1, "x")
@@ -117,6 +127,16 @@ class TestRunBounds:
             sim.schedule(float(i + 1), lambda i=i: fired.append(i))
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
+
+    def test_nan_horizon_rejected(self, sim):
+        # `time > nan` is false for every event: the run ignored the
+        # horizon and ran to drain
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.run(until=float("nan"))
+        assert fired == [] and sim.now == 0.0
+        assert sim.run(until=2.0) == 2.0 and fired == [1]
 
     def test_run_not_reentrant(self, sim):
         def recurse():
@@ -298,7 +318,7 @@ class TestPlacedEntries:
         event = sim.schedule_at(1.0, lambda: seen.append(sim.current))
         assert sim.current is None
         sim.run()
-        assert seen == [(1.0, 0.0, event.seq, event, None)]
+        assert seen == [(1.0, 0.0, event.seq, event)]
 
     def test_current_cleared_when_a_run_reaches_its_horizon(self, sim):
         # nothing due at or before `now` is still to run
@@ -307,26 +327,28 @@ class TestPlacedEntries:
         assert sim.now == 2.0 and sim.current is None
 
 
-def noop():
+def noop(_=None):
     pass
 
 
 class TestPush:
-    """``push(time, placed_at, seq, callback, args)``: the routine every
-    push enters, and on its own the push nobody can cancel — no
-    :class:`Event`, only the heap entry."""
+    """``push(time, placed_at, seq, callback, arg)``: the push nobody can
+    cancel, which the packet path writes out in place — no
+    :class:`Event`, only the entry on the packet heap, entered as
+    ``callback(arg)``."""
 
     def test_runs_the_callback_with_its_args(self, sim):
         got = []
-        sim.push(1.0, 0.0, None, lambda a, b: got.append((sim.now, a, b)), (1, "x"))
+        sim.push(1.0, 0.0, None, lambda arg: got.append((sim.now, arg)), (1, "x"))
         sim.run()
-        assert got == [(1.0, 1, "x")]
+        # one argument, whatever it is: a tuple is not unpacked
+        assert got == [(1.0, (1, "x"))]
 
     def test_returns_the_seq_it_drew_or_the_one_it_was_given(self, sim):
-        assert sim.push(1.0, 0.0, None, noop, ()) == 0
+        assert sim.push(1.0, 0.0, None, noop, None) == 0
         assert sim.schedule(1.0, noop).seq == 1
-        assert sim.push(2.0, 1.5, None, noop, ()) == 2
-        assert sim.push(2.0, 0.0, 0, noop, ()) == 0
+        assert sim.push(2.0, 1.5, None, noop, None) == 2
+        assert sim.push(2.0, 0.0, 0, noop, None) == 0
         assert sim._seq == sim.queued_events == sim.pending_events == 4
 
     def test_current_is_the_plain_entry(self, sim):
@@ -335,21 +357,21 @@ class TestPush:
         def record(tag):
             seen.append((tag, sim.current))
 
-        sim.push(1.0, 0.0, None, record, ("a",))
-        sim.push(1.0, 0.5, 0, record, ("b",))
+        sim.push(1.0, 0.0, None, record, "a")
+        sim.push(1.0, 0.5, 0, record, "b")
         sim.run()
         assert seen == [
-            ("a", (1.0, 0.0, 0, record, ("a",))),
-            ("b", (1.0, 0.5, 0, record, ("b",))),
+            ("a", (1.0, 0.0, 0, record, "a")),
+            ("b", (1.0, 0.5, 0, record, "b")),
         ]
 
     def test_ties_with_events_follow_the_key(self, sim):
         order = []
-        sim.push(1.0, 0.0, None, order.append, ("plain-0",))
+        sim.push(1.0, 0.0, None, order.append, "plain-0")
         sim.schedule_at(1.0, order.append, "event-1")
-        sim.push(1.0, 0.0, None, order.append, ("plain-2",))
+        sim.push(1.0, 0.0, None, order.append, "plain-2")
         sim.schedule_at(1.0, order.append, "event-3").cancel()
-        sim.push(1.0, 0.0, None, order.append, ("plain-4",))
+        sim.push(1.0, 0.0, None, order.append, "plain-4")
         assert sim.pending_events == 4 and sim.dead_in_queue == 1
         sim.run()
         assert order == ["plain-0", "event-1", "plain-2", "plain-4"]
@@ -357,10 +379,13 @@ class TestPush:
 
     @pytest.mark.parametrize(
         "time, placed_at",
-        [(0.5, 0.0), (float("nan"), 0.0), (2.0, 3.0), (2.0, float("nan"))],
+        [
+            (0.5, 0.0), (float("nan"), 0.0), (2.0, 3.0), (2.0, float("nan")),
+            (float("inf"), 0.0),
+        ],
     )
     def test_rejects_what_schedule_at_rejects(self, sim, time, placed_at):
         sim.run(until=1.0)
         with pytest.raises(SimulationError):
-            sim.push(time, placed_at, None, noop, ())
+            sim.push(time, placed_at, None, noop, None)
         assert sim._seq == sim.queued_events == 0

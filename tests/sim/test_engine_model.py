@@ -119,7 +119,7 @@ class EngineMachine(RuleBasedStateMachine):
     # -- the real callbacks ---------------------------------------------
 
     def _callback(self, ident, kind, cancellable):
-        def fire():
+        def fire(_=None):  # a push's entry is entered with one argument
             sim = self.sim
             self.real_fired.append((ident, sim.now, sim.current[:3]))
             if kind == "spawn":
@@ -127,7 +127,7 @@ class EngineMachine(RuleBasedStateMachine):
                 if cancellable:
                     sim.schedule(SPAWN_DELAY, child)
                 else:
-                    sim.push(sim.now + SPAWN_DELAY, sim.now, None, child, ())
+                    sim.push(sim.now + SPAWN_DELAY, sim.now, None, child, None)
             elif kind == "stop":
                 sim.stop()
 
@@ -155,7 +155,7 @@ class EngineMachine(RuleBasedStateMachine):
         time = self.now + offset
         placed_at = self.now + placement * offset
         seq = self.sim.push(
-            time, placed_at, None, self._callback(ident, kind, False), ()
+            time, placed_at, None, self._callback(ident, kind, False), None
         )
         assert seq == ident
         self._insert(time, ident, kind, False, placed_at=placed_at)
@@ -172,7 +172,7 @@ class EngineMachine(RuleBasedStateMachine):
             return  # one key, one entry: the heap never compares callbacks
         ident = self.seq
         got = self.sim.push(
-            time, instant, seq, self._callback(ident, kind, False), ()
+            time, instant, seq, self._callback(ident, kind, False), None
         )
         assert got == seq
         self._insert(time, ident, kind, False, placed_at=instant, seq=seq)
@@ -185,11 +185,11 @@ class EngineMachine(RuleBasedStateMachine):
             with pytest.raises(SimulationError):
                 self.sim.schedule_at(self.now / 2, lambda: None)
             with pytest.raises(SimulationError):
-                self.sim.push(self.now / 2, 0.0, None, lambda: None, ())
+                self.sim.push(self.now / 2, 0.0, None, print, None)
         with pytest.raises(SimulationError):
-            self.sim.push(self.now + 1.0, self.now + 2.0, None, lambda: None, ())
+            self.sim.push(self.now + 1.0, self.now + 2.0, None, print, None)
         with pytest.raises(SimulationError):
-            self.sim.push(float("nan"), self.now, None, lambda: None, ())
+            self.sim.push(float("nan"), self.now, None, print, None)
 
     @rule(pair=scheduled)
     def cancel(self, pair):
@@ -279,11 +279,12 @@ class Boom(Exception):
 
 def script(sim, fired):
     """Schedule a fixed mix on ``sim``: plain and :class:`Event` entries
-    tied at one instant, an entry cancelled before the run and one
-    cancelled by a callback, a callback that raises, one that calls
-    ``stop()``, and one that cancels the entry next in line and calls
-    ``peek_time``, which pops it. Every callback notes itself in
-    ``fired`` before it does anything else."""
+    tied at one ``(time, placed_at)`` in both orders, an entry cancelled
+    before the run and one cancelled by a callback, a callback that
+    raises, one that calls ``stop()``, and one that cancels the entry
+    next in line and calls ``peek_time``, which pops it. Every callback
+    notes itself and its arguments in ``fired`` before it does anything
+    else."""
 
     def note(name, then=None):
         def fire(*args):
@@ -297,38 +298,43 @@ def script(sim, fired):
         raise Boom
 
     def spawn():
-        sim.push(sim.now + 0.25, sim.now, None, note("pushed child"), (1,))
+        sim.push(sim.now + 0.25, sim.now, None, note("pushed child"), 1)
         sim.schedule(0.0, note("tied child"))
 
     def peek():
         popped_by_peek.cancel()
-        assert sim.peek_time() == 3.0
+        assert sim.peek_time() == 2.75
 
     sim.schedule_at(1.5, note("cancelled before the run")).cancel()
     cancelled_by_callback = sim.schedule_at(2.0, note("cancelled in the run"))
     popped_by_peek = sim.schedule_at(2.5, note("popped by peek_time"))
-    sim.push(1.0, 0.0, None, note("plain", spawn), ())
+    sim.push(1.0, 0.0, None, note("plain", spawn), None)
     sim.schedule_at(1.0, note("cancels", cancelled_by_callback.cancel))
     sim.schedule_at(1.25, note("raises", boom))
-    sim.push(1.25, 0.0, None, note("after the raise"), ())
+    sim.push(1.25, 0.0, None, note("after the raise"), None)
     sim.schedule_at(1.75, note("stops", sim.stop))
-    sim.push(1.75, 0.0, None, note("after the stop"), ())
+    sim.push(1.75, 0.0, None, note("after the stop"), None)
     sim.schedule_at(2.25, note("peeks", peek))
-    sim.push(3.0, 0.0, None, note("last"), ())
+    # the same (time, placed_at) again, the timer ahead of the packet
+    sim.schedule_at(2.75, note("timer before a packet"))
+    sim.push(2.75, 0.0, None, note("packet after a timer"), None)
+    sim.push(3.0, 0.0, None, note("last"), None)
 
 
 #: what :func:`script` dispatches, in order, however it is driven
 SCRIPTED = [
-    ("plain", 1.0, ()),
+    ("plain", 1.0, (None,)),
     ("cancels", 1.0, ()),
     ("tied child", 1.0, ()),
     ("raises", 1.25, ()),
-    ("after the raise", 1.25, ()),
+    ("after the raise", 1.25, (None,)),
     ("pushed child", 1.25, (1,)),
     ("stops", 1.75, ()),
-    ("after the stop", 1.75, ()),
+    ("after the stop", 1.75, (None,)),
     ("peeks", 2.25, ()),
-    ("last", 3.0, ()),
+    ("timer before a packet", 2.75, ()),
+    ("packet after a timer", 2.75, (None,)),
+    ("last", 3.0, (None,)),
 ]
 
 DRIVERS = {
@@ -359,4 +365,4 @@ def test_events_executed_counts_the_callbacks_dispatched(driver):
         assert calls < 100
     assert fired == SCRIPTED
     assert sim.events_executed == len(SCRIPTED)
-    assert sim.dead_in_queue == 0 and sim._seq == 13
+    assert sim.dead_in_queue == 0 and sim._seq == 15

@@ -63,6 +63,15 @@ class TestTimer:
         sim.run()
         assert fired == [2.0]
 
+    def test_infinite_delay_rejected(self, sim):
+        # the deadline became inf and the callback fired at t=inf
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        with pytest.raises(SimulationError, match="inf"):
+            timer.start(float("inf"))
+        assert not timer.pending and sim.pending_events == 0
+        assert sim.run() == 0.0 and fired == []
+
     def test_callback_args(self, sim):
         got = []
         timer = Timer(sim, lambda x: got.append(x), 42)
@@ -119,6 +128,24 @@ class TestPeriodicTimer:
         # first start() failed in the kernel with `running` left True
         with pytest.raises(SimulationError):
             PeriodicTimer(sim, float("nan"), lambda: None)
+
+    def test_infinite_interval_rejected(self, sim):
+        # every tick re-scheduled itself at inf + inf = inf, so run() never
+        # returned; max_events bounds the run should the timer be built
+        fired = []
+        with pytest.raises(SimulationError, match="inf"):
+            PeriodicTimer(sim, float("inf"), lambda: fired.append(sim.now)).start()
+            sim.run(max_events=5)
+        assert fired == [] and sim.pending_events == 0
+
+    def test_infinite_initial_delay_rejected(self, sim):
+        fired = []
+        timer = PeriodicTimer(sim, 1.0, lambda: fired.append(sim.now))
+        with pytest.raises(SimulationError, match="inf"):
+            timer.start(float("inf"))
+        assert not timer.running and sim.pending_events == 0
+        sim.run(max_events=5)
+        assert fired == []
 
     @pytest.mark.parametrize("initial_delay", [float("nan"), -1.0])
     def test_a_rejected_start_changes_nothing(self, sim, initial_delay):

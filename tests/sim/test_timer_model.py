@@ -14,12 +14,13 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.timer import Timer
 
 #: few distinct values, so a restart lands before, on and after the
 #: entry already in the heap
 DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 3.5])
+INF = float("inf")
 
 
 class TimerMachine(RuleBasedStateMachine):
@@ -71,10 +72,13 @@ class TimerMachine(RuleBasedStateMachine):
         assert self.real_fired == self.fired
         assert self.timer.pending is (self.deadline is not None)
         assert self.timer.expiry == self.deadline
-        # a timer's entries are Events: (time, placed_at, seq, event, None)
-        entries = self.sim._queue
-        assert all(args is None for *_, args in entries)
-        live = [e for *_, e, _ in entries if not e.cancelled]
+        # a timer's entries are Events, (time, placed_at, seq, event) on
+        # the event heap; the packet heap holds its sentinel alone
+        assert len(self.sim._queue) == 1
+        entries = [entry for entry in self.sim._events if entry[0] < INF]
+        assert all(isinstance(event, Event) for *_, event in entries)
+        assert len(entries) == self.sim.queued_events
+        live = [e for *_, e in entries if not e.cancelled]
         assert len(live) <= 1
         if self.deadline is not None:
             # the one entry wakes the timer no later than it is due

@@ -115,15 +115,16 @@ TRACED_PATH = DATA_PATH + tuple(
 #: shape -> most frames one segment may cost (its share of ACKs, timers
 #: and energy samples included). A ceiling, not an equality (3.12
 #: inlines comprehensions, so totals differ between interpreters): what
-#: the code reaches on 3.11 (32.8 / 39.1 / 91.6, and 29.4 over
-#: ``TRACED_PATH`` for the grid cell; 40.4 / 44.9 / 102.3 and 33.4
+#: the code reaches on 3.11 (32.6 / 38.8 / 89.6, and 29.4 over
+#: ``TRACED_PATH`` for the grid cell; 32.8 / 39.1 / 91.6 while
+#: ``schedule_at`` entered ``push``, 40.4 / 44.9 / 102.3 and 33.4
 #: before the packet path's pushes were written in place) plus under
 #: 5 %. Lower one when a PR earns it; raise one only with the reason in
 #: the PR.
 FRAMES_PER_SEGMENT_CEILING = {
     "dumbbell_sweep": 34.0,
-    "lossy_mix": 41.0,
-    "fabric_datacenter": 96.0,
+    "lossy_mix": 40.5,
+    "fabric_datacenter": 94.0,
     "cca_mtu_grid": 30.5,
 }
 
@@ -176,8 +177,8 @@ PINNED = {
         # share of an ACK's) plus a finish for each packet something
         # queued behind, NIC drains, and what is left of the timers.
         # Only 17 of them, timers and session starts, build an Event
-        # and enter Simulator.push: the rest cannot be cancelled and are
-        # a heap entry the link or the NIC writes in place
+        # and join the event heap: the rest cannot be cancelled and are
+        # a packet-heap entry the link or the NIC writes in place
         "heap_pushes": 536,
         # ~0 per ACK: RTO and delayed-ACK timers re-arm in place
         "cancels": 3,
