@@ -183,12 +183,12 @@ def _launch(args: argparse.Namespace) -> Iterator[Dict[str, Any]]:
     without the flag), and ``control`` on the commands that take
     ``--abort-on-drift``.
     """
-    from repro.obs.observer import resolve_observer
+    from repro.obs.observer import observing
 
     launch: Dict[str, Any] = dict(jobs=args.jobs, cache_dir=args.cache_dir)
     if hasattr(args, "abort_on_drift"):
         launch["control"] = _drift_control(args)
-    with resolve_observer(args.trace) as obs:
+    with observing(args.trace) as obs:
         launch["observer"] = obs
         yield launch
 

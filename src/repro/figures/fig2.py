@@ -206,18 +206,18 @@ def run_fig2(
     observer=None,
 ) -> Fig2Result:
     """Reproduce both Figure 2 series."""
-    from repro.obs.observer import resolve_observer
+    from repro.obs.observer import observing
 
-    # Resolve once so both series share one journal/registry.
-    obs = resolve_observer(observer)
-    smooth = _measure_series(
-        throughputs_gbps, window_s, burst=False, cca=cca,
-        repetitions=repetitions, base_seed=base_seed,
-        jobs=jobs, cache=cache_dir, observer=obs,
-    )
-    burst = _measure_series(
-        throughputs_gbps, window_s, burst=True, cca=cca,
-        repetitions=repetitions, base_seed=base_seed + 1000,
-        jobs=jobs, cache=cache_dir, observer=obs,
-    )
+    # Resolve once so both series share one journal.
+    with observing(observer) as obs:
+        smooth = _measure_series(
+            throughputs_gbps, window_s, burst=False, cca=cca,
+            repetitions=repetitions, base_seed=base_seed,
+            jobs=jobs, cache=cache_dir, observer=obs,
+        )
+        burst = _measure_series(
+            throughputs_gbps, window_s, burst=True, cca=cca,
+            repetitions=repetitions, base_seed=base_seed + 1000,
+            jobs=jobs, cache=cache_dir, observer=obs,
+        )
     return Fig2Result(smooth=smooth, full_speed_then_idle=burst)

@@ -53,7 +53,7 @@ from repro.obs.observer import (
     NULL_OBSERVER,
     JournalObserver,
     Observer,
-    resolve_observer,
+    observing,
 )
 from repro.obs.telemetry import TELEMETRY
 
@@ -449,9 +449,9 @@ def run_work_items(
     misses are dispatched to the backend (then stored). The result
     list always lines up index-for-index with ``items``.
 
-    ``observer`` (an :class:`~repro.obs.observer.Observer` or a trace
-    directory) journals the batch: ``batch_started``, per-item
-    ``cache_hit``/``cache_miss``, the workers' run events, and
+    ``observer`` (an :class:`~repro.obs.observer.Observer`, or a trace
+    directory it opens and closes) journals the batch: ``batch_started``,
+    per-item ``cache_hit``/``cache_miss``, the workers' run events, and
     ``batch_finished``, plus spans around cache I/O. Tracing is purely
     observational — results are bit-identical with it on or off — and
     worker journals are merged even when the batch fails, so crashed
@@ -470,7 +470,18 @@ def run_work_items(
     items = list(items)
     backend = resolve_executor(jobs)
     store = ensure_cache(cache)
-    obs = resolve_observer(observer)
+    with observing(observer) as obs:
+        return _run_batch(items, backend, store, obs, control)
+
+
+def _run_batch(
+    items: List[WorkItem],
+    backend: Executor,
+    store: Optional[ResultCache],
+    obs: Observer,
+    control: Optional[SweepControl],
+) -> List[RunMeasurement]:
+    """:func:`run_work_items` with every argument resolved."""
     if not obs.enabled and store is None and control is None:
         # The zero-overhead path: no cache bookkeeping, no events.
         return backend.run_items(items)

@@ -364,23 +364,16 @@ def run_once(
         drive_until_complete(
             sim, sessions, scenario.time_limit_s, scenario.name
         )
+        # Post-loop heap state (live events still queued, the exact
+        # lazy-deletion tally, the raw heap size) rides on the span, so
+        # heap bloat shows up in obs report and the metric exports.
         loop_span.add(
             events_executed=sim.events_executed,
             pending_events=sim.pending_events,
             dead_in_queue=sim.dead_in_queue,
         )
-    if loop_span.wall_s > 0:
-        # The events/sec gauge the ROADMAP's "fast as the hardware
-        # allows" goal is tracked by: virtual events over loop wall time.
-        obs.set_gauge(
-            "sim_events_per_second", sim.events_executed / loop_span.wall_s
-        )
-    if obs.enabled:
-        # Post-loop heap state: live events still queued and the exact
-        # lazy-deletion tally, so heap bloat shows up in obs report.
-        obs.set_gauge("sim_pending_events", float(sim.pending_events))
-        obs.set_gauge("sim_dead_in_queue", float(sim.dead_in_queue))
-        obs.set_gauge("sim_queued_events", float(sim.queued_events))
+        if obs.enabled:
+            loop_span.add(queued_events=sim.queued_events)
 
     with obs.span("measurement", scenario=scenario.name, seed=seed):
         fields = measure(scenario, prepared, meter.stop())

@@ -35,7 +35,7 @@ from repro.harness.cache import ResultCache
 from repro.harness.executor import SweepControl, WorkItem, run_work_items
 from repro.harness.experiment import AnyScenario
 from repro.harness.runner import RepeatedResult, RunMeasurement
-from repro.obs.observer import Observer, resolve_observer
+from repro.obs.observer import Observer, observing
 
 ScenarioFactory = Callable[..., AnyScenario]
 
@@ -145,8 +145,8 @@ class Sweep:
         (``base_seed + rep``, the same for every grid point), fixed
         before dispatch — results do not depend on the backend or on
         worker scheduling. ``observer`` (an
-        :class:`~repro.obs.observer.Observer` or a trace directory)
-        journals the sweep without affecting any result.
+        :class:`~repro.obs.observer.Observer`, or a trace directory it
+        opens and closes) journals the sweep without changing a result.
 
         ``control`` threads per-completion hooks and cooperative
         cancellation through (see
@@ -187,34 +187,34 @@ class Sweep:
                     )
             return results
 
-        obs = resolve_observer(observer)
-        if obs.enabled:
-            obs.emit(
-                "sweep_started",
-                axes={name: len(vals) for name, vals in self.axes.items()},
-                grid_points=len(points),
-                repetitions=repetitions,
-                items=len(items),
-            )
-        try:
-            measurements = run_work_items(
-                items, jobs=jobs, cache=cache, observer=obs, control=control
-            )
-        except SweepAbortedError as exc:
-            # Salvage the grid points that finished every repetition so
-            # callers can still render a partial figure.
-            partial = rows(exc.partial)
-            exc.partial_sweep = partial
-            if partial_figure is not None:
-                exc.partial_figure = partial_figure(partial)
+        with observing(observer) as obs:
             if obs.enabled:
                 obs.emit(
-                    "sweep_aborted",
-                    items=len(exc.partial),
-                    grid_points=len(partial.rows),
-                    reason=exc.reason,
+                    "sweep_started",
+                    axes={name: len(vals) for name, vals in self.axes.items()},
+                    grid_points=len(points),
+                    repetitions=repetitions,
+                    items=len(items),
                 )
-            raise
-        if obs.enabled:
-            obs.emit("sweep_finished", items=len(measurements))
-        return rows(dict(enumerate(measurements)))
+            try:
+                measurements = run_work_items(
+                    items, jobs=jobs, cache=cache, observer=obs, control=control
+                )
+            except SweepAbortedError as exc:
+                # Salvage the grid points that finished every repetition so
+                # callers can still render a partial figure.
+                partial = rows(exc.partial)
+                exc.partial_sweep = partial
+                if partial_figure is not None:
+                    exc.partial_figure = partial_figure(partial)
+                if obs.enabled:
+                    obs.emit(
+                        "sweep_aborted",
+                        items=len(exc.partial),
+                        grid_points=len(partial.rows),
+                        reason=exc.reason,
+                    )
+                raise
+            if obs.enabled:
+                obs.emit("sweep_finished", items=len(measurements))
+            return rows(dict(enumerate(measurements)))

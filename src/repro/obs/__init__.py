@@ -4,17 +4,17 @@ The paper's claims rest on instrumented measurement (RAPL counters,
 iperf3 retr columns, per-interval power samples); this package applies
 the same discipline to the reproduction's own pipeline. Three layers:
 
-* :mod:`repro.obs.metrics` — an in-process :class:`MetricsRegistry`
-  (counters, gauges, fixed-bucket histograms) with Prometheus-text and
-  JSON exporters.
+* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` (counters,
+  gauges, fixed-bucket histograms) with Prometheus-text and JSON
+  exporters, filled from the journal's fold by ``progress``.
 * :mod:`repro.obs.journal` — a structured JSONL event stream per sweep
   (``run_started``, ``cache_hit``, ``run_finished``, ``worker_error``,
   ``span``, ...), safe to write from process-pool workers: each worker
   appends to its own file and the coordinator merges them afterwards.
 * :mod:`repro.obs.observer` — the :class:`Observer` protocol the
   harness threads through every layer. The base class is a no-op (the
-  zero-overhead default); :class:`TracingObserver` journals events,
-  keeps metrics, and exports both into a trace directory.
+  zero-overhead default); :class:`TracingObserver` journals events
+  into a trace directory and exports the metrics of their fold.
 * :mod:`repro.obs.telemetry` / :mod:`repro.obs.timeline` — in-sim time
   series (cwnd, queue depth, instantaneous power...) collected through
   the sim-side :mod:`repro.sim.probe` protocol, persisted as
@@ -23,10 +23,12 @@ the same discipline to the reproduction's own pipeline. Three layers:
 * :mod:`repro.obs.baseline` — committed snapshots of a sweep's scalar
   outcomes plus the tolerance-aware diff behind ``greenenvy obs diff``,
   the regression gate CI runs.
-* :mod:`repro.obs.progress` / :mod:`repro.obs.live` — streaming
-  aggregation of a *running* sweep: the incremental progress/ETA model,
-  the ``greenenvy obs watch`` view, an opt-in HTTP progress endpoint,
-  and the mid-run drift gate. ``live`` is not re-exported here;
+* :mod:`repro.obs.progress` — the one fold of a journal
+  (:class:`ProgressTracker`): ``obs report`` (:mod:`repro.obs.report`),
+  ``obs watch`` and the metric exports are views of it.
+* :mod:`repro.obs.live` — watching a *running* sweep: the journal
+  tailer behind ``greenenvy obs watch``, an opt-in HTTP progress
+  endpoint, and the mid-run drift gate. ``live`` is not re-exported here;
   callers name the module.
 
 Nothing is imported here: the names below resolve on first use
@@ -62,6 +64,7 @@ _EXPORTS = {
     "Span": "observer",
     "NULL_OBSERVER": "observer",
     "resolve_observer": "observer",
+    "observing": "observer",
     "ProgressTracker": "progress",
     "SweepProgress": "progress",
     "ScenarioProgress": "progress",
@@ -69,7 +72,6 @@ _EXPORTS = {
     "progress_to_dict": "progress",
     "progress_to_registry": "progress",
     "format_progress": "progress",
-    "JournalSummary": "report",
     "summarize_journal": "report",
     "summary_to_dict": "report",
     "format_report": "report",

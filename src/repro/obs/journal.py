@@ -30,23 +30,6 @@ from typing import Any, Dict, Optional, Union
 
 from repro.obs.stream import StreamSpec, StreamWriter
 
-#: canonical event names emitted by the pipeline (extras are allowed;
-#: the report treats unknown events as opaque)
-EVENT_NAMES = (
-    "sweep_started",
-    "sweep_finished",
-    "batch_started",
-    "batch_finished",
-    "batch_aborted",
-    "sweep_aborted",
-    "cache_hit",
-    "cache_miss",
-    "run_started",
-    "run_finished",
-    "worker_error",
-    "span",
-)
-
 #: filename of the coordinator's merged journal inside a trace dir
 JOURNAL_FILENAME = "journal.jsonl"
 

@@ -150,13 +150,12 @@ class LiveSweepView:
     def __init__(
         self,
         trace_dir: Union[str, Path],
-        tracker: Optional[ProgressTracker] = None,
         on_event: Optional[Callable[[Mapping[str, Any]], None]] = None,
     ):
         self.trace_dir = Path(trace_dir)
         if not self.trace_dir.is_dir():
             raise ObservabilityError(f"no trace directory at {self.trace_dir}")
-        self.tracker = tracker if tracker is not None else ProgressTracker()
+        self.tracker = ProgressTracker()
         self.on_event = on_event
         self._journal = JournalTail(self.trace_dir / JOURNAL_FILENAME)
         self._partials: Dict[str, JournalTail] = {}
@@ -164,7 +163,6 @@ class LiveSweepView:
         self._pending: Dict[str, int] = {}
         self._seen_merged: Dict[str, int] = {}
         self._lock = threading.Lock()
-        self.events_seen = 0
 
     @property
     def bad_lines(self) -> int:
@@ -217,7 +215,6 @@ class LiveSweepView:
                     self._pending[key] = self._pending.get(key, 0) + 1
                     fresh.append(record)
             self.tracker.observe_all(fresh)
-            self.events_seen += len(fresh)
             if self.on_event is not None:
                 for record in fresh:
                     self.on_event(record)
@@ -226,6 +223,12 @@ class LiveSweepView:
     def snapshot(self) -> SweepProgress:
         with self._lock:
             return self.tracker.snapshot()
+
+    def render(self, view: Callable[[SweepProgress], str]) -> str:
+        """``view`` of a snapshot, rendered under the lock: a concurrent
+        :meth:`poll` cannot change the snapshot while ``view`` reads it."""
+        with self._lock:
+            return view(self.tracker.snapshot())
 
 
 class DriftGate:
@@ -381,21 +384,16 @@ class _ProgressHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler API)
         path = self.path.split("?", 1)[0]
         try:
+            view = self.server.view
             if path in ("/", "/progress"):
-                snapshot = self.server.view.snapshot()
-                self._send(
-                    200,
-                    "application/json",
-                    json.dumps(progress_to_dict(snapshot), sort_keys=True)
-                    + "\n",
-                )
+                self._send(200, "application/json", view.render(
+                    lambda p: json.dumps(progress_to_dict(p), sort_keys=True)
+                    + "\n"
+                ))
             elif path == "/metrics":
-                snapshot = self.server.view.snapshot()
-                self._send(
-                    200,
-                    "text/plain; version=0.0.4",
-                    progress_to_registry(snapshot).render_prometheus(),
-                )
+                self._send(200, "text/plain; version=0.0.4", view.render(
+                    lambda p: progress_to_registry(p).render_prometheus()
+                ))
             else:
                 self._send(404, "text/plain", "not found\n")
         except BrokenPipeError:  # client went away mid-response

@@ -38,35 +38,52 @@ def _metric_key(name: str, labels: Labels) -> MetricKey:
         raise ObservabilityError(f"invalid metric name {name!r}")
     if labels is None:
         return (name, ())
-    return (name, tuple(sorted((str(k), str(v)) for k, v in labels.items())))
+    return (name, tuple(sorted(zip(map(str, labels), map(str, labels.values())))))
 
 
-def _escape_label_value(value: str) -> str:
-    # Prometheus text exposition: label values escape backslash, the
-    # double quote, and line feed (in that order, so escapes introduced
-    # here are not re-escaped).
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
+def _render(name: str, labels: Sequence[Tuple[str, str]]) -> str:
+    """``name{k="v",...}``, one sample's name in the text exposition."""
+    if not labels:
+        return name
+    parts = []
+    for key, value in labels:
+        # Prometheus label values escape backslash, the double quote and
+        # line feed (in that order, so escapes introduced here are not
+        # re-escaped).
+        value = (
+            value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+        )
+        parts.append(f'{key}="{value}"')
+    return f"{name}{{{','.join(parts)}}}"
 
 
-def _render_labels(key: MetricKey, extra: Sequence[Tuple[str, str]] = ()) -> str:
-    items = list(key[1]) + list(extra)
-    if not items:
-        return key[0]
-    body = ",".join(f'{k}="{_escape_label_value(v)}"' for k, v in items)
-    return f"{key[0]}{{{body}}}"
+class _Scalar:
+    """One value under a ``(name, labels)`` key; exports itself."""
 
-
-class Counter:
-    """A monotonically increasing value (events seen, hits, errors)."""
-
-    kind = "counter"
+    kind = ""
 
     def __init__(self, name: str, labels: Labels = None, help: str = ""):
         self.key = _metric_key(name, labels)
         self.help = help
         self.value = 0.0
+
+    def samples(self) -> List[Tuple[str, float]]:
+        name, labels = self.key
+        return [(_render(name, labels) if labels else name, self.value)]
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "name": self.key[0],
+            "kind": self.kind,
+            "labels": dict(self.key[1]),
+            "value": self.value,
+        }
+
+
+class Counter(_Scalar):
+    """A monotonically increasing value (events seen, hits, errors)."""
+
+    kind = "counter"
 
     def inc(self, amount: float = 1.0) -> None:
         """Increment by ``amount`` (must be >= 0: counters never go down)."""
@@ -76,41 +93,14 @@ class Counter:
             )
         self.value += amount
 
-    def samples(self) -> List[Tuple[str, float]]:
-        return [(_render_labels(self.key), self.value)]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.key[0],
-            "kind": self.kind,
-            "labels": dict(self.key[1]),
-            "value": self.value,
-        }
-
-
-class Gauge:
+class Gauge(_Scalar):
     """A value that can go up and down (events/sec, queue depth)."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, labels: Labels = None, help: str = ""):
-        self.key = _metric_key(name, labels)
-        self.help = help
-        self.value = 0.0
-
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def samples(self) -> List[Tuple[str, float]]:
-        return [(_render_labels(self.key), self.value)]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.key[0],
-            "kind": self.kind,
-            "labels": dict(self.key[1]),
-            "value": self.value,
-        }
 
 
 class Histogram:
@@ -131,16 +121,14 @@ class Histogram:
         help: str = "",
         buckets: Sequence[float] = DEFAULT_SPAN_BUCKETS_S,
     ):
-        if not buckets or any(
-            b <= a for a, b in zip(buckets, list(buckets)[1:])
-        ):
+        if not buckets or list(buckets) != sorted(set(buckets)):
             raise ObservabilityError(
                 f"histogram {name!r} buckets must be strictly ascending, "
                 f"got {buckets}"
             )
         self.key = _metric_key(name, labels)
         self.help = help
-        self.buckets = tuple(float(b) for b in buckets)
+        self.buckets = tuple(map(float, buckets))
         self.counts = [0] * (len(self.buckets) + 1)  # + the +Inf bucket
         self.sum = 0.0
         self.count = 0
@@ -156,19 +144,17 @@ class Histogram:
         self.counts[-1] += 1
 
     def samples(self) -> List[Tuple[str, float]]:
+        name, labels = self.key
+        bounds = [f"{bound:g}" for bound in self.buckets] + ["+Inf"]
         out: List[Tuple[str, float]] = []
         cumulative = 0
-        bucket_key = (f"{self.key[0]}_bucket", self.key[1])
-        for bound, count in zip(self.buckets, self.counts):
+        for bound, count in zip(bounds, self.counts):
             cumulative += count
             out.append(
-                (_render_labels(bucket_key, [("le", f"{bound:g}")]), cumulative)
+                (_render(f"{name}_bucket", labels + (("le", bound),)), cumulative)
             )
-        out.append(
-            (_render_labels(bucket_key, [("le", "+Inf")]), self.count)
-        )
-        out.append((_render_labels((f"{self.key[0]}_sum", self.key[1])), self.sum))
-        out.append((_render_labels((f"{self.key[0]}_count", self.key[1])), self.count))
+        out.append((_render(f"{name}_sum", labels), self.sum))
+        out.append((_render(f"{name}_count", labels), self.count))
         return out
 
     def to_dict(self) -> Dict[str, Any]:
@@ -201,23 +187,15 @@ class MetricsRegistry:
     def _get_or_create(
         self, cls: type, name: str, labels: Labels, help: str, **kwargs: Any
     ) -> Metric:
-        key = _metric_key(name, labels)
-        metric = self._metrics.get(key)
-        if metric is not None:
-            if metric.kind != cls.kind:  # type: ignore[attr-defined]
-                raise ObservabilityError(
-                    f"metric {name!r} already registered as {metric.kind}"
-                )
-            return metric
-        registered_kind = self._kinds.get(name)
-        if registered_kind is not None and registered_kind != cls.kind:  # type: ignore[attr-defined]
+        fresh = cls(name, labels=labels, help=help, **kwargs)
+        # One kind per name across every label set, so a key's metric
+        # is always of its name's kind.
+        kind = self._kinds.setdefault(name, fresh.kind)
+        if kind != fresh.kind:
             raise ObservabilityError(
-                f"metric {name!r} already registered as {registered_kind}"
+                f"metric {name!r} already registered as {kind}"
             )
-        metric = cls(name, labels=labels, help=help, **kwargs)
-        self._metrics[key] = metric
-        self._kinds[name] = metric.kind
-        return metric
+        return self._metrics.setdefault(fresh.key, fresh)
 
     def counter(self, name: str, labels: Labels = None, help: str = "") -> Counter:
         return self._get_or_create(Counter, name, labels, help)  # type: ignore[return-value]
@@ -235,12 +213,6 @@ class MetricsRegistry:
         return self._get_or_create(  # type: ignore[return-value]
             Histogram, name, labels, help, buckets=buckets
         )
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __iter__(self):
-        return iter(self._metrics.values())
 
     # -- exporters ----------------------------------------------------
 

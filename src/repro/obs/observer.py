@@ -8,10 +8,10 @@ simulated event (``tests/obs/test_overhead_frames.py`` counts them).
 
 :class:`JournalObserver` writes events to one JSONL file — the form a
 process-pool worker uses, appending to its own ``worker-<pid>.jsonl``.
-:class:`TracingObserver` is the coordinator: main journal, a
-:class:`~repro.obs.metrics.MetricsRegistry` fed from the event stream,
-worker-journal merging, and ``metrics.prom``/``metrics.json`` exports
-on close.
+:class:`TracingObserver` is the coordinator: main journal, worker-journal
+merging, one :class:`~repro.obs.progress.ProgressTracker` fed every
+record the journal gains, and ``metrics.prom``/``metrics.json`` rendered
+from that tracker on close.
 
 Observers are observational only: they receive copies of names and
 numbers, never objects the simulation reads back. The import direction
@@ -20,13 +20,13 @@ is enforced by the ``obs-no-feedback`` simlint rule.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Union
 
 from repro.errors import ObservabilityError
 from repro.obs.journal import JOURNAL_FILENAME, JournalWriter, perf_clock
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.stream import StreamWriter
 from repro.obs.telemetry import (
     DEFAULT_TELEMETRY_INTERVAL_S,
@@ -44,11 +44,8 @@ METRICS_JSON_FILENAME = "metrics.json"
 
 
 class Span:
-    """A no-op profiling span; also the base for real ones.
-
-    ``wall_s`` stays 0.0 for the no-op, so callers can gate follow-up
-    work (like events/sec gauges) on ``span.wall_s > 0``.
-    """
+    """A no-op profiling span (``wall_s`` stays 0.0); also the base
+    for real ones."""
 
     __slots__ = ()
 
@@ -93,12 +90,6 @@ class Observer:
     def span(self, phase: str, **fields: Any) -> Span:
         """A context manager timing one phase (testbed build, sim loop...)."""
         return _NULL_SPAN
-
-    def set_gauge(self, name: str, value: float, labels: Optional[Mapping[str, str]] = None) -> None:
-        """Set a gauge metric (e.g. sim events/second)."""
-
-    def inc(self, name: str, amount: float = 1.0, labels: Optional[Mapping[str, str]] = None) -> None:
-        """Increment a counter metric."""
 
     def probe_sink(self, scenario: str, seed: int) -> ProbeSink:
         """A telemetry sink for one run (the shared no-op by default).
@@ -153,14 +144,16 @@ class TimedSpan(Span):
 
     def __exit__(self, *exc_info: Any) -> None:
         self.wall_s = perf_clock() - self._t0
-        self.observer._span_done(self.phase, self.wall_s, self.fields)
+        self.observer.emit(
+            "span", phase=self.phase, wall_s=self.wall_s, **self.fields
+        )
 
 
 class JournalObserver(Observer):
     """Journal-backed observer: every event becomes one JSONL line.
 
     Workers use this directly (journal only); the coordinator's
-    :class:`TracingObserver` subclass adds metrics and exports.
+    :class:`TracingObserver` subclass adds merging and exports.
     """
 
     enabled = True
@@ -169,13 +162,11 @@ class JournalObserver(Observer):
         self,
         path: Union[str, Path],
         worker: Optional[int] = None,
-        registry: Optional[MetricsRegistry] = None,
         telemetry_path: Optional[Union[str, Path]] = None,
         telemetry_interval_s: Optional[float] = DEFAULT_TELEMETRY_INTERVAL_S,
         profile_path: Optional[Union[str, Path]] = None,
     ):
         self.journal = JournalWriter(path, worker=worker)
-        self.registry = registry
         self.telemetry_interval_s = telemetry_interval_s
         self.telemetry: Optional[TelemetryWriter] = (
             TelemetryWriter(telemetry_path) if telemetry_path is not None else None
@@ -199,55 +190,10 @@ class JournalObserver(Observer):
 
     def emit(self, event: str, **fields: Any) -> None:
         self.journal.write(event, **fields)
-        if self.registry is not None:
-            self._count(event, fields)
 
     def span(self, phase: str, **fields: Any) -> Span:
         span = self._loop_span if phase == "sim_loop" else TimedSpan
         return span(self, phase, dict(fields))
-
-    def _span_done(self, phase: str, wall_s: float, fields: Dict[str, Any]) -> None:
-        self.emit("span", phase=phase, wall_s=wall_s, **fields)
-        if self.registry is not None:
-            self.registry.histogram(
-                "span_wall_seconds",
-                labels={"phase": phase},
-                help="wall time per pipeline phase",
-            ).observe(wall_s)
-
-    def set_gauge(self, name: str, value: float, labels: Optional[Mapping[str, str]] = None) -> None:
-        if self.registry is not None:
-            self.registry.gauge(name, labels=labels).set(value)
-
-    def inc(self, name: str, amount: float = 1.0, labels: Optional[Mapping[str, str]] = None) -> None:
-        if self.registry is not None:
-            self.registry.counter(name, labels=labels).inc(amount)
-
-    # -- metrics derived from the event stream ------------------------
-
-    _EVENT_COUNTERS = {
-        "run_finished": "runs_total",
-        "cache_hit": "cache_hits_total",
-        "cache_miss": "cache_misses_total",
-        "worker_error": "worker_errors_total",
-    }
-
-    def _count(self, event: str, fields: Mapping[str, Any]) -> None:
-        assert self.registry is not None
-        self.registry.counter(
-            "journal_events_total",
-            labels={"event": event},
-            help="journal events by type",
-        ).inc()
-        direct = self._EVENT_COUNTERS.get(event)
-        if direct is not None:
-            self.registry.counter(direct).inc()
-        if event == "span" and "wall_s" in fields:
-            self.registry.histogram(
-                "span_wall_seconds",
-                labels={"phase": str(fields.get("phase", ""))},
-                help="wall time per pipeline phase",
-            )
 
     # -- telemetry -----------------------------------------------------
 
@@ -264,20 +210,6 @@ class JournalObserver(Observer):
             return
         self.telemetry.write_sink(sink, scenario=scenario, seed=seed)
 
-    def record(self, events: Iterable[Mapping[str, Any]]) -> None:
-        """Fold already-written events (e.g. merged worker partials)
-        into the metrics, without re-journaling them."""
-        if self.registry is None:
-            return
-        for record in events:
-            event = str(record.get("event", ""))
-            self._count(event, record)
-            if event == "span" and "wall_s" in record:
-                self.registry.histogram(
-                    "span_wall_seconds",
-                    labels={"phase": str(record.get("phase", ""))},
-                ).observe(float(record["wall_s"]))
-
     def close(self) -> None:
         for stream in self.streams:
             stream.close()
@@ -289,12 +221,17 @@ class TracingObserver(JournalObserver):
     Owns a trace directory holding the merged ``journal.jsonl``; worker
     processes write ``worker-<pid>.jsonl`` partials next to it (they
     derive the path from :attr:`trace_dir`), and
-    :meth:`collect_workers` folds those into the main journal and the
-    metrics. :meth:`close` exports ``metrics.prom`` and
-    ``metrics.json``.
+    :meth:`collect_workers` folds those into the main journal. Every
+    record the journal gains, its own and the merged ones, goes to one
+    :class:`~repro.obs.progress.ProgressTracker` (:attr:`tracker`);
+    :meth:`close` renders ``metrics.prom`` and ``metrics.json`` from
+    it, so the exports do not depend on ``jobs=``.
     """
 
     def __init__(self, trace_dir: Union[str, Path], profile: bool = False):
+        # imported here: an untraced run never loads the journal views
+        from repro.obs.progress import ProgressTracker
+
         root = Path(trace_dir)
         root.mkdir(parents=True, exist_ok=True)
         profile_path = None
@@ -304,27 +241,33 @@ class TracingObserver(JournalObserver):
             profile_path = root / PROFILE_FILENAME
         super().__init__(
             root / JOURNAL_FILENAME,
-            registry=MetricsRegistry(),
             telemetry_path=root / TELEMETRY_FILENAME,
             profile_path=profile_path,
         )
         self.trace_dir = root
+        self.tracker = ProgressTracker()
+
+    def emit(self, event: str, **fields: Any) -> None:
+        self.tracker.observe(self.journal.write(event, **fields))
 
     def collect_workers(self) -> None:
         assert self.trace_dir is not None
         for stream in self.streams:
             merged = stream.merge_workers(self.trace_dir)
             if stream is self.journal:
-                self.record(merged)
+                self.tracker.observe_all(merged)
 
     def write_metrics(self) -> None:
-        """Export the registry as Prometheus text + JSON into the dir."""
-        assert self.registry is not None and self.trace_dir is not None
+        """Render the tracker as Prometheus text + JSON into the dir."""
+        from repro.obs.progress import progress_to_registry
+
+        assert self.trace_dir is not None
+        registry = progress_to_registry(self.tracker.snapshot())
         prom = self.trace_dir / METRICS_PROM_FILENAME
-        prom.write_text(self.registry.render_prometheus(), encoding="utf-8")
+        prom.write_text(registry.render_prometheus(), encoding="utf-8")
         as_json = self.trace_dir / METRICS_JSON_FILENAME
         as_json.write_text(
-            json.dumps(self.registry.to_dict(), indent=2, sort_keys=True),
+            json.dumps(registry.to_dict(), indent=2, sort_keys=True),
             encoding="utf-8",
         )
 
@@ -359,3 +302,22 @@ def resolve_observer(
         f"observer must be None, a trace directory, or an Observer, "
         f"got {type(observer).__name__}"
     )
+
+
+@contextlib.contextmanager
+def observing(
+    observer: Union[None, str, Path, Observer],
+) -> Iterator[Observer]:
+    """:func:`resolve_observer` for the length of a ``with`` block.
+
+    Whoever resolves a trace directory into an observer closes it: an
+    observer built here is closed on exit, which writes the metric
+    exports and canonicalises the streams, even when the block raises.
+    An observer instance passed in stays open; its owner closes it.
+    """
+    resolved = resolve_observer(observer)
+    try:
+        yield resolved
+    finally:
+        if resolved is not observer:
+            resolved.close()

@@ -1,11 +1,17 @@
-"""Incremental sweep progress built from a streaming journal.
+"""The one fold of a sweep's journal, and the views read from it.
 
-:class:`ProgressTracker` folds journal events — arriving one at a time
-from a live tail or all at once from a finished file — into a
-:class:`SweepProgress` snapshot: how many items are done (split into
-fresh runs, cache hits, and failures), per-scenario counts, wall-time
-percentiles of the runs seen so far, the simulator's aggregate
-events/sec, and an EWMA-smoothed ETA.
+:class:`ProgressTracker` is the only code that turns journal events into
+counts. It folds events — one at a time as a coordinator writes them or
+a live tail delivers them, or all at once from a finished file — into a
+:class:`SweepProgress`: how many items are done (split into fresh runs,
+cache hits, and failures), per-scenario counts and wall/sim-time
+samples, per-phase span totals, the slowest runs, the engine-heap
+fields of ``sim_loop`` spans, the simulator's aggregate events/sec, and
+an EWMA-smoothed ETA. Every journal view reads that one model:
+``obs watch`` and ``/progress`` (:func:`format_progress`,
+:func:`progress_to_dict`), ``/metrics`` and a trace's
+``metrics.prom``/``metrics.json`` (:func:`progress_to_registry`), and
+``obs report`` (:mod:`repro.obs.report`).
 
 The tracker is a pure consumer: it never writes to the trace directory
 and never feeds anything back into the run (the ``obs-no-feedback``
@@ -17,7 +23,7 @@ contract — progress display is exactly what those fields exist for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.analysis.stats import percentile
 from repro.obs.metrics import MetricsRegistry
@@ -28,8 +34,19 @@ from repro.units import to_msec
 #: shifts from cheap to expensive cells
 EWMA_ALPHA = 0.15
 
-#: events that consume one work item when they land
-_TERMINAL_EVENTS = ("run_finished", "cache_hit", "worker_error")
+#: the ``sim_loop`` span fields the engine reports its post-loop heap in
+HEAP_FIELDS = ("pending_events", "dead_in_queue", "queued_events")
+
+
+def _number(record: Mapping[str, Any], key: str) -> float:
+    """A numeric field of a record, 0.0 when absent or not a number."""
+    value = record.get(key)
+    return float(value) if isinstance(value, (int, float)) else 0.0
+
+
+def _tally(event: str) -> Any:
+    """A :class:`SweepProgress` property: how many ``event`` records."""
+    return property(lambda self: self.event_counts.get(event, 0))
 
 
 @dataclass
@@ -41,6 +58,9 @@ class ScenarioProgress:
     finished: int = 0
     cache_hits: int = 0
     errors: int = 0
+    #: wall and simulated seconds of each finished run, in journal order
+    walls: List[float] = field(default_factory=list)
+    sim_times: List[float] = field(default_factory=list)
 
     @property
     def done(self) -> int:
@@ -49,32 +69,54 @@ class ScenarioProgress:
 
 @dataclass
 class PhaseProgress:
-    """Aggregate span timing for one pipeline phase (sim_loop, ...)."""
+    """Span timing for one pipeline phase (sim_loop, ...)."""
 
     phase: str
-    count: int = 0
-    total_wall_s: float = 0.0
+    #: the wall seconds of each span, in journal order
+    walls: List[float] = field(default_factory=list)
+
+    @property
+    def count(self) -> int:
+        return len(self.walls)
+
+    @property
+    def total_wall_s(self) -> float:
+        return sum(self.walls, 0.0)
 
 
 @dataclass
 class SweepProgress:
     """A point-in-time view of a (possibly still running) sweep."""
 
+    #: journal events seen, by ``event`` name; the counts below read it
+    event_counts: Dict[str, int] = field(default_factory=dict)
+    runs_started = _tally("run_started")
+    runs_finished = _tally("run_finished")
+    cache_hits = _tally("cache_hit")
+    cache_misses = _tally("cache_miss")
+    batches_started = _tally("batch_started")
+    batches_finished = _tally("batch_finished")
+    batches_aborted = _tally("batch_aborted")
+    sweeps_started = _tally("sweep_started")
+    sweeps_finished = _tally("sweep_finished")
+    sweeps_aborted = _tally("sweep_aborted")
     #: expected batch size; 0 until a batch/sweep header has been seen
     items_total: int = 0
     grid_points: int = 0
     repetitions: int = 0
-    runs_started: int = 0
-    runs_finished: int = 0
-    cache_hits: int = 0
-    errors: int = 0
-    batches_started: int = 0
-    batches_finished: int = 0
-    batches_aborted: int = 0
-    sweeps_started: int = 0
-    sweeps_finished: int = 0
-    sweeps_aborted: int = 0
     abort_reason: Optional[str] = None
+    #: every ``worker_error`` record, in journal order
+    worker_errors: List[Dict[str, Any]] = field(default_factory=list)
+    #: the slowest ``run_finished`` records, slowest first (ties keep
+    #: journal order)
+    slowest: List[Dict[str, Any]] = field(default_factory=list)
+    #: ``sim_loop`` spans that carry heap fields, and their extremes
+    heap_runs: int = 0
+    max_pending_events: int = 0
+    total_dead_in_queue: int = 0
+    max_dead_in_queue: int = 0
+    #: the last ``sim_loop`` span record, in journal order
+    last_sim_loop: Optional[Dict[str, Any]] = None
     #: wall seconds between the first and last event seen so far
     elapsed_s: float = 0.0
     #: run wall-time percentiles over the fresh runs seen so far
@@ -91,12 +133,22 @@ class SweepProgress:
     phases: Dict[str, PhaseProgress] = field(default_factory=dict)
 
     @property
+    def events(self) -> int:
+        """Journal events seen, of every type."""
+        return sum(self.event_counts.values())
+
+    @property
+    def errors(self) -> int:
+        return len(self.worker_errors)
+
+    @property
     def items_done(self) -> int:
         """Items that reached a terminal state (run, hit, or error)."""
         return self.runs_finished + self.cache_hits + self.errors
 
     @property
     def in_flight(self) -> int:
+        """Runs started whose terminal event (finished/error) is missing."""
         return max(0, self.runs_started - self.runs_finished - self.errors)
 
     @property
@@ -106,18 +158,40 @@ class SweepProgress:
         return min(1.0, self.items_done / self.items_total)
 
     @property
+    def cache_hit_ratio(self) -> float:
+        """Hits over lookups (0.0 when the batch never touched a cache)."""
+        lookups = self.cache_hits + self.cache_misses
+        if lookups == 0:
+            return 0.0
+        return self.cache_hits / lookups
+
+    @property
     def aborted(self) -> bool:
+        """Whether the sweep was cancelled cooperatively mid-run."""
         return self.batches_aborted > 0 or self.sweeps_aborted > 0
 
     @property
-    def complete(self) -> bool:
-        """Every started batch reached its terminal event (or aborted)."""
-        if self.batches_started == 0:
-            return False
-        return (
-            self.batches_finished + self.batches_aborted
-            >= self.batches_started
+    def batches_open(self) -> int:
+        """Started batches whose terminal event never arrived: a journal
+        with one is a killed run (OOM, SIGKILL, a pulled plug) or one
+        still running, however clean its per-run events look."""
+        return max(
+            0,
+            self.batches_started - self.batches_finished - self.batches_aborted,
         )
+
+    @property
+    def complete(self) -> bool:
+        """At least one batch started, and every started batch reached
+        its terminal event (finished or aborted). The executor writes
+        ``batch_started`` first, so a journal with no batch event is a
+        sweep that has not begun (or a hand-built fixture)."""
+        return self.batches_started > 0 and self.batches_open == 0
+
+    @property
+    def healthy(self) -> bool:
+        """No worker error, no abort, and no batch left open."""
+        return not self.errors and not self.aborted and not self.batches_open
 
 
 class ProgressTracker:
@@ -128,15 +202,18 @@ class ProgressTracker:
     coordinator file and near-arrival order for worker partials) and
     take :meth:`snapshot` whenever a fresh view is needed. Events that
     were already merged into the coordinator journal must not be fed
-    again — dedup is the tailer's job (:mod:`repro.obs.live`).
+    again — dedup is the tailer's job (:mod:`repro.obs.live`). It keeps
+    the ``slowest`` slowest ``run_finished`` records.
     """
 
-    def __init__(self, ewma_alpha: float = EWMA_ALPHA):
+    def __init__(
+        self, ewma_alpha: float = EWMA_ALPHA, slowest: int = 5
+    ):
         if not 0.0 < ewma_alpha <= 1.0:
             raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
         self._alpha = ewma_alpha
+        self._slowest = slowest
         self._progress = SweepProgress()
-        self._wall_samples: List[float] = []
         self._loop_wall_s = 0.0
         self._first_t: Optional[float] = None
         self._last_t: Optional[float] = None
@@ -171,69 +248,74 @@ class ProgressTracker:
                 self._ewma += self._alpha * (interval - self._ewma)
         self._last_done_t = t_wall
 
+    def _rank(self, record: Mapping[str, Any]) -> None:
+        """Keep ``record`` if it is among the slowest runs so far."""
+        ranked = self._progress.slowest
+        ranked.append(dict(record))
+        # Stable: a later run ties below an earlier one of equal wall.
+        ranked.sort(key=lambda run: _number(run, "wall_s"), reverse=True)
+        del ranked[self._slowest:]
+
+    def _span(self, record: Mapping[str, Any]) -> None:
+        p = self._progress
+        phase = str(record.get("phase", "?"))
+        stats = p.phases.get(phase)
+        if stats is None:
+            stats = PhaseProgress(phase=phase)
+            p.phases[phase] = stats
+        wall_s = _number(record, "wall_s")
+        stats.walls.append(wall_s)
+        if phase != "sim_loop":
+            return
+        p.last_sim_loop = dict(record)
+        p.events_executed += int(_number(record, "events_executed"))
+        self._loop_wall_s += wall_s
+        if "pending_events" in record:
+            pending = int(_number(record, "pending_events"))
+            dead = int(_number(record, "dead_in_queue"))
+            p.heap_runs += 1
+            p.max_pending_events = max(p.max_pending_events, pending)
+            p.total_dead_in_queue += dead
+            p.max_dead_in_queue = max(p.max_dead_in_queue, dead)
+
     def observe(self, record: Mapping[str, Any]) -> None:
         """Fold one journal event into the progress model."""
         p = self._progress
         event = str(record.get("event", ""))
+        p.event_counts[event] = p.event_counts.get(event, 0) + 1
         t_wall = self._mark_time(record)
         if event == "sweep_started":
-            p.sweeps_started += 1
             p.grid_points += int(record.get("grid_points", 0) or 0)
             p.repetitions = int(record.get("repetitions", 0) or 0)
             if p.batches_started == 0:
                 p.items_total += int(record.get("items", 0) or 0)
-        elif event == "sweep_finished":
-            p.sweeps_finished += 1
-        elif event == "sweep_aborted":
-            p.sweeps_aborted += 1
+        elif event in ("sweep_aborted", "batch_aborted"):
             p.abort_reason = str(record.get("reason", "")) or p.abort_reason
         elif event == "batch_started":
             # Batch headers are authoritative for the item total: a
             # sweep header may precede them, and figure pipelines can
             # run several batches without any sweep event at all.
-            if p.batches_started == 0 and p.sweeps_started > 0:
+            if p.batches_started == 1 and p.sweeps_started > 0:
                 p.items_total = 0
-            p.batches_started += 1
             p.items_total += int(record.get("items", 0) or 0)
-        elif event == "batch_finished":
-            p.batches_finished += 1
-        elif event == "batch_aborted":
-            p.batches_aborted += 1
-            p.abort_reason = str(record.get("reason", "")) or p.abort_reason
         elif event == "run_started":
-            p.runs_started += 1
             self._scenario(record).started += 1
         elif event == "run_finished":
-            p.runs_finished += 1
-            self._scenario(record).finished += 1
-            wall_s = record.get("wall_s")
-            if isinstance(wall_s, (int, float)):
-                self._wall_samples.append(float(wall_s))
+            scenario = self._scenario(record)
+            scenario.finished += 1
+            scenario.walls.append(_number(record, "wall_s"))
+            scenario.sim_times.append(_number(record, "sim_time_s"))
+            self._rank(record)
             self._mark_done(t_wall)
         elif event == "cache_hit":
-            p.cache_hits += 1
             self._scenario(record).cache_hits += 1
             self._mark_done(t_wall)
         elif event == "worker_error":
-            p.errors += 1
+            p.worker_errors.append(dict(record))
             self._scenario(record).errors += 1
             self._mark_done(t_wall)
         elif event == "span":
-            phase = str(record.get("phase", "?"))
-            stats = p.phases.get(phase)
-            if stats is None:
-                stats = PhaseProgress(phase=phase)
-                p.phases[phase] = stats
-            stats.count += 1
-            wall_s = record.get("wall_s")
-            if isinstance(wall_s, (int, float)):
-                stats.total_wall_s += float(wall_s)
-            if phase == "sim_loop":
-                executed = record.get("events_executed")
-                if isinstance(executed, (int, float)):
-                    p.events_executed += int(executed)
-                if isinstance(wall_s, (int, float)):
-                    self._loop_wall_s += float(wall_s)
+            self._span(record)
 
     def observe_all(self, records: Iterable[Mapping[str, Any]]) -> None:
         for record in records:
@@ -244,10 +326,11 @@ class ProgressTracker:
         p = self._progress
         if self._first_t is not None and self._last_t is not None:
             p.elapsed_s = max(0.0, self._last_t - self._first_t)
-        if self._wall_samples:
-            p.wall_p50_s = percentile(self._wall_samples, 50.0)
-            p.wall_p90_s = percentile(self._wall_samples, 90.0)
-            p.wall_max_s = max(self._wall_samples)
+        walls = [wall for s in p.scenarios.values() for wall in s.walls]
+        if walls:
+            p.wall_p50_s = percentile(walls, 50.0)
+            p.wall_p90_s = percentile(walls, 90.0)
+            p.wall_max_s = max(walls)
         p.events_per_s = (
             p.events_executed / self._loop_wall_s
             if self._loop_wall_s > 0
@@ -264,39 +347,32 @@ class ProgressTracker:
         return p
 
 
+#: the snapshot fields ``obs watch --json`` prints as they are...
+_AS_IS = (
+    "items_total items_done grid_points repetitions runs_started "
+    "runs_finished cache_hits errors in_flight batches_started "
+    "batches_finished batches_aborted sweeps_started sweeps_finished "
+    "sweeps_aborted complete aborted abort_reason events_executed"
+).split()
+
+#: ...and those it rounds, to that many digits
+_ROUNDED = {
+    "fraction_done": 4, "elapsed_s": 3, "ewma_interval_s": 6,
+    "wall_p50_s": 6, "wall_p90_s": 6, "wall_max_s": 6, "events_per_s": 1,
+}
+
+
 def progress_to_dict(progress: SweepProgress) -> Dict[str, Any]:
     """A JSON-ready view of a snapshot (``obs watch --json``)."""
+    eta_s = progress.eta_s
     return {
         "version": 1,
-        "items_total": progress.items_total,
-        "items_done": progress.items_done,
-        "fraction_done": round(progress.fraction_done, 4),
-        "grid_points": progress.grid_points,
-        "repetitions": progress.repetitions,
-        "runs_started": progress.runs_started,
-        "runs_finished": progress.runs_finished,
-        "cache_hits": progress.cache_hits,
-        "errors": progress.errors,
-        "in_flight": progress.in_flight,
-        "batches_started": progress.batches_started,
-        "batches_finished": progress.batches_finished,
-        "batches_aborted": progress.batches_aborted,
-        "sweeps_started": progress.sweeps_started,
-        "sweeps_finished": progress.sweeps_finished,
-        "sweeps_aborted": progress.sweeps_aborted,
-        "complete": progress.complete,
-        "aborted": progress.aborted,
-        "abort_reason": progress.abort_reason,
-        "elapsed_s": round(progress.elapsed_s, 3),
-        "eta_s": (
-            None if progress.eta_s is None else round(progress.eta_s, 3)
-        ),
-        "ewma_interval_s": round(progress.ewma_interval_s, 6),
-        "wall_p50_s": round(progress.wall_p50_s, 6),
-        "wall_p90_s": round(progress.wall_p90_s, 6),
-        "wall_max_s": round(progress.wall_max_s, 6),
-        "events_executed": progress.events_executed,
-        "events_per_s": round(progress.events_per_s, 1),
+        **{name: getattr(progress, name) for name in _AS_IS},
+        **{
+            name: round(getattr(progress, name), digits)
+            for name, digits in _ROUNDED.items()
+        },
+        "eta_s": None if eta_s is None else round(eta_s, 3),
         "scenarios": {
             name: {
                 "started": s.started,
@@ -317,69 +393,85 @@ def progress_to_dict(progress: SweepProgress) -> Dict[str, Any]:
 
 
 def progress_to_registry(progress: SweepProgress) -> MetricsRegistry:
-    """Render a snapshot as Prometheus gauges (the ``/metrics`` view)."""
+    """Render a snapshot as Prometheus metrics: a trace's
+    ``metrics.prom``/``metrics.json`` and the ``/metrics`` endpoint.
+
+    Counters of journal events, the span wall-time histogram, the
+    ``sim_*`` gauges of the last ``sim_loop`` span in journal order,
+    and the ``sweep_*`` progress gauges. Everything is read from the one
+    fold, so a trace exports the same families at any ``--jobs``.
+    """
     registry = MetricsRegistry()
+    for event, count in progress.event_counts.items():
+        registry.counter(
+            "journal_events_total", labels={"event": event},
+            help="journal events by type",
+        ).inc(count)
+    for name, count, help in (
+        ("runs_total", progress.runs_finished, "fresh simulations finished"),
+        ("cache_hits_total", progress.cache_hits, "result-cache hits"),
+        ("cache_misses_total", progress.cache_misses, "result-cache misses"),
+        ("worker_errors_total", progress.errors, "items that failed"),
+    ):
+        registry.counter(name, help=help).inc(count)
+    for phase, stats in progress.phases.items():
+        histogram = registry.histogram(
+            "span_wall_seconds", labels={"phase": phase},
+            help="wall time per pipeline phase",
+        )
+        for wall_s in stats.walls:
+            histogram.observe(wall_s)
 
-    def gauge(name: str, value: float, help: str) -> None:
+    loop = progress.last_sim_loop
+    gauges: List[Tuple[str, float, str]] = []
+    if loop is not None:
+        wall_s = _number(loop, "wall_s")
+        if wall_s > 0:
+            gauges.append((
+                "sim_events_per_second",
+                _number(loop, "events_executed") / wall_s,
+                "virtual events over loop wall time, last sim loop",
+            ))
+        # Post-loop heap state: live events still queued and the exact
+        # lazy-deletion tally, so heap bloat shows up in the export.
+        gauges += [
+            (f"sim_{name}", _number(loop, name), f"{name}, last sim loop")
+            for name in HEAP_FIELDS
+            if name in loop
+        ]
+    gauges += [
+        ("sweep_items_total", progress.items_total,
+         "work items expected in the watched sweep"),
+        ("sweep_items_done", progress.items_done,
+         "work items in a terminal state (run, cache hit, or error)"),
+        ("sweep_runs_finished", progress.runs_finished,
+         "fresh simulations finished"),
+        ("sweep_cache_hits", progress.cache_hits,
+         "items served from the result cache"),
+        ("sweep_errors", progress.errors,
+         "items that failed with a worker error"),
+        ("sweep_in_flight", progress.in_flight,
+         "runs started but not yet finished"),
+        ("sweep_fraction_done", progress.fraction_done,
+         "items_done / items_total"),
+        ("sweep_complete", 1.0 if progress.complete else 0.0,
+         "1 once every started batch finished or aborted"),
+        ("sweep_aborted", 1.0 if progress.aborted else 0.0,
+         "1 if the sweep was cancelled mid-run"),
+        ("sweep_eta_seconds",
+         progress.eta_s if progress.eta_s is not None else -1.0,
+         "EWMA-based seconds to completion (-1 = unknown)"),
+        ("sweep_elapsed_seconds", progress.elapsed_s,
+         "wall seconds between the first and last journal event seen"),
+        ("sweep_run_wall_p50_seconds", progress.wall_p50_s,
+         "median wall seconds per fresh run so far"),
+        ("sweep_run_wall_p90_seconds", progress.wall_p90_s,
+         "p90 wall seconds per fresh run so far"),
+        ("sim_events_per_second_aggregate", progress.events_per_s,
+         "virtual events over sim-loop wall time, all runs so far"),
+    ]
+    for name, value, help in gauges:
         registry.gauge(name, help=help).set(value)
-
-    gauge(
-        "sweep_items_total", float(progress.items_total),
-        "work items expected in the watched sweep",
-    )
-    gauge(
-        "sweep_items_done", float(progress.items_done),
-        "work items in a terminal state (run, cache hit, or error)",
-    )
-    gauge(
-        "sweep_runs_finished", float(progress.runs_finished),
-        "fresh simulations finished",
-    )
-    gauge(
-        "sweep_cache_hits", float(progress.cache_hits),
-        "items served from the result cache",
-    )
-    gauge(
-        "sweep_errors", float(progress.errors),
-        "items that failed with a worker error",
-    )
-    gauge(
-        "sweep_in_flight", float(progress.in_flight),
-        "runs started but not yet finished",
-    )
-    gauge(
-        "sweep_fraction_done", progress.fraction_done,
-        "items_done / items_total",
-    )
-    gauge(
-        "sweep_complete", 1.0 if progress.complete else 0.0,
-        "1 once every started batch finished or aborted",
-    )
-    gauge(
-        "sweep_aborted", 1.0 if progress.aborted else 0.0,
-        "1 if the sweep was cancelled mid-run",
-    )
-    gauge(
-        "sweep_eta_seconds",
-        progress.eta_s if progress.eta_s is not None else -1.0,
-        "EWMA-based seconds to completion (-1 = unknown)",
-    )
-    gauge(
-        "sweep_elapsed_seconds", progress.elapsed_s,
-        "wall seconds between the first and last journal event seen",
-    )
-    gauge(
-        "sweep_run_wall_p50_seconds", progress.wall_p50_s,
-        "median wall seconds per fresh run so far",
-    )
-    gauge(
-        "sweep_run_wall_p90_seconds", progress.wall_p90_s,
-        "p90 wall seconds per fresh run so far",
-    )
-    gauge(
-        "sim_events_per_second_aggregate", progress.events_per_s,
-        "virtual events over sim-loop wall time, all runs so far",
-    )
     return registry
 
 

@@ -90,8 +90,8 @@ class StreamSpec:
                 raise ObservabilityError(
                     f"{resolved}:{lineno}: bad {self.kind} line: {exc}"
                 ) from exc
-            if not isinstance(record, dict) or not all(
-                name in record for name in self.required
+            if not isinstance(record, dict) or not record.keys() >= set(
+                self.required
             ):
                 raise ObservabilityError(
                     f"{resolved}:{lineno}: {self.kind} record lacks one of "

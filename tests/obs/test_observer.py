@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs.journal import JournalWriter, read_journal
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import (
     METRICS_JSON_FILENAME,
     METRICS_PROM_FILENAME,
@@ -24,8 +23,6 @@ class TestNullObserver:
         assert obs.enabled is False
         assert obs.trace_dir is None
         obs.emit("run_started", scenario="s")
-        obs.set_gauge("g", 1.0)
-        obs.inc("c")
         obs.collect_workers()
         obs.close()
 
@@ -55,28 +52,22 @@ class TestJournalObserver:
         assert record["events_executed"] == 42
         assert record["wall_s"] == pytest.approx(span.wall_s)
 
-    def test_registry_counts_events(self, tmp_path):
-        registry = MetricsRegistry()
-        with JournalObserver(tmp_path / "j.jsonl", registry=registry) as obs:
-            obs.emit("run_finished", scenario="s")
-            obs.emit("cache_hit")
-            obs.emit("cache_miss")
-            obs.emit("worker_error")
-        assert registry.counter("runs_total").value == 1
-        assert registry.counter("cache_hits_total").value == 1
-        assert registry.counter("cache_misses_total").value == 1
-        assert registry.counter("worker_errors_total").value == 1
-
 
 class TestTracingObserver:
     def test_creates_dir_and_exports_metrics_on_close(self, tmp_path):
         trace = tmp_path / "trace"
         with TracingObserver(trace) as obs:
             obs.emit("run_finished", scenario="s")
-            obs.set_gauge("sim_events_per_second", 1000.0)
+            obs.emit(
+                "span", phase="sim_loop", wall_s=0.5, events_executed=500,
+                pending_events=3, dead_in_queue=1, queued_events=4,
+            )
         prom = (trace / METRICS_PROM_FILENAME).read_text()
         assert "runs_total 1" in prom
         assert "sim_events_per_second 1000" in prom
+        assert "sim_pending_events 3" in prom
+        assert "sim_dead_in_queue 1" in prom
+        assert "sim_queued_events 4" in prom
         payload = json.loads((trace / METRICS_JSON_FILENAME).read_text())
         assert payload["version"] == 1
 
@@ -93,6 +84,19 @@ class TestTracingObserver:
         )
         assert list(trace.glob("worker-*.jsonl")) == []
         assert "runs_total 1" in (trace / METRICS_PROM_FILENAME).read_text()
+
+    def test_exports_count_events(self, tmp_path):
+        trace = tmp_path / "trace"
+        with TracingObserver(trace) as obs:
+            obs.emit("run_finished", scenario="s")
+            obs.emit("cache_hit")
+            obs.emit("cache_miss")
+            obs.emit("worker_error")
+        prom = (trace / METRICS_PROM_FILENAME).read_text()
+        for name in ("runs_total", "cache_hits_total", "cache_misses_total",
+                     "worker_errors_total"):
+            assert f"\n{name} 1\n" in prom
+        assert 'journal_events_total{event="cache_miss"} 1' in prom
 
 
 class TestResolve:

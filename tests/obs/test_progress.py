@@ -167,29 +167,6 @@ class TestTracker:
         assert p.events_per_s == pytest.approx(500.0)
         assert p.phases["sim_loop"].count == 1
 
-    def test_watch_and_report_agree_on_one_journal(self):
-        # obs watch (this tracker) and obs report (summarize_journal)
-        # share one percentile, so a one-scenario journal reads the
-        # same p50/p90 in both views. Four walls: nearest-rank and
-        # interpolation would disagree on every quantile here.
-        from repro.obs.report import summarize_journal
-
-        walls = (0.1, 0.2, 0.4, 0.8)
-        events = _batch(
-            [
-                record
-                for i, wall in enumerate(walls)
-                for record in _run(i, seed=i, t=float(i), wall=wall)
-            ]
-        )
-        tracker = ProgressTracker()
-        tracker.observe_all(events)
-        watch = tracker.snapshot()
-        (report,) = summarize_journal(events).per_scenario
-        assert watch.wall_p50_s == report.p50_wall_s == pytest.approx(0.3)
-        assert watch.wall_p90_s == report.p90_wall_s
-        assert watch.wall_max_s == report.max_wall_s
-
     def test_elapsed_spans_first_to_last_event(self):
         tracker = ProgressTracker()
         tracker.observe({"event": "batch_started", "items": 1, "t_wall": 10.0})

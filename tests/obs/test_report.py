@@ -75,11 +75,11 @@ class TestSummarize:
         assert summary.healthy
 
     def test_per_scenario_percentiles(self):
-        summary = summarize_journal(_events())
-        a = next(s for s in summary.per_scenario if s.scenario == "a")
-        assert a.runs == 2
-        assert a.p50_wall_s == pytest.approx(0.2)
-        assert a.max_wall_s == pytest.approx(0.3)
+        rows = summary_to_dict(summarize_journal(_events()))["per_scenario"]
+        a = next(s for s in rows if s["scenario"] == "a")
+        assert a["runs"] == 2
+        assert a["p50_wall_s"] == pytest.approx(0.2)
+        assert a["max_wall_s"] == pytest.approx(0.3)
 
     def test_slowest_runs_ranked(self):
         summary = summarize_journal(_events(), slowest=2)
@@ -87,14 +87,14 @@ class TestSummarize:
 
     def test_phase_totals(self):
         summary = summarize_journal(_events())
-        sim = next(p for p in summary.phases if p.phase == "sim_loop")
+        sim = summary.phases["sim_loop"]
         assert sim.count == 3
         assert sim.total_wall_s == pytest.approx(0.3)
 
     def test_worker_errors_make_it_unhealthy(self):
         summary = summarize_journal(_events(errors=1))
         assert not summary.healthy
-        assert summary.errors[0]["error"] == "boom"
+        assert summary.worker_errors[0]["error"] == "boom"
 
 
 class TestCompleteness:
@@ -126,7 +126,7 @@ class TestCompleteness:
         ]
         summary = summarize_journal(events)
         assert not summary.complete
-        assert summary.runs_in_flight == 1
+        assert summary.in_flight == 1
         assert not summary.healthy
         text = format_report(summary)
         assert "INCOMPLETE" in text
@@ -153,7 +153,9 @@ class TestCompleteness:
 
     def test_synthetic_journals_without_batches_stay_healthy(self):
         # Hand-built event streams (unit tests, external tools) carry no
-        # batch framing; they are vacuously complete.
+        # batch framing: no batch is left open, so they are healthy,
+        # but no batch ever started, so they are not complete (the one
+        # definition obs watch waits on).
         summary = summarize_journal(
             [
                 {
@@ -166,7 +168,7 @@ class TestCompleteness:
                 }
             ]
         )
-        assert summary.complete
+        assert not summary.complete
         assert summary.healthy
 
     def test_dict_carries_completeness_fields(self):
