@@ -33,11 +33,15 @@ test:
 bench-check:
 	$(PYTHON) -m pytest bench/tests -q
 
-# source lines per package ([a-z]*: not __pycache__) and in total;
-# every removal PR reports the before/after of exactly this
+# source lines per package ([a-z]*: not __pycache__), per top-level
+# module (cli.py ...) and in total; every removal PR reports the
+# before/after of exactly this
 loc:
 	@for pkg in src/repro/[a-z]*/; do \
 		printf '%6d %s\n' "$$(find $$pkg -name '*.py' | xargs cat | wc -l)" "$$pkg"; \
+	done
+	@for module in src/repro/*.py; do \
+		printf '%6d %s\n' "$$(wc -l < $$module)" "$$module"; \
 	done
 	@printf '%6d src (all *.py)\n' "$$(find src -name '*.py' | xargs cat | wc -l)"
 

@@ -21,6 +21,15 @@ same way: a repeatable ``--policy NAME`` flag naming entries of the
 Sizes are scaled down from the paper's (DESIGN.md §5) so every command
 finishes in seconds to minutes on a laptop; pass ``--bytes``/``--reps``
 to trade time for fidelity.
+
+The figure commands are the rows of :data:`repro.figures.specs.FIGURES`:
+their options, driver, tables and paper claims are declared there, and
+one handler here runs them all.
+
+Exit codes: 0 success; 1 a failed check (claims, lint findings, drift)
+or a library error (``error: ...`` on stderr, no traceback); 2 a usage,
+trace or baseline I/O error; 3 a sweep cancelled mid-run (drift gate or
+abort file).
 """
 
 from __future__ import annotations
@@ -31,89 +40,11 @@ import math
 import sys
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import ObservabilityError, SweepAbortedError
+from repro.errors import ObservabilityError, ReproError, SweepAbortedError
 
 #: exit code for a sweep cancelled mid-run (drift gate or abort file),
 #: distinct from failures (1) and usage/IO errors (2)
 EXIT_ABORTED = 3
-
-
-def _add_common(parser: argparse.ArgumentParser, default_bytes: int) -> None:
-    parser.add_argument(
-        "--bytes", type=int, default=default_bytes,
-        help="per-flow transfer size in bytes",
-    )
-    parser.add_argument("--reps", type=int, default=3, help="repetitions per point")
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-
-
-def _add_parallel(parser: argparse.ArgumentParser) -> None:
-    """Executor-layer knobs: results are identical whatever their values."""
-    parser.add_argument(
-        "--jobs", "-j", type=int, default=None,
-        help="worker processes for the simulations (default: serial; "
-        "results are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="content-addressed result cache directory; reruns with "
-        "unchanged parameters replay stored measurements",
-    )
-    parser.add_argument(
-        "--trace", default=None, metavar="DIR",
-        help="write a run journal (journal.jsonl) and metrics exports "
-        "into DIR; inspect with 'greenenvy obs report DIR'. Tracing "
-        "never changes results",
-    )
-
-
-def _add_policy(parser: argparse.ArgumentParser, default: str) -> None:
-    parser.add_argument(
-        "--policy", action="append", dest="policies", metavar="NAME",
-        help="scheduling policy to run (repeatable; comma lists and "
-        f"'all' also work; default: {default}; see 'greenenvy policies')",
-    )
-
-
-def _policies(args: argparse.Namespace) -> Optional[List[str]]:
-    """Canonical, deduplicated policy names from ``--policy`` flags.
-
-    ``None`` when the user gave no flag, so each figure keeps its own
-    classic default arms. ``all`` expands to the whole registry;
-    retired spellings resolve through the aliases (with their
-    deprecation warning).
-    """
-    values = getattr(args, "policies", None)
-    if not values:
-        return None
-    from repro.sched import policy_names, resolve_policy_name
-
-    names: List[str] = []
-    for value in values:
-        for part in value.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if part.lower() == "all":
-                names.extend(policy_names())
-            else:
-                names.append(resolve_policy_name(part))
-    return list(dict.fromkeys(names)) or None
-
-
-def _trace_note(args: argparse.Namespace) -> None:
-    if getattr(args, "trace", None):
-        print(f"\ntrace written to {args.trace} "
-              f"(greenenvy obs report {args.trace})")
-
-
-def _add_abort_on_drift(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--abort-on-drift", metavar="BASELINE", dest="abort_on_drift",
-        help="cancel the sweep early (exit 3) as soon as a scenario "
-        "that finished all its repetitions drifts from this baseline "
-        "JSON ('greenenvy obs snapshot')",
-    )
 
 
 def _add_tolerance(parser: argparse.ArgumentParser) -> None:
@@ -178,10 +109,10 @@ def _drift_control(args: argparse.Namespace) -> Any:
 def _launch(args: argparse.Namespace) -> Iterator[Dict[str, Any]]:
     """The launch keywords every sweep command passes its figure driver.
 
-    ``jobs``/``cache_dir`` from :func:`_add_parallel`, the ``--trace``
-    observer (open for the duration of the ``with`` block, no-op
-    without the flag), and ``control`` on the commands that take
-    ``--abort-on-drift``.
+    ``jobs``/``cache_dir`` from the ``PARALLEL`` options of
+    :mod:`repro.figures.specs`, the ``--trace`` observer (open for the
+    duration of the ``with`` block, no-op without the flag), and
+    ``control`` on the commands that take ``--abort-on-drift``.
     """
     from repro.obs.observer import observing
 
@@ -207,101 +138,22 @@ def _aborted_exit(exc: SweepAbortedError, gate: Any) -> int:
     return EXIT_ABORTED
 
 
-def _cmd_fig1(args: argparse.Namespace) -> int:
-    from repro.figures.fig1 import run_fig1
-
-    with _launch(args) as launch:
-        result = run_fig1(
-            transfer_bytes=args.bytes, repetitions=args.reps,
-            base_seed=args.seed, **launch,
-        )
-    print(result.format_table())
-    print(f"\nmax savings vs fair: {result.max_savings_percent:.1f}% "
-          f"(paper: ~16%)")
-    _trace_note(args)
-    return 0
-
-
-def _cmd_fig2(args: argparse.Namespace) -> int:
-    from repro.figures.fig2 import run_fig2
-
-    with _launch(args) as launch:
-        result = run_fig2(
-            repetitions=args.reps, base_seed=args.seed, **launch
-        )
-    print(result.format_table())
-    _trace_note(args)
-    return 0
-
-
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    from repro.figures.fig3 import run_fig3
-
-    from repro.units import to_gbps
-
-    result = run_fig3(
-        transfer_bytes=args.bytes, seed=args.seed, policies=_policies(args)
-    )
-    for panel in result.panels:
-        print(f"\n== {panel} ==")
-        for flow, series in result.panel(panel):
-            samples = " ".join(f"{to_gbps(v):.1f}" for v in series.values)
-            print(f"flow {flow} (Gb/s per ms): {samples}")
-        means = ", ".join(f"{m:.2f}" for m in result.mean_throughputs_gbps(panel))
-        print(f"window-average throughputs: {means} Gb/s")
-    return 0
-
-
-def _cmd_fig4(args: argparse.Namespace) -> int:
-    from repro.figures.fig4 import run_fig4
-
-    with _launch(args) as launch:
-        result = run_fig4(
-            repetitions=args.reps, base_seed=args.seed, **launch
-        )
-    print(result.format_table())
-    for load in result.loads():
-        print(
-            f"full-speed-then-idle savings at load {100 * load:.0f}%: "
-            f"{result.savings_fsti_vs_fair_percent(load):.2f}%"
-        )
-    _trace_note(args)
-    return 0
-
-
-def _cmd_grid(args: argparse.Namespace) -> int:
-    from repro.figures.fig5 import fig5_from_grid
-    from repro.figures.fig6 import fig6_from_grid
-    from repro.figures.fig7 import fig7_from_grid
-    from repro.figures.fig8 import fig8_from_grid
-    from repro.figures.grid import run_cca_mtu_grid
-
-    with _launch(args) as launch:
-        grid = run_cca_mtu_grid(
-            transfer_bytes=args.bytes, repetitions=args.reps,
-            base_seed=args.seed, **launch,
-        )
-    if getattr(args, "json", None):
-        from repro.analysis.export import save_json
-
-        save_json([cell.result for cell in grid.cells], args.json)
-        print(f"wrote raw measurements to {args.json}\n")
-    fig5 = fig5_from_grid(grid)
-    fig6 = fig6_from_grid(grid)
-    fig7 = fig7_from_grid(grid)
-    fig8 = fig8_from_grid(grid)
-    print("== Figure 5: energy ==")
-    print(fig5.format_table())
-    print(f"\nBBR2 vs BBR energy overhead @9000: "
-          f"{100 * fig5.bbr2_vs_bbr_fraction(9000):.0f}% (paper: ~40%)")
-    print("\n== Figure 6: power ==")
-    print(fig6.format_table())
-    print(f"\ncorr(energy, power) @1500: "
-          f"{fig6.energy_power_correlation(1500):.2f} (paper: -0.8)")
-    print(f"\ncorr(energy, fct): {fig7.energy_fct_correlation():.2f}")
-    print(f"corr(energy, retx) excl bbr2: {fig8.correlation():.2f} "
-          f"(paper: 0.47)")
-    _trace_note(args)
+def _cmd_figure(args: argparse.Namespace) -> int:
+    """Every figure command: run its row's driver, print its output."""
+    figure = args.figure
+    if figure.launched:
+        with _launch(args) as launch:
+            result = figure.run(args, **launch)
+    else:
+        result = figure.run(args)
+    for param in figure.params:
+        value = getattr(args, param.name)
+        if param.export is not None and value:
+            print(param.export(result, value))
+    print(figure.render(result))
+    if getattr(args, "trace", None):
+        print(f"\ntrace written to {args.trace} "
+              f"(greenenvy obs report {args.trace})")
     return 0
 
 
@@ -561,136 +413,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0 if report.claims_ok == report.claims_total else 1
 
 
-def _cmd_srpt(args: argparse.Namespace) -> int:
-    from repro.figures.srpt import run_srpt_comparison
-
-    result = run_srpt_comparison(seed=args.seed, policies=_policies(args))
-    print(result.format_table())
-    for name in sorted(set(result.points) - {"fair"}):
-        print(
-            f"\n{name}: {result.energy_savings_vs_fair(name):.1%} "
-            f"energy saving, {result.fct_speedup_vs_fair(name):.2f}x mean FCT"
-        )
-    return 0
-
-
-def _cmd_incast(args: argparse.Namespace) -> int:
-    from repro.figures.incast import run_incast_sweep
-
-    result = run_incast_sweep(aggregate_bytes=args.bytes)
-    print(result.format_table())
-    print(f"\nenergy growth 1 -> {result.points[-1].fan_in} senders: "
-          f"x{result.energy_growth():.2f}")
-    return 0
-
-
-def _cmd_loadbalance(args: argparse.Namespace) -> int:
-    from repro.figures.load_balance import run_hardware_comparison
-
-    today, adaptive = run_hardware_comparison()
-    print(today.format_table())
-    print()
-    print(adaptive.format_table())
-    return 0
-
-
-def _cmd_workload(args: argparse.Namespace) -> int:
-    from repro.figures.workload_energy import run_workload_energy
-
-    result = run_workload_energy(
-        distribution=args.distribution, target_load=args.load, seed=args.seed,
-        policies=_policies(args),
-    )
-    print(
-        f"{result.workload.name}: {len(result.workload.flows)} flows, "
-        f"offered load {result.workload.offered_load:.2f}\n"
-    )
-    print(result.format_table())
-    if "fair" in result.points:
-        fair = result.points["fair"]
-        for name in sorted(set(result.points) - {"fair"}):
-            point = result.points[name]
-            print(
-                f"\n{name}: {fair.mean_fct_s / point.mean_fct_s:.2f}x mean "
-                f"FCT at {point.energy_j / fair.energy_j:.3f}x the energy"
-            )
-    return 0
-
-
-def _cmd_fabric(args: argparse.Namespace) -> int:
-    from repro.figures.fabric import DEFAULT_POLICIES, run_fabric_figure
-    from repro.units import MILLION
-
-    ccas = [c.strip() for c in args.ccas.split(",") if c.strip()]
-    with _launch(args) as launch:
-        result = run_fabric_figure(
-            ccas=ccas,
-            n_flows=args.flows,
-            mix=args.mix,
-            target_load=args.load,
-            topology=args.topology,
-            leaves=args.leaves,
-            spines=args.spines,
-            hosts_per_leaf=args.hosts_per_leaf,
-            switch_power=args.switch_power,
-            repetitions=args.reps,
-            base_seed=args.seed,
-            policies=_policies(args) or DEFAULT_POLICIES,
-            **launch,
-        )
-    print(result.format_table())
-    # The fair arms score exactly 0% against themselves, so the best
-    # (cca, policy) cell is fair only when every other arm costs energy.
-    cca, policy, saving = max(
-        (
-            (point.cca, name, point.savings_percent_vs_fair(name))
-            for point in result.points
-            for name in result.policies
-        ),
-        key=lambda row: row[2],
-    )
-    print(
-        f"\nbest fleet saving: {saving:.1f}% ({cca}, {policy}), worth "
-        f"${result.annualized_value_usd(cca, policy) / MILLION:.1f}M/year "
-        f"at datacenter scale"
-    )
-    _trace_note(args)
-    return 0
-
-
-def _cmd_pareto(args: argparse.Namespace) -> int:
-    from repro.figures.pareto import WORKLOADS, run_pareto
-
-    kwargs = {}
-    if args.link_batch:
-        kwargs["link_batch"] = tuple(
-            int(float(s)) for s in args.link_batch.split(",") if s.strip()
-        )
-    with _launch(args) as launch:
-        result = run_pareto(
-            policies=_policies(args),
-            link_cca=args.link_cca,
-            deadline_slack=args.deadline_slack,
-            fabric_cca=args.fabric_cca,
-            n_flows=args.flows,
-            mix=args.mix,
-            target_load=args.load,
-            leaves=args.leaves,
-            spines=args.spines,
-            hosts_per_leaf=args.hosts_per_leaf,
-            repetitions=args.reps,
-            base_seed=args.seed,
-            **kwargs,
-            **launch,
-        )
-    print(result.format_table())
-    for workload in WORKLOADS:
-        front = " -> ".join(p.policy for p in result.frontier(workload))
-        print(f"\n{workload} frontier (fastest -> greenest): {front}")
-    _trace_note(args)
-    return 0
-
-
 def _cmd_policies(args: argparse.Namespace) -> int:
     from repro.sched import POLICY_ALIASES, get_policy, policy_names
 
@@ -718,24 +440,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     ok = validation_passed(checks)
     print(f"\n{'all checks passed' if ok else 'CALIBRATION BROKEN'}")
     return 0 if ok else 1
-
-
-def _cmd_mptcp(args: argparse.Namespace) -> int:
-    from repro.figures.mptcp import run_mptcp_comparison
-
-    result = run_mptcp_comparison(total_bytes=args.bytes, seed=args.seed)
-    print(result.format_table())
-    print(f"\nspreading subflows across packages costs "
-          f"+{100 * result.spread_penalty():.0f}%")
-    return 0
-
-
-def _cmd_mechanisms(args: argparse.Namespace) -> int:
-    from repro.figures.mechanisms import run_mechanism_breakdown
-
-    result = run_mechanism_breakdown(transfer_bytes=args.bytes)
-    print(result.format_table())
-    return 0
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -822,34 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fig1", help="unfairness vs energy savings sweep")
-    _add_common(p, default_bytes=12_500_000)
-    _add_parallel(p)
-    _add_abort_on_drift(p)
-    p.set_defaults(func=_cmd_fig1)
+    from repro.figures.specs import FIGURES, sizing
 
-    p = sub.add_parser("fig2", help="power vs throughput curves")
-    _add_common(p, default_bytes=0)
-    _add_parallel(p)
-    p.set_defaults(func=_cmd_fig2)
-
-    p = sub.add_parser(
-        "fig3", help="per-policy throughput timeseries (one panel each)"
-    )
-    _add_common(p, default_bytes=12_500_000)
-    _add_policy(p, default="fair, serialized")
-    p.set_defaults(func=_cmd_fig3)
-
-    p = sub.add_parser("fig4", help="loaded-host power curves")
-    _add_common(p, default_bytes=0)
-    _add_parallel(p)
-    p.set_defaults(func=_cmd_fig4)
-
-    p = sub.add_parser("grid", help="CCA x MTU grid (figures 5-8)")
-    _add_common(p, default_bytes=25_000_000)
-    _add_parallel(p)
-    p.add_argument("--json", help="also dump raw measurements to this file")
-    p.set_defaults(func=_cmd_grid)
+    for figure in FIGURES:
+        p = sub.add_parser(figure.name, help=figure.help)
+        for param in figure.params:
+            param.add_to(p)
+        p.set_defaults(func=_cmd_figure, figure=figure)
 
     p = sub.add_parser("theorem", help="verify Theorem 1 numerically")
     p.add_argument("--flows", type=int, default=2)
@@ -892,118 +575,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "report", help="run the quick end-to-end reproduction report"
     )
-    _add_common(p, default_bytes=8_000_000)
+    for param in sizing(8_000_000):
+        param.add_to(p)
     p.add_argument("--output", "-o", help="write markdown to a file")
     p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("srpt", help="SRPT transport energy (§5 extension)")
-    _add_common(p, default_bytes=0)
-    _add_policy(p, default="fair, srpt, serialized")
-    p.set_defaults(func=_cmd_srpt)
-
-    p = sub.add_parser("incast", help="incast fan-in energy (§5 extension)")
-    _add_common(p, default_bytes=20_000_000)
-    p.set_defaults(func=_cmd_incast)
-
-    p = sub.add_parser(
-        "loadbalance", help="link imbalance under two switch-power models"
-    )
-    p.set_defaults(func=_cmd_loadbalance)
-
-    p = sub.add_parser(
-        "workload", help="production workloads: per-policy energy and FCT"
-    )
-    _add_common(p, default_bytes=0)
-    p.add_argument(
-        "--distribution", default="web-search",
-        choices=("web-search", "data-mining"),
-    )
-    p.add_argument("--load", type=float, default=0.5)
-    _add_policy(p, default="fair, srpt")
-    p.set_defaults(func=_cmd_workload)
-
-    p = sub.add_parser(
-        "fabric",
-        help="leaf-spine fleet energy at 1k+ flows, per scheduling "
-        "policy and datacenter CCA",
-    )
-    p.add_argument(
-        "--flows", type=int, default=1000,
-        help="concurrent flows in the generated workload",
-    )
-    p.add_argument(
-        "--ccas", default="dctcp,dcqcn",
-        help="comma-separated datacenter CCAs (dctcp, dcqcn, hpcc, swift)",
-    )
-    p.add_argument("--leaves", type=int, default=8, help="leaf (ToR) switches")
-    p.add_argument("--spines", type=int, default=2, help="spine switches")
-    p.add_argument(
-        "--hosts-per-leaf", type=int, default=8, help="hosts per rack"
-    )
-    p.add_argument(
-        "--topology", default="leaf-spine", choices=("leaf-spine", "fat-tree")
-    )
-    p.add_argument(
-        "--load", type=float, default=0.3,
-        help="target offered load as a fraction of host capacity",
-    )
-    p.add_argument(
-        "--mix", default="datacenter",
-        help="traffic mix (datacenter, rpc-heavy, or a single distribution)",
-    )
-    p.add_argument(
-        "--switch-power", default="today", choices=("today", "rate-adaptive"),
-        help="switch power hardware model",
-    )
-    p.add_argument("--reps", type=int, default=1, help="repetitions per arm")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    _add_policy(p, default="fair, serialized")
-    _add_parallel(p)
-    _add_abort_on_drift(p)
-    p.set_defaults(func=_cmd_fabric)
-
-    p = sub.add_parser(
-        "pareto",
-        help="FCT-vs-energy Pareto frontier across scheduling policies "
-        "on a link batch and a leaf-spine workload",
-    )
-    _add_policy(p, default="every registered policy")
-    p.add_argument(
-        "--link-batch", metavar="BYTES,BYTES,...",
-        help="comma-separated flow sizes for the link workload "
-        "(default: 20M,10M,5M,2.5M)",
-    )
-    p.add_argument(
-        "--link-cca", default="cubic", help="CCA for the link workload"
-    )
-    p.add_argument(
-        "--deadline-slack", type=float, default=4.0,
-        help="per-flow deadline as a multiple of line-rate duration",
-    )
-    p.add_argument(
-        "--fabric-cca", default="dctcp", help="CCA for the fabric workload"
-    )
-    p.add_argument(
-        "--flows", type=int, default=200, help="fabric workload flow count"
-    )
-    p.add_argument(
-        "--mix", default="rpc",
-        help="fabric traffic mix (datacenter, rpc-heavy, or a distribution)",
-    )
-    p.add_argument(
-        "--load", type=float, default=0.3,
-        help="fabric target offered load as a fraction of host capacity",
-    )
-    p.add_argument("--leaves", type=int, default=4, help="leaf (ToR) switches")
-    p.add_argument("--spines", type=int, default=2, help="spine switches")
-    p.add_argument(
-        "--hosts-per-leaf", type=int, default=4, help="hosts per rack"
-    )
-    p.add_argument("--reps", type=int, default=1, help="repetitions per arm")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    _add_parallel(p)
-    _add_abort_on_drift(p)
-    p.set_defaults(func=_cmd_pareto)
 
     p = sub.add_parser(
         "policies",
@@ -1015,19 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="fast calibration self-check (no simulation)"
     )
     p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser(
-        "mptcp", help="subflow multiplexing energy ([59]'s MPTCP findings)"
-    )
-    _add_common(p, default_bytes=20_000_000)
-    p.set_defaults(func=_cmd_mptcp)
-
-    p = sub.add_parser(
-        "mechanisms",
-        help="per-mechanism energy attribution for each CCA (§5)",
-    )
-    _add_common(p, default_bytes=20_000_000)
-    p.set_defaults(func=_cmd_mechanisms)
 
     p = sub.add_parser(
         "obs",
@@ -1190,6 +752,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except SweepAbortedError as exc:
         return _aborted_exit(exc, getattr(args, "drift_gate", None))
+    except ReproError as exc:
+        # a library refusal (bad parameters, an impossible run)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -50,7 +50,6 @@ class TcpReceiver(Counted):
         peer: str,
         expected_bytes: Optional[int] = None,
         delack_segments: int = 2,
-        delack_timeout: float = DEFAULT_DELACK_TIMEOUT,
         max_rwnd_bytes: int = DEFAULT_MAX_RWND,
     ):
         self.sim = sim

@@ -53,12 +53,13 @@ class TestCongestionAvoidance:
         cc = CongestionControl(ctx)
         cc.ssthresh = cc.cwnd  # leave slow start
         start = cc.cwnd
-        # One full window of ACKs should add about one MSS.
+        # One full window of ACKs adds at most one MSS (RFC 5681 §3.1:
+        # cwnd grows by <= 1 SMSS per RTT) and, ACK by ACK, nearly that.
         acked = 0
         while acked < start:
             cc.on_ack(make_event(acked=1460))
             acked += 1460
-        assert start + 0.5 * ctx.mss <= cc.cwnd <= start + 2.5 * ctx.mss
+        assert start + 0.9 * ctx.mss <= cc.cwnd <= start + 1.0 * ctx.mss
 
 
 class TestLossResponse:
@@ -69,6 +70,14 @@ class TestLossResponse:
         cc.on_congestion_event(make_event())
         assert cc.cwnd == pytest.approx(50_000)
         assert cc.ssthresh == pytest.approx(50_000)
+
+    def test_halving_floors_ssthresh_at_two_segments(self, ctx):
+        # RFC 5681 eq. 4: ssthresh = max(FlightSize / 2, 2 * SMSS)
+        cc = CongestionControl(ctx)
+        cc.cwnd = 3 * ctx.mss
+        cc.ssthresh = 3 * ctx.mss
+        cc.on_congestion_event(make_event())
+        assert cc.ssthresh == 2 * ctx.mss
 
     def test_rto_collapses_to_min(self, ctx):
         cc = CongestionControl(ctx)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.packet import Packet
-from repro.tcp.receiver import TcpReceiver
+from repro.tcp.receiver import DEFAULT_DELACK_TIMEOUT, TcpReceiver
 
 
 def data(seq, length, flow=1, marked=False, sent_time=0.0):
@@ -36,11 +36,13 @@ class TestCumulativeAck:
         assert acks[0].ack_seq == 2000
 
     def test_delack_timer_flushes_single_segment(self, sim, stub_host, receiver):
+        arrived = sim.now
         receiver.handle_packet(data(0, 1000))
         sim.run()  # let the delack timer fire
         acks = stub_host.pop_all()
         assert len(acks) == 1
         assert acks[0].ack_seq == 1000
+        assert acks[0].sent_time == arrived + DEFAULT_DELACK_TIMEOUT
 
     def test_bytes_received_counts_once(self, sim, stub_host, receiver):
         receiver.handle_packet(data(0, 1000))

@@ -468,6 +468,27 @@ class TestErrorBoundary:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig1", "--reps", "0"],
+            ["fig1", "--bytes", "0"],
+            ["fig2", "--reps", "0"],
+            ["workload", "--load", "0"],
+            ["mptcp", "--bytes", "1"],
+            ["theorem", "--flows", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_library_errors_exit_one_with_error_line(self, capsys, argv):
+        # ExperimentError/AnalysisError from the figure drivers and the
+        # theorem check: one stderr line, no traceback
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_abort_of_a_command_without_a_drift_gate_exits_three(
         self, capsys, tmp_path
     ):
