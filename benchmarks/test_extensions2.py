@@ -43,8 +43,8 @@ def test_mptcp_subflow_energy(benchmark):
     print(result.format_table())
     print(f"spread penalty: +{100 * result.spread_penalty():.0f}%")
     # Sharing a package is free; spreading is ruinous.
-    assert result.energy("subflows-shared") == pytest.approx(
-        result.energy("single"), rel=0.1
+    assert result.arms["subflows-shared"].mean_energy_j == pytest.approx(
+        result.arms["single"].mean_energy_j, rel=0.1
     )
     assert result.spread_penalty() > 1.0
 

@@ -9,17 +9,17 @@ Paper claims reproduced here:
 """
 
 from benchmarks.conftest import run_benchmarked
-from repro.figures.fig5 import fig5_from_grid
 
 
 def test_fig5_energy_by_cca(benchmark, cca_mtu_grid):
-    fig5 = run_benchmarked(benchmark, lambda: fig5_from_grid(cca_mtu_grid))
+    grid = cca_mtu_grid
+    table = run_benchmarked(benchmark, grid.energy_table)
     print("\n== Figure 5: energy by CCA and MTU ==")
-    print(fig5.format_table())
+    print(table)
 
     # Real CCAs beat the baseline at every MTU.
     for mtu in cca_mtu_grid.mtus():
-        overheads = fig5.baseline_overhead_fraction(mtu)
+        overheads = grid.baseline_overhead_fraction(mtu)
         for cca, saving in overheads.items():
             if cca == "bbr2":
                 continue
@@ -32,12 +32,12 @@ def test_fig5_energy_by_cca(benchmark, cca_mtu_grid):
         )
 
     # BBR2's alpha-release overhead vs BBR (paper: ~40 %).
-    gap = fig5.bbr2_vs_bbr_fraction(9000)
+    gap = grid.bbr2_vs_bbr_fraction(9000)
     print(f"BBR2 vs BBR energy overhead @9000: {100 * gap:.0f}% (paper: ~40%)")
     assert 0.2 <= gap <= 0.7
 
     # Larger MTUs save energy for every algorithm.
     for cca in cca_mtu_grid.ccas():
-        saving = fig5.mtu_savings_fraction(cca)
+        saving = grid.mtu_savings_fraction(cca)
         print(f"MTU 1500->9000 saving for {cca}: {100 * saving:.1f}%")
         assert saving > 0.08, cca

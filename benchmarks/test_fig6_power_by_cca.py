@@ -8,32 +8,30 @@ Paper claims reproduced here:
 """
 
 from benchmarks.conftest import run_benchmarked
-from repro.figures.fig5 import fig5_from_grid
-from repro.figures.fig6 import fig6_from_grid
 
 
 def test_fig6_power_by_cca(benchmark, cca_mtu_grid):
-    fig6 = run_benchmarked(benchmark, lambda: fig6_from_grid(cca_mtu_grid))
+    grid = cca_mtu_grid
+    table = run_benchmarked(benchmark, grid.power_table)
     print("\n== Figure 6: average power by CCA and MTU ==")
-    print(fig6.format_table())
+    print(table)
 
-    spread = fig6.power_spread_fraction(1500)
+    spread = grid.power_spread_fraction(1500)
     print(f"power spread across CCAs @1500: {100 * spread:.1f}% (paper: ~14%)")
     assert spread > 0.04
 
     # The paper computes this over the CCAs in the MTU-1500 ordering
     # context (§4.3): the low-power/high-energy outliers (bbr2, baseline)
     # dominate and flip the sign.
-    corr = fig6.energy_power_correlation(1500)
+    corr = grid.energy_power_correlation(1500)
     print(f"corr(total energy, average power) @1500: {corr:.2f} (paper: -0.8)")
-    print(f"corr @9000 (informational): {fig6.energy_power_correlation(9000):.2f}")
+    print(f"corr @9000 (informational): {grid.energy_power_correlation(9000):.2f}")
     assert corr < -0.3
 
     # BBR2: low power, high energy — the paper's signature inversion
     # (visible in the MTU-1500 ordering both figures are sorted by).
-    fig5 = fig5_from_grid(cca_mtu_grid)
-    power_rank = fig6.cca_order_at_mtu(1500)
-    energy_rank = fig5.cca_order_at_mtu(1500)
+    power_rank = grid.cca_order_by_power(1500)
+    energy_rank = grid.cca_order_by_energy(1500)
     assert power_rank.index("bbr2") == 0, "bbr2 should draw the least power"
     assert energy_rank.index("bbr2") == len(energy_rank) - 1, (
         "bbr2 should cost the most energy"
@@ -41,4 +39,4 @@ def test_fig6_power_by_cca(benchmark, cca_mtu_grid):
 
     # Smaller MTU -> more packets/second -> more power, for every CCA.
     for cca in cca_mtu_grid.ccas():
-        assert fig6.power_w(cca, 1500) > fig6.power_w(cca, 9000), cca
+        assert grid.power_w(cca, 1500) > grid.power_w(cca, 9000), cca

@@ -7,19 +7,19 @@ Paper claims reproduced here:
 """
 
 from benchmarks.conftest import run_benchmarked
-from repro.figures.fig7 import fig7_from_grid
 
 
 def test_fig7_energy_vs_fct(benchmark, cca_mtu_grid):
-    fig7 = run_benchmarked(benchmark, lambda: fig7_from_grid(cca_mtu_grid))
+    grid = cca_mtu_grid
+    table = run_benchmarked(benchmark, grid.fct_table)
     print("\n== Figure 7: energy vs flow completion time ==")
-    print(fig7.format_table())
+    print(table)
 
-    corr = fig7.energy_fct_correlation()
+    corr = grid.energy_fct_correlation()
     print(f"corr(FCT, energy): {corr:.2f} (paper: strongly positive)")
     assert corr > 0.7
 
-    small_cluster, large_cluster = fig7.cluster_means()
+    small_cluster, large_cluster = grid.fct_cluster_means()
     print(
         f"MTU-1500 cluster:  fct={small_cluster[0]:.4f}s "
         f"energy={small_cluster[1]:.3f}J"

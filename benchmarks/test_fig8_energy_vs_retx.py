@@ -8,24 +8,23 @@ Paper claims reproduced here:
 """
 
 from benchmarks.conftest import run_benchmarked
-from repro.figures.fig8 import fig8_from_grid
 
 
 def test_fig8_energy_vs_retx(benchmark, cca_mtu_grid):
-    fig8 = run_benchmarked(benchmark, lambda: fig8_from_grid(cca_mtu_grid))
+    grid = cca_mtu_grid
+    table = run_benchmarked(benchmark, grid.retx_table)
     print("\n== Figure 8: energy vs retransmissions ==")
-    print(fig8.format_table())
+    print(table)
 
-    corr = fig8.correlation(exclude=("bbr2",))
-    log_corr = fig8.log_correlation(exclude=("bbr2",))
+    corr = grid.retx_energy_correlation(exclude=("bbr2",))
+    log_corr = grid.retx_log_correlation(exclude=("bbr2",))
     print(f"corr(retx, energy) excl bbr2: {corr:.2f} (paper: 0.47)")
     print(f"corr(log retx, energy) excl bbr2: {log_corr:.2f}")
     assert corr > 0.2
 
-    assert fig8.most_retransmitting_cca() == "baseline"
+    assert grid.most_retransmitting_cca() == "baseline"
 
     # The baseline's retransmissions dwarf every real CCA's.
-    grid = cca_mtu_grid
     baseline_retx = min(
         grid.cell("baseline", mtu).mean_retransmissions for mtu in grid.mtus()
     )

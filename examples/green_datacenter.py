@@ -28,8 +28,8 @@ def main() -> None:
     print(srpt.format_table())
     print(
         f"\npFabric-style SRPT saves "
-        f"{srpt.energy_savings_vs_fair('pfabric'):.1%} energy and cuts "
-        f"mean FCT {srpt.fct_speedup_vs_fair('pfabric'):.1f}x\n"
+        f"{srpt.arms.savings_percent('srpt'):.1f}% energy and cuts "
+        f"mean FCT {srpt.arms.fct_speedup('srpt'):.1f}x\n"
     )
 
     print("=" * 64)

@@ -6,14 +6,13 @@ from repro._lazy import lazy_exports
 
 #: public name -> the submodule that defines it, imported on first use
 _EXPORTS = {
+    "Arms": "arms",
     "run_fabric_figure": "fabric",
     "FabricResult": "fabric",
-    "FabricCcaPoint": "fabric",
     "run_srpt_comparison": "srpt",
     "SrptResult": "srpt",
     "run_pareto": "pareto",
     "ParetoResult": "pareto",
-    "ParetoPoint": "pareto",
     "run_incast_sweep": "incast",
     "run_incast_point": "incast",
     "IncastResult": "incast",
@@ -42,14 +41,6 @@ _EXPORTS = {
     "run_cca_mtu_grid": "grid",
     "CcaMtuGrid": "grid",
     "GridCell": "grid",
-    "fig5_from_grid": "fig5",
-    "Fig5Result": "fig5",
-    "fig6_from_grid": "fig6",
-    "Fig6Result": "fig6",
-    "fig7_from_grid": "fig7",
-    "Fig7Result": "fig7",
-    "fig8_from_grid": "fig8",
-    "Fig8Result": "fig8",
     "concavity_ablation": "ablation",
     "ConcavityAblation": "ablation",
     "bbr2_alpha_ablation": "ablation",

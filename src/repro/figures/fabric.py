@@ -17,20 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
-from repro.analysis.stats import mean
 from repro.analysis.tables import format_table
 from repro.core.savings import DatacenterCostModel
 from repro.errors import ExperimentError
+from repro.figures.arms import Arms, arms_by
 from repro.harness.cache import ResultCache
 from repro.harness.executor import SweepControl
 from repro.harness.experiment import FabricScenario
-from repro.harness.runner import RepeatedResult, RunMeasurement
 from repro.harness.sweep import Sweep, SweepResults
-from repro.obs.attrib import top_flow_share_percent
 from repro.obs.observer import Observer
-from repro.sched import resolve_policy_list, resolve_policy_name
+from repro.sched import resolve_policy_list
 from repro.units import MILLION, to_msec
 
 #: the datacenter CCAs the ISSUE's fleet comparison covers
@@ -45,91 +43,14 @@ def fabric_scenario_name(cca: str, policy: str) -> str:
     return f"fabric_{cca}-{policy}"
 
 
-def _extras_mean(runs: Sequence[RunMeasurement], key: str) -> float:
-    return mean([float(r.extras.get(key, 0.0)) for r in runs])
-
-
-@dataclass
-class FabricCcaPoint:
-    """One CCA's per-policy repeated fleet measurements."""
-
-    cca: str
-    arms: Dict[str, RepeatedResult]
-
-    def arm(self, policy: str) -> RepeatedResult:
-        name = resolve_policy_name(policy)
-        if name not in self.arms:
-            ran = ", ".join(sorted(self.arms))
-            raise ExperimentError(
-                f"{self.cca}: no arm for policy {policy!r} (ran: {ran})"
-            )
-        return self.arms[name]
-
-    @property
-    def fair(self) -> RepeatedResult:
-        return self.arms["fair"]
-
-    @property
-    def serialized(self) -> RepeatedResult:
-        return self.arms["serialized"]
-
-    def savings_percent_vs_fair(self, policy: str) -> float:
-        """Fleet energy a policy saves relative to fair sharing."""
-        fair_energy = self.fair.mean_energy_j
-        if fair_energy <= 0:
-            raise ExperimentError(
-                f"{self.cca}: fair arm measured non-positive energy"
-            )
-        return (
-            100.0
-            * (fair_energy - self.arm(policy).mean_energy_j)
-            / fair_energy
-        )
-
-    @property
-    def savings_percent(self) -> float:
-        """The classic headline: serializing vs fair sharing."""
-        return self.savings_percent_vs_fair("serialized")
-
-    def fct_p50_s(self, policy: str) -> float:
-        return _extras_mean(self.arm(policy).runs, "fct_p50_s")
-
-    def fct_p99_s(self, policy: str) -> float:
-        return _extras_mean(self.arm(policy).runs, "fct_p99_s")
-
-    def host_energy_j(self, policy: str) -> float:
-        return _extras_mean(self.arm(policy).runs, "host_energy_j")
-
-    def switch_energy_j(self, policy: str) -> float:
-        return _extras_mean(self.arm(policy).runs, "switch_energy_j")
-
-    def top_flow_share_percent(self, policy: str) -> float:
-        """Mean share of fleet joules billed to the hungriest flow.
-
-        From the per-flow attribution ledger: at 1k+ flows a fair
-        fabric spreads this to a fraction of a percent, so a policy
-        that concentrates it is visibly skewing who pays for the
-        fleet's energy.
-        """
-        return mean(
-            [top_flow_share_percent(r) for r in self.arm(policy).runs]
-        )
-
-
 @dataclass
 class FabricResult:
-    """All CCAs' fleet-level comparisons, plus the sweep's shape."""
+    """Every CCA's per-policy fleet arms, plus the sweep's shape."""
 
-    points: List[FabricCcaPoint]
+    arms: Dict[str, Arms]
     n_flows: int
     topology: str
     policies: Sequence[str] = DEFAULT_POLICIES
-
-    def point(self, cca: str) -> FabricCcaPoint:
-        for point in self.points:
-            if point.cca == cca:
-                return point
-        raise ExperimentError(f"no fabric point for CCA {cca!r}")
 
     def annualized_value_usd(self, cca: str, policy: str = "serialized") -> float:
         """$/year a policy's measured fleet saving is worth at DC scale.
@@ -139,28 +60,27 @@ class FabricResult:
         idle-dominated toy fleet) saturates at -100% rather than erroring
         out of the whole figure.
         """
-        fraction = self.point(cca).savings_percent_vs_fair(policy) / 100.0
+        if cca not in self.arms:
+            raise ExperimentError(f"no fabric arms for CCA {cca!r}")
+        fraction = self.arms[cca].savings_percent(policy) / 100.0
         return DatacenterCostModel().annual_savings_usd(max(-1.0, min(1.0, fraction)))
 
     def format_table(self) -> str:
         """The figure as text: per CCA x policy energy, savings, FCTs."""
-        rows = []
-        for point in self.points:
-            for policy in self.policies:
-                if policy not in point.arms:
-                    continue  # partial figure from an aborted sweep
-                arm = point.arm(policy)
-                rows.append(
-                    (
-                        point.cca,
-                        policy,
-                        arm.mean_energy_j,
-                        point.savings_percent_vs_fair(policy),
-                        to_msec(point.fct_p50_s(policy)),
-                        to_msec(point.fct_p99_s(policy)),
-                        point.top_flow_share_percent(policy),
-                    )
-                )
+        rows = [
+            (
+                cca,
+                policy,
+                arms[policy].mean_energy_j,
+                arms.savings_percent(policy),
+                to_msec(arms.fct_p50_s(policy)),
+                to_msec(arms.fct_p99_s(policy)),
+                arms.top_flow_share_percent(policy),
+            )
+            for cca, arms in self.arms.items()
+            for policy in self.policies
+            if policy in arms  # a partial figure from an aborted sweep
+        ]
         body = format_table(
             [
                 "cca",
@@ -175,12 +95,12 @@ class FabricResult:
             float_fmt="{:.3f}",
         )
         parts = []
-        for point in self.points:
+        for cca in self.arms:
             try:
-                value = self.annualized_value_usd(point.cca)
+                value = self.annualized_value_usd(cca)
             except ExperimentError:
                 continue  # no serialized arm in this sweep
-            parts.append(f"{point.cca}=${value / MILLION:.3f}M/yr")
+            parts.append(f"{cca}=${value / MILLION:.3f}M/yr")
         values = "  ".join(parts)
         header = (
             f"fleet energy by scheduling policy - {self.n_flows} flows on "
@@ -240,19 +160,11 @@ def run_fabric_figure(
         )
 
     def to_result(results: SweepResults) -> FabricResult:
-        points = []
-        for cca in ccas:
-            arms = {
-                row["policy"]: row.result
-                for row in results.where(cca=cca).rows
-            }
-            # A CCA is only comparable once its fair arm exists — every
-            # savings number is relative to it (a partial figure from
-            # an aborted sweep may lack it).
-            if "fair" in arms:
-                points.append(FabricCcaPoint(cca=cca, arms=arms))
         return FabricResult(
-            points=points, n_flows=n_flows, topology=topology, policies=names
+            arms=arms_by(results, "cca"),
+            n_flows=n_flows,
+            topology=topology,
+            policies=names,
         )
 
     return to_result(

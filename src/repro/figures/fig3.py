@@ -12,13 +12,12 @@ resolves to ``serialized`` through the registry aliases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import ExperimentError
+from repro.figures.arms import Arms, run_arms
 from repro.harness.experiment import FlowSpec, Scenario
-from repro.harness.runner import run_once
-from repro.sched import resolve_policy_list, resolve_policy_name
-from repro.sim.probe import THROUGHPUT_CHANNEL, TimeSeriesProbeSink
+from repro.harness.runner import RunMeasurement
+from repro.sched import resolve_policy_list
 from repro.sim.trace import TimeSeries
 from repro.units import gbps, msec, to_gbps
 
@@ -30,36 +29,21 @@ DEFAULT_POLICIES = ("fair", "serialized")
 
 
 @dataclass
-class Fig3Panel:
-    """One policy's run: per-flow throughput series plus the window."""
-
-    policy: str
-    series: Dict[int, TimeSeries]
-    duration_s: float
-
-
-@dataclass
 class Fig3Result:
-    """Per-flow throughput series for every rendered policy panel."""
+    """One run per rendered policy panel, with per-flow throughput."""
 
-    panels: Dict[str, Fig3Panel]
+    arms: Arms
 
-    def _panel(self, which: str) -> Fig3Panel:
-        name = resolve_policy_name(which)
-        if name not in self.panels:
-            rendered = ", ".join(sorted(self.panels))
-            raise ExperimentError(
-                f"no fig3 panel for policy {which!r} (rendered: {rendered})"
-            )
-        return self.panels[name]
+    def _run(self, which: str) -> RunMeasurement:
+        return self.arms[which].runs[0]
 
     def panel(self, which: str) -> List[Tuple[int, TimeSeries]]:
         """Ordered (flow, series) pairs for one policy's panel."""
-        return sorted(self._panel(which).series.items())
+        return sorted(self._run(which).throughput_series.items())
 
     def duration_s(self, which: str) -> float:
         """One panel's measured window (time until its last flow ends)."""
-        return self._panel(which).duration_s
+        return self._run(which).duration_s
 
     def mean_throughputs_gbps(self, which: str) -> List[float]:
         """Average per-flow throughput over its panel's full window
@@ -79,16 +63,6 @@ class Fig3Result:
             total_bits = sum(ts.values) * interval
             result.append(to_gbps(total_bits / duration))
         return result
-
-
-def _per_flow_throughput(
-    sink: TimeSeriesProbeSink, n_flows: int
-) -> Dict[int, TimeSeries]:
-    """Per-flow goodput series from a run's collected telemetry."""
-    return {
-        flow_id: sink.series(THROUGHPUT_CHANNEL, f"flow-{flow_id}")
-        for flow_id in range(1, n_flows + 1)
-    }
 
 
 def _capped_pair(
@@ -124,31 +98,24 @@ def run_fig3(
     seed: int = 0,
     policies: Optional[Sequence[str]] = None,
 ) -> Fig3Result:
-    """Produce one Figure 3 panel per policy (one run each; timeseries)."""
+    """Produce one Figure 3 panel per policy (one run each; timeseries).
+
+    Each run's throughput probes sample every ``probe_interval_s``;
+    the panels are the per-flow series its measurement carries.
+    """
     names = resolve_policy_list(
         policies, DEFAULT_POLICIES, "fig3 panels", require_fair=False
     )
-    panels: Dict[str, Fig3Panel] = {}
-    for name in names:
-        flows = _PANEL_FLOWS.get(name, _uncapped_pair)(
+
+    def scenario(policy: str) -> Scenario:
+        flows = _PANEL_FLOWS.get(policy, _uncapped_pair)(
             transfer_bytes, capacity_bps, cca
         )
-        scenario = Scenario(
-            f"fig3-{name}",
+        return Scenario(
+            f"fig3-{policy}",
             flows=flows,
             probe_interval_s=probe_interval_s,
-            policy=name,
+            policy=policy,
         )
-        # The figure consumes the telemetry path: each run gets a
-        # collecting probe sink (no downsampling — the probes already
-        # pace sampling at probe_interval_s) and the panels read
-        # per-flow throughput streams off it, the same series a traced
-        # run writes to telemetry.jsonl.
-        sink = TimeSeriesProbeSink()
-        measurement = run_once(scenario, seed=seed, probe_sink=sink)
-        panels[name] = Fig3Panel(
-            policy=name,
-            series=_per_flow_throughput(sink, len(flows)),
-            duration_s=measurement.duration_s,
-        )
-    return Fig3Result(panels=panels)
+
+    return Fig3Result(run_arms(scenario, names, seed, "fig3 panels"))

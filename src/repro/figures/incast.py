@@ -18,7 +18,7 @@ expensive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.tables import format_table
 from repro.apps.iperf import drive_until_complete
@@ -57,7 +57,8 @@ class IncastResult:
         raise LookupError(f"no point for fan-in {fan_in}")
 
     def energy_growth(self) -> float:
-        """Energy at max fan-in relative to fan-in 1."""
+        """Energy at the last fan-in relative to the first (1 -> N on
+        the default sweep)."""
         first = self.points[0].energy_j
         return self.points[-1].energy_j / first
 
@@ -82,7 +83,7 @@ def run_incast_point(
     fan_in: int,
     aggregate_bytes: int,
     cca: str = "cubic",
-    config: TestbedConfig = None,
+    config: Optional[TestbedConfig] = None,
     time_limit_s: float = 120.0,
 ) -> IncastPoint:
     """One synchronized incast epoch: N senders, aggregate/N bytes each."""

@@ -23,42 +23,39 @@ same concavity economics as the paper's Fig. 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.analysis.tables import format_table
+from repro.figures.arms import Arms, run_arms
 from repro.harness.experiment import FlowSpec, Scenario
-from repro.harness.runner import RunMeasurement, run_once
 from repro.units import to_msec
+
+#: the three placements, in table order
+PLACEMENTS = ("single", "subflows-shared", "subflows-spread")
 
 
 @dataclass
 class MptcpResult:
-    """Energy of the three subflow placements."""
+    """One arm per subflow placement."""
 
-    measurements: Dict[str, RunMeasurement]
+    arms: Arms
     subflows: int
     total_bytes: int
 
-    def energy(self, placement: str) -> float:
-        return self.measurements[placement].energy_j
-
     def spread_penalty(self) -> float:
         """Extra energy of per-package subflows vs the single flow."""
-        single = self.energy("single")
-        return (self.energy("subflows-spread") - single) / single
+        single = self.arms["single"].mean_energy_j
+        return (self.arms["subflows-spread"].mean_energy_j - single) / single
 
     def format_table(self) -> str:
-        rows = []
-        for name in ("single", "subflows-shared", "subflows-spread"):
-            m = self.measurements[name]
-            rows.append(
-                (
-                    name,
-                    m.energy_j,
-                    m.average_power_w,
-                    to_msec(m.duration_s),
-                )
+        rows = [
+            (
+                name,
+                self.arms[name].mean_energy_j,
+                self.arms[name].mean_power_w,
+                to_msec(self.arms[name].mean_duration_s),
             )
+            for name in PLACEMENTS
+        ]
         return format_table(
             ["placement", "energy (J)", "power (W)", "duration (ms)"], rows
         )
@@ -71,28 +68,23 @@ def run_mptcp_comparison(
     seed: int = 0,
 ) -> MptcpResult:
     """Compare single-flow vs k-subflow placements for one payload."""
-    per_subflow = total_bytes // subflows
-    single = Scenario(
-        "mptcp-single",
-        flows=[FlowSpec(total_bytes, cca=cca)],
-        packages=1,
-    )
-    shared = Scenario(
-        "mptcp-shared",
-        flows=[FlowSpec(per_subflow, cca=cca) for _ in range(subflows)],
-        packages=1,  # all subflows on one package
-    )
-    spread = Scenario(
-        "mptcp-spread",
-        flows=[FlowSpec(per_subflow, cca=cca) for _ in range(subflows)],
-        packages=subflows,  # one package per subflow
-    )
+
+    def scenario(placement: str) -> Scenario:
+        if placement == "single":
+            flows, packages = [FlowSpec(total_bytes, cca=cca)], 1
+        else:
+            per_subflow = total_bytes // subflows
+            flows = [FlowSpec(per_subflow, cca=cca) for _ in range(subflows)]
+            # shared: every subflow on one package; spread: one each
+            packages = subflows if placement == "subflows-spread" else 1
+        return Scenario(
+            "mptcp-" + placement.replace("subflows-", ""),
+            flows=flows,
+            packages=packages,
+        )
+
     return MptcpResult(
-        measurements={
-            "single": run_once(single, seed=seed),
-            "subflows-shared": run_once(shared, seed=seed),
-            "subflows-spread": run_once(spread, seed=seed),
-        },
+        run_arms(scenario, PLACEMENTS, seed, "mptcp placements"),
         subflows=subflows,
         total_bytes=total_bytes,
     )

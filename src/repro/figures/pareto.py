@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro.analysis.stats import mean
 from repro.analysis.tables import format_table
 from repro.errors import ExperimentError
+from repro.figures.arms import Arms, arms_by
 from repro.harness.cache import ResultCache
 from repro.harness.executor import SweepControl
 from repro.harness.experiment import (
@@ -37,12 +37,10 @@ from repro.harness.experiment import (
     FlowSpec,
     Scenario,
 )
-from repro.harness.runner import RepeatedResult
 from repro.harness.sweep import Sweep, SweepResults
 from repro.net.topology import TestbedConfig
-from repro.obs.attrib import top_flow_share_percent
 from repro.obs.observer import Observer
-from repro.sched import policy_names, resolve_policy_list, resolve_policy_name
+from repro.sched import policy_names, resolve_policy_list
 from repro.units import BITS_PER_BYTE, to_msec
 
 #: the two workloads every policy is evaluated on
@@ -62,113 +60,52 @@ def pareto_scenario_name(workload: str, policy: str) -> str:
 
 
 @dataclass
-class ParetoPoint:
-    """One (workload, policy) cell of the frontier."""
-
-    workload: str
-    policy: str
-    result: RepeatedResult
-
-    @property
-    def energy_j(self) -> float:
-        return self.result.mean_energy_j
-
-    def _extras_mean(self, key: str) -> float:
-        return mean([float(r.extras.get(key, 0.0)) for r in self.result.runs])
-
-    @property
-    def fct_p50_s(self) -> float:
-        return self._extras_mean("fct_p50_s")
-
-    @property
-    def fct_p99_s(self) -> float:
-        return self._extras_mean("fct_p99_s")
-
-    @property
-    def top_flow_share_percent(self) -> float:
-        """Mean share of each run's joules billed to its hungriest flow.
-
-        The attribution ledger's one-number view of how concentrated a
-        policy leaves the energy bill: serialized schedules push it
-        toward 100/n-th of the batch's largest flow, fair sharing
-        flattens it toward an even split.
-        """
-        return mean(
-            [top_flow_share_percent(r) for r in self.result.runs]
-        )
-
-
-@dataclass
 class ParetoResult:
-    """Every (workload, policy) point plus frontier extraction."""
+    """Every policy's arm on each workload, plus frontier extraction."""
 
-    points: List[ParetoPoint]
+    #: one comparison per workload whose fair arm ran, in sweep order
+    arms: Dict[str, Arms]
     policies: Sequence[str]
 
-    def point(self, workload: str, policy: str) -> ParetoPoint:
-        name = resolve_policy_name(policy)
-        for point in self.points:
-            if point.workload == workload and point.policy == name:
-                return point
-        raise ExperimentError(
-            f"no pareto point for workload={workload!r} policy={policy!r}"
-        )
-
-    def workload_points(self, workload: str) -> List[ParetoPoint]:
+    def workload_arms(self, workload: str) -> Arms:
         if workload not in WORKLOADS:
             raise ExperimentError(
                 f"unknown workload {workload!r}; known: {sorted(WORKLOADS)}"
             )
-        return [p for p in self.points if p.workload == workload]
+        return self.arms.get(workload, Arms({}, f"workload={workload}"))
 
-    def savings_vs_fair_percent(self, workload: str, policy: str) -> float:
-        fair = self.point(workload, "fair").energy_j
-        if fair <= 0:
-            raise ExperimentError(
-                f"{workload}: fair arm measured non-positive energy"
-            )
-        return 100.0 * (fair - self.point(workload, policy).energy_j) / fair
-
-    def frontier(self, workload: str, tail: bool = False) -> List[ParetoPoint]:
+    def frontier(self, workload: str, tail: bool = False) -> List[str]:
         """The non-dominated policies on one workload.
 
-        A point is dominated when another policy is at least as good on
-        both axes (FCT — p50, or p99 with ``tail=True`` — and energy)
-        and strictly better on one. The result is sorted fastest-first.
+        A policy is dominated when another is at least as good on both
+        axes (FCT — p50, or p99 with ``tail=True`` — and energy) and
+        strictly better on one. The result is sorted fastest-first.
         """
-
-        def fct(p: ParetoPoint) -> float:
-            return p.fct_p99_s if tail else p.fct_p50_s
-
-        candidates = sorted(
-            self.workload_points(workload), key=lambda p: (fct(p), p.energy_j)
-        )
-        front: List[ParetoPoint] = []
+        arms = self.workload_arms(workload)
+        fct = arms.fct_p99_s if tail else arms.fct_p50_s
+        front: List[str] = []
         best_energy = float("inf")
-        for point in candidates:
-            if point.energy_j < best_energy:
-                front.append(point)
-                best_energy = point.energy_j
+        for name in sorted(arms, key=lambda n: (fct(n), arms[n].mean_energy_j)):
+            if arms[name].mean_energy_j < best_energy:
+                front.append(name)
+                best_energy = arms[name].mean_energy_j
         return front
 
     def format_table(self) -> str:
         """Both workloads' frontiers as text (* marks non-dominated)."""
         blocks = []
-        for workload in WORKLOADS:
-            points = self.workload_points(workload)
-            if not points:
-                continue
-            front = {p.policy for p in self.frontier(workload)}
+        for workload, arms in self.arms.items():
+            front = self.frontier(workload)
             rows = [
                 (
-                    ("*" if p.policy in front else " ") + p.policy,
-                    p.energy_j,
-                    self.savings_vs_fair_percent(workload, p.policy),
-                    to_msec(p.fct_p50_s),
-                    to_msec(p.fct_p99_s),
-                    p.top_flow_share_percent,
+                    ("*" if name in front else " ") + name,
+                    arms[name].mean_energy_j,
+                    arms.savings_percent(name),
+                    to_msec(arms.fct_p50_s(name)),
+                    to_msec(arms.fct_p99_s(name)),
+                    arms.top_flow_share_percent(name),
                 )
-                for p in sorted(points, key=lambda p: p.fct_p50_s)
+                for name in sorted(arms, key=arms.fct_p50_s)
             ]
             body = format_table(
                 [
@@ -255,21 +192,7 @@ def run_pareto(
         )
 
     def to_result(results: SweepResults) -> ParetoResult:
-        # Keep a workload's points only when its fair arm completed (a
-        # partial figure from an aborted sweep may lack it): savings
-        # and dominance are both measured against fair.
-        points = []
-        for workload in WORKLOADS:
-            arms = {
-                row["policy"]: row.result
-                for row in results.where(workload=workload).rows
-            }
-            if "fair" in arms:
-                points.extend(
-                    ParetoPoint(workload, policy, result)
-                    for policy, result in arms.items()
-                )
-        return ParetoResult(points=points, policies=names)
+        return ParetoResult(arms=arms_by(results, "workload"), policies=names)
 
     return to_result(
         Sweep({"workload": list(WORKLOADS), "policy": names}).run(

@@ -208,7 +208,7 @@ def _fig3(result: Any) -> str:
     from repro.units import to_gbps
 
     lines: List[str] = []
-    for panel in result.panels:
+    for panel in result.arms:
         lines += ["", f"== {panel} =="]
         for flow, series in result.panel(panel):
             samples = " ".join(f"{to_gbps(v):.1f}" for v in series.values)
@@ -226,16 +226,6 @@ def _fig4(result: Any) -> str:
     ])
 
 
-def _grid_view(figure: int, grid: Any) -> Any:
-    """The Figure 5-8 view of a measured CCA x MTU grid."""
-    module = import_module(f"repro.figures.fig{figure}")
-    return getattr(module, f"fig{figure}_from_grid")(grid)
-
-
-def _grid_table(figure: int, title: str) -> Render:
-    return lambda grid: f"{title}\n{_grid_view(figure, grid).format_table()}"
-
-
 def _save_cells(grid: Any, path: str) -> str:
     from repro.analysis.export import save_json
 
@@ -244,33 +234,33 @@ def _save_cells(grid: Any, path: str) -> str:
 
 
 def _srpt(result: Any) -> str:
+    arms = result.arms
     return "\n\n".join([result.format_table()] + [
-        f"{name}: {result.energy_savings_vs_fair(name):.1%} energy saving, "
-        f"{result.fct_speedup_vs_fair(name):.2f}x mean FCT"
-        for name in sorted(set(result.points) - {"fair"})
+        f"{name}: {arms.savings_percent(name):.1f}% energy saving, "
+        f"{arms.fct_speedup(name):.2f}x mean FCT"
+        for name in sorted(set(arms) - {"fair"})
     ])
 
 
 def _incast(result: Any) -> str:
     return (
-        f"energy growth 1 -> {result.points[-1].fan_in} senders: "
-        f"x{result.energy_growth():.2f}"
+        f"energy growth {result.points[0].fan_in} -> "
+        f"{result.points[-1].fan_in} senders: x{result.energy_growth():.2f}"
     )
 
 
 def _workload(result: Any) -> str:
-    workload, points = result.workload, result.points
+    workload, arms = result.workload, result.arms
     paragraphs = [
         f"{workload.name}: {len(workload.flows)} flows, "
         f"offered load {workload.offered_load:.2f}",
         result.format_table(),
     ]
-    fair = points.get("fair")
-    if fair is not None:
+    if "fair" in arms:
         paragraphs += [
-            f"{name}: {fair.mean_fct_s / points[name].mean_fct_s:.2f}x mean FCT "
-            f"at {points[name].energy_j / fair.energy_j:.3f}x the energy"
-            for name in sorted(set(points) - {"fair"})
+            f"{name}: {arms.fct_speedup(name):.2f}x mean FCT "
+            f"at {result.energy_ratio_vs_fair(name):.3f}x the energy"
+            for name in sorted(set(arms) - {"fair"})
         ]
     return "\n\n".join(paragraphs)
 
@@ -282,8 +272,8 @@ def _fabric(result: Any) -> str:
     # (cca, policy) cell is fair only when every other arm costs energy.
     cca, policy, saving = max(
         (
-            (point.cca, name, point.savings_percent_vs_fair(name))
-            for point in result.points
+            (cca, name, arms.savings_percent(name))
+            for cca, arms in result.arms.items()
             for name in result.policies
         ),
         key=lambda row: row[2],
@@ -300,7 +290,7 @@ def _pareto(result: Any) -> str:
 
     return "\n\n".join([result.format_table()] + [
         f"{workload} frontier (fastest -> greenest): "
-        + " -> ".join(point.policy for point in result.frontier(workload))
+        + " -> ".join(result.frontier(workload))
         for workload in WORKLOADS
     ])
 
@@ -347,19 +337,19 @@ FIGURES: Tuple[Figure, ...] = (
          Param("--json", help="also dump raw measurements to this file",
                export=_save_cells)),
         (
-            _grid_table(5, "== Figure 5: energy =="),
+            lambda grid: f"== Figure 5: energy ==\n{grid.energy_table()}",
             (Claim("BBR2 vs BBR energy overhead @9000",
-                   lambda grid: 100 * _grid_view(5, grid).bbr2_vs_bbr_fraction(9000),
+                   lambda grid: 100 * grid.bbr2_vs_bbr_fraction(9000),
                    "{:.0f}%", "~40%", "§4.3, Fig. 5"),),
-            _grid_table(6, "== Figure 6: power =="),
+            lambda grid: f"== Figure 6: power ==\n{grid.power_table()}",
             (Claim("corr(energy, power) @1500",
-                   lambda grid: _grid_view(6, grid).energy_power_correlation(1500),
+                   lambda grid: grid.energy_power_correlation(1500),
                    "{:.2f}", "-0.8", "§4.3, Fig. 6"),),
             (Claim("corr(energy, fct)",
-                   lambda grid: _grid_view(7, grid).energy_fct_correlation(),
+                   lambda grid: grid.energy_fct_correlation(),
                    "{:.2f}", None, "§4.5, Fig. 7"),
              Claim("corr(energy, retx) excl bbr2",
-                   lambda grid: _grid_view(8, grid).correlation(),
+                   lambda grid: grid.retx_energy_correlation(),
                    "{:.2f}", "0.47", "§4.5, Fig. 8")),
         ),
     ),

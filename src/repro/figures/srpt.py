@@ -26,28 +26,13 @@ srpt also winning mean FCT — SRPT is green *and* fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.analysis.stats import mean
 from repro.analysis.tables import format_table
-from repro.errors import ExperimentError
+from repro.figures.arms import Arms, run_arms
 from repro.harness.experiment import FlowSpec, Scenario
-from repro.harness.runner import RunMeasurement, run_once
-from repro.sched import (
-    PFABRIC_WINDOW_SEGMENTS,
-    resolve_policy_list,
-    resolve_policy_name,
-)
+from repro.sched import resolve_policy_list
 from repro.units import to_msec
-
-__all__ = [
-    "DEFAULT_BATCH",
-    "DEFAULT_POLICIES",
-    "PFABRIC_WINDOW_SEGMENTS",  # re-exported; canonical home is repro.sched
-    "SrptPoint",
-    "SrptResult",
-    "run_srpt_comparison",
-]
 
 #: the batch: mixed sizes like a rack's outbound queue (bytes)
 DEFAULT_BATCH = (20_000_000, 10_000_000, 5_000_000, 2_500_000)
@@ -57,62 +42,23 @@ DEFAULT_POLICIES = ("fair", "srpt", "serialized")
 
 
 @dataclass
-class SrptPoint:
-    """One policy's outcome."""
-
-    schedule: str
-    measurement: RunMeasurement
-
-    @property
-    def energy_j(self) -> float:
-        return self.measurement.energy_j
-
-    @property
-    def mean_fct_s(self) -> float:
-        return mean([r.duration_s for r in self.measurement.flow_results])
-
-    @property
-    def makespan_s(self) -> float:
-        return self.measurement.completion_time_s
-
-
-@dataclass
 class SrptResult:
-    """All compared policies side by side, keyed by canonical name."""
+    """Every compared policy's arm over one batch."""
 
-    points: Dict[str, SrptPoint]
+    arms: Arms
     batch: Sequence[int]
 
-    def point(self, schedule: str) -> SrptPoint:
-        """One policy's point; retired spellings resolve via aliases."""
-        name = resolve_policy_name(schedule)
-        if name not in self.points:
-            ran = ", ".join(sorted(self.points))
-            raise ExperimentError(
-                f"no srpt point for policy {schedule!r} (ran: {ran})"
-            )
-        return self.points[name]
-
-    def energy_savings_vs_fair(self, schedule: str) -> float:
-        fair = self.points["fair"].energy_j
-        return (fair - self.point(schedule).energy_j) / fair
-
-    def fct_speedup_vs_fair(self, schedule: str) -> float:
-        fair = self.points["fair"].mean_fct_s
-        return fair / self.point(schedule).mean_fct_s
-
     def format_table(self) -> str:
-        rows = []
-        for name, p in sorted(self.points.items()):
-            rows.append(
-                (
-                    name,
-                    p.energy_j,
-                    100 * self.energy_savings_vs_fair(name),
-                    to_msec(p.mean_fct_s),
-                    to_msec(p.makespan_s),
-                )
+        rows = [
+            (
+                name,
+                self.arms[name].mean_energy_j,
+                self.arms.savings_percent(name),
+                to_msec(self.arms.mean_fct_s(name)),
+                to_msec(self.arms[name].runs[0].completion_time_s),
             )
+            for name in sorted(self.arms)
+        ]
         return format_table(
             ["schedule", "energy (J)", "saving (%)", "mean FCT (ms)", "makespan (ms)"],
             rows,
@@ -138,17 +84,11 @@ def run_srpt_comparison(
     relative to it.
     """
     names = resolve_policy_list(policies, DEFAULT_POLICIES, "srpt comparison")
-    n = len(batch)
-    flows: List[FlowSpec] = [
-        FlowSpec(size, cca=cca) for size in sorted(batch)
-    ]
-    points = {}
-    for name in names:
-        scenario = Scenario(
-            f"srpt-{name}",
-            flows=list(flows),
-            packages=n,
-            policy=name,
+    flows = [FlowSpec(size, cca=cca) for size in sorted(batch)]
+
+    def scenario(policy: str) -> Scenario:
+        return Scenario(
+            f"srpt-{policy}", flows=list(flows), packages=len(batch), policy=policy
         )
-        points[name] = SrptPoint(name, run_once(scenario, seed=seed))
-    return SrptResult(points=points, batch=batch)
+
+    return SrptResult(run_arms(scenario, names, seed, "srpt"), batch)

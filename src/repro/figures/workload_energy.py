@@ -20,15 +20,13 @@ and fast" conclusion of §5 under realistic load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.analysis.stats import mean
 from repro.analysis.tables import format_table
 from repro.apps.workload import Workload, generate_workload
-from repro.errors import ExperimentError
+from repro.figures.arms import Arms, run_arms
 from repro.harness.experiment import FlowSpec, Scenario
-from repro.harness.runner import RunMeasurement, run_once
-from repro.sched import resolve_policy_list, resolve_policy_name
+from repro.sched import resolve_policy_list
 from repro.units import to_msec
 
 #: the classic two-way comparison
@@ -36,64 +34,39 @@ DEFAULT_POLICIES = ("fair", "srpt")
 
 
 @dataclass
-class WorkloadPoint:
-    """One policy's outcome on one workload."""
-
-    schedule: str
-    measurement: RunMeasurement
-
-    @property
-    def energy_j(self) -> float:
-        return self.measurement.energy_j
-
-    @property
-    def mean_fct_s(self) -> float:
-        return mean([r.duration_s for r in self.measurement.flow_results])
-
-    @property
-    def tail_fct_s(self) -> float:
-        durations = sorted(r.duration_s for r in self.measurement.flow_results)
-        index = max(0, int(0.95 * len(durations)) - 1)
-        return durations[index]
-
-
-@dataclass
 class WorkloadEnergyResult:
-    """Per-policy outcomes on one generated workload."""
+    """Per-policy arms on one generated workload."""
 
     workload: Workload
-    points: Dict[str, WorkloadPoint]
+    arms: Arms
 
-    def point(self, schedule: str) -> WorkloadPoint:
-        """One policy's point; retired spellings resolve via aliases."""
-        name = resolve_policy_name(schedule)
-        if name not in self.points:
-            ran = ", ".join(sorted(self.points))
-            raise ExperimentError(
-                f"no workload point for policy {schedule!r} (ran: {ran})"
-            )
-        return self.points[name]
+    def tail_fct_s(self, name: str) -> float:
+        """The p95-ish FCT: the ``int(0.95 n)``-th smallest of n."""
+        durations = sorted(self.arms.fcts_s(name))
+        return durations[max(0, int(0.95 * len(durations)) - 1)]
+
+    def energy_ratio_vs_fair(self, name: str) -> float:
+        return self.arms[name].mean_energy_j / self.arms["fair"].mean_energy_j
 
     @property
     def fct_speedup(self) -> float:
         """Mean-FCT speedup of the srpt arm over fair (the classic pair)."""
-        return self.points["fair"].mean_fct_s / self.points["srpt"].mean_fct_s
+        return self.arms.fct_speedup("srpt")
 
     @property
     def energy_ratio(self) -> float:
-        return self.points["srpt"].energy_j / self.points["fair"].energy_j
+        return self.energy_ratio_vs_fair("srpt")
 
     def format_table(self) -> str:
-        rows = []
-        for name, p in sorted(self.points.items()):
-            rows.append(
-                (
-                    name,
-                    p.energy_j,
-                    to_msec(p.mean_fct_s),
-                    to_msec(p.tail_fct_s),
-                )
+        rows = [
+            (
+                name,
+                self.arms[name].mean_energy_j,
+                to_msec(self.arms.mean_fct_s(name)),
+                to_msec(self.tail_fct_s(name)),
             )
+            for name in sorted(self.arms)
+        ]
         return format_table(
             ["schedule", "energy (J)", "mean FCT (ms)", "p95 FCT (ms)"],
             rows,
@@ -101,7 +74,7 @@ class WorkloadEnergyResult:
 
 
 def _scenario(workload: Workload, policy: str, target_load: float) -> Scenario:
-    flows: List[FlowSpec] = [
+    flows = [
         FlowSpec(
             arrival.size_bytes,
             cca="cubic",
@@ -136,11 +109,10 @@ def run_workload_energy(
         duration_s=duration_s,
         seed=seed,
     )
-    points = {
-        name: WorkloadPoint(
-            name,
-            run_once(_scenario(workload, name, target_load), seed=seed),
-        )
-        for name in names
-    }
-    return WorkloadEnergyResult(workload=workload, points=points)
+    arms = run_arms(
+        lambda policy: _scenario(workload, policy, target_load),
+        names,
+        seed,
+        "workload figure",
+    )
+    return WorkloadEnergyResult(workload=workload, arms=arms)

@@ -1,4 +1,4 @@
-"""Tests for the CCA x MTU grid and the Figure 5-8 views.
+"""Tests for the CCA x MTU grid and its Figure 5-8 views.
 
 Runs a reduced grid once (module-scoped) and checks each figure's
 paper-facing claims on it.
@@ -6,10 +6,6 @@ paper-facing claims on it.
 
 import pytest
 
-from repro.figures.fig5 import fig5_from_grid
-from repro.figures.fig6 import fig6_from_grid
-from repro.figures.fig7 import fig7_from_grid
-from repro.figures.fig8 import fig8_from_grid
 from repro.figures.grid import run_cca_mtu_grid
 
 CCAS = ("cubic", "reno", "bbr", "bbr2", "dctcp", "baseline")
@@ -44,57 +40,48 @@ class TestGrid:
 
 class TestFig5View:
     def test_real_ccas_beat_baseline(self, grid):
-        fig5 = fig5_from_grid(grid)
-        overheads = fig5.baseline_overhead_fraction(9000)
+        overheads = grid.baseline_overhead_fraction(9000)
         for cca, saving in overheads.items():
             if cca == "bbr2":
                 continue
             assert saving > 0, f"{cca} should use less energy than baseline"
 
     def test_bbr2_costs_more_than_bbr(self, grid):
-        fig5 = fig5_from_grid(grid)
-        assert fig5.bbr2_vs_bbr_fraction(9000) > 0.1
+        assert grid.bbr2_vs_bbr_fraction(9000) > 0.1
 
     def test_mtu_9000_saves_energy(self, grid):
-        fig5 = fig5_from_grid(grid)
         for cca in CCAS:
-            assert fig5.mtu_savings_fraction(cca) > 0.05, cca
+            assert grid.mtu_savings_fraction(cca) > 0.05, cca
 
     def test_table_renders(self, grid):
-        assert "cca" in fig5_from_grid(grid).format_table()
+        assert "cca" in grid.energy_table()
 
 
 class TestFig6View:
     def test_power_spread_across_ccas(self, grid):
-        fig6 = fig6_from_grid(grid)
-        assert fig6.power_spread_fraction(1500) > 0.03
+        assert grid.power_spread_fraction(1500) > 0.03
 
     def test_small_mtu_draws_more_power(self, grid):
-        fig6 = fig6_from_grid(grid)
         for cca in ("cubic", "reno", "bbr"):
-            assert fig6.power_w(cca, 1500) > fig6.power_w(cca, 9000)
+            assert grid.power_w(cca, 1500) > grid.power_w(cca, 9000)
 
 
 class TestFig7View:
     def test_energy_fct_strongly_correlated(self, grid):
-        fig7 = fig7_from_grid(grid)
-        assert fig7.energy_fct_correlation() > 0.7
+        assert grid.energy_fct_correlation() > 0.7
 
     def test_mtu_clusters_separate(self, grid):
-        fig7 = fig7_from_grid(grid)
-        small, large = fig7.cluster_means()
+        small, large = grid.fct_cluster_means()
         assert small[0] > large[0]  # 1500 runs slower
         assert small[1] > large[1]  # and costlier
 
 
 class TestFig8View:
     def test_baseline_most_retransmissions(self, grid):
-        fig8 = fig8_from_grid(grid)
-        assert fig8.most_retransmitting_cca() == "baseline"
+        assert grid.most_retransmitting_cca() == "baseline"
 
     def test_positive_retx_energy_correlation(self, grid):
-        fig8 = fig8_from_grid(grid)
-        assert fig8.correlation(exclude=("bbr2",)) > 0
+        assert grid.retx_energy_correlation(exclude=("bbr2",)) > 0
 
     def test_table_renders(self, grid):
-        assert "retransmissions" in fig8_from_grid(grid).format_table()
+        assert "retransmissions" in grid.retx_table()

@@ -13,8 +13,8 @@ def result():
 class TestMptcp:
     def test_shared_subflows_cost_like_single(self, result):
         """Multiplexing on one package is nearly free ([59]'s good case)."""
-        assert result.energy("subflows-shared") == pytest.approx(
-            result.energy("single"), rel=0.1
+        assert result.arms["subflows-shared"].mean_energy_j == pytest.approx(
+            result.arms["single"].mean_energy_j, rel=0.1
         )
 
     def test_spreading_subflows_is_expensive(self, result):
@@ -25,8 +25,8 @@ class TestMptcp:
         """Spreading pays (k-1) extra idle floors plus each package's
         concave ramp for its C/k share — so the extra energy exceeds the
         pure idle-floor estimate but stays the same order of magnitude."""
-        single = result.measurements["single"]
-        spread = result.measurements["subflows-spread"]
+        single = result.arms["single"].runs[0]
+        spread = result.arms["subflows-spread"].runs[0]
         extra = spread.energy_j - single.energy_j
         from repro.energy import calibration as cal
 
@@ -34,7 +34,7 @@ class TestMptcp:
         assert idle_floors < extra < 2.5 * idle_floors
 
     def test_durations_comparable(self, result):
-        durations = [m.duration_s for m in result.measurements.values()]
+        durations = [result.arms[name].mean_duration_s for name in result.arms]
         assert max(durations) < 1.3 * min(durations)
 
     def test_table_renders(self, result):
