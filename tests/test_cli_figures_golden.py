@@ -5,9 +5,9 @@ about a second; its expected output sits under
 ``tests/golden/figures/<case>.txt`` as ``exit: N`` followed by the
 command's stdout, byte for byte. ``parser.json`` pins every action of
 each figure subparser (and of ``report``, which shares their sizing
-flags): option strings, dest, default, type name, choices, help. The
-``--help`` text itself is not pinned, since argparse's layout differs
-between Python versions. A refactor of how the commands are declared
+flags, ``validate`` and ``theorem``): option strings, dest, default,
+type name, choices, help. The ``--help`` text itself is not pinned,
+since argparse's layout differs between Python versions. A refactor of how the commands are declared
 must leave every file unchanged. To regenerate after a deliberate
 change, run ``PYTHONPATH=src python -m tests.test_cli_figures_golden``
 and review the diff.
@@ -49,13 +49,16 @@ CASES = {
     "mechanisms": ["mechanisms", "--bytes", "400000"],
     # the claims fail at this scale, so the command exits 1
     "report": ["report", "--bytes", "400000", "--reps", "1"],
+    "validate": ["validate"],
+    "theorem": ["theorem"],
+    "theorem-3flows": ["theorem", "--flows", "3", "--trials", "200"],
 }
 
 #: the subcommands whose parser actions ``parser.json`` pins
 PARSERS = (
     "fig1", "fig2", "fig3", "fig4", "grid", "srpt", "incast",
     "loadbalance", "workload", "fabric", "pareto", "mptcp", "mechanisms",
-    "report",
+    "report", "validate", "theorem",
 )
 
 
