@@ -6,9 +6,6 @@ from repro._lazy import lazy_exports
 
 #: public name -> the submodule that defines it, imported on first use
 _EXPORTS = {
-    "Report": "report",
-    "ReportSection": "report",
-    "quick_report": "report",
     "bootstrap_ci": "stats",
     "fairness_over_time": "convergence",
     "convergence_time": "convergence",

@@ -26,10 +26,10 @@ The figure commands are the rows of :data:`repro.figures.specs.FIGURES`:
 their options, driver, tables and paper claims are declared there, and
 one handler here runs them all.
 
-Exit codes: 0 success; 1 a failed check (claims, lint findings, drift)
-or a library error (``error: ...`` on stderr, no traceback); 2 a usage,
-trace or baseline I/O error; 3 a sweep cancelled mid-run (drift gate or
-abort file).
+Exit codes: 0 success; 1 a failed check (a claim out of tolerance, lint
+findings, drift) or a library error (``error: ...`` on stderr, no
+traceback); 2 a usage error or an I/O error (trace, baseline, output
+file); 3 a sweep cancelled mid-run (drift gate or abort file).
 """
 
 from __future__ import annotations
@@ -150,11 +150,12 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         value = getattr(args, param.name)
         if param.export is not None and value:
             print(param.export(result, value))
-    print(figure.render(result))
+    text, verdicts = figure.render(result)
+    print(text)
     if getattr(args, "trace", None):
         print(f"\ntrace written to {args.trace} "
               f"(greenenvy obs report {args.trace})")
-    return 0
+    return 0 if all(verdicts) else 1
 
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
@@ -397,20 +398,16 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis.report import quick_report
+    from repro.figures.specs import report_markdown, run_report
 
-    report = quick_report(
-        transfer_bytes=args.bytes, repetitions=args.reps, seed=args.seed
-    )
-    text = report.render()
+    text, verdicts = report_markdown(run_report(args.bytes, args.reps, args.seed))
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
-        print(f"wrote {args.output} "
-              f"({report.claims_ok}/{report.claims_total} claims ok)")
+        print(f"wrote {args.output} ({sum(verdicts)}/{len(verdicts)} claims ok)")
     else:
         print(text)
-    return 0 if report.claims_ok == report.claims_total else 1
+    return 0 if all(verdicts) else 1
 
 
 def _cmd_policies(args: argparse.Namespace) -> int:
@@ -429,17 +426,18 @@ def _cmd_policies(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.validation import run_validation, validation_passed
+    from repro.energy.power_model import PowerModel
+    from repro.figures.specs import CALIBRATION
 
-    checks = run_validation()
-    width = max(len(c.name) for c in checks)
-    for check in checks:
-        mark = "ok " if check.ok else "FAIL"
-        print(f"[{mark}] {check.name:<{width}}  expected {check.expected}, "
-              f"got {check.actual}")
-    ok = validation_passed(checks)
-    print(f"\n{'all checks passed' if ok else 'CALIBRATION BROKEN'}")
-    return 0 if ok else 1
+    model = PowerModel()
+    checked = [(claim, *claim.check(model)) for claim in CALIBRATION]
+    width = max(len(claim.label) for claim in CALIBRATION)
+    for claim, value, holds in checked:
+        print(f"[{'ok ' if holds else 'FAIL'}] {claim.label:<{width}}  "
+              f"expected {claim.paper}, got {value}")
+    passed = all(holds for *_, holds in checked)
+    print(f"\n{'all checks passed' if passed else 'CALIBRATION BROKEN'}")
+    return 0 if passed else 1
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -746,8 +744,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         build_parser().parse_args(argv, namespace=args)
         return args.func(args)
-    except ObservabilityError as exc:
-        # usage and trace/baseline I/O errors
+    except (ObservabilityError, OSError) as exc:
+        # usage errors and I/O errors (a trace, a baseline, an output file)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SweepAbortedError as exc:

@@ -4,19 +4,24 @@
 :data:`FIGURES` and runs each through one handler: call the row's
 driver with the keywords its parameters feed, print its output (tables
 and paper claims), and point at the trace if one was written. A paper
-value a figure command prints lives in one :class:`Claim` of this
-table and nowhere else.
+value a command prints lives in one :class:`Claim` of this module and
+nowhere else: the figure commands' claims in :data:`FIGURES`,
+``greenenvy report``'s in :data:`REPORT` and ``greenenvy validate``'s
+in :data:`CALIBRATION`. Every command exits 1 when a claim with a
+tolerance fails.
 
-Nothing here imports a figure module, so building the parser stays
-cheap: a driver is a dotted path imported when its command runs, and a
-render imports what it reads at call time (the driver has loaded it
-by then).
+Nothing here imports a figure module or what a claim measures, so
+building the parser stays cheap: a driver is a dotted path imported
+when its command runs, and a render or a measure imports what it reads
+at call time (the driver has loaded it by then).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import import_module
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import AnalysisError
@@ -66,23 +71,27 @@ class Param:
 class Claim:
     """A measured number printed beside the paper's value (``paper``,
     as printed; ``None`` when the paper gives none) and the paper
-    section that makes the claim (DESIGN.md §1 indexes them)."""
+    section that makes the claim (DESIGN.md §1 indexes them).
+
+    ``holds`` is the claim's tolerance, a predicate on the measured
+    value; ``None`` makes the claim print-only."""
 
     label: str
-    measure: Callable[[Any], float]
-    format: str
+    measure: Callable[[Any], Any]
+    format: Callable[[Any], str]
     paper: Optional[str]
     section: str
+    holds: Optional[Callable[[Any], bool]] = None
 
-    def line(self, result: Any) -> str:
-        """``label: value (paper: ...)``, with ``n/a`` for a value the
-        data cannot give (a constant series has no correlation)."""
+    def check(self, result: Any) -> Tuple[str, bool]:
+        """The value as printed and whether the claim holds. ``n/a``
+        stands for a value the data cannot give (a constant series has
+        no correlation); it fails a claim with a tolerance."""
         try:
-            value = self.format.format(self.measure(result))
+            value = self.measure(result)
         except AnalysisError:
-            value = "n/a"
-        paper = f" (paper: {self.paper})" if self.paper else ""
-        return f"{self.label}: {value}{paper}"
+            return "n/a", self.holds is None
+        return self.format(value), self.holds is None or self.holds(value)
 
 
 @dataclass(frozen=True)
@@ -115,12 +124,22 @@ class Figure:
         module, _, function = self.driver.rpartition(".")
         return getattr(import_module(module), function)(**keywords, **launch)
 
-    def render(self, result: Any) -> str:
-        return "\n\n".join(
-            "\n".join(claim.line(result) for claim in part)
-            if isinstance(part, tuple) else part(result)
-            for part in self.output
-        )
+    def render(self, result: Any) -> Tuple[str, List[bool]]:
+        """The printed paragraphs, and whether each claim holds."""
+        paragraphs: List[str] = []
+        verdicts: List[bool] = []
+        for part in self.output:
+            if isinstance(part, tuple):
+                checked = [(claim, *claim.check(result)) for claim in part]
+                verdicts += [holds for *_, holds in checked]
+                paragraphs.append("\n".join(
+                    f"{claim.label}: {value}"
+                    + (f" (paper: {claim.paper})" if claim.paper else "")
+                    for claim, value, _ in checked
+                ))
+            else:
+                paragraphs.append(part(result))
+        return "\n\n".join(paragraphs), verdicts
 
 
 def sizing(
@@ -310,7 +329,7 @@ FIGURES: Tuple[Figure, ...] = (
          *PARALLEL, ABORT_ON_DRIFT),
         (_table, (Claim("max savings vs fair",
                         lambda result: result.max_savings_percent,
-                        "{:.1f}%", "~16%", "§4.1, Fig. 1"),)),
+                        "{:.1f}%".format, "~16%", "§4.1, Fig. 1"),)),
     ),
     Figure(
         "fig2", "power vs throughput curves", "repro.figures.fig2.run_fig2",
@@ -340,17 +359,17 @@ FIGURES: Tuple[Figure, ...] = (
             lambda grid: f"== Figure 5: energy ==\n{grid.energy_table()}",
             (Claim("BBR2 vs BBR energy overhead @9000",
                    lambda grid: 100 * grid.bbr2_vs_bbr_fraction(9000),
-                   "{:.0f}%", "~40%", "§4.3, Fig. 5"),),
+                   "{:.0f}%".format, "~40%", "§4.3, Fig. 5"),),
             lambda grid: f"== Figure 6: power ==\n{grid.power_table()}",
             (Claim("corr(energy, power) @1500",
                    lambda grid: grid.energy_power_correlation(1500),
-                   "{:.2f}", "-0.8", "§4.3, Fig. 6"),),
+                   "{:.2f}".format, "-0.8", "§4.3, Fig. 6"),),
             (Claim("corr(energy, fct)",
                    lambda grid: grid.energy_fct_correlation(),
-                   "{:.2f}", None, "§4.5, Fig. 7"),
+                   "{:.2f}".format, None, "§4.5, Fig. 7"),
              Claim("corr(energy, retx) excl bbr2",
                    lambda grid: grid.retx_energy_correlation(),
-                   "{:.2f}", "0.47", "§4.5, Fig. 8")),
+                   "{:.2f}".format, "0.47", "§4.5, Fig. 8")),
         ),
     ),
     Figure(
@@ -449,3 +468,197 @@ FIGURES: Tuple[Figure, ...] = (
         (_table,),
     ),
 )
+
+
+def _verdict(yes: str, no: str, holds: Callable[[Any], bool]) -> Dict[str, Any]:
+    """The ``format`` and ``holds`` of a claim printed as ``yes`` or
+    ``no``, whichever its tolerance says."""
+    return dict(format=lambda value: yes if holds(value) else no, holds=holds)
+
+
+def _headline_musd(_: Any) -> float:
+    """The paper's 1 % fleet-wide saving at datacenter scale, $M/year."""
+    from repro.core.savings import paper_headline_savings
+    from repro.units import MILLION
+
+    return paper_headline_savings() / MILLION
+
+
+def run_report(transfer_bytes: int, repetitions: int, seed: int) -> SimpleNamespace:
+    """The measurements :data:`REPORT` reads, at sizes reduced so the
+    report finishes in about a minute (the benchmarks are the
+    full-fidelity path)."""
+    from repro.core.theorem import worst_allocation_is_fair
+    from repro.energy.power_model import PowerModel
+    from repro.figures.fig1 import run_fig1
+    from repro.figures.srpt import run_srpt_comparison
+    from repro.harness.experiment import FlowSpec, Scenario
+    from repro.harness.runner import run_repeated
+
+    return SimpleNamespace(
+        theorem=worst_allocation_is_fair(
+            PowerModel().smooth_sending_power_w, 10.0, n=2, trials=500, seed=seed
+        ),
+        fig1=run_fig1(
+            transfer_bytes=transfer_bytes, fractions=(0.2, 0.5, 0.8),
+            repetitions=repetitions, base_seed=seed,
+        ),
+        energy_j={
+            cca: run_repeated(
+                Scenario(f"report-{cca}",
+                         flows=[FlowSpec(transfer_bytes, cca=cca)], packages=1),
+                repetitions=repetitions, base_seed=seed,
+            ).mean_energy_j
+            for cca in ("cubic", "baseline", "bbr2", "bbr")
+        },
+        srpt=run_srpt_comparison(
+            batch=(transfer_bytes, transfer_bytes // 2, transfer_bytes // 4),
+            seed=seed,
+        ),
+    )
+
+
+def _saving_percent(energy_j: Dict[str, float], cca: str, over: str) -> float:
+    """How much less energy ``cca`` took than ``over``, in percent."""
+    return 100 * ((energy_j[over] - energy_j[cca]) / energy_j[over])
+
+
+#: a report section: its title, its claims and the table printed below them
+Section = Tuple[str, Tuple[Claim, ...], Optional[Render]]
+
+#: ``greenenvy report``'s sections; the claims read :func:`run_report`'s result
+REPORT: Tuple[Section, ...] = (
+    ("Theorem 1: fair share is the most power-hungry", (
+        Claim("no allocation beats the fair share's power",
+              lambda m: m.theorem,
+              paper="theorem (strict concavity)", section="§4.1, Theorem 1",
+              **_verdict("holds over 500 random allocations", "violated", bool)),
+    ), None),
+    ("Figure 1: unfairness saves energy", (
+        Claim("fair allocation is the most expensive",
+              lambda m: max(p.mean_energy_j for p in m.fig1.points)
+              / m.fig1.fair_point.mean_energy_j,
+              paper="yes", section="§4.1, Fig. 1",
+              **_verdict("yes", "no", lambda ratio: ratio <= 1.001)),
+        Claim("full-speed-then-idle saving",
+              lambda m: m.fig1.savings_vs_fair_percent(m.fig1.fsti_point),
+              "{:.1f}%".format, "~16%", "§4.1, Fig. 1",
+              lambda percent: 12.0 <= percent <= 20.0),
+    ), lambda m: m.fig1.format_table()),
+    ("§4.3: congestion control beats no-CC", (
+        Claim("cubic saves energy vs the constant-cwnd baseline",
+              lambda m: _saving_percent(m.energy_j, "cubic", "baseline"),
+              "{:.1f}%".format, "8.2-14.2%", "§4.3",
+              lambda percent: percent > 5.0),
+        Claim("BBR2 (alpha) energy overhead vs BBR",
+              lambda m: -_saving_percent(m.energy_j, "bbr2", "bbr"),
+              "{:.0f}%".format, "~40%", "§4.3, Fig. 5",
+              lambda percent: 15.0 <= percent <= 70.0),
+    ), None),
+    ("§4.2: dollars at datacenter scale", (
+        Claim("1% fleet-wide saving", _headline_musd, "${:.0f}M/year".format,
+              "~$10M/year", "§4.2", lambda musd: abs(musd - 10.0) < 1.0),
+    ), None),
+    ("§5: SRPT transports are green and fast", (
+        Claim("pFabric-style SRPT saves energy vs fair",
+              lambda m: m.srpt.arms.savings_percent("srpt"),
+              "{:.1f}%".format, "predicted by Theorem 1", "§5",
+              lambda percent: percent > 3.0),
+        Claim("and improves mean FCT",
+              lambda m: m.srpt.arms.fct_speedup("srpt"),
+              "{:.2f}x".format, "SRPT-optimal", "§5",
+              lambda speedup: speedup > 1.1),
+    ), lambda m: m.srpt.format_table()),
+)
+
+
+def report_markdown(
+    measured: Any, sections: Sequence[Section] = REPORT
+) -> Tuple[str, List[bool]]:
+    """``greenenvy report``'s markdown, and whether each claim holds."""
+    body: List[str] = []
+    verdicts: List[bool] = []
+    for title, claims, table in sections:
+        checked = [(claim, *claim.check(measured)) for claim in claims]
+        verdicts += [holds for *_, holds in checked]
+        body += [f"## {title}", "", "| claim | paper | measured | ok |",
+                 "|---|---|---|---|"]
+        body += [f"| {claim.label} | {claim.paper} | {value} | "
+                 f"{'✓' if holds else '✗'} |" for claim, value, holds in checked]
+        body.append("")
+        if table is not None:
+            body += ["```", table(measured).rstrip("\n"), "```", ""]
+    return "\n".join([
+        "# Green With Envy — reproduction report (quick mode)", "",
+        f"**{sum(verdicts)}/{len(verdicts)} paper claims reproduced.**", "",
+        *body,
+    ]) + "\n", verdicts
+
+
+def _concave(model: Any) -> bool:
+    from repro.core.theorem import is_strictly_concave_on
+
+    return is_strictly_concave_on(model.smooth_sending_power_w, 0.0, 10.0)
+
+
+def _fsti_saving(model: Any) -> float:
+    from repro.core.theorem import theorem1_savings
+
+    return theorem1_savings(model.smooth_sending_power_w, 10.0, [10.0, 0.0])
+
+
+def _close(target: float, rel: float) -> Callable[[float], bool]:
+    return lambda value: math.isclose(value, target, rel_tol=rel)
+
+
+def _increase(model: Any, lo_gbps: float, hi_gbps: float) -> float:
+    """The fractional power increase from ``lo_gbps`` to ``hi_gbps``."""
+    p = model.smooth_sending_power_w
+    return (p(hi_gbps) - p(lo_gbps)) / p(lo_gbps)
+
+
+def _loaded_saving(model: Any, load: float) -> float:
+    """Full-speed-then-idle's fractional saving over fair at 5 Gb/s on
+    a host ``load`` busy."""
+    fair = model.smooth_sending_power_w(5.0, load)
+    return (fair - model.full_speed_then_idle_power_w(5.0, load=load)) / fair
+
+
+def _anchor(label: str, gbps: float, watts: float, note: str = "") -> Claim:
+    """A point the paper prints on the power curve, checked against
+    the printed number, not the constant the model is fitted from."""
+    return Claim(label, lambda model: model.smooth_sending_power_w(gbps),
+                 "{:.2f} W".format, f"{watts} W{note}", "§4.1",
+                 _close(watts, 1e-6))
+
+
+#: ``greenenvy validate``'s checks of the calibrated power model
+#: against the paper's printed numbers, in dependency order; their
+#: measures take a :class:`~repro.energy.power_model.PowerModel`
+CALIBRATION: Tuple[Claim, ...] = (
+    _anchor("idle power anchor", 0.0, 21.49, " (paper §4.1)"),
+    _anchor("half-rate anchor", 5.0, 34.23),
+    _anchor("line-rate anchor", 10.0, 35.82),
+    Claim("strict concavity (Theorem 1 premise)", _concave,
+          paper="concave on [0, 10] Gb/s", section="§4.1, Theorem 1",
+          **_verdict("holds", "VIOLATED", bool)),
+    Claim("full-speed-then-idle saving", _fsti_saving, "{:.1%}".format,
+          "16.3% (paper §4.1 arithmetic)", "§4.1", _close(0.163, 0.05)),
+    Claim("first 5 Gb/s power increase",
+          lambda model: _increase(model, 0.0, 5.0), "{:.0%}".format,
+          "~60% (paper: 12.7 W on 21.49 W)", "§4.1",
+          lambda fraction: 0.5 <= fraction <= 0.7),
+    Claim("next 5 Gb/s power increase",
+          lambda model: _increase(model, 5.0, 10.0), "{:.1%}".format,
+          "~5% (paper: 1.6 W on 34.23 W)", "§4.1",
+          lambda fraction: 0.02 <= fraction <= 0.08),
+    Claim("savings at 25% load",
+          lambda model: _loaded_saving(model, 0.25), "{:.2%}".format,
+          "1.00% (paper §4.2)", "§4.2", _close(0.010, 0.4)),
+    Claim("savings at 75% load",
+          lambda model: _loaded_saving(model, 0.75), "{:.2%}".format,
+          "0.17% (paper §4.2)", "§4.2", _close(0.0017, 0.4)),
+    Claim("1% at datacenter scale", _headline_musd, "${:.1f}M/year".format,
+          "$10M/year", "§4.2", _close(10.0, 0.01)),
+)
+

@@ -1,97 +1,87 @@
-"""Tests for the report generator and bootstrap CI."""
+"""Tests for ``greenenvy report``: its claim rows and markdown render."""
 
 import pytest
 
-from repro.analysis.report import ClaimRow, Report, format_mean_ci
-from repro.analysis.stats import bootstrap_ci, mean
-from repro.errors import AnalysisError
+from repro.figures.specs import REPORT, Claim, report_markdown, run_report
 
 
-class TestBootstrapCi:
-    def test_interval_contains_mean_for_tight_data(self):
-        values = [10.0, 10.1, 9.9, 10.05, 9.95]
-        lo, hi = bootstrap_ci(values)
-        assert lo <= mean(values) <= hi
-
-    def test_interval_narrows_with_less_variance(self):
-        tight = bootstrap_ci([10.0, 10.01, 9.99, 10.0])
-        wide = bootstrap_ci([5.0, 15.0, 8.0, 12.0])
-        assert (tight[1] - tight[0]) < (wide[1] - wide[0])
-
-    def test_single_value_degenerate(self):
-        assert bootstrap_ci([7.0]) == (7.0, 7.0)
-
-    def test_deterministic_given_seed(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert bootstrap_ci(values, seed=5) == bootstrap_ci(values, seed=5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            bootstrap_ci([])
-
-    def test_bad_confidence_rejected(self):
-        with pytest.raises(AnalysisError):
-            bootstrap_ci([1.0, 2.0], confidence=1.5)
-
-    def test_format_mean_ci(self):
-        text = format_mean_ci([1.0, 2.0, 3.0], unit="J")
-        assert "2.000" in text and "J" in text
+def claim(label):
+    """A claim on a dict of values that holds above 10."""
+    return Claim(label, lambda values: values[label], "{}".format,
+                 "10", "§0", lambda value: value > 10)
 
 
 class TestReportStructure:
     def make_report(self):
-        report = Report("test report")
-        sec = report.section("section one")
-        sec.add("claim a", "10", "11", True)
-        sec.add("claim b", "20", "5", False)
-        sec.preformatted = "raw table"
-        return report
+        sections = [(
+            "section one",
+            (claim("claim a"), claim("claim b")),
+            lambda values: "raw table",
+        )]
+        return report_markdown({"claim a": 11, "claim b": 5}, sections)
 
     def test_counts(self):
-        report = self.make_report()
-        assert report.claims_total == 2
-        assert report.claims_ok == 1
+        _, verdicts = self.make_report()
+        assert len(verdicts) == 2
+        assert sum(verdicts) == 1
 
     def test_render_contains_everything(self):
-        text = self.make_report().render()
-        assert "# test report" in text
+        text, _ = self.make_report()
+        assert text.startswith("# Green With Envy")
+        assert "## section one" in text
         assert "1/2 paper claims" in text
         assert "claim a" in text and "✓" in text
         assert "claim b" in text and "✗" in text
-        assert "raw table" in text
+        assert "```\nraw table\n```" in text
 
     def test_claim_row_marks(self):
-        assert "✓" in ClaimRow("c", "p", "m", True).render()
-        assert "✗" in ClaimRow("c", "p", "m", False).render()
+        text, _ = self.make_report()
+        assert "| claim a | 10 | 11 | ✓ |" in text
+        assert "| claim b | 10 | 5 | ✗ |" in text
 
     def test_section_all_ok(self):
-        report = Report("r")
-        sec = report.section("s")
-        sec.add("x", "1", "1", True)
-        assert sec.all_ok
-        sec.add("y", "1", "2", False)
-        assert not sec.all_ok
+        section = ("s", (claim("x"),), None)
+        assert all(report_markdown({"x": 11}, [section])[1])
+        section = ("s", (claim("x"), claim("y")), None)
+        assert not all(report_markdown({"x": 11, "y": 5}, [section])[1])
+
+    def test_unmeasurable_value_fails_and_prints_n_a(self):
+        from repro.errors import AnalysisError
+
+        def undefined(values):
+            raise AnalysisError("constant series")
+
+        tolerant = Claim("c", undefined, "{}".format, "1", "§0", bool)
+        assert tolerant.check({}) == ("n/a", False)
+        print_only = Claim("c", undefined, "{}".format, "1", "§0")
+        assert print_only.check({}) == ("n/a", True)
+
+    def test_every_report_claim_has_a_tolerance(self):
+        assert all(c.holds is not None for _, claims, _ in REPORT for c in claims)
+        assert sum(len(claims) for _, claims, _ in REPORT) == 8
 
 
 class TestQuickReport:
     @pytest.fixture(scope="class")
     def report(self):
-        from repro.analysis.report import quick_report
-
         # 8 MB is the smallest size at which the baseline's loss churn is
         # in steady state (below that its energy penalty hasn't built up)
-        return quick_report(transfer_bytes=8_000_000, repetitions=1)
+        return report_markdown(run_report(8_000_000, repetitions=1, seed=0))
 
     def test_all_claims_reproduce(self, report):
-        assert report.claims_ok == report.claims_total
+        _, verdicts = report
+        assert all(verdicts)
 
     def test_covers_the_headline_sections(self, report):
-        titles = " ".join(s.title for s in report.sections)
+        titles = " ".join(title for title, _, _ in REPORT)
         assert "Theorem 1" in titles
         assert "Figure 1" in titles
         assert "SRPT" in titles
+        text, _ = report
+        assert all(f"## {title}" in text for title, _, _ in REPORT)
 
     def test_renders_markdown(self, report):
-        text = report.render()
+        text, _ = report
         assert text.startswith("# ")
         assert "claims reproduced" in text
+        assert text.count("```") == 4

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import (
+    bootstrap_ci,
     geometric_mean,
     linear_fit,
     mean,
@@ -103,3 +104,30 @@ class TestGeometricMean:
     @settings(max_examples=50, deadline=None)
     def test_bounded_by_arithmetic_mean(self, xs):
         assert geometric_mean(xs) <= mean(xs) + 1e-9
+
+
+class TestBootstrapCi:
+    def test_interval_contains_mean_for_tight_data(self):
+        values = [10.0, 10.1, 9.9, 10.05, 9.95]
+        lo, hi = bootstrap_ci(values)
+        assert lo <= mean(values) <= hi
+
+    def test_interval_narrows_with_less_variance(self):
+        tight = bootstrap_ci([10.0, 10.01, 9.99, 10.0])
+        wide = bootstrap_ci([5.0, 15.0, 8.0, 12.0])
+        assert (tight[1] - tight[0]) < (wide[1] - wide[0])
+
+    def test_single_value_degenerate(self):
+        assert bootstrap_ci([7.0]) == (7.0, 7.0)
+
+    def test_deterministic_given_seed(self):
+        values = [1.0, 2.0, 3.0, 4.0]
+        assert bootstrap_ci(values, seed=5) == bootstrap_ci(values, seed=5)
+
+    def test_empty_rejected(self):
+        with pytest.raises(AnalysisError):
+            bootstrap_ci([])
+
+    def test_bad_confidence_rejected(self):
+        with pytest.raises(AnalysisError):
+            bootstrap_ci([1.0, 2.0], confidence=1.5)

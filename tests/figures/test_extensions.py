@@ -81,7 +81,8 @@ class TestIncast:
             aggregate_bytes=1_000_000,
         )
         incast = next(figure for figure in FIGURES if figure.name == "incast")
-        assert incast.render(result).endswith(
+        text, _ = incast.render(result)
+        assert text.endswith(
             "energy growth 2 -> 4 senders: x1.50"
         )
 

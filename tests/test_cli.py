@@ -489,6 +489,26 @@ class TestErrorBoundary:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--bytes", "400000", "--reps", "1", "-o", "{dir}/r.md"],
+            ["grid", "--bytes", "1000000", "--reps", "1", "--json", "{dir}/g.json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_output_exits_two_with_error_line(
+        self, capsys, tmp_path, argv
+    ):
+        # an output file in a missing directory: a traceback before
+        # main() caught OSError
+        missing = str(tmp_path / "no" / "such" / "dir")
+        assert main([arg.format(dir=missing) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert missing in captured.err
+
     def test_abort_of_a_command_without_a_drift_gate_exits_three(
         self, capsys, tmp_path
     ):

@@ -119,6 +119,16 @@ def test_one_figure_module_loads_no_other_figure():
     assert figures == {"repro.figures.fig1"}
 
 
+def test_building_the_cli_parser_loads_no_command():
+    """The figure, report and validate rows import what they run and
+    measure only when their command runs."""
+    loaded = loaded_after("import repro.cli\nrepro.cli.build_parser()")
+    assert repro_modules(loaded) == {
+        "repro", "repro._lazy", "repro.cli", "repro.errors",
+        "repro.figures", "repro.figures.specs",
+    }
+
+
 # -- the namespace contract ------------------------------------------------
 
 LAZY_PACKAGES = (

@@ -1,37 +1,50 @@
-"""Tests for the calibration self-check."""
+"""Tests for the calibration self-check (``greenenvy validate``)."""
 
-import pytest
+from repro.energy.power_model import PowerModel
+from repro.figures.specs import CALIBRATION, Claim
 
-from repro.validation import Check, run_validation, validation_passed
+
+def verdicts(model=None):
+    """``{label: holds}`` of every calibration check on ``model``."""
+    model = PowerModel() if model is None else model
+    return {claim.label: claim.check(model)[1] for claim in CALIBRATION}
 
 
 class TestValidation:
     def test_all_checks_pass_on_shipped_calibration(self):
-        checks = run_validation()
-        failing = [c.name for c in checks if not c.ok]
+        failing = [label for label, holds in verdicts().items() if not holds]
         assert not failing, f"calibration broken: {failing}"
 
     def test_covers_the_anchor_trio(self):
-        names = " | ".join(c.name for c in run_validation())
+        names = " | ".join(verdicts())
         assert "idle power" in names
         assert "half-rate" in names
         assert "line-rate" in names
 
     def test_covers_theorem_premise_and_savings(self):
-        names = " | ".join(c.name for c in run_validation())
+        names = " | ".join(verdicts())
         assert "concavity" in names
         assert "full-speed-then-idle" in names
         assert "datacenter scale" in names
 
     def test_validation_passed_helper(self):
-        good = [Check("a", "1", "1", True)]
-        bad = good + [Check("b", "1", "2", False)]
-        assert validation_passed(good)
-        assert not validation_passed(bad)
+        good = Claim("a", lambda model: 1, "{}".format, "1", "§0",
+                     lambda value: value == 1)
+        bad = Claim("b", lambda model: 2, "{}".format, "1", "§0",
+                    lambda value: value == 1)
+        assert good.check(None) == ("1", True)
+        assert bad.check(None) == ("2", False)
 
     def test_check_count_stable(self):
         """Adding checks is fine; silently losing them is not."""
-        assert len(run_validation()) >= 10
+        assert len(CALIBRATION) >= 10
+        assert all(claim.holds is not None for claim in CALIBRATION)
+
+    def test_anchors_are_the_paper_numbers_not_the_constants(self):
+        """The model is fitted from the calibration constants, so a check
+        against those constants could never fail: a model idling at
+        21.79 W must fail the paper's 21.49 W idle anchor."""
+        assert not verdicts(PowerModel(p_idle_w=21.79))["idle power anchor"]
 
 
 class TestCliCommands:
@@ -40,6 +53,20 @@ class TestCliCommands:
 
         assert main(["validate"]) == 0
         assert "all checks passed" in capsys.readouterr().out
+
+    def test_validate_command_fails_on_a_drifted_model(self, capsys, monkeypatch):
+        from functools import partial
+
+        from repro.cli import main
+        from repro.energy import power_model
+
+        monkeypatch.setattr(power_model, "PowerModel",
+                            partial(PowerModel, p_idle_w=21.79))
+        assert main(["validate"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] idle power anchor" in out
+        assert "expected 21.49 W (paper §4.1), got 21.79 W" in out
+        assert out.endswith("CALIBRATION BROKEN\n")
 
     def test_loadbalance_command(self, capsys):
         from repro.cli import main
@@ -60,3 +87,4 @@ class TestCliCommands:
         text = target.read_text()
         assert text.startswith("# Green With Envy")
         assert "claims reproduced" in text
+        assert "(8/8 claims ok)" in capsys.readouterr().out
