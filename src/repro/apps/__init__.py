@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.apps.iperf import (
     ECN_ALGORITHMS,
-    IntervalReport,
     IperfResult,
     IperfSession,
     run_until_complete,
@@ -30,7 +29,6 @@ from repro.apps.workload import (
 __all__ = [
     "IperfSession",
     "IperfResult",
-    "IntervalReport",
     "run_until_complete",
     "ThroughputProbe",
     "ECN_ALGORITHMS",

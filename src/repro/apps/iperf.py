@@ -36,25 +36,6 @@ ECN_ALGORITHMS = frozenset({"dctcp", "bbr2", "dcqcn"})
 
 
 @dataclass
-class IntervalReport:
-    """One row of iperf3's ``-i`` interval output."""
-
-    start_s: float
-    end_s: float
-    bytes_acked: int
-    retransmissions: int
-    cwnd_bytes: int
-
-    @property
-    def bandwidth_bps(self) -> float:
-        """Goodput over the interval."""
-        duration = self.end_s - self.start_s
-        if duration <= 0:
-            return 0.0
-        return self.bytes_acked * BITS_PER_BYTE / duration
-
-
-@dataclass
 class IperfResult:
     """Summary of one completed transfer (iperf3's closing report)."""
 
@@ -112,7 +93,6 @@ class IperfSession:
         ecn: Optional[bool] = None,
         flow_id: Optional[int] = None,
         cca_kwargs: Optional[dict] = None,
-        report_interval_s: Optional[float] = None,
         src_host: Optional[Host] = None,
         dst_host: Optional[Host] = None,
     ):
@@ -167,18 +147,6 @@ class IperfSession:
             self._writer = PeriodicTimer(self.sim, WRITE_INTERVAL_S, self._write_tick)
         else:
             self._writer = None
-        #: iperf3 -i style interval rows, populated while running
-        self.interval_reports: List[IntervalReport] = []
-        self._reporter: Optional[PeriodicTimer] = None
-        self._report_marker = (0.0, 0, 0)  # (time, delivered, retx)
-        if report_interval_s is not None:
-            if report_interval_s <= 0:
-                raise ExperimentError(
-                    f"report interval must be > 0, got {report_interval_s}"
-                )
-            self._reporter = PeriodicTimer(
-                self.sim, report_interval_s, self._interval_tick
-            )
         self._begun = False
         if start_time is not None:
             self.sim.schedule_at(start_time, self._start)
@@ -228,37 +196,7 @@ class IperfSession:
         if self._writer is not None:
             self._write_tick()
             self._writer.start()
-        if self._reporter is not None:
-            self._report_marker = (self.sim.now, 0, 0)
-            self._reporter.start()
-            self.sender.on_complete(lambda _t: self._finish_reports())
         self.sender.start()
-
-    def _interval_tick(self) -> None:
-        self._emit_interval()
-
-    def _emit_interval(self) -> None:
-        last_time, last_delivered, last_retx = self._report_marker
-        now = self.sim.now
-        delivered = self.sender.delivered_bytes
-        retx = int(self.sender.counters.get("retransmits"))
-        if now <= last_time:
-            return
-        self.interval_reports.append(
-            IntervalReport(
-                start_s=last_time,
-                end_s=now,
-                bytes_acked=delivered - last_delivered,
-                retransmissions=retx - last_retx,
-                cwnd_bytes=int(self.sender.cca.cwnd),
-            )
-        )
-        self._report_marker = (now, delivered, retx)
-
-    def _finish_reports(self) -> None:
-        if self._reporter is not None:
-            self._reporter.stop()
-            self._emit_interval()  # the final partial interval
 
     def _write_tick(self) -> None:
         assert self.target_bitrate_bps is not None

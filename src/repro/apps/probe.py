@@ -10,11 +10,11 @@ Two vantage points are supported: the sender's cumulative-ACK counter
 arrival counter (smooth; what iperf3's server-side report shows). The
 figures use the receiver view.
 
-Samples flow through the shared :class:`~repro.sim.probe.ProbeSink`
-protocol: each probe keeps its own :class:`TimeSeriesProbeSink`
-collector (backing the :attr:`ThroughputProbe.series` view the figures
-read) and mirrors every sample to ``sim.probe_sink`` so traced runs get
-the same series in their telemetry files for free.
+Each probe records into its own :class:`~repro.sim.trace.TimeSeries`
+(:attr:`ThroughputProbe.series`, what the figures read; named
+``flow-N:throughput_bps`` like its telemetry stream) and mirrors every
+sample to ``sim.probe_sink`` so traced runs get the same series in
+their telemetry files for free.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, Union
 
 from repro.sim.engine import Simulator
-from repro.sim.probe import THROUGHPUT_CHANNEL, TimeSeriesProbeSink
+from repro.sim.probe import THROUGHPUT_CHANNEL
 from repro.sim.timer import PeriodicTimer
 from repro.sim.trace import TimeSeries
 from repro.tcp.receiver import TcpReceiver
@@ -53,14 +53,10 @@ class ThroughputProbe:
         self.interval_s = interval_s
         self._read = _byte_counter(endpoint)
         self.entity = name or f"flow-{endpoint.flow_id}"
-        self._collector = TimeSeriesProbeSink()
+        #: the goodput samples collected so far (bps over virtual time)
+        self.series = TimeSeries(name=f"{self.entity}:{THROUGHPUT_CHANNEL}")
         self._last_bytes = 0
         self._timer = PeriodicTimer(sim, interval_s, self._sample)
-
-    @property
-    def series(self) -> TimeSeries:
-        """The goodput samples collected so far (bps over virtual time)."""
-        return self._collector.series(THROUGHPUT_CHANNEL, self.entity)
 
     def start(self) -> None:
         """Begin sampling (first sample after one interval)."""
@@ -77,7 +73,7 @@ class ThroughputProbe:
         self._last_bytes = current
         throughput_bps = delta * BITS_PER_BYTE / self.interval_s
         now = self.sim.now
-        self._collector.sample(now, THROUGHPUT_CHANNEL, self.entity, throughput_bps)
+        self.series.record(now, throughput_bps)
         sink = self.sim.probe_sink
         if sink.enabled:
             sink.sample(now, THROUGHPUT_CHANNEL, self.entity, throughput_bps)

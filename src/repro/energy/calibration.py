@@ -149,19 +149,6 @@ BETA_RETX_W_PER_RPS = usec(40)
 HOST_MIN_PACKET_GAP_S = usec(2.35)
 
 # ---------------------------------------------------------------------------
-# DRAM domain (RAPL exposes it separately from the package; the paper's
-# §4.3 attributes part of the baseline's cost to "more frequent memory
-# accesses", which land here)
-# ---------------------------------------------------------------------------
-
-#: DRAM idle/refresh power per package's memory, W
-DRAM_IDLE_W = 3.0
-#: W per Gb/s of payload moved through memory (copy + DMA traffic)
-BETA_DRAM_W_PER_GBPS = 0.35
-#: W per retransmission per second (requeued buffers are re-read)
-BETA_DRAM_RETX_W_PER_RPS = usec(20)
-
-# ---------------------------------------------------------------------------
 # RAPL emulation (§3: Intel RAPL interface, Sandy-Bridge-era unit)
 # ---------------------------------------------------------------------------
 

@@ -27,7 +27,6 @@ from repro.net.host import FlowTally, Host, HostListener
 from repro.sim.engine import Simulator
 from repro.sim.probe import POWER_CHANNEL
 from repro.sim.timer import PeriodicTimer
-from repro.sim.trace import TimeSeries
 from repro.units import msec
 
 DEFAULT_SAMPLE_INTERVAL_S = msec(5.0)
@@ -53,15 +52,11 @@ class CpuPackage(FlowTally):
         self.noise_sigma = 0.0
         self.background_load = 0.0
         self.energy_j = 0.0
-        #: DRAM-domain energy, integrated alongside the package domain
-        #: (real RAPL exposes them as separate MSRs)
-        self.dram_energy_j = 0.0
         #: per-mechanism energy attribution (keys from
         #: PowerModel.COMPONENT_KEYS); sums to energy_j up to noise
         self.energy_components_j: Dict[str, float] = {
             key: 0.0 for key in PowerModel.COMPONENT_KEYS
         }
-        self.power_series = TimeSeries(name=f"{name}-power")
         self._last_flush = sim.now
 
     # -- accumulation ------------------------------------------------------
@@ -91,22 +86,18 @@ class CpuPackage(FlowTally):
         )
         components = self.model.power_components(activity)
         power = sum(components.values())
-        dram_power = self.model.dram_power_w(activity)
         scale = 1.0
         if self.noise_rng is not None and self.noise_sigma > 0:
             scale = max(0.0, self.noise_rng.gauss(1.0, self.noise_sigma))
             power *= scale
-            dram_power *= scale
         self.energy_j += power * duration
-        self.dram_energy_j += dram_power * duration
         for key, watts in components.items():
             self.energy_components_j[key] += watts * scale * duration
-        self.power_series.record(now, power)
         sink = self.sim.probe_sink
         if sink.enabled:
-            # Instantaneous per-package power for telemetry traces: the
-            # same value the RAPL emulation integrates, stamped at the
-            # flush boundary.
+            # Instantaneous per-package power, the run's only record of
+            # power over time: the value the RAPL emulation integrates,
+            # stamped at the flush boundary.
             sink.sample(now, POWER_CHANNEL, self.name, power)
         self._last_flush = now
         self.wire_bytes = 0

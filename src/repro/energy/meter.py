@@ -19,7 +19,6 @@ from repro.energy.rapl import RaplReader
 from repro.errors import EnergyModelError
 from repro.sim.engine import Simulator
 from repro.sim.probe import ENERGY_CHANNEL
-from repro.sim.trace import TimeSeries
 
 
 class EnergyMeter:
@@ -56,8 +55,8 @@ class EnergyMeter:
         sink = self.sim.probe_sink
         if sink.enabled:
             # One sample per measurement window: the metered joules at
-            # window close, alongside the per-package power series the
-            # CPU models emit continuously.
+            # window close, alongside the per-package ``power_w`` stream
+            # the CPU models emit at every flush.
             sink.sample(self.sim.now, ENERGY_CHANNEL, "meter", self._energy_j)
         return self._energy_j
 
@@ -82,11 +81,3 @@ class EnergyMeter:
         if duration <= 0:
             raise EnergyModelError("zero-length measurement window")
         return self.energy_j / duration
-
-    def power_series(self) -> List[TimeSeries]:
-        """Per-package power samples recorded during the window."""
-        return [
-            pkg.power_series
-            for model in self.cpu_models
-            for pkg in model.packages
-        ]

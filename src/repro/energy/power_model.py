@@ -148,27 +148,6 @@ class PowerModel:
         """Average package power over the interval, watts."""
         return sum(self.power_components(activity).values())
 
-    def dram_power_w(self, activity: IntervalActivity) -> float:
-        """DRAM-domain power for the interval (RAPL's separate domain).
-
-        The paper measures package energy; the DRAM domain carries the
-        "more frequent memory accesses" cost §4.3 attributes to the
-        bursty baseline. Kept out of the package figure so the paper's
-        calibration anchors stay exact.
-        """
-        if activity.duration_s <= 0:
-            raise EnergyModelError(
-                f"interval duration must be > 0, got {activity.duration_s}"
-            )
-        power = cal.DRAM_IDLE_W
-        power += cal.BETA_DRAM_W_PER_GBPS * activity.throughput_gbps
-        power += (
-            cal.BETA_DRAM_RETX_W_PER_RPS
-            * activity.retransmissions
-            / activity.duration_s
-        )
-        return power
-
     def smooth_sending_power_w(
         self, throughput_gbps: float, load: float = 0.0
     ) -> float:

@@ -26,35 +26,24 @@ from repro.units import joules_to_uj
 
 
 class RaplDomain:
-    """One emulated RAPL energy-status register.
-
-    ``domain`` selects what the register reports: ``"package"``
-    (MSR_PKG_ENERGY_STATUS, the paper's measurement) or ``"dram"``
-    (MSR_DRAM_ENERGY_STATUS, where §4.3's "more frequent memory
-    accesses" land).
-    """
+    """One emulated package energy-status register
+    (MSR_PKG_ENERGY_STATUS, the paper's measurement)."""
 
     def __init__(
         self,
         package: CpuPackage,
         energy_unit_j: float = cal.RAPL_ENERGY_UNIT_J,
         counter_bits: int = cal.RAPL_COUNTER_BITS,
-        domain: str = "package",
     ):
         if energy_unit_j <= 0:
             raise EnergyModelError(f"energy unit must be > 0, got {energy_unit_j}")
-        if domain not in ("package", "dram"):
-            raise EnergyModelError(f"unknown RAPL domain {domain!r}")
         self.package = package
         self.energy_unit_j = energy_unit_j
         self.counter_mask = (1 << counter_bits) - 1
-        self.domain = domain
 
     @property
     def name(self) -> str:
-        """Domain name, e.g. ``sender-pkg0`` or ``sender-pkg0-dram``."""
-        if self.domain == "dram":
-            return f"{self.package.name}-dram"
+        """Domain name: the package's, e.g. ``sender-pkg0``."""
         return self.package.name
 
     @property
@@ -65,12 +54,7 @@ class RaplDomain:
     def read_counter(self) -> int:
         """Read the raw 32-bit energy-status counter (flushes accounting)."""
         self.package.flush()
-        joules = (
-            self.package.dram_energy_j
-            if self.domain == "dram"
-            else self.package.energy_j
-        )
-        units = int(joules / self.energy_unit_j)
+        units = int(self.package.energy_j / self.energy_unit_j)
         return units & self.counter_mask
 
     def read_energy_uj(self) -> float:
@@ -103,21 +87,11 @@ class RaplReader:
         self.domains = domains
 
     @classmethod
-    def for_cpu_models(
-        cls, cpu_models: List[CpuModel], include_dram: bool = False
-    ) -> "RaplReader":
-        """Build a reader covering every package of the given CPU models.
-
-        ``include_dram`` adds each package's DRAM domain, like reading
-        both powercap zones. The paper's figures are package-only.
-        """
-        domains: List[RaplDomain] = []
-        for model in cpu_models:
-            for pkg in model.packages:
-                domains.append(RaplDomain(pkg))
-                if include_dram:
-                    domains.append(RaplDomain(pkg, domain="dram"))
-        return cls(domains)
+    def for_cpu_models(cls, cpu_models: List[CpuModel]) -> "RaplReader":
+        """Build a reader covering every package of the given CPU models."""
+        return cls(
+            [RaplDomain(pkg) for model in cpu_models for pkg in model.packages]
+        )
 
     def read_all(self) -> Dict[str, int]:
         """Raw counter per domain name."""

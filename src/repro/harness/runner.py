@@ -44,7 +44,6 @@ class RunMeasurement:
     flow_results: List[IperfResult]
     bottleneck_drops: int
     ecn_marks: int
-    power_series: List[TimeSeries] = field(default_factory=list)
     throughput_series: Dict[int, TimeSeries] = field(default_factory=dict)
     #: measurement-kind-specific scalars (e.g. a fabric run's
     #: host/switch energy split); deterministic, cache-round-tripped,
@@ -303,7 +302,6 @@ def _measure_link(
         energy_j=host_energy_j,
         bottleneck_drops=int(bottleneck_q.counters.get("drops")),
         ecn_marks=int(bottleneck_q.counters.get("ecn_marks")),
-        power_series=prepared.meter.power_series(),
         throughput_series={
             fid: p.series for fid, p in prepared.probes.items()
         },

@@ -68,11 +68,19 @@ class Host(Counted):
         #: flow id -> the listener's answer for it
         self._tallies: Dict[int, FlowTally] = {}
         self._counters = CounterSet()
-        self.tx_packets = 0
-        self.tx_bytes = 0
         self.rx_packets = 0
         self.rx_bytes = 0
         self.cc_ops = 0
+
+    @property
+    def tx_packets(self) -> int:
+        """Packets sent: the NIC's count, as every send goes through it."""
+        return 0 if self.nic is None else self.nic.tx_packets
+
+    @property
+    def tx_bytes(self) -> int:
+        """Bytes sent (IP packet sizes): the NIC's count."""
+        return 0 if self.nic is None else self.nic.tx_bytes
 
     # -- wiring ---------------------------------------------------------
 
@@ -116,8 +124,6 @@ class Host(Counted):
         if self.nic is None:
             raise NetworkConfigError(f"{self.name}: no NIC attached")
         packet.sent_time = self.sim.now
-        self.tx_packets += 1
-        self.tx_bytes += packet.size_bytes
         tally = self._tallies.get(packet.flow_id) or self._tally(packet.flow_id)
         if packet.retransmitted:
             self._counters["retransmissions"] += 1.0

@@ -130,9 +130,10 @@ class Interface(Counted):
     A packet holds the wire for exactly its wire time: the per-packet
     processing floor that keeps small-MTU hosts below line rate is the
     host NIC's ``tx_packet_gap_s``, not the interface's. The interface
-    counts the frames it starts (``tx_packets``) and the arrivals its
-    queue turned away (``drops``), and keeps the link's counters: its
-    ``tx_packets`` and ``tx_bytes`` fields and, by name, ``corrupted``.
+    counts the arrivals its queue turned away (``drops``) and keeps the
+    link's counters: its ``tx_packets`` and ``tx_bytes`` fields and, by
+    name, ``corrupted``. Its own ``tx_packets``, the frames it started,
+    is the link's: one interface feeds one link.
     """
 
     COUNTER_FIELDS = ("tx_packets",)
@@ -165,7 +166,11 @@ class Interface(Counted):
         #: the finish is on the heap as a ``_start_next`` event
         self._next_armed = False
         self._counters = CounterSet()
-        self.tx_packets = 0
+
+    @property
+    def tx_packets(self) -> int:
+        """Frames started on the wire (the link's count)."""
+        return self.link.tx_packets
 
     @property
     def busy(self) -> bool:
@@ -217,7 +222,6 @@ class Interface(Counted):
             self._tx_start = now
             link.tx_packets += 1
             link.tx_bytes += wire_bytes
-            self.tx_packets += 1
             if link.loss_rate > 0 and link.loss_rng.random() < link.loss_rate:
                 link.counters["corrupted"] += 1.0
                 self._next_armed = True
@@ -279,7 +283,6 @@ class Interface(Counted):
         self._tx_start = now
         link.tx_packets += 1
         link.tx_bytes += wire_bytes
-        self.tx_packets += 1
         if link.loss_rate > 0 and link.loss_rng.random() < link.loss_rate:
             link.counters["corrupted"] += 1.0
             # no delivery to hold the finish's place, so the finish goes

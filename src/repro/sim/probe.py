@@ -93,7 +93,8 @@ class TimeSeriesProbeSink(ProbeSink):
     enabled = True
 
     def __init__(self, min_interval_s: Optional[float] = None):
-        if min_interval_s is not None and min_interval_s < 0:
+        # written so that NaN fails too
+        if min_interval_s is not None and not min_interval_s >= 0:
             raise ValueError(
                 f"min_interval_s must be >= 0, got {min_interval_s}"
             )

@@ -4,7 +4,7 @@ The paper's figures need per-interval throughput samples (Fig. 3), power
 samples (Fig. 2/4) and event counts (retransmissions, Fig. 8). Two small
 primitives cover all of them:
 
-* :class:`TimeSeries` — (time, value) samples with summary helpers.
+* :class:`TimeSeries` — (time, value) samples, windowed by time.
 * :class:`CounterSet` — named monotonic counters (packets sent, bytes
   acked, retransmissions, ...), the simulation analogue of ``netstat -s``,
   and :class:`Counted`, how a network or TCP object exposes its own.
@@ -12,7 +12,7 @@ primitives cover all of them:
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import ClassVar, Dict, Iterator, List, Optional, Tuple
 
 
@@ -55,11 +55,12 @@ class TimeSeries:
     __hash__ = None  # mutable, like the dataclass it replaced
 
     def record(self, time: float, value: float) -> None:
-        """Append a sample. Times must be non-decreasing."""
-        if self.times and time < self.times[-1]:
+        """Append a sample. Times must be non-decreasing and not NaN."""
+        last = self.times[-1] if self.times else float("-inf")
+        if not time >= last:  # written so that NaN fails too
             raise ValueError(
-                f"{self.name or 'series'}: time went backwards "
-                f"({time} < {self.times[-1]})"
+                f"{self.name or 'series'}: time {time} is NaN or before "
+                f"the last sample's {last}"
             )
         self.times.append(time)
         self.values.append(value)
@@ -70,17 +71,6 @@ class TimeSeries:
     def __iter__(self) -> Iterator[Tuple[float, float]]:
         return iter(zip(self.times, self.values))
 
-    @property
-    def last(self) -> float:
-        """Most recent value (raises IndexError when empty)."""
-        return self.values[-1]
-
-    def mean(self) -> float:
-        """Arithmetic mean of the sample values."""
-        if not self.values:
-            raise ValueError(f"{self.name or 'series'} is empty")
-        return sum(self.values) / len(self.values)
-
     def window(self, start: float, end: float) -> "TimeSeries":
         """Samples with start <= time < end, as a new series."""
         lo = bisect_left(self.times, start)
@@ -88,42 +78,6 @@ class TimeSeries:
         return TimeSeries(
             name=self.name, times=self.times[lo:hi], values=self.values[lo:hi]
         )
-
-    def integrate(self) -> float:
-        """Trapezoidal integral of value over time.
-
-        Integrating a power series (watts) over time yields energy
-        (joules) — the core operation of the RAPL emulation.
-        """
-        total = 0.0
-        for i in range(1, len(self.times)):
-            dt = self.times[i] - self.times[i - 1]
-            total += 0.5 * (self.values[i] + self.values[i - 1]) * dt
-        return total
-
-    def value_at(self, time: float) -> float:
-        """Most recent sample value at or before ``time`` (step semantics)."""
-        idx = bisect_right(self.times, time) - 1
-        if idx < 0:
-            raise ValueError(f"no sample at or before t={time}")
-        return self.values[idx]
-
-    def resample(self, interval: float) -> "TimeSeries":
-        """Average into fixed ``interval``-wide bins (used by Fig. 3)."""
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval}")
-        if not self.times:
-            return TimeSeries(name=self.name)
-        out = TimeSeries(name=self.name)
-        start = self.times[0]
-        end = self.times[-1]
-        t = start
-        while t < end or not len(out):
-            chunk = self.window(t, t + interval)
-            if len(chunk):
-                out.record(t, chunk.mean())
-            t += interval
-        return out
 
 
 class CounterSet(Dict[str, float]):
@@ -165,6 +119,8 @@ class Counted:
     the cost. So the counters a packet moves (:attr:`COUNTER_FIELDS`, set
     to 0 in the owner's ``__init__``) are fields, the rare ones are
     by-name increments of ``_counters``, and :attr:`counters` reads both.
+    A count another owner already keeps is not kept twice: its name in
+    :attr:`COUNTER_FIELDS` is a property reading that owner's field.
     """
 
     COUNTER_FIELDS: ClassVar[Tuple[str, ...]] = ()

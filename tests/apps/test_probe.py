@@ -48,3 +48,16 @@ class TestProbe:
         sim.run(until=sim.now + 5e-3)
         probe.stop()
         assert probe.series.values[-1] == 0.0
+
+    def test_samples_cover_the_transfer(self, sim, testbed):
+        # samples x interval / 8 add up to the bytes received by the
+        # last sample, here after completion: the whole transfer
+        session = IperfSession(testbed, total_bytes=5_000_000)
+        probe = ThroughputProbe(sim, session.receiver, interval_s=1e-3)
+        probe.start()
+        run_until_complete(testbed, [session])
+        sim.run(until=sim.now + 2e-3)
+        probe.stop()
+        received = sum(v * 1e-3 / 8 for v in probe.series.values)
+        assert received == pytest.approx(5_000_000, rel=1e-12)
+        assert session.receiver.bytes_received == 5_000_000

@@ -13,6 +13,7 @@ from repro.net.link import Interface, Link
 from repro.net.nic import Nic
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
+from repro.sim.probe import POWER_CHANNEL, TimeSeriesProbeSink
 
 
 class Discard:
@@ -161,13 +162,28 @@ class TestLifecycle:
         )
 
     def test_sampler_records_power_series(self, sim, host):
+        # a run's power series is its power_w telemetry
+        sim.probe_sink = sink = TimeSeriesProbeSink()
         cpu = CpuModel(sim, host, packages=1, sample_interval_s=0.1)
         cpu.start()
         sim.run(until=1.0)
         cpu.stop()
-        series = cpu.packages[0].power_series
+        series = sink.series(POWER_CHANNEL, "h-pkg0")
         assert len(series) >= 9
         assert series.values[0] == pytest.approx(cal.P_IDLE_W, rel=0.01)
+
+    def test_package_emits_one_power_sample_per_flush(self, sim):
+        sim.probe_sink = sink = TimeSeriesProbeSink()
+        package = CpuPackage("p", PowerModel(), sim)
+        for instant in (0.25, 0.5, 1.0):
+            sim.schedule_at(instant, package.flush)
+            # an empty interval: no flush, no sample
+            sim.schedule_at(instant, package.flush)
+        sim.run()
+        series = sink.series(POWER_CHANNEL, "p")
+        assert series.times == [0.25, 0.5, 1.0]
+        assert series.values == pytest.approx([cal.P_IDLE_W] * 3)
+        assert sink.channels() == [POWER_CHANNEL]
 
     def test_needs_at_least_one_package(self, sim, host):
         with pytest.raises(EnergyModelError):

@@ -54,15 +54,6 @@ class TestMeasurementWindow:
         second = meter.stop()
         assert second == pytest.approx(2 * first, rel=0.02)
 
-    def test_power_series_exposed(self, sim, cpu):
-        meter = EnergyMeter(sim, [cpu])
-        meter.start()
-        sim.run(until=1.0)
-        meter.stop()
-        series = meter.power_series()
-        assert len(series) == 1
-        assert len(series[0]) > 0
-
     def test_needs_cpu_models(self, sim):
         with pytest.raises(EnergyModelError):
             EnergyMeter(sim, [])

@@ -95,3 +95,24 @@ class TestRaplReader:
     def test_empty_reader_rejected(self):
         with pytest.raises(EnergyModelError):
             RaplReader([])
+
+    def test_reader_package_only_by_default(self, sim):
+        cpu = CpuModel(sim, Host(sim, "h"), packages=1)
+        reader = RaplReader.for_cpu_models([cpu])
+        assert set(reader.read_all()) == {"h-pkg0"}
+
+    def test_paper_measurement_unaffected(self, sim):
+        """The metered package energy of a flow capped at half rate sits
+        on the paper's half-rate anchor."""
+        from repro.harness.experiment import FlowSpec, Scenario
+        from repro.harness.runner import run_once
+
+        m = run_once(
+            Scenario(
+                "anchor",
+                flows=[FlowSpec(5_000_000, cca="cubic", target_rate_bps=5e9)],
+                packages=1,
+                power_noise_sigma=0.0,
+            )
+        )
+        assert m.average_power_w == pytest.approx(cal.P_HALF_RATE_W, rel=0.03)

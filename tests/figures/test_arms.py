@@ -97,7 +97,7 @@ class TestArithmetic:
 
 FIELDS = (
     "scenario", "seed", "energy_j", "duration_s", "flow_results",
-    "throughput_series", "power_series", "bottleneck_drops", "ecn_marks",
+    "throughput_series", "bottleneck_drops", "ecn_marks",
     "extras",
 )
 

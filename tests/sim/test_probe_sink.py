@@ -82,6 +82,12 @@ class TestTimeSeriesSink:
         with pytest.raises(ValueError, match="min_interval_s"):
             TimeSeriesProbeSink(min_interval_s=-1.0)
 
+    def test_nan_interval_rejected(self):
+        # accepted, a NaN interval would keep every sample: every
+        # comparison against it is false
+        with pytest.raises(ValueError, match="min_interval_s"):
+            TimeSeriesProbeSink(min_interval_s=float("nan"))
+
 
 class TestFanoutSink:
     def test_duplicates_to_all_enabled_sinks(self):

@@ -19,27 +19,24 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             ts.record(0.5, 0.0)
 
+    def test_nan_time_rejected(self):
+        # a NaN compares false, so a "went backwards" test written as
+        # time < last would let it in, and an earlier time after it,
+        # leaving times window() cannot bisect
+        ts = TimeSeries("x")
+        ts.record(1.0, 0.0)
+        for time in (float("nan"), 0.5):
+            with pytest.raises(ValueError):
+                ts.record(time, 0.0)
+        assert ts.times == [1.0]
+        with pytest.raises(ValueError):
+            TimeSeries("y").record(float("nan"), 0.0)
+
     def test_equal_times_allowed(self):
         ts = TimeSeries("x")
         ts.record(1.0, 1.0)
         ts.record(1.0, 2.0)
         assert len(ts) == 2
-
-    def test_mean(self):
-        ts = TimeSeries("x")
-        for i, v in enumerate((2.0, 4.0, 6.0)):
-            ts.record(float(i), v)
-        assert ts.mean() == pytest.approx(4.0)
-
-    def test_mean_empty_raises(self):
-        with pytest.raises(ValueError):
-            TimeSeries("x").mean()
-
-    def test_last(self):
-        ts = TimeSeries("x")
-        ts.record(0.0, 5.0)
-        ts.record(1.0, 7.0)
-        assert ts.last == 7.0
 
     def test_window(self):
         ts = TimeSeries("x")
@@ -47,40 +44,6 @@ class TestTimeSeries:
             ts.record(float(i), float(i * 10))
         w = ts.window(1.0, 3.0)
         assert list(w) == [(1.0, 10.0), (2.0, 20.0)]
-
-    def test_integrate_constant(self):
-        """Integrating constant power gives power x time (RAPL semantics)."""
-        ts = TimeSeries("power")
-        for i in range(11):
-            ts.record(i * 0.1, 30.0)
-        assert ts.integrate() == pytest.approx(30.0 * 1.0)
-
-    def test_integrate_linear_ramp(self):
-        ts = TimeSeries("power")
-        ts.record(0.0, 0.0)
-        ts.record(2.0, 10.0)
-        assert ts.integrate() == pytest.approx(10.0)  # triangle area
-
-    def test_value_at_step_semantics(self):
-        ts = TimeSeries("x")
-        ts.record(0.0, 1.0)
-        ts.record(2.0, 5.0)
-        assert ts.value_at(1.0) == 1.0
-        assert ts.value_at(2.0) == 5.0
-        with pytest.raises(ValueError):
-            ts.value_at(-0.5)
-
-    def test_resample_bins(self):
-        ts = TimeSeries("x")
-        for i in range(10):
-            ts.record(i * 0.1, float(i))
-        binned = ts.resample(0.5)
-        assert len(binned) == 2
-        assert binned.values[0] == pytest.approx((0 + 1 + 2 + 3 + 4) / 5)
-
-    def test_resample_invalid_interval(self):
-        with pytest.raises(ValueError):
-            TimeSeries("x").resample(0.0)
 
 
 class TestCounterSet:

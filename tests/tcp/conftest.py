@@ -13,10 +13,11 @@ class StubHost(Host):
     def __init__(self, sim, name="stub"):
         super().__init__(sim, name)
         self.outbox = []
+        self.sends = 0
 
     def send(self, packet):
         packet.sent_time = self.sim.now
-        self.tx_packets += 1
+        self.sends += 1
         if packet.retransmitted:
             self.counters.add("retransmissions")
         self.outbox.append(packet)
