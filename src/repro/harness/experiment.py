@@ -50,9 +50,16 @@ def _keyword_only_after_first(cls):
     return cls
 
 
+#: fields that joined the specs after cache schema 5, each with the
+#: default a canonical dict leaves out: a spec that does not use one
+#: keeps the cache key it had before the field existed
+_UNKEYED_DEFAULTS = {"sender_host": 0, "sender_bonded_links": None}
+
+
 def _plain_fields(spec: Any) -> Dict[str, Any]:
     """A spec's fields as a new dict: what ``dataclasses.asdict`` returns
-    for a spec whose one mutable field value is ``cca_kwargs``.
+    for a spec whose one mutable field value is ``cca_kwargs``, less the
+    :data:`_UNKEYED_DEFAULTS` it leaves at their default.
 
     ``asdict`` deep-copies every value of every flow to produce a string
     that is hashed and thrown away; here only ``cca_kwargs`` is copied,
@@ -61,6 +68,9 @@ def _plain_fields(spec: Any) -> Dict[str, Any]:
     payload = dict(vars(spec))  # a spec holds its fields and nothing else
     if payload.get("cca_kwargs") is not None:
         payload["cca_kwargs"] = copy.deepcopy(payload["cca_kwargs"])
+    for name, default in _UNKEYED_DEFAULTS.items():
+        if name in payload and payload[name] == default:
+            del payload[name]
     return payload
 
 
@@ -89,10 +99,17 @@ class FlowSpec:
     #: absolute virtual time this flow should complete by; only the
     #: ``deadline`` scheduling policy reads it (None = unconstrained)
     deadline_s: Optional[float] = None
+    #: index of the sender host the flow leaves from; the testbed has
+    #: one sender host per index up to the largest (0: the paper's one)
+    sender_host: int = 0
 
     def __post_init__(self) -> None:
         if self.total_bytes <= 0:
             raise ExperimentError(f"flow size must be > 0, got {self.total_bytes}")
+        if self.sender_host < 0:
+            raise ExperimentError(
+                f"sender host must be >= 0, got {self.sender_host}"
+            )
 
 
 @_keyword_only_after_first
@@ -116,8 +133,9 @@ class Scenario:
     time_limit_s: float = 600.0
     #: sampling interval for CPU power integration
     sample_interval_s: float = msec(1.0)
-    #: CPU packages to model/meter (None = max(2, n_flows)); single-flow
-    #: power figures use 1 so the reading is per-flow, like the paper's
+    #: CPU packages to model/meter on each sender host (None = max(2,
+    #: flows on that host)); single-flow power figures use 1 so the
+    #: reading is per-flow, like the paper's
     packages: Optional[int] = None
     #: throughput probe interval (None = no probes)
     probe_interval_s: Optional[float] = None
@@ -125,6 +143,8 @@ class Scenario:
     buffer_bytes: Optional[int] = None
     ecn_threshold_bytes: Optional[int] = field(default=100 * 1024)
     host_packet_gap_s: Optional[float] = None
+    #: uplinks per sender host (None = the testbed's two bonded links)
+    sender_bonded_links: Optional[int] = None
     #: bottleneck scheduling: "fifo" or "priority" (pFabric/SRPT)
     bottleneck_discipline: str = "fifo"
     #: stamp INT at the bottleneck (required by hpcc)
@@ -180,6 +200,12 @@ class Scenario:
             raise ExperimentError(
                 "the constant-cwnd baseline cannot run concurrently with "
                 "other flows (paper footnote 2)"
+            )
+        hosts = {flow.sender_host for flow in self.flows}
+        if hosts != set(range(len(hosts))):
+            raise ExperimentError(
+                f"scenario {self.name!r} numbers its sender hosts "
+                f"{sorted(hosts)}; they must run 0..N-1 without a gap"
             )
         for i, flow in enumerate(self.flows):
             if flow.after_flow is not None and not (

@@ -17,11 +17,9 @@ from repro.net.topology import (
     ConservationLedger,
     Fabric,
     FabricConfig,
-    IncastTestbed,
     Testbed,
     TestbedConfig,
     build_fat_tree,
-    build_incast_testbed,
     build_leaf_spine,
     build_testbed,
 )
@@ -45,8 +43,6 @@ __all__ = [
     "Testbed",
     "TestbedConfig",
     "build_testbed",
-    "IncastTestbed",
-    "build_incast_testbed",
     "Fabric",
     "FabricConfig",
     "ConservationLedger",

@@ -50,8 +50,23 @@ class TestCacheKey:
 
     def test_every_field_is_present(self):
         key = json.loads(Scenario("k", flows=[FlowSpec(1000)]).cache_key())
-        assert set(key) == set(Scenario.__dataclass_fields__)
+        # the fields added after cache schema 5 are keyed only when set
+        assert set(key) == set(Scenario.__dataclass_fields__) - {
+            "sender_bonded_links"
+        }
+        assert set(key["flows"][0]) == set(FlowSpec.__dataclass_fields__) - {
+            "sender_host"
+        }
         assert key["flows"][0]["total_bytes"] == 1000
+
+    def test_fields_added_after_schema_5_are_keyed_when_set(self):
+        flows = [FlowSpec(1000), FlowSpec(1000)]
+        base = Scenario("k", flows=flows)
+        bonded = Scenario("k", flows=flows, sender_bonded_links=1)
+        hosted = Scenario("k", flows=[FlowSpec(1000), FlowSpec(1000, sender_host=1)])
+        assert json.loads(bonded.cache_key())["sender_bonded_links"] == 1
+        assert json.loads(hosted.cache_key())["flows"][1]["sender_host"] == 1
+        assert len({base.cache_key(), bonded.cache_key(), hosted.cache_key()}) == 3
 
     def test_flow_changes_change_the_key(self):
         base = Scenario("k", flows=[FlowSpec(1000)])

@@ -10,7 +10,7 @@ from repro.apps.iperf import (
 from repro.energy import calibration as cal
 from repro.errors import ExperimentError
 from repro.harness.experiment import FabricScenario, FlowSpec, Scenario
-from repro.harness.runner import run_once, run_repeated
+from repro.harness.runner import _prepare_link, run_once, run_repeated
 from repro.net.topology import TestbedConfig, build_testbed
 from repro.sim.engine import Simulator
 from repro.units import gbps
@@ -122,6 +122,54 @@ def _queue_drains_under_a_dormant_flow():
     # never begun: nothing is ever scheduled on its behalf
     dormant = IperfSession(testbed, SIZE, start_time=None, flow_id=3)
     drive_until_complete(testbed.sim, [dormant], 600.0, "dormant")
+
+
+class TestSenderHosts:
+    def test_each_flow_leaves_its_own_host(self):
+        scenario = single_flow(
+            flows=[FlowSpec(SIZE), FlowSpec(SIZE, sender_host=1)],
+            sender_bonded_links=1,
+        )
+        prepared = _prepare_link(scenario, Simulator(), seed=0)
+        senders = prepared.testbed.senders
+        assert [s.sender.host for s in prepared.sessions] == senders
+        assert [len(host.nic.interfaces) for host in senders] == [1, 1]
+
+    def test_one_cpu_model_per_host_sized_by_its_flows(self):
+        flows = [FlowSpec(SIZE)] * 3 + [FlowSpec(SIZE, sender_host=1)]
+        prepared = _prepare_link(single_flow(flows=flows), Simulator(), seed=0)
+        first, second = prepared.meter.cpu_models
+        assert [first.host, second.host] == prepared.testbed.senders
+        assert [len(first.packages), len(second.packages)] == [3, 2]
+        # a host's flows take its packages in turn
+        ids = [s.flow_id for s in prepared.sessions]
+        assert [first.package_for(i) for i in ids[:3]] == first.packages
+        assert second.package_for(ids[3]) is second.packages[0]
+
+    def test_receiver_packages_follow_the_flow_index(self):
+        flows = [FlowSpec(SIZE), FlowSpec(SIZE, sender_host=1), FlowSpec(SIZE)]
+        prepared = _prepare_link(
+            single_flow(flows=flows, meter_receiver=True), Simulator(), seed=0
+        )
+        receiver = prepared.meter.cpu_models[-1]
+        assert receiver.host is prepared.testbed.receiver
+        assert [
+            receiver.package_for(s.flow_id) for s in prepared.sessions
+        ] == [receiver.packages[i % 3] for i in range(3)]
+
+    def test_every_flow_completes(self):
+        m = run_once(
+            single_flow(flows=[FlowSpec(SIZE, sender_host=h) for h in range(3)])
+        )
+        assert [r.bytes_transferred for r in m.flow_results] == [SIZE] * 3
+
+    def test_host_numbers_run_without_a_gap(self):
+        with pytest.raises(ExperimentError, match="without a gap"):
+            single_flow(flows=[FlowSpec(SIZE, sender_host=1)])
+
+    def test_negative_host_rejected(self):
+        with pytest.raises(ExperimentError):
+            FlowSpec(SIZE, sender_host=-1)
 
 
 class TestCompletionDriverFailureExits:

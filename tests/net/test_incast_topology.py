@@ -1,28 +1,36 @@
-"""Tests for the N-to-1 incast topology."""
+"""Tests for the N-to-1 incast shape of ``build_testbed``."""
 
 import pytest
 
 from repro.net.packet import Packet
-from repro.net.topology import TestbedConfig, build_incast_testbed
+from repro.net.topology import TestbedConfig, build_testbed
+
+
+def incast(sim, fan_in, **config):
+    """N sender hosts with one uplink each, as the incast figure runs."""
+    return build_testbed(
+        sim,
+        TestbedConfig(sender_hosts=fan_in, sender_bonded_links=1, **config),
+    )
 
 
 class TestBuild:
     def test_fan_in_count(self, sim):
-        testbed = build_incast_testbed(sim, 4)
-        assert testbed.fan_in == 4
+        testbed = incast(sim, 4)
         assert len(testbed.senders) == 4
+        assert testbed.sender is testbed.senders[0]
 
     def test_needs_at_least_one_sender(self, sim):
         with pytest.raises(ValueError):
-            build_incast_testbed(sim, 0)
+            incast(sim, 0)
 
     def test_unique_sender_names(self, sim):
-        testbed = build_incast_testbed(sim, 8)
+        testbed = incast(sim, 8)
         names = {h.name for h in testbed.senders}
         assert len(names) == 8
 
     def test_every_sender_reaches_receiver(self, sim):
-        testbed = build_incast_testbed(sim, 3)
+        testbed = incast(sim, 3)
         got = []
 
         class Probe:
@@ -39,7 +47,7 @@ class TestBuild:
         assert sorted(got) == ["sender-0", "sender-1", "sender-2"]
 
     def test_ack_path_back_to_each_sender(self, sim):
-        testbed = build_incast_testbed(sim, 2)
+        testbed = incast(sim, 2)
         got = []
 
         class Probe:
@@ -59,11 +67,19 @@ class TestBuild:
 
     def test_shared_bottleneck(self, sim):
         """All senders funnel through one switch->receiver interface."""
-        testbed = build_incast_testbed(sim, 4)
+        testbed = incast(sim, 4)
         assert testbed.switch.port_for("receiver") is testbed.bottleneck
 
     def test_config_respected(self, sim):
-        config = TestbedConfig(mtu_bytes=1500)
-        testbed = build_incast_testbed(sim, 2, config)
+        testbed = incast(sim, 2, mtu_bytes=1500)
         assert all(h.mtu_bytes == 1500 for h in testbed.senders)
         assert testbed.receiver.mtu_bytes == 1500
+
+    def test_each_sender_has_its_own_uplinks(self, sim):
+        testbed = build_testbed(
+            sim, TestbedConfig(sender_hosts=2, sender_bonded_links=2)
+        )
+        names = [
+            [i.name for i in host.nic.interfaces] for host in testbed.senders
+        ]
+        assert names == [["snd0-if-0", "snd0-if-1"], ["snd1-if-0", "snd1-if-1"]]

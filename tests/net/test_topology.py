@@ -27,7 +27,7 @@ class TestConfig:
 class TestBuild:
     def test_sender_has_bonded_nic(self, testbed):
         assert testbed.sender.nic.bonded
-        assert len(testbed.sender_interfaces) == 2
+        assert len(testbed.sender.nic.interfaces) == 2
 
     def test_bottleneck_is_ecn_capable_by_default(self, testbed):
         assert isinstance(testbed.bottleneck.queue, EcnQueue)
