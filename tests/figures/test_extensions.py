@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ExperimentError
 from repro.figures.incast import IncastPoint, IncastResult, run_incast_sweep
 from repro.figures.load_balance import (
     balanced_utilizations,
@@ -10,6 +11,7 @@ from repro.figures.load_balance import (
 )
 from repro.figures.specs import FIGURES
 from repro.figures.srpt import run_srpt_comparison
+from repro.tcp.receiver import TcpReceiver
 
 SMALL_BATCH = (8_000_000, 4_000_000, 2_000_000)
 
@@ -67,6 +69,26 @@ class TestIncast:
     def test_table_renders(self):
         result = run_incast_sweep(fan_ins=(1, 2), aggregate_bytes=4_000_000)
         assert "fan-in" in result.format_table()
+
+    def test_an_uneven_fan_in_delivers_exactly_the_aggregate(self, monkeypatch):
+        """Fan-in 3 of 20 MB: the first 20e6 % 3 senders carry one byte
+        more, so the receivers take in every byte of the aggregate."""
+        receivers = []
+        init = TcpReceiver.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            receivers.append(self)
+
+        monkeypatch.setattr(TcpReceiver, "__init__", recording_init)
+        run_incast_sweep(fan_ins=(3,), aggregate_bytes=20_000_000)
+        assert sorted(r.rcv_nxt for r in receivers) == [
+            6_666_666, 6_666_667, 6_666_667,
+        ]
+
+    def test_a_fan_in_above_the_aggregate_is_refused(self):
+        with pytest.raises(ExperimentError, match="flow size must be > 0"):
+            run_incast_sweep(fan_ins=(4,), aggregate_bytes=3)
 
     def test_growth_is_labelled_from_the_first_fan_in(self):
         """``energy_growth`` divides by the first point, so the printed
