@@ -13,7 +13,6 @@ DCTCP needs.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Tuple
 
 #: Bytes of IP + TCP header on every segment (no options modelled beyond
@@ -25,7 +24,6 @@ TCP_IP_HEADER_BYTES = 40
 #: IP packet, not the frame.
 ETHERNET_OVERHEAD_BYTES = 38
 
-_packet_ids = itertools.count()
 _new = object.__new__
 
 
@@ -91,7 +89,6 @@ class Packet:
         "priority",
         "sent_time",
         "echo_time",
-        "packet_id",
     )
 
     def __init__(
@@ -125,7 +122,6 @@ class Packet:
         priority: Optional[int] = None,
         sent_time: float = 0.0,
         echo_time: Optional[float] = None,
-        packet_id: Optional[int] = None,
     ) -> None:
         self.flow_id = flow_id
         self.src = src
@@ -153,9 +149,6 @@ class Packet:
         self.priority = priority
         self.sent_time = sent_time
         self.echo_time = echo_time
-        self.packet_id = (
-            next(_packet_ids) if packet_id is None else packet_id
-        )
 
     def describe(self) -> str:
         """Short human-readable form for traces and test failures."""
@@ -179,7 +172,7 @@ def data_packet(
     ecn_capable: bool, retransmitted: bool, priority: Optional[int],
 ) -> Packet:
     """``Packet(flow_id, src, dst, seq, payload_bytes, ecn_capable=...,
-    retransmitted=..., priority=...)`` without binding the other 14."""
+    retransmitted=..., priority=...)`` without binding the other 13."""
     packet = _new(Packet)
     packet.flow_id, packet.src, packet.dst = flow_id, src, dst
     packet.seq, packet.payload_bytes = seq, payload_bytes
@@ -194,7 +187,6 @@ def data_packet(
     packet.int_timestamp = packet.int_link_rate_bps = packet.echo_time = None
     packet.priority = priority
     packet.sent_time = 0.0
-    packet.packet_id = next(_packet_ids)
     return packet
 
 
@@ -205,7 +197,7 @@ def ack_packet(
 ) -> Packet:
     """``Packet(flow_id, src, dst, is_ack=True, ack_seq=..., sacks=...,
     ecn_echo=..., ecn_marked_bytes=..., echo_time=..., rwnd_bytes=...)``
-    without binding the other 12."""
+    without binding the other 11."""
     packet = _new(Packet)
     packet.flow_id, packet.src, packet.dst = flow_id, src, dst
     packet.seq = packet.payload_bytes = packet.end_seq = 0
@@ -220,7 +212,6 @@ def ack_packet(
     packet.int_timestamp = packet.int_link_rate_bps = None
     packet.sent_time = 0.0
     packet.echo_time = echo_time
-    packet.packet_id = next(_packet_ids)
     return packet
 
 

@@ -140,20 +140,22 @@ HEADERS = TCP_IP_HEADER_BYTES + ETHERNET_OVERHEAD_BYTES
 
 
 class Recorder:
-    """The end of a path, and the log every hop on it writes to."""
+    """The end of a path, and the log every hop on it writes to. A
+    packet is logged as its number in ``numbers``: its arrival order."""
 
     def __init__(self, sim):
         self.sim = sim
         self.log = []
+        self.numbers = {}
 
     def receive(self, packet):
         self.log.append((
-            "delivered", self.sim.now, packet.packet_id, packet.ecn_marked,
+            "delivered", self.sim.now, self.numbers[packet], packet.ecn_marked,
             packet.int_qlen_bytes, packet.int_tx_bytes, packet.int_timestamp,
         ))
 
     def note(self, what, hop, packet):
-        self.log.append((what, hop, self.sim.now, packet.packet_id))
+        self.log.append((what, hop, self.sim.now, self.numbers[packet]))
 
 
 class Recording:
@@ -260,12 +262,13 @@ def replay(interface_cls, hops, arrivals, seed):
         accepted.append((sim.now, interfaces[0].enqueue(packet)))
 
     at = 0
-    for packet_id, (wait, wire_bytes, lead) in enumerate(arrivals):
+    for number, (wait, wire_bytes, lead) in enumerate(arrivals):
         at += wait
         packet = Packet(
             flow_id=1, src="a", dst="b", payload_bytes=wire_bytes - HEADERS,
-            ecn_capable=True, packet_id=packet_id,
+            ecn_capable=True,
         )
+        recorder.numbers[packet] = number
         assert packet.wire_bytes == wire_bytes
         if lead is None:
             sim.schedule_at(at * TICK, arrive, packet)

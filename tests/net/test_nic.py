@@ -293,10 +293,15 @@ class QueuedNic(Nic):
 
 
 class _PickyWire(_Wire):
-    """Also notes which packet left, and rejects every third one."""
+    """Also notes which packet left (by its number in ``numbers``, the
+    order it was sent in), and rejects every third one."""
+
+    def __init__(self, sim, numbers):
+        super().__init__(sim)
+        self.numbers = numbers
 
     def enqueue(self, packet):
-        self.departures.append((self.sim.now, packet.packet_id))
+        self.departures.append((self.sim.now, self.numbers[packet]))
         return len(self.departures) % 3 != 0
 
 
@@ -319,12 +324,12 @@ def replay_nic(nic_cls, pattern, reentries):
     """Bursts from outside and, from inside the drain listener, the
     sends of ``reentries``; everything visible from outside the NIC."""
     sim = _PushLog()
-    wires = [_PickyWire(sim), _PickyWire(sim)]
+    numbers = {}  # packet -> the order it was sent in
+    wires = [_PickyWire(sim, numbers), _PickyWire(sim, numbers)]
     nic = nic_cls(
         wires, mtu_bytes=9000, sim=sim, tx_packet_gap_s=GAP,
         tx_queue_packets=3,
     )
-    ids = iter(range(10_000))
     accepted = []
     seen = []
     pending = list(reentries)
@@ -332,9 +337,9 @@ def replay_nic(nic_cls, pattern, reentries):
     def send(flow):
         packet = Packet(
             flow_id=flow, src="a", dst="b", payload_bytes=100 * flow,
-            packet_id=next(ids),
         )
-        accepted.append((sim.now, packet.packet_id, nic.send(packet)))
+        numbers[packet] = len(numbers)
+        accepted.append((sim.now, numbers[packet], nic.send(packet)))
         # what TCP Small Queues reads after every segment
         seen.append(("after send", sim.now, dict(nic.flow_backlog)))
 

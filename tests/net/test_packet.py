@@ -28,11 +28,6 @@ class TestPacketSizes:
         p = Packet(flow_id=1, src="a", dst="b", seq=1000, payload_bytes=500)
         assert p.end_seq == 1500
 
-    def test_packet_ids_unique(self):
-        a = Packet(flow_id=1, src="a", dst="b")
-        b = Packet(flow_id=1, src="a", dst="b")
-        assert a.packet_id != b.packet_id
-
 
 class TestDescribe:
     def test_data_description(self):

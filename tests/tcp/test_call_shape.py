@@ -145,12 +145,11 @@ def test_send_packet_puts_every_source_in_its_field(sim, total_bytes, priority):
         "priority": priority,
         "sent_time": 0.25,
         "echo_time": None,
-        "packet_id": packet.packet_id,
     }
     assert fields(packet) == fields(Packet(
         77, "sending-host", "receiving-host", 3000, 600,
         ecn_capable="ecn-capable", retransmitted="retransmitted",
-        priority=priority, sent_time=0.25, packet_id=packet.packet_id,
+        priority=priority, sent_time=0.25,
     ))
 
 
@@ -195,13 +194,12 @@ def test_send_ack_puts_every_source_in_its_field(sim, buffered):
         "priority": None,
         "sent_time": 0.5,
         "echo_time": 0.375,
-        "packet_id": ack.packet_id,
     }
     assert fields(ack) == fields(Packet(
         77, "receiving-host", "sending-host", is_ack=True, ack_seq=2000,
         sacks=((3000, 3600),) if buffered else (), ecn_echo="ce-state",
         ecn_marked_bytes=5005, rwnd_bytes=rwnd, sent_time=0.5,
-        echo_time=0.375, packet_id=ack.packet_id,
+        echo_time=0.375,
     ))
     assert rwnd == 64 * 1024 + receiver.bytes_received
 
@@ -209,8 +207,7 @@ def test_send_ack_puts_every_source_in_its_field(sim, buffered):
 @pytest.mark.parametrize("kind", ["data", "ack"])
 def test_a_kind_constructor_builds_the_generic_packet_of_its_fields(kind):
     """``data_packet`` and ``ack_packet`` set every slot, the ones their
-    kind leaves at :class:`Packet`'s defaults included, and draw the
-    next ``packet_id`` from the one counter."""
+    kind leaves at :class:`Packet`'s defaults included."""
     if kind == "data":
         built = data_packet(5, "a", "b", 7000, 1200, True, True, 42)
         generic = Packet(
@@ -224,8 +221,6 @@ def test_a_kind_constructor_builds_the_generic_packet_of_its_fields(kind):
             ecn_echo=True, ecn_marked_bytes=300, echo_time=0.5, rwnd_bytes=1,
         )
     assert type(built) is Packet
-    assert generic.packet_id == built.packet_id + 1
-    generic.packet_id = built.packet_id
     assert fields(built) == fields(generic)
 
 
