@@ -330,10 +330,7 @@ class TcpSender(Counted):
             if rtt_sample > 0:
                 self.rtt.on_sample(rtt_sample)
 
-        # Header prediction: an ACK with no SACK block (every ACK of a
-        # loss-free transfer) leaves the scoreboard alone.
-        if packet.sacks:
-            self._apply_sacks(packet.sacks)
+        self._apply_sacks(packet.sacks)
 
         if packet.ack_seq > self.snd_una:
             self._handle_new_ack(packet, rtt_sample)

@@ -2,8 +2,7 @@
 
 ``TcpReceiver.handle_packet`` takes the next in-order segment straight
 to ``rcv_nxt`` when nothing is buffered, and ``TcpSender`` walks only the
-segments a SACK block newly covers (and skips the scoreboard altogether
-for an ACK without blocks). The oracles are what those replaced: a
+segments a SACK block newly covers. The oracles are what those replaced: a
 receiver that sends *every* segment through its range set, and a sender
 that rescans *every* outstanding segment on each ACK that SACKs new
 bytes. Each runs in lockstep with the shipped class, fed the same
@@ -141,8 +140,8 @@ def test_receiver_agrees_with_the_range_set_only_step(
 class ScanAllSender(TcpSender):
     """The scoreboard before the walk: an ACK that SACKs new bytes tests
     every outstanding segment against the merged ranges. (Fed ``()`` it
-    adds nothing and scans nothing, which is all that skipping it for an
-    ACK without blocks relies on.)"""
+    adds nothing and scans nothing, as every ACK without blocks feeds
+    it.)"""
 
     def _apply_sacks(self, sacks):
         newly = 0
