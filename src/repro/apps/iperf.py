@@ -77,8 +77,8 @@ class IperfSession:
     ecn:
         Force ECN on/off; default enables it for the algorithms that use it.
     src_host / dst_host:
-        Explicit endpoint hosts. Default to the testbed's dedicated
-        sender/receiver pair; multi-switch fabrics (where any host pair
+        Explicit endpoint hosts. Default to the testbed's (first)
+        sender and its receiver; multi-switch fabrics (where any host pair
         may converse) pass both explicitly, in which case ``testbed``
         only supplies the simulator.
     """
