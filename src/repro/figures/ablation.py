@@ -16,9 +16,10 @@ DESIGN.md calls out the design decisions worth stress-testing:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.theorem import theorem1_savings
+from repro.energy.cpu import DEFAULT_SAMPLE_INTERVAL_S
 from repro.energy.power_model import PowerModel
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.harness.runner import run_once
@@ -95,40 +96,32 @@ class Bbr2AlphaAblation:
 
 
 def bbr2_alpha_ablation(
-    transfer_bytes: int = 25_000_000, mtu: int = 9000, seed: int = 0
+    transfer_bytes: int = 25_000_000, mtu: int = 9000
 ) -> Bbr2AlphaAblation:
     """Quantify how much of BBR2's energy gap the alpha knobs explain.
 
-    The 'mature' variant is registered ad hoc by instantiating Bbr2 with
-    ``alpha_quality=False`` through a custom factory.
+    One single-flow run per variant: the 'mature' BBR2 is the same CCA
+    with ``alpha_quality=False``. Each run meters one sender package
+    with no power noise, no start jitter and the CPU model's default
+    sampling interval.
     """
-    from repro.cc.bbr2 import Bbr2
-    from repro.apps.iperf import IperfSession, run_until_complete
-    from repro.energy.cpu import CpuModel
-    from repro.energy.meter import EnergyMeter
-    from repro.net.topology import TestbedConfig, build_testbed
-    from repro.sim.engine import Simulator
 
-    def measure(cca_name: str, alpha_quality: bool) -> float:
-        sim = Simulator()
-        testbed = build_testbed(sim, TestbedConfig(mtu_bytes=mtu))
-        cpu = CpuModel(sim, testbed.sender, packages=1)
-        meter = EnergyMeter(sim, [cpu])
-        if cca_name == "bbr":
-            session = IperfSession(testbed, transfer_bytes, cca="bbr")
-        else:
-            session = IperfSession(testbed, transfer_bytes, cca="bbr2")
-            # Rebuild the CCA with the requested maturity. The session
-            # wires flow ids and receivers; only the controller changes.
-            session.sender.cca = Bbr2(session.sender, alpha_quality=alpha_quality)
-        meter.start()
-        run_until_complete(testbed, [session])
-        return meter.stop()
+    def measure(cca: str, cca_kwargs: Optional[dict] = None) -> float:
+        scenario = Scenario(
+            f"ablation-{cca}",
+            flows=[FlowSpec(transfer_bytes, cca=cca, cca_kwargs=cca_kwargs)],
+            mtu_bytes=mtu,
+            packages=1,
+            power_noise_sigma=0.0,
+            start_jitter_s=0.0,
+            sample_interval_s=DEFAULT_SAMPLE_INTERVAL_S,
+        )
+        return run_once(scenario).energy_j
 
     return Bbr2AlphaAblation(
-        alpha_energy_j=measure("bbr2", True),
-        mature_energy_j=measure("bbr2", False),
-        bbr_energy_j=measure("bbr", True),
+        alpha_energy_j=measure("bbr2"),
+        mature_energy_j=measure("bbr2", {"alpha_quality": False}),
+        bbr_energy_j=measure("bbr"),
     )
 
 
