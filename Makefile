@@ -3,7 +3,7 @@
 # and (when installed) ruff + mypy. Beyond it CI replays the three
 # committed behaviour baselines and fails on drift: `make obs-diff`,
 # `make fabric-obs-diff` and `make pareto` (plus artifact-only steps:
-# sarif, the obs watch smoke, obs-profile).
+# the obs watch smoke, obs-profile).
 #
 # The perf gates are exact counts inside tier-1, never a timing:
 # tests/test_work_counters.py (work per run, frames per segment),
@@ -17,7 +17,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test bench-check loc imports frames lint sarif ruff mypy bench obs-bench obs-profile baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
+.PHONY: check test bench-check loc imports frames lint ruff mypy bench obs-bench obs-profile baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
 
 check: test bench-check lint ruff mypy
 
@@ -82,10 +82,6 @@ frames:
 # the one gate mode: the tree lints clean, nothing absorbs a finding
 lint:
 	$(PYTHON) -m repro.cli lint src examples
-
-# machine-readable findings for code-scanning UIs (also a CI artifact)
-sarif:
-	$(PYTHON) -m repro.cli lint src --sarif > lint.sarif; test $$? -le 1
 
 # ruff/mypy ship in the `lint` extra (pip install -e .[lint]); skip
 # gracefully where they are not installed so `make check` stays usable

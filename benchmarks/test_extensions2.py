@@ -1,12 +1,9 @@
-"""Second extension bench set: workloads, subflows, the fairness price.
+"""Second extension bench set: workloads, subflows, mechanisms, friendliness.
 
 * **Production workloads** (§5): web-search and data-mining traffic,
   fair vs SRPT — "SRPT is free".
 * **Subflow multiplexing** (§2's MPTCP energy findings [59, 60]):
   sharing a package is free, spreading packages is ruinous.
-* **Price of fairness** (title claim, quantified): the analytic
-  fairness-power Pareto curve is monotone; with a linear power curve it
-  is flat.
 """
 
 import pytest
@@ -88,25 +85,3 @@ def test_friendliness_matrix(benchmark):
     # ...and no pairing costs wildly more than another for the same work.
     energies = [p.energy_j for p in result.pairings]
     assert max(energies) < 1.25 * min(energies)
-
-
-def test_price_of_fairness(benchmark):
-    from repro.core.pareto import fairness_energy_curve
-    from repro.energy.power_model import PowerModel
-
-    def run():
-        return (
-            fairness_energy_curve(),
-            fairness_energy_curve(model=PowerModel(gamma_net=1.0)),
-        )
-
-    concave, linear = run_benchmarked(benchmark, run)
-    print("\n== fairness-power Pareto curve (analytic) ==")
-    print(concave.format_table())
-    print(f"price of fairness (concave): "
-          f"{100 * concave.price_of_fairness():.1f}%")
-    print(f"price of fairness (linear):  "
-          f"{100 * linear.price_of_fairness():.1f}%")
-    assert concave.is_monotone()
-    assert concave.price_of_fairness() > 0.02
-    assert linear.price_of_fairness() == pytest.approx(0.0, abs=1e-9)

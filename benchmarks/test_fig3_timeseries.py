@@ -17,7 +17,7 @@ def test_fig3_timeseries(benchmark):
         benchmark,
         lambda: run_fig3(transfer_bytes=TWO_FLOW_BYTES, probe_interval_s=1e-3),
     )
-    for panel in ("fair", "fsti"):
+    for panel in ("fair", "serialized"):
         print(f"\n== Figure 3 ({panel}) throughput (Gb/s per ms) ==")
         for flow, series in result.panel(panel):
             line = " ".join(f"{v / 1e9:4.1f}" for v in series.values)
@@ -29,11 +29,11 @@ def test_fig3_timeseries(benchmark):
         assert sum(busy) / len(busy) == pytest.approx(5e9, rel=0.15)
 
     # Serialized panel: each flow peaks near line rate.
-    for _flow, series in result.panel("fsti"):
+    for _flow, series in result.panel("serialized"):
         assert max(series.values) > 8.5e9
 
     # Same average throughput over the window in both panels (the paper's
     # point: identical work, very different energy).
-    for panel in ("fair", "fsti"):
+    for panel in ("fair", "serialized"):
         for avg in result.mean_throughputs_gbps(panel):
             assert avg == pytest.approx(5.0, rel=0.2)

@@ -1,4 +1,4 @@
-"""Result export: JSON and CSV serialization of measurements.
+"""Result export: JSON serialization of measurements.
 
 The paper's artifact repository ships raw measurement files alongside
 analysis scripts; these helpers do the same for simulated runs so
@@ -7,12 +7,8 @@ results can be plotted or post-processed outside Python.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from typing import TYPE_CHECKING, Any, Dict, Sequence
-
-from repro.errors import AnalysisError
 
 if TYPE_CHECKING:  # avoid a runtime analysis <-> harness import cycle
     from repro.harness.runner import RepeatedResult, RunMeasurement
@@ -69,36 +65,7 @@ def to_json(
     )
 
 
-def runs_to_csv(measurements: Sequence[RunMeasurement]) -> str:
-    """One CSV row per run — the shape plotting tools want."""
-    if not measurements:
-        raise AnalysisError("nothing to export")
-    fields = [
-        "scenario",
-        "seed",
-        "energy_j",
-        "duration_s",
-        "average_power_w",
-        "total_retransmissions",
-        "bottleneck_drops",
-        "ecn_marks",
-    ]
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fields)
-    writer.writeheader()
-    for m in measurements:
-        record = run_to_dict(m)
-        writer.writerow({k: record[k] for k in fields})
-    return buffer.getvalue()
-
-
 def save_json(results: Sequence[RepeatedResult], path: str) -> None:
     """Write :func:`to_json` output to a file."""
     with open(path, "w") as handle:
         handle.write(to_json(results))
-
-
-def save_csv(measurements: Sequence[RunMeasurement], path: str) -> None:
-    """Write :func:`runs_to_csv` output to a file."""
-    with open(path, "w") as handle:
-        handle.write(runs_to_csv(measurements))

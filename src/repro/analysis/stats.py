@@ -59,56 +59,3 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     if vx == 0 or vy == 0:
         raise AnalysisError("correlation undefined for constant sequence")
     return cov / math.sqrt(vx * vy)
-
-
-def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> "tuple[float, float]":
-    """Least-squares slope and intercept of y on x."""
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise AnalysisError("fit needs >= 2 paired points")
-    mx, my = mean(xs), mean(ys)
-    vx = sum((x - mx) ** 2 for x in xs)
-    if vx == 0:
-        raise AnalysisError("fit undefined for constant x")
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / vx
-    return slope, my - slope * mx
-
-
-def bootstrap_ci(
-    values: Sequence[float],
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    seed: int = 0,
-) -> "tuple[float, float]":
-    """Percentile-bootstrap confidence interval for the mean.
-
-    The paper reports plain standard deviations; a bootstrap CI is the
-    more defensible summary for the small (n=10) repetition counts its
-    methodology uses, so the report generator offers both.
-    """
-    from repro.sim.rng import RngRegistry
-
-    if not values:
-        raise AnalysisError("bootstrap of empty sequence")
-    if not 0.0 < confidence < 1.0:
-        raise AnalysisError(f"confidence must be in (0, 1), got {confidence}")
-    if len(values) == 1:
-        return values[0], values[0]
-    rng = RngRegistry(seed).stream("bootstrap-resample")
-    n = len(values)
-    means = sorted(
-        sum(rng.choice(values) for _ in range(n)) / n
-        for _ in range(resamples)
-    )
-    alpha = (1.0 - confidence) / 2.0
-    lo_index = int(alpha * resamples)
-    hi_index = min(resamples - 1, int((1.0 - alpha) * resamples))
-    return means[lo_index], means[hi_index]
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values."""
-    if not values:
-        raise AnalysisError("geometric mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise AnalysisError("geometric mean needs positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))

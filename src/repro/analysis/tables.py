@@ -43,15 +43,3 @@ def format_table(
     for row in rendered:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_series(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """Render an (x, y) series as a two-column table."""
-    if len(xs) != len(ys):
-        raise AnalysisError(f"series length mismatch {len(xs)} vs {len(ys)}")
-    return format_table([x_label, y_label], list(zip(xs, ys)), float_fmt="{:.4f}")

@@ -411,17 +411,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_policies(args: argparse.Namespace) -> int:
-    from repro.sched import POLICY_ALIASES, get_policy, policy_names
+    from repro.sched import get_policy, policy_names
 
     names = policy_names()
     width = max(len(name) for name in names)
     for name in names:
         print(f"{name:<{width}}  {get_policy(name).description}")
-    if POLICY_ALIASES:
-        spellings = ", ".join(
-            f"{old} -> {new}" for old, new in sorted(POLICY_ALIASES.items())
-        )
-        print(f"\nretired spellings (deprecated): {spellings}")
     return 0
 
 
@@ -445,7 +440,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         LintUsageError,
         iter_rules,
         render_json,
-        render_sarif,
         render_text,
         run_lint,
     )
@@ -462,11 +456,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     except LintUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    fmt = "sarif" if args.sarif else args.format
-    if fmt == "json":
+    if args.format == "json":
         print(render_json(result))
-    elif fmt == "sarif":
-        print(render_sarif(result))
     else:
         print(render_text(result))
     return 0 if result.clean else 1
@@ -547,12 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     p.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="report format",
-    )
-    p.add_argument(
-        "--sarif", action="store_true",
-        help="shorthand for --format sarif (SARIF 2.1.0)",
     )
     p.add_argument(
         "--select", help="comma-separated rule names to run (default: all)"

@@ -13,11 +13,6 @@ _EXPORTS = {
     "full_speed_then_idle": "allocation",
     "fig1_allocations": "allocation",
     "jain_index": "fairness",
-    "throughput_imbalance": "fairness",
-    "bandwidth_fraction": "fairness",
-    "fairness_energy_curve": "pareto",
-    "ParetoCurve": "pareto",
-    "ParetoPoint": "pareto",
     "DatacenterCostModel": "savings",
     "savings_fraction": "savings",
     "savings_percent": "savings",

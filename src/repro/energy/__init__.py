@@ -13,7 +13,6 @@ from repro.energy.fleet import (
 from repro.energy.meter import EnergyMeter
 from repro.energy.power_model import IntervalActivity, PowerModel
 from repro.energy.rapl import RaplDomain, RaplReader, energy_delta_j
-from repro.energy.stress import StressLoad
 from repro.energy.switch_power import (
     SwitchPowerModel,
     rate_adaptive_switch,
@@ -37,5 +36,4 @@ __all__ = [
     "RaplDomain",
     "RaplReader",
     "energy_delta_j",
-    "StressLoad",
 ]

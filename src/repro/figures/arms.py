@@ -4,8 +4,7 @@ Theorem 1 and every policy figure ask one question of a set of runs:
 what does this arm cost against fair sharing? Fig. 3's panels, the
 SRPT and workload comparisons, the fabric and Pareto sweeps and the
 MPTCP placements each run one scenario per arm, and :class:`Arms` is
-what they all hold: the arm lookup (retired policy spellings resolve
-through the registry aliases), the saving against ``fair`` and the
+what they all hold: the arm lookup, the saving against ``fair`` and the
 flow-level statistics the tables print.
 """
 
@@ -43,7 +42,7 @@ class Arms:
         return name in self.results
 
     def __getitem__(self, which: str) -> RepeatedResult:
-        """One arm; a retired policy spelling resolves (and warns)."""
+        """One arm; a policy name is looked up in its canonical spelling."""
         name = which
         if name not in self.results:
             try:

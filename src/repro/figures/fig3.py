@@ -5,8 +5,7 @@ each until both finish at ~2 s (scaled); under ``serialized`` (the
 full-speed-then-idle allocation the paper calls FSTI), flow 1 runs at
 ~10 Gb/s then idles while flow 2 runs at ~10 Gb/s — and both average
 5 Gb/s over the experiment. Any registered :mod:`repro.sched` policy
-can be rendered as an extra panel; the retired "fsti" spelling still
-resolves to ``serialized`` through the registry aliases.
+can be rendered as an extra panel.
 """
 
 from __future__ import annotations

@@ -182,9 +182,8 @@ ABORT_ON_DRIFT = Param(
 def _policy_names(values: Sequence[str]) -> Optional[List[str]]:
     """Canonical, deduplicated policy names from ``--policy`` flags.
 
-    ``all`` expands to the whole registry; retired spellings resolve
-    through the aliases (with their deprecation warning). ``None`` when
-    nothing is named, so each figure keeps its own default arms.
+    ``all`` expands to the whole registry. ``None`` when nothing is
+    named, so each figure keeps its own default arms.
     """
     from repro.sched import policy_names, resolve_policy_name
 

@@ -12,8 +12,7 @@ scheduling policy (default: the classic three-way comparison):
   sharing, the energy-worst case by Theorem 1;
 * **srpt** — priority bottleneck (packets carry remaining-bytes
   priority) with line-rate senders, all flows start together: the
-  *network* enforces SRPT with no end-host coordination (pFabric; the
-  retired "pfabric" spelling aliases here);
+  *network* enforces SRPT with no end-host coordination (pFabric);
 * **serialized** — application-level SRPT (each flow starts when its
   predecessor completes): the full-speed-then-idle ideal.
 

@@ -163,7 +163,7 @@ class Scenario:
         if not self.flows:
             raise ExperimentError(f"scenario {self.name!r} has no flows")
         if self.policy is not None:
-            # Canonicalize so aliases hash identically in cache keys.
+            # Canonicalize so every spelling hashes identically in cache keys.
             self.policy = resolve_policy_name(self.policy)
             conflicted = [
                 i for i, f in enumerate(self.flows) if f.after_flow is not None
@@ -293,7 +293,7 @@ class FabricScenario:
     deadline_slack: float = 4.0
 
     def __post_init__(self) -> None:
-        # Canonicalize so aliases hash identically in cache keys.
+        # Canonicalize so every spelling hashes identically in cache keys.
         self.policy = resolve_policy_name(self.policy)
         if self.deadline_slack < 1.0:
             raise ExperimentError(

@@ -27,10 +27,10 @@ Four rule families:
 Run it as ``greenenvy lint src`` (exit 0 clean, 1 findings, 2 usage
 error) or programmatically via :func:`run_lint`. Findings are
 suppressed per line with a ``simlint: ignore[rule-name]`` comment; dead or
-misspelled suppressions are themselves findings. ``--format sarif``
-emits SARIF 2.1.0 for code-scanning UIs. Hot-path cost and hash-order
-independence are measured, not linted: ``tests/test_work_counters.py``
-and ``tests/test_hash_seed_independence.py`` (``docs/linting.md``,
+misspelled suppressions are themselves findings. Hot-path cost and
+hash-order independence are measured, not linted:
+``tests/test_work_counters.py`` and
+``tests/test_hash_seed_independence.py`` (``docs/linting.md``,
 "Measured and dropped", says why there is no call graph here).
 """
 
@@ -38,12 +38,7 @@ from __future__ import annotations
 
 from repro.lint.core import Finding, LintUsageError, ModuleInfo, Rule
 from repro.lint.engine import LintResult, all_rule_names, iter_rules, run_lint
-from repro.lint.reporters import (
-    render_json,
-    render_sarif,
-    render_text,
-    to_sarif_dict,
-)
+from repro.lint.reporters import render_json, render_text
 
 __all__ = [
     "Finding",
@@ -54,8 +49,6 @@ __all__ = [
     "all_rule_names",
     "iter_rules",
     "render_json",
-    "render_sarif",
     "render_text",
     "run_lint",
-    "to_sarif_dict",
 ]

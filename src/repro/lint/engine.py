@@ -69,8 +69,8 @@ def _anchor_for(root: Path) -> Path:
 
     The nearest ancestor of the lint root carrying a project marker
     (``pyproject.toml`` or ``.git``), so ``src/repro/...`` paths come
-    out identical no matter which directory the tool runs from — CI's
-    SARIF artifact and a local run must agree on them. Falls back to
+    out identical no matter which directory the tool runs from — a CI
+    run and a local run must agree on them. Falls back to
     the root's parent when no marker exists (e.g. fixture trees).
     """
     resolved = root.resolve()

@@ -1,28 +1,18 @@
-"""Finding reporters: human text, machine JSON, and SARIF 2.1.0.
+"""Finding reporters: human text and machine JSON.
 
 The JSON schema is versioned and consumed by ``tests/lint`` and any CI
-annotation tooling; bump ``SCHEMA_VERSION`` on breaking changes. The
-SARIF output follows the OASIS 2.1.0 schema so GitHub code scanning
-(and any SARIF viewer) can render findings inline on PRs.
+annotation tooling; bump ``SCHEMA_VERSION`` on breaking changes.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Any, Dict, List
+from typing import Any, Dict
 
-from repro.lint.engine import LintResult, iter_rules
+from repro.lint.engine import LintResult
 
 SCHEMA_VERSION = 1
-
-#: canonical SARIF 2.1.0 schema location
-SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-SARIF_VERSION = "2.1.0"
 
 
 def render_text(result: LintResult) -> str:
@@ -61,86 +51,3 @@ def to_json_dict(result: LintResult) -> Dict[str, Any]:
 def render_json(result: LintResult) -> str:
     """Stable, indented JSON for CI consumption."""
     return json.dumps(to_json_dict(result), indent=2, sort_keys=True)
-
-
-def _sarif_rule_entries(result: LintResult) -> List[Dict[str, Any]]:
-    """Rule metadata for the SARIF driver.
-
-    Registered rules contribute their descriptions; pseudo-rules that
-    only the engine emits (``parse-error``, suppression hygiene) appear
-    when a finding references them, so every result's ``ruleId``
-    resolves to a driver rule as the spec requires.
-    """
-    entries: List[Dict[str, Any]] = []
-    seen = set()
-    for rule in iter_rules():
-        entries.append(
-            {
-                "id": rule.name,
-                "shortDescription": {"text": rule.description},
-                "properties": {"family": rule.family},
-            }
-        )
-        seen.add(rule.name)
-    for finding in result.findings:
-        if finding.rule not in seen:
-            seen.add(finding.rule)
-            entries.append(
-                {
-                    "id": finding.rule,
-                    "shortDescription": {"text": f"{finding.family} pseudo-rule"},
-                    "properties": {"family": finding.family},
-                }
-            )
-    return entries
-
-
-def to_sarif_dict(result: LintResult) -> Dict[str, Any]:
-    """The SARIF 2.1.0 log as a plain dict."""
-    rules = _sarif_rule_entries(result)
-    index = {entry["id"]: i for i, entry in enumerate(rules)}
-    results = [
-        {
-            "ruleId": finding.rule,
-            "ruleIndex": index[finding.rule],
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.path,
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col,
-                        },
-                    }
-                }
-            ],
-        }
-        for finding in result.findings
-    ]
-    return {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "simlint",
-                        "semanticVersion": f"{SCHEMA_VERSION}.0.0",
-                        "rules": rules,
-                    }
-                },
-                "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-                "results": results,
-            }
-        ],
-    }
-
-
-def render_sarif(result: LintResult) -> str:
-    """Stable, indented SARIF 2.1.0 text."""
-    return json.dumps(to_sarif_dict(result), indent=2, sort_keys=True)

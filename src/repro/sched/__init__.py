@@ -42,7 +42,6 @@ from repro.sched.policies import (
     SrptPolicy,
 )
 from repro.sched.registry import (
-    POLICY_ALIASES,
     get_policy,
     policy_names,
     register_policy,
@@ -64,7 +63,6 @@ __all__ = [
     "DeadlinePolicy",
     "LoadAdaptivePolicy",
     "PFABRIC_WINDOW_SEGMENTS",
-    "POLICY_ALIASES",
     "get_policy",
     "policy_names",
     "register_policy",

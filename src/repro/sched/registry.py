@@ -1,11 +1,8 @@
 """The named-policy registry the ``policy=`` seam resolves through.
 
 Scenarios, figures, and the CLI all refer to policies by name; the
-registry is the single mapping from spellings to
-:class:`~repro.sched.policy.SchedulingPolicy` instances. Pre-registry
-spellings (``pfabric``, ``fsti``) resolve through
-:data:`POLICY_ALIASES` with a :class:`DeprecationWarning`, so old
-call sites keep working while new code uses canonical names.
+registry is the single mapping from names to
+:class:`~repro.sched.policy.SchedulingPolicy` instances.
 
 Adding a policy is two steps: subclass ``SchedulingPolicy`` (set
 ``name``/``description``, implement ``plan``) and call
@@ -14,7 +11,6 @@ Adding a policy is two steps: subclass ``SchedulingPolicy`` (set
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
@@ -26,13 +22,6 @@ from repro.sched.policies import (
     SrptPolicy,
 )
 from repro.sched.policy import SchedulingPolicy
-
-#: deprecated spellings from the pre-registry era: the srpt figure's
-#: pFabric arm and fig3's FSTI ("fast, serve in turns"-style) panel
-POLICY_ALIASES: Dict[str, str] = {
-    "pfabric": "srpt",
-    "fsti": "serialized",
-}
 
 _REGISTRY: Dict[str, SchedulingPolicy] = {}
 
@@ -51,11 +40,6 @@ def register_policy(
         raise ExperimentError(
             f"{type(policy).__name__} declares no policy name"
         )
-    if name in POLICY_ALIASES:
-        raise ExperimentError(
-            f"{name!r} is reserved as a deprecated alias for "
-            f"{POLICY_ALIASES[name]!r}"
-        )
     if name in _REGISTRY and not replace:
         raise ExperimentError(
             f"policy {name!r} already registered (pass replace=True to "
@@ -66,16 +50,9 @@ def register_policy(
 
 
 def resolve_policy_name(name: str) -> str:
-    """Canonicalize a policy spelling: aliases warn, unknowns raise."""
+    """Canonicalize a policy spelling (case, surrounding blanks);
+    unknowns raise."""
     spelling = name.strip().lower()
-    if spelling in POLICY_ALIASES:
-        canonical = POLICY_ALIASES[spelling]
-        warnings.warn(
-            f"policy spelling {name!r} is deprecated; use {canonical!r}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        spelling = canonical
     if spelling not in _REGISTRY:
         known = ", ".join(policy_names())
         raise ExperimentError(

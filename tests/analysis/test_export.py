@@ -7,12 +7,9 @@ import pytest
 from repro.analysis.export import (
     run_to_dict,
     repeated_to_dict,
-    runs_to_csv,
-    save_csv,
     save_json,
     to_json,
 )
-from repro.errors import AnalysisError
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.harness.runner import run_once, run_repeated
 
@@ -46,25 +43,8 @@ class TestDictExport:
         assert parsed[0]["scenario"] == "export"
 
 
-class TestCsvExport:
-    def test_header_and_rows(self, repeated):
-        text = runs_to_csv(repeated.runs)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("scenario,seed,energy_j")
-        assert len(lines) == 3  # header + 2 runs
-
-    def test_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            runs_to_csv([])
-
-
 class TestFileExport:
     def test_save_json(self, repeated, tmp_path):
         target = tmp_path / "results.json"
         save_json([repeated], str(target))
         assert json.loads(target.read_text())[0]["repetitions"] == 2
-
-    def test_save_csv(self, repeated, tmp_path):
-        target = tmp_path / "runs.csv"
-        save_csv(repeated.runs, str(target))
-        assert target.read_text().count("\n") >= 3

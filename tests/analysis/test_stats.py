@@ -1,15 +1,10 @@
 """Unit + property tests for the statistics helpers."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import (
-    bootstrap_ci,
-    geometric_mean,
-    linear_fit,
     mean,
     pearson,
     sample_std,
@@ -79,55 +74,3 @@ class TestPearson:
             return  # degenerate spread can underflow the variance
         r = pearson(xs, ys)
         assert -1.0 - 1e-9 <= r <= 1.0 + 1e-9
-
-
-class TestLinearFit:
-    def test_exact_line(self):
-        slope, intercept = linear_fit([0, 1, 2], [1, 3, 5])
-        assert slope == pytest.approx(2.0)
-        assert intercept == pytest.approx(1.0)
-
-    def test_constant_x_rejected(self):
-        with pytest.raises(AnalysisError):
-            linear_fit([1, 1], [1, 2])
-
-
-class TestGeometricMean:
-    def test_known(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_positive_only(self):
-        with pytest.raises(AnalysisError):
-            geometric_mean([1.0, 0.0])
-
-    @given(xs=st.lists(st.floats(min_value=0.01, max_value=1e3), min_size=1, max_size=10))
-    @settings(max_examples=50, deadline=None)
-    def test_bounded_by_arithmetic_mean(self, xs):
-        assert geometric_mean(xs) <= mean(xs) + 1e-9
-
-
-class TestBootstrapCi:
-    def test_interval_contains_mean_for_tight_data(self):
-        values = [10.0, 10.1, 9.9, 10.05, 9.95]
-        lo, hi = bootstrap_ci(values)
-        assert lo <= mean(values) <= hi
-
-    def test_interval_narrows_with_less_variance(self):
-        tight = bootstrap_ci([10.0, 10.01, 9.99, 10.0])
-        wide = bootstrap_ci([5.0, 15.0, 8.0, 12.0])
-        assert (tight[1] - tight[0]) < (wide[1] - wide[0])
-
-    def test_single_value_degenerate(self):
-        assert bootstrap_ci([7.0]) == (7.0, 7.0)
-
-    def test_deterministic_given_seed(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert bootstrap_ci(values, seed=5) == bootstrap_ci(values, seed=5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            bootstrap_ci([])
-
-    def test_bad_confidence_rejected(self):
-        with pytest.raises(AnalysisError):
-            bootstrap_ci([1.0, 2.0], confidence=1.5)

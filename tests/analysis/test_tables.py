@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.tables import format_series, format_table
+from repro.analysis.tables import format_table
 from repro.errors import AnalysisError
 
 
@@ -33,14 +33,3 @@ class TestFormatTable:
     def test_empty_rows_ok(self):
         out = format_table(["a"], [])
         assert "a" in out
-
-
-class TestFormatSeries:
-    def test_two_columns(self):
-        out = format_series([1.0, 2.0], [10.0, 20.0], "t", "v")
-        assert "t" in out and "v" in out
-        assert "10.0000" in out
-
-    def test_length_mismatch(self):
-        with pytest.raises(AnalysisError):
-            format_series([1.0], [1.0, 2.0])

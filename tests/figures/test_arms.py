@@ -53,12 +53,6 @@ def arms():
 
 
 class TestLookup:
-    def test_retired_spellings_resolve(self, arms):
-        with pytest.deprecated_call():
-            assert arms["pfabric"] is arms["srpt"]
-        with pytest.deprecated_call():
-            assert arms["fsti"] is arms["serialized"]
-
     def test_an_arm_that_did_not_run_names_the_arms_that_did(self):
         arms = Arms({"fair": RepeatedResult("fair", [_run(1.0, [1.0])])}, "fig3")
         with pytest.raises(ExperimentError, match=r"fig3: no arm 'srpt' \(ran: fair\)"):

@@ -33,11 +33,6 @@ class TestSrpt:
     def test_serialized_has_best_mean_fct(self, srpt):
         assert srpt.arms.mean_fct_s("serialized") < srpt.arms.mean_fct_s("srpt")
 
-    def test_deprecated_pfabric_spelling_resolves(self, srpt):
-        with pytest.deprecated_call():
-            arm = srpt.arms["pfabric"]
-        assert arm is srpt.arms["srpt"]
-
     def test_makespans_comparable(self, srpt):
         """All three schedules keep the bottleneck busy; makespan is
         roughly the aggregate serialization time."""

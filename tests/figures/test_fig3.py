@@ -17,11 +17,6 @@ class TestFig3:
         assert len(fig3.panel("fair")) == 2
         assert len(fig3.panel("serialized")) == 2
 
-    def test_deprecated_fsti_spelling_resolves(self, fig3):
-        with pytest.deprecated_call():
-            panel = fig3.panel("fsti")
-        assert panel == fig3.panel("serialized")
-
     def test_fair_flows_hold_half_rate(self, fig3):
         for _flow, series in fig3.panel("fair"):
             busy = [v for v in series.values if v > 1e8]

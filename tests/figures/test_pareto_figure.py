@@ -43,12 +43,6 @@ class TestParetoSweep:
     def test_link_serialization_saves_energy(self, pareto):
         assert pareto.workload_arms("link").savings_percent("serialized") > 0
 
-    def test_alias_spelling_resolves_to_srpt_point(self, pareto):
-        arms = pareto.workload_arms("link")
-        with pytest.deprecated_call():
-            arm = arms["pfabric"]
-        assert arm is arms["srpt"]
-
     def test_unknown_workload_rejected(self, pareto):
         with pytest.raises(ExperimentError, match="unknown workload"):
             pareto.workload_arms("wan")

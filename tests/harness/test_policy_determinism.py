@@ -95,13 +95,6 @@ class TestPolicyInCacheKey:
         }
         assert len(keys) == len(policy_names())
 
-    def test_alias_spelling_hashes_like_its_canonical_policy(self):
-        with pytest.deprecated_call():
-            aliased = link_scenario("pfabric", name="k")
-        assert compute_key(aliased, 0) == compute_key(
-            link_scenario("srpt", name="k"), 0
-        )
-
 
 class TestDeprecatedSpellingShims:
     def test_legacy_after_flow_chain_matches_serialized_policy(self):

@@ -1,14 +1,9 @@
-"""Reporter contracts: text, the versioned JSON schema, and SARIF."""
+"""Reporter contracts: text and the versioned JSON schema."""
 
 import json
 
-from repro.lint import render_json, render_sarif, render_text, to_sarif_dict
-from repro.lint.reporters import (
-    SARIF_SCHEMA,
-    SARIF_VERSION,
-    SCHEMA_VERSION,
-    to_json_dict,
-)
+from repro.lint import render_json, render_text
+from repro.lint.reporters import SCHEMA_VERSION, to_json_dict
 
 
 class TestText:
@@ -64,48 +59,3 @@ class TestJson:
     def test_json_is_stable(self, lint):
         result = lint("hygiene/bad_hygiene.py")
         assert render_json(result) == render_json(result)
-
-
-class TestSarif:
-    def test_log_shape(self, lint):
-        result = lint("hygiene/bad_hygiene.py")
-        payload = json.loads(render_sarif(result))
-        assert payload["$schema"] == SARIF_SCHEMA
-        assert payload["version"] == SARIF_VERSION
-        assert len(payload["runs"]) == 1
-        driver = payload["runs"][0]["tool"]["driver"]
-        assert driver["name"] == "simlint"
-        assert driver["rules"], "driver must carry rule metadata"
-
-    def test_every_result_round_trips_to_a_finding(self, lint):
-        result = lint("hygiene/bad_hygiene.py")
-        run = to_sarif_dict(result)["runs"][0]
-        assert len(run["results"]) == len(result.findings)
-        for entry, finding in zip(run["results"], result.findings):
-            assert entry["ruleId"] == finding.rule
-            assert entry["message"]["text"] == finding.message
-            location = entry["locations"][0]["physicalLocation"]
-            assert location["artifactLocation"]["uri"] == finding.path
-            assert location["region"]["startLine"] == finding.line
-            assert location["region"]["startColumn"] == finding.col
-
-    def test_rule_index_resolves_rule_id(self, lint):
-        result = lint("hygiene/bad_hygiene.py")
-        run = to_sarif_dict(result)["runs"][0]
-        rules = run["tool"]["driver"]["rules"]
-        for entry in run["results"]:
-            assert rules[entry["ruleIndex"]]["id"] == entry["ruleId"]
-
-    def test_pseudo_rules_get_driver_entries(self, lint):
-        result = lint("engine/broken.py")
-        run = to_sarif_dict(result)["runs"][0]
-        ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert "parse-error" in ids
-
-    def test_clean_run_has_empty_results(self, lint):
-        run = to_sarif_dict(lint("units/clean_units.py"))["runs"][0]
-        assert run["results"] == []
-
-    def test_sarif_is_stable(self, lint):
-        result = lint("hygiene/bad_hygiene.py")
-        assert render_sarif(result) == render_sarif(result)

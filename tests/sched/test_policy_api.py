@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.sched import (
-    POLICY_ALIASES,
     FlowRequest,
     FlowSchedule,
     SchedulePlan,
@@ -85,14 +84,14 @@ class TestRegistry:
     def test_resolve_is_case_and_space_insensitive(self):
         assert resolve_policy_name("  Fair ") == "fair"
 
-    def test_aliases_resolve_with_deprecation_warning(self):
-        for old, new in POLICY_ALIASES.items():
-            with pytest.deprecated_call():
-                assert resolve_policy_name(old) == new
-
     def test_unknown_name_lists_known_policies(self):
         with pytest.raises(ExperimentError, match="fair"):
             resolve_policy_name("round-robin")
+
+    @pytest.mark.parametrize("spelling", ["fsti", "pfabric"])
+    def test_pre_registry_spellings_are_unknown(self, spelling):
+        with pytest.raises(ExperimentError, match="unknown scheduling policy"):
+            resolve_policy_name(spelling)
 
     def test_get_policy_returns_named_instance(self):
         assert get_policy("serialized").name == "serialized"
@@ -100,17 +99,6 @@ class TestRegistry:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ExperimentError, match="registered"):
             register_policy(get_policy("fair"))
-
-    def test_alias_names_are_reserved(self):
-        class Impostor(SchedulingPolicy):
-            name = "pfabric"
-            description = "takes a retired spelling"
-
-            def plan(self, requests, ctx):
-                return self._plan(requests, [None] * len(requests))
-
-        with pytest.raises(ExperimentError):
-            register_policy(Impostor())
 
     def test_custom_policy_registers_and_resolves(self, monkeypatch):
         from repro.sched import registry

@@ -41,7 +41,7 @@ repro.cc.scalable repro.cc.swift repro.cc.vegas repro.cc.westwood
 repro.core repro.core.allocation
 repro.energy repro.energy.calibration repro.energy.cpu repro.energy.fleet
 repro.energy.meter repro.energy.power_model repro.energy.rapl
-repro.energy.stress repro.energy.switch_power
+repro.energy.switch_power
 repro.harness repro.harness.experiment repro.harness.fabric
 repro.harness.runner
 repro.net repro.net.host repro.net.link repro.net.nic repro.net.packet
