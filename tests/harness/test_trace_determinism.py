@@ -21,6 +21,7 @@ from repro.harness.cache import ResultCache
 from repro.harness.executor import WorkItem, run_work_items
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.obs.journal import VOLATILE_FIELDS, read_journal
+from repro.obs.report import summarize_journal
 from repro.obs.telemetry import read_telemetry
 
 SIZE = 400_000
@@ -140,6 +141,25 @@ class TestJournalDeterminism:
         # order, but batch-level events may interleave differently.
         key = lambda e: sorted((k, repr(v)) for k, v in e.items())  # noqa: E731
         assert sorted(serial, key=key) == sorted(pool, key=key)
+        # Both journals carry the engine's sim_loop spans with their
+        # heap fields, the pooled one through the workers' partials...
+        for events in (serial, pool):
+            loops = [
+                e for e in events
+                if e["event"] == "span" and e["phase"] == "sim_loop"
+            ]
+            assert len(loops) == 4
+            for loop in loops:
+                assert loop["events_executed"] > 0
+                for name in ("pending_events", "dead_in_queue", "queued_events"):
+                    assert isinstance(loop[name], int)
+        # ...and the one fold of the journal counts the same events.
+        serial_counts, pool_counts = (
+            summarize_journal(read_journal(tmp_path / name)).event_counts
+            for name in ("serial", "pool")
+        )
+        assert serial_counts["run_finished"] == 4
+        assert serial_counts == pool_counts
 
     def test_run_events_carry_deterministic_payload(self, tmp_path):
         run_work_items(items_for(2), observer=tmp_path / "t")
