@@ -284,12 +284,7 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
     import time
 
     from repro.obs.baseline import format_drift_table
-    from repro.obs.live import (
-        DriftGate,
-        LiveSweepView,
-        ProgressServer,
-        request_abort,
-    )
+    from repro.obs.live import DriftGate, LiveSweepView, request_abort
     from repro.obs.progress import format_progress, progress_to_dict
 
     if args.abort_on_drift and not args.baseline:
@@ -316,36 +311,24 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
         on_event=gate.observe_event if gate is not None else None,
     )
 
-    server = None
-    if args.serve is not None:
-        server = ProgressServer(view, port=args.serve).start()
-        print(
-            f"serving http://127.0.0.1:{server.port}/progress "
-            f"(JSON) and /metrics (Prometheus)",
-            file=sys.stderr,
-        )
     # Full-screen refresh only when someone is actually watching a
     # terminal; piped output gets one appended block per refresh.
     refresh = sys.stdout.isatty() and not args.once and not args.json
-    try:
-        while True:
-            view.poll()
-            progress = view.snapshot()
-            if args.json:
-                print(json.dumps(progress_to_dict(progress), sort_keys=True))
-                sys.stdout.flush()
-            else:
-                if refresh:
-                    print("\x1b[2J\x1b[H", end="")
-                print(format_progress(progress))
-            if args.once or progress.complete or progress.aborted:
-                break
-            if not refresh and not args.json:
-                print()
-            time.sleep(args.interval)
-    finally:
-        if server is not None:
-            server.stop()
+    while True:
+        view.poll()
+        progress = view.snapshot()
+        if args.json:
+            print(json.dumps(progress_to_dict(progress), sort_keys=True))
+            sys.stdout.flush()
+        else:
+            if refresh:
+                print("\x1b[2J\x1b[H", end="")
+            print(format_progress(progress))
+        if args.once or progress.complete or progress.aborted:
+            break
+        if not refresh and not args.json:
+            print()
+        time.sleep(args.interval)
 
     drifted = gate is not None and gate.drifted
     if drifted and not args.json:
@@ -685,11 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--abort-on-drift", action="store_true",
         help="on drift, write the trace's abort flag file so the "
         "running sweep cancels cooperatively (needs --baseline)",
-    )
-    p.add_argument(
-        "--serve", type=int, default=None, metavar="PORT",
-        help="also serve /progress (JSON) and /metrics (Prometheus) "
-        "on 127.0.0.1:PORT (0 picks a free port)",
     )
     p.set_defaults(func=_cmd_obs_watch)
 

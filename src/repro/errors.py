@@ -74,4 +74,4 @@ class AnalysisError(ReproError):
 
 
 class ObservabilityError(ReproError):
-    """The tracing/metrics layer was configured or fed inconsistently."""
+    """The tracing layer was configured or fed inconsistently."""

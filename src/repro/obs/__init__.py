@@ -1,35 +1,42 @@
-"""``repro.obs`` — structured tracing, metrics, and profiling.
+"""``repro.obs`` — structured tracing and profiling of the pipeline.
 
 The paper's claims rest on instrumented measurement (RAPL counters,
 iperf3 retr columns, per-interval power samples); this package applies
-the same discipline to the reproduction's own pipeline. Three layers:
+the same discipline to the reproduction's own pipeline. A trace is a
+directory of record streams, and every view reads those files. Two
+layers:
 
-* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` (counters,
-  gauges, fixed-bucket histograms) with Prometheus-text and JSON
-  exporters, filled from the journal's fold by ``progress``.
+*Writing a trace* (on the run path):
+
+* :mod:`repro.obs.observer` — the :class:`Observer` protocol the
+  harness threads through every layer. The base class is a no-op (the
+  zero-overhead default); :class:`TracingObserver` owns a trace
+  directory and its streams.
 * :mod:`repro.obs.journal` — a structured JSONL event stream per sweep
   (``run_started``, ``cache_hit``, ``run_finished``, ``worker_error``,
   ``span``, ...), safe to write from process-pool workers: each worker
   appends to its own file and the coordinator merges them afterwards.
-* :mod:`repro.obs.observer` — the :class:`Observer` protocol the
-  harness threads through every layer. The base class is a no-op (the
-  zero-overhead default); :class:`TracingObserver` journals events
-  into a trace directory and exports the metrics of their fold.
-* :mod:`repro.obs.telemetry` / :mod:`repro.obs.timeline` — in-sim time
-  series (cwnd, queue depth, instantaneous power...) collected through
-  the sim-side :mod:`repro.sim.probe` protocol, persisted as
-  ``telemetry.jsonl`` next to the journal, and rendered by
-  ``greenenvy obs timeline``.
+* :mod:`repro.obs.telemetry` — in-sim time series (cwnd, queue depth,
+  instantaneous power...) collected through the sim-side
+  :mod:`repro.sim.probe` protocol and persisted as ``telemetry.jsonl``
+  next to the journal (both on :mod:`repro.obs.stream`);
+  :mod:`repro.obs.attrib` adds each run's per-flow energy split to it.
+* :mod:`repro.obs.profile` — the sim loop under ``cProfile``, as
+  ``profile.jsonl``, for a trace opened with ``profile=True`` only.
+
+*Reading a trace* (never loaded by a traced run):
+
+* :mod:`repro.obs.progress` — the one fold of a journal
+  (:class:`ProgressTracker`): ``obs report`` (:mod:`repro.obs.report`)
+  and ``obs watch`` are views of it.
+* :mod:`repro.obs.timeline` — ``greenenvy obs timeline`` over the
+  telemetry.
 * :mod:`repro.obs.baseline` — committed snapshots of a sweep's scalar
   outcomes plus the tolerance-aware diff behind ``greenenvy obs diff``,
   the regression gate CI runs.
-* :mod:`repro.obs.progress` — the one fold of a journal
-  (:class:`ProgressTracker`): ``obs report`` (:mod:`repro.obs.report`),
-  ``obs watch`` and the metric exports are views of it.
 * :mod:`repro.obs.live` — watching a *running* sweep: the journal
-  tailer behind ``greenenvy obs watch``, an opt-in HTTP progress
-  endpoint, and the mid-run drift gate. ``live`` is not re-exported here;
-  callers name the module.
+  tailer behind ``greenenvy obs watch`` and the mid-run drift gate.
+  ``live`` is not re-exported here; callers name the module.
 
 Nothing is imported here: the names below resolve on first use
 (:mod:`repro._lazy`), so a run that needs the no-op observer does not
@@ -48,11 +55,6 @@ from repro._lazy import lazy_exports
 
 #: public name -> the submodule that defines it, imported on first use
 _EXPORTS = {
-    "Counter": "metrics",
-    "Gauge": "metrics",
-    "Histogram": "metrics",
-    "MetricsRegistry": "metrics",
-    "DEFAULT_SPAN_BUCKETS_S": "metrics",
     "JournalWriter": "journal",
     "read_journal": "journal",
     "merge_worker_journals": "journal",
@@ -70,7 +72,6 @@ _EXPORTS = {
     "ScenarioProgress": "progress",
     "PhaseProgress": "progress",
     "progress_to_dict": "progress",
-    "progress_to_registry": "progress",
     "format_progress": "progress",
     "summarize_journal": "report",
     "summary_to_dict": "report",

@@ -10,10 +10,9 @@ non-zero on drift, which is what lets CI gate on "the reproduction
 still reproduces".
 
 Every value in a snapshot is a pure function of (scenario, seed) — the
-journal's deterministic fields only. Wall-clock percentiles are kept
-too (they answer "did the sweep get slower"), but under a separate
-``info`` section that diffing never gates on: wall time is a property
-of the machine, not of the science.
+journal's deterministic fields only. A snapshot holds no wall time:
+that is a property of the machine, not of the science, and ``obs
+report`` prints it for a trace.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.analysis.stats import percentile
 from repro.analysis.tables import format_table
 from repro.errors import ObservabilityError
 
@@ -77,7 +75,6 @@ def snapshot_from_journal(
         return sum(pick(r) for r in records) / len(records)
 
     metrics: Dict[str, float] = {"total/runs": float(len(finished))}
-    info: Dict[str, float] = {}
     energies: Dict[str, float] = {}
     for scenario in sorted(by_scenario):
         records = by_scenario[scenario]
@@ -106,9 +103,6 @@ def snapshot_from_journal(
                 records,
                 lambda r, k=key: float(dict(r.get("extras") or {}).get(k, 0.0)),
             )
-        walls = [float(r.get("wall_s", 0.0)) for r in records]
-        info[f"{scenario}/p50_wall_s"] = percentile(walls, 50.0)
-        info[f"{scenario}/p90_wall_s"] = percentile(walls, 90.0)
 
     # The paper's headline: energy savings of each arm versus the fair
     # arm of the same experiment (matched by name prefix).
@@ -123,7 +117,7 @@ def snapshot_from_journal(
             100.0 * (fair - energy) / fair
         )
 
-    return {"version": BASELINE_VERSION, "metrics": metrics, "info": info}
+    return {"version": BASELINE_VERSION, "metrics": metrics}
 
 
 def save_baseline(

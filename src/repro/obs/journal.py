@@ -102,8 +102,8 @@ class JournalWriter(StreamWriter):
         super().__init__(path)
         self.worker = worker_id() if worker is None else worker
 
-    def write(self, event: str, **fields: Any) -> Dict[str, Any]:
-        """Append one event; returns the record as written."""
+    def write(self, event: str, **fields: Any) -> None:
+        """Append one event."""
         record: Dict[str, Any] = {
             "event": event,
             "t_wall": wall_clock(),
@@ -111,7 +111,6 @@ class JournalWriter(StreamWriter):
         }
         record.update(fields)
         self.write_record(record)
-        return record
 
 
 journal_path = JOURNAL.path

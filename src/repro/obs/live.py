@@ -12,9 +12,6 @@ while running"). Everything here is a *reader* of the trace directory a
   *and* the per-worker ``worker-*.jsonl`` partials, deduplicating the
   events the coordinator later merges, and folds everything into a
   :class:`~repro.obs.progress.ProgressTracker`.
-* :class:`ProgressServer` — an opt-in stdlib HTTP thread serving
-  ``/progress`` (JSON) and ``/metrics`` (Prometheus text) for external
-  scrapers.
 * :class:`DriftGate` — the incremental ``obs diff``: as scenarios
   *settle* (all their repetitions finished), their metrics are compared
   against a committed baseline; on drift it can pull a cancel cord —
@@ -37,7 +34,6 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
@@ -51,12 +47,7 @@ from repro.obs.baseline import (
     snapshot_from_journal,
 )
 from repro.obs.journal import ABORT_FILENAME, JOURNAL_FILENAME, WORKER_GLOB
-from repro.obs.progress import (
-    ProgressTracker,
-    SweepProgress,
-    progress_to_dict,
-    progress_to_registry,
-)
+from repro.obs.progress import ProgressTracker, SweepProgress
 
 
 def request_abort(trace_dir: Union[str, Path], reason: str) -> Path:
@@ -141,10 +132,6 @@ class LiveSweepView:
       (and is remembered, in case the partial file is read afterwards);
     * a partial event already counted via the merged journal is
       likewise dropped.
-
-    Thread-safe: :meth:`poll` and :meth:`snapshot` take an internal
-    lock, so an HTTP server thread can snapshot while the watch loop
-    polls.
     """
 
     def __init__(
@@ -162,7 +149,6 @@ class LiveSweepView:
         self._coordinator: Optional[int] = None
         self._pending: Dict[str, int] = {}
         self._seen_merged: Dict[str, int] = {}
-        self._lock = threading.Lock()
 
     @property
     def bad_lines(self) -> int:
@@ -183,52 +169,42 @@ class LiveSweepView:
 
     def poll(self) -> List[Dict[str, Any]]:
         """Drain new events from every tail, deduplicated and folded."""
-        with self._lock:
-            fresh: List[Dict[str, Any]] = []
-            for record in self._journal.poll():
-                worker = record.get("worker")
-                if self._coordinator is None and isinstance(worker, int):
-                    # The journal's first event (batch/sweep header) is
-                    # always coordinator-written.
-                    self._coordinator = worker
-                if (
-                    isinstance(worker, int)
-                    and self._coordinator is not None
-                    and worker != self._coordinator
-                ):
-                    key = _dedup_key(record)
-                    if self._consume(self._pending, key):
-                        continue  # already counted from the partial
-                    self._seen_merged[key] = (
-                        self._seen_merged.get(key, 0) + 1
-                    )
+        fresh: List[Dict[str, Any]] = []
+        for record in self._journal.poll():
+            worker = record.get("worker")
+            if self._coordinator is None and isinstance(worker, int):
+                # The journal's first event (batch/sweep header) is
+                # always coordinator-written.
+                self._coordinator = worker
+            if (
+                isinstance(worker, int)
+                and self._coordinator is not None
+                and worker != self._coordinator
+            ):
+                key = _dedup_key(record)
+                if self._consume(self._pending, key):
+                    continue  # already counted from the partial
+                self._seen_merged[key] = self._seen_merged.get(key, 0) + 1
+            fresh.append(record)
+        for path in sorted(self.trace_dir.glob(WORKER_GLOB)):
+            tail = self._partials.get(path.name)
+            if tail is None:
+                tail = JournalTail(path)
+                self._partials[path.name] = tail
+            for record in tail.poll():
+                key = _dedup_key(record)
+                if self._consume(self._seen_merged, key):
+                    continue  # merged copy was counted first
+                self._pending[key] = self._pending.get(key, 0) + 1
                 fresh.append(record)
-            for path in sorted(self.trace_dir.glob(WORKER_GLOB)):
-                tail = self._partials.get(path.name)
-                if tail is None:
-                    tail = JournalTail(path)
-                    self._partials[path.name] = tail
-                for record in tail.poll():
-                    key = _dedup_key(record)
-                    if self._consume(self._seen_merged, key):
-                        continue  # merged copy was counted first
-                    self._pending[key] = self._pending.get(key, 0) + 1
-                    fresh.append(record)
-            self.tracker.observe_all(fresh)
-            if self.on_event is not None:
-                for record in fresh:
-                    self.on_event(record)
-            return fresh
+        self.tracker.observe_all(fresh)
+        if self.on_event is not None:
+            for record in fresh:
+                self.on_event(record)
+        return fresh
 
     def snapshot(self) -> SweepProgress:
-        with self._lock:
-            return self.tracker.snapshot()
-
-    def render(self, view: Callable[[SweepProgress], str]) -> str:
-        """``view`` of a snapshot, rendered under the lock: a concurrent
-        :meth:`poll` cannot change the snapshot while ``view`` reads it."""
-        with self._lock:
-            return view(self.tracker.snapshot())
+        return self.tracker.snapshot()
 
 
 class DriftGate:
@@ -254,17 +230,13 @@ class DriftGate:
         self,
         baseline: Union[str, Path, Mapping[str, Any]],
         repetitions: Optional[int] = None,
-        tolerances: Optional[Mapping[str, float]] = None,
         cancel: Optional[Any] = None,
-        on_drift: Optional[Callable[["DriftGate"], None]] = None,
     ):
         if isinstance(baseline, (str, Path)):
             baseline = load_baseline(baseline)
         self.baseline: Dict[str, Any] = dict(baseline)
         self.repetitions = repetitions
-        self.tolerances = dict(tolerances) if tolerances else None
         self.cancel = cancel
-        self.on_drift = on_drift
         self.drifted = False
         self.reason: Optional[str] = None
         self.gating_rows: List[DriftRow] = []
@@ -349,9 +321,7 @@ class DriftGate:
         if not records:
             return
         current = snapshot_from_journal(records)
-        rows = compare(
-            self._baseline_subset(), current, tolerances=self.tolerances
-        )
+        rows = compare(self._baseline_subset(), current)
         # Metrics absent from the baseline ("new") never gate here;
         # "missing" can only mean a settled scenario lost a metric.
         gating = [row for row in rows if row.gating]
@@ -364,81 +334,3 @@ class DriftGate:
         self.reason = f"drift vs baseline: {worst}{extra}"
         if self.cancel is not None:
             self.cancel.cancel(self.reason)
-        if self.on_drift is not None:
-            self.on_drift(self)
-
-
-class _ProgressHandler(BaseHTTPRequestHandler):
-    """Serves the owning :class:`ProgressServer`'s latest snapshot."""
-
-    server: "ProgressServer"  # type: ignore[assignment]
-
-    def _send(self, status: int, content_type: str, body: str) -> None:
-        payload = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib handler API)
-        path = self.path.split("?", 1)[0]
-        try:
-            view = self.server.view
-            if path in ("/", "/progress"):
-                self._send(200, "application/json", view.render(
-                    lambda p: json.dumps(progress_to_dict(p), sort_keys=True)
-                    + "\n"
-                ))
-            elif path == "/metrics":
-                self._send(200, "text/plain; version=0.0.4", view.render(
-                    lambda p: progress_to_registry(p).render_prometheus()
-                ))
-            else:
-                self._send(404, "text/plain", "not found\n")
-        except BrokenPipeError:  # client went away mid-response
-            pass
-
-    def log_message(self, format: str, *args: Any) -> None:
-        pass  # a progress endpoint must not spam the watch screen
-
-
-class ProgressServer(ThreadingHTTPServer):
-    """Opt-in HTTP endpoint for a :class:`LiveSweepView`.
-
-    Binds ``host:port`` (``port=0`` picks a free one — the tests use
-    that), serves ``/progress`` and ``/metrics`` from a daemon thread,
-    and never writes anything: scraping a run cannot change it.
-    """
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        view: LiveSweepView,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ):
-        self.view = view
-        self._thread: Optional[threading.Thread] = None
-        super().__init__((host, port), _ProgressHandler)
-
-    @property
-    def port(self) -> int:
-        return int(self.server_address[1])
-
-    def start(self) -> "ProgressServer":
-        self._thread = threading.Thread(
-            target=self.serve_forever,
-            name="greenenvy-progress-server",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self.shutdown()
-        self.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None

@@ -8,10 +8,12 @@ simulated event (``tests/obs/test_overhead_frames.py`` counts them).
 
 :class:`JournalObserver` writes events to one JSONL file — the form a
 process-pool worker uses, appending to its own ``worker-<pid>.jsonl``.
-:class:`TracingObserver` is the coordinator: main journal, worker-journal
-merging, one :class:`~repro.obs.progress.ProgressTracker` fed every
-record the journal gains, and ``metrics.prom``/``metrics.json`` rendered
-from that tracker on close.
+:class:`TracingObserver` is the coordinator: it owns a trace directory
+whose record streams (``journal.jsonl``, ``telemetry.jsonl``, and
+``profile.jsonl`` when profiling) are the whole trace. It merges the
+workers' partials into them and puts them in canonical order on close;
+every view of a trace (``obs report``, ``obs watch``, ``obs diff``)
+reads those files afterwards.
 
 Observers are observational only: they receive copies of names and
 numbers, never objects the simulation reads back. The import direction
@@ -21,7 +23,6 @@ is enforced by the ``obs-no-feedback`` simlint rule.
 from __future__ import annotations
 
 import contextlib
-import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Union
 
@@ -37,11 +38,6 @@ from repro.sim.probe import NULL_PROBE_SINK, ProbeSink, TimeSeriesProbeSink
 
 if TYPE_CHECKING:
     from repro.obs.profile import ProfileWriter
-
-#: filenames of the metric exports a TracingObserver writes on close
-METRICS_PROM_FILENAME = "metrics.prom"
-METRICS_JSON_FILENAME = "metrics.json"
-
 
 class Span:
     """A no-op profiling span (``wall_s`` stays 0.0); also the base
@@ -110,7 +106,7 @@ class Observer:
         """Merge per-worker partial journals (coordinator only)."""
 
     def close(self) -> None:
-        """Flush and release any underlying files/exports."""
+        """Flush and release any underlying files."""
 
     def __enter__(self) -> "Observer":
         return self
@@ -152,8 +148,9 @@ class TimedSpan(Span):
 class JournalObserver(Observer):
     """Journal-backed observer: every event becomes one JSONL line.
 
-    Workers use this directly (journal only); the coordinator's
-    :class:`TracingObserver` subclass adds merging and exports.
+    Workers use this directly; the coordinator's
+    :class:`TracingObserver` subclass adds the trace directory, merging
+    and canonical order.
     """
 
     enabled = True
@@ -221,17 +218,11 @@ class TracingObserver(JournalObserver):
     Owns a trace directory holding the merged ``journal.jsonl``; worker
     processes write ``worker-<pid>.jsonl`` partials next to it (they
     derive the path from :attr:`trace_dir`), and
-    :meth:`collect_workers` folds those into the main journal. Every
-    record the journal gains, its own and the merged ones, goes to one
-    :class:`~repro.obs.progress.ProgressTracker` (:attr:`tracker`);
-    :meth:`close` renders ``metrics.prom`` and ``metrics.json`` from
-    it, so the exports do not depend on ``jobs=``.
+    :meth:`collect_workers` folds those into the main streams. A closed
+    directory holds the record streams and nothing else.
     """
 
     def __init__(self, trace_dir: Union[str, Path], profile: bool = False):
-        # imported here: an untraced run never loads the journal views
-        from repro.obs.progress import ProgressTracker
-
         root = Path(trace_dir)
         root.mkdir(parents=True, exist_ok=True)
         profile_path = None
@@ -245,34 +236,13 @@ class TracingObserver(JournalObserver):
             profile_path=profile_path,
         )
         self.trace_dir = root
-        self.tracker = ProgressTracker()
-
-    def emit(self, event: str, **fields: Any) -> None:
-        self.tracker.observe(self.journal.write(event, **fields))
 
     def collect_workers(self) -> None:
         assert self.trace_dir is not None
         for stream in self.streams:
-            merged = stream.merge_workers(self.trace_dir)
-            if stream is self.journal:
-                self.tracker.observe_all(merged)
-
-    def write_metrics(self) -> None:
-        """Render the tracker as Prometheus text + JSON into the dir."""
-        from repro.obs.progress import progress_to_registry
-
-        assert self.trace_dir is not None
-        registry = progress_to_registry(self.tracker.snapshot())
-        prom = self.trace_dir / METRICS_PROM_FILENAME
-        prom.write_text(registry.render_prometheus(), encoding="utf-8")
-        as_json = self.trace_dir / METRICS_JSON_FILENAME
-        as_json.write_text(
-            json.dumps(registry.to_dict(), indent=2, sort_keys=True),
-            encoding="utf-8",
-        )
+            stream.merge_workers(self.trace_dir)
 
     def close(self) -> None:
-        self.write_metrics()
         super().close()
         # Canonical record order makes the closed files independent of
         # jobs= and of run-completion order: serial and pooled traces
@@ -311,8 +281,8 @@ def observing(
     """:func:`resolve_observer` for the length of a ``with`` block.
 
     Whoever resolves a trace directory into an observer closes it: an
-    observer built here is closed on exit, which writes the metric
-    exports and canonicalises the streams, even when the block raises.
+    observer built here is closed on exit, which canonicalises the
+    streams, even when the block raises.
     An observer instance passed in stays open; its owner closes it.
     """
     resolved = resolve_observer(observer)

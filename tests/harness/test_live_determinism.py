@@ -1,17 +1,14 @@
-"""Watching a sweep must not change it: live-tail + HTTP, zero bits moved.
+"""Watching a sweep must not change it: live-tail, zero bits moved.
 
-The acceptance bar for ``greenenvy obs watch``: a sweep that is being
-tailed (journal partials polled mid-run) *and* scraped over HTTP
-produces measurements, journal events, and telemetry records
-bit-identical to the same sweep run unwatched — serial and with a
-process pool. The watcher only ever reads; the one sanctioned write is
-the ``abort.requested`` flag, which is its own test.
+The acceptance bar for ``greenenvy obs watch``: a sweep whose journal
+partials are tailed mid-run produces measurements, journal events, and
+telemetry records bit-identical to the same sweep run unwatched —
+serial and with a process pool. The watcher only ever reads; the one
+sanctioned write is the ``abort.requested`` flag, which is its own test.
 """
 
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -23,7 +20,7 @@ from repro.harness.executor import (
 )
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.obs.journal import VOLATILE_FIELDS, read_journal
-from repro.obs.live import LiveSweepView, ProgressServer, request_abort
+from repro.obs.live import LiveSweepView, request_abort
 from repro.obs.telemetry import read_telemetry
 
 SIZE = 400_000
@@ -56,51 +53,37 @@ def telemetry_key(record):
 
 
 class Watcher:
-    """A background thread that tails a trace dir and scrapes its server.
+    """A background thread that tails a trace dir while a sweep runs.
 
-    This is ``obs watch`` plus a Prometheus scraper, concentrated: poll
-    the journal partials as fast as they appear, keep snapshots, and
-    hit ``/progress`` and ``/metrics`` over real HTTP the whole time.
+    This is ``obs watch``, concentrated: poll the journal and its
+    partials as fast as they appear and keep every snapshot.
     """
 
     def __init__(self, trace):
         self.trace = trace
         self.snapshots = []
-        self.scrapes = 0
+        self.polls = 0
         self._attached = threading.Event()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self):
         view = LiveSweepView(self.trace)
-        server = ProgressServer(view, port=0).start()
-        try:
-            while not self._stop.is_set():
-                view.poll()
-                self.snapshots.append(view.snapshot())
-                try:
-                    for path in ("/progress", "/metrics"):
-                        with urllib.request.urlopen(
-                            f"http://127.0.0.1:{server.port}{path}",
-                            timeout=5,
-                        ) as response:
-                            response.read()
-                    self.scrapes += 1
-                    self._attached.set()
-                except urllib.error.URLError:
-                    pass
-                time.sleep(0.01)
-            # One last poll after the sweep finished: the terminal
-            # events are committed by then.
+        while not self._stop.is_set():
             view.poll()
             self.snapshots.append(view.snapshot())
-        finally:
-            server.stop()
+            self.polls += 1
+            self._attached.set()
+            time.sleep(0.01)
+        # One last poll after the sweep finished: the terminal events
+        # are committed by then.
+        view.poll()
+        self.snapshots.append(view.snapshot())
 
     def __enter__(self):
-        # Attached means the first scrape succeeded: the sweep in the
-        # ``with`` body starts under a watcher that is already serving,
-        # however short the sweep is.
+        # Attached means the first poll ran: the sweep in the ``with``
+        # body starts under a watcher that is already tailing, however
+        # short the sweep is.
         self._thread.start()
         assert self._attached.wait(timeout=30)
         return self
@@ -136,7 +119,7 @@ class TestWatchedSweepIsBitIdentical:
         assert sorted(
             read_telemetry(watched), key=telemetry_key
         ) == sorted(read_telemetry(quiet), key=telemetry_key)
-        assert watcher.scrapes >= 1
+        assert watcher.polls >= 1
 
     def test_watcher_converges_on_the_finished_sweep(self, tmp_path):
         trace = tmp_path / "trace"

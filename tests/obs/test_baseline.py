@@ -65,10 +65,9 @@ class TestSnapshot:
         )["metrics"]
         assert not any("savings" in key for key in metrics)
 
-    def test_wall_percentiles_live_in_info_not_metrics(self):
+    def test_wall_time_is_not_in_a_snapshot(self):
         snapshot = snapshot_from_journal(two_arm_events())
-        assert "fig1-fair/p50_wall_s" in snapshot["info"]
-        assert "fig1-fair/p90_wall_s" in snapshot["info"]
+        assert sorted(snapshot) == ["metrics", "version"]
         assert not any("wall" in key for key in snapshot["metrics"])
 
     def test_empty_journal_raises(self):
@@ -103,7 +102,7 @@ class TestSaveLoad:
 
 
 def doc(metrics):
-    return {"version": 1, "metrics": metrics, "info": {}}
+    return {"version": 1, "metrics": metrics}
 
 
 class TestCompare:

@@ -1,8 +1,5 @@
-"""Live tailing, merge dedup, the drift gate, and the progress server."""
+"""Live tailing, merge dedup, and the drift gate."""
 
-import json
-import urllib.error
-import urllib.request
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +15,6 @@ from repro.obs.live import (
     DriftGate,
     JournalTail,
     LiveSweepView,
-    ProgressServer,
     request_abort,
 )
 
@@ -222,17 +218,12 @@ class TestDriftGate:
 
     def test_drift_latches_and_pulls_the_cord(self):
         cord = _Cord()
-        drifts = []
-        gate = DriftGate(
-            self._baseline(), repetitions=2, cancel=cord,
-            on_drift=drifts.append,
-        )
+        gate = DriftGate(self._baseline(), repetitions=2, cancel=cord)
         for event in _journal_events({"x-slow": [1.6, 1.6]}):
             gate.observe_event(event)
         assert gate.drifted
         assert "x-slow/energy_j" in gate.reason
         assert cord.reason == gate.reason
-        assert drifts == [gate]
         assert all(row.gating for row in gate.gating_rows)
 
     def test_savings_metric_waits_for_the_fair_sibling(self):
@@ -300,53 +291,3 @@ class TestDriftGate:
             gate.observe_event(event)
         assert gate.settled == ["y-fresh"]
         assert not gate.drifted
-
-
-class TestProgressServer:
-    def _view(self, tmp_path):
-        trace = tmp_path / "trace"
-        trace.mkdir()
-        with JournalWriter(trace / JOURNAL_FILENAME, worker=1) as j:
-            j.write("batch_started", items=1)
-            j.write("run_started", item=0, scenario="s", seed=0)
-            j.write(
-                "run_finished", item=0, scenario="s", seed=0,
-                wall_s=0.1, sim_time_s=0.01, energy_j=1.0,
-            )
-            j.write("batch_finished", items=1, executed=1, cache_hits=0)
-        view = LiveSweepView(trace)
-        view.poll()
-        return view
-
-    def _get(self, port, path):
-        with urllib.request.urlopen(
-            f"http://127.0.0.1:{port}{path}", timeout=5
-        ) as response:
-            return response.status, response.read().decode("utf-8")
-
-    def test_serves_progress_and_metrics(self, tmp_path):
-        server = ProgressServer(self._view(tmp_path), port=0).start()
-        try:
-            status, body = self._get(server.port, "/progress")
-            assert status == 200
-            doc = json.loads(body)
-            assert doc["items_total"] == 1
-            assert doc["complete"] is True
-            status, body = self._get(server.port, "/metrics")
-            assert status == 200
-            assert "sweep_items_total 1" in body
-            assert "sweep_complete 1" in body
-        finally:
-            server.stop()
-
-    def test_root_aliases_progress_and_unknown_paths_404(self, tmp_path):
-        server = ProgressServer(self._view(tmp_path), port=0).start()
-        try:
-            status, body = self._get(server.port, "/")
-            assert status == 200
-            assert json.loads(body)["version"] == 1
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                self._get(server.port, "/nope")
-            assert excinfo.value.code == 404
-        finally:
-            server.stop()

@@ -88,8 +88,7 @@ def test_explicit_null_sink_only_skips_the_two_sink_hooks(untraced):
 
 def test_attached_watcher_adds_no_frames_to_the_producer(tmp_path):
     # `obs watch` rides on files the sweep writes anyway: a live tail
-    # plus HTTP scrapes must leave the traced producer's own code path
-    # untouched. (The watcher thread's frames are its own: the profile
+    # must leave the traced producer's own code path untouched. (The watcher thread's frames are its own: the profile
     # hook is per-thread.)
     def traced(name):
         return frames(run_work_items, items_for(), observer=tmp_path / name)
@@ -102,5 +101,5 @@ def test_attached_watcher_adds_no_frames_to_the_producer(tmp_path):
     quiet = traced("quiet")
     with Watcher(tmp_path / "watched") as watcher:
         watched = traced("watched")
-    assert watcher.scrapes >= 1
+    assert watcher.polls >= 1
     assert watched == quiet

@@ -6,7 +6,6 @@ from repro.obs.progress import (
     ProgressTracker,
     format_progress,
     progress_to_dict,
-    progress_to_registry,
 )
 
 
@@ -173,12 +172,6 @@ class TestTracker:
         tracker.observe_all(_run(0, t=12.0))
         assert tracker.snapshot().elapsed_s == pytest.approx(2.1)
 
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            ProgressTracker(ewma_alpha=0.0)
-        with pytest.raises(ValueError):
-            ProgressTracker(ewma_alpha=1.5)
-
 
 class TestRenderings:
     def _progress(self):
@@ -196,17 +189,12 @@ class TestRenderings:
         assert doc["scenarios"]["a"]["finished"] == 2
         json.dumps(doc)  # must serialize cleanly
 
-    def test_registry_renders_prometheus_gauges(self):
-        text = progress_to_registry(self._progress()).render_prometheus()
-        assert "sweep_items_total 2" in text
-        assert "sweep_complete 1" in text
-        assert "sweep_eta_seconds 0" in text
-
-    def test_unknown_eta_is_minus_one_gauge(self):
+    def test_unknown_eta_renders_as_unknown(self):
         tracker = ProgressTracker()
         tracker.observe({"event": "batch_started", "items": 4, "t_wall": 0.0})
-        text = progress_to_registry(tracker.snapshot()).render_prometheus()
-        assert "sweep_eta_seconds -1" in text
+        progress = tracker.snapshot()
+        assert progress_to_dict(progress)["eta_s"] is None
+        assert "eta ?" in format_progress(progress)
 
     def test_text_view_shows_bar_and_state(self):
         text = format_progress(self._progress())

@@ -194,7 +194,6 @@ class TestObsCommands:
         ])
         assert code == 0
         assert (trace / "journal.jsonl").exists()
-        assert (trace / "metrics.prom").exists()
         assert "trace written to" in capsys.readouterr().out
 
     def test_report_healthy_journal_exits_zero(self, capsys, tmp_path):

@@ -103,6 +103,24 @@ def test_a_serial_sweep_never_imports_the_pool_stack():
     assert not [name for name in POOL_STACK if name in loaded]
 
 
+#: the modules that read a trace; writing one loads none of them
+TRACE_READERS = (
+    "repro.obs.progress", "repro.obs.report", "repro.obs.live",
+    "repro.obs.baseline", "repro.obs.timeline",
+)
+
+
+def test_a_traced_run_loads_no_trace_reader(tmp_path):
+    loaded = loaded_after(
+        "from repro.harness.executor import WorkItem, run_work_items\n"
+        "from repro.harness.experiment import FlowSpec, Scenario\n"
+        "scenario = Scenario(name='one', flows=[FlowSpec(100_000)])\n"
+        f"run_work_items([WorkItem(scenario, 0)], observer={str(tmp_path)!r})"
+    )
+    assert (tmp_path / "journal.jsonl").exists()
+    assert [name for name in TRACE_READERS if name in loaded] == []
+
+
 #: what only a profiled trace may load (``obs profile``, ``--profile``)
 PROFILER = ("repro.obs.profile", "cProfile")
 
