@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.cc.base import CongestionControl
 
 
-class Reno(CongestionControl):  # simlint: ignore[cca-override-on-ack] -- the base-class AIMD *is* Reno
+class Reno(CongestionControl):
     """RFC 5681 NewReno-style AIMD congestion control."""
 
     name = "reno"

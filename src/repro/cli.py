@@ -419,30 +419,19 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import (
-        LintUsageError,
-        iter_rules,
-        render_json,
-        render_text,
-        run_lint,
-    )
+    from repro.lint import LintUsageError, iter_rules, render_text, run_lint
 
     if args.list_rules:
         width = max(len(rule.name) for rule in iter_rules())
         for rule in iter_rules():
             print(f"{rule.name:<{width}}  [{rule.family}] {rule.description}")
         return 0
-    select = args.select.split(",") if args.select else None
-    ignore = args.ignore.split(",") if args.ignore else None
     try:
-        result = run_lint(args.paths, select=select, ignore=ignore)
+        result = run_lint(args.paths)
     except LintUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(render_json(result))
-    else:
-        print(render_text(result))
+    print(render_text(result))
     return 0 if result.clean else 1
 
 
@@ -513,22 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="simulator-correctness static analysis (units, determinism, "
-        "CCA contract, API hygiene)",
+        help="simulator-correctness static analysis, every rule (units, "
+        "determinism, cwnd sign, API hygiene)",
     )
     p.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to lint (default: src)",
-    )
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format",
-    )
-    p.add_argument(
-        "--select", help="comma-separated rule names to run (default: all)"
-    )
-    p.add_argument(
-        "--ignore", help="comma-separated rule names to skip"
     )
     p.add_argument(
         "--list-rules", action="store_true",

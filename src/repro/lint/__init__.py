@@ -4,11 +4,10 @@ The reproduction's headline numbers rest on two conventions nothing in
 Python enforces: every quantity is in SI base units (:mod:`repro.units`)
 and all randomness flows through seeded named streams
 (:mod:`repro.sim.rng`). This package is a per-file AST linter that
-turns those conventions — plus the CCA plug-in contract and a few
+turns those conventions — plus the sign of ``cwnd`` and a few
 API-hygiene basics — into mechanically checked rules. Each rule reads
-one parsed file; the only cross-module knowledge is three tables on
-:class:`~repro.lint.core.LintContext` (function signatures, the names
-``cc/registry.py`` references, the ``cc/`` class hierarchy).
+one parsed file; the only cross-module knowledge is one table on
+:class:`~repro.lint.core.LintContext` (function signatures).
 
 Four rule families:
 
@@ -18,16 +17,19 @@ Four rule families:
   ``time.time()``, ``os.urandom``) outside ``sim/rng.py``; iteration
   over unordered sets and imports of ``repro.obs`` in the packages that
   produce results
-* **cca-contract** — every :class:`~repro.cc.base.CongestionControl`
-  subclass must set ``name``, be registered, and override ``on_ack``
+* **cca-contract** — no bare negative store into ``cwnd`` (that every
+  :class:`~repro.cc.base.CongestionControl` subclass is registered
+  under its own ``name`` and overrides ``on_ack`` is a run-time test,
+  ``tests/cc/test_registry.py``)
 * **api-hygiene** — mutable default arguments, bare ``except:``,
   missing ``from __future__ import annotations``, policy-name string
   comparison outside ``repro/sched``
 
-Run it as ``greenenvy lint src`` (exit 0 clean, 1 findings, 2 usage
-error) or programmatically via :func:`run_lint`. Findings are
-suppressed per line with a ``simlint: ignore[rule-name]`` comment; dead or
-misspelled suppressions are themselves findings. Hot-path cost and
+Run it as ``greenenvy lint src examples`` (exit 0 clean, 1 findings, 2
+usage error) or programmatically via :func:`run_lint`; every run runs
+every rule. Findings are suppressed per line with a
+``simlint: ignore[rule-name]`` comment; dead or misspelled suppressions
+are themselves findings. Hot-path cost and
 hash-order independence are measured, not linted:
 ``tests/test_work_counters.py`` and
 ``tests/test_hash_seed_independence.py`` (``docs/linting.md``,
@@ -37,8 +39,7 @@ hash-order independence are measured, not linted:
 from __future__ import annotations
 
 from repro.lint.core import Finding, LintUsageError, ModuleInfo, Rule
-from repro.lint.engine import LintResult, all_rule_names, iter_rules, run_lint
-from repro.lint.reporters import render_json, render_text
+from repro.lint.engine import LintResult, iter_rules, render_text, run_lint
 
 __all__ = [
     "Finding",
@@ -46,9 +47,7 @@ __all__ = [
     "LintUsageError",
     "ModuleInfo",
     "Rule",
-    "all_rule_names",
     "iter_rules",
-    "render_json",
     "render_text",
     "run_lint",
 ]

@@ -31,7 +31,7 @@ _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 class LintUsageError(Exception):
-    """Invalid invocation (unknown rule, missing path); CLI exit code 2."""
+    """Invalid invocation (a missing path); CLI exit code 2."""
 
 
 @dataclass(frozen=True, order=True)
@@ -48,17 +48,6 @@ class Finding:
     def format(self) -> str:
         """Render as the conventional ``path:line:col: rule: message``."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
-
-    def to_dict(self) -> Dict[str, Union[str, int]]:
-        """JSON-reporter representation (stable schema, version 1)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "family": self.family,
-            "message": self.message,
-        }
 
 
 def parse_suppressions(lines: Sequence[str]) -> Dict[int, FrozenSet[str]]:
@@ -208,20 +197,14 @@ def dotted_name(node: ast.AST) -> Optional[str]:
 class LintContext:
     """Cross-module state shared by all rules in one lint run.
 
-    Built once per run from the full module set so rules can answer
-    questions a single file cannot: which identifiers ``cc/registry.py``
-    references, the CCA class hierarchy across ``cc/`` modules, and the
-    parameter names of module-level functions (for positional-argument
-    unit checks).
+    Built once per run from the full module set so a rule can answer
+    the one question a single file cannot: the parameter names of
+    module-level functions (for positional-argument unit checks).
     """
 
     def __init__(self, modules: List[ModuleInfo]):
         self.modules = modules
         self._signatures: Optional[Dict[str, Optional[List[str]]]] = None
-        self._registry_names: Optional[Dict[str, FrozenSet[str]]] = None
-        self._cc_classes: Optional[Dict[str, Dict[str, "ClassFacts"]]] = None
-
-    # -- function signature table -----------------------------------------
 
     @property
     def signatures(self) -> Dict[str, Optional[List[str]]]:
@@ -240,100 +223,3 @@ class LintContext:
                         table[node.name] = params
             self._signatures = table
         return self._signatures
-
-    # -- cc registry -------------------------------------------------------
-
-    def _cc_dir_key(self, module: ModuleInfo) -> str:
-        return "/".join(module.parts[:-1])
-
-    @property
-    def registry_names(self) -> Dict[str, FrozenSet[str]]:
-        """Per-directory set of identifiers referenced in ``registry.py``."""
-        if self._registry_names is None:
-            table: Dict[str, FrozenSet[str]] = {}
-            for module in self.modules:
-                if module.filename != "registry.py":
-                    continue
-                names = set()
-                for node in module.nodes:
-                    if isinstance(node, ast.Name):
-                        names.add(node.id)
-                    elif isinstance(node, ast.ImportFrom):
-                        for alias in node.names:
-                            names.add(alias.asname or alias.name)
-                table[self._cc_dir_key(module)] = frozenset(names)
-            self._registry_names = table
-        return self._registry_names
-
-    # -- cc class graph ----------------------------------------------------
-
-    @property
-    def cc_classes(self) -> Dict[str, Dict[str, "ClassFacts"]]:
-        """Per-``cc``-directory map of class name -> :class:`ClassFacts`."""
-        if self._cc_classes is None:
-            table: Dict[str, Dict[str, ClassFacts]] = {}
-            for module in self.modules:
-                if not module.in_directory("cc"):
-                    continue
-                per_dir = table.setdefault(self._cc_dir_key(module), {})
-                for node in module.tree.body:
-                    if isinstance(node, ast.ClassDef):
-                        per_dir[node.name] = ClassFacts.from_node(node)
-            self._cc_classes = table
-        return self._cc_classes
-
-    def cca_lineage(self, module: ModuleInfo, class_name: str) -> List["ClassFacts"]:
-        """The class plus its in-package ancestors, root-last.
-
-        Follows base-class names through the per-directory class table;
-        external bases (not defined in the analyzed ``cc/`` modules) end
-        the chain.
-        """
-        per_dir = self.cc_classes.get(self._cc_dir_key(module), {})
-        lineage: List[ClassFacts] = []
-        seen = set()
-        name: Optional[str] = class_name
-        while name is not None and name in per_dir and name not in seen:
-            seen.add(name)
-            facts = per_dir[name]
-            lineage.append(facts)
-            name = next(
-                (base for base in facts.bases if base in per_dir), facts.bases[0]
-            ) if facts.bases else None
-        return lineage
-
-
-@dataclass
-class ClassFacts:
-    """What the contract rules need to know about one class body."""
-
-    name: str
-    bases: List[str]
-    assigned_names: FrozenSet[str]
-    methods: FrozenSet[str]
-
-    @classmethod
-    def from_node(cls, node: ast.ClassDef) -> "ClassFacts":
-        bases = []
-        for base in node.bases:
-            flat = dotted_name(base)
-            if flat is not None:
-                bases.append(flat.split(".")[-1])
-        assigned = set()
-        methods = set()
-        for stmt in node.body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        assigned.add(target.id)
-            elif isinstance(stmt, ast.AnnAssign):
-                if isinstance(stmt.target, ast.Name) and stmt.value is not None:
-                    assigned.add(stmt.target.id)
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                methods.add(stmt.name)
-        return cls(
-            name=node.name,
-            bases=bases,
-            assigned_names=frozenset(assigned),
-            methods=frozenset(methods),
-        )

@@ -1,4 +1,5 @@
-"""simlint engine: file discovery, rule dispatch, suppression filtering.
+"""simlint engine: file discovery, rule dispatch, suppression filtering,
+and the text report.
 
 Parsing happens once per file; rules see :class:`ModuleInfo` objects
 plus a shared :class:`LintContext` for cross-module questions. Findings
@@ -6,15 +7,15 @@ on lines carrying a matching ``simlint: ignore[...]`` comment are
 dropped here so individual rules stay comment-oblivious — and the
 engine tracks which comments actually earned their keep, reporting
 ``unused-suppression`` for dead ones and ``unknown-suppression`` for
-bracket lists naming rules that do not exist (both only on full runs,
-where "nothing matched" is meaningful).
+bracket lists naming rules that do not exist.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Iterable, Iterator, List, Set
 
 from repro.lint.core import (
     Finding,
@@ -48,11 +49,6 @@ _ROOT_MARKERS = ("pyproject.toml", ".git")
 def iter_rules() -> List[Rule]:
     """All registered rules (stable order: by family, then name)."""
     return sorted(ALL_RULES, key=lambda r: (r.family, r.name))
-
-
-def all_rule_names() -> List[str]:
-    """Names of every registered rule."""
-    return [rule.name for rule in iter_rules()]
 
 
 def _iter_python_files(root: Path) -> Iterator[Path]:
@@ -95,42 +91,29 @@ class LintResult:
 
     findings: List[Finding]
     files_checked: int
-    rules_run: List[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
         return not self.findings
 
 
-def _validated_names(
-    names: Sequence[str], known: Set[str], what: str
-) -> List[str]:
-    requested = [name.strip() for name in names if name.strip()]
-    unknown = sorted(set(requested) - known)
-    if unknown:
-        raise LintUsageError(
-            f"unknown rule(s) in --{what}: {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(known))}"
+def render_text(result: LintResult) -> str:
+    """One ``path:line:col: rule: message`` line per finding + summary."""
+    lines = [finding.format() for finding in result.findings]
+    if result.findings:
+        by_rule = Counter(f.rule for f in result.findings)
+        breakdown = ", ".join(
+            f"{rule}: {count}" for rule, count in sorted(by_rule.items())
         )
-    if not requested:
-        raise LintUsageError(f"empty rule list for --{what}")
-    return requested
-
-
-def _select_rules(
-    select: Optional[Sequence[str]], ignore: Optional[Sequence[str]]
-) -> List[Rule]:
-    rules = iter_rules()
-    known = {rule.name for rule in rules}
-    if select is not None:
-        wanted = set(_validated_names(select, known, "select"))
-        rules = [rule for rule in rules if rule.name in wanted]
-    if ignore is not None:
-        dropped = set(_validated_names(ignore, known, "ignore"))
-        rules = [rule for rule in rules if rule.name not in dropped]
-    if not rules:
-        raise LintUsageError("rule selection excludes every rule")
-    return rules
+        lines.append("")
+        lines.append(
+            f"{len(result.findings)} finding"
+            f"{'s' if len(result.findings) != 1 else ''} "
+            f"in {result.files_checked} files ({breakdown})"
+        )
+    else:
+        lines.append(f"clean: {result.files_checked} files, 0 findings")
+    return "\n".join(lines)
 
 
 def _suppression_findings(
@@ -166,25 +149,17 @@ def _suppression_findings(
             )
 
 
-def run_lint(
-    paths: Iterable[str],
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-) -> LintResult:
-    """Lint every ``.py`` file under ``paths``.
+def run_lint(paths: Iterable[str]) -> LintResult:
+    """Lint every ``.py`` file under ``paths`` with every rule.
 
-    ``select`` optionally restricts to a subset of rule names, and
-    ``ignore`` drops named rules from whatever is selected (both raise
-    :class:`LintUsageError` for unknown names, as does a missing path).
-    Unparseable files surface as ``parse-error`` findings rather than
-    aborting the run. On full runs — no ``select``, no ``ignore`` — the
-    engine also audits the suppression comments themselves: an ignore
-    comment that suppressed nothing becomes ``unused-suppression``, and
-    one naming a rule that does not exist becomes
-    ``unknown-suppression``.
+    A missing path raises :class:`LintUsageError`; an unparseable file
+    surfaces as a ``parse-error`` finding rather than aborting the run.
+    The engine also audits the suppression comments themselves: an
+    ignore comment that suppressed nothing becomes
+    ``unused-suppression``, and one naming a rule that does not exist
+    becomes ``unknown-suppression``.
     """
-    rules = _select_rules(select, ignore)
-    full_run = select is None and ignore is None
+    rules = iter_rules()
     files: List[Path] = []
     anchors: List[Path] = []
     for raw in paths:
@@ -215,22 +190,15 @@ def run_lint(
             )
 
     ctx = LintContext(modules)
-    used: List[Set[int]] = [set() for _ in modules]
-    for module, used_lines in zip(modules, used):
+    known = {rule.name for rule in rules}
+    for module in modules:
+        used_lines: Set[int] = set()
         for rule in rules:
             for finding in rule.check(module, ctx):
                 if module.suppressed(finding.rule, finding.line):
                     used_lines.add(finding.line)
                 else:
                     findings.append(finding)
+        findings.extend(_suppression_findings(module, used_lines, known))
 
-    if full_run:
-        known = set(all_rule_names())
-        for module, used_lines in zip(modules, used):
-            findings.extend(_suppression_findings(module, used_lines, known))
-
-    return LintResult(
-        findings=sorted(findings),
-        files_checked=len(files),
-        rules_run=[rule.name for rule in rules],
-    )
+    return LintResult(findings=sorted(findings), files_checked=len(files))

@@ -25,11 +25,7 @@ wall clocks or kernel entropy. These rules ban the escape hatches:
 * imports of the observability layer (``repro.obs``) from those same
   packages: observers are write-only diagnostics, and a simulator that
   *reads* tracing state (is tracing on? what did the journal say?)
-  gains a hidden input that differs between traced and untraced runs,
-  and
-* wall clocks around telemetry probe sinks: sample timestamps must be
-  virtual time (``sim.now``), never ``wall_clock()``/``perf_clock()``/
-  ``time.*`` — telemetry files are diffed across runs and machines.
+  gains a hidden input that differs between traced and untraced runs.
 """
 
 from __future__ import annotations
@@ -365,95 +361,6 @@ class ObsFeedback(Rule):
                 )
 
 
-#: the journal's blessed wall-clock helpers — legal for diagnostics,
-#: never for telemetry sample timestamps
-PROBE_CLOCK_HELPERS = frozenset({"wall_clock", "perf_clock"})
-
-
-class ProbeWallClock(Rule):
-    """Wall-clock use around telemetry probe sinks.
-
-    Probe sinks record the *simulation's* trajectories, so samples must
-    be stamped with virtual time — a wall-clock timestamp would make
-    telemetry files differ between reruns and machines, breaking the
-    traced == untraced and cross-run diffing guarantees. ``det-wall-
-    clock`` already bans raw ``time.*`` reads everywhere; this rule
-    closes the remaining hole: the journal's *blessed* diagnostics
-    helpers (``wall_clock``/``perf_clock``) leaking into a module that
-    defines a sink, or any ``sample(...)`` call stamped with a clock
-    read instead of ``sim.now``.
-    """
-
-    name = "obs-probe-wall-clock"
-    family = "determinism"
-    description = (
-        "wall clock near a telemetry probe sink; samples must be "
-        "stamped with virtual time (sim.now), never wall_clock()/"
-        "perf_clock()/time.*"
-    )
-
-    @staticmethod
-    def _defines_probe_sink(module: ModuleInfo) -> bool:
-        for node in module.nodes:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if node.name.endswith("ProbeSink"):
-                return True
-            for base in node.bases:
-                base_name = dotted_name(base)
-                if base_name and base_name.split(".")[-1].endswith("ProbeSink"):
-                    return True
-        return False
-
-    @staticmethod
-    def _clock_call(node: ast.AST) -> Optional[str]:
-        if not isinstance(node, ast.Call):
-            return None
-        callee = dotted_name(node.func)
-        if callee is None:
-            return None
-        parts = callee.split(".")
-        if parts[-1] in PROBE_CLOCK_HELPERS:
-            return callee
-        if parts[0] in ("time", "datetime") and parts[-1] in WALL_CLOCK_FUNCTIONS:
-            return callee
-        return None
-
-    def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
-        defines_sink = self._defines_probe_sink(module)
-        for node in module.nodes:
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "sample"
-                and node.args
-            ):
-                clock = self._clock_call(node.args[0])
-                if clock is not None:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"`sample(...)` stamped with `{clock}()`; telemetry "
-                        f"samples must carry virtual time (sim.now)",
-                    )
-                    continue
-            if not defines_sink:
-                continue
-            if isinstance(node, ast.ImportFrom):
-                mod = node.module or ""
-                if mod in ("repro.obs", "repro.obs.journal"):
-                    for alias in node.names:
-                        if alias.name in PROBE_CLOCK_HELPERS:
-                            yield self.finding(
-                                module,
-                                node,
-                                f"probe-sink module importing "
-                                f"`{alias.name}`; the journal's wall-clock "
-                                f"helpers are for diagnostics, not "
-                                f"telemetry timestamps",
-                            )
-
-
 DETERMINISM_RULES = [
     ImportRandom(),
     GlobalRng(),
@@ -462,5 +369,4 @@ DETERMINISM_RULES = [
     ProcessIdentity(),
     SetIteration(),
     ObsFeedback(),
-    ProbeWallClock(),
 ]

@@ -57,8 +57,6 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "JournalWriter": "journal",
     "read_journal": "journal",
-    "merge_worker_journals": "journal",
-    "wall_clock": "journal",
     "worker_id": "journal",
     "Observer": "observer",
     "JournalObserver": "observer",
@@ -81,7 +79,6 @@ _EXPORTS = {
     "telemetry_records": "telemetry",
     "read_telemetry": "telemetry",
     "canonicalize_telemetry": "telemetry",
-    "merge_worker_telemetry": "telemetry",
     "series_from_record": "telemetry",
     "filter_records": "timeline",
     "format_timeline": "timeline",

@@ -115,4 +115,3 @@ class JournalWriter(StreamWriter):
 
 journal_path = JOURNAL.path
 read_journal = JOURNAL.read
-merge_worker_journals = JOURNAL.merge_workers

@@ -116,7 +116,6 @@ class StreamSpec:
         self,
         trace_dir: Union[str, Path],
         into: Optional["StreamWriter"] = None,
-        remove_partials: bool = True,
     ) -> List[Dict[str, Any]]:
         """Merge the per-worker partials into deterministic order.
 
@@ -131,9 +130,8 @@ class StreamSpec:
         if into is not None:
             for record in merged:
                 into.write_record(record)
-        if remove_partials:
-            for partial in partials:
-                partial.unlink()
+        for partial in partials:
+            partial.unlink()
         return merged
 
     def canonicalize(self, target: Union[str, Path]) -> int:

@@ -102,7 +102,6 @@ class TelemetryWriter(StreamWriter):
 telemetry_path = TELEMETRY.path
 read_telemetry = TELEMETRY.read
 canonicalize_telemetry = TELEMETRY.canonicalize
-merge_worker_telemetry = TELEMETRY.merge_workers
 
 
 def series_from_record(record: Dict[str, Any]) -> TimeSeries:

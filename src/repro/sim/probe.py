@@ -23,8 +23,8 @@ module, never ``repro.obs``, so the ``obs-no-feedback`` lint rule — the
 simulation must not read observability state — keeps holding. The
 observability layer implements the protocol from the other side
 (:mod:`repro.obs.telemetry`). Samples are stamped exclusively with
-virtual time; the ``obs-probe-wall-clock`` lint rule bans the journal's
-wall-clock helpers from any module defining a sink.
+virtual time; a wall-clock stamp fails the jobs=1/4 telemetry identity
+tests (``tests/harness/test_trace_determinism.py``).
 """
 
 from __future__ import annotations

@@ -1,8 +1,13 @@
 """Unit tests for the CCA registry."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro.cc
 from repro.cc.base import CongestionControl
+from repro.cc.reno import Reno
 from repro.cc.registry import (
     PAPER_ALGORITHMS,
     algorithm_names,
@@ -71,3 +76,28 @@ class TestRegistration:
             from repro.cc import registry
 
             del registry._REGISTRY["custom-test-cca"]
+
+
+class TestContract:
+    def test_every_cca_is_registered_and_overrides_on_ack(self):
+        """Each CongestionControl subclass defined in a repro.cc module is
+        the registry's entry for its own name (so an experiment can select
+        it), and has an on_ack below the base class, except Reno: the
+        base-class AIMD *is* Reno."""
+        from repro.cc.registry import _REGISTRY
+
+        found = []
+        for info in pkgutil.iter_modules(repro.cc.__path__):
+            module = importlib.import_module(f"repro.cc.{info.name}")
+            for cls in vars(module).values():
+                if (
+                    isinstance(cls, type)
+                    and issubclass(cls, CongestionControl)
+                    and cls is not CongestionControl
+                    and cls.__module__ == module.__name__
+                ):
+                    found.append(cls.__name__)
+                    assert _REGISTRY.get(cls.name) is cls, cls.__name__
+                    inherits = cls.on_ack is CongestionControl.on_ack
+                    assert inherits == (cls is Reno), cls.__name__
+        assert len(found) == len(_REGISTRY)

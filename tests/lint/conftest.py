@@ -2,8 +2,9 @@
 
 Fixture sources live under ``fixtures/``; they are lint *inputs*, not
 importable code, so several deliberately contain violations (one does
-not even parse). The ``lint`` fixture runs the engine over named
-fixture paths, optionally restricted to a rule subset.
+not even parse). The ``lint`` fixture runs the engine (every rule)
+over named fixture paths and, given ``rules``, keeps only the findings
+of those rules.
 """
 
 from pathlib import Path
@@ -22,12 +23,7 @@ CLEAN_FIXTURES = (
     "determinism/obs_outside_scope.py",
     "determinism/sim/clean_sets.py",
     "determinism/sim/rng.py",
-    "determinism/clean_probe.py",
-    "contract/cc/base.py",
     "contract/cc/good.py",
-    "contract/cc/good_child.py",
-    "contract/cc/registry.py",
-    "contract_noreg/cc/orphan.py",
     "hygiene/clean_hygiene.py",
     "hygiene/sched_literals_ok.py",
     "hygiene/sched/in_package.py",
@@ -36,10 +32,11 @@ CLEAN_FIXTURES = (
 
 @pytest.fixture
 def lint():
-    def _lint(*rel, select=None, ignore=None):
-        return run_lint(
-            [str(FIXTURES / r) for r in rel], select=select, ignore=ignore
-        )
+    def _lint(*rel, rules=None):
+        result = run_lint([str(FIXTURES / r) for r in rel])
+        if rules is not None:
+            result.findings = [f for f in result.findings if f.rule in rules]
+        return result
 
     return _lint
 

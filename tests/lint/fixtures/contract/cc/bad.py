@@ -1,14 +1,10 @@
-"""A CCA subclass breaking every leg of the contract (lint fixture)."""
+"""A CCA storing a bare negative window (lint fixture, never run)."""
 
 from __future__ import annotations
 
-from base import CongestionControl
 
-
-class BadCca(CongestionControl):
-    # cca-missing-name: no `name` ClassVar
-    # cca-unregistered: never referenced from registry.py
-    # cca-override-on-ack: relies on the base-class on_ack
+class BadCca:
+    name = "bad"
 
     def on_loss(self):
         self.cwnd = -1000  # cca-negative-cwnd

@@ -1,12 +1,10 @@
-"""A contract-abiding CCA subclass (lint fixture, never run)."""
+"""A CCA that clamps its window (lint fixture, never run)."""
 
 from __future__ import annotations
 
-from base import CongestionControl
 
-
-class GoodCca(CongestionControl):
+class GoodCca:
     name = "good"
 
-    def on_ack(self, acked_bytes, rtt_s):
-        self.cwnd = max(1, self.cwnd + acked_bytes)
+    def on_loss(self):
+        self.cwnd = max(1, self.cwnd // 2)

@@ -144,12 +144,19 @@ def test_partials_merge_in_key_order_and_are_removed(tmp_path, stream):
     assert spec.read(tmp_path) == [record(9)] + merged
 
 
-def test_merge_without_partials_and_keeping_partials(tmp_path, stream):
+def test_equal_keys_keep_each_workers_write_order(tmp_path, stream):
+    # the journal's events of one item, or two records of one run: the
+    # worker that wrote them wrote them in the order they happened
     spec, record = stream.spec, stream.record
-    assert spec.merge_workers(tmp_path) == []
-    write(stream, spec.worker_path(tmp_path, 7), [record(0)])
-    assert spec.merge_workers(tmp_path, remove_partials=False) == [record(0)]
-    assert len(list(tmp_path.glob(spec.worker_glob))) == 1
+    first, second = dict(record(1), tag="first"), dict(record(1), tag="second")
+    write(stream, spec.worker_path(tmp_path, 7), [first, second])
+    write(stream, spec.worker_path(tmp_path, 8), [record(0)])
+    assert spec.merge_workers(tmp_path) == [record(0), first, second]
+
+
+def test_merge_without_partials_is_a_noop(tmp_path, stream):
+    assert stream.spec.merge_workers(tmp_path) == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_canonicalize_sorts_and_is_idempotent(tmp_path, stream):
