@@ -15,11 +15,7 @@ _EXPORTS = {
     "RepeatedResult": "runner",
     "run_once": "runner",
     "run_repeated": "runner",
-    "Executor": "executor",
-    "SerialExecutor": "executor",
-    "ProcessExecutor": "executor",
     "WorkItem": "executor",
-    "resolve_executor": "executor",
     "run_work_items": "executor",
     "ResultCache": "cache",
     "SCHEMA_VERSION": "cache",

@@ -16,8 +16,6 @@ from repro.harness.cache import ResultCache
 from repro.harness.executor import (
     CancelToken,
     FileCancelToken,
-    ProcessExecutor,
-    SerialExecutor,
     SweepControl,
     WorkItem,
     run_work_items,
@@ -85,7 +83,7 @@ class TestMidBatchAbort:
         hook, seen = cancel_after(token, 2, reason="two is plenty")
         control = SweepControl(on_result=hook, cancel=token)
         with pytest.raises(SweepAbortedError) as excinfo:
-            SerialExecutor().run_items(items_for(4), control=control)
+            run_work_items(items_for(4), control=control)
         exc = excinfo.value
         assert sorted(exc.partial) == [0, 1]
         assert seen == [0, 1]
@@ -97,7 +95,7 @@ class TestMidBatchAbort:
         hook, seen = cancel_after(token, 1)
         control = SweepControl(on_result=hook, cancel=token)
         with pytest.raises(SweepAbortedError) as excinfo:
-            ProcessExecutor(2).run_items(items_for(4), control=control)
+            run_work_items(items_for(4), jobs=2, control=control)
         exc = excinfo.value
         # In-flight items may still drain, but the batch stopped early
         # and everything reported finished carries a real measurement.
@@ -117,7 +115,7 @@ class TestMidBatchAbort:
 
     def test_idle_control_changes_no_bits(self):
         # A control with hooks that never cancel must not perturb the
-        # measurements: same results as the zero-overhead path.
+        # measurements: same results as a batch run without one.
         seen = []
         control = SweepControl(on_result=lambda i, item, m: seen.append(i))
         plain = run_work_items(items_for(4))
