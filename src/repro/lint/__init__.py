@@ -4,12 +4,12 @@ The reproduction's headline numbers rest on two conventions nothing in
 Python enforces: every quantity is in SI base units (:mod:`repro.units`)
 and all randomness flows through seeded named streams
 (:mod:`repro.sim.rng`). This package is a per-file AST linter that
-turns those conventions — plus the sign of ``cwnd`` and a few
-API-hygiene basics — into mechanically checked rules. Each rule reads
-one parsed file; the only cross-module knowledge is one table on
+turns those conventions — plus a few API-hygiene basics — into
+mechanically checked rules. Each rule reads one parsed file; the only
+cross-module knowledge is one table on
 :class:`~repro.lint.core.LintContext` (function signatures).
 
-Four rule families:
+Three rule families:
 
 * **units** — unit-suffix mismatches in arithmetic and at call sites,
   raw exponent literals (``1e9``, ``1024**3``) outside ``units.py``
@@ -17,10 +17,6 @@ Four rule families:
   ``time.time()``, ``os.urandom``) outside ``sim/rng.py``; iteration
   over unordered sets and imports of ``repro.obs`` in the packages that
   produce results
-* **cca-contract** — no bare negative store into ``cwnd`` (that every
-  :class:`~repro.cc.base.CongestionControl` subclass is registered
-  under its own ``name`` and overrides ``on_ack`` is a run-time test,
-  ``tests/cc/test_registry.py``)
 * **api-hygiene** — mutable default arguments, bare ``except:``,
   missing ``from __future__ import annotations``, policy-name string
   comparison outside ``repro/sched``
@@ -33,7 +29,10 @@ are themselves findings. Hot-path cost and
 hash-order independence are measured, not linted:
 ``tests/test_work_counters.py`` and
 ``tests/test_hash_seed_independence.py`` (``docs/linting.md``,
-"Measured and dropped", says why there is no call graph here).
+"Measured and dropped", says why there is no call graph here). The
+:class:`~repro.cc.base.CongestionControl` plug-in contract (registered
+under its own ``name``, ``on_ack`` overridden, ``cwnd`` never below
+``min_cwnd``) is a run-time test, ``tests/cc/test_registry.py``.
 """
 
 from __future__ import annotations

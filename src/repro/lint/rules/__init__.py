@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.lint.core import Rule
-from repro.lint.rules.contract import CONTRACT_RULES
 from repro.lint.rules.determinism import DETERMINISM_RULES
 from repro.lint.rules.hygiene import HYGIENE_RULES
 from repro.lint.rules.units import UNITS_RULES
@@ -13,7 +12,6 @@ from repro.lint.rules.units import UNITS_RULES
 ALL_RULES: List[Rule] = [
     *UNITS_RULES,
     *DETERMINISM_RULES,
-    *CONTRACT_RULES,
     *HYGIENE_RULES,
 ]
 

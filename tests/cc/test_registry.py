@@ -17,6 +17,7 @@ from repro.cc.registry import (
     register,
 )
 from repro.errors import ReproError
+from tests.cc.conftest import FakeContext, make_event
 
 
 class TestLookup:
@@ -101,3 +102,40 @@ class TestContract:
                     inherits = cls.on_ack is CongestionControl.on_ack
                     assert inherits == (cls is Reno), cls.__name__
         assert len(found) == len(_REGISTRY)
+
+    @pytest.mark.parametrize("name", algorithm_names())
+    def test_window_never_below_min_cwnd(self, name):
+        """Every registered CCA, driven on a scripted context through
+        rounds of ACKs, ECN echoes, losses, recovery exits and timeouts,
+        keeps ``min_cwnd <= cwnd`` after each call."""
+        ctx = FakeContext()
+        ctx.set_rtt(0.001)
+        cca = create(name, ctx)
+        tx_bytes = 0
+        reactions = ["on_ack"] * 8 + [
+            "on_ecn",
+            "on_congestion_event",
+            "on_recovery_exit",
+            "on_rto",
+        ]
+        for round_ in range(5):
+            for step, reaction in enumerate(reactions):
+                ctx.advance(0.0002)
+                tx_bytes += 1460
+                event = make_event(
+                    rtt=0.001,
+                    rate=1e9,
+                    ece=step % 2 == 1,
+                    marked=1460 * (step % 2),
+                    cumulative=tx_bytes,
+                )
+                # an INT echo, so HPCC's window moves on ACKs too
+                event.int_qlen_bytes = 1460 * step
+                event.int_tx_bytes = float(tx_bytes)
+                event.int_timestamp = ctx.now
+                event.int_link_rate_bps = 10e9
+                if reaction in ("on_recovery_exit", "on_rto"):
+                    getattr(cca, reaction)()
+                else:
+                    getattr(cca, reaction)(event)
+                assert cca.min_cwnd <= cca.cwnd, (name, round_, reaction)

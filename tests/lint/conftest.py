@@ -23,7 +23,6 @@ CLEAN_FIXTURES = (
     "determinism/obs_outside_scope.py",
     "determinism/sim/clean_sets.py",
     "determinism/sim/rng.py",
-    "contract/cc/good.py",
     "hygiene/clean_hygiene.py",
     "hygiene/sched_literals_ok.py",
     "hygiene/sched/in_package.py",

@@ -113,9 +113,9 @@ class TestLintCommand:
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         lines = out.splitlines()
-        assert len(lines) == 15
+        assert len(lines) == 14
         assert {line.split("[")[1].split("]")[0] for line in lines} == {
-            "units", "determinism", "cca-contract", "api-hygiene",
+            "units", "determinism", "api-hygiene",
         }
 
     def test_baseline_options_are_unknown_arguments(self, capsys):
