@@ -113,26 +113,21 @@ class StreamSpec:
         return [record for _key, record in keyed]
 
     def merge_workers(
-        self,
-        trace_dir: Union[str, Path],
-        into: Optional["StreamWriter"] = None,
-    ) -> List[Dict[str, Any]]:
-        """Merge the per-worker partials into deterministic order.
+        self, trace_dir: Union[str, Path], into: "StreamWriter"
+    ) -> None:
+        """Append the per-worker partials to ``into`` in deterministic order.
 
         Reads every partial under ``trace_dir`` (in file-name order),
         sorts the records by :attr:`sort_key`, appends them to ``into``
-        (when given), deletes the partials, and returns the merged
-        records. Called by the coordinator after each batch — also on
-        the error path, so a failed sweep keeps the runs that completed.
+        and deletes the partials. Called by the coordinator after each
+        batch — also on the error path, so a failed sweep keeps the runs
+        that completed.
         """
         partials = sorted(Path(trace_dir).glob(self.worker_glob))
-        merged = self._ordered([self.read(partial) for partial in partials])
-        if into is not None:
-            for record in merged:
-                into.write_record(record)
+        for record in self._ordered([self.read(partial) for partial in partials]):
+            into.write_record(record)
         for partial in partials:
             partial.unlink()
-        return merged
 
     def canonicalize(self, target: Union[str, Path]) -> int:
         """Rewrite a stream file in :attr:`sort_key` order.
@@ -175,9 +170,9 @@ class StreamWriter:
         self._file.write(_dump(record))
         self._file.flush()
 
-    def merge_workers(self, trace_dir: Union[str, Path]) -> List[Dict[str, Any]]:
+    def merge_workers(self, trace_dir: Union[str, Path]) -> None:
         """Fold this stream's worker partials under ``trace_dir`` in."""
-        return self.spec.merge_workers(trace_dir, into=self)
+        self.spec.merge_workers(trace_dir, into=self)
 
     def close(self) -> None:
         if self._file is not None:

@@ -115,8 +115,10 @@ class TestMerge:
         with JournalWriter(tmp_path / "worker-1.jsonl", worker=1) as j:
             j.write("span", phase="sim_loop")
             j.write("run_finished", item=0)
-        merged = JOURNAL.merge_workers(tmp_path)
-        assert [e["event"] for e in merged] == ["run_finished", "span"]
+        with JournalWriter(tmp_path / JOURNAL_FILENAME) as main:
+            JOURNAL.merge_workers(tmp_path, into=main)
+        events = read_journal(tmp_path)
+        assert [e["event"] for e in events] == ["run_finished", "span"]
 
     def test_volatile_fields_are_the_documented_set(self):
         assert VOLATILE_FIELDS == {"t_wall", "worker", "wall_s", "events_per_s"}

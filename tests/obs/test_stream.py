@@ -137,11 +137,12 @@ def test_partials_merge_in_key_order_and_are_removed(tmp_path, stream):
     write(stream, spec.worker_path(tmp_path, 8), [record(0), record(2)])
     with stream.writer(tmp_path / spec.filename) as main:
         main.write_record(record(9))
-        merged = main.merge_workers(tmp_path)
-    assert merged == [record(0), record(1), record(2), record(3)]
+        main.merge_workers(tmp_path)
     assert list(tmp_path.glob(spec.worker_glob)) == []
     # appended after what the coordinator had already written
-    assert spec.read(tmp_path) == [record(9)] + merged
+    assert spec.read(tmp_path) == [
+        record(9), record(0), record(1), record(2), record(3),
+    ]
 
 
 def test_equal_keys_keep_each_workers_write_order(tmp_path, stream):
@@ -151,12 +152,17 @@ def test_equal_keys_keep_each_workers_write_order(tmp_path, stream):
     first, second = dict(record(1), tag="first"), dict(record(1), tag="second")
     write(stream, spec.worker_path(tmp_path, 7), [first, second])
     write(stream, spec.worker_path(tmp_path, 8), [record(0)])
-    assert spec.merge_workers(tmp_path) == [record(0), first, second]
+    with stream.writer(tmp_path / spec.filename) as main:
+        spec.merge_workers(tmp_path, into=main)
+    assert spec.read(tmp_path) == [record(0), first, second]
 
 
 def test_merge_without_partials_is_a_noop(tmp_path, stream):
-    assert stream.spec.merge_workers(tmp_path) == []
-    assert list(tmp_path.iterdir()) == []
+    spec = stream.spec
+    with stream.writer(tmp_path / spec.filename) as main:
+        spec.merge_workers(tmp_path, into=main)
+    assert spec.read(tmp_path) == []
+    assert list(tmp_path.iterdir()) == [tmp_path / spec.filename]
 
 
 def test_canonicalize_sorts_and_is_idempotent(tmp_path, stream):

@@ -108,15 +108,16 @@ class TestMergeWorkerTelemetry:
         self.write_partial(tmp_path, 0, "zeta", 1)
         self.write_partial(tmp_path, 1, "alpha", 0)
         with TelemetryWriter(tmp_path / TELEMETRY_FILENAME) as writer:
-            merged = TELEMETRY.merge_workers(tmp_path, into=writer)
-        assert [r["scenario"] for r in merged] == [
+            TELEMETRY.merge_workers(tmp_path, into=writer)
+        assert [r["scenario"] for r in read_telemetry(tmp_path)] == [
             "alpha", "alpha", "zeta", "zeta",
         ]
         assert list(tmp_path.glob("telemetry-worker-*.jsonl")) == []
-        assert read_telemetry(tmp_path) == merged
 
     def test_no_partials_is_a_noop(self, tmp_path):
-        assert TELEMETRY.merge_workers(tmp_path) == []
+        with TelemetryWriter(tmp_path / TELEMETRY_FILENAME) as writer:
+            TELEMETRY.merge_workers(tmp_path, into=writer)
+        assert read_telemetry(tmp_path) == []
 
 
 class TestCanonicalize:
