@@ -1,12 +1,13 @@
-"""Executor-layer benchmarks: warm-cache speedup and backend parity.
+"""Executor benchmarks: warm-cache speedup and jobs=1 / jobs=N parity.
 
 Acceptance gates for the parallel, cacheable execution layer:
 
 * a warm-cache rerun of the CCA x MTU grid completes >= 5x faster than
   the cold run that populated the cache (in practice it is orders of
   magnitude — JSON reads vs full simulations), and
-* process-pool and serial backends produce identical measurements, so
-  ``--jobs`` is purely a wall-clock knob.
+* a batch run in-process (``jobs=1``) and over a process pool
+  (``jobs=N``) produce identical measurements, so ``--jobs`` is purely
+  a wall-clock knob.
 
 Uses wall-clock timing directly (not pytest-benchmark rounds): the cold
 run is a one-shot system experiment, like the figure benches.

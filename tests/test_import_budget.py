@@ -55,8 +55,9 @@ repro.sim.timer repro.sim.trace
 repro.tcp repro.tcp.ranges repro.tcp.receiver repro.tcp.rtt repro.tcp.sender
 """.split()
 
-#: the pool machinery and what it drags in; only
-#: ``ProcessExecutor.run_items`` may import it
+#: the pool machinery and what it drags in; only the pool branch of
+#: the executor's one loop (``harness/executor.py:_run_items``) may
+#: import it
 POOL_STACK = ("concurrent.futures", "multiprocessing", "logging", "socket")
 
 
