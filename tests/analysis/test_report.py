@@ -58,7 +58,7 @@ class TestReportStructure:
 
     def test_every_report_claim_has_a_tolerance(self):
         assert all(c.holds is not None for _, claims, _ in REPORT for c in claims)
-        assert sum(len(claims) for _, claims, _ in REPORT) == 8
+        assert sum(len(claims) for _, claims, _ in REPORT) == 9
 
 
 class TestQuickReport:

@@ -76,6 +76,13 @@ class TestTheoremHolds:
     def test_monte_carlo_search(self):
         assert worst_allocation_is_fair(concave_sqrt, 10.0, n=3, trials=500)
 
+    @pytest.mark.parametrize(
+        "p", [lambda x: x**0.2, concave_sqrt, lambda x: x**0.8, concave_log],
+        ids=["x^0.2", "x^0.5", "x^0.8", "log1p"],
+    )
+    def test_no_split_of_three_flows_beats_fair(self, p):
+        assert worst_allocation_is_fair(p, 10.0, n=3, trials=1000)
+
     def test_savings_positive_for_unfair(self):
         assert theorem1_savings(concave_sqrt, 10.0, [9.0, 1.0]) > 0
 

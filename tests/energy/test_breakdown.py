@@ -82,9 +82,8 @@ class TestMechanismExperiment:
     def test_baseline_pays_for_retransmissions(self, result):
         baseline = result.row("baseline")
         cubic = result.row("cubic")
-        assert (
-            baseline.components_j["retransmissions"]
-            > cubic.components_j["retransmissions"]
+        assert baseline.components_j["retransmissions"] > 10 * max(
+            cubic.components_j["retransmissions"], 1e-6
         )
         assert baseline.components_j["retransmissions"] > 0.01
 

@@ -99,9 +99,7 @@ class TestIncast:
         )
         incast = next(figure for figure in FIGURES if figure.name == "incast")
         text, _ = incast.render(result)
-        assert text.endswith(
-            "energy growth 2 -> 4 senders: x1.50"
-        )
+        assert "energy growth 2 -> 4 senders: x1.50" in text.split("\n\n")
 
 
 class TestLoadBalancePlacements:

@@ -106,3 +106,19 @@ class TestFriendliness:
 
     def test_table_renders(self, matrix):
         assert "mean Jain" in matrix.format_table()
+
+
+class TestFriendlinessMatrixShape:
+    """The default four-CCA matrix at 10 MB per flow."""
+
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        return run_friendliness_matrix()
+
+    def test_some_pairing_is_unfair(self, matrix):
+        # the deployment reality head-to-head studies document
+        assert any(p.mean_fairness < 0.8 for p in matrix.pairings)
+
+    def test_no_pairing_costs_much_more_for_the_same_work(self, matrix):
+        energies = [p.energy_j for p in matrix.pairings]
+        assert max(energies) < 1.25 * min(energies)

@@ -87,4 +87,4 @@ class TestCliCommands:
         text = target.read_text()
         assert text.startswith("# Green With Envy")
         assert "claims reproduced" in text
-        assert "(8/8 claims ok)" in capsys.readouterr().out
+        assert "(9/9 claims ok)" in capsys.readouterr().out
