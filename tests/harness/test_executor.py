@@ -6,10 +6,14 @@ grid executes — serially, across worker processes, via the cache —
 must never change a single bit of the results.
 """
 
+import multiprocessing
 import os
+import signal
 
 import pytest
 
+import repro.harness.executor as executor_module
+from repro.cli import main
 from repro.errors import ExperimentError
 from repro.figures.grid import run_cca_mtu_grid
 from repro.harness.executor import WorkItem, run_work_items
@@ -139,3 +143,41 @@ class TestSweepParallel:
     def test_sweep_rejects_zero_repetitions(self):
         with pytest.raises(ExperimentError, match="repetition"):
             Sweep({"mtu": [1500]}).run(lambda mtu: tiny_scenario(), repetitions=0)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="the workers inherit the patched run_once only when forked",
+)
+class TestKilledWorker:
+    """A worker killed mid-item (the OOM killer, a kill -9) ends the
+    batch in one library error naming the first item without a result.
+    The worker running seed 0 dies, so that is the first item."""
+
+    @pytest.fixture(autouse=True)
+    def kill_on_seed_zero(self, monkeypatch):
+        real = executor_module.run_once
+
+        def run_once(scenario, seed, *args, **kwargs):
+            if seed == 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(scenario, seed, *args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "run_once", run_once)
+
+    def test_the_batch_raises_naming_the_first_unfinished_item(self):
+        items = [WorkItem(tiny_scenario("doomed"), seed) for seed in range(3)]
+        with pytest.raises(ExperimentError) as caught:
+            run_work_items(items, jobs=2)
+        message = str(caught.value)
+        assert "item 0 (scenario 'doomed', seed 0)" in message
+        assert "\n" not in message
+
+    def test_the_cli_prints_one_error_line_and_exits_one(self, capsys):
+        code = main(["fig1", "--bytes", "400000", "--reps", "2", "--jobs", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "item 0 (scenario 'fig1-limited-0.10', seed 0)" in captured.err
+        assert captured.out == ""
