@@ -3,7 +3,8 @@
 # and (when installed) ruff + mypy. Beyond it CI replays the three
 # committed behaviour baselines and fails on drift: `make obs-diff`,
 # `make fabric-obs-diff` and `make pareto` (plus artifact-only steps:
-# the obs watch smoke, obs-profile).
+# the obs watch smoke, obs-profile), and on one Python version checks the
+# paper's claims at reproduction size with `make claims`.
 #
 # The perf gates are exact counts inside tier-1, never a timing:
 # tests/test_work_counters.py (work per run, frames per segment),
@@ -17,7 +18,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test bench-check loc imports frames lint ruff mypy bench obs-bench obs-profile baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
+.PHONY: check test bench-check loc imports frames lint ruff mypy claims obs-profile baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
 
 check: test bench-check lint ruff mypy
 
@@ -100,14 +101,24 @@ mypy:
 		echo "mypy not installed; skipping (pip install -e .[lint])"; \
 	fi
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# the two wall-clock proportionality checks (traced < 1.5x, profiled
-# < 5x); the zero-overhead contract itself is an exact frame count in
-# tier-1 (tests/obs/test_overhead_frames.py)
-obs-bench:
-	$(PYTHON) -m pytest -q benchmarks/test_obs_overhead.py
+# the paper's claims at reproduction size: every command whose claims
+# have a tolerance (figures/specs.py), at 12.5 MB per two-flow transfer
+# and 20 MB per grid cell, 2 repetitions; stops at the first command
+# that exits non-zero
+claims:
+	$(PYTHON) -m repro.cli validate
+	$(PYTHON) -m repro.cli theorem --flows 2 --trials 2000
+	$(PYTHON) -m repro.cli theorem --flows 3 --trials 2000
+	$(PYTHON) -m repro.cli theorem --flows 4 --trials 2000
+	$(PYTHON) -m repro.cli theorem --flows 8 --trials 2000
+	$(PYTHON) -m repro.cli fig2 --reps 2
+	$(PYTHON) -m repro.cli fig4 --reps 2
+	$(PYTHON) -m repro.cli srpt
+	$(PYTHON) -m repro.cli incast --bytes 20000000
+	$(PYTHON) -m repro.cli workload --distribution web-search
+	$(PYTHON) -m repro.cli workload --distribution data-mining
+	$(PYTHON) -m repro.cli report --bytes 12500000 --reps 2
+	$(PYTHON) -m repro.cli grid --bytes 20000000 --reps 2
 
 # run the canonical sweep with cProfile over each sim loop and export
 # flamegraph/callgrind/chrome views, layer -> function (also a CI

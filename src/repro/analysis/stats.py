@@ -1,7 +1,7 @@
 """Small statistics helpers used across the analysis layer.
 
 Kept dependency-free (no numpy) so the core library stays pure-stdlib;
-the figure pipelines and benchmarks only need means, sample standard
+the figure pipelines and their claims only need means, sample standard
 deviations and Pearson correlations (the paper reports exactly those:
 std-dev error bars, corr(energy, power) = -0.8, corr(energy, retx) = 0.47).
 """

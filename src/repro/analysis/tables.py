@@ -1,4 +1,4 @@
-"""Plain-text table rendering for figure pipelines and benchmarks.
+"""Plain-text table rendering for figure pipelines and reports.
 
 The benches print the same rows/series the paper's figures plot; these
 helpers keep that output aligned and consistent without pulling in any

@@ -43,7 +43,7 @@ class IntervalActivity:
 class PowerModel:
     """Converts package activity to watts. Stateless and reusable.
 
-    Parameters mirror the calibration constants so ablation benchmarks can
+    Parameters mirror the calibration constants so the ablation studies can
     sweep them (e.g. force a *linear* network curve to show Theorem 1's
     savings vanish without concavity).
     """

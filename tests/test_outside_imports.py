@@ -1,11 +1,11 @@
-"""Every ``repro`` import under ``benchmarks/`` and ``examples/`` resolves.
+"""Every ``repro`` import under ``examples/`` resolves.
 
-Tier-1 collects neither directory, and many of their imports sit inside
-a function body, where collecting a file would not reach them either.
-This walks each file's syntax tree (function-local imports included),
-imports every ``repro`` module named and looks up every imported name
-through the package's lazy exports, so a deleted module or export shows
-here rather than in a benchmark run.
+Tier-1 does not collect that directory (``tests/test_examples.py`` runs
+each script, which reaches only the imports its run executes). This
+walks each file's syntax tree, function-local imports included, imports
+every ``repro`` module named and looks up every imported name through
+the package's lazy exports, so a deleted module or export shows here
+rather than when someone runs the example.
 """
 
 import ast
@@ -15,11 +15,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(
-    path
-    for directory in ("benchmarks", "examples")
-    for path in (ROOT / directory).rglob("*.py")
-)
+FILES = sorted((ROOT / "examples").rglob("*.py"))
 
 
 def _is_repro(module):
@@ -50,17 +46,20 @@ def repro_imports(path):
 
 
 def test_files_found():
-    assert any(path.parent.name == "benchmarks" for path in FILES)
     assert any(path.parent.name == "examples" for path in FILES)
 
 
-def test_function_local_imports_are_seen():
-    # benchmarks/test_extensions.py imports its figure modules inside
-    # the benchmark functions
-    local = repro_imports(ROOT / "benchmarks" / "test_extensions.py")
-    assert ("repro.figures.incast", "run_incast_sweep") in {
-        (module, name) for _line, module, name in local
-    }
+def test_function_local_imports_are_seen(tmp_path):
+    script = tmp_path / "script.py"
+    script.write_text(
+        "def main():\n"
+        "    from repro.figures.incast import run_incast_sweep\n"
+        "    import repro.cli\n",
+        encoding="utf-8",
+    )
+    assert [(module, name) for _line, module, name in repro_imports(script)] == [
+        ("repro.figures.incast", "run_incast_sweep"), ("repro.cli", None),
+    ]
 
 
 @pytest.mark.parametrize(
