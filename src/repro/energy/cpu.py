@@ -53,7 +53,8 @@ class CpuPackage(FlowTally):
         self.background_load = 0.0
         self.energy_j = 0.0
         #: per-mechanism energy attribution (keys from
-        #: PowerModel.COMPONENT_KEYS); sums to energy_j up to noise
+        #: PowerModel.COMPONENT_KEYS); sums to energy_j up to rounding,
+        #: since an interval's noise scales every component alike
         self.energy_components_j: Dict[str, float] = {
             key: 0.0 for key in PowerModel.COMPONENT_KEYS
         }
@@ -178,16 +179,6 @@ class CpuModel(HostListener):
         """Total energy across packages since construction (flushes first)."""
         self.flush_all()
         return sum(pkg.energy_j for pkg in self.packages)
-
-    @property
-    def energy_breakdown_j(self) -> Dict[str, float]:
-        """Per-mechanism energy across packages (flushes first)."""
-        self.flush_all()
-        totals = {key: 0.0 for key in PowerModel.COMPONENT_KEYS}
-        for pkg in self.packages:
-            for key, joules in pkg.energy_components_j.items():
-                totals[key] += joules
-        return totals
 
     def set_background_load(self, load: float) -> None:
         """Apply a `stress`-style load fraction to every package."""

@@ -10,7 +10,9 @@ Two series over a fixed measurement window:
   paper's orange tangent line): time-averaged power falls on the chord
   between p(0) and p(line rate).
 
-A throughput of zero measures the idle server.
+A throughput of zero is the idle server's p(0) (the calibration anchor,
+21.49 W unloaded): an empty testbed does no work, so it is read off the
+power model rather than simulated.
 """
 
 from __future__ import annotations
@@ -19,12 +21,8 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.analysis.tables import format_table
-from repro.energy.cpu import CpuModel
-from repro.energy.meter import EnergyMeter
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.harness.sweep import Sweep
-from repro.net.topology import TestbedConfig, build_testbed
-from repro.sim.engine import Simulator
 from repro.units import gbps
 
 DEFAULT_WINDOW_S = 0.02
@@ -73,31 +71,6 @@ class Fig2Result:
             rows,
             float_fmt="{:.2f}",
         )
-
-
-def _measure_idle_power(
-    window_s: float, repetitions: int, base_seed: int, load: float = 0.0
-) -> Fig2Point:
-    """Meter an idle (no-traffic) server over the window."""
-    from repro.analysis.stats import mean, sample_std
-    from repro.sim.rng import RngRegistry
-
-    powers = []
-    for rep in range(repetitions):
-        sim = Simulator()
-        testbed = build_testbed(sim, TestbedConfig())
-        cpu = CpuModel(sim, testbed.sender, packages=1)
-        cpu.set_noise(
-            RngRegistry(base_seed + rep).stream("power-noise"), 0.0015
-        )
-        if load > 0:
-            cpu.set_background_load(load)
-        meter = EnergyMeter(sim, [cpu])
-        meter.start()
-        sim.run(until=window_s)
-        meter.stop()
-        powers.append(meter.average_power_w)
-    return Fig2Point(0.0, mean(powers), sample_std(powers))
 
 
 def _point_scenario(
@@ -159,8 +132,8 @@ def _measure_series(
 ) -> List[Fig2Point]:
     """Measure one series as one :class:`~repro.harness.sweep.Sweep`
     over the positive targets, so all (target, repetition) simulations
-    fan out at once. Idle (zero-throughput) points meter an empty
-    testbed directly — too cheap to parallelize."""
+    fan out at once. An idle (zero-throughput) point is p(0), the power
+    :func:`_window_point` charges for every idle second of the others."""
     def point_scenario(target_gbps: float) -> Scenario:
         return _point_scenario(target_gbps, window_s, burst, cca, load)
 
@@ -178,9 +151,7 @@ def _measure_series(
     points: List[Fig2Point] = []
     for target in throughputs:
         if target <= 0:
-            points.append(
-                _measure_idle_power(window_s, repetitions, base_seed, load)
-            )
+            points.append(Fig2Point(0.0, _idle_power_for(load), 0.0))
         else:
             points.append(
                 _window_point(target, runs_by_target[target], window_s, load)

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.analysis.tables import format_table
 from repro.figures.fig2 import (
     Fig2Point,
-    _measure_idle_power,
+    _idle_power_for,
     _point_scenario,
     _window_point,
 )
@@ -108,9 +108,7 @@ def run_fig4(
         points: List[Fig2Point] = []
         for target in throughputs_gbps:
             if target <= 0:
-                points.append(
-                    _measure_idle_power(window_s, repetitions, base_seed, load)
-                )
+                points.append(Fig2Point(0.0, _idle_power_for(load), 0.0))
             else:
                 row = results.one(load=load, target_gbps=target)
                 points.append(

@@ -7,8 +7,8 @@ flow state, packet pacing, cwnd calculation arithmetic, and so on. We
 plan to investigate the energy consequences of such mechanisms in
 future work."
 
-This experiment runs one transfer per CCA with per-component energy
-accounting turned on and reports where every joule went: the idle
+This experiment runs one transfer per CCA and reports where every
+joule of its measurement's ``energy_components_j`` went: the idle
 floor, the concave network term, the small-packet excess, the CC
 arithmetic, the retransmission churn.
 """
@@ -19,11 +19,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.analysis.tables import format_table
-from repro.apps.iperf import IperfSession, run_until_complete
-from repro.energy.cpu import CpuModel
-from repro.energy.meter import EnergyMeter
-from repro.net.topology import TestbedConfig, build_testbed
-from repro.sim.engine import Simulator
+from repro.energy.cpu import DEFAULT_SAMPLE_INTERVAL_S
+from repro.figures.arms import run_arms
+from repro.harness.experiment import FlowSpec, Scenario
 
 #: the display subset (idle/load folded into "idle floor")
 REPORT_COMPONENTS = (
@@ -78,25 +76,31 @@ def run_mechanism_breakdown(
     transfer_bytes: int = 20_000_000,
     mtu: int = 9000,
 ) -> MechanismResult:
-    """Measure the per-mechanism energy attribution for each CCA."""
+    """Measure the per-mechanism energy attribution for each CCA: one
+    noise-free, jitter-free run per CCA on one sender package."""
+
+    def scenario(cca: str) -> Scenario:
+        return Scenario(
+            f"mechanisms-{cca}",
+            flows=[FlowSpec(transfer_bytes, cca=cca)],
+            mtu_bytes=mtu,
+            packages=1,
+            power_noise_sigma=0.0,
+            start_jitter_s=0.0,
+            sample_interval_s=DEFAULT_SAMPLE_INTERVAL_S,
+            int_telemetry=(cca == "hpcc"),
+            time_limit_s=120.0,
+        )
+
+    arms = run_arms(scenario, ccas, 0, "mechanisms")
     rows: List[MechanismRow] = []
     for cca in ccas:
-        sim = Simulator()
-        testbed = build_testbed(
-            sim, TestbedConfig(mtu_bytes=mtu, int_telemetry=(cca == "hpcc"))
-        )
-        cpu = CpuModel(sim, testbed.sender, packages=1)
-        meter = EnergyMeter(sim, [cpu])
-        session = IperfSession(testbed, total_bytes=transfer_bytes, cca=cca)
-        meter.start()
-        run_until_complete(testbed, [session], time_limit_s=120.0)
-        total = meter.stop()
-        breakdown = cpu.energy_breakdown_j
+        run = arms[cca].runs[0]
         # Fold load + floor adjustment into the idle floor for display.
-        breakdown = dict(breakdown)
+        breakdown = dict(run.energy_components_j)
         breakdown["idle"] += breakdown.pop("background_load", 0.0)
         breakdown["idle"] += breakdown.pop("floor_adjustment", 0.0)
         rows.append(
-            MechanismRow(cca=cca, total_j=total, components_j=breakdown)
+            MechanismRow(cca=cca, total_j=run.energy_j, components_j=breakdown)
         )
     return MechanismResult(rows=rows, transfer_bytes=transfer_bytes)

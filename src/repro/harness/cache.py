@@ -44,7 +44,8 @@ from repro.sim.trace import TimeSeries
 #:  specs, single-link runs grew FCT-percentile extras)
 #: (5: the per-package power series left the measurement; a run's
 #:  power over time is its ``power_w`` telemetry)
-SCHEMA_VERSION = 5
+#: (6: a run carries its per-mechanism energy split)
+SCHEMA_VERSION = 6
 
 #: numbers this process's entry writes, so no two of them share a temp file
 _WRITE_SERIAL = itertools.count()
@@ -105,6 +106,7 @@ def measurement_to_dict(measurement: RunMeasurement) -> Dict[str, Any]:
             for flow_id, s in measurement.throughput_series.items()
         },
         "extras": dict(measurement.extras),
+        "energy_components_j": dict(measurement.energy_components_j),
     }
 
 
@@ -123,6 +125,7 @@ def measurement_from_dict(data: Dict[str, Any]) -> RunMeasurement:
             for flow_id, s in data["throughput_series"].items()
         },
         extras=dict(data["extras"]),
+        energy_components_j=dict(data["energy_components_j"]),
     )
 
 

@@ -10,44 +10,14 @@ how the energy window is measured. The runner
 from __future__ import annotations
 
 import copy
-import functools
 import json
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Union
 
 from repro.core.allocation import FSTI_PLAN_NAME, AllocationPlan
 from repro.errors import ExperimentError
 from repro.sched.registry import resolve_policy_name
 from repro.units import msec, usec
-
-
-def _keyword_only_after_first(cls):
-    """Deprecate positional construction beyond the first field.
-
-    ``Scenario`` and ``FlowSpec`` have grown 8+ optional fields; calls
-    like ``FlowSpec(1_000_000, "cubic", None, 0.0)`` are unreadable and
-    break silently when a field is inserted. Everything after the first
-    positional field becomes keyword-only after one release; until then
-    positional use emits a :class:`DeprecationWarning`.
-    """
-    original_init = cls.__init__
-    first_field = next(iter(cls.__dataclass_fields__))
-
-    @functools.wraps(original_init)
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        if len(args) > 1:
-            warnings.warn(
-                f"passing {cls.__name__} fields beyond {first_field!r} "
-                f"positionally is deprecated and will become an error in "
-                f"the next release; use keyword arguments",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        original_init(self, *args, **kwargs)
-
-    cls.__init__ = __init__
-    return cls
 
 
 #: fields that joined the specs after cache schema 5, each with the
@@ -74,12 +44,12 @@ def _plain_fields(spec: Any) -> Dict[str, Any]:
     return payload
 
 
-@_keyword_only_after_first
 @dataclass
 class FlowSpec:
     """One flow of a scenario."""
 
     total_bytes: int
+    _: KW_ONLY
     cca: str = "cubic"
     #: iperf3 -b style application rate cap; None = unlimited
     target_rate_bps: Optional[float] = None
@@ -112,12 +82,12 @@ class FlowSpec:
             )
 
 
-@_keyword_only_after_first
 @dataclass
 class Scenario:
     """A full measured experiment."""
 
     name: str
+    _: KW_ONLY
     flows: List[FlowSpec]
     mtu_bytes: int = 9000
     background_load: float = 0.0
@@ -242,7 +212,6 @@ class Scenario:
         )
 
 
-@_keyword_only_after_first
 @dataclass
 class FabricScenario:
     """A fleet-scale experiment: one CCA over a multi-switch fabric.
@@ -254,6 +223,7 @@ class FabricScenario:
     """
 
     name: str
+    _: KW_ONLY
     cca: str = "dctcp"
     #: scheduling policy (a :mod:`repro.sched` registry name): "fair"
     #: starts every flow at its generated arrival (fair sharing under

@@ -49,6 +49,10 @@ class RunMeasurement:
     #: host/switch energy split); deterministic, cache-round-tripped,
     #: and journaled alongside :meth:`counters`
     extras: Dict[str, float] = field(default_factory=dict)
+    #: the metered packages' joules by mechanism, keyed by
+    #: ``PowerModel.COMPONENT_KEYS``; sums to the host energy up to RAPL
+    #: quantization (a fabric run's ``host_energy_j``)
+    energy_components_j: Dict[str, float] = field(default_factory=dict)
 
     @property
     def average_power_w(self) -> float:
@@ -334,6 +338,22 @@ _LINK_KIND = ("testbed_build", _prepare_link, _measure_link)
 _FABRIC_KIND = ("fabric_build", prepare_fabric, measure_fabric)
 
 
+def _energy_components_j(meter: EnergyMeter) -> Dict[str, float]:
+    """Every metered package's per-mechanism joules, summed.
+
+    The sum needs no start snapshot: packages accumulate from
+    construction, and both prepare steps build them without running the
+    simulator, so the window :func:`run_once` opens before the first
+    event holds every joule they ever counted.
+    """
+    totals: Dict[str, float] = {}
+    for model in meter.cpu_models:
+        for pkg in model.packages:
+            for key, joules in pkg.energy_components_j.items():
+                totals[key] = totals.get(key, 0.0) + joules
+    return totals
+
+
 def run_once(
     scenario: AnyScenario,
     seed: int = 0,
@@ -398,6 +418,7 @@ def run_once(
             seed=seed,
             duration_s=meter.duration_s,
             flow_results=flow_results,
+            energy_components_j=_energy_components_j(meter),
             **fields,
         )
         # The Pareto frontier's x-axis: FCT percentiles under the same

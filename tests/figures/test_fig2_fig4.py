@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.concavity import is_concave, is_increasing
 from repro.energy import calibration as cal
+from repro.energy.power_model import PowerModel
 from repro.figures.fig2 import run_fig2
 from repro.figures.fig4 import run_fig4
 from repro.obs.journal import read_journal
@@ -22,7 +23,7 @@ def fig2():
 class TestFig2:
     def test_idle_point_matches_paper(self, fig2):
         idle = fig2.smooth[0]
-        assert idle.mean_power_w == pytest.approx(cal.P_IDLE_W, rel=0.02)
+        assert idle.mean_power_w == PowerModel().smooth_sending_power_w(0.0)
 
     def test_half_rate_near_anchor(self, fig2):
         half = [p for p in fig2.smooth if p.target_gbps == 5.0][0]

@@ -165,24 +165,24 @@ def golden_corpus():
     }
 
 
-#: ``compute_key`` of the corpus at schema 5 (the canonical form
+#: ``compute_key`` of the corpus at schema 6 (the canonical form
 #: ``dataclasses.asdict`` gave). A cache directory outlives the code that
 #: filled it: these move only together with ``SCHEMA_VERSION``.
 GOLDEN_KEYS = {
-    "plain": "214baac769da777dc72c82d718205555d80bcb6af7a65e335dd32122d9e31071",
-    "nested_cca_kwargs": "70ac674f9ca5cfb42df880aef2066123cd0f4ab92abcd7c3189b01af7427b6b4",
-    "after_flow_chain": "af1525b10f9b94ee9cfba23c7ceed2c1bafc374dc7ec02eea7b01a1890a0ecf0",
-    "policy_alias": "0f400a5379038519d149903acdeff144acb7b91e99a444eb996f72e7eca4989d",
-    "offered_load": "e1200edbdce63f0fc99a41e34bf2cc8ed3fe91169792d78f1a96d2d9a8e74b74",
-    "fabric": "b6e3ec93a91c0f53742be2f20c1997d651e0923fe9dd46bcedbc6dcce3698416",
-    "fabric_cca_kwargs": "3b76a857c82f87786ea7091409b68c16f2a16200ba04b312e0da55f60af6fd92",
-    "fabric_policy_alias": "24bab67e95ac24076f05ed9c08c81ef08bd05623fefc9b3952500f0b87d17cd2",
+    "plain": "6c75d1567e9feae6f8e5c67fe750da91ebac8e4d68a54e54853143ef4ef6806f",
+    "nested_cca_kwargs": "dd53a4691bba069773eaeeaa7cf5dd5d483c94b50d30579f0d6eb1518b8ec9c6",
+    "after_flow_chain": "902f598e591f6e32ba454059b6e74f3c10acfc6d8505e27174e6d88d3b164302",
+    "policy_alias": "376544d60ed7a3659e66985cf0f033f4af32b7a87f983dd1488b5d0c80c8bde6",
+    "offered_load": "4cd0bbeba58252847bec1d286849a11818b7445d71ecfc45c002408dd1c88d49",
+    "fabric": "adc5908682dc9d7ecde09cdbfbf6c7d75a0b5a92ee197164b79cf1f00958b407",
+    "fabric_cca_kwargs": "b9946e14727a455203d00b86aa441c1d5d8a75b51ce6055e68ac62c6d45cec25",
+    "fabric_policy_alias": "7c7da91afd6f7ed229a8b598ebe16d7514e769c104082b93b5ea7594c7515f89",
 }
 
 
 class TestGoldenKeys:
     def test_keys_are_the_bytes_an_existing_cache_was_filled_under(self):
-        assert SCHEMA_VERSION == 5
+        assert SCHEMA_VERSION == 6
         assert {
             name: compute_key(scenario, seed)
             for name, (scenario, seed) in golden_corpus().items()
@@ -273,7 +273,7 @@ class TestHitMiss:
 
     def test_schema_4_entry_with_power_series_is_a_miss(self, cache):
         # an entry a schema-4 build left in the same directory, power
-        # series included: the schema-5 store neither reads nor trusts
+        # series included: the current store neither reads nor trusts
         # it, and the item is simulated afresh
         s = scenario()
         fresh = run_once(s, seed=0)
@@ -289,6 +289,25 @@ class TestHitMiss:
         assert result.runs == [fresh]
         assert cache.path(cache.key(s, 0)).exists() and old_path.exists()
         assert "power_series" not in json.loads(
+            cache.path(cache.key(s, 0)).read_text(encoding="utf-8")
+        )
+
+    def test_schema_5_entry_without_components_is_a_miss(self, cache):
+        # an entry a schema-5 build left in the same directory, with no
+        # energy split: the schema-6 store neither reads nor trusts it,
+        # and the item is simulated afresh
+        s = scenario()
+        fresh = run_once(s, seed=0)
+        old = measurement_to_dict(fresh)
+        del old["energy_components_j"]
+        old_path = cache.path(compute_key(s, 0, schema_version=5))
+        old_path.parent.mkdir(parents=True, exist_ok=True)
+        old_path.write_text(json.dumps(old), encoding="utf-8")
+        result = run_repeated(s, repetitions=1, base_seed=0, cache=cache)
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert result.runs == [fresh]
+        assert fresh.energy_components_j
+        assert "energy_components_j" in json.loads(
             cache.path(cache.key(s, 0)).read_text(encoding="utf-8")
         )
 

@@ -24,15 +24,14 @@ class TestFlowSpec:
 
 
 class TestKeywordOnlyDeprecation:
-    """Fields beyond the first are keyword-only after one release."""
+    """Fields beyond the first are keyword-only: the deprecation ended."""
 
-    def test_positional_flowspec_warns(self):
-        with pytest.warns(DeprecationWarning, match="total_bytes"):
-            flow = FlowSpec(1000, "bbr")
-        assert flow.cca == "bbr"  # still honored during the deprecation
+    def test_positional_flowspec_raises(self):
+        with pytest.raises(TypeError, match="positional"):
+            FlowSpec(1000, "bbr")
 
-    def test_positional_scenario_warns(self):
-        with pytest.warns(DeprecationWarning, match="name"):
+    def test_positional_scenario_raises(self):
+        with pytest.raises(TypeError, match="positional"):
             Scenario("x", [FlowSpec(1000)])
 
     def test_keyword_construction_is_silent(self):

@@ -8,6 +8,7 @@ from repro.apps.iperf import (
     run_until_complete,
 )
 from repro.energy import calibration as cal
+from repro.energy.power_model import PowerModel
 from repro.errors import ExperimentError
 from repro.harness.experiment import FabricScenario, FlowSpec, Scenario
 from repro.harness.runner import _prepare_link, run_once, run_repeated
@@ -313,6 +314,33 @@ class TestRunMeasurementEdgeCases:
         )
         with pytest.raises(ExperimentError, match="no flow results"):
             empty.completion_time_s
+
+
+class TestEnergyComponents:
+    """A run's per-mechanism split adds up to what RAPL metered: each
+    package's reading is floored to one energy unit, the split is not."""
+
+    def test_link_split_sums_to_the_metered_energy(self):
+        # power noise scales every component, and two packages sum
+        m = run_once(
+            single_flow(flows=[FlowSpec(SIZE), FlowSpec(SIZE)], packages=2),
+            seed=3,
+        )
+        assert tuple(m.energy_components_j) == PowerModel.COMPONENT_KEYS
+        assert sum(m.energy_components_j.values()) == pytest.approx(
+            m.energy_j, abs=2 * cal.RAPL_ENERGY_UNIT_J
+        )
+
+    def test_fabric_split_sums_to_the_host_energy(self):
+        scenario = FabricScenario(
+            "split-fabric", n_flows=20, mix="rpc",
+            leaves=2, spines=1, hosts_per_leaf=4,
+        )
+        m = run_once(scenario, seed=0)
+        hosts = scenario.leaves * scenario.hosts_per_leaf  # 1 package each
+        assert sum(m.energy_components_j.values()) == pytest.approx(
+            m.extras["host_energy_j"], abs=hosts * cal.RAPL_ENERGY_UNIT_J
+        )
 
 
 class TestCounters:
