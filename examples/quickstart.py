@@ -29,8 +29,10 @@ def main() -> None:
         "full-speed-then-idle",
         flows=[
             FlowSpec(TRANSFER_BYTES, cca="cubic"),
-            FlowSpec(TRANSFER_BYTES, cca="cubic", after_flow=0),
+            FlowSpec(TRANSFER_BYTES, cca="cubic"),
         ],
+        # the second flow starts when the first completes
+        policy="serialized",
     )
 
     print(f"{'schedule':<22} {'energy':>9} {'duration':>9} {'avg power':>10}")

@@ -24,8 +24,8 @@ Quick start::
     ])
     fsti = Scenario("greedy", flows=[
         FlowSpec(12_500_000, cca="cubic"),
-        FlowSpec(12_500_000, cca="cubic", after_flow=0),
-    ])
+        FlowSpec(12_500_000, cca="cubic"),
+    ], policy="serialized")
     saved = 1 - run_once(fsti).energy_j / run_once(fair).energy_j
     print(f"full-speed-then-idle saves {saved:.1%}")   # ~16%
 """

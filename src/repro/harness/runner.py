@@ -21,12 +21,7 @@ from repro.harness.fabric import measure_fabric, prepare_fabric
 from repro.net.topology import Testbed, TestbedConfig, build_testbed
 from repro.obs.attrib import record_flow_energy
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.sched import (
-    FlowRequest,
-    SchedulePlan,
-    SchedulingContext,
-    get_policy,
-)
+from repro.sched import SchedulePlan
 from repro.sim.engine import Simulator
 from repro.sim.probe import ProbeSink
 from repro.sim.rng import RngRegistry
@@ -131,7 +126,7 @@ class RepeatedResult:
 
 
 def _build_testbed(
-    scenario: Scenario, sim: Simulator, plan: Optional[SchedulePlan] = None
+    scenario: Scenario, sim: Simulator, plan: SchedulePlan
 ) -> Testbed:
     kwargs = dict(mtu_bytes=scenario.mtu_bytes)
     if scenario.buffer_bytes is not None:
@@ -143,7 +138,7 @@ def _build_testbed(
         kwargs["sender_bonded_links"] = scenario.sender_bonded_links
     kwargs["sender_hosts"] = 1 + max(flow.sender_host for flow in scenario.flows)
     discipline = scenario.bottleneck_discipline
-    if plan is not None and plan.bottleneck_discipline != "fifo":
+    if plan.bottleneck_discipline != "fifo":
         # Network-level policy hint (srpt's pFabric-style priority qdisc).
         discipline = plan.bottleneck_discipline
     kwargs["bottleneck_discipline"] = discipline
@@ -151,39 +146,12 @@ def _build_testbed(
     return build_testbed(sim, TestbedConfig(**kwargs))
 
 
-def _plan_for(scenario: Scenario) -> Optional[SchedulePlan]:
-    """The scenario's policy plan, or None for legacy declared flows.
-
-    Planning happens before the testbed exists, so the context carries
-    the testbed's *configured* bottleneck rate (the default dumbbell's
-    link rate — single-link scenarios never override it). Plans are
-    pure functions of the scenario, never of the run's seed.
-    """
-    if scenario.policy is None:
-        return None
-    requests = [
-        FlowRequest(
-            index=i,
-            size_bytes=flow.total_bytes,
-            arrival_s=flow.start_time_s,
-            deadline_s=flow.deadline_s,
-        )
-        for i, flow in enumerate(scenario.flows)
-    ]
-    ctx = SchedulingContext(
-        capacity_bps=TestbedConfig().link_rate_bps,
-        offered_load=scenario.offered_load,
-        supports_priority=True,
-    )
-    return get_policy(scenario.policy).plan(requests, ctx)
-
-
 def _prepare_link(
     scenario: Scenario, sim: Simulator, seed: int
 ) -> "_PreparedLink":
     """Build the testbed, sessions, probes and meter for one run."""
     rngs = RngRegistry(seed)
-    plan = _plan_for(scenario)
+    plan = scenario.plan()
     testbed = _build_testbed(scenario, sim, plan)
 
     # One CPU model per sender host, sized by the flows it carries.
@@ -216,36 +184,29 @@ def _prepare_link(
         for model in cpu_models:
             model.set_background_load(scenario.background_load)
 
-    def _after_index(i: int) -> Optional[int]:
-        if plan is not None:
-            return plan.schedule_for(i).after_index
-        return scenario.flows[i].after_flow
-
     jitter_rng = rngs.stream("start-jitter")
     sessions: List[IperfSession] = []
     placed = [0] * len(sender_cpus)  # flows pinned so far, per sender host
     for i, flow in enumerate(scenario.flows):
-        if _after_index(i) is not None:
-            # Deferred flows draw no jitter (a chained start replaces
-            # the arrival entirely) — identical stream consumption to
-            # the legacy after_flow path.
+        if plan.schedule_for(i).deferred:
+            # Deferred flows draw no jitter: a chained start replaces
+            # the arrival entirely.
             start: Optional[float] = None
         else:
             start = flow.start_time_s + jitter_rng.uniform(
                 0.0, scenario.start_jitter_s
             )
-        override_cca = plan is not None and plan.sender_cca is not None
         session = IperfSession(
             testbed,
             total_bytes=flow.total_bytes,
-            cca=plan.sender_cca if override_cca else flow.cca,  # type: ignore[union-attr]
+            cca=flow.cca if plan.sender_cca is None else plan.sender_cca,
             target_bitrate_bps=flow.target_rate_bps,
             start_time=start,
             ecn=flow.ecn,
             cca_kwargs=(
-                dict(plan.sender_cca_kwargs or {})  # type: ignore[union-attr]
-                if override_cca
-                else flow.cca_kwargs
+                flow.cca_kwargs
+                if plan.sender_cca is None
+                else dict(plan.sender_cca_kwargs or {})
             ),
             # Per-run ids, not the process-global counter: measurements
             # must be a pure function of (scenario, seed) so serial,
@@ -264,14 +225,14 @@ def _prepare_link(
         if receiver_cpu is not None:
             receiver_cpu.pin_flow(session.flow_id, i % len(receiver_cpu.packages))
 
-    # Completion chaining for serialized (full-speed-then-idle) schedules
-    # and Fig. 1-style cap lifting. Policy plans may defer behind any
+    # Completion chaining for deferred flows (full-speed-then-idle
+    # schedules) and Fig. 1-style cap lifting. Plans may defer behind any
     # index (srpt's shortest-first chains), so sessions all exist first.
     for i, flow in enumerate(scenario.flows):
-        after = _after_index(i)
+        after = plan.schedule_for(i).after_index
         if after is not None:
             successor = sessions[i]
-            if plan is not None and flow.start_time_s > 0.0:
+            if flow.start_time_s > 0.0:
                 # Open-workload chaining: never start a flow before its
                 # own arrival (the fabric prepare step's exact semantics).
                 successor.begin_after(sessions[after], flow.start_time_s)

@@ -1,10 +1,8 @@
 """Energy-aware flow scheduling as a pluggable subsystem.
 
 The paper's core claim — serializing flows instead of fair-sharing them
-can cut energy 5–20 % — used to be hardwired as scattered knobs (a
-fabric ``mode`` string, ``after_flow`` chaining, a disjoint "srpt"
-priority-qdisc path). This package makes serialize-vs-share a
-first-class *policy* decision:
+can cut energy 5–20 % — is a first-class *policy* decision here, and
+the only way a single-link or fabric scenario schedules its flows:
 
 * :mod:`repro.sched.policy` — the :class:`SchedulingPolicy` protocol
   and the plan datatypes it produces (admit/defer/ordering per flow on
@@ -19,8 +17,7 @@ first-class *policy* decision:
 
 Everything here is pure planning: policies never touch the simulator,
 so a plan is a deterministic function of the requests and context, and
-the harness realizes it with the same chaining mechanics the ad-hoc
-paths used (which is what keeps the refactor physics-free).
+the harness realizes it by completion chaining on virtual time.
 """
 
 from __future__ import annotations

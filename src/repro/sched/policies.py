@@ -48,10 +48,9 @@ def _meets(completion_s: float, deadline_s: float) -> bool:
 def _serial_after(requests: Sequence[FlowRequest]) -> List[Optional[int]]:
     """Per-source chaining in batch order.
 
-    This is the exact shape of both retired ad-hoc paths: the fabric
-    runner's ``last_on_host`` loop and the single-link ``after_flow``
-    chains (where every flow shares one source, so the whole batch
-    forms a single chain in declaration order).
+    On a fabric each source host runs its flows one at a time; on the
+    single-link testbed every flow shares one source, so the whole batch
+    forms a single chain in declaration order.
     """
     after: List[Optional[int]] = []
     last_by_src: Dict[str, int] = {}

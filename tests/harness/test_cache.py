@@ -71,7 +71,7 @@ class TestKeys:
 
 def golden_corpus():
     """(scenario, seed) pairs that between them use every kind of field
-    value a key is built from: nested ``cca_kwargs``, ``after_flow``
+    value a key is built from: nested ``cca_kwargs``, serialized
     chains, None-valued overrides, a policy, ``offered_load``, and
     both scenario kinds.
 
@@ -103,7 +103,6 @@ def golden_corpus():
                     FlowSpec(
                         2_000_000,
                         cca="bbr2",
-                        after_flow=0,
                         cca_kwargs={
                             "alpha_quality": False,
                             "knobs": {
@@ -114,19 +113,19 @@ def golden_corpus():
                     ),
                 ],
                 mtu_bytes=1500,
+                policy="serialized",
             ),
             7,
         ),
-        "after_flow_chain": (
+        "serialized_chain": (
             Scenario(
                 "golden-chain",
                 flows=[
                     FlowSpec(500_000, target_rate_bps=2.5e9, uncap_after=1),
-                    FlowSpec(500_000, cca="reno", after_flow=0, ecn=True),
+                    FlowSpec(500_000, cca="reno", ecn=True),
                     FlowSpec(
                         250_000,
                         cca="dctcp",
-                        after_flow=1,
                         start_time_s=0.001,
                         deadline_s=0.5,
                     ),
@@ -137,6 +136,7 @@ def golden_corpus():
                 ecn_threshold_bytes=None,
                 bottleneck_discipline="priority",
                 int_telemetry=True,
+                policy="serialized",
             ),
             3,
         ),
@@ -165,15 +165,16 @@ def golden_corpus():
     }
 
 
-#: ``compute_key`` of the corpus at schema 6 (the canonical form
-#: ``dataclasses.asdict`` gave). A cache directory outlives the code that
-#: filled it: these move only together with ``SCHEMA_VERSION``.
+#: ``compute_key`` of the corpus at schema 6, every spec field keyed. A
+#: cache directory outlives the code that filled it, and a moved key turns
+#: each of its entries into a miss: these move only with a deliberate
+#: change of the canonical form or of ``SCHEMA_VERSION``.
 GOLDEN_KEYS = {
-    "plain": "6c75d1567e9feae6f8e5c67fe750da91ebac8e4d68a54e54853143ef4ef6806f",
-    "nested_cca_kwargs": "dd53a4691bba069773eaeeaa7cf5dd5d483c94b50d30579f0d6eb1518b8ec9c6",
-    "after_flow_chain": "902f598e591f6e32ba454059b6e74f3c10acfc6d8505e27174e6d88d3b164302",
-    "policy_alias": "376544d60ed7a3659e66985cf0f033f4af32b7a87f983dd1488b5d0c80c8bde6",
-    "offered_load": "4cd0bbeba58252847bec1d286849a11818b7445d71ecfc45c002408dd1c88d49",
+    "plain": "57d8e6c8ff5fa86b1c4631a537d5743a95051cf89c083a4e7eaffdd7b3987995",
+    "nested_cca_kwargs": "23c2060c1edfd1bb8e3b7be7514984265f0e8d200cf01a7ede0d8289830d8504",
+    "serialized_chain": "405ba15da8dfe38276887b5369a589b0b70bbd49fbb5bdbfeb5ee7d56837ec56",
+    "policy_alias": "6fd7cffb83044b84d25ea2fac311f744a86e1fdb87232c25e1559a64387103a4",
+    "offered_load": "fdcdc868eda30e7491009cc2f436ffdda57c7af07159579e9d4061f056db377a",
     "fabric": "adc5908682dc9d7ecde09cdbfbf6c7d75a0b5a92ee197164b79cf1f00958b407",
     "fabric_cca_kwargs": "b9946e14727a455203d00b86aa441c1d5d8a75b51ce6055e68ac62c6d45cec25",
     "fabric_policy_alias": "7c7da91afd6f7ed229a8b598ebe16d7514e769c104082b93b5ea7594c7515f89",

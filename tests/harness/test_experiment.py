@@ -16,7 +16,6 @@ class TestFlowSpec:
         flow = FlowSpec(1000)
         assert flow.cca == "cubic"
         assert flow.target_rate_bps is None
-        assert flow.after_flow is None
 
     def test_size_validation(self):
         with pytest.raises(ExperimentError):
@@ -37,7 +36,7 @@ class TestKeywordOnlyDeprecation:
     def test_keyword_construction_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            FlowSpec(1000, cca="bbr", after_flow=None)
+            FlowSpec(1000, cca="bbr", uncap_after=None)
             Scenario("x", flows=[FlowSpec(1000)], mtu_bytes=1500)
 
 
@@ -49,13 +48,8 @@ class TestCacheKey:
 
     def test_every_field_is_present(self):
         key = json.loads(Scenario("k", flows=[FlowSpec(1000)]).cache_key())
-        # the fields added after cache schema 5 are keyed only when set
-        assert set(key) == set(Scenario.__dataclass_fields__) - {
-            "sender_bonded_links"
-        }
-        assert set(key["flows"][0]) == set(FlowSpec.__dataclass_fields__) - {
-            "sender_host"
-        }
+        assert set(key) == set(Scenario.__dataclass_fields__)
+        assert set(key["flows"][0]) == set(FlowSpec.__dataclass_fields__)
         assert key["flows"][0]["total_bytes"] == 1000
 
     def test_fields_added_after_schema_5_are_keyed_when_set(self):
@@ -104,19 +98,27 @@ class TestScenarioValidation:
         """Chained flows never share the link, so baseline is fine."""
         Scenario(
             "ok",
-            flows=[
-                FlowSpec(1000, cca="baseline"),
-                FlowSpec(1000, cca="cubic", after_flow=0),
-            ],
+            flows=[FlowSpec(1000, cca="baseline"), FlowSpec(1000, cca="cubic")],
+            policy="serialized",
         )
 
-    def test_chain_bounds_checked(self):
-        with pytest.raises(ExperimentError):
-            Scenario("bad", flows=[FlowSpec(1000, after_flow=5)])
+    def test_baseline_under_a_sharing_policy_rejected(self):
+        """The check asks the policy: one that admits both flows at once
+        puts the baseline on a shared FIFO bottleneck."""
+        flows = [FlowSpec(1000, cca="baseline"), FlowSpec(1000, cca="cubic")]
+        for policy in ("fair", "load-adaptive"):
+            with pytest.raises(ExperimentError, match="footnote 2"):
+                Scenario("bad", flows=flows, policy=policy, offered_load=0.9)
 
-    def test_self_chain_rejected(self):
-        with pytest.raises(ExperimentError):
-            Scenario("bad", flows=[FlowSpec(1000, after_flow=0)])
+    def test_baseline_behind_a_priority_bottleneck_allowed(self):
+        flows = [FlowSpec(1000, cca="baseline"), FlowSpec(1000, cca="cubic")]
+        Scenario("ok", flows=flows, bottleneck_discipline="priority")
+        Scenario("ok", flows=flows, policy="srpt")
+
+    def test_policy_spelling_is_canonicalized(self):
+        scenario = Scenario("x", flows=[FlowSpec(1000)], policy=" Serialized ")
+        assert scenario.policy == "serialized"
+        assert Scenario("x", flows=[FlowSpec(1000)]).policy == "fair"
 
     def test_with_name(self):
         s = Scenario("a", flows=[FlowSpec(1000)])
@@ -128,8 +130,15 @@ class TestScenarioFromPlan:
     def test_fsti_plan_chains(self):
         plan = full_speed_then_idle(1000, gbps(10.0))
         scenario = scenario_from_plan("x", plan)
-        assert scenario.flows[0].after_flow is None
-        assert scenario.flows[1].after_flow == 0
+        assert scenario.policy == "serialized"
+        assert [f.start_time_s for f in scenario.flows] == [0.0, 0.0]
+        assert [d.after_index for d in scenario.plan().flows] == [None, 0]
+
+    def test_every_other_plan_shares(self):
+        for plan in fig1_allocations(1000, gbps(10.0))[:-1]:
+            scenario = scenario_from_plan("x", plan)
+            assert scenario.policy == "fair"
+            assert not any(d.deferred for d in scenario.plan().flows)
 
     def test_limited_plan_keeps_caps_and_uncap(self):
         plans = fig1_allocations(1000, gbps(10.0), fractions=(0.8,))

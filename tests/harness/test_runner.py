@@ -70,7 +70,8 @@ class TestRunOnce:
     def test_chained_flows_serialize(self):
         scenario = Scenario(
             "chain",
-            flows=[FlowSpec(SIZE), FlowSpec(SIZE, after_flow=0)],
+            flows=[FlowSpec(SIZE), FlowSpec(SIZE)],
+            policy="serialized",
         )
         m = run_once(scenario)
         first, second = m.flow_results

@@ -125,7 +125,8 @@ class TestMeasurementWindow:
     def test_duration_covers_all_flows(self):
         scenario = Scenario(
             "multi",
-            flows=[FlowSpec(2_000_000), FlowSpec(2_000_000, after_flow=0)],
+            flows=[FlowSpec(2_000_000), FlowSpec(2_000_000)],
+            policy="serialized",
         )
         m = run_once(scenario)
         assert m.duration_s >= m.completion_time_s * 0.999
