@@ -11,7 +11,6 @@ Scaling: transfers default to 1/1000 of the paper's 50 GB (DESIGN.md §5).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -209,11 +208,6 @@ class CcaMtuGrid:
         pts = [p for p in self.scatter("retransmissions") if p[0] not in exclude]
         return pearson([p[2] for p in pts], [p[3] for p in pts])
 
-    def retx_log_correlation(self, exclude: Tuple[str, ...] = ("bbr2",)) -> float:
-        """The same on log10(1 + retx), Fig. 8's log x-axis."""
-        pts = [p for p in self.scatter("retransmissions") if p[0] not in exclude]
-        return pearson([math.log10(1.0 + p[2]) for p in pts], [p[3] for p in pts])
-
     def most_retransmitting_cca(self) -> str:
         """CCA with the most retransmissions over all MTUs (paper: the
         no-CC baseline, far right on Fig. 8)."""
@@ -224,17 +218,11 @@ class CcaMtuGrid:
             ),
         )
 
-    def fct_table(self) -> str:
-        return self._scatter_table("fct", "fct (s)", "{:.4f}")
-
     def retx_table(self) -> str:
-        return self._scatter_table("retransmissions", "retransmissions", "{:.3f}")
-
-    def _scatter_table(self, x: str, header: str, float_fmt: str) -> str:
         return format_table(
-            ["cca", "mtu", header, "energy (J)"],
-            sorted(self.scatter(x)),
-            float_fmt=float_fmt,
+            ["cca", "mtu", "retransmissions", "energy (J)"],
+            sorted(self.scatter("retransmissions")),
+            float_fmt="{:.3f}",
         )
 
 
