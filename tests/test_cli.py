@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.journal import read_journal
 
 LINT_FIXTURES = Path(__file__).resolve().parent / "lint" / "fixtures"
 
@@ -543,20 +544,25 @@ class TestAbortOnDrift:
 
     FIG1 = ["fig1", "--bytes", "400000", "--reps", "2"]
 
-    def test_fig1_exits_three_on_injected_regression(self, capsys, tmp_path):
-        trace = tmp_path / "trace"
-        assert main(self.FIG1 + ["--trace", str(trace)]) == 0
+    @staticmethod
+    def _drifting_baseline(tmp_path, argv):
+        """A baseline of ``argv``'s sweep with a regression injected: it
+        remembers half the energy every scenario actually burns."""
+        trace = tmp_path / "baseline-trace"
+        assert main(argv + ["--trace", str(trace)]) == 0
         baseline = tmp_path / "baseline.json"
         assert main([
             "obs", "snapshot", str(trace), "-o", str(baseline),
         ]) == 0
-        # Inject a regression: the baseline remembers half the energy
-        # every scenario actually burns.
         doc = json.loads(baseline.read_text())
         for key in doc["metrics"]:
             if key.endswith("/energy_j"):
                 doc["metrics"][key] /= 2
         baseline.write_text(json.dumps(doc))
+        return baseline
+
+    def test_fig1_exits_three_on_injected_regression(self, capsys, tmp_path):
+        baseline = self._drifting_baseline(tmp_path, self.FIG1)
         capsys.readouterr()
         code = main(self.FIG1 + ["--abort-on-drift", str(baseline)])
         assert code == 3
@@ -564,6 +570,45 @@ class TestAbortOnDrift:
         assert "sweep aborted after" in captured.err
         assert "drift vs baseline" in captured.err
         assert "REGRESSED" in captured.out
+
+    def test_drifting_cache_hits_abort_before_any_fresh_run(
+        self, capsys, tmp_path
+    ):
+        # The baseline's own run warms the cache, so the gated rerun is
+        # all hits: the gate sees them before anything runs, and every
+        # hit is kept as finished work.
+        argv = [
+            "fig1", "--bytes", "400000", "--reps", "1",
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+        baseline = self._drifting_baseline(tmp_path, argv)
+        trace = tmp_path / "gated"
+        code = main(argv + [
+            "--trace", str(trace), "--abort-on-drift", str(baseline),
+        ])
+        assert code == 3
+        events = read_journal(trace)
+        assert not [e for e in events if e["event"] == "run_started"]
+        hits = [e for e in events if e["event"] == "cache_hit"]
+        [aborted] = [e for e in events if e["event"] == "batch_aborted"]
+        [swept] = [e for e in events if e["event"] == "sweep_aborted"]
+        assert aborted["completed"] == aborted["items"] == len(hits) == 10
+        assert swept["grid_points"] == 10
+        assert "drift vs baseline" in capsys.readouterr().err
+
+    def test_traced_pooled_abort_journals_the_reason(self, capsys, tmp_path):
+        baseline = self._drifting_baseline(tmp_path, self.FIG1)
+        trace = tmp_path / "gated"
+        code = main(self.FIG1 + [
+            "--jobs", "2", "--trace", str(trace),
+            "--abort-on-drift", str(baseline),
+        ])
+        assert code == 3
+        events = read_journal(trace)
+        for kind in ("batch_aborted", "sweep_aborted"):
+            [event] = [e for e in events if e["event"] == kind]
+            assert event["reason"].startswith("drift vs baseline: "), event
+        assert "drift vs baseline" in capsys.readouterr().err
 
     def test_matching_baseline_runs_to_completion(self, capsys, tmp_path):
         trace = tmp_path / "trace"
