@@ -73,36 +73,36 @@ def _add_tolerance(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _drift_control(args: argparse.Namespace) -> Any:
-    """``--abort-on-drift`` wiring: the sweep's control, or ``None``.
+def _drift_hook(args: argparse.Namespace) -> Any:
+    """``--abort-on-drift`` wiring: the sweep's ``on_result`` hook, or
+    ``None``.
 
-    The gate's cancel cord is a :class:`FileCancelToken` when the run is
-    traced — so an external ``obs watch --abort-on-drift`` (or a bare
-    ``touch DIR/abort.requested``) can stop the same sweep — and a plain
-    in-process token otherwise. The gate is left on ``args.drift_gate``
-    for :func:`main` to print its drift table if the sweep aborts.
+    The hook feeds every finished measurement, cache hits included, to
+    a :class:`~repro.obs.live.DriftGate` as the fields its journal
+    ``run_finished`` event records, and raises
+    :class:`SweepAbortedError` on the first drift. It writes no abort
+    flag: the flag is for processes that do not own the sweep. The gate
+    is left on ``args.drift_gate`` for :func:`main` to print its drift
+    table.
     """
     baseline = args.abort_on_drift
     if not baseline:
         return None
-    from pathlib import Path
-
-    from repro.harness.executor import (
-        CancelToken,
-        FileCancelToken,
-        SweepControl,
-    )
-    from repro.obs.journal import ABORT_FILENAME
     from repro.obs.live import DriftGate
 
-    token = (
-        FileCancelToken(Path(args.trace) / ABORT_FILENAME)
-        if args.trace
-        else CancelToken()
-    )
-    gate = DriftGate(baseline, repetitions=args.reps, cancel=token)
+    gate = DriftGate(baseline, repetitions=args.reps)
     args.drift_gate = gate
-    return SweepControl(on_result=gate.on_result, cancel=token)
+
+    def on_result(index: int, item: Any, measurement: Any) -> None:
+        gate.observe_event({
+            "event": "run_finished",
+            "scenario": item.scenario.name,
+            **measurement.summary(),
+        })
+        if gate.reason is not None:
+            raise SweepAbortedError(gate.reason)
+
+    return on_result
 
 
 @contextlib.contextmanager
@@ -112,13 +112,13 @@ def _launch(args: argparse.Namespace) -> Iterator[Dict[str, Any]]:
     ``jobs``/``cache_dir`` from the ``PARALLEL`` options of
     :mod:`repro.figures.specs`, the ``--trace`` observer (open for the
     duration of the ``with`` block, no-op without the flag), and
-    ``control`` on the commands that take ``--abort-on-drift``.
+    ``on_result`` on the commands that take ``--abort-on-drift``.
     """
     from repro.obs.observer import observing
 
     launch: Dict[str, Any] = dict(jobs=args.jobs, cache_dir=args.cache_dir)
     if hasattr(args, "abort_on_drift"):
-        launch["control"] = _drift_control(args)
+        launch["on_result"] = _drift_hook(args)
     with observing(args.trace) as obs:
         launch["observer"] = obs
         yield launch
@@ -290,22 +290,10 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
     if args.abort_on_drift and not args.baseline:
         raise ObservabilityError("--abort-on-drift needs --baseline")
 
-    gate: Optional[DriftGate] = None
-    if args.baseline:
-
-        class _AbortFlag:
-            """The gate's cancel cord for a sweep this process doesn't
-            own: creating the abort flag file is the cooperative stop
-            channel the running coordinator polls."""
-
-            def cancel(self, reason: str) -> None:
-                request_abort(args.trace, reason)
-
-        gate = DriftGate(
-            args.baseline,
-            cancel=_AbortFlag() if args.abort_on_drift else None,
-        )
-
+    gate = DriftGate(args.baseline) if args.baseline else None
+    # one stop request at most, and only to a sweep still running: a
+    # flag left beside a finished journal would stop the next run
+    pull = bool(args.abort_on_drift)
     view = LiveSweepView(
         args.trace,
         on_event=gate.observe_event if gate is not None else None,
@@ -317,6 +305,10 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
     while True:
         view.poll()
         progress = view.snapshot()
+        if pull and gate is not None and gate.reason is not None:
+            if not progress.complete:
+                request_abort(args.trace, gate.reason)
+            pull = False
         if args.json:
             print(json.dumps(progress_to_dict(progress), sort_keys=True))
             sys.stdout.flush()
@@ -645,8 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--abort-on-drift", action="store_true",
-        help="on drift, write the trace's abort flag file so the "
-        "running sweep cancels cooperatively (needs --baseline)",
+        help="on drift of a sweep still running, write the trace's "
+        "abort flag file, which stops it (needs --baseline)",
     )
     p.set_defaults(func=_cmd_obs_watch)
 

@@ -7,7 +7,7 @@ masking genuine bugs (``TypeError`` etc. still propagate).
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Dict, Optional
 
 
 class ReproError(Exception):
@@ -35,38 +35,34 @@ class ExperimentError(ReproError):
 
 
 class SweepAbortedError(ExperimentError):
-    """A sweep was cancelled cooperatively before every item ran.
+    """A sweep was stopped before every item ran.
 
-    Raised by the executor layer when a :class:`~repro.harness.executor.
-    CancelToken` fires mid-batch (``--abort-on-drift``, an external
-    ``obs watch`` abort request, ...). Unlike a worker crash, the
-    completed portion of the batch is intact and travels with the
-    exception so callers can render partial figures or store results.
+    Raised one of two ways: a batch's ``on_result`` hook raises it
+    (``--abort-on-drift``), or the coordinator of a traced batch finds
+    the trace directory's ``abort.requested`` flag (``obs watch
+    --abort-on-drift``, a plain ``touch``) and deletes it as it stops.
+    Unlike a worker crash, the completed portion of the batch is intact
+    and travels with the exception so callers can render partial
+    figures or store results.
 
     ``partial`` maps the original submission index of every finished
-    item to its measurement; ``total`` is the batch size; ``reason``
-    says who pulled the cord. :meth:`~repro.harness.sweep.Sweep.run`
-    fills in the richer views on the way up: ``partial_sweep`` (a
-    ``SweepResults`` of the grid points whose repetitions all
-    finished) and, for figure drivers, ``partial_figure`` (the
-    figure's result type built from those rows). Both stay ``None``
-    when the batch was not run through a sweep.
+    item to its measurement and ``total`` is the batch size; the
+    executor fills both in, whoever raised. ``reason`` says why it
+    stopped. :meth:`~repro.harness.sweep.Sweep.run` fills in the richer
+    views on the way up: ``partial_sweep`` (a ``SweepResults`` of the
+    grid points whose repetitions all finished) and, for figure
+    drivers, ``partial_figure`` (the figure's result type built from
+    those rows). Both stay ``None`` when the batch was not run through
+    a sweep.
     """
 
-    def __init__(
-        self,
-        reason: str,
-        partial: Optional[Mapping[int, Any]] = None,
-        total: int = 0,
-    ):
+    def __init__(self, reason: str):
         self.reason = reason
-        self.partial = dict(partial or {})
-        self.total = total
+        self.partial: Dict[int, Any] = {}
+        self.total = 0
         self.partial_sweep: Optional[Any] = None
         self.partial_figure: Optional[Any] = None
-        super().__init__(
-            f"sweep aborted after {len(self.partial)}/{total} items: {reason}"
-        )
+        super().__init__(f"sweep aborted: {reason}")
 
 
 class AnalysisError(ReproError):

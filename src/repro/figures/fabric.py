@@ -24,7 +24,7 @@ from repro.core.savings import DatacenterCostModel
 from repro.errors import ExperimentError
 from repro.figures.arms import Arms, arms_by
 from repro.harness.cache import ResultCache
-from repro.harness.executor import SweepControl
+from repro.harness.executor import ResultHook
 from repro.harness.experiment import FabricScenario
 from repro.harness.sweep import Sweep, SweepResults
 from repro.obs.observer import Observer
@@ -129,7 +129,7 @@ def run_fabric_figure(
     jobs: Optional[int] = None,
     cache_dir: Union[None, str, Path, ResultCache] = None,
     observer: Union[None, str, Path, Observer] = None,
-    control: Optional[SweepControl] = None,
+    on_result: Optional[ResultHook] = None,
 ) -> FabricResult:
     """Run the per-policy fleet comparison for every CCA.
 
@@ -175,7 +175,7 @@ def run_fabric_figure(
             jobs=jobs,
             cache=cache_dir,
             observer=observer,
-            control=control,
+            on_result=on_result,
             partial_figure=to_result,
         )
     )

@@ -26,7 +26,7 @@ from repro.core.allocation import (
 )
 from repro.core.savings import savings_percent
 from repro.harness.cache import ResultCache
-from repro.harness.executor import SweepControl
+from repro.harness.executor import ResultHook
 from repro.harness.experiment import Scenario, scenario_from_plan
 from repro.harness.runner import RepeatedResult
 from repro.harness.sweep import Sweep, SweepResults
@@ -120,7 +120,7 @@ def run_fig1(
     jobs: Optional[int] = None,
     cache_dir: Union[None, str, Path, ResultCache] = None,
     observer: Union[None, str, Path, Observer] = None,
-    control: Optional[SweepControl] = None,
+    on_result: Optional[ResultHook] = None,
 ) -> Fig1Result:
     """Reproduce the Fig. 1 sweep.
 
@@ -128,8 +128,8 @@ def run_fig1(
     ``jobs``/``cache_dir`` parallelize and cache the underlying
     simulations without changing any result, and ``observer`` (or a
     trace directory) journals the sweep — see :mod:`repro.obs`.
-    ``control`` threads cancellation/result hooks through; on abort the
-    raised :class:`~repro.errors.SweepAbortedError` carries a
+    ``on_result`` sees every finished run and may stop the sweep; on
+    abort the raised :class:`~repro.errors.SweepAbortedError` carries a
     ``partial_figure`` built from the grid points that completed.
     """
     plans = list(fig1_allocations(transfer_bytes, capacity_bps, fractions))
@@ -159,7 +159,7 @@ def run_fig1(
             jobs=jobs,
             cache=cache_dir,
             observer=observer,
-            control=control,
+            on_result=on_result,
             partial_figure=to_result,
         )
     )

@@ -30,7 +30,7 @@ from repro.analysis.tables import format_table
 from repro.errors import ExperimentError
 from repro.figures.arms import Arms, arms_by
 from repro.harness.cache import ResultCache
-from repro.harness.executor import SweepControl
+from repro.harness.executor import ResultHook
 from repro.harness.experiment import (
     AnyScenario,
     FabricScenario,
@@ -165,7 +165,7 @@ def run_pareto(
     jobs: Optional[int] = None,
     cache_dir: Union[None, str, Path, ResultCache] = None,
     observer: Union[None, str, Path, Observer] = None,
-    control: Optional[SweepControl] = None,
+    on_result: Optional[ResultHook] = None,
 ) -> ParetoResult:
     """Sweep every policy across both workloads and build the frontier.
 
@@ -202,7 +202,7 @@ def run_pareto(
             jobs=jobs,
             cache=cache_dir,
             observer=observer,
-            control=control,
+            on_result=on_result,
             partial_figure=to_result,
         )
     )

@@ -73,107 +73,36 @@ class WorkItem:
     seed: int
 
 
-class CancelToken:
-    """A latching cooperative stop flag shared across the sweep layers.
+#: ``on_result(index, item, measurement)``: called on the coordinator for
+#: every finished item of a batch, cache hits first, each with its
+#: submission index. It watches and never mutates (the determinism
+#: contract); raising :class:`~repro.errors.SweepAbortedError` stops the
+#: batch.
+ResultHook = Callable[[int, WorkItem, RunMeasurement], None]
 
-    The coordinator polls :attr:`cancelled` between item completions;
-    anything holding a reference (a drift gate's ``on_result`` hook, a
-    signal handler, ...) can call :meth:`cancel`. The first reason wins
-    and the token never un-cancels, so every layer observes the same
-    decision.
+
+def consume_abort_flag(trace_dir: Optional[Path]) -> None:
+    """Stop a traced batch whose ``<trace_dir>/abort.requested`` exists.
+
+    The flag is how a process that does not own a sweep stops it (``obs
+    watch --abort-on-drift``, a plain ``touch``); the coordinator reads
+    it between completions. Its first line is the reason ("abort file
+    present" for an empty file), and it is deleted as it is acted on, so
+    it stops one batch and never the rerun. ``None`` (an untraced
+    batch) checks nothing.
     """
-
-    def __init__(self) -> None:
-        self._reason: Optional[str] = None
-
-    def cancel(self, reason: str = "cancelled") -> None:
-        if self._reason is None:
-            self._reason = reason
-
-    @property
-    def cancelled(self) -> bool:
-        return self._reason is not None
-
-    @property
-    def reason(self) -> str:
-        return self._reason if self._reason is not None else "cancelled"
-
-
-class FileCancelToken(CancelToken):
-    """A cancel token that is also raised/observed via a flag file.
-
-    This is the cross-process abort channel: the coordinator polls
-    ``path`` between completions, so an external watcher can stop a
-    sweep it did not start by creating the file. The file's first line,
-    when present, becomes the abort reason; :meth:`cancel` writes the
-    file so in-process aborts are visible to other watchers too.
-    """
-
-    def __init__(self, path: Union[str, Path]):
-        super().__init__()
-        self.path = Path(path)
-
-    def cancel(self, reason: str = "cancelled") -> None:
-        super().cancel(reason)
-        try:
-            self.path.write_text(self.reason + "\n", encoding="utf-8")
-        except OSError:
-            pass  # the in-memory latch still stops this process
-
-    @property
-    def cancelled(self) -> bool:
-        if self._reason is not None:
-            return True
-        if self.path.exists():
-            try:
-                text = self.path.read_text(encoding="utf-8").strip()
-            except OSError:
-                text = ""
-            lines = text.splitlines()
-            self._reason = lines[0] if lines else "abort file present"
-            return True
-        return False
-
-
-@dataclass
-class SweepControl:
-    """Observational hooks threaded through a batch run.
-
-    ``on_result`` fires on the coordinator for every completed item —
-    cache hits included — in submission order, receiving the item's
-    original submission index, the item, and its measurement.
-    ``cancel`` is polled between completions; once it fires, the
-    remaining items are skipped (queued pool futures are cancelled) and
-    a :class:`~repro.errors.SweepAbortedError` carrying the finished
-    portion propagates. Both hooks are strictly observational: they
-    must not mutate scenarios or results (the determinism contract),
-    only watch them and, at most, pull the cord.
-    """
-
-    on_result: Optional[
-        Callable[[int, WorkItem, "RunMeasurement"], None]
-    ] = None
-    cancel: Optional[CancelToken] = None
-
-    def notify(
-        self, index: int, item: WorkItem, measurement: RunMeasurement
-    ) -> None:
-        if self.on_result is not None:
-            self.on_result(index, item, measurement)
-
-    def check(
-        self, completed: Dict[int, RunMeasurement], total: int
-    ) -> None:
-        """Raise :class:`SweepAbortedError` if a stop was requested."""
-        if self.cancel is not None and self.cancel.cancelled:
-            raise SweepAbortedError(
-                self.cancel.reason, partial=completed, total=total
-            )
-
-
-#: the do-nothing control every batch without hooks runs under, so
-#: there is one (cancellable) result loop rather than two
-_NO_CONTROL = SweepControl()
+    if trace_dir is None:
+        return
+    flag = trace_dir / ABORT_FILENAME
+    try:
+        text = flag.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return
+    except OSError:
+        text = ""  # present but unreadable: still a stop request
+    flag.unlink(missing_ok=True)
+    lines = text.strip().splitlines()
+    raise SweepAbortedError(lines[0] if lines else "abort file present")
 
 
 def _worker_error(item: WorkItem, exc: Exception) -> ExperimentError:
@@ -195,9 +124,8 @@ def run_item_observed(
 
     ``run_started`` / ``run_finished`` events carry the submission
     index, scenario name, seed and content-address; ``run_finished``
-    additionally records the measurement's deterministic summary
-    (energy, simulated duration, :meth:`RunMeasurement.counters`) plus
-    the diagnostic wall time. On failure a ``worker_error`` event is
+    additionally records :meth:`RunMeasurement.summary` plus the
+    diagnostic wall time. On failure a ``worker_error`` event is
     journaled before the wrapped :class:`ExperimentError` is raised.
 
     ``cache_key`` is the address :func:`run_work_items` hashed for the
@@ -225,11 +153,8 @@ def run_item_observed(
     observer.emit(
         "run_finished",
         cache_key=cache_key,
-        energy_j=measurement.energy_j,
-        sim_time_s=measurement.duration_s,
-        counters=measurement.counters(),
-        extras=measurement.extras,
         wall_s=perf_clock() - started,
+        **measurement.summary(),
         **common,
     )
     return measurement
@@ -285,22 +210,23 @@ def _run_items(
     keys: Sequence[Optional[str]],
     jobs: int,
     obs: Observer,
-    control: SweepControl,
-) -> List[RunMeasurement]:
-    """Run ``items`` (submission ``indices``, content ``keys``) in order.
+    on_result: Optional[ResultHook],
+    completed: Dict[int, RunMeasurement],
+) -> None:
+    """Run ``items`` (submission ``indices``, content ``keys``) in order,
+    into ``completed`` keyed by submission index.
 
     ``jobs`` picks the iterator and nothing else: the builtin ``map``
     runs items in-process; more than one job (and item) maps them over
     a process pool, each item's seed travelling with it, so the
     outcome never depends on which worker ran what. Either way results
-    are consumed in submission order as they land, polling the stop
-    flag between completions. ``pool.map`` submits everything up front,
-    so a cancel only skips items that have not started yet — finished
-    work is kept. A worker that dies mid-item (killed, out of memory)
-    breaks the pool: that ends the batch in an :class:`ExperimentError`
-    naming the first item without a result.
+    are consumed in submission order as they land, reading the abort
+    flag before each and handing each to ``on_result``. ``pool.map``
+    submits everything up front, so an abort only skips items that have
+    not started yet — finished work is kept. A worker that dies mid-item
+    (killed, out of memory) breaks the pool: that ends the batch in an
+    :class:`ExperimentError` naming the first item without a result.
     """
-    completed: Dict[int, RunMeasurement] = {}
     stream: Iterator[RunMeasurement]
     pool = None
     broken: Tuple[Type[BaseException], ...] = ()  # what a broken pool raises
@@ -327,7 +253,7 @@ def _run_items(
                 repeat(obs.profile_enabled),
             )
         for index, item in zip(indices, items):
-            control.check(completed, len(items))
+            consume_abort_flag(obs.trace_dir)
             try:
                 completed[index] = measurement = next(stream)
             except broken:
@@ -335,11 +261,11 @@ def _run_items(
                     f"a worker process died before item {index} (scenario "
                     f"{item.scenario.name!r}, seed {item.seed}) finished"
                 ) from None
-            control.notify(index, item, measurement)
+            if on_result is not None:
+                on_result(index, item, measurement)
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-    return list(completed.values())
 
 
 def run_work_items(
@@ -347,7 +273,7 @@ def run_work_items(
     jobs: Optional[int] = None,
     cache: Union[None, str, Path, ResultCache] = None,
     observer: Union[None, str, Path, Observer] = None,
-    control: Optional[SweepControl] = None,
+    on_result: Optional[ResultHook] = None,
 ) -> List[RunMeasurement]:
     """Execute a batch of work items, cache-aware and order-preserving.
 
@@ -364,15 +290,13 @@ def run_work_items(
     worker journals are merged even when the batch fails, so crashed
     sweeps keep their evidence.
 
-    ``control`` adds per-completion hooks and cooperative cancellation
-    (see :class:`SweepControl`). On a traced run with no explicit
-    cancel token, a :class:`FileCancelToken` on
-    ``<trace_dir>/abort.requested`` is installed automatically, so an
-    external ``greenenvy obs watch --abort-on-drift`` (or a plain
-    ``touch``) can stop the sweep. A cancelled batch stores whatever
-    finished to the cache, journals ``batch_aborted``, and raises
-    :class:`~repro.errors.SweepAbortedError` carrying the partial
-    results keyed by submission index.
+    A batch stops early one of two ways: ``on_result`` (see
+    :data:`ResultHook`) raises :class:`~repro.errors.SweepAbortedError`,
+    or a traced batch finds its trace directory's abort flag (see
+    :func:`consume_abort_flag`). Either way the batch stores whatever
+    finished to the cache, journals ``batch_aborted``, and re-raises the
+    error with ``partial`` (every finished measurement, cache hits
+    included, keyed by submission index) and ``total`` filled in.
     """
     items = list(items)
     workers = 1 if jobs is None else jobs
@@ -380,7 +304,7 @@ def run_work_items(
         raise ExperimentError(f"need >= 1 worker process, got {jobs}")
     store = ensure_cache(cache)
     with observing(observer) as obs:
-        return _run_batch(items, workers, store, obs, control)
+        return _run_batch(items, workers, store, obs, on_result)
 
 
 def _run_batch(
@@ -388,17 +312,9 @@ def _run_batch(
     jobs: int,
     store: Optional[ResultCache],
     obs: Observer,
-    control: Optional[SweepControl],
+    on_result: Optional[ResultHook],
 ) -> List[RunMeasurement]:
     """:func:`run_work_items` with every argument resolved."""
-    control = _NO_CONTROL if control is None else control
-    if obs.enabled and obs.trace_dir is not None and control.cancel is None:
-        # Every traced run is externally abortable via its flag file.
-        control = SweepControl(
-            on_result=control.on_result,
-            cancel=FileCancelToken(Path(obs.trace_dir) / ABORT_FILENAME),
-        )
-
     if obs.enabled:
         obs.emit(
             "batch_started",
@@ -434,22 +350,26 @@ def _run_batch(
                         seed=item.seed,
                         cache_key=keys[i],
                     )
-    for i, (item, prior) in enumerate(zip(items, results)):
-        if prior is not None:
-            control.notify(i, item, prior)
+    fresh: Dict[int, RunMeasurement] = {}
     try:
-        control.check({}, len(items))
-        fresh = _run_items(
+        if on_result is not None:
+            for i, (item, prior) in enumerate(zip(items, results)):
+                if prior is not None:
+                    on_result(i, item, prior)
+        consume_abort_flag(obs.trace_dir)
+        _run_items(
             [items[i] for i in missing],
             missing,
             [keys[i] for i in missing] if keys else [None] * len(missing),
             jobs,
             obs,
-            control,
+            on_result,
+            fresh,
         )
     except SweepAbortedError as exc:
         # Keep every finished measurement: store to cache, fold in the
         # hits, and journal the abort before letting it propagate.
+        exc.partial = fresh
         if store is not None and exc.partial:
             with obs.span("cache_store", items=len(exc.partial)):
                 for i, measurement in exc.partial.items():
@@ -476,11 +396,11 @@ def _run_batch(
         obs.collect_workers()
     if store is not None:
         with obs.span("cache_store", items=len(missing)):
-            for i, measurement in zip(missing, fresh):
+            for i, measurement in fresh.items():
                 store.save(keys[i], measurement)
                 results[i] = measurement
     else:
-        for i, measurement in zip(missing, fresh):
+        for i, measurement in fresh.items():
             results[i] = measurement
     if obs.enabled:
         obs.emit(

@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.core.allocation import FSTI_PLAN_NAME, AllocationPlan
 from repro.errors import ExperimentError
-from repro.net.topology import TestbedConfig
+from repro.net.topology import BOTTLENECK_DISCIPLINES, TestbedConfig
 from repro.sched import (
     FlowRequest,
     SchedulePlan,
@@ -109,7 +109,8 @@ class Scenario:
     host_packet_gap_s: Optional[float] = None
     #: uplinks per sender host (None = the testbed's two bonded links)
     sender_bonded_links: Optional[int] = None
-    #: bottleneck scheduling: "fifo" or "priority" (pFabric/SRPT)
+    #: bottleneck scheduling, one of
+    #: :data:`~repro.net.topology.BOTTLENECK_DISCIPLINES`
     bottleneck_discipline: str = "fifo"
     #: stamp INT at the bottleneck (required by hpcc)
     int_telemetry: bool = False
@@ -126,6 +127,22 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.flows:
             raise ExperimentError(f"scenario {self.name!r} has no flows")
+        if self.bottleneck_discipline not in BOTTLENECK_DISCIPLINES:
+            raise ExperimentError(
+                f"scenario {self.name!r}: unknown bottleneck discipline "
+                f"{self.bottleneck_discipline!r} (known: "
+                f"{', '.join(BOTTLENECK_DISCIPLINES)})"
+            )
+        for i, flow in enumerate(self.flows):
+            if flow.uncap_after is not None and (
+                flow.uncap_after == i
+                or not 0 <= flow.uncap_after < len(self.flows)
+            ):
+                raise ExperimentError(
+                    f"scenario {self.name!r}: flow {i} lifts its cap after "
+                    f"flow {flow.uncap_after}, which is not another of its "
+                    f"{len(self.flows)} flows"
+                )
         # Canonicalize so every spelling hashes identically in cache keys.
         self.policy = resolve_policy_name(self.policy)
         if self.offered_load is not None and self.offered_load < 0:

@@ -88,6 +88,17 @@ class RunMeasurement:
             "flows": float(len(self.flow_results)),
         }
 
+    def summary(self) -> Dict[str, Any]:
+        """The deterministic fields a journal's ``run_finished`` event
+        records: what ``obs snapshot``/``obs diff`` and the drift gate
+        read."""
+        return {
+            "energy_j": self.energy_j,
+            "sim_time_s": self.duration_s,
+            "counters": self.counters(),
+            "extras": self.extras,
+        }
+
 
 @dataclass
 class RepeatedResult:

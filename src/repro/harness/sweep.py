@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.errors import ExperimentError, SweepAbortedError
 from repro.harness.cache import ResultCache
-from repro.harness.executor import SweepControl, WorkItem, run_work_items
+from repro.harness.executor import ResultHook, WorkItem, run_work_items
 from repro.harness.experiment import AnyScenario
 from repro.harness.runner import RepeatedResult, RunMeasurement
 from repro.obs.observer import Observer, observing
@@ -134,7 +134,7 @@ class Sweep:
         jobs: Optional[int] = None,
         cache: Union[None, str, Path, ResultCache] = None,
         observer: Union[None, str, Path, Observer] = None,
-        control: Optional[SweepControl] = None,
+        on_result: Optional[ResultHook] = None,
         partial_figure: Optional[Callable[[SweepResults], Any]] = None,
     ) -> SweepResults:
         """Run every grid point's scenario ``repetitions`` times.
@@ -148,9 +148,8 @@ class Sweep:
         :class:`~repro.obs.observer.Observer`, or a trace directory it
         opens and closes) journals the sweep without changing a result.
 
-        ``control`` threads per-completion hooks and cooperative
-        cancellation through (see
-        :class:`~repro.harness.executor.SweepControl`). When the batch
+        ``on_result`` sees every finished item and may stop the batch
+        (see :data:`~repro.harness.executor.ResultHook`). When the batch
         is aborted, this is the one place the propagating
         :class:`~repro.errors.SweepAbortedError` is given its richer
         views: ``partial_sweep``, a :class:`SweepResults` holding every
@@ -198,7 +197,7 @@ class Sweep:
                 )
             try:
                 measurements = run_work_items(
-                    items, jobs=jobs, cache=cache, observer=obs, control=control
+                    items, jobs=jobs, cache=cache, observer=obs, on_result=on_result
                 )
             except SweepAbortedError as exc:
                 # Salvage the grid points that finished every repetition so

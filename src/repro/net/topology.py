@@ -26,6 +26,11 @@ from repro.sim.engine import Simulator
 from repro.units import gbps, usec
 
 
+#: what the bottleneck can schedule by: "fifo" (drop-tail, or ECN when a
+#: threshold is set) and "priority" (pFabric-style SRPT approximation)
+BOTTLENECK_DISCIPLINES = ("fifo", "priority")
+
+
 @dataclass
 class TestbedConfig:
     """Parameters of the paper-style dumbbell testbed.
@@ -54,8 +59,8 @@ class TestbedConfig:
     host_packet_gap_s: float = usec(2.35)
     #: stamp in-band telemetry at the bottleneck (HPCC's switch support)
     int_telemetry: bool = False
-    #: bottleneck scheduling: "fifo" (default) or "priority" (pFabric-
-    #: style SRPT approximation, the paper's §5 direction)
+    #: bottleneck scheduling, one of :data:`BOTTLENECK_DISCIPLINES`
+    #: ("priority" is the paper's §5 direction)
     bottleneck_discipline: str = "fifo"
 
     def __post_init__(self) -> None:
@@ -93,12 +98,12 @@ class Testbed:
 
 
 def _make_queue(config: TestbedConfig, name: str, ecn: bool) -> DropTailQueue:
-    if config.bottleneck_discipline == "priority":
-        return PriorityQueue(capacity_bytes=config.buffer_bytes, name=name)
-    if config.bottleneck_discipline != "fifo":
+    if config.bottleneck_discipline not in BOTTLENECK_DISCIPLINES:
         raise ValueError(
             f"unknown bottleneck discipline {config.bottleneck_discipline!r}"
         )
+    if config.bottleneck_discipline == "priority":
+        return PriorityQueue(capacity_bytes=config.buffer_bytes, name=name)
     if ecn and config.ecn_threshold_bytes is not None:
         return EcnQueue(
             capacity_bytes=config.buffer_bytes,

@@ -36,10 +36,10 @@ JOURNAL_FILENAME = "journal.jsonl"
 #: glob pattern of per-worker partial journals awaiting merge
 WORKER_GLOB = "worker-*.jsonl"
 
-#: flag file inside a trace dir requesting a cooperative sweep abort;
-#: the coordinator polls it between item completions (see
-#: :class:`repro.harness.executor.FileCancelToken`), and external
-#: watchers (``greenenvy obs watch --abort-on-drift``) create it
+#: flag file inside a trace dir requesting a sweep abort; external
+#: watchers (``greenenvy obs watch --abort-on-drift``) create it, and the
+#: coordinator reads it between item completions and deletes it as it
+#: stops (see :func:`repro.harness.executor.consume_abort_flag`)
 ABORT_FILENAME = "abort.requested"
 
 #: event fields that are diagnostic (wall clock / process identity) and

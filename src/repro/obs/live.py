@@ -14,15 +14,16 @@ while running"). Everything here is a *reader* of the trace directory a
   :class:`~repro.obs.progress.ProgressTracker`.
 * :class:`DriftGate` — the incremental ``obs diff``: as scenarios
   *settle* (all their repetitions finished), their metrics are compared
-  against a committed baseline; on drift it can pull a cancel cord —
-  either an in-process token or the trace directory's abort flag file.
+  against a committed baseline, and the first drift latches with its
+  reason. Acting on it is the caller's: the CLI's in-process hook raises
+  :class:`~repro.errors.SweepAbortedError`, ``obs watch
+  --abort-on-drift`` calls :func:`request_abort`.
 
 Watching must never change a run. Every class here opens files
-read-only; the single deliberate exception is :meth:`DriftGate` /
-:func:`request_abort` writing the abort flag file, which is the
-documented cooperative-cancellation channel, not hidden feedback —
-results that *do* complete are still bit-identical, the sweep just ends
-early with :class:`~repro.errors.SweepAbortedError`.
+read-only; the single deliberate exception is :func:`request_abort`
+writing the abort flag file, which is the documented stop channel, not
+hidden feedback — results that *do* complete are still bit-identical,
+the sweep just ends early with :class:`~repro.errors.SweepAbortedError`.
 
 Import note: this module is intentionally *not* re-exported from
 ``repro.obs`` — it may import nothing from ``repro.harness`` (the
@@ -33,7 +34,6 @@ be circular through the package ``__init__``).
 from __future__ import annotations
 
 import json
-import threading
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
@@ -53,9 +53,10 @@ from repro.obs.progress import ProgressTracker, SweepProgress
 def request_abort(trace_dir: Union[str, Path], reason: str) -> Path:
     """Create the trace directory's abort flag file (cooperative stop).
 
-    The running coordinator polls this file between item completions
-    (see :class:`repro.harness.executor.FileCancelToken`); creating it
-    is how an external watcher cancels a sweep it does not own.
+    The running coordinator reads this file between item completions
+    and deletes it as it stops the batch (see
+    :func:`repro.harness.executor.consume_abort_flag`); creating it is
+    how an external watcher stops a sweep it does not own.
     """
     flag = Path(trace_dir) / ABORT_FILENAME
     flag.write_text(reason + "\n", encoding="utf-8")
@@ -216,48 +217,45 @@ class DriftGate:
     rest of the grid. Savings-vs-fair metrics additionally wait for the
     scenario's ``<prefix>-fair`` sibling to settle.
 
-    Feed it either journal events (:meth:`observe_event`, the external
-    ``obs watch`` path — fresh runs only, cache hits carry no metrics)
-    or executor results (:meth:`on_result`, the in-process
-    ``--abort-on-drift`` path, which sees cached measurements too).
-    On the first regression the gate latches :attr:`drifted`, records
-    the gating rows, and pulls ``cancel`` (any object with a
-    ``cancel(reason)`` method, e.g. a
-    :class:`~repro.harness.executor.CancelToken`).
+    Its one feed is :meth:`observe_event`, which takes journal events:
+    ``obs watch`` tails them (fresh runs only, cache hits carry no
+    metrics), and the in-process ``--abort-on-drift`` hook builds a
+    ``run_finished`` record from every measurement, cached ones too
+    (:meth:`~repro.harness.runner.RunMeasurement.summary`). On the
+    first regression the gate latches :attr:`drifted`, records the
+    gating rows and the :attr:`reason`; it stops nothing itself.
     """
 
     def __init__(
         self,
         baseline: Union[str, Path, Mapping[str, Any]],
         repetitions: Optional[int] = None,
-        cancel: Optional[Any] = None,
     ):
         if isinstance(baseline, (str, Path)):
             baseline = load_baseline(baseline)
         self.baseline: Dict[str, Any] = dict(baseline)
         self.repetitions = repetitions
-        self.cancel = cancel
         self.drifted = False
         self.reason: Optional[str] = None
         self.gating_rows: List[DriftRow] = []
         self._runs: Dict[str, List[Dict[str, Any]]] = {}
         self._settled: List[str] = []
-        self._lock = threading.Lock()
 
     @property
     def settled(self) -> List[str]:
         return list(self._settled)
 
     def observe_event(self, record: Mapping[str, Any]) -> None:
-        """Feed one journal event (the tailing path)."""
+        """Feed one journal event."""
         event = record.get("event")
         if event == "sweep_started" and self.repetitions is None:
             reps = record.get("repetitions")
             if isinstance(reps, int) and reps > 0:
                 self.repetitions = reps
         elif event == "run_finished":
-            self._add(
-                str(record.get("scenario", "?")),
+            scenario = str(record.get("scenario", "?"))
+            runs = self._runs.setdefault(scenario, [])
+            runs.append(
                 {
                     "event": "run_finished",
                     "scenario": record.get("scenario"),
@@ -265,27 +263,8 @@ class DriftGate:
                     "sim_time_s": record.get("sim_time_s", 0.0),
                     "counters": record.get("counters") or {},
                     "extras": record.get("extras") or {},
-                },
+                }
             )
-
-    def on_result(self, index: int, item: Any, measurement: Any) -> None:
-        """Feed one executor result (the in-process path)."""
-        self._add(
-            item.scenario.name,
-            {
-                "event": "run_finished",
-                "scenario": item.scenario.name,
-                "energy_j": measurement.energy_j,
-                "sim_time_s": measurement.duration_s,
-                "counters": measurement.counters(),
-                "extras": measurement.extras,
-            },
-        )
-
-    def _add(self, scenario: str, record: Dict[str, Any]) -> None:
-        with self._lock:
-            runs = self._runs.setdefault(scenario, [])
-            runs.append(record)
             if (
                 self.repetitions is not None
                 and len(runs) == self.repetitions
@@ -310,7 +289,7 @@ class DriftGate:
         return {"metrics": metrics}
 
     def _evaluate(self) -> None:
-        # Called with the lock held, each time a scenario settles.
+        # Called each time a scenario settles.
         if self.drifted:
             return
         records = [
@@ -332,5 +311,3 @@ class DriftGate:
         worst = ", ".join(row.key for row in gating[:3])
         extra = "" if len(gating) <= 3 else f" (+{len(gating) - 3} more)"
         self.reason = f"drift vs baseline: {worst}{extra}"
-        if self.cancel is not None:
-            self.cancel.cancel(self.reason)

@@ -14,8 +14,6 @@ module defines the neutral half of that channel:
   ``(channel, entity)`` :class:`~repro.sim.trace.TimeSeries`, with
   optional interval-based downsampling for high-rate channels (per-ACK
   cwnd samples at 10 Gb/s arrive every few microseconds).
-* :class:`FanoutProbeSink` — duplicates samples to several sinks, for
-  callers that want a local series *and* the trace-directory recorder.
 
 The sink protocol deliberately lives sim-side: instrumented components
 (``tcp/sender.py``, ``net/queue.py``, ``energy/cpu.py``) import *this*
@@ -63,8 +61,8 @@ class ProbeSink:
     enabled: bool = False
 
     #: virtual seconds after a kept sample during which the sink drops
-    #: further samples of the same stream; ``None`` (this no-op sink, a
-    #: fan-out) means nothing is dropped on time. A high-rate emission
+    #: further samples of the same stream; ``None`` (this no-op sink)
+    #: means nothing is dropped on time. A high-rate emission
     #: site that is the only emitter of its streams may remember when it
     #: last sampled each one and apply the sink's own test
     #: (``now - last < min_interval_s``) before building a sample; the
@@ -136,21 +134,3 @@ class TimeSeriesProbeSink(ProbeSink):
     def __len__(self) -> int:
         return len(self._series)
 
-
-class FanoutProbeSink(ProbeSink):
-    """Duplicates every sample to each of several sinks.
-
-    ``min_interval_s`` stays ``None``: each member downsamples for
-    itself, so an emission site never skips on a fan-out's behalf.
-    """
-
-    enabled = True
-
-    def __init__(self, *sinks: ProbeSink):
-        self.sinks = [sink for sink in sinks if sink.enabled]
-
-    def sample(
-        self, time_s: float, channel: str, entity: str, value: float
-    ) -> None:
-        for sink in self.sinks:
-            sink.sample(time_s, channel, entity, value)

@@ -1,9 +1,9 @@
 """Golden of traced ``run_work_items`` batches at ``jobs=1`` and ``jobs=2``.
 
 One batch of four items, one of them a cache hit stored beforehand,
-runs traced under a :class:`SweepControl` that records every
-``on_result`` index; a second batch pulls the cord after the first
-executed result. For each, this file pins:
+runs traced under an ``on_result`` hook that records every index; in a
+second batch the hook raises :class:`~repro.errors.SweepAbortedError`
+at the first executed result. For each, this file pins:
 
 * each journal event's ``(event, phase, item, backend, cache_key)``,
   with :data:`~repro.obs.journal.VOLATILE_FIELDS` dropped. Two kinds
@@ -29,12 +29,7 @@ from pathlib import Path
 
 from repro.errors import SweepAbortedError
 from repro.harness.cache import ResultCache
-from repro.harness.executor import (
-    CancelToken,
-    SweepControl,
-    WorkItem,
-    run_work_items,
-)
+from repro.harness.executor import WorkItem, run_work_items
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.obs.journal import VOLATILE_FIELDS, read_journal
 
@@ -78,19 +73,18 @@ def _batch(root, jobs, abort):
     """Run one traced batch; its pinned lines."""
     cache = ResultCache(root / "cache")
     run_work_items([ITEMS[HIT]], cache=cache)
-    token = CancelToken()
     seen = []
 
     def on_result(index, item, measurement):
         seen.append(index)
         if abort and index != HIT:
-            token.cancel("pinned abort")
+            raise SweepAbortedError("pinned abort")
 
-    control = SweepControl(on_result=on_result, cancel=token)
     outcome = []
     try:
         results = run_work_items(
-            ITEMS, jobs=jobs, cache=cache, observer=root / "trace", control=control
+            ITEMS, jobs=jobs, cache=cache, observer=root / "trace",
+            on_result=on_result,
         )
         outcome.append(f"results {len(results)}")
     except SweepAbortedError as exc:

@@ -125,6 +125,21 @@ class TestScenarioValidation:
         assert s.with_name("b").name == "b"
         assert s.name == "a"
 
+    @pytest.mark.parametrize(
+        "uncap_after", [2, 3, -1, 0], ids=["past-end", "far", "negative", "self"]
+    )
+    def test_uncap_after_must_name_another_flow(self, uncap_after):
+        flows = [
+            FlowSpec(1000, target_rate_bps=gbps(1.0), uncap_after=uncap_after),
+            FlowSpec(1000),
+        ]
+        with pytest.raises(ExperimentError, match="lifts its cap"):
+            Scenario("bad", flows=flows)
+
+    def test_unknown_bottleneck_discipline_rejected(self):
+        with pytest.raises(ExperimentError, match="'lifo'.*fifo, priority"):
+            Scenario("bad", flows=[FlowSpec(1000)], bottleneck_discipline="lifo")
+
 
 class TestScenarioFromPlan:
     def test_fsti_plan_chains(self):

@@ -13,13 +13,9 @@ import time
 import pytest
 
 from repro.errors import SweepAbortedError
-from repro.harness.executor import (
-    SweepControl,
-    WorkItem,
-    run_work_items,
-)
+from repro.harness.executor import WorkItem, run_work_items
 from repro.harness.experiment import FlowSpec, Scenario
-from repro.obs.journal import VOLATILE_FIELDS, read_journal
+from repro.obs.journal import ABORT_FILENAME, VOLATILE_FIELDS, read_journal
 from repro.obs.live import LiveSweepView, request_abort
 from repro.obs.telemetry import read_telemetry
 
@@ -139,8 +135,8 @@ class TestExternalAbort:
         self, tmp_path
     ):
         # The flag is dropped deterministically from the completion hook
-        # (a real watcher writes the same file from outside); the
-        # auto-installed FileCancelToken on the traced run picks it up.
+        # (a real watcher writes the same file from outside); the traced
+        # batch reads it before its next item and deletes it.
         trace = tmp_path / "trace"
         trace.mkdir()
 
@@ -149,13 +145,11 @@ class TestExternalAbort:
                 request_abort(trace, "watcher says stop")
 
         with pytest.raises(SweepAbortedError) as excinfo:
-            run_work_items(
-                items_for(), observer=trace,
-                control=SweepControl(on_result=hook),
-            )
+            run_work_items(items_for(), observer=trace, on_result=hook)
         exc = excinfo.value
         assert exc.reason == "watcher says stop"
         assert sorted(exc.partial) == [0, 1]
+        assert not (trace / ABORT_FILENAME).exists()
         assert "batch_aborted" in [
             e["event"] for e in read_journal(trace)
         ]

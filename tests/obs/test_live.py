@@ -1,15 +1,16 @@
 """Live tailing, merge dedup, and the drift gate."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.errors import ObservabilityError
+from repro.harness.executor import WorkItem, run_work_items
+from repro.harness.experiment import FlowSpec, Scenario
 from repro.obs.baseline import snapshot_from_journal
 from repro.obs.journal import (
     ABORT_FILENAME,
     JOURNAL_FILENAME,
     JournalWriter,
+    read_journal,
 )
 from repro.obs.live import (
     DriftGate,
@@ -184,14 +185,6 @@ def _journal_events(scenarios):
     return events
 
 
-class _Cord:
-    def __init__(self):
-        self.reason = None
-
-    def cancel(self, reason):
-        self.reason = reason
-
-
 class TestDriftGate:
     def _baseline(self):
         return snapshot_from_journal(
@@ -216,15 +209,17 @@ class TestDriftGate:
         assert gate.settled == []
         assert not gate.drifted
 
-    def test_drift_latches_and_pulls_the_cord(self):
-        cord = _Cord()
-        gate = DriftGate(self._baseline(), repetitions=2, cancel=cord)
+    def test_drift_latches_the_first_reason(self):
+        gate = DriftGate(self._baseline(), repetitions=2)
         for event in _journal_events({"x-slow": [1.6, 1.6]}):
             gate.observe_event(event)
         assert gate.drifted
         assert "x-slow/energy_j" in gate.reason
-        assert cord.reason == gate.reason
         assert all(row.gating for row in gate.gating_rows)
+        first = gate.reason
+        for event in _journal_events({"x-fair": [3.0, 3.0]}):
+            gate.observe_event(event)
+        assert gate.reason == first
 
     def test_savings_metric_waits_for_the_fair_sibling(self):
         # x-slow settles first with energies matching the baseline; its
@@ -264,26 +259,19 @@ class TestDriftGate:
             gate.observe_event(event)
         assert gate.drifted
 
-    def test_on_result_path_feeds_measurements(self):
-        cord = _Cord()
-        gate = DriftGate(self._baseline(), repetitions=2, cancel=cord)
-
-        def measurement(energy):
-            return SimpleNamespace(
-                energy_j=energy,
-                duration_s=0.01,
-                counters=lambda: {
-                    "retransmissions": 0, "bottleneck_drops": 0,
-                },
-                extras={},
-            )
-
-        item = SimpleNamespace(scenario=SimpleNamespace(name="x-slow"))
-        gate.on_result(0, item, measurement(1.6))
-        assert not gate.drifted
-        gate.on_result(1, item, measurement(1.6))
-        assert gate.drifted
-        assert cord.reason is not None
+    def test_measurement_summary_is_the_journal_record(self, tmp_path):
+        # The in-process gate is fed RunMeasurement.summary(); a traced
+        # run journals the same fields, so both feeds gate alike.
+        item = WorkItem(
+            Scenario("x-slow", flows=[FlowSpec(200_000)], packages=1), seed=0
+        )
+        [measurement] = run_work_items([item], observer=tmp_path / "trace")
+        [event] = [
+            e for e in read_journal(tmp_path / "trace")
+            if e["event"] == "run_finished"
+        ]
+        summary = measurement.summary()
+        assert {key: event[key] for key in summary} == summary
 
     def test_extra_scenarios_are_new_not_gating(self):
         gate = DriftGate(self._baseline(), repetitions=2)

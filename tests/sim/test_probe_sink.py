@@ -1,4 +1,4 @@
-"""The telemetry probe-sink protocol: collection, downsampling, fanout."""
+"""The telemetry probe-sink protocol: collection and downsampling."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.sim.probe import (
     CWND_CHANNEL,
     NULL_PROBE_SINK,
     QUEUE_DEPTH_CHANNEL,
-    FanoutProbeSink,
     ProbeSink,
     TimeSeriesProbeSink,
 )
@@ -88,16 +87,3 @@ class TestTimeSeriesSink:
         with pytest.raises(ValueError, match="min_interval_s"):
             TimeSeriesProbeSink(min_interval_s=float("nan"))
 
-
-class TestFanoutSink:
-    def test_duplicates_to_all_enabled_sinks(self):
-        a, b = TimeSeriesProbeSink(), TimeSeriesProbeSink()
-        fan = FanoutProbeSink(a, b)
-        fan.sample(0.0, CWND_CHANNEL, "flow-1", 7.0)
-        assert a.series(CWND_CHANNEL, "flow-1").values == [7.0]
-        assert b.series(CWND_CHANNEL, "flow-1").values == [7.0]
-
-    def test_drops_disabled_sinks(self):
-        collecting = TimeSeriesProbeSink()
-        fan = FanoutProbeSink(NULL_PROBE_SINK, collecting)
-        assert fan.sinks == [collecting]

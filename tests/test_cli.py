@@ -610,6 +610,33 @@ class TestAbortOnDrift:
             assert event["reason"].startswith("drift vs baseline: "), event
         assert "drift vs baseline" in capsys.readouterr().err
 
+    def test_drift_abort_leaves_no_flag_to_stop_the_rerun(
+        self, capsys, tmp_path
+    ):
+        # An in-process abort writes no abort flag: the rerun into the
+        # same trace directory, without the gate, runs to completion.
+        baseline = self._drifting_baseline(tmp_path, self.FIG1)
+        argv = self.FIG1 + ["--trace", str(tmp_path / "gated")]
+        assert main(argv + ["--abort-on-drift", str(baseline)]) == 3
+        assert not (tmp_path / "gated" / "abort.requested").exists()
+        assert main(argv) == 0
+
+    def test_watching_a_finished_drifted_trace_writes_no_flag(
+        self, capsys, tmp_path
+    ):
+        # The watcher's gate drifts on a sweep that already ended: a
+        # flag now would stop whatever runs next in the directory.
+        baseline = self._drifting_baseline(tmp_path, self.FIG1)
+        trace = tmp_path / "baseline-trace"
+        capsys.readouterr()
+        code = main([
+            "obs", "watch", "--once", "--baseline", str(baseline),
+            "--abort-on-drift", str(trace),
+        ])
+        assert code == 1
+        assert "REGRESSED" in capsys.readouterr().out
+        assert not (trace / "abort.requested").exists()
+
     def test_matching_baseline_runs_to_completion(self, capsys, tmp_path):
         trace = tmp_path / "trace"
         assert main(self.FIG1 + ["--trace", str(trace)]) == 0
@@ -634,3 +661,17 @@ class TestAbortOnDrift:
         ])
         assert code == 3
         assert "operator stop" in capsys.readouterr().err
+
+    def test_abort_file_is_consumed_by_the_run_it_stops(
+        self, capsys, tmp_path
+    ):
+        trace = tmp_path / "trace"
+        trace.mkdir()
+        (trace / "abort.requested").write_text("operator stop\n")
+        argv = [
+            "fig1", "--bytes", "400000", "--reps", "1",
+            "--trace", str(trace),
+        ]
+        assert main(argv) == 3
+        assert not (trace / "abort.requested").exists()
+        assert main(argv) == 0
