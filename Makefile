@@ -125,7 +125,6 @@ claims:
 # artifact)
 PROFILE_TRACE ?= /tmp/greenenvy-profile-trace
 obs-profile:
-	rm -rf $(PROFILE_TRACE)
 	$(PYTHON) -m repro.cli obs profile $(PROFILE_TRACE)
 
 # Three committed baselines share one pair of recipes: a traced sweep
@@ -134,13 +133,11 @@ obs-profile:
 # replayed + diffed against it (the CI regression gates).
 # $(1) = sweep arguments, $(2) = baseline file, $(3) = trace directory
 define snapshot-baseline
-	rm -rf $(3)
 	$(PYTHON) -m repro.cli $(1) --trace $(3) >/dev/null
 	$(PYTHON) -m repro.cli obs snapshot $(3) -o $(2)
 endef
 
 define diff-baseline
-	rm -rf $(3)
 	$(PYTHON) -m repro.cli $(1) --trace $(3) >/dev/null
 	$(PYTHON) -m repro.cli obs diff $(2) $(3)
 endef

@@ -114,12 +114,13 @@ def _launch(args: argparse.Namespace) -> Iterator[Dict[str, Any]]:
     duration of the ``with`` block, no-op without the flag), and
     ``on_result`` on the commands that take ``--abort-on-drift``.
     """
-    from repro.obs.observer import observing
+    from repro.obs.observer import NULL_OBSERVER, TracingObserver
 
     launch: Dict[str, Any] = dict(jobs=args.jobs, cache_dir=args.cache_dir)
     if hasattr(args, "abort_on_drift"):
         launch["on_result"] = _drift_hook(args)
-    with observing(args.trace) as obs:
+    obs = NULL_OBSERVER if args.trace is None else TracingObserver(args.trace)
+    with obs:
         launch["observer"] = obs
         yield launch
 
@@ -303,7 +304,13 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
     # terminal; piped output gets one appended block per refresh.
     refresh = sys.stdout.isatty() and not args.once and not args.json
     while True:
-        view.poll()
+        try:
+            view.poll()
+        except ObservabilityError as exc:
+            # the watched sweep's records are gone: a rerun reclaimed
+            # the directory, and folding on would mix the two runs
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         progress = view.snapshot()
         if pull and gate is not None and gate.reason is not None:
             if not progress.complete:

@@ -128,7 +128,7 @@ def run_fabric_figure(
     *,
     jobs: Optional[int] = None,
     cache_dir: Union[None, str, Path, ResultCache] = None,
-    observer: Union[None, str, Path, Observer] = None,
+    observer: Optional[Observer] = None,
     on_result: Optional[ResultHook] = None,
 ) -> FabricResult:
     """Run the per-policy fleet comparison for every CCA.

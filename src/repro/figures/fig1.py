@@ -119,15 +119,15 @@ def run_fig1(
     *,
     jobs: Optional[int] = None,
     cache_dir: Union[None, str, Path, ResultCache] = None,
-    observer: Union[None, str, Path, Observer] = None,
+    observer: Optional[Observer] = None,
     on_result: Optional[ResultHook] = None,
 ) -> Fig1Result:
     """Reproduce the Fig. 1 sweep.
 
     One :class:`~repro.harness.sweep.Sweep` over the allocation plans;
     ``jobs``/``cache_dir`` parallelize and cache the underlying
-    simulations without changing any result, and ``observer`` (or a
-    trace directory) journals the sweep — see :mod:`repro.obs`.
+    simulations without changing any result, and ``observer`` journals
+    the sweep — see :mod:`repro.obs`.
     ``on_result`` sees every finished run and may stop the sweep; on
     abort the raised :class:`~repro.errors.SweepAbortedError` carries a
     ``partial_figure`` built from the grid points that completed.

@@ -18,11 +18,12 @@ power model rather than simulated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import format_table
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.harness.sweep import Sweep
+from repro.obs.observer import Observer
 from repro.units import gbps
 
 DEFAULT_WINDOW_S = 0.02
@@ -128,7 +129,7 @@ def _measure_series(
     load: float = 0.0,
     jobs=None,
     cache=None,
-    observer=None,
+    observer: Optional[Observer] = None,
 ) -> List[Fig2Point]:
     """Measure one series as one :class:`~repro.harness.sweep.Sweep`
     over the positive targets, so all (target, repetition) simulations
@@ -174,21 +175,17 @@ def run_fig2(
     *,
     jobs=None,
     cache_dir=None,
-    observer=None,
+    observer: Optional[Observer] = None,
 ) -> Fig2Result:
-    """Reproduce both Figure 2 series."""
-    from repro.obs.observer import observing
-
-    # Resolve once so both series share one journal.
-    with observing(observer) as obs:
-        smooth = _measure_series(
-            throughputs_gbps, window_s, burst=False, cca=cca,
-            repetitions=repetitions, base_seed=base_seed,
-            jobs=jobs, cache=cache_dir, observer=obs,
-        )
-        burst = _measure_series(
-            throughputs_gbps, window_s, burst=True, cca=cca,
-            repetitions=repetitions, base_seed=base_seed + 1000,
-            jobs=jobs, cache=cache_dir, observer=obs,
-        )
+    """Reproduce both Figure 2 series (one journal for both)."""
+    smooth = _measure_series(
+        throughputs_gbps, window_s, burst=False, cca=cca,
+        repetitions=repetitions, base_seed=base_seed,
+        jobs=jobs, cache=cache_dir, observer=observer,
+    )
+    burst = _measure_series(
+        throughputs_gbps, window_s, burst=True, cca=cca,
+        repetitions=repetitions, base_seed=base_seed + 1000,
+        jobs=jobs, cache=cache_dir, observer=observer,
+    )
     return Fig2Result(smooth=smooth, full_speed_then_idle=burst)

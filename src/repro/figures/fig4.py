@@ -87,7 +87,7 @@ def run_fig4(
     *,
     jobs: Optional[int] = None,
     cache_dir: Union[None, str, Path, ResultCache] = None,
-    observer: Union[None, str, Path, Observer] = None,
+    observer: Optional[Observer] = None,
 ) -> Fig4Result:
     """Measure the smooth-power curve at each background load."""
     positive = [t for t in throughputs_gbps if t > 0]

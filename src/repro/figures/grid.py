@@ -236,7 +236,7 @@ def run_cca_mtu_grid(
     *,
     jobs: Optional[int] = None,
     cache_dir: Union[None, str, Path, ResultCache] = None,
-    observer: Union[None, str, Path, Observer] = None,
+    observer: Optional[Observer] = None,
 ) -> CcaMtuGrid:
     """Run the full CCA x MTU grid (the §4.3-§4.5 experiment).
 

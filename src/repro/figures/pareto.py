@@ -164,7 +164,7 @@ def run_pareto(
     *,
     jobs: Optional[int] = None,
     cache_dir: Union[None, str, Path, ResultCache] = None,
-    observer: Union[None, str, Path, Observer] = None,
+    observer: Optional[Observer] = None,
     on_result: Optional[ResultHook] = None,
 ) -> ParetoResult:
     """Sweep every policy across both workloads and build the frontier.

@@ -166,9 +166,10 @@ PARALLEL = (
           help="content-addressed result cache directory; reruns with "
           "unchanged parameters replay stored measurements"),
     Param("--trace", metavar="DIR",
-          help="write a run journal (journal.jsonl) and metrics exports "
-          "into DIR; inspect with 'greenenvy obs report DIR'. Tracing "
-          "never changes results"),
+          help="record this run into DIR: its journal (journal.jsonl) and "
+          "telemetry (telemetry.jsonl), replacing what an earlier run "
+          "recorded there; inspect with 'greenenvy obs report DIR'. "
+          "Tracing never changes results"),
 )
 
 ABORT_ON_DRIFT = Param(

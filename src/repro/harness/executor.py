@@ -56,12 +56,7 @@ from repro.harness.cache import (
 from repro.harness.experiment import AnyScenario
 from repro.harness.runner import RunMeasurement, run_once
 from repro.obs.journal import ABORT_FILENAME, JOURNAL, perf_clock, worker_id
-from repro.obs.observer import (
-    NULL_OBSERVER,
-    JournalObserver,
-    Observer,
-    observing,
-)
+from repro.obs.observer import NULL_OBSERVER, JournalObserver, Observer
 from repro.obs.telemetry import TELEMETRY
 
 
@@ -272,7 +267,7 @@ def run_work_items(
     items: Sequence[WorkItem],
     jobs: Optional[int] = None,
     cache: Union[None, str, Path, ResultCache] = None,
-    observer: Union[None, str, Path, Observer] = None,
+    observer: Optional[Observer] = None,
     on_result: Optional[ResultHook] = None,
 ) -> List[RunMeasurement]:
     """Execute a batch of work items, cache-aware and order-preserving.
@@ -282,10 +277,10 @@ def run_work_items(
     are returned directly and only the misses run (then are stored).
     The result list always lines up index-for-index with ``items``.
 
-    ``observer`` (an :class:`~repro.obs.observer.Observer`, or a trace
-    directory it opens and closes) journals the batch: ``batch_started``,
-    per-item ``cache_hit``/``cache_miss``, the workers' run events, and
-    ``batch_finished``, plus spans around cache I/O. Tracing is purely
+    ``observer`` (whoever built it closes it) journals the batch:
+    ``batch_started``, per-item ``cache_hit``/``cache_miss``, the
+    workers' run events, and ``batch_finished``, plus spans around
+    cache I/O. Tracing is purely
     observational — results are bit-identical with it on or off — and
     worker journals are merged even when the batch fails, so crashed
     sweeps keep their evidence.
@@ -303,23 +298,12 @@ def run_work_items(
     if workers < 1:
         raise ExperimentError(f"need >= 1 worker process, got {jobs}")
     store = ensure_cache(cache)
-    with observing(observer) as obs:
-        return _run_batch(items, workers, store, obs, on_result)
-
-
-def _run_batch(
-    items: List[WorkItem],
-    jobs: int,
-    store: Optional[ResultCache],
-    obs: Observer,
-    on_result: Optional[ResultHook],
-) -> List[RunMeasurement]:
-    """:func:`run_work_items` with every argument resolved."""
+    obs = NULL_OBSERVER if observer is None else observer
     if obs.enabled:
         obs.emit(
             "batch_started",
             items=len(items),
-            backend="serial" if jobs == 1 else "process",
+            backend="serial" if workers == 1 else "process",
             cache=store is not None,
         )
     # One content address per item, hashed here and nowhere after: the
@@ -361,7 +345,7 @@ def _run_batch(
             [items[i] for i in missing],
             missing,
             [keys[i] for i in missing] if keys else [None] * len(missing),
-            jobs,
+            workers,
             obs,
             on_result,
             fresh,

@@ -35,7 +35,7 @@ from repro.harness.cache import ResultCache
 from repro.harness.executor import ResultHook, WorkItem, run_work_items
 from repro.harness.experiment import AnyScenario
 from repro.harness.runner import RepeatedResult, RunMeasurement
-from repro.obs.observer import Observer, observing
+from repro.obs.observer import NULL_OBSERVER, Observer
 
 ScenarioFactory = Callable[..., AnyScenario]
 
@@ -133,7 +133,7 @@ class Sweep:
         *,
         jobs: Optional[int] = None,
         cache: Union[None, str, Path, ResultCache] = None,
-        observer: Union[None, str, Path, Observer] = None,
+        observer: Optional[Observer] = None,
         on_result: Optional[ResultHook] = None,
         partial_figure: Optional[Callable[[SweepResults], Any]] = None,
     ) -> SweepResults:
@@ -144,9 +144,8 @@ class Sweep:
         the whole grid, not just one cell. Seeds are per-repetition
         (``base_seed + rep``, the same for every grid point), fixed
         before dispatch — results do not depend on the backend or on
-        worker scheduling. ``observer`` (an
-        :class:`~repro.obs.observer.Observer`, or a trace directory it
-        opens and closes) journals the sweep without changing a result.
+        worker scheduling. ``observer`` journals the sweep without
+        changing a result; whoever built it closes it.
 
         ``on_result`` sees every finished item and may stop the batch
         (see :data:`~repro.harness.executor.ResultHook`). When the batch
@@ -186,34 +185,34 @@ class Sweep:
                     )
             return results
 
-        with observing(observer) as obs:
+        obs = NULL_OBSERVER if observer is None else observer
+        if obs.enabled:
+            obs.emit(
+                "sweep_started",
+                axes={name: len(vals) for name, vals in self.axes.items()},
+                grid_points=len(points),
+                repetitions=repetitions,
+                items=len(items),
+            )
+        try:
+            measurements = run_work_items(
+                items, jobs=jobs, cache=cache, observer=obs, on_result=on_result
+            )
+        except SweepAbortedError as exc:
+            # Salvage the grid points that finished every repetition so
+            # callers can still render a partial figure.
+            partial = rows(exc.partial)
+            exc.partial_sweep = partial
+            if partial_figure is not None:
+                exc.partial_figure = partial_figure(partial)
             if obs.enabled:
                 obs.emit(
-                    "sweep_started",
-                    axes={name: len(vals) for name, vals in self.axes.items()},
-                    grid_points=len(points),
-                    repetitions=repetitions,
-                    items=len(items),
+                    "sweep_aborted",
+                    items=len(exc.partial),
+                    grid_points=len(partial.rows),
+                    reason=exc.reason,
                 )
-            try:
-                measurements = run_work_items(
-                    items, jobs=jobs, cache=cache, observer=obs, on_result=on_result
-                )
-            except SweepAbortedError as exc:
-                # Salvage the grid points that finished every repetition so
-                # callers can still render a partial figure.
-                partial = rows(exc.partial)
-                exc.partial_sweep = partial
-                if partial_figure is not None:
-                    exc.partial_figure = partial_figure(partial)
-                if obs.enabled:
-                    obs.emit(
-                        "sweep_aborted",
-                        items=len(exc.partial),
-                        grid_points=len(partial.rows),
-                        reason=exc.reason,
-                    )
-                raise
-            if obs.enabled:
-                obs.emit("sweep_finished", items=len(measurements))
-            return rows(dict(enumerate(measurements)))
+            raise
+        if obs.enabled:
+            obs.emit("sweep_finished", items=len(measurements))
+        return rows(dict(enumerate(measurements)))

@@ -43,7 +43,7 @@ class DropTailQueue(Counted):
         self.dequeued = 0
         #: telemetry clock source; queues have no simulator reference of
         #: their own, so topology builders attach one for the queues
-        #: worth observing (the bottleneck)
+        #: worth sampling (the bottleneck)
         self._probe_sim: Optional["Simulator"] = None
         #: virtual instant of the last depth sample handed to a
         #: downsampling sink

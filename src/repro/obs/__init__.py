@@ -63,8 +63,6 @@ _EXPORTS = {
     "TracingObserver": "observer",
     "Span": "observer",
     "NULL_OBSERVER": "observer",
-    "resolve_observer": "observer",
-    "observing": "observer",
     "ProgressTracker": "progress",
     "SweepProgress": "progress",
     "ScenarioProgress": "progress",

@@ -36,6 +36,12 @@ JOURNAL_FILENAME = "journal.jsonl"
 #: glob pattern of per-worker partial journals awaiting merge
 WORKER_GLOB = "worker-*.jsonl"
 
+#: the profile stream's merged file and worker partials
+#: (:mod:`repro.obs.profile`), named here so a trace directory's owner
+#: can clear them without loading the profiler
+PROFILE_FILENAME = "profile.jsonl"
+PROFILE_WORKER_GLOB = "profile-worker-*.jsonl"
+
 #: flag file inside a trace dir requesting a sweep abort; external
 #: watchers (``greenenvy obs watch --abort-on-drift``) create it, and the
 #: coordinator reads it between item completions and deletes it as it

@@ -1,13 +1,14 @@
 """Live sweep watching: tail a trace directory while the sweep runs.
 
-This is the streaming half of the observability layer (ROADMAP item 5:
-"streaming/incremental aggregation so a grid renders partial figures
-while running"). Everything here is a *reader* of the trace directory a
+This is the streaming half of the observability layer: incremental
+aggregation, so a sweep's progress and drift are known while it runs.
+Everything here is a *reader* of the trace directory a
 :class:`~repro.obs.observer.TracingObserver` populates:
 
 * :class:`JournalTail` — byte-offset tailer of one append-only JSONL
   file; only consumes up to the last committed newline, so a torn,
-  in-progress line is never parsed (and never an error).
+  in-progress line is never parsed (and never an error). A file
+  replaced under it (a rerun reclaimed the directory) is an error.
 * :class:`LiveSweepView` — tails the coordinator's ``journal.jsonl``
   *and* the per-worker ``worker-*.jsonl`` partials, deduplicating the
   events the coordinator later merges, and folds everything into a
@@ -34,6 +35,7 @@ be circular through the package ``__init__``).
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
@@ -78,27 +80,46 @@ class JournalTail:
     the newline. A *terminated* line that fails to parse is counted in
     :attr:`bad_lines` and skipped (a tailer cannot raise its producer's
     bugs mid-run; ``obs report`` does the strict post-mortem read).
+
+    A file shorter than the offset, or no longer starting with the line
+    the tail read first, was replaced (a new run claimed the directory):
+    :meth:`poll` raises :class:`ObservabilityError` rather than fold two
+    runs' records. The first line, stamped with its run's clock and
+    pid, names the file better than an inode number, which is reused.
     """
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self.offset = 0
         self.bad_lines = 0
+        #: the first committed line, once read
+        self._head = b""
 
     def poll(self) -> List[Dict[str, Any]]:
         try:
-            size = self.path.stat().st_size
+            handle = self.path.open("rb")
         except OSError:
             return []
-        if size <= self.offset:
-            return []
-        with self.path.open("rb") as handle:
+        with handle:
+            size = os.fstat(handle.fileno()).st_size
+            if self._head and (
+                size < self.offset
+                or handle.read(len(self._head)) != self._head
+            ):
+                raise ObservabilityError(
+                    f"{self.path} was replaced while it was watched "
+                    "(a new run reclaimed the trace directory)"
+                )
+            if size <= self.offset:
+                return []
             handle.seek(self.offset)
             chunk = handle.read(size - self.offset)
         cut = chunk.rfind(b"\n")
         if cut < 0:
             return []
         committed = chunk[: cut + 1]
+        if not self._head:
+            self._head = committed[: committed.index(b"\n") + 1]
         self.offset += cut + 1
         records: List[Dict[str, Any]] = []
         for raw in committed.decode("utf-8", errors="replace").splitlines():

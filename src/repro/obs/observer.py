@@ -22,16 +22,22 @@ is enforced by the ``obs-no-feedback`` simlint rule.
 
 from __future__ import annotations
 
-import contextlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
-from repro.errors import ObservabilityError
-from repro.obs.journal import JOURNAL_FILENAME, JournalWriter, perf_clock
+from repro.obs.journal import (
+    JOURNAL_FILENAME,
+    PROFILE_FILENAME,
+    PROFILE_WORKER_GLOB,
+    WORKER_GLOB,
+    JournalWriter,
+    perf_clock,
+)
 from repro.obs.stream import StreamWriter
 from repro.obs.telemetry import (
     DEFAULT_TELEMETRY_INTERVAL_S,
     TELEMETRY_FILENAME,
+    TELEMETRY_WORKER_GLOB,
     TelemetryWriter,
 )
 from repro.sim.probe import NULL_PROBE_SINK, ProbeSink, TimeSeriesProbeSink
@@ -160,11 +166,9 @@ class JournalObserver(Observer):
         path: Union[str, Path],
         worker: Optional[int] = None,
         telemetry_path: Optional[Union[str, Path]] = None,
-        telemetry_interval_s: Optional[float] = DEFAULT_TELEMETRY_INTERVAL_S,
         profile_path: Optional[Union[str, Path]] = None,
     ):
         self.journal = JournalWriter(path, worker=worker)
-        self.telemetry_interval_s = telemetry_interval_s
         self.telemetry: Optional[TelemetryWriter] = (
             TelemetryWriter(telemetry_path) if telemetry_path is not None else None
         )
@@ -198,7 +202,7 @@ class JournalObserver(Observer):
         """A fresh collecting sink per run when telemetry is on."""
         if self.telemetry is None:
             return NULL_PROBE_SINK
-        return TimeSeriesProbeSink(min_interval_s=self.telemetry_interval_s)
+        return TimeSeriesProbeSink(min_interval_s=DEFAULT_TELEMETRY_INTERVAL_S)
 
     def record_telemetry(
         self, sink: ProbeSink, scenario: str, seed: int
@@ -212,6 +216,14 @@ class JournalObserver(Observer):
             stream.close()
 
 
+#: every record file of a trace directory, worker partials included
+_RECORD_GLOBS = (
+    JOURNAL_FILENAME, WORKER_GLOB,
+    TELEMETRY_FILENAME, TELEMETRY_WORKER_GLOB,
+    PROFILE_FILENAME, PROFILE_WORKER_GLOB,
+)
+
+
 class TracingObserver(JournalObserver):
     """The coordinator observer backing ``--trace DIR``.
 
@@ -220,20 +232,25 @@ class TracingObserver(JournalObserver):
     derive the path from :attr:`trace_dir`), and
     :meth:`collect_workers` folds those into the main streams. A closed
     directory holds the record streams and nothing else.
+
+    Whoever builds one owns it and closes it; library code is handed an
+    observer and never builds one. Building one claims the directory:
+    the record files an earlier observer left there (its streams, and
+    partials of workers that never got merged) are deleted first, so a
+    directory only ever answers for the latest run. The abort flag is
+    not a record and stays.
     """
 
     def __init__(self, trace_dir: Union[str, Path], profile: bool = False):
         root = Path(trace_dir)
         root.mkdir(parents=True, exist_ok=True)
-        profile_path = None
-        if profile:
-            from repro.obs.profile import PROFILE_FILENAME
-
-            profile_path = root / PROFILE_FILENAME
+        for pattern in _RECORD_GLOBS:
+            for stale in root.glob(pattern):
+                stale.unlink()
         super().__init__(
             root / JOURNAL_FILENAME,
             telemetry_path=root / TELEMETRY_FILENAME,
-            profile_path=profile_path,
+            profile_path=root / PROFILE_FILENAME if profile else None,
         )
         self.trace_dir = root
 
@@ -251,43 +268,3 @@ class TracingObserver(JournalObserver):
         for stream in self.streams:
             if stream.spec.canonical:
                 stream.spec.canonicalize(stream.path)
-
-
-def resolve_observer(
-    observer: Union[None, str, Path, Observer],
-) -> Observer:
-    """Coerce an observer argument to an :class:`Observer`.
-
-    ``None`` means tracing off (the shared no-op); a string or path is
-    a trace directory and builds a :class:`TracingObserver`; an
-    observer instance passes through.
-    """
-    if observer is None:
-        return NULL_OBSERVER
-    if isinstance(observer, Observer):
-        return observer
-    if isinstance(observer, (str, Path)):
-        return TracingObserver(observer)
-    raise ObservabilityError(
-        f"observer must be None, a trace directory, or an Observer, "
-        f"got {type(observer).__name__}"
-    )
-
-
-@contextlib.contextmanager
-def observing(
-    observer: Union[None, str, Path, Observer],
-) -> Iterator[Observer]:
-    """:func:`resolve_observer` for the length of a ``with`` block.
-
-    Whoever resolves a trace directory into an observer closes it: an
-    observer built here is closed on exit, which canonicalises the
-    streams, even when the block raises.
-    An observer instance passed in stays open; its owner closes it.
-    """
-    resolved = resolve_observer(observer)
-    try:
-        yield resolved
-    finally:
-        if resolved is not observer:
-            resolved.close()

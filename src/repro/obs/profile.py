@@ -40,15 +40,10 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 import repro
+from repro.obs.journal import PROFILE_FILENAME, PROFILE_WORKER_GLOB
 from repro.obs.observer import TimedSpan
 from repro.obs.stream import StreamSpec, StreamWriter
 from repro.units import MILLION
-
-#: filename of the merged profile file inside a trace dir
-PROFILE_FILENAME = "profile.jsonl"
-
-#: glob pattern of per-worker profile partials awaiting merge
-PROFILE_WORKER_GLOB = "profile-worker-*.jsonl"
 
 #: filenames ``greenenvy obs profile`` exports into the trace dir
 FOLDED_FILENAME = "profile.folded"

@@ -32,6 +32,7 @@ from repro.harness.cache import ResultCache
 from repro.harness.executor import WorkItem, run_work_items
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.obs.journal import VOLATILE_FIELDS, read_journal
+from repro.obs.observer import TracingObserver
 
 GOLDEN = (
     Path(__file__).resolve().parents[1] / "golden" / "executor" / "batches.txt"
@@ -81,16 +82,17 @@ def _batch(root, jobs, abort):
             raise SweepAbortedError("pinned abort")
 
     outcome = []
-    try:
-        results = run_work_items(
-            ITEMS, jobs=jobs, cache=cache, observer=root / "trace",
-            on_result=on_result,
-        )
-        outcome.append(f"results {len(results)}")
-    except SweepAbortedError as exc:
-        outcome.append(f"partial {sorted(exc.partial)}")
-        outcome.append(f"total {exc.total}")
-        outcome.append(f"message {exc}")
+    with TracingObserver(root / "trace") as obs:
+        try:
+            results = run_work_items(
+                ITEMS, jobs=jobs, cache=cache, observer=obs,
+                on_result=on_result,
+            )
+            outcome.append(f"results {len(results)}")
+        except SweepAbortedError as exc:
+            outcome.append(f"partial {sorted(exc.partial)}")
+            outcome.append(f"total {exc.total}")
+            outcome.append(f"message {exc}")
     lines = [f"on_result {seen}"] + outcome
     lines.extend(
         _event_line(event)

@@ -26,6 +26,7 @@ from repro.harness.executor import WorkItem, run_work_items
 from repro.harness.experiment import FabricScenario, FlowSpec, Scenario
 from repro.harness.runner import RunMeasurement, run_once, run_repeated
 from repro.obs.journal import read_journal
+from repro.obs.observer import TracingObserver
 from repro.units import msec
 
 SIZE = 400_000
@@ -404,10 +405,11 @@ class TestOneKeyPerItem:
         # run_finished
         store = ResultCache(tmp_path / "cache", schema_version=SCHEMA_VERSION + 95)
         s = scenario()
-        run_work_items(
-            [WorkItem(s, 0), WorkItem(s, 1)],
-            jobs=jobs, cache=store, observer=tmp_path / "trace",
-        )
+        with TracingObserver(tmp_path / "trace") as obs:
+            run_work_items(
+                [WorkItem(s, 0), WorkItem(s, 1)],
+                jobs=jobs, cache=store, observer=obs,
+            )
         keyed = {}
         for event in read_journal(tmp_path / "trace"):
             if "cache_key" in event:
@@ -419,7 +421,8 @@ class TestOneKeyPerItem:
 
     def test_traced_item_without_a_store_keeps_the_default_key(self, tmp_path):
         s = scenario()
-        run_work_items([WorkItem(s, 0)], observer=tmp_path / "trace")
+        with TracingObserver(tmp_path / "trace") as obs:
+            run_work_items([WorkItem(s, 0)], observer=obs)
         keys = {
             event["cache_key"]
             for event in read_journal(tmp_path / "trace")

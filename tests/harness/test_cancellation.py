@@ -21,6 +21,7 @@ from repro.harness.executor import (
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.harness.sweep import Sweep
 from repro.obs.journal import ABORT_FILENAME, read_journal
+from repro.obs.observer import TracingObserver
 
 SIZE = 400_000
 
@@ -67,10 +68,12 @@ class TestAbortFlag:
         trace = tmp_path / "trace"
         trace.mkdir()
         (trace / ABORT_FILENAME).write_text("operator stop\n")
-        with pytest.raises(SweepAbortedError, match="operator stop"):
-            run_work_items(items_for(2), observer=trace)
+        with TracingObserver(trace) as obs:
+            with pytest.raises(SweepAbortedError, match="operator stop"):
+                run_work_items(items_for(2), observer=obs)
         assert not (trace / ABORT_FILENAME).exists()
-        assert len(run_work_items(items_for(2), observer=trace)) == 2
+        with TracingObserver(trace) as obs:
+            assert len(run_work_items(items_for(2), observer=obs)) == 2
 
 
 class TestMidBatchAbort:
@@ -105,8 +108,11 @@ class TestMidBatchAbort:
         [stored] = run_work_items(items[1:2], cache=cache)
         hook, seen = stop_after(1, reason="drifted hit")
         trace = tmp_path / "trace"
-        with pytest.raises(SweepAbortedError) as excinfo:
-            run_work_items(items, cache=cache, observer=trace, on_result=hook)
+        with TracingObserver(trace) as obs:
+            with pytest.raises(SweepAbortedError) as excinfo:
+                run_work_items(
+                    items, cache=cache, observer=obs, on_result=hook
+                )
         assert seen == [1]
         assert excinfo.value.partial == {1: stored}
         assert "1/3" in str(excinfo.value)
@@ -149,8 +155,9 @@ class TestAbortSalvage:
         trace = tmp_path / "trace"
         trace.mkdir()
         (trace / ABORT_FILENAME).write_text("external stop\n")
-        with pytest.raises(SweepAbortedError, match="external stop"):
-            run_work_items(items_for(2), observer=trace)
+        with TracingObserver(trace) as obs:
+            with pytest.raises(SweepAbortedError, match="external stop"):
+                run_work_items(items_for(2), observer=obs)
         events = read_journal(trace)
         aborts = [e for e in events if e["event"] == "batch_aborted"]
         assert len(aborts) == 1

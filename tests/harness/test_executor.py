@@ -21,6 +21,7 @@ from repro.harness.experiment import FlowSpec, Scenario
 from repro.harness.runner import run_once, run_repeated
 from repro.harness.sweep import Sweep
 from repro.obs.journal import read_journal
+from repro.obs.observer import TracingObserver
 
 SIZE = 400_000
 
@@ -48,12 +49,14 @@ class TestResolve:
         items = [WorkItem(scenario=tiny_scenario(), seed=s) for s in range(2)]
         for jobs in (None, 1):
             trace = tmp_path / f"jobs-{jobs}"
-            run_work_items(items, jobs=jobs, observer=trace)
+            with TracingObserver(trace) as obs:
+                run_work_items(items, jobs=jobs, observer=obs)
             assert backend_and_workers(trace) == ("serial", {os.getpid()})
 
     def test_jobs_selects_process_pool(self, tmp_path):
         items = [WorkItem(scenario=tiny_scenario(), seed=s) for s in range(2)]
-        run_work_items(items, jobs=4, observer=tmp_path / "t")
+        with TracingObserver(tmp_path / "t") as obs:
+            run_work_items(items, jobs=4, observer=obs)
         backend, workers = backend_and_workers(tmp_path / "t")
         assert backend == "process"
         assert workers and os.getpid() not in workers

@@ -14,6 +14,7 @@ without reducing the flow count the contract is asserted at.
 from repro.harness.cache import ResultCache
 from repro.harness.executor import WorkItem, run_work_items
 from repro.harness.experiment import FabricScenario
+from repro.obs.observer import TracingObserver
 from repro.obs.telemetry import read_telemetry
 
 
@@ -74,8 +75,9 @@ class TestFabricSweepDeterminism:
 
 class TestFabricTelemetryDeterminism:
     def test_jobs1_and_jobs4_traces_byte_identical(self, tmp_path):
-        run_work_items(sweep_items(), jobs=1, observer=tmp_path / "serial")
-        run_work_items(sweep_items(), jobs=4, observer=tmp_path / "pool")
+        for name, jobs in (("serial", 1), ("pool", 4)):
+            with TracingObserver(tmp_path / name) as obs:
+                run_work_items(sweep_items(), jobs=jobs, observer=obs)
         assert (
             (tmp_path / "serial" / "telemetry.jsonl").read_bytes()
             == (tmp_path / "pool" / "telemetry.jsonl").read_bytes()
@@ -83,13 +85,13 @@ class TestFabricTelemetryDeterminism:
 
     def test_traced_pool_run_equals_untraced_serial(self, tmp_path):
         plain = run_work_items(sweep_items())
-        traced = run_work_items(
-            sweep_items(), jobs=4, observer=tmp_path / "t"
-        )
+        with TracingObserver(tmp_path / "t") as obs:
+            traced = run_work_items(sweep_items(), jobs=4, observer=obs)
         assert traced == plain
 
     def test_fabric_telemetry_has_fleet_channels(self, tmp_path):
-        run_work_items(sweep_items()[:1], observer=tmp_path / "t")
+        with TracingObserver(tmp_path / "t") as obs:
+            run_work_items(sweep_items()[:1], observer=obs)
         records = read_telemetry(tmp_path / "t")
         assert records, "fabric runs must emit telemetry when traced"
         channels = {r["channel"] for r in records}

@@ -17,6 +17,7 @@ from repro.harness.executor import WorkItem, run_work_items
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.obs.journal import ABORT_FILENAME, VOLATILE_FIELDS, read_journal
 from repro.obs.live import LiveSweepView, request_abort
+from repro.obs.observer import TracingObserver
 from repro.obs.telemetry import read_telemetry
 
 SIZE = 400_000
@@ -96,11 +97,10 @@ class TestWatchedSweepIsBitIdentical:
         quiet = tmp_path / "quiet"
         watched = tmp_path / "watched"
         watched.mkdir()  # the watcher attaches before the sweep starts
-        plain = run_work_items(items_for(), jobs=jobs, observer=quiet)
-        with Watcher(watched) as watcher:
-            observed = run_work_items(
-                items_for(), jobs=jobs, observer=watched
-            )
+        with TracingObserver(quiet) as obs:
+            plain = run_work_items(items_for(), jobs=jobs, observer=obs)
+        with Watcher(watched) as watcher, TracingObserver(watched) as obs:
+            observed = run_work_items(items_for(), jobs=jobs, observer=obs)
         assert observed == plain
         # Order-normalised journal equality, as in
         # test_trace_determinism: with a pool, item-less span events
@@ -120,8 +120,8 @@ class TestWatchedSweepIsBitIdentical:
     def test_watcher_converges_on_the_finished_sweep(self, tmp_path):
         trace = tmp_path / "trace"
         trace.mkdir()
-        with Watcher(trace) as watcher:
-            run_work_items(items_for(), observer=trace)
+        with Watcher(trace) as watcher, TracingObserver(trace) as obs:
+            run_work_items(items_for(), observer=obs)
         final = watcher.snapshots[-1]
         assert final.complete
         assert not final.aborted
@@ -144,8 +144,9 @@ class TestExternalAbort:
             if index == 1:
                 request_abort(trace, "watcher says stop")
 
-        with pytest.raises(SweepAbortedError) as excinfo:
-            run_work_items(items_for(), observer=trace, on_result=hook)
+        with TracingObserver(trace) as obs:
+            with pytest.raises(SweepAbortedError) as excinfo:
+                run_work_items(items_for(), observer=obs, on_result=hook)
         exc = excinfo.value
         assert exc.reason == "watcher says stop"
         assert sorted(exc.partial) == [0, 1]

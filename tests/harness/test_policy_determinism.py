@@ -60,12 +60,12 @@ class TestPerPolicyDeterminism:
     def test_every_policy_telemetry_byte_identical(self, tmp_path):
         # Closing the observer (the CLI's `with` idiom) canonicalizes
         # record order, so the comparison is jobs-independent.
-        from repro.obs.observer import resolve_observer
+        from repro.obs.observer import TracingObserver
 
         items = all_policy_items()
-        with resolve_observer(tmp_path / "serial") as obs:
+        with TracingObserver(tmp_path / "serial") as obs:
             run_work_items(items, jobs=1, observer=obs)
-        with resolve_observer(tmp_path / "pool") as obs:
+        with TracingObserver(tmp_path / "pool") as obs:
             run_work_items(items, jobs=4, observer=obs)
         assert (
             (tmp_path / "serial" / "telemetry.jsonl").read_bytes()

@@ -21,6 +21,7 @@ from repro.harness.cache import ResultCache
 from repro.harness.executor import WorkItem, run_work_items
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.obs.journal import VOLATILE_FIELDS, read_journal
+from repro.obs.observer import TracingObserver
 from repro.obs.report import summarize_journal
 from repro.obs.telemetry import read_telemetry
 
@@ -38,6 +39,12 @@ def items_for(n=4):
     return [WorkItem(scenario=scenario, seed=seed) for seed in range(n)]
 
 
+def run_traced(trace, items, **kwargs):
+    """One batch traced into ``trace``, its observer closed after."""
+    with TracingObserver(trace) as obs:
+        return run_work_items(items, observer=obs, **kwargs)
+
+
 def stable_events(journal_source):
     """Journal events with the volatile diagnostics stripped."""
     return [
@@ -49,14 +56,12 @@ def stable_events(journal_source):
 class TestTracedResultsAreUntouched:
     def test_traced_serial_equals_untraced(self, tmp_path):
         plain = run_work_items(items_for())
-        traced = run_work_items(items_for(), observer=tmp_path / "t")
+        traced = run_traced(tmp_path / "t", items_for())
         assert traced == plain
 
     def test_traced_jobs4_equals_untraced_serial(self, tmp_path):
         plain = run_work_items(items_for())
-        traced = run_work_items(
-            items_for(), jobs=4, observer=tmp_path / "t"
-        )
+        traced = run_traced(tmp_path / "t", items_for(), jobs=4)
         assert traced == plain
 
 
@@ -72,12 +77,12 @@ class TestTelemetryDeterminism:
         # process pool must reproduce the untraced serial measurements
         # bit for bit.
         plain = run_work_items(items_for())
-        traced = run_work_items(items_for(), jobs=4, observer=tmp_path / "t")
+        traced = run_traced(tmp_path / "t", items_for(), jobs=4)
         assert traced == plain
 
     def test_jobs1_and_jobs4_write_identical_records(self, tmp_path):
-        run_work_items(items_for(), jobs=1, observer=tmp_path / "serial")
-        run_work_items(items_for(), jobs=4, observer=tmp_path / "pool")
+        run_traced(tmp_path / "serial", items_for(), jobs=1)
+        run_traced(tmp_path / "pool", items_for(), jobs=4)
         serial = sorted(read_telemetry(tmp_path / "serial"), key=telemetry_key)
         pool = sorted(read_telemetry(tmp_path / "pool"), key=telemetry_key)
         assert serial == pool
@@ -89,7 +94,7 @@ class TestTelemetryDeterminism:
         )
 
     def test_expected_channels_are_recorded(self, tmp_path):
-        run_work_items(items_for(1), observer=tmp_path / "t")
+        run_traced(tmp_path / "t", items_for(1))
         records = read_telemetry(tmp_path / "t")
         channels = {r["channel"] for r in records}
         assert {
@@ -108,7 +113,7 @@ class TestTelemetryDeterminism:
             assert len(record["times"]) == len(record["values"])
 
     def test_telemetry_partials_are_merged_away(self, tmp_path):
-        run_work_items(items_for(), jobs=4, observer=tmp_path / "t")
+        run_traced(tmp_path / "t", items_for(), jobs=4)
         trace = tmp_path / "t"
         assert list(trace.glob("telemetry-worker-*.jsonl")) == []
         assert (trace / "telemetry.jsonl").exists()
@@ -118,14 +123,14 @@ class TestTelemetryDeterminism:
         # no telemetry — documented behavior, pinned here.
         cache = ResultCache(tmp_path / "cache")
         run_work_items(items_for(), cache=cache)
-        run_work_items(items_for(), cache=cache, observer=tmp_path / "t")
+        run_traced(tmp_path / "t", items_for(), cache=cache)
         assert read_telemetry(tmp_path / "t") == []
 
 
 class TestJournalDeterminism:
     def test_jobs1_and_jobs4_produce_the_same_event_set(self, tmp_path):
-        run_work_items(items_for(), jobs=1, observer=tmp_path / "serial")
-        run_work_items(items_for(), jobs=4, observer=tmp_path / "pool")
+        run_traced(tmp_path / "serial", items_for(), jobs=1)
+        run_traced(tmp_path / "pool", items_for(), jobs=4)
         # The backend name on batch_started is execution config, the
         # one field that legitimately differs between the two runs.
         serial = [
@@ -162,7 +167,7 @@ class TestJournalDeterminism:
         assert serial_counts == pool_counts
 
     def test_run_events_carry_deterministic_payload(self, tmp_path):
-        run_work_items(items_for(2), observer=tmp_path / "t")
+        run_traced(tmp_path / "t", items_for(2))
         finished = [
             e for e in stable_events(tmp_path / "t")
             if e["event"] == "run_finished"
@@ -175,7 +180,7 @@ class TestJournalDeterminism:
             assert "bottleneck_drops" in event["counters"]
 
     def test_worker_partials_are_merged_away(self, tmp_path):
-        run_work_items(items_for(), jobs=4, observer=tmp_path / "t")
+        run_traced(tmp_path / "t", items_for(), jobs=4)
         trace = tmp_path / "t"
         assert list(trace.glob("worker-*.jsonl")) == []
         assert (trace / "journal.jsonl").exists()
@@ -185,7 +190,7 @@ class TestCacheEvents:
     def test_hits_and_misses_are_journaled(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         run_work_items(items_for(), cache=cache)
-        run_work_items(items_for(), cache=cache, observer=tmp_path / "t")
+        run_traced(tmp_path / "t", items_for(), cache=cache)
         events = stable_events(tmp_path / "t")
         hits = [e for e in events if e["event"] == "cache_hit"]
         assert len(hits) == 4
@@ -206,7 +211,7 @@ class TestWorkerErrorEvents:
         )
         items = [WorkItem(scenario=bad, seed=3)]
         with pytest.raises(ExperimentError) as excinfo:
-            run_work_items(items, observer=tmp_path / "t")
+            run_traced(tmp_path / "t", items)
         message = str(excinfo.value)
         assert "doomed" in message
         assert "seed=3" in message
@@ -229,7 +234,7 @@ class TestWorkerErrorEvents:
         items = [WorkItem(scenario=tiny_scenario(), seed=0),
                  WorkItem(scenario=bad, seed=1)]
         with pytest.raises(ExperimentError):
-            run_work_items(items, jobs=2, observer=tmp_path / "t")
+            run_traced(tmp_path / "t", items, jobs=2)
         events = stable_events(tmp_path / "t")
         assert any(e["event"] == "worker_error" for e in events)
         assert list((tmp_path / "t").glob("worker-*.jsonl")) == []

@@ -18,6 +18,7 @@ from repro.obs.live import (
     LiveSweepView,
     request_abort,
 )
+from repro.obs.observer import TracingObserver
 
 
 class TestJournalTail:
@@ -265,7 +266,8 @@ class TestDriftGate:
         item = WorkItem(
             Scenario("x-slow", flows=[FlowSpec(200_000)], packages=1), seed=0
         )
-        [measurement] = run_work_items([item], observer=tmp_path / "trace")
+        with TracingObserver(tmp_path / "trace") as obs:
+            [measurement] = run_work_items([item], observer=obs)
         [event] = [
             e for e in read_journal(tmp_path / "trace")
             if e["event"] == "run_finished"

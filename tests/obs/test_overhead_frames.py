@@ -18,7 +18,7 @@ import pytest
 from repro.harness.executor import run_work_items
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.harness.runner import run_once
-from repro.obs.observer import NULL_OBSERVER
+from repro.obs.observer import NULL_OBSERVER, TracingObserver
 from repro.sim.probe import NULL_PROBE_SINK
 
 from tests.conftest import count_calls
@@ -90,8 +90,12 @@ def test_attached_watcher_adds_no_frames_to_the_producer(tmp_path):
     # `obs watch` rides on files the sweep writes anyway: a live tail
     # must leave the traced producer's own code path untouched. (The watcher thread's frames are its own: the profile
     # hook is per-thread.)
+    def batch(trace):
+        with TracingObserver(trace) as obs:
+            return run_work_items(items_for(), observer=obs)
+
     def traced(name):
-        return frames(run_work_items, items_for(), observer=tmp_path / name)
+        return frames(batch, tmp_path / name)
 
     for name in ("warm-up", "quiet", "watched"):
         # the watcher attaches to a directory before the sweep starts,

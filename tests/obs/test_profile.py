@@ -285,6 +285,18 @@ class TestCli:
         assert (trace / "callgrind.out.greenenvy").exists()
         assert (trace / "profile.trace.json").exists()
 
+    def test_obs_profile_rerun_replaces_the_first_runs_records(
+        self, tmp_path
+    ):
+        from repro.cli import main
+
+        trace = tmp_path / "trace"
+        argv = ["obs", "profile", str(trace), "--bytes", str(BYTES), "--reps", "1"]
+        assert main(argv) == 0
+        first = len(read_profile(trace))
+        assert main(argv) == 0
+        assert len(read_profile(trace)) == first > 0
+
     def test_obs_report_includes_profile_section(self, tmp_path, capsys):
         from repro.cli import main
 

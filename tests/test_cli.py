@@ -532,6 +532,36 @@ class TestObsWatchCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_watch_stops_on_a_reclaimed_directory(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # The watched sweep was killed, and a rerun claims its directory
+        # between two polls: its journal is a new file, longer than the
+        # offset the watch had read to. Folding on would read the
+        # rerun's records from mid-line, so the watch stops instead.
+        from repro.obs.journal import JournalWriter
+        from repro.obs.observer import TracingObserver
+
+        trace = tmp_path / "trace"
+        trace.mkdir()
+        with JournalWriter(trace / "journal.jsonl", worker=1) as journal:
+            journal.write("batch_started", items=1, backend="serial")
+        sleeps = []
+
+        def rerun(_seconds):
+            assert not sleeps, "the watch folded the rerun's journal"
+            sleeps.append(_seconds)
+            with TracingObserver(trace) as obs:
+                obs.emit("batch_started", items=2, backend="serial")
+                obs.emit("batch_finished", items=2, executed=2, cache_hits=0)
+
+        monkeypatch.setattr("time.sleep", rerun)
+        code = main(["obs", "watch", "--interval", "0", str(trace)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "was replaced" in err
+
     def test_abort_on_drift_requires_baseline(self, capsys, tmp_path):
         trace = self._trace(tmp_path)
         code = main(["obs", "watch", "--once", "--abort-on-drift", str(trace)])
@@ -620,6 +650,24 @@ class TestAbortOnDrift:
         assert main(argv + ["--abort-on-drift", str(baseline)]) == 3
         assert not (tmp_path / "gated" / "abort.requested").exists()
         assert main(argv) == 0
+
+    def test_a_rerun_replaces_the_aborted_runs_records(
+        self, capsys, tmp_path
+    ):
+        # A rerun into the directory of a drift-aborted sweep: the
+        # directory answers for the rerun alone, so both views of it
+        # read one finished, healthy sweep.
+        argv = ["fig1", "--bytes", "400000", "--reps", "1"]
+        baseline = self._drifting_baseline(tmp_path, argv)
+        trace = tmp_path / "gated"
+        argv += ["--trace", str(trace)]
+        assert main(argv + ["--abort-on-drift", str(baseline)]) == 3
+        assert main(argv) == 0
+        events = [e["event"] for e in read_journal(trace)]
+        assert events.count("batch_started") == 1
+        assert events.count("run_finished") == 10
+        assert main(["obs", "report", str(trace)]) == 0
+        assert main(["obs", "watch", "--once", str(trace)]) == 0
 
     def test_watching_a_finished_drifted_trace_writes_no_flag(
         self, capsys, tmp_path

@@ -111,19 +111,35 @@ TRACE_READERS = (
 )
 
 
-def test_a_traced_run_loads_no_trace_reader(tmp_path):
-    loaded = loaded_after(
+def traced_run(trace_dir):
+    """The modules one unprofiled traced run loads."""
+    return loaded_after(
         "from repro.harness.executor import WorkItem, run_work_items\n"
         "from repro.harness.experiment import FlowSpec, Scenario\n"
+        "from repro.obs.observer import TracingObserver\n"
         "scenario = Scenario(name='one', flows=[FlowSpec(100_000)])\n"
-        f"run_work_items([WorkItem(scenario, 0)], observer={str(tmp_path)!r})"
+        f"with TracingObserver({str(trace_dir)!r}) as obs:\n"
+        "    run_work_items([WorkItem(scenario, 0)], observer=obs)"
     )
+
+
+def test_a_traced_run_loads_no_trace_reader(tmp_path):
+    loaded = traced_run(tmp_path)
     assert (tmp_path / "journal.jsonl").exists()
     assert [name for name in TRACE_READERS if name in loaded] == []
 
 
 #: what only a profiled trace may load (``obs profile``, ``--profile``)
 PROFILER = ("repro.obs.profile", "cProfile")
+
+
+def test_a_traced_run_over_an_old_profile_never_imports_the_profiler(tmp_path):
+    # claiming the directory deletes the profile records without the
+    # module that writes them
+    (tmp_path / "profile.jsonl").write_text("")
+    loaded = traced_run(tmp_path)
+    assert not (tmp_path / "profile.jsonl").exists()
+    assert not [name for name in PROFILER if name in loaded]
 
 
 @pytest.mark.parametrize("module", ("repro.harness.executor", "repro.figures.fig1"))

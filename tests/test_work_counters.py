@@ -43,6 +43,7 @@ from repro.harness.experiment import scenario_from_plan
 from repro.harness.runner import run_once
 from repro.net.packet import Packet
 from repro.obs.journal import read_journal
+from repro.obs.observer import TracingObserver
 from repro.obs.telemetry import read_telemetry
 from repro.sim.engine import Event, Simulator
 from repro.sim.probe import TimeSeriesProbeSink
@@ -257,10 +258,17 @@ def grid_cell(cache_dir, cca="cubic", **kwargs):
     )
 
 
+def traced_grid_cell(cache_dir, trace):
+    """:func:`grid_cell` with its owner's observer built and closed
+    inside, so the counted frames include the close."""
+    with TracingObserver(trace) as obs:
+        return grid_cell(cache_dir, observer=obs)
+
+
 def test_grid_cell_cold_then_replayed_work_counters(tmp_path, simulators):
     cache = ResultCache(tmp_path / "cache")
     trace = tmp_path / "trace"
-    cold, cold_calls = count_calls(grid_cell, cache, observer=trace)
+    cold, cold_calls = count_calls(traced_grid_cell, cache, trace)
     cold_simulators = simulators[:]
     replayed, replay_calls = count_calls(grid_cell, cache)
     assert replayed == cold
