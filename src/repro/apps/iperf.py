@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence
 
 from repro.errors import ExperimentError
 from repro.net.host import Host
-from repro.net.topology import Fabric, Testbed
+from repro.net.topology import Fabric
 from repro.sim.engine import Simulator
 from repro.sim.timer import PeriodicTimer
 from repro.tcp.receiver import TcpReceiver
@@ -60,7 +60,7 @@ class IperfResult:
 
 
 class IperfSession:
-    """One sender->receiver bulk transfer over a testbed.
+    """One sender->receiver bulk transfer over a :class:`Fabric`.
 
     Parameters
     ----------
@@ -77,15 +77,15 @@ class IperfSession:
     ecn:
         Force ECN on/off; default enables it for the algorithms that use it.
     src_host / dst_host:
-        Explicit endpoint hosts. Default to the testbed's (first)
-        sender and its receiver; multi-switch fabrics (where any host pair
-        may converse) pass both explicitly, in which case ``testbed``
-        only supplies the simulator.
+        Endpoint hosts. They default to the graph's first and last host:
+        on the testbed, its (first) sender and its receiver. On a
+        multi-switch fabric any host pair may converse, so its sessions
+        name both.
     """
 
     def __init__(
         self,
-        testbed: Union[Testbed, Fabric],
+        testbed: Fabric,
         total_bytes: int,
         cca: str = "cubic",
         target_bitrate_bps: Optional[float] = None,
@@ -102,17 +102,8 @@ class IperfSession:
             raise ExperimentError(
                 f"target bitrate must be > 0, got {target_bitrate_bps}"
             )
-        if src_host is not None and dst_host is not None:
-            src, dst = src_host, dst_host
-        elif isinstance(testbed, Testbed):
-            src = src_host if src_host is not None else testbed.sender
-            dst = dst_host if dst_host is not None else testbed.receiver
-        else:
-            raise ExperimentError(
-                f"{type(testbed).__name__} sessions must name both "
-                f"src_host and dst_host"
-            )
-        self.testbed = testbed
+        src = testbed.sender if src_host is None else src_host
+        dst = testbed.receiver if dst_host is None else dst_host
         self.sim = testbed.sim
         self.total_bytes = total_bytes
         self.cca = cca
@@ -304,7 +295,7 @@ def drive_until_complete(
 
 
 def run_until_complete(
-    testbed: Testbed,
+    testbed: Fabric,
     sessions: List[IperfSession],
     time_limit_s: float = 600.0,
 ) -> List[IperfResult]:

@@ -617,9 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = obs_sub.add_parser(
         "watch",
         help="live progress/ETA of a running traced sweep — tails the "
-        "journal and worker partials; optional HTTP endpoint and "
-        "incremental drift abort (exit 1 when the sweep drifted, "
-        "aborted, or erred)",
+        "journal and worker partials; incremental drift abort (exit 1 "
+        "when the sweep drifted, aborted, or erred)",
     )
     p.add_argument(
         "trace", help="trace directory a --trace sweep is writing into"

@@ -38,12 +38,7 @@ from repro.energy.meter import EnergyMeter
 from repro.energy.switch_power import rate_adaptive_switch, todays_switch
 from repro.harness.experiment import FabricScenario
 from repro.net.host import Host
-from repro.net.topology import (
-    Fabric,
-    FabricConfig,
-    build_fat_tree,
-    build_leaf_spine,
-)
+from repro.net.topology import Fabric, build_fat_tree, build_leaf_spine
 from repro.sched import (
     FlowRequest,
     SchedulePlan,
@@ -53,27 +48,6 @@ from repro.sched import (
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.units import BITS_PER_BYTE
-
-
-def _build_fabric(scenario: FabricScenario, sim: Simulator) -> Fabric:
-    kwargs: Dict[str, object] = dict(
-        mtu_bytes=scenario.mtu_bytes,
-        ecn_threshold_bytes=scenario.ecn_threshold_bytes,
-        # HPCC's switch support: stamp in-band telemetry on every port.
-        int_telemetry=scenario.cca == "hpcc",
-    )
-    if scenario.buffer_bytes is not None:
-        kwargs["buffer_bytes"] = scenario.buffer_bytes
-    if scenario.topology == "fat-tree":
-        return build_fat_tree(
-            sim, k=scenario.fat_tree_k, config=FabricConfig(**kwargs)  # type: ignore[arg-type]
-        )
-    kwargs.update(
-        leaves=scenario.leaves,
-        spines=scenario.spines,
-        hosts_per_leaf=scenario.hosts_per_leaf,
-    )
-    return build_leaf_spine(sim, FabricConfig(**kwargs))  # type: ignore[arg-type]
 
 
 def _workload_for(scenario: FabricScenario, fabric: Fabric, seed: int) -> FabricWorkload:
@@ -172,7 +146,12 @@ def prepare_fabric(
     scenario: FabricScenario, sim: Simulator, seed: int
 ) -> PreparedFabric:
     """Build the fabric, its workload, the CPU fleet and the sessions."""
-    fabric = _build_fabric(scenario, sim)
+    config = scenario.fabric_config()
+    fabric = (
+        build_fat_tree(sim, k=scenario.fat_tree_k, config=config)
+        if scenario.topology == "fat-tree"
+        else build_leaf_spine(sim, config)
+    )
     workload = _workload_for(scenario, fabric, seed)
     cpu_models = [
         CpuModel(

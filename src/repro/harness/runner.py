@@ -18,10 +18,9 @@ from repro.energy.meter import EnergyMeter
 from repro.errors import ExperimentError
 from repro.harness.experiment import AnyScenario, FabricScenario, Scenario
 from repro.harness.fabric import measure_fabric, prepare_fabric
-from repro.net.topology import Testbed, TestbedConfig, build_testbed
+from repro.net.topology import Fabric, build_testbed
 from repro.obs.attrib import record_flow_energy
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.sched import SchedulePlan
 from repro.sim.engine import Simulator
 from repro.sim.probe import ProbeSink
 from repro.sim.rng import RngRegistry
@@ -136,34 +135,13 @@ class RepeatedResult:
         return mean([float(r.total_retransmissions) for r in self.runs])
 
 
-def _build_testbed(
-    scenario: Scenario, sim: Simulator, plan: SchedulePlan
-) -> Testbed:
-    kwargs = dict(mtu_bytes=scenario.mtu_bytes)
-    if scenario.buffer_bytes is not None:
-        kwargs["buffer_bytes"] = scenario.buffer_bytes
-    kwargs["ecn_threshold_bytes"] = scenario.ecn_threshold_bytes
-    if scenario.host_packet_gap_s is not None:
-        kwargs["host_packet_gap_s"] = scenario.host_packet_gap_s
-    if scenario.sender_bonded_links is not None:
-        kwargs["sender_bonded_links"] = scenario.sender_bonded_links
-    kwargs["sender_hosts"] = 1 + max(flow.sender_host for flow in scenario.flows)
-    discipline = scenario.bottleneck_discipline
-    if plan.bottleneck_discipline != "fifo":
-        # Network-level policy hint (srpt's pFabric-style priority qdisc).
-        discipline = plan.bottleneck_discipline
-    kwargs["bottleneck_discipline"] = discipline
-    kwargs["int_telemetry"] = scenario.int_telemetry
-    return build_testbed(sim, TestbedConfig(**kwargs))
-
-
 def _prepare_link(
     scenario: Scenario, sim: Simulator, seed: int
 ) -> "_PreparedLink":
     """Build the testbed, sessions, probes and meter for one run."""
     rngs = RngRegistry(seed)
     plan = scenario.plan()
-    testbed = _build_testbed(scenario, sim, plan)
+    testbed = build_testbed(sim, scenario.testbed_config())
 
     # One CPU model per sender host, sized by the flows it carries.
     sender_cpus = [
@@ -174,12 +152,12 @@ def _prepare_link(
             or max(2, sum(f.sender_host == h for f in scenario.flows)),
             sample_interval_s=scenario.sample_interval_s,
         )
-        for h, host in enumerate(testbed.senders)
+        for h, host in enumerate(testbed.hosts[:-1])
     ]
     receiver_cpu = (
         CpuModel(
             sim,
-            testbed.receiver,
+            testbed.hosts[-1],
             packages=scenario.packages or max(2, len(scenario.flows)),
             sample_interval_s=scenario.sample_interval_s,
         )
@@ -223,7 +201,7 @@ def _prepare_link(
             # must be a pure function of (scenario, seed) so serial,
             # process-pool, and cached runs are interchangeable.
             flow_id=i + 1,
-            src_host=testbed.senders[flow.sender_host],
+            src_host=testbed.hosts[flow.sender_host],
         )
         sessions.append(session)
         # A flow takes its own host's packages in turn, and the
@@ -278,7 +256,7 @@ def _prepare_link(
 class _PreparedLink:
     """A built single-link run: what the pipeline drives, then measures."""
 
-    testbed: Testbed
+    testbed: Fabric
     sessions: List[IperfSession]
     probes: Dict[int, ThroughputProbe]
     meter: EnergyMeter
@@ -290,11 +268,12 @@ def _measure_link(
     """The single-link fields of the run's measurement."""
     for probe in prepared.probes.values():
         probe.stop()
-    bottleneck_q = prepared.testbed.bottleneck.queue
+    bottleneck = prepared.testbed.bottleneck
+    assert bottleneck is not None  # build_testbed always names it
     return dict(
         energy_j=host_energy_j,
-        bottleneck_drops=int(bottleneck_q.counters.get("drops")),
-        ecn_marks=int(bottleneck_q.counters.get("ecn_marks")),
+        bottleneck_drops=int(bottleneck.queue.counters.get("drops")),
+        ecn_marks=int(bottleneck.queue.counters.get("ecn_marks")),
         throughput_series={
             fid: p.series for fid, p in prepared.probes.items()
         },

@@ -17,7 +17,6 @@ from repro.net.topology import (
     ConservationLedger,
     Fabric,
     FabricConfig,
-    Testbed,
     TestbedConfig,
     build_fat_tree,
     build_leaf_spine,
@@ -40,7 +39,6 @@ __all__ = [
     "Host",
     "HostListener",
     "FlowEndpoint",
-    "Testbed",
     "TestbedConfig",
     "build_testbed",
     "Fabric",

@@ -73,6 +73,17 @@ class Nic(Counted):
 
     COUNTER_FIELDS = ("tx_packets", "tx_bytes")
 
+    @staticmethod
+    def check_limits(mtu_bytes: int, tx_packet_gap_s: float) -> None:
+        """Raise unless a NIC can have this MTU and packet gap."""
+        if mtu_bytes < 576:
+            raise NetworkConfigError(f"MTU {mtu_bytes} below IPv4 minimum of 576")
+        # NaN fails too; finite, as a drain is pushed one gap after the last
+        if not 0 <= tx_packet_gap_s < float("inf"):
+            raise NetworkConfigError(
+                f"tx packet gap must be finite and >= 0, got {tx_packet_gap_s}"
+            )
+
     def __init__(
         self,
         interfaces: Sequence[Interface],
@@ -84,13 +95,7 @@ class Nic(Counted):
     ):
         if not interfaces:
             raise NetworkConfigError("NIC needs at least one interface")
-        if mtu_bytes < 576:
-            raise NetworkConfigError(f"MTU {mtu_bytes} below IPv4 minimum of 576")
-        # NaN fails too; finite, as a drain is pushed one gap after the last
-        if not 0 <= tx_packet_gap_s < float("inf"):
-            raise NetworkConfigError(
-                f"tx packet gap must be finite and >= 0, got {tx_packet_gap_s}"
-            )
+        Nic.check_limits(mtu_bytes, tx_packet_gap_s)
         if tx_packet_gap_s > 0 and sim is None:
             raise NetworkConfigError("a paced NIC needs the simulator")
         if not tx_queue_packets > 0:

@@ -28,9 +28,14 @@ class DropTailQueue(Counted):
     #: CE-marked; None (drop-tail) never marks
     mark_threshold_bytes: Optional[int] = None
 
-    def __init__(self, capacity_bytes: int, name: str = "queue"):
+    @staticmethod
+    def check_capacity(capacity_bytes: int) -> None:
+        """Raise unless a queue can hold this many bytes."""
         if not capacity_bytes > 0:  # NaN fails too: it would never drop
             raise NetworkConfigError(f"queue capacity must be > 0, got {capacity_bytes}")
+
+    def __init__(self, capacity_bytes: int, name: str = "queue"):
+        DropTailQueue.check_capacity(capacity_bytes)
         self.capacity_bytes = capacity_bytes
         self.name = name
         self._items: Deque[Packet] = deque()
@@ -262,9 +267,14 @@ class EcnQueue(DropTailQueue):
         name: str = "ecn-queue",
     ):
         super().__init__(capacity_bytes, name=name)
+        EcnQueue.check_threshold(mark_threshold_bytes, capacity_bytes)
+        self.mark_threshold_bytes = mark_threshold_bytes
+
+    @staticmethod
+    def check_threshold(mark_threshold_bytes: int, capacity_bytes: int) -> None:
+        """Raise unless a queue of ``capacity_bytes`` can mark at this depth."""
         if not 0 < mark_threshold_bytes <= capacity_bytes:
             raise NetworkConfigError(
                 f"mark threshold {mark_threshold_bytes} must be in "
                 f"(0, {capacity_bytes}]"
             )
-        self.mark_threshold_bytes = mark_threshold_bytes

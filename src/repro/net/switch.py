@@ -1,4 +1,4 @@
-"""An output-queued switch with optional ECMP groups.
+"""An output-queued switch with an optional default ECMP group.
 
 Models a Tofino-class device at the level the paper exercises it:
 packets arrive, are looked up in a static forwarding table, and are
@@ -7,8 +7,8 @@ queued on the chosen output port. Each output port is an
 behaviour — queue growth, DropTail loss, ECN marking — happens here.
 
 For multi-switch fabrics a destination may be reachable over several
-equal-cost ports (leaf uplinks toward the spines). :meth:`add_ecmp_group`
-and :meth:`set_default_ecmp` install such groups; member selection
+equal-cost ports (leaf uplinks toward the spines).
+:meth:`set_default_ecmp` installs such a group; member selection
 hashes the flow identity (src, dst, flow id) with CRC32 the way real
 switches hash the 5-tuple, so a flow's path is deterministic, stable for
 the flow's lifetime, and independent of Python's per-process ``hash``
@@ -37,14 +37,13 @@ FlowKey = Tuple[str, str, int]
 
 
 class Switch(Counted):
-    """Static-forwarding output-queued switch with ECMP groups."""
+    """Static-forwarding output-queued switch with a default ECMP group."""
 
     COUNTER_FIELDS = ("rx_packets", "rx_bytes")
 
     def __init__(self, name: str = "switch"):
         self.name = name
         self._ports: Dict[str, Interface] = {}
-        self._ecmp_groups: Dict[str, List[Interface]] = {}
         self._default_ecmp: Optional[List[Interface]] = None
         self._flow_port_cache: Dict[FlowKey, Interface] = {}
         # salt once: hashing f"{name}|..." per packet would rebuild the
@@ -58,19 +57,9 @@ class Switch(Counted):
 
     def add_port(self, dst_host: str, interface: Interface) -> None:
         """Route packets destined to ``dst_host`` out of ``interface``."""
-        if dst_host in self._ports or dst_host in self._ecmp_groups:
+        if dst_host in self._ports:
             raise NetworkConfigError(f"{self.name}: duplicate route for {dst_host}")
         self._ports[dst_host] = interface
-
-    def add_ecmp_group(
-        self, dst_host: str, interfaces: Sequence[Interface]
-    ) -> None:
-        """Route ``dst_host`` over several equal-cost ports (per-flow hash)."""
-        if not interfaces:
-            raise NetworkConfigError(f"{self.name}: empty ECMP group for {dst_host}")
-        if dst_host in self._ports or dst_host in self._ecmp_groups:
-            raise NetworkConfigError(f"{self.name}: duplicate route for {dst_host}")
-        self._ecmp_groups[dst_host] = list(interfaces)
 
     def set_default_ecmp(self, interfaces: Sequence[Interface]) -> None:
         """ECMP group used for any destination with no exact route.
@@ -102,7 +91,7 @@ class Switch(Counted):
         port = self._ports.get(packet.dst)
         if port is not None:
             return port
-        group = self._ecmp_groups.get(packet.dst, self._default_ecmp)
+        group = self._default_ecmp
         if group is None:
             raise NetworkConfigError(
                 f"{self.name}: no route to {packet.dst!r} "
@@ -125,9 +114,6 @@ class Switch(Counted):
         seen: Dict[int, Interface] = {}
         for iface in self._ports.values():
             seen.setdefault(id(iface), iface)
-        for group in self._ecmp_groups.values():
-            for iface in group:
-                seen.setdefault(id(iface), iface)
         if self._default_ecmp is not None:
             for iface in self._default_ecmp:
                 seen.setdefault(id(iface), iface)

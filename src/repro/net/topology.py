@@ -1,20 +1,25 @@
-"""Topology builders.
+"""Topology builders. Each returns a :class:`Fabric`, whose queues and
+links are registered, so one packet ledger holds on every network.
 
-:func:`build_testbed` reproduces the paper's lab setup (§3): a sender and
-a receiver attached to one switch, the sender with two bonded 10 Gb/s
-links (round-robin spraying) so the switch's output port toward the
-receiver — not the sender NIC — is the bottleneck. With more than one
-sender host it builds the incast fan-in §5 names: N senders, each with
-its own NIC and uplinks, sharing that one bottleneck.
+:func:`build_testbed` reproduces the paper's lab setup (§3) as a
+one-switch fabric: a sender and a receiver attached to one switch, the
+sender with two bonded 10 Gb/s links (round-robin spraying) so the
+switch's output port toward the receiver — not the sender NIC — is the
+bottleneck. With more than one sender host it builds the incast fan-in
+§5 names: N senders, each with its own NIC and uplinks, sharing that one
+bottleneck. :func:`build_leaf_spine` and :func:`build_fat_tree` build
+the multi-switch fabrics.
 
 All rates, delays, buffer sizes and the ECN marking threshold are
 parameters so experiments can deviate (Fig. 4's load sweep, ablations).
+A config rejects, through each part's own check, the MTU, packet gap,
+buffer and marking threshold its parts would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Generic, List, Optional, TypeVar
 
 from repro.errors import NetworkConfigError
 from repro.net.host import Host
@@ -29,6 +34,23 @@ from repro.units import gbps, usec
 #: what the bottleneck can schedule by: "fifo" (drop-tail, or ECN when a
 #: threshold is set) and "priority" (pFabric-style SRPT approximation)
 BOTTLENECK_DISCIPLINES = ("fifo", "priority")
+
+
+def check_discipline(discipline: str) -> None:
+    """Raise unless ``discipline`` is one of :data:`BOTTLENECK_DISCIPLINES`."""
+    if discipline not in BOTTLENECK_DISCIPLINES:
+        raise NetworkConfigError(
+            f"unknown bottleneck discipline {discipline!r} "
+            f"(known: {', '.join(BOTTLENECK_DISCIPLINES)})"
+        )
+
+
+def _check_parts(config: ConfigT, ecn: bool) -> None:
+    """Raise what building ``config``'s hosts and queues would raise."""
+    Nic.check_limits(config.mtu_bytes, config.host_packet_gap_s)
+    DropTailQueue.check_capacity(config.buffer_bytes)
+    if ecn and config.ecn_threshold_bytes is not None:
+        EcnQueue.check_threshold(config.ecn_threshold_bytes, config.buffer_bytes)
 
 
 @dataclass
@@ -65,143 +87,17 @@ class TestbedConfig:
 
     def __post_init__(self) -> None:
         if self.sender_bonded_links < 1:
-            raise ValueError("need at least one sender link")
+            raise NetworkConfigError("need at least one sender link")
         if self.sender_hosts < 1:
-            raise ValueError(f"need >= 1 sender host, got {self.sender_hosts}")
+            raise NetworkConfigError(f"need >= 1 sender host, got {self.sender_hosts}")
+        check_discipline(self.bottleneck_discipline)
+        # only a fifo bottleneck marks; every other queue is drop-tail
+        _check_parts(self, ecn=self.bottleneck_discipline == "fifo")
 
     @property
     def base_rtt_s(self) -> float:
         """Propagation-only round-trip time (sender->switch->receiver->back)."""
         return 4 * self.link_delay_s
-
-
-@dataclass
-class Testbed:
-    """A wired-up testbed ready for flows to be attached."""
-
-    sim: Simulator
-    config: TestbedConfig
-    senders: List[Host]
-    receiver: Host
-    switch: Switch
-    bottleneck: Interface
-
-    @property
-    def sender(self) -> Host:
-        """The first sender host (the paper's testbed has only this one)."""
-        return self.senders[0]
-
-    @property
-    def bottleneck_rate_bps(self) -> float:
-        """Rate of the contended switch->receiver link."""
-        return self.bottleneck.link.rate_bps
-
-
-def _make_queue(config: TestbedConfig, name: str, ecn: bool) -> DropTailQueue:
-    if config.bottleneck_discipline not in BOTTLENECK_DISCIPLINES:
-        raise ValueError(
-            f"unknown bottleneck discipline {config.bottleneck_discipline!r}"
-        )
-    if config.bottleneck_discipline == "priority":
-        return PriorityQueue(capacity_bytes=config.buffer_bytes, name=name)
-    if ecn and config.ecn_threshold_bytes is not None:
-        return EcnQueue(
-            capacity_bytes=config.buffer_bytes,
-            mark_threshold_bytes=config.ecn_threshold_bytes,
-            name=name,
-        )
-    return DropTailQueue(capacity_bytes=config.buffer_bytes, name=name)
-
-
-def build_testbed(sim: Simulator, config: Optional[TestbedConfig] = None) -> Testbed:
-    """Construct the paper's one-switch testbed.
-
-    The returned :class:`Testbed` exposes the bottleneck interface so
-    experiments can inspect queue occupancy, drops and ECN marks. One
-    sender host is named ``sender``; with several, host ``h`` is
-    ``sender-h`` and its parts' names carry ``h`` too.
-    """
-    config = config or TestbedConfig()
-    switch = Switch(name="tofino")
-    tags = [""] if config.sender_hosts == 1 else [
-        str(h) for h in range(config.sender_hosts)
-    ]
-    # hosts are built senders first, then the receiver (the counter
-    # oracle lists them in construction order)
-    senders: List[Host] = []
-    for tag in tags:
-        senders.append(Host(sim, f"sender-{tag}" if tag else "sender"))
-    receiver = Host(sim, "receiver")
-
-    # Sender -> switch: N bonded links per host (packets sprayed round-robin).
-    for sender, tag in zip(senders, tags):
-        uplinks = []
-        for i in range(config.sender_bonded_links):
-            link = Link(
-                sim, config.link_rate_bps, config.link_delay_s, f"snd{tag}-up-{i}"
-            )
-            link.connect(switch)
-            queue = DropTailQueue(config.buffer_bytes, name=f"snd{tag}-q-{i}")
-            uplinks.append(Interface(sim, queue, link, name=f"snd{tag}-if-{i}"))
-        sender.attach_nic(
-            Nic(
-                uplinks,
-                mtu_bytes=config.mtu_bytes,
-                name=f"{sender.name}-nic",
-                sim=sim,
-                tx_packet_gap_s=config.host_packet_gap_s,
-            )
-        )
-
-    # Switch -> receiver: the bottleneck. ECN-capable when configured.
-    down_link = Link(sim, config.link_rate_bps, config.link_delay_s, "sw-down")
-    down_link.connect(receiver)
-    bottleneck_queue = _make_queue(config, "bottleneck", ecn=True)
-    # The bottleneck queue is the contended resource every figure reads
-    # about; give it the telemetry clock so depth/drop series appear in
-    # traces (no-op unless a probe sink is installed).
-    bottleneck_queue.attach_probe(sim)
-    bottleneck = Interface(
-        sim,
-        bottleneck_queue,
-        down_link,
-        name="bottleneck",
-        int_telemetry=config.int_telemetry,
-    )
-    switch.add_port("receiver", bottleneck)
-
-    # Receiver -> switch (ACK path) and switch -> each sender.
-    ack_up_link = Link(sim, config.link_rate_bps, config.link_delay_s, "rcv-up")
-    ack_up_link.connect(switch)
-    ack_queue = DropTailQueue(config.buffer_bytes, name="rcv-q")
-    receiver.attach_nic(
-        Nic(
-            [Interface(sim, ack_queue, ack_up_link, name="rcv-if")],
-            mtu_bytes=config.mtu_bytes,
-            name="receiver-nic",
-            sim=sim,
-            tx_packet_gap_s=config.host_packet_gap_s,
-        )
-    )
-    for sender, tag in zip(senders, tags):
-        link = Link(sim, config.link_rate_bps, config.link_delay_s, f"sw-up{tag}")
-        link.connect(sender)
-        queue = DropTailQueue(config.buffer_bytes, name=f"sw-snd{tag}-q")
-        switch.add_port(
-            sender.name, Interface(sim, queue, link, name=f"sw-snd{tag}-if")
-        )
-
-    return Testbed(
-        sim=sim,
-        config=config,
-        senders=senders,
-        receiver=receiver,
-        switch=switch,
-        bottleneck=bottleneck,
-    )
-
-
-# -- multi-switch fabrics (leaf-spine, fat-tree) ----------------------
 
 
 @dataclass
@@ -232,13 +128,14 @@ class FabricConfig:
 
     def __post_init__(self) -> None:
         if self.leaves < 1:
-            raise ValueError(f"need >= 1 leaf, got {self.leaves}")
+            raise NetworkConfigError(f"need >= 1 leaf, got {self.leaves}")
         if self.spines < 1:
-            raise ValueError(f"need >= 1 spine, got {self.spines}")
+            raise NetworkConfigError(f"need >= 1 spine, got {self.spines}")
         if self.hosts_per_leaf < 1:
-            raise ValueError(
+            raise NetworkConfigError(
                 f"need >= 1 host per leaf, got {self.hosts_per_leaf}"
             )
+        _check_parts(self, ecn=True)
 
     @property
     def base_rtt_s(self) -> float:
@@ -246,14 +143,26 @@ class FabricConfig:
         return 8 * self.link_delay_s
 
 
+#: either config a :class:`Fabric` is built from
+ConfigT = TypeVar("ConfigT", TestbedConfig, FabricConfig)
+
+
+def check_fat_tree_arity(k: int) -> None:
+    """Raise unless ``k`` is a fat-tree arity: even and >= 2."""
+    if k < 2 or k % 2 != 0:
+        raise NetworkConfigError(
+            f"fat-tree arity must be even and >= 2, got {k}"
+        )
+
+
 @dataclass
 class ConservationLedger:
-    """Fabric-wide packet accounting (the conservation invariant).
+    """Packet accounting over a whole fabric (the conservation invariant).
 
     ``residual`` is the number of packets neither delivered nor
     accounted to a loss mechanism — i.e. packets still in flight. After
     the event queue drains it must be exactly zero; the fleet invariant
-    suite asserts that.
+    suite and the link testbed's ledger pins assert that.
     """
 
     sent: int
@@ -274,24 +183,37 @@ class ConservationLedger:
 
 
 @dataclass
-class Fabric:
-    """A wired multi-switch fabric ready for flows to be attached.
+class Fabric(Generic[ConfigT]):
+    """A wired network ready for flows to be attached.
 
-    ``tiers`` maps a tier name ("leaf"/"spine", or "edge"/"agg"/"core"
-    for fat-trees) to its switches in index order; ``host_rack`` maps a
-    host name to the rack (leaf / edge-switch index) it lives in. The
-    queue and link registries exist so invariants and fleet energy can
-    enumerate every loss point and every port without re-walking the
-    wiring.
+    ``tiers`` maps a tier name ("switch" for the one-switch testbed,
+    "leaf"/"spine", or "edge"/"agg"/"core" for fat-trees) to its
+    switches in index order; ``host_rack`` maps a host name to the rack
+    (leaf / edge-switch index) it lives in. The queue and link
+    registries exist so invariants and fleet energy can enumerate every
+    loss point and every port without re-walking the wiring.
+    ``bottleneck`` is the testbed's contended switch -> receiver port,
+    None on the multi-switch fabrics.
     """
 
     sim: Simulator
-    config: FabricConfig
+    config: ConfigT
     hosts: List[Host]
     tiers: Dict[str, List[Switch]]
     host_rack: Dict[str, int]
     queues: List[DropTailQueue] = field(default_factory=list)
     links: List[Link] = field(default_factory=list)
+    bottleneck: Optional[Interface] = None
+
+    @property
+    def sender(self) -> Host:
+        """The first host: the testbed's (first) sender."""
+        return self.hosts[0]
+
+    @property
+    def receiver(self) -> Host:
+        """The last host: the testbed's receiver."""
+        return self.hosts[-1]
 
     @property
     def switches(self) -> List[Switch]:
@@ -334,8 +256,13 @@ class Fabric:
         )
 
 
-def _fabric_switch_queue(config: FabricConfig, name: str) -> DropTailQueue:
-    """An ECN-capable egress queue for a fabric switch port."""
+def _egress_queue(
+    config: ConfigT, name: str, discipline: str = "fifo"
+) -> DropTailQueue:
+    """A switch egress queue: priority, ECN-marking when the config sets
+    a threshold, else drop-tail."""
+    if discipline == "priority":
+        return PriorityQueue(capacity_bytes=config.buffer_bytes, name=name)
     if config.ecn_threshold_bytes is not None:
         return EcnQueue(
             capacity_bytes=config.buffer_bytes,
@@ -345,16 +272,101 @@ def _fabric_switch_queue(config: FabricConfig, name: str) -> DropTailQueue:
     return DropTailQueue(capacity_bytes=config.buffer_bytes, name=name)
 
 
-def _fabric_link(
-    fabric: Fabric,
-    rate_bps: float,
-    name: str,
-    sink,
-) -> Link:
+def _fabric_link(fabric: Fabric, rate_bps: float, name: str, sink) -> Link:
     link = Link(fabric.sim, rate_bps, fabric.config.link_delay_s, name)
     link.connect(sink)
     fabric.links.append(link)
     return link
+
+
+def _attach_nic(fabric: Fabric, host: Host, interfaces: List[Interface]) -> None:
+    config = fabric.config
+    host.attach_nic(
+        Nic(
+            interfaces,
+            mtu_bytes=config.mtu_bytes,
+            name=f"{host.name}-nic",
+            sim=fabric.sim,
+            tx_packet_gap_s=config.host_packet_gap_s,
+        )
+    )
+
+
+def build_testbed(
+    sim: Simulator, config: Optional[TestbedConfig] = None
+) -> Fabric[TestbedConfig]:
+    """Construct the paper's one-switch testbed.
+
+    ``hosts`` are the senders, then the receiver (the counter oracle
+    lists them in construction order), so :attr:`Fabric.sender` and
+    :attr:`Fabric.receiver` are the dumbbell's ends; the one tier holds
+    the switch, and ``bottleneck`` is its port toward the receiver, so
+    experiments can inspect queue occupancy, drops and ECN marks. One
+    sender host is named ``sender``; with several, host ``h`` is
+    ``sender-h`` and its parts' names carry ``h`` too.
+    """
+    config = config or TestbedConfig()
+    switch = Switch(name="tofino")
+    tags = [""] if config.sender_hosts == 1 else [
+        str(h) for h in range(config.sender_hosts)
+    ]
+    hosts = [Host(sim, f"sender-{tag}" if tag else "sender") for tag in tags]
+    hosts.append(Host(sim, "receiver"))
+    testbed = Fabric(
+        sim=sim,
+        config=config,
+        hosts=hosts,
+        tiers={"switch": [switch]},
+        host_rack={host.name: 0 for host in hosts},
+    )
+    senders, receiver = hosts[:-1], hosts[-1]
+    rate = config.link_rate_bps
+
+    # Sender -> switch: N bonded links per host (packets sprayed round-robin).
+    for sender, tag in zip(senders, tags):
+        uplinks = []
+        for i in range(config.sender_bonded_links):
+            link = _fabric_link(testbed, rate, f"snd{tag}-up-{i}", switch)
+            queue = DropTailQueue(config.buffer_bytes, name=f"snd{tag}-q-{i}")
+            testbed.queues.append(queue)
+            uplinks.append(Interface(sim, queue, link, name=f"snd{tag}-if-{i}"))
+        _attach_nic(testbed, sender, uplinks)
+
+    # Switch -> receiver: the bottleneck. ECN-capable when configured.
+    down_link = _fabric_link(testbed, rate, "sw-down", receiver)
+    bottleneck_queue = _egress_queue(
+        config, "bottleneck", config.bottleneck_discipline
+    )
+    testbed.queues.append(bottleneck_queue)
+    # The bottleneck queue is the contended resource every figure reads
+    # about; give it the telemetry clock so depth/drop series appear in
+    # traces (no-op unless a probe sink is installed).
+    bottleneck_queue.attach_probe(sim)
+    testbed.bottleneck = Interface(
+        sim,
+        bottleneck_queue,
+        down_link,
+        name="bottleneck",
+        int_telemetry=config.int_telemetry,
+    )
+    switch.add_port("receiver", testbed.bottleneck)
+
+    # Receiver -> switch (ACK path) and switch -> each sender.
+    ack_up_link = _fabric_link(testbed, rate, "rcv-up", switch)
+    ack_queue = DropTailQueue(config.buffer_bytes, name="rcv-q")
+    testbed.queues.append(ack_queue)
+    _attach_nic(
+        testbed, receiver, [Interface(sim, ack_queue, ack_up_link, name="rcv-if")]
+    )
+    for sender, tag in zip(senders, tags):
+        link = _fabric_link(testbed, rate, f"sw-up{tag}", sender)
+        queue = DropTailQueue(config.buffer_bytes, name=f"sw-snd{tag}-q")
+        testbed.queues.append(queue)
+        switch.add_port(
+            sender.name, Interface(sim, queue, link, name=f"sw-snd{tag}-if")
+        )
+
+    return testbed
 
 
 def _switch_port(
@@ -362,7 +374,7 @@ def _switch_port(
 ) -> Interface:
     """A switch egress port: ECN queue + link toward ``sink``."""
     link = _fabric_link(fabric, rate_bps, f"{name}-link", sink)
-    queue = _fabric_switch_queue(fabric.config, f"{name}-q")
+    queue = _egress_queue(fabric.config, f"{name}-q")
     fabric.queues.append(queue)
     return Interface(
         fabric.sim,
@@ -374,28 +386,18 @@ def _switch_port(
 
 
 def _attach_fabric_host(
-    fabric: Fabric, name: str, rack: int, edge_switch: Switch
+    fabric: Fabric[FabricConfig], name: str, rack: int, edge_switch: Switch
 ) -> Host:
     """Create a host, wire its uplink to ``edge_switch`` and register it."""
-    config = fabric.config
+    rate = fabric.config.host_link_rate_bps
     host = Host(fabric.sim, name)
-    up_link = _fabric_link(
-        fabric, config.host_link_rate_bps, f"{name}-up-link", edge_switch
-    )
-    up_queue = DropTailQueue(config.buffer_bytes, name=f"{name}-q")
+    up_link = _fabric_link(fabric, rate, f"{name}-up-link", edge_switch)
+    up_queue = DropTailQueue(fabric.config.buffer_bytes, name=f"{name}-q")
     fabric.queues.append(up_queue)
-    host.attach_nic(
-        Nic(
-            [Interface(fabric.sim, up_queue, up_link, name=f"{name}-if")],
-            mtu_bytes=config.mtu_bytes,
-            name=f"{name}-nic",
-            sim=fabric.sim,
-            tx_packet_gap_s=config.host_packet_gap_s,
-        )
+    _attach_nic(
+        fabric, host, [Interface(fabric.sim, up_queue, up_link, name=f"{name}-if")]
     )
-    down = _switch_port(
-        fabric, config.host_link_rate_bps, f"{edge_switch.name}-to-{name}", host
-    )
+    down = _switch_port(fabric, rate, f"{edge_switch.name}-to-{name}", host)
     edge_switch.add_port(name, down)
     fabric.hosts.append(host)
     fabric.host_rack[name] = rack
@@ -404,7 +406,7 @@ def _attach_fabric_host(
 
 def build_leaf_spine(
     sim: Simulator, config: Optional[FabricConfig] = None
-) -> Fabric:
+) -> Fabric[FabricConfig]:
     """Construct a two-tier leaf-spine (Clos) fabric.
 
     Hosts are named ``h{leaf}-{index}``. Each leaf has an exact route
@@ -455,7 +457,7 @@ def build_leaf_spine(
 
 def build_fat_tree(
     sim: Simulator, k: int = 4, config: Optional[FabricConfig] = None
-) -> Fabric:
+) -> Fabric[FabricConfig]:
     """Construct a k-ary fat-tree (Al-Fares et al.) fabric.
 
     ``k`` pods, each with ``k/2`` edge and ``k/2`` aggregation switches;
@@ -467,8 +469,7 @@ def build_fat_tree(
     routes. ``config.leaves``/``hosts_per_leaf``/``spines`` are ignored
     — the shape is fully determined by ``k``.
     """
-    if k < 2 or k % 2 != 0:
-        raise ValueError(f"fat-tree arity must be even and >= 2, got {k}")
+    check_fat_tree_arity(k)
     config = config or FabricConfig()
     half = k // 2
     edges = [

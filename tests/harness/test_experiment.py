@@ -7,7 +7,12 @@ import pytest
 
 from repro.core.allocation import fig1_allocations, full_speed_then_idle
 from repro.errors import ExperimentError
-from repro.harness.experiment import FlowSpec, Scenario, scenario_from_plan
+from repro.harness.experiment import (
+    FabricScenario,
+    FlowSpec,
+    Scenario,
+    scenario_from_plan,
+)
 from repro.units import gbps
 
 
@@ -139,6 +144,39 @@ class TestScenarioValidation:
     def test_unknown_bottleneck_discipline_rejected(self):
         with pytest.raises(ExperimentError, match="'lifo'.*fifo, priority"):
             Scenario("bad", flows=[FlowSpec(1000)], bottleneck_discipline="lifo")
+
+    @pytest.mark.parametrize(
+        "kind, overrides",
+        [
+            ("link", dict(sender_bonded_links=0)),
+            ("link", dict(mtu_bytes=500)),
+            ("link", dict(buffer_bytes=0)),
+            # below the default 100 KiB ECN marking threshold
+            ("link", dict(buffer_bytes=30_000)),
+            ("link", dict(ecn_threshold_bytes=0)),
+            ("link", dict(host_packet_gap_s=-1.0)),
+            ("link", dict(host_packet_gap_s=float("nan"))),
+            ("fabric", dict(leaves=0)),
+            ("fabric", dict(spines=0)),
+            ("fabric", dict(hosts_per_leaf=0)),
+            ("fabric", dict(topology="fat-tree", fat_tree_k=3)),
+            ("fabric", dict(mtu_bytes=500)),
+            ("fabric", dict(buffer_bytes=30_000)),
+        ],
+    )
+    def test_what_the_builder_rejects_is_rejected_at_construction(
+        self, kind, overrides
+    ):
+        with pytest.raises(ExperimentError, match="^scenario 'unbuildable': "):
+            if kind == "link":
+                Scenario("unbuildable", flows=[FlowSpec(1000)], **overrides)
+            else:
+                FabricScenario("unbuildable", **overrides)
+
+    def test_a_priority_hint_lifts_the_marking_threshold_check(self):
+        # srpt's plan puts a priority qdisc at the bottleneck, which
+        # never marks: a buffer below the ECN threshold builds
+        Scenario("srpt", flows=[FlowSpec(1000)], buffer_bytes=30_000, policy="srpt")
 
 
 class TestScenarioFromPlan:

@@ -133,7 +133,7 @@ class TestSenderHosts:
             sender_bonded_links=1,
         )
         prepared = _prepare_link(scenario, Simulator(), seed=0)
-        senders = prepared.testbed.senders
+        senders = prepared.testbed.hosts[:-1]
         assert [s.sender.host for s in prepared.sessions] == senders
         assert [len(host.nic.interfaces) for host in senders] == [1, 1]
 
@@ -141,7 +141,7 @@ class TestSenderHosts:
         flows = [FlowSpec(SIZE)] * 3 + [FlowSpec(SIZE, sender_host=1)]
         prepared = _prepare_link(single_flow(flows=flows), Simulator(), seed=0)
         first, second = prepared.meter.cpu_models
-        assert [first.host, second.host] == prepared.testbed.senders
+        assert [first.host, second.host] == prepared.testbed.hosts[:-1]
         assert [len(first.packages), len(second.packages)] == [3, 2]
         # a host's flows take its packages in turn
         ids = [s.flow_id for s in prepared.sessions]
@@ -154,7 +154,7 @@ class TestSenderHosts:
             single_flow(flows=flows, meter_receiver=True), Simulator(), seed=0
         )
         receiver = prepared.meter.cpu_models[-1]
-        assert receiver.host is prepared.testbed.receiver
+        assert receiver.host is prepared.testbed.hosts[-1]
         assert [
             receiver.package_for(s.flow_id) for s in prepared.sessions
         ] == [receiver.packages[i % 3] for i in range(3)]

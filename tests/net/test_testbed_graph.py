@@ -49,7 +49,7 @@ def _host(host, sim):
 def describe(testbed):
     """The testbed as nested tuples: hosts, then the switch's routes."""
     sim = testbed.sim
-    switch = testbed.switch
+    switch = testbed.switches[0]
     assert switch.port_for("receiver") is testbed.bottleneck
     return {
         "sender": _host(testbed.sender, sim),

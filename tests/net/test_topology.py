@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import NetworkConfigError
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue, EcnQueue
 from repro.net.topology import TestbedConfig, build_testbed
@@ -20,7 +21,7 @@ class TestConfig:
         assert config.base_rtt_s == pytest.approx(40e-6)
 
     def test_needs_at_least_one_link(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NetworkConfigError):
             TestbedConfig(sender_bonded_links=0)
 
 
@@ -38,7 +39,7 @@ class TestBuild:
         assert not isinstance(tb.bottleneck.queue, EcnQueue)
 
     def test_bottleneck_rate(self, testbed):
-        assert testbed.bottleneck_rate_bps == gbps(10)
+        assert testbed.bottleneck.link.rate_bps == gbps(10)
 
     def test_data_path_sender_to_receiver(self, sim, testbed):
         """A raw packet injected at the sender reaches the receiver."""

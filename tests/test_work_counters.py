@@ -116,8 +116,10 @@ TRACED_PATH = DATA_PATH + tuple(
 #: shape -> most frames one segment may cost (its share of ACKs, timers
 #: and energy samples included). A ceiling, not an equality (3.12
 #: inlines comprehensions, so totals differ between interpreters): what
-#: the code reaches on 3.11 (33.0 / 38.8 / 90.3, and 27.6 over
-#: ``TRACED_PATH`` for the grid cell; 30.9 while the trace directory's
+#: the code reaches on 3.11 (33.3 / 38.8 / 90.7, and 27.8 over
+#: ``TRACED_PATH`` for the grid cell; 33.0 / 38.8 / 90.3 and 27.5
+#: before a network config checked its parts' limits when made and the
+#: testbed's builder registered its parts; 30.9 while the trace directory's
 #: close rendered metric exports from a journal fold the observer fed
 #: every record; 32.5 / 38.6 / 89.3 and 30.4 while an
 #: ACK without a SACK block skipped ``_apply_sacks``, which is why the
