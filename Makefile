@@ -1,6 +1,7 @@
 # Developer entry points. `make check` is the code gate CI runs: tier-1
-# tests, the benchmark's contract tests (bench-check), the domain linter,
-# and (when installed) ruff + mypy. Beyond it CI replays the three
+# tests, the benchmark's contract tests (bench-check), the mutation
+# probe's own tests (mutants-check), the domain linter, and (when
+# installed) ruff + mypy. Beyond it CI replays the three
 # committed behaviour baselines and fails on drift: `make obs-diff`,
 # `make fabric-obs-diff` and `make pareto` (plus artifact-only steps:
 # the obs watch smoke, obs-profile), and on one Python version checks the
@@ -18,9 +19,9 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test bench-check loc imports frames lint ruff mypy claims obs-profile baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
+.PHONY: check test bench-check mutants-check loc imports frames lint ruff mypy claims obs-profile baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
 
-check: test bench-check lint ruff mypy
+check: test bench-check mutants-check lint ruff mypy
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -33,6 +34,13 @@ test:
 # measurement time
 bench-check:
 	$(PYTHON) -m pytest bench/tests -q
+
+# the mutation probe's own tests (not tier-1, ~10 s): its operators, its
+# stable site ids, a killed and a surviving mutant reported, a run past
+# its timeout killed with its process group. The probe itself is
+# `python -m mutants repro.obs repro.harness` (mutants/README.md)
+mutants-check:
+	$(PYTHON) -m pytest mutants/tests -q
 
 # source lines per package ([a-z]*: not __pycache__), per top-level
 # module (cli.py ...) and in total; every removal PR reports the
