@@ -121,31 +121,3 @@ def count_calls(fn, *args, **kwargs):
         if gc_was_enabled:
             gc.enable()
     return result, calls
-
-
-def tiny_scenario(name, **overrides):
-    """One 400 kB flow on one package: the harness tests' unit of work."""
-    from repro.harness.experiment import FlowSpec, Scenario
-
-    return Scenario(**{"name": name, "flows": [FlowSpec(400_000)], "packages": 1, **overrides})
-
-
-def tiny_items(name, n=4):
-    """``n`` seeds of :func:`tiny_scenario`."""
-    from repro.harness.executor import WorkItem
-
-    return [WorkItem(tiny_scenario(name), seed) for seed in range(n)]
-
-
-def stable_events(journal_source):
-    """Journal events with the volatile diagnostics (wall clock, worker) stripped."""
-    from repro.obs.journal import VOLATILE_FIELDS, read_journal
-
-    return [
-        {k: v for k, v in event.items() if k not in VOLATILE_FIELDS}
-        for event in read_journal(journal_source)
-    ]
-
-
-def telemetry_key(record):
-    return record["scenario"], record["seed"], record["channel"], record["entity"]

@@ -44,18 +44,30 @@ def cache(tmp_path):
 
 
 class TestKeys:
-    def test_key_moves_with_the_spec_the_seed_and_the_schema(self):
+    def test_equal_specs_share_a_key(self):
+        assert compute_key(scenario(), 3) == compute_key(scenario(), 3)
+
+    def test_seed_changes_key(self):
+        assert compute_key(scenario(), 0) != compute_key(scenario(), 1)
+
+    def test_any_field_change_moves_key(self):
         base = compute_key(scenario(), 0)
-        assert compute_key(scenario(), 0) == base
-        assert compute_key(scenario(), 1) != base
         assert compute_key(scenario(mtu_bytes=1500), 0) != base
         assert compute_key(scenario(background_load=0.5), 0) != base
         assert (
             compute_key(scenario(flows=[FlowSpec(SIZE, cca="bbr")]), 0) != base
         )
+
+    def test_schema_version_moves_key(self):
         assert compute_key(scenario(), 0, schema_version=1) != compute_key(
             scenario(), 0, schema_version=2
         )
+
+    def test_cache_key_is_order_stable(self):
+        # json with sort_keys: field declaration order cannot leak in.
+        s = scenario()
+        assert s.cache_key() == scenario().cache_key()
+        assert '"mtu_bytes"' in s.cache_key()
 
 
 def golden_corpus():
@@ -191,7 +203,7 @@ class TestGoldenKeys:
         assert compute_key(spec, seed) == GOLDEN_KEYS[name]
 
 
-class TestStore:
+class TestRoundTrip:
     def test_measurement_survives_json_exactly(self):
         # probes on, multi-flow: exercises every serialized field
         m = run_once(
@@ -203,46 +215,42 @@ class TestStore:
             seed=11,
         )
         assert measurement_from_dict(measurement_to_dict(m)) == m
+
+    def test_codec_writes_exactly_the_measurement_fields(self):
         # a field the codec drops is lost on every hit; one it keeps
         # after the dataclass dropped it fails every load
+        m = run_once(scenario(), seed=0)
         assert set(measurement_to_dict(m)) == {
             field.name for field in dataclasses.fields(RunMeasurement)
         }
 
-    def test_miss_put_hit_invalidate_and_clear(self, cache, tmp_path, monkeypatch):
+    def test_get_returns_equal_measurement(self, cache):
         s = scenario()
         m = run_once(s, seed=2)
-        assert cache.get(s, 2) is None
-        assert (cache.hits, cache.misses) == (0, 1)
-        path = cache.put(s, 2, m)
-        # a hit is the measurement itself (the journal reads its counters)
+        cache.put(s, 2, m)
         assert cache.get(s, 2) == m
+
+    def test_counters_survive_the_round_trip_losslessly(self, cache):
+        # The journal's run_finished events read counters(); a cached
+        # replay must export the exact same values.
+        s = scenario()
+        m = run_once(s, seed=4)
+        cache.put(s, 4, m)
+        replayed = cache.get(s, 4)
+        assert replayed.counters() == m.counters()
+
+
+class TestHitMiss:
+    def test_empty_cache_misses(self, cache):
+        assert cache.get(scenario(), 0) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_put_then_hit(self, cache):
+        s = scenario()
+        cache.put(s, 0, run_once(s, seed=0))
+        assert cache.get(s, 0) is not None
         assert cache.hits == 1
         assert len(cache) == 1
-        bumped = ResultCache(tmp_path / "cache", schema_version=SCHEMA_VERSION + 1)
-        assert bumped.get(s, 2) is None
-        path.write_text("{not json", encoding="utf-8")
-        assert cache.get(s, 2) is None  # a corrupt entry is a miss
-        assert cache.clear() == 1
-        assert len(cache) == 0
-        # load and save address the same entries as get and put
-        key, (hits, misses) = cache.key(s, 2), (cache.hits, cache.misses)
-        assert cache.load(key) is None
-        assert cache.save(key, m) == cache.path(key)
-        assert cache.get(s, 2) == cache.load(key) == m
-        assert (cache.hits, cache.misses) == (hits + 2, misses + 1)
-        # Ctrl-C while an entry is read stops the sweep: it is not an
-        # unreadable entry, so it is neither a miss nor a hit
-        cache.put(s, 2, m)
-        counts = (cache.hits, cache.misses)
-
-        def interrupted(path, *args, **kwargs):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(Path, "read_text", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            cache.get(s, 2)
-        assert (cache.hits, cache.misses) == counts
 
     def test_run_repeated_warm_rerun_never_simulates(self, cache, monkeypatch):
         s = scenario()
@@ -259,32 +267,77 @@ class TestStore:
         warm = run_repeated(s, repetitions=2, base_seed=0, cache=cache)
         assert warm.runs == cold.runs
 
-    @pytest.mark.parametrize("schema", [4, 5])
-    def test_an_older_schemas_entry_is_a_miss(self, cache, schema):
-        # an entry an older build left in the same directory (schema 4:
-        # power series included; schema 5: no energy split): the current
-        # store neither reads nor trusts it, and the item is simulated
-        # afresh
+    def test_schema_bump_invalidates(self, cache, tmp_path):
+        s = scenario()
+        cache.put(s, 0, run_once(s, seed=0))
+        bumped = ResultCache(tmp_path / "cache", schema_version=SCHEMA_VERSION + 1)
+        assert bumped.get(s, 0) is None
+
+    def test_schema_4_entry_with_power_series_is_a_miss(self, cache):
+        # an entry a schema-4 build left in the same directory, power
+        # series included: the current store neither reads nor trusts
+        # it, and the item is simulated afresh
         s = scenario()
         fresh = run_once(s, seed=0)
-        assert fresh.energy_components_j
         old = measurement_to_dict(fresh)
-        if schema == 4:
-            old["power_series"] = [
-                {"name": "sender-pkg0-power", "times": [0.001], "values": [35.0]}
-            ]
-        else:
-            del old["energy_components_j"]
-        old_path = cache.path(compute_key(s, 0, schema_version=schema))
+        old["power_series"] = [
+            {"name": "sender-pkg0-power", "times": [0.001], "values": [35.0]}
+        ]
+        old_path = cache.path(compute_key(s, 0, schema_version=4))
         old_path.parent.mkdir(parents=True, exist_ok=True)
         old_path.write_text(json.dumps(old), encoding="utf-8")
         result = run_repeated(s, repetitions=1, base_seed=0, cache=cache)
         assert (cache.hits, cache.misses) == (0, 1)
         assert result.runs == [fresh]
         assert cache.path(cache.key(s, 0)).exists() and old_path.exists()
-        stored = json.loads(cache.path(cache.key(s, 0)).read_text(encoding="utf-8"))
-        assert "power_series" not in stored
-        assert "energy_components_j" in stored
+        assert "power_series" not in json.loads(
+            cache.path(cache.key(s, 0)).read_text(encoding="utf-8")
+        )
+
+    def test_schema_5_entry_without_components_is_a_miss(self, cache):
+        # an entry a schema-5 build left in the same directory, with no
+        # energy split: the schema-6 store neither reads nor trusts it,
+        # and the item is simulated afresh
+        s = scenario()
+        fresh = run_once(s, seed=0)
+        old = measurement_to_dict(fresh)
+        del old["energy_components_j"]
+        old_path = cache.path(compute_key(s, 0, schema_version=5))
+        old_path.parent.mkdir(parents=True, exist_ok=True)
+        old_path.write_text(json.dumps(old), encoding="utf-8")
+        result = run_repeated(s, repetitions=1, base_seed=0, cache=cache)
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert result.runs == [fresh]
+        assert fresh.energy_components_j
+        assert "energy_components_j" in json.loads(
+            cache.path(cache.key(s, 0)).read_text(encoding="utf-8")
+        )
+
+    def test_corrupt_entry_is_a_miss(self, cache):
+        s = scenario()
+        path = cache.put(s, 0, run_once(s, seed=0))
+        path.write_text("{not json", encoding="utf-8")
+        assert cache.get(s, 0) is None
+
+    def test_interrupt_during_a_read_propagates(self, cache, monkeypatch):
+        # Ctrl-C while an entry is read stops the sweep: it is not an
+        # unreadable entry, so it is neither a miss nor a hit
+        s = scenario()
+        cache.put(s, 0, run_once(s, seed=0))
+
+        def interrupted(path, *args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Path, "read_text", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cache.get(s, 0)
+        assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_clear_removes_entries(self, cache):
+        s = scenario()
+        cache.put(s, 0, run_once(s, seed=0))
+        assert cache.clear() == 1
+        assert len(cache) == 0
 
 
 class TestSharedDirectory:
@@ -365,36 +418,61 @@ class TestOneKeyPerItem:
             assert sorted(keyed[seed]) == ["cache_miss", "run_finished", "run_started"]
             assert set(keyed[seed].values()) == {store.key(s, seed)}
             assert store.path(store.key(s, seed)).exists()
-        # a traced item without a store keeps the default key
-        with TracingObserver(tmp_path / "plain") as obs:
-            run_work_items([WorkItem(s, 0)], jobs=jobs, observer=obs)
+
+    def test_traced_item_without_a_store_keeps_the_default_key(self, tmp_path):
+        s = scenario()
+        with TracingObserver(tmp_path / "trace") as obs:
+            run_work_items([WorkItem(s, 0)], observer=obs)
         keys = {
             event["cache_key"]
-            for event in read_journal(tmp_path / "plain")
+            for event in read_journal(tmp_path / "trace")
             if "cache_key" in event
         }
         assert keys == {compute_key(s, 0)}
 
+    def test_load_and_save_address_the_same_entries_as_get_and_put(self, cache):
+        s = scenario()
+        measurement = run_once(s, seed=0)
+        key = cache.key(s, 0)
+        assert cache.load(key) is None
+        assert cache.save(key, measurement) == cache.path(key)
+        assert cache.get(s, 0) == cache.load(key) == measurement
+        assert (cache.hits, cache.misses) == (2, 1)
 
-class TestEnsureCacheAndJobs:
-    def test_coerces_a_path_passes_a_store_or_none_and_rejects_the_rest(self, cache, tmp_path):
-        assert isinstance(ensure_cache(str(tmp_path / "c")), ResultCache)
+
+class TestEnsureCache:
+    def test_path_string_coerces(self, tmp_path):
+        store = ensure_cache(str(tmp_path / "c"))
+        assert isinstance(store, ResultCache)
+
+    def test_none_passes_through(self):
         assert ensure_cache(None) is None
+
+    def test_instance_passes_through(self, cache):
         assert ensure_cache(cache) is cache
+
+    def test_garbage_rejected(self):
         with pytest.raises(ExperimentError, match="cache must be"):
             ensure_cache(42)
 
+
+class TestCacheWithParallelism:
     def test_cache_and_jobs_compose_bit_identically(self, tmp_path):
         s = scenario()
         plain = run_repeated(s, repetitions=3, base_seed=1)
-        cache = ResultCache(tmp_path / "c")
         cached_parallel = run_repeated(
-            s, repetitions=3, base_seed=1, jobs=3, cache=cache
+            s, repetitions=3, base_seed=1, jobs=3, cache=tmp_path / "c"
         )
-        rehydrated = run_repeated(s, repetitions=3, base_seed=1, cache=cache)
+        rehydrated = run_repeated(
+            s, repetitions=3, base_seed=1, cache=tmp_path / "c"
+        )
         assert plain.runs == cached_parallel.runs == rehydrated.runs
-        # a partly warm cache fills only its misses
+
+    def test_partial_warm_cache_fills_only_misses(self, tmp_path):
+        s = scenario()
+        cache = ResultCache(tmp_path / "c")
+        run_repeated(s, repetitions=1, base_seed=0, cache=cache)
+        assert len(cache) == 1
+        result = run_repeated(s, repetitions=3, base_seed=0, cache=cache)
         assert len(cache) == 3
-        result = run_repeated(s, repetitions=5, base_seed=1, cache=cache)
-        assert len(cache) == 5
-        assert [r.seed for r in result.runs] == [1, 2, 3, 4, 5]
+        assert [r.seed for r in result.runs] == [0, 1, 2]

@@ -13,13 +13,27 @@ from repro.figures.fabric import FabricResult, run_fabric_figure
 from repro.figures.fig1 import Fig1Result, run_fig1
 from repro.figures.pareto import ParetoResult, run_pareto
 from repro.harness.cache import ResultCache
-from repro.harness.executor import consume_abort_flag, run_work_items
+from repro.harness.executor import (
+    WorkItem,
+    consume_abort_flag,
+    run_work_items,
+)
+from repro.harness.experiment import FlowSpec, Scenario
 from repro.harness.sweep import Sweep
 from repro.obs.journal import ABORT_FILENAME, read_journal
 from repro.obs.observer import TracingObserver
-from tests.conftest import tiny_items, tiny_scenario
 
 SIZE = 400_000
+
+
+def tiny_scenario(name="cancel", **overrides):
+    defaults = dict(name=name, flows=[FlowSpec(SIZE)], packages=1)
+    defaults.update(overrides)
+    return Scenario(**defaults)
+
+
+def items_for(n=4):
+    return [WorkItem(scenario=tiny_scenario(), seed=seed) for seed in range(n)]
 
 
 def stop_after(count, reason="enough"):
@@ -35,7 +49,7 @@ def stop_after(count, reason="enough"):
 
 
 class TestAbortFlag:
-    def test_first_line_is_the_reason_and_one_batch_stops(self, tmp_path):
+    def test_first_line_is_the_reason(self, tmp_path):
         flag = tmp_path / ABORT_FILENAME
         flag.write_text("stop now\nsecond line\n")
         with pytest.raises(SweepAbortedError) as excinfo:
@@ -44,44 +58,39 @@ class TestAbortFlag:
         # Acting on the flag deletes it: it stops one batch, once.
         assert not flag.exists()
         consume_abort_flag(tmp_path)
-        # a plain touch counts as an abort
+
+    def test_plain_touch_counts_as_abort(self, tmp_path):
         (tmp_path / ABORT_FILENAME).write_text("")
         with pytest.raises(SweepAbortedError, match="abort file present"):
             consume_abort_flag(tmp_path)
-        # a flag in a trace directory stops one traced batch, not the rerun
+
+    def test_flag_stops_one_batch_and_not_the_rerun(self, tmp_path):
         trace = tmp_path / "trace"
         trace.mkdir()
         (trace / ABORT_FILENAME).write_text("operator stop\n")
         with TracingObserver(trace) as obs:
             with pytest.raises(SweepAbortedError, match="operator stop"):
-                run_work_items(tiny_items("cancel", 2), observer=obs)
+                run_work_items(items_for(2), observer=obs)
         assert not (trace / ABORT_FILENAME).exists()
-        aborts = [e for e in read_journal(trace) if e["event"] == "batch_aborted"]
-        assert len(aborts) == 1
-        assert aborts[0]["reason"] == "operator stop"
-        assert aborts[0]["completed"] == 0
         with TracingObserver(trace) as obs:
-            assert len(run_work_items(tiny_items("cancel", 2), observer=obs)) == 2
+            assert len(run_work_items(items_for(2), observer=obs)) == 2
 
 
 class TestMidBatchAbort:
     def test_serial_abort_keeps_finished_items(self):
         hook, seen = stop_after(2, reason="two is plenty")
         with pytest.raises(SweepAbortedError) as excinfo:
-            run_work_items(tiny_items("cancel", 4), on_result=hook)
+            run_work_items(items_for(4), on_result=hook)
         exc = excinfo.value
         assert sorted(exc.partial) == [0, 1]
         assert seen == [0, 1]
         assert exc.reason == "two is plenty"
         assert "2/4" in str(exc)
-        # declared attributes: present (None) even below the sweep layer
-        assert exc.partial_sweep is None
-        assert exc.partial_figure is None
 
     def test_process_abort_keeps_finished_items(self):
         hook, seen = stop_after(1)
         with pytest.raises(SweepAbortedError) as excinfo:
-            run_work_items(tiny_items("cancel", 4), jobs=2, on_result=hook)
+            run_work_items(items_for(4), jobs=2, on_result=hook)
         exc = excinfo.value
         # In-flight items may still drain, but the batch stopped early
         # and everything reported finished carries a real measurement.
@@ -95,7 +104,7 @@ class TestMidBatchAbort:
         # batch's salvage: stopping on one runs nothing fresh, and every
         # hit is kept as finished work.
         cache = ResultCache(tmp_path / "cache")
-        items = tiny_items("cancel", 3)
+        items = items_for(3)
         [stored] = run_work_items(items[1:2], cache=cache)
         hook, seen = stop_after(1, reason="drifted hit")
         trace = tmp_path / "trace"
@@ -111,27 +120,50 @@ class TestMidBatchAbort:
         assert "run_started" not in events
         assert "batch_aborted" in events
 
+    def test_idle_control_changes_no_bits(self):
+        # A hook that never raises must not perturb the measurements:
+        # same results as a batch run without one.
+        seen = []
+        plain = run_work_items(items_for(4))
+        watched = run_work_items(
+            items_for(4), on_result=lambda i, item, m: seen.append(i)
+        )
+        assert watched == plain
+        assert seen == [0, 1, 2, 3]
+
 
 class TestAbortSalvage:
     def test_partial_is_stored_to_cache_and_replayable(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         hook, _ = stop_after(2)
         with pytest.raises(SweepAbortedError) as excinfo:
-            run_work_items(tiny_items("cancel", 4), cache=cache, on_result=hook)
+            run_work_items(items_for(4), cache=cache, on_result=hook)
         aborted = excinfo.value
         assert sorted(aborted.partial) == [0, 1]
         # The rerun replays the salvaged items as cache hits (notified
         # first, in submission order) and computes only the rest.
         seen = []
         results = run_work_items(
-            tiny_items("cancel", 4), cache=cache, on_result=lambda i, item, m: seen.append(i)
+            items_for(4), cache=cache, on_result=lambda i, item, m: seen.append(i)
         )
+        assert len(results) == 4
         assert seen == [0, 1, 2, 3]
         assert results[0] == aborted.partial[0]
         assert results[1] == aborted.partial[1]
-        # a hook that never raises perturbs nothing: the same results as
-        # a batch run without one
-        assert results == run_work_items(tiny_items("cancel", 4))
+
+    def test_abort_file_in_trace_dir_stops_traced_run(self, tmp_path):
+        trace = tmp_path / "trace"
+        trace.mkdir()
+        (trace / ABORT_FILENAME).write_text("external stop\n")
+        with TracingObserver(trace) as obs:
+            with pytest.raises(SweepAbortedError, match="external stop"):
+                run_work_items(items_for(2), observer=obs)
+        events = read_journal(trace)
+        aborts = [e for e in events if e["event"] == "batch_aborted"]
+        assert len(aborts) == 1
+        assert aborts[0]["reason"] == "external stop"
+        assert aborts[0]["completed"] == 0
+        assert not (trace / ABORT_FILENAME).exists()
 
     def test_sweep_salvages_complete_grid_points(self):
         sweep = Sweep({"mtu": [1500, 9000]})
@@ -148,6 +180,14 @@ class TestAbortSalvage:
         assert [row.params["mtu"] for row in partial.rows] == [1500]
         assert len(partial.rows[0].result.runs) == 2
         assert excinfo.value.partial_figure is None  # no builder given
+
+    def test_uncancelled_batch_error_carries_no_views(self):
+        # Declared attributes: present (None) even below the sweep layer.
+        hook, _ = stop_after(1)
+        with pytest.raises(SweepAbortedError) as excinfo:
+            run_work_items(items_for(2), on_result=hook)
+        assert excinfo.value.partial_sweep is None
+        assert excinfo.value.partial_figure is None
 
     @pytest.mark.parametrize(
         "run, kwargs, result_type, points",

@@ -17,14 +17,21 @@ from repro.cli import main
 from repro.errors import ExperimentError
 from repro.figures.grid import run_cca_mtu_grid
 from repro.harness.executor import WorkItem, run_work_items
-from repro.harness.experiment import FlowSpec
-from repro.harness.runner import run_once
+from repro.harness.experiment import FlowSpec, Scenario
+from repro.harness.runner import run_once, run_repeated
 from repro.harness.sweep import Sweep
 from repro.obs.journal import read_journal
 from repro.obs.observer import TracingObserver
-from tests.conftest import tiny_scenario
 
 SIZE = 400_000
+
+
+def tiny_scenario(name="exec", **overrides):
+    defaults = dict(
+        name=name, flows=[FlowSpec(SIZE)], packages=1
+    )
+    defaults.update(overrides)
+    return Scenario(**defaults)
 
 
 def backend_and_workers(trace):
@@ -38,36 +45,59 @@ def backend_and_workers(trace):
 class TestResolve:
     """``jobs`` alone picks how a batch runs, and the journal says which."""
 
-    def test_serial_for_none_and_one_a_pool_otherwise(self, tmp_path):
-        items = [WorkItem(scenario=tiny_scenario("exec"), seed=s) for s in range(2)]
-        for jobs in (None, 1, 4):
+    def test_default_is_serial(self, tmp_path):
+        items = [WorkItem(scenario=tiny_scenario(), seed=s) for s in range(2)]
+        for jobs in (None, 1):
             trace = tmp_path / f"jobs-{jobs}"
             with TracingObserver(trace) as obs:
                 run_work_items(items, jobs=jobs, observer=obs)
-            backend, workers = backend_and_workers(trace)
-            if jobs == 4:
-                assert backend == "process"
-                assert workers and os.getpid() not in workers
-            else:
-                assert (backend, workers) == ("serial", {os.getpid()})
+            assert backend_and_workers(trace) == ("serial", {os.getpid()})
+
+    def test_jobs_selects_process_pool(self, tmp_path):
+        items = [WorkItem(scenario=tiny_scenario(), seed=s) for s in range(2)]
+        with TracingObserver(tmp_path / "t") as obs:
+            run_work_items(items, jobs=4, observer=obs)
+        backend, workers = backend_and_workers(tmp_path / "t")
+        assert backend == "process"
+        assert workers and os.getpid() not in workers
 
     def test_bad_job_count_rejected(self):
-        items = [WorkItem(scenario=tiny_scenario("exec"), seed=0)]
+        items = [WorkItem(scenario=tiny_scenario(), seed=0)]
         with pytest.raises(
             ExperimentError, match="need >= 1 worker process, got 0"
         ):
             run_work_items(items, jobs=0)
 
-    def test_pool_results_follow_submission_and_the_items_seed(self):
+
+class TestBackendEquivalence:
+    def test_process_pool_matches_serial(self):
+        items = [WorkItem(scenario=tiny_scenario(), seed=s) for s in range(4)]
+        serial = run_work_items(items)
+        parallel = run_work_items(items, jobs=4)
+        assert serial == parallel  # full dataclass equality, series included
+
+    def test_order_follows_submission_not_completion(self):
         # A bigger (slower) first item must not let item 2 overtake it.
         items = [
             WorkItem(scenario=tiny_scenario("slow", flows=[FlowSpec(4 * SIZE)]), seed=0),
-            WorkItem(scenario=tiny_scenario("fast"), seed=7),
+            WorkItem(scenario=tiny_scenario("fast"), seed=1),
         ]
         results = run_work_items(items, jobs=2)
         assert [r.scenario for r in results] == ["slow", "fast"]
-        assert [r.seed for r in results] == [0, 7]
-        assert results[1] == run_once(tiny_scenario("fast"), seed=7)
+        assert [r.seed for r in results] == [0, 1]
+
+    def test_seed_is_per_item(self):
+        items = [WorkItem(scenario=tiny_scenario(), seed=7)]
+        (result,) = run_work_items(items, jobs=2)
+        assert result == run_once(tiny_scenario(), seed=7)
+
+    def test_run_repeated_jobs_matches_serial(self):
+        scenario = tiny_scenario()
+        serial = run_repeated(scenario, repetitions=3, base_seed=5)
+        parallel = run_repeated(scenario, repetitions=3, base_seed=5, jobs=3)
+        assert [r.energy_j for r in serial.runs] == [
+            r.energy_j for r in parallel.runs
+        ]
 
 
 class TestGridDeterminism:
@@ -101,7 +131,7 @@ class TestGridDeterminism:
 
 
 class TestSweepParallel:
-    def test_sweep_rows_identical_across_backends_and_zero_repetitions_rejected(self):
+    def test_sweep_rows_identical_across_backends(self):
         sweep = Sweep({"mtu": [1500, 9000]})
 
         def factory(mtu):
@@ -112,8 +142,10 @@ class TestSweepParallel:
         for a, b in zip(serial.rows, parallel.rows):
             assert a.params == b.params
             assert a.result.runs == b.result.runs
+
+    def test_sweep_rejects_zero_repetitions(self):
         with pytest.raises(ExperimentError, match="repetition"):
-            Sweep({"mtu": [1500]}).run(lambda mtu: tiny_scenario("exec"), repetitions=0)
+            Sweep({"mtu": [1500]}).run(lambda mtu: tiny_scenario(), repetitions=0)
 
 
 @pytest.mark.skipif(
@@ -136,14 +168,15 @@ class TestKilledWorker:
 
         monkeypatch.setattr(executor_module, "run_once", run_once)
 
-    def test_the_batch_raises_naming_the_first_unfinished_item(self, capsys):
+    def test_the_batch_raises_naming_the_first_unfinished_item(self):
         items = [WorkItem(tiny_scenario("doomed"), seed) for seed in range(3)]
         with pytest.raises(ExperimentError) as caught:
             run_work_items(items, jobs=2)
         message = str(caught.value)
         assert "item 0 (scenario 'doomed', seed 0)" in message
         assert "\n" not in message
-        # the CLI prints it as one error line and exits 1
+
+    def test_the_cli_prints_one_error_line_and_exits_one(self, capsys):
         code = main(["fig1", "--bytes", "400000", "--reps", "2", "--jobs", "2"])
         assert code == 1
         captured = capsys.readouterr()

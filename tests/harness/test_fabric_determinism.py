@@ -43,6 +43,25 @@ def sweep_items():
 
 
 class TestFabricSweepDeterminism:
+    def test_jobs4_bit_identical_to_serial(self):
+        serial = run_work_items(sweep_items(), jobs=1)
+        pooled = run_work_items(sweep_items(), jobs=4)
+        # Dataclass equality covers every field: energy, duration,
+        # per-flow results, counters, extras — bit for bit.
+        assert pooled == serial
+
+    def test_repeat_runs_are_reproducible(self):
+        first = run_work_items(sweep_items()[:1])
+        second = run_work_items(sweep_items()[:1])
+        assert first == second
+
+    def test_seeds_change_the_measurement(self):
+        scenario = fabric_scenario("fair")
+        runs = run_work_items(
+            [WorkItem(scenario=scenario, seed=s) for s in (0, 1)]
+        )
+        assert runs[0].energy_j != runs[1].energy_j
+
     def test_cache_round_trip_preserves_fabric_extras(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         items = sweep_items()[:1]
@@ -56,20 +75,24 @@ class TestFabricSweepDeterminism:
 
 class TestFabricTelemetryDeterminism:
     def test_jobs1_and_jobs4_traces_byte_identical(self, tmp_path):
-        plain = run_work_items(sweep_items())
-        # seeds move a measurement
-        assert plain[0].energy_j != plain[1].energy_j
         for name, jobs in (("serial", 1), ("pool", 4)):
             with TracingObserver(tmp_path / name) as obs:
-                traced = run_work_items(sweep_items(), jobs=jobs, observer=obs)
-            # Dataclass equality covers every field: energy, duration,
-            # per-flow results, counters, extras — bit for bit.
-            assert traced == plain
+                run_work_items(sweep_items(), jobs=jobs, observer=obs)
         assert (
             (tmp_path / "serial" / "telemetry.jsonl").read_bytes()
             == (tmp_path / "pool" / "telemetry.jsonl").read_bytes()
         )
-        records = read_telemetry(tmp_path / "serial")
+
+    def test_traced_pool_run_equals_untraced_serial(self, tmp_path):
+        plain = run_work_items(sweep_items())
+        with TracingObserver(tmp_path / "t") as obs:
+            traced = run_work_items(sweep_items(), jobs=4, observer=obs)
+        assert traced == plain
+
+    def test_fabric_telemetry_has_fleet_channels(self, tmp_path):
+        with TracingObserver(tmp_path / "t") as obs:
+            run_work_items(sweep_items()[:1], observer=obs)
+        records = read_telemetry(tmp_path / "t")
         assert records, "fabric runs must emit telemetry when traced"
         channels = {r["channel"] for r in records}
         assert "power_w" in channels or "queue_depth_bytes" in channels

@@ -13,12 +13,41 @@ import time
 import pytest
 
 from repro.errors import SweepAbortedError
-from repro.harness.executor import run_work_items
-from repro.obs.journal import ABORT_FILENAME, read_journal
+from repro.harness.executor import WorkItem, run_work_items
+from repro.harness.experiment import FlowSpec, Scenario
+from repro.obs.journal import ABORT_FILENAME, VOLATILE_FIELDS, read_journal
 from repro.obs.live import LiveSweepView, request_abort
 from repro.obs.observer import TracingObserver
 from repro.obs.telemetry import read_telemetry
-from tests.conftest import stable_events, telemetry_key, tiny_items
+
+SIZE = 400_000
+
+
+def tiny_scenario(name="live", **overrides):
+    defaults = dict(name=name, flows=[FlowSpec(SIZE)], packages=1)
+    defaults.update(overrides)
+    return Scenario(**defaults)
+
+
+def items_for(n=4):
+    scenario = tiny_scenario()
+    return [WorkItem(scenario=scenario, seed=seed) for seed in range(n)]
+
+
+def stable_events(journal_source):
+    """Journal events with the volatile diagnostics stripped."""
+    return [
+        {k: v for k, v in event.items() if k not in VOLATILE_FIELDS}
+        for event in read_journal(journal_source)
+    ]
+
+
+def telemetry_key(record):
+    return (
+        record["scenario"], record["seed"], record["channel"],
+        record["entity"],
+    )
+
 
 class Watcher:
     """A background thread that tails a trace dir while a sweep runs.
@@ -69,9 +98,9 @@ class TestWatchedSweepIsBitIdentical:
         watched = tmp_path / "watched"
         watched.mkdir()  # the watcher attaches before the sweep starts
         with TracingObserver(quiet) as obs:
-            plain = run_work_items(tiny_items("live"), jobs=jobs, observer=obs)
+            plain = run_work_items(items_for(), jobs=jobs, observer=obs)
         with Watcher(watched) as watcher, TracingObserver(watched) as obs:
-            observed = run_work_items(tiny_items("live"), jobs=jobs, observer=obs)
+            observed = run_work_items(items_for(), jobs=jobs, observer=obs)
         assert observed == plain
         # Order-normalised journal equality, as in
         # test_trace_determinism: with a pool, item-less span events
@@ -87,7 +116,12 @@ class TestWatchedSweepIsBitIdentical:
             read_telemetry(watched), key=telemetry_key
         ) == sorted(read_telemetry(quiet), key=telemetry_key)
         assert watcher.polls >= 1
-        # and the watcher converged on the finished sweep
+
+    def test_watcher_converges_on_the_finished_sweep(self, tmp_path):
+        trace = tmp_path / "trace"
+        trace.mkdir()
+        with Watcher(trace) as watcher, TracingObserver(trace) as obs:
+            run_work_items(items_for(), observer=obs)
         final = watcher.snapshots[-1]
         assert final.complete
         assert not final.aborted
@@ -112,7 +146,7 @@ class TestExternalAbort:
 
         with TracingObserver(trace) as obs:
             with pytest.raises(SweepAbortedError) as excinfo:
-                run_work_items(tiny_items("live"), observer=obs, on_result=hook)
+                run_work_items(items_for(), observer=obs, on_result=hook)
         exc = excinfo.value
         assert exc.reason == "watcher says stop"
         assert sorted(exc.partial) == [0, 1]

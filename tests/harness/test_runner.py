@@ -26,30 +26,34 @@ def single_flow(**kwargs):
 
 
 class TestRunOnce:
-    def test_measures_a_seeded_run(self):
-        m = run_once(single_flow(), seed=7)
+    def test_measures_energy_and_duration(self):
+        m = run_once(single_flow())
         assert m.energy_j > 0
         assert m.duration_s > 0
         assert m.average_power_w > cal.P_IDLE_W
+
+    def test_flow_results_attached(self):
+        m = run_once(single_flow())
         assert len(m.flow_results) == 1
         assert m.flow_results[0].bytes_transferred == SIZE
-        counters = m.counters()
-        assert counters["flows"] == 1.0
-        assert counters["bottleneck_drops"] == float(m.bottleneck_drops)
-        assert counters["ecn_marks"] == float(m.ecn_marks)
-        assert counters["retransmissions"] == float(m.total_retransmissions)
-        assert all(isinstance(v, float) for v in counters.values())
-        # deterministic given the seed; another seed's power noise differs
-        again = run_once(single_flow(), seed=7)
-        assert again.energy_j == pytest.approx(m.energy_j, rel=1e-12)
-        assert again.counters() == counters
-        assert run_once(single_flow(), seed=2).energy_j != m.energy_j
 
-    def test_noise_can_be_disabled_and_packages_overridden(self):
+    def test_deterministic_given_seed(self):
+        a = run_once(single_flow(), seed=7)
+        b = run_once(single_flow(), seed=7)
+        assert a.energy_j == pytest.approx(b.energy_j, rel=1e-12)
+
+    def test_seeds_vary_results(self):
+        a = run_once(single_flow(), seed=1)
+        b = run_once(single_flow(), seed=2)
+        assert a.energy_j != b.energy_j  # power noise differs
+
+    def test_noise_can_be_disabled(self):
         scenario = single_flow(power_noise_sigma=0.0, start_jitter_s=0.0)
         a = run_once(scenario, seed=1)
         b = run_once(scenario, seed=2)
         assert a.energy_j == pytest.approx(b.energy_j, rel=1e-9)
+
+    def test_packages_override(self):
         one = run_once(single_flow(packages=1, power_noise_sigma=0.0))
         two = run_once(single_flow(packages=2, power_noise_sigma=0.0))
         # the second package only adds idle power
@@ -58,25 +62,40 @@ class TestRunOnce:
             cal.P_IDLE_W * two.duration_s, rel=0.05
         )
 
-    def test_background_load_and_mtu_move_power_and_time(self):
+    def test_background_load_raises_power(self):
         quiet = run_once(single_flow(packages=1))
         loaded = run_once(single_flow(packages=1, background_load=0.5))
         assert loaded.average_power_w > quiet.average_power_w + 35
+
+    def test_chained_flows_serialize(self):
+        scenario = Scenario(
+            "chain",
+            flows=[FlowSpec(SIZE), FlowSpec(SIZE)],
+            policy="serialized",
+        )
+        m = run_once(scenario)
+        first, second = m.flow_results
+        assert second.start_time >= first.end_time
+
+    def test_rate_cap_respected(self):
+        scenario = Scenario(
+            "capped",
+            flows=[FlowSpec(SIZE, target_rate_bps=gbps(1.0))],
+        )
+        m = run_once(scenario)
+        assert m.flow_results[0].mean_throughput_bps < gbps(1.5)
+
+    def test_probes_recorded_when_requested(self):
+        scenario = single_flow(probe_interval_s=1e-3)
+        m = run_once(scenario)
+        assert len(m.throughput_series) == 1
+        series = next(iter(m.throughput_series.values()))
+        assert len(series) > 0
+
+    def test_mtu_override(self):
         fast = run_once(single_flow(mtu_bytes=9000))
         slow = run_once(single_flow(mtu_bytes=1500))
         assert slow.duration_s > fast.duration_s
-
-    def test_chains_caps_and_probes_are_honoured(self):
-        chained = run_once(
-            Scenario("chain", flows=[FlowSpec(SIZE), FlowSpec(SIZE)], policy="serialized")
-        )
-        first, second = chained.flow_results
-        assert second.start_time >= first.end_time
-        capped = run_once(Scenario("capped", flows=[FlowSpec(SIZE, target_rate_bps=gbps(1.0))]))
-        assert capped.flow_results[0].mean_throughput_bps < gbps(1.5)
-        probed = run_once(single_flow(probe_interval_s=1e-3))
-        assert len(probed.throughput_series) == 1
-        assert len(next(iter(probed.throughput_series.values()))) > 0
 
 
 def _link_past_its_limit():
@@ -117,13 +136,8 @@ class TestSenderHosts:
         senders = prepared.testbed.hosts[:-1]
         assert [s.sender.host for s in prepared.sessions] == senders
         assert [len(host.nic.interfaces) for host in senders] == [1, 1]
-        # and every flow completes
-        m = run_once(
-            single_flow(flows=[FlowSpec(SIZE, sender_host=h) for h in range(3)])
-        )
-        assert [r.bytes_transferred for r in m.flow_results] == [SIZE] * 3
 
-    def test_one_cpu_model_per_host_and_a_metered_receiver(self):
+    def test_one_cpu_model_per_host_sized_by_its_flows(self):
         flows = [FlowSpec(SIZE)] * 3 + [FlowSpec(SIZE, sender_host=1)]
         prepared = _prepare_link(single_flow(flows=flows), Simulator(), seed=0)
         first, second = prepared.meter.cpu_models
@@ -133,7 +147,8 @@ class TestSenderHosts:
         ids = [s.flow_id for s in prepared.sessions]
         assert [first.package_for(i) for i in ids[:3]] == first.packages
         assert second.package_for(ids[3]) is second.packages[0]
-        # a metered receiver's packages follow the flow index
+
+    def test_receiver_packages_follow_the_flow_index(self):
         flows = [FlowSpec(SIZE), FlowSpec(SIZE, sender_host=1), FlowSpec(SIZE)]
         prepared = _prepare_link(
             single_flow(flows=flows, meter_receiver=True), Simulator(), seed=0
@@ -144,9 +159,17 @@ class TestSenderHosts:
             receiver.package_for(s.flow_id) for s in prepared.sessions
         ] == [receiver.packages[i % 3] for i in range(3)]
 
-    def test_host_numbers_run_from_zero_without_a_gap(self):
+    def test_every_flow_completes(self):
+        m = run_once(
+            single_flow(flows=[FlowSpec(SIZE, sender_host=h) for h in range(3)])
+        )
+        assert [r.bytes_transferred for r in m.flow_results] == [SIZE] * 3
+
+    def test_host_numbers_run_without_a_gap(self):
         with pytest.raises(ExperimentError, match="without a gap"):
             single_flow(flows=[FlowSpec(SIZE, sender_host=1)])
+
+    def test_negative_host_rejected(self):
         with pytest.raises(ExperimentError):
             FlowSpec(SIZE, sender_host=-1)
 
@@ -220,24 +243,34 @@ class TestCompletionDriverWork:
         assert sim.events_executed >= 1_000
         assert sum(f.complete_reads for f in flows) == 50
         assert sim.now == flows[-1].completed_at == 50.0
-        # a second drive over finished flows returns at once
-        executed = sim.events_executed
-        drive_until_complete(sim, flows, 600.0, "stubs")
-        assert (sim.events_executed, sim.now) == (executed, 50.0)
-        assert sim.pending_events > 0  # there was something left to run
-        # a flow finished at entry is not waited for
-        late = _StubFlow(sim, 51, done_at=53.0)
-        drive_until_complete(sim, [flows[0], late], 600.0, "stubs")
-        assert sim.now == 53.0
 
-    @pytest.mark.parametrize("done_at", [5.0, 5.000001])
-    def test_the_time_limit_is_inclusive(self, done_at):
+    def test_a_second_drive_over_finished_flows_returns_at_once(self):
         sim = Simulator()
-        flow = _StubFlow(sim, 1, done_at=done_at)
-        if done_at == 5.0:
-            drive_until_complete(sim, [flow], 5.0, "edge")
-            assert flow.completed_at == sim.now == 5.0
-            return
+        flows = [_StubFlow(sim, i + 1, done_at=1.0) for i in range(3)]
+        _tick_forever(sim, 0.25)
+        drive_until_complete(sim, flows, 600.0, "stubs")
+        executed, now = sim.events_executed, sim.now
+        drive_until_complete(sim, flows, 600.0, "stubs")
+        assert (sim.events_executed, sim.now) == (executed, now)
+        assert sim.pending_events > 0  # there was something left to run
+
+    def test_flows_finished_at_entry_are_not_waited_for(self):
+        sim = Simulator()
+        early = _StubFlow(sim, 1, done_at=1.0)
+        sim.run(until=2.0)
+        late = _StubFlow(sim, 2, done_at=3.0)
+        drive_until_complete(sim, [early, late], 600.0, "stubs")
+        assert sim.now == 3.0
+
+    def test_completion_exactly_at_the_time_limit_succeeds(self):
+        sim = Simulator()
+        flow = _StubFlow(sim, 1, done_at=5.0)
+        drive_until_complete(sim, [flow], 5.0, "edge")
+        assert flow.completed_at == sim.now == 5.0
+
+    def test_completion_on_the_first_event_past_the_limit_raises(self):
+        sim = Simulator()
+        flow = _StubFlow(sim, 1, done_at=5.000001)
         with pytest.raises(ExperimentError, match="edge: time limit of 5.0s"):
             drive_until_complete(sim, [flow], 5.0, "edge")
         # the narrowing: no event later than the limit is dispatched
@@ -267,7 +300,7 @@ class TestCompletionDriverWork:
         assert testbed.sim.now == max(r.end_time for r in results)
 
 
-class TestMeasurement:
+class TestRunMeasurementEdgeCases:
     def test_empty_flow_results_raise_experiment_error(self):
         from repro.harness.runner import RunMeasurement
 
@@ -283,9 +316,12 @@ class TestMeasurement:
         with pytest.raises(ExperimentError, match="no flow results"):
             empty.completion_time_s
 
-    # A run's per-mechanism split adds up to what RAPL metered: each
-    # package's reading is floored to one energy unit, the split is not.
-    def test_split_sums_to_the_metered_energy(self):
+
+class TestEnergyComponents:
+    """A run's per-mechanism split adds up to what RAPL metered: each
+    package's reading is floored to one energy unit, the split is not."""
+
+    def test_link_split_sums_to_the_metered_energy(self):
         # power noise scales every component, and two packages sum
         m = run_once(
             single_flow(flows=[FlowSpec(SIZE), FlowSpec(SIZE)], packages=2),
@@ -295,7 +331,8 @@ class TestMeasurement:
         assert sum(m.energy_components_j.values()) == pytest.approx(
             m.energy_j, abs=2 * cal.RAPL_ENERGY_UNIT_J
         )
-        # a fabric run's split sums to its hosts' energy
+
+    def test_fabric_split_sums_to_the_host_energy(self):
         scenario = FabricScenario(
             "split-fabric", n_flows=20, mix="rpc",
             leaves=2, spines=1, hosts_per_leaf=4,
@@ -306,11 +343,36 @@ class TestMeasurement:
             m.extras["host_energy_j"], abs=hosts * cal.RAPL_ENERGY_UNIT_J
         )
 
-    def test_aggregates_and_needs_a_repetition(self):
+
+class TestCounters:
+    def test_enumerates_every_run_counter(self):
+        m = run_once(single_flow(), seed=0)
+        counters = m.counters()
+        assert counters["flows"] == 1.0
+        assert counters["bottleneck_drops"] == float(m.bottleneck_drops)
+        assert counters["ecn_marks"] == float(m.ecn_marks)
+        assert counters["retransmissions"] == float(m.total_retransmissions)
+        assert all(isinstance(v, float) for v in counters.values())
+
+    def test_pure_function_of_scenario_and_seed(self):
+        assert (
+            run_once(single_flow(), seed=5).counters()
+            == run_once(single_flow(), seed=5).counters()
+        )
+
+
+class TestRunRepeated:
+    def test_aggregates(self):
         result = run_repeated(single_flow(), repetitions=3)
         assert result.n == 3
         assert result.mean_energy_j > 0
-        assert result.std_energy_j > 0  # power noise
+        assert result.std_energy_j >= 0
         assert result.mean_power_w > cal.P_IDLE_W
+
+    def test_std_reflects_noise(self):
+        result = run_repeated(single_flow(), repetitions=4)
+        assert result.std_energy_j > 0
+
+    def test_invalid_repetitions(self):
         with pytest.raises(ExperimentError):
             run_repeated(single_flow(), repetitions=0)

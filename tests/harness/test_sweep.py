@@ -16,34 +16,55 @@ def tiny_factory(mtu, cca):
     )
 
 
-class TestSweep:
-    def test_size_and_points_and_empty_axes_rejected(self):
+class TestGrid:
+    def test_size_and_points(self):
         sweep = Sweep({"a": [1, 2, 3], "b": ["x", "y"]})
         assert sweep.size == 6
         points = sweep.points()
         assert len(points) == 6
         assert {"a": 1, "b": "x"} in points
         assert {"a": 3, "b": "y"} in points
+
+    def test_empty_axes_rejected(self):
         with pytest.raises(ExperimentError):
             Sweep({})
         with pytest.raises(ExperimentError):
             Sweep({"a": []})
 
-    def test_rows_select_filter_and_extract(self):
-        results = Sweep({"mtu": [1500, 9000], "cca": ["cubic", "bbr"]}).run(
-            tiny_factory, repetitions=1
-        )
+
+class TestRun:
+    @pytest.fixture(scope="class")
+    def results(self):
+        sweep = Sweep({"mtu": [1500, 9000], "cca": ["cubic", "bbr"]})
+        return sweep.run(tiny_factory, repetitions=1)
+
+    def test_one_row_per_point(self, results):
         assert len(results) == 4
-        for row in results.rows:
-            assert row.result.mean_power_w > 20.0
+
+    def test_where_filters(self, results):
         cubic_rows = results.where(cca="cubic")
         assert len(cubic_rows) == 2
         assert all(r["cca"] == "cubic" for r in cubic_rows.rows)
-        assert results.one(mtu=9000, cca="bbr").result.mean_energy_j > 0
+
+    def test_one_selects_unique(self, results):
+        row = results.one(mtu=9000, cca="bbr")
+        assert row.result.mean_energy_j > 0
+
+    def test_one_rejects_ambiguity(self, results):
         with pytest.raises(ExperimentError):
-            results.one(cca="cubic")  # ambiguous
+            results.one(cca="cubic")
+
+    def test_values(self, results):
         assert results.values("mtu") == [1500, 9000]
-        series = results.series("mtu", lambda r: r.mean_energy_j, cca="cubic")
+
+    def test_series_extraction(self, results):
+        series = results.series(
+            "mtu", lambda r: r.mean_energy_j, cca="cubic"
+        )
         assert [x for x, _y in series] == [1500, 9000]
         # 1500 is pps-bound and slower, so costlier
         assert series[0][1] > series[1][1]
+
+    def test_measurements_sane(self, results):
+        for row in results.rows:
+            assert row.result.mean_power_w > 20.0

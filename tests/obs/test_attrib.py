@@ -66,13 +66,13 @@ class TestAdditivity:
         total_j=st.floats(1e-6, 1e6, allow_nan=False),
         duration_s=st.floats(0.01, 100.0, allow_nan=False),
     )
-    # zero-byte flows that end after the window (clamped to its end)
+    # zero-byte flows that end after the window: the end clamp's case
     @example(raw=[(0.0, 2.0, 0), (0.0, 1.5, 0)], total_j=528416.9060824735, duration_s=0.01171875)
     def test_ledger_sums_to_total(self, raw, total_j, duration_s):
         ledger = attribute_energy(_activities(raw), total_j, duration_s)
         assert abs(sum(ledger.values()) - total_j) <= ADDITIVITY_TOL
 
-    def test_link_and_fabric_runs_sum_to_the_measured_energy(self):
+    def test_link_run_sums_to_measured_energy(self):
         scenario = Scenario(
             name="attrib-link",
             flows=[FlowSpec(200_000), FlowSpec(100_000)],
@@ -83,9 +83,8 @@ class TestAdditivity:
         assert abs(
             sum(ledger.values()) - measurement.energy_j
         ) <= ADDITIVITY_TOL
-        activities = measurement_activities(measurement)
-        assert [a.entity for a in activities] == ["flow-1", "flow-2"]
-        # a fabric run's ledger sums to the fleet total
+
+    def test_fabric_run_sums_to_fleet_total(self):
         scenario = FabricScenario(
             name="attrib-fabric",
             cca="dctcp",
@@ -109,8 +108,11 @@ class TestAdditivity:
 
 
 class TestWindows:
+    def test_no_flows_attributes_everything_to_idle(self):
+        ledger = attribute_energy([], 5.0, 2.0)
+        assert ledger == {IDLE_ENTITY: 5.0}
+
     def test_idle_tail_accrues_to_idle(self):
-        assert attribute_energy([], 5.0, 2.0) == {IDLE_ENTITY: 5.0}
         flow = FlowActivity("flow-1", 0.0, 1.0, 1000)
         ledger = attribute_energy([flow], 10.0, 2.0)
         assert ledger["flow-1"] == pytest.approx(5.0)
@@ -122,7 +124,8 @@ class TestWindows:
         ledger = attribute_energy([fast, slow], 4.0, 1.0)
         assert ledger["flow-1"] == pytest.approx(3.0)
         assert ledger["flow-2"] == pytest.approx(1.0)
-        # serialized flows pay for their own window
+
+    def test_serialized_flows_pay_for_their_own_window(self):
         first = FlowActivity("flow-1", 0.0, 1.0, 1000)
         second = FlowActivity("flow-2", 1.0, 3.0, 1000)
         ledger = attribute_energy([first, second], 3.0, 3.0)
@@ -130,9 +133,11 @@ class TestWindows:
         assert ledger["flow-2"] == pytest.approx(2.0)
         assert ledger[IDLE_ENTITY] == pytest.approx(0.0)
 
-    def test_zero_duration_and_duplicate_entities_raise(self):
+    def test_zero_duration_raises(self):
         with pytest.raises(ObservabilityError):
             attribute_energy([], 1.0, 0.0)
+
+    def test_duplicate_entities_raise(self):
         dup = [
             FlowActivity("flow-1", 0.0, 1.0, 10),
             FlowActivity("flow-1", 0.5, 2.0, 10),
@@ -142,12 +147,24 @@ class TestWindows:
 
 
 class TestLedgerViews:
-    def test_top_flows_rank_by_joules_and_their_share_excludes_idle(self):
+    def test_measurement_activities_are_id_ordered(self):
+        scenario = Scenario(
+            name="attrib-order",
+            flows=[FlowSpec(150_000), FlowSpec(150_000)],
+            packages=1,
+        )
+        measurement = run_once(scenario, seed=0)
+        activities = measurement_activities(measurement)
+        assert [a.entity for a in activities] == ["flow-1", "flow-2"]
+
+    def test_top_energy_flows_ranks_by_joules(self):
         rows = top_energy_flows(
             {"flow-1": 1.0, "flow-2": 3.0, IDLE_ENTITY: 0.0}, top=2
         )
         assert [r[0] for r in rows] == ["flow-2", "flow-1"]
         assert rows[0][2] == pytest.approx(75.0)
+
+    def test_top_flow_share_excludes_idle(self):
         scenario = Scenario(
             name="attrib-share", flows=[FlowSpec(200_000)], packages=1
         )
@@ -173,7 +190,13 @@ class TestTelemetryRoundTrip:
         assert channels == {FLOW_ENERGY_CHANNEL}
         # stamped with virtual time: the end of the measurement window
         assert all(t == measurement.duration_s for t, _, _, _ in sink.samples)
-        record_flow_energy(ProbeSink(), measurement)  # a disabled sink: a no-op
+
+    def test_disabled_sink_is_untouched(self):
+        scenario = Scenario(
+            name="attrib-noop", flows=[FlowSpec(150_000)], packages=1
+        )
+        measurement = run_once(scenario, seed=0)
+        record_flow_energy(ProbeSink(), measurement)  # must not raise
 
     def test_attribution_from_telemetry_rebuilds_ledgers(self):
         records = [
@@ -217,4 +240,6 @@ class TestTelemetryRoundTrip:
         text = summarize_flow_energy(records)
         assert "2 runs" in text
         assert "flow-1" in text and IDLE_ENTITY in text
-        assert summarize_flow_energy([]) == ""  # no attribution, no section
+
+    def test_summarize_flow_energy_empty_without_attribution(self):
+        assert summarize_flow_energy([]) == ""

@@ -7,6 +7,7 @@ from repro.harness.executor import WorkItem, run_work_items
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.obs.baseline import snapshot_from_journal
 from repro.obs.journal import (
+    ABORT_FILENAME,
     JOURNAL_FILENAME,
     JournalWriter,
     read_journal,
@@ -15,27 +16,40 @@ from repro.obs.live import (
     DriftGate,
     JournalTail,
     LiveSweepView,
+    request_abort,
 )
 from repro.obs.observer import TracingObserver
 
 
 class TestJournalTail:
-    def test_torn_tail_held_back_and_garbage_counted(self, tmp_path):
+    def test_polls_incrementally(self, tmp_path):
         path = tmp_path / "j.jsonl"
         tail = JournalTail(path)
         assert tail.poll() == []  # missing file is "nothing yet"
-        path.write_text('{"event": "a"}\n{"event": "b"}')
+        path.write_text('{"event": "a"}\n')
         assert [e["event"] for e in tail.poll()] == ["a"]
         assert tail.poll() == []
+        with path.open("a") as handle:
+            handle.write('{"event": "b"}\n{"event": "c"}\n')
+        assert [e["event"] for e in tail.poll()] == ["b", "c"]
+
+    def test_torn_tail_held_back_until_committed(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_text('{"event": "a"}\n{"event": "b"}')
+        tail = JournalTail(path)
+        assert [e["event"] for e in tail.poll()] == ["a"]
         with path.open("a") as handle:
             handle.write("\n")
         assert [e["event"] for e in tail.poll()] == ["b"]
         assert tail.bad_lines == 0
+
+    def test_terminated_garbage_is_counted_not_raised(self, tmp_path):
         # A live tailer cannot crash the watch screen on a producer bug;
         # the strict read (obs report) does the post-mortem.
-        with path.open("a") as handle:
-            handle.write('not json\n{"event": "c"}\n{"no_event": 1}\n')
-        assert [e["event"] for e in tail.poll()] == ["c"]
+        path = tmp_path / "j.jsonl"
+        path.write_text('not json\n{"event": "a"}\n{"no_event": 1}\n')
+        tail = JournalTail(path)
+        assert [e["event"] for e in tail.poll()] == ["a"]
         assert tail.bad_lines == 2
 
 
@@ -70,46 +84,52 @@ class TestLiveSweepView:
             ),
         ]
 
-    @pytest.mark.parametrize("partial_first", [True, False])
-    def test_a_run_counts_once_whichever_copy_lands_first(
-        self, tmp_path, partial_first
-    ):
-        # The coordinator merges a worker's records verbatim into the
-        # main journal (and unlinks the partial); the race can land
-        # either copy first.
-        trace = self._trace(tmp_path)
-        seen = []
-        view = LiveSweepView(trace, on_event=seen.append)
-        view.poll()
-        records = self._run_records(0)
-        partial = trace / f"worker-{self.WORKER}.jsonl"
-
-        def write_partial():
-            with JournalWriter(partial, worker=self.WORKER) as writer:
-                for record in records:
-                    writer.write_record(record)
-
-        def merge():
-            with JournalWriter(trace / JOURNAL_FILENAME, worker=self.COORD) as j:
-                for record in records:
-                    j.write_record(record)
-                if partial_first:
-                    j.write("batch_finished", items=2, executed=1, cache_hits=0)
-
-        first, second = (write_partial, merge) if partial_first else (merge, write_partial)
-        first()
-        assert len(view.poll()) == 2  # fresh, from whichever landed
-        second()
-        if partial_first:
-            partial.unlink()
-        fresh = view.poll()
-        assert [e["event"] for e in fresh] == (["batch_finished"] if partial_first else [])
-        assert view.snapshot().runs_finished == 1
-        assert len([e for e in seen if e["event"] == "run_finished"]) == 1
-
-    def test_coordinator_events_never_deduped(self, tmp_path):
+    def test_missing_trace_dir_raises(self, tmp_path):
         with pytest.raises(ObservabilityError, match="no trace directory"):
             LiveSweepView(tmp_path / "absent")
+
+    def test_partial_then_merge_counts_once(self, tmp_path):
+        trace = self._trace(tmp_path)
+        view = LiveSweepView(trace)
+        view.poll()
+        records = self._run_records(0)
+        with JournalWriter(
+            trace / f"worker-{self.WORKER}.jsonl", worker=self.WORKER
+        ) as partial:
+            for record in records:
+                partial.write_record(record)
+        assert len(view.poll()) == 2  # fresh, from the partial
+        # The coordinator now merges the same records verbatim into the
+        # main journal (and unlinks the partial).
+        with JournalWriter(trace / JOURNAL_FILENAME, worker=self.COORD) as j:
+            for record in records:
+                j.write_record(record)
+            j.write("batch_finished", items=2, executed=1, cache_hits=0)
+        (trace / f"worker-{self.WORKER}.jsonl").unlink()
+        fresh = view.poll()
+        assert [e["event"] for e in fresh] == ["batch_finished"]
+        assert view.snapshot().runs_finished == 1
+
+    def test_merge_then_partial_counts_once(self, tmp_path):
+        # The race can land the other way: the merged journal line is
+        # read before the worker partial's copy.
+        trace = self._trace(tmp_path)
+        view = LiveSweepView(trace)
+        view.poll()
+        records = self._run_records(0)
+        with JournalWriter(trace / JOURNAL_FILENAME, worker=self.COORD) as j:
+            for record in records:
+                j.write_record(record)
+        assert len(view.poll()) == 2  # counted from the merged journal
+        with JournalWriter(
+            trace / f"worker-{self.WORKER}.jsonl", worker=self.WORKER
+        ) as partial:
+            for record in records:
+                partial.write_record(record)
+        assert view.poll() == []  # the partial's copies are duplicates
+        assert view.snapshot().runs_finished == 1
+
+    def test_coordinator_events_never_deduped(self, tmp_path):
         trace = self._trace(tmp_path)
         view = LiveSweepView(trace)
         view.poll()
@@ -120,6 +140,31 @@ class TestLiveSweepView:
         progress = view.snapshot()
         assert progress.cache_hits == 1
         assert progress.complete
+
+    def test_on_event_sees_deduped_stream(self, tmp_path):
+        trace = self._trace(tmp_path)
+        seen = []
+        view = LiveSweepView(trace, on_event=seen.append)
+        view.poll()
+        records = self._run_records(0)
+        with JournalWriter(trace / JOURNAL_FILENAME, worker=self.COORD) as j:
+            for record in records:
+                j.write_record(record)
+        view.poll()
+        with JournalWriter(
+            trace / f"worker-{self.WORKER}.jsonl", worker=self.WORKER
+        ) as partial:
+            for record in records:
+                partial.write_record(record)
+        view.poll()
+        finished = [e for e in seen if e["event"] == "run_finished"]
+        assert len(finished) == 1
+
+    def test_request_abort_writes_flag(self, tmp_path):
+        trace = self._trace(tmp_path)
+        flag = request_abort(trace, "because the test says so")
+        assert flag == trace / ABORT_FILENAME
+        assert flag.read_text().startswith("because the test says so")
 
 
 def _journal_events(scenarios):
@@ -147,20 +192,23 @@ class TestDriftGate:
             _journal_events({"x-fair": [1.0, 1.0], "x-slow": [0.8, 0.8]})
         )
 
+    def test_no_drift_when_scenarios_match(self):
+        gate = DriftGate(self._baseline(), repetitions=2)
+        for event in _journal_events(
+            {"x-fair": [1.0, 1.0], "x-slow": [0.8, 0.8]}
+        ):
+            gate.observe_event(event)
+        assert gate.settled == ["x-fair", "x-slow"]
+        assert not gate.drifted
+
     def test_unsettled_scenarios_do_not_gate(self):
-        # The gate learns the repetitions from sweep_started; one of two
-        # seen, nothing is comparable yet, even though the half-seen mean
-        # would look like drift.
-        gate = DriftGate(self._baseline())
-        assert gate.repetitions is None
-        gate.observe_event({"event": "sweep_started", "repetitions": 2, "grid_points": 2})
-        assert gate.repetitions == 2
+        # One of two repetitions seen: nothing is comparable yet, even
+        # though the half-seen mean would look like drift.
+        gate = DriftGate(self._baseline(), repetitions=2)
         for event in _journal_events({"x-slow": [2.0]}):
             gate.observe_event(event)
         assert gate.settled == []
         assert not gate.drifted
-        gate.observe_event(_journal_events({"x-slow": [2.0, 2.0]})[1])
-        assert gate.drifted
 
     def test_drift_latches_the_first_reason(self):
         gate = DriftGate(self._baseline(), repetitions=2)
@@ -173,6 +221,21 @@ class TestDriftGate:
         for event in _journal_events({"x-fair": [3.0, 3.0]}):
             gate.observe_event(event)
         assert gate.reason == first
+
+    def test_savings_metric_waits_for_the_fair_sibling(self):
+        # x-slow settles first with energies matching the baseline; its
+        # savings_vs_fair_percent row must not gate (as "missing") until
+        # x-fair settles too.
+        gate = DriftGate(self._baseline(), repetitions=2)
+        for event in _journal_events({"x-slow": [0.8, 0.8]}):
+            gate.observe_event(event)
+        assert gate.settled == ["x-slow"]
+        assert not gate.drifted
+        for event in _journal_events({"x-fair": [1.0, 1.0]}):
+            gate.observe_event(event)
+        assert not gate.drifted
+
+    def test_savings_drift_detected_once_both_settle(self):
         # Same per-scenario energies relative shape, but the fair arm
         # got cheaper: the savings percentage moves and must gate.
         gate = DriftGate(self._baseline(), repetitions=2)
@@ -186,24 +249,16 @@ class TestDriftGate:
             for row in gate.gating_rows
         )
 
-    def test_savings_metric_waits_for_the_fair_sibling(self):
-        # x-slow settles first with energies matching the baseline; its
-        # savings_vs_fair_percent row must not gate (as "missing") until
-        # x-fair settles too.
-        gate = DriftGate(self._baseline(), repetitions=2)
-        for event in _journal_events({"x-slow": [0.8, 0.8]}):
+    def test_learns_repetitions_from_sweep_started(self):
+        gate = DriftGate(self._baseline())
+        assert gate.repetitions is None
+        gate.observe_event(
+            {"event": "sweep_started", "repetitions": 2, "grid_points": 2}
+        )
+        assert gate.repetitions == 2
+        for event in _journal_events({"x-slow": [1.6, 1.6]}):
             gate.observe_event(event)
-        assert gate.settled == ["x-slow"]
-        assert not gate.drifted
-        for event in _journal_events({"x-fair": [1.0, 1.0]}):
-            gate.observe_event(event)
-        assert gate.settled == ["x-slow", "x-fair"]
-        assert not gate.drifted
-        # a scenario the baseline lacks is new, never gating
-        for event in _journal_events({"y-fresh": [3.0, 3.0]}):
-            gate.observe_event(event)
-        assert gate.settled == ["x-slow", "x-fair", "y-fresh"]
-        assert not gate.drifted
+        assert gate.drifted
 
     def test_measurement_summary_is_the_journal_record(self, tmp_path):
         # The in-process gate is fed RunMeasurement.summary(); a traced
@@ -219,3 +274,10 @@ class TestDriftGate:
         ]
         summary = measurement.summary()
         assert {key: event[key] for key in summary} == summary
+
+    def test_extra_scenarios_are_new_not_gating(self):
+        gate = DriftGate(self._baseline(), repetitions=2)
+        for event in _journal_events({"y-fresh": [3.0, 3.0]}):
+            gate.observe_event(event)
+        assert gate.settled == ["y-fresh"]
+        assert not gate.drifted

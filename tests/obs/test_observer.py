@@ -4,32 +4,47 @@ import pytest
 
 from repro.harness.executor import WorkItem, run_work_items
 from repro.harness.experiment import FlowSpec, Scenario
-from repro.obs.journal import read_journal
+from repro.obs.journal import JournalWriter, read_journal
 from repro.obs.report import summarize_journal
 from repro.obs.observer import (
     NULL_OBSERVER,
     JournalObserver,
+    Observer,
     TracingObserver,
 )
 from repro.obs.telemetry import read_telemetry
 
 
-class TestJournalObserver:
-    def test_span_times_and_journals_where_the_null_one_is_a_shared_noop(self, tmp_path):
-        assert NULL_OBSERVER.enabled is False
-        assert NULL_OBSERVER.trace_dir is None
+class TestNullObserver:
+    def test_disabled_and_inert(self):
+        obs = Observer()
+        assert obs.enabled is False
+        assert obs.trace_dir is None
+        obs.emit("run_started", scenario="s")
+        obs.collect_workers()
+        obs.close()
+
+    def test_span_is_shared_noop(self):
         with NULL_OBSERVER.span("sim_loop") as span:
             span.add(events_executed=5)
         assert span.wall_s == 0.0
         assert NULL_OBSERVER.span("a") is NULL_OBSERVER.span("b")
+
+
+class TestJournalObserver:
+    def test_emit_writes_events(self, tmp_path):
         with JournalObserver(tmp_path / "j.jsonl", worker=5) as obs:
             obs.emit("run_started", scenario="s", seed=1)
+        events = read_journal(tmp_path / "j.jsonl")
+        assert events[0]["event"] == "run_started"
+        assert events[0]["worker"] == 5
+
+    def test_span_times_and_journals(self, tmp_path):
+        with JournalObserver(tmp_path / "j.jsonl") as obs:
             with obs.span("sim_loop", scenario="s") as span:
                 span.add(events_executed=42)
         assert span.wall_s > 0.0
-        started, record = read_journal(tmp_path / "j.jsonl")
-        assert started["event"] == "run_started"
-        assert started["worker"] == 5
+        record = read_journal(tmp_path / "j.jsonl")[0]
         assert record["event"] == "span"
         assert record["phase"] == "sim_loop"
         assert record["events_executed"] == 42
@@ -37,6 +52,21 @@ class TestJournalObserver:
 
 
 class TestTracingObserver:
+    def test_creates_dir_and_leaves_only_the_streams_on_close(self, tmp_path):
+        trace = tmp_path / "trace"
+        with TracingObserver(trace) as obs:
+            obs.emit("run_finished", scenario="s")
+            obs.emit(
+                "span", phase="sim_loop", wall_s=0.5, events_executed=500,
+                pending_events=3, dead_in_queue=1, queued_events=4,
+            )
+        assert sorted(p.name for p in trace.iterdir()) == [
+            "journal.jsonl", "telemetry.jsonl",
+        ]
+        span = read_journal(trace)[-1]
+        assert span["events_executed"] == 500
+        assert span["pending_events"] == 3
+
     def test_building_one_deletes_the_last_runs_records(self, tmp_path):
         # Every record stream and any unmerged worker partial (a killed
         # run's) goes; the abort flag and other files stay.
@@ -51,24 +81,25 @@ class TestTracingObserver:
             (trace / name).write_text('{"event": "stale"}\n')
         with TracingObserver(trace) as obs:
             obs.emit("fresh")
-            obs.emit(
-                "span", phase="sim_loop", wall_s=0.5, events_executed=500,
-                pending_events=3, dead_in_queue=1, queued_events=4,
-            )
         assert sorted(p.name for p in trace.iterdir()) == [
             "abort.requested", "journal.jsonl", "notes.txt",
             "telemetry.jsonl",
         ]
-        fresh, span = read_journal(trace)
-        assert fresh["event"] == "fresh"
-        assert span["events_executed"] == 500
-        assert span["pending_events"] == 3
-        # a directory that is not there yet is made
-        with TracingObserver(tmp_path / "new" / "trace"):
-            pass
-        assert sorted(p.name for p in (tmp_path / "new" / "trace").iterdir()) == [
-            "journal.jsonl", "telemetry.jsonl",
-        ]
+        assert [e["event"] for e in read_journal(trace)] == ["fresh"]
+
+    def test_collect_workers_merges_and_counts(self, tmp_path):
+        trace = tmp_path / "trace"
+        obs = TracingObserver(trace)
+        with JournalWriter(trace / "worker-9.jsonl", worker=9) as worker:
+            worker.write("run_finished", item=0, scenario="s")
+        obs.collect_workers()
+        obs.close()
+        events = read_journal(trace)
+        assert any(
+            e["event"] == "run_finished" and e["worker"] == 9 for e in events
+        )
+        assert list(trace.glob("worker-*.jsonl")) == []
+        assert summarize_journal(events).runs_finished == 1
 
     def test_one_observer_journals_every_batch_it_is_given(self, tmp_path):
         # The owner of an observer may hand it to several batches: each
@@ -102,14 +133,19 @@ class TestResolve:
         for _ in range(2):
             with TracingObserver(trace) as obs:
                 _fig1(obs)
-                # a driver handed an open observer leaves it open for its owner
-                obs.emit("note")
         assert sorted(p.name for p in trace.iterdir()) == [
             "journal.jsonl", "telemetry.jsonl",
         ]
         events = [e["event"] for e in read_journal(trace)]
         assert events.count("sweep_started") == 1
-        assert events[-1] == "note"
+
+    def test_a_passed_observer_stays_open(self, tmp_path):
+        # ...and a driver handed an open observer leaves it open for
+        # its owner.
+        with TracingObserver(tmp_path / "t") as obs:
+            _fig1(obs)
+            obs.emit("note")  # still writable after the driver returned
+        assert read_journal(tmp_path / "t")[-1]["event"] == "note"
 
 
 def _fig1(observer):

@@ -21,8 +21,8 @@ from repro.harness.runner import run_once
 from repro.obs.observer import NULL_OBSERVER, TracingObserver
 from repro.sim.probe import NULL_PROBE_SINK
 
-from tests.conftest import count_calls, tiny_items
-from tests.harness.test_live_determinism import Watcher
+from tests.conftest import count_calls
+from tests.harness.test_live_determinism import Watcher, items_for
 
 SIZES = (200_000, 2_000_000)
 
@@ -92,7 +92,7 @@ def test_attached_watcher_adds_no_frames_to_the_producer(tmp_path):
     # hook is per-thread.)
     def batch(trace):
         with TracingObserver(trace) as obs:
-            return run_work_items(tiny_items("live"), observer=obs)
+            return run_work_items(items_for(), observer=obs)
 
     def traced(name):
         return frames(batch, tmp_path / name)

@@ -68,12 +68,10 @@ def one_rescheduling_event():
 
 
 class TestFold:
-    def test_calls_and_edges_are_exact(self):
+    def test_keys_are_repro_path_and_qualname(self):
         if hasattr(Simulator.run.__code__, "co_qualname"):
             assert RUN == "sim/engine.py:Simulator.run"
         record = profiled_record(one_rescheduling_event)
-        # keys are repro path and qualname; the test's and the standard
-        # library's frames stay out
         assert set(record["calls"]) == {
             key(fn)
             for fn in (
@@ -81,6 +79,9 @@ class TestFold:
                 Simulator.run, Simulator.schedule, Simulator.schedule_at,
             )
         }
+
+    def test_calls_and_edges_are_exact(self):
+        record = profiled_record(one_rescheduling_event)
         assert record["calls"][key(Simulator.schedule)] == 2
         assert record["calls"][key(Simulator.schedule_at)] == 2
         assert record["edges"] == {
@@ -90,7 +91,7 @@ class TestFold:
             key(Simulator.schedule_at): {key(Event.__init__): 2},
         }
 
-    def test_record_is_sorted_rounded_and_layered(self):
+    def test_record_is_sorted_and_rounded(self):
         record = profiled_record(one_rescheduling_event)
         assert (record["scenario"], record["seed"]) == ("scn", 3)
         for name in ("calls", "edges", "self_s", "total_s"):
@@ -99,7 +100,8 @@ class TestFold:
         for key, self_s in record["self_s"].items():
             assert round(self_s, 9) == self_s
             assert 0.0 <= self_s <= record["total_s"][key]
-        # a key's layer is the package under repro
+
+    def test_layer_is_the_package_under_repro(self):
         assert layer_of(HANDLE_ACK) == "tcp"
         assert layer_of("units.py:msec") == "units"
 
@@ -124,10 +126,15 @@ def sweep(tmp_path_factory):
 
 class TestProfilingChangesNothing:
     @pytest.mark.parametrize("jobs", (1, 4))
-    def test_measurements_and_telemetry_identical_with_profiling_on(self, sweep, jobs):
-        off_root, off = sweep[(jobs, False)]
-        on_root, on = sweep[(jobs, True)]
+    def test_measurements_identical_with_profiling_on(self, sweep, jobs):
+        _, off = sweep[(jobs, False)]
+        _, on = sweep[(jobs, True)]
         assert off.format_table() == on.format_table()
+
+    @pytest.mark.parametrize("jobs", (1, 4))
+    def test_telemetry_bytes_identical_with_profiling_on(self, sweep, jobs):
+        off_root, _ = sweep[(jobs, False)]
+        on_root, _ = sweep[(jobs, True)]
         assert (
             telemetry_path(off_root).read_bytes()
             == telemetry_path(on_root).read_bytes()
@@ -141,6 +148,13 @@ class TestProfilingChangesNothing:
 
 
 class TestDeterminism:
+    def test_aggregates_identical_across_job_counts(self, sweep):
+        serial = aggregate_profiles(read_profile(sweep[(1, True)][0]))
+        parallel = aggregate_profiles(read_profile(sweep[(4, True)][0]))
+        assert serial.calls == parallel.calls
+        assert serial.edges == parallel.edges
+        assert serial.runs == parallel.runs
+
     def test_records_identical_across_job_counts_modulo_wall(self, sweep):
         def shape(root):
             return [
@@ -149,11 +163,10 @@ class TestDeterminism:
             ]
 
         assert shape(sweep[(1, True)][0]) == shape(sweep[(4, True)][0])
-        serial = aggregate_profiles(read_profile(sweep[(1, True)][0]))
-        parallel = aggregate_profiles(read_profile(sweep[(4, True)][0]))
-        assert serial.runs == parallel.runs
-        # no worker partials are left behind
-        assert not list(sweep[(4, True)][0].glob("profile-worker-*.jsonl"))
+
+    def test_no_worker_partials_left_behind(self, sweep):
+        root, _ = sweep[(4, True)]
+        assert not list(root.glob("profile-worker-*.jsonl"))
 
     def test_events_dispatched_counted(self, sweep):
         # every event the loop dispatches is one call out of Simulator.run
@@ -205,7 +218,7 @@ class TestExports:
         records = read_profile(root)
         return root, records, export_profile(root, records=records)
 
-    def test_folded_and_callgrind_formats(self, exported):
+    def test_folded_lines_are_path_space_micros(self, exported):
         _, _, paths = exported
         lines = paths["folded"].read_text().strip().splitlines()
         assert any(line.startswith("sim;") for line in lines)
@@ -214,6 +227,9 @@ class TestExports:
             layer, function = path.split(";")
             assert layer == layer_of(function)
             assert int(micros) >= 0
+
+    def test_callgrind_header_and_functions(self, exported):
+        _, _, paths = exported
         text = paths["callgrind"].read_text()
         assert text.startswith("# callgrind format")
         assert "events: WallUs Calls" in text
@@ -239,33 +255,55 @@ class TestExports:
             inner = [e for e in events if e["name"] in functions]
             assert sum(e["dur"] for e in inner) == outer["dur"]
 
-    def test_summary_names_the_hot_components_and_export_reads_the_trace(self, exported):
+    def test_summary_names_the_hot_components(self, exported):
         _, records, _ = exported
         summary = summarize_profile(records, top=3)
         assert "runs" in summary
         assert "  by layer:\n    " in summary
         assert len(summary.split("hottest functions:\n")[1].splitlines()) == 3
         assert HANDLE_ACK in summarize_profile(records, top=1000)
-        # exporting without records reads them from the trace
-        root, _, _ = exported
-        assert all(p.exists() for p in export_profile(root).values())
+
+    def test_export_without_records_reads_the_trace(self, sweep, tmp_path):
+        root, _ = sweep[(1, True)]
+        paths = export_profile(root)
+        assert all(p.exists() for p in paths.values())
 
 
 class TestCli:
-    def test_obs_profile_runs_exports_and_reruns(self, tmp_path, capsys):
+    def test_obs_profile_runs_and_exports(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace = tmp_path / "trace"
+        code = main([
+            "obs", "profile", str(trace),
+            "--bytes", str(BYTES), "--reps", "1", "--top", "3",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "profile:" in out
+        assert (trace / "profile.folded").exists()
+        assert (trace / "callgrind.out.greenenvy").exists()
+        assert (trace / "profile.trace.json").exists()
+
+    def test_obs_profile_rerun_replaces_the_first_runs_records(
+        self, tmp_path
+    ):
         from repro.cli import main
 
         trace = tmp_path / "trace"
         argv = ["obs", "profile", str(trace), "--bytes", str(BYTES), "--reps", "1"]
-        assert main([*argv, "--top", "3"]) == 0
-        assert "profile:" in capsys.readouterr().out
-        assert (trace / "profile.folded").exists()
-        assert (trace / "callgrind.out.greenenvy").exists()
-        assert (trace / "profile.trace.json").exists()
-        # a rerun into the same directory replaces the first run's records
+        assert main(argv) == 0
         first = len(read_profile(trace))
         assert main(argv) == 0
         assert len(read_profile(trace)) == first > 0
+
+    def test_obs_report_includes_profile_section(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace = tmp_path / "trace"
+        assert main([
+            "obs", "profile", str(trace), "--bytes", str(BYTES), "--reps", "1",
+        ]) == 0
         capsys.readouterr()
         assert main(["obs", "report", str(trace)]) == 0
         out = capsys.readouterr().out

@@ -43,7 +43,7 @@ def _batch(events, items=None, t0=0.0, t1=100.0):
 
 
 class TestTracker:
-    def test_counts_and_completion_at_the_end_and_mid_run(self):
+    def test_counts_and_completion(self):
         tracker = ProgressTracker()
         events = _run(0, t=0.0) + _run(1, seed=1, t=1.0)
         tracker.observe_all(_batch(events, t1=2.0))
@@ -57,7 +57,8 @@ class TestTracker:
         assert p.complete
         assert not p.aborted
         assert p.eta_s == 0.0
-        # and the view mid-run
+
+    def test_mid_run_view(self):
         tracker = ProgressTracker()
         tracker.observe({"event": "batch_started", "items": 4, "t_wall": 0.0})
         tracker.observe_all(_run(0, t=0.0))
@@ -80,10 +81,6 @@ class TestTracker:
         assert not p.complete
         assert p.fraction_done == 0.0
         assert p.eta_s is None
-        # elapsed spans the first to the last event
-        tracker.observe({"event": "batch_started", "items": 1, "t_wall": 10.0})
-        tracker.observe_all(_run(0, t=12.0))
-        assert tracker.snapshot().elapsed_s == pytest.approx(12.1)
 
     def test_sweep_header_estimate_yields_to_batch_headers(self):
         # sweep_started carries the planned item count; once real batch
@@ -99,13 +96,17 @@ class TestTracker:
         assert tracker.snapshot().items_total == 12
         assert tracker.snapshot().grid_points == 6
         assert tracker.snapshot().repetitions == 2
-        tracker.observe({"event": "batch_finished", "items": 12, "t_wall": 1.0})
+
+    def test_multiple_batches_sum_their_items(self):
+        tracker = ProgressTracker()
+        tracker.observe({"event": "batch_started", "items": 3, "t_wall": 0.0})
+        tracker.observe({"event": "batch_finished", "items": 3, "t_wall": 1.0})
         tracker.observe({"event": "batch_started", "items": 5, "t_wall": 2.0})
         p = tracker.snapshot()
-        assert p.items_total == 17
+        assert p.items_total == 8
         assert not p.complete  # second batch still open
 
-    def test_hits_errors_and_aborts(self):
+    def test_cache_hits_and_errors_count_as_done(self):
         tracker = ProgressTracker()
         tracker.observe({"event": "batch_started", "items": 3, "t_wall": 0.0})
         tracker.observe(
@@ -125,7 +126,8 @@ class TestTracker:
         assert scenario.done == 3
         assert scenario.cache_hits == 1
         assert scenario.errors == 1
-        # an abort latches its reason
+
+    def test_abort_latches_reason(self):
         tracker = ProgressTracker()
         tracker.observe({"event": "batch_started", "items": 4, "t_wall": 0.0})
         tracker.observe(
@@ -136,9 +138,8 @@ class TestTracker:
         assert p.aborted
         assert p.complete  # terminal event arrived
         assert p.abort_reason == "drift vs baseline: a/energy_j"
-        assert "ABORTED (drift vs baseline: a/energy_j)" in format_progress(p)
 
-    def test_eta_wall_percentiles_and_events_per_s(self):
+    def test_eta_from_ewma_of_completion_intervals(self):
         tracker = ProgressTracker()
         tracker.observe({"event": "batch_started", "items": 10, "t_wall": 0.0})
         # Three completions exactly 2s apart: the EWMA is exactly 2.
@@ -147,7 +148,8 @@ class TestTracker:
         p = tracker.snapshot()
         assert p.ewma_interval_s == pytest.approx(2.0)
         assert p.eta_s == pytest.approx(7 * 2.0)
-        # wall percentiles and events per second
+
+    def test_wall_percentiles_and_events_per_s(self):
         tracker = ProgressTracker()
         tracker.observe({"event": "batch_started", "items": 2, "t_wall": 0.0})
         tracker.observe_all(_run(0, t=0.0, wall=0.1))
@@ -163,6 +165,12 @@ class TestTracker:
         assert p.events_executed == 1000
         assert p.events_per_s == pytest.approx(500.0)
         assert p.phases["sim_loop"].count == 1
+
+    def test_elapsed_spans_first_to_last_event(self):
+        tracker = ProgressTracker()
+        tracker.observe({"event": "batch_started", "items": 1, "t_wall": 10.0})
+        tracker.observe_all(_run(0, t=12.0))
+        assert tracker.snapshot().elapsed_s == pytest.approx(2.1)
 
 
 class TestRenderings:
@@ -180,10 +188,6 @@ class TestRenderings:
         assert doc["complete"] is True
         assert doc["scenarios"]["a"]["finished"] == 2
         json.dumps(doc)  # must serialize cleanly
-        text = format_progress(self._progress())
-        assert "2/2 items" in text
-        assert "complete" in text
-        assert "#" in text
 
     def test_unknown_eta_renders_as_unknown(self):
         tracker = ProgressTracker()
@@ -191,3 +195,18 @@ class TestRenderings:
         progress = tracker.snapshot()
         assert progress_to_dict(progress)["eta_s"] is None
         assert "eta ?" in format_progress(progress)
+
+    def test_text_view_shows_bar_and_state(self):
+        text = format_progress(self._progress())
+        assert "2/2 items" in text
+        assert "complete" in text
+        assert "#" in text
+
+    def test_text_view_flags_aborts(self):
+        tracker = ProgressTracker()
+        tracker.observe({"event": "batch_started", "items": 4, "t_wall": 0.0})
+        tracker.observe(
+            {"event": "batch_aborted", "items": 4, "completed": 0,
+             "reason": "drift", "t_wall": 1.0}
+        )
+        assert "ABORTED (drift)" in format_progress(tracker.snapshot())

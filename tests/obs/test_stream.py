@@ -74,9 +74,12 @@ def test_write_then_read_round_trips(tmp_path, stream):
     assert lines == [json.dumps(r, sort_keys=True) for r in records]
 
 
-def test_missing_file_and_write_after_close_raise(tmp_path, stream):
+def test_missing_file_raises(tmp_path, stream):
     with pytest.raises(ObservabilityError, match=f"no {stream.spec.kind}"):
         stream.spec.read(tmp_path / "absent.jsonl")
+
+
+def test_write_after_close_raises(tmp_path, stream):
     writer = stream.writer(tmp_path / stream.spec.filename)
     writer.close()
     with pytest.raises(ObservabilityError, match="closed"):
@@ -100,7 +103,7 @@ def test_unterminated_tail_is_skipped(tmp_path, stream, torn):
     assert spec.read(path) == [first, second]
 
 
-def test_bad_lines_raise_with_their_line_number(tmp_path, stream):
+def test_terminated_garbage_raises_with_line_number(tmp_path, stream):
     # Only the *unterminated* tail gets the benefit of the doubt.
     spec = stream.spec
     path = tmp_path / spec.filename
@@ -114,7 +117,10 @@ def test_bad_lines_raise_with_their_line_number(tmp_path, stream):
         ObservabilityError, match=rf":2: bad {spec.kind} line"
     ):
         spec.read(path)
-    # ...and so does a line that lacks a required field
+
+
+def test_missing_required_field_raises(tmp_path, stream):
+    path = tmp_path / stream.spec.filename
     for missing in stream.spec.required:
         broken = stream.record(0)
         del broken[missing]

@@ -1,15 +1,18 @@
-"""Telemetry's own record shape: sink -> records -> JSONL -> series.
+"""Telemetry persistence: JSONL round-trips, canonical order, read errors."""
 
-The stream mechanics it shares with the journal and the profile
-(reading, torn tails, bad lines, worker partials, canonical order) are
-tested once for all three in ``tests/obs/test_stream.py``.
-"""
+import json
 
+import pytest
+
+from repro.errors import ObservabilityError
 from repro.obs.telemetry import (
+    TELEMETRY,
     TELEMETRY_FILENAME,
     TelemetryWriter,
+    canonicalize_telemetry,
     read_telemetry,
     series_from_record,
+    telemetry_path,
     telemetry_records,
 )
 from repro.sim.probe import CWND_CHANNEL, QUEUE_DEPTH_CHANNEL, TimeSeriesProbeSink
@@ -23,7 +26,7 @@ def collected_sink():
     return sink
 
 
-class TestTelemetry:
+class TestTelemetryRecords:
     def test_one_record_per_stream_in_key_order(self):
         records = telemetry_records(collected_sink(), "fig1-fair", 3)
         assert [(r["channel"], r["entity"]) for r in records] == [
@@ -35,20 +38,103 @@ class TestTelemetry:
         assert first["seed"] == 3
         assert first["times"] == [0.0, 1.0]
         assert first["values"] == [10.0, 20.0]
-        # ...and a record rebuilds its time series
-        series = series_from_record(first)
-        assert series.name == "flow-1:cwnd_bytes"
-        assert series.times == [0.0, 1.0]
-        assert series.values == [10.0, 20.0]
 
+
+class TestWriterRoundTrip:
     def test_write_sink_then_read_back(self, tmp_path):
         path = tmp_path / TELEMETRY_FILENAME
         with TelemetryWriter(path) as writer:
-            written = writer.write_sink(collected_sink(), "a", 0)
+            written = writer.write_sink(collected_sink(), "fig1-fair", 0)
         assert written == 2
-        assert read_telemetry(path) == telemetry_records(collected_sink(), "a", 0)
-        # a second writer appends
+        records = read_telemetry(path)
+        assert records == telemetry_records(collected_sink(), "fig1-fair", 0)
+
+    def test_appends_across_writers(self, tmp_path):
+        path = tmp_path / TELEMETRY_FILENAME
+        with TelemetryWriter(path) as writer:
+            writer.write_sink(collected_sink(), "a", 0)
         with TelemetryWriter(path) as writer:
             writer.write_sink(collected_sink(), "b", 1)
         scenarios = [r["scenario"] for r in read_telemetry(path)]
         assert scenarios == ["a", "a", "b", "b"]
+
+    def test_write_after_close_raises(self, tmp_path):
+        writer = TelemetryWriter(tmp_path / TELEMETRY_FILENAME)
+        writer.close()
+        with pytest.raises(ObservabilityError, match="closed"):
+            writer.write_record({"scenario": "x"})
+
+
+class TestReadTelemetry:
+    def test_trace_dir_resolves_to_telemetry_file(self, tmp_path):
+        assert telemetry_path(tmp_path) == tmp_path / TELEMETRY_FILENAME
+        with TelemetryWriter(tmp_path / TELEMETRY_FILENAME) as writer:
+            writer.write_sink(collected_sink(), "s", 0)
+        assert len(read_telemetry(tmp_path)) == 2
+
+    def test_missing_file_raises(self, tmp_path):
+        with pytest.raises(ObservabilityError, match="no telemetry"):
+            read_telemetry(tmp_path / "nope.jsonl")
+
+    def test_empty_file_reads_empty(self, tmp_path):
+        path = tmp_path / TELEMETRY_FILENAME
+        path.write_text("")
+        assert read_telemetry(path) == []
+
+    def test_garbage_line_raises_with_line_number(self, tmp_path):
+        path = tmp_path / TELEMETRY_FILENAME
+        record = telemetry_records(collected_sink(), "s", 0)[0]
+        path.write_text(json.dumps(record) + "\n{not json\n")
+        with pytest.raises(ObservabilityError, match=":2"):
+            read_telemetry(path)
+
+
+class TestSeriesFromRecord:
+    def test_rebuilds_the_time_series(self):
+        record = telemetry_records(collected_sink(), "s", 0)[0]
+        series = series_from_record(record)
+        assert series.name == "flow-1:cwnd_bytes"
+        assert series.times == [0.0, 1.0]
+        assert series.values == [10.0, 20.0]
+
+
+class TestMergeWorkerTelemetry:
+    def write_partial(self, trace, wid, scenario, seed):
+        with TelemetryWriter(TELEMETRY.worker_path(trace, wid)) as writer:
+            writer.write_sink(collected_sink(), scenario, seed)
+
+    def test_merges_sorted_and_removes_partials(self, tmp_path):
+        # Worker files written "out of order" relative to the sort key.
+        self.write_partial(tmp_path, 0, "zeta", 1)
+        self.write_partial(tmp_path, 1, "alpha", 0)
+        with TelemetryWriter(tmp_path / TELEMETRY_FILENAME) as writer:
+            TELEMETRY.merge_workers(tmp_path, into=writer)
+        assert [r["scenario"] for r in read_telemetry(tmp_path)] == [
+            "alpha", "alpha", "zeta", "zeta",
+        ]
+        assert list(tmp_path.glob("telemetry-worker-*.jsonl")) == []
+
+    def test_no_partials_is_a_noop(self, tmp_path):
+        with TelemetryWriter(tmp_path / TELEMETRY_FILENAME) as writer:
+            TELEMETRY.merge_workers(tmp_path, into=writer)
+        assert read_telemetry(tmp_path) == []
+
+
+class TestCanonicalize:
+    def test_sorts_file_into_key_order(self, tmp_path):
+        path = tmp_path / TELEMETRY_FILENAME
+        with TelemetryWriter(path) as writer:
+            writer.write_sink(collected_sink(), "zeta", 1)
+            writer.write_sink(collected_sink(), "alpha", 0)
+        before = path.read_bytes()
+        assert canonicalize_telemetry(tmp_path) == 4
+        assert path.read_bytes() != before
+        scenarios = [r["scenario"] for r in read_telemetry(path)]
+        assert scenarios == ["alpha", "alpha", "zeta", "zeta"]
+        # idempotent: a second pass changes nothing
+        after = path.read_bytes()
+        canonicalize_telemetry(tmp_path)
+        assert path.read_bytes() == after
+
+    def test_missing_file_is_a_noop(self, tmp_path):
+        assert canonicalize_telemetry(tmp_path) == 0

@@ -33,33 +33,43 @@ RECORDS = [
 
 
 class TestFilters:
-    def test_filters_compose(self):
+    def test_no_filters_copies_everything(self):
         assert filter_records(RECORDS) == RECORDS
+
+    def test_filters_compose(self):
         matched = filter_records(RECORDS, seed=0, entity="flow-2")
         assert [r["entity"] for r in matched] == ["flow-2"]
+
+    def test_seed_zero_is_a_real_filter(self):
         # seed=0 must not be confused with "no filter"
         assert len(filter_records(RECORDS, seed=0)) == 2
 
 
 class TestFormats:
-    def test_samples_tables_are_bounded(self):
-        with pytest.raises(ObservabilityError, match="no telemetry"):
-            format_timeline([])
+    def test_text_index_counts_streams_and_samples(self):
         text = format_timeline(RECORDS)
         assert "3 streams, 12 samples" in text
         assert "power_w" in text
+
+    def test_samples_tables_are_bounded(self):
         text = format_timeline([record(n=100)], samples=3)
         assert "== s seed=0 flow-1:cwnd_bytes ==" in text
         # 3 sample rows, not 100
         assert text.count("\n0.") < 10
 
-    def test_csv_is_long_format_and_json_round_trips(self):
+    def test_empty_records_raise(self):
+        with pytest.raises(ObservabilityError, match="no telemetry"):
+            format_timeline([])
+
+    def test_csv_is_long_format(self):
         lines = timeline_csv([record(n=2)]).splitlines()
         assert lines == [
             "scenario,seed,channel,entity,time_s,value",
             "s,0,cwnd_bytes,flow-1,0.0,0.0",
             "s,0,cwnd_bytes,flow-1,0.5,1.0",
         ]
+
+    def test_json_round_trips(self):
         payload = json.loads(timeline_json(RECORDS))
         assert payload["version"] == 1
         assert payload["streams"] == RECORDS
