@@ -1,4 +1,5 @@
-"""The regression list: hand-written mutants of ``tcp``/``cc``/``energy``.
+"""The regression list: hand-written mutants of ``tcp``/``cc``/``energy``,
+and of the ``obs`` constants that gate CI on drift.
 
 ``python -m mutants.regressions`` makes each row's exact edit (file, old
 text, new text) in a scratch tree, runs ``tests/<package>`` and, unless a
@@ -47,6 +48,14 @@ REGRESSIONS = (
     # the reference constants the calibration closes on (ROADMAP item 17)
     ("calibration", "REF_CC_UNITS_PER_ACK x2", "energy/calibration.py", "REF_CC_UNITS_PER_ACK = 1.35", "REF_CC_UNITS_PER_ACK = 2.7"),
     ("calibration", "REF_EVENTS_PER_DATA_PACKET 1.5 -> 2.5", "energy/calibration.py", "REF_EVENTS_PER_DATA_PACKET = 1.0 +", "REF_EVENTS_PER_DATA_PACKET = 2.0 +"),
+    # the drift gate's tolerances, which survived all of tier-1 in the probe of obs
+    ("baseline", "sim_time_s tolerance 1e-4 -> 2e-4", "obs/baseline.py", '"sim_time_s": 1e-4,', '"sim_time_s": 2e-4,'),
+    ("baseline", "savings tolerance 1e-3 -> 2e-3", "obs/baseline.py", '"savings_vs_fair_percent": 1e-3,', '"savings_vs_fair_percent": 2e-3,'),
+    ("baseline", "retransmissions tolerance 0 -> 1", "obs/baseline.py", '"retransmissions": 0.0,', '"retransmissions": 1.0,'),
+    ("baseline", "bottleneck_drops tolerance 0 -> 1", "obs/baseline.py", '"bottleneck_drops": 0.0,', '"bottleneck_drops": 1.0,'),
+    ("baseline", "runs tolerance 0 -> 1", "obs/baseline.py", '"runs": 0.0,', '"runs": 1.0,'),
+    ("baseline", "FALLBACK_REL_TOL 1e-4 -> 2e-4", "obs/baseline.py", "FALLBACK_REL_TOL = 1e-4", "FALLBACK_REL_TOL = 2e-4"),
+    ("telemetry", "traced sampling interval 1 ms -> 2 ms", "obs/telemetry.py", "DEFAULT_TELEMETRY_INTERVAL_S = msec(1.0)", "DEFAULT_TELEMETRY_INTERVAL_S = msec(2.0)"),
 )
 
 

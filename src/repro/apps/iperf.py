@@ -74,8 +74,6 @@ class IperfSession:
         Virtual time at which the client begins writing; ``None`` leaves
         the session dormant until :meth:`begin` is called (used for
         completion-chained full-speed-then-idle schedules).
-    ecn:
-        Force ECN on/off; default enables it for the algorithms that use it.
     src_host / dst_host:
         Endpoint hosts. They default to the graph's first and last host:
         on the testbed, its (first) sender and its receiver. On a
@@ -90,7 +88,6 @@ class IperfSession:
         cca: str = "cubic",
         target_bitrate_bps: Optional[float] = None,
         start_time: Optional[float] = 0.0,
-        ecn: Optional[bool] = None,
         flow_id: Optional[int] = None,
         cca_kwargs: Optional[dict] = None,
         src_host: Optional[Host] = None,
@@ -110,7 +107,6 @@ class IperfSession:
         self.target_bitrate_bps = target_bitrate_bps
         self.start_time = start_time
         self.flow_id = flow_id if flow_id is not None else next(_flow_ids)
-        ecn_capable = ecn if ecn is not None else cca in ECN_ALGORITHMS
 
         self.receiver = TcpReceiver(
             self.sim,
@@ -127,7 +123,7 @@ class IperfSession:
             dst=dst.name,
             cca_factory=cca_factory(cca, **(cca_kwargs or {})),
             total_bytes=total_bytes,
-            ecn_capable=ecn_capable,
+            ecn_capable=cca in ECN_ALGORITHMS,
         )
         if rate_limited:
             # iperf3 -b: the client writes in paced bursts; TCP below is

@@ -364,6 +364,14 @@ def _pick_weighted(
     return components[-1][0]
 
 
+#: the fabric workload's placement: the share of flows kept inside the
+#: source's rack, the share of arrival events that are incasts, and each
+#: incast's number of senders
+RACK_LOCAL_FRACTION = 0.3
+INCAST_FRACTION = 0.05
+INCAST_FAN_IN = 8
+
+
 def generate_fabric_workload(
     hosts: Sequence[str],
     rack_of: "dict[str, int]",
@@ -371,9 +379,9 @@ def generate_fabric_workload(
     n_flows: int = 1000,
     target_load: float = 0.3,
     host_capacity_bps: float = gbps(10.0),
-    rack_local_fraction: float = 0.3,
-    incast_fraction: float = 0.05,
-    incast_fan_in: int = 8,
+    rack_local_fraction: float = RACK_LOCAL_FRACTION,
+    incast_fraction: float = INCAST_FRACTION,
+    incast_fan_in: int = INCAST_FAN_IN,
     seed: int = 0,
 ) -> FabricWorkload:
     """Generate exactly ``n_flows`` flows over a fabric's hosts.

@@ -137,18 +137,6 @@ BETA_CC_W_PER_UNIT_PER_S = usec(9)
 BETA_RETX_W_PER_RPS = usec(40)
 
 # ---------------------------------------------------------------------------
-# host packet-processing capacity (§4.4: "an MTU of 9000 bytes ... to
-# achieve the full 10 Gb/s line rate" — i.e. at 1500 B the hosts are
-# pps-bound below line rate; Fig. 7's 1500-byte cluster finishes 50 GB in
-# ~75-90 s => ~4.5-5.3 Gb/s)
-# ---------------------------------------------------------------------------
-
-#: minimum spacing between packets a host can sustain (CPU/DMA per-packet
-#: cost). 1576 wire bytes / 2.35 us ~= 5.4 Gb/s at MTU 1500; MTU >= 3000
-#: reaches line rate.
-HOST_MIN_PACKET_GAP_S = usec(2.35)
-
-# ---------------------------------------------------------------------------
 # RAPL emulation (§3: Intel RAPL interface, Sandy-Bridge-era unit)
 # ---------------------------------------------------------------------------
 

@@ -120,7 +120,6 @@ def run_fabric_figure(
     leaves: int = 8,
     spines: int = 2,
     hosts_per_leaf: int = 8,
-    fat_tree_k: int = 4,
     switch_power: str = "today",
     repetitions: int = 1,
     base_seed: int = 0,
@@ -155,7 +154,6 @@ def run_fabric_figure(
             leaves=leaves,
             spines=spines,
             hosts_per_leaf=hosts_per_leaf,
-            fat_tree_k=fat_tree_k,
             switch_power=switch_power,
         )
 

@@ -15,16 +15,12 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import KW_ONLY, dataclass, field, replace
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, ClassVar, Dict, List, Optional, Union
 
+from repro.apps.workload import INCAST_FAN_IN, INCAST_FRACTION, RACK_LOCAL_FRACTION
 from repro.core.allocation import FSTI_PLAN_NAME, AllocationPlan
 from repro.errors import ExperimentError, NetworkConfigError
-from repro.net.topology import (
-    FabricConfig,
-    TestbedConfig,
-    check_discipline,
-    check_fat_tree_arity,
-)
+from repro.net.topology import FabricConfig, TestbedConfig, check_discipline
 from repro.sched import (
     FlowRequest,
     SchedulePlan,
@@ -63,8 +59,6 @@ class FlowSpec:
     #: index of a flow whose completion lifts this flow's rate cap
     #: (Fig. 1: the capped flow "uses the rest of the link" afterwards)
     uncap_after: Optional[int] = None
-    #: force ECN on/off (None = per-CCA default)
-    ecn: Optional[bool] = None
     #: extra keyword arguments for the CCA constructor (e.g. the
     #: baseline's window_segments, bbr2's alpha_quality)
     cca_kwargs: Optional[dict] = None
@@ -93,9 +87,6 @@ class Scenario:
     flows: List[FlowSpec]
     mtu_bytes: int = 9000
     background_load: float = 0.0
-    #: measure the receiver's packages too (paper: sender-side per-flow
-    #: arithmetic, so default False)
-    meter_receiver: bool = False
     #: per-rep power measurement noise (~RAPL/system noise); the paper's
     #: error bars come from exactly this kind of run-to-run variation
     power_noise_sigma: float = 0.004
@@ -111,10 +102,10 @@ class Scenario:
     packages: Optional[int] = None
     #: throughput probe interval (None = no probes)
     probe_interval_s: Optional[float] = None
-    #: testbed overrides
+    #: testbed overrides. ``buffer_bytes`` sizes every queue of the
+    #: testbed, the senders' uplinks as well as the bottleneck
     buffer_bytes: Optional[int] = None
     ecn_threshold_bytes: Optional[int] = field(default=100 * 1024)
-    host_packet_gap_s: Optional[float] = None
     #: uplinks per sender host (None = the testbed's two bonded links)
     sender_bonded_links: Optional[int] = None
     #: bottleneck scheduling, one of
@@ -223,7 +214,7 @@ class Scenario:
             bottleneck_discipline=self.bottleneck_discipline,
             int_telemetry=self.int_telemetry,
         )
-        for name in ("buffer_bytes", "host_packet_gap_s", "sender_bonded_links"):
+        for name in ("buffer_bytes", "sender_bonded_links"):
             if getattr(self, name) is not None:
                 kwargs[name] = getattr(self, name)
         hint = self.plan().bottleneck_discipline
@@ -276,31 +267,30 @@ class FabricScenario:
     mix: str = "datacenter"
     target_load: float = 0.3
     #: topology: "leaf-spine" (leaves/spines/hosts_per_leaf) or
-    #: "fat-tree" (shape fully determined by fat_tree_k)
+    #: "fat-tree" (the k = 4 fat-tree: 16 hosts, 20 switches)
     topology: str = "leaf-spine"
     leaves: int = 8
     spines: int = 2
     hosts_per_leaf: int = 8
-    fat_tree_k: int = 4
-    rack_local_fraction: float = 0.3
-    incast_fraction: float = 0.05
-    incast_fan_in: int = 8
-    mtu_bytes: int = 9000
-    ecn_threshold_bytes: Optional[int] = field(default=100 * 1024)
-    buffer_bytes: Optional[int] = None
-    #: per-CCA constructor overrides, as in :class:`FlowSpec`
-    cca_kwargs: Optional[dict] = None
     #: switch power hardware: "today" (load-independent) or
     #: "rate-adaptive" (Nedevschi-style sleeping ports)
     switch_power: str = "today"
     time_limit_s: float = 600.0
-    sample_interval_s: float = msec(5.0)
-    #: fabric runs default to noise-free power so fleet deltas are exact
-    power_noise_sigma: float = 0.0
     #: per-flow deadline slack for the ``deadline`` policy: a flow's
     #: deadline is ``arrival + slack x its line-rate duration``; other
     #: policies ignore it
     deadline_slack: float = 4.0
+
+    #: the workload generator's placement and the fabric's ports: one
+    #: value each, the generator's defaults and :class:`FabricConfig`'s
+    rack_local_fraction: ClassVar[float] = RACK_LOCAL_FRACTION
+    incast_fraction: ClassVar[float] = INCAST_FRACTION
+    incast_fan_in: ClassVar[int] = INCAST_FAN_IN
+    mtu_bytes: ClassVar[int] = FabricConfig.mtu_bytes
+    ecn_threshold_bytes: ClassVar[Optional[int]] = FabricConfig.ecn_threshold_bytes
+    #: sampling interval for the hosts' CPU power integration; a fabric
+    #: run's power is noise-free, so fleet deltas are exact
+    sample_interval_s: ClassVar[float] = msec(5.0)
 
     def __post_init__(self) -> None:
         # Canonicalize so every spelling hashes identically in cache keys.
@@ -324,8 +314,6 @@ class FabricScenario:
             raise ExperimentError(f"need >= 1 flow, got {self.n_flows}")
         try:
             self.fabric_config()
-            if self.topology == "fat-tree":
-                check_fat_tree_arity(self.fat_tree_k)
         except NetworkConfigError as exc:
             raise ExperimentError(f"scenario {self.name!r}: {exc}") from None
 
@@ -334,17 +322,13 @@ class FabricScenario:
         return replace(self, name=name)
 
     def fabric_config(self) -> FabricConfig:
-        """The fabric this scenario runs on. A fat-tree's shape is
-        ``fat_tree_k`` alone, so only a leaf-spine takes the scenario's
+        """The fabric this scenario runs on. A fat-tree's shape is its
+        arity alone, so only a leaf-spine takes the scenario's
         ``leaves``/``spines``/``hosts_per_leaf``."""
         kwargs: Dict[str, Any] = dict(
-            mtu_bytes=self.mtu_bytes,
-            ecn_threshold_bytes=self.ecn_threshold_bytes,
             # HPCC's switch support: stamp in-band telemetry on every port.
             int_telemetry=self.cca == "hpcc",
         )
-        if self.buffer_bytes is not None:
-            kwargs["buffer_bytes"] = self.buffer_bytes
         if self.topology == "leaf-spine":
             kwargs.update(
                 leaves=self.leaves,

@@ -46,7 +46,6 @@ from repro.sched import (
     get_policy,
 )
 from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
 from repro.units import BITS_PER_BYTE
 
 
@@ -58,9 +57,6 @@ def _workload_for(scenario: FabricScenario, fabric: Fabric, seed: int) -> Fabric
         n_flows=scenario.n_flows,
         target_load=scenario.target_load,
         host_capacity_bps=fabric.config.host_link_rate_bps,
-        rack_local_fraction=scenario.rack_local_fraction,
-        incast_fraction=scenario.incast_fraction,
-        incast_fan_in=scenario.incast_fan_in,
         seed=seed,
     )
 
@@ -116,7 +112,6 @@ def _start_sessions(
                 cca=scenario.cca,
                 # Dormant when chained behind another flow.
                 start_time=None if deferred else flow.start_time_s,
-                cca_kwargs=scenario.cca_kwargs,
                 # Per-run ids (not the process-global counter):
                 # measurements must stay a pure function of
                 # (scenario, seed).
@@ -148,7 +143,7 @@ def prepare_fabric(
     """Build the fabric, its workload, the CPU fleet and the sessions."""
     config = scenario.fabric_config()
     fabric = (
-        build_fat_tree(sim, k=scenario.fat_tree_k, config=config)
+        build_fat_tree(sim, config=config)
         if scenario.topology == "fat-tree"
         else build_leaf_spine(sim, config)
     )
@@ -162,10 +157,6 @@ def prepare_fabric(
         )
         for host in fabric.hosts
     ]
-    if scenario.power_noise_sigma > 0:
-        noise_rng = RngRegistry(seed).stream("power-noise")
-        for model in cpu_models:
-            model.set_noise(noise_rng, scenario.power_noise_sigma)
     sessions = _start_sessions(scenario, fabric, workload)
     return PreparedFabric(
         fabric=fabric,

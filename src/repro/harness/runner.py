@@ -144,7 +144,7 @@ def _prepare_link(
     testbed = build_testbed(sim, scenario.testbed_config())
 
     # One CPU model per sender host, sized by the flows it carries.
-    sender_cpus = [
+    cpu_models = [
         CpuModel(
             sim,
             host,
@@ -154,17 +154,6 @@ def _prepare_link(
         )
         for h, host in enumerate(testbed.hosts[:-1])
     ]
-    receiver_cpu = (
-        CpuModel(
-            sim,
-            testbed.hosts[-1],
-            packages=scenario.packages or max(2, len(scenario.flows)),
-            sample_interval_s=scenario.sample_interval_s,
-        )
-        if scenario.meter_receiver
-        else None
-    )
-    cpu_models = sender_cpus + ([receiver_cpu] if receiver_cpu else [])
     if scenario.power_noise_sigma > 0:
         noise_rng = rngs.stream("power-noise")
         for model in cpu_models:
@@ -175,7 +164,7 @@ def _prepare_link(
 
     jitter_rng = rngs.stream("start-jitter")
     sessions: List[IperfSession] = []
-    placed = [0] * len(sender_cpus)  # flows pinned so far, per sender host
+    placed = [0] * len(cpu_models)  # flows pinned so far, per sender host
     for i, flow in enumerate(scenario.flows):
         if plan.schedule_for(i).deferred:
             # Deferred flows draw no jitter: a chained start replaces
@@ -191,7 +180,6 @@ def _prepare_link(
             cca=flow.cca if plan.sender_cca is None else plan.sender_cca,
             target_bitrate_bps=flow.target_rate_bps,
             start_time=start,
-            ecn=flow.ecn,
             cca_kwargs=(
                 flow.cca_kwargs
                 if plan.sender_cca is None
@@ -204,15 +192,12 @@ def _prepare_link(
             src_host=testbed.hosts[flow.sender_host],
         )
         sessions.append(session)
-        # A flow takes its own host's packages in turn, and the
-        # receiver's by flow index.
-        host_cpu = sender_cpus[flow.sender_host]
+        # A flow takes its own host's packages in turn.
+        host_cpu = cpu_models[flow.sender_host]
         host_cpu.pin_flow(
             session.flow_id, placed[flow.sender_host] % len(host_cpu.packages)
         )
         placed[flow.sender_host] += 1
-        if receiver_cpu is not None:
-            receiver_cpu.pin_flow(session.flow_id, i % len(receiver_cpu.packages))
 
     # Completion chaining for deferred flows (full-speed-then-idle
     # schedules) and Fig. 1-style cap lifting. Plans may defer behind any

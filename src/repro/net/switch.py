@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NetworkConfigError
 from repro.net.link import Interface
-from repro.net.packet import Packet
+from repro.net.packet import ETHERNET_OVERHEAD_BYTES, Packet
 from repro.sim.trace import CounterSet, Counted
 
 #: a flow's switching identity: (src host, dst host, flow id)
@@ -37,7 +37,13 @@ FlowKey = Tuple[str, str, int]
 
 
 class Switch(Counted):
-    """Static-forwarding output-queued switch with a default ECMP group."""
+    """Static-forwarding output-queued switch with a default ECMP group.
+
+    The switch keeps no per-packet count of its own: every packet it
+    receives is on one of its ports' links, waiting in that port's
+    queue, or counted among that queue's drops, so ``rx_packets`` and
+    ``rx_bytes`` read the ports.
+    """
 
     COUNTER_FIELDS = ("rx_packets", "rx_bytes")
 
@@ -50,8 +56,6 @@ class Switch(Counted):
         # prefix every lookup
         self._hash_salt = zlib.crc32(name.encode("utf-8"))
         self._counters = CounterSet()
-        self.rx_packets = 0
-        self.rx_bytes = 0
 
     # -- forwarding table ---------------------------------------------
 
@@ -119,12 +123,32 @@ class Switch(Counted):
                 seen.setdefault(id(iface), iface)
         return list(seen.values())
 
+    @property
+    def rx_packets(self) -> int:
+        """Packets received: started on a port's link, queued, or dropped."""
+        return sum(
+            port.link.tx_packets
+            + len(port.queue)
+            + int(port.queue.counters.get("drops"))
+            for port in self.ports()
+        )
+
+    @property
+    def rx_bytes(self) -> int:
+        """IP bytes received: the ports' wire bytes less each started
+        frame's Ethernet framing, plus the bytes queued and dropped."""
+        return sum(
+            port.link.tx_bytes
+            - ETHERNET_OVERHEAD_BYTES * port.link.tx_packets
+            + port.queue.occupancy_bytes
+            + int(port.queue.counters.get("dropped_bytes"))
+            for port in self.ports()
+        )
+
     # -- data path ----------------------------------------------------
 
     def receive(self, packet: Packet) -> None:
         """Forward an arriving packet to its output port."""
-        self.rx_packets += 1
-        self.rx_bytes += packet.size_bytes
         # an exact route is one dict hit; ECMP goes through the lookup
         port = self._ports.get(packet.dst) or self.port_for_packet(packet)
         if not port.enqueue(packet):

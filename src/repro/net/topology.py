@@ -10,16 +10,17 @@ bottleneck. With more than one sender host it builds the incast fan-in
 bottleneck. :func:`build_leaf_spine` and :func:`build_fat_tree` build
 the multi-switch fabrics.
 
-All rates, delays, buffer sizes and the ECN marking threshold are
-parameters so experiments can deviate (Fig. 4's load sweep, ablations).
-A config rejects, through each part's own check, the MTU, packet gap,
-buffer and marking threshold its parts would.
+The link rates, propagation delays and the hosts' per-packet gap are
+the testbed's constants: no experiment varies them. The MTU, buffer
+size and ECN marking threshold stay parameters (Figs. 5-8's MTU sweep,
+the lossy and ECN ablations). A config rejects, through each part's own
+check, the MTU, buffer and marking threshold its parts would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generic, List, Optional, TypeVar
+from typing import ClassVar, Dict, Generic, List, Optional, TypeVar
 
 from repro.errors import NetworkConfigError
 from repro.net.host import Host
@@ -35,6 +36,14 @@ from repro.units import gbps, usec
 #: threshold is set) and "priority" (pFabric-style SRPT approximation)
 BOTTLENECK_DISCIPLINES = ("fifo", "priority")
 
+#: minimum spacing between packets a host can sustain (CPU/DMA
+#: per-packet cost), every host's NIC gap. §4.4 needs an MTU of 9000
+#: bytes "to achieve the full 10 Gb/s line rate", so at 1500 B the hosts
+#: are pps-bound below it: Fig. 7's 1500-byte cluster finishes 50 GB in
+#: ~75-90 s, i.e. ~4.5-5.3 Gb/s. 1576 wire bytes / 2.35 us ~= 5.4 Gb/s at
+#: MTU 1500; MTU >= 3000 reaches line rate.
+HOST_MIN_PACKET_GAP_S = usec(2.35)
+
 
 def check_discipline(discipline: str) -> None:
     """Raise unless ``discipline`` is one of :data:`BOTTLENECK_DISCIPLINES`."""
@@ -47,7 +56,7 @@ def check_discipline(discipline: str) -> None:
 
 def _check_parts(config: ConfigT, ecn: bool) -> None:
     """Raise what building ``config``'s hosts and queues would raise."""
-    Nic.check_limits(config.mtu_bytes, config.host_packet_gap_s)
+    Nic.check_limits(config.mtu_bytes, HOST_MIN_PACKET_GAP_S)
     DropTailQueue.check_capacity(config.buffer_bytes)
     if ecn and config.ecn_threshold_bytes is not None:
         EcnQueue.check_threshold(config.ecn_threshold_bytes, config.buffer_bytes)
@@ -62,23 +71,21 @@ class TestbedConfig:
     so the base RTT is ~40 µs before queueing.
     """
 
-    link_rate_bps: float = gbps(10.0)
-    link_delay_s: float = usec(10.0)
+    link_rate_bps: ClassVar[float] = gbps(10.0)
+    link_delay_s: ClassVar[float] = usec(10.0)
     mtu_bytes: int = 9000
     #: uplinks of each sender host
     sender_bonded_links: int = 2
     #: sender hosts, each with its own NIC: one is the paper's testbed,
     #: more is an N-to-1 incast through the same bottleneck
     sender_hosts: int = 1
-    #: bottleneck (switch -> receiver) buffer. Tofino-class switches have
-    #: tens of MB of shared buffer; 2 MB per port is a realistic dynamic
-    #: threshold and deep enough that 9000-byte MTUs get >200 packets.
+    #: the buffer of every queue in the testbed: the switch's ports and
+    #: the hosts' uplinks alike. Tofino-class switches have tens of MB of
+    #: shared buffer; 2 MB per port is a realistic dynamic threshold and
+    #: deep enough that 9000-byte MTUs get >200 packets.
     buffer_bytes: int = 2 * 1024 * 1024
     #: DCTCP-style CE marking threshold at the bottleneck; None disables ECN
     ecn_threshold_bytes: Optional[int] = 100 * 1024
-    #: host per-packet processing floor (pps cap); see
-    #: repro.energy.calibration.HOST_MIN_PACKET_GAP_S for provenance
-    host_packet_gap_s: float = usec(2.35)
     #: stamp in-band telemetry at the bottleneck (HPCC's switch support)
     int_telemetry: bool = False
     #: bottleneck scheduling, one of :data:`BOTTLENECK_DISCIPLINES`
@@ -114,14 +121,13 @@ class FabricConfig:
     leaves: int = 4
     spines: int = 2
     hosts_per_leaf: int = 4
-    host_link_rate_bps: float = gbps(10.0)
-    fabric_link_rate_bps: float = gbps(40.0)
-    link_delay_s: float = usec(5.0)
+    host_link_rate_bps: ClassVar[float] = gbps(10.0)
+    fabric_link_rate_bps: ClassVar[float] = gbps(40.0)
+    link_delay_s: ClassVar[float] = usec(5.0)
     mtu_bytes: int = 9000
     buffer_bytes: int = 2 * 1024 * 1024
     #: ECN marking threshold on every switch egress port; None disables
     ecn_threshold_bytes: Optional[int] = 100 * 1024
-    host_packet_gap_s: float = usec(2.35)
     #: stamp in-band telemetry on every switch egress port (HPCC's
     #: switch support; every hop updates the packet's INT record)
     int_telemetry: bool = False
@@ -145,14 +151,6 @@ class FabricConfig:
 
 #: either config a :class:`Fabric` is built from
 ConfigT = TypeVar("ConfigT", TestbedConfig, FabricConfig)
-
-
-def check_fat_tree_arity(k: int) -> None:
-    """Raise unless ``k`` is a fat-tree arity: even and >= 2."""
-    if k < 2 or k % 2 != 0:
-        raise NetworkConfigError(
-            f"fat-tree arity must be even and >= 2, got {k}"
-        )
 
 
 @dataclass
@@ -287,7 +285,7 @@ def _attach_nic(fabric: Fabric, host: Host, interfaces: List[Interface]) -> None
             mtu_bytes=config.mtu_bytes,
             name=f"{host.name}-nic",
             sim=fabric.sim,
-            tx_packet_gap_s=config.host_packet_gap_s,
+            tx_packet_gap_s=HOST_MIN_PACKET_GAP_S,
         )
     )
 
@@ -469,7 +467,8 @@ def build_fat_tree(
     routes. ``config.leaves``/``hosts_per_leaf``/``spines`` are ignored
     — the shape is fully determined by ``k``.
     """
-    check_fat_tree_arity(k)
+    if k < 2 or k % 2 != 0:
+        raise NetworkConfigError(f"fat-tree arity must be even and >= 2, got {k}")
     config = config or FabricConfig()
     half = k // 2
     edges = [

@@ -101,7 +101,3 @@ class TestEcnDefaults:
     def test_cubic_ecn_off_by_default(self, sim, testbed):
         session = IperfSession(testbed, total_bytes=1000, cca="cubic")
         assert not session.sender.ecn_capable
-
-    def test_override_wins(self, sim, testbed):
-        session = IperfSession(testbed, total_bytes=1000, cca="cubic", ecn=True)
-        assert session.sender.ecn_capable

@@ -23,9 +23,34 @@ def drive_to_steady(ctx, cc, rate_bps=10e9, rtt=100e-6, rounds=200):
         )
 
 
+def startup_rounds(ctx, cc, rates, rtt=2.0**-13):
+    """One ACK a round trip, each carrying the next delivery rate;
+    returns the state after each round. The round trip (~122 us) is a
+    power of two, so the clock's sums are exact and every ACK is a
+    round."""
+    ctx.set_rtt(rtt, min_rtt=rtt)
+    states = []
+    for rate in rates:
+        ctx.advance(rtt)
+        cc.on_ack(make_event(acked=14_600, rtt=rtt, rate=rate, flight=10**9))
+        states.append(cc.state)
+    return states
+
+
 class TestBbrStateMachine:
     def test_starts_in_startup(self, ctx):
         assert Bbr(ctx).state == "STARTUP"
+
+    def test_three_rounds_short_of_a_quarter_more_bandwidth_end_startup(self, ctx):
+        # the full-pipe test: STARTUP ends after three rounds whose rate
+        # is under 1.25x the last rate it recorded as growth; 20 % up on
+        # that rate, three rounds running, is such a plateau
+        states = startup_rounds(ctx, Bbr(ctx), [1e9, 1.2e9, 1.2e9, 1.2e9])
+        assert states == ["STARTUP", "STARTUP", "STARTUP", "DRAIN"]
+
+    def test_bandwidth_growing_thirty_percent_a_round_stays_in_startup(self, ctx):
+        rates = [1e9 * 1.3**n for n in range(10)]
+        assert set(startup_rounds(ctx, Bbr(ctx), rates)) == {"STARTUP"}
 
     def test_reaches_probe_bw(self, ctx):
         cc = Bbr(ctx)

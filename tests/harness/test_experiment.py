@@ -154,14 +154,9 @@ class TestScenarioValidation:
             # below the default 100 KiB ECN marking threshold
             ("link", dict(buffer_bytes=30_000)),
             ("link", dict(ecn_threshold_bytes=0)),
-            ("link", dict(host_packet_gap_s=-1.0)),
-            ("link", dict(host_packet_gap_s=float("nan"))),
             ("fabric", dict(leaves=0)),
             ("fabric", dict(spines=0)),
             ("fabric", dict(hosts_per_leaf=0)),
-            ("fabric", dict(topology="fat-tree", fat_tree_k=3)),
-            ("fabric", dict(mtu_bytes=500)),
-            ("fabric", dict(buffer_bytes=30_000)),
         ],
     )
     def test_what_the_builder_rejects_is_rejected_at_construction(

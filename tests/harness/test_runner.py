@@ -148,17 +148,6 @@ class TestSenderHosts:
         assert [first.package_for(i) for i in ids[:3]] == first.packages
         assert second.package_for(ids[3]) is second.packages[0]
 
-    def test_receiver_packages_follow_the_flow_index(self):
-        flows = [FlowSpec(SIZE), FlowSpec(SIZE, sender_host=1), FlowSpec(SIZE)]
-        prepared = _prepare_link(
-            single_flow(flows=flows, meter_receiver=True), Simulator(), seed=0
-        )
-        receiver = prepared.meter.cpu_models[-1]
-        assert receiver.host is prepared.testbed.hosts[-1]
-        assert [
-            receiver.package_for(s.flow_id) for s in prepared.sessions
-        ] == [receiver.packages[i % 3] for i in range(3)]
-
     def test_every_flow_completes(self):
         m = run_once(
             single_flow(flows=[FlowSpec(SIZE, sender_host=h) for h in range(3)])

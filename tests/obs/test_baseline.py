@@ -135,6 +135,31 @@ class TestCompare:
         assert row.tolerance == 0.0
         assert row.status == "regressed"
 
+    @pytest.mark.parametrize("factor, status", [(1.5, "regressed"), (0.5, "ok")])
+    @pytest.mark.parametrize(
+        "leaf, tolerance",
+        [
+            ("energy_j", 1e-4),
+            ("sim_time_s", 1e-4),
+            ("savings_vs_fair_percent", 1e-3),
+            ("host_energy_j", 1e-4),  # not in the table: FALLBACK_REL_TOL
+        ],
+    )
+    def test_each_documented_tolerance_is_the_boundary(
+        self, leaf, tolerance, factor, status
+    ):
+        key = f"fig1-fsti/{leaf}"
+        drifted = 40.0 * (1.0 + factor * tolerance)
+        (row,) = compare(doc({key: 40.0}), doc({key: drifted}))
+        assert row.status == status
+
+    @pytest.mark.parametrize(
+        "key", ["fig1-fair/retransmissions", "fig1-fair/bottleneck_drops", "total/runs"]
+    )
+    def test_a_count_that_moves_by_one_regresses(self, key):
+        (row,) = compare(doc({key: 1000.0}), doc({key: 1001.0}))
+        assert row.status == "regressed"
+
     def test_missing_metric_gates(self):
         rows = compare(doc({"gone/energy_j": 1.0}), doc({}))
         (row,) = rows

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
+from repro.harness.experiment import FlowSpec, Scenario
+from repro.harness.runner import run_once
+from repro.obs.observer import TracingObserver
 from repro.obs.telemetry import (
     TELEMETRY,
     TELEMETRY_FILENAME,
@@ -38,6 +41,27 @@ class TestTelemetryRecords:
         assert first["seed"] == 3
         assert first["times"] == [0.0, 1.0]
         assert first["values"] == [10.0, 20.0]
+
+
+class TestTracedRun:
+    def test_a_stream_keeps_one_sample_a_millisecond(self, tmp_path):
+        # the traced default is 1 ms of virtual time per stream: no two
+        # kept samples closer, and a busy queue is sampled about as often
+        with TracingObserver(tmp_path) as obs:
+            run_once(
+                Scenario("traced", flows=[FlowSpec(4_000_000), FlowSpec(4_000_000)]),
+                observer=obs,
+            )
+        (times,) = [
+            record["times"]
+            for record in read_telemetry(tmp_path)
+            if (record["channel"], record["entity"])
+            == (QUEUE_DEPTH_CHANNEL, "bottleneck")
+        ]
+        gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+        assert len(gaps) >= 3
+        assert min(gaps) >= 1e-3
+        assert min(gaps) < 2e-3
 
 
 class TestWriterRoundTrip:
