@@ -44,7 +44,6 @@ REGRESSIONS = (
     ("reprobe", "Reno congestion avoidance at twice its rate", "cc/base.py", "max(1, mss * remainder // max(self.cwnd, 1))", "max(1, 2 * mss * remainder // max(self.cwnd, 1))"),
     ("reprobe", "MIN_CWND_SEGMENTS 2 -> 1", "cc/base.py", "MIN_CWND_SEGMENTS = 2", "MIN_CWND_SEGMENTS = 1"),
     ("reprobe", "retransmission power coefficient x2", "energy/calibration.py", "BETA_RETX_W_PER_RPS = usec(40)", "BETA_RETX_W_PER_RPS = usec(80)"),
-    ("reprobe", "DRAM retransmission coefficient x2", "energy/calibration.py", "BETA_DRAM_RETX_W_PER_RPS = usec(", "BETA_DRAM_RETX_W_PER_RPS = 2 * usec("),
     # the reference constants the calibration closes on (ROADMAP item 17)
     ("calibration", "REF_CC_UNITS_PER_ACK x2", "energy/calibration.py", "REF_CC_UNITS_PER_ACK = 1.35", "REF_CC_UNITS_PER_ACK = 2.7"),
     ("calibration", "REF_EVENTS_PER_DATA_PACKET 1.5 -> 2.5", "energy/calibration.py", "REF_EVENTS_PER_DATA_PACKET = 1.0 +", "REF_EVENTS_PER_DATA_PACKET = 2.0 +"),

@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 from mutants.probe import ROOT, TIMEOUT, copy_tree, pytest as run_pytest, run_all, run_group
+from mutants.regressions import REGRESSIONS
 from mutants.sites import apply, enumerate_sites, file_sites
 
 SNIPPET = """\
@@ -47,6 +48,14 @@ def test_site_ids_are_stable_and_every_mutant_parses():
         assert len(set(ids)) == len(ids)
         for site in sites:
             ast.parse(apply((ROOT / site.path).read_text(encoding="utf-8"), site))
+
+
+def test_every_regression_row_edits_one_place():
+    # a refactor that moves or deletes a row's old text turns the row
+    # into a "gone" report nobody reads: fail here instead
+    for origin, what, path, old, _new in REGRESSIONS:
+        text = (ROOT / "src" / "repro" / path).read_text(encoding="utf-8")
+        assert text.count(old) == 1, f"{origin} | {what} | {path}"
 
 
 def fixture_tree(root: Path) -> Path:

@@ -55,7 +55,7 @@ class Bbr(CongestionControl):
     def __init__(self, ctx):
         super().__init__(ctx)
         self.state = "STARTUP"
-        self._bw_filter = WindowedFilter(window_s=1.0, mode="max")
+        self._bw_filter = WindowedFilter(window_s=1.0)
         self._min_rtt: Optional[float] = None
         self._min_rtt_stamp = 0.0
         self._full_bw = 0.0

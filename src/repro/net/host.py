@@ -59,10 +59,11 @@ class Host(Counted):
 
     COUNTER_FIELDS = ("tx_packets", "tx_bytes", "rx_packets", "rx_bytes", "cc_ops")
 
-    def __init__(self, sim: Simulator, name: str, nic: Optional[Nic] = None):
+    def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
-        self.nic = nic
+        #: installed by :meth:`attach_nic`
+        self.nic: Optional[Nic] = None
         self._endpoints: Dict[int, FlowEndpoint] = {}
         self._listener = _NOBODY
         #: flow id -> the listener's answer for it

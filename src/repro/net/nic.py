@@ -6,7 +6,9 @@ is the bottleneck. :class:`Nic` reproduces that: it owns one or more
 egress :class:`~repro.net.link.Interface` objects and sprays packets
 across them.
 
-The paced transmit path (``tx_packet_gap_s > 0``) is demand-driven. A
+Every NIC is paced: it emits at most one packet per
+:data:`HOST_MIN_PACKET_GAP_S`, the host's per-packet CPU cost, with a
+drop-tail qdisc behind it. The transmit path is demand-driven. A
 ``_drain`` event exists only while something waits: each drain
 dispatches one packet, wakes the drain listeners (TCP senders) *if one
 of them asked to be woken* and schedules the next drain one
@@ -52,64 +54,60 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Sequence
 
 from repro.errors import NetworkConfigError
 from repro.net.link import Interface
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.sim.trace import CounterSet, Counted
+from repro.units import usec
+
+#: minimum spacing between packets a host can sustain (CPU/DMA
+#: per-packet cost), every host's NIC gap. §4.4 needs an MTU of 9000
+#: bytes "to achieve the full 10 Gb/s line rate", so at 1500 B the hosts
+#: are pps-bound below it: Fig. 7's 1500-byte cluster finishes 50 GB in
+#: ~75-90 s, i.e. ~4.5-5.3 Gb/s. 1576 wire bytes / 2.35 us ~= 5.4 Gb/s at
+#: MTU 1500; MTU >= 3000 reaches line rate.
+HOST_MIN_PACKET_GAP_S = usec(2.35)
 
 
 class Nic(Counted):
     """A host NIC with an MTU and one or more bonded egress interfaces.
 
-    ``tx_packet_gap_s`` models the host's per-packet CPU/DMA cost: the
-    transmit path emits at most one packet per gap, *across* all bonded
-    links. This is what keeps small-MTU configurations below line rate
-    (paper §4.4: 9000-byte MTU was needed "to achieve the full 10 Gb/s
-    line rate").
+    The transmit path emits at most one packet per ``tx_packet_gap_s``,
+    *across* all bonded links. This is what keeps small-MTU
+    configurations below line rate (paper §4.4: 9000-byte MTU was needed
+    "to achieve the full 10 Gb/s line rate").
     """
 
     COUNTER_FIELDS = ("tx_packets", "tx_bytes")
 
+    #: the host's per-packet CPU/DMA cost, seconds
+    tx_packet_gap_s = HOST_MIN_PACKET_GAP_S
+    #: host qdisc depth (Linux txqueuelen-style, drop-tail like pfifo_fast)
+    tx_queue_packets = 1024
+
     @staticmethod
-    def check_limits(mtu_bytes: int, tx_packet_gap_s: float) -> None:
-        """Raise unless a NIC can have this MTU and packet gap."""
+    def check_limits(mtu_bytes: int) -> None:
+        """Raise unless a NIC can have this MTU."""
         if mtu_bytes < 576:
             raise NetworkConfigError(f"MTU {mtu_bytes} below IPv4 minimum of 576")
-        # NaN fails too; finite, as a drain is pushed one gap after the last
-        if not 0 <= tx_packet_gap_s < float("inf"):
-            raise NetworkConfigError(
-                f"tx packet gap must be finite and >= 0, got {tx_packet_gap_s}"
-            )
 
     def __init__(
         self,
+        sim: Simulator,
         interfaces: Sequence[Interface],
         mtu_bytes: int = 1500,
         name: str = "nic",
-        sim: Optional[Simulator] = None,
-        tx_packet_gap_s: float = 0.0,
-        tx_queue_packets: int = 1024,
     ):
         if not interfaces:
             raise NetworkConfigError("NIC needs at least one interface")
-        Nic.check_limits(mtu_bytes, tx_packet_gap_s)
-        if tx_packet_gap_s > 0 and sim is None:
-            raise NetworkConfigError("a paced NIC needs the simulator")
-        if not tx_queue_packets > 0:
-            raise NetworkConfigError(
-                f"tx queue must hold >= 1 packet, got {tx_queue_packets}"
-            )
+        Nic.check_limits(mtu_bytes)
+        self.sim = sim
         self.interfaces: List[Interface] = list(interfaces)
         self.mtu_bytes = mtu_bytes
         self.name = name
-        self.sim = sim
-        self.tx_packet_gap_s = tx_packet_gap_s
-        #: host qdisc depth (Linux txqueuelen-style, drop-tail like
-        #: pfifo_fast); only enforced on the paced path
-        self.tx_queue_packets = tx_queue_packets
         self._next_interface = 0
         self._txq: Deque[Packet] = deque()
         #: a ``_drain`` event is scheduled or running, or ``send`` is
@@ -165,9 +163,9 @@ class Nic(Counted):
     def send(self, packet: Packet) -> bool:
         """Transmit ``packet`` on the next bonded interface (round-robin).
 
-        Returns False only for an immediate (unpaced) egress-queue drop;
-        with a transmit gap configured, packets queue at the host and the
-        method reports acceptance.
+        The packet leaves at once when the NIC is idle and its gap has
+        elapsed, and otherwise waits its turn in the qdisc. Returns False
+        only when the qdisc is full and drops it.
         """
         if packet.size_bytes > self.mtu_bytes:
             raise NetworkConfigError(
@@ -176,10 +174,7 @@ class Nic(Counted):
             )
         self.tx_packets += 1
         self.tx_bytes += packet.size_bytes
-        if self.tx_packet_gap_s <= 0:
-            return self._dispatch(packet)
         sim = self.sim
-        assert sim is not None  # guaranteed by constructor check
         if (
             not self._draining
             and not self._phantom_slots
@@ -237,17 +232,8 @@ class Nic(Counted):
                 heappush(sim._queue, (due, now, seq, self._drain, None))
         return True
 
-    def _dispatch(self, packet: Packet) -> bool:
-        iface = self.interfaces[self._next_interface]
-        self._next_interface = (self._next_interface + 1) % len(self.interfaces)
-        accepted = iface.enqueue(packet)
-        if not accepted:
-            self._counters["tx_drops"] += 1.0
-        return accepted
-
     def _drain(self, _: object = None) -> None:
         sim = self.sim
-        assert sim is not None  # guaranteed by constructor check
         if self._phantom_slots > 0:
             # Burn a slot on work the (full, so non-empty) qdisc discarded.
             self._phantom_slots -= 1
@@ -259,7 +245,7 @@ class Nic(Counted):
                 backlog[packet.flow_id] = left
             else:
                 backlog.pop(packet.flow_id, None)
-            # _dispatch(packet), in this frame: once per paced packet
+            # the spray, as in ``send``: once per queued packet
             interfaces = self.interfaces
             iface = interfaces[self._next_interface]
             self._next_interface = (self._next_interface + 1) % len(interfaces)

@@ -36,15 +36,6 @@ from repro.units import gbps, usec
 #: threshold is set) and "priority" (pFabric-style SRPT approximation)
 BOTTLENECK_DISCIPLINES = ("fifo", "priority")
 
-#: minimum spacing between packets a host can sustain (CPU/DMA
-#: per-packet cost), every host's NIC gap. §4.4 needs an MTU of 9000
-#: bytes "to achieve the full 10 Gb/s line rate", so at 1500 B the hosts
-#: are pps-bound below it: Fig. 7's 1500-byte cluster finishes 50 GB in
-#: ~75-90 s, i.e. ~4.5-5.3 Gb/s. 1576 wire bytes / 2.35 us ~= 5.4 Gb/s at
-#: MTU 1500; MTU >= 3000 reaches line rate.
-HOST_MIN_PACKET_GAP_S = usec(2.35)
-
-
 def check_discipline(discipline: str) -> None:
     """Raise unless ``discipline`` is one of :data:`BOTTLENECK_DISCIPLINES`."""
     if discipline not in BOTTLENECK_DISCIPLINES:
@@ -56,7 +47,7 @@ def check_discipline(discipline: str) -> None:
 
 def _check_parts(config: ConfigT, ecn: bool) -> None:
     """Raise what building ``config``'s hosts and queues would raise."""
-    Nic.check_limits(config.mtu_bytes, HOST_MIN_PACKET_GAP_S)
+    Nic.check_limits(config.mtu_bytes)
     DropTailQueue.check_capacity(config.buffer_bytes)
     if ecn and config.ecn_threshold_bytes is not None:
         EcnQueue.check_threshold(config.ecn_threshold_bytes, config.buffer_bytes)
@@ -235,18 +226,18 @@ class Fabric(Generic[ConfigT]):
         deliveries plus every loss mechanism in the fabric: switch/NIC
         egress queue drops, host qdisc drops, and on-wire corruption.
         NIC ``tx_drops`` is deliberately *not* a term — each such drop
-        is already counted by the queue (dispatch path) or as a
-        ``qdisc_drops`` (paced path), and interface ``drops`` mirrors
+        is already counted by the egress queue that turned the packet
+        away or as a ``qdisc_drops``, and interface ``drops`` mirrors
         the queue's own counter.
         """
         return ConservationLedger(
             sent=sum(h.counters.get("tx_packets") for h in self.hosts),
             delivered=sum(h.counters.get("rx_packets") for h in self.hosts),
             queue_drops=sum(q.counters.get("drops") for q in self.queues),
+            # the builders give every host a NIC
             qdisc_drops=sum(
-                h.nic.counters.get("qdisc_drops")
+                h.nic.counters.get("qdisc_drops")  # type: ignore[union-attr]
                 for h in self.hosts
-                if h.nic is not None
             ),
             corrupted=sum(
                 link.counters.get("corrupted") for link in self.links
@@ -281,11 +272,10 @@ def _attach_nic(fabric: Fabric, host: Host, interfaces: List[Interface]) -> None
     config = fabric.config
     host.attach_nic(
         Nic(
+            fabric.sim,
             interfaces,
             mtu_bytes=config.mtu_bytes,
             name=f"{host.name}-nic",
-            sim=fabric.sim,
-            tx_packet_gap_s=HOST_MIN_PACKET_GAP_S,
         )
     )
 

@@ -42,23 +42,24 @@ class TcpReceiver(Counted):
 
     COUNTER_FIELDS = ("segments", "acks_sent")
 
+    #: full segments a delayed ACK waits for (Linux acks every second one)
+    delack_segments = 2
+    #: the tcp_rmem-style autotuning ceiling of the advertised window
+    max_rwnd_bytes = DEFAULT_MAX_RWND
+
     def __init__(
         self,
         sim: Simulator,
         host: Host,
         flow_id: int,
         peer: str,
-        expected_bytes: Optional[int] = None,
-        delack_segments: int = 2,
-        max_rwnd_bytes: int = DEFAULT_MAX_RWND,
+        expected_bytes: int,
     ):
         self.sim = sim
         self.host = host
         self.flow_id = flow_id
         self.peer = peer
         self.expected_bytes = expected_bytes
-        self.delack_segments = max(1, delack_segments)
-        self.max_rwnd_bytes = max_rwnd_bytes
         self.received = RangeSet()
         self.rcv_nxt = 0
         self.bytes_received = 0
@@ -132,10 +133,7 @@ class TcpReceiver(Counted):
             self._last_int = packet
         self._unacked_segments += 1
 
-        finished = (
-            self.expected_bytes is not None
-            and self.rcv_nxt >= self.expected_bytes
-        )
+        finished = self.rcv_nxt >= self.expected_bytes
         if (
             must_ack_now
             or ce_changed

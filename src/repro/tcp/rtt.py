@@ -19,7 +19,7 @@ K = 4.0
 
 #: Datacenter-friendly clamp. The RFC minimum of 1 s would make a 40 µs
 #: RTT fabric unusable; Linux uses 200 ms but datacenter stacks configure
-#: far lower. The floor is configurable per connection.
+#: far lower.
 DEFAULT_MIN_RTO = msec(1.0)
 DEFAULT_MAX_RTO = 60.0
 DEFAULT_INITIAL_RTO = 0.1
@@ -28,17 +28,12 @@ DEFAULT_INITIAL_RTO = 0.1
 class RttEstimator:
     """SRTT/RTTVAR/RTO state for one connection."""
 
-    def __init__(
-        self,
-        min_rto: float = DEFAULT_MIN_RTO,
-        max_rto: float = DEFAULT_MAX_RTO,
-        initial_rto: float = DEFAULT_INITIAL_RTO,
-    ):
-        if not 0 < min_rto <= max_rto:
-            raise TcpStateError(f"invalid RTO bounds [{min_rto}, {max_rto}]")
-        self.min_rto = min_rto
-        self.max_rto = max_rto
-        self._initial_rto = initial_rto
+    #: RTO floor, ceiling and value before the first sample, seconds
+    min_rto = DEFAULT_MIN_RTO
+    max_rto = DEFAULT_MAX_RTO
+    initial_rto = DEFAULT_INITIAL_RTO
+
+    def __init__(self) -> None:
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self.min_rtt: Optional[float] = None
@@ -49,7 +44,7 @@ class RttEstimator:
         #: applied). A plain attribute because the sender reads it on
         #: every ACK; only the estimator writes it, wherever ``srtt``,
         #: ``rttvar`` or the backoff change.
-        self.rto = min(max(min_rto, initial_rto), max_rto)
+        self.rto = min(max(self.min_rto, self.initial_rto), self.max_rto)
 
     def on_sample(self, rtt: float) -> None:
         """Fold one RTT measurement into the estimator."""
@@ -77,7 +72,7 @@ class RttEstimator:
         """Double the RTO after a retransmission timeout (Karn/Partridge)."""
         self._backoff = min(self._backoff * 2, 64)
         if self.srtt is None or self.rttvar is None:
-            base = self._initial_rto
+            base = self.initial_rto
         else:
             base = self.srtt + K * self.rttvar
         self.rto = min(max(self.min_rto, base) * self._backoff, self.max_rto)

@@ -51,7 +51,6 @@ from repro.sim.timer import Timer
 from repro.sim.trace import CounterSet, Counted
 from repro.cc.base import AckEvent, CongestionControl
 from repro.tcp.ranges import RangeSet
-from repro.units import msec
 from repro.tcp.rtt import RttEstimator
 from repro.units import BITS_PER_BYTE
 
@@ -115,6 +114,10 @@ class TcpSender(Counted):
 
     COUNTER_FIELDS = ("acks", "segments_sent", "bytes_sent")
 
+    #: TCP-Small-Queues-style cap on this flow's bytes in the host
+    #: qdisc; keeps a fast sender from bufferbloating its own NIC
+    tsq_limit_bytes = 256 * 1024
+
     def __init__(
         self,
         sim: Simulator,
@@ -122,33 +125,19 @@ class TcpSender(Counted):
         flow_id: int,
         dst: str,
         cca_factory: CcaFactory,
-        total_bytes: Optional[int] = None,
-        mss: Optional[int] = None,
+        total_bytes: int,
         ecn_capable: bool = False,
-        min_rto: float = msec(1.0),
-        tsq_limit_bytes: int = 256 * 1024,
     ):
         self.sim = sim
         self.host = host
         self.flow_id = flow_id
         self.dst = dst
         #: maximum segment size in bytes (CcContext)
-        self.mss = mss if mss is not None else mss_for_mtu(host.mtu_bytes)
-        if self.mss <= 0:
-            raise TcpStateError(f"MSS must be positive, got {self.mss}")
+        self.mss = mss_for_mtu(host.mtu_bytes)
         self.total_bytes = total_bytes
         self.ecn_capable = ecn_capable
-        if not tsq_limit_bytes > 0:
-            # an empty qdisc would already be at the limit: never a send;
-            # NaN would never block
-            raise TcpStateError(
-                f"TSQ limit must be positive, got {tsq_limit_bytes}"
-            )
-        #: TCP-Small-Queues-style cap on this flow's bytes in the host
-        #: qdisc; keeps a fast sender from bufferbloating its own NIC
-        self.tsq_limit_bytes = tsq_limit_bytes
 
-        self.rtt = RttEstimator(min_rto=min_rto)
+        self.rtt = RttEstimator()
         self._counters = CounterSet()
         self.acks = 0
         self.segments_sent = 0
@@ -167,7 +156,7 @@ class TcpSender(Counted):
         self.snd_nxt = 0
         #: peer's advertised receive window (updated from every ACK)
         self.rwnd_bytes = 64 * 1024
-        self.app_bytes = total_bytes if total_bytes is not None else 0
+        self.app_bytes = total_bytes
         self.delivered_bytes = 0
 
         # outstanding segment bookkeeping (_order holds seqs in send
@@ -251,7 +240,7 @@ class TcpSender(Counted):
         """Begin transmitting whatever data is available."""
         self._started = True
         nic = self.host.nic
-        if nic is not None and nic.tx_packet_gap_s > 0:
+        if nic is not None:
             # Wake on qdisc drain: releases TSQ backpressure and retries
             # after local drops.
             nic.add_drain_listener(self._on_qdisc_drain)
@@ -443,7 +432,7 @@ class TcpSender(Counted):
             self._rto_timer.stop()
 
         # one ACK per transfer completes it
-        if self.total_bytes is not None and self.snd_una >= self.total_bytes:
+        if self.snd_una >= self.total_bytes:
             self._check_complete()
 
     def _handle_dupack(
@@ -653,16 +642,14 @@ class TcpSender(Counted):
         self._qdisc_blocked = False
         if not self._started or self.completed_at is not None:
             return
-        # TCP Small Queues: don't stack more of this flow in the qdisc
-        # of a paced NIC than the limit. The NIC's per-flow backlog is
-        # read in place, once per segment, and only while it holds
-        # something: an empty qdisc is under every limit.
+        # TCP Small Queues: don't stack more of this flow in the host
+        # qdisc than the limit. The NIC's per-flow backlog is read in
+        # place, once per segment, and only while it holds something:
+        # an empty qdisc is under every limit.
         nic = self.host.nic
         tsq_backlog = (
             nic.flow_backlog
-            if nic is not None
-            and nic.tx_packet_gap_s > 0
-            and self.cca.respects_tsq
+            if nic is not None and self.cca.respects_tsq
             else None
         )
         while True:
@@ -698,9 +685,7 @@ class TcpSender(Counted):
                 continue
             # the next new segment: what the application has written,
             # capped by the transfer size and the MSS
-            available = self.app_bytes - self.snd_nxt
-            if self.total_bytes is not None:
-                available = min(available, self.total_bytes - self.snd_nxt)
+            available = min(self.app_bytes, self.total_bytes) - self.snd_nxt
             size = min(self.mss, available)
             if size <= 0:
                 return
@@ -756,13 +741,10 @@ class TcpSender(Counted):
         # pFabric-style priority: the flow's remaining bytes, so a
         # priority-scheduled bottleneck approximates SRPT. FIFO queues
         # ignore the field.
-        if self.total_bytes is not None:
-            remaining = max(0, self.total_bytes - self.snd_una)
-        else:
-            remaining = None
         packet = data_packet(
             self.flow_id, self.host.name, self.dst, seg.seq, seg.length,
-            self.ecn_capable, retransmitted, remaining,
+            self.ecn_capable, retransmitted,
+            max(0, self.total_bytes - self.snd_una),
         )
         self.segments_sent += 1
         self.bytes_sent += seg.length
@@ -794,11 +776,7 @@ class TcpSender(Counted):
     # ------------------------------------------------------------------
 
     def _check_complete(self) -> None:
-        if (
-            self.completed_at is None
-            and self.total_bytes is not None
-            and self.snd_una >= self.total_bytes
-        ):
+        if self.completed_at is None and self.snd_una >= self.total_bytes:
             self.completed_at = self.sim.now
             self._rto_timer.stop()
             if self._pacing_event is not None and self._pacing_event.alive:

@@ -1,4 +1,4 @@
-"""Unit tests for the windowed max/min filter."""
+"""Unit tests for the windowed max filter."""
 
 import pytest
 
@@ -7,13 +7,13 @@ from repro.cc.filters import WindowedFilter
 
 class TestMaxFilter:
     def test_tracks_max(self):
-        f = WindowedFilter(window_s=10.0, mode="max")
+        f = WindowedFilter(window_s=10.0)
         for t, v in [(0, 5), (1, 3), (2, 8), (3, 2)]:
             f.update(float(t), float(v))
         assert f.get(3.0) == 8.0
 
     def test_expires_old_samples(self):
-        f = WindowedFilter(window_s=2.0, mode="max")
+        f = WindowedFilter(window_s=2.0)
         f.update(0.0, 100.0)
         f.update(1.0, 5.0)
         assert f.get(2.5) == 5.0  # the 100 at t=0 aged out, the 5 remains
@@ -34,25 +34,7 @@ class TestMaxFilter:
         assert f.get(10.0) is None
 
 
-class TestMinFilter:
-    def test_tracks_min(self):
-        f = WindowedFilter(window_s=10.0, mode="min")
-        for t, v in [(0, 5), (1, 3), (2, 8)]:
-            f.update(float(t), float(v))
-        assert f.get(2.0) == 3.0
-
-    def test_min_expiry(self):
-        f = WindowedFilter(window_s=2.0, mode="min")
-        f.update(0.0, 1.0)
-        f.update(1.5, 7.0)
-        assert f.get(3.0) == 7.0
-
-
 class TestValidation:
     def test_bad_window(self):
         with pytest.raises(ValueError):
             WindowedFilter(window_s=0.0)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            WindowedFilter(window_s=1.0, mode="median")

@@ -26,7 +26,7 @@ def host(sim):
     host = Host(sim, "h")
     link = Link(sim, 10e9, 0.0)
     link.connect(Discard())
-    host.attach_nic(Nic([Interface(sim, DropTailQueue(1_000_000), link)]))
+    host.attach_nic(Nic(sim, [Interface(sim, DropTailQueue(1_000_000), link)]))
     return host
 
 

@@ -46,7 +46,7 @@ def make_host(sim, name="h"):
     host = Host(sim, name)
     link = Link(sim, gbps(10), 0.0)
     link.connect(Endpoint())  # discard
-    nic = Nic([Interface(sim, DropTailQueue(1_000_000), link)], mtu_bytes=9000)
+    nic = Nic(sim, [Interface(sim, DropTailQueue(1_000_000), link)], mtu_bytes=9000)
     host.attach_nic(nic)
     return host
 

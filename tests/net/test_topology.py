@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import NetworkConfigError
+from repro.net.nic import HOST_MIN_PACKET_GAP_S
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue, EcnQueue
-from repro.net.topology import HOST_MIN_PACKET_GAP_S, TestbedConfig, build_testbed
+from repro.net.topology import TestbedConfig, build_testbed
 from repro.units import gbps, usec
 
 

@@ -117,6 +117,12 @@ def test_terminated_garbage_raises_with_line_number(tmp_path, stream):
         ObservabilityError, match=rf":2: bad {spec.kind} line"
     ):
         spec.read(path)
+    # ...the last line too, once its newline has landed
+    path.write_text(json.dumps(stream.record(0)) + "\nnot json\n")
+    with pytest.raises(
+        ObservabilityError, match=rf":2: bad {spec.kind} line"
+    ):
+        spec.read(path)
 
 
 def test_missing_required_field_raises(tmp_path, stream):
@@ -125,7 +131,7 @@ def test_missing_required_field_raises(tmp_path, stream):
         broken = stream.record(0)
         del broken[missing]
         path.write_text(json.dumps(broken) + "\n")
-        with pytest.raises(ObservabilityError, match=":1: .* lacks"):
+        with pytest.raises(ObservabilityError, match=f":1: .* lacks .*{missing}"):
             stream.spec.read(path)
 
 

@@ -8,12 +8,14 @@ from repro.net.host import Host
 
 
 class StubHost(Host):
-    """A Host that records sends instead of using a NIC."""
+    """A Host that records sends instead of using a NIC; its MTU sizes
+    the segments of a sender on it (MSS = MTU - 40)."""
 
-    def __init__(self, sim, name="stub"):
+    def __init__(self, sim, name="stub", mtu_bytes=1500):
         super().__init__(sim, name)
         self.outbox = []
         self.sends = 0
+        self.mtu_bytes = mtu_bytes
 
     def send(self, packet):
         packet.sent_time = self.sim.now
@@ -27,9 +29,8 @@ class StubHost(Host):
         out, self.outbox = self.outbox, []
         return out
 
-    @property
-    def mtu_bytes(self):
-        return 1500
+    #: shadows ``Host.mtu_bytes``, which asks the NIC
+    mtu_bytes = 1500
 
 
 @pytest.fixture

@@ -36,11 +36,11 @@ def fields(obj):
     return {name: getattr(obj, name) for name in type(obj).__slots__}
 
 
-def make_sender(sim, cca="reno", **kwargs):
-    host = StubHost(sim, name="sending-host")
+def make_sender(sim, cca="reno", total_bytes=10**9):
+    host = StubHost(sim, name="sending-host", mtu_bytes=1040)  # MSS 1000
     sender = TcpSender(
         sim, host, flow_id=77, dst="receiving-host", cca_factory=factory(cca),
-        mss=1000, **kwargs,
+        total_bytes=total_bytes,
     )
     return host, sender
 
@@ -111,7 +111,8 @@ def test_transmit_new_puts_every_source_in_its_field(
     assert [p.seq for p in host.outbox] == [3000]
 
 
-@pytest.mark.parametrize("total_bytes, priority", [(9000, 6500), (None, None)])
+# the priority is the flow's bytes left, and none once all are acknowledged
+@pytest.mark.parametrize("total_bytes, priority", [(9000, 6500), (2000, 0)])
 def test_send_packet_puts_every_source_in_its_field(sim, total_bytes, priority):
     host, sender = make_sender(sim, total_bytes=total_bytes)
     sender.ecn_capable = "ecn-capable"
@@ -156,7 +157,9 @@ def test_send_packet_puts_every_source_in_its_field(sim, total_bytes, priority):
 @pytest.mark.parametrize("buffered", [False, True])
 def test_send_ack_puts_every_source_in_its_field(sim, buffered):
     host = StubHost(sim, name="receiving-host")
-    receiver = TcpReceiver(sim, host, flow_id=77, peer="sending-host")
+    receiver = TcpReceiver(
+        sim, host, flow_id=77, peer="sending-host", expected_bytes=10**9
+    )
     sim.run(until=0.5)
     receiver.rcv_nxt = 2000
     receiver.bytes_received = 2600 if buffered else 2000
@@ -241,7 +244,8 @@ def test_paces_is_whether_the_cca_class_has_its_own_pacing_rate(sim):
     for flow_id, name in enumerate(algorithm_names()):
         host = StubHost(sim, name=f"host-{name}")
         sender = TcpSender(
-            sim, host, flow_id=flow_id, dst="peer", cca_factory=factory(name)
+            sim, host, flow_id=flow_id, dst="peer", cca_factory=factory(name),
+            total_bytes=100_000,
         )
         assert sender._paces == overrides_pacing_rate(get_class(name)), name
         if sender._paces:
@@ -265,10 +269,10 @@ class AskedPacer(CongestionControl):
 
 
 def test_a_cca_with_its_own_pacing_rate_is_asked_once_per_send_opportunity(sim):
-    host = StubHost(sim)
+    host = StubHost(sim, mtu_bytes=1040)  # MSS 1000
     sender = TcpSender(
         sim, host, flow_id=1, dst="peer", cca_factory=AskedPacer,
-        total_bytes=25_000, mss=1000,
+        total_bytes=25_000,
     )
     assert sender._paces
     sender.start()
@@ -315,6 +319,7 @@ WINDOWS = st.one_of(
 def test_new_data_is_sent_exactly_when_cwnd_allows(in_flight, cwnd, rwnd, size):
     sim = Simulator()
     host, sender = make_sender(sim)
+    sender.app_bytes = 0  # nothing written: start sends nothing
     sender.start()
     sender._in_flight = in_flight
     sender.cca.cwnd = cwnd

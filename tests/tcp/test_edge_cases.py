@@ -144,7 +144,7 @@ class TestWriteAfterStart:
 
         sender = TcpSender(
             sim, stub_host, flow_id=1, dst="r",
-            cca_factory=factory("reno"), total_bytes=None,
+            cca_factory=factory("reno"), total_bytes=4380,
         )
         with pytest.raises(TcpStateError):
             sender.write(-1)

@@ -103,9 +103,10 @@ def test_receiver_agrees_with_the_range_set_only_step(
     ends = []
     for cls in (TcpReceiver, RangeSetOnlyReceiver):
         host = StubHost(sim, name=cls.__name__)
+        # the shipped class's constant, overridden on both
+        cls = type(cls.__name__, (cls,), {"delack_segments": delack_segments})
         ends.append((host, cls(
             sim, host, flow_id=1, peer="sender", expected_bytes=7400,
-            delack_segments=delack_segments,
         )))
     # hypothesis rarely draws a long in-order run by itself, and that
     # run is the fast path
@@ -189,10 +190,10 @@ def run_in_lockstep(steps, cca):
     total = 40 * MSS + 300  # a short last segment
     senders = []
     for cls in (TcpSender, ScanAllSender):
-        host = StubHost(sim, name=cls.__name__)
+        host = StubHost(sim, name=cls.__name__, mtu_bytes=MSS + 40)
         senders.append((host, cls(
             sim, host, flow_id=1, dst="peer", cca_factory=factory(cca),
-            total_bytes=total, mss=MSS,
+            total_bytes=total,
         )))
     (shipped_host, shipped), (oracle_host, oracle) = senders
     # a real receiver writes the ACKs, so SACK blocks are what a sender

@@ -21,8 +21,7 @@ def data(seq, length, flow=1, marked=False, sent_time=0.0):
 @pytest.fixture
 def receiver(sim, stub_host):
     return TcpReceiver(
-        sim, stub_host, flow_id=1, peer="sender", expected_bytes=10_000,
-        delack_segments=2,
+        sim, stub_host, flow_id=1, peer="sender", expected_bytes=10_000
     )
 
 

@@ -8,6 +8,12 @@ from repro.errors import TcpStateError
 from repro.tcp.rtt import RttEstimator
 
 
+def estimator(**bounds):
+    """An estimator whose ``min_rto``/``max_rto``/``initial_rto`` are
+    ``bounds`` (the shipped ones otherwise)."""
+    return type("Estimator", (RttEstimator,), bounds)()
+
+
 class TestSampling:
     def test_first_sample_initializes(self):
         est = RttEstimator()
@@ -47,27 +53,27 @@ class TestSampling:
 
 class TestRto:
     def test_initial_rto_before_samples(self):
-        est = RttEstimator(initial_rto=0.25)
+        est = estimator(initial_rto=0.25)
         assert est.rto == pytest.approx(0.25)
 
     def test_rto_formula(self):
-        est = RttEstimator(min_rto=1e-4)
+        est = estimator(min_rto=1e-4)
         est.on_sample(0.1)
         # rto = srtt + 4*rttvar = 0.1 + 4*0.05
         assert est.rto == pytest.approx(0.3)
 
     def test_min_rto_floor(self):
-        est = RttEstimator(min_rto=0.5)
+        est = estimator(min_rto=0.5)
         est.on_sample(0.001)
         assert est.rto >= 0.5
 
     def test_max_rto_ceiling(self):
-        est = RttEstimator(max_rto=1.0)
+        est = estimator(max_rto=1.0)
         est.on_sample(10.0)
         assert est.rto == 1.0
 
     def test_backoff_doubles(self):
-        est = RttEstimator(min_rto=1e-4, max_rto=100.0)
+        est = estimator(min_rto=1e-4, max_rto=100.0)
         est.on_sample(0.1)
         base = est.rto
         est.backoff()
@@ -82,15 +88,11 @@ class TestRto:
         assert est.backoff_factor == 64
 
     def test_sample_clears_backoff(self):
-        est = RttEstimator(min_rto=1e-4)
+        est = estimator(min_rto=1e-4)
         est.on_sample(0.1)
         est.backoff()
         est.on_sample(0.1)
         assert est.backoff_factor == 1
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(TcpStateError):
-            RttEstimator(min_rto=2.0, max_rto=1.0)
 
 
 class Rfc6298:
@@ -143,7 +145,7 @@ STEPS = st.lists(
 def test_rto_field_is_the_rfc6298_expression_after_every_step(
     steps, min_rto, max_rto, initial_rto
 ):
-    est = RttEstimator(min_rto=min_rto, max_rto=max_rto, initial_rto=initial_rto)
+    est = estimator(min_rto=min_rto, max_rto=max_rto, initial_rto=initial_rto)
     model = Rfc6298(min_rto, max_rto, initial_rto)
     assert est.rto == model.rto
     for step in steps:

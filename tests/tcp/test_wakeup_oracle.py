@@ -77,6 +77,18 @@ class _CountingSender(TcpSender):
         super()._try_send()
 
 
+class _TinyTsqSender(_CountingSender):
+    """Blocks once 2000 B of its flow wait in the host qdisc."""
+
+    tsq_limit_bytes = 2000
+
+
+class _MillisecondNic(Nic):
+    """Lets one packet out per millisecond: a burst queues at once."""
+
+    tx_packet_gap_s = 1e-3
+
+
 def _entries_on_drain(sender) -> int:
     before = sender.try_send_entries
     sender._on_qdisc_drain()
@@ -134,14 +146,13 @@ class TestWhichStopsADrainReenters:
     def test_tsq_block_is_entered(self, sim):
         link = Link(sim, gbps(10), 0.0)
         link.connect(type("Sink", (), {"receive": lambda self, p: None})())
-        nic = Nic(
-            [Interface(sim, DropTailQueue(10_000_000), link)],
-            mtu_bytes=1500, sim=sim, tx_packet_gap_s=1e-3,
+        nic = _MillisecondNic(
+            sim, [Interface(sim, DropTailQueue(10_000_000), link)], mtu_bytes=1500
         )
-        host = Host(sim, "h", nic)
-        sender = _CountingSender(
-            sim, host, 1, "peer", factory("reno"),
-            total_bytes=10_000_000, tsq_limit_bytes=2000,
+        host = Host(sim, "h")
+        host.attach_nic(nic)
+        sender = _TinyTsqSender(
+            sim, host, 1, "peer", factory("reno"), total_bytes=10_000_000
         )
         sender.start()
         # first segment left at once, two wait in the qdisc: over the limit
@@ -159,14 +170,14 @@ class TestWhichStopsADrainReenters:
 
         link = Link(sim, gbps(10), 0.0)
         link.connect(type("Sink", (), {"receive": lambda self, p: None})())
-        nic = Nic(
-            [Interface(sim, DropTailQueue(10_000_000), link)],
-            mtu_bytes=1500, sim=sim, tx_packet_gap_s=1e-3,
+        nic = _MillisecondNic(
+            sim, [Interface(sim, DropTailQueue(10_000_000), link)], mtu_bytes=1500
         )
         nic.flow_backlog = Asked()
-        sender = TcpSender(
-            sim, Host(sim, "h", nic), 1, "peer", factory("reno"),
-            total_bytes=10_000_000, tsq_limit_bytes=2000,
+        host = Host(sim, "h")
+        host.attach_nic(nic)
+        sender = _TinyTsqSender(
+            sim, host, 1, "peer", factory("reno"), total_bytes=10_000_000
         )
         sender.start()
         # four send opportunities: before the first two segments nothing
