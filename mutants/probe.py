@@ -20,6 +20,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
@@ -32,8 +33,9 @@ from mutants.sites import Site, apply, enumerate_sites
 ROOT = Path(__file__).resolve().parents[1]
 
 # what tier-1 reads: tests/test_frames_table.py reads docs/, the example
-# tests read examples/, pyproject.toml holds the pytest configuration
-COPIED = ("src", "tests", "docs", "examples", "pyproject.toml", "mutants")
+# tests read examples/, the option and name census reads bench/ too,
+# pyproject.toml holds the pytest configuration
+COPIED = ("src", "tests", "docs", "examples", "bench", "pyproject.toml", "mutants")
 
 # tests that compare an output with a committed copy of it: a mutant only
 # they kill is not covered by a behavioural test
@@ -125,18 +127,48 @@ def mutated(path: Path, edit: Callable[[str], str]) -> Iterator[None]:
         os.utime(path, (mtime, mtime))
 
 
+# the process groups of the runs in flight: a signal does not reach them
+# (each is its own session), so a SIGTERM handler kills them by hand
+_groups: set[int] = set()
+_groups_lock = threading.RLock()  # re-entrant: the handler runs on a thread that may hold it
+_stopping = threading.Event()
+
+
 def run_group(argv: list[str], cwd: Path, env: dict[str, str], timeout: float) -> int | None:
     """Run ``argv`` in its own process group; on timeout kill the group and return None."""
-    process = subprocess.Popen(
-        argv, cwd=cwd, env=env, start_new_session=True,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
+    with _groups_lock:
+        if _stopping.is_set():
+            raise SystemExit("stopped by SIGTERM")
+        process = subprocess.Popen(
+            argv, cwd=cwd, env=env, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        _groups.add(process.pid)
     try:
         return process.wait(timeout=timeout)
     except subprocess.TimeoutExpired:
         os.killpg(process.pid, signal.SIGKILL)
         process.wait()
         return None
+    finally:
+        with _groups_lock:
+            _groups.discard(process.pid)
+
+
+def stop_on_sigterm() -> None:
+    """On SIGTERM, kill every run's process group, start no more, and
+    unwind the main thread, so each ``TemporaryDirectory`` removes its
+    scratch trees on the way out."""
+
+    def stop(signum: int, _frame: object) -> None:
+        with _groups_lock:
+            _stopping.set()
+            for group in _groups:
+                with contextlib.suppress(ProcessLookupError):  # exited, not yet waited for
+                    os.killpg(group, signal.SIGKILL)
+        raise SystemExit(128 + signum)
+
+    signal.signal(signal.SIGTERM, stop)
 
 
 def pytest(tree: Path, paths: list[str], select: set[str] | None, timeout: float, **extra: str) -> set[str]:
@@ -320,5 +352,6 @@ def main(packages: list[str]) -> int:
     if not packages or any(arg.startswith("-") for arg in packages):
         print("usage: python -m mutants PACKAGE [PACKAGE ...]   (e.g. repro.obs repro.harness)")
         return 2
+    stop_on_sigterm()
     print(report(*run_all(ROOT, packages)))
     return 0

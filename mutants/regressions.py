@@ -14,7 +14,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from mutants.probe import ROOT, classify, mutated, pytest, tree_pool
+from mutants.probe import ROOT, classify, mutated, pytest, stop_on_sigterm, tree_pool
 
 # (origin, what it breaks, file under src/repro, old text, new text)
 REGRESSIONS = (
@@ -55,10 +55,14 @@ REGRESSIONS = (
     ("baseline", "runs tolerance 0 -> 1", "obs/baseline.py", '"runs": 0.0,', '"runs": 1.0,'),
     ("baseline", "FALLBACK_REL_TOL 1e-4 -> 2e-4", "obs/baseline.py", "FALLBACK_REL_TOL = 1e-4", "FALLBACK_REL_TOL = 2e-4"),
     ("telemetry", "traced sampling interval 1 ms -> 2 ms", "obs/telemetry.py", "DEFAULT_TELEMETRY_INTERVAL_S = msec(1.0)", "DEFAULT_TELEMETRY_INTERVAL_S = msec(2.0)"),
+    # the receiver constants that survived all of tier-1 in the probe of tcp
+    ("receiver", "delayed-ACK timeout 500 us -> 1 ms", "tcp/receiver.py", "DEFAULT_DELACK_TIMEOUT = usec(500)", "DEFAULT_DELACK_TIMEOUT = usec(1000)"),
+    ("receiver", "receive-window ceiling 6 MiB -> 7 MiB", "tcp/receiver.py", "DEFAULT_MAX_RWND = 6 * 1024 * 1024", "DEFAULT_MAX_RWND = 7 * 1024 * 1024"),
 )
 
 
 def main() -> int:
+    stop_on_sigterm()
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         trees = tree_pool(ROOT, Path(scratch))
         slots = trees.qsize()

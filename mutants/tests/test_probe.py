@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import ast
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -102,3 +106,49 @@ def test_a_run_past_its_timeout_is_killed_with_its_process_group(tmp_path):
     (tree / "tests" / "fix" / "test_slow.py").write_text("import time\n\n\ndef test_slow():\n    time.sleep(30)\n")
     copy_tree(tree, tmp_path / "copy")
     assert run_pytest(tmp_path / "copy", ["tests/fix/test_slow.py"], None, 3) == {TIMEOUT}
+
+
+def gone(pid: int) -> bool:
+    """Whether process ``pid`` has exited (a zombie awaiting its reaper counts)."""
+    proc = Path(f"/proc/{pid}")
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline:
+        try:
+            if (proc / "stat").read_text().split(")")[-1].split()[0] == "Z":
+                return True
+        except FileNotFoundError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
+def test_a_sigterm_kills_the_runs_in_flight_and_removes_the_scratch_trees(tmp_path):
+    # the probe's shape in small: a scratch TemporaryDirectory, and in it
+    # one run whose group (sh and its sleep) is its own session
+    pids = tmp_path / "pids"
+    parent = textwrap.dedent(f"""\
+        import os, tempfile
+        from pathlib import Path
+        from mutants.probe import run_group, stop_on_sigterm
+
+        stop_on_sigterm()
+        with tempfile.TemporaryDirectory(prefix="mutants-", dir={str(tmp_path)!r}) as scratch:
+            argv = ["sh", "-c", "sleep 30 & echo $$ $! > {pids}.tmp; mv {pids}.tmp {pids}; wait"]
+            run_group(argv, Path(scratch), dict(os.environ), 60)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(ROOT)}
+    process = subprocess.Popen([sys.executable, "-c", parent], cwd=ROOT, env=env)
+    try:
+        deadline = time.monotonic() + 30
+        while not pids.exists():
+            assert process.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        assert list(tmp_path.glob("mutants-*"))  # the scratch tree is there
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=10) == 128 + signal.SIGTERM
+    finally:
+        process.kill()
+        process.wait()
+    shell, sleep = (int(pid) for pid in pids.read_text().split())
+    assert gone(shell) and gone(sleep)
+    assert not list(tmp_path.glob("mutants-*"))

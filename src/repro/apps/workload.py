@@ -320,7 +320,6 @@ class FabricWorkload:
     target_load: float
     #: aggregate host-uplink capacity the load target is expressed against
     capacity_bps: float
-    rack_of: "dict[str, int]"
 
     @property
     def total_bytes(self) -> int:
@@ -336,19 +335,6 @@ class FabricWorkload:
         if self.span_s <= 0:
             return 0.0
         return self.total_bytes * 8.0 / self.span_s / self.capacity_bps
-
-    @property
-    def incast_groups(self) -> int:
-        return len({f.incast_group for f in self.flows if f.incast_group >= 0})
-
-    @property
-    def cross_rack_fraction(self) -> float:
-        if not self.flows:
-            return 0.0
-        cross = sum(
-            1 for f in self.flows if self.rack_of[f.src] != self.rack_of[f.dst]
-        )
-        return cross / len(self.flows)
 
 
 def _pick_weighted(
@@ -500,5 +486,4 @@ def generate_fabric_workload(
         flows=flows,
         target_load=target_load,
         capacity_bps=host_capacity_bps * len(hosts),
-        rack_of=dict(rack_of),
     )

@@ -244,13 +244,6 @@ class CongestionControl:
         """
         return None
 
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def cwnd_segments(self) -> float:
-        """cwnd expressed in MSS units (for traces and tests)."""
-        return self.cwnd / self.ctx.mss
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<{type(self).__name__} cwnd={self.cwnd}B "

@@ -41,7 +41,3 @@ class WindowedFilter:
         while samples and now - samples[0][0] > window_s:
             samples.popleft()
         return samples[0][1] if samples else None
-
-    def reset(self) -> None:
-        """Drop all samples."""
-        self._samples.clear()

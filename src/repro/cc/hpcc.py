@@ -50,7 +50,6 @@ class Hpcc(CongestionControl):
         self._last_sync: Optional[float] = None
         self._prev_tx_bytes: Optional[float] = None
         self._prev_ts: Optional[float] = None
-        self.last_utilization: Optional[float] = None
 
     # -- telemetry ----------------------------------------------------
 
@@ -89,7 +88,6 @@ class Hpcc(CongestionControl):
         utilization = self._utilization(event)
         if utilization is None:
             return  # no INT on this path: hold the window, loudly simple
-        self.last_utilization = utilization
         ratio = max(utilization / HPCC_ETA, 1.0 / HPCC_MAX_STEP)
         ratio = min(ratio, HPCC_MAX_STEP)
         mss = self.ctx.mss

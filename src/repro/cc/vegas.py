@@ -30,7 +30,6 @@ class Vegas(CongestionControl):
 
     def __init__(self, ctx):
         super().__init__(ctx)
-        self._rtt_window: list = []
         self._last_adjust: Optional[float] = None
 
     def on_ack(self, event: AckEvent) -> None:

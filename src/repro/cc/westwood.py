@@ -33,11 +33,6 @@ class Westwood(CongestionControl):
         self._bwe_bps: Optional[float] = None
         self._last_ack_time: Optional[float] = None
 
-    @property
-    def bandwidth_estimate_bps(self) -> Optional[float]:
-        """Current end-to-end bandwidth estimate."""
-        return self._bwe_bps
-
     def _update_bwe(self, event: AckEvent) -> None:
         now = self.ctx.now
         if self._last_ack_time is not None:

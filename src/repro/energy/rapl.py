@@ -22,7 +22,6 @@ from typing import Dict, List
 from repro.energy import calibration as cal
 from repro.energy.cpu import CpuModel, CpuPackage
 from repro.errors import EnergyModelError
-from repro.units import joules_to_uj
 
 
 class RaplDomain:
@@ -46,20 +45,11 @@ class RaplDomain:
         """Domain name: the package's, e.g. ``sender-pkg0``."""
         return self.package.name
 
-    @property
-    def wrap_joules(self) -> float:
-        """Energy span after which the counter wraps."""
-        return (self.counter_mask + 1) * self.energy_unit_j
-
     def read_counter(self) -> int:
         """Read the raw 32-bit energy-status counter (flushes accounting)."""
         self.package.flush()
         units = int(self.package.energy_j / self.energy_unit_j)
         return units & self.counter_mask
-
-    def read_energy_uj(self) -> float:
-        """Read the counter scaled to microjoules (the sysfs view)."""
-        return joules_to_uj(self.read_counter() * self.energy_unit_j)
 
 
 def energy_delta_j(

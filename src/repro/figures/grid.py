@@ -208,23 +208,6 @@ class CcaMtuGrid:
         pts = [p for p in self.scatter("retransmissions") if p[0] not in exclude]
         return pearson([p[2] for p in pts], [p[3] for p in pts])
 
-    def most_retransmitting_cca(self) -> str:
-        """CCA with the most retransmissions over all MTUs (paper: the
-        no-CC baseline, far right on Fig. 8)."""
-        return max(
-            self.ccas(),
-            key=lambda c: sum(
-                self.cell(c, m).mean_retransmissions for m in self.mtus()
-            ),
-        )
-
-    def retx_table(self) -> str:
-        return format_table(
-            ["cca", "mtu", "retransmissions", "energy (J)"],
-            sorted(self.scatter("retransmissions")),
-            float_fmt="{:.3f}",
-        )
-
 
 def run_cca_mtu_grid(
     transfer_bytes: int = DEFAULT_TRANSFER_BYTES,

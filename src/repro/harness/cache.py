@@ -156,18 +156,6 @@ class ResultCache:
         """Where the entry for ``key`` lives (whether or not it exists)."""
         return self.root / key[:2] / f"{key}.json"
 
-    def get(
-        self, scenario: AnyScenario, seed: int
-    ) -> Optional[RunMeasurement]:
-        """The stored measurement, or None on a miss."""
-        return self.load(self.key(scenario, seed))
-
-    def put(
-        self, scenario: AnyScenario, seed: int, measurement: RunMeasurement
-    ) -> Path:
-        """Store one measurement; returns the entry's path."""
-        return self.save(self.key(scenario, seed), measurement)
-
     def load(self, key: str) -> Optional[RunMeasurement]:
         """:meth:`get` for a caller that already holds the item's key."""
         try:

@@ -263,6 +263,18 @@ def _run_items(
             pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _store(
+    store: ResultCache,
+    keys: Sequence[str],
+    fresh: Dict[int, RunMeasurement],
+    obs: Observer,
+) -> None:
+    """Save the measurements the batch ran (by submission index)."""
+    with obs.span("cache_store", items=len(fresh)):
+        for i, measurement in fresh.items():
+            store.save(keys[i], measurement)
+
+
 def run_work_items(
     items: Sequence[WorkItem],
     jobs: Optional[int] = None,
@@ -291,7 +303,9 @@ def run_work_items(
     :func:`consume_abort_flag`). Either way the batch stores whatever
     finished to the cache, journals ``batch_aborted``, and re-raises the
     error with ``partial`` (every finished measurement, cache hits
-    included, keyed by submission index) and ``total`` filled in.
+    included, keyed by submission index) and ``total`` filled in. A batch
+    that ends in any other error (a failed item, a dead worker) stores
+    what finished before it too, and re-raises.
     """
     items = list(items)
     workers = 1 if jobs is None else jobs
@@ -354,10 +368,8 @@ def run_work_items(
         # Keep every finished measurement: store to cache, fold in the
         # hits, and journal the abort before letting it propagate.
         exc.partial = fresh
-        if store is not None and exc.partial:
-            with obs.span("cache_store", items=len(exc.partial)):
-                for i, measurement in exc.partial.items():
-                    store.save(keys[i], measurement)
+        if store is not None and fresh:
+            _store(store, keys, fresh, obs)
         for i, prior in enumerate(results):
             if prior is not None:
                 exc.partial.setdefault(i, prior)
@@ -374,18 +386,20 @@ def run_work_items(
                 reason=exc.reason,
             )
         raise
+    except Exception:
+        # A failed item or a dead worker: what finished before it is
+        # stored, so a rerun replays it instead of recomputing it.
+        if store is not None and fresh:
+            _store(store, keys, fresh, obs)
+        raise
     finally:
         # Merge per-worker journals even on failure: the events leading
         # up to a crash are exactly the ones worth keeping.
         obs.collect_workers()
     if store is not None:
-        with obs.span("cache_store", items=len(missing)):
-            for i, measurement in fresh.items():
-                store.save(keys[i], measurement)
-                results[i] = measurement
-    else:
-        for i, measurement in fresh.items():
-            results[i] = measurement
+        _store(store, keys, fresh, obs)
+    for i, measurement in fresh.items():
+        results[i] = measurement
     if obs.enabled:
         obs.emit(
             "batch_finished",

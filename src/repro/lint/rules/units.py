@@ -62,7 +62,6 @@ HELPER_RETURNS: Dict[str, Tuple[str, str]] = {
     "msec": ("time", "s"),
     "to_msec": ("time", "ms"),
     "joules_to_kj": ("energy", "kj"),
-    "joules_to_uj": ("energy", "uj"),
     "transmission_time": ("time", "s"),
 }
 
@@ -198,7 +197,7 @@ class RawExponentLiteral(Rule):
                     module,
                     node,
                     f"raw exponent literal {text} outside a tolerance "
-                    f"context; use usec()/msec()/MICROJOULE from repro.units",
+                    f"context; use usec()/msec() from repro.units",
                 )
 
     def _tolerance_nodes(self, module: ModuleInfo) -> Set[ast.AST]:

@@ -97,10 +97,6 @@ class Host(Counted):
             )
         self._endpoints[flow_id] = endpoint
 
-    def unregister_flow(self, flow_id: int) -> None:
-        """Remove a flow binding (idempotent)."""
-        self._endpoints.pop(flow_id, None)
-
     def add_listener(self, listener: HostListener) -> None:
         """Make ``listener`` this host's accountant (one per host)."""
         if self._listener is not _NOBODY:

@@ -140,25 +140,11 @@ class Nic(Counted):
         """Packets waiting in the host qdisc."""
         return len(self._txq)
 
-    def flow_backlog_bytes(self, flow_id: int) -> int:
-        """Bytes a specific flow has sitting in the host qdisc."""
-        return self.flow_backlog.get(flow_id, 0)
-
     def add_drain_listener(self, callback: Callable[[], None]) -> None:
         """Invoke ``callback`` when the qdisc drains a packet while
         :attr:`drain_waiters` is non-zero — the wakeup TCP Small Queues
         uses to resume a backpressured sender."""
         self._drain_listeners.append(callback)
-
-    @property
-    def bonded(self) -> bool:
-        """Whether this NIC sprays across multiple physical links."""
-        return len(self.interfaces) > 1
-
-    @property
-    def aggregate_rate_bps(self) -> float:
-        """Sum of member link rates."""
-        return sum(iface.link.rate_bps for iface in self.interfaces)
 
     def send(self, packet: Packet) -> bool:
         """Transmit ``packet`` on the next bonded interface (round-robin).

@@ -150,8 +150,8 @@ class Packet:
         self.sent_time = sent_time
         self.echo_time = echo_time
 
-    def describe(self) -> str:
-        """Short human-readable form for traces and test failures."""
+    def __repr__(self) -> str:
+        """Short human-readable form for test failures."""
         if self.is_ack:
             kind = f"ACK {self.ack_seq}"
             if self.ecn_echo:

@@ -88,10 +88,6 @@ class DropTailQueue(Counted):
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def empty(self) -> bool:
-        return not self._items
-
     # -- operations -------------------------------------------------------
 
     def enqueue(self, packet: Packet) -> bool:
@@ -243,10 +239,6 @@ class PriorityQueue(DropTailQueue):
 
     def __len__(self) -> int:
         return sum(len(q) for q in self._flows.values())
-
-    @property
-    def empty(self) -> bool:
-        return all(not q for q in self._flows.values())
 
 
 class EcnQueue(DropTailQueue):

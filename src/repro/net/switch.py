@@ -103,16 +103,6 @@ class Switch(Counted):
             )
         return self._ecmp_member(group, packet)
 
-    def port_for(self, dst_host: str) -> Interface:
-        """The exact-route output interface serving ``dst_host``."""
-        port = self._ports.get(dst_host)
-        if port is None:
-            raise NetworkConfigError(
-                f"{self.name}: no route to {dst_host!r} "
-                f"(known: {sorted(self._ports)})"
-            )
-        return port
-
     def ports(self) -> List[Interface]:
         """Every distinct output interface, in stable insertion order."""
         seen: Dict[int, Interface] = {}

@@ -92,11 +92,6 @@ class TestbedConfig:
         # only a fifo bottleneck marks; every other queue is drop-tail
         _check_parts(self, ecn=self.bottleneck_discipline == "fifo")
 
-    @property
-    def base_rtt_s(self) -> float:
-        """Propagation-only round-trip time (sender->switch->receiver->back)."""
-        return 4 * self.link_delay_s
-
 
 @dataclass
 class FabricConfig:
@@ -133,11 +128,6 @@ class FabricConfig:
                 f"need >= 1 host per leaf, got {self.hosts_per_leaf}"
             )
         _check_parts(self, ecn=True)
-
-    @property
-    def base_rtt_s(self) -> float:
-        """Propagation-only cross-rack RTT (host-leaf-spine-leaf-host, both ways)."""
-        return 8 * self.link_delay_s
 
 
 #: either config a :class:`Fabric` is built from

@@ -119,5 +119,4 @@ class JournalWriter(StreamWriter):
         self.write_record(record)
 
 
-journal_path = JOURNAL.path
 read_journal = JOURNAL.read

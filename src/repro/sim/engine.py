@@ -219,7 +219,7 @@ class Simulator:
         self._stop_requested = False
         #: cancelled-but-not-yet-popped heap entries (lazy deletion)
         self._dead_in_queue = 0
-        #: cancelled entries popped so far (by :meth:`run` or :meth:`peek_time`)
+        #: cancelled entries popped so far (by :meth:`run`)
         self._dead_popped = 0
         #: where instrumented components (TCP senders, queues, CPU
         #: packages) send telemetry samples; the shared no-op by
@@ -436,15 +436,3 @@ class Simulator:
         finally:
             self._running = False
         return self.now
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or None if the queue is empty."""
-        queue = self._queue
-        events = self._events
-        # pop what the run would: a dead entry at the head of the merge
-        while events[0] < queue[0] and events[0][3].cancelled:
-            heappop(events)[3].sim = None
-            self._dead_in_queue -= 1
-            self._dead_popped += 1
-        time = min(queue[0][0], events[0][0])
-        return None if time == _INF else time

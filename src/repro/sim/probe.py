@@ -27,7 +27,7 @@ tests (``tests/harness/test_trace_determinism.py``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.sim.trace import TimeSeries
 
@@ -121,10 +121,6 @@ class TimeSeriesProbeSink(ProbeSink):
         return self._series.get(
             (channel, entity), TimeSeries(name=f"{entity}:{channel}")
         )
-
-    def channels(self) -> List[str]:
-        """Distinct channel names seen, sorted."""
-        return sorted({channel for channel, _entity in self._series})
 
     def items(self) -> Iterator[Tuple[ProbeKey, TimeSeries]]:
         """All recorded streams in (channel, entity) order."""

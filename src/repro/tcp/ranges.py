@@ -74,10 +74,6 @@ class RangeSet:
         s, e = self._intervals[idx]
         return s <= start and end <= e
 
-    def covers_point(self, point: int) -> bool:
-        """Whether byte ``point`` is covered."""
-        return self.contains(point, point + 1)
-
     def first_missing_after(self, point: int) -> int:
         """Lowest byte >= ``point`` not covered by any interval."""
         cursor = point

@@ -37,9 +37,7 @@ class RttEstimator:
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self.min_rtt: Optional[float] = None
-        self.latest_rtt: Optional[float] = None
         self._backoff = 1
-        self.samples = 0
         #: current retransmission timeout, seconds (with backoff
         #: applied). A plain attribute because the sender reads it on
         #: every ACK; only the estimator writes it, wherever ``srtt``,
@@ -50,8 +48,6 @@ class RttEstimator:
         """Fold one RTT measurement into the estimator."""
         if rtt <= 0:
             raise TcpStateError(f"RTT sample must be > 0, got {rtt}")
-        self.latest_rtt = rtt
-        self.samples += 1
         if self.min_rtt is None or rtt < self.min_rtt:
             self.min_rtt = rtt
         if self.srtt is None:
@@ -76,8 +72,3 @@ class RttEstimator:
         else:
             base = self.srtt + K * self.rttvar
         self.rto = min(max(self.min_rto, base) * self._backoff, self.max_rto)
-
-    @property
-    def backoff_factor(self) -> int:
-        """Current exponential backoff multiplier."""
-        return self._backoff

@@ -286,11 +286,6 @@ class TcpSender(Counted):
         return self.completed_at is not None
 
     @property
-    def bytes_in_flight(self) -> int:
-        """Estimated bytes currently in the network."""
-        return self._in_flight
-
-    @property
     def in_recovery(self) -> bool:
         """Whether the sender is inside a loss-recovery episode."""
         return self._recovery_point is not None
@@ -783,8 +778,3 @@ class TcpSender(Counted):
                 self._pacing_event.cancel()
             for callback in self._on_complete:
                 callback(self.sim.now)
-
-    @property
-    def flow_completion_time(self) -> Optional[float]:
-        """Seconds from t=0 to full acknowledgement, if finished."""
-        return self.completed_at

@@ -5,7 +5,7 @@ All simulator-internal quantities use SI base units:
 * time        — seconds (float)
 * data size   — bytes (int) unless a name says otherwise
 * data rate   — bits per second (float)
-* energy      — joules (float); the RAPL emulation layer exposes microjoules
+* energy      — joules (float); the RAPL emulation counts in its energy unit
 * power       — watts (float)
 
 The helpers in this module exist so call sites read like the paper
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 BITS_PER_BYTE = 8
 
-KBPS = 1e3
 MBPS = 1e6
 GBPS = 1e9
 
@@ -40,12 +39,8 @@ def to_gbps(bits_per_second: float) -> float:
 
 # --- data size ------------------------------------------------------------
 
-KB = 1000
 MB = 1000**2
 GB = 1000**3
-KIB = 1024
-MIB = 1024**2
-GIB = 1024**3
 
 
 def gigabytes(value: float) -> int:
@@ -64,9 +59,6 @@ def gigabits(value: float) -> int:
 
 
 # --- time -----------------------------------------------------------------
-
-USEC = 1e-6
-MSEC = 1e-3
 
 
 def usec(value: float) -> float:
@@ -93,18 +85,12 @@ def to_msec(seconds: float) -> float:
 
 # --- energy ---------------------------------------------------------------
 
-MICROJOULE = 1e-6
 KILOJOULE = 1e3
 
 
 def joules_to_kj(value: float) -> float:
     """Convert joules to kilojoules (the unit of the paper's Fig. 5/7/8)."""
     return value / KILOJOULE
-
-
-def joules_to_uj(value: float) -> float:
-    """Convert joules to microjoules (the RAPL counter's native unit)."""
-    return value * 1e6
 
 
 # --- reporting scales -----------------------------------------------------

@@ -168,17 +168,22 @@ class TestGenerationDeterminism:
     def test_rack_locality_steers_placement(self):
         local = tiny_workload(n_flows=500, rack_local_fraction=0.9, seed=5)
         remote = tiny_workload(n_flows=500, rack_local_fraction=0.05, seed=5)
-        assert local.cross_rack_fraction < remote.cross_rack_fraction
+
+        def cross_rack_fraction(workload):
+            cross = sum(RACK_OF[f.src] != RACK_OF[f.dst] for f in workload.flows)
+            return cross / len(workload.flows)
+
+        assert cross_rack_fraction(local) < cross_rack_fraction(remote)
 
     def test_incast_groups_share_destination_and_start(self):
         workload = tiny_workload(
             n_flows=400, incast_fraction=0.2, incast_fan_in=6, seed=3
         )
-        assert workload.incast_groups > 0
         by_group = {}
         for flow in workload.flows:
             if flow.incast_group >= 0:
                 by_group.setdefault(flow.incast_group, []).append(flow)
+        assert by_group
         for flows in by_group.values():
             assert len({f.dst for f in flows}) == 1
             assert len({f.start_time_s for f in flows}) == 1

@@ -22,10 +22,6 @@ class TestInitialState:
         assert math.isfinite(cc.ssthresh)
         assert cc.in_slow_start
 
-    def test_cwnd_segments_property(self, ctx):
-        cc = CongestionControl(ctx)
-        assert cc.cwnd_segments == pytest.approx(INITIAL_WINDOW_SEGMENTS)
-
 
 class TestSlowStart:
     def test_exponential_growth(self, ctx):

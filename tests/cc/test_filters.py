@@ -22,12 +22,6 @@ class TestMaxFilter:
         f = WindowedFilter(window_s=1.0)
         assert f.get(0.0) is None
 
-    def test_reset(self):
-        f = WindowedFilter(window_s=1.0)
-        f.update(0.0, 1.0)
-        f.reset()
-        assert f.get(0.0) is None
-
     def test_all_samples_expired(self):
         f = WindowedFilter(window_s=1.0)
         f.update(0.0, 1.0)

@@ -4,8 +4,9 @@ production-algorithm wish list)."""
 import pytest
 
 from repro.apps.iperf import IperfSession, run_until_complete
+from repro.cc.base import INITIAL_WINDOW_SEGMENTS
 from repro.cc.dcqcn import DCQCN_START_RATE_BPS, DCQCN_UPDATE_PERIOD_S, Dcqcn
-from repro.cc.hpcc import HPCC_ETA, Hpcc
+from repro.cc.hpcc import Hpcc
 from repro.cc.swift import SWIFT_BASE_TARGET_S, Swift
 from repro.net.topology import TestbedConfig, build_testbed
 from repro.sim.engine import Simulator
@@ -139,8 +140,7 @@ class TestHpccUnit:
         self.ack_with_int(cc, ctx, qlen=500_000, tx_bytes=1e6, ts=1e-3)
         ctx.advance(1e-3)
         self.ack_with_int(cc, ctx, qlen=500_000, tx_bytes=1e6 + 1.25e6, ts=2e-3)
-        assert cc.cwnd < 200 * ctx.mss
-        assert cc.last_utilization > HPCC_ETA
+        assert cc.cwnd < 200 * ctx.mss  # U > eta
 
     def test_window_floor_is_written_out_not_called(self, ctx):
         # the grid cell behind CCA_FRAMES has no INT, so hpcc's pin there
@@ -183,7 +183,9 @@ def test_hpcc_receives_int_telemetry():
     testbed = build_testbed(sim, TestbedConfig(int_telemetry=True))
     session = IperfSession(testbed, total_bytes=5_000_000, cca="hpcc")
     run_until_complete(testbed, [session], time_limit_s=30.0)
-    assert session.sender.cca.last_utilization is not None
+    # without utilization samples HPCC holds its initial window
+    sender = session.sender
+    assert sender.cca.cwnd != INITIAL_WINDOW_SEGMENTS * sender.mss
 
 
 def test_production_algorithms_registered():

@@ -79,7 +79,7 @@ class TestWestwood:
         for _ in range(20):
             ctx.advance(1e-3)
             cc.on_ack(make_event(acked=12_500))  # 12.5 KB per ms = 100 Mb/s
-        assert cc.bandwidth_estimate_bps == pytest.approx(100e6, rel=0.2)
+        assert cc._bwe_bps == pytest.approx(100e6, rel=0.2)
 
     def test_loss_sets_window_from_bwe(self, ctx):
         cc = Westwood(ctx)
@@ -88,7 +88,7 @@ class TestWestwood:
             ctx.advance(1e-3)
             cc.on_ack(make_event(acked=12_500))
         cc.on_congestion_event(make_event())
-        expected = cc.bandwidth_estimate_bps * 10e-3 / BITS_PER_BYTE
+        expected = cc._bwe_bps * 10e-3 / BITS_PER_BYTE
         assert cc.cwnd == pytest.approx(expected, rel=0.05)
 
     def test_falls_back_to_reno_without_estimate(self, ctx):

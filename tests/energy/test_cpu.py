@@ -183,7 +183,7 @@ class TestLifecycle:
         series = sink.series(POWER_CHANNEL, "p")
         assert series.times == [0.25, 0.5, 1.0]
         assert series.values == pytest.approx([cal.P_IDLE_W] * 3)
-        assert sink.channels() == [POWER_CHANNEL]
+        assert [key for key, _series in sink.items()] == [(POWER_CHANNEL, "p")]
 
     def test_needs_at_least_one_package(self, sim, host):
         with pytest.raises(EnergyModelError):

@@ -9,6 +9,9 @@ from repro.energy.rapl import RaplDomain, RaplReader, energy_delta_j
 from repro.errors import EnergyModelError
 from repro.net.host import Host
 
+#: 2^32 units of 2^-16 J: the energy at which the counter wraps
+WRAP_J = 65536.0
+
 
 @pytest.fixture
 def package(sim):
@@ -22,21 +25,19 @@ class TestRaplDomain:
         expected_units = int(10.0 / cal.RAPL_ENERGY_UNIT_J)
         assert domain.read_counter() == expected_units
 
-    def test_read_energy_uj(self, sim, package):
-        package.energy_j = 1.0
-        domain = RaplDomain(package)
-        assert domain.read_energy_uj() == pytest.approx(1e6, rel=1e-4)
-
     def test_counter_wraps_at_32_bits(self, sim, package):
         domain = RaplDomain(package)
-        package.energy_j = domain.wrap_joules + 5.0
+        package.energy_j = WRAP_J + 5.0
         counter = domain.read_counter()
         assert counter == int(5.0 / cal.RAPL_ENERGY_UNIT_J)
 
     def test_wrap_joules_magnitude(self, sim, package):
         """2^32 * 2^-16 J = 65536 J — about half an hour at full load."""
         domain = RaplDomain(package)
-        assert domain.wrap_joules == pytest.approx(65536.0)
+        package.energy_j = WRAP_J - cal.RAPL_ENERGY_UNIT_J
+        assert domain.read_counter() == domain.counter_mask
+        package.energy_j = WRAP_J
+        assert domain.read_counter() == 0
 
     def test_read_flushes_accounting(self, sim, package):
         domain = RaplDomain(package)
@@ -65,9 +66,9 @@ class TestWrapCorrection:
     def test_measurement_across_wrap(self, sim, package):
         """A before/after measurement spanning one wrap stays correct."""
         domain = RaplDomain(package)
-        package.energy_j = domain.wrap_joules - 1.0
+        package.energy_j = WRAP_J - 1.0
         before = domain.read_counter()
-        package.energy_j = domain.wrap_joules + 1.0
+        package.energy_j = WRAP_J + 1.0
         after = domain.read_counter()
         assert energy_delta_j(before, after, domain) == pytest.approx(
             2.0, rel=1e-3

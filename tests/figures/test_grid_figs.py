@@ -78,10 +78,10 @@ class TestFig7View:
 
 class TestFig8View:
     def test_baseline_most_retransmissions(self, grid):
-        assert grid.most_retransmitting_cca() == "baseline"
+        def retransmissions(cca):
+            return sum(grid.cell(cca, m).mean_retransmissions for m in grid.mtus())
+
+        assert max(grid.ccas(), key=retransmissions) == "baseline"
 
     def test_positive_retx_energy_correlation(self, grid):
         assert grid.retx_energy_correlation(exclude=("bbr2",)) > 0
-
-    def test_table_renders(self, grid):
-        assert "retransmissions" in grid.retx_table()

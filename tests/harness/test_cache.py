@@ -221,28 +221,28 @@ class TestRoundTrip:
     def test_get_returns_equal_measurement(self, cache):
         s = scenario()
         m = run_once(s, seed=2)
-        cache.put(s, 2, m)
-        assert cache.get(s, 2) == m
+        cache.save(cache.key(s, 2), m)
+        assert cache.load(cache.key(s, 2)) == m
 
     def test_counters_survive_the_round_trip_losslessly(self, cache):
         # The journal's run_finished events read counters(); a cached
         # replay must export the exact same values.
         s = scenario()
         m = run_once(s, seed=4)
-        cache.put(s, 4, m)
-        replayed = cache.get(s, 4)
+        cache.save(cache.key(s, 4), m)
+        replayed = cache.load(cache.key(s, 4))
         assert replayed.counters() == m.counters()
 
 
 class TestHitMiss:
     def test_empty_cache_misses(self, cache):
-        assert cache.get(scenario(), 0) is None
+        assert cache.load(cache.key(scenario(), 0)) is None
         assert (cache.hits, cache.misses) == (0, 1)
 
     def test_put_then_hit(self, cache):
         s = scenario()
-        cache.put(s, 0, run_once(s, seed=0))
-        assert cache.get(s, 0) is not None
+        cache.save(cache.key(s, 0), run_once(s, seed=0))
+        assert cache.load(cache.key(s, 0)) is not None
         assert cache.hits == 1
         assert len(cache) == 1
 
@@ -263,9 +263,9 @@ class TestHitMiss:
 
     def test_schema_bump_invalidates(self, cache, tmp_path):
         s = scenario()
-        cache.put(s, 0, run_once(s, seed=0))
+        cache.save(cache.key(s, 0), run_once(s, seed=0))
         bumped = ResultCache(tmp_path / "cache", schema_version=SCHEMA_VERSION + 1)
-        assert bumped.get(s, 0) is None
+        assert bumped.load(bumped.key(s, 0)) is None
 
     def test_schema_4_entry_with_power_series_is_a_miss(self, cache):
         # an entry a schema-4 build left in the same directory, power
@@ -309,27 +309,27 @@ class TestHitMiss:
 
     def test_corrupt_entry_is_a_miss(self, cache):
         s = scenario()
-        path = cache.put(s, 0, run_once(s, seed=0))
+        path = cache.save(cache.key(s, 0), run_once(s, seed=0))
         path.write_text("{not json", encoding="utf-8")
-        assert cache.get(s, 0) is None
+        assert cache.load(cache.key(s, 0)) is None
 
     def test_interrupt_during_a_read_propagates(self, cache, monkeypatch):
         # Ctrl-C while an entry is read stops the sweep: it is not an
         # unreadable entry, so it is neither a miss nor a hit
         s = scenario()
-        cache.put(s, 0, run_once(s, seed=0))
+        cache.save(cache.key(s, 0), run_once(s, seed=0))
 
         def interrupted(path, *args, **kwargs):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(Path, "read_text", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            cache.get(s, 0)
+            cache.load(cache.key(s, 0))
         assert (cache.hits, cache.misses) == (0, 0)
 
     def test_clear_removes_entries(self, cache):
         s = scenario()
-        cache.put(s, 0, run_once(s, seed=0))
+        cache.save(cache.key(s, 0), run_once(s, seed=0))
         assert cache.clear() == 1
         assert len(cache) == 0
 
@@ -351,13 +351,13 @@ class TestSharedDirectory:
         def replace(tmp, target):
             if not interleaved:
                 interleaved.append(tmp.name)
-                other.put(s, 0, measurement)
+                other.save(other.key(s, 0), measurement)
             return rename(tmp, target)
 
         monkeypatch.setattr(Path, "replace", replace)
-        path = cache.put(s, 0, measurement)
+        path = cache.save(cache.key(s, 0), measurement)
         assert interleaved and path.exists()
-        assert cache.get(s, 0) == other.get(s, 0) == measurement
+        assert cache.load(cache.key(s, 0)) == other.load(other.key(s, 0)) == measurement
         # no temp file is left, and none ever looked like an entry
         assert [entry.name for entry in path.parent.iterdir()] == [path.name]
         assert not interleaved[0].endswith(".json")
@@ -372,7 +372,7 @@ class TestSharedDirectory:
             store = ResultCache(tmp_path / "cache")
             try:
                 for _ in range(25):
-                    store.put(s, 0, measurement)
+                    store.save(store.key(s, 0), measurement)
             except Exception as exc:  # the assertion below reports it
                 errors.append(exc)
 
@@ -384,7 +384,7 @@ class TestSharedDirectory:
         assert not any(writer.is_alive() for writer in writers)
         assert errors == []
         store = ResultCache(tmp_path / "cache")
-        assert store.get(s, 0) == measurement
+        assert store.load(store.key(s, 0)) == measurement
         entry = store.path(store.key(s, 0))
         assert [path.name for path in entry.parent.iterdir()] == [entry.name]
 
@@ -423,15 +423,6 @@ class TestOneKeyPerItem:
             if "cache_key" in event
         }
         assert keys == {compute_key(s, 0)}
-
-    def test_load_and_save_address_the_same_entries_as_get_and_put(self, cache):
-        s = scenario()
-        measurement = run_once(s, seed=0)
-        key = cache.key(s, 0)
-        assert cache.load(key) is None
-        assert cache.save(key, measurement) == cache.path(key)
-        assert cache.get(s, 0) == cache.load(key) == measurement
-        assert (cache.hits, cache.misses) == (2, 1)
 
 
 class TestEnsureCache:

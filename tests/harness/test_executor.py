@@ -17,7 +17,8 @@ from repro.cli import main
 from repro.errors import ExperimentError
 from repro.figures.grid import run_cca_mtu_grid
 from repro.harness.executor import WorkItem, run_work_items
-from repro.harness.experiment import FlowSpec, Scenario
+from repro.harness.cache import ResultCache
+from repro.harness.experiment import FabricScenario, FlowSpec, Scenario
 from repro.harness.runner import run_once, run_repeated
 from repro.harness.sweep import Sweep
 from repro.obs.journal import read_journal
@@ -128,6 +129,22 @@ class TestGridDeterminism:
         for cell in serial.cells:
             twin = parallel.cell(cell.cca, cell.mtu_bytes)
             assert cell.result.runs == twin.result.runs
+
+
+class TestFailedBatch:
+    def test_what_finished_before_a_failed_item_is_replayed(self, tmp_path):
+        ok = tiny_scenario("finished")
+        starved = FabricScenario(
+            name="starved-fabric", n_flows=20, mix="rpc", leaves=2, spines=1,
+            hosts_per_leaf=4, time_limit_s=1e-7,
+        )
+        items = [WorkItem(ok, 0), WorkItem(starved, 0)]
+        with pytest.raises(ExperimentError, match="time limit"):
+            run_work_items(items, jobs=1, cache=tmp_path / "cache")
+        replay = ResultCache(tmp_path / "cache")
+        (measurement,) = run_work_items([WorkItem(ok, 0)], cache=replay)
+        assert (replay.hits, replay.misses) == (1, 0)
+        assert measurement == run_once(ok, seed=0)
 
 
 class TestSweepParallel:

@@ -79,14 +79,6 @@ class TestDemux:
         with pytest.raises(NetworkConfigError):
             host.register_flow(1, Endpoint())
 
-    def test_unregister_idempotent(self, sim):
-        host = make_host(sim)
-        host.register_flow(1, Endpoint())
-        host.unregister_flow(1)
-        host.unregister_flow(1)
-        host.receive(make_packet(flow=1))
-        assert host.counters.get("rx_unroutable") == 1
-
 
 class TestListeners:
     def test_send_event_published(self, sim):

@@ -69,7 +69,8 @@ class TestBuild:
     def test_shared_bottleneck(self, sim):
         """All senders funnel through one switch->receiver interface."""
         testbed = incast(sim, 4)
-        assert testbed.switches[0].port_for("receiver") is testbed.bottleneck
+        to_receiver = Packet(0, "sender-0", "receiver")
+        assert testbed.switches[0].port_for_packet(to_receiver) is testbed.bottleneck
 
     def test_config_respected(self, sim):
         testbed = incast(sim, 2, mtu_bytes=1500)

@@ -58,16 +58,6 @@ class TestBonding:
         assert len(sink_a.received) == 2
         assert len(sink_b.received) == 2
 
-    def test_bonded_property(self, sim):
-        single = Nic(sim, [make_iface(sim, Sink())], mtu_bytes=1500)
-        double = Nic(sim, [make_iface(sim, Sink()), make_iface(sim, Sink())])
-        assert not single.bonded
-        assert double.bonded
-
-    def test_aggregate_rate(self, sim):
-        nic = Nic(sim, [make_iface(sim, Sink()), make_iface(sim, Sink())])
-        assert nic.aggregate_rate_bps == pytest.approx(2 * gbps(10))
-
 
 class TestMtuPolicing:
     def test_oversized_packet_rejected(self, sim):
@@ -111,8 +101,7 @@ class TestPacedTransmitPath:
         p2 = make_packet(1000, flow=7)
         nic.send(p1)  # dispatched immediately (queue empty)
         nic.send(p2)  # queued
-        assert nic.flow_backlog_bytes(7) == p2.size_bytes
-        assert nic.flow_backlog_bytes(99) == 0
+        assert nic.flow_backlog == {7: p2.size_bytes}
 
     def test_drain_listener_called(self, sim):
         calls = []
@@ -433,7 +422,7 @@ class TestAnIdleNicQueuesNothing:
         sim.run(until=GAP / 2)
         nic.send(make_packet(flow=7))
         assert wire.departures == [0.0] and nic.tx_backlog_packets == 1
-        assert nic.flow_backlog_bytes(7) > 0
+        assert nic.flow_backlog[7] > 0
         sim.run()
         assert wire.departures == [0.0, GAP]
 
@@ -461,7 +450,7 @@ def test_tsq_blocked_sender_is_woken_by_each_drain(sim):
     assert nic.drain_waiters == 1
     sim.run(until=1e-3)  # well before the first RTO
     assert sender.counters.get("segments_sent") == 10
-    assert sender.bytes_in_flight == sender.cca.cwnd
+    assert sender.snd_nxt == sender.cca.cwnd  # nothing ACKed: all in flight
     assert nic.drain_waiters == 0  # the window stopped it, not the qdisc
 
 

@@ -32,18 +32,18 @@ class TestPacketSizes:
 class TestDescribe:
     def test_data_description(self):
         p = Packet(flow_id=3, src="a", dst="b", seq=0, payload_bytes=100)
-        text = p.describe()
+        text = repr(p)
         assert "DATA" in text and "flow=3" in text
 
     def test_retransmit_flag_shown(self):
         p = Packet(
             flow_id=3, src="a", dst="b", payload_bytes=10, retransmitted=True
         )
-        assert "RETX" in p.describe()
+        assert "RETX" in repr(p)
 
     def test_ack_description(self):
         p = Packet(flow_id=3, src="b", dst="a", is_ack=True, ack_seq=42)
-        assert "ACK 42" in p.describe()
+        assert "ACK 42" in repr(p)
 
     def test_sack_and_ece_shown(self):
         p = Packet(
@@ -55,7 +55,7 @@ class TestDescribe:
             sacks=((100, 200),),
             ecn_echo=True,
         )
-        text = p.describe()
+        text = repr(p)
         assert "SACK" in text and "ECE" in text
 
 

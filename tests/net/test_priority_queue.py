@@ -102,8 +102,8 @@ class TestEviction:
 
     def test_len_and_empty(self):
         q = PriorityQueue(100_000)
-        assert q.empty and len(q) == 0
+        assert len(q) == 0
         q.enqueue(pkt(flow=1, priority=1))
-        assert not q.empty and len(q) == 1
+        assert len(q) == 1
         q.dequeue()
-        assert q.empty
+        assert len(q) == 0

@@ -54,9 +54,9 @@ class TestDropTailQueue:
 
     def test_len_and_empty(self):
         q = DropTailQueue(10_000)
-        assert q.empty and len(q) == 0
+        assert len(q) == 0
         q.enqueue(make_packet())
-        assert not q.empty and len(q) == 1
+        assert len(q) == 1
 
 
 class TestEcnQueue:

@@ -60,7 +60,7 @@ class TestForwarding:
         switch = Switch()
         port = make_port(sim, Sink())
         switch.add_port("hostA", port)
-        assert switch.port_for("hostA") is port
+        assert switch.port_for_packet(make_packet("hostA")) is port
 
     def test_forward_drop_counted(self, sim):
         switch = Switch()

@@ -12,6 +12,7 @@ renamed, reordered or resized part can move every measurement.
 
 import pytest
 
+from repro.net.packet import Packet
 from repro.net.queue import EcnQueue
 from repro.net.topology import TestbedConfig, build_testbed
 
@@ -50,7 +51,7 @@ def describe(testbed):
     """The testbed as nested tuples: hosts, then the switch's routes."""
     sim = testbed.sim
     switch = testbed.switches[0]
-    assert switch.port_for("receiver") is testbed.bottleneck
+    assert switch.port_for_packet(Packet(0, "sender", "receiver")) is testbed.bottleneck
     return {
         "sender": _host(testbed.sender, sim),
         "receiver": _host(testbed.receiver, sim),

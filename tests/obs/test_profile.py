@@ -63,7 +63,7 @@ def one_rescheduling_event():
     """An event that schedules a second one; the test's own frames and
     the standard library's must stay out of the record."""
     sim = Simulator()
-    sim.schedule(1.0, sim.schedule, 1.0, sim.peek_time)
+    sim.schedule(1.0, sim.schedule, 1.0, sim.stop)
     sim.run()
 
 
@@ -75,7 +75,7 @@ class TestFold:
         assert set(record["calls"]) == {
             key(fn)
             for fn in (
-                Event.__init__, Simulator.__init__, Simulator.peek_time,
+                Event.__init__, Simulator.__init__, Simulator.stop,
                 Simulator.run, Simulator.schedule, Simulator.schedule_at,
             )
         }
@@ -86,7 +86,7 @@ class TestFold:
         assert record["calls"][key(Simulator.schedule_at)] == 2
         assert record["edges"] == {
             # the first schedule() is called by the test: no repro caller
-            RUN: {key(Simulator.peek_time): 1, key(Simulator.schedule): 1},
+            RUN: {key(Simulator.schedule): 1, key(Simulator.stop): 1},
             key(Simulator.schedule): {key(Simulator.schedule_at): 2},
             key(Simulator.schedule_at): {key(Event.__init__): 2},
         }

@@ -1,10 +1,6 @@
-"""Telemetry persistence: JSONL round-trips, canonical order, read errors."""
+"""Telemetry persistence: JSONL round-trips and canonical order (the read
+errors every stream shares are ``tests/obs/test_stream.py``'s)."""
 
-import json
-
-import pytest
-
-from repro.errors import ObservabilityError
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.harness.runner import run_once
 from repro.obs.observer import TracingObserver
@@ -15,7 +11,6 @@ from repro.obs.telemetry import (
     canonicalize_telemetry,
     read_telemetry,
     series_from_record,
-    telemetry_path,
     telemetry_records,
 )
 from repro.sim.probe import CWND_CHANNEL, QUEUE_DEPTH_CHANNEL, TimeSeriesProbeSink
@@ -72,45 +67,11 @@ class TestWriterRoundTrip:
         assert written == 2
         records = read_telemetry(path)
         assert records == telemetry_records(collected_sink(), "fig1-fair", 0)
-
-    def test_appends_across_writers(self, tmp_path):
-        path = tmp_path / TELEMETRY_FILENAME
-        with TelemetryWriter(path) as writer:
-            writer.write_sink(collected_sink(), "a", 0)
+        # a second writer appends to the same file
         with TelemetryWriter(path) as writer:
             writer.write_sink(collected_sink(), "b", 1)
         scenarios = [r["scenario"] for r in read_telemetry(path)]
-        assert scenarios == ["a", "a", "b", "b"]
-
-    def test_write_after_close_raises(self, tmp_path):
-        writer = TelemetryWriter(tmp_path / TELEMETRY_FILENAME)
-        writer.close()
-        with pytest.raises(ObservabilityError, match="closed"):
-            writer.write_record({"scenario": "x"})
-
-
-class TestReadTelemetry:
-    def test_trace_dir_resolves_to_telemetry_file(self, tmp_path):
-        assert telemetry_path(tmp_path) == tmp_path / TELEMETRY_FILENAME
-        with TelemetryWriter(tmp_path / TELEMETRY_FILENAME) as writer:
-            writer.write_sink(collected_sink(), "s", 0)
-        assert len(read_telemetry(tmp_path)) == 2
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(ObservabilityError, match="no telemetry"):
-            read_telemetry(tmp_path / "nope.jsonl")
-
-    def test_empty_file_reads_empty(self, tmp_path):
-        path = tmp_path / TELEMETRY_FILENAME
-        path.write_text("")
-        assert read_telemetry(path) == []
-
-    def test_garbage_line_raises_with_line_number(self, tmp_path):
-        path = tmp_path / TELEMETRY_FILENAME
-        record = telemetry_records(collected_sink(), "s", 0)[0]
-        path.write_text(json.dumps(record) + "\n{not json\n")
-        with pytest.raises(ObservabilityError, match=":2"):
-            read_telemetry(path)
+        assert scenarios == ["fig1-fair", "fig1-fair", "b", "b"]
 
 
 class TestSeriesFromRecord:

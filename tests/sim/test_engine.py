@@ -149,13 +149,6 @@ class TestRunBounds:
     def test_step_returns_false_when_empty(self, sim):
         assert sim.step() is False
 
-    def test_peek_time(self, sim):
-        assert sim.peek_time() is None
-        event = sim.schedule(2.0, lambda: None)
-        assert sim.peek_time() == 2.0
-        event.cancel()
-        assert sim.peek_time() is None
-
     def test_events_executed_counter(self, sim):
         for i in range(5):
             sim.schedule(float(i), lambda: None)
@@ -221,15 +214,6 @@ class TestPendingEventAccounting:
             event.cancel()
         assert sim.pending_events == 50
         sim.run()
-        assert sim.pending_events == 0
-
-    def test_peek_time_compaction_updates_tally(self, sim):
-        sim.schedule(1.0, lambda: None).cancel()
-        later = sim.schedule(2.0, lambda: None)
-        assert sim.peek_time() == 2.0  # compacts the dead head entry
-        assert sim.pending_events == 1
-        assert sim.queued_events == 1
-        later.cancel()
         assert sim.pending_events == 0
 
 

@@ -4,7 +4,7 @@ Hypothesis drives a :class:`Simulator` and a naive model — a list kept
 sorted by ``(time, placed_at, seq)``, dead entries included — through
 the same random sequence of ``schedule`` / ``schedule_at`` / ``push`` /
 ``cancel`` / ``step`` / ``run(until=...)`` / ``run(max_events=...)`` /
-both at once / ``peek_time`` calls, with callbacks that push a child of
+both at once, with callbacks that push a child of
 their own kind or call ``stop()``. ``push`` comes plain (placed at
 ``now``), placed later than ``now``, and into a place an earlier push
 reserved (its instant and ``seq``, as a link's finish re-uses its
@@ -15,7 +15,7 @@ and the ``events_executed`` / ``pending_events`` / ``queued_events`` /
 ``dead_in_queue`` tallies must agree. The model shares no code with the
 kernel: it is the oracle a rewrite of the dispatch loop is checked
 against. A scripted schedule beside it (a raising callback, ``stop()``,
-``peek_time`` popping a dead entry from inside a callback) is run
+a callback that cancels the entry next in line) is run
 unbounded, under ``until`` and one ``step()`` at a time, and holds the
 derived ``events_executed`` to the callbacks dispatched after every call.
 """
@@ -241,13 +241,6 @@ class EngineMachine(RuleBasedStateMachine):
     def stop_outside_a_run_is_forgotten(self):
         self.sim.stop()
 
-    @rule()
-    def peek_time(self):
-        while self.entries and self.entries[0].dead:
-            self._drop_head()
-        expected = self.entries[0].time if self.entries else None
-        assert self.sim.peek_time() == expected
-
     # -- checked after every rule ------------------------------------------
 
     @invariant()
@@ -282,7 +275,7 @@ def script(sim, fired):
     tied at one ``(time, placed_at)`` in both orders, an entry cancelled
     before the run and one cancelled by a callback, a callback that
     raises, one that calls ``stop()``, and one that cancels the entry
-    next in line and calls ``peek_time``, which pops it. Every callback
+    next in line, which the loop then pops dead. Every callback
     notes itself and its arguments in ``fired`` before it does anything
     else."""
 
@@ -301,20 +294,16 @@ def script(sim, fired):
         sim.push(sim.now + 0.25, sim.now, None, note("pushed child"), 1)
         sim.schedule(0.0, note("tied child"))
 
-    def peek():
-        popped_by_peek.cancel()
-        assert sim.peek_time() == 2.75
-
     sim.schedule_at(1.5, note("cancelled before the run")).cancel()
     cancelled_by_callback = sim.schedule_at(2.0, note("cancelled in the run"))
-    popped_by_peek = sim.schedule_at(2.5, note("popped by peek_time"))
+    next_in_line = sim.schedule_at(2.5, note("cancelled next in line"))
     sim.push(1.0, 0.0, None, note("plain", spawn), None)
     sim.schedule_at(1.0, note("cancels", cancelled_by_callback.cancel))
     sim.schedule_at(1.25, note("raises", boom))
     sim.push(1.25, 0.0, None, note("after the raise"), None)
     sim.schedule_at(1.75, note("stops", sim.stop))
     sim.push(1.75, 0.0, None, note("after the stop"), None)
-    sim.schedule_at(2.25, note("peeks", peek))
+    sim.schedule_at(2.25, note("cancels the next", next_in_line.cancel))
     # the same (time, placed_at) again, the timer ahead of the packet
     sim.schedule_at(2.75, note("timer before a packet"))
     sim.push(2.75, 0.0, None, note("packet after a timer"), None)
@@ -331,7 +320,7 @@ SCRIPTED = [
     ("pushed child", 1.25, (1,)),
     ("stops", 1.75, ()),
     ("after the stop", 1.75, (None,)),
-    ("peeks", 2.25, ()),
+    ("cancels the next", 2.25, ()),
     ("timer before a packet", 2.75, ()),
     ("packet after a timer", 2.75, (None,)),
     ("last", 3.0, (None,)),
@@ -347,9 +336,8 @@ DRIVERS = {
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_events_executed_counts_the_callbacks_dispatched(driver):
     """``events_executed`` is derived (pushes, less entries queued, less
-    dead entries popped), so a dead entry popped anywhere — by the loop
-    or by ``peek_time`` inside a callback — must be counted where it is
-    popped. After every call, however the run ended (drained, horizon,
+    dead entries popped), so a dead entry the loop pops must be counted
+    where it is popped. After every call, however the run ended (drained, horizon,
     budget, ``stop()`` or an exception), it equals the callbacks run."""
     sim = Simulator()
     fired = []

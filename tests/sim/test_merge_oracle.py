@@ -5,8 +5,8 @@ the :class:`Event` entries ``schedule_at`` makes on another, and its
 ``run`` dispatches whichever head has the smaller ``(time, placed_at,
 seq)`` key: head times first, whole entries only when the times tie.
 :class:`OneHeapSimulator` is the kernel as it was while one heap held
-both: the same key, one heap, the ``run`` / ``push`` / ``schedule_at`` /
-``peek_time`` that pop it, an :class:`Event` entered with its args tuple.
+both: the same key, one heap, the ``run`` / ``push`` / ``schedule_at``
+that use it, an :class:`Event` entered with its args tuple.
 Both run the same script and the four shapes of
 ``tests/test_work_counters.py``, and must dispatch the same entries in
 the same order, with the same ``events_executed`` after every call of
@@ -117,14 +117,6 @@ class OneHeapSimulator(Simulator):
         finally:
             self._running = False
         return self.now
-
-    def peek_time(self):
-        queue = self._queue
-        while queue and queue[0][4] is _EVENT and queue[0][3].cancelled:
-            heappop(queue)[3].sim = None
-            self._dead_in_queue -= 1
-            self._dead_popped += 1
-        return queue[0][0] if queue else None
 
 
 LOOPS = {Simulator.run.__code__, OneHeapSimulator.run.__code__}

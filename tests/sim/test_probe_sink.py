@@ -41,13 +41,6 @@ class TestTimeSeriesSink:
         sink = TimeSeriesProbeSink()
         assert len(sink.series(CWND_CHANNEL, "flow-9")) == 0
 
-    def test_channels_sorted_distinct(self):
-        sink = TimeSeriesProbeSink()
-        sink.sample(0.0, QUEUE_DEPTH_CHANNEL, "bottleneck", 1.0)
-        sink.sample(0.0, CWND_CHANNEL, "flow-1", 1.0)
-        sink.sample(1.0, CWND_CHANNEL, "flow-2", 1.0)
-        assert sink.channels() == [CWND_CHANNEL, QUEUE_DEPTH_CHANNEL]
-
     def test_items_in_key_order(self):
         sink = TimeSeriesProbeSink()
         sink.sample(0.0, QUEUE_DEPTH_CHANNEL, "bottleneck", 1.0)

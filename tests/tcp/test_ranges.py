@@ -65,9 +65,9 @@ class TestQueries:
     def test_covers_point(self):
         rs = RangeSet()
         rs.add(10, 20)
-        assert rs.covers_point(10)
-        assert rs.covers_point(19)
-        assert not rs.covers_point(20)  # half-open
+        assert rs.contains(10, 11)
+        assert rs.contains(19, 20)
+        assert not rs.contains(20, 21)  # half-open
 
     def test_first_missing_after(self):
         rs = RangeSet()
@@ -170,7 +170,7 @@ class TestRunningTotal:
             assert bool(rs) is bool(runs) and len(rs) == len(runs)
             # the queries both TCP ends make, around the point just touched
             for point in (start - 1, start, start + length, start + length + 1):
-                assert rs.covers_point(point) is (point in covered)
+                assert rs.contains(point, point + 1) is (point in covered)
                 missing = point
                 while missing in covered:
                     missing += 1

@@ -50,6 +50,33 @@ class TestCumulativeAck:
         assert receiver.counters.get("duplicate_segments") == 1
 
 
+class TestConstants:
+    """The delayed-ACK timeout and the receive-window ceiling shape every
+    run's ACK clock and a constant-cwnd sender's burst; each is pinned by
+    what the receiver sends, against a literal."""
+
+    def test_a_lone_segment_is_acked_500_us_after_it_lands(
+        self, sim, stub_host, receiver
+    ):
+        sim.schedule_at(0.25, receiver.handle_packet, data(0, 1000))
+        sim.run()
+        (ack,) = stub_host.pop_all()
+        assert ack.sent_time == 0.25 + 500e-6
+
+    def test_the_advertised_window_stops_growing_at_6_mib(self, sim, stub_host):
+        segment = 64 * 1024
+        receiver = TcpReceiver(
+            sim, stub_host, flow_id=1, peer="sender", expected_bytes=8 << 20
+        )
+        for seq in range(0, 8 << 20, segment):
+            receiver.handle_packet(data(seq, segment))
+        windows = [ack.rwnd_bytes for ack in stub_host.pop_all()]
+        assert windows == sorted(windows)  # it opens with the data received
+        assert windows[0] == 3 * segment  # the 64 KiB start + two segments
+        assert windows[-1] == 6 * 1024 * 1024
+        assert windows.count(windows[-1]) > len(windows) // 4
+
+
 class TestOutOfOrder:
     def test_gap_triggers_immediate_dupack_with_sack(self, sim, stub_host, receiver):
         receiver.handle_packet(data(0, 1000))

@@ -34,21 +34,9 @@ class TestSampling:
             est.on_sample(rtt)
         assert est.min_rtt == pytest.approx(0.05)
 
-    def test_latest_rtt(self):
-        est = RttEstimator()
-        est.on_sample(0.1)
-        est.on_sample(0.3)
-        assert est.latest_rtt == pytest.approx(0.3)
-
     def test_non_positive_sample_rejected(self):
         with pytest.raises(TcpStateError):
             RttEstimator().on_sample(0.0)
-
-    def test_sample_count(self):
-        est = RttEstimator()
-        for _ in range(3):
-            est.on_sample(0.1)
-        assert est.samples == 3
 
 
 class TestRto:
@@ -85,14 +73,17 @@ class TestRto:
         est = RttEstimator()
         for _ in range(20):
             est.backoff()
-        assert est.backoff_factor == 64
+        assert est.rto == pytest.approx(64 * est.initial_rto)
 
     def test_sample_clears_backoff(self):
         est = estimator(min_rto=1e-4)
         est.on_sample(0.1)
         est.backoff()
         est.on_sample(0.1)
-        assert est.backoff_factor == 1
+        unbacked = estimator(min_rto=1e-4)
+        unbacked.on_sample(0.1)
+        unbacked.on_sample(0.1)
+        assert est.rto == unbacked.rto
 
 
 class Rfc6298:
@@ -154,5 +145,5 @@ def test_rto_field_is_the_rfc6298_expression_after_every_step(
                 side.backoff()
             else:
                 side.on_sample(step)
-        assert (est.rto, est.backoff_factor) == (model.rto, model.backoff_factor)
+        assert est.rto == model.rto
         assert (est.srtt, est.rttvar) == (model.srtt, model.rttvar)

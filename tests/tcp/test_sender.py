@@ -85,9 +85,9 @@ class TestAckProcessing:
     def test_bytes_in_flight_accounting(self, sim, stub_host):
         sender = make_sender(sim, stub_host, total=14600)
         sender.start()
-        assert sender.bytes_in_flight == 14600
+        assert sender._in_flight == 14600
         sender.handle_packet(ack(7300))
-        assert sender.bytes_in_flight == 14600 - 7300
+        assert sender._in_flight == 14600 - 7300
 
     def test_data_packet_ignored(self, sim, stub_host):
         sender = make_sender(sim, stub_host)
@@ -107,7 +107,7 @@ class TestCompletion:
         sender.handle_packet(ack(2920))
         assert sender.complete
         assert done == [sim.now]
-        assert sender.flow_completion_time == sim.now
+        assert sender.completed_at == sim.now
 
     def test_callback_registered_after_completion_fires_at_once(
         self, sim, stub_host

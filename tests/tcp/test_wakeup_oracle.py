@@ -110,7 +110,7 @@ class TestWhichStopsADrainReenters:
             sim, stub_host, 1, "peer", factory("reno"), total_bytes=10_000_000
         )
         sender.start()
-        assert sender.bytes_in_flight > 0  # stopped by the initial window
+        assert 0 < sender.snd_nxt < sender.total_bytes  # stopped by the initial window
         assert _entries_on_drain(sender) == 0
 
     def test_app_limited_sender_is_not_entered(self, sim, stub_host):
@@ -156,8 +156,8 @@ class TestWhichStopsADrainReenters:
         )
         sender.start()
         # first segment left at once, two wait in the qdisc: over the limit
-        assert nic.flow_backlog_bytes(1) >= sender.tsq_limit_bytes
-        assert sender.bytes_in_flight < sender.cca.cwnd
+        assert nic.flow_backlog[1] >= sender.tsq_limit_bytes
+        assert sender.snd_nxt < sender.cca.cwnd  # nothing ACKed: all in flight
         assert _entries_on_drain(sender) == 1
 
     def test_an_empty_qdisc_is_not_asked_for_the_flows_backlog(self, sim):

@@ -1,4 +1,5 @@
-"""Every experiment and protocol option has a caller.
+"""Every experiment and protocol option has a caller, and every public
+name a reader.
 
 A field of :class:`Scenario`, :class:`FlowSpec` or :class:`FabricScenario`
 enters every cache key, and the tests and docs must cover it; a
@@ -13,10 +14,23 @@ the class, a keyword of ``dataclasses.replace`` (for the scenario
 classes), or a keyword that ``scenario_from_plan`` passes through to
 :class:`Scenario`. A test that needs another value of a constant
 overrides it in a subclass.
+
+The same holds one level down, for names: a public function, class,
+constant, method, property or instance attribute of ``src/repro`` that
+only tests read is code kept for the tests alone. The name census lists
+every public name ``src/repro`` defines (module level, class level, and
+``self.<name> =`` in a method) and fails on each one no code under
+``src/``, ``bench/`` or ``examples/`` reads. A read is a load of the
+name, a keyword, an import, a ``@register...`` decorator, or the name
+inside a string that is a bare dotted path (a ``Figure.driver`` path, a
+lazy-export row, a ``getattr`` name) or a ``"...".split()`` list;
+docstrings are not reads. Names match by spelling alone, so a name any
+class reads counts for every class that defines it.
 """
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 from repro.cc.filters import WindowedFilter
@@ -33,6 +47,8 @@ from repro.tcp.rtt import RttEstimator
 from repro.tcp.sender import TcpSender
 
 ROOT = Path(__file__).resolve().parent.parent
+#: where the program's readers live; ``tests/`` is not one of them
+READERS = ("src", "bench", "examples")
 
 #: the dataclasses that describe an experiment (``replace`` sets them too)
 SCENARIOS = {cls.__name__: cls for cls in (Scenario, FlowSpec, FabricScenario)}
@@ -57,6 +73,13 @@ KEPT = {
 }
 
 
+def parsed(roots):
+    """``(path, module tree)`` of every ``*.py`` under ``roots``."""
+    for root in roots:
+        for path in sorted((ROOT / root).rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def options(cls):
     """The constructor's parameters, in order (a dataclass's fields)."""
     return inspect.signature(cls).parameters
@@ -75,21 +98,20 @@ def setters():
         for name, cls in CLASSES.items()
     }
     found = set()
-    for root in ("src", "bench", "examples"):
-        for path in sorted((ROOT / root).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                keywords = {kw.arg for kw in node.keywords if kw.arg is not None}
-                if name in CLASSES:
-                    keywords |= set(positional[name][: len(node.args)])
-                    found |= {(name, kw) for kw in keywords}
-                elif name == "replace":
-                    found |= {(cls, kw) for cls in SCENARIOS for kw in keywords}
-                elif name == "scenario_from_plan":
-                    found |= {("Scenario", kw) for kw in keywords - own}
+    for _path, tree in parsed(READERS):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords = {kw.arg for kw in node.keywords if kw.arg is not None}
+            if name in CLASSES:
+                keywords |= set(positional[name][: len(node.args)])
+                found |= {(name, kw) for kw in keywords}
+            elif name == "replace":
+                found |= {(cls, kw) for cls in SCENARIOS for kw in keywords}
+            elif name == "scenario_from_plan":
+                found |= {("Scenario", kw) for kw in keywords - own}
     return found
 
 
@@ -105,3 +127,180 @@ def test_every_field_has_a_setter_outside_the_tests():
     assert not missing, f"no call outside tests/ sets these options: {missing}"
     stale = sorted(set(KEPT) - unset)
     assert not stale, f"these kept options have a caller now: {stale}"
+
+
+# -- the name census -------------------------------------------------------
+
+#: public names only tests read, each kept for its reason
+KEPT_NAMES = {
+    "repro.cc.base:CongestionControl.in_slow_start": (
+        "the reference every CCA's on_ack writes out in place (one frame "
+        "less per ACK); the cc tests compare the copies with it"
+    ),
+    "repro.tcp.receiver:TcpReceiver.advertised_rwnd": (
+        "the reference _send_ack's written-out window copies; "
+        "tests/tcp/test_call_shape.py holds the ACK's rwnd_bytes to it"
+    ),
+    "repro.sim.engine:Simulator.push": (
+        "the reference the packet path's pushes write out in place; the "
+        "kernel's model test and merge oracle drive it"
+    ),
+    "repro.obs.journal:VOLATILE_FIELDS": (
+        "defines the determinism contract: the journal fields two runs of "
+        "one command may differ in (docs/observability.md)"
+    ),
+    "repro.errors:SweepAbortedError.partial_sweep": (
+        "documented salvage of an aborted sweep; ROADMAP item 13(a)'s "
+        "fault suite needs it"
+    ),
+    "repro.figures.ablation:concavity_exponent_sweep": (
+        "ROADMAP item 12's audit keeps figures/ablation.py "
+        "(docs/calibration.md, the BBR2 golden)"
+    ),
+    "repro.figures.ablation:Bbr2AlphaAblation.alpha_overhead_vs_bbr": (
+        "ROADMAP item 12's audit keeps figures/ablation.py"
+    ),
+    "repro.figures.ablation:Bbr2AlphaAblation.mature_overhead_vs_bbr": (
+        "ROADMAP item 12's audit keeps figures/ablation.py"
+    ),
+    "repro.figures.friendliness:PairingResult.bully": (
+        "reserved for ROADMAP item 10's BBR-vs-CUBIC shapes "
+        "(Ma et al., arXiv 1706.09115)"
+    ),
+}
+
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+#: a string that names code: ``repro.figures.fig1:run``, ``"tx_bytes"``
+DOTTED_PATH = re.compile(r"[\w.:]+")
+
+
+def public(name):
+    return not name.startswith("_")
+
+
+def assigned(node):
+    """The names a module- or class-level statement binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    names = []
+    for target in targets:
+        for sub in ast.walk(target):
+            if isinstance(sub, ast.Name):
+                names.append(sub.id)
+    return names
+
+
+def defined_in(body, prefix=""):
+    """``prefix + name`` of every public name ``body`` defines: its
+    functions, classes and assignments, and, inside a class, the
+    ``self.<name>`` its methods store."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not public(node.name):
+                continue
+            yield prefix + node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from defined_in(node.body, f"{prefix}{node.name}.")
+                attributes = {
+                    sub.attr
+                    for method in node.body
+                    if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for sub in ast.walk(method)
+                    if isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                    and public(sub.attr)
+                }
+                for attr in sorted(attributes):
+                    yield f"{prefix}{node.name}.{attr}", None
+        for name in assigned(node):
+            if public(name):
+                yield prefix + name, node
+
+
+def definitions():
+    """``{"module:Qualified.name": definition node or None}`` for every
+    public name ``src/repro`` defines."""
+    found = {}
+    for path, tree in parsed(["src/repro"]):
+        parts = path.relative_to(ROOT / "src").with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for name, node in defined_in(tree.body):
+            found.setdefault(f"{module}:{name}", node)
+    return found
+
+
+def registers(node):
+    """Whether a decorator registers the definition (``@register``,
+    ``@REGISTRY.register("name")``): the registry reads it."""
+    for decorator in getattr(node, "decorator_list", ()):
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name.startswith("register"):
+            return True
+    return False
+
+
+def docstrings(tree):
+    """The string constants that are docstrings (not reads)."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        )
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def reads():
+    """Every identifier some code under src/, bench/ or examples/ reads."""
+    found = set()
+    for _path, tree in parsed(READERS):
+        skip = docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                found.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg is not None:
+                found.add(node.arg)
+            elif isinstance(node, ast.alias):
+                found.update(node.name.split("."))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "split"
+                and isinstance(node.func.value, ast.Constant)
+                and isinstance(node.func.value.value, str)
+            ):
+                found.update(IDENTIFIER.findall(node.func.value.value))
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in skip
+                and DOTTED_PATH.fullmatch(node.value)
+            ):
+                found.update(IDENTIFIER.findall(node.value))
+    return found
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    found = reads()
+    unread = {
+        qualified
+        for qualified, node in definitions().items()
+        if qualified.split(":")[1].split(".")[-1] not in found
+        and not registers(node)
+    }
+    missing = sorted(unread - set(KEPT_NAMES))
+    assert not missing, f"nothing outside tests/ reads these names: {missing}"
+    stale = sorted(set(KEPT_NAMES) - unread)
+    assert not stale, f"these kept names have a reader now: {stale}"
