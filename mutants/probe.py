@@ -34,8 +34,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # what tier-1 reads: tests/test_frames_table.py reads docs/, the example
 # tests read examples/, the option and name census reads bench/ too,
+# tests/test_outside_imports.py imports README.md's python blocks,
 # pyproject.toml holds the pytest configuration
-COPIED = ("src", "tests", "docs", "examples", "bench", "pyproject.toml", "mutants")
+COPIED = (
+    "src", "tests", "docs", "examples", "bench", "README.md", "pyproject.toml", "mutants",
+)
 
 # tests that compare an output with a committed copy of it: a mutant only
 # they kill is not covered by a behavioural test
@@ -57,7 +60,7 @@ PINS = (
 # mutants no test can kill because no behaviour changes, each with why
 EQUIVALENT = {
     "src/repro/obs/journal.py:86:44:constant": "a sort key's 1 -> 2 still sorts after the 0 of itemed events",
-    "src/repro/obs/telemetry.py:50:27:constant": "seed is a required telemetry field: the default is never read",
+    "src/repro/obs/telemetry.py:49:27:constant": "seed is a required telemetry field: the default is never read",
     "src/repro/obs/profile.py:58:64:constant": "seed is a required profile field: the default is never read",
     "src/repro/obs/attrib.py:253:71:constant": "seed is a required telemetry field: the default is never read",
     "src/repro/obs/observer.py:138:8:self": "_t0 is set by __enter__ before __exit__ reads it",

@@ -1,13 +1,16 @@
 """Package namespaces that import a submodule when one of its names is used.
 
-``repro.figures``, ``repro.obs``, ``repro.analysis``, ``repro.core`` and
-``repro.harness`` each re-export their whole subtree, and none of them is
+``repro.harness`` and ``repro.obs`` re-export the names ``bench/``,
+``examples/`` and the docs import through them, and neither package is
 on the data path: a run that needs ``repro.harness.runner`` should not
-import every figure module and the process-pool stack to get it. Their
+import the process-pool stack and the trace readers to get it. Their
 ``__init__`` therefore holds a ``name -> submodule`` table and no import;
 :func:`lazy_exports` turns the table into the PEP 562 module hooks.
 ``from pkg import name``, ``from pkg import *``, ``pkg.name`` and
 ``from pkg import submodule`` all behave as they did with eager imports.
+A row needs an importer outside the tests
+(``tests/test_experiment_options.py``); every other name is imported
+from the submodule that defines it.
 """
 
 from __future__ import annotations

@@ -72,8 +72,3 @@ def chord_gap(points: Sequence[Point]) -> List[float]:
         raise AnalysisError("degenerate chord")
     slope = (yn - y0) / (xn - x0)
     return [y - (y0 + slope * (x - x0)) for x, y in ordered[1:-1]]
-
-
-def chord_always_below(points: Sequence[Point], tol: float = 0.0) -> bool:
-    """Whether the full-speed-then-idle chord beats the curve everywhere."""
-    return all(g > -tol for g in chord_gap(points))

@@ -226,7 +226,6 @@ class Workload:
 
     name: str
     flows: List[FlowArrival]
-    target_load: float
     capacity_bps: float
 
     @property
@@ -285,7 +284,6 @@ def generate_workload(
     return Workload(
         name=distribution,
         flows=flows,
-        target_load=target_load,
         capacity_bps=capacity_bps,
     )
 
@@ -315,9 +313,7 @@ class FabricFlow:
 class FabricWorkload:
     """A generated fabric-wide open-loop workload."""
 
-    mix: str
     flows: List[FabricFlow]
-    target_load: float
     #: aggregate host-uplink capacity the load target is expressed against
     capacity_bps: float
 
@@ -482,8 +478,6 @@ def generate_fabric_workload(
         )
 
     return FabricWorkload(
-        mix=mix,
         flows=flows,
-        target_load=target_load,
         capacity_bps=host_capacity_bps * len(hosts),
     )

@@ -45,8 +45,3 @@ class DatacenterCostModel:
                 f"saving fraction {saving_fraction} outside [-1, 1]"
             )
         return saving_fraction * self.total_energy_cost_usd_per_year
-
-
-def paper_headline_savings() -> float:
-    """The paper's headline: 1 % of a 100k-rack DC's bill ~= $10M/year."""
-    return DatacenterCostModel().annual_savings_usd(0.01)

@@ -9,7 +9,7 @@ This module provides:
 
 * :func:`total_power` — P(x) for a power curve p,
 * :func:`fair_allocation` — x*,
-* :func:`check_theorem1` — verify P(x*) > P(y) for a given y,
+* :func:`theorem1_savings` — how much less y draws than x*,
 * :func:`is_strictly_concave_on` — numeric concavity test for p,
 * :func:`worst_allocation_is_fair` — search confirmation that the fair
   point maximizes P over random simplex samples.
@@ -45,25 +45,6 @@ def fair_allocation(capacity: float, n: int) -> List[float]:
     if n < 1:
         raise AnalysisError(f"need >= 1 flow, got {n}")
     return [capacity / n] * n
-
-
-def check_theorem1(
-    p: PowerCurve, capacity: float, allocation: Sequence[float], tol: float = 1e-12
-) -> bool:
-    """True iff P(fair) > P(allocation) (strict, up to ``tol``).
-
-    ``allocation`` must sum to ``capacity``; the theorem's conclusion is
-    strict for any allocation that is not itself the fair one.
-    """
-    total = sum(allocation)
-    if abs(total - capacity) > 1e-6 * max(1.0, capacity):
-        raise AnalysisError(
-            f"allocation sums to {total}, expected capacity {capacity}"
-        )
-    n = len(allocation)
-    fair = total_power(p, fair_allocation(capacity, n))
-    other = total_power(p, allocation)
-    return fair > other - tol
 
 
 def is_strictly_concave_on(

@@ -9,22 +9,14 @@ _EXPORTS = {
     "FlowSpec": "experiment",
     "Scenario": "experiment",
     "FabricScenario": "experiment",
-    "AnyScenario": "experiment",
     "scenario_from_plan": "experiment",
     "RunMeasurement": "runner",
-    "RepeatedResult": "runner",
     "run_once": "runner",
     "run_repeated": "runner",
-    "WorkItem": "executor",
-    "run_work_items": "executor",
     "ResultCache": "cache",
-    "SCHEMA_VERSION": "cache",
     "compute_key": "cache",
     "measurement_to_dict": "cache",
-    "measurement_from_dict": "cache",
     "Sweep": "sweep",
-    "SweepResults": "sweep",
-    "SweepRow": "sweep",
 }
 
 __all__ = list(_EXPORTS)

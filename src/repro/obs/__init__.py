@@ -36,11 +36,12 @@ layers:
   the regression gate CI runs.
 * :mod:`repro.obs.live` — watching a *running* sweep: the journal
   tailer behind ``greenenvy obs watch`` and the mid-run drift gate.
-  ``live`` is not re-exported here; callers name the module.
 
-Nothing is imported here: the names below resolve on first use
+Nothing is imported here. The six names below are the ones ``bench/``
+imports through this package, and they resolve on first use
 (:mod:`repro._lazy`), so a run that needs the no-op observer does not
-load the report, timeline, baseline and progress views.
+load the report, timeline, baseline and progress views; every other
+name is imported from the module that defines it.
 
 One invariant is non-negotiable and machine-enforced (the
 ``obs-no-feedback`` simlint rule): observability state never flows
@@ -57,38 +58,10 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "JournalWriter": "journal",
     "read_journal": "journal",
-    "worker_id": "journal",
     "Observer": "observer",
-    "JournalObserver": "observer",
     "TracingObserver": "observer",
-    "Span": "observer",
-    "NULL_OBSERVER": "observer",
-    "ProgressTracker": "progress",
-    "SweepProgress": "progress",
-    "ScenarioProgress": "progress",
-    "PhaseProgress": "progress",
-    "progress_to_dict": "progress",
-    "format_progress": "progress",
     "summarize_journal": "report",
-    "summary_to_dict": "report",
-    "format_report": "report",
-    "TELEMETRY_FILENAME": "telemetry",
-    "TelemetryWriter": "telemetry",
-    "telemetry_records": "telemetry",
     "read_telemetry": "telemetry",
-    "canonicalize_telemetry": "telemetry",
-    "series_from_record": "telemetry",
-    "filter_records": "timeline",
-    "format_timeline": "timeline",
-    "timeline_csv": "timeline",
-    "timeline_json": "timeline",
-    "DriftRow": "baseline",
-    "snapshot_from_journal": "baseline",
-    "save_baseline": "baseline",
-    "load_baseline": "baseline",
-    "compare": "baseline",
-    "has_regression": "baseline",
-    "format_drift_table": "baseline",
 }
 
 __all__ = list(_EXPORTS)

@@ -29,7 +29,6 @@ from typing import Any, Dict, List
 
 from repro.obs.stream import StreamSpec, StreamWriter
 from repro.sim.probe import TimeSeriesProbeSink
-from repro.sim.trace import TimeSeries
 from repro.units import msec
 
 #: filename of the merged telemetry file inside a trace dir
@@ -101,13 +100,3 @@ class TelemetryWriter(StreamWriter):
 
 telemetry_path = TELEMETRY.path
 read_telemetry = TELEMETRY.read
-canonicalize_telemetry = TELEMETRY.canonicalize
-
-
-def series_from_record(record: Dict[str, Any]) -> TimeSeries:
-    """Rebuild a :class:`TimeSeries` from one telemetry record."""
-    return TimeSeries(
-        name=f"{record['entity']}:{record['channel']}",
-        times=[float(t) for t in record["times"]],
-        values=[float(v) for v in record["values"]],
-    )

@@ -103,9 +103,6 @@ Design notes
   assigns it. A push written in place costs no frame, one through
   :meth:`Simulator.push` one, and a cancellable one two,
   :meth:`Simulator.schedule_at` and ``Event.__init__``.
-* :meth:`Simulator.step` is ``run(max_events=1)`` for tests and
-  single-stepping by hand; nothing in the library drives a simulation
-  with it.
 * The kernel knows nothing about networking or energy; those layers only
   use :meth:`Simulator.schedule_at` / :attr:`Simulator.now` (and the
   in-place pushes ``_seq``/``_queue``).
@@ -197,8 +194,8 @@ class Simulator:
         sim.schedule(1.5, lambda: print("fires at t=1.5s"))
         sim.run()
 
-    The clock starts at 0.0 and only advances when :meth:`run` (or
-    :meth:`step`) executes events.
+    The clock starts at 0.0 and only advances when :meth:`run` executes
+    events.
     """
 
     def __init__(self) -> None:
@@ -344,12 +341,6 @@ class Simulator:
         return event
 
     # -- execution ----------------------------------------------------
-
-    def step(self) -> bool:
-        """Execute the next live event. Returns False if the queue is empty."""
-        before = self.events_executed
-        self.run(max_events=1)
-        return self.events_executed > before
 
     def stop(self) -> None:
         """End the current :meth:`run` once the executing event returns.

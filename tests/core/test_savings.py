@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.savings import (
     DatacenterCostModel,
-    paper_headline_savings,
     savings_fraction,
     savings_percent,
 )
@@ -27,11 +26,8 @@ class TestSavingsFraction:
 
 
 class TestDollarExtrapolation:
-    def test_paper_headline_is_ten_million(self):
-        """§4.2: 1% of (10k $/rack x 100k racks) = $10M/year."""
-        assert paper_headline_savings() == pytest.approx(10e6)
-
     def test_default_model_prices_one_percent(self):
+        """§4.2: 1% of (10k $/rack x 100k racks) = $10M/year."""
         assert DatacenterCostModel().annual_savings_usd(0.01) == pytest.approx(
             10e6
         )

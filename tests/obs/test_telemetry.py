@@ -1,16 +1,14 @@
-"""Telemetry persistence: JSONL round-trips and canonical order (the read
-errors every stream shares are ``tests/obs/test_stream.py``'s)."""
+"""Telemetry persistence: records in key order, JSONL round-trips and
+the traced sampling interval (the read errors, worker merges and
+canonical rewrites every stream shares are ``tests/obs/test_stream.py``'s)."""
 
 from repro.harness.experiment import FlowSpec, Scenario
 from repro.harness.runner import run_once
 from repro.obs.observer import TracingObserver
 from repro.obs.telemetry import (
-    TELEMETRY,
     TELEMETRY_FILENAME,
     TelemetryWriter,
-    canonicalize_telemetry,
     read_telemetry,
-    series_from_record,
     telemetry_records,
 )
 from repro.sim.probe import CWND_CHANNEL, QUEUE_DEPTH_CHANNEL, TimeSeriesProbeSink
@@ -24,7 +22,7 @@ def collected_sink():
     return sink
 
 
-class TestTelemetryRecords:
+class TestTelemetry:
     def test_one_record_per_stream_in_key_order(self):
         records = telemetry_records(collected_sink(), "fig1-fair", 3)
         assert [(r["channel"], r["entity"]) for r in records] == [
@@ -36,6 +34,19 @@ class TestTelemetryRecords:
         assert first["seed"] == 3
         assert first["times"] == [0.0, 1.0]
         assert first["values"] == [10.0, 20.0]
+
+    def test_write_sink_then_read_back(self, tmp_path):
+        path = tmp_path / TELEMETRY_FILENAME
+        with TelemetryWriter(path) as writer:
+            written = writer.write_sink(collected_sink(), "fig1-fair", 0)
+        assert written == 2
+        records = read_telemetry(path)
+        assert records == telemetry_records(collected_sink(), "fig1-fair", 0)
+        # a second writer appends to the same file
+        with TelemetryWriter(path) as writer:
+            writer.write_sink(collected_sink(), "b", 1)
+        scenarios = [r["scenario"] for r in read_telemetry(path)]
+        assert scenarios == ["fig1-fair", "fig1-fair", "b", "b"]
 
 
 class TestTracedRun:
@@ -57,69 +68,3 @@ class TestTracedRun:
         assert len(gaps) >= 3
         assert min(gaps) >= 1e-3
         assert min(gaps) < 2e-3
-
-
-class TestWriterRoundTrip:
-    def test_write_sink_then_read_back(self, tmp_path):
-        path = tmp_path / TELEMETRY_FILENAME
-        with TelemetryWriter(path) as writer:
-            written = writer.write_sink(collected_sink(), "fig1-fair", 0)
-        assert written == 2
-        records = read_telemetry(path)
-        assert records == telemetry_records(collected_sink(), "fig1-fair", 0)
-        # a second writer appends to the same file
-        with TelemetryWriter(path) as writer:
-            writer.write_sink(collected_sink(), "b", 1)
-        scenarios = [r["scenario"] for r in read_telemetry(path)]
-        assert scenarios == ["fig1-fair", "fig1-fair", "b", "b"]
-
-
-class TestSeriesFromRecord:
-    def test_rebuilds_the_time_series(self):
-        record = telemetry_records(collected_sink(), "s", 0)[0]
-        series = series_from_record(record)
-        assert series.name == "flow-1:cwnd_bytes"
-        assert series.times == [0.0, 1.0]
-        assert series.values == [10.0, 20.0]
-
-
-class TestMergeWorkerTelemetry:
-    def write_partial(self, trace, wid, scenario, seed):
-        with TelemetryWriter(TELEMETRY.worker_path(trace, wid)) as writer:
-            writer.write_sink(collected_sink(), scenario, seed)
-
-    def test_merges_sorted_and_removes_partials(self, tmp_path):
-        # Worker files written "out of order" relative to the sort key.
-        self.write_partial(tmp_path, 0, "zeta", 1)
-        self.write_partial(tmp_path, 1, "alpha", 0)
-        with TelemetryWriter(tmp_path / TELEMETRY_FILENAME) as writer:
-            TELEMETRY.merge_workers(tmp_path, into=writer)
-        assert [r["scenario"] for r in read_telemetry(tmp_path)] == [
-            "alpha", "alpha", "zeta", "zeta",
-        ]
-        assert list(tmp_path.glob("telemetry-worker-*.jsonl")) == []
-
-    def test_no_partials_is_a_noop(self, tmp_path):
-        with TelemetryWriter(tmp_path / TELEMETRY_FILENAME) as writer:
-            TELEMETRY.merge_workers(tmp_path, into=writer)
-        assert read_telemetry(tmp_path) == []
-
-
-class TestCanonicalize:
-    def test_sorts_file_into_key_order(self, tmp_path):
-        path = tmp_path / TELEMETRY_FILENAME
-        with TelemetryWriter(path) as writer:
-            writer.write_sink(collected_sink(), "zeta", 1)
-            writer.write_sink(collected_sink(), "alpha", 0)
-        before = path.read_bytes()
-        assert canonicalize_telemetry(tmp_path) == 4
-        assert path.read_bytes() != before
-        scenarios = [r["scenario"] for r in read_telemetry(path)]
-        assert scenarios == ["alpha", "alpha", "zeta", "zeta"]
-        # idempotent: a second pass changes nothing
-        after = path.read_bytes()
-        canonicalize_telemetry(tmp_path)
-        assert path.read_bytes() == after
-
-    def test_missing_file_is_a_noop(self, tmp_path):
-        assert canonicalize_telemetry(tmp_path) == 0

@@ -146,9 +146,6 @@ class TestRunBounds:
         sim.schedule(1.0, recurse)
         sim.run()
 
-    def test_step_returns_false_when_empty(self, sim):
-        assert sim.step() is False
-
     def test_events_executed_counter(self, sim):
         for i in range(5):
             sim.schedule(float(i), lambda: None)

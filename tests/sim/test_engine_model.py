@@ -199,11 +199,6 @@ class EngineMachine(RuleBasedStateMachine):
             entry.dead = True
         assert not event.alive
 
-    @rule()
-    def step(self):
-        executed, _ = self._model_run(max_events=1)
-        assert self.sim.step() is (executed == 1)
-
     @rule(offset=DELAYS)
     def run_until(self, offset):
         until = self.now + offset
@@ -329,7 +324,7 @@ SCRIPTED = [
 DRIVERS = {
     "unbounded": lambda sim: sim.run(),
     "until": lambda sim: sim.run(until=sim.now + 0.5),
-    "step": lambda sim: sim.step(),
+    "step": lambda sim: sim.run(max_events=1),
 }
 
 

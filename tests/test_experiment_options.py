@@ -23,9 +23,13 @@ every public name ``src/repro`` defines (module level, class level, and
 ``src/``, ``bench/`` or ``examples/`` reads. A read is a load of the
 name, a keyword, an import, a ``@register...`` decorator, or the name
 inside a string that is a bare dotted path (a ``Figure.driver`` path, a
-lazy-export row, a ``getattr`` name) or a ``"...".split()`` list;
-docstrings are not reads. Names match by spelling alone, so a name any
-class reads counts for every class that defines it.
+``getattr`` name) or a ``"...".split()`` list; docstrings and the rows
+of a package's lazy-export table (``_EXPORTS``, :mod:`repro._lazy`) are
+not reads. Names match by spelling alone, so a name any class reads
+counts for every class that defines it. A row of such a table is a
+second import path for its name, so each row needs an importer of its
+own: a ``from repro.<package> import name`` under ``src/``, ``bench/``
+or ``examples/``, or in a ``python`` block of README.md or ``docs/``.
 """
 
 import ast
@@ -45,6 +49,7 @@ from repro.net.nic import Nic
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.rtt import RttEstimator
 from repro.tcp.sender import TcpSender
+from tests.test_outside_imports import DOCS, imports, python_blocks
 
 ROOT = Path(__file__).resolve().parent.parent
 #: where the program's readers live; ``tests/`` is not one of them
@@ -163,9 +168,26 @@ KEPT_NAMES = {
     "repro.figures.ablation:Bbr2AlphaAblation.mature_overhead_vs_bbr": (
         "ROADMAP item 12's audit keeps figures/ablation.py"
     ),
-    "repro.figures.friendliness:PairingResult.bully": (
-        "reserved for ROADMAP item 10's BBR-vs-CUBIC shapes "
-        "(Ma et al., arXiv 1706.09115)"
+    "repro.analysis.concavity:chord_gap": (
+        "Fig. 2's argument as a number: how far the smooth-sending curve "
+        "sits above the full-speed-then-idle chord; ROADMAP item 12's "
+        "audit keeps analysis/concavity.py as the oracle for measured "
+        "Fig. 2 series"
+    ),
+    "repro.figures.ablation:concavity_ablation": (
+        "EXPERIMENTS.md's Theorem 1 section (a linear curve saves exactly "
+        "0 %) rests on it; ROADMAP item 18(b) picks a subcommand, a Claim "
+        "or deletion"
+    ),
+    "repro.figures.ablation:bbr2_alpha_ablation": (
+        "docs/calibration.md's +41 % -> +2 % and tests/golden/ablation/"
+        "bbr2.txt rest on it; ROADMAP item 18(b)"
+    ),
+    "repro.figures.ablation:ecn_threshold_ablation": (
+        "EXPERIMENTS.md's DCTCP marking-threshold ablation; ROADMAP item 18(b)"
+    ),
+    "repro.figures.ablation:buffer_ablation": (
+        "EXPERIMENTS.md's bottleneck-buffer ablation; ROADMAP item 18(b)"
     ),
 }
 
@@ -260,11 +282,26 @@ def docstrings(tree):
     }
 
 
+def export_table(tree):
+    """The ``_EXPORTS = {name: submodule}`` dict a package's
+    ``__init__`` holds for :mod:`repro._lazy`, or None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "_EXPORTS"
+            for target in node.targets
+        ):
+            return node.value
+    return None
+
+
 def reads():
     """Every identifier some code under src/, bench/ or examples/ reads."""
     found = set()
     for _path, tree in parsed(READERS):
         skip = docstrings(tree)
+        table = export_table(tree)
+        if table is not None:
+            skip |= {id(node) for node in ast.walk(table)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 found.add(node.id)
@@ -304,3 +341,41 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     assert not missing, f"nothing outside tests/ reads these names: {missing}"
     stale = sorted(set(KEPT_NAMES) - unread)
     assert not stale, f"these kept names have a reader now: {stale}"
+
+
+# -- one import path per name ----------------------------------------------
+
+
+def export_rows():
+    """``(package, name)`` per row of every lazy-export table in
+    ``src/repro``."""
+    rows = set()
+    for path, tree in parsed(["src/repro"]):
+        table = export_table(tree)
+        if path.name == "__init__.py" and table is not None:
+            package = ".".join(path.parent.relative_to(ROOT / "src").parts)
+            rows |= {(package, key.value) for key in table.keys}
+    return rows
+
+
+def package_imports():
+    """``(module, name)`` per ``from module import name`` under src/,
+    bench/ or examples/, or in a ``python`` block of the docs."""
+    trees = [tree for _path, tree in parsed(READERS)]
+    trees += [tree for path in DOCS for tree in python_blocks(path)]
+    return {
+        (module, name)
+        for tree in trees
+        for _line, module, name in imports(tree)
+        if name is not None
+    }
+
+
+def test_every_lazy_export_is_imported_through_its_package_outside_the_tests():
+    rows = export_rows()
+    assert rows, "no lazy-export table found"
+    unused = sorted(f"{package}.{name}" for package, name in rows - package_imports())
+    assert not unused, (
+        f"nothing outside tests/ imports these through their package "
+        f"(import them from the submodule, and drop the row): {unused}"
+    )
