@@ -14,12 +14,15 @@
 # print numbers and gate nothing: `make loc` (source lines per package),
 # `make imports` (the numbers behind the import budget) and `make frames`
 # (frames per stage of a packet's life: the table in docs/architecture.md,
-# which tests/test_frames_table.py compares with it on Python 3.11).
+# which tests/test_frames_table.py compares with it on Python 3.11). One
+# target prints numbers beside `make loc`'s and gates a count: `make reach`
+# (never-run lines per package; it fails on a function no entry point runs
+# that has no REACH_KEPT row, CI on one Python version).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test bench-check mutants-check loc imports frames lint ruff mypy claims obs-profile baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
+.PHONY: check test bench-check mutants-check loc reach imports frames lint ruff mypy claims obs-profile baseline obs-diff fabric-baseline fabric-obs-diff pareto-baseline pareto
 
 check: test bench-check mutants-check lint ruff mypy
 
@@ -35,9 +38,10 @@ test:
 bench-check:
 	$(PYTHON) -m pytest bench/tests -q
 
-# the mutation probe's own tests (not tier-1, ~10 s): its operators, its
+# the mutation probe's own tests (not tier-1, ~15 s): its operators, its
 # stable site ids, a killed and a surviving mutant reported, a run past
-# its timeout killed with its process group. The probe itself is
+# its timeout killed with its process group, and the execution census on
+# a toy package. The probe itself is
 # `python -m mutants repro.obs repro.harness` (mutants/README.md)
 mutants-check:
 	$(PYTHON) -m pytest mutants/tests -q
@@ -53,6 +57,14 @@ loc:
 		printf '%6d %s\n' "$$(wc -l < $$module)" "$$module"; \
 	done
 	@printf '%6d src (all *.py)\n' "$$(find src -name '*.py' | xargs cat | wc -l)"
+
+# the execution census (not tier-1, ~3 min): every entry point run
+# in-process under the mutation probe's tracer (mutants/entries.py), then
+# the never-run lines per package and the functions no entry point runs;
+# exits 1 on such a function without a REACH_KEPT row (mutants/reach.py)
+# or on a stale row
+reach:
+	$(PYTHON) -m mutants.reach
 
 # what four entry points import: `repro` modules loaded, and the
 # `-X importtime` cumulative time (fastest of five fresh interpreters),

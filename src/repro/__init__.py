@@ -12,7 +12,7 @@ The library layers, bottom-up:
 * :mod:`repro.core` — the paper's contribution: Theorem 1, allocation
   strategies, green scheduling, $-savings extrapolation
 * :mod:`repro.harness` — scenario runner with repetition statistics
-* :mod:`repro.figures` — one pipeline per paper figure (1-8) + ablations
+* :mod:`repro.figures` — one pipeline per paper figure (1-8)
 
 Quick start::
 

@@ -45,7 +45,7 @@ def repeated_to_dict(result: RepeatedResult) -> Dict[str, Any]:
     """A JSON-ready record of a repeated scenario with summary stats."""
     return {
         "scenario": result.scenario,
-        "repetitions": result.n,
+        "repetitions": len(result.runs),
         "mean_energy_j": result.mean_energy_j,
         "std_energy_j": result.std_energy_j,
         "mean_power_w": result.mean_power_w,

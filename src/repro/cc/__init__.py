@@ -15,7 +15,6 @@ from repro.cc.hpcc import Hpcc
 from repro.cc.registry import (
     PAPER_ALGORITHMS,
     PRODUCTION_ALGORITHMS,
-    algorithm_names,
     create,
     factory,
     get_class,
@@ -47,7 +46,6 @@ __all__ = [
     "WindowedFilter",
     "PAPER_ALGORITHMS",
     "PRODUCTION_ALGORITHMS",
-    "algorithm_names",
     "create",
     "factory",
     "get_class",

@@ -7,7 +7,7 @@ through :func:`create`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Type
+from typing import Callable, Dict, Type
 
 from repro.cc.base import CongestionControl
 from repro.cc.bbr import Bbr
@@ -56,11 +56,6 @@ for _cls in (
     register(_cls)
 
 
-def algorithm_names() -> List[str]:
-    """All registered CCA names, sorted."""
-    return sorted(_REGISTRY)
-
-
 #: the paper's evaluation set, in Fig. 5's MTU-1500 energy order
 PAPER_ALGORITHMS = (
     "bbr",
@@ -88,7 +83,7 @@ def get_class(name: str) -> Type[CongestionControl]:
     except KeyError:
         raise ReproError(
             f"unknown congestion control {name!r}; "
-            f"known: {', '.join(algorithm_names())}"
+            f"known: {', '.join(sorted(_REGISTRY))}"
         ) from None
 
 

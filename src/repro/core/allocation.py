@@ -47,10 +47,6 @@ class AllocationPlan:
     #: None for schedules where the notion doesn't apply
     flow0_fraction: Optional[float] = None
 
-    @property
-    def n_flows(self) -> int:
-        return len(self.flows)
-
 
 def fair_split(
     total_bytes: int, capacity_bps: float, n_flows: int = 2

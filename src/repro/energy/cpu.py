@@ -174,12 +174,6 @@ class CpuModel(HostListener):
         for pkg in self.packages:
             pkg.flush()
 
-    @property
-    def total_energy_j(self) -> float:
-        """Total energy across packages since construction (flushes first)."""
-        self.flush_all()
-        return sum(pkg.energy_j for pkg in self.packages)
-
     def set_background_load(self, load: float) -> None:
         """Apply a `stress`-style load fraction to every package."""
         for pkg in self.packages:

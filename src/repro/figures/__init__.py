@@ -1,1 +1,1 @@
-"""Per-figure reproduction pipelines (Figures 1-8 plus ablations)."""
+"""Per-figure reproduction pipelines (Figures 1-8 and the §5 extensions)."""

@@ -111,9 +111,7 @@ class Fig1Result:
 
 def run_fig1(
     transfer_bytes: int = DEFAULT_TRANSFER_BYTES,
-    capacity_bps: float = DEFAULT_CAPACITY_BPS,
     fractions: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-    cca: str = "cubic",
     repetitions: int = 3,
     base_seed: int = 0,
     *,
@@ -132,10 +130,10 @@ def run_fig1(
     abort the raised :class:`~repro.errors.SweepAbortedError` carries a
     ``partial_figure`` built from the grid points that completed.
     """
-    plans = list(fig1_allocations(transfer_bytes, capacity_bps, fractions))
+    plans = list(fig1_allocations(transfer_bytes, DEFAULT_CAPACITY_BPS, fractions))
 
     def plan_scenario(plan: AllocationPlan) -> Scenario:
-        return scenario_from_plan(f"fig1-{plan.name}", plan, cca=cca)
+        return scenario_from_plan(f"fig1-{plan.name}", plan, cca="cubic")
 
     def to_result(results: SweepResults) -> Fig1Result:
         return Fig1Result(

@@ -169,7 +169,6 @@ def _idle_power_for(load: float) -> float:
 def run_fig2(
     throughputs_gbps: Sequence[float] = DEFAULT_THROUGHPUTS_GBPS,
     window_s: float = DEFAULT_WINDOW_S,
-    cca: str = "cubic",
     repetitions: int = 3,
     base_seed: int = 0,
     *,
@@ -179,12 +178,12 @@ def run_fig2(
 ) -> Fig2Result:
     """Reproduce both Figure 2 series (one journal for both)."""
     smooth = _measure_series(
-        throughputs_gbps, window_s, burst=False, cca=cca,
+        throughputs_gbps, window_s, burst=False, cca="cubic",
         repetitions=repetitions, base_seed=base_seed,
         jobs=jobs, cache=cache_dir, observer=observer,
     )
     burst = _measure_series(
-        throughputs_gbps, window_s, burst=True, cca=cca,
+        throughputs_gbps, window_s, burst=True, cca="cubic",
         repetitions=repetitions, base_seed=base_seed + 1000,
         jobs=jobs, cache=cache_dir, observer=observer,
     )

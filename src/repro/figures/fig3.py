@@ -91,8 +91,6 @@ _PANEL_FLOWS = {"fair": _capped_pair}
 
 def run_fig3(
     transfer_bytes: int = DEFAULT_TRANSFER_BYTES,
-    capacity_bps: float = DEFAULT_CAPACITY_BPS,
-    cca: str = "cubic",
     probe_interval_s: float = msec(1.0),
     seed: int = 0,
     policies: Optional[Sequence[str]] = None,
@@ -108,7 +106,7 @@ def run_fig3(
 
     def scenario(policy: str) -> Scenario:
         flows = _PANEL_FLOWS.get(policy, _uncapped_pair)(
-            transfer_bytes, capacity_bps, cca
+            transfer_bytes, DEFAULT_CAPACITY_BPS, "cubic"
         )
         return Scenario(
             f"fig3-{policy}",

@@ -81,7 +81,6 @@ def run_fig4(
     loads: Sequence[float] = DEFAULT_LOADS,
     throughputs_gbps: Sequence[float] = DEFAULT_THROUGHPUTS_GBPS,
     window_s: float = 0.02,
-    cca: str = "cubic",
     repetitions: int = 3,
     base_seed: int = 0,
     *,
@@ -93,7 +92,7 @@ def run_fig4(
     positive = [t for t in throughputs_gbps if t > 0]
 
     def point_scenario(load: float, target_gbps: float) -> Scenario:
-        return _point_scenario(target_gbps, window_s, False, cca, load)
+        return _point_scenario(target_gbps, window_s, False, "cubic", load)
 
     results = Sweep({"load": list(loads), "target_gbps": positive}).run(
         point_scenario,

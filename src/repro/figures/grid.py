@@ -48,10 +48,6 @@ class GridCell:
         return self.result.mean_power_w
 
     @property
-    def mean_fct_s(self) -> float:
-        return self.result.mean_duration_s
-
-    @property
     def mean_retransmissions(self) -> float:
         return self.result.mean_retransmissions
 
@@ -215,7 +211,6 @@ def run_cca_mtu_grid(
     ccas: Sequence[str] = PAPER_ALGORITHMS,
     repetitions: int = 3,
     base_seed: int = 0,
-    time_limit_s: float = 600.0,
     *,
     jobs: Optional[int] = None,
     cache_dir: Union[None, str, Path, ResultCache] = None,
@@ -235,7 +230,7 @@ def run_cca_mtu_grid(
             flows=[FlowSpec(transfer_bytes, cca=cca)],
             mtu_bytes=mtu,
             packages=1,
-            time_limit_s=time_limit_s,
+            time_limit_s=600.0,
         )
 
     sweep = Sweep({"cca": list(ccas), "mtu": list(mtus)})

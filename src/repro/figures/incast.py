@@ -45,12 +45,6 @@ class IncastResult:
     points: List[IncastPoint]
     aggregate_bytes: int
 
-    def point(self, fan_in: int) -> IncastPoint:
-        for p in self.points:
-            if p.fan_in == fan_in:
-                return p
-        raise LookupError(f"no point for fan-in {fan_in}")
-
     def energy_growth(self) -> float:
         """Energy at the last fan-in relative to the first (1 -> N on
         the default sweep)."""
@@ -99,11 +93,10 @@ def incast_scenario(
 def run_incast_sweep(
     fan_ins: Sequence[int] = (1, 2, 4, 8),
     aggregate_bytes: int = 20_000_000,
-    cca: str = "cubic",
 ) -> IncastResult:
     """Sweep the fan-in degree at a fixed aggregate payload."""
     sweep = Sweep(axes={"fan_in": fan_ins}).run(
-        lambda fan_in: incast_scenario(fan_in, aggregate_bytes, cca),
+        lambda fan_in: incast_scenario(fan_in, aggregate_bytes),
         repetitions=1,
     )
     points = [

@@ -122,10 +122,10 @@ def run_load_balance(
 
 
 def run_hardware_comparison(
-    links: int = 8, loads: Sequence[float] = (0.125, 0.25, 0.5, 0.75)
+    loads: Sequence[float] = (0.125, 0.25, 0.5, 0.75)
 ) -> "tuple[LoadBalanceResult, LoadBalanceResult]":
     """Both hardware generations, same placements."""
     return (
-        run_load_balance(todays_switch(), "load-independent", links, loads),
-        run_load_balance(rate_adaptive_switch(), "rate-adaptive", links, loads),
+        run_load_balance(todays_switch(), "load-independent", 8, loads),
+        run_load_balance(rate_adaptive_switch(), "rate-adaptive", 8, loads),
     )

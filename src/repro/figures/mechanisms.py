@@ -41,12 +41,6 @@ class MechanismRow:
     total_j: float
     components_j: Dict[str, float]
 
-    def share(self, component: str) -> float:
-        """Fraction of total energy attributed to one mechanism."""
-        if self.total_j <= 0:
-            return 0.0
-        return self.components_j.get(component, 0.0) / self.total_j
-
 
 @dataclass
 class MechanismResult:
@@ -54,12 +48,6 @@ class MechanismResult:
 
     rows: List[MechanismRow]
     transfer_bytes: int
-
-    def row(self, cca: str) -> MechanismRow:
-        for row in self.rows:
-            if row.cca == cca:
-                return row
-        raise LookupError(f"no row for {cca!r}")
 
     def format_table(self) -> str:
         headers = ["cca", "total (J)"] + [f"{c} (J)" for c in REPORT_COMPONENTS]
@@ -74,7 +62,6 @@ class MechanismResult:
 def run_mechanism_breakdown(
     ccas: Sequence[str] = ("cubic", "bbr", "bbr2", "dctcp", "baseline"),
     transfer_bytes: int = 20_000_000,
-    mtu: int = 9000,
 ) -> MechanismResult:
     """Measure the per-mechanism energy attribution for each CCA: one
     noise-free, jitter-free run per CCA on one sender package."""
@@ -83,7 +70,7 @@ def run_mechanism_breakdown(
         return Scenario(
             f"mechanisms-{cca}",
             flows=[FlowSpec(transfer_bytes, cca=cca)],
-            mtu_bytes=mtu,
+            mtu_bytes=9000,
             packages=1,
             power_noise_sigma=0.0,
             start_jitter_s=0.0,

@@ -64,17 +64,16 @@ class MptcpResult:
 def run_mptcp_comparison(
     total_bytes: int = 20_000_000,
     subflows: int = 4,
-    cca: str = "cubic",
     seed: int = 0,
 ) -> MptcpResult:
     """Compare single-flow vs k-subflow placements for one payload."""
 
     def scenario(placement: str) -> Scenario:
         if placement == "single":
-            flows, packages = [FlowSpec(total_bytes, cca=cca)], 1
+            flows, packages = [FlowSpec(total_bytes, cca="cubic")], 1
         else:
             per_subflow = total_bytes // subflows
-            flows = [FlowSpec(per_subflow, cca=cca) for _ in range(subflows)]
+            flows = [FlowSpec(per_subflow, cca="cubic") for _ in range(subflows)]
             # shared: every subflow on one package; spread: one each
             packages = subflows if placement == "subflows-spread" else 1
         return Scenario(

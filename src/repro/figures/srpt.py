@@ -66,7 +66,6 @@ class SrptResult:
 
 def run_srpt_comparison(
     batch: Sequence[int] = DEFAULT_BATCH,
-    cca: str = "cubic",
     seed: int = 0,
     policies: Optional[Sequence[str]] = None,
 ) -> SrptResult:
@@ -83,7 +82,7 @@ def run_srpt_comparison(
     relative to it.
     """
     names = resolve_policy_list(policies, DEFAULT_POLICIES, "srpt comparison")
-    flows = [FlowSpec(size, cca=cca) for size in sorted(batch)]
+    flows = [FlowSpec(size, cca="cubic") for size in sorted(batch)]
 
     def scenario(policy: str) -> Scenario:
         return Scenario(

@@ -188,14 +188,6 @@ class ResultCache:
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.json"))
 
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        for entry in self.root.glob("*/*.json"):
-            entry.unlink()
-            removed += 1
-        return removed
-
 
 def ensure_cache(
     cache: Union[None, str, Path, ResultCache],

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import KW_ONLY, dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Any, ClassVar, Dict, List, Optional, Union
 
 from repro.apps.workload import INCAST_FAN_IN, INCAST_FRACTION, RACK_LOCAL_FRACTION
@@ -174,10 +174,6 @@ class Scenario:
         except NetworkConfigError as exc:
             raise ExperimentError(f"scenario {self.name!r}: {exc}") from None
 
-    def with_name(self, name: str) -> "Scenario":
-        """A copy under a different name."""
-        return replace(self, name=name)
-
     def plan(self) -> SchedulePlan:
         """The policy's plan for the flows: which start at their arrival,
         which wait for another flow's completion, and any network hints.
@@ -316,10 +312,6 @@ class FabricScenario:
             self.fabric_config()
         except NetworkConfigError as exc:
             raise ExperimentError(f"scenario {self.name!r}: {exc}") from None
-
-    def with_name(self, name: str) -> "FabricScenario":
-        """A copy under a different name."""
-        return replace(self, name=name)
 
     def fabric_config(self) -> FabricConfig:
         """The fabric this scenario runs on. A fat-tree's shape is its

@@ -107,10 +107,6 @@ class RepeatedResult:
     runs: List[RunMeasurement]
 
     @property
-    def n(self) -> int:
-        return len(self.runs)
-
-    @property
     def mean_energy_j(self) -> float:
         return mean([r.energy_j for r in self.runs])
 

@@ -78,25 +78,6 @@ class SweepResults:
             )
         return matched[0]
 
-    def values(self, axis: str) -> List[Any]:
-        """Distinct values of one axis, in first-seen order."""
-        seen: List[Any] = []
-        for row in self.rows:
-            value = row.params[axis]
-            if value not in seen:
-                seen.append(value)
-        return seen
-
-    def series(
-        self, x_axis: str, metric: Callable[[RepeatedResult], float],
-        **fixed: Any,
-    ) -> List["tuple[Any, float]"]:
-        """(x, metric) points along one axis with the others fixed."""
-        subset = self.where(**fixed)
-        return [
-            (row.params[x_axis], metric(row.result)) for row in subset.rows
-        ]
-
 
 class Sweep:
     """A cartesian-product parameter sweep."""
@@ -108,14 +89,6 @@ class Sweep:
             if not values:
                 raise ExperimentError(f"axis {name!r} has no values")
         self.axes = {name: list(values) for name, values in axes.items()}
-
-    @property
-    def size(self) -> int:
-        """Number of grid points."""
-        total = 1
-        for values in self.axes.values():
-            total *= len(values)
-        return total
 
     def points(self) -> List[Dict[str, Any]]:
         """Every parameter combination, in axis order."""

@@ -55,14 +55,10 @@ HELPER_RETURNS: Dict[str, Tuple[str, str]] = {
     "gbps": ("rate", "bps"),
     "mbps": ("rate", "bps"),
     "to_gbps": ("rate", "gbps"),
-    "gigabytes": ("data", "bytes"),
     "megabytes": ("data", "bytes"),
-    "gigabits": ("data", "bytes"),
     "usec": ("time", "s"),
     "msec": ("time", "s"),
     "to_msec": ("time", "ms"),
-    "joules_to_kj": ("energy", "kj"),
-    "transmission_time": ("time", "s"),
 }
 
 

@@ -40,11 +40,3 @@ class RngRegistry:
         if name not in self._streams:
             self._streams[name] = random.Random(derive_seed(self.master_seed, name))
         return self._streams[name]
-
-    def child(self, name: str) -> "RngRegistry":
-        """A registry whose master seed is derived from this one.
-
-        Used to give every replication of an experiment an independent
-        but reproducible universe of streams.
-        """
-        return RngRegistry(derive_seed(self.master_seed, name))

@@ -12,7 +12,6 @@ primitives cover all of them:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import ClassVar, Dict, Iterator, List, Optional, Tuple
 
 
@@ -71,24 +70,15 @@ class TimeSeries:
     def __iter__(self) -> Iterator[Tuple[float, float]]:
         return iter(zip(self.times, self.values))
 
-    def window(self, start: float, end: float) -> "TimeSeries":
-        """Samples with start <= time < end, as a new series."""
-        lo = bisect_left(self.times, start)
-        hi = bisect_left(self.times, end)
-        return TimeSeries(
-            name=self.name, times=self.times[lo:hi], values=self.values[lo:hi]
-        )
-
 
 class CounterSet(Dict[str, float]):
     """Named monotonic counters: a dict in which a name never
     incremented reads 0.0.
 
     A rare event is counted by name, ``counters["drops"] += 1.0`` (an
-    item update, no Python frame); :meth:`add` is the checked form. The
-    counters a packet moves on every hop are not kept here but in
-    integer fields of their owner, which :class:`Counted` copies in
-    before the set is read.
+    item update, no Python frame). The counters a packet moves on every
+    hop are not kept here but in integer fields of their owner, which
+    :class:`Counted` copies in before the set is read.
     """
 
     __slots__ = ()
@@ -96,19 +86,9 @@ class CounterSet(Dict[str, float]):
     def __missing__(self, name: str) -> float:
         return 0.0
 
-    def add(self, name: str, amount: float = 1.0) -> None:
-        """Increment ``name`` by ``amount`` (must be >= 0)."""
-        if amount < 0:
-            raise ValueError(f"counter increments must be >= 0, got {amount}")
-        self[name] += amount
-
     def get(self, name: str) -> float:  # type: ignore[override]
         """Current value of ``name`` (0 if never incremented)."""
         return self[name]
-
-    def snapshot(self) -> Dict[str, float]:
-        """A copy of all counters."""
-        return dict(self)
 
 
 class Counted:

@@ -15,7 +15,7 @@ pieces that shape sender behaviour:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Optional
 
 from repro.net.host import Host
 from repro.net.packet import Packet, ack_packet
@@ -24,8 +24,6 @@ from repro.sim.timer import Timer
 from repro.sim.trace import CounterSet, Counted
 from repro.tcp.ranges import RangeSet
 from repro.units import usec
-
-CompletionCallback = Callable[[float], None]
 
 #: Linux's minimum delayed-ACK timeout is 40 ms; datacenter stacks run
 #: far lower. 500 µs keeps ACK clocking tight at 10 Gb/s scale.
@@ -67,7 +65,6 @@ class TcpReceiver(Counted):
         self.segments = 0
         self.acks_sent = 0
         self.completed_at: Optional[float] = None
-        self._on_complete: List[CompletionCallback] = []
         self._unacked_segments = 0
         self._pending_echo_time: Optional[float] = None
         self._ce_state = False  # last seen CE mark (DCTCP echo state)
@@ -75,21 +72,6 @@ class TcpReceiver(Counted):
         self._last_int: Optional[Packet] = None  # most recent INT carrier
         self._delack_timer = Timer(sim, self._delack_expired)
         host.register_flow(flow_id, self)
-
-    # -- public API -------------------------------------------------------
-
-    def on_complete(self, callback: CompletionCallback) -> None:
-        """Register a callback fired once ``expected_bytes`` have arrived
-        (at once, with ``completed_at``, if they already have)."""
-        if self.completed_at is not None:
-            callback(self.completed_at)
-        else:
-            self._on_complete.append(callback)
-
-    @property
-    def complete(self) -> bool:
-        """Whether the expected transfer has fully arrived."""
-        return self.completed_at is not None
 
     # -- packet handling ----------------------------------------------------
 
@@ -146,8 +128,6 @@ class TcpReceiver(Counted):
 
         if finished and self.completed_at is None:
             self.completed_at = self.sim.now
-            for callback in self._on_complete:
-                callback(self.sim.now)
 
     # -- internals ----------------------------------------------------------
 

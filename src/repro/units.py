@@ -40,22 +40,11 @@ def to_gbps(bits_per_second: float) -> float:
 # --- data size ------------------------------------------------------------
 
 MB = 1000**2
-GB = 1000**3
-
-
-def gigabytes(value: float) -> int:
-    """Convert gigabytes (decimal, like iperf3 -n 50G) to bytes."""
-    return int(value * GB)
 
 
 def megabytes(value: float) -> int:
     """Convert megabytes to bytes."""
     return int(value * MB)
-
-
-def gigabits(value: float) -> int:
-    """Convert gigabits (the paper's '10 Gbit of data') to bytes."""
-    return int(value * GB / BITS_PER_BYTE)
 
 
 # --- time -----------------------------------------------------------------
@@ -83,24 +72,8 @@ def to_msec(seconds: float) -> float:
     return seconds * 1e3
 
 
-# --- energy ---------------------------------------------------------------
-
-KILOJOULE = 1e3
-
-
-def joules_to_kj(value: float) -> float:
-    """Convert joules to kilojoules (the unit of the paper's Fig. 5/7/8)."""
-    return value / KILOJOULE
-
 
 # --- reporting scales -----------------------------------------------------
 
 #: not an SI unit — the scale for "$M/year"-style report lines
 MILLION = 1e6
-
-
-def transmission_time(size_bytes: int, rate_bps: float) -> float:
-    """Serialization delay of ``size_bytes`` on a ``rate_bps`` link, seconds."""
-    if rate_bps <= 0:
-        raise ValueError(f"rate must be positive, got {rate_bps}")
-    return size_bytes * BITS_PER_BYTE / rate_bps

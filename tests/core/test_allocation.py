@@ -23,7 +23,7 @@ class TestFairSplit:
 
     def test_n_flows(self):
         plan = fair_split(SIZE, CAP, n_flows=4)
-        assert plan.n_flows == 4
+        assert len(plan.flows) == 4
         assert plan.flows[0].target_rate_bps == pytest.approx(CAP / 4)
 
 

@@ -80,8 +80,8 @@ class TestMechanismExperiment:
             )
 
     def test_baseline_pays_for_retransmissions(self, result):
-        baseline = result.row("baseline")
-        cubic = result.row("cubic")
+        rows = {row.cca: row for row in result.rows}
+        baseline, cubic = rows["baseline"], rows["cubic"]
         assert baseline.components_j["retransmissions"] > 10 * max(
             cubic.components_j["retransmissions"], 1e-6
         )
@@ -90,8 +90,8 @@ class TestMechanismExperiment:
     def test_bbr2_pays_in_idle_time(self, result):
         """BBR2's overhead is the *duration* of its transfer: the idle
         floor and network terms grow, not a single hot component."""
-        bbr2 = result.row("bbr2")
-        cubic = result.row("cubic")
+        rows = {row.cca: row for row in result.rows}
+        bbr2, cubic = rows["bbr2"], rows["cubic"]
         assert bbr2.components_j["idle"] > 1.2 * cubic.components_j["idle"]
 
     def test_table_renders(self, result):

@@ -157,7 +157,8 @@ class TestLifecycle:
         sim.schedule(0.5, lambda: None)
         sim.run(until=0.5)
         cpu.stop()
-        assert cpu.total_energy_j == pytest.approx(
+        cpu.flush_all()
+        assert sum(pkg.energy_j for pkg in cpu.packages) == pytest.approx(
             2 * cal.P_IDLE_W * 0.5, rel=0.01
         )
 

@@ -1,9 +1,8 @@
 """Golden BBR2 alpha ablation: the three energies it measures.
 
-``docs/calibration.md`` sizes the BBR2-vs-BBR gap from
-:func:`repro.figures.ablation.bbr2_alpha_ablation`; this file pins the
-``repr`` of its result at the size ``tests/figures/test_ablation.py``
-runs, so every energy is compared exactly. A refactor of how the
+``docs/calibration.md`` sizes the BBR2-vs-BBR gap from the BBR2 alpha
+ablation of ``tests/figures/test_ablation.py``; this file pins the
+``repr`` of its result at the size that file runs, so every energy is compared exactly. A refactor of how the
 ablation runs must leave ``tests/golden/ablation/bbr2.txt`` unchanged.
 To regenerate after a deliberate change, run ``PYTHONPATH=src python -m
 tests.figures.test_ablation_golden`` and review the diff.
@@ -11,7 +10,7 @@ tests.figures.test_ablation_golden`` and review the diff.
 
 from pathlib import Path
 
-from repro.figures.ablation import bbr2_alpha_ablation
+from tests.figures.test_ablation import bbr2_alpha_ablation
 
 GOLDEN = (
     Path(__file__).resolve().parent.parent / "golden" / "ablation" / "bbr2.txt"

@@ -51,14 +51,16 @@ class TestIncast:
         result = run_incast_sweep(
             fan_ins=(1, 4), aggregate_bytes=8_000_000
         )
-        assert result.point(4).energy_j > 2.5 * result.point(1).energy_j
+        point = {p.fan_in: p for p in result.points}
+        assert point[4].energy_j > 2.5 * point[1].energy_j
 
     def test_makespan_stable_at_fixed_aggregate(self):
         result = run_incast_sweep(
             fan_ins=(1, 4), aggregate_bytes=8_000_000
         )
-        assert result.point(4).makespan_s == pytest.approx(
-            result.point(1).makespan_s, rel=0.3
+        point = {p.fan_in: p for p in result.points}
+        assert point[4].makespan_s == pytest.approx(
+            point[1].makespan_s, rel=0.3
         )
 
     def test_table_renders(self):

@@ -125,11 +125,6 @@ class TestScenarioValidation:
         assert scenario.policy == "serialized"
         assert Scenario("x", flows=[FlowSpec(1000)]).policy == "fair"
 
-    def test_with_name(self):
-        s = Scenario("a", flows=[FlowSpec(1000)])
-        assert s.with_name("b").name == "b"
-        assert s.name == "a"
-
     @pytest.mark.parametrize(
         "uncap_after", [2, 3, -1, 0], ids=["past-end", "far", "negative", "self"]
     )

@@ -353,7 +353,7 @@ class TestCounters:
 class TestRunRepeated:
     def test_aggregates(self):
         result = run_repeated(single_flow(), repetitions=3)
-        assert result.n == 3
+        assert len(result.runs) == 3
         assert result.mean_energy_j > 0
         assert result.std_energy_j >= 0
         assert result.mean_power_w > cal.P_IDLE_W

@@ -39,13 +39,3 @@ class TestRngRegistry:
         s_now = [reg2.stream("b").random() for _ in range(3)]
         assert s_then == s_now
 
-    def test_child_registries_differ(self):
-        root = RngRegistry(7)
-        r1 = root.child("rep-1").stream("x").random()
-        r2 = root.child("rep-2").stream("x").random()
-        assert r1 != r2
-
-    def test_child_reproducible(self):
-        a = RngRegistry(7).child("rep-1").stream("x").random()
-        b = RngRegistry(7).child("rep-1").stream("x").random()
-        assert a == b

@@ -38,13 +38,6 @@ class TestTimeSeries:
         ts.record(1.0, 2.0)
         assert len(ts) == 2
 
-    def test_window(self):
-        ts = TimeSeries("x")
-        for i in range(5):
-            ts.record(float(i), float(i * 10))
-        w = ts.window(1.0, 3.0)
-        assert list(w) == [(1.0, 10.0), (2.0, 20.0)]
-
 
 class TestCounterSet:
     def test_default_zero(self):
@@ -52,32 +45,13 @@ class TestCounterSet:
         assert counters.get("never") == 0.0
         assert "never" not in counters
 
-    def test_add_and_get(self):
-        counters = CounterSet()
-        counters.add("drops")
-        counters.add("drops", 2)
-        assert counters.get("drops") == 3.0
-        assert "drops" in counters
-
-    def test_negative_increment_rejected(self):
-        with pytest.raises(ValueError):
-            CounterSet().add("x", -1)
-
-    def test_snapshot_is_copy(self):
-        counters = CounterSet()
-        counters.add("a", 1)
-        snap = counters.snapshot()
-        counters.add("a", 1)
-        assert snap["a"] == 1.0
-
     def test_item_update_is_the_unchecked_increment(self):
         """Per-packet code writes ``counters[name] += n``; reading an
         unknown name gives 0.0 without creating it."""
         counters = CounterSet()
         assert counters["never"] == 0.0
-        assert "never" not in counters and counters.snapshot() == {}
+        assert "never" not in counters and counters == {}
         counters["bytes"] += 1500
         counters["bytes"] += 40
         assert counters.get("bytes") == 1540.0
         assert isinstance(counters["bytes"], float)
-        assert type(counters.snapshot()) is dict

@@ -21,7 +21,7 @@ class StubHost(Host):
         packet.sent_time = self.sim.now
         self.sends += 1
         if packet.retransmitted:
-            self.counters.add("retransmissions")
+            self.counters["retransmissions"] += 1
         self.outbox.append(packet)
         return True
 

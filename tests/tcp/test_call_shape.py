@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cc.base import AckEvent, CongestionControl
-from repro.cc.registry import algorithm_names, factory, get_class
+from repro.cc.registry import _REGISTRY, factory, get_class
 from repro.net.packet import Packet, ack_packet, data_packet
 from repro.sim.engine import Simulator
 from repro.tcp.receiver import TcpReceiver
@@ -241,7 +241,7 @@ def overrides_pacing_rate(cls):
 
 def test_paces_is_whether_the_cca_class_has_its_own_pacing_rate(sim):
     pacers = set()
-    for flow_id, name in enumerate(algorithm_names()):
+    for flow_id, name in enumerate(sorted(_REGISTRY)):
         host = StubHost(sim, name=f"host-{name}")
         sender = TcpSender(
             sim, host, flow_id=flow_id, dst="peer", cca_factory=factory(name),

@@ -110,7 +110,7 @@ class TestReordering:
         receiver.handle_packet(seg(2000))  # one-packet reorder
         receiver.handle_packet(seg(1000))
         assert receiver.rcv_nxt == 3000
-        assert receiver.complete
+        assert receiver.completed_at is not None
 
     def test_receiver_tolerates_duplicate_flood(self, sim, stub_host):
         receiver = TcpReceiver(

@@ -38,7 +38,7 @@ class RangeSetOnlyReceiver(TcpReceiver):
             packet.seq, packet.end_seq
         )
         if duplicate:
-            self.counters.add("duplicate_segments")
+            self.counters["duplicate_segments"] += 1
         else:
             self.bytes_received += self.received.add(packet.seq, packet.end_seq)
         self.rcv_nxt = self.received.first_missing_after(self.rcv_nxt)
@@ -47,7 +47,7 @@ class RangeSetOnlyReceiver(TcpReceiver):
         ce_changed = packet.ecn_marked != self._ce_state
         self._ce_state = packet.ecn_marked
         if packet.ecn_marked:
-            self.counters.add("ce_marks")
+            self.counters["ce_marks"] += 1
             self._marked_bytes_pending += packet.payload_bytes
         self._pending_echo_time = packet.sent_time
         self._unacked_segments += 1

@@ -35,9 +35,11 @@ or ``examples/``, or in a ``python`` block of README.md or ``docs/``.
 import ast
 import inspect
 import re
+from importlib import import_module
 from pathlib import Path
 
 from repro.cc.filters import WindowedFilter
+from repro.figures.specs import FIGURES
 from repro.harness.experiment import (
     FabricScenario,
     FlowSpec,
@@ -65,11 +67,46 @@ CLASSES = {
     },
 }
 
+#: each ``FIGURES`` row's driver, by function name
+DRIVERS = {
+    figure.driver.rpartition(".")[2]: getattr(
+        import_module(figure.driver.rpartition(".")[0]), figure.driver.rpartition(".")[2]
+    )
+    for figure in FIGURES
+}
+#: what the CLI's one figure handler passes a driver beside its ``Param``s
+LAUNCH = ("jobs", "cache_dir", "observer", "on_result")
+
+#: why a figure driver keeps a keyword only tests set: the figure's
+#: tests run a smaller sweep (fewer points, a shorter window) to fit
+#: tier-1, and the goldens pin those runs. PR 53's pattern, a module
+#: constant the test monkeypatches, would turn each into a constant.
+SHRUNK_AXIS = "tests shrink this sweep axis or window to run in seconds"
+
 #: options only tests set, each kept for its reason
 KEPT = {
+    ("run_fig1", "fractions"): SHRUNK_AXIS,
+    ("run_fig2", "throughputs_gbps"): SHRUNK_AXIS,
+    ("run_fig2", "window_s"): SHRUNK_AXIS,
+    ("run_fig3", "probe_interval_s"): SHRUNK_AXIS,
+    ("run_fig4", "loads"): SHRUNK_AXIS,
+    ("run_fig4", "throughputs_gbps"): SHRUNK_AXIS,
+    ("run_fig4", "window_s"): SHRUNK_AXIS,
+    ("run_cca_mtu_grid", "mtus"): SHRUNK_AXIS,
+    ("run_cca_mtu_grid", "ccas"): SHRUNK_AXIS,
+    ("run_hardware_comparison", "loads"): SHRUNK_AXIS,
+    ("run_mechanism_breakdown", "ccas"): SHRUNK_AXIS,
+    ("run_mptcp_comparison", "subflows"): SHRUNK_AXIS,
+    ("run_workload_energy", "duration_s"): SHRUNK_AXIS,
+
     ("Scenario", "bottleneck_discipline"): (
         "the counter oracle's priority shape builds a pFabric bottleneck "
         "through it; policy='srpt' cannot, it also swaps the sender's CCA"
+    ),
+    ("FlowSpec", "cca_kwargs"): (
+        "the BBR2 alpha ablation (tests/figures/test_ablation.py, "
+        "docs/calibration.md's +41 % -> +2 %) runs BBR2 with "
+        "alpha_quality=False through it; the field is in every cache key"
     ),
     ("FabricScenario", "time_limit_s"): (
         "run_once reads it for both kinds of scenario, and the starved-"
@@ -100,7 +137,7 @@ def setters():
             for option, param in options(cls).items()
             if param.kind is param.POSITIONAL_OR_KEYWORD
         ]
-        for name, cls in CLASSES.items()
+        for name, cls in {**CLASSES, **DRIVERS}.items()
     }
     found = set()
     for _path, tree in parsed(READERS):
@@ -110,7 +147,7 @@ def setters():
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             keywords = {kw.arg for kw in node.keywords if kw.arg is not None}
-            if name in CLASSES:
+            if name in CLASSES or name in DRIVERS:
                 keywords |= set(positional[name][: len(node.args)])
                 found |= {(name, kw) for kw in keywords}
             elif name == "replace":
@@ -122,9 +159,15 @@ def setters():
 
 def test_every_field_has_a_setter_outside_the_tests():
     found = setters()
+    # a figure driver's keyword is also set by the Param that feeds it,
+    # and by the CLI handler for a launched figure
+    for figure in FIGURES:
+        name = figure.driver.rpartition(".")[2]
+        found |= {(name, param.keyword) for param in figure.params if param.keyword}
+        found |= {(name, keyword) for keyword in LAUNCH if figure.launched}
     unset = {
         (name, option)
-        for name, cls in CLASSES.items()
+        for name, cls in {**CLASSES, **DRIVERS}.items()
         for option in options(cls)
         if (name, option) not in found
     }
@@ -158,36 +201,11 @@ KEPT_NAMES = {
         "documented salvage of an aborted sweep; ROADMAP item 13(a)'s "
         "fault suite needs it"
     ),
-    "repro.figures.ablation:concavity_exponent_sweep": (
-        "ROADMAP item 12's audit keeps figures/ablation.py "
-        "(docs/calibration.md, the BBR2 golden)"
-    ),
-    "repro.figures.ablation:Bbr2AlphaAblation.alpha_overhead_vs_bbr": (
-        "ROADMAP item 12's audit keeps figures/ablation.py"
-    ),
-    "repro.figures.ablation:Bbr2AlphaAblation.mature_overhead_vs_bbr": (
-        "ROADMAP item 12's audit keeps figures/ablation.py"
-    ),
     "repro.analysis.concavity:chord_gap": (
         "Fig. 2's argument as a number: how far the smooth-sending curve "
         "sits above the full-speed-then-idle chord; ROADMAP item 12's "
         "audit keeps analysis/concavity.py as the oracle for measured "
         "Fig. 2 series"
-    ),
-    "repro.figures.ablation:concavity_ablation": (
-        "EXPERIMENTS.md's Theorem 1 section (a linear curve saves exactly "
-        "0 %) rests on it; ROADMAP item 18(b) picks a subcommand, a Claim "
-        "or deletion"
-    ),
-    "repro.figures.ablation:bbr2_alpha_ablation": (
-        "docs/calibration.md's +41 % -> +2 % and tests/golden/ablation/"
-        "bbr2.txt rest on it; ROADMAP item 18(b)"
-    ),
-    "repro.figures.ablation:ecn_threshold_ablation": (
-        "EXPERIMENTS.md's DCTCP marking-threshold ablation; ROADMAP item 18(b)"
-    ),
-    "repro.figures.ablation:buffer_ablation": (
-        "EXPERIMENTS.md's bottleneck-buffer ablation; ROADMAP item 18(b)"
     ),
 }
 

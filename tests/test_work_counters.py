@@ -32,7 +32,7 @@ import pytest
 
 import repro
 from repro.cc.base import AckEvent
-from repro.cc.registry import algorithm_names, get_class
+from repro.cc.registry import _REGISTRY, get_class
 from repro.core.allocation import FAIR_PLAN_NAME, fig1_allocations
 from repro.energy.cpu import CpuPackage
 from repro.figures.fig1 import DEFAULT_CAPACITY_BPS
@@ -67,7 +67,7 @@ COUNTED = {
     # (bbr2, westwood) enters two frames per ACK, and that is work too
     "cca_on_ack": {
         vars(cls)["on_ack"]
-        for name in algorithm_names()
+        for name in sorted(_REGISTRY)
         for cls in get_class(name).__mro__
         if "on_ack" in vars(cls)
     },
@@ -328,7 +328,7 @@ CCA_FRAMES = {
 
 
 def test_every_registered_cca_has_a_frame_pin():
-    assert sorted(CCA_FRAMES) == sorted(algorithm_names())
+    assert sorted(CCA_FRAMES) == sorted(_REGISTRY)
 
 
 @pytest.mark.parametrize("cca", sorted(CCA_FRAMES))
