@@ -57,7 +57,6 @@ REACH_KEPT: dict[str, tuple[str, ...]] = {
     ),
     "protocol event: the entry points' workloads never trigger it (the CI fabric "
     "sweep marks and drops nothing: CHANGES.md's FOUND on benchmarks/baselines/fabric.json)": (
-        "apps/probe.py:ThroughputProbe._sample",  # fig3's golden transfer ends before its first 1 ms probe
         "cc/base.py:CongestionControl.on_ecn",
         "cc/bbr2.py:Bbr2.on_ecn",
         "cc/constant.py:ConstantCwnd.on_ecn",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import KW_ONLY, dataclass, field
-from typing import Any, ClassVar, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Optional, Union
 
 from repro.apps.workload import INCAST_FAN_IN, INCAST_FRACTION, RACK_LOCAL_FRACTION
 from repro.core.allocation import FSTI_PLAN_NAME, AllocationPlan
@@ -29,6 +29,10 @@ from repro.sched import (
     resolve_policy_name,
 )
 from repro.units import msec, usec
+
+if TYPE_CHECKING:
+    from repro.harness.fabric import PreparedRun
+    from repro.sim.engine import Simulator
 
 
 def _plain_fields(spec: Any) -> Dict[str, Any]:
@@ -123,6 +127,9 @@ class Scenario:
     #: batch. Does not affect the physics of the declared flows.
     offered_load: Optional[float] = None
 
+    #: the journal name of this kind's build phase
+    build_phase: ClassVar[str] = "testbed_build"
+
     def __post_init__(self) -> None:
         if not self.flows:
             raise ExperimentError(f"scenario {self.name!r} has no flows")
@@ -146,12 +153,12 @@ class Scenario:
             raise ExperimentError(
                 f"background load must be in [0, 1], got {self.background_load}"
             )
+        plan = self.plan()
         if len(self.flows) > 1 and any(f.cca == "baseline" for f in self.flows):
             # Footnote 2 of the paper: the no-CC module must never share
             # a FIFO bottleneck — it would cause congestion collapse.
             # (A pFabric-style priority bottleneck is the exception: its
             # whole design is line-rate senders + in-network scheduling.)
-            plan = self.plan()
             admitted = sum(1 for decision in plan.flows if not decision.deferred)
             if admitted > 1 and "priority" not in (
                 self.bottleneck_discipline,
@@ -170,9 +177,17 @@ class Scenario:
             )
         try:
             check_discipline(self.bottleneck_discipline)
-            self.testbed_config()
+            self.testbed_config(plan)
         except NetworkConfigError as exc:
             raise ExperimentError(f"scenario {self.name!r}: {exc}") from None
+
+    def build(self, sim: Simulator, seed: int) -> PreparedRun:
+        """This scenario's run on ``sim``:
+        :func:`repro.harness.fabric.build_link`."""
+        # Imported at call time: the build steps import this module.
+        from repro.harness.fabric import build_link
+
+        return build_link(self, sim, seed)
 
     def plan(self) -> SchedulePlan:
         """The policy's plan for the flows: which start at their arrival,
@@ -199,10 +214,11 @@ class Scenario:
         )
         return get_policy(self.policy).plan(requests, ctx)
 
-    def testbed_config(self) -> TestbedConfig:
-        """The testbed this scenario runs on. An override left None keeps
-        the default, and the plan's bottleneck hint (srpt's priority
-        qdisc) wins over the scenario's discipline."""
+    def testbed_config(self, plan: SchedulePlan) -> TestbedConfig:
+        """The testbed this scenario runs on under ``plan``, its
+        :meth:`plan` (made once by the caller). An override left None
+        keeps the default, and the plan's bottleneck hint (srpt's
+        priority qdisc) wins over the scenario's discipline."""
         kwargs: Dict[str, Any] = dict(
             mtu_bytes=self.mtu_bytes,
             ecn_threshold_bytes=self.ecn_threshold_bytes,
@@ -213,7 +229,7 @@ class Scenario:
         for name in ("buffer_bytes", "sender_bonded_links"):
             if getattr(self, name) is not None:
                 kwargs[name] = getattr(self, name)
-        hint = self.plan().bottleneck_discipline
+        hint = plan.bottleneck_discipline
         if hint != "fifo":
             kwargs["bottleneck_discipline"] = hint
         return TestbedConfig(**kwargs)
@@ -244,8 +260,9 @@ class FabricScenario:
     """A fleet-scale experiment: one CCA over a multi-switch fabric.
 
     The fabric analogue of :class:`Scenario` — a declarative, hashable
-    description the runner (:mod:`repro.harness.fabric`) realizes
-    against a fresh fabric. The same executor/cache/telemetry plumbing
+    description whose build step (:mod:`repro.harness.fabric`) realizes
+    it on a fresh fabric; the runner does the rest as for a
+    :class:`Scenario`. The same executor/cache/telemetry plumbing
     applies because both classes expose ``name`` and ``cache_key()``.
     """
 
@@ -287,6 +304,12 @@ class FabricScenario:
     #: sampling interval for the hosts' CPU power integration; a fabric
     #: run's power is noise-free, so fleet deltas are exact
     sample_interval_s: ClassVar[float] = msec(5.0)
+    #: a generated arrival is already random: no start jitter, and no
+    #: throughput probes on a thousand flows
+    start_jitter_s: ClassVar[float] = 0.0
+    probe_interval_s: ClassVar[Optional[float]] = None
+    #: the journal name of this kind's build phase
+    build_phase: ClassVar[str] = "fabric_build"
 
     def __post_init__(self) -> None:
         # Canonicalize so every spelling hashes identically in cache keys.
@@ -312,6 +335,14 @@ class FabricScenario:
             self.fabric_config()
         except NetworkConfigError as exc:
             raise ExperimentError(f"scenario {self.name!r}: {exc}") from None
+
+    def build(self, sim: Simulator, seed: int) -> PreparedRun:
+        """This scenario's run on ``sim``:
+        :func:`repro.harness.fabric.build_fabric`."""
+        # Imported at call time: the build steps import this module.
+        from repro.harness.fabric import build_fabric
+
+        return build_fabric(self, sim, seed)
 
     def fabric_config(self) -> FabricConfig:
         """The fabric this scenario runs on. A fat-tree's shape is its

@@ -1,8 +1,10 @@
-"""Scenario execution: build a fresh testbed, run, measure, repeat.
+"""Scenario execution: build a fresh network, run, measure, repeat.
 
 The runner reproduces the paper's measurement loop (§3): set up the
 scenario, read the RAPL counters, run the traffic, read the counters
-again, repeat 10 times, report mean and standard deviation.
+again, repeat 10 times, report mean and standard deviation. Every
+scenario kind runs through the one pipeline here; only its build step
+(:mod:`repro.harness.fabric`) is its own.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from typing import Any, Dict, List, Optional
 from repro.analysis.stats import mean, percentile, sample_std
 from repro.apps.iperf import IperfResult, IperfSession, drive_until_complete
 from repro.apps.probe import ThroughputProbe
-from repro.energy.cpu import CpuModel
+from repro.energy.fleet import fleet_energy_report
 from repro.energy.meter import EnergyMeter
 from repro.errors import ExperimentError
-from repro.harness.experiment import AnyScenario, FabricScenario, Scenario
-from repro.harness.fabric import measure_fabric, prepare_fabric
-from repro.net.topology import Fabric, build_testbed
+from repro.harness.experiment import AnyScenario
+from repro.harness.fabric import PreparedRun
+from repro.net.host import Host
 from repro.obs.attrib import record_flow_energy
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.sim.engine import Simulator
@@ -131,37 +133,21 @@ class RepeatedResult:
         return mean([float(r.total_retransmissions) for r in self.runs])
 
 
-def _prepare_link(
-    scenario: Scenario, sim: Simulator, seed: int
-) -> "_PreparedLink":
-    """Build the testbed, sessions, probes and meter for one run."""
-    rngs = RngRegistry(seed)
-    plan = scenario.plan()
-    testbed = build_testbed(sim, scenario.testbed_config())
+def _prepare(scenario: AnyScenario, sim: Simulator, seed: int) -> PreparedRun:
+    """Build the scenario's run, then give it one session per flow.
 
-    # One CPU model per sender host, sized by the flows it carries.
-    cpu_models = [
-        CpuModel(
-            sim,
-            host,
-            packages=scenario.packages
-            or max(2, sum(f.sender_host == h for f in scenario.flows)),
-            sample_interval_s=scenario.sample_interval_s,
-        )
-        for h, host in enumerate(testbed.hosts[:-1])
-    ]
-    if scenario.power_noise_sigma > 0:
-        noise_rng = rngs.stream("power-noise")
-        for model in cpu_models:
-            model.set_noise(noise_rng, scenario.power_noise_sigma)
-    if scenario.background_load > 0:
-        for model in cpu_models:
-            model.set_background_load(scenario.background_load)
-
-    jitter_rng = rngs.stream("start-jitter")
-    sessions: List[IperfSession] = []
-    placed = [0] * len(cpu_models)  # flows pinned so far, per sender host
-    for i, flow in enumerate(scenario.flows):
+    Sessions are created in flow order first (a plan may defer a flow
+    behind a *later* index — srpt's shortest-first chains), then
+    chained: a deferred flow with an arrival of its own starts at its
+    predecessor's completion but never before that arrival, and one
+    without starts at the completion itself.
+    """
+    run = scenario.build(sim, seed)
+    plan = run.plan
+    jitter_rng = RngRegistry(seed).stream("start-jitter")
+    cpu_of = {model.host: model for model in run.meter.cpu_models}
+    placed: Dict[Host, int] = {}  # flows pinned so far, per sender host
+    for i, (flow, src, dst) in enumerate(run.flows):
         if plan.schedule_for(i).deferred:
             # Deferred flows draw no jitter: a chained start replaces
             # the arrival entirely.
@@ -171,7 +157,7 @@ def _prepare_link(
                 0.0, scenario.start_jitter_s
             )
         session = IperfSession(
-            testbed,
+            run.fabric,
             total_bytes=flow.total_bytes,
             cca=flow.cca if plan.sender_cca is None else plan.sender_cca,
             target_bitrate_bps=flow.target_rate_bps,
@@ -185,96 +171,95 @@ def _prepare_link(
             # must be a pure function of (scenario, seed) so serial,
             # process-pool, and cached runs are interchangeable.
             flow_id=i + 1,
-            src_host=testbed.hosts[flow.sender_host],
+            src_host=src,
+            dst_host=dst,
         )
-        sessions.append(session)
+        run.sessions.append(session)
         # A flow takes its own host's packages in turn.
-        host_cpu = cpu_models[flow.sender_host]
-        host_cpu.pin_flow(
-            session.flow_id, placed[flow.sender_host] % len(host_cpu.packages)
-        )
-        placed[flow.sender_host] += 1
+        cpu = cpu_of[src]
+        cpu.pin_flow(session.flow_id, placed.get(src, 0) % len(cpu.packages))
+        placed[src] = placed.get(src, 0) + 1
 
-    # Completion chaining for deferred flows (full-speed-then-idle
-    # schedules) and Fig. 1-style cap lifting. Plans may defer behind any
-    # index (srpt's shortest-first chains), so sessions all exist first.
-    for i, flow in enumerate(scenario.flows):
+    sessions = run.sessions
+    for i, (flow, _, _) in enumerate(run.flows):
         after = plan.schedule_for(i).after_index
-        if after is not None:
-            successor = sessions[i]
-            if flow.start_time_s > 0.0:
-                # Open-workload chaining: never start a flow before its
-                # own arrival (the fabric prepare step's exact semantics).
-                successor.begin_after(sessions[after], flow.start_time_s)
-            else:
-                sessions[after].sender.on_complete(
-                    lambda _t, s=successor: s.begin()
-                )
+        if after is not None and flow.start_time_s > 0.0:
+            sessions[i].begin_after(sessions[after], flow.start_time_s)
+        elif after is not None:
+            sessions[after].sender.on_complete(
+                lambda _t, s=sessions[i]: s.begin()
+            )
         if flow.uncap_after is not None:
-            capped = sessions[i]
+            # Fig. 1: the capped flow uses the rest of the link afterwards.
             sessions[flow.uncap_after].sender.on_complete(
-                lambda _t, s=capped: s.uncap()
+                lambda _t, s=sessions[i]: s.uncap()
             )
 
-    probes: Dict[int, ThroughputProbe] = {}
     if scenario.probe_interval_s is not None:
         for session in sessions:
             probe = ThroughputProbe(
                 sim, session.receiver, interval_s=scenario.probe_interval_s
             )
             probe.start()
-            probes[session.flow_id] = probe
-
-    return _PreparedLink(
-        testbed=testbed,
-        sessions=sessions,
-        probes=probes,
-        meter=EnergyMeter(sim, cpu_models),
-    )
+            run.probes[session.flow_id] = probe
+    return run
 
 
-@dataclass
-class _PreparedLink:
-    """A built single-link run: what the pipeline drives, then measures."""
+def _measure(scenario: AnyScenario, seed: int, run: PreparedRun) -> RunMeasurement:
+    """What every run reports, once its loop is done.
 
-    testbed: Fabric
-    sessions: List[IperfSession]
-    probes: Dict[int, ThroughputProbe]
-    meter: EnergyMeter
-
-
-def _measure_link(
-    scenario: Scenario, prepared: _PreparedLink, host_energy_j: float
-) -> Dict[str, Any]:
-    """The single-link fields of the run's measurement."""
-    for probe in prepared.probes.values():
+    A testbed names its one contended port, and its drops and marks are
+    that port's; a fleet names none, so they sum every queue. A run
+    built with a switch model reports the *fleet* energy — host CPUs
+    plus every switch over the makespan — with the split in ``extras``
+    (``host_energy_j``, ``switch_energy_j``, beside what the build
+    supplied), so baselines gate on each component.
+    """
+    host_energy_j = run.meter.stop()
+    for probe in run.probes.values():
         probe.stop()
-    bottleneck = prepared.testbed.bottleneck
-    assert bottleneck is not None  # build_testbed always names it
-    return dict(
-        energy_j=host_energy_j,
-        bottleneck_drops=int(bottleneck.queue.counters.get("drops")),
-        ecn_marks=int(bottleneck.queue.counters.get("ecn_marks")),
-        throughput_series={
-            fid: p.series for fid, p in prepared.probes.items()
-        },
+    fabric = run.fabric
+    queues = (
+        fabric.queues if fabric.bottleneck is None else [fabric.bottleneck.queue]
     )
-
-
-#: What differs by scenario kind: the journal name of the build phase,
-#: the *prepare* step ``(scenario, sim, seed) -> prepared`` (anything
-#: with ``sessions`` and ``meter``), and the *measure* step
-#: ``(scenario, prepared, host_energy_j) -> RunMeasurement fields``.
-#: Everything else in :func:`run_once` is shared.
-_LINK_KIND = ("testbed_build", _prepare_link, _measure_link)
-_FABRIC_KIND = ("fabric_build", prepare_fabric, measure_fabric)
+    flow_results = [s.result() for s in run.sessions]
+    measurement = RunMeasurement(
+        scenario=scenario.name,
+        seed=seed,
+        energy_j=host_energy_j,
+        duration_s=run.meter.duration_s,
+        flow_results=flow_results,
+        bottleneck_drops=int(sum(q.counters.get("drops") for q in queues)),
+        ecn_marks=int(sum(q.counters.get("ecn_marks") for q in queues)),
+        throughput_series={fid: p.series for fid, p in run.probes.items()},
+        energy_components_j=_energy_components_j(run.meter),
+    )
+    if run.switch_model is not None:
+        fleet = fleet_energy_report(
+            fabric.switches,
+            duration_s=run.meter.duration_s,
+            host_energy_j=host_energy_j,
+            model=run.switch_model,
+        )
+        measurement.energy_j = fleet.total_energy_j
+        measurement.extras.update(
+            host_energy_j=fleet.host_energy_j,
+            switch_energy_j=fleet.switch_energy_j,
+            **run.extras,
+        )
+    # The Pareto frontier's x-axis: FCT percentiles under the same keys
+    # for every kind, so fleet and single-link points plot on one chart.
+    fcts = [r.duration_s for r in flow_results]
+    measurement.extras["fct_p50_s"] = percentile(fcts, 50.0)
+    measurement.extras["fct_p99_s"] = percentile(fcts, 99.0)
+    return measurement
 
 
 def _energy_components_j(meter: EnergyMeter) -> Dict[str, float]:
     """Every metered package's per-mechanism joules, summed.
 
     The sum needs no start snapshot: packages accumulate from
-    construction, and both prepare steps build them without running the
+    construction, and the build step makes them without running the
     simulator, so the window :func:`run_once` opens before the first
     event holds every joule they ever counted.
     """
@@ -296,7 +281,9 @@ def run_once(
 
     The one scenario -> measurement pipeline: a single-link
     :class:`Scenario` and a :class:`FabricScenario` differ only in
-    their prepare and measure steps, picked from the scenario's type.
+    their build step (:mod:`repro.harness.fabric`), which the scenario
+    names itself; preparing the sessions, the loop and the measurement
+    are the same for both.
 
     ``observer`` times the run's phases — spans for
     testbed build, the sim loop (with the executed-event count), and
@@ -311,25 +298,20 @@ def run_once(
     observer hands back the shared no-op sink. Like the observer, a
     sink is write-only: it cannot affect the measurement.
     """
-    build_phase, prepare, measure = (
-        _FABRIC_KIND if isinstance(scenario, FabricScenario) else _LINK_KIND
-    )
     obs = NULL_OBSERVER if observer is None else observer
     sim = Simulator()
     sink = probe_sink if probe_sink is not None else obs.probe_sink(
         scenario.name, seed
     )
     sim.probe_sink = sink
-    with obs.span(build_phase, scenario=scenario.name, seed=seed):
-        prepared = prepare(scenario, sim, seed)
-    sessions = prepared.sessions
-    meter = prepared.meter
-    meter.start()
+    with obs.span(scenario.build_phase, scenario=scenario.name, seed=seed):
+        run = _prepare(scenario, sim, seed)
+    run.meter.start()
 
     loop_span = obs.span("sim_loop", scenario=scenario.name, seed=seed)
     with loop_span:
         drive_until_complete(
-            sim, sessions, scenario.time_limit_s, scenario.name
+            sim, run.sessions, scenario.time_limit_s, scenario.name
         )
         # Post-loop heap state (live events still queued, the exact
         # lazy-deletion tally, the raw heap size) rides on the span, so
@@ -343,22 +325,7 @@ def run_once(
             loop_span.add(queued_events=sim.queued_events)
 
     with obs.span("measurement", scenario=scenario.name, seed=seed):
-        fields = measure(scenario, prepared, meter.stop())
-        flow_results = [s.result() for s in sessions]
-        measurement = RunMeasurement(
-            scenario=scenario.name,
-            seed=seed,
-            duration_s=meter.duration_s,
-            flow_results=flow_results,
-            energy_components_j=_energy_components_j(meter),
-            **fields,
-        )
-        # The Pareto frontier's x-axis: FCT percentiles under the same
-        # keys for every kind, so fleet and single-link points plot on
-        # one chart.
-        fcts = [r.duration_s for r in flow_results]
-        measurement.extras["fct_p50_s"] = percentile(fcts, 50.0)
-        measurement.extras["fct_p99_s"] = percentile(fcts, 99.0)
+        measurement = _measure(scenario, seed, run)
     # Attribution samples must land in the sink before it is persisted.
     record_flow_energy(sink, measurement)
     if probe_sink is None:

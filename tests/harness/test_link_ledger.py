@@ -1,6 +1,6 @@
 """The link testbed's packet ledger, pinned on four shapes.
 
-Each shape runs through the link prepare step until every flow is
+Each shape runs through the runner's prepare step until every flow is
 complete, then the simulator drains. By then every packet a host sent
 was delivered, dropped by a queue or a host qdisc, or corrupted on a
 wire: the ledger's residual is 0, and each of its five terms is pinned,
@@ -15,7 +15,7 @@ import pytest
 
 from repro.apps.iperf import drive_until_complete
 from repro.harness.experiment import FlowSpec, Scenario
-from repro.harness.runner import _prepare_link
+from repro.harness.runner import _prepare
 from repro.net.topology import ConservationLedger
 from repro.sim.engine import Simulator
 
@@ -89,9 +89,9 @@ SHAPES = {
 def test_link_ledger_balances_after_drain(shape):
     scenario, loss_rate, expected, queues, links = SHAPES[shape]
     sim = Simulator()
-    prepared = _prepare_link(scenario, sim, seed=0)
+    prepared = _prepare(scenario, sim, seed=0)
     if loss_rate:
-        link = prepared.testbed.bottleneck.link
+        link = prepared.fabric.bottleneck.link
         link.loss_rate = loss_rate
         link.loss_rng = random.Random(0)
     prepared.meter.start()
@@ -100,7 +100,7 @@ def test_link_ledger_balances_after_drain(shape):
     )
     prepared.meter.stop()
     sim.run()
-    testbed = prepared.testbed
+    testbed = prepared.fabric
     assert testbed.conservation() == expected
     assert (len(testbed.queues), len(testbed.links)) == (queues, links)
     assert expected.residual == 0

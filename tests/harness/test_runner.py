@@ -11,7 +11,7 @@ from repro.energy import calibration as cal
 from repro.energy.power_model import PowerModel
 from repro.errors import ExperimentError
 from repro.harness.experiment import FabricScenario, FlowSpec, Scenario
-from repro.harness.runner import _prepare_link, run_once, run_repeated
+from repro.harness.runner import _prepare, run_once, run_repeated
 from repro.net.topology import TestbedConfig, build_testbed
 from repro.sim.engine import Simulator
 from repro.units import gbps
@@ -132,16 +132,16 @@ class TestSenderHosts:
             flows=[FlowSpec(SIZE), FlowSpec(SIZE, sender_host=1)],
             sender_bonded_links=1,
         )
-        prepared = _prepare_link(scenario, Simulator(), seed=0)
-        senders = prepared.testbed.hosts[:-1]
+        prepared = _prepare(scenario, Simulator(), seed=0)
+        senders = prepared.fabric.hosts[:-1]
         assert [s.sender.host for s in prepared.sessions] == senders
         assert [len(host.nic.interfaces) for host in senders] == [1, 1]
 
     def test_one_cpu_model_per_host_sized_by_its_flows(self):
         flows = [FlowSpec(SIZE)] * 3 + [FlowSpec(SIZE, sender_host=1)]
-        prepared = _prepare_link(single_flow(flows=flows), Simulator(), seed=0)
+        prepared = _prepare(single_flow(flows=flows), Simulator(), seed=0)
         first, second = prepared.meter.cpu_models
-        assert [first.host, second.host] == prepared.testbed.hosts[:-1]
+        assert [first.host, second.host] == prepared.fabric.hosts[:-1]
         assert [len(first.packages), len(second.packages)] == [3, 2]
         # a host's flows take its packages in turn
         ids = [s.flow_id for s in prepared.sessions]

@@ -189,16 +189,14 @@ class TestExactCounts:
     def test_handle_packet_calls_are_the_acks_sent(self, tmp_path, monkeypatch):
         # a loss-free run delivers every ACK its receivers send
         sessions = []
-        phase, prepare, measure = runner._LINK_KIND
+        prepare = runner._prepare
 
         def keep_sessions(scenario, sim, seed):
             prepared = prepare(scenario, sim, seed)
             sessions.extend(prepared.sessions)
             return prepared
 
-        monkeypatch.setattr(
-            runner, "_LINK_KIND", (phase, keep_sessions, measure)
-        )
+        monkeypatch.setattr(runner, "_prepare", keep_sessions)
         scenario = Scenario(name="acks", flows=[FlowSpec(200_000)], packages=1)
         with JournalObserver(
             tmp_path / "journal.jsonl", profile_path=tmp_path / PROFILE_FILENAME

@@ -28,7 +28,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "figures"
 CASES = {
     "fig1": ["fig1", "--bytes", "400000", "--reps", "1"],
     "fig2": ["fig2", "--reps", "1"],
-    "fig3": ["fig3", "--bytes", "400000"],
+    "fig3": ["fig3", "--bytes", "4000000"],
     "fig4": ["fig4", "--reps", "1"],
     "grid": ["grid", "--bytes", "3000000", "--reps", "1"],
     # no run retransmits: corr(energy, retx) is undefined and prints n/a
